@@ -387,28 +387,30 @@ mod tests {
 
     #[test]
     fn general_transform_flushes_on_reads() {
-        nvm::tid::set_tid(0);
+        const P: usize = 44; // own tid: its counters are this test's alone
+        nvm::tid::set_tid(P);
         let g = Gen::new();
         for k in 1..=20u64 {
-            g.insert(0, k);
+            g.insert(P, k);
         }
-        let before = nvm::stats::snapshot();
-        g.find(0, 20);
-        let d = nvm::stats::snapshot().since(&before);
+        let before = nvm::stats::Snapshot::of_tid(P);
+        g.find(P, 20);
+        let d = nvm::stats::Snapshot::of_tid(P).since(&before);
         assert!(d.pwb > 20, "durability transform must flush every read, got {}", d.pwb);
         assert!(d.pfence > 20);
     }
 
     #[test]
     fn opt_variant_flushes_far_less() {
-        nvm::tid::set_tid(0);
+        const P: usize = 45; // own tid: its counters are this test's alone
+        nvm::tid::set_tid(P);
         let o = Opt::new();
         for k in 1..=20u64 {
-            o.insert(0, k);
+            o.insert(P, k);
         }
-        let before = nvm::stats::snapshot();
-        o.find(0, 20);
-        let d = nvm::stats::snapshot().since(&before);
+        let before = nvm::stats::Snapshot::of_tid(P);
+        o.find(P, 20);
+        let d = nvm::stats::Snapshot::of_tid(P).since(&before);
         assert!(d.pwb <= 4, "hand-tuned find should flush O(1) words, got {}", d.pwb);
     }
 

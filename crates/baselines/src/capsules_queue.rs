@@ -268,16 +268,17 @@ mod tests {
 
     #[test]
     fn general_variant_flushes_more() {
-        nvm::tid::set_tid(0);
+        const P: usize = 48; // own tid: its counters are this test's alone
+        nvm::tid::set_tid(P);
         let g = Gen::new();
         let n = Norm::new();
-        g.enqueue(0, 1);
-        n.enqueue(0, 1);
-        let b = nvm::stats::snapshot();
-        g.enqueue(0, 2);
-        let mid = nvm::stats::snapshot();
-        n.enqueue(0, 2);
-        let e = nvm::stats::snapshot();
+        g.enqueue(P, 1);
+        n.enqueue(P, 1);
+        let b = nvm::stats::Snapshot::of_tid(P);
+        g.enqueue(P, 2);
+        let mid = nvm::stats::Snapshot::of_tid(P);
+        n.enqueue(P, 2);
+        let e = nvm::stats::Snapshot::of_tid(P);
         let dg = mid.since(&b);
         let dn = e.since(&mid);
         assert!(

@@ -353,23 +353,24 @@ mod tests {
     fn barrier_per_marked_node_traversed() {
         // A traversal over logically-deleted nodes must issue barriers; the
         // same traversal over a clean list must not.
-        nvm::tid::set_tid(0);
+        const P: usize = 46; // own tid: its counters are this test's alone
+        nvm::tid::set_tid(P);
         let l = L::new();
         for k in 1..=20u64 {
-            l.insert(0, k);
+            l.insert(P, k);
         }
-        let before = nvm::stats::snapshot();
-        l.find(0, 20);
-        let clean = nvm::stats::snapshot().since(&before).pbarrier;
+        let before = nvm::stats::Snapshot::of_tid(P);
+        l.find(P, 20);
+        let clean = nvm::stats::Snapshot::of_tid(P).since(&before).pbarrier;
         assert_eq!(clean, 0, "clean traversal must not barrier");
         // Mark (logically delete) many nodes without letting a search unlink
         // them first: delete's own search unlinks previous victims, so count
         // barriers of the delete traversals themselves.
-        let before = nvm::stats::snapshot();
+        let before = nvm::stats::Snapshot::of_tid(P);
         for k in 1..=10u64 {
-            l.delete(0, k);
+            l.delete(P, k);
         }
-        let with_marks = nvm::stats::snapshot().since(&before).pbarrier;
+        let with_marks = nvm::stats::Snapshot::of_tid(P).since(&before).pbarrier;
         assert!(with_marks >= 10, "each deletion must barrier its mark, got {with_marks}");
     }
 

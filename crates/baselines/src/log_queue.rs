@@ -221,12 +221,13 @@ mod tests {
 
     #[test]
     fn per_op_persistency_cost_is_constant() {
-        nvm::tid::set_tid(0);
+        const P: usize = 47; // own tid: its counters are this test's alone
+        nvm::tid::set_tid(P);
         let q = Q::new();
-        q.enqueue(0, 1);
-        let before = nvm::stats::snapshot();
-        q.enqueue(0, 2);
-        let d = nvm::stats::snapshot().since(&before);
+        q.enqueue(P, 1);
+        let before = nvm::stats::Snapshot::of_tid(P);
+        q.enqueue(P, 2);
+        let d = nvm::stats::Snapshot::of_tid(P).since(&before);
         assert!(d.pwb <= 8, "enqueue flushes O(1) words, got {}", d.pwb);
         assert!(d.psync <= 4);
     }

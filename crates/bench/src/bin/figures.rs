@@ -773,10 +773,9 @@ impl Ctx {
     /// pipeline buy. (a) Attach wall-clock vs live keys with 1 vs 4 attach
     /// worker threads (the heap starts at 4 MiB and grows segments under the
     /// fill, so segment remapping is part of every measured attach); (b) an
-    /// alloc/free microbench of the legacy single-mutex allocator vs the
-    /// sharded per-thread free lists; (c) the new observability counters for
-    /// each arm. On a single-vCPU host the 4-thread attach shows scheduling
-    /// overhead, not speedup — see `bench_results/README.md`.
+    /// alloc/free microbench of the sharded per-thread free lists; (c) its
+    /// observability counters. On a single-vCPU host the 4-thread attach
+    /// shows scheduling overhead, not speedup — see `bench_results/README.md`.
     fn fig13(&self) {
         use isb::hashmap::RHashMap as HM;
         use nvm::mapped::MappedHeap;
@@ -842,19 +841,18 @@ impl Ctx {
         self.emit("fig13_attach", &t_attach);
 
         // (b)+(c) Allocator microbench: alloc/free pairs per second through
-        // the legacy global-mutex path vs the sharded per-thread free lists,
-        // with the counters that explain the difference. Blocks are 64-byte
-        // payloads (one granule — the node size class).
+        // the sharded per-thread free lists, with the counters that explain
+        // the number. Blocks are 64-byte payloads (one granule — the node
+        // size class). The comparison against a global-mutex allocator is
+        // committed in bench_results/BENCH_2026-08-08_fig13.json.
         let mut t_alloc = Table::new(
-            "Figure 13: persistent-arena allocator, global mutex vs sharded free lists \
+            "Figure 13: persistent-arena allocator, sharded free lists \
              (alloc+free pairs, Mops/s)"
                 .to_string(),
-            vec!["mutex".into(), "sharded".into()],
+            vec!["sharded".into()],
         );
         let mut t_ctr = Table::new(
-            "Figure 13: allocator/attach observability counters for the sharded arm \
-             (per whole run)"
-                .to_string(),
+            "Figure 13: allocator/attach observability counters (per whole run)".to_string(),
             vec![
                 "heap_allocs".into(),
                 "free_list_hits".into(),
@@ -864,50 +862,44 @@ impl Ctx {
         );
         for &threads in &self.threads {
             let per = 100_000usize;
-            let mut mops = [0.0f64; 2];
-            for (i, sharded) in [false, true].into_iter().enumerate() {
-                let path = dir.join(format!("alloc_{threads}_{sharded}.heap"));
-                let _ = std::fs::remove_file(&path);
-                let heap = MappedHeap::create(&path, initial_bytes).unwrap();
-                heap.set_use_sharded(sharded);
-                let before = nvm::stats::snapshot();
-                let t0 = Instant::now();
-                std::thread::scope(|s| {
-                    for t in 0..threads {
-                        let heap = &heap;
-                        s.spawn(move || {
-                            nvm::tid::set_tid(t);
-                            for j in 0..per {
-                                let p = heap.alloc(64).unwrap();
-                                heap.commit(p);
-                                // Keep every 8th block: pure alloc/free of
-                                // one address would serialize on one line.
-                                if j % 8 != 0 {
-                                    // SAFETY: freshly committed, exclusively
-                                    // owned, never referenced.
-                                    unsafe { heap.free(p) };
-                                }
+            let path = dir.join(format!("alloc_{threads}.heap"));
+            let _ = std::fs::remove_file(&path);
+            let heap = MappedHeap::create(&path, initial_bytes).unwrap();
+            let before = nvm::stats::snapshot();
+            let t0 = Instant::now();
+            std::thread::scope(|s| {
+                for t in 0..threads {
+                    let heap = &heap;
+                    s.spawn(move || {
+                        nvm::tid::set_tid(t);
+                        for j in 0..per {
+                            let p = heap.alloc(64).unwrap();
+                            heap.commit(p);
+                            // Keep every 8th block: pure alloc/free of
+                            // one address would serialize on one line.
+                            if j % 8 != 0 {
+                                // SAFETY: freshly committed, exclusively
+                                // owned, never referenced.
+                                unsafe { heap.free(p) };
                             }
-                        });
-                    }
-                });
-                mops[i] = (threads * per) as f64 / t0.elapsed().as_secs_f64() / 1e6;
-                if sharded {
-                    let d = nvm::stats::snapshot().since(&before);
-                    t_ctr.row(
-                        threads.to_string(),
-                        vec![
-                            d.heap_allocs as f64,
-                            d.free_list_hits as f64,
-                            d.slab_refills as f64,
-                            d.segments_grown as f64,
-                        ],
-                    );
+                        }
+                    });
                 }
-                drop(heap);
-                let _ = std::fs::remove_file(&path);
-            }
-            t_alloc.row(threads.to_string(), vec![mops[0], mops[1]]);
+            });
+            let mops = (threads * per) as f64 / t0.elapsed().as_secs_f64() / 1e6;
+            let d = nvm::stats::snapshot().since(&before);
+            t_ctr.row(
+                threads.to_string(),
+                vec![
+                    d.heap_allocs as f64,
+                    d.free_list_hits as f64,
+                    d.slab_refills as f64,
+                    d.segments_grown as f64,
+                ],
+            );
+            drop(heap);
+            let _ = std::fs::remove_file(&path);
+            t_alloc.row(threads.to_string(), vec![mops]);
         }
         self.emit("fig13_alloc", &t_alloc);
         self.emit("fig13_counters", &t_ctr);
@@ -1088,7 +1080,7 @@ impl Ctx {
     /// request throughput and tail latency of the full exactly-once path
     /// (frame parse → dedup lookup → durable intent → apply → durable
     /// response → ack) over loopback TCP. One in-process server (16
-    /// shards, 4 workers); N loadgen client threads, each a journaling
+    /// shards, 4 lanes); N loadgen client threads, each a journaling
     /// [`kvserve::KvClient`] drawing keys Zipf(1024, 0.99) with a
     /// 5:3:7 put:del:get mix, plus one dedup *replay* of the last
     /// acknowledged request every 16th op — so the served-from-the-table
@@ -1106,7 +1098,7 @@ impl Ctx {
 
         let mut t_lat = Table::new(
             "Figure 15: KV service over loopback TCP, zipfian keys (1024 keys, theta 0.99, \
-             16 shards, 4 workers; per-request latency incl. dedup replays)"
+             16 shards, 4 lanes; per-request latency incl. dedup replays)"
                 .to_string(),
             vec!["req/s".into(), "p50 us".into(), "p99 us".into(), "max us".into()],
         );

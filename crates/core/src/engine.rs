@@ -967,26 +967,28 @@ mod tests {
     fn tuned_help_produces_fewer_syncs() {
         let _gate = crate::counters::gate_shared();
         let ctx = Ctx::new();
+        const P: usize = 49; // own tid: its counters are this test's alone
+        nvm::tid::set_tid(P);
         let mk = |a0: &PWord<M>, a1: &PWord<M>, w: &PWord<M>| unsafe {
             mk_info(a0, 0, a1, 0, w, 100, 200, 0b10)
         };
         let (a0, a1, w) = (cellv(0), cellv(0), cellv(100));
         let info = mk(&a0, &a1, &w);
-        let before = nvm::stats::snapshot();
+        let before = nvm::stats::Snapshot::of_tid(P);
         {
             let g = ctx.c.pin();
             unsafe { help::<M, 0>(info, true, &g) };
         }
-        let paper = nvm::stats::snapshot().since(&before);
+        let paper = nvm::stats::Snapshot::of_tid(P).since(&before);
 
         let (b0, b1, v) = (cellv(0), cellv(0), cellv(100));
         let info2 = mk(&b0, &b1, &v);
-        let before = nvm::stats::snapshot();
+        let before = nvm::stats::Snapshot::of_tid(P);
         {
             let g = ctx.c.pin();
             unsafe { help::<M, 1>(info2, true, &g) };
         }
-        let tuned = nvm::stats::snapshot().since(&before);
+        let tuned = nvm::stats::Snapshot::of_tid(P).since(&before);
         assert!(tuned.psync < paper.psync, "tuned {tuned:?} vs paper {paper:?}");
         let g = ctx.c.pin();
         unsafe { Info::release(info, 3, &g) };

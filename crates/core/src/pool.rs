@@ -424,6 +424,13 @@ mod tests {
 
     static LIVE: AtomicUsize = AtomicUsize::new(0);
 
+    /// Every test here allocates `Obj`s and some compare `LIVE` exactly, so
+    /// they take turns (a poisoned turn is still a turn).
+    fn live_turn() -> std::sync::MutexGuard<'static, ()> {
+        static TURN: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        TURN.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     struct Obj(#[allow(dead_code)] u64);
     impl PoolItem for Obj {
         fn fresh() -> Self {
@@ -439,6 +446,7 @@ mod tests {
 
     #[test]
     fn take_give_reuses_addresses_immediately() {
+        let _turn = live_turn();
         nvm::tid::set_tid(0);
         let c = Collector::new();
         let g = c.pin();
@@ -452,6 +460,7 @@ mod tests {
 
     #[test]
     fn passthrough_give_retires_through_ebr() {
+        let _turn = live_turn();
         nvm::tid::set_tid(0);
         let c = Collector::new();
         let pool: Pool<Obj> = Pool::new(false, 64);
@@ -472,6 +481,7 @@ mod tests {
         // Crash-sim discipline: a disabled collector must PARK passthrough
         // gives (freeing registered words mid-scenario corrupts the crash
         // image builder).
+        let _turn = live_turn();
         nvm::tid::set_tid(0);
         let mut c = Collector::disabled();
         let pool: Pool<Obj> = Pool::new(false, 64);
@@ -493,6 +503,7 @@ mod tests {
 
     #[test]
     fn retire_recycles_only_after_epoch_advances() {
+        let _turn = live_turn();
         nvm::tid::set_tid(0);
         let c = Collector::new();
         let mut pool: Pool<Obj> = Pool::new(true, 64);
@@ -513,6 +524,7 @@ mod tests {
 
     #[test]
     fn capacity_bounds_the_free_list() {
+        let _turn = live_turn();
         nvm::tid::set_tid(0);
         let c = Collector::new();
         let g = c.pin();
@@ -528,6 +540,7 @@ mod tests {
 
     #[test]
     fn pool_drop_frees_idle_objects() {
+        let _turn = live_turn();
         nvm::tid::set_tid(0);
         let live0 = LIVE.load(Relaxed);
         {

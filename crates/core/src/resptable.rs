@@ -11,7 +11,7 @@
 //!   from here without touching any structure — byte-identical to the
 //!   original acknowledgement, applied exactly once.
 //! * **Intent slots** — one per process slot (`MAX_PROCS`, indexed by the
-//!   worker's tid): the op-ID currently being applied by that worker. An
+//!   tid the request runs under): the op-ID currently being applied there. An
 //!   intent is recorded *after* [`RecArea::mark_invoked`](crate::recovery::RecArea::mark_invoked)
 //!   (see below) and
 //!   cleared after the response is finalized, so after a crash every
@@ -108,7 +108,7 @@ struct ClientSlot {
     _pad: [u64; 5],
 }
 
-/// One worker's in-flight op-ID record (64 bytes).
+/// One tid's in-flight op-ID record (64 bytes).
 #[repr(C)]
 struct IntentSlot {
     /// State word, stamped **last** on record and first on clear.
@@ -167,12 +167,13 @@ pub enum Resolution {
 /// Handle over the committed [`rootkeys::RESPTAB`] root block.
 ///
 /// Cheap to clone; all state is in the mapped heap. Concurrency contract:
-/// a pid's intent slot is written only by the worker owning that tid (or,
-/// after its death, by the holder of its recovery lease), and a client slot
-/// is written only by the worker the client is routed to — the service
-/// routes each `client_id` to exactly one worker, so slot writes never
-/// race. Cross-thread *reads* (dedup scans, [`ResponseTable::foreign_inflight`])
-/// are safe against the documented write orderings.
+/// a pid's intent slot is written only by the thread currently holding that
+/// tid (or, after its process's death, by the holder of its recovery lease),
+/// and a client slot is written only under the tid the client is routed to —
+/// the service routes each `client_id` to exactly one tid lane and runs one
+/// request per lane at a time, so slot writes never race. Cross-thread
+/// *reads* (dedup scans, [`ResponseTable::foreign_inflight`]) are safe
+/// against the documented write orderings.
 #[derive(Clone)]
 pub struct ResponseTable {
     _heap: Arc<MappedHeap>,
@@ -264,7 +265,7 @@ impl ResponseTable {
         assert_ne!(client_id, TOMBSTONE, "client ID u64::MAX is reserved");
         // A lost CAS race below means a different client claimed the slot
         // mid-probe (a racing claim for the *same* id cannot exist — one
-        // worker per client); re-probe from the start against the new
+        // lane per client); re-probe from the start against the new
         // occupancy. Each retry follows another client's successful claim,
         // so the loop terminates: the table fills in ≤ CLIENT_SLOTS claims.
         'probe: loop {
@@ -320,8 +321,8 @@ impl ResponseTable {
     /// `last_seq` of 0 means no operation was ever acknowledged.
     ///
     /// The pair is read as written (`resp` paired with `last_seq`) only
-    /// while no concurrent writer is finalizing the slot. The routed
-    /// worker is the sole live writer; a dead peer's *resolver* is the
+    /// while no concurrent writer is finalizing the slot. The holder of the
+    /// client's lane is the sole live writer; a dead peer's *resolver* is the
     /// other one — which is why the service checks
     /// [`ResponseTable::foreign_inflight`] **before** calling this (a
     /// resolver finalizes, then clears the intent, so no foreign intent ⇒
@@ -507,8 +508,8 @@ impl ResponseTable {
                     let cid = s.client_id.load();
                     if cid == 0 || self.find(cid).is_none() {
                         // In-flight for a client with no durable slot:
-                        // nothing to finalize into; clear so the pid's
-                        // worker starts clean.
+                        // nothing to finalize into; clear so the pid
+                        // starts clean.
                         self.clear_intent(pid);
                         report.orphan_intents += 1;
                     }

@@ -1,9 +1,12 @@
 //! `kvserved` — the KV service daemon.
 //!
 //! ```text
-//! kvserved --path HEAP [--addr 127.0.0.1:0] [--shards 8] [--workers 2]
+//! kvserved --path HEAP [--addr 127.0.0.1:0] [--shards 8] [--workers LANES=2]
 //!          [--heap-bytes N] [--shared] [--port-file F] [--stop-file F]
 //! ```
+//!
+//! `--workers N` sets the number of tid lanes: how many requests of
+//! different clients may run at once (each runs on its connection's thread).
 //!
 //! Opens (recovering) the store heap at `--path`, binds, prints the bound
 //! address, and serves until killed — or until `--stop-file` appears, which
@@ -18,8 +21,9 @@ use std::time::Duration;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: kvserved --path HEAP [--addr A] [--shards N] [--workers N] \
-         [--heap-bytes N] [--shared] [--port-file F] [--stop-file F]"
+        "usage: kvserved --path HEAP [--addr A] [--shards N] [--workers LANES] \
+         [--heap-bytes N] [--shared] [--port-file F] [--stop-file F]\n\
+         --workers: tid lanes, i.e. requests of different clients that may run at once"
     );
     std::process::exit(2);
 }

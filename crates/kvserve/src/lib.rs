@@ -11,8 +11,9 @@
 //! The crate is three layers:
 //!
 //! * [`proto`] — frames, opcodes, typed error statuses;
-//! * [`server`] — per-shard worker threads, the exactly-once request path,
-//!   seeded SIGKILL crash injection for the conformance suite;
+//! * [`server`] — one thread per connection running the exactly-once
+//!   request path under a tid lane, seeded SIGKILL crash injection for the
+//!   conformance suite;
 //! * [`client`] — a journaling client that tracks sequence numbers and
 //!   replays unacknowledged requests after reconnect.
 //!

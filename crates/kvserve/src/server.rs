@@ -1,23 +1,28 @@
-//! The KV server: per-shard worker threads over a recoverable [`Store`].
+//! The KV server: tid lanes over a recoverable [`Store`].
 //!
 //! # Exactly-once request path
 //!
-//! Connections are accepted on a listener thread; each connection gets a
-//! reader thread that parses frames and routes requests to one of N worker
-//! threads by `hash(client_id) % N` — so all requests of one client
-//! serialize through one worker, which is what makes the dedup check and
-//! the apply a single-threaded sequence per client. Each worker owns a
-//! registered process slot (tid): its in-flight request is tracked by the
-//! paper's per-process recovery slot *and* by the durable op-ID intent
-//! record in the [`ResponseTable`].
+//! Connections are accepted on a listener thread; each connection gets one
+//! thread that parses frames and runs every request itself — the paper's
+//! one process `q` per operation, with no second thread in between. The
+//! server holds N **lanes**, each a mutex bound to one registered process
+//! slot (tid). A request locks lane `hash(client_id) % N`, adopts the
+//! lane's tid, runs the whole exactly-once sequence inline, releases the
+//! lane, and only then writes the socket. Routing is deterministic, so all
+//! requests of one client serialize through one lane, which is what makes
+//! the dedup check and the apply a single-threaded sequence per client; the
+//! same lock gives the lane's tid-keyed state (recovery slot, response-table
+//! intent slot, allocator thread cache, EBR slot) one owner at a time. The
+//! in-flight request is tracked by the paper's per-process recovery slot
+//! *and* by the durable op-ID intent record in the [`ResponseTable`].
 //!
-//! Worker order per request (see `isb::resptable` for the crash-window
-//! argument): foreign-intent (failover) check → dedup check →
-//! `note_invocation` (`CP_q := 0`, persisted) → durable intent record →
-//! structure op → durable response finalize → intent clear → socket
-//! acknowledgement. The foreign-intent check precedes even the dedup
-//! read: a dead peer's healer writes the same client slot, and only the
-//! observed absence of its intent proves the slot is quiescent.
+//! Order per request (see `isb::resptable` for the crash-window argument):
+//! foreign-intent (failover) check → dedup check → `note_invocation`
+//! (`CP_q := 0`, persisted) → durable intent record → structure op →
+//! durable response finalize → intent clear → socket acknowledgement. The
+//! foreign-intent check precedes even the dedup read: a dead peer's healer
+//! writes the same client slot, and only the observed absence of its intent
+//! proves the slot is quiescent.
 //!
 //! # Restart
 //!
@@ -53,7 +58,6 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -76,8 +80,9 @@ pub struct Config {
     pub shared: bool,
     /// Hash-map shard count (power of two).
     pub shards: usize,
-    /// Worker threads (clamped: shared mode has a 8-tid participant band —
-    /// 1 attach/healer tid + at most 7 workers).
+    /// Tid lanes: how many requests of different clients may run at once
+    /// (clamped: shared mode has a 8-tid participant band — 1 attach/healer
+    /// tid + at most 7 lanes).
     pub workers: usize,
     /// Bind address (port 0 picks a free port).
     pub addr: SocketAddr,
@@ -174,32 +179,24 @@ impl KillSpec {
     }
 }
 
-fn maybe_kill(spec: &Option<Arc<KillSpec>>, p: KillPoint) {
+fn maybe_kill(spec: &Option<KillSpec>, p: KillPoint) {
     if let Some(s) = spec {
         s.hit(p);
     }
 }
 
-struct Job {
-    req: Request,
-    reply: mpsc::Sender<Response>,
-}
-
-/// Per-worker context (deliberately *not* the acceptor's shared state: the
-/// job senders must die with the acceptor side so worker receivers close).
-struct WorkerCtx {
+/// State shared by the acceptor and every connection thread.
+struct Shared {
     map: Arc<RHashMap<MappedNvm, ARM>>,
     queue: Arc<RQueue<MappedNvm, ARM>>,
     resptab: ResponseTable,
     own_band: Range<usize>,
-    kill: Option<Arc<KillSpec>>,
-}
-
-/// Connection-side shared state.
-struct Shared {
-    txs: Vec<mpsc::Sender<Job>>,
-    stop: Arc<AtomicBool>,
-    kill: Option<Arc<KillSpec>>,
+    /// Lane `i` owns tid `base_tid + 1 + i`; holding the mutex is what makes
+    /// the holder that tid's only user.
+    lanes: Vec<Mutex<()>>,
+    base_tid: usize,
+    stop: AtomicBool,
+    kill: Option<KillSpec>,
     conns: Mutex<Vec<JoinHandle<()>>>,
 }
 
@@ -208,12 +205,11 @@ struct Shared {
 /// never get that far, by design).
 pub struct Server {
     addr: SocketAddr,
+    /// Declared (so dropped) before `store`: the structure handles go first.
+    shared: Arc<Shared>,
     store: Arc<Store>,
-    stop: Arc<AtomicBool>,
     acceptor: Option<JoinHandle<()>>,
     healer: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
-    shared: Arc<Shared>,
 }
 
 impl Server {
@@ -223,17 +219,16 @@ impl Server {
     /// the healer's, so don't run structure ops on the calling thread while
     /// the server lives.
     pub fn start(cfg: Config) -> Result<Server, ServeError> {
-        let kill = KillSpec::from_env().map(Arc::new);
         nvm::tid::set_tid(0);
         let store = Arc::new(if cfg.shared {
             Store::open_shared_sized(&cfg.path, cfg.heap_bytes)?
         } else {
             Store::open_sized(&cfg.path, cfg.heap_bytes)?
         });
-        // Worker tids: an exclusive heap may use any tids; a shared
+        // Lane tids: an exclusive heap may use any tids; a shared
         // participant is confined to its 8-tid band (first tid = attach +
         // healer).
-        let (base_tid, max_workers) = if cfg.shared {
+        let (base_tid, max_lanes) = if cfg.shared {
             let slot = store.heap().my_participant().expect("registered participant");
             let band = MappedHeap::tid_band(slot);
             nvm::tid::set_tid(band.start);
@@ -241,40 +236,25 @@ impl Server {
         } else {
             (0, nvm::MAX_PROCS - 1)
         };
-        let n_workers = cfg.workers.clamp(1, max_workers);
-        let own_band =
-            if cfg.shared { base_tid..base_tid + 1 + max_workers } else { 0..n_workers + 1 };
+        let n_lanes = cfg.workers.clamp(1, max_lanes);
+        let own_band = if cfg.shared { base_tid..base_tid + 1 + max_lanes } else { 0..n_lanes + 1 };
         let map = store.hashmap::<ARM>(MAP_NAME, cfg.shards)?;
         let queue = store.queue::<ARM>(QUEUE_NAME)?;
-        let resptab = store.response_table();
-
-        let stop = Arc::new(AtomicBool::new(false));
-        let mut txs = Vec::new();
-        let mut workers = Vec::new();
-        for w in 0..n_workers {
-            let (tx, rx) = mpsc::channel::<Job>();
-            txs.push(tx);
-            let ctx = WorkerCtx {
-                map: Arc::clone(&map),
-                queue: Arc::clone(&queue),
-                resptab: resptab.clone(),
-                own_band: own_band.clone(),
-                kill: kill.clone(),
-            };
-            let tid = base_tid + 1 + w;
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("kv-worker-{w}"))
-                    .spawn(move || worker_loop(ctx, tid, rx))
-                    .expect("spawn worker"),
-            );
-        }
 
         let listener = TcpListener::bind(cfg.addr)?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
-        let shared =
-            Arc::new(Shared { txs, stop: Arc::clone(&stop), kill, conns: Mutex::new(Vec::new()) });
+        let shared = Arc::new(Shared {
+            map,
+            queue,
+            resptab: store.response_table(),
+            own_band,
+            lanes: (0..n_lanes).map(|_| Mutex::new(())).collect(),
+            base_tid,
+            stop: AtomicBool::new(false),
+            kill: KillSpec::from_env(),
+            conns: Mutex::new(Vec::new()),
+        });
         let acceptor = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
@@ -282,29 +262,24 @@ impl Server {
                 .spawn(move || accept_loop(listener, shared))
                 .expect("spawn acceptor")
         };
-        let healer = if cfg.shared {
+        let healer = cfg.shared.then(|| {
             let store = Arc::clone(&store);
-            let stop = Arc::clone(&stop);
-            let tid = base_tid;
-            Some(
-                std::thread::Builder::new()
-                    .name("kv-healer".into())
-                    .spawn(move || {
-                        nvm::tid::set_tid(tid);
-                        while !stop.load(Ordering::Acquire) {
-                            // Dead peers resolve under a recovery lease;
-                            // losing the lease race to another survivor is
-                            // fine (they finish the job).
-                            let _ = store.heal_peers();
-                            std::thread::sleep(Duration::from_millis(10));
-                        }
-                    })
-                    .expect("spawn healer"),
-            )
-        } else {
-            None
-        };
-        Ok(Server { addr, store, stop, acceptor: Some(acceptor), healer, workers, shared })
+            let shared = Arc::clone(&shared);
+            std::thread::Builder::new()
+                .name("kv-healer".into())
+                .spawn(move || {
+                    nvm::tid::set_tid(shared.base_tid);
+                    while !shared.stop.load(Ordering::Acquire) {
+                        // Dead peers resolve under a recovery lease;
+                        // losing the lease race to another survivor is
+                        // fine (they finish the job).
+                        let _ = store.heal_peers();
+                        std::thread::sleep(Duration::from_millis(10));
+                    }
+                })
+                .expect("spawn healer")
+        });
+        Ok(Server { addr, store, acceptor: Some(acceptor), healer, shared })
     }
 
     /// The bound address (resolves port 0).
@@ -317,9 +292,15 @@ impl Server {
         &self.store
     }
 
-    /// Graceful shutdown: drain connections, close workers, join all.
+    /// Connection threads the server still holds a handle for (finished
+    /// ones are reaped on the next accept).
+    pub fn conn_handles(&self) -> usize {
+        self.shared.conns.lock().expect("conn thread list poisoned").len()
+    }
+
+    /// Graceful shutdown: stop accepting, drain connections, join all.
     pub fn stop(mut self) {
-        self.stop.store(true, Ordering::Release);
+        self.shared.stop.store(true, Ordering::Release);
         if let Some(a) = self.acceptor.take() {
             let _ = a.join();
         }
@@ -329,13 +310,6 @@ impl Server {
         let conns = std::mem::take(&mut *self.shared.conns.lock().unwrap());
         for c in conns {
             let _ = c.join();
-        }
-        // Dropping the last `Shared` owner drops the job senders, which
-        // closes the worker receivers.
-        let Server { workers, shared, .. } = self;
-        drop(shared);
-        for w in workers {
-            let _ = w.join();
         }
     }
 }
@@ -350,7 +324,11 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
                     .name("kv-conn".into())
                     .spawn(move || conn_loop(stream, sh))
                     .expect("spawn conn");
-                shared.conns.lock().unwrap().push(h);
+                // Reap on accept, or a long-lived server with reconnecting
+                // clients grows this list without bound.
+                let mut conns = shared.conns.lock().unwrap();
+                conns.retain(|c| !c.is_finished());
+                conns.push(h);
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(5));
@@ -363,8 +341,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
 fn conn_loop(mut stream: TcpStream, shared: Arc<Shared>) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
-    let stop = Arc::clone(&shared.stop);
-    let stop_fn = move || stop.load(Ordering::Acquire);
+    let stop_fn = || shared.stop.load(Ordering::Acquire);
     loop {
         let frame = match read_frame(&mut stream, &stop_fn) {
             Ok(Some(f)) => f,
@@ -383,15 +360,16 @@ fn conn_loop(mut stream: TcpStream, shared: Arc<Shared>) {
             Err(status) => Response::err(status, 0),
             Ok(req) => {
                 maybe_kill(&shared.kill, KillPoint::Parse);
-                let (tx, rx) = mpsc::channel();
-                let widx = route(req.client_id, shared.txs.len());
-                if shared.txs[widx].send(Job { req, reply: tx }).is_err() {
-                    return; // shutting down
-                }
-                match rx.recv() {
-                    Ok(r) => r,
-                    Err(_) => return, // shutting down
-                }
+                let lane = route(req.client_id, shared.lanes.len());
+                // A poisoned lane means a request panicked mid-sequence on
+                // this tid; its recovery state is only safe to reuse after
+                // a restart.
+                let Ok(_guard) = shared.lanes[lane].lock() else { return };
+                let tid = shared.base_tid + 1 + lane;
+                nvm::tid::set_tid(tid);
+                let resp = handle(&shared, tid, &req);
+                debug_assert_eq!(nvm::coalesce::pending(), 0, "lane released with unflushed lines");
+                resp
             }
         };
         if stream.write_all(&encode_response(&resp)).is_err() {
@@ -405,22 +383,14 @@ fn conn_loop(mut stream: TcpStream, shared: Arc<Shared>) {
     }
 }
 
-/// Client → worker routing. Deterministic, so one client's requests always
-/// serialize through the same worker (across connections too).
+/// Client → lane routing. Deterministic, so one client's requests always
+/// serialize through the same lane (across connections too).
 fn route(client_id: u64, n: usize) -> usize {
     (client_id.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) as usize % n
 }
 
-fn worker_loop(ctx: WorkerCtx, tid: usize, rx: mpsc::Receiver<Job>) {
-    nvm::tid::set_tid(tid);
-    for job in rx {
-        let resp = handle(&ctx, tid, &job.req);
-        let _ = job.reply.send(resp);
-    }
-}
-
 /// One request, applied exactly once (see module docs for the ordering).
-fn handle(ctx: &WorkerCtx, pid: usize, req: &Request) -> Response {
+fn handle(ctx: &Shared, pid: usize, req: &Request) -> Response {
     let Some(client_idx) = ctx.resptab.register(req.client_id) else {
         return Response::err(Status::TableFull, req.op_seq);
     };

@@ -832,12 +832,9 @@ pub struct MappedHeap {
     file: std::fs::File,
     /// Serializes growth and segment refresh (cold paths).
     grow_lock: Mutex<()>,
-    /// Free lists for blocks above `MAX_CLASS` payload granules, and for
-    /// everything when `use_sharded` is off (the pre-sharding allocator
-    /// shape, kept for the fig13 microbench).
+    /// Free lists for blocks above `MAX_CLASS` payload granules.
     cold: Mutex<HashMap<u32, Vec<u32>>>,
     caches: Vec<CachePadded<UnsafeCell<ThreadCache>>>,
-    use_sharded: AtomicBool,
     /// Shared (multi-process) mode: the bump path serializes under
     /// `W_ALLOC_LOCK` and segment publications by peers are re-mapped on
     /// demand. Exclusive mode keeps the lock-free single-process paths.
@@ -1209,7 +1206,6 @@ impl MappedHeap {
             grow_lock: Mutex::new(()),
             cold: Mutex::new(HashMap::new()),
             caches: empty_caches(),
-            use_sharded: AtomicBool::new(true),
             shared,
             my_slot: AtomicUsize::new(usize::MAX),
             liveness: live,
@@ -1314,7 +1310,6 @@ impl MappedHeap {
             grow_lock: Mutex::new(()),
             cold: Mutex::new(HashMap::new()),
             caches: empty_caches(),
-            use_sharded: AtomicBool::new(true),
             shared,
             my_slot: AtomicUsize::new(usize::MAX),
             liveness: live,
@@ -1396,7 +1391,6 @@ impl MappedHeap {
             grow_lock: Mutex::new(()),
             cold: Mutex::new(HashMap::new()),
             caches: empty_caches(),
-            use_sharded: AtomicBool::new(true),
             shared: true,
             my_slot: AtomicUsize::new(usize::MAX),
             liveness: live,
@@ -1975,7 +1969,9 @@ impl MappedHeap {
         let s = &self.segs[i];
         let g0 = s.g_start.load(Relaxed);
         let granules = s.granules.load(Relaxed);
-        let limit = bump.min(g0 + granules);
+        // A segment that growth published but the bump never reached (a kill
+        // between the two) lies wholly past the bump: empty, not corrupt.
+        let limit = bump.clamp(g0, g0 + granules);
         let mut w = SegWalk::default();
         let mut committed_set: HashSet<usize> = HashSet::new();
         let mut g = g0;
@@ -2394,7 +2390,7 @@ impl MappedHeap {
     pub fn alloc(&self, bytes: usize) -> Result<*mut u8, MapError> {
         stats::count_heap_allocs(1);
         let pg = bytes.max(1).div_ceil(GRANULE);
-        if pg <= MAX_CLASS && self.use_sharded.load(Relaxed) {
+        if pg <= MAX_CLASS {
             self.alloc_sharded(pg)
         } else {
             self.alloc_cold(pg)
@@ -2447,9 +2443,7 @@ impl MappedHeap {
     }
 
     /// The mutex path: blocks above `MAX_CLASS` (recovery areas, roots,
-    /// catalogs), plus everything when sharding is disabled — this is
-    /// exactly the pre-v3 global-mutex allocator, kept reachable so fig13
-    /// can measure old-vs-new on the same binary.
+    /// catalogs).
     fn alloc_cold(&self, pg: usize) -> Result<*mut u8, MapError> {
         let mut cold = lock_np(&self.cold);
         if let Some(list) = cold.get_mut(&(pg as u32)) {
@@ -2458,8 +2452,7 @@ impl MappedHeap {
                 return Ok(self.take_block(g as usize, pg));
             }
         }
-        // Held across the bump on purpose: models the old allocator's
-        // serialization when sharding is off; large blocks are rare.
+        // The cold mutex stays held across the bump: large blocks are rare.
         let bump_lock = self.lock_shared_bump();
         let r = self.bump_reserve(1 + pg)?;
         self.hdr(r.start).store(encode_hdr(ST_ALLOCATED, pg as u64), Release);
@@ -2491,7 +2484,7 @@ impl MappedHeap {
         self.hdr(g).store(encode_hdr(ST_FREE, pg), Release);
         self.bm_clear(g);
         let pg = pg as usize;
-        if pg <= MAX_CLASS && self.use_sharded.load(Relaxed) {
+        if pg <= MAX_CLASS {
             let cls = pg - 1;
             if let Some(cache) = self.my_cache() {
                 if cache[cls].len() < CACHE_CAP {
@@ -2657,15 +2650,6 @@ impl MappedHeap {
     /// Granules currently allocated from the bump region (diagnostics).
     pub fn bump_granules(&self) -> usize {
         self.word(W_BUMP).load(Acquire) as usize
-    }
-
-    /// Routes **all** allocation through the single-mutex cold path,
-    /// modelling the pre-v3 allocator (fig13's old-vs-sharded microbench).
-    /// Call on a freshly created heap before its first allocation; blocks
-    /// already stocked in the sharded lists are ignored until the next
-    /// attach rebuilds the free lists.
-    pub fn set_use_sharded(&self, on: bool) {
-        self.use_sharded.store(on, Relaxed);
     }
 
     // -- named-structure catalog -------------------------------------------
@@ -3115,6 +3099,28 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    /// A kill between growth publishing a segment and the first bump
+    /// publication into it leaves a segment wholly past the bump: empty, not
+    /// corrupt (the mid-growth SIGKILL leg of `restart.rs` hits this window).
+    #[test]
+    fn attach_accepts_grown_segment_the_bump_never_reached() {
+        let path = tmp("grow_nobump");
+        {
+            let heap = MappedHeap::create(&path, MIN_HEAP_BYTES).unwrap();
+            let p = heap.alloc(64).unwrap();
+            heap.commit(p);
+            // More than segment 0 has left, so this publishes segment 1.
+            heap.grow(heap.total_granules.load(Acquire)).unwrap();
+            assert_eq!(heap.segments(), 2);
+        }
+        let heap = MappedHeap::attach(&path).unwrap();
+        assert_eq!((heap.report().segments, heap.report().committed), (2, 1));
+        let p = heap.alloc(64).unwrap();
+        heap.commit(p);
+        drop(heap);
+        let _ = std::fs::remove_file(&path);
+    }
+
     #[test]
     fn grown_heap_relocates_across_segments() {
         let path = tmp("grow_reloc");
@@ -3230,14 +3236,14 @@ mod tests {
     }
 
     #[test]
-    fn unsharded_knob_still_allocates() {
-        let path = tmp("unsharded");
+    fn cold_free_list_reuses_large_blocks() {
+        let path = tmp("cold");
         let heap = MappedHeap::create(&path, MIN_HEAP_BYTES).unwrap();
-        heap.set_use_sharded(false);
-        let a = heap.alloc(64).unwrap();
+        let big = (MAX_CLASS + 1) * GRANULE;
+        let a = heap.alloc(big).unwrap();
         heap.commit(a);
         unsafe { heap.free(a) };
-        let b = heap.alloc(64).unwrap();
+        let b = heap.alloc(big).unwrap();
         assert_eq!(a, b, "cold free list reuses the freed block");
         drop(heap);
         let _ = std::fs::remove_file(&path);
@@ -3309,6 +3315,7 @@ mod tests {
 
     #[test]
     fn lease_cas_arbitration_has_a_single_winner() {
+        tid::set_tid(50); // own stats slot: sibling tests steal leases too
         let path = tmp("lease");
         let probe = FakeProbe::with(&[1111, 2222]);
         let heap = MappedHeap::open_shared_with(&path, MIN_HEAP_BYTES, probe.clone()).unwrap();
@@ -3327,10 +3334,10 @@ mod tests {
         assert_eq!(heap.lease_try_claim_for(dead, a), LeaseOutcome::Won { seq: 1 });
 
         // The recoverer itself dies: the lease is stolen with a fresh seq.
-        let before = stats::snapshot();
+        let before = stats::Snapshot::of_tid(50);
         probe.kill(1111);
         assert_eq!(heap.lease_try_claim_for(dead, b), LeaseOutcome::Won { seq: 2 });
-        assert_eq!(stats::snapshot().since(&before).leases_stolen, 1);
+        assert_eq!(stats::Snapshot::of_tid(50).since(&before).leases_stolen, 1);
 
         // Recovery completed: the slot is reclaimed, late claimants see Gone.
         heap.clear_participant(dead);
@@ -3446,14 +3453,14 @@ mod tests {
 
     #[test]
     fn mapped_nvm_counts_like_real() {
-        crate::tid::set_tid(0);
-        let before = stats::snapshot();
+        crate::tid::set_tid(49);
+        let before = stats::Snapshot::of_tid(49);
         let w: PWord<MappedNvm> = PWord::new(9);
         MappedNvm::pwb(&w);
         MappedNvm::pbarrier(&w);
         MappedNvm::psync();
         assert_eq!(w.load(), 9);
-        let d = stats::snapshot().since(&before);
+        let d = stats::Snapshot::of_tid(49).since(&before);
         assert_eq!(d.pwb, 1);
         assert_eq!(d.pbarrier, 1);
         assert_eq!(d.psync, 1);

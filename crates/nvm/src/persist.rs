@@ -335,15 +335,22 @@ mod tests {
     use super::*;
     use crate::tid;
 
+    /// Registers the calling test thread as `t` — a tid no sibling test
+    /// uses — and returns a reader of that tid's counters alone.
+    fn own_tid(t: usize) -> impl Fn() -> stats::Snapshot {
+        tid::set_tid(t);
+        move || stats::Snapshot::of_tid(t)
+    }
+
     #[test]
     fn counting_mode_counts() {
-        tid::set_tid(0);
-        let before = stats::snapshot();
+        let snap = own_tid(45);
+        let before = snap();
         let w: PWord<CountingNvm> = PWord::new(0);
         CountingNvm::pwb(&w);
         CountingNvm::pbarrier(&w);
         CountingNvm::psync();
-        let d = stats::snapshot().since(&before);
+        let d = snap().since(&before);
         assert_eq!(d.pwb, 1);
         assert_eq!(d.pbarrier, 1);
         assert_eq!(d.psync, 1);
@@ -351,50 +358,51 @@ mod tests {
 
     #[test]
     fn no_persist_counts_nothing() {
-        tid::set_tid(0);
-        let before = stats::snapshot();
+        let snap = own_tid(46);
+        let before = snap();
         let w: PWord<NoPersist> = PWord::new(0);
         NoPersist::pwb(&w);
         NoPersist::pbarrier(&w);
         NoPersist::psync();
-        let d = stats::snapshot().since(&before);
+        let d = snap().since(&before);
         assert_eq!(d, stats::Snapshot::default());
     }
 
     #[test]
     fn real_mode_flushes_and_counts() {
-        tid::set_tid(0);
-        let before = stats::snapshot();
+        let snap = own_tid(47);
+        let before = snap();
         let w: PWord<RealNvm> = PWord::new(7);
         RealNvm::pwb(&w);
         RealNvm::psync();
         assert_eq!(w.load(), 7, "flushing must not corrupt the value");
-        let d = stats::snapshot().since(&before);
+        let d = snap().since(&before);
         assert_eq!(d.pwb, 1);
         assert_eq!(d.psync, 1);
     }
 
     #[test]
     fn coalesced_pwb_counts_at_issue_and_drains_at_fence() {
-        tid::set_tid(0);
-        for_real_and_counting();
+        let snap = own_tid(48);
+        one::<RealNvm>(&snap);
+        one::<CountingNvm>(&snap);
 
-        fn one<M: Persist>() {
+        fn one<M: Persist>(snap: &impl Fn() -> stats::Snapshot) {
             // Two words in the same line (ProcRec-style layout).
             #[repr(C, align(64))]
             struct Pair<M: Persist>(PWord<M>, PWord<M>);
             let pair: Pair<M> = Pair(PWord::new(1), PWord::new(2));
 
-            let before = stats::snapshot();
+            let before = snap();
             M::pwb_coal(&pair.0);
             M::pwb_coal(&pair.1); // same line: elided
-            let d = stats::snapshot().since(&before);
+            let d = snap().since(&before);
             assert_eq!(d.pwb, 1, "{}: first note counts as a pwb", M::NAME);
             assert_eq!(d.pwb_elided, 1, "{}: duplicate line elided", M::NAME);
             assert_eq!(d.lines_coalesced, 0, "{}: nothing drained yet", M::NAME);
 
             M::psync();
-            let d = stats::snapshot().since(&before);
+            let d = snap().since(&before);
             assert_eq!(d.pwb, 1, "{}: drain adds no pwb", M::NAME);
             assert_eq!(d.lines_coalesced, 1, "{}: one line drained", M::NAME);
             assert_eq!(d.psync, 1);
@@ -403,16 +411,12 @@ mod tests {
 
             // After the drain the same line counts fresh again, and a pfence
             // also drains (ordering would be lost otherwise).
-            let before = stats::snapshot();
+            let before = snap();
             M::pwb_coal(&pair.0);
             M::pfence();
-            let d = stats::snapshot().since(&before);
+            let d = snap().since(&before);
             assert_eq!(d.pwb, 1, "{}", M::NAME);
             assert_eq!(d.lines_coalesced, 1, "{}: pfence drains too", M::NAME);
-        }
-        fn for_real_and_counting() {
-            one::<RealNvm>();
-            one::<CountingNvm>();
         }
     }
 

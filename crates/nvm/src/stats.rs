@@ -232,6 +232,16 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
+    /// Process `t`'s counters alone. A test that owns tid `t` diffs two of
+    /// these to read exactly its own traffic, whatever sibling threads
+    /// count meanwhile; [`snapshot`] is the sum over every tid.
+    ///
+    /// # Panics
+    /// If `t >= MAX_PROCS`.
+    pub fn of_tid(t: usize) -> Snapshot {
+        sum(&table().slots[t..=t])
+    }
+
     /// Component-wise difference (`self - earlier`), saturating at zero.
     pub fn since(&self, earlier: &Snapshot) -> Snapshot {
         Snapshot {
@@ -261,8 +271,12 @@ impl Snapshot {
 
 /// Sums every process's counters.
 pub fn snapshot() -> Snapshot {
+    sum(&table().slots)
+}
+
+fn sum(slots: &[CachePadded<Slot>]) -> Snapshot {
     let mut s = Snapshot::default();
-    for slot in &table().slots {
+    for slot in slots {
         s.pwb += slot.pwb.load(Relaxed);
         s.pbarrier += slot.pbarrier.load(Relaxed);
         s.pbarrier_lines += slot.pbarrier_lines.load(Relaxed);
@@ -315,14 +329,14 @@ mod tests {
 
     #[test]
     fn counters_accumulate_and_diff() {
-        tid::set_tid(0);
-        let before = snapshot();
+        tid::set_tid(40);
+        let before = Snapshot::of_tid(40);
         count_pwb(2);
         count_pbarrier(3);
         count_pfence();
         count_psync();
         count_psync();
-        let d = snapshot().since(&before);
+        let d = Snapshot::of_tid(40).since(&before);
         assert_eq!(d.pwb, 2);
         assert_eq!(d.pbarrier, 1);
         assert_eq!(d.pbarrier_lines, 3);
@@ -330,10 +344,16 @@ mod tests {
         assert_eq!(d.psync, 2);
     }
 
+    /// Each thread's counts land in its own tid's slot only, and the global
+    /// snapshot includes them all (sibling tests may add to it meanwhile,
+    /// so the sum is bounded from below).
     #[test]
     fn counters_sum_across_threads() {
-        let before = snapshot();
-        let hs: Vec<_> = (1..4)
+        let tids = 41..44;
+        let before_all = snapshot();
+        let before: Vec<_> = tids.clone().map(Snapshot::of_tid).collect();
+        let hs: Vec<_> = tids
+            .clone()
             .map(|i| {
                 std::thread::spawn(move || {
                     tid::set_tid(i);
@@ -345,8 +365,11 @@ mod tests {
         for h in hs {
             h.join().unwrap();
         }
-        let d = snapshot().since(&before);
-        assert_eq!(d.pwb, 3);
-        assert_eq!(d.pbarrier, 3);
+        for (t, b) in tids.zip(&before) {
+            let d = Snapshot::of_tid(t).since(b);
+            assert_eq!((d.pwb, d.pbarrier), (1, 1), "tid {t}");
+        }
+        let d = snapshot().since(&before_all);
+        assert!(d.pwb >= 3 && d.pbarrier >= 3, "{d:?}");
     }
 }

@@ -43,7 +43,7 @@
 //! seeded SIGKILL rounds per default `cargo test` run.
 
 use isb_tests::kv::{wait_port, MapClient, QueueClient, KEYS_PER_CLIENT};
-use kvserve::{Config, Server};
+use kvserve::{Config, KvClient, OpCode, Server};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -248,5 +248,131 @@ fn exactly_once_no_crash_control() {
 
     std::fs::write(dir.join("stop"), b"ok").unwrap();
     assert!(child.wait().expect("reap").success());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------------
+// Thread model: requests run on their connection's thread under a tid lane
+// ---------------------------------------------------------------------------
+
+/// An in-process server over a fresh heap (no kill env reaches it: the kill
+/// points are read from the environment of the *child* processes only).
+fn start_in_process(tag: &str, lanes: usize) -> (Server, PathBuf) {
+    let dir = std::env::temp_dir().join(format!("isb_kv_once_{}_{tag}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut cfg = Config::new(dir.join("kv.heap"));
+    cfg.heap_bytes = HEAP_BYTES;
+    cfg.shards = 4;
+    cfg.workers = lanes;
+    (Server::start(cfg).expect("in-process server start"), dir)
+}
+
+/// Four connections share ONE `client_id` and race the same
+/// `(op_seq, op)`: they route to one lane, whose lock must serialize them —
+/// one applies, the others replay its response.
+#[test]
+fn same_client_racing_connections_apply_once() {
+    const RACERS: usize = 4;
+    const ROUNDS: u64 = 64;
+    const CLIENT: u64 = 7;
+    const KEY: u64 = 4242;
+    let (server, dir) = start_in_process("race", 2);
+    let addr = server.local_addr();
+    let barrier = std::sync::Barrier::new(RACERS);
+
+    let replies: Vec<Vec<_>> = std::thread::scope(|s| {
+        let racers: Vec<_> = (0..RACERS)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut c = KvClient::connect(addr, CLIENT).expect("connect");
+                    (1..=ROUNDS)
+                        .map(|seq| {
+                            // Every racer is at `op_seq == seq` here; odd
+                            // rounds put the key, even rounds delete it.
+                            let op = if seq % 2 == 1 { OpCode::Put } else { OpCode::Del };
+                            barrier.wait();
+                            c.call(op, KEY).expect("racing call");
+                            let (req, resp) = c.last_acked().expect("acked");
+                            assert_eq!(req.op_seq, seq);
+                            kvserve::proto::encode_response(&resp)
+                        })
+                        .collect()
+                })
+            })
+            .collect();
+        racers.into_iter().map(|r| r.join().expect("racer")).collect()
+    });
+
+    // Byte-identical replies, and each one says "applied for the first
+    // time": a second apply of the same put/del would have answered (and
+    // stored) `false`.
+    let want_true = |seq: u64| {
+        kvserve::proto::encode_response(&kvserve::Response {
+            status: kvserve::Status::Ok,
+            op_seq: seq,
+            value: isb::engine::RES_TRUE,
+        })
+    };
+    for seq in 1..=ROUNDS {
+        for r in &replies {
+            assert_eq!(r[seq as usize - 1], want_true(seq), "round {seq}: reply differs");
+        }
+    }
+    // The last round deleted the key; the map must hold it exactly once
+    // after one more put.
+    let mut c = KvClient::connect(addr, CLIENT + 1).expect("connect");
+    assert!(!c.get(KEY).unwrap(), "key survived its delete");
+    assert!(c.put(KEY).unwrap());
+    assert!(c.del(KEY).unwrap(), "key must be present once");
+    assert!(!c.del(KEY).unwrap(), "key was present twice");
+
+    server.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One lane, four concurrent clients: every request of every client funnels
+/// through the same mutex and tid. All complete (a lost wake-up or a lane
+/// held across a socket write would trip the client's request deadline) and
+/// every response matches the std model.
+#[test]
+fn single_lane_serves_concurrent_clients() {
+    let (server, dir) = start_in_process("onelane", 1);
+    let addr = server.local_addr();
+    std::thread::scope(|s| {
+        for i in 1..=4u64 {
+            s.spawn(move || {
+                let ctx = format!("one-lane client {i}");
+                let mut m = MapClient::new(3, i, 1 + (i - 1) * KEYS_PER_CLIENT);
+                m.connect(addr, false, &ctx);
+                for _ in 0..300 {
+                    assert!(m.step(&ctx), "{ctx}: step failed");
+                }
+                m.sweep(&ctx);
+            });
+        }
+    });
+    server.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A long-lived server with reconnecting clients must not keep one
+/// `JoinHandle` per connection it has ever served.
+#[test]
+fn finished_connection_threads_are_reaped() {
+    let (server, dir) = start_in_process("reap", 1);
+    let addr = server.local_addr();
+    let mut peak = 0;
+    for i in 1..=200u64 {
+        // A full round trip, so the connection was accepted before it closes.
+        let mut c = KvClient::connect(addr, 1000 + i).expect("connect");
+        assert!(c.put(i).unwrap());
+        drop(c);
+        peak = peak.max(server.conn_handles());
+    }
+    // A connection thread exits as soon as it reads the close, but that is
+    // asynchronous to the next accept: allow a lag far below one-per-connect.
+    assert!(peak <= 64, "server retained {peak} connection handles over 200 connects");
+    server.stop();
     let _ = std::fs::remove_dir_all(&dir);
 }

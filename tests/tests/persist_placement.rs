@@ -7,15 +7,16 @@
 //! persistency placements — and a one-shard `RHashMap` must match the same
 //! table exactly, proving the wrapper layers add no persistency traffic.
 //!
-//! The only tolerated variance is `pwb` on the insert *update* path: the two
-//! fresh 24-byte nodes are flushed with line granularity and may straddle a
-//! cache-line boundary depending on heap placement, adding at most one line
-//! per node. Every other component (events, fences, syncs, barrier lines —
-//! `Info` is 64-byte aligned) is exact.
+//! Every column is exact. Line counts depend on where an object sits
+//! relative to a 64-byte boundary — a 24-byte node can straddle two lines, or
+//! share one with a neighbour and dedupe in the coalescing set — so this
+//! binary installs a global allocator that starts every allocation on its own
+//! cache line(s). That is the placement the mapped backend gives every block
+//! (64-byte-aligned payloads), and it makes each golden one number instead of
+//! a range that follows the process allocator.
 //!
-//! Everything runs in ONE #[test]: the stats counters are process-global and
-//! this file is its own test binary, so a single test keeps the measurement
-//! interference-free.
+//! Counters are read as a per-tid delta ([`Snapshot::of_tid`]): the whole
+//! scenario runs on tid 0, and nothing another thread counts can leak in.
 //!
 //! The table is checked for **pooled** (default) and **boxed** allocation,
 //! and again on a pooled list that was churned until its descriptors and
@@ -26,106 +27,122 @@ use isb::hashmap::RHashMap;
 use isb::list::RList;
 use isb::pool::PoolCfg;
 use isb::queue::RQueue;
+use nvm::stats::Snapshot;
 use nvm::CountingNvm;
 use reclaim::Collector;
+use std::alloc::{GlobalAlloc, Layout, System};
 
-/// `(pwb, pbarrier, pbarrier_lines, pfence, psync, response, node_flushes)`;
-/// `node_flushes` = number of fresh nodes flushed by the op (slack lines).
-type Golden = (u64, u64, u64, u64, u64, bool, u64);
+/// Rounds every allocation up to whole, aligned cache lines (module docs).
+struct LineAligned;
+
+fn whole_lines(l: Layout) -> Layout {
+    let line = nvm::CACHE_LINE;
+    Layout::from_size_align(l.size().next_multiple_of(line), l.align().max(line))
+        .expect("line-rounded layout")
+}
+
+// SAFETY: forwards to `System` with a layout that is at least as large and
+// as aligned as the one requested, and frees with that same layout (the
+// default `realloc` goes through `alloc`/`dealloc` here, so it stays paired).
+unsafe impl GlobalAlloc for LineAligned {
+    unsafe fn alloc(&self, l: Layout) -> *mut u8 {
+        unsafe { System.alloc(whole_lines(l)) }
+    }
+    unsafe fn dealloc(&self, p: *mut u8, l: Layout) {
+        unsafe { System.dealloc(p, whole_lines(l)) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: LineAligned = LineAligned;
+
+/// `(pwb, pbarrier, pbarrier_lines, pfence, psync, response)`.
+type Golden = (u64, u64, u64, u64, u64, bool);
 
 /// Pre-extraction baseline, untuned placement ("Isb").
 const GOLDEN_ISB: [(&str, Golden); 6] = [
-    ("insert-new", (11, 3, 4, 0, 5, true, 2)),
-    ("insert-dup", (2, 3, 3, 0, 2, false, 0)),
-    ("find-hit", (1, 2, 2, 0, 1, true, 0)),
-    ("find-miss", (1, 2, 2, 0, 1, false, 0)),
-    ("delete-hit", (7, 3, 4, 0, 5, true, 0)),
-    ("delete-miss", (2, 3, 3, 0, 2, false, 0)),
+    ("insert-new", (11, 3, 4, 0, 5, true)),
+    ("insert-dup", (2, 3, 3, 0, 2, false)),
+    ("find-hit", (1, 2, 2, 0, 1, true)),
+    ("find-miss", (1, 2, 2, 0, 1, false)),
+    ("delete-hit", (7, 3, 4, 0, 5, true)),
+    ("delete-miss", (2, 3, 3, 0, 2, false)),
 ];
 
 /// Pre-extraction baseline, hand-tuned placement ("Isb-Opt").
 const GOLDEN_OPT: [(&str, Golden); 6] = [
-    ("insert-new", (14, 1, 1, 2, 3, true, 2)),
-    ("insert-dup", (4, 1, 1, 2, 1, false, 0)),
-    ("find-hit", (2, 1, 1, 1, 1, true, 0)),
-    ("find-miss", (2, 1, 1, 1, 1, false, 0)),
-    ("delete-hit", (10, 1, 1, 2, 3, true, 0)),
-    ("delete-miss", (4, 1, 1, 2, 1, false, 0)),
+    ("insert-new", (14, 1, 1, 2, 3, true)),
+    ("insert-dup", (4, 1, 1, 2, 1, false)),
+    ("find-hit", (2, 1, 1, 1, 1, true)),
+    ("find-miss", (2, 1, 1, 1, 1, false)),
+    ("delete-hit", (10, 1, 1, 2, 3, true)),
+    ("delete-miss", (4, 1, 1, 2, 1, false)),
 ];
 
-/// Golden row for the coalescing arms: `(pwb, elided_min, pbarrier,
-/// pbarrier_lines, pfence, psync, response, pwb_slack)`.
+/// Golden row for the coalescing arms: `(pwb, pwb_elided, pbarrier,
+/// pbarrier_lines, pfence, psync, response)`.
 ///
 /// Under `CountingNvm` the `pwb` column counts *pwb-equivalents*: coalesced
 /// write-backs are counted at issue (when the line enters the [`nvm::coalesce`]
-/// set) and a duplicate line bumps `pwb_elided` instead. `pwb_slack` widens
-/// the `pwb` assertion in BOTH directions: each fresh node line may straddle
-/// a cache-line boundary (+1 pwb) or land on a line another fresh object
-/// already noted (−1 pwb, +1 elided) depending on heap placement, so the
-/// dedupe outcome — unlike everything else in the table — is not placement-
-/// independent. `elided_min` is a lower bound: every mutating op must elide
-/// at least the `RD_q` write-back that `publish_arm` dedupes against the
-/// same-line `CP_q` flush. Fence/sync/barrier columns stay exact.
-type GoldenCoal = (u64, u64, u64, u64, u64, u64, bool, u64);
+/// set) and a duplicate line bumps `pwb_elided` instead. Every mutating op
+/// elides at least the `RD_q` write-back that `publish_arm` dedupes against
+/// the same-line `CP_q` flush.
+type GoldenCoal = (u64, u64, u64, u64, u64, u64, bool);
 
 /// Coalescing placement ("Isb-Coal", `ARM = 2`) for the ordered-set core.
 const GOLDEN_COAL: [(&str, GoldenCoal); 6] = [
-    ("insert-new", (13, 1, 1, 1, 2, 3, true, 2)),
-    ("insert-dup", (3, 1, 1, 1, 2, 1, false, 0)),
-    ("find-hit", (2, 0, 1, 1, 1, 1, true, 0)),
-    ("find-miss", (2, 0, 1, 1, 1, 1, false, 0)),
-    ("delete-hit", (9, 1, 1, 1, 2, 3, true, 0)),
-    ("delete-miss", (3, 1, 1, 1, 2, 1, false, 0)),
+    ("insert-new", (13, 1, 1, 1, 2, 3, true)),
+    ("insert-dup", (3, 1, 1, 1, 2, 1, false)),
+    ("find-hit", (2, 0, 1, 1, 1, 1, true)),
+    ("find-miss", (2, 0, 1, 1, 1, 1, false)),
+    ("delete-hit", (9, 1, 1, 1, 2, 3, true)),
+    ("delete-miss", (3, 1, 1, 1, 2, 1, false)),
 ];
 
 /// Link-persist placement ("Isb-LP", `ARM = 3`) for the ordered-set core.
 const GOLDEN_LP: [(&str, GoldenCoal); 6] = [
-    ("insert-new", (10, 1, 1, 1, 2, 3, true, 2)),
-    ("insert-dup", (3, 1, 1, 1, 2, 1, false, 0)),
-    ("find-hit", (2, 0, 1, 1, 1, 1, true, 0)),
-    ("find-miss", (2, 0, 1, 1, 1, 1, false, 0)),
-    ("delete-hit", (8, 1, 1, 1, 2, 3, true, 0)),
-    ("delete-miss", (3, 1, 1, 1, 2, 1, false, 0)),
+    ("insert-new", (10, 1, 1, 1, 2, 3, true)),
+    ("insert-dup", (3, 1, 1, 1, 2, 1, false)),
+    ("find-hit", (2, 0, 1, 1, 1, 1, true)),
+    ("find-miss", (2, 0, 1, 1, 1, 1, false)),
+    ("delete-hit", (8, 1, 1, 1, 2, 3, true)),
+    ("delete-miss", (3, 1, 1, 1, 2, 1, false)),
 ];
 
 /// Queue goldens, one row per scenario step (two enqueues, two successful
-/// dequeues, one empty dequeue). The tuned arm's second enqueue pays one
-/// extra `pwb` for the lagging-tail fix-up, so the steps are kept distinct.
-/// Enqueue `pwb` nominals assume the fresh 24-byte node occupies one cache
-/// line; the `node_flushes` slack absorbs a straddle (+1 line), which DOES
-/// occur in some build configurations (heap placement shifts with features).
+/// dequeues, one empty dequeue).
 const QUEUE_ISB: [(&str, Golden); 5] = [
-    ("enqueue-1", (9, 3, 4, 0, 5, true, 1)),
-    ("enqueue-2", (9, 3, 4, 0, 5, true, 1)),
-    ("dequeue-1", (7, 3, 4, 0, 5, true, 0)),
-    ("dequeue-2", (7, 3, 4, 0, 5, true, 0)),
-    ("dequeue-empty", (2, 3, 3, 0, 2, false, 0)),
+    ("enqueue-1", (9, 3, 4, 0, 5, true)),
+    ("enqueue-2", (9, 3, 4, 0, 5, true)),
+    ("dequeue-1", (7, 3, 4, 0, 5, true)),
+    ("dequeue-2", (7, 3, 4, 0, 5, true)),
+    ("dequeue-empty", (2, 3, 3, 0, 2, false)),
 ];
 
 const QUEUE_OPT: [(&str, Golden); 5] = [
-    ("enqueue-1", (11, 1, 1, 2, 3, true, 1)),
-    ("enqueue-2", (12, 1, 1, 2, 3, true, 1)),
-    ("dequeue-1", (10, 1, 1, 2, 3, true, 0)),
-    ("dequeue-2", (10, 1, 1, 2, 3, true, 0)),
-    ("dequeue-empty", (4, 1, 1, 2, 1, false, 0)),
+    ("enqueue-1", (12, 1, 1, 2, 3, true)),
+    ("enqueue-2", (12, 1, 1, 2, 3, true)),
+    ("dequeue-1", (10, 1, 1, 2, 3, true)),
+    ("dequeue-2", (10, 1, 1, 2, 3, true)),
+    ("dequeue-empty", (4, 1, 1, 2, 1, false)),
 ];
 
 const QUEUE_COAL: [(&str, GoldenCoal); 5] = [
-    ("enqueue-1", (10, 1, 1, 1, 2, 3, true, 1)),
-    ("enqueue-2", (10, 1, 1, 1, 2, 3, true, 1)),
-    ("dequeue-1", (9, 1, 1, 1, 2, 3, true, 0)),
-    ("dequeue-2", (9, 1, 1, 1, 2, 3, true, 0)),
-    ("dequeue-empty", (3, 1, 1, 1, 2, 1, false, 0)),
+    ("enqueue-1", (11, 1, 1, 1, 2, 3, true)),
+    ("enqueue-2", (11, 1, 1, 1, 2, 3, true)),
+    ("dequeue-1", (9, 1, 1, 1, 2, 3, true)),
+    ("dequeue-2", (9, 1, 1, 1, 2, 3, true)),
+    ("dequeue-empty", (3, 1, 1, 1, 2, 1, false)),
 ];
 
 /// The LP queue merges the tag-phase `psync` into the update-phase one on
 /// enqueue (single-affect help), dropping a whole round trip: `psync` 3 → 2.
 const QUEUE_LP: [(&str, GoldenCoal); 5] = [
-    ("enqueue-1", (8, 1, 1, 1, 2, 2, true, 1)),
-    ("enqueue-2", (8, 1, 1, 1, 2, 2, true, 1)),
-    ("dequeue-1", (8, 1, 1, 1, 2, 3, true, 0)),
-    ("dequeue-2", (8, 1, 1, 1, 2, 3, true, 0)),
-    ("dequeue-empty", (3, 1, 1, 1, 2, 1, false, 0)),
+    ("enqueue-1", (8, 2, 1, 1, 2, 2, true)),
+    ("enqueue-2", (8, 2, 1, 1, 2, 2, true)),
+    ("dequeue-1", (8, 1, 1, 1, 2, 3, true)),
+    ("dequeue-2", (8, 1, 1, 1, 2, 3, true)),
+    ("dequeue-empty", (3, 1, 1, 1, 2, 1, false)),
 ];
 
 struct SetUnderTest<'a> {
@@ -174,62 +191,39 @@ where
     ]
 }
 
+/// Runs `op` on tid 0 and returns its response with the counters it moved.
+fn counted(op: &dyn Fn() -> bool) -> (bool, Snapshot) {
+    let before = Snapshot::of_tid(0);
+    let resp = op();
+    (resp, Snapshot::of_tid(0).since(&before))
+}
+
 fn check_rows(name: &str, ops: &[OpRow<'_>], golden: &[(&str, Golden)]) {
     for ((opname, op), (gname, g)) in ops.iter().zip(golden.iter()) {
         assert_eq!(opname, gname);
-        let before = nvm::stats::snapshot();
-        let resp = op();
-        let d = nvm::stats::snapshot().since(&before);
-        let (pwb, pbarrier, pblines, pfence, psync, want_resp, node_flushes) = *g;
-        let ctx = format!("{name} {opname}");
-        assert_eq!(resp, want_resp, "{ctx}: response changed");
-        assert!(
-            (pwb..=pwb + node_flushes).contains(&d.pwb),
-            "{ctx}: pwb {} outside [{}, {}]",
-            d.pwb,
-            pwb,
-            pwb + node_flushes
-        );
-        assert_eq!(d.pbarrier, pbarrier, "{ctx}: pbarrier count changed");
-        assert_eq!(d.pbarrier_lines, pblines, "{ctx}: pbarrier lines changed");
-        assert_eq!(d.pfence, pfence, "{ctx}: pfence count changed");
-        assert_eq!(d.psync, psync, "{ctx}: psync count changed");
+        let (resp, d) = counted(op);
+        let got = (d.pwb, d.pbarrier, d.pbarrier_lines, d.pfence, d.psync, resp);
+        assert_eq!(got, *g, "{name} {opname}: (pwb, pbarrier, lines, pfence, psync, response)");
     }
 }
 
 fn check_rows_coal(name: &str, ops: &[OpRow<'_>], golden: &[(&str, GoldenCoal)]) {
     for ((opname, op), (gname, g)) in ops.iter().zip(golden.iter()) {
         assert_eq!(opname, gname);
-        let before = nvm::stats::snapshot();
-        let resp = op();
-        let d = nvm::stats::snapshot().since(&before);
-        let (pwb, elided_min, pbarrier, pblines, pfence, psync, want_resp, slack) = *g;
-        let ctx = format!("{name} {opname}");
-        assert_eq!(resp, want_resp, "{ctx}: response changed");
-        assert!(
-            (pwb.saturating_sub(slack)..=pwb + slack).contains(&d.pwb),
-            "{ctx}: pwb {} outside [{}, {}]",
-            d.pwb,
-            pwb.saturating_sub(slack),
-            pwb + slack
-        );
-        assert!(
-            d.pwb_elided >= elided_min,
-            "{ctx}: pwb_elided {} < {elided_min} — the coalescing set never deduped",
-            d.pwb_elided
+        let (resp, d) = counted(op);
+        let got = (d.pwb, d.pwb_elided, d.pbarrier, d.pbarrier_lines, d.pfence, d.psync, resp);
+        assert_eq!(
+            got, *g,
+            "{name} {opname}: (pwb, elided, pbarrier, lines, pfence, psync, response)"
         );
         // Every pwb-equivalent the coalescing arms issue must eventually hit
         // a physical flush path: drained at a fence or evicted on overflow.
         assert!(
             d.lines_coalesced <= d.pwb,
-            "{ctx}: drained more lines ({}) than pwbs issued ({})",
+            "{name} {opname}: drained more lines ({}) than pwbs issued ({})",
             d.lines_coalesced,
             d.pwb
         );
-        assert_eq!(d.pbarrier, pbarrier, "{ctx}: pbarrier count changed");
-        assert_eq!(d.pbarrier_lines, pblines, "{ctx}: pbarrier lines changed");
-        assert_eq!(d.pfence, pfence, "{ctx}: pfence count changed");
-        assert_eq!(d.psync, psync, "{ctx}: psync count changed");
     }
 }
 

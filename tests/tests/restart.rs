@@ -1057,8 +1057,11 @@ fn shared_child_worker() {
     nvm::tid::set_tid(band.start);
     let map = store.hashmap::<0>("users", SHARDS).expect("users handle");
     let queue = store.queue::<0>("jobs").expect("jobs handle");
-    std::fs::write(dir.join(format!("ready_{idx}")), format!("{} {slot}", std::process::id()))
-        .unwrap();
+    // Write + rename: the parent polls for this file and must never read it
+    // between its creation and its contents.
+    let ready_tmp = dir.join(format!("ready_{idx}.tmp"));
+    std::fs::write(&ready_tmp, format!("{} {slot}", std::process::id())).unwrap();
+    std::fs::rename(&ready_tmp, dir.join(format!("ready_{idx}"))).unwrap();
 
     let stop = dir.join("stop");
     let healer = {
