@@ -472,8 +472,8 @@ impl<M: Persist, const ARM: u8> RHashMap<M, ARM> {
     /// that journal their own intent records around the map (write-ahead
     /// logs driving a mapped heap) must call this **before** writing the
     /// intent record — see [`RecArea::mark_invoked`] for the crash-window
-    /// argument. Plain in-process use never needs it: every operation's own
-    /// prologue re-runs it.
+    /// argument. Plain in-process use never needs it: an operation's own
+    /// prologue runs it when this call has not.
     pub fn note_invocation(&self, pid: usize) {
         self.rec.mark_invoked(pid);
     }

@@ -92,6 +92,35 @@ pub mod stack;
 pub mod store;
 pub mod tag;
 
+/// Shared by this crate's crash-simulator unit tests.
+#[cfg(test)]
+pub(crate) mod simtest {
+    use nvm::sim;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// One simulator session at a time: the word registry is process-global
+    /// and [`sim::begin_session`] panics on overlap, so tests queue here.
+    /// (The session is the first field so that it ends before the turn does.)
+    pub fn session() -> (sim::SimSession, MutexGuard<'static, ()>) {
+        static TURN: Mutex<()> = Mutex::new(());
+        let turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+        sim::quiet_crash_panics();
+        (sim::begin_session(), turn)
+    }
+
+    /// Runs `f` until it dies at its `fuse`-th instrumented operation and
+    /// leaves the `seed` crash image behind. `false` once `f` outruns the
+    /// fuse, i.e. every instruction of `f` has been crashed at.
+    pub fn crashed_at(fuse: u64, seed: u64, f: impl FnOnce()) -> bool {
+        sim::crash_after(fuse);
+        let crashed = sim::run_crashable(f).is_err();
+        if crashed {
+            sim::build_crash_image(seed);
+        }
+        crashed
+    }
+}
+
 /// Operation type tags stored in Info descriptors (diagnostics only).
 pub mod optype {
     /// List/BST insert.

@@ -20,10 +20,20 @@
 //! defers the durability of `CP_q = 1` to the attempt's publish `psync`
 //! (ordering is still enforced with a `pfence`), saving one `psync` per
 //! operation.
+//!
+//! Step 1 runs once per invocation. A caller that needs it *earlier* than
+//! the operation's own prologue — the KV service, which must order it
+//! before its durable in-flight record — runs it through
+//! [`RecArea::mark_invoked`], which leaves a volatile per-pid note that
+//! `CP_q` is durably zero; the prologue that follows finds the note and
+//! does not persist the same zero a second time. The note is process
+//! memory: it dies with the process, so after a crash every prologue
+//! persists again.
 
 use crate::engine::Info;
 use nvm::pad::CachePadded;
 use nvm::{PWord, Persist, MAX_PROCS};
+use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 
 /// One process's persistent private recovery variables.
 pub struct ProcRec<M: Persist> {
@@ -56,6 +66,11 @@ pub const ARENA_SLOT_STRIDE: usize = 128;
 /// Per-process recovery areas for one data structure.
 pub struct RecArea<M: Persist> {
     slots: Slots<M>,
+    /// Per pid: [`RecArea::mark_invoked`] made `CP_q = 0` durable and no
+    /// prologue has consumed that yet. Volatile on purpose, and touched
+    /// only by the thread that owns the pid, so `Relaxed` suffices (the
+    /// hand-over of a pid between threads synchronizes on its own).
+    cp_zeroed: Vec<CachePadded<AtomicBool>>,
 }
 
 // SAFETY: all slot state is atomics behind `&self`; the arena pointer is
@@ -85,11 +100,14 @@ fn system_glue<M: Persist>(f: impl FnOnce()) {
 impl<M: Persist> RecArea<M> {
     /// Creates recovery slots for [`MAX_PROCS`] processes.
     pub fn new() -> Self {
-        Self {
-            slots: Slots::Owned(
-                (0..MAX_PROCS).map(|_| CachePadded::new(ProcRec::default())).collect(),
-            ),
-        }
+        Self::over(Slots::Owned(
+            (0..MAX_PROCS).map(|_| CachePadded::new(ProcRec::default())).collect(),
+        ))
+    }
+
+    fn over(slots: Slots<M>) -> Self {
+        let cp_zeroed = (0..MAX_PROCS).map(|_| CachePadded::new(AtomicBool::new(false))).collect();
+        Self { slots, cp_zeroed }
     }
 
     /// Bytes an arena-resident recovery area occupies
@@ -112,7 +130,7 @@ impl<M: Persist> RecArea<M> {
     pub unsafe fn attach_raw(base: *const u8) -> Self {
         assert!(std::mem::size_of::<ProcRec<M>>() <= ARENA_SLOT_STRIDE);
         assert_eq!(std::mem::size_of::<M::Meta>(), 0, "arena slots require metadata-free models");
-        Self { slots: Slots::Arena(base) }
+        Self::over(Slots::Arena(base))
     }
 
     #[inline]
@@ -127,6 +145,42 @@ impl<M: Persist> RecArea<M> {
         }
     }
 
+    /// Step 1 at an operation's prologue: `CP_q := 0`, persisted — unless
+    /// [`RecArea::mark_invoked`] already did that for this invocation.
+    ///
+    /// The note alone would be enough under the service's discipline (the
+    /// lane owns the tid, so nothing on this pid can write `CP_q` between
+    /// the two calls). But the note is per view, the structures of one
+    /// [`crate::store::Store`] share one slot array, and a caller may mark
+    /// through one structure and then run another's operation, leaving the
+    /// note behind. The `CP_q` read closes that: every `CP_q := 0` in this
+    /// file is stored together with its barrier, so a zero the owner reads
+    /// back is a durable zero, and a stale note beside `CP_q = 1` takes the
+    /// persisting path. The note, not the read, decides *whether* to elide,
+    /// so operations invoked without `mark_invoked` keep the paper's
+    /// placement (and their golden persist counts) exactly.
+    #[inline]
+    fn invoke_glue(&self, pid: usize, s: &ProcRec<M>) {
+        let noted = &self.cp_zeroed[pid];
+        if noted.load(Relaxed) {
+            noted.store(false, Relaxed);
+            if s.cp.load() == 0 {
+                return;
+            }
+        }
+        Self::zero_cp(s);
+    }
+
+    /// `CP_q := 0`, persisted. The system itself does not crash (paper
+    /// Section 2), so crash injection is suspended for the two instructions.
+    #[inline]
+    fn zero_cp(s: &ProcRec<M>) {
+        system_glue::<M>(|| {
+            s.cp.store(0);
+            M::pbarrier(&s.cp);
+        });
+    }
+
     /// Steps 1–2 of the protocol (see module docs). Returns the *previous*
     /// operation's published info pointer so the caller can release its
     /// reference-count hold on it.
@@ -138,12 +192,7 @@ impl<M: Persist> RecArea<M> {
         nvm::coalesce::lint::set_armed(crate::arm::coalesces(ARM));
         let s = self.slot(pid);
         // System glue: CP_q := 0, persisted, before the operation starts.
-        // The system itself does not crash (paper Section 2), so crash
-        // injection is suspended for these two instructions.
-        system_glue::<M>(|| {
-            s.cp.store(0);
-            M::pbarrier(&s.cp);
-        });
+        self.invoke_glue(pid, s);
         let prev = s.rd.load();
         s.rd.store(0);
         if crate::arm::coalesces(ARM) {
@@ -180,10 +229,7 @@ impl<M: Persist> RecArea<M> {
         // (crashable) operation code — otherwise a crash on the operation's
         // first instruction would leave `CP_q = 1` pointing at the previous
         // operation's descriptor and recovery would return a stale response.
-        system_glue::<M>(|| {
-            s.cp.store(0);
-            M::pbarrier(&s.cp);
-        });
+        self.invoke_glue(pid, s);
         s.rd.load()
     }
 
@@ -234,7 +280,8 @@ impl<M: Persist> RecArea<M> {
 
     /// The *system* half of an invocation: `CP_q := 0`, persisted. The paper
     /// models this as executing atomically **when the operation is invoked**
-    /// (Section 2) — the operations' own prologues re-run it, harmlessly.
+    /// (Section 2). The next prologue on `pid` through this area finds the
+    /// note left here and skips its own copy of these two instructions.
     ///
     /// Callers that write their own intent records around a mapped structure
     /// (write-ahead logs, request journals) must call this *before* logging
@@ -243,11 +290,8 @@ impl<M: Persist> RecArea<M> {
     /// *previous* operation's descriptor, and recovery would hand the new
     /// operation a stale response.
     pub fn mark_invoked(&self, pid: usize) {
-        let s = self.slot(pid);
-        system_glue::<M>(|| {
-            s.cp.store(0);
-            M::pbarrier(&s.cp);
-        });
+        Self::zero_cp(self.slot(pid));
+        self.cp_zeroed[pid].store(true, Relaxed);
     }
 
     /// Durably resets a dead peer's slot to the fresh state (`CP = 0`,
@@ -363,7 +407,7 @@ pub unsafe fn recover_dead_pid(
 /// [`recover_dead_pid`] with an `on_decision` hook that runs **after** the
 /// decision is computed but **before** the slot is durably cleared. Callers
 /// that mirror the decision into their own durable state (the KV response
-/// table resolving a dead server's op-ID intents) need exactly this window:
+/// table resolving a dead server's in-flight op-IDs) need exactly this window:
 /// if the recoverer dies inside the hook, the slot still carries `CP`/`RD`,
 /// so a superseding recoverer recomputes the *same* decision and re-runs the
 /// hook — which must therefore be idempotent. Hooked work that ran is never
@@ -420,7 +464,7 @@ pub mod rootkeys {
     /// global epoch + per-participant announce words, one domain per heap.
     pub const EPOCHS: u64 = 0x4550_4F43; // "EPOC"
     /// The KV-service response table ([`crate::resptable::ResponseTable`]):
-    /// per-client dedup/response slots plus per-pid op-ID intent records,
+    /// one slot per client holding its dedup pair and the op-ID in flight,
     /// resolved against the replay decisions on every attach.
     pub const RESPTAB: u64 = 0x5245_5350; // "RESP"
 }
@@ -484,12 +528,12 @@ pub enum AttachError {
         name: String,
     },
     /// The KV response table carries state no crash of a correct execution
-    /// can produce (e.g. an intent record whose state word is neither empty
-    /// nor in-flight). Torn-but-reachable shapes are *healed* instead; this
-    /// is the unreachable-shape diagnosis, surfaced typed rather than UB.
+    /// can produce (e.g. a `pending` word naming a tid that does not exist,
+    /// or the header magic of the retired two-array layout).
+    /// Torn-but-reachable shapes are *healed* instead; this is the
+    /// unreachable-shape diagnosis, surfaced typed rather than UB.
     CorruptResponseTable {
-        /// Index of the offending slot (intent slots are indexed by pid,
-        /// client slots by table position).
+        /// Table position of the offending client slot (0 for the header).
         slot: usize,
         /// What was wrong.
         reason: &'static str,
@@ -1234,6 +1278,159 @@ mod tests {
             drop(Box::from_raw(info));
             drop(Box::from_raw(info2));
         }
+    }
+
+    /// Fences and flushed lines tid `t` has issued so far.
+    fn persists(t: usize) -> (u64, u64) {
+        let s = nvm::stats::Snapshot::of_tid(t);
+        (s.pwb + s.pbarrier_lines, s.pbarrier + s.pfence + s.psync)
+    }
+
+    /// `mark_invoked` + prologue persists `CP_q := 0` once, not twice; a
+    /// prologue on its own still persists it, every time.
+    #[test]
+    fn marked_invocation_persists_the_checkpoint_once() {
+        let _gate = crate::counters::gate_shared();
+        const T: usize = MAX_PROCS - 3; // counters of its own
+        nvm::tid::set_tid(T);
+        let rec: RecArea<M> = RecArea::new();
+        let cost = |f: &dyn Fn()| {
+            let (l0, f0) = persists(T);
+            f();
+            let (l1, f1) = persists(T);
+            (l1 - l0, f1 - f0)
+        };
+        let bare = cost(&|| {
+            rec.begin::<0>(T);
+        });
+        rec.publish(T, 0x1230);
+        let marked = cost(&|| {
+            rec.mark_invoked(T);
+            rec.begin::<0>(T);
+        });
+        assert_eq!(marked, bare, "the prologue must not re-persist what mark_invoked did");
+        assert_eq!(rec.read(T), (1, 0));
+        rec.publish(T, 0x1230);
+        let again = cost(&|| {
+            rec.begin::<0>(T);
+        });
+        assert_eq!(again, bare, "the note is consumed, not sticky");
+
+        let readonly = || {
+            rec.begin_readonly(T);
+        };
+        let bare_ro = cost(&readonly);
+        assert_eq!(bare_ro, (1, 1));
+        let marked_ro = cost(&|| {
+            rec.mark_invoked(T);
+            rec.begin_readonly(T);
+        });
+        assert_eq!(marked_ro, bare_ro);
+        assert_eq!(cost(&readonly), bare_ro);
+    }
+
+    /// Two structures of one store are two views over one slot array. A
+    /// note left in one view while the other view's operation set
+    /// `CP_q = 1` must not let the first view's next prologue skip the
+    /// persist.
+    #[test]
+    fn stale_note_beside_a_set_checkpoint_still_persists() {
+        let _gate = crate::counters::gate_shared();
+        const T: usize = MAX_PROCS - 4;
+        nvm::tid::set_tid(T);
+        let arena = vec![0u64; RecArea::<M>::slots_bytes() / 8];
+        // SAFETY: zeroed, 8-aligned, slots_bytes() long, outlives both views.
+        let (a, b): (RecArea<M>, RecArea<M>) = unsafe {
+            (RecArea::attach_raw(arena.as_ptr().cast()), RecArea::attach_raw(arena.as_ptr().cast()))
+        };
+        a.mark_invoked(T);
+        b.begin::<0>(T);
+        b.publish(T, 0x40);
+        assert_eq!(a.read(T), (1, 0x40));
+        let before = persists(T);
+        assert_eq!(a.begin_readonly(T), 0x40);
+        assert_eq!(a.read(T), (0, 0x40), "CP cleared");
+        let after = persists(T);
+        assert_eq!((after.0 - before.0, after.1 - before.1), (1, 1), "and cleared durably");
+    }
+
+    /// The pid's previous operation completed (`CP_q = 1`, `RD_q` → a
+    /// descriptor with its result set). Crash the next invocation at every
+    /// instruction from `mark_invoked` (or, unmarked, from the prologue) up
+    /// to and including its first publish, over per-word-drop seeds: the
+    /// decision is `Restart` — the new operation has not taken effect —
+    /// and never the previous operation's `Completed`.
+    fn no_stale_completed_sweep<const ARM: u8>() {
+        use nvm::{sim, SimNvm};
+        const P: usize = 2;
+        let _session = crate::simtest::session();
+        nvm::tid::set_tid(P);
+        let fill = |info: *mut Info<SimNvm>, cell: &PWord<SimNvm>, expected: u64| unsafe {
+            Info::fill(
+                info,
+                &InfoFill {
+                    optype: 1,
+                    affect: &[(cell as *const _ as u64, expected)],
+                    write: &[],
+                    newset: &[],
+                    del_mask: 0,
+                    presult: RES_TRUE,
+                },
+            );
+        };
+        let mut crashes = 0u64;
+        for marked in [true, false] {
+            for seed in 0..64u64 {
+                for fuse in 1.. {
+                    sim::reset();
+                    let c = Collector::new();
+                    let rec: RecArea<SimNvm> = RecArea::new();
+                    let cells: [Box<PWord<SimNvm>>; 2] =
+                        [Box::new(PWord::new(0)), Box::new(PWord::new(0xDEAD0))];
+                    let (done, next) = (Info::<SimNvm>::alloc(), Info::<SimNvm>::alloc());
+                    fill(done, &cells[0], 0);
+                    fill(next, &cells[1], 0x5550); // stale expected: cannot take effect
+                    rec.begin::<ARM>(P);
+                    rec.publish_arm::<ARM>(P, done as u64);
+                    let decide = || unsafe { op_recover::<SimNvm, 0>(&rec, P, &c.pin()) };
+                    assert_eq!(decide(), Recovered::Completed(RES_TRUE), "the stale verdict");
+                    cells[1].store(0xDEAD0); // registers the word
+                    sim::persist_all();
+
+                    if marked {
+                        rec.mark_invoked(P);
+                    }
+                    let crashed = crate::simtest::crashed_at(fuse, seed, || {
+                        rec.begin::<ARM>(P);
+                        rec.publish_arm::<ARM>(P, next as u64);
+                    });
+                    crashes += crashed as u64;
+                    assert_eq!(
+                        decide(),
+                        Recovered::Restart,
+                        "arm {ARM} marked {marked} fuse {fuse} seed {seed}: {:?}",
+                        rec.read(P)
+                    );
+                    // SAFETY: the test owns both descriptors.
+                    unsafe {
+                        drop(Box::from_raw(done));
+                        drop(Box::from_raw(next));
+                    }
+                    if !crashed {
+                        break;
+                    }
+                }
+            }
+        }
+        assert!(crashes >= 2 * 64 * 5, "the sweep ran: {crashes}");
+    }
+
+    #[test]
+    fn sim_crash_before_first_publish_never_decides_stale_completed() {
+        no_stale_completed_sweep::<{ crate::arm::PAPER }>();
+        no_stale_completed_sweep::<{ crate::arm::TUNED }>();
+        no_stale_completed_sweep::<{ crate::arm::COALESCED }>();
+        no_stale_completed_sweep::<{ crate::arm::LP }>();
     }
 
     #[test]

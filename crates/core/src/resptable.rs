@@ -2,61 +2,64 @@
 //!
 //! The network service (`crates/kvserve`) lets clients name every request
 //! with a `(client_id, op_seq)` operation ID. This module is the durable
-//! half of that contract, one root block ([`rootkeys::RESPTAB`]) holding two
-//! arrays:
+//! half of that contract: one root block ([`rootkeys::RESPTAB`]) holding one
+//! 64-byte [`ClientSlot`] per registered client, and that slot is the
+//! **only** durable record a request writes. It carries
 //!
-//! * **Client slots** — one per registered client: the highest acknowledged
-//!   sequence number (`last_seq`) and the encoded response of exactly that
-//!   operation. A retried request whose `op_seq == last_seq` is answered
-//!   from here without touching any structure — byte-identical to the
-//!   original acknowledgement, applied exactly once.
-//! * **Intent slots** — one per process slot (`MAX_PROCS`, indexed by the
-//!   tid the request runs under): the op-ID currently being applied there. An
-//!   intent is recorded *after* [`RecArea::mark_invoked`](crate::recovery::RecArea::mark_invoked)
-//!   (see below) and
-//!   cleared after the response is finalized, so after a crash every
-//!   in-flight request is resolvable: the attach replay's per-pid
-//!   [`Recovered`] decision says whether the interrupted operation took
-//!   effect, and [`ResponseTable::resolve`] maps that verdict back onto the
-//!   client slot.
+//! * the highest acknowledged sequence number (`last_seq`) and the encoded
+//!   response of exactly that operation (`resp`). A retried request whose
+//!   `op_seq == last_seq` is answered from here without touching any
+//!   structure — byte-identical to the original acknowledgement, applied
+//!   exactly once;
+//! * the packed word `pending = (tid << 56) | op_seq`: the sequence number
+//!   being applied for this client and the process slot (tid) it runs
+//!   under. A request is **in flight iff `pending.op_seq == last_seq + 1`**.
+//!   After a crash every in-flight request is resolvable: the attach
+//!   replay's per-pid [`Recovered`] decision says whether the interrupted
+//!   operation took effect, and [`ResponseTable::resolve`] maps that verdict
+//!   onto the slot `pending` names the pid in.
 //!
 //! # Write ordering (the crash-window argument)
 //!
 //! The request path is, in order:
 //!
-//! 1. foreign-intent check ([`ResponseTable::foreign_inflight`] → typed
-//!    `Recovering`) — **before any read of the client slot**: a dead
-//!    peer's resolver finalizes into the client slot and only then clears
-//!    the intent, so the observed absence of the intent is what proves
-//!    the dedup pair below is quiescent and the watermark fully resolved;
+//! 1. failover guard ([`ResponseTable::foreign_inflight`] → typed
+//!    `Recovering`): the client's own slot is in flight under a tid of
+//!    another process, whose recovery has not resolved it yet;
 //! 2. dedup check (`op_seq == last_seq` → replay stored response);
 //! 3. `mark_invoked(pid)` — the system half: `CP_q := 0`, persisted;
-//! 4. [`ResponseTable::begin_op`] — durable intent record, state word
-//!    stamped last (after a flush + fence over the payload words);
+//! 4. [`ResponseTable::begin_op`] — one store, one write-back and one sync
+//!    of `pending`. It is a single word precisely so that nothing here can
+//!    tear: the persistency model drops individual *words* (DESIGN §3), so a
+//!    multi-word record would need a fence between payload and commit word;
 //! 5. apply the structure operation (which publishes its own descriptor);
-//! 6. [`ResponseTable::finish_op`] — durable response finalize into the
-//!    client slot (`resp` word flushed and fenced **before** `last_seq`),
-//!    then the intent is cleared;
+//! 6. [`ResponseTable::finish_op`] — `resp` flushed and fenced **before**
+//!    `last_seq`. The `last_seq` store itself retires the record
+//!    (`pending.op_seq == last_seq` is no longer in flight); there is no
+//!    clear step;
 //! 7. acknowledge on the socket.
 //!
 //! Step 3 before step 4 is load-bearing: because `CP_q` is durably zero
-//! before the intent record exists, a `Completed` replay decision found
-//! behind an in-flight intent can only describe *this* operation — never a
-//! stale descriptor of the previous one (see
+//! before the in-flight record exists, a `Completed` replay decision found
+//! behind it can only describe *this* operation — never a stale descriptor
+//! of the previous one (see
 //! [`RecArea::mark_invoked`](crate::recovery::RecArea::mark_invoked)).
-//! Step 6's internal order makes the client-slot pair atomic for readers:
-//! `last_seq` is written only after its response word is flush+fenced, so
-//! `op_seq == last_seq` proves `resp` is that operation's response — given
-//! step 1, which rules out a concurrent resolver mid-finalize on the slot.
+//! Step 6's internal order makes the pair atomic for readers: `last_seq` is
+//! written only after its response word is flush+fenced, so
+//! `op_seq == last_seq` proves `resp` is that operation's response, for a
+//! live reader and in every crash image alike.
 //!
-//! Crash windows, per step: before 4 → no intent, decision ignored, client
-//! retry re-applies as fresh (the operation never started, or at worst
-//! published nothing: `Restart`). Between 4 and 6 → intent in flight;
-//! `Completed(res)` finalizes `res` into the client slot, `Restart` just
-//! clears the intent and the retry re-applies. Between 6's finalize and the
-//! intent clear → re-finalizing is idempotent (same words). After 6 → the
-//! retry is a dedup hit. In every window the operation applies exactly once
-//! and the response the client eventually reads is the original.
+//! Crash windows, per step: before 4 (or `pending` lost with the crash) →
+//! not in flight, decision ignored, client retry re-applies as fresh (the
+//! operation never started, or at worst published nothing: `Restart`).
+//! Between 4 and the end of 6 → in flight; `Completed(res)` finalizes `res`
+//! exactly as step 6 would (re-finalizing a half-written pair writes the
+//! same words), `Restart` clears `pending` and the retry re-applies. After
+//! 6 → the retry is a dedup hit. In every window the operation applies
+//! exactly once and the response the client eventually reads is the
+//! original. The three transitions are generic over the persistency model,
+//! and the tests below crash them at every instruction under
+//! [`nvm::SimNvm`]'s per-word drops.
 //!
 //! # GC / ack watermark
 //!
@@ -79,15 +82,18 @@ use std::sync::Arc;
 
 /// Registered clients the table can hold (one 64-byte slot each).
 pub const CLIENT_SLOTS: usize = 256;
+/// Largest sequence number a request may carry: `pending` packs the tid
+/// into the 8 bits above it.
+pub const MAX_OP_SEQ: u64 = (1 << SEQ_BITS) - 1;
 
+const SEQ_BITS: u32 = 56;
 const SLOT_BYTES: usize = 64;
-/// Header magic, stamped when the block is first initialised.
-const MAGIC: u64 = 0x5254_4231; // "RTB1"
+/// Header magic, stamped when the block is first initialised. "RTB1" was
+/// the layout with a separate per-tid intent array; it is refused typed.
+const MAGIC: u64 = 0x5254_4232; // "RTB2"
 
-/// Intent state: no in-flight op recorded for this pid.
-const ST_EMPTY: u64 = 0;
-/// Intent state: the recorded op-ID is being applied.
-const ST_INFLIGHT: u64 = 1;
+const _: () = assert!(nvm::MAX_PROCS <= 1 << (64 - SEQ_BITS), "a tid must fit above the sequence");
+const _: () = assert!(std::mem::size_of::<ClientSlot<MappedNvm>>() == SLOT_BYTES);
 
 /// Client-slot ID left when healing drops a duplicate registration.
 /// [`ResponseTable::find`] probes *past* a tombstone (writing a plain 0
@@ -96,52 +102,102 @@ const ST_INFLIGHT: u64 = 1;
 /// reclaim it. `u64::MAX` is reserved: client IDs must be below it.
 const TOMBSTONE: u64 = u64::MAX;
 
-/// One client's dedup/response record (64 bytes).
+/// One client's durable record: dedup pair plus the request in flight.
+/// Generic over the persistency model so the crash simulator can own one
+/// (the table itself addresses arena-resident `ClientSlot<MappedNvm>`s).
 #[repr(C)]
-struct ClientSlot {
+struct ClientSlot<M: Persist> {
     /// Owning client ID (nonzero; 0 = free). CAS-claimed at registration.
-    id: PWord<MappedNvm>,
+    id: PWord<M>,
     /// Highest acknowledged sequence number — the ack watermark.
-    last_seq: PWord<MappedNvm>,
+    last_seq: PWord<M>,
     /// Encoded response of operation `last_seq` (engine result word).
-    resp: PWord<MappedNvm>,
-    _pad: [u64; 5],
+    resp: PWord<M>,
+    /// `(tid << 56) | op_seq` of the newest request begun for this client;
+    /// in flight iff `op_seq == last_seq + 1`.
+    pending: PWord<M>,
+    _pad: [u64; 4],
 }
 
-/// One tid's in-flight op-ID record (64 bytes).
-#[repr(C)]
-struct IntentSlot {
-    /// State word, stamped **last** on record and first on clear.
-    state: PWord<MappedNvm>,
-    /// Client owning the in-flight request.
-    client_id: PWord<MappedNvm>,
-    /// The request's sequence number.
-    op_seq: PWord<MappedNvm>,
-    /// Wire opcode (for diagnostics; resolution doesn't re-apply).
-    op: PWord<MappedNvm>,
-    /// The request argument (key or value).
-    arg: PWord<MappedNvm>,
-    _pad: [u64; 3],
+impl<M: Persist> ClientSlot<M> {
+    /// `(tid, op_seq)` of the request in flight on this slot, if any.
+    fn inflight(&self) -> Option<(usize, u64)> {
+        let pending = self.pending.load();
+        let op_seq = pending & MAX_OP_SEQ;
+        (op_seq == self.last_seq.load() + 1).then_some(((pending >> SEQ_BITS) as usize, op_seq))
+    }
+
+    /// Records `op_seq` as in flight under `tid`: one word, so the record
+    /// is either wholly on media or not at all.
+    fn begin(&self, tid: usize, op_seq: u64) {
+        assert!(tid < nvm::MAX_PROCS && op_seq <= MAX_OP_SEQ, "pending word out of range");
+        self.pending.store((tid as u64) << SEQ_BITS | op_seq);
+        M::pwb(&self.pending);
+        M::psync();
+    }
+
+    /// `resp` first (flushed, fenced), `last_seq` second — readers treat
+    /// `last_seq` as the commit point of the pair, and the same store
+    /// retires `pending`.
+    fn finalize(&self, op_seq: u64, resp: u64) {
+        debug_assert!(resp != RES_BOT, "finalized responses are never ⊥");
+        self.resp.store(resp);
+        M::pwb(&self.resp);
+        M::pfence();
+        self.last_seq.store(op_seq);
+        M::pwb(&self.last_seq);
+        M::psync();
+    }
+
+    /// Disposes of the request in flight under `tid` (if any) by `decision`:
+    /// `Completed` finalizes, `Restart` clears `pending`. Either way the
+    /// slot is no longer in flight, so a second call is a no-op.
+    fn resolve(&self, tid: usize, decision: Recovered) -> Option<Resolution> {
+        let (_, op_seq) = self.inflight().filter(|&(t, _)| t == tid)?;
+        let client_id = self.id.load();
+        Some(match decision {
+            Recovered::Completed(resp) if resp != RES_BOT => {
+                self.finalize(op_seq, resp);
+                Resolution::Finalized { client_id, op_seq, resp }
+            }
+            _ => {
+                self.pending.store(0);
+                M::pbarrier(&self.pending);
+                Resolution::Restarted { client_id, op_seq }
+            }
+        })
+    }
+
+    /// Refuses shapes no crash of a correct execution leaves behind.
+    fn validate(&self) -> Result<(), &'static str> {
+        let (last_seq, pending) = (self.last_seq.load(), self.pending.load());
+        if last_seq > MAX_OP_SEQ {
+            return Err("watermark beyond the sequence range");
+        }
+        if (pending >> SEQ_BITS) as usize >= nvm::MAX_PROCS {
+            return Err("pending names a tid beyond MAX_PROCS");
+        }
+        if pending & MAX_OP_SEQ > last_seq + 1 {
+            return Err("pending sequence skips ahead of the watermark");
+        }
+        Ok(())
+    }
 }
 
 /// What healing/validation found and repaired (all zero on a clean image).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct HealReport {
     /// Client slots zeroed because registration tore before the ID stamp
-    /// persisted (`id == 0` with residue in `last_seq`/`resp`).
+    /// persisted (`id == 0` with residue in the other words).
     pub torn_clients: usize,
     /// Duplicate registrations collapsed: the slot with the lower
     /// `last_seq` was tombstoned (deterministically, ties keep the first;
     /// a tombstone keeps later chain entries reachable and is reusable by
     /// new registrations).
     pub dup_clients: usize,
-    /// In-flight intents naming no registered client, cleared (the crash
-    /// predates the client's first durable registration — nothing to
-    /// finalize, the client will re-register and retry fresh).
-    pub orphan_intents: usize,
 }
 
-/// How [`ResponseTable::resolve`] disposed of one in-flight intent.
+/// How [`ResponseTable::resolve`] disposed of one in-flight request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Resolution {
     /// The interrupted operation took effect: its response was finalized
@@ -154,8 +210,8 @@ pub enum Resolution {
         /// The encoded response.
         resp: u64,
     },
-    /// The interrupted operation did not take effect: the intent was
-    /// cleared and the client's retry will re-apply as a fresh operation.
+    /// The interrupted operation did not take effect: `pending` was cleared
+    /// and the client's retry will re-apply as a fresh operation.
     Restarted {
         /// The client whose request must be retried.
         client_id: u64,
@@ -167,13 +223,13 @@ pub enum Resolution {
 /// Handle over the committed [`rootkeys::RESPTAB`] root block.
 ///
 /// Cheap to clone; all state is in the mapped heap. Concurrency contract:
-/// a pid's intent slot is written only by the thread currently holding that
-/// tid (or, after its process's death, by the holder of its recovery lease),
-/// and a client slot is written only under the tid the client is routed to —
+/// a client slot is written only under the tid the client is routed to —
 /// the service routes each `client_id` to exactly one tid lane and runs one
-/// request per lane at a time, so slot writes never race. Cross-thread
-/// *reads* (dedup scans, [`ResponseTable::foreign_inflight`]) are safe
-/// against the documented write orderings.
+/// request per lane at a time — or, once that tid's process is dead and the
+/// slot is in flight under it, by the holder of the process's recovery
+/// lease, while every live server answers the client `Recovering`. Slot
+/// writes therefore never race, and a tid has at most one slot in flight.
+/// Cross-thread *reads* are safe against the documented write orderings.
 #[derive(Clone)]
 pub struct ResponseTable {
     _heap: Arc<MappedHeap>,
@@ -187,9 +243,9 @@ unsafe impl Send for ResponseTable {}
 unsafe impl Sync for ResponseTable {}
 
 impl ResponseTable {
-    /// Size of the root block: header + per-pid intents + client slots.
+    /// Size of the root block: header + client slots.
     pub fn bytes() -> usize {
-        SLOT_BYTES * (1 + nvm::MAX_PROCS + CLIENT_SLOTS)
+        SLOT_BYTES * (1 + CLIENT_SLOTS)
     }
 
     /// Allocates (or re-opens) the table on `heap`, then validates and
@@ -222,16 +278,10 @@ impl ResponseTable {
         unsafe { &*(self.base as *const PWord<MappedNvm>) }
     }
 
-    fn intent(&self, pid: usize) -> &IntentSlot {
-        assert!(pid < nvm::MAX_PROCS);
-        // SAFETY: in-bounds fixed-stride slot of the committed root block.
-        unsafe { &*(self.base.add(SLOT_BYTES * (1 + pid)) as *const IntentSlot) }
-    }
-
-    fn client(&self, idx: usize) -> &ClientSlot {
+    fn client(&self, idx: usize) -> &ClientSlot<MappedNvm> {
         assert!(idx < CLIENT_SLOTS);
         // SAFETY: in-bounds fixed-stride slot of the committed root block.
-        unsafe { &*(self.base.add(SLOT_BYTES * (1 + nvm::MAX_PROCS + idx)) as *const ClientSlot) }
+        unsafe { &*(self.base.add(SLOT_BYTES * (1 + idx)) as *const ClientSlot<MappedNvm>) }
     }
 
     fn probe_start(client_id: u64) -> usize {
@@ -318,15 +368,10 @@ impl ResponseTable {
 
     /// The client's ack watermark and the response stored at it:
     /// `(last_seq, resp)`, or `None` for an unregistered client. A
-    /// `last_seq` of 0 means no operation was ever acknowledged.
-    ///
-    /// The pair is read as written (`resp` paired with `last_seq`) only
-    /// while no concurrent writer is finalizing the slot. The holder of the
-    /// client's lane is the sole live writer; a dead peer's *resolver* is the
-    /// other one — which is why the service checks
-    /// [`ResponseTable::foreign_inflight`] **before** calling this (a
-    /// resolver finalizes, then clears the intent, so no foreign intent ⇒
-    /// the slot is quiescent).
+    /// `last_seq` of 0 means no operation was ever acknowledged. `resp` is
+    /// fenced before `last_seq` is stored, and `last_seq` is read first
+    /// here, so the response is at least as new as the watermark; the
+    /// client's lane holder — the sole live writer — reads them as a pair.
     pub fn lookup(&self, client_id: u64) -> Option<(u64, u64)> {
         let idx = self.find(client_id)?;
         let s = self.client(idx);
@@ -335,113 +380,47 @@ impl ResponseTable {
         Some((seq, resp))
     }
 
-    /// Durably records pid's in-flight op-ID. Call **after**
+    /// Durably records `op_seq` as in flight for the registered client
+    /// `client_id` under `pid`. Call **after**
     /// [`crate::recovery::RecArea::mark_invoked`] (see module docs) and
-    /// before the structure operation's first instruction.
-    pub fn begin_op(&self, pid: usize, client_id: u64, op_seq: u64, op: u64, arg: u64) {
-        let s = self.intent(pid);
-        debug_assert_eq!(s.state.load(), ST_EMPTY, "one in-flight op per pid");
-        s.client_id.store(client_id);
-        s.op_seq.store(op_seq);
-        s.op.store(op);
-        s.arg.store(arg);
-        // One line (64-byte slot): a single write-back covers the payload.
-        MappedNvm::pwb(&s.client_id);
-        MappedNvm::pfence();
-        // Commit point: the state word is stamped only over a durable
-        // payload, so an in-flight intent always names a real op-ID.
-        s.state.store(ST_INFLIGHT);
-        MappedNvm::pwb(&s.state);
-        MappedNvm::psync();
+    /// before the structure operation's first instruction. The wire opcode
+    /// and argument are not recorded: resolution never re-applies.
+    pub fn begin_op(&self, pid: usize, client_id: u64, op_seq: u64, _op: u64, _arg: u64) {
+        let idx = self.find(client_id).expect("begin_op follows register");
+        self.client(idx).begin(pid, op_seq);
     }
 
-    /// Durably finalizes the response into the client slot, then clears
-    /// pid's intent. `client_idx` is the index [`ResponseTable::register`]
-    /// returned for the request's client.
-    pub fn finish_op(&self, pid: usize, client_idx: usize, op_seq: u64, resp: u64) {
-        self.finalize(client_idx, op_seq, resp);
-        self.clear_intent(pid);
+    /// Durably finalizes the response into the client slot, which also
+    /// retires the in-flight record. `client_idx` is the index
+    /// [`ResponseTable::register`] returned for the request's client.
+    pub fn finish_op(&self, _pid: usize, client_idx: usize, op_seq: u64, resp: u64) {
+        self.client(client_idx).finalize(op_seq, resp);
     }
 
-    /// The client-slot half of [`ResponseTable::finish_op`]: `resp` first
-    /// (flushed, fenced), `last_seq` second — readers treat `last_seq` as
-    /// the commit point of the pair.
-    fn finalize(&self, client_idx: usize, op_seq: u64, resp: u64) {
-        let s = self.client(client_idx);
-        debug_assert!(resp != RES_BOT, "finalized responses are never ⊥");
-        s.resp.store(resp);
-        MappedNvm::pwb(&s.resp);
-        MappedNvm::pfence();
-        s.last_seq.store(op_seq);
-        MappedNvm::pwb(&s.last_seq);
-        MappedNvm::psync();
-    }
-
-    fn clear_intent(&self, pid: usize) {
-        let s = self.intent(pid);
-        s.state.store(ST_EMPTY);
-        MappedNvm::pbarrier(&s.state);
-    }
-
-    /// Resolves pid's in-flight intent (if any) against the replay decision
-    /// for that pid — the attach-time and peer-recovery wiring. Idempotent:
-    /// once resolved, the intent is clear and later calls are no-ops.
+    /// Resolves the request in flight under `pid` (if any) against the
+    /// replay decision for that pid — the attach-time and peer-recovery
+    /// wiring. Idempotent: once resolved, the slot is no longer in flight
+    /// and later calls are no-ops.
     ///
-    /// `Completed(res)` finalizes `res` as the intent's op-ID response (the
+    /// `Completed(res)` finalizes `res` as the request's response (the
     /// write-ordering argument in the module docs is what makes the
-    /// decision attributable to this op-ID); `Restart` clears the intent so
-    /// the client's retry re-applies. An intent whose client was never
-    /// durably registered is cleared bare (nothing to finalize — the crash
-    /// predates the client's first persisted state).
+    /// decision attributable to this op-ID); `Restart` clears `pending` so
+    /// the client's retry re-applies.
     pub fn resolve(&self, pid: usize, decision: Recovered) -> Option<Resolution> {
-        let s = self.intent(pid);
-        if s.state.load() != ST_INFLIGHT {
-            return None;
-        }
-        let client_id = s.client_id.load();
-        let op_seq = s.op_seq.load();
-        let out = match decision {
-            Recovered::Completed(resp) if resp != RES_BOT => {
-                match self.find(client_id) {
-                    Some(idx) => {
-                        self.finalize(idx, op_seq, resp);
-                        Resolution::Finalized { client_id, op_seq, resp }
-                    }
-                    // Registration never became durable: the client has no
-                    // slot to carry the response; it will re-register and
-                    // retry, and the retry must re-apply. That is still
-                    // exactly-once: with no durable registration the
-                    // operation's effects were swept with the crash's
-                    // unreachable state only if the decision says so —
-                    // Completed with an unregistered client cannot occur
-                    // for a correctly ordered client (register is durable
-                    // before the first request is sent). Treat as restart.
-                    None => Resolution::Restarted { client_id, op_seq },
-                }
-            }
-            _ => Resolution::Restarted { client_id, op_seq },
-        };
-        self.clear_intent(pid);
-        Some(out)
+        (0..CLIENT_SLOTS).find_map(|idx| self.client(idx).resolve(pid, decision))
     }
 
-    /// `true` when some pid *outside* `own_band` holds an in-flight intent
-    /// for `client_id`. The service checks this **before reading the
-    /// client slot at all** (step 1 of the module docs): a hit means the
-    /// client's previous request died with a peer whose recovery has not
-    /// resolved it yet — applying now could double-apply, so the server
-    /// answers a typed `Recovering` error and the client retries after
-    /// the healer has run. Conversely, a miss proves the slot quiescent:
-    /// [`ResponseTable::resolve`] finalizes (psync) before clearing the
-    /// intent, and the state-word load here is an acquire, so a cleared
-    /// intent makes the finalized watermark visible to a later lookup.
+    /// `true` when `client_id`'s slot is in flight under a pid *outside*
+    /// `own_band`: the client's previous request died with a peer whose
+    /// recovery has not resolved it yet — applying now could double-apply,
+    /// so the server answers a typed `Recovering` error and the client
+    /// retries after the healer has run. The healer's last store
+    /// (`last_seq`, or the cleared `pending`) is what ends the in-flight
+    /// state, so a miss here means the slot is fully resolved.
     pub fn foreign_inflight(&self, client_id: u64, own_band: std::ops::Range<usize>) -> bool {
-        (0..nvm::MAX_PROCS).any(|pid| {
-            !own_band.contains(&pid) && {
-                let s = self.intent(pid);
-                s.state.load() == ST_INFLIGHT && s.client_id.load() == client_id
-            }
-        })
+        self.find(client_id)
+            .and_then(|idx| self.client(idx).inflight())
+            .is_some_and(|(tid, _)| !own_band.contains(&tid))
     }
 
     /// Validation + deterministic healing (exclusive access only — see
@@ -449,25 +428,31 @@ impl ResponseTable {
     /// a correct execution are healed; unreachable shapes fail typed.
     fn validate_heal(&self) -> Result<HealReport, AttachError> {
         let mut report = HealReport::default();
-        // -- client slots ---------------------------------------------------
+        // Zeroes everything but the ID, durably (one line: one write-back).
+        let wipe = |s: &ClientSlot<MappedNvm>| {
+            s.last_seq.store(0);
+            s.resp.store(0);
+            s.pending.store(0);
+            MappedNvm::pwb(&s.last_seq);
+            MappedNvm::psync();
+        };
         let mut seen: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
         for idx in 0..CLIENT_SLOTS {
             let s = self.client(idx);
             let id = s.id.load();
             if id == 0 || id == TOMBSTONE {
-                if s.last_seq.load() != 0 || s.resp.load() != 0 {
+                if s.last_seq.load() != 0 || s.resp.load() != 0 || s.pending.load() != 0 {
                     // Registration tore before the ID stamp persisted but
-                    // after response words landed — impossible under the
+                    // after other words landed — impossible under the
                     // live ordering (ID is persisted at claim), yet cheap
                     // to heal deterministically: the slot is claimable.
-                    s.last_seq.store(0);
-                    s.resp.store(0);
-                    MappedNvm::pwb(&s.last_seq);
-                    MappedNvm::psync();
+                    wipe(s);
                     report.torn_clients += 1;
                 }
                 continue;
             }
+            s.validate()
+                .map_err(|reason| AttachError::CorruptResponseTable { slot: idx, reason })?;
             if let Some(&prev) = seen.get(&id) {
                 // Duplicate registration (a torn probe chain). Keep the
                 // slot with the higher watermark — it supersedes the other
@@ -484,12 +469,9 @@ impl ResponseTable {
                     (idx, prev)
                 };
                 let d = self.client(drop_);
-                d.last_seq.store(0);
-                d.resp.store(0);
-                MappedNvm::pwb(&d.last_seq);
-                MappedNvm::pfence();
                 // Residue is durably zero before the tombstone stamp, so a
                 // later reclaim starts from a clean watermark.
+                wipe(d);
                 d.id.store(TOMBSTONE);
                 MappedNvm::pwb(&d.id);
                 MappedNvm::psync();
@@ -499,50 +481,25 @@ impl ResponseTable {
                 seen.insert(id, idx);
             }
         }
-        // -- intent slots ---------------------------------------------------
-        for pid in 0..nvm::MAX_PROCS {
-            let s = self.intent(pid);
-            match s.state.load() {
-                ST_EMPTY => {}
-                ST_INFLIGHT => {
-                    let cid = s.client_id.load();
-                    if cid == 0 || self.find(cid).is_none() {
-                        // In-flight for a client with no durable slot:
-                        // nothing to finalize into; clear so the pid
-                        // starts clean.
-                        self.clear_intent(pid);
-                        report.orphan_intents += 1;
-                    }
-                }
-                _ => {
-                    // The state word is stamped from 0→1 and cleared 1→0
-                    // with barriers; any other value was never written by
-                    // this code.
-                    return Err(AttachError::CorruptResponseTable {
-                        slot: pid,
-                        reason: "intent state word is neither empty nor in-flight",
-                    });
-                }
-            }
-        }
         Ok(report)
     }
 
-    /// Diagnostic view of pid's in-flight intent:
-    /// `(client_id, op_seq, op, arg)`.
-    pub fn inflight(&self, pid: usize) -> Option<(u64, u64, u64, u64)> {
-        let s = self.intent(pid);
-        if s.state.load() != ST_INFLIGHT {
-            return None;
-        }
-        Some((s.client_id.load(), s.op_seq.load(), s.op.load(), s.arg.load()))
+    /// Diagnostic view of the request in flight under `pid`:
+    /// `(client_id, op_seq)`.
+    pub fn inflight(&self, pid: usize) -> Option<(u64, u64)> {
+        (0..CLIENT_SLOTS).find_map(|idx| {
+            let s = self.client(idx);
+            s.inflight().filter(|&(tid, _)| tid == pid).map(|(_, op_seq)| (s.id.load(), op_seq))
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{res_val, RES_TRUE};
+    use crate::engine::{res_val, RES_FALSE, RES_TRUE};
+    use crate::simtest::crashed_at;
+    use nvm::{sim, SimNvm};
 
     fn mk(name: &str) -> (Arc<MappedHeap>, ResponseTable) {
         let path =
@@ -562,9 +519,9 @@ mod tests {
         assert_eq!(t.lookup(7), Some((0, 0)), "fresh watermark");
         assert_eq!(t.lookup(8), None);
         t.begin_op(3, 7, 1, 2, 40);
-        assert_eq!(t.inflight(3), Some((7, 1, 2, 40)));
+        assert_eq!(t.inflight(3), Some((7, 1)));
         t.finish_op(3, idx, 1, RES_TRUE);
-        assert_eq!(t.inflight(3), None);
+        assert_eq!(t.inflight(3), None, "the watermark store retires the record");
         assert_eq!(t.lookup(7), Some((1, RES_TRUE)));
     }
 
@@ -573,8 +530,9 @@ mod tests {
         nvm::tid::set_tid(0);
         let (_h, t) = mk("resolve");
         let idx = t.register(9).unwrap();
-        let _ = idx;
+        t.finish_op(5, idx, 3, RES_FALSE);
         t.begin_op(5, 9, 4, 5, 0);
+        assert_eq!(t.resolve(6, Recovered::Restart), None, "another pid's decision");
         let r = t.resolve(5, Recovered::Completed(res_val(123))).unwrap();
         assert_eq!(r, Resolution::Finalized { client_id: 9, op_seq: 4, resp: res_val(123) });
         assert_eq!(t.lookup(9), Some((4, res_val(123))));
@@ -584,17 +542,24 @@ mod tests {
         let r = t.resolve(5, Recovered::Restart).unwrap();
         assert_eq!(r, Resolution::Restarted { client_id: 9, op_seq: 5 });
         assert_eq!(t.lookup(9), Some((4, res_val(123))), "watermark untouched");
+        assert_eq!(t.inflight(5), None);
+        assert_eq!(t.resolve(5, Recovered::Restart), None, "idempotent");
     }
 
     #[test]
     fn foreign_inflight_sees_other_bands_only() {
         nvm::tid::set_tid(0);
         let (_h, t) = mk("foreign");
-        t.register(11).unwrap();
-        t.begin_op(17, 11, 2, 1, 0);
+        let idx = t.register(11).unwrap();
+        t.register(12).unwrap();
+        assert!(!t.foreign_inflight(11, 0..8), "nothing in flight yet");
+        t.begin_op(17, 11, 1, 1, 0);
         assert!(t.foreign_inflight(11, 0..8));
         assert!(!t.foreign_inflight(11, 16..24), "own band excluded");
         assert!(!t.foreign_inflight(12, 0..8), "other clients unaffected");
+        assert!(!t.foreign_inflight(13, 0..8), "unregistered clients have nothing in flight");
+        t.finish_op(17, idx, 1, RES_TRUE);
+        assert!(!t.foreign_inflight(11, 0..8), "retired by the watermark");
     }
 
     /// `n` distinct nonzero IDs sharing one probe start (a forced chain).
@@ -650,5 +615,102 @@ mod tests {
         }
         assert_eq!(t.register(CLIENT_SLOTS as u64 + 1), None);
         assert!(t.register(5).is_some(), "existing clients still resolve");
+    }
+
+    const TID: usize = 9;
+    const OLD: (u64, u64) = (4, RES_FALSE);
+    const NEW: (u64, u64) = (5, RES_TRUE);
+
+    fn words(s: &ClientSlot<SimNvm>) -> [u64; 4] {
+        [s.id.peek(), s.last_seq.peek(), s.resp.peek(), s.pending.peek()]
+    }
+
+    /// A registered slot whose `words` are the durable state: acknowledged
+    /// through `OLD` when fresh, a crash image when re-installed.
+    fn durable_slot(words: [u64; 4]) -> Box<ClientSlot<SimNvm>> {
+        let [id, last_seq, resp, pending] = words.map(PWord::new);
+        let s = Box::new(ClientSlot { id, last_seq, resp, pending, _pad: [0; 4] });
+        for (w, v) in [&s.id, &s.last_seq, &s.resp, &s.pending].into_iter().zip(words) {
+            w.store(v); // registers the word with the simulator
+        }
+        sim::persist_all();
+        s
+    }
+
+    /// The whole crash argument lives in one slot, so it is checked there:
+    /// crash begin → finalize at every instruction, hand every image to
+    /// resolve under both decisions, crash *that* at every instruction too,
+    /// and resolve again. Over per-word-drop seeds the image always
+    /// validates, the client never reads the new watermark with anything
+    /// but the new response, and resolving is idempotent.
+    #[test]
+    fn sim_crash_at_every_instruction_of_begin_finalize_resolve() {
+        let _session = crate::simtest::session();
+        nvm::tid::set_tid(0);
+        let (mut images, mut resolved) = (0u64, 0u64);
+        for seed in 0..64u64 {
+            for fuse in 1.. {
+                sim::reset();
+                let slot = durable_slot([7, OLD.0, OLD.1, 0]);
+                let mut begun = false;
+                let crashed = crashed_at(fuse, seed, || {
+                    slot.begin(TID, NEW.0);
+                    begun = true;
+                    slot.finalize(NEW.0, NEW.1);
+                });
+                images += 1;
+                let image = words(&slot);
+                slot.validate().unwrap_or_else(|e| panic!("fuse {fuse} seed {seed}: {e}"));
+                for decision in [Recovered::Completed(NEW.1), Recovered::Restart] {
+                    // A request is acknowledged Completed only once it
+                    // took effect, which is after `begin` returned.
+                    if decision != Recovered::Restart && !begun {
+                        continue;
+                    }
+                    for fuse2 in 1.. {
+                        sim::reset();
+                        let slot = durable_slot(image);
+                        let was_inflight = slot.inflight().is_some();
+                        let crashed2 = crashed_at(fuse2, seed ^ (fuse2 << 8), || {
+                            slot.resolve(TID, decision);
+                        });
+                        slot.validate().unwrap();
+                        let first = slot.resolve(TID, decision);
+                        assert!(first.is_none() || (crashed2 && was_inflight));
+                        assert_eq!(slot.resolve(TID, decision), None, "resolve is idempotent");
+                        assert_eq!(slot.inflight(), None);
+                        slot.validate().unwrap();
+                        resolved += 1;
+                        let [id, last_seq, resp, _] = words(&slot);
+                        assert_eq!(id, 7);
+                        let ctx = format!("fuse {fuse}/{fuse2} seed {seed} {decision:?}");
+                        match decision {
+                            // `begin` returned, so the record is on media:
+                            // either it was still in flight and is now
+                            // finalized, or `finalize` itself completed.
+                            Recovered::Completed(_) => assert_eq!((last_seq, resp), NEW, "{ctx}"),
+                            // Never the new watermark with the old
+                            // response. The old watermark may sit beside
+                            // the new response when the crash hit
+                            // `finalize`: the client has acknowledged
+                            // `OLD.0` by sending its successor, so that
+                            // response cannot be re-asked.
+                            Recovered::Restart => {
+                                assert!(last_seq == OLD.0 || (last_seq, resp) == NEW, "{ctx}");
+                                assert!(begun || (last_seq, resp) == OLD, "{ctx}");
+                            }
+                        }
+                        if !crashed2 {
+                            break;
+                        }
+                    }
+                }
+                if !crashed {
+                    assert_eq!((image[1], image[2]), NEW, "an uncrashed run ends acknowledged");
+                    break;
+                }
+            }
+        }
+        assert!(images >= 64 * 10 && resolved > images, "the sweep ran: {images} / {resolved}");
     }
 }

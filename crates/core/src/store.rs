@@ -79,7 +79,7 @@ pub struct Store {
     entries: Mutex<HashMap<String, Entry>>,
     summary: AttachSummary,
     /// The KV-service response table hosted by this heap (always present;
-    /// ~20 KiB). Validated/healed by the single-owner attach, left
+    /// ~16 KiB). Validated/healed by the single-owner attach, left
     /// untouched by joiners.
     resptab: ResponseTable,
 }
@@ -187,7 +187,7 @@ impl Store {
         };
         // The KV response table rides every store heap: allocate (or
         // re-open) and validate/heal it here, where access is exclusive
-        // (attach flock held / exclusive heap). In-flight op-ID intents are
+        // (attach flock held / exclusive heap). In-flight op-IDs are
         // resolved below, once the replay decisions exist.
         let (resptab, _heal) = ResponseTable::attach_excl(&heap)?;
         let resptab_base =
@@ -224,7 +224,7 @@ impl Store {
         };
         // Resolve every in-flight op-ID against the replay's per-pid
         // decisions: Completed finalizes the response into the client's
-        // dedup slot, Restart clears the intent so the retry re-applies.
+        // slot, Restart clears its `pending` word so the retry re-applies.
         // Idempotent — a crash mid-resolution leaves the rec slots intact
         // (the attach replay never clears them), so the next attach
         // recomputes the same decisions and resumes.

@@ -21,9 +21,12 @@
 //!
 //! Robustness contract: every malformed input a peer can send — truncated
 //! frames, oversized or zero length prefixes, unknown opcodes, garbage
-//! bytes — maps to a typed [`Status`] answered on the wire (when a length
-//! prefix arrived at all) or a clean connection close (torn prefix). The
-//! parser never panics and never reads past validated bounds.
+//! bytes, identifiers and arguments outside what the structures and the
+//! response table accept — maps to a typed [`Status`] answered on the wire
+//! (when a length prefix arrived at all) or a clean connection close (torn
+//! prefix). The parser never panics and never reads past validated bounds,
+//! and a [`Request`] it returns can be applied without tripping an
+//! assertion further in: nothing durable happens for a refused frame.
 
 use std::io::{self, Read};
 
@@ -72,12 +75,15 @@ impl OpCode {
 pub struct Request {
     /// The operation.
     pub op: OpCode,
-    /// Client identity (nonzero; owns one response-table slot).
+    /// Client identity (neither 0 nor `u64::MAX`; owns one response-table
+    /// slot).
     pub client_id: u64,
     /// Per-client sequence number; must be `last_acked` (retry) or
-    /// `last_acked + 1` (fresh).
+    /// `last_acked + 1` (fresh), and at most
+    /// [`isb::resptable::MAX_OP_SEQ`].
     pub op_seq: u64,
-    /// Key (map ops) or value (enqueue); ignored by dequeue.
+    /// Key (map ops, strictly between 0 and `u64::MAX`) or value (enqueue,
+    /// below `u64::MAX - RES_VAL_BASE`); ignored by dequeue.
     pub arg: u64,
 }
 
@@ -94,7 +100,7 @@ pub enum Status {
     BadLength = 2,
     /// Unrecognized opcode (non-fatal; the frame was well-formed).
     UnknownOp = 3,
-    /// `client_id` 0 is reserved (non-fatal).
+    /// `client_id` 0 and `u64::MAX` are reserved (non-fatal).
     BadClientId = 4,
     /// `op_seq` is below the client's ack watermark: that response was
     /// already delivered and reclaimed (non-fatal).
@@ -108,6 +114,9 @@ pub enum Status {
     Recovering = 8,
     /// Length prefix exceeds [`MAX_FRAME`] (fatal: framing lost).
     Oversized = 9,
+    /// A key, an enqueued value or `op_seq` is outside the range the
+    /// structures and the response table can hold (non-fatal).
+    BadArg = 10,
 }
 
 impl Status {
@@ -124,6 +133,7 @@ impl Status {
             7 => Status::TableFull,
             8 => Status::Recovering,
             9 => Status::Oversized,
+            10 => Status::BadArg,
             _ => return None,
         })
     }
@@ -191,11 +201,24 @@ pub fn parse_request(payload: &[u8]) -> Result<Request, Status> {
     let Some(op) = OpCode::from_u8(payload[1]) else {
         return Err(Status::UnknownOp);
     };
-    let client_id = u64_at(payload, 2);
-    if client_id == 0 {
+    let (client_id, op_seq, arg) = (u64_at(payload, 2), u64_at(payload, 10), u64_at(payload, 18));
+    // 0 is the response table's free slot, u64::MAX its tombstone.
+    if client_id == 0 || client_id == u64::MAX {
         return Err(Status::BadClientId);
     }
-    Ok(Request { op, client_id, op_seq: u64_at(payload, 10), arg: u64_at(payload, 18) })
+    let arg_ok = match op {
+        // The sets' head and tail sentinels are not keys.
+        OpCode::Put | OpCode::Del | OpCode::Get => {
+            arg > isb::set_core::KEY_MIN && arg < isb::set_core::KEY_MAX
+        }
+        // A dequeue answers `RES_VAL_BASE + v`, which must not wrap.
+        OpCode::Enq => arg < u64::MAX - isb::engine::RES_VAL_BASE,
+        OpCode::Deq => true,
+    };
+    if !arg_ok || op_seq > isb::resptable::MAX_OP_SEQ {
+        return Err(Status::BadArg);
+    }
+    Ok(Request { op, client_id, op_seq, arg })
 }
 
 /// Parses a response payload (client side).
@@ -310,6 +333,22 @@ mod tests {
         assert_eq!(parse_request(&p[4..]), Err(Status::UnknownOp));
         let p = encode_request(&Request { op: OpCode::Get, client_id: 0, op_seq: 1, arg: 0 });
         assert_eq!(parse_request(&p[4..]), Err(Status::BadClientId));
+        let parse = |op, client_id, op_seq, arg| {
+            parse_request(&encode_request(&Request { op, client_id, op_seq, arg })[4..])
+        };
+        assert_eq!(parse(OpCode::Get, u64::MAX, 1, 5), Err(Status::BadClientId));
+        for op in [OpCode::Put, OpCode::Del, OpCode::Get] {
+            assert_eq!(parse(op, 1, 1, 0), Err(Status::BadArg));
+            assert_eq!(parse(op, 1, 1, u64::MAX), Err(Status::BadArg));
+            assert!(parse(op, 1, 1, u64::MAX - 1).is_ok());
+        }
+        let enq_limit = u64::MAX - isb::engine::RES_VAL_BASE;
+        assert_eq!(parse(OpCode::Enq, 1, 1, enq_limit), Err(Status::BadArg));
+        assert!(parse(OpCode::Enq, 1, 1, enq_limit - 1).is_ok());
+        assert!(parse(OpCode::Enq, 1, 1, 0).is_ok());
+        assert!(parse(OpCode::Deq, 1, 1, u64::MAX).is_ok(), "dequeue ignores its argument");
+        assert_eq!(parse(OpCode::Deq, 1, 1 << 56, 0), Err(Status::BadArg));
+        assert!(parse(OpCode::Deq, 1, (1 << 56) - 1, 0).is_ok());
     }
 
     #[test]

@@ -11,18 +11,27 @@
 //! lane, and only then writes the socket. Routing is deterministic, so all
 //! requests of one client serialize through one lane, which is what makes
 //! the dedup check and the apply a single-threaded sequence per client; the
-//! same lock gives the lane's tid-keyed state (recovery slot, response-table
-//! intent slot, allocator thread cache, EBR slot) one owner at a time. The
-//! in-flight request is tracked by the paper's per-process recovery slot
-//! *and* by the durable op-ID intent record in the [`ResponseTable`].
+//! same lock gives the lane's tid-keyed state (recovery slot, allocator
+//! thread cache, EBR slot) and the client's response-table slot one owner at
+//! a time. The in-flight request is tracked by the paper's per-process
+//! recovery slot *and* by the client's own 64-byte slot in the
+//! [`ResponseTable`] — the one durable record a request writes: its
+//! `pending` word names the op-ID being applied and the tid applying it,
+//! and the slot's watermark store retires it.
 //!
 //! Order per request (see `isb::resptable` for the crash-window argument):
-//! foreign-intent (failover) check → dedup check → `note_invocation`
-//! (`CP_q := 0`, persisted) → durable intent record → structure op →
-//! durable response finalize → intent clear → socket acknowledgement. The
-//! foreign-intent check precedes even the dedup read: a dead peer's healer
-//! writes the same client slot, and only the observed absence of its intent
-//! proves the slot is quiescent.
+//! failover check (the client's slot is in flight under a dead peer's tid →
+//! `Recovering`) → dedup check → `note_invocation` (`CP_q := 0`, persisted
+//! once: the structure operation's prologue finds it done) → durable
+//! `pending` word → structure op → durable response finalize (`resp`
+//! fenced before `last_seq`) → socket acknowledgement. Three flushed lines
+//! and three fences of the request belong to the response table, one of
+//! each to `note_invocation`; the rest is the structure's own.
+//!
+//! [`parse_request`] refuses, before any of this, every identifier and
+//! argument a later layer would assert on (reserved client ids, sentinel
+//! keys, unencodable values, sequence numbers beyond the packed word), so a
+//! hostile frame costs its sender a typed error and never a lane.
 //!
 //! # Restart
 //!
@@ -141,7 +150,7 @@ pub enum KillPoint {
     Accept,
     /// After parsing a request frame, before dispatch.
     Parse,
-    /// After the durable intent record, before the structure op.
+    /// After the durable in-flight record, before the structure op.
     Invoke,
     /// After the durable response finalize, before the socket write.
     PreAck,
@@ -394,17 +403,11 @@ fn handle(ctx: &Shared, pid: usize, req: &Request) -> Response {
     let Some(client_idx) = ctx.resptab.register(req.client_id) else {
         return Response::err(Status::TableFull, req.op_seq);
     };
-    // Failover guard FIRST — before the client slot is read at all. The
-    // healer resolves a dead peer's intent by finalizing into the client
-    // slot and only then clearing the intent, so observing no foreign
-    // intent here guarantees the lookup below reads the fully resolved
-    // watermark. Checking after the lookup leaves a race: a stale
-    // `last_seq` read before the healer finalized could pass the
-    // seq-window check once the intent clears and double-apply.
     if ctx.resptab.foreign_inflight(req.client_id, ctx.own_band.clone()) {
         // The client's previous request died with a peer process whose
-        // recovery hasn't resolved it; applying now could double-apply,
-        // and even the dedup pair could be read torn mid-finalize.
+        // recovery hasn't resolved it; applying now could double-apply.
+        // The healer's last store to the slot is the one that ends the
+        // in-flight state, so past this check the pair below is resolved.
         return Response::err(Status::Recovering, req.op_seq);
     }
     let (last_seq, stored) = ctx.resptab.lookup(req.client_id).expect("registered above");
@@ -421,7 +424,7 @@ fn handle(ctx: &Shared, pid: usize, req: &Request) -> Response {
         return Response::err(Status::SeqGap, req.op_seq);
     }
     // The system half of the invocation (`CP_q := 0`, persisted) MUST
-    // precede the intent record — this is what pins a later Completed
+    // precede the in-flight record — this is what pins a later Completed
     // replay decision to *this* op-ID (see `isb::resptable`).
     match req.op {
         OpCode::Put | OpCode::Del | OpCode::Get => ctx.map.note_invocation(pid),

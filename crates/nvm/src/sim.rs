@@ -120,6 +120,9 @@ thread_local! {
     static OUTSTANDING: RefCell<Vec<(usize, u64, u64)>> = const { RefCell::new(Vec::new()) };
     /// Whether this thread dies when the crash flag is armed.
     static CRASHABLE: Cell<bool> = const { Cell::new(false) };
+    /// Instrumented operations this thread still executes before it arms the
+    /// crash itself (0 = no fuse lit); see [`crash_after`].
+    static FUSE: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Panic payload used to kill threads on a simulated crash.
@@ -132,7 +135,18 @@ pub struct Crashed;
 
 #[inline]
 fn maybe_crash() {
-    if globals().crash_armed.load(Relaxed) && CRASHABLE.with(|c| c.get()) {
+    if !CRASHABLE.with(|c| c.get()) {
+        return;
+    }
+    FUSE.with(|f| match f.get() {
+        0 => {}
+        1 => {
+            f.set(0);
+            trigger_crash();
+        }
+        n => f.set(n - 1),
+    });
+    if globals().crash_armed.load(Relaxed) {
         std::panic::panic_any(CrashSignal);
     }
 }
@@ -282,6 +296,7 @@ pub fn run_crashable<R>(f: impl FnOnce() -> R) -> Result<R, Crashed> {
     let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
     CRASHABLE.with(|c| c.set(false));
     OUTSTANDING.with(|o| o.borrow_mut().clear());
+    FUSE.with(|f| f.set(0));
     match r {
         Ok(v) => Ok(v),
         Err(payload) => {
@@ -298,6 +313,17 @@ pub fn run_crashable<R>(f: impl FnOnce() -> R) -> Result<R, Crashed> {
 /// instrumented memory operation.
 pub fn trigger_crash() {
     globals().crash_armed.store(true, SeqCst);
+}
+
+/// Lights a fuse on the calling thread: the crash is armed the moment the
+/// thread, running inside [`run_crashable`], reaches its `n`-th instrumented
+/// operation from now, and it dies there, before that operation takes
+/// effect. Operations under [`suspended`] do not burn the fuse. Sweeping `n`
+/// from 1 until the closure completes therefore crashes a single-threaded
+/// sequence at every load, store, write-back and fence commit in turn. A
+/// fuse that has not burnt down goes out when [`run_crashable`] returns.
+pub fn crash_after(n: u64) {
+    FUSE.with(|f| f.set(n));
 }
 
 /// True while a crash is armed.

@@ -1,0 +1,92 @@
+//! Persist budget of one KV request, end to end: a real [`Server`] and
+//! [`KvClient`] over loopback, one request of each kind, and the exact
+//! number of cache lines written back and fences issued by the lane that
+//! served it.
+//!
+//! This is the service-path counterpart of `persist_placement.rs`: there the
+//! structures' own placement is pinned per operation, here the whole
+//! exactly-once sequence around it — `note_invocation`, the response table's
+//! in-flight record and finalize, and the structure operation's prologue,
+//! which must not persist `CP_q := 0` a second time. Of every applied
+//! request's budget, 1 line + 1 fence is `note_invocation` and 3 + 3 the
+//! response table (`pending`; `resp`, `last_seq`); the remainder is the
+//! `Isb-Coal` structure operation minus its elided prologue barrier.
+//!
+//! The server runs one lane, so every request is counted on that lane's tid
+//! and read as a per-tid delta; the mapped heap hands out 64-byte-aligned
+//! blocks, so the counts do not depend on the process allocator. Run under
+//! `--features nvm/flush-lint`, the same requests also panic on a
+//! stand-alone write-back that repeats a line inside one fence window.
+
+use kvserve::{Config, KvClient, Server};
+use nvm::stats::Snapshot;
+
+/// The single lane's tid (`base_tid + 1 + lane` on an exclusive heap).
+const LANE_TID: usize = 1;
+
+/// `(lines written back, fences)` the lane has issued so far.
+fn persists() -> (u64, u64) {
+    let s = Snapshot::of_tid(LANE_TID);
+    (s.pwb + s.pbarrier_lines, s.pbarrier + s.pfence + s.psync)
+}
+
+#[test]
+fn one_kv_request_costs_exactly_its_persist_budget() {
+    let dir = std::env::temp_dir().join(format!("isb_kv_budget_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut cfg = Config::new(dir.join("kv.heap"));
+    cfg.heap_bytes = 8 << 20;
+    cfg.workers = 1;
+    let server = Server::start(cfg).expect("server start");
+    let mut c = KvClient::connect(server.local_addr(), 7).expect("connect");
+
+    // Past the first-use costs: registration, pool warm-up, a recycled
+    // descriptor and node of each kind, a queue that stays non-empty.
+    for key in 1..=8 {
+        assert!(c.put(key).unwrap());
+    }
+    for key in 5..=8 {
+        assert!(c.del(key).unwrap());
+    }
+    for v in 1..=4 {
+        c.enqueue(v).unwrap();
+    }
+    assert_eq!(c.dequeue().unwrap(), Some(1));
+
+    let mut rows = Vec::new();
+    let mut row = |name: &'static str, request: &mut dyn FnMut(&mut KvClient)| {
+        let before = persists();
+        request(&mut c);
+        // The lane finishes every persist before it writes the socket.
+        let after = persists();
+        rows.push((name, (after.0 - before.0, after.1 - before.1)));
+    };
+    row("put-new", &mut |c| assert!(c.put(100).unwrap()));
+    row("put-dup", &mut |c| assert!(!c.put(100).unwrap()));
+    row("del-hit", &mut |c| assert!(c.del(100).unwrap()));
+    row("del-miss", &mut |c| assert!(!c.del(100).unwrap()));
+    row("get", &mut |c| assert!(c.get(1).unwrap()));
+    row("enq", &mut |c| c.enqueue(9).unwrap());
+    row("deq", &mut |c| assert_eq!(c.dequeue().unwrap(), Some(2)));
+    row("replay", &mut |c| {
+        let (again, original) = c.replay_last_acked().unwrap().expect("a request was acked");
+        assert_eq!(again, original, "the replay is the stored response");
+    });
+
+    let golden: [(&str, (u64, u64)); 8] = [
+        ("put-new", (17, 9)),
+        ("put-dup", (7, 7)),
+        ("del-hit", (13, 9)),
+        ("del-miss", (7, 7)),
+        ("get", (6, 6)),
+        ("enq", (15, 9)),
+        ("deq", (13, 9)),
+        ("replay", (0, 0)),
+    ];
+    assert_eq!(rows, golden, "(lines, fences) per request");
+
+    drop(c);
+    server.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}

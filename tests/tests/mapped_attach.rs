@@ -566,20 +566,32 @@ fn structure_survives_growth_across_attach() {
 // ---------------------------------------------------------------------------
 
 // Root block layout (see isb::resptable): 64-byte header (word 0 = magic
-// "RTB1"), then nvm::MAX_PROCS intent slots [state, client_id, op_seq, op,
-// arg], then 256 client slots [id, last_seq, resp] — 64 bytes each.
-const RTAB_MAGIC: u64 = 0x5254_4231;
+// "RTB2"), then 256 client slots [id, last_seq, resp, pending] — 64 bytes
+// each; pending = (tid << 56) | op_seq.
+const RTAB_MAGIC: u64 = 0x5254_4232;
+/// The retired layout with a separate per-tid intent array.
+const RTB1_MAGIC: u64 = 0x5254_4231;
+const LAST_SEQ: u64 = 8;
+const RESP: u64 = 16;
+const PENDING: u64 = 24;
+const RES_TRUE: u64 = 2;
+const RES_UNIT: u64 = 3;
+/// A pid whose last operation completed (an enqueue, so the next attach
+/// decides `Completed(RES_UNIT)` for it), and one that never ran
+/// (`Restart`).
+const DONE_PID: usize = 5;
+const IDLE_PID: usize = 7;
 
 fn rtab_offset(path: &PathBuf) -> u64 {
     root_offset(path, 0x5245_5350) // rootkeys::RESPTAB
 }
 
 fn rtab_client_off(rtab: u64, idx: usize) -> u64 {
-    rtab + 64 * (1 + nvm::MAX_PROCS as u64 + idx as u64)
+    rtab + 64 * (1 + idx as u64)
 }
 
-fn rtab_intent_off(rtab: u64, pid: usize) -> u64 {
-    rtab + 64 * (1 + pid as u64)
+fn pending_word(tid: usize, op_seq: u64) -> u64 {
+    (tid as u64) << 56 | op_seq
 }
 
 /// Builds a store whose response table carries one finalized client record
@@ -591,47 +603,83 @@ fn mk_kv_store(path: &PathBuf) -> (u64, usize) {
         let store = Store::open_sized(path, HEAP_BYTES).unwrap();
         let m = store.hashmap::<0>("kv", SHARDS).unwrap();
         assert!(m.insert(0, 1));
+        store.queue::<0>("jobs").unwrap().enqueue(DONE_PID, 9);
         let tab = store.response_table();
         let idx = tab.register(42).expect("slot free");
-        tab.finish_op(0, idx, 5, 2 /* RES_TRUE */);
+        tab.finish_op(0, idx, 5, RES_TRUE);
         idx
     };
-    (rtab_offset(path), idx)
+    let rtab = rtab_offset(path);
+    assert_eq!(read_at(path, rtab), RTAB_MAGIC, "layout drifted: header not where expected");
+    assert_eq!(read_at(path, rtab_client_off(rtab, idx)), 42, "layout drifted: slot moved");
+    (rtab, idx)
 }
 
 #[test]
 fn resptable_bad_magic_fails_typed() {
-    let path = tmp("rtab_magic");
-    let (rtab, _idx) = mk_kv_store(&path);
-    assert_eq!(read_at(&path, rtab), RTAB_MAGIC, "layout drifted: header not where expected");
-    patch(&path, rtab, &0xDEAD_BEEFu64.to_le_bytes());
-    match store_err(&path) {
-        AttachError::CorruptResponseTable { slot: 0, reason } => {
-            assert!(reason.contains("magic"), "unexpected reason: {reason}");
+    for magic in [0xDEAD_BEEFu64, RTB1_MAGIC] {
+        let path = tmp("rtab_magic");
+        let (rtab, _idx) = mk_kv_store(&path);
+        patch(&path, rtab, &magic.to_le_bytes());
+        match store_err(&path) {
+            AttachError::CorruptResponseTable { slot: 0, reason } => {
+                assert_eq!(reason, "bad header magic");
+            }
+            e => panic!("expected CorruptResponseTable, got {e}"),
         }
-        e => panic!("expected CorruptResponseTable, got {e}"),
+        let _ = std::fs::remove_file(&path);
     }
-    let _ = std::fs::remove_file(&path);
 }
 
+/// `pending` is the whole in-flight record. A tid that does not exist or a
+/// sequence number more than one ahead of the watermark is bit rot, not a
+/// crash shape, and healing must refuse to guess.
 #[test]
 fn resptable_garbage_intent_state_fails_typed() {
-    let path = tmp("rtab_state");
-    let (rtab, _idx) = mk_kv_store(&path);
-    // State words are 0 (empty) or 1 (in-flight); 7 is bit rot, not a
-    // crash shape, and healing must refuse to guess.
-    patch(&path, rtab_intent_off(rtab, 3), &7u64.to_le_bytes());
-    match store_err(&path) {
-        AttachError::CorruptResponseTable { slot, reason } => {
-            assert_eq!(slot, 3, "error must name the damaged intent slot");
-            assert!(reason.contains("state"), "unexpected reason: {reason}");
+    for (pending, why) in [
+        (pending_word(nvm::MAX_PROCS, 6), "tid"),
+        (pending_word(255, 0), "tid"),
+        (pending_word(3, 7), "ahead"),
+    ] {
+        let path = tmp("rtab_state");
+        let (rtab, idx) = mk_kv_store(&path);
+        patch(&path, rtab_client_off(rtab, idx) + PENDING, &pending.to_le_bytes());
+        match store_err(&path) {
+            AttachError::CorruptResponseTable { slot, reason } => {
+                assert_eq!(slot, idx, "error must name the damaged client slot");
+                assert!(reason.contains(why), "unexpected reason: {reason}");
+            }
+            e => panic!("expected CorruptResponseTable, got {e}"),
         }
-        e => panic!("expected CorruptResponseTable, got {e}"),
+        let _ = std::fs::remove_file(&path);
     }
-    let _ = std::fs::remove_file(&path);
 }
 
-/// A client slot with `id == 0` but residue in `last_seq`/`resp` is a torn
+/// A byte-patched in-flight `pending` (watermark 5, sequence 6) resolves by
+/// the attach replay's decision for the pid it names: cleared under
+/// `Restart`, finalized to the decided response under `Completed`.
+#[test]
+fn resptable_inflight_pending_heals_by_decision() {
+    for (pid, healed) in [(IDLE_PID, (5, RES_TRUE)), (DONE_PID, (6, RES_UNIT))] {
+        let path = tmp("rtab_inflight");
+        let (rtab, idx) = mk_kv_store(&path);
+        let slot = rtab_client_off(rtab, idx);
+        patch(&path, slot + PENDING, &pending_word(pid, 6).to_le_bytes());
+        nvm::tid::set_tid(0);
+        let store = Store::open_sized(&path, HEAP_BYTES).unwrap();
+        let tab = store.response_table();
+        assert_eq!(tab.inflight(pid), None, "resolved before the store is handed out");
+        assert_eq!(tab.lookup(42), Some(healed));
+        assert!(!tab.foreign_inflight(42, 0..1));
+        drop((tab, store));
+        assert_eq!((read_at(&path, slot + LAST_SEQ), read_at(&path, slot + RESP)), healed);
+        let left = if pid == IDLE_PID { 0 } else { pending_word(pid, 6) };
+        assert_eq!(read_at(&path, slot + PENDING), left, "only Restart clears the word");
+        let _ = std::fs::remove_file(&path);
+    }
+}
+
+/// A client slot with `id == 0` but residue in the other words is a torn
 /// registration (the ID stamp never persisted): healing zeroes it, and the
 /// client re-registers fresh.
 #[test]
@@ -639,15 +687,19 @@ fn resptable_torn_client_slot_heals_to_empty() {
     let path = tmp("rtab_torn");
     let (rtab, idx) = mk_kv_store(&path);
     // A torn registration in some OTHER slot than client 42's.
-    let torn = (idx + 7) % 256;
-    patch(&path, rtab_client_off(rtab, torn) + 8, &99u64.to_le_bytes());
-    patch(&path, rtab_client_off(rtab, torn) + 16, &77u64.to_le_bytes());
+    let torn = rtab_client_off(rtab, (idx + 7) % 256);
+    assert_eq!(read_at(&path, torn), 0, "a free slot");
+    patch(&path, torn + LAST_SEQ, &99u64.to_le_bytes());
+    patch(&path, torn + RESP, &77u64.to_le_bytes());
+    patch(&path, torn + PENDING, &pending_word(3, 100).to_le_bytes());
     nvm::tid::set_tid(0);
     let store = Store::open_sized(&path, HEAP_BYTES).unwrap();
     let tab = store.response_table();
-    assert_eq!(tab.lookup(42), Some((5, 2)), "intact slot survives healing");
-    assert_eq!(read_at(&path, rtab_client_off(rtab, torn) + 8), 0, "residue zeroed");
-    assert_eq!(read_at(&path, rtab_client_off(rtab, torn) + 16), 0, "residue zeroed");
+    assert_eq!(tab.lookup(42), Some((5, RES_TRUE)), "intact slot survives healing");
+    assert_eq!(tab.inflight(3), None);
+    for word in [LAST_SEQ, RESP, PENDING] {
+        assert_eq!(read_at(&path, torn + word), 0, "residue zeroed");
+    }
     drop((tab, store));
     let _ = std::fs::remove_file(&path);
 }
@@ -661,43 +713,19 @@ fn resptable_torn_client_slot_heals_to_empty() {
 fn resptable_duplicate_client_heals_to_higher_watermark() {
     let path = tmp("rtab_dup");
     let (rtab, idx) = mk_kv_store(&path);
-    let dup = (idx + 11) % 256;
-    patch(&path, rtab_client_off(rtab, dup), &42u64.to_le_bytes()); // same id
-    patch(&path, rtab_client_off(rtab, dup) + 8, &2u64.to_le_bytes()); // stale seq
-    patch(&path, rtab_client_off(rtab, dup) + 16, &1u64.to_le_bytes()); // RES_FALSE
+    let dup = rtab_client_off(rtab, (idx + 11) % 256);
+    patch(&path, dup, &42u64.to_le_bytes()); // same id
+    patch(&path, dup + LAST_SEQ, &2u64.to_le_bytes()); // stale seq
+    patch(&path, dup + RESP, &1u64.to_le_bytes()); // RES_FALSE
+    patch(&path, dup + PENDING, &pending_word(3, 2).to_le_bytes()); // its retired record
     nvm::tid::set_tid(0);
     let store = Store::open_sized(&path, HEAP_BYTES).unwrap();
     let tab = store.response_table();
-    assert_eq!(tab.lookup(42), Some((5, 2)), "higher watermark must win");
-    assert_eq!(
-        read_at(&path, rtab_client_off(rtab, dup)),
-        u64::MAX,
-        "stale duplicate tombstoned, not zeroed"
-    );
-    assert_eq!(read_at(&path, rtab_client_off(rtab, dup) + 8), 0, "residue zeroed");
-    assert_eq!(read_at(&path, rtab_client_off(rtab, dup) + 16), 0, "residue zeroed");
-    drop((tab, store));
-    let _ = std::fs::remove_file(&path);
-}
-
-/// An in-flight intent naming a client that never (durably) registered:
-/// the crash predates the client's first persisted registration, so there
-/// is nothing to finalize — healing clears the intent and the client's
-/// retry runs fresh.
-#[test]
-fn resptable_orphan_intent_heals_to_clear() {
-    let path = tmp("rtab_orphan");
-    let (rtab, _idx) = mk_kv_store(&path);
-    let pid = 5usize;
-    patch(&path, rtab_intent_off(rtab, pid) + 8, &777u64.to_le_bytes()); // unregistered id
-    patch(&path, rtab_intent_off(rtab, pid) + 16, &1u64.to_le_bytes()); // op_seq
-    patch(&path, rtab_intent_off(rtab, pid), &1u64.to_le_bytes()); // ST_INFLIGHT
-    nvm::tid::set_tid(0);
-    let store = Store::open_sized(&path, HEAP_BYTES).unwrap();
-    let tab = store.response_table();
-    assert!(tab.inflight(pid).is_none(), "orphan intent must be cleared by healing");
-    assert_eq!(tab.lookup(777), None, "the phantom client does not exist");
-    assert_eq!(tab.lookup(42), Some((5, 2)), "unrelated state untouched");
+    assert_eq!(tab.lookup(42), Some((5, RES_TRUE)), "higher watermark must win");
+    assert_eq!(read_at(&path, dup), u64::MAX, "stale duplicate tombstoned, not zeroed");
+    for word in [LAST_SEQ, RESP, PENDING] {
+        assert_eq!(read_at(&path, dup + word), 0, "residue zeroed");
+    }
     drop((tab, store));
     let _ = std::fs::remove_file(&path);
 }

@@ -8,10 +8,13 @@
 //!   validated length, and encode/parse round-trips are lossless.
 //! * **Live-socket fuzz** — a shared in-process [`kvserve::Server`] is fed
 //!   adversarial streams (garbage bytes, torn length prefixes, truncated
-//!   payloads, oversized prefixes, unknown opcodes, wrong versions, zero
-//!   client IDs). Every case asserts the *wedge-freedom* invariant: after
+//!   payloads, oversized prefixes, unknown opcodes, wrong versions, reserved
+//!   client IDs, sentinel keys, unencodable values, out-of-range sequence
+//!   numbers). Every case asserts the *wedge-freedom* invariant: after
 //!   the hostile connection, a well-formed request on a fresh connection
-//!   still succeeds, so one bad client can never take the service down.
+//!   still succeeds, so one bad client can never take the service down —
+//!   and for well-framed hostile fields, not even its own lane: the same
+//!   client's next valid `op_seq` is accepted on the same connection.
 
 use kvserve::proto::{
     encode_request, parse_request, read_frame, Frame, OpCode, Request, Status, MAX_FRAME, REQ_BYTES,
@@ -21,17 +24,25 @@ use proptest::prelude::*;
 use std::io::{Cursor, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 use std::time::Duration;
 
 // ---------------------------------------------------------------------------
 // Parser properties (no server)
 // ---------------------------------------------------------------------------
 
+/// Every request `parse_request` accepts: ids, keys and values strictly
+/// inside their reserved bounds, `op_seq` within the packed word's 56 bits.
 fn arb_request() -> impl Strategy<Value = Request> {
-    (1..=5u8, 1..u64::MAX, any::<u64>(), any::<u64>()).prop_map(|(op, client_id, op_seq, arg)| {
-        Request { op: OpCode::from_u8(op).unwrap(), client_id, op_seq, arg }
-    })
+    let arg = 1..u64::MAX - isb::engine::RES_VAL_BASE;
+    (1..=5u8, 1..u64::MAX, 0..=isb::resptable::MAX_OP_SEQ, arg).prop_map(
+        |(op, client_id, op_seq, arg)| Request {
+            op: OpCode::from_u8(op).unwrap(),
+            client_id,
+            op_seq,
+            arg,
+        },
+    )
 }
 
 proptest! {
@@ -134,6 +145,28 @@ fn assert_alive() {
     assert!(c.put(id).expect("probe put"), "fresh key must insert");
 }
 
+/// Hostile *fields* in a well-formed frame, each of which used to trip an
+/// assertion behind the parser (and poison the client's lane): sentinel
+/// keys, an enqueue the result encoding cannot hold, the reserved client
+/// id, a sequence number wider than the response table's packed word.
+fn hostile_fields(pick: u8, client_id: u64, op_seq: u64) -> (Request, Status) {
+    let key_op = [OpCode::Put, OpCode::Del, OpCode::Get][(pick / 8 % 3) as usize];
+    match pick % 8 {
+        0 => (Request { op: key_op, client_id, op_seq, arg: 0 }, Status::BadArg),
+        1 => (Request { op: key_op, client_id, op_seq, arg: u64::MAX }, Status::BadArg),
+        2 => {
+            let arg = u64::MAX - (pick / 8) as u64 % 17;
+            (Request { op: OpCode::Enq, client_id, op_seq, arg }, Status::BadArg)
+        }
+        3 => (Request { op: key_op, client_id: u64::MAX, op_seq, arg: 5 }, Status::BadClientId),
+        4 => (Request { op: key_op, client_id: 0, op_seq, arg: 5 }, Status::BadClientId),
+        _ => {
+            let op_seq = op_seq | (1 + pick as u64 / 8) << 56;
+            (Request { op: OpCode::Deq, client_id, op_seq, arg: 0 }, Status::BadArg)
+        }
+    }
+}
+
 /// Builds a hostile byte stream from a strategy-chosen shape.
 fn hostile_stream(kind: u8, blob: &[u8], len32: u32) -> Vec<u8> {
     let mut bytes = Vec::new();
@@ -205,6 +238,44 @@ proptest! {
             }
         }
         assert_alive();
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+    /// One client, one connection, hence one lane: between every pair of
+    /// valid requests it sends frames whose fields no structure accepts.
+    /// Each is refused typed before anything durable happens, so the lane
+    /// survives, the connection stays open, and the sequence number the
+    /// refusal did not consume is accepted next.
+    #[test]
+    fn hostile_fields_cost_a_typed_error_not_the_lane(
+        picks in prop::collection::vec(any::<u8>(), 1..6),
+    ) {
+        // Four ids for the whole sweep (it must not fill the response
+        // table), each with the last sequence number the server acked.
+        static ACKED: Mutex<[u64; 4]> = Mutex::new([0; 4]);
+        let who = picks[0] as usize % 4;
+        let mut acked = ACKED.lock().unwrap_or_else(|e| e.into_inner());
+        let client_id = (1 << 40) + who as u64;
+        let mut s = fuzz_conn();
+        let mut call = |req: &Request| {
+            s.write_all(&encode_request(req)).unwrap();
+            let Some(Frame::Payload(p)) = read_frame(&mut s, &|| false).expect("reply") else {
+                panic!("connection closed on a non-fatal status");
+            };
+            kvserve::proto::parse_response(&p).expect("well-formed reply")
+        };
+        for pick in picks {
+            let op_seq = acked[who] + 1;
+            let (hostile, want) = hostile_fields(pick, client_id, op_seq);
+            prop_assert_eq!(call(&hostile).status, want, "{:?}", hostile);
+            let valid = Request { op: OpCode::Put, client_id, op_seq, arg: 1 + pick as u64 };
+            let resp = call(&valid);
+            prop_assert_eq!((resp.status, resp.op_seq), (Status::Ok, op_seq), "after {:?}", hostile);
+            acked[who] = op_seq;
+        }
     }
 }
 
