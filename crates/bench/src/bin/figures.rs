@@ -14,8 +14,10 @@
 //! Algorithms (paper names): `Isb`, `Isb-Opt`, `Capsules`, `Capsules-Opt`,
 //! `DT-Opt`, `Harris-LL` (lists); `Isb-Q`, `Log-Queue`, `Capsules-General`,
 //! `Capsules-Normal`, `MS-Queue` (queues). Shared-cache figures run with
-//! real `clflush`/`mfence` simulation (as in the paper); Figure 4 and the
-//! private-cache parts of Figure 7 run under the private-cache model.
+//! real write-backs and fences (`nvm::flush::kind()`: `clwb` or `clflushopt`
+//! where the CPU has them, the paper's `clflush` otherwise; reported in the
+//! banner and the `--json` host block); Figure 4 and the private-cache parts
+//! of Figure 7 run under the private-cache model.
 
 use baselines::capsules_list::CapsulesList;
 use baselines::capsules_queue::CapsulesQueue;
@@ -320,7 +322,7 @@ impl Ctx {
     /// Throughput runs under the **counting** model: the persistency
     /// placement is identical by construction (asserted by the persists
     /// table below and the `persist_placement` golden test), so executing
-    /// real `clflush`es would only add a constant that masks the allocator
+    /// real write-backs would only add a constant that masks the allocator
     /// effect being measured — and makes the numbers hardware-dependent. A
     /// RealNvm pair is emitted alongside for the end-to-end picture.
     fn fig9(&self) {
@@ -644,7 +646,7 @@ impl Ctx {
     /// the sharded hash map and the queue, under both the counting model
     /// (pwb-equivalents, elided write-backs and drained lines per op — the
     /// hardware-independent placement picture) and real flushes (Mops/s —
-    /// what the saved `clflush`/`psync` traffic buys end-to-end).
+    /// what the saved `pwb`/`psync` traffic buys end-to-end).
     fn fig12(&self) {
         const ARM_NAMES: &[&str] = &["Isb", "Isb-Opt", "Isb-Coal", "Isb-LP"];
         fn map_for<M: Persist>(arm: u8) -> Arc<dyn SetBench> {
@@ -1223,10 +1225,14 @@ fn main() {
         fig14_child();
     }
     let opts = parse_args();
+    // The instruction that actually runs (detected from the CPU), not the
+    // compile-time feature: the paper's own evaluation is the `clflush` row.
+    let flush = nvm::flush::kind();
     println!(
-        "pwb/psync in RealNvm: {} (shared-cache figures are only comparable \
-         to the paper's when real flushes are compiled in)",
-        if nvm::flush::HAS_REAL_FLUSH { "clflush/mfence" } else { "spin-delay fallback" }
+        "pwb/pfence/psync in RealNvm: {}/{}/mfence (shared-cache figures are only \
+         comparable to the paper's when real flushes are compiled in)",
+        flush.name(),
+        if flush.weakly_ordered() { "sfence" } else { "-" },
     );
     let ctx = Ctx {
         threads: opts.threads,
@@ -1317,7 +1323,12 @@ fn main() {
     }
     if let Some(path) = &ctx.json {
         let figs = ctx.collected.borrow();
-        let body = format!("{{\"schema\":1,\"figures\":[{}]}}", figs.join(","));
+        let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
+        let body = format!(
+            "{{\"schema\":1,\"host\":{{\"flush\":\"{}\",\"nproc\":{nproc}}},\"figures\":[{}]}}",
+            flush.name(),
+            figs.join(",")
+        );
         std::fs::write(path, body).unwrap_or_else(|e| panic!("writing {path}: {e}"));
         println!("wrote {} figure tables to {path}", figs.len());
     }

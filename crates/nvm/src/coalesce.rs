@@ -4,11 +4,11 @@
 //! multi-word object flushes) frequently target words that share a cache
 //! line: `next`/`info` fields of the same 24-byte node, the `RD_q`/`CP_q`
 //! pair of one process record, two pool-adjacent fresh nodes. A real machine
-//! write-back works at line granularity, so issuing one `clflush` per *word*
+//! write-back works at line granularity, so issuing one flush per *word*
 //! is pure overhead. This module provides the per-thread **`LineSet`**: a
 //! tiny fixed-capacity dedupe set of pending line addresses that the
 //! coalescing [`crate::Persist::pwb_coal`] entry points write into, with the
-//! actual `clflush`es issued once per unique line when the phase-ending fence
+//! actual flushes issued once per unique line when the phase-ending fence
 //! ([`crate::Persist::pfence`]/[`crate::Persist::psync`]/`pbarrier*`) drains
 //! the set.
 //!
@@ -32,7 +32,8 @@
 //!   back.
 //!
 //! The module only manages addresses; the caller decides what "flush" means
-//! (real `clflush` for `RealNvm`/`MappedNvm`, nothing for `CountingNvm`).
+//! (a real [`crate::flush::flush`] for `RealNvm`/`MappedNvm`, nothing for
+//! `CountingNvm`).
 
 use crate::CACHE_LINE;
 use std::cell::RefCell;

@@ -12,19 +12,22 @@
 //!   persistency instructions are free.
 //!
 //! Like the paper's own evaluation (no NVRAM machine was available to the
-//! authors either), the *real* mode simulates `pwb` with `clflush` and
-//! `psync` with `mfence` on x86_64. Under TSO `pfence` needs no simulation.
+//! authors either), the *real* mode simulates persistent memory on DRAM. On
+//! x86_64 `pwb` is the write-back instruction the CPU has ([`flush::Kind`],
+//! from CPUID: `clwb`, else `clflushopt`, else the paper's `clflush`) and
+//! `psync` is `mfence`. `pfence` is an `sfence` for the two weakly-ordered
+//! kinds; `clflush`es are ordered under TSO, so there it needs no simulation.
 //!
 //! The substrate is exposed through the [`Persist`] trait, which is threaded
 //! through every data structure as a type parameter and monomorphised away:
 //!
-//! | impl            | `pwb`            | `psync`   | use                          |
-//! |-----------------|------------------|-----------|------------------------------|
-//! | [`RealNvm`]     | `clflush` + stats| `mfence`  | shared-cache benchmarks      |
-//! | [`CountingNvm`] | stats only       | stats only| portable counting runs / CI  |
-//! | [`NoPersist`]   | nothing          | nothing   | private-cache model          |
-//! | [`SimNvm`]      | shadow tracking  | commit    | crash-injection testing      |
-//! | [`MappedNvm`]   | `clflush` + stats| `mfence`  | file-backed heap, restart    |
+//! | impl            | `pwb`              | `psync`   | use                          |
+//! |-----------------|--------------------|-----------|------------------------------|
+//! | [`RealNvm`]     | flush kind + stats | `mfence`  | shared-cache benchmarks      |
+//! | [`CountingNvm`] | stats only         | stats only| portable counting runs / CI  |
+//! | [`NoPersist`]   | nothing            | nothing   | private-cache model          |
+//! | [`SimNvm`]      | shadow tracking    | commit    | crash-injection testing      |
+//! | [`MappedNvm`]   | flush kind + stats | `mfence`  | file-backed heap, restart    |
 //!
 //! The first four keep all persistent words on the process heap: a "crash"
 //! is simulated inside one address space. [`MappedNvm`] pairs the same
@@ -38,7 +41,7 @@
 //!   path. They are **only** for the crash simulator's image builder and for
 //!   quiescent teardown/diagnostics — using them on a live structure skips
 //!   shadow tracking and can invalidate a crash scenario.
-//! * [`flush::clflush`] / [`flush::clflush_range`] are `unsafe`: the caller
+//! * [`flush::flush`] / [`flush::flush_range`] are `unsafe`: the caller
 //!   must pass addresses inside a live allocation (flushing an unmapped line
 //!   faults).
 //!

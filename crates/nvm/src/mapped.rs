@@ -12,8 +12,9 @@
 //!
 //! ## Pieces
 //!
-//! * [`MappedNvm`] — a [`Persist`] implementation identical in spirit to
-//!   [`crate::RealNvm`] (counted `pwb` = `clflush`, `psync` = `mfence`).
+//! * [`MappedNvm`] — a [`crate::Persist`] implementation sharing its definition
+//!   with [`crate::RealNvm`] (counted `pwb` = the machine's write-back
+//!   instruction, see [`crate::flush::Kind`]; `psync` = `mfence`).
 //!   Under kill-style crashes every completed *store* is durable (the page
 //!   cache survives the process), so flushes matter for the persist-count
 //!   experiments and for real-NVM deployments, not for `SIGKILL` testing.
@@ -133,8 +134,6 @@
 
 use crate::flush;
 use crate::pad::CachePadded;
-use crate::persist::{raw_cas, raw_load, raw_store, Persist};
-use crate::pword::{PWord, PersistWords};
 use crate::stats;
 use crate::tid;
 use crate::MAX_PROCS;
@@ -1503,8 +1502,7 @@ impl MappedHeap {
     /// Flushes a registry slot's cache line and fences — every registry
     /// transition is crash-ordered like the segment directory.
     fn flush_part(&self, slot: usize) {
-        // SAFETY: superblock words inside the live mapping.
-        unsafe { flush::clflush(self.base.add((W_PART0 + slot * PART_WORDS) * 8) as *const u8) };
+        self.flush_at((W_PART0 + slot * PART_WORDS) * 8);
         flush::mfence();
     }
 
@@ -1756,8 +1754,7 @@ impl MappedHeap {
             let found = w.load(Acquire);
             if found == 0 {
                 w.store(expected, SeqCst);
-                // SAFETY: superblock word inside the live mapping.
-                unsafe { flush::clflush(self.base.add(wi * 8) as *const u8) };
+                self.flush_at(wi * 8);
                 flush::mfence();
             } else if found != expected {
                 return Err(MapError::LayoutMismatch { what, expected, found });
@@ -1773,6 +1770,16 @@ impl MappedHeap {
         debug_assert!((idx + 1) * 8 <= PAGE);
         // SAFETY: inside the live, 8-aligned mapping.
         unsafe { &*(self.base.add(idx * 8) as *const AtomicU64) }
+    }
+
+    /// The one metadata flush: writes back the line at byte offset `off` of
+    /// the mapping, *uncounted* (allocator-internal durability, not part of
+    /// the measured op-level protocol). The write-back may be weakly ordered
+    /// ([`flush::Kind`]): callers fence before the store that depends on it.
+    #[inline]
+    fn flush_at(&self, off: usize) {
+        // SAFETY: callers pass offsets of words inside the live mapping.
+        unsafe { flush::flush(self.base.add(off) as *const u8) };
     }
 
     /// Index of the published segment holding global granule `g`.
@@ -2128,12 +2135,10 @@ impl MappedHeap {
         // of the measured op-level persistency protocol (persist-placement
         // goldens must not move).
         self.word(W_SEG0 + count).store(new_bytes as u64, SeqCst);
-        // SAFETY: superblock word inside the live mapping.
-        unsafe { flush::clflush(self.base.add((W_SEG0 + count) * 8) as *const u8) };
+        self.flush_at((W_SEG0 + count) * 8);
         flush::mfence();
         self.word(W_SEG_COUNT).store((count + 1) as u64, SeqCst);
-        // SAFETY: superblock word inside the live mapping.
-        unsafe { flush::clflush(self.base.add(W_SEG_COUNT * 8) as *const u8) };
+        self.flush_at(W_SEG_COUNT * 8);
         flush::mfence();
         // Volatile publication: slot fields first, slot count (Release) last.
         let g_start = self.total_granules.load(Acquire);
@@ -2273,14 +2278,12 @@ impl MappedHeap {
             let s = &self.segs[i];
             let end = (s.g_start.load(Relaxed) + s.granules.load(Relaxed)).min(resv);
             self.hdr(g).store(encode_hdr(ST_PAD, (end - g - 1) as u64), Release);
-            // SAFETY: header granule inside the live mapping.
-            unsafe { flush::clflush(self.base.add(self.granule_off(g)) as *const u8) };
+            self.flush_at(self.granule_off(g));
             g = end;
         }
         flush::mfence();
         self.word(W_BUMP).store(resv as u64, Release);
-        // SAFETY: superblock word inside the live mapping.
-        unsafe { flush::clflush(self.base.add(W_BUMP * 8) as *const u8) };
+        self.flush_at(W_BUMP * 8);
         flush::mfence();
     }
 
@@ -2811,125 +2814,20 @@ pub struct CatalogEntry {
 // The persistency model
 // ---------------------------------------------------------------------------
 
-/// Shared-cache persistency model over a [`MappedHeap`]: same instruction
-/// behaviour as [`crate::RealNvm`] (`pwb` = `clflush`, `psync` = `mfence`,
-/// all counted), but the persistent words live in a file-backed mapping, so
-/// the structure state survives the process. See the module docs for what
-/// `SIGKILL`-durability does and does not require.
+/// Shared-cache persistency model over a [`MappedHeap`]: the same instruction
+/// behaviour as [`crate::RealNvm`], from the same definition (`pwb` = the
+/// machine's [`flush::Kind`], `pfence` = `sfence` when that kind is weakly
+/// ordered, `psync` = `mfence`, all counted), but the persistent words live in
+/// a file-backed mapping, so the structure state survives the process. See
+/// the module docs for what `SIGKILL`-durability does and does not require.
 pub struct MappedNvm;
 
-impl Persist for MappedNvm {
-    const NAME: &'static str = "mapped";
-    const MAPPED: bool = true;
-    type Meta = ();
-
-    #[inline]
-    fn load(w: &PWord<Self>) -> u64 {
-        raw_load(w)
-    }
-    #[inline]
-    fn store(w: &PWord<Self>, v: u64) {
-        raw_store(w, v)
-    }
-    #[inline]
-    fn cas(w: &PWord<Self>, old: u64, new: u64) -> u64 {
-        raw_cas(w, old, new)
-    }
-
-    #[inline]
-    fn pwb(w: &PWord<Self>) {
-        crate::coalesce::lint::note_pwb(w.addr());
-        // SAFETY: `w.addr()` points into the live `PWord` behind `w`.
-        unsafe { flush::clflush(w.addr()) };
-        stats::count_pwb(1);
-    }
-    #[inline]
-    fn pfence() {
-        // Pending coalesced lines must be written back before post-fence
-        // flushes (same TSO argument as RealNvm).
-        Self::coal_drain();
-        crate::coalesce::lint::fence();
-        stats::count_pfence();
-    }
-    #[inline]
-    fn psync() {
-        Self::coal_drain();
-        crate::coalesce::lint::fence();
-        flush::mfence();
-        stats::count_psync();
-    }
-    #[inline]
-    fn pbarrier(w: &PWord<Self>) {
-        Self::coal_drain();
-        crate::coalesce::lint::fence();
-        // SAFETY: as in `pwb`.
-        unsafe { flush::clflush(w.addr()) };
-        flush::mfence();
-        stats::count_pbarrier(1);
-    }
-    #[inline]
-    fn pwb_obj<T: PersistWords<Self> + ?Sized>(obj: &T) {
-        let (p, len) = obj.used_range();
-        // SAFETY: `used_range` is a sub-range of the live object behind `obj`.
-        let n = unsafe { flush::clflush_range(p, len) };
-        stats::count_pwb(n);
-    }
-    #[inline]
-    fn pbarrier_obj<T: PersistWords<Self> + ?Sized>(obj: &T) {
-        Self::coal_drain();
-        crate::coalesce::lint::fence();
-        let (p, len) = obj.used_range();
-        // SAFETY: as in `pwb_obj`.
-        let n = unsafe { flush::clflush_range(p, len) };
-        flush::mfence();
-        stats::count_pbarrier(n);
-    }
-
-    #[inline]
-    fn pwb_coal(w: &PWord<Self>) {
-        match crate::coalesce::note(w.addr()) {
-            crate::coalesce::Note::New => stats::count_pwb(1),
-            crate::coalesce::Note::Dup => stats::count_pwb_elided(1),
-            crate::coalesce::Note::Full => {
-                // SAFETY: live `PWord` behind `w`.
-                unsafe { flush::clflush(w.addr()) };
-                stats::count_pwb(1);
-            }
-        }
-    }
-    #[inline]
-    fn pwb_obj_coal<T: PersistWords<Self> + ?Sized>(obj: &T) {
-        let (p, len) = obj.used_range();
-        let mut line = crate::coalesce::line_of(p);
-        let end = p as u64 + len as u64;
-        while line < end {
-            match crate::coalesce::note(line as *const u8) {
-                crate::coalesce::Note::New => stats::count_pwb(1),
-                crate::coalesce::Note::Dup => stats::count_pwb_elided(1),
-                crate::coalesce::Note::Full => {
-                    // SAFETY: the line lies inside the live object.
-                    unsafe { flush::clflush(line as *const u8) };
-                    stats::count_pwb(1);
-                }
-            }
-            line += crate::CACHE_LINE as u64;
-        }
-    }
-    #[inline]
-    fn coal_drain() {
-        // SAFETY: pending lines were noted from objects still live at the
-        // draining fence (`pwb_coal` contract); mapped-heap objects are
-        // additionally never unmapped while the structure is attached.
-        let n = crate::coalesce::drain(|line| unsafe { flush::clflush(line as *const u8) });
-        if n > 0 {
-            stats::count_lines_coalesced(n);
-        }
-    }
-}
+crate::persist::real_flush_persist!(MappedNvm, "mapped", true);
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{PWord, Persist};
 
     fn tmp(name: &str) -> PathBuf {
         let p = std::env::temp_dir().join(format!(
@@ -3464,5 +3362,30 @@ mod tests {
         assert_eq!(d.pwb, 1);
         assert_eq!(d.pbarrier, 1);
         assert_eq!(d.psync, 1);
+    }
+
+    #[test]
+    fn mapped_heap_word_flushes_under_every_kind() {
+        crate::tid::set_tid(44);
+        let path = tmp("flushkind");
+        let heap = MappedHeap::create(&path, MIN_HEAP_BYTES).unwrap();
+        let p = heap.alloc(64).unwrap();
+        heap.commit(p);
+        // SAFETY: a committed, 64-aligned, 64-byte block of the live mapping
+        // nothing else references; `PWord<MappedNvm>` is one `AtomicU64`.
+        let w = unsafe {
+            (p as *mut PWord<MappedNvm>).write(PWord::new(0));
+            &*(p as *const PWord<MappedNvm>)
+        };
+        crate::persist::tests::every_kind_flushes_and_counts(w, 44);
+        // The uncounted metadata flush goes through the same entry point.
+        crate::flush::tests::for_each_supported_kind(|_| {
+            let before = stats::Snapshot::of_tid(44);
+            heap.flush_at(W_BUMP * 8);
+            flush::mfence();
+            assert_eq!(stats::Snapshot::of_tid(44).since(&before), stats::Snapshot::default());
+        });
+        drop(heap);
+        let _ = std::fs::remove_file(&path);
     }
 }

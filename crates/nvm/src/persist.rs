@@ -9,8 +9,8 @@ use crate::CACHE_LINE;
 use std::sync::atomic::Ordering::{Acquire, Release, SeqCst};
 
 /// A persistency model (see crate docs). Monomorphised into every data
-/// structure; the real modes compile to plain atomics plus (optionally)
-/// `clflush`/`mfence` and counter bumps.
+/// structure; the real modes compile to plain atomics plus (optionally) the
+/// machine's write-back instruction, fences and counter bumps.
 pub trait Persist: Sized + Send + Sync + 'static {
     /// Human-readable mode name (reported by the benchmark harness).
     const NAME: &'static str;
@@ -23,12 +23,24 @@ pub trait Persist: Sized + Send + Sync + 'static {
     /// Per-word metadata (empty except for the simulator).
     type Meta: Default + Send + Sync;
 
-    /// Atomic load (Acquire).
-    fn load(w: &PWord<Self>) -> u64;
+    /// Atomic load (Acquire). Like `store` and `cas`, a plain atomic in
+    /// every model but the simulator, which shadows it.
+    #[inline]
+    fn load(w: &PWord<Self>) -> u64 {
+        w.v.load(Acquire)
+    }
     /// Atomic store (Release).
-    fn store(w: &PWord<Self>, v: u64);
+    #[inline]
+    fn store(w: &PWord<Self>, v: u64) {
+        w.v.store(v, Release)
+    }
     /// Atomic CAS returning the value read.
-    fn cas(w: &PWord<Self>, old: u64, new: u64) -> u64;
+    #[inline]
+    fn cas(w: &PWord<Self>, old: u64, new: u64) -> u64 {
+        match w.v.compare_exchange(old, new, SeqCst, SeqCst) {
+            Ok(prev) | Err(prev) => prev,
+        }
+    }
 
     /// `pwb`: initiate write-back of the line containing `w` (stand-alone).
     fn pwb(w: &PWord<Self>);
@@ -76,27 +88,11 @@ pub trait Persist: Sized + Send + Sync + 'static {
     fn check_crash() {}
 }
 
-#[inline]
-pub(crate) fn raw_load<M: Persist>(w: &PWord<M>) -> u64 {
-    w.v.load(Acquire)
-}
-#[inline]
-pub(crate) fn raw_store<M: Persist>(w: &PWord<M>, v: u64) {
-    w.v.store(v, Release)
-}
-#[inline]
-pub(crate) fn raw_cas<M: Persist>(w: &PWord<M>, old: u64, new: u64) -> u64 {
-    match w.v.compare_exchange(old, new, SeqCst, SeqCst) {
-        Ok(prev) => prev,
-        Err(prev) => prev,
-    }
-}
-
 /// Note every cache line of `[p, p+len)` in the coalescing set, counting New
 /// lines as issued `pwb`s and duplicates as elisions; `flush_through` handles
 /// capacity overflow (immediate write-back).
 #[inline]
-fn coal_note_range(p: *const u8, len: usize, mut flush_through: impl FnMut(u64)) {
+pub(crate) fn coal_note_range(p: *const u8, len: usize, mut flush_through: impl FnMut(u64)) {
     let mut line = coalesce::line_of(p);
     let end = p as u64 + len as u64;
     while line < end {
@@ -112,108 +108,112 @@ fn coal_note_range(p: *const u8, len: usize, mut flush_through: impl FnMut(u64))
     }
 }
 
-/// Shared-cache model on real hardware: `pwb` = `clflush`, `psync` =
-/// `mfence`, `pfence` = no-op under TSO (as in the paper's evaluation).
-/// All persistency instructions are counted.
+/// The `Persist` impl of the two models that execute real write-backs:
+/// [`RealNvm`] and [`crate::MappedNvm`] differ only in `NAME` and `MAPPED`.
+/// `pwb` is one [`flush::flush`] of the machine's [`flush::Kind`], `pfence`
+/// is [`flush::pfence`] (an `sfence` when that kind is weakly ordered, free
+/// under `clflush`), `psync` and the barriers end in `mfence`. Every
+/// persistency instruction is counted; counts do not depend on the kind.
+macro_rules! real_flush_persist {
+    ($ty:ty, $name:literal, $mapped:literal) => {
+        const _: () = {
+            use $crate::coalesce::{self, lint};
+            use $crate::persist::{coal_note_range, Persist};
+            use $crate::{flush, stats, PWord, PersistWords};
+
+            impl Persist for $ty {
+                const NAME: &'static str = $name;
+                const MAPPED: bool = $mapped;
+                type Meta = ();
+
+                #[inline]
+                fn pwb(w: &PWord<Self>) {
+                    lint::note_pwb(w.addr());
+                    // SAFETY: `w.addr()` points into the live `PWord` behind `w`.
+                    unsafe { flush::flush(w.addr()) };
+                    stats::count_pwb(1);
+                }
+                #[inline]
+                fn pfence() {
+                    // Pending coalesced lines are written back first, so that
+                    // they are ordered before post-fence flushes.
+                    Self::coal_drain();
+                    lint::fence();
+                    flush::pfence();
+                    stats::count_pfence();
+                }
+                #[inline]
+                fn psync() {
+                    Self::coal_drain();
+                    lint::fence();
+                    flush::mfence();
+                    stats::count_psync();
+                }
+                #[inline]
+                fn pbarrier(w: &PWord<Self>) {
+                    Self::coal_drain();
+                    lint::fence();
+                    // SAFETY: as in `pwb`.
+                    unsafe { flush::flush(w.addr()) };
+                    flush::mfence();
+                    stats::count_pbarrier(1);
+                }
+                #[inline]
+                fn pwb_obj<T: PersistWords<Self> + ?Sized>(obj: &T) {
+                    let (p, len) = obj.used_range();
+                    // SAFETY: `used_range` is a sub-range of the live object
+                    // behind `obj` (PersistWords safety contract).
+                    let n = unsafe { flush::flush_range(p, len) };
+                    stats::count_pwb(n);
+                }
+                #[inline]
+                fn pbarrier_obj<T: PersistWords<Self> + ?Sized>(obj: &T) {
+                    Self::coal_drain();
+                    lint::fence();
+                    let (p, len) = obj.used_range();
+                    // SAFETY: as in `pwb_obj`.
+                    let n = unsafe { flush::flush_range(p, len) };
+                    flush::mfence();
+                    stats::count_pbarrier(n);
+                }
+
+                #[inline]
+                fn pwb_coal(w: &PWord<Self>) {
+                    // SAFETY: an overflow line is the live `PWord` behind `w`.
+                    coal_note_range(w.addr(), 1, |l| unsafe { flush::flush(l as *const u8) });
+                }
+                #[inline]
+                fn pwb_obj_coal<T: PersistWords<Self> + ?Sized>(obj: &T) {
+                    let (p, len) = obj.used_range();
+                    // SAFETY: overflow lines lie inside the live object
+                    // (PersistWords safety contract).
+                    coal_note_range(p, len, |l| unsafe { flush::flush(l as *const u8) });
+                }
+                #[inline]
+                fn coal_drain() {
+                    // SAFETY: every pending line was noted from an object that
+                    // is, per the `pwb_coal` contract, still live at the
+                    // draining fence (and a mapped-heap object is never
+                    // unmapped while its structure is attached).
+                    let n = coalesce::drain(|l| unsafe { flush::flush(l as *const u8) });
+                    if n > 0 {
+                        stats::count_lines_coalesced(n);
+                    }
+                }
+            }
+        };
+    };
+}
+pub(crate) use real_flush_persist;
+
+/// Shared-cache model on real hardware: `pwb` is the machine's write-back
+/// instruction ([`flush::kind`]: `clwb`, `clflushopt`, or the paper's
+/// `clflush`), `psync` = `mfence`, `pfence` = `sfence` for the weakly-ordered
+/// kinds and a no-op under `clflush` (as in the paper's evaluation). All
+/// persistency instructions are counted.
 pub struct RealNvm;
 
-impl Persist for RealNvm {
-    const NAME: &'static str = "real";
-    type Meta = ();
-
-    #[inline]
-    fn load(w: &PWord<Self>) -> u64 {
-        raw_load(w)
-    }
-    #[inline]
-    fn store(w: &PWord<Self>, v: u64) {
-        raw_store(w, v)
-    }
-    #[inline]
-    fn cas(w: &PWord<Self>, old: u64, new: u64) -> u64 {
-        raw_cas(w, old, new)
-    }
-
-    #[inline]
-    fn pwb(w: &PWord<Self>) {
-        lint::note_pwb(w.addr());
-        // SAFETY: `w.addr()` points into the live `PWord` behind `w`.
-        unsafe { flush::clflush(w.addr()) };
-        stats::count_pwb(1);
-    }
-    #[inline]
-    fn pfence() {
-        // TSO: flushes of this implementation are already ordered; counted
-        // only. Pending coalesced lines must still be written back here so
-        // they are ordered before post-fence flushes.
-        Self::coal_drain();
-        lint::fence();
-        stats::count_pfence();
-    }
-    #[inline]
-    fn psync() {
-        Self::coal_drain();
-        lint::fence();
-        flush::mfence();
-        stats::count_psync();
-    }
-    #[inline]
-    fn pbarrier(w: &PWord<Self>) {
-        Self::coal_drain();
-        lint::fence();
-        // SAFETY: `w.addr()` points into the live `PWord` behind `w`.
-        unsafe { flush::clflush(w.addr()) };
-        flush::mfence();
-        stats::count_pbarrier(1);
-    }
-    #[inline]
-    fn pwb_obj<T: PersistWords<Self> + ?Sized>(obj: &T) {
-        let (p, len) = obj.used_range();
-        // SAFETY: `used_range` is a sub-range of the live object behind `obj`
-        // (PersistWords safety contract).
-        let n = unsafe { flush::clflush_range(p, len) };
-        stats::count_pwb(n);
-    }
-    #[inline]
-    fn pbarrier_obj<T: PersistWords<Self> + ?Sized>(obj: &T) {
-        Self::coal_drain();
-        lint::fence();
-        let (p, len) = obj.used_range();
-        // SAFETY: as in `pwb_obj`.
-        let n = unsafe { flush::clflush_range(p, len) };
-        flush::mfence();
-        stats::count_pbarrier(n);
-    }
-
-    #[inline]
-    fn pwb_coal(w: &PWord<Self>) {
-        match coalesce::note(w.addr()) {
-            coalesce::Note::New => stats::count_pwb(1),
-            coalesce::Note::Dup => stats::count_pwb_elided(1),
-            coalesce::Note::Full => {
-                // SAFETY: live `PWord` behind `w`.
-                unsafe { flush::clflush(w.addr()) };
-                stats::count_pwb(1);
-            }
-        }
-    }
-    #[inline]
-    fn pwb_obj_coal<T: PersistWords<Self> + ?Sized>(obj: &T) {
-        let (p, len) = obj.used_range();
-        // SAFETY: overflow lines lie inside the live object (PersistWords
-        // safety contract).
-        coal_note_range(p, len, |line| unsafe { flush::clflush(line as *const u8) });
-    }
-    #[inline]
-    fn coal_drain() {
-        // SAFETY: every pending line was noted from an object that is, per
-        // the `pwb_coal` contract, still live at the draining fence.
-        let n = coalesce::drain(|line| unsafe { flush::clflush(line as *const u8) });
-        if n > 0 {
-            stats::count_lines_coalesced(n);
-        }
-    }
-}
+real_flush_persist!(RealNvm, "real", false);
 
 /// Shared-cache model with *counted but not executed* flushes. Portable,
 /// used by CI and by counting-only experiments where flush latency is not
@@ -223,19 +223,6 @@ pub struct CountingNvm;
 impl Persist for CountingNvm {
     const NAME: &'static str = "counting";
     type Meta = ();
-
-    #[inline]
-    fn load(w: &PWord<Self>) -> u64 {
-        raw_load(w)
-    }
-    #[inline]
-    fn store(w: &PWord<Self>, v: u64) {
-        raw_store(w, v)
-    }
-    #[inline]
-    fn cas(w: &PWord<Self>, old: u64, new: u64) -> u64 {
-        raw_cas(w, old, new)
-    }
 
     #[inline]
     fn pwb(w: &PWord<Self>) {
@@ -275,10 +262,7 @@ impl Persist for CountingNvm {
 
     #[inline]
     fn pwb_coal(w: &PWord<Self>) {
-        match coalesce::note(w.addr()) {
-            coalesce::Note::New | coalesce::Note::Full => stats::count_pwb(1),
-            coalesce::Note::Dup => stats::count_pwb_elided(1),
-        }
+        coal_note_range(w.addr(), 1, |_| {});
     }
     #[inline]
     fn pwb_obj_coal<T: PersistWords<Self> + ?Sized>(obj: &T) {
@@ -304,19 +288,6 @@ impl Persist for NoPersist {
     type Meta = ();
 
     #[inline]
-    fn load(w: &PWord<Self>) -> u64 {
-        raw_load(w)
-    }
-    #[inline]
-    fn store(w: &PWord<Self>, v: u64) {
-        raw_store(w, v)
-    }
-    #[inline]
-    fn cas(w: &PWord<Self>, old: u64, new: u64) -> u64 {
-        raw_cas(w, old, new)
-    }
-
-    #[inline]
     fn pwb(_w: &PWord<Self>) {}
     #[inline]
     fn pfence() {}
@@ -331,7 +302,7 @@ impl Persist for NoPersist {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::tid;
 
@@ -368,17 +339,32 @@ mod tests {
         assert_eq!(d, stats::Snapshot::default());
     }
 
+    /// Under every write-back kind this CPU has (not only the detected one):
+    /// `pwb` of `w` executes, leaves the value intact and counts one `pwb`,
+    /// and `pfence` executes an `sfence` exactly when the kind is weakly
+    /// ordered. The calling thread must be registered as `t`.
+    pub(crate) fn every_kind_flushes_and_counts<M: Persist>(w: &PWord<M>, t: usize) {
+        flush::tests::for_each_supported_kind(|k| {
+            let before = stats::Snapshot::of_tid(t);
+            let sfences = flush::SFENCES.get();
+            w.store(7 + k as u64);
+            M::pwb(w);
+            M::pfence();
+            M::pwb_coal(w);
+            M::psync();
+            assert_eq!(w.load(), 7 + k as u64, "{}: flushing must not corrupt", k.name());
+            let d = stats::Snapshot::of_tid(t).since(&before);
+            assert_eq!((d.pwb, d.pfence, d.psync), (2, 1, 1), "{}", k.name());
+            assert_eq!(d.lines_coalesced, 1, "{}: the drain flushes too", k.name());
+            let executed = flush::SFENCES.get() - sfences;
+            assert_eq!(executed, k.weakly_ordered() as u64, "{}: pfence", k.name());
+        });
+    }
+
     #[test]
     fn real_mode_flushes_and_counts() {
-        let snap = own_tid(47);
-        let before = snap();
-        let w: PWord<RealNvm> = PWord::new(7);
-        RealNvm::pwb(&w);
-        RealNvm::psync();
-        assert_eq!(w.load(), 7, "flushing must not corrupt the value");
-        let d = snap().since(&before);
-        assert_eq!(d.pwb, 1);
-        assert_eq!(d.psync, 1);
+        tid::set_tid(47);
+        every_kind_flushes_and_counts(&PWord::<RealNvm>::new(7), 47);
     }
 
     #[test]

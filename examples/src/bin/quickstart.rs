@@ -13,7 +13,7 @@ fn main() {
     // recovery data RD_q/CP_q, statistics and reclamation slots).
     nvm::tid::set_tid(0);
 
-    // `RealNvm` = shared-cache model with real clflush/mfence persistency
+    // `RealNvm` = shared-cache model with real write-back/fence persistency
     // (exactly how the paper simulates NVRAM). Swap in `nvm::NoPersist` for
     // the private-cache model or `nvm::CountingNvm` to only count flushes.
     let set: Arc<RList<RealNvm>> = Arc::new(RList::new());
