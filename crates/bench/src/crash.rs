@@ -135,6 +135,10 @@ pub trait RecoverableSet: Send + Sync + 'static {
     /// Panics on structural-invariant violations (requires quiescence).
     fn check_invariants(&mut self);
 
+    /// `pid`'s recovery slot and published descriptor, for failure reports
+    /// (requires quiescence).
+    fn describe_recovery(&self, pid: usize) -> String;
+
     /// Post-recovery scrub, run once after every process finished its
     /// `recover_*` rounds: completes helping obligations the crash left
     /// visible (the tuned placement defers cleanup-`psync`s, so the image
@@ -181,6 +185,11 @@ macro_rules! impl_recoverable_set {
             }
             fn check_invariants(&mut self) {
                 <$ty>::check_invariants(self)
+            }
+            fn describe_recovery(&self, pid: usize) -> String {
+                // SAFETY: called between rounds, with every worker joined;
+                // crash runs free nothing (disabled collector).
+                unsafe { <$ty>::describe_recovery(self, pid) }
             }
         }
     };
@@ -302,10 +311,16 @@ pub fn run_set_scenario<S: RecoverableSet>(cfg: CrashCfg) -> CrashReport {
         report.rolled_back = img.rolled_back;
         report.pending = logs.iter().filter(|l| l.lock().unwrap().pending.is_some()).count();
 
+        // What each round's recovery found in a pending process's slot: on
+        // a failed model check, the decision it took can be read off this.
+        let mut found: Vec<Vec<String>> = vec![Vec::new(); cfg.procs];
         for round in 0..=cfg.recovery_crashes {
             let crash_again = round < cfg.recovery_crashes;
             let mut rhandles = Vec::new();
             for (p, log) in logs.iter().enumerate() {
+                if log.lock().unwrap().pending.is_some() {
+                    found[p].push(set.describe_recovery(p));
+                }
                 let set = Arc::clone(&set);
                 let log = Arc::clone(log);
                 rhandles.push(std::thread::spawn(move || {
@@ -340,6 +355,7 @@ pub fn run_set_scenario<S: RecoverableSet>(cfg: CrashCfg) -> CrashReport {
         set.scrub();
         set.check_invariants();
         let snapshot = set.snapshot();
+        let slots: Vec<String> = (0..cfg.procs).map(|p| set.describe_recovery(p)).collect();
         for w in snapshot.windows(2) {
             assert!(w[0] < w[1], "seed {}: {} snapshot unsorted", cfg.seed, S::NAME);
         }
@@ -369,12 +385,16 @@ pub fn run_set_scenario<S: RecoverableSet>(cfg: CrashCfg) -> CrashReport {
             for (idx, &(op, resp)) in log.entries.iter().enumerate() {
                 let want = set_apply_model(&mut model, op);
                 assert_eq!(
-                    resp, want,
+                    resp,
+                    want,
                     "seed {}: {} proc {p} op #{idx} {op:?} returned {resp} but model says {want} \
-                     (an effect was lost or applied twice across the crash); log: {:?}; snapshot: {snapshot:?}",
+                     (an effect was lost or applied twice across the crash); log: {:?}; \
+                     snapshot: {snapshot:?}; slot found by each recovery round: {:?}; slot now: {}",
                     cfg.seed,
                     S::NAME,
                     log.entries,
+                    found[p],
+                    slots[p],
                 );
             }
             if let Some(op) = log.pending {
@@ -392,9 +412,12 @@ pub fn run_set_scenario<S: RecoverableSet>(cfg: CrashCfg) -> CrashReport {
                 let a: Vec<u64> = alt.iter().copied().collect();
                 assert!(
                     part == m || part == a,
-                    "seed {}: {} proc {p} final keys {part:?} match neither {m:?} nor {a:?}",
+                    "seed {}: {} proc {p} final keys {part:?} match neither {m:?} nor {a:?}; \
+                     slot found by each recovery round: {:?}; slot now: {}",
                     cfg.seed,
-                    S::NAME
+                    S::NAME,
+                    found[p],
+                    slots[p],
                 );
                 expected.extend(part);
             } else {
@@ -404,7 +427,8 @@ pub fn run_set_scenario<S: RecoverableSet>(cfg: CrashCfg) -> CrashReport {
         assert_eq!(
             snapshot,
             expected.iter().copied().collect::<Vec<u64>>(),
-            "seed {}: final {} diverges from the replayed models",
+            "seed {}: final {} diverges from the replayed models; slots found by each recovery \
+             round: {found:?}; slots now: {slots:?}",
             cfg.seed,
             S::NAME
         );
@@ -566,6 +590,18 @@ pub fn run_queue_scenario_arm<const ARM: u8>(cfg: CrashCfg) -> CrashReport {
         let img = sim::build_crash_image(cfg.seed ^ 0xD1CE);
         report.rolled_back = img.rolled_back;
 
+        // What recovery finds in each pending process's slot, for the
+        // failure reports below.
+        let pending_pids = plogs
+            .iter()
+            .map(|l| l.lock().unwrap().pending.is_some())
+            .chain(clogs.iter().map(|l| l.lock().unwrap().pending))
+            .enumerate()
+            .filter_map(|(pid, pending)| pending.then_some(pid));
+        // SAFETY: every worker is joined; crash runs free nothing.
+        let found: Vec<(usize, String)> =
+            pending_pids.map(|pid| (pid, unsafe { q.describe_recovery(pid) })).collect();
+
         // Recovery (single round; queue scenarios keep it simple — repeated
         // recovery crashes are exercised by the list scenario).
         let mut rhandles = Vec::new();
@@ -630,13 +666,19 @@ pub fn run_queue_scenario_arm<const ARM: u8>(cfg: CrashCfg) -> CrashReport {
         for (&v, &n) in &seen {
             assert!(
                 n <= 1,
-                "seed {}: value {v} appears {n} times (duplicated across crash)",
+                "seed {}: value {v} appears {n} times (duplicated across crash); \
+                 pending (pid, slot) found by recovery: {found:?}",
                 cfg.seed
             );
         }
         for i in 0..prefill {
             let v = 1_000_000_000 + i;
-            assert_eq!(seen.get(&v), Some(&1), "seed {}: prefilled {v} lost", cfg.seed);
+            assert_eq!(
+                seen.get(&v),
+                Some(&1),
+                "seed {}: prefilled {v} lost; pending (pid, slot) found by recovery: {found:?}",
+                cfg.seed
+            );
         }
         for log in &plogs {
             let l = log.lock().unwrap();
@@ -645,7 +687,8 @@ pub fn run_queue_scenario_arm<const ARM: u8>(cfg: CrashCfg) -> CrashReport {
                 assert_eq!(
                     seen.get(&v),
                     Some(&1),
-                    "seed {}: acked value {v} lost or duplicated",
+                    "seed {}: acked value {v} lost or duplicated; \
+                     pending (pid, slot) found by recovery: {found:?}",
                     cfg.seed
                 );
             }

@@ -9,7 +9,7 @@
 //! |-----|------|------|
 //! | [`PAPER`]     | `Isb`      | the paper's per-CAS `pwb` + per-phase `psync` placement |
 //! | [`TUNED`]     | `Isb-Opt`  | batched tag-loop flushes, merged barriers (PR 2) |
-//! | [`COALESCED`] | `Isb-Coal` | per-op cache-line dedupe via [`nvm::coalesce`]; `CP_q := 1` folded into `publish` so the `RD_q`/`CP_q` line is flushed once |
+//! | [`COALESCED`] | `Isb-Coal` | per-op cache-line dedupe via [`nvm::coalesce`]; the `RD_q`/`CP_q` line is reset whole by the invocation glue's one barrier and written once more, `CP_q := 1` with `RD_q := opInfo`, by the first publish; an operation that finds nothing to change takes no descriptor and publishes nothing |
 //! | [`LP`]        | `Isb-LP`   | link-persist: cleanup write-backs elided (re-swept by scrub / lazy helping) and, for single-affect ops (enqueue), the tag-phase `psync` merged into the update-phase `psync` |
 //!
 //! The `u8` encoding (rather than a second `bool`) exists because stable

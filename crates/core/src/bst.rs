@@ -17,7 +17,9 @@
 //!   root-ward-first order, so conflicting operations always collide on a
 //!   common ancestor before any leaf. WriteSet = `{⟨gp.child, p, sibCopy⟩}`,
 //!   NewSet = `{sibCopy}`.
-//! * **Find(k)**: ROpt read-only path on `{l}`.
+//! * **Find(k)**, and an insert/delete that finds nothing to change: the
+//!   ROpt read-only path on `{l}` in arms 0/1, no descriptor at all in the
+//!   coalescing arms (see [`crate::set_core`]).
 //!
 //! The copies preserve pointer freshness exactly as in the list: a node
 //! leaves a child pointer only by being retired.
@@ -234,14 +236,36 @@ impl<M: Persist, const ARM: u8> RBst<M, ARM> {
         *published = info as u64;
     }
 
-    /// Publish for the read-only `find` path: never touches `CP_q` (see
-    /// `SetCore::publish_ro`).
-    fn publish_ro(&self, pid: usize, info: *mut Info<M>, published: &mut u64, g: &Guard<'_>) {
-        self.rec.publish(pid, info as u64);
-        if *published != 0 && *published != info as u64 {
-            unsafe { Info::<M>::release(tag::ptr_of(*published), 1, g) };
+    /// Arms 0/1, an outcome that changes nothing: the ROpt read-only path
+    /// (see `SetCore::answer_tracked`).
+    fn answer_tracked(
+        &self,
+        pid: usize,
+        optype: u8,
+        seen: (u64, u64),
+        response: u64,
+        published: &mut u64,
+        g: &Guard<'_>,
+    ) {
+        debug_assert!(!arm::coalesces(ARM), "coalescing arms answer without a descriptor");
+        let info = self.alloc_info();
+        unsafe {
+            Info::fill(
+                info,
+                &InfoFill {
+                    optype,
+                    affect: &[seen],
+                    write: &[],
+                    newset: &[],
+                    del_mask: 0,
+                    presult: response,
+                },
+            );
+            M::store(&(*info).result, response);
+            self.persist_attempt(info, &[]);
         }
-        *published = info as u64;
+        self.publish(pid, info, published, g);
+        unsafe { Info::<M>::release(info, 1, g) }; // the never-installed affect slot
     }
 
     unsafe fn retire_node(&self, node: *mut Node<M>, g: &Guard<'_>) {
@@ -273,7 +297,6 @@ impl<M: Persist, const ARM: u8> RBst<M, ARM> {
         let g = self.collector.pin();
         let prev = self.rec.begin::<ARM>(pid);
         unsafe { release_prev::<M>(prev, &g) };
-        let mut info = self.alloc_info();
         let mut published: u64 = 0;
         loop {
             let s = unsafe { self.search(key) };
@@ -287,26 +310,15 @@ impl<M: Persist, const ARM: u8> RBst<M, ARM> {
             }
             let l_key = unsafe { (*s.l).key.load() };
             if l_key == key {
-                // ROpt read-only path.
-                unsafe {
-                    Info::fill(
-                        info,
-                        &InfoFill {
-                            optype: optype::INSERT,
-                            affect: &[(cell_addr(&(*s.l).info), s.l_info)],
-                            write: &[],
-                            newset: &[],
-                            del_mask: 0,
-                            presult: RES_FALSE,
-                        },
-                    );
-                    M::store(&(*info).result, RES_FALSE);
-                    self.persist_attempt(info, &[]);
+                // Key already present: nothing to change.
+                if !arm::coalesces(ARM) {
+                    let seen = unsafe { (cell_addr(&(*s.l).info), s.l_info) };
+                    self.answer_tracked(pid, optype::INSERT, seen, RES_FALSE, &mut published, &g);
                 }
-                self.publish(pid, info, &mut published, &g);
-                unsafe { Info::<M>::release(info, 1, &g) };
                 return false;
             }
+            // A fresh descriptor per attempt (pointer freshness).
+            let info = self.alloc_info();
             // Build the replacement subtree: internal(max) / {leaf(k), copy(l)}.
             let t = tag::tagged(info as u64);
             let new_leaf: *mut Node<M> = self.alloc_node(key, 0, 0, t);
@@ -351,7 +363,6 @@ impl<M: Persist, const ARM: u8> RBst<M, ARM> {
                         self.node_pool.give(l_copy, &g);
                         Info::<M>::release(info, (2 - i) as u32, &g);
                     }
-                    info = self.alloc_info();
                 }
             }
         }
@@ -363,7 +374,6 @@ impl<M: Persist, const ARM: u8> RBst<M, ARM> {
         let g = self.collector.pin();
         let prev = self.rec.begin::<ARM>(pid);
         unsafe { release_prev::<M>(prev, &g) };
-        let mut info = self.alloc_info();
         let mut published: u64 = 0;
         loop {
             let s = unsafe { self.search(key) };
@@ -381,23 +391,11 @@ impl<M: Persist, const ARM: u8> RBst<M, ARM> {
             }
             let l_key = unsafe { (*s.l).key.load() };
             if l_key != key {
-                unsafe {
-                    Info::fill(
-                        info,
-                        &InfoFill {
-                            optype: optype::DELETE,
-                            affect: &[(cell_addr(&(*s.l).info), s.l_info)],
-                            write: &[],
-                            newset: &[],
-                            del_mask: 0,
-                            presult: RES_FALSE,
-                        },
-                    );
-                    M::store(&(*info).result, RES_FALSE);
-                    self.persist_attempt(info, &[]);
+                // Key not present: nothing to change.
+                if !arm::coalesces(ARM) {
+                    let seen = unsafe { (cell_addr(&(*s.l).info), s.l_info) };
+                    self.answer_tracked(pid, optype::DELETE, seen, RES_FALSE, &mut published, &g);
                 }
-                self.publish(pid, info, &mut published, &g);
-                unsafe { Info::<M>::release(info, 1, &g) };
                 return false;
             }
             // Sibling of l under p (its info gathered after p's, before its children).
@@ -412,6 +410,7 @@ impl<M: Persist, const ARM: u8> RBst<M, ARM> {
                 unsafe { help::<M, ARM>(tag::ptr_of(sib_info), false, &g) };
                 continue;
             }
+            let info = self.alloc_info();
             let t = tag::tagged(info as u64);
             // Copy of the sibling replaces p (freshness); its children are
             // frozen once sib is successfully tagged.
@@ -451,21 +450,30 @@ impl<M: Persist, const ARM: u8> RBst<M, ARM> {
                         self.node_pool.give(sib_copy, &g);
                         Info::<M>::release(info, (4 - i) as u32, &g);
                     }
-                    info = self.alloc_info();
                 }
             }
         }
     }
 
-    /// Membership test (ROpt read-only; no `CP/RD=Null` prologue).
+    /// Membership test (read-only: never sets `CP_q := 1`, so recovery
+    /// always restarts it; see `SetCore::find`).
     pub fn find(&self, pid: usize, key: u64) -> bool {
         Self::assert_key(key);
         let g = self.collector.pin();
-        let prev = self.rec.begin_readonly(pid);
-        let info = self.alloc_info();
-        // A DIRECT previous entry carries no descriptor reference to hand
-        // over (see `recovery::release_prev`).
-        let mut published = if tag::is_direct(prev) { 0 } else { prev };
+        let mut published = if arm::coalesces(ARM) {
+            let prev = self.rec.begin::<ARM>(pid);
+            unsafe { release_prev::<M>(prev, &g) };
+            0
+        } else {
+            // A DIRECT previous entry carries no descriptor reference to
+            // hand over (see `recovery::release_prev`).
+            let prev = self.rec.begin_readonly(pid);
+            if tag::is_direct(prev) {
+                0
+            } else {
+                prev
+            }
+        };
         loop {
             let s = unsafe { self.search(key) };
             if tag::is_tagged(s.l_info) {
@@ -473,26 +481,22 @@ impl<M: Persist, const ARM: u8> RBst<M, ARM> {
                 continue;
             }
             let res = unsafe { (*s.l).key.load() } == key;
-            let enc = if res { RES_TRUE } else { RES_FALSE };
-            unsafe {
-                Info::fill(
-                    info,
-                    &InfoFill {
-                        optype: optype::FIND,
-                        affect: &[(cell_addr(&(*s.l).info), s.l_info)],
-                        write: &[],
-                        newset: &[],
-                        del_mask: 0,
-                        presult: enc,
-                    },
-                );
-                M::store(&(*info).result, enc);
-                self.persist_attempt(info, &[]);
+            if !arm::coalesces(ARM) {
+                let seen = unsafe { (cell_addr(&(*s.l).info), s.l_info) };
+                let enc = if res { RES_TRUE } else { RES_FALSE };
+                self.answer_tracked(pid, optype::FIND, seen, enc, &mut published, &g);
             }
-            self.publish_ro(pid, info, &mut published, &g);
-            unsafe { Info::<M>::release(info, 1, &g) };
             return res;
         }
+    }
+
+    /// Failure-report line for `pid`'s recovery slot
+    /// ([`RecArea::describe`]).
+    ///
+    /// # Safety
+    /// As [`RecArea::describe`].
+    pub unsafe fn describe_recovery(&self, pid: usize) -> String {
+        unsafe { self.rec.describe(pid) }
     }
 
     /// `Insert.Recover`.

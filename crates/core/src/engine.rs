@@ -411,6 +411,26 @@ impl<M: Persist> Info<M> {
         self.installs.load(Ordering::Acquire)
     }
 
+    /// One line for a failure report: `meta`, `presult`, `result`, and per
+    /// affect entry the cell's address, its expected and its *current*
+    /// value.
+    ///
+    /// # Safety
+    /// Every affect cell address must still be live (quiescence).
+    pub unsafe fn describe(&self) -> String {
+        let mut out = format!(
+            "meta {:#x} presult {:#x} result {:#x} affect",
+            M::load(&self.meta),
+            M::load(&self.presult),
+            M::load(&self.result)
+        );
+        for k in 0..self.naffect().min(MAX_AFFECT) {
+            let (cell, expected) = unsafe { self.affect_at(k) };
+            out += &format!(" [{cell:p}: expected {expected:#x}, now {:#x}]", M::load(cell));
+        }
+        out
+    }
+
     /// Attach-time bounds validation of a descriptor read from an
     /// **untrusted** mapped image, before `help` may dereference any of its
     /// cell addresses: the set sizes must be within the engine's capacities,
@@ -695,6 +715,67 @@ fn cleanup<M: Persist, const ARM: u8>(
     }
 }
 
+/// [`help`] as Op-Recover runs it on the descriptor a crashed process left
+/// published. Returns the operation's `result`: [`RES_BOT`] means it did not
+/// take effect and no longer can.
+///
+/// A crash image differs from every state a running system passes through
+/// in one way `help` alone does not cope with: each cell reverts on its own,
+/// so an affect cell can hold an *older* value than the one the descriptor
+/// was built over while a later cell still holds the descriptor's tag.
+///
+/// * The older value may be the tag of the completed operation that
+///   `expected` names, its untag (which no arm fences before the cell is
+///   tagged again) lost. The gather phase helped every tagged cell before it
+///   read `expected`; recovery does the same before `help` judges the cell.
+///   Otherwise the attempt fails on a tag that hides exactly the value it
+///   expects, recovery restarts the operation, and whoever later finds the
+///   descriptor's tag further down — or, for a single-affect link-persist
+///   enqueue, the link itself — completes it a second time. Not under the
+///   mapped model: a killed process's page cache keeps every store, no cell
+///   reverts, and attach dereferences only descriptors it has validated.
+/// * When the attempt does fail, its tag may sit *past* the failing
+///   position, where `help`'s backtrack (prefix only — all a running system
+///   needs) leaves it to be found and helped in vain forever. The abandoned
+///   descriptor's tags are all removed here.
+///
+/// # Safety
+/// As [`help`], and every foreign tag in an affect cell must name a live
+/// descriptor (crash runs free nothing).
+pub unsafe fn help_recovering<M: Persist, const ARM: u8>(
+    info: *mut Info<M>,
+    guard: &Guard<'_>,
+) -> u64 {
+    let r = unsafe { &*info };
+    let tagged_val = tag::tagged(info as u64);
+    let naffect = r.naffect();
+    if !M::MAPPED {
+        for k in 0..naffect {
+            let (cell, _) = unsafe { r.affect_at(k) };
+            let seen = M::load(cell);
+            if tag::is_tagged(seen) && seen != tagged_val {
+                let _ = unsafe { help::<M, ARM>(tag::ptr_of(seen), false, guard) };
+            }
+        }
+    }
+    let _ = unsafe { help::<M, ARM>(info, true, guard) };
+    let res = M::load(&r.result);
+    if res == RES_BOT {
+        let mut untagged = false;
+        for k in (0..naffect).rev() {
+            let (cell, _) = unsafe { r.affect_at(k) };
+            if cell.cas(tagged_val, tag::untagged(info as u64)) == tagged_val {
+                M::pwb(cell);
+                untagged = true;
+            }
+        }
+        if untagged {
+            M::psync();
+        }
+    }
+    res
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -899,6 +980,61 @@ mod tests {
         let out = unsafe { help::<M, 0>(info, false, &g) };
         assert_eq!(out, HelpOutcome::FailedAt(1));
         assert_eq!(a0.load(), tag::untagged(info as u64), "helper backtracks the invoker's tag");
+        unsafe { Info::release(info, 3, &g) };
+    }
+
+    /// The crash image the tuned arms' unfenced untags allow: the first
+    /// affect cell reverted to the tag of the completed operation its
+    /// expected value names, the second kept this operation's tag. `help`
+    /// alone fails on the first cell; recovery heals it first and completes
+    /// the operation — once.
+    #[test]
+    fn recovery_heals_a_resurrected_tag_before_judging_the_cell() {
+        let _gate = crate::counters::gate_shared();
+        let ctx = Ctx::new();
+        let g = ctx.c.pin();
+        let (x0, a0, a1) = (cellv(0), cellv(0), cellv(0));
+        let (wx, w) = (cellv(100), cellv(500));
+        let prev = unsafe { mk_info(&x0, 0, &a0, 0, &wx, 100, 200, 0) };
+        assert_eq!(unsafe { help::<M, 1>(prev, true, &g) }, HelpOutcome::Done);
+        let expected = tag::untagged(prev as u64);
+        assert_eq!(a0.load(), expected);
+        let info = unsafe { mk_info(&a0, expected, &a1, 0, &w, 500, 600, 0) };
+        let image = || {
+            a0.store(tag::tagged(prev as u64));
+            a1.store(tag::tagged(info as u64));
+        };
+
+        image();
+        assert_eq!(unsafe { help::<M, 1>(info, true, &g) }, HelpOutcome::FailedAt(0));
+        assert_eq!(a1.load(), tag::tagged(info as u64), "left for a helper to complete");
+
+        image();
+        assert_eq!(unsafe { help_recovering::<M, 1>(info, &g) }, RES_TRUE);
+        assert_eq!((wx.load(), w.load()), (200, 600), "healed without re-applying; applied");
+        assert_eq!(a0.load(), tag::untagged(info as u64));
+        assert_eq!(a1.load(), tag::untagged(info as u64));
+        unsafe {
+            Info::release(prev, 2, &g); // a0's reference went with the overwrite
+            Info::release(info, 3, &g);
+        }
+    }
+
+    /// An attempt recovery abandons keeps no tag anywhere: not before the
+    /// failing position (`help`'s backtrack) and not after it, where only a
+    /// crash image can have put one.
+    #[test]
+    fn recovery_untags_an_abandoned_attempt_everywhere() {
+        let _gate = crate::counters::gate_shared();
+        let ctx = Ctx::new();
+        let g = ctx.c.pin();
+        let (a0, a1, w) = (cellv(0xBAD0), cellv(0), cellv(100));
+        let info = unsafe { mk_info(&a0, 0, &a1, 0, &w, 100, 200, 0) };
+        a1.store(tag::tagged(info as u64));
+        assert_eq!(unsafe { help_recovering::<M, 1>(info, &g) }, RES_BOT);
+        assert_eq!(a0.load(), 0xBAD0);
+        assert_eq!(a1.load(), tag::untagged(info as u64));
+        assert_eq!(w.load(), 100, "update not performed");
         unsafe { Info::release(info, 3, &g) };
     }
 

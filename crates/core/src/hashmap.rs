@@ -42,8 +42,7 @@ pub const KIND_MAP: u64 = 1;
 const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Sharded, detectably recoverable hash map. `ARM` selects the persistency
-/// placement exactly as for [`crate::list::RList`] (false = "Isb", true =
-/// "Isb-Opt").
+/// placement exactly as for [`crate::list::RList`] (a [`crate::arm`] level).
 ///
 /// # Example: the detectable recovery flow
 ///
@@ -244,6 +243,15 @@ impl<M: Persist, const ARM: u8> RHashMap<M, ARM> {
             Recovered::Completed(v) => v == RES_TRUE,
             Recovered::Restart => self.find(pid, key),
         }
+    }
+
+    /// Failure-report line for `pid`'s recovery slot
+    /// ([`RecArea::describe`]).
+    ///
+    /// # Safety
+    /// As [`RecArea::describe`].
+    pub unsafe fn describe_recovery(&self, pid: usize) -> String {
+        unsafe { self.rec.describe(pid) }
     }
 
     /// Completes helping obligations left visible by a crash in any shard
@@ -468,14 +476,15 @@ impl<const ARM: u8> SlotOps for RHashMap<MappedNvm, ARM> {
 }
 
 impl<M: Persist, const ARM: u8> RHashMap<M, ARM> {
-    /// The *system* half of an invocation (`CP_q := 0`, persisted). Callers
+    /// The *system* half of an invocation (`CP_q := 0` — in the coalescing
+    /// arms the whole `(RD_q, CP_q) := (Null, 0)` reset — persisted). Callers
     /// that journal their own intent records around the map (write-ahead
     /// logs driving a mapped heap) must call this **before** writing the
     /// intent record — see [`RecArea::mark_invoked`] for the crash-window
     /// argument. Plain in-process use never needs it: an operation's own
     /// prologue runs it when this call has not.
     pub fn note_invocation(&self, pid: usize) {
-        self.rec.mark_invoked(pid);
+        crate::recovery::note_invocation::<M, ARM>(&self.rec, &self.collector, pid);
     }
 }
 

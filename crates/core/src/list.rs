@@ -28,9 +28,9 @@ pub use crate::set_core::{Node, KEY_MAX, KEY_MIN};
 /// Superblock structure-kind tag of a mapped `RList`.
 pub const KIND_LIST: u64 = 3;
 
-/// Detectably recoverable sorted linked list. `ARM = false` is the paper's
-/// general persistency placement ("Isb"); `ARM = true` is the hand-tuned
-/// one ("Isb-Opt").
+/// Detectably recoverable sorted linked list. `ARM` is the persistency
+/// placement, a [`crate::arm`] level: `0` the paper's general one ("Isb"),
+/// `1` the hand-tuned one ("Isb-Opt"), `2`/`3` the coalescing arms.
 ///
 /// # Example: the detectable recovery flow
 ///
@@ -156,6 +156,15 @@ impl<M: Persist, const ARM: u8> RList<M, ARM> {
             Recovered::Completed(v) => v == RES_TRUE,
             Recovered::Restart => self.find(pid, key),
         }
+    }
+
+    /// Failure-report line for `pid`'s recovery slot
+    /// ([`RecArea::describe`]).
+    ///
+    /// # Safety
+    /// As [`RecArea::describe`].
+    pub unsafe fn describe_recovery(&self, pid: usize) -> String {
+        unsafe { self.rec.describe(pid) }
     }
 
     /// Completes helping obligations left visible by a crash (resurrected
@@ -314,6 +323,42 @@ mod tests {
 
     type L = RList<CountingNvm, 0>;
     type LOpt = RList<CountingNvm, 1>;
+
+    /// In a coalescing arm an operation that finds nothing to change takes
+    /// no descriptor and publishes nothing: the recovery line stays as the
+    /// glue reset it, and the previous operation's descriptor, which the
+    /// glue took out of `RD_q`, is released (teardown balances).
+    fn no_effect_ops_take_no_descriptor<const ARM: u8>() {
+        let infos0 = crate::counters::live_infos();
+        {
+            let list = RList::<CountingNvm, ARM>::new();
+            assert!(list.insert(0, 5));
+            assert_eq!(list.rec.read(0).0, 1, "an effectful operation publishes");
+            for i in 0..4 {
+                let drawn = (crate::counters::live_infos(), crate::counters::info_reuses());
+                let answer = match i {
+                    0 => list.insert(0, 5),
+                    1 => !list.find(0, 5),
+                    2 => list.find(0, 6),
+                    _ => list.delete(0, 6),
+                };
+                assert!(!answer, "op {i} answers as the set stands");
+                let after = (crate::counters::live_infos(), crate::counters::info_reuses());
+                assert_eq!(after, drawn, "arm {ARM} op {i} drew a descriptor");
+                assert_eq!(list.rec.read(0), (0, 0), "arm {ARM} op {i} left the glue's reset");
+            }
+            assert!(list.delete(0, 5));
+        }
+        assert_eq!(crate::counters::live_infos(), infos0, "info leak/double-free");
+    }
+
+    #[test]
+    fn coalescing_no_effect_ops_take_no_descriptor() {
+        let _gate = crate::counters::gate_exclusive();
+        nvm::tid::set_tid(0);
+        no_effect_ops_take_no_descriptor::<{ crate::arm::COALESCED }>();
+        no_effect_ops_take_no_descriptor::<{ crate::arm::LP }>();
+    }
 
     #[test]
     fn sequential_set_semantics() {

@@ -265,6 +265,19 @@ impl<M: Persist, const ARM: u8> RQueue<M, ARM> {
         *published = info as u64;
     }
 
+    /// Persist a filled descriptor (and whatever the attempt noted before
+    /// it) ahead of its publication.
+    unsafe fn persist_descriptor(&self, info: *mut Info<M>) {
+        unsafe {
+            if arm::is_tuned(ARM) {
+                arm::pwb_obj_arm::<M, _, ARM>(&*info);
+                M::pfence(); // order descriptor write-backs before RD_q's
+            } else {
+                M::pbarrier_obj(&*info);
+            }
+        }
+    }
+
     unsafe fn retire_node(&self, node: *mut Node<M>, g: &Guard<'_>) {
         unsafe {
             let iv = (*node).info.load();
@@ -299,7 +312,6 @@ impl<M: Persist, const ARM: u8> RQueue<M, ARM> {
         let prev = self.rec.begin::<ARM>(pid);
         unsafe { release_prev::<M>(prev, &g) };
         let newnd = self.alloc_node(v, 0, 0);
-        let mut info = self.alloc_info();
         let mut filled: u64 = 0;
         let mut published: u64 = 0;
         loop {
@@ -308,6 +320,8 @@ impl<M: Persist, const ARM: u8> RQueue<M, ARM> {
                 unsafe { help::<M, ARM>(tag::ptr_of(last_info), false, &g) };
                 continue;
             }
+            // A fresh descriptor per attempt (pointer freshness).
+            let info = self.alloc_info();
             unsafe {
                 let t = tag::tagged(info as u64);
                 if filled != t {
@@ -329,12 +343,7 @@ impl<M: Persist, const ARM: u8> RQueue<M, ARM> {
                     },
                 );
                 arm::pwb_obj_arm::<M, _, ARM>(&*newnd);
-                if arm::is_tuned(ARM) {
-                    arm::pwb_obj_arm::<M, _, ARM>(&*info);
-                    M::pfence();
-                } else {
-                    M::pbarrier_obj(&*info);
-                }
+                self.persist_descriptor(info);
             }
             self.publish(pid, info, &mut published, &g);
             match unsafe { help::<M, ARM>(info, true, &g) } {
@@ -355,7 +364,6 @@ impl<M: Persist, const ARM: u8> RQueue<M, ARM> {
                 }
                 HelpOutcome::FailedAt(i) => {
                     unsafe { Info::<M>::release(info, (1 - i) as u32, &g) };
-                    info = self.alloc_info();
                 }
             }
         }
@@ -366,7 +374,6 @@ impl<M: Persist, const ARM: u8> RQueue<M, ARM> {
         let g = self.collector.pin();
         let prev = self.rec.begin::<ARM>(pid);
         unsafe { release_prev::<M>(prev, &g) };
-        let mut info = self.alloc_info();
         let mut published: u64 = 0;
         loop {
             // Gather order: anchor info, then sentinel, then its info, then next.
@@ -383,31 +390,33 @@ impl<M: Persist, const ARM: u8> RQueue<M, ARM> {
                 continue;
             }
             if f == 0 {
-                // Empty: read-only fast path (linearized at the `s.next` read).
-                unsafe {
-                    Info::fill(
-                        info,
-                        &InfoFill {
-                            optype: optype::DEQ,
-                            affect: &[(cell_addr(&self.head.info), h_info)],
-                            write: &[],
-                            newset: &[],
-                            del_mask: 0,
-                            presult: RES_EMPTY,
-                        },
-                    );
-                    M::store(&(*info).result, RES_EMPTY);
-                    if arm::is_tuned(ARM) {
-                        arm::pwb_obj_arm::<M, _, ARM>(&*info);
-                        M::pfence();
-                    } else {
-                        M::pbarrier_obj(&*info);
+                // Empty (linearized at the `s.next` read): nothing to change.
+                // Arms 0/1 take the ROpt read-only path; the coalescing arms
+                // answer without a descriptor (see `set_core`).
+                if !arm::coalesces(ARM) {
+                    let info = self.alloc_info();
+                    unsafe {
+                        Info::fill(
+                            info,
+                            &InfoFill {
+                                optype: optype::DEQ,
+                                affect: &[(cell_addr(&self.head.info), h_info)],
+                                write: &[],
+                                newset: &[],
+                                del_mask: 0,
+                                presult: RES_EMPTY,
+                            },
+                        );
+                        M::store(&(*info).result, RES_EMPTY);
+                        self.persist_descriptor(info);
                     }
+                    self.publish(pid, info, &mut published, &g);
+                    unsafe { Info::<M>::release(info, 1, &g) };
                 }
-                self.publish(pid, info, &mut published, &g);
-                unsafe { Info::<M>::release(info, 1, &g) };
                 return None;
             }
+            // A fresh descriptor per attempt (pointer freshness).
+            let info = self.alloc_info();
             let fval = unsafe { (*(f as *mut Node<M>)).val.load() };
             unsafe {
                 Info::fill(
@@ -424,12 +433,7 @@ impl<M: Persist, const ARM: u8> RQueue<M, ARM> {
                         presult: res_val(fval),
                     },
                 );
-                if arm::is_tuned(ARM) {
-                    arm::pwb_obj_arm::<M, _, ARM>(&*info);
-                    M::pfence();
-                } else {
-                    M::pbarrier_obj(&*info);
-                }
+                self.persist_descriptor(info);
             }
             self.publish(pid, info, &mut published, &g);
             match unsafe { help::<M, ARM>(info, true, &g) } {
@@ -441,10 +445,18 @@ impl<M: Persist, const ARM: u8> RQueue<M, ARM> {
                 }
                 HelpOutcome::FailedAt(i) => {
                     unsafe { Info::<M>::release(info, (2 - i) as u32, &g) };
-                    info = self.alloc_info();
                 }
             }
         }
+    }
+
+    /// Failure-report line for `pid`'s recovery slot
+    /// ([`RecArea::describe`]).
+    ///
+    /// # Safety
+    /// As [`RecArea::describe`].
+    pub unsafe fn describe_recovery(&self, pid: usize) -> String {
+        unsafe { self.rec.describe(pid) }
     }
 
     /// `Enqueue.Recover`.
@@ -546,11 +558,11 @@ impl<M: Persist, const ARM: u8> RQueue<M, ARM> {
         Err(AttachError::ScrubStalled { kind: "queue", passes: PASSES })
     }
 
-    /// The *system* half of an invocation (`CP_q := 0`, persisted) — see
-    /// [`RecArea::mark_invoked`]: write-ahead-logging callers must run this
-    /// before writing their intent record.
+    /// The *system* half of an invocation — see
+    /// [`crate::hashmap::RHashMap::note_invocation`]: write-ahead-logging
+    /// callers must run this before writing their intent record.
     pub fn note_invocation(&self, pid: usize) {
-        self.rec.mark_invoked(pid);
+        crate::recovery::note_invocation::<M, ARM>(&self.rec, &self.collector, pid);
     }
 
     /// Structural invariants for a quiescent queue.
@@ -793,6 +805,31 @@ mod tests {
 
     type Q = RQueue<CountingNvm, 0>;
     type QOpt = RQueue<CountingNvm, 1>;
+
+    /// The queue's no-effect operation (see the list's test of the same
+    /// name): a coalescing arm's dequeue on empty.
+    #[test]
+    fn coalescing_no_effect_ops_take_no_descriptor() {
+        fn one<const ARM: u8>() {
+            let infos0 = crate::counters::live_infos();
+            {
+                let q = RQueue::<CountingNvm, ARM>::new();
+                q.enqueue(0, 7);
+                assert_eq!(q.dequeue(0), Some(7));
+                assert_eq!(q.rec.read(0).0, 1, "an effectful operation publishes");
+                let drawn = (crate::counters::live_infos(), crate::counters::info_reuses());
+                assert_eq!(q.dequeue(0), None);
+                let after = (crate::counters::live_infos(), crate::counters::info_reuses());
+                assert_eq!(after, drawn, "arm {ARM}: dequeue on empty drew a descriptor");
+                assert_eq!(q.rec.read(0), (0, 0), "arm {ARM}: the glue's reset is all it wrote");
+            }
+            assert_eq!(crate::counters::live_infos(), infos0, "info leak/double-free");
+        }
+        let _gate = crate::counters::gate_exclusive();
+        nvm::tid::set_tid(0);
+        one::<{ crate::arm::COALESCED }>();
+        one::<{ crate::arm::LP }>();
+    }
 
     #[test]
     fn fifo_semantics() {

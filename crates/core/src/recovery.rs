@@ -4,7 +4,8 @@
 //! Op-Recover):
 //!
 //! 1. The *system* sets `CP_q := 0` (persisted) just before an operation of
-//!    process `q` starts — modelled by [`RecArea::begin`].
+//!    process `q` starts — the invocation glue, run by [`RecArea::begin`] or,
+//!    ahead of it, by [`RecArea::mark_invoked`].
 //! 2. The operation runs `RD_q := Null; pbarrier(RD_q); CP_q := 1;
 //!    pwb(CP_q); psync` — the `pbarrier` **orders** the reset of `RD_q`
 //!    before `CP_q = 1` becomes durable, so recovery can never observe the
@@ -16,26 +17,41 @@
 //!    and the Info's `result` decides: set ⇒ the operation took effect and
 //!    this is its response; unset ⇒ it did not take effect and is re-invoked.
 //!
-//! The hand-tuned variant (`ARM = true`, "Isb-Opt" in the evaluation)
-//! defers the durability of `CP_q = 1` to the attempt's publish `psync`
-//! (ordering is still enforced with a `pfence`), saving one `psync` per
-//! operation.
+//! Steps 1–2 as written are arm [`crate::arm::PAPER`]. The hand-tuned arm
+//! ([`crate::arm::TUNED`], "Isb-Opt" in the evaluation) defers the durability
+//! of `CP_q = 1` to the attempt's publish `psync` (ordering is still enforced
+//! with a `pfence`), saving one `psync` per operation.
 //!
-//! Step 1 runs once per invocation. A caller that needs it *earlier* than
+//! The coalescing arms ([`crate::arm::COALESCED`] and up) have no step 2 of
+//! their own. `RD_q` and `CP_q` share one cache line, so their glue is
+//! `(RD_q, CP_q) := (Null, 0)`, both words made durable by the one barrier
+//! step 1 pays anyway, and `CP_q := 1` is stored by the first publish
+//! ([`RecArea::publish_arm`]), in the same line and under the same `psync`
+//! as `RD_q := opInfo`. Every image of a crashed first publish — `(Null, 0)`,
+//! `(Null, 1)`, `(info, 0)`, `(info, 1)` — is decided by step 4 as it stands.
+//! An operation that finds nothing to change (a `find`, an `insert` of a
+//! present key, …) never reaches a publish in these arms: it leaves the line
+//! as the glue (or an earlier, failed attempt) left it, which step 4 maps to
+//! a restart, and re-invoking an operation that changed nothing is a legal
+//! linearisation (DESIGN.md §12).
+//!
+//! The glue runs once per invocation. A caller that needs it *earlier* than
 //! the operation's own prologue — the KV service, which must order it
 //! before its durable in-flight record — runs it through
-//! [`RecArea::mark_invoked`], which leaves a volatile per-pid note that
-//! `CP_q` is durably zero; the prologue that follows finds the note and
-//! does not persist the same zero a second time. The note is process
-//! memory: it dies with the process, so after a crash every prologue
-//! persists again.
+//! [`RecArea::mark_invoked`], which leaves a volatile per-pid note that the
+//! line is durably reset; the prologue that follows finds the note and does
+//! not persist the same reset a second time. The note is process memory: it
+//! dies with the process, so after a crash every prologue persists again.
 
 use crate::engine::Info;
 use nvm::pad::CachePadded;
-use nvm::{PWord, Persist, MAX_PROCS};
+use nvm::{PWord, Persist, PersistWords, MAX_PROCS};
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 
-/// One process's persistent private recovery variables.
+/// One process's persistent private recovery variables: two words of one
+/// cache line (the owned layout pads each slot to its own lines, the arena
+/// layout starts each slot on one).
+#[repr(C)]
 pub struct ProcRec<M: Persist> {
     /// `RD_q`: pointer to the Info structure of the last attempt.
     pub rd: PWord<M>,
@@ -46,6 +62,15 @@ pub struct ProcRec<M: Persist> {
 impl<M: Persist> Default for ProcRec<M> {
     fn default() -> Self {
         Self { rd: PWord::new(0), cp: PWord::new(0) }
+    }
+}
+
+// SAFETY: `rd` and `cp` are the only fields, visited both, of a `repr(C)`
+// struct.
+unsafe impl<M: Persist> PersistWords<M> for ProcRec<M> {
+    fn each_word(&self, f: &mut dyn FnMut(&PWord<M>)) {
+        f(&self.rd);
+        f(&self.cp);
     }
 }
 
@@ -66,11 +91,11 @@ pub const ARENA_SLOT_STRIDE: usize = 128;
 /// Per-process recovery areas for one data structure.
 pub struct RecArea<M: Persist> {
     slots: Slots<M>,
-    /// Per pid: [`RecArea::mark_invoked`] made `CP_q = 0` durable and no
+    /// Per pid: [`RecArea::mark_invoked`] ran the invocation glue and no
     /// prologue has consumed that yet. Volatile on purpose, and touched
     /// only by the thread that owns the pid, so `Relaxed` suffices (the
     /// hand-over of a pid between threads synchronizes on its own).
-    cp_zeroed: Vec<CachePadded<AtomicBool>>,
+    glue_noted: Vec<CachePadded<AtomicBool>>,
 }
 
 // SAFETY: all slot state is atomics behind `&self`; the arena pointer is
@@ -89,7 +114,7 @@ impl<M: Persist> Default for RecArea<M> {
 /// simulator they execute with injection suspended; the real modes skip the
 /// thread-local bookkeeping entirely (it sat on every operation's prologue).
 #[inline]
-fn system_glue<M: Persist>(f: impl FnOnce()) {
+fn system_glue<M: Persist, R>(f: impl FnOnce() -> R) -> R {
     if M::SIMULATED {
         nvm::sim::suspended(f)
     } else {
@@ -106,8 +131,8 @@ impl<M: Persist> RecArea<M> {
     }
 
     fn over(slots: Slots<M>) -> Self {
-        let cp_zeroed = (0..MAX_PROCS).map(|_| CachePadded::new(AtomicBool::new(false))).collect();
-        Self { slots, cp_zeroed }
+        let glue_noted = (0..MAX_PROCS).map(|_| CachePadded::new(AtomicBool::new(false))).collect();
+        Self { slots, glue_noted }
     }
 
     /// Bytes an arena-resident recovery area occupies
@@ -145,40 +170,59 @@ impl<M: Persist> RecArea<M> {
         }
     }
 
-    /// Step 1 at an operation's prologue: `CP_q := 0`, persisted — unless
-    /// [`RecArea::mark_invoked`] already did that for this invocation.
+    /// The invocation glue at an operation's prologue — unless
+    /// [`RecArea::mark_invoked`] already ran it for this invocation. Returns
+    /// what [`RecArea::glue`] returns, `0` when the note elided it (the
+    /// reference was handed to `mark_invoked`'s caller).
     ///
     /// The note alone would be enough under the service's discipline (the
-    /// lane owns the tid, so nothing on this pid can write `CP_q` between
+    /// lane owns the tid, so nothing on this pid can write the slot between
     /// the two calls). But the note is per view, the structures of one
     /// [`crate::store::Store`] share one slot array, and a caller may mark
     /// through one structure and then run another's operation, leaving the
-    /// note behind. The `CP_q` read closes that: every `CP_q := 0` in this
-    /// file is stored together with its barrier, so a zero the owner reads
-    /// back is a durable zero, and a stale note beside `CP_q = 1` takes the
-    /// persisting path. The note, not the read, decides *whether* to elide,
-    /// so operations invoked without `mark_invoked` keep the paper's
-    /// placement (and their golden persist counts) exactly.
+    /// note behind. Reading the slot back closes that: every reset in this
+    /// file is stored together with its barrier, so the reset state the
+    /// owner reads back is a durable one, and a stale note beside anything
+    /// else takes the persisting path. The note, not the read, decides
+    /// *whether* to elide, so operations invoked without `mark_invoked` keep
+    /// their placement (and their golden persist counts) exactly.
     #[inline]
-    fn invoke_glue(&self, pid: usize, s: &ProcRec<M>) {
-        let noted = &self.cp_zeroed[pid];
+    fn invoke_glue<const ARM: u8>(&self, pid: usize, s: &ProcRec<M>) -> u64 {
+        let noted = &self.glue_noted[pid];
         if noted.load(Relaxed) {
             noted.store(false, Relaxed);
-            if s.cp.load() == 0 {
-                return;
+            if s.cp.load() == 0 && (!crate::arm::coalesces(ARM) || s.rd.load() == 0) {
+                return 0;
             }
         }
-        Self::zero_cp(s);
+        Self::glue::<ARM>(s)
     }
 
-    /// `CP_q := 0`, persisted. The system itself does not crash (paper
-    /// Section 2), so crash injection is suspended for the two instructions.
+    /// The *system* half of an invocation, which the paper models as
+    /// executing atomically when the operation is invoked (Section 2): the
+    /// system itself does not crash, so crash injection is suspended for it.
+    ///
+    /// Arms 0/1: `CP_q := 0`, persisted; returns `0` (`RD_q` is the
+    /// operation's to reset). Coalescing arms: `(RD_q, CP_q) := (Null, 0)`,
+    /// both words of the one line persisted by the one barrier; returns the
+    /// previous `RD_q`, whose reference the caller releases — after the
+    /// barrier, so a process that dies in between leaks it to the next
+    /// attach's sweep instead of freeing a descriptor `RD_q` durably names.
     #[inline]
-    fn zero_cp(s: &ProcRec<M>) {
-        system_glue::<M>(|| {
-            s.cp.store(0);
-            M::pbarrier(&s.cp);
-        });
+    fn glue<const ARM: u8>(s: &ProcRec<M>) -> u64 {
+        system_glue::<M, _>(|| {
+            if crate::arm::coalesces(ARM) {
+                let prev = s.rd.load();
+                s.rd.store(0);
+                s.cp.store(0);
+                M::pbarrier_obj(s);
+                prev
+            } else {
+                s.cp.store(0);
+                M::pbarrier(&s.cp);
+                0
+            }
+        })
     }
 
     /// Steps 1–2 of the protocol (see module docs). Returns the *previous*
@@ -191,21 +235,15 @@ impl<M: Persist> RecArea<M> {
         // re-flush lines, so disarm.
         nvm::coalesce::lint::set_armed(crate::arm::coalesces(ARM));
         let s = self.slot(pid);
-        // System glue: CP_q := 0, persisted, before the operation starts.
-        self.invoke_glue(pid, s);
+        let taken = self.invoke_glue::<ARM>(pid, s);
+        if crate::arm::coalesces(ARM) {
+            // The glue was the whole prologue: it reset `RD_q` inside its
+            // own barrier, and `CP_q := 1` waits for the first publish.
+            return taken;
+        }
         let prev = s.rd.load();
         s.rd.store(0);
-        if crate::arm::coalesces(ARM) {
-            // Coalescing arms: flush RD=Null (the pfence drains the line —
-            // RD=Null must be durable before CP=1 can be), but defer the
-            // `CP_q := 1` *store* into `publish_arm`, where it shares the
-            // slot's cache line with the RD_q flush. Between begin and
-            // publish CP_q stays 0 (durably, via the glue barrier), so a
-            // crash in that window decides Restart exactly as it does when
-            // CP=1 with RD=Null. See DESIGN.md §12.
-            crate::arm::pwb_arm::<M, ARM>(&s.rd);
-            M::pfence();
-        } else if crate::arm::is_tuned(ARM) {
+        if crate::arm::is_tuned(ARM) {
             M::pwb(&s.rd);
             M::pfence(); // order RD=Null before CP=1 durability
             s.cp.store(1);
@@ -220,16 +258,19 @@ impl<M: Persist> RecArea<M> {
         prev
     }
 
-    /// `CP_q := 0` (persisted) only — the prologue of fully read-only
-    /// operations, which skip `RD_q := Null / CP_q := 1` because restarting
-    /// them is always safe. Returns the previously published info pointer.
+    /// Arms 0/1: `CP_q := 0` (persisted) only — the prologue of their
+    /// `find`, which skips `RD_q := Null / CP_q := 1` because restarting it
+    /// is always safe. Returns the previously published info pointer, which
+    /// stays published until the find's own descriptor replaces it. (A
+    /// coalescing arm's `find` runs [`RecArea::begin`], which is no more
+    /// than the glue there.)
     pub fn begin_readonly(&self, pid: usize) -> u64 {
         let s = self.slot(pid);
         // System glue FIRST: `CP_q := 0` happens at invocation, before any
         // (crashable) operation code — otherwise a crash on the operation's
         // first instruction would leave `CP_q = 1` pointing at the previous
         // operation's descriptor and recovery would return a stale response.
-        self.invoke_glue(pid, s);
+        self.invoke_glue::<{ crate::arm::PAPER }>(pid, s);
         s.rd.load()
     }
 
@@ -241,13 +282,11 @@ impl<M: Persist> RecArea<M> {
         M::psync();
     }
 
-    /// Arm-aware [`RecArea::publish`] for descriptor-tracked mutating
-    /// operations. Coalescing arms complete the `CP_q := 1` deferred by
-    /// [`RecArea::begin`] here: CP and RD live in one cache line
+    /// Arm-aware [`RecArea::publish`]. Coalescing arms store `CP_q := 1`
+    /// here, not in [`RecArea::begin`]: CP and RD live in one cache line
     /// ([`ProcRec`]), so noting both in the line set makes the publish flush
-    /// a single write-back where TUNED pays one in begin and one here.
-    /// Read-only paths (`find`) must keep using plain `publish` — they never
-    /// set `CP_q`.
+    /// a single write-back where TUNED pays one in begin and one here. Only
+    /// attempts that go on to `Help` publish in those arms.
     pub fn publish_arm<const ARM: u8>(&self, pid: usize, info: u64) {
         if !crate::arm::coalesces(ARM) {
             return self.publish(pid, info);
@@ -271,6 +310,22 @@ impl<M: Persist> RecArea<M> {
         self.slot(pid).rd.load()
     }
 
+    /// One line for a failure report: `pid`'s `(CP_q, RD_q)` and, when
+    /// `RD_q` names a descriptor, [`Info::describe`] of it.
+    ///
+    /// # Safety
+    /// As [`op_recover`], in a quiescent context (the descriptor's affect
+    /// cells are dereferenced).
+    pub unsafe fn describe(&self, pid: usize) -> String {
+        let (cp, rd) = self.read(pid);
+        let mut out = format!("CP_q {cp} RD_q {rd:#x}");
+        if rd != 0 && !crate::tag::is_direct(rd) {
+            out += ": ";
+            out += &unsafe { (*crate::tag::ptr_of::<Info<M>>(rd)).describe() };
+        }
+        out
+    }
+
     /// Iterate all published info pointers (drop-time info scan).
     pub fn each_published(&self, mut f: impl FnMut(u64)) {
         for pid in 0..MAX_PROCS {
@@ -278,10 +333,11 @@ impl<M: Persist> RecArea<M> {
         }
     }
 
-    /// The *system* half of an invocation: `CP_q := 0`, persisted. The paper
-    /// models this as executing atomically **when the operation is invoked**
-    /// (Section 2). The next prologue on `pid` through this area finds the
-    /// note left here and skips its own copy of these two instructions.
+    /// Runs the invocation glue ([`RecArea::begin`]'s first step) ahead of
+    /// the operation. The next prologue on `pid` through this area finds the
+    /// note left here and skips its own copy. Returns the previous `RD_q` a
+    /// coalescing arm's glue took out (`0` otherwise); the caller releases
+    /// it ([`release_prev`]).
     ///
     /// Callers that write their own intent records around a mapped structure
     /// (write-ahead logs, request journals) must call this *before* logging
@@ -289,9 +345,11 @@ impl<M: Persist> RecArea<M> {
     /// operation's first instruction leaves `CP_q = 1` pointing at the
     /// *previous* operation's descriptor, and recovery would hand the new
     /// operation a stale response.
-    pub fn mark_invoked(&self, pid: usize) {
-        Self::zero_cp(self.slot(pid));
-        self.cp_zeroed[pid].store(true, Relaxed);
+    #[must_use = "the reference taken out of RD_q must be released"]
+    pub fn mark_invoked<const ARM: u8>(&self, pid: usize) -> u64 {
+        let taken = Self::glue::<ARM>(self.slot(pid));
+        self.glue_noted[pid].store(true, Relaxed);
+        taken
     }
 
     /// Durably resets a dead peer's slot to the fresh state (`CP = 0`,
@@ -339,20 +397,15 @@ pub unsafe fn op_recover<M: Persist, const ARM: u8>(
     if cp != 1 || rd == 0 || crate::tag::is_direct(rd) {
         return Recovered::Restart;
     }
-    let info = crate::tag::ptr_of::<Info<M>>(rd);
-    unsafe {
-        let _ = crate::engine::help::<M, ARM>(info, true, guard);
-        let res = M::load(&(*info).result);
-        if res != crate::engine::RES_BOT {
-            Recovered::Completed(res)
-        } else {
-            Recovered::Restart
-        }
+    match unsafe { crate::engine::help_recovering::<M, ARM>(crate::tag::ptr_of(rd), guard) } {
+        crate::engine::RES_BOT => Recovered::Restart,
+        res => Recovered::Completed(res),
     }
 }
 
 /// Releases the `RD_q` reference on the *previous* operation's published
-/// value (the word [`RecArea::begin`] returned). With one recovery area
+/// value (the word [`RecArea::begin`] or [`RecArea::mark_invoked`] returned;
+/// `0` releases nothing). With one recovery area
 /// shared by several structures ([`crate::store::Store`]) the previous
 /// value may be a [`crate::tag::DIRECT`] node announcement instead of an
 /// Info pointer — those carry no descriptor reference (the direct-tracked
@@ -367,6 +420,22 @@ pub unsafe fn release_prev<M: Persist>(prev: u64, g: &reclaim::Guard<'_>) {
         return;
     }
     unsafe { Info::<M>::release(crate::tag::ptr_of(prev), 1, g) };
+}
+
+/// A structure's `note_invocation`: [`RecArea::mark_invoked`], then the
+/// release of what a coalescing arm's glue took out of `RD_q`, through the
+/// structure's collector.
+pub(crate) fn note_invocation<M: Persist, const ARM: u8>(
+    rec: &RecArea<M>,
+    collector: &reclaim::Collector,
+    pid: usize,
+) {
+    let taken = rec.mark_invoked::<ARM>(pid);
+    if taken != 0 {
+        // SAFETY: the glue durably replaced `taken` in `pid`'s `RD_q`, whose
+        // owner is the calling thread, so this is the slot's one release.
+        unsafe { release_prev::<M>(taken, &collector.pin()) };
+    }
 }
 
 /// **Online** per-pid recovery: a *survivor* of a shared heap resolves the
@@ -1177,7 +1246,7 @@ impl AttachSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Info, InfoFill, RES_TRUE};
+    use crate::engine::{help, Info, InfoFill, RES_TRUE};
     use nvm::CountingNvm;
     use reclaim::Collector;
 
@@ -1280,59 +1349,77 @@ mod tests {
         }
     }
 
-    /// Fences and flushed lines tid `t` has issued so far.
+    /// Flushed lines and fences tid `t` has issued so far.
     fn persists(t: usize) -> (u64, u64) {
         let s = nvm::stats::Snapshot::of_tid(t);
         (s.pwb + s.pbarrier_lines, s.pbarrier + s.pfence + s.psync)
     }
 
-    /// `mark_invoked` + prologue persists `CP_q := 0` once, not twice; a
-    /// prologue on its own still persists it, every time.
+    /// `(lines, fences)` that `f` issues under tid `t`.
+    fn cost(t: usize, f: impl FnOnce()) -> (u64, u64) {
+        let before = persists(t);
+        f();
+        let after = persists(t);
+        (after.0 - before.0, after.1 - before.1)
+    }
+
+    /// `mark_invoked` + prologue runs the glue once, not twice; a prologue
+    /// on its own still runs it, every time. In a coalescing arm the glue is
+    /// the whole prologue (one line, one fence) and whichever call ran it
+    /// hands out the previous `RD_q` — once.
+    fn marked_invocation_runs_the_glue_once<const ARM: u8>(t: usize) {
+        nvm::tid::set_tid(t);
+        let rec: RecArea<M> = RecArea::new();
+        let coalesces = crate::arm::coalesces(ARM);
+        let after_begin = if coalesces { (0, 0) } else { (1, 0) };
+        let bare = cost(t, || assert_eq!(rec.begin::<ARM>(t), 0));
+        if coalesces {
+            assert_eq!(bare, (1, 1), "the glue barrier is the whole prologue");
+        }
+        rec.publish_arm::<ARM>(t, 0x1230);
+        let marked = cost(t, || {
+            let taken = rec.mark_invoked::<ARM>(t);
+            let prev = rec.begin::<ARM>(t);
+            let want = if coalesces { (0x1230, 0) } else { (0, 0x1230) };
+            assert_eq!((taken, prev), want, "the previous RD_q is handed out once");
+        });
+        assert_eq!(marked, bare, "the prologue must not re-persist what mark_invoked did");
+        assert_eq!(rec.read(t), after_begin);
+        rec.publish_arm::<ARM>(t, 0x1230);
+        let again = cost(t, || assert_eq!(rec.begin::<ARM>(t), 0x1230));
+        assert_eq!(again, bare, "the note is consumed, not sticky");
+    }
+
     #[test]
     fn marked_invocation_persists_the_checkpoint_once() {
         let _gate = crate::counters::gate_shared();
         const T: usize = MAX_PROCS - 3; // counters of its own
-        nvm::tid::set_tid(T);
-        let rec: RecArea<M> = RecArea::new();
-        let cost = |f: &dyn Fn()| {
-            let (l0, f0) = persists(T);
-            f();
-            let (l1, f1) = persists(T);
-            (l1 - l0, f1 - f0)
-        };
-        let bare = cost(&|| {
-            rec.begin::<0>(T);
-        });
-        rec.publish(T, 0x1230);
-        let marked = cost(&|| {
-            rec.mark_invoked(T);
-            rec.begin::<0>(T);
-        });
-        assert_eq!(marked, bare, "the prologue must not re-persist what mark_invoked did");
-        assert_eq!(rec.read(T), (1, 0));
-        rec.publish(T, 0x1230);
-        let again = cost(&|| {
-            rec.begin::<0>(T);
-        });
-        assert_eq!(again, bare, "the note is consumed, not sticky");
+        marked_invocation_runs_the_glue_once::<{ crate::arm::PAPER }>(T);
+        marked_invocation_runs_the_glue_once::<{ crate::arm::TUNED }>(T);
+        marked_invocation_runs_the_glue_once::<{ crate::arm::COALESCED }>(T);
+        marked_invocation_runs_the_glue_once::<{ crate::arm::LP }>(T);
 
+        // The arms-0/1 find prologue.
+        let rec: RecArea<M> = RecArea::new();
         let readonly = || {
             rec.begin_readonly(T);
         };
-        let bare_ro = cost(&readonly);
+        let bare_ro = cost(T, readonly);
         assert_eq!(bare_ro, (1, 1));
-        let marked_ro = cost(&|| {
-            rec.mark_invoked(T);
+        let marked_ro = cost(T, || {
+            assert_eq!(rec.mark_invoked::<{ crate::arm::PAPER }>(T), 0);
             rec.begin_readonly(T);
         });
         assert_eq!(marked_ro, bare_ro);
-        assert_eq!(cost(&readonly), bare_ro);
+        assert_eq!(cost(T, readonly), bare_ro);
     }
 
     /// Two structures of one store are two views over one slot array. A
-    /// note left in one view while the other view's operation set
-    /// `CP_q = 1` must not let the first view's next prologue skip the
-    /// persist.
+    /// note left in one view while the other view's operation wrote the
+    /// slot must not let the first view's next prologue skip the persist:
+    /// neither beside `CP_q = 1`, nor — in a coalescing arm, whose prologue
+    /// is nothing but the glue — beside a `RD_q` an arm-0 `find` published
+    /// under `CP_q = 0`.
     #[test]
     fn stale_note_beside_a_set_checkpoint_still_persists() {
         let _gate = crate::counters::gate_shared();
@@ -1343,29 +1430,50 @@ mod tests {
         let (a, b): (RecArea<M>, RecArea<M>) = unsafe {
             (RecArea::attach_raw(arena.as_ptr().cast()), RecArea::attach_raw(arena.as_ptr().cast()))
         };
-        a.mark_invoked(T);
+        assert_eq!(a.mark_invoked::<{ crate::arm::PAPER }>(T), 0);
         b.begin::<0>(T);
         b.publish(T, 0x40);
         assert_eq!(a.read(T), (1, 0x40));
-        let before = persists(T);
-        assert_eq!(a.begin_readonly(T), 0x40);
+        assert_eq!(cost(T, || assert_eq!(a.begin_readonly(T), 0x40)), (1, 1), "cleared durably");
         assert_eq!(a.read(T), (0, 0x40), "CP cleared");
-        let after = persists(T);
-        assert_eq!((after.0 - before.0, after.1 - before.1), (1, 1), "and cleared durably");
+
+        assert_eq!(a.mark_invoked::<{ crate::arm::COALESCED }>(T), 0x40);
+        b.begin_readonly(T);
+        b.publish(T, 0x80);
+        assert_eq!(a.read(T), (0, 0x80), "CP_q = 0, but RD_q is not the glue's Null");
+        let reset = cost(T, || assert_eq!(a.begin::<{ crate::arm::COALESCED }>(T), 0x80));
+        assert_eq!(reset, (1, 1), "reset durably");
+        assert_eq!(a.read(T), (0, 0));
+    }
+
+    /// What the swept invocation does once its glue has run.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Attempt {
+        /// Returns at once: a coalescing arm's no-effect operation.
+        None,
+        /// Publishes a descriptor whose `Help` cannot take effect, then
+        /// returns: a no-effect outcome found after one failed attempt.
+        Fails,
+        /// Publishes a descriptor and helps it to completion.
+        Succeeds,
     }
 
     /// The pid's previous operation completed (`CP_q = 1`, `RD_q` → a
     /// descriptor with its result set). Crash the next invocation at every
-    /// instruction from `mark_invoked` (or, unmarked, from the prologue) up
-    /// to and including its first publish, over per-word-drop seeds: the
-    /// decision is `Restart` — the new operation has not taken effect —
-    /// and never the previous operation's `Completed`.
-    fn no_stale_completed_sweep<const ARM: u8>() {
+    /// instruction from `mark_invoked` (or, unmarked, from the prologue) to
+    /// its return, over per-word-drop seeds. The decision is never the
+    /// previous operation's `Completed`: it is `Restart`, or — only when the
+    /// new operation's own attempt can succeed — that attempt's response.
+    /// And the previous descriptor is handed out for release at most once,
+    /// exactly once if `RD_q` no longer names it (a coalescing arm's glue
+    /// takes it out and returns it in one uncrashable step).
+    fn no_stale_completed_sweep<const ARM: u8>(attempt: Attempt) {
         use nvm::{sim, SimNvm};
         const P: usize = 2;
+        const NEXT_RESPONSE: u64 = crate::engine::RES_FALSE;
         let _session = crate::simtest::session();
         nvm::tid::set_tid(P);
-        let fill = |info: *mut Info<SimNvm>, cell: &PWord<SimNvm>, expected: u64| unsafe {
+        let fill = |info: *mut Info<SimNvm>, cell: &PWord<SimNvm>, expected, presult| unsafe {
             Info::fill(
                 info,
                 &InfoFill {
@@ -1374,7 +1482,7 @@ mod tests {
                     write: &[],
                     newset: &[],
                     del_mask: 0,
-                    presult: RES_TRUE,
+                    presult,
                 },
             );
         };
@@ -1388,8 +1496,10 @@ mod tests {
                     let cells: [Box<PWord<SimNvm>>; 2] =
                         [Box::new(PWord::new(0)), Box::new(PWord::new(0xDEAD0))];
                     let (done, next) = (Info::<SimNvm>::alloc(), Info::<SimNvm>::alloc());
-                    fill(done, &cells[0], 0);
-                    fill(next, &cells[1], 0x5550); // stale expected: cannot take effect
+                    fill(done, &cells[0], 0, RES_TRUE);
+                    // A stale expected value cannot take effect.
+                    let expected = if attempt == Attempt::Succeeds { 0xDEAD0 } else { 0x5550 };
+                    fill(next, &cells[1], expected, NEXT_RESPONSE);
                     rec.begin::<ARM>(P);
                     rec.publish_arm::<ARM>(P, done as u64);
                     let decide = || unsafe { op_recover::<SimNvm, 0>(&rec, P, &c.pin()) };
@@ -1397,20 +1507,39 @@ mod tests {
                     cells[1].store(0xDEAD0); // registers the word
                     sim::persist_all();
 
+                    let handed = std::cell::Cell::new(0);
+                    let hand = |prev: u64| handed.set(handed.get() + (prev == done as u64) as u32);
                     if marked {
-                        rec.mark_invoked(P);
+                        hand(rec.mark_invoked::<ARM>(P));
                     }
                     let crashed = crate::simtest::crashed_at(fuse, seed, || {
-                        rec.begin::<ARM>(P);
-                        rec.publish_arm::<ARM>(P, next as u64);
+                        hand(rec.begin::<ARM>(P));
+                        if attempt != Attempt::None {
+                            rec.publish_arm::<ARM>(P, next as u64);
+                            // SAFETY: `next` is filled, live, and persisted
+                            // by `persist_all`.
+                            let _ = unsafe { help::<SimNvm, ARM>(next, true, &c.pin()) };
+                        }
                     });
                     crashes += crashed as u64;
-                    assert_eq!(
-                        decide(),
-                        Recovered::Restart,
-                        "arm {ARM} marked {marked} fuse {fuse} seed {seed}: {:?}",
-                        rec.read(P)
-                    );
+                    let at =
+                        format!("arm {ARM} {attempt:?} marked {marked} fuse {fuse} seed {seed}");
+                    let decision = decide();
+                    let completed = Recovered::Completed(NEXT_RESPONSE);
+                    match attempt {
+                        Attempt::Succeeds if !crashed => assert_eq!(decision, completed, "{at}"),
+                        Attempt::Succeeds => assert!(
+                            [Recovered::Restart, completed].contains(&decision),
+                            "{at}: {decision:?} from {:?}",
+                            rec.read(P)
+                        ),
+                        _ => assert_eq!(decision, Recovered::Restart, "{at}: {:?}", rec.read(P)),
+                    }
+                    let still_named = (rec.read(P).1 == done as u64) as u32;
+                    assert!(handed.get() + still_named <= 1, "{at}: released twice");
+                    if crate::arm::coalesces(ARM) {
+                        assert_eq!(handed.get() + still_named, 1, "{at}: leaked by the glue");
+                    }
                     // SAFETY: the test owns both descriptors.
                     unsafe {
                         drop(Box::from_raw(done));
@@ -1422,15 +1551,20 @@ mod tests {
                 }
             }
         }
-        assert!(crashes >= 2 * 64 * 5, "the sweep ran: {crashes}");
+        // Unmarked, a coalescing arm's no-effect invocation is the glue
+        // alone: nothing in it can crash.
+        let floor = if attempt == Attempt::None && crate::arm::coalesces(ARM) { 64 } else { 640 };
+        assert!(crashes >= floor, "the sweep ran: {crashes}");
     }
 
     #[test]
     fn sim_crash_before_first_publish_never_decides_stale_completed() {
-        no_stale_completed_sweep::<{ crate::arm::PAPER }>();
-        no_stale_completed_sweep::<{ crate::arm::TUNED }>();
-        no_stale_completed_sweep::<{ crate::arm::COALESCED }>();
-        no_stale_completed_sweep::<{ crate::arm::LP }>();
+        for attempt in [Attempt::None, Attempt::Fails, Attempt::Succeeds] {
+            no_stale_completed_sweep::<{ crate::arm::PAPER }>(attempt);
+            no_stale_completed_sweep::<{ crate::arm::TUNED }>(attempt);
+            no_stale_completed_sweep::<{ crate::arm::COALESCED }>(attempt);
+            no_stale_completed_sweep::<{ crate::arm::LP }>(attempt);
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! The network service (`crates/kvserve`) lets clients name every request
 //! with a `(client_id, op_seq)` operation ID. This module is the durable
 //! half of that contract: one root block ([`rootkeys::RESPTAB`]) holding one
-//! 64-byte [`ClientSlot`] per registered client, and that slot is the
+//! 64-byte `ClientSlot` per registered client, and that slot is the
 //! **only** durable record a request writes. It carries
 //!
 //! * the highest acknowledged sequence number (`last_seq`) and the encoded
@@ -27,7 +27,8 @@
 //!    `Recovering`): the client's own slot is in flight under a tid of
 //!    another process, whose recovery has not resolved it yet;
 //! 2. dedup check (`op_seq == last_seq` → replay stored response);
-//! 3. `mark_invoked(pid)` — the system half: `CP_q := 0`, persisted;
+//! 3. `mark_invoked(pid)` — the system half: `CP_q := 0` (the service's
+//!    coalescing arm: the whole `(RD_q, CP_q) := (Null, 0)` line), persisted;
 //! 4. [`ResponseTable::begin_op`] — one store, one write-back and one sync
 //!    of `pending`. It is a single word precisely so that nothing here can
 //!    tear: the persistency model drops individual *words* (DESIGN §3), so a

@@ -24,10 +24,13 @@
 //!   `info` field ever holds the same value twice and stale helper CASes
 //!   fail harmlessly (DESIGN.md §4).
 //!
-//! Read-only outcomes (`Find`, `Insert` of a present key, `Delete` of an
-//! absent key) take the ROpt fast path: a single-element AffectSet, the
-//! response computed from immutable fields *before* the descriptor is
-//! persisted, and no call to `Help`.
+//! Outcomes that change nothing (`Find`, `Insert` of a present key, `Delete`
+//! of an absent key) never call `Help`. In arms 0/1 they take the paper's
+//! ROpt fast path: a single-element AffectSet and the response computed from
+//! immutable fields *before* the descriptor is persisted and published. In
+//! the coalescing arms they take no descriptor at all and return with the
+//! recovery line as the invocation glue left it, which recovery maps to a
+//! restart (`recovery` module docs; DESIGN.md §12).
 //!
 //! ### Deviation from the paper's pseudocode
 //! Algorithm 1 reuses the same Info structure after an attempt that failed
@@ -241,8 +244,7 @@ struct SearchRes<M: Persist> {
 
 /// A borrowed view of one ordered-set bucket plus the structure-wide
 /// recovery area and collector — everything the ISB set algorithm needs.
-/// `ARM = false` is the paper's general persistency placement ("Isb");
-/// `ARM = true` is the hand-tuned one ("Isb-Opt").
+/// `ARM` is the persistency placement, a [`crate::arm`] level.
 ///
 /// `SetCore` is constructed per call by the owning structure; it holds no
 /// state of its own and performs no allocation besides the operation's
@@ -350,15 +352,41 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
         *published = info as u64;
     }
 
-    /// Publish for the read-only `find` path: never touches `CP_q` (finds
-    /// always restart), so it must not use the arm-aware publish that folds
-    /// the coalescing arms' deferred `CP_q := 1` in.
-    fn publish_ro(&self, pid: usize, info: *mut Info<M>, published: &mut u64, g: &Guard<'_>) {
-        self.rec.publish(pid, info as u64);
-        if *published != 0 && *published != info as u64 {
-            unsafe { Info::<M>::release(tag::ptr_of(*published), 1, g) };
+    /// Arms 0/1, an outcome that changes nothing: the ROpt read-only path
+    /// (Algorithm 2, lines 73–77). The response is stored into the
+    /// descriptor before the one barrier that persists it, the descriptor is
+    /// published, and `Help` is never called, so the single affect slot is
+    /// never installed. (Below the coalescing arms `publish` is the plain
+    /// `RD_q` publish, which is also what a `find` — `CP_q` left at 0 —
+    /// needs.)
+    fn answer_tracked(
+        &self,
+        pid: usize,
+        optype: u8,
+        seen: (u64, u64),
+        response: u64,
+        published: &mut u64,
+        g: &Guard<'_>,
+    ) {
+        debug_assert!(!arm::coalesces(ARM), "coalescing arms answer without a descriptor");
+        let info = self.alloc_info();
+        unsafe {
+            Info::fill(
+                info,
+                &InfoFill {
+                    optype,
+                    affect: &[seen],
+                    write: &[],
+                    newset: &[],
+                    del_mask: 0,
+                    presult: response,
+                },
+            );
+            M::store(&(*info).result, response);
+            self.persist_attempt(info, std::ptr::null_mut(), std::ptr::null_mut());
         }
-        *published = info as u64;
+        self.publish(pid, info, published, g);
+        unsafe { Info::release(info, 1, g) }; // the never-installed affect slot
     }
 
     /// Retire a node that left the structure, releasing its info reference.
@@ -372,7 +400,8 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
     }
 
     /// Return never-published new nodes straight to the pool (and release
-    /// their info-cell references) — the private-failure fast path.
+    /// their info-cell references) — the private-failure fast path. Nothing
+    /// to do when no attempt drew them.
     unsafe fn drop_pending(
         &self,
         newnd: *mut Node<M>,
@@ -380,6 +409,9 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
         filled: u64,
         g: &Guard<'_>,
     ) {
+        if newnd.is_null() {
+            return;
+        }
         unsafe {
             if filled != 0 {
                 Info::<M>::release(tag::ptr_of(filled), 2, g);
@@ -399,10 +431,10 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
         let g = self.collector.pin();
         let prev = self.rec.begin::<ARM>(pid);
         unsafe { crate::recovery::release_prev::<M>(prev, &g) };
-        // newnd → newcurr; newcurr refreshed per attempt as a copy of curr.
-        let newcurr = self.alloc_node(0, 0, 0);
-        let newnd = self.alloc_node(key, newcurr as u64, 0);
-        let mut info = self.alloc_info();
+        // newnd → newcurr, drawn by the first attempt that has something to
+        // insert; newcurr is refreshed per attempt as a copy of curr.
+        let mut newcurr: *mut Node<M> = std::ptr::null_mut();
+        let mut newnd: *mut Node<M> = std::ptr::null_mut();
         let mut filled: u64 = 0; // tagged-info value currently in the new nodes' cells
         let mut published: u64 = 0;
         loop {
@@ -418,31 +450,22 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
             }
             let curr_key = unsafe { (*s.curr).key.load() };
             if curr_key == key {
-                // ROpt read-only path: key already present.
-                unsafe {
-                    Info::fill(
-                        info,
-                        &InfoFill {
-                            optype: optype::INSERT,
-                            affect: &[(cell_addr(&(*s.curr).info), s.curr_info)],
-                            write: &[],
-                            newset: &[],
-                            del_mask: 0,
-                            presult: RES_FALSE,
-                        },
-                    );
-                    // Response computed early so one barrier persists it with
-                    // the descriptor (Algorithm 2, lines 73–77).
-                    M::store(&(*info).result, RES_FALSE);
-                    self.persist_attempt(info, std::ptr::null_mut(), std::ptr::null_mut());
+                // Key already present: nothing to change.
+                if !arm::coalesces(ARM) {
+                    let seen = unsafe { (cell_addr(&(*s.curr).info), s.curr_info) };
+                    self.answer_tracked(pid, optype::INSERT, seen, RES_FALSE, &mut published, &g);
                 }
-                self.publish(pid, info, &mut published, &g);
-                unsafe {
-                    Info::release(info, 1, &g); // the never-installed affect slot
-                    self.drop_pending(newnd, newcurr, filled, &g);
-                }
+                unsafe { self.drop_pending(newnd, newcurr, filled, &g) };
                 return false;
             }
+            if newnd.is_null() {
+                newcurr = self.alloc_node(0, 0, 0);
+                newnd = self.alloc_node(key, newcurr as u64, 0);
+            }
+            // A fresh descriptor per attempt (pointer freshness — the pool's
+            // epoch delay keeps a failed descriptor's address out of
+            // circulation while it is still visible).
+            let info = self.alloc_info();
             // Update path: refresh the copy of curr and the new nodes' tags.
             unsafe {
                 (*newcurr).key.store(curr_key);
@@ -479,12 +502,8 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
                     return true;
                 }
                 HelpOutcome::FailedAt(i) => {
-                    // Abandon: release never-installed affect slots; fresh
-                    // descriptor for the next attempt (pointer freshness —
-                    // the pool's epoch delay keeps the failed descriptor's
-                    // address out of circulation while it is still visible).
+                    // Abandon: release never-installed affect slots.
                     unsafe { Info::release(info, (2 - i) as u32, &g) };
-                    info = self.alloc_info();
                 }
             }
         }
@@ -496,7 +515,6 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
         let g = self.collector.pin();
         let prev = self.rec.begin::<ARM>(pid);
         unsafe { crate::recovery::release_prev::<M>(prev, &g) };
-        let mut info = self.alloc_info();
         let mut published: u64 = 0;
         loop {
             let s = unsafe { self.search(key) };
@@ -510,26 +528,14 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
             }
             let curr_key = unsafe { (*s.curr).key.load() };
             if curr_key != key {
-                // ROpt read-only path: key not present.
-                unsafe {
-                    Info::fill(
-                        info,
-                        &InfoFill {
-                            optype: optype::DELETE,
-                            affect: &[(cell_addr(&(*s.curr).info), s.curr_info)],
-                            write: &[],
-                            newset: &[],
-                            del_mask: 0,
-                            presult: RES_FALSE,
-                        },
-                    );
-                    M::store(&(*info).result, RES_FALSE);
-                    self.persist_attempt(info, std::ptr::null_mut(), std::ptr::null_mut());
+                // Key not present: nothing to change.
+                if !arm::coalesces(ARM) {
+                    let seen = unsafe { (cell_addr(&(*s.curr).info), s.curr_info) };
+                    self.answer_tracked(pid, optype::DELETE, seen, RES_FALSE, &mut published, &g);
                 }
-                self.publish(pid, info, &mut published, &g);
-                unsafe { Info::release(info, 1, &g) };
                 return false;
             }
+            let info = self.alloc_info();
             // succ read after the helping phase; stable once both tags hold.
             let succ = unsafe { (*s.curr).next.load() };
             unsafe {
@@ -557,24 +563,33 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
                 }
                 HelpOutcome::FailedAt(i) => {
                     unsafe { Info::release(info, (2 - i) as u32, &g) };
-                    info = self.alloc_info();
                 }
             }
         }
     }
 
-    /// Whether `key` is present. (Algorithm 3, `Find` — fully read-only,
-    /// skips the `RD_q := Null / CP_q := 1` prologue: restarting a find is
-    /// always safe, but its response is still persisted for strict
-    /// recoverability / nesting.)
+    /// Whether `key` is present. (Algorithm 3, `Find` — fully read-only, so
+    /// it never sets `CP_q := 1` and recovery always restarts it, which is
+    /// always safe. Arms 0/1 reproduce the paper's find all the same, which
+    /// persists and publishes its response; nothing reads it.)
     pub fn find(&self, pid: usize, key: u64) -> bool {
         Self::assert_key(key);
         let g = self.collector.pin();
-        let prev = self.rec.begin_readonly(pid);
-        let info = self.alloc_info();
-        // A DIRECT previous entry carries no descriptor reference to hand
-        // over (see `recovery::release_prev`).
-        let mut published = if tag::is_direct(prev) { 0 } else { prev };
+        let mut published = if arm::coalesces(ARM) {
+            let prev = self.rec.begin::<ARM>(pid);
+            unsafe { crate::recovery::release_prev::<M>(prev, &g) };
+            0
+        } else {
+            // The previous descriptor stays published until this find's own
+            // replaces it. A DIRECT previous entry carries no descriptor
+            // reference to hand over (see `recovery::release_prev`).
+            let prev = self.rec.begin_readonly(pid);
+            if tag::is_direct(prev) {
+                0
+            } else {
+                prev
+            }
+        };
         loop {
             let s = unsafe { self.search(key) };
             if tag::is_tagged(s.curr_info) {
@@ -582,24 +597,11 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
                 continue;
             }
             let res = unsafe { (*s.curr).key.load() } == key;
-            let enc = if res { RES_TRUE } else { RES_FALSE };
-            unsafe {
-                Info::fill(
-                    info,
-                    &InfoFill {
-                        optype: optype::FIND,
-                        affect: &[(cell_addr(&(*s.curr).info), s.curr_info)],
-                        write: &[],
-                        newset: &[],
-                        del_mask: 0,
-                        presult: enc,
-                    },
-                );
-                M::store(&(*info).result, enc);
-                self.persist_attempt(info, std::ptr::null_mut(), std::ptr::null_mut());
+            if !arm::coalesces(ARM) {
+                let seen = unsafe { (cell_addr(&(*s.curr).info), s.curr_info) };
+                let enc = if res { RES_TRUE } else { RES_FALSE };
+                self.answer_tracked(pid, optype::FIND, seen, enc, &mut published, &g);
             }
-            self.publish_ro(pid, info, &mut published, &g);
-            unsafe { Info::release(info, 1, &g) };
             return res;
         }
     }

@@ -21,12 +21,15 @@
 //!
 //! Order per request (see `isb::resptable` for the crash-window argument):
 //! failover check (the client's slot is in flight under a dead peer's tid →
-//! `Recovering`) → dedup check → `note_invocation` (`CP_q := 0`, persisted
-//! once: the structure operation's prologue finds it done) → durable
-//! `pending` word → structure op → durable response finalize (`resp`
-//! fenced before `last_seq`) → socket acknowledgement. Three flushed lines
-//! and three fences of the request belong to the response table, one of
-//! each to `note_invocation`; the rest is the structure's own.
+//! `Recovering`) → dedup check → `note_invocation` (the recovery line
+//! reset, `(RD_q, CP_q) := (Null, 0)`, persisted once: the structure
+//! operation's prologue finds it done) → durable `pending` word →
+//! structure op → durable response finalize (`resp` fenced before
+//! `last_seq`) → socket acknowledgement. Three flushed lines and three
+//! fences of the request belong to the response table, one of each to
+//! `note_invocation`; the rest is the structure's own — nothing at all for
+//! a request that changes nothing (a `get`, a `put` of a present key, a
+//! `del` of an absent one, a `deq` on empty).
 //!
 //! [`parse_request`] refuses, before any of this, every identifier and
 //! argument a later layer would assert on (reserved client ids, sentinel
@@ -423,9 +426,9 @@ fn handle(ctx: &Shared, pid: usize, req: &Request) -> Response {
     if req.op_seq != last_seq + 1 {
         return Response::err(Status::SeqGap, req.op_seq);
     }
-    // The system half of the invocation (`CP_q := 0`, persisted) MUST
-    // precede the in-flight record — this is what pins a later Completed
-    // replay decision to *this* op-ID (see `isb::resptable`).
+    // The system half of the invocation (the recovery line reset,
+    // persisted) MUST precede the in-flight record — this is what pins a
+    // later Completed replay decision to *this* op-ID (see `isb::resptable`).
     match req.op {
         OpCode::Put | OpCode::Del | OpCode::Get => ctx.map.note_invocation(pid),
         OpCode::Enq | OpCode::Deq => ctx.queue.note_invocation(pid),

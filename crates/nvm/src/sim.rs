@@ -49,6 +49,9 @@ pub const POISON: u64 = 0xDEAD_BEEF_DEAD_BEEF;
 #[derive(Debug)]
 pub struct SimMeta {
     registered: AtomicBool,
+    /// Global sequence number at construction: a word older than the last
+    /// [`persist_all`] was part of the clean start that call declared.
+    born: u64,
     /// Sequence number of the last committed write-back.
     pseq: AtomicU64,
     /// Last guaranteed-persisted value ([`POISON`] if none).
@@ -59,6 +62,7 @@ impl Default for SimMeta {
     fn default() -> Self {
         Self {
             registered: AtomicBool::new(false),
+            born: globals().seq.load(Relaxed),
             pseq: AtomicU64::new(0),
             persisted: AtomicU64::new(POISON),
         }
@@ -69,6 +73,8 @@ struct Globals {
     registry: Mutex<Vec<usize>>,
     seq: AtomicU64,
     crash_armed: AtomicBool,
+    /// Sequence number of the last [`persist_all`].
+    clean_start: AtomicU64,
     commit_locks: Vec<Mutex<()>>,
     session_active: AtomicBool,
 }
@@ -80,6 +86,7 @@ fn globals() -> &'static Globals {
         registry: Mutex::new(Vec::new()),
         seq: AtomicU64::new(1),
         crash_armed: AtomicBool::new(false),
+        clean_start: AtomicU64::new(0),
         commit_locks: (0..64).map(|_| Mutex::new(())).collect(),
         session_active: AtomicBool::new(false),
     })
@@ -151,10 +158,18 @@ fn maybe_crash() {
     }
 }
 
+/// First instrumented mutation or write-back of `w` (called before it takes
+/// effect). A word that was already there at the clean start — a root or
+/// sentinel its constructor initialised and the prefill never wrote — holds
+/// its initial value durably, not [`POISON`].
 #[inline]
 fn register(w: &PWord<SimNvm>) {
     if !w.meta.registered.swap(true, Relaxed) {
-        globals().registry.lock().unwrap().push(w as *const _ as usize);
+        let g = globals();
+        if w.meta.born < g.clean_start.load(Relaxed) {
+            w.meta.persisted.store(w.v.load(SeqCst), Release);
+        }
+        g.registry.lock().unwrap().push(w as *const _ as usize);
     }
 }
 
@@ -409,10 +424,13 @@ pub fn build_crash_image(seed: u64) -> ImageReport {
     rep
 }
 
-/// Marks every registered word as persisted at its current volatile value.
-/// Call after building initial structures, modelling a clean start.
+/// Marks every registered word as persisted at its current volatile value,
+/// and every word constructed so far but not yet registered as persisted at
+/// the value it registers with. Call after building initial structures,
+/// modelling a clean start.
 pub fn persist_all() {
     let g = globals();
+    g.clean_start.store(g.seq.fetch_add(1, Relaxed) + 1, Relaxed);
     let reg = g.registry.lock().unwrap();
     for &addr in reg.iter() {
         // SAFETY: registry contract.
@@ -463,6 +481,24 @@ mod tests {
         assert_eq!(w.meta.persisted.load(Acquire), POISON);
         SimNvm::psync();
         assert_eq!(w.meta.persisted.load(Acquire), 1);
+        reset();
+    }
+
+    /// A word built before `persist_all` and first written after it (a
+    /// structure's root the prefill never touched) rolls back to the value
+    /// it was built with; one built after it still rolls back to POISON.
+    #[test]
+    fn words_of_the_clean_start_hold_their_initial_value() {
+        let _l = LOCK.lock().unwrap();
+        reset();
+        tid::set_tid(0);
+        let root: Box<PWord<SimNvm>> = Box::new(PWord::new(7));
+        persist_all();
+        let fresh: Box<PWord<SimNvm>> = Box::new(PWord::new(7));
+        root.cas(7, 8);
+        fresh.cas(7, 8);
+        assert_eq!(root.meta.persisted.load(Acquire), 7);
+        assert_eq!(fresh.meta.persisted.load(Acquire), POISON);
         reset();
     }
 

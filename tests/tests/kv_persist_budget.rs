@@ -7,10 +7,12 @@
 //! structures' own placement is pinned per operation, here the whole
 //! exactly-once sequence around it — `note_invocation`, the response table's
 //! in-flight record and finalize, and the structure operation's prologue,
-//! which must not persist `CP_q := 0` a second time. Of every applied
+//! which must not run the invocation glue a second time. Of every applied
 //! request's budget, 1 line + 1 fence is `note_invocation` and 3 + 3 the
-//! response table (`pending`; `resp`, `last_seq`); the remainder is the
-//! `Isb-Coal` structure operation minus its elided prologue barrier.
+//! response table (`begin_op`: `pending`; `finish_op`: `resp`, `last_seq`);
+//! the remainder is the `Isb-Coal` structure operation minus the glue
+//! barrier the note elides — which for a request that changes nothing (a
+//! `get`, a `put` of a present key, a `del` of an absent one) is all of it.
 //!
 //! The server runs one lane, so every request is counted on that lane's tid
 //! and read as a per-tid delta; the mapped heap hands out 64-byte-aligned
@@ -75,13 +77,13 @@ fn one_kv_request_costs_exactly_its_persist_budget() {
     });
 
     let golden: [(&str, (u64, u64)); 8] = [
-        ("put-new", (17, 9)),
-        ("put-dup", (7, 7)),
-        ("del-hit", (13, 9)),
-        ("del-miss", (7, 7)),
-        ("get", (6, 6)),
-        ("enq", (15, 9)),
-        ("deq", (13, 9)),
+        ("put-new", (16, 8)),
+        ("put-dup", (4, 4)),
+        ("del-hit", (12, 8)),
+        ("del-miss", (4, 4)),
+        ("get", (4, 4)),
+        ("enq", (14, 8)),
+        ("deq", (12, 8)),
         ("replay", (0, 0)),
     ];
     assert_eq!(rows, golden, "(lines, fences) per request");

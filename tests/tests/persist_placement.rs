@@ -84,29 +84,31 @@ const GOLDEN_OPT: [(&str, Golden); 6] = [
 ///
 /// Under `CountingNvm` the `pwb` column counts *pwb-equivalents*: coalesced
 /// write-backs are counted at issue (when the line enters the [`nvm::coalesce`]
-/// set) and a duplicate line bumps `pwb_elided` instead. Every mutating op
-/// elides at least the `RD_q` write-back that `publish_arm` dedupes against
-/// the same-line `CP_q` flush.
+/// set) and a duplicate line bumps `pwb_elided` instead. Every op that
+/// publishes elides the `RD_q` write-back that `publish_arm` dedupes against
+/// the same-line `CP_q` flush; an op that finds nothing to change publishes
+/// nothing, and the one barrier it counts is the invocation glue's
+/// `(RD_q, CP_q) := (Null, 0)`.
 type GoldenCoal = (u64, u64, u64, u64, u64, u64, bool);
 
 /// Coalescing placement ("Isb-Coal", `ARM = 2`) for the ordered-set core.
 const GOLDEN_COAL: [(&str, GoldenCoal); 6] = [
-    ("insert-new", (13, 1, 1, 1, 2, 3, true)),
-    ("insert-dup", (3, 1, 1, 1, 2, 1, false)),
-    ("find-hit", (2, 0, 1, 1, 1, 1, true)),
-    ("find-miss", (2, 0, 1, 1, 1, 1, false)),
-    ("delete-hit", (9, 1, 1, 1, 2, 3, true)),
-    ("delete-miss", (3, 1, 1, 1, 2, 1, false)),
+    ("insert-new", (12, 1, 1, 1, 1, 3, true)),
+    ("insert-dup", (0, 0, 1, 1, 0, 0, false)),
+    ("find-hit", (0, 0, 1, 1, 0, 0, true)),
+    ("find-miss", (0, 0, 1, 1, 0, 0, false)),
+    ("delete-hit", (8, 1, 1, 1, 1, 3, true)),
+    ("delete-miss", (0, 0, 1, 1, 0, 0, false)),
 ];
 
 /// Link-persist placement ("Isb-LP", `ARM = 3`) for the ordered-set core.
 const GOLDEN_LP: [(&str, GoldenCoal); 6] = [
-    ("insert-new", (10, 1, 1, 1, 2, 3, true)),
-    ("insert-dup", (3, 1, 1, 1, 2, 1, false)),
-    ("find-hit", (2, 0, 1, 1, 1, 1, true)),
-    ("find-miss", (2, 0, 1, 1, 1, 1, false)),
-    ("delete-hit", (8, 1, 1, 1, 2, 3, true)),
-    ("delete-miss", (3, 1, 1, 1, 2, 1, false)),
+    ("insert-new", (9, 1, 1, 1, 1, 3, true)),
+    ("insert-dup", (0, 0, 1, 1, 0, 0, false)),
+    ("find-hit", (0, 0, 1, 1, 0, 0, true)),
+    ("find-miss", (0, 0, 1, 1, 0, 0, false)),
+    ("delete-hit", (7, 1, 1, 1, 1, 3, true)),
+    ("delete-miss", (0, 0, 1, 1, 0, 0, false)),
 ];
 
 /// Queue goldens, one row per scenario step (two enqueues, two successful
@@ -128,21 +130,21 @@ const QUEUE_OPT: [(&str, Golden); 5] = [
 ];
 
 const QUEUE_COAL: [(&str, GoldenCoal); 5] = [
-    ("enqueue-1", (11, 1, 1, 1, 2, 3, true)),
-    ("enqueue-2", (11, 1, 1, 1, 2, 3, true)),
-    ("dequeue-1", (9, 1, 1, 1, 2, 3, true)),
-    ("dequeue-2", (9, 1, 1, 1, 2, 3, true)),
-    ("dequeue-empty", (3, 1, 1, 1, 2, 1, false)),
+    ("enqueue-1", (10, 1, 1, 1, 1, 3, true)),
+    ("enqueue-2", (10, 1, 1, 1, 1, 3, true)),
+    ("dequeue-1", (8, 1, 1, 1, 1, 3, true)),
+    ("dequeue-2", (8, 1, 1, 1, 1, 3, true)),
+    ("dequeue-empty", (0, 0, 1, 1, 0, 0, false)),
 ];
 
 /// The LP queue merges the tag-phase `psync` into the update-phase one on
 /// enqueue (single-affect help), dropping a whole round trip: `psync` 3 → 2.
 const QUEUE_LP: [(&str, GoldenCoal); 5] = [
-    ("enqueue-1", (8, 2, 1, 1, 2, 2, true)),
-    ("enqueue-2", (8, 2, 1, 1, 2, 2, true)),
-    ("dequeue-1", (8, 1, 1, 1, 2, 3, true)),
-    ("dequeue-2", (8, 1, 1, 1, 2, 3, true)),
-    ("dequeue-empty", (3, 1, 1, 1, 2, 1, false)),
+    ("enqueue-1", (7, 2, 1, 1, 1, 2, true)),
+    ("enqueue-2", (7, 2, 1, 1, 1, 2, true)),
+    ("dequeue-1", (7, 1, 1, 1, 1, 3, true)),
+    ("dequeue-2", (7, 1, 1, 1, 1, 3, true)),
+    ("dequeue-empty", (0, 0, 1, 1, 0, 0, false)),
 ];
 
 struct SetUnderTest<'a> {
@@ -456,10 +458,10 @@ fn set_core_extraction_preserves_persist_placement() {
     check_rows_coal("RQueue<Isb-LP>", &queue_ops(&q), &QUEUE_LP);
 }
 
-/// The tuning arms must form a monotone ladder on the nominal tables, the
-/// untouched read-only placement must be bit-for-bit identical across arms,
-/// and the LP arm must clear the ≥20% pwb-equivalent reduction bar on the
-/// tuned hash-map and queue hot paths. Asserted on the golden CONSTANTS so
+/// The tuning arms must form a monotone ladder on the nominal tables, an
+/// operation that changes nothing must cost a coalescing arm its invocation
+/// glue and nothing else, and the LP arm must clear the ≥20% pwb-equivalent
+/// reduction bar on the tuned hash-map and queue hot paths. Asserted on the golden CONSTANTS so
 /// the claim is placement-noise-free; the measured runs above tie the
 /// constants to reality.
 #[test]
@@ -476,11 +478,12 @@ fn coalescing_arms_strictly_reduce_pwb_traffic() {
     for i in [0usize, 4] {
         assert!(GOLDEN_LP[i].1 .0 < GOLDEN_COAL[i].1 .0, "{}: LP saved nothing", GOLDEN_OPT[i].0);
     }
-    // Read-only placement is untouched: find rows identical across tuned arms.
-    for i in [2usize, 3] {
-        let (opt, coal, lp) = (GOLDEN_OPT[i].1, GOLDEN_COAL[i].1, GOLDEN_LP[i].1);
-        assert_eq!((opt.0, opt.3, opt.4), (coal.0, coal.4, coal.5), "find parity (coal)");
-        assert_eq!((opt.0, opt.3, opt.4), (lp.0, lp.4, lp.5), "find parity (lp)");
+    // No effect, no descriptor: one line and one fence, the glue barrier.
+    let glue_only = (0, 0, 1, 1, 0, 0);
+    let no_effect = [1usize, 2, 3, 5].map(|i| (GOLDEN_COAL[i].1, GOLDEN_LP[i].1));
+    for (coal, lp) in no_effect.into_iter().chain([(QUEUE_COAL[4].1, QUEUE_LP[4].1)]) {
+        assert_eq!((coal.0, coal.1, coal.2, coal.3, coal.4, coal.5), glue_only);
+        assert_eq!((lp.0, lp.1, lp.2, lp.3, lp.4, lp.5), glue_only);
     }
     // Queue ladder, per scenario step.
     for i in 0..5 {
