@@ -95,7 +95,7 @@ fn parse_args() -> Opts {
 
 const ALL_FIGS: &[&str] = &[
     "fig1a", "fig1b", "fig1c", "fig1d", "fig1e", "fig1f", "fig3", "fig4", "fig5", "fig6", "fig7",
-    "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15",
+    "fig8", "fig9", "fig10", "fig11", "fig12", "fig14",
 ];
 
 /// The list algorithms of the figures, by paper name.
@@ -770,144 +770,6 @@ impl Ctx {
         self.emit("fig12_queue_real", &t_real);
     }
 
-    /// Production-scale heap — Figure 13 (beyond the paper, PR 7): what the
-    /// multi-segment arena, the sharded allocator and the parallel attach
-    /// pipeline buy. (a) Attach wall-clock vs live keys with 1 vs 4 attach
-    /// worker threads (the heap starts at 4 MiB and grows segments under the
-    /// fill, so segment remapping is part of every measured attach); (b) an
-    /// alloc/free microbench of the sharded per-thread free lists; (c) its
-    /// observability counters. On a single-vCPU host the 4-thread attach
-    /// shows scheduling overhead, not speedup — see `bench_results/README.md`.
-    fn fig13(&self) {
-        use isb::hashmap::RHashMap as HM;
-        use nvm::mapped::MappedHeap;
-        use nvm::MappedNvm;
-        use std::time::Instant;
-
-        nvm::tid::set_tid(nvm::MAX_PROCS - 1);
-        let pid = nvm::MAX_PROCS - 1;
-        let dir = std::env::temp_dir().join(format!("isb_fig13_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let initial_bytes = 1 << 22; // 4 MiB: every fill below grows the heap
-        let shards = 64;
-
-        // (a) Attach latency vs live keys, sequential vs 4 attach threads.
-        let mut t_attach = Table::new(
-            format!(
-                "Figure 13: mapped attach wall-clock vs live keys, 1 vs 4 attach threads \
-                 ({shards} shards, {initial_bytes}-byte initial segment, grown under fill)"
-            ),
-            vec![
-                "attach ms (1 thread)".into(),
-                "attach ms (4 threads)".into(),
-                "parallel-phase ms (4t)".into(),
-                "committed blocks".into(),
-                "segments".into(),
-            ],
-        );
-        for &n in &[10_000u64, 65_536, 262_144] {
-            let path = dir.join(format!("attach_{n}.heap"));
-            let _ = std::fs::remove_file(&path);
-            {
-                let (map, _) =
-                    HM::<MappedNvm, 0>::attach_sized(&path, shards, initial_bytes).unwrap();
-                for k in 1..=n {
-                    map.insert(pid, k);
-                }
-            }
-            let mut attach_ms = [0.0f64; 2];
-            let mut par_ms = 0.0;
-            let mut committed = 0usize;
-            let mut segments = 0usize;
-            for (i, &threads) in [1usize, 4].iter().enumerate() {
-                nvm::mapped::set_attach_threads(threads);
-                let before = nvm::stats::snapshot();
-                let t0 = Instant::now();
-                let (map, summary) =
-                    HM::<MappedNvm, 0>::attach_sized(&path, shards, initial_bytes).unwrap();
-                attach_ms[i] = t0.elapsed().as_secs_f64() * 1e3;
-                if threads == 4 {
-                    par_ms = nvm::stats::snapshot().since(&before).attach_par_ms as f64;
-                }
-                committed = summary.heap.committed;
-                segments = summary.heap.segments;
-                drop(map);
-            }
-            nvm::mapped::set_attach_threads(0);
-            t_attach.row(
-                n.to_string(),
-                vec![attach_ms[0], attach_ms[1], par_ms, committed as f64, segments as f64],
-            );
-            let _ = std::fs::remove_file(&path);
-        }
-        self.emit("fig13_attach", &t_attach);
-
-        // (b)+(c) Allocator microbench: alloc/free pairs per second through
-        // the sharded per-thread free lists, with the counters that explain
-        // the number. Blocks are 64-byte payloads (one granule — the node
-        // size class). The comparison against a global-mutex allocator is
-        // committed in bench_results/BENCH_2026-08-08_fig13.json.
-        let mut t_alloc = Table::new(
-            "Figure 13: persistent-arena allocator, sharded free lists \
-             (alloc+free pairs, Mops/s)"
-                .to_string(),
-            vec!["sharded".into()],
-        );
-        let mut t_ctr = Table::new(
-            "Figure 13: allocator/attach observability counters (per whole run)".to_string(),
-            vec![
-                "heap_allocs".into(),
-                "free_list_hits".into(),
-                "slab_refills".into(),
-                "segments_grown".into(),
-            ],
-        );
-        for &threads in &self.threads {
-            let per = 100_000usize;
-            let path = dir.join(format!("alloc_{threads}.heap"));
-            let _ = std::fs::remove_file(&path);
-            let heap = MappedHeap::create(&path, initial_bytes).unwrap();
-            let before = nvm::stats::snapshot();
-            let t0 = Instant::now();
-            std::thread::scope(|s| {
-                for t in 0..threads {
-                    let heap = &heap;
-                    s.spawn(move || {
-                        nvm::tid::set_tid(t);
-                        for j in 0..per {
-                            let p = heap.alloc(64).unwrap();
-                            heap.commit(p);
-                            // Keep every 8th block: pure alloc/free of
-                            // one address would serialize on one line.
-                            if j % 8 != 0 {
-                                // SAFETY: freshly committed, exclusively
-                                // owned, never referenced.
-                                unsafe { heap.free(p) };
-                            }
-                        }
-                    });
-                }
-            });
-            let mops = (threads * per) as f64 / t0.elapsed().as_secs_f64() / 1e6;
-            let d = nvm::stats::snapshot().since(&before);
-            t_ctr.row(
-                threads.to_string(),
-                vec![
-                    d.heap_allocs as f64,
-                    d.free_list_hits as f64,
-                    d.slab_refills as f64,
-                    d.segments_grown as f64,
-                ],
-            );
-            drop(heap);
-            let _ = std::fs::remove_file(&path);
-            t_alloc.row(threads.to_string(), vec![mops]);
-        }
-        self.emit("fig13_alloc", &t_alloc);
-        self.emit("fig13_counters", &t_ctr);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
     /// Live peer kill — Figure 14 (beyond the paper, PR 8): the service-level
     /// cost of losing one of two live processes sharing a heap. The parent
     /// hammers the shared map in 10 ms buckets while a child process (same
@@ -1077,112 +939,6 @@ impl Ctx {
         self.emit("fig14_counters", &t_ctr);
         let _ = std::fs::remove_dir_all(&dir);
     }
-
-    /// Figure 15: the network-facing KV service under zipfian skew —
-    /// request throughput and tail latency of the full exactly-once path
-    /// (frame parse → dedup lookup → durable intent → apply → durable
-    /// response → ack) over loopback TCP. One in-process server (16
-    /// shards, 4 lanes); N loadgen client threads, each a journaling
-    /// [`kvserve::KvClient`] drawing keys Zipf(1024, 0.99) with a
-    /// 5:3:7 put:del:get mix, plus one dedup *replay* of the last
-    /// acknowledged request every 16th op — so the served-from-the-table
-    /// path is measured under load, not just in recovery tests.
-    fn fig15(&self) {
-        use bench_harness::workload::Zipf;
-        use kvserve::{Config, KvClient, Server};
-        use std::time::Instant;
-
-        const KEYS: u64 = 1024;
-        const THETA: f64 = 0.99;
-        let dir = std::env::temp_dir().join(format!("isb_fig15_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let zipf = Zipf::new(KEYS, THETA);
-
-        let mut t_lat = Table::new(
-            "Figure 15: KV service over loopback TCP, zipfian keys (1024 keys, theta 0.99, \
-             16 shards, 4 lanes; per-request latency incl. dedup replays)"
-                .to_string(),
-            vec!["req/s".into(), "p50 us".into(), "p99 us".into(), "max us".into()],
-        );
-        let mut t_ctr = Table::new(
-            "Figure 15: service counters per run (applied ops vs dedup replays served from \
-             the durable response table)"
-                .to_string(),
-            vec!["kv_requests".into(), "kv_dedup_hits".into()],
-        );
-        for &n in &self.threads {
-            let heap = dir.join(format!("kv_{n}.heap"));
-            let _ = std::fs::remove_file(&heap);
-            let mut cfg = Config::new(&heap);
-            cfg.shards = 16;
-            cfg.workers = 4;
-            let server = Server::start(cfg).expect("fig15 server start");
-            let addr = server.local_addr();
-            let dur = self.dur;
-            let s0 = nvm::stats::snapshot();
-            let t0 = Instant::now();
-            let mut lats: Vec<u64> = Vec::new();
-            let mut total = 0u64;
-            std::thread::scope(|s| {
-                let handles: Vec<_> = (0..n)
-                    .map(|c| {
-                        let zipf = &zipf;
-                        s.spawn(move || {
-                            let mut client =
-                                KvClient::connect(addr, 1000 + c as u64).expect("loadgen connect");
-                            let mut rng = 0x1234_5678u64 ^ (c as u64) << 17;
-                            let mut lat = Vec::new();
-                            while t0.elapsed() < dur {
-                                // Spread hot ranks across the key space.
-                                let key = 1 + (zipf.sample(splitmix(&mut rng)) * 631) % KEYS;
-                                let t1 = Instant::now();
-                                match splitmix(&mut rng) % 16 {
-                                    0 if client.last_acked().is_some() => {
-                                        client.replay_last_acked().expect("replay").unwrap();
-                                    }
-                                    1..=5 => {
-                                        client.put(key).expect("put");
-                                    }
-                                    6..=8 => {
-                                        client.del(key).expect("del");
-                                    }
-                                    _ => {
-                                        client.get(key).expect("get");
-                                    }
-                                }
-                                lat.push(t1.elapsed().as_nanos() as u64);
-                            }
-                            lat
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    let lat = h.join().expect("loadgen thread");
-                    total += lat.len() as u64;
-                    lats.extend(lat);
-                }
-            });
-            let elapsed = t0.elapsed();
-            server.stop();
-            let d = nvm::stats::snapshot().since(&s0);
-            lats.sort_unstable();
-            let pct = |p: usize| lats[(lats.len() * p / 100).min(lats.len() - 1)] as f64 / 1e3;
-            t_lat.row(
-                n.to_string(),
-                vec![
-                    total as f64 / elapsed.as_secs_f64(),
-                    pct(50),
-                    pct(99),
-                    *lats.last().unwrap() as f64 / 1e3,
-                ],
-            );
-            t_ctr.row(n.to_string(), vec![d.kv_requests as f64, d.kv_dedup_hits as f64]);
-            let _ = std::fs::remove_file(&heap);
-        }
-        self.emit("fig15_latency", &t_lat);
-        self.emit("fig15_counters", &t_ctr);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
 }
 
 const FIG14_HEAP_BYTES: usize = 64 << 20;
@@ -1315,9 +1071,7 @@ fn main() {
             "fig10" => ctx.fig10(),
             "fig11" => ctx.fig11(),
             "fig12" => ctx.fig12(),
-            "fig13" => ctx.fig13(),
             "fig14" => ctx.fig14(),
-            "fig15" => ctx.fig15(),
             other => panic!("unknown figure {other}"),
         }
     }

@@ -101,40 +101,6 @@ fn xorshift(x: &mut u64) -> u64 {
     *x
 }
 
-/// Zipfian key sampler (YCSB-style skew): rank `r` of `[1, n]` is drawn
-/// with probability proportional to `1/r^theta`. Built once per run
-/// (cumulative table), sampled by binary search — O(log n) per draw and
-/// deterministic given the caller's uniform stream.
-pub struct Zipf {
-    cdf: Vec<f64>,
-}
-
-impl Zipf {
-    /// A sampler over ranks `[1, n]` with skew `theta` (YCSB default 0.99;
-    /// 0 degenerates to uniform).
-    pub fn new(n: u64, theta: f64) -> Zipf {
-        assert!(n > 0, "empty key space");
-        let mut cdf = Vec::with_capacity(n as usize);
-        let mut acc = 0.0f64;
-        for r in 1..=n {
-            acc += 1.0 / (r as f64).powf(theta);
-            cdf.push(acc);
-        }
-        for c in &mut cdf {
-            *c /= acc;
-        }
-        Zipf { cdf }
-    }
-
-    /// Maps one uniform `u64` draw to a 1-based rank. Hot ranks are the
-    /// low ones — callers wanting hot *keys* spread across the space can
-    /// permute (e.g. multiply by a constant mod n).
-    pub fn sample(&self, uniform: u64) -> u64 {
-        let x = (uniform >> 11) as f64 / (1u64 << 53) as f64;
-        (self.cdf.partition_point(|&c| c < x) + 1).min(self.cdf.len()) as u64
-    }
-}
-
 /// Prefill a set to ≈40% of `key_range` (the paper performs `range/2`
 /// uniform inserts; duplicates land it near 40%).
 pub fn prefill_set<B: SetBench + ?Sized>(s: &B, key_range: u64, seed: u64) {

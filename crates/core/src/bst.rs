@@ -725,7 +725,7 @@ impl<const ARM: u8> MappedLayout for RBst<MappedNvm, ARM> {
 }
 
 impl<const ARM: u8> SlotOps for RBst<MappedNvm, ARM> {
-    fn validate_image(&self, infos: &mut HashSet<u64>) -> Result<(), MapError> {
+    fn validate_unit(&self, _unit: usize, infos: &mut HashSet<u64>) -> Result<(), MapError> {
         // Iterative DFS with a step budget (cycle guard); every node is
         // dereferenced only after its whole span passed `in_node`.
         let mut budget = self.heap().bump_granules() + 8;
@@ -767,7 +767,12 @@ impl<const ARM: u8> SlotOps for RBst<MappedNvm, ARM> {
         RBst::try_scrub(self)
     }
 
-    unsafe fn census(&self, live: &mut HashSet<usize>, info_refs: &mut HashMap<usize, u32>) {
+    unsafe fn census_unit(
+        &self,
+        _unit: usize,
+        live: &mut HashSet<usize>,
+        info_refs: &mut HashMap<usize, u32>,
+    ) {
         let mut stack = vec![self.root];
         while let Some(n) = stack.pop() {
             // SAFETY: quiescent exclusive access post-scrub (caller).

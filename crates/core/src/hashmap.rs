@@ -405,13 +405,6 @@ impl<const ARM: u8> MappedLayout for RHashMap<MappedNvm, ARM> {
 }
 
 impl<const ARM: u8> SlotOps for RHashMap<MappedNvm, ARM> {
-    fn validate_image(&self, infos: &mut HashSet<u64>) -> Result<(), MapError> {
-        for shard in 0..self.heads.len() {
-            self.validate_unit(shard, infos)?;
-        }
-        Ok(())
-    }
-
     // Attach parallelism: each bucket is an independent work unit — the
     // buckets partition every node and cell, so per-shard validation and
     // census walks never touch the same memory.
@@ -445,13 +438,6 @@ impl<const ARM: u8> SlotOps for RHashMap<MappedNvm, ARM> {
             flag.store(true, std::sync::atomic::Ordering::Release);
         }
         Ok(())
-    }
-
-    unsafe fn census(&self, live: &mut HashSet<usize>, info_refs: &mut HashMap<usize, u32>) {
-        for shard in 0..self.heads.len() {
-            // SAFETY: forwarded contract.
-            unsafe { self.census_unit(shard, live, info_refs) };
-        }
     }
 
     unsafe fn census_unit(

@@ -263,7 +263,7 @@ impl<const ARM: u8> MappedLayout for RList<MappedNvm, ARM> {
 }
 
 impl<const ARM: u8> SlotOps for RList<MappedNvm, ARM> {
-    fn validate_image(&self, infos: &mut HashSet<u64>) -> Result<(), MapError> {
+    fn validate_unit(&self, _unit: usize, infos: &mut HashSet<u64>) -> Result<(), MapError> {
         let max_nodes = self.heap().bump_granules() + 4;
         // SAFETY: `in_node` guarantees whole-node spans inside the mapping
         // for every dereference.
@@ -279,7 +279,12 @@ impl<const ARM: u8> SlotOps for RList<MappedNvm, ARM> {
         RList::try_scrub(self)
     }
 
-    unsafe fn census(&self, live: &mut HashSet<usize>, info_refs: &mut HashMap<usize, u32>) {
+    unsafe fn census_unit(
+        &self,
+        _unit: usize,
+        live: &mut HashSet<usize>,
+        info_refs: &mut HashMap<usize, u32>,
+    ) {
         // SAFETY: quiescent exclusive access post-scrub (caller).
         unsafe { set_core::census_bucket(self.head, live, info_refs) };
     }

@@ -680,7 +680,7 @@ impl<const ARM: u8> MappedLayout for RQueue<MappedNvm, ARM> {
 }
 
 impl<const ARM: u8> SlotOps for RQueue<MappedNvm, ARM> {
-    fn validate_image(&self, infos: &mut HashSet<u64>) -> Result<(), MapError> {
+    fn validate_unit(&self, _unit: usize, infos: &mut HashSet<u64>) -> Result<(), MapError> {
         // No dereference below leaves the mapping (whole-node spans), and
         // the chain must terminate within the heap's block count.
         let mut budget = self.heap().bump_granules() + 4;
@@ -730,7 +730,12 @@ impl<const ARM: u8> SlotOps for RQueue<MappedNvm, ARM> {
         self.heal_tail();
     }
 
-    unsafe fn census(&self, live: &mut HashSet<usize>, info_refs: &mut HashMap<usize, u32>) {
+    unsafe fn census_unit(
+        &self,
+        _unit: usize,
+        live: &mut HashSet<usize>,
+        info_refs: &mut HashMap<usize, u32>,
+    ) {
         let mut bump = |v: u64| {
             let p = tag::untagged(v) as usize;
             if p != 0 {

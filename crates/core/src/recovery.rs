@@ -354,7 +354,7 @@ impl<M: Persist> RecArea<M> {
 
     /// Durably resets a dead peer's slot to the fresh state (`CP = 0`,
     /// `RD = Null`) after a survivor resolved its pending operation
-    /// ([`recover_dead_pid`]). `CP` is cleared (and persisted) **first**: a
+    /// ([`recover_dead_pid_with`]). `CP` is cleared (and persisted) **first**: a
     /// superseding recoverer that reads the slot mid-clear sees `CP = 0`,
     /// decides `Restart`, and releases the still-published `RD` reference
     /// exactly as the dead recoverer would have — never a double help of a
@@ -450,6 +450,14 @@ pub(crate) fn note_invocation<M: Persist, const ARM: u8>(
 /// roots (reachability / claim-stamp reads), which the next full attach
 /// performs; the untouched slot keeps the announced node alive for it.
 ///
+/// `on_decision` runs **after** the decision is computed but **before** the
+/// slot is durably cleared. Callers that mirror the decision into their own
+/// durable state (the KV response table resolving a dead server's in-flight
+/// op-IDs) need exactly this window: if the recoverer dies inside the hook,
+/// the slot still carries `CP`/`RD`, so a superseding recoverer recomputes
+/// the *same* decision and re-runs the hook — which must therefore be
+/// idempotent.
+///
 /// The sequence is crash-ordered for a recoverer that itself dies: the
 /// reference release runs only *after* `RD` is durably nulled, so a
 /// superseding recoverer either sees the old `RD` (predecessor had not
@@ -464,26 +472,6 @@ pub(crate) fn note_invocation<M: Persist, const ARM: u8>(
 /// makes "at most one resolver at a time" true. The published descriptor,
 /// if any, must be a valid `Info` (protocol invariant: persisted before
 /// publication, never freed while published).
-pub unsafe fn recover_dead_pid(
-    rec: &RecArea<MappedNvm>,
-    pid: usize,
-    guard: &reclaim::Guard<'_>,
-) -> Recovered {
-    // SAFETY: forwarded contract.
-    unsafe { recover_dead_pid_with(rec, pid, guard, |_| {}) }
-}
-
-/// [`recover_dead_pid`] with an `on_decision` hook that runs **after** the
-/// decision is computed but **before** the slot is durably cleared. Callers
-/// that mirror the decision into their own durable state (the KV response
-/// table resolving a dead server's in-flight op-IDs) need exactly this window:
-/// if the recoverer dies inside the hook, the slot still carries `CP`/`RD`,
-/// so a superseding recoverer recomputes the *same* decision and re-runs the
-/// hook — which must therefore be idempotent. Hooked work that ran is never
-/// lost; work that didn't run is re-derivable.
-///
-/// # Safety
-/// As [`recover_dead_pid`].
 pub unsafe fn recover_dead_pid_with(
     rec: &RecArea<MappedNvm>,
     pid: usize,
@@ -538,7 +526,7 @@ pub mod rootkeys {
     pub const RESPTAB: u64 = 0x5245_5350; // "RESP"
 }
 
-use nvm::mapped::{MapError, MappedHeap, MappedNvm};
+use nvm::mapped::{fan_out, MapError, MappedHeap, MappedNvm};
 use reclaim::Collector;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -661,36 +649,58 @@ impl From<MapError> for AttachError {
 pub struct AttachEnv {
     /// The opened (or freshly created) heap.
     pub heap: Arc<MappedHeap>,
-    rec_base: *const u8,
+    /// The heap-wide recovery-slot block.
+    pub(crate) rec_base: *const u8,
     /// Shared cross-process epoch region (null ⇒ exclusive heap, collectors
-    /// keep private epochs). See [`AttachEnv::collector`].
-    epoch_region: *mut u8,
+    /// keep private epochs): every structure's collector attaches here,
+    /// forming one epoch domain across processes. See [`AttachEnv::collector`].
+    pub(crate) epoch_region: *mut u8,
     info_pool: crate::pool::Pool<Info<MappedNvm>>,
 }
 
 impl AttachEnv {
-    /// Builds the environment over an attached heap (driver / store use).
-    pub(crate) fn new(heap: Arc<MappedHeap>, rec_base: *const u8) -> Self {
+    /// The attach prologue every mapped open shares — [`attach_standalone`]
+    /// and the store, as single owner or as joiner: the kind check, the
+    /// heap-wide recovery area and its recorded geometry, the cross-process
+    /// epoch region of a shared heap, and the heap-wide Info pool. Returns
+    /// the environment and whether the heap is fresh.
+    pub(crate) fn open(heap: Arc<MappedHeap>, kind: u64) -> Result<(Self, bool), AttachError> {
+        let (joined, found) = (heap.report().joined, heap.kind());
+        // kind == 0 also covers a creation cut short before the final stamp:
+        // every init step is idempotent, so re-running completes it. (Not for
+        // a joiner: the initial attacher stamps the kind before it lets
+        // anyone in.)
+        let fresh = found == 0 && !joined;
+        if !fresh && found != kind {
+            return Err(AttachError::WrongKind { name: String::new(), expected: kind, found });
+        }
+        let (rec_base, _) =
+            heap.root_alloc(rootkeys::RECAREA, RecArea::<MappedNvm>::slots_bytes())?;
+        // Record (fresh) or validate (re-attach) the recovery-area geometry in
+        // the superblock: a binary compiled with different MAX_PROCS / slot
+        // stride must fail typed instead of misreading a peer's slots.
+        heap.validate_rec_geometry(MAX_PROCS as u64, ARENA_SLOT_STRIDE as u64)?;
+        let mut epoch_region = std::ptr::null_mut();
+        if heap.is_shared() {
+            let (e, created) = heap.root_alloc(rootkeys::EPOCHS, reclaim::shared_region_bytes())?;
+            if !joined {
+                // SAFETY: committed root block of the required size; we are
+                // the sole live participant (attach flock held), so
+                // re-initialising over a prior run's stale pins is safe — and
+                // required, since a SIGKILLed fleet leaves announce words
+                // pinned forever.
+                unsafe { Collector::init_shared_region(e) };
+            } else if created {
+                // A live shared heap always carries the epoch region (the
+                // initial attacher installs it before releasing the lock);
+                // its absence means the image predates shared mode.
+                return Err(MapError::BadSuperblock("shared heap without an epoch region").into());
+            }
+            epoch_region = e;
+        }
         let info_pool =
             crate::pool::Pool::with_arena(Arc::clone(&heap), crate::pool::DEFAULT_CAPACITY);
-        Self::with_pool(heap, rec_base, info_pool)
-    }
-
-    /// As [`AttachEnv::new`], reusing an existing shared Info pool (the
-    /// store's handle-creation path).
-    pub(crate) fn with_pool(
-        heap: Arc<MappedHeap>,
-        rec_base: *const u8,
-        info_pool: crate::pool::Pool<Info<MappedNvm>>,
-    ) -> Self {
-        Self { heap, rec_base, epoch_region: std::ptr::null_mut(), info_pool }
-    }
-
-    /// Routes every collector built by [`AttachEnv::collector`] through the
-    /// heap's shared epoch region (the store's shared-mode open does this
-    /// after allocating/initialising the [`rootkeys::EPOCHS`] root block).
-    pub(crate) fn set_epochs(&mut self, region: *mut u8) {
-        self.epoch_region = region;
+        Ok((Self { heap, rec_base, epoch_region, info_pool }, fresh))
     }
 
     /// A collector for one structure: a plain private-epoch collector on an
@@ -741,48 +751,23 @@ impl AttachEnv {
 /// units partition the graph, so per-unit runs never touch the same node);
 /// everything else stays on the attaching thread.
 pub trait SlotOps: Send + Sync {
-    /// Bounds-checked pre-recovery validation of the structure's graph in
-    /// the **untrusted** image: every reachable node must have a whole-node
-    /// span inside the mapping and the graph must terminate; referenced
-    /// descriptors are only *collected* into `infos` (the driver
-    /// range-checks them with [`validate_infos`]). No pointer may be
-    /// dereferenced before its span check. Typed error on violation.
-    fn validate_image(&self, infos: &mut HashSet<u64>) -> Result<(), MapError>;
-
-    /// Number of independent work units the parallel attach driver may
-    /// split this structure's validation and census into (e.g. one per
-    /// hash-map shard). Units must partition the structure's graph; the
-    /// default is one unit — the whole structure.
+    /// Number of independent work units the attach driver may split this
+    /// structure's validation and census into (e.g. one per hash-map shard).
+    /// Units must partition the structure's graph; the default is one unit —
+    /// the whole structure.
     fn work_units(&self) -> usize {
         1
     }
 
-    /// As [`SlotOps::validate_image`], restricted to work unit `unit`
-    /// (`0..work_units()`). Units run concurrently on scoped threads, each
-    /// with its own `infos` set; the driver merges them. The default
-    /// delegates to `validate_image` (single unit).
-    fn validate_unit(&self, unit: usize, infos: &mut HashSet<u64>) -> Result<(), MapError> {
-        debug_assert_eq!(unit, 0);
-        self.validate_image(infos)
-    }
-
-    /// As [`SlotOps::census`], restricted to work unit `unit`. Each unit
-    /// gets private `live`/`info_refs` maps; the driver merges by union and
-    /// by summing reference counts, which equals the serial census because
-    /// units partition the cells.
-    ///
-    /// # Safety
-    /// Quiescent exclusive attach-time access (as `census`).
-    unsafe fn census_unit(
-        &self,
-        unit: usize,
-        live: &mut HashSet<usize>,
-        info_refs: &mut HashMap<usize, u32>,
-    ) {
-        debug_assert_eq!(unit, 0);
-        // SAFETY: forwarded contract.
-        unsafe { self.census(live, info_refs) }
-    }
+    /// Bounds-checked pre-recovery validation of work unit `unit`
+    /// (`0..work_units()`) of the structure's graph in the **untrusted**
+    /// image: every reachable node must have a whole-node span inside the
+    /// mapping and the graph must terminate; referenced descriptors are only
+    /// *collected* into `infos` (the driver range-checks them with
+    /// [`validate_infos`]). No pointer may be dereferenced before its span
+    /// check. Typed error on violation. Units run concurrently, each worker
+    /// with its own `infos` set; the driver merges them.
+    fn validate_unit(&self, unit: usize, infos: &mut HashSet<u64>) -> Result<(), MapError>;
 
     /// Whether `addr` is a plausible node of this structure (whole-span
     /// check) — the driver validates descriptor WriteSet install values
@@ -797,13 +782,21 @@ pub trait SlotOps: Send + Sync {
     /// Post-scrub structural repair (e.g. the queue's tail-hint heal).
     fn heal(&mut self) {}
 
-    /// Census of the quiescent structure: every reachable node's payload
-    /// address into `live`, and per descriptor still referenced from a node
-    /// cell the number of referencing cells into `info_refs`.
+    /// Census of work unit `unit` of the quiescent structure: every
+    /// reachable node's payload address into `live`, and per descriptor still
+    /// referenced from a node cell the number of referencing cells into
+    /// `info_refs`. Each worker has private maps; the driver merges by union
+    /// and by summing reference counts, which equals a serial census because
+    /// units partition the cells.
     ///
     /// # Safety
     /// Quiescent exclusive attach-time access.
-    unsafe fn census(&self, live: &mut HashSet<usize>, info_refs: &mut HashMap<usize, u32>);
+    unsafe fn census_unit(
+        &self,
+        unit: usize,
+        live: &mut HashSet<usize>,
+        info_refs: &mut HashMap<usize, u32>,
+    );
 
     /// Every arena block currently cached in this structure's pools (kept
     /// out of the sweep).
@@ -873,21 +866,7 @@ pub fn attach_standalone<L: MappedLayout>(
 ) -> Result<(L, AttachSummary), AttachError> {
     L::validate_cfg(cfg)?;
     let heap = MappedHeap::open(path, heap_bytes)?;
-    // kind == 0 also covers a creation cut short before the final stamp:
-    // every init step is idempotent, so re-running completes it.
-    let fresh = heap.kind() == 0;
-    if !fresh && heap.kind() != L::KIND {
-        return Err(AttachError::WrongKind {
-            name: String::new(),
-            expected: L::KIND,
-            found: heap.kind(),
-        });
-    }
-    let (rec_ptr, _) = heap.root_alloc(rootkeys::RECAREA, RecArea::<MappedNvm>::slots_bytes())?;
-    // Record (fresh) or validate (re-attach) the recovery-area geometry in
-    // the superblock: a binary compiled with different MAX_PROCS / slot
-    // stride must fail typed instead of misreading a peer's slots.
-    heap.validate_rec_geometry(MAX_PROCS as u64, ARENA_SLOT_STRIDE as u64)?;
+    let (env, fresh) = AttachEnv::open(Arc::clone(&heap), L::KIND)?;
     let (meta_ptr, _) = heap.root_alloc(rootkeys::META, 16)?;
     let cfg_word = L::cfg_word(cfg);
     // SAFETY: single-threaded attach; committed 16-byte root block.
@@ -904,19 +883,16 @@ pub fn attach_standalone<L: MappedLayout>(
         }
     }
     let (root_ptr, _) = heap.root_alloc(rootkeys::STRUCT, L::root_bytes(cfg))?;
-    let env = AttachEnv::new(Arc::clone(&heap), rec_ptr);
     let s = L::open(&env, cfg, root_ptr)?;
     if fresh {
         heap.set_kind(L::KIND);
-        return Ok((s, AttachSummary { heap: *heap.report(), recovered: Vec::new(), swept: 0 }));
+        return Ok((s, AttachSummary::of(&heap)));
     }
-    let rec = env.rec_area();
-    let extra_live = [rec_ptr as usize, meta_ptr as usize, root_ptr as usize];
     let mut slots: Vec<Box<dyn SlotOps>> = vec![Box::new(s)];
     // SAFETY: quiescent single-threaded attach over a validated image; the
     // slot list covers every structure in the heap (standalone: exactly one).
     let (recovered, swept) =
-        unsafe { finish_attach(&heap, &rec, &mut slots, &extra_live, env.info_pool.handle())? };
+        unsafe { finish_attach(&env, &mut slots, &[meta_ptr as usize, root_ptr as usize])? };
     let s = *slots
         .pop()
         .expect("one slot")
@@ -942,18 +918,17 @@ pub fn attach_standalone<L: MappedLayout>(
 ///    garbage-collect blocks the dead process leaked.
 ///
 /// # Safety
-/// Quiescent single-threaded attach; `slots` must cover **every** structure
-/// hosted by `heap` (a missing one would have its blocks swept), `rec` must
-/// be the heap's shared recovery area, `extra_live` every root/metadata
-/// block address, and `owner` the heap-wide Info pool handle. The calling
+/// Quiescent single-threaded attach over the heap `env` was opened on;
+/// `slots` must cover **every** structure it hosts (a missing one would have
+/// its blocks swept) and `extra_live` every root/metadata block address
+/// beyond the prologue's own (recovery area, epoch region). The calling
 /// thread must be registered.
 pub unsafe fn finish_attach(
-    heap: &MappedHeap,
-    rec: &RecArea<MappedNvm>,
+    env: &AttachEnv,
     slots: &mut [Box<dyn SlotOps>],
     extra_live: &[usize],
-    owner: *const (),
 ) -> Result<(Vec<(usize, Recovered)>, usize), AttachError> {
+    let (heap, rec, owner) = (&*env.heap, &env.rec_area(), env.info_pool.handle());
     // 1. Pre-recovery validation of the untrusted image: no pointer is
     // dereferenced by the replay/scrub/census below unless the whole object
     // graph stays inside the mapping and terminates. This is what turns a
@@ -967,37 +942,21 @@ pub unsafe fn finish_attach(
         .enumerate()
         .flat_map(|(i, s)| (0..s.work_units().max(1)).map(move |u| (i, u)))
         .collect();
-    let threads = nvm::mapped::attach_threads().clamp(1, units.len().max(1));
     let mut infos: HashSet<u64> = HashSet::new();
-    if threads <= 1 {
-        for &(i, u) in &units {
-            slots[i].validate_unit(u, &mut infos)?;
-        }
-    } else {
-        let slots_ref: &[Box<dyn SlotOps>] = slots;
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let locals = std::thread::scope(|sc| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    sc.spawn(|| {
-                        let mut local: HashSet<u64> = HashSet::new();
-                        loop {
-                            let k = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            let Some(&(i, u)) = units.get(k) else { break };
-                            slots_ref[i].validate_unit(u, &mut local)?;
-                        }
-                        Ok::<_, MapError>(local)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("validate worker panicked"))
-                .collect::<Vec<_>>()
-        });
-        for l in locals {
-            infos.extend(l?);
-        }
+    let validated = fan_out(
+        units.len(),
+        || Ok(HashSet::new()),
+        |acc: &mut Result<HashSet<u64>, MapError>, k| {
+            let (i, u) = units[k];
+            if let Ok(local) = acc {
+                if let Err(e) = slots[i].validate_unit(u, local) {
+                    *acc = Err(e);
+                }
+            }
+        },
+    );
+    for local in validated {
+        infos.extend(local?);
     }
     let validate_elapsed = par_start.elapsed();
     let mut bad_rd = None;
@@ -1063,42 +1022,20 @@ pub unsafe fn finish_attach(
     let census_start = std::time::Instant::now();
     let mut live: HashSet<usize> = HashSet::new();
     let mut info_refs: HashMap<usize, u32> = HashMap::new();
-    if threads <= 1 {
-        for &(i, u) in &units {
-            // SAFETY: quiescent exclusive access post-scrub.
-            unsafe { slots[i].census_unit(u, &mut live, &mut info_refs) };
-        }
-    } else {
-        let slots_ref: &[Box<dyn SlotOps>] = slots;
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let locals = std::thread::scope(|sc| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    sc.spawn(|| {
-                        let mut l_live: HashSet<usize> = HashSet::new();
-                        let mut l_refs: HashMap<usize, u32> = HashMap::new();
-                        loop {
-                            let k = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            let Some(&(i, u)) = units.get(k) else { break };
-                            // SAFETY: quiescent exclusive access post-scrub;
-                            // units partition the graph, so no two workers
-                            // visit the same node.
-                            unsafe { slots_ref[i].census_unit(u, &mut l_live, &mut l_refs) };
-                        }
-                        (l_live, l_refs)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("census worker panicked"))
-                .collect::<Vec<_>>()
-        });
-        for (l_live, l_refs) in locals {
-            live.extend(l_live);
-            for (k, v) in l_refs {
-                *info_refs.entry(k).or_insert(0) += v;
-            }
+    let counted = fan_out(
+        units.len(),
+        || (HashSet::new(), HashMap::new()),
+        |(l_live, l_refs): &mut (HashSet<usize>, HashMap<usize, u32>), k| {
+            let (i, u) = units[k];
+            // SAFETY: quiescent exclusive access post-scrub; units partition
+            // the graph, so no two workers visit the same node.
+            unsafe { slots[i].census_unit(u, l_live, l_refs) };
+        },
+    );
+    for (l_live, l_refs) in counted {
+        live.extend(l_live);
+        for (k, v) in l_refs {
+            *info_refs.entry(k).or_insert(0) += v;
         }
     }
     // Parallel-phase wall clock: validation up front plus the census here
@@ -1119,6 +1056,8 @@ pub unsafe fn finish_attach(
         }
     });
     live.extend(extra_live.iter().copied());
+    // (An exclusive heap's null epoch region adds 0, no block's address.)
+    live.extend([env.rec_base as usize, env.epoch_region as usize]);
     for s in slots.iter_mut() {
         s.each_cached(&mut |p| {
             live.insert(p);
@@ -1128,11 +1067,17 @@ pub unsafe fn finish_attach(
     // process's pool, so stamp our participant slot (exclusive heaps keep 0).
     let owner_slot =
         if heap.is_shared() { heap.my_participant().map_or(0, |s| s as u32 + 1) } else { 0 };
-    // SAFETY: quiescent; `info_refs` holds the recomputed true counts
-    // (cells + RD slots) and `live` covers roots, graphs, descriptors and
-    // this process's caches across every structure in the heap.
-    let swept =
-        unsafe { census_epilogue::<MappedNvm>(heap, &info_refs, owner, owner_slot, &mut live) };
+    // Rewrite every live descriptor's volatile bookkeeping (recomputed
+    // reference count, this process's Info pool as owner) and keep it.
+    for (&info, &cnt) in &info_refs {
+        // SAFETY: quiescent; `info_refs` holds the true counts (cells + RD
+        // slots) of descriptors validated above.
+        unsafe { (*(info as *const Info<MappedNvm>)).reset_after_attach(cnt, owner, owner_slot) };
+        live.insert(info);
+    }
+    // SAFETY: quiescent; `live` covers roots, graphs, descriptors and this
+    // process's caches across every structure in the heap.
+    let swept = unsafe { heap.sweep_except(&live) };
     Ok((recovered, swept))
 }
 
@@ -1192,32 +1137,6 @@ pub fn validate_infos<M: Persist>(
     Ok(())
 }
 
-/// The census/sweep epilogue of a mapped attach: rewrite every live
-/// descriptor's volatile bookkeeping (recomputed reference count, this
-/// process's Info pool as `owner`, `shared` forced) and garbage-collect
-/// every committed block not in `live`. Returns the number swept.
-///
-/// # Safety
-/// Quiescent attach-time access; `info_refs` must hold the true reference
-/// count per descriptor, `owner` the new Info-pool handle, and `live` every
-/// payload address reachable from the structure's roots or this process's
-/// caches (the descriptors themselves are added here).
-pub unsafe fn census_epilogue<M: Persist>(
-    heap: &nvm::mapped::MappedHeap,
-    info_refs: &std::collections::HashMap<usize, u32>,
-    owner: *const (),
-    owner_slot: u32,
-    live: &mut std::collections::HashSet<usize>,
-) -> usize {
-    for (&info, &cnt) in info_refs {
-        // SAFETY: quiescent; count/owner per the contract above.
-        unsafe { (*(info as *const Info<M>)).reset_after_attach(cnt, owner, owner_slot) };
-        live.insert(info);
-    }
-    // SAFETY: `live` now covers roots, graph, descriptors and caches.
-    unsafe { heap.sweep_except(live) }
-}
-
 /// What a mapped-backend `attach(path)` found and did: the heap-level
 /// [`nvm::mapped::AttachReport`] plus the structure-level recovery outcome.
 #[derive(Debug)]
@@ -1233,6 +1152,12 @@ pub struct AttachSummary {
 }
 
 impl AttachSummary {
+    /// The summary of an attach that replayed nothing: a fresh heap, or a
+    /// join of a live one.
+    pub(crate) fn of(heap: &MappedHeap) -> Self {
+        Self { heap: *heap.report(), recovered: Vec::new(), swept: 0 }
+    }
+
     /// The replayed recovery decision for `pid` (`Restart` on a fresh heap).
     pub fn decision(&self, pid: usize) -> Recovered {
         self.recovered

@@ -542,7 +542,7 @@ impl MappedLayout for RStack<MappedNvm> {
 }
 
 impl SlotOps for RStack<MappedNvm> {
-    fn validate_image(&self, _infos: &mut HashSet<u64>) -> Result<(), MapError> {
+    fn validate_unit(&self, _unit: usize, _infos: &mut HashSet<u64>) -> Result<(), MapError> {
         // Direct tracking references no descriptors; validate the chain.
         let mut budget = self.heap().bump_granules() + 4;
         let mut n = (*self.top).peek();
@@ -569,7 +569,12 @@ impl SlotOps for RStack<MappedNvm> {
         Ok(())
     }
 
-    unsafe fn census(&self, live: &mut HashSet<usize>, _info_refs: &mut HashMap<usize, u32>) {
+    unsafe fn census_unit(
+        &self,
+        _unit: usize,
+        live: &mut HashSet<usize>,
+        _info_refs: &mut HashMap<usize, u32>,
+    ) {
         // SAFETY: quiescent exclusive access post-scrub (caller).
         unsafe {
             let mut n = (*self.top).peek() as *mut Node<MappedNvm>;

@@ -35,13 +35,12 @@
 //! ```
 
 use crate::bst::RBst;
-use crate::engine::Info;
 use crate::hashmap::RHashMap;
 use crate::list::RList;
 use crate::queue::RQueue;
 use crate::recovery::{
     finish_attach, recover_dead_pid_with, rootkeys, AttachEnv, AttachError, AttachSummary,
-    MappedLayout, RecArea, SlotOps,
+    MappedLayout, SlotOps,
 };
 use crate::resptable::ResponseTable;
 use crate::stack::RStack;
@@ -68,14 +67,10 @@ struct Entry {
 /// docs). Handles returned by the typed accessors are `Arc`s that keep the
 /// heap alive independently of the `Store`.
 pub struct Store {
-    heap: Arc<MappedHeap>,
-    rec_base: *const u8,
-    info_pool: crate::pool::Pool<Info<MappedNvm>>,
+    /// What every handle is built in: the heap, the shared recovery area,
+    /// the heap-wide Info pool and (shared heaps) the epoch region.
+    env: AttachEnv,
     catalog: *mut u8,
-    /// Shared cross-process epoch region (null on an exclusive heap): every
-    /// structure's collector attaches here, forming one epoch domain across
-    /// processes.
-    epochs: *mut u8,
     entries: Mutex<HashMap<String, Entry>>,
     summary: AttachSummary,
     /// The KV-service response table hosted by this heap (always present;
@@ -84,11 +79,14 @@ pub struct Store {
     resptab: ResponseTable,
 }
 
-// SAFETY: the raw pointers are into the heap mapping, which `heap` keeps
+// SAFETY: the raw pointers are into the heap mapping, which `env.heap` keeps
 // alive; all mutation goes through the entries mutex or the (internally
 // synchronized) catalog/allocator.
 unsafe impl Send for Store {}
 unsafe impl Sync for Store {}
+
+/// The catalog block and every cataloged entry, constructed.
+type Cataloged = (*mut u8, Vec<CatalogEntry>, Vec<Box<dyn SlotOps>>);
 
 impl Store {
     /// Opens (or creates, at [`DEFAULT_HEAP_BYTES`]) the store heap at
@@ -151,109 +149,60 @@ impl Store {
         store
     }
 
+    /// The catalog block and every existing entry constructed
+    /// (kind-dispatched), so recovery can run over the complete structure
+    /// set. A root in a segment a peer grew after this process mapped the
+    /// heap needs no step of its own: the heap adopts segments when it is
+    /// asked about an address past the ones it knows.
+    fn open_catalog(env: &AttachEnv) -> Result<Cataloged, AttachError> {
+        let catalog = env.heap.catalog_root(rootkeys::CATALOG)?;
+        // SAFETY: `catalog` is this heap's committed catalog block.
+        let metas = unsafe { env.heap.catalog_entries(catalog) }?;
+        let slots = metas.iter().map(|e| construct_entry(env, e)).collect::<Result<_, _>>()?;
+        Ok((catalog, metas, slots))
+    }
+
     /// The common single-owner attach body: construct every cataloged
     /// entry, then (unless fresh) run the full recovery sequence. Works for
     /// exclusive heaps and for the shared-mode *initial* attacher (which at
     /// this point is the sole live participant, serialized by the attach
     /// flock).
     fn attach_heap(heap: Arc<MappedHeap>) -> Result<Self, AttachError> {
-        let fresh = heap.kind() == 0;
-        if !fresh && heap.kind() != KIND_STORE {
-            return Err(AttachError::WrongKind {
-                name: String::new(),
-                expected: KIND_STORE,
-                found: heap.kind(),
-            });
-        }
-        let (rec_base, _) =
-            heap.root_alloc(rootkeys::RECAREA, RecArea::<MappedNvm>::slots_bytes())?;
-        heap.validate_rec_geometry(
-            nvm::MAX_PROCS as u64,
-            crate::recovery::ARENA_SLOT_STRIDE as u64,
-        )?;
-        let catalog = heap.catalog_root(rootkeys::CATALOG)?;
-        let mut env = AttachEnv::new(Arc::clone(&heap), rec_base);
-        let epochs = if heap.is_shared() {
-            let (e, _) = heap.root_alloc(rootkeys::EPOCHS, reclaim::shared_region_bytes())?;
-            // SAFETY: committed root block of the required size; we are the
-            // sole live participant (attach flock held), so re-initialising
-            // over a prior run's stale pins is safe — and required, since a
-            // SIGKILLed fleet leaves announce words pinned forever.
-            unsafe { Collector::init_shared_region(e) };
-            env.set_epochs(e);
-            e
-        } else {
-            std::ptr::null_mut()
-        };
+        let (env, fresh) = AttachEnv::open(Arc::clone(&heap), KIND_STORE)?;
         // The KV response table rides every store heap: allocate (or
         // re-open) and validate/heal it here, where access is exclusive
         // (attach flock held / exclusive heap). In-flight op-IDs are
         // resolved below, once the replay decisions exist.
         let (resptab, _heal) = ResponseTable::attach_excl(&heap)?;
-        let resptab_base =
-            heap.root_get(rootkeys::RESPTAB).expect("attach_excl registered the root") as usize;
-        // SAFETY: `catalog` is this heap's committed catalog block.
-        let cataloged = unsafe { heap.catalog_entries(catalog) }?;
-        // Construct every existing entry (kind-dispatched) so recovery can
-        // run over the complete structure set.
-        let mut metas: Vec<CatalogEntry> = Vec::new();
-        let mut slots: Vec<Box<dyn SlotOps>> = Vec::new();
-        for e in cataloged {
-            slots.push(construct_entry(&env, &e)?);
-            metas.push(e);
-        }
-        let summary = if fresh {
+        let (catalog, metas, mut slots) = Self::open_catalog(&env)?;
+        let mut summary = AttachSummary::of(&heap);
+        if fresh {
             heap.set_kind(KIND_STORE);
-            AttachSummary { heap: *heap.report(), recovered: Vec::new(), swept: 0 }
         } else {
-            let rec = env.rec_area();
-            let mut extra_live = vec![rec_base as usize, catalog as usize, resptab_base];
-            if !epochs.is_null() {
-                extra_live.push(epochs as usize);
-            }
+            let resptab_root = heap.root_get(rootkeys::RESPTAB).expect("attach_excl registered it");
+            let mut extra_live = vec![catalog as usize, resptab_root as usize];
             extra_live.extend(metas.iter().map(|e| e.root as usize));
             // SAFETY: quiescent attach (no structure operation runs); the
             // driver may fan validation/census out over attach-scoped worker
             // threads per structure work unit. `slots` covers every
             // structure in the heap (the complete catalog), `extra_live`
             // every root/metadata block.
-            let (recovered, swept) = unsafe {
-                finish_attach(&heap, &rec, &mut slots, &extra_live, env.info_pool().handle())?
-            };
-            AttachSummary { heap: *heap.report(), recovered, swept }
-        };
+            (summary.recovered, summary.swept) =
+                unsafe { finish_attach(&env, &mut slots, &extra_live)? };
+        }
         // Resolve every in-flight op-ID against the replay's per-pid
         // decisions: Completed finalizes the response into the client's
         // slot, Restart clears its `pending` word so the retry re-applies.
         // Idempotent — a crash mid-resolution leaves the rec slots intact
         // (the attach replay never clears them), so the next attach
         // recomputes the same decisions and resumes.
-        let mut resolved = 0u64;
-        for pid in 0..nvm::MAX_PROCS {
-            if resptab.resolve(pid, summary.decision(pid)).is_some() {
-                resolved += 1;
-            }
-        }
+        let resolved = (0..nvm::MAX_PROCS)
+            .filter(|&pid| resptab.resolve(pid, summary.decision(pid)).is_some())
+            .count() as u64;
         if resolved > 0 {
             nvm::stats::count_kv_intents_resolved(resolved);
         }
-        let entries = metas
-            .into_iter()
-            .zip(slots)
-            .map(|(e, s)| {
-                (e.name, Entry { kind: e.kind, cfg: e.cfg, handle: Arc::from(s.into_any()) })
-            })
-            .collect();
-        Ok(Self {
-            heap,
-            rec_base,
-            info_pool: env.info_pool(),
-            catalog,
-            epochs,
-            entries: Mutex::new(entries),
-            summary,
-            resptab,
-        })
+        Ok(Self::assemble(env, (catalog, metas, slots), summary, resptab))
     }
 
     /// A joiner's attach: the heap is live and already recovered (the
@@ -261,57 +210,28 @@ impl Store {
     /// builds per-process volatile state only — no replay, no scrub, no
     /// sweep — and adopts every cataloged structure.
     fn join_shared(heap: Arc<MappedHeap>) -> Result<Self, AttachError> {
-        if heap.kind() != KIND_STORE {
-            return Err(AttachError::WrongKind {
-                name: String::new(),
-                expected: KIND_STORE,
-                found: heap.kind(),
-            });
-        }
-        let (rec_base, _) =
-            heap.root_alloc(rootkeys::RECAREA, RecArea::<MappedNvm>::slots_bytes())?;
-        heap.validate_rec_geometry(
-            nvm::MAX_PROCS as u64,
-            crate::recovery::ARENA_SLOT_STRIDE as u64,
-        )?;
-        let catalog = heap.catalog_root(rootkeys::CATALOG)?;
-        let (epochs, epochs_fresh) =
-            heap.root_alloc(rootkeys::EPOCHS, reclaim::shared_region_bytes())?;
-        if epochs_fresh {
-            // A live store heap always carries the epoch region (the initial
-            // attacher installs it before releasing the lock); its absence
-            // means the image predates shared mode.
-            return Err(MapError::BadSuperblock("shared store without an epoch region").into());
-        }
-        let mut env = AttachEnv::new(Arc::clone(&heap), rec_base);
-        env.set_epochs(epochs);
+        let (env, _) = AttachEnv::open(Arc::clone(&heap), KIND_STORE)?;
         // Joiners adopt the response table as-is: the initial attacher
         // validated/healed it, and live peers are mid-write in their slots.
         let resptab = ResponseTable::open(&heap)?;
-        // Peers may have grown the heap past what join mapped; make every
-        // published segment visible before following catalog pointers.
-        heap.refresh_segments()?;
-        // SAFETY: `catalog` is this heap's committed catalog block.
-        let cataloged = unsafe { heap.catalog_entries(catalog) }?;
-        let mut entries = HashMap::new();
-        for e in cataloged {
-            let s = construct_entry(&env, &e)?;
-            entries.insert(
-                e.name,
-                Entry { kind: e.kind, cfg: e.cfg, handle: Arc::from(s.into_any()) },
-            );
-        }
-        let summary = AttachSummary { heap: *heap.report(), recovered: Vec::new(), swept: 0 };
-        Ok(Self {
-            heap,
-            rec_base,
-            info_pool: env.info_pool(),
-            catalog,
-            epochs,
-            entries: Mutex::new(entries),
-            summary,
-            resptab,
-        })
+        let cataloged = Self::open_catalog(&env)?;
+        Ok(Self::assemble(env, cataloged, AttachSummary::of(&heap), resptab))
+    }
+
+    fn assemble(
+        env: AttachEnv,
+        (catalog, metas, slots): Cataloged,
+        summary: AttachSummary,
+        resptab: ResponseTable,
+    ) -> Self {
+        let entries = metas
+            .into_iter()
+            .zip(slots)
+            .map(|(e, s)| {
+                (e.name, Entry { kind: e.kind, cfg: e.cfg, handle: Arc::from(s.into_any()) })
+            })
+            .collect();
+        Self { env, catalog, entries: Mutex::new(entries), summary, resptab }
     }
 
     /// What this attach found and did: the heap-level report, the per-pid
@@ -323,7 +243,7 @@ impl Store {
 
     /// The persistent heap backing this store.
     pub fn heap(&self) -> &Arc<MappedHeap> {
-        &self.heap
+        &self.env.heap
     }
 
     /// The KV-service response table hosted by this heap. By the time the
@@ -358,76 +278,62 @@ impl Store {
         L::validate_cfg(cfg)?;
         let mut entries = self.entries.lock().unwrap();
         let cfg_word = L::cfg_word(cfg);
-        if let Some(e) = entries.get(name) {
-            if e.kind != L::KIND {
+        // An entry that exists must be what the caller asked for, whether it
+        // is found in this handle's cache or, just created by a peer, in the
+        // catalog.
+        let check = |kind: u64, found_cfg: u64| {
+            if kind != L::KIND {
                 return Err(AttachError::WrongKind {
                     name: name.to_string(),
                     expected: L::KIND,
-                    found: e.kind,
+                    found: kind,
                 });
             }
-            if e.cfg != cfg_word {
+            if found_cfg != cfg_word {
                 return Err(AttachError::CfgMismatch {
                     name: name.to_string(),
                     expected: cfg_word,
-                    found: e.cfg,
+                    found: found_cfg,
                 });
             }
+            Ok(())
+        };
+        if let Some(e) = entries.get(name) {
+            check(e.kind, e.cfg)?;
             return Ok(Arc::clone(&e.handle).downcast::<L>().expect("kind/cfg imply the type"));
         }
-        let env = self.env();
-        let s = if self.heap.is_shared() {
-            // Shared heaps: a peer may have created this entry since our
-            // attach. Creation (catalog append + root install) is serialized
-            // under the cross-process file lock, and the catalog is
-            // re-scanned under it — so two processes racing on one name
-            // produce exactly one entry, and the loser adopts it fully
-            // installed.
-            self.heap.with_file_lock(|| -> Result<Arc<L>, AttachError> {
-                self.heap.refresh_segments()?;
+        let heap = &self.env.heap;
+        let open_or_create = || -> Result<L, AttachError> {
+            if heap.is_shared() {
+                // A peer may have created this entry since our attach; the
+                // caller holds the file lock, so what the catalog says now
+                // is final.
                 // SAFETY: committed catalog block.
-                let cataloged = unsafe { self.heap.catalog_entries(self.catalog) }?;
+                let cataloged = unsafe { heap.catalog_entries(self.catalog) }?;
                 if let Some(e) = cataloged.into_iter().find(|e| e.name == name) {
-                    if e.kind != L::KIND {
-                        return Err(AttachError::WrongKind {
-                            name: name.to_string(),
-                            expected: L::KIND,
-                            found: e.kind,
-                        });
-                    }
-                    if e.cfg != cfg_word {
-                        return Err(AttachError::CfgMismatch {
-                            name: name.to_string(),
-                            expected: cfg_word,
-                            found: e.cfg,
-                        });
-                    }
-                    return Ok(Arc::new(L::open(&env, cfg, e.root)?));
+                    check(e.kind, e.cfg)?;
+                    return open_root(&self.env, cfg, &e);
                 }
-                // SAFETY: committed catalog block; mutation serialized by
-                // the file lock we hold.
-                let root = unsafe {
-                    self.heap.catalog_append(
-                        self.catalog,
-                        name,
-                        L::KIND,
-                        cfg_word,
-                        L::root_bytes(cfg),
-                    )
-                }?;
-                Ok(Arc::new(L::open(&env, cfg, root)?))
-            })??
-        } else {
+            }
             // New entry: root block + catalog record (kind word last), then
             // the structure's own idempotent root install. No recovery
             // needed — the entry cannot predate this attach.
-            // SAFETY: committed catalog block; single attach-owner
-            // discipline.
+            // SAFETY: committed catalog block; one writer (the attach owner,
+            // or the file lock on a shared heap).
             let root = unsafe {
-                self.heap.catalog_append(self.catalog, name, L::KIND, cfg_word, L::root_bytes(cfg))
+                heap.catalog_append(self.catalog, name, L::KIND, cfg_word, L::root_bytes(cfg))
             }?;
-            Arc::new(L::open(&env, cfg, root)?)
+            L::open(&self.env, cfg, root)
         };
+        // Shared heaps serialize creation (catalog append + root install)
+        // and the re-scan before it under the cross-process file lock — so
+        // two processes racing on one name produce exactly one entry, and
+        // the loser adopts it fully installed.
+        let s = Arc::new(if heap.is_shared() {
+            heap.with_file_lock(open_or_create)??
+        } else {
+            open_or_create()?
+        });
         entries.insert(
             name.to_string(),
             Entry {
@@ -474,24 +380,15 @@ impl Store {
         self.get(name, ())
     }
 
-    fn env(&self) -> AttachEnv {
-        let mut env =
-            AttachEnv::with_pool(Arc::clone(&self.heap), self.rec_base, self.info_pool.clone());
-        if !self.epochs.is_null() {
-            env.set_epochs(self.epochs);
-        }
-        env
-    }
-
     // -- online peer recovery (shared heaps) --------------------------------
 
     /// Participant slots whose process is dead (SIGKILLed, pid recycled,
     /// zombie, or a claim torn mid-flight). Empty on an exclusive heap.
     pub fn dead_peers(&self) -> Vec<usize> {
-        if !self.heap.is_shared() {
+        if !self.env.heap.is_shared() {
             return Vec::new();
         }
-        self.heap.dead_participants()
+        self.env.heap.dead_participants()
     }
 
     /// Tries to take the recovery lease on dead participant `slot` without
@@ -503,7 +400,7 @@ impl Store {
     /// dead-list), or the slot is torn mid-claim (no state to recover;
     /// [`Store::recover_peer`] reclaims those under the attach flock).
     pub fn claim_recovery(&self, slot: usize) -> bool {
-        matches!(self.heap.lease_try_claim(slot), LeaseOutcome::Won { .. })
+        matches!(self.env.heap.lease_try_claim(slot), LeaseOutcome::Won { .. })
     }
 
     /// Recovers dead participant `slot` under a CAS-claimed recovery lease,
@@ -521,13 +418,13 @@ impl Store {
         &self,
         slot: usize,
     ) -> Result<Option<Vec<(usize, crate::recovery::Recovered)>>, AttachError> {
-        match self.heap.lease_try_claim(slot) {
+        match self.env.heap.lease_try_claim(slot) {
             LeaseOutcome::Won { .. } => {}
             // A claim torn mid-flight holds no recoverable state and may be
             // a live joiner mid-stamp: reclaim it under the attach flock
             // (which serializes all claims) instead of leasing it.
             LeaseOutcome::Torn => {
-                return Ok(if self.heap.reclaim_torn_claim(slot)? {
+                return Ok(if self.env.heap.reclaim_torn_claim(slot)? {
                     nvm::stats::count_peers_recovered(1);
                     Some(Vec::new())
                 } else {
@@ -541,8 +438,8 @@ impl Store {
         // Replay the dead process's (at most one per thread) pending
         // operations. Help is the ordinary lock-free helping path, so this
         // runs against live traffic from every survivor.
-        let rec = self.rec_area();
-        let col = self.env().collector();
+        let rec = self.env.rec_area();
+        let col = self.env.collector();
         let mut decisions = Vec::new();
         let mut resolved = 0u64;
         for pid in MappedHeap::tid_band(slot) {
@@ -569,16 +466,17 @@ impl Store {
         }
         // The dead process can no longer be inside a read-side critical
         // section: drop its pinned epochs so reclamation advances again.
-        if !self.epochs.is_null() {
+        let epochs = self.env.epoch_region;
+        if !epochs.is_null() {
             // SAFETY: the band's announce words belong exclusively to the
             // dead process's threads.
             let stalls =
-                unsafe { Collector::release_shared_band(self.epochs, MappedHeap::tid_band(slot)) };
+                unsafe { Collector::release_shared_band(epochs, MappedHeap::tid_band(slot)) };
             nvm::stats::count_epoch_stalls(stalls as u64);
         }
         // Registry slot last: clearing it retires the lease with it, and
         // only a fully-resolved slot may be re-claimed by a new process.
-        self.heap.clear_participant(slot);
+        self.env.heap.clear_participant(slot);
         nvm::stats::count_peers_recovered(1);
         Ok(Some(decisions))
     }
@@ -596,14 +494,22 @@ impl Store {
         }
         Ok(healed)
     }
+}
 
-    /// This process's view of the shared recovery area (per-tid slots).
-    fn rec_area(&self) -> RecArea<MappedNvm> {
-        // SAFETY: `rec_base` is the heap's committed recovery-area root
-        // block, geometry-validated at attach; the heap Arc outlives the
-        // returned area's use inside this call graph.
-        unsafe { RecArea::attach_raw(self.rec_base) }
+/// Opens the structure of catalog entry `e` as an `L`. The entry is the
+/// image's word, not ours: before `L::open` touches the root it must be the
+/// payload of a committed block that covers the structure's root — otherwise
+/// a damaged `cfg` or root offset would have `open` read, and install fresh
+/// roots, past a block's end.
+fn open_root<L: MappedLayout>(
+    env: &AttachEnv,
+    cfg: L::Cfg,
+    e: &CatalogEntry,
+) -> Result<L, AttachError> {
+    if env.heap.committed_payload_bytes(e.root).is_none_or(|b| b < L::root_bytes(cfg)) {
+        return Err(MapError::CorruptCatalog { slot: e.slot }.into());
     }
+    L::open(env, cfg, e.root)
 }
 
 /// Kind-dispatched construction of an existing catalog entry (the tuning
@@ -612,9 +518,9 @@ fn construct_entry(env: &AttachEnv, e: &CatalogEntry) -> Result<Box<dyn SlotOps>
     fn open_as<L: MappedLayout>(
         env: &AttachEnv,
         cfg: L::Cfg,
-        root: *mut u8,
+        e: &CatalogEntry,
     ) -> Result<Box<dyn SlotOps>, AttachError> {
-        Ok(Box::new(L::open(env, cfg, root)?))
+        Ok(Box::new(open_root::<L>(env, cfg, e)?))
     }
     // The tuning arm rides in bits 32..40 of the configuration word; a value
     // outside the known ladder means the catalog record was written by an
@@ -623,10 +529,10 @@ fn construct_entry(env: &AttachEnv, e: &CatalogEntry) -> Result<Box<dyn SlotOps>
     macro_rules! open_armed {
         ($ty:ident, $cfg:expr) => {
             match arm {
-                0 => open_as::<$ty<MappedNvm, 0>>(env, $cfg, e.root),
-                1 => open_as::<$ty<MappedNvm, 1>>(env, $cfg, e.root),
-                2 => open_as::<$ty<MappedNvm, 2>>(env, $cfg, e.root),
-                3 => open_as::<$ty<MappedNvm, 3>>(env, $cfg, e.root),
+                0 => open_as::<$ty<MappedNvm, 0>>(env, $cfg, e),
+                1 => open_as::<$ty<MappedNvm, 1>>(env, $cfg, e),
+                2 => open_as::<$ty<MappedNvm, 2>>(env, $cfg, e),
+                3 => open_as::<$ty<MappedNvm, 3>>(env, $cfg, e),
                 _ => Err(MapError::CorruptCatalog { slot: e.slot }.into()),
             }
         };
@@ -642,7 +548,7 @@ fn construct_entry(env: &AttachEnv, e: &CatalogEntry) -> Result<Box<dyn SlotOps>
         crate::queue::KIND_QUEUE => open_armed!(RQueue, ()),
         crate::list::KIND_LIST => open_armed!(RList, ()),
         crate::bst::KIND_BST => open_armed!(RBst, ()),
-        crate::stack::KIND_STACK => open_as::<RStack<MappedNvm>>(env, (), e.root),
+        crate::stack::KIND_STACK => open_as::<RStack<MappedNvm>>(env, (), e),
         _ => Err(MapError::CorruptCatalog { slot: e.slot }.into()),
     }
 }

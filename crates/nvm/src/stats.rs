@@ -11,85 +11,123 @@ use crate::tid;
 use crate::MAX_PROCS;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
-/// One process's counters.
-#[derive(Debug, Default)]
-pub struct Slot {
+/// Declares the counters — once. Each entry is a [`Slot`] field (the atomic)
+/// and the [`Snapshot`] field of the same name and meaning; `since`, the sum
+/// behind [`snapshot`] / [`Snapshot::of_tid`] and [`reset`] visit every entry,
+/// so a counter cannot exist in one and read zero in another. `name: count_fn`
+/// also generates the recording function `count_fn(n)`.
+macro_rules! counters {
+    ($($(#[doc = $doc:literal])+ $name:ident $(: $count:ident)?,)+) => {
+        /// One process's counters.
+        #[derive(Debug, Default)]
+        pub struct Slot {
+            $($(#[doc = $doc])+ pub $name: AtomicU64,)+
+        }
+
+        /// Aggregated snapshot of all per-process counters.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+        pub struct Snapshot {
+            $($(#[doc = $doc])+ pub $name: u64,)+
+        }
+
+        impl Snapshot {
+            /// Component-wise difference (`self - earlier`), saturating at zero.
+            pub fn since(&self, earlier: &Snapshot) -> Snapshot {
+                Snapshot { $($name: self.$name.saturating_sub(earlier.$name),)+ }
+            }
+        }
+
+        fn sum(slots: &[CachePadded<Slot>]) -> Snapshot {
+            let mut s = Snapshot::default();
+            for slot in slots {
+                $(s.$name += slot.$name.load(Relaxed);)+
+            }
+            s
+        }
+
+        fn reset_slots(slots: &[CachePadded<Slot>]) {
+            for slot in slots {
+                $(slot.$name.store(0, Relaxed);)+
+            }
+        }
+
+        $($(
+            #[doc = concat!("Adds `n` to this process's [`Snapshot::", stringify!($name), "`].")]
+            #[inline]
+            pub fn $count(n: u64) {
+                my_slot().$name.fetch_add(n, Relaxed);
+            }
+        )?)+
+
+        /// Every counter: its name and its two accessors.
+        #[cfg(test)]
+        #[allow(clippy::type_complexity)]
+        const FIELDS: &[(&str, fn(&Slot) -> &AtomicU64, fn(&Snapshot) -> u64)] =
+            &[$((stringify!($name), |s| &s.$name, |s| s.$name),)+];
+    };
+}
+
+counters! {
     /// Stand-alone `pwb` calls (one per word/line flushed outside barriers).
-    pub pwb: AtomicU64,
+    pwb: count_pwb,
     /// `pbarrier` calls (each = flush(es) + fence).
-    pub pbarrier: AtomicU64,
+    pbarrier,
     /// Cache lines flushed *inside* barriers (≥ pbarrier when flushing multi-line objects).
-    pub pbarrier_lines: AtomicU64,
+    pbarrier_lines,
     /// `pfence` calls.
-    pub pfence: AtomicU64,
+    pfence,
     /// `psync` calls.
-    pub psync: AtomicU64,
+    psync,
     /// Coalesced `pwb`s elided as duplicates of an already-pending line
     /// (see [`crate::coalesce`]); these issued no write-back and are *not*
     /// included in `pwb`.
-    pub pwb_elided: AtomicU64,
+    pwb_elided: count_pwb_elided,
     /// Lines written back by fence-time drains of the coalescing set. Each
     /// was already counted in `pwb` when noted; this tracks how much traffic
     /// went through the deferred path.
-    pub lines_coalesced: AtomicU64,
+    lines_coalesced: count_lines_coalesced,
     /// Persistent-heap block allocations ([`crate::MappedHeap::alloc`]).
-    pub heap_allocs: AtomicU64,
+    heap_allocs: count_heap_allocs,
     /// Heap allocations served from a free list (per-thread cache, global
     /// stack, or cold map) rather than the bump cursor.
-    pub free_list_hits: AtomicU64,
+    free_list_hits: count_free_list_hits,
     /// Slab refills: bump-cursor reservations that carved a batch of blocks
     /// for a per-thread cache.
-    pub slab_refills: AtomicU64,
+    slab_refills: count_slab_refills,
     /// Heap segments added by growth past the initial mapping.
-    pub segments_grown: AtomicU64,
+    segments_grown: count_segments_grown,
     /// Milliseconds spent in the parallel phases of attach (validate walk,
-    /// census, sweep). Wall-clock, summed across attaches.
-    pub attach_par_ms: AtomicU64,
+    /// census). Wall-clock, summed across attaches.
+    attach_par_ms: count_attach_par_ms,
     /// Dead participants of a shared heap recovered online by this process
     /// (per-pid replay completed and the registry slot reclaimed).
-    pub peers_recovered: AtomicU64,
+    peers_recovered: count_peers_recovered,
     /// Recovery leases taken over from a recoverer that itself died
     /// mid-recovery (lease CAS supersession).
-    pub leases_stolen: AtomicU64,
+    leases_stolen: count_leases_stolen,
     /// Pinned epoch announcements of dead participants released by the
     /// recovery path — each one was wedging cross-process reclamation.
-    pub epoch_stalls: AtomicU64,
+    epoch_stalls: count_epoch_stalls,
     /// KV-service requests applied to a structure (excludes dedup replays).
-    pub kv_requests: AtomicU64,
+    kv_requests: count_kv_requests,
     /// KV-service retries answered from the durable response table without
     /// re-applying the operation (the client-visible exactly-once path).
-    pub kv_dedup_hits: AtomicU64,
+    kv_dedup_hits: count_kv_dedup_hits,
     /// KV-service in-flight intents resolved by attach or peer recovery
     /// (each was a request interrupted by a crash and decided
     /// Completed-with-response or Restart).
-    pub kv_intents_resolved: AtomicU64,
+    kv_intents_resolved: count_kv_intents_resolved,
 }
 
-struct Table {
-    slots: Vec<CachePadded<Slot>>,
-}
-
-impl Table {
-    fn new() -> Self {
-        Self { slots: (0..MAX_PROCS).map(|_| CachePadded::new(Slot::default())).collect() }
-    }
-}
-
-fn table() -> &'static Table {
+fn table() -> &'static [CachePadded<Slot>] {
     use std::sync::OnceLock;
-    static TABLE: OnceLock<Table> = OnceLock::new();
-    TABLE.get_or_init(Table::new)
+    static TABLE: OnceLock<Vec<CachePadded<Slot>>> = OnceLock::new();
+    TABLE.get_or_init(|| (0..MAX_PROCS).map(|_| CachePadded::new(Slot::default())).collect())
 }
 
 #[inline]
 fn my_slot() -> &'static Slot {
-    &table().slots[tid::try_tid().unwrap_or(0)]
-}
-
-/// Record one stand-alone flush.
-#[inline]
-pub fn count_pwb(n: u64) {
-    my_slot().pwb.fetch_add(n, Relaxed);
+    &table()[tid::try_tid().unwrap_or(0)]
 }
 
 /// Record one barrier flushing `lines` cache lines.
@@ -112,125 +150,6 @@ pub fn count_psync() {
     my_slot().psync.fetch_add(1, Relaxed);
 }
 
-/// Record `n` coalesced-away (duplicate-line) `pwb`s.
-#[inline]
-pub fn count_pwb_elided(n: u64) {
-    my_slot().pwb_elided.fetch_add(n, Relaxed);
-}
-
-/// Record `n` lines drained from the coalescing set at a fence.
-#[inline]
-pub fn count_lines_coalesced(n: u64) {
-    my_slot().lines_coalesced.fetch_add(n, Relaxed);
-}
-
-/// Record `n` persistent-heap allocations.
-#[inline]
-pub fn count_heap_allocs(n: u64) {
-    my_slot().heap_allocs.fetch_add(n, Relaxed);
-}
-
-/// Record `n` allocations served from a free list.
-#[inline]
-pub fn count_free_list_hits(n: u64) {
-    my_slot().free_list_hits.fetch_add(n, Relaxed);
-}
-
-/// Record `n` per-thread slab refills from the bump cursor.
-#[inline]
-pub fn count_slab_refills(n: u64) {
-    my_slot().slab_refills.fetch_add(n, Relaxed);
-}
-
-/// Record `n` heap segments added by growth.
-#[inline]
-pub fn count_segments_grown(n: u64) {
-    my_slot().segments_grown.fetch_add(n, Relaxed);
-}
-
-/// Record `ms` milliseconds spent in parallel attach phases.
-#[inline]
-pub fn count_attach_par_ms(ms: u64) {
-    my_slot().attach_par_ms.fetch_add(ms, Relaxed);
-}
-
-/// Record `n` dead peers recovered online.
-#[inline]
-pub fn count_peers_recovered(n: u64) {
-    my_slot().peers_recovered.fetch_add(n, Relaxed);
-}
-
-/// Record `n` recovery leases stolen from a dead recoverer.
-#[inline]
-pub fn count_leases_stolen(n: u64) {
-    my_slot().leases_stolen.fetch_add(n, Relaxed);
-}
-
-/// Record `n` dead-peer pinned epochs released (reclamation stalls cleared).
-#[inline]
-pub fn count_epoch_stalls(n: u64) {
-    my_slot().epoch_stalls.fetch_add(n, Relaxed);
-}
-
-/// Record `n` KV-service requests applied to a structure.
-#[inline]
-pub fn count_kv_requests(n: u64) {
-    my_slot().kv_requests.fetch_add(n, Relaxed);
-}
-
-/// Record `n` KV-service dedup replays (responses served from the table).
-#[inline]
-pub fn count_kv_dedup_hits(n: u64) {
-    my_slot().kv_dedup_hits.fetch_add(n, Relaxed);
-}
-
-/// Record `n` KV in-flight intents resolved by attach or peer recovery.
-#[inline]
-pub fn count_kv_intents_resolved(n: u64) {
-    my_slot().kv_intents_resolved.fetch_add(n, Relaxed);
-}
-
-/// Aggregated snapshot of all per-process counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Snapshot {
-    /// Stand-alone flushes.
-    pub pwb: u64,
-    /// Barrier events.
-    pub pbarrier: u64,
-    /// Lines flushed inside barriers.
-    pub pbarrier_lines: u64,
-    /// Fences.
-    pub pfence: u64,
-    /// Syncs.
-    pub psync: u64,
-    /// Duplicate-line `pwb`s elided by coalescing.
-    pub pwb_elided: u64,
-    /// Lines drained from the coalescing set at fences.
-    pub lines_coalesced: u64,
-    /// Persistent-heap allocations.
-    pub heap_allocs: u64,
-    /// Allocations served from a free list.
-    pub free_list_hits: u64,
-    /// Per-thread slab refills from the bump cursor.
-    pub slab_refills: u64,
-    /// Heap segments added by growth.
-    pub segments_grown: u64,
-    /// Milliseconds spent in parallel attach phases.
-    pub attach_par_ms: u64,
-    /// Dead peers recovered online.
-    pub peers_recovered: u64,
-    /// Recovery leases stolen from dead recoverers.
-    pub leases_stolen: u64,
-    /// Dead-peer pinned epochs released by recovery.
-    pub epoch_stalls: u64,
-    /// KV-service requests applied to a structure.
-    pub kv_requests: u64,
-    /// KV-service dedup replays served from the response table.
-    pub kv_dedup_hits: u64,
-    /// KV in-flight intents resolved by attach or peer recovery.
-    pub kv_intents_resolved: u64,
-}
-
 impl Snapshot {
     /// Process `t`'s counters alone. A test that owns tid `t` diffs two of
     /// these to read exactly its own traffic, whatever sibling threads
@@ -239,88 +158,18 @@ impl Snapshot {
     /// # Panics
     /// If `t >= MAX_PROCS`.
     pub fn of_tid(t: usize) -> Snapshot {
-        sum(&table().slots[t..=t])
-    }
-
-    /// Component-wise difference (`self - earlier`), saturating at zero.
-    pub fn since(&self, earlier: &Snapshot) -> Snapshot {
-        Snapshot {
-            pwb: self.pwb.saturating_sub(earlier.pwb),
-            pbarrier: self.pbarrier.saturating_sub(earlier.pbarrier),
-            pbarrier_lines: self.pbarrier_lines.saturating_sub(earlier.pbarrier_lines),
-            pfence: self.pfence.saturating_sub(earlier.pfence),
-            psync: self.psync.saturating_sub(earlier.psync),
-            pwb_elided: self.pwb_elided.saturating_sub(earlier.pwb_elided),
-            lines_coalesced: self.lines_coalesced.saturating_sub(earlier.lines_coalesced),
-            heap_allocs: self.heap_allocs.saturating_sub(earlier.heap_allocs),
-            free_list_hits: self.free_list_hits.saturating_sub(earlier.free_list_hits),
-            slab_refills: self.slab_refills.saturating_sub(earlier.slab_refills),
-            segments_grown: self.segments_grown.saturating_sub(earlier.segments_grown),
-            attach_par_ms: self.attach_par_ms.saturating_sub(earlier.attach_par_ms),
-            peers_recovered: self.peers_recovered.saturating_sub(earlier.peers_recovered),
-            leases_stolen: self.leases_stolen.saturating_sub(earlier.leases_stolen),
-            epoch_stalls: self.epoch_stalls.saturating_sub(earlier.epoch_stalls),
-            kv_requests: self.kv_requests.saturating_sub(earlier.kv_requests),
-            kv_dedup_hits: self.kv_dedup_hits.saturating_sub(earlier.kv_dedup_hits),
-            kv_intents_resolved: self
-                .kv_intents_resolved
-                .saturating_sub(earlier.kv_intents_resolved),
-        }
+        sum(&table()[t..=t])
     }
 }
 
 /// Sums every process's counters.
 pub fn snapshot() -> Snapshot {
-    sum(&table().slots)
-}
-
-fn sum(slots: &[CachePadded<Slot>]) -> Snapshot {
-    let mut s = Snapshot::default();
-    for slot in slots {
-        s.pwb += slot.pwb.load(Relaxed);
-        s.pbarrier += slot.pbarrier.load(Relaxed);
-        s.pbarrier_lines += slot.pbarrier_lines.load(Relaxed);
-        s.pfence += slot.pfence.load(Relaxed);
-        s.psync += slot.psync.load(Relaxed);
-        s.pwb_elided += slot.pwb_elided.load(Relaxed);
-        s.lines_coalesced += slot.lines_coalesced.load(Relaxed);
-        s.heap_allocs += slot.heap_allocs.load(Relaxed);
-        s.free_list_hits += slot.free_list_hits.load(Relaxed);
-        s.slab_refills += slot.slab_refills.load(Relaxed);
-        s.segments_grown += slot.segments_grown.load(Relaxed);
-        s.attach_par_ms += slot.attach_par_ms.load(Relaxed);
-        s.peers_recovered += slot.peers_recovered.load(Relaxed);
-        s.leases_stolen += slot.leases_stolen.load(Relaxed);
-        s.epoch_stalls += slot.epoch_stalls.load(Relaxed);
-        s.kv_requests += slot.kv_requests.load(Relaxed);
-        s.kv_dedup_hits += slot.kv_dedup_hits.load(Relaxed);
-        s.kv_intents_resolved += slot.kv_intents_resolved.load(Relaxed);
-    }
-    s
+    sum(table())
 }
 
 /// Resets every counter to zero. Only call while no instrumented threads run.
 pub fn reset() {
-    for slot in &table().slots {
-        slot.pwb.store(0, Relaxed);
-        slot.pbarrier.store(0, Relaxed);
-        slot.pbarrier_lines.store(0, Relaxed);
-        slot.pfence.store(0, Relaxed);
-        slot.psync.store(0, Relaxed);
-        slot.pwb_elided.store(0, Relaxed);
-        slot.lines_coalesced.store(0, Relaxed);
-        slot.heap_allocs.store(0, Relaxed);
-        slot.free_list_hits.store(0, Relaxed);
-        slot.slab_refills.store(0, Relaxed);
-        slot.segments_grown.store(0, Relaxed);
-        slot.attach_par_ms.store(0, Relaxed);
-        slot.peers_recovered.store(0, Relaxed);
-        slot.leases_stolen.store(0, Relaxed);
-        slot.epoch_stalls.store(0, Relaxed);
-        slot.kv_requests.store(0, Relaxed);
-        slot.kv_dedup_hits.store(0, Relaxed);
-        slot.kv_intents_resolved.store(0, Relaxed);
-    }
+    reset_slots(table());
 }
 
 #[cfg(test)]
@@ -371,5 +220,52 @@ mod tests {
         }
         let d = snapshot().since(&before_all);
         assert!(d.pwb >= 3 && d.pbarrier >= 3, "{d:?}");
+    }
+
+    /// Every counter reaches `Snapshot`, `since` and `reset`. (`reset` is
+    /// checked on a table of its own: the global one belongs to whatever
+    /// sibling tests are counting right now.)
+    #[test]
+    fn every_counter_is_recorded_diffed_and_reset() {
+        tid::set_tid(45);
+        let before = Snapshot::of_tid(45);
+        count_pwb(1);
+        count_pbarrier(1);
+        count_pfence();
+        count_psync();
+        count_pwb_elided(1);
+        count_lines_coalesced(1);
+        count_heap_allocs(1);
+        count_free_list_hits(1);
+        count_slab_refills(1);
+        count_segments_grown(1);
+        count_attach_par_ms(1);
+        count_peers_recovered(1);
+        count_leases_stolen(1);
+        count_epoch_stalls(1);
+        count_kv_requests(1);
+        count_kv_dedup_hits(1);
+        count_kv_intents_resolved(1);
+        let d = Snapshot::of_tid(45).since(&before);
+        for (name, _, read) in FIELDS {
+            assert_eq!(read(&d), 1, "{name} bumped once");
+        }
+
+        let slots: Vec<CachePadded<Slot>> = (0..2).map(|_| Default::default()).collect();
+        for (i, (_, cell, _)) in FIELDS.iter().enumerate() {
+            cell(&slots[0]).store(100 + i as u64, Relaxed);
+            cell(&slots[1]).store(1000, Relaxed);
+        }
+        let (total, earlier) = (sum(&slots), sum(&slots[..1]));
+        for (i, (name, _, read)) in FIELDS.iter().enumerate() {
+            assert_eq!(read(&total), 1100 + i as u64, "{name} summed over slots");
+            assert_eq!(read(&total.since(&earlier)), 1000, "{name} diffed");
+            assert_eq!(read(&earlier.since(&total)), 0, "{name} saturates");
+        }
+        reset_slots(&slots);
+        for (name, cell, _) in FIELDS {
+            assert_eq!(cell(&slots[0]).load(Relaxed) + cell(&slots[1]).load(Relaxed), 0, "{name}");
+        }
+        assert_eq!(sum(&slots), Snapshot::default());
     }
 }

@@ -396,6 +396,79 @@ fn catalog_second_entry_corruption_reports_its_slot() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// Asserts that opening the store fails on catalog slot 0 and — once `undo`
+/// has put the patched word back — that the failed open wrote nothing over
+/// the structures: both attach intact.
+fn assert_slot0_rejected_untouched(path: &PathBuf, undo: impl FnOnce()) {
+    match store_err(path) {
+        AttachError::Map(MapError::CorruptCatalog { slot }) => assert_eq!(slot, 0),
+        e => panic!("expected CorruptCatalog, got {e}"),
+    }
+    undo();
+    nvm::tid::set_tid(0);
+    let store = Store::open_sized(path, HEAP_BYTES).expect("the undamaged image attaches");
+    let m = store.hashmap::<0>("users", SHARDS).unwrap();
+    let q = store.queue::<0>("jobs").unwrap();
+    for k in 1..=96u64 {
+        assert_eq!(m.find(0, k), k <= 64, "map key {k}");
+    }
+    for v in 1..=32u64 {
+        assert_eq!(q.dequeue(0), Some(v), "queue order");
+    }
+    assert_eq!(q.dequeue(0), None);
+    drop((m, q, store));
+    let _ = std::fs::remove_file(path);
+}
+
+/// Entry word 1 is the configuration: a shard count whose bucket-head array
+/// would run a megabyte past the 64-byte root block.
+#[test]
+fn catalog_shard_count_beyond_the_root_block_fails_typed() {
+    let path = tmp("cat_shards");
+    let cat = mk_store(&path);
+    let cfg = read_at(&path, cat + 8);
+    assert_eq!(cfg, SHARDS as u64, "slot 0 is the arm-0 map");
+    patch(&path, cat + 8, &(1u64 << 20).to_le_bytes());
+    assert_slot0_rejected_untouched(&path, || patch(&path, cat + 8, &cfg.to_le_bytes()));
+}
+
+/// A root offset that lands inside another block's payload — the recovery
+/// area's — right behind bytes forged to look like a committed header: the
+/// commit bitmap, not the bytes, says where blocks start.
+#[test]
+fn catalog_root_inside_another_blocks_payload_fails_typed() {
+    let path = tmp("cat_inside");
+    let cat = mk_store(&path);
+    let root = read_at(&path, cat + 16);
+    // The unused back half of recovery slot 10's 128-byte stride.
+    let forged_hdr = root_offset(&path, 0x5245_4341) + 10 * 128 + 64; // rootkeys::RECAREA
+    assert_eq!(read_at(&path, forged_hdr), 0);
+    patch(&path, forged_hdr, &(0xB10C_u64 << 48 | 2 << 40 | 1).to_le_bytes());
+    patch(&path, cat + 16, &(forged_hdr + 64).to_le_bytes());
+    assert_slot0_rejected_untouched(&path, || {
+        patch(&path, forged_hdr, &0u64.to_le_bytes());
+        patch(&path, cat + 16, &root.to_le_bytes());
+    });
+}
+
+/// A root offset in the very last granule of the mapping: in bounds as an
+/// address, but no block was ever allocated there.
+#[test]
+fn catalog_root_in_the_last_granule_fails_typed() {
+    let path = tmp("cat_last");
+    let cat = mk_store(&path);
+    let root = read_at(&path, cat + 16);
+    let size = read_word(&path, 3);
+    patch(&path, cat + 16, &(size - 64).to_le_bytes());
+    assert_slot0_rejected_untouched(&path, || patch(&path, cat + 16, &root.to_le_bytes()));
+    // Unaligned, it is not even a payload address.
+    let path = tmp("cat_unaligned");
+    let cat = mk_store(&path);
+    let root = read_at(&path, cat + 16);
+    patch(&path, cat + 16, &(root + 8).to_le_bytes());
+    assert_slot0_rejected_untouched(&path, || patch(&path, cat + 16, &root.to_le_bytes()));
+}
+
 /// A cleared kind word is indistinguishable from a torn entry creation:
 /// the slot is simply invisible, the orphaned blocks are swept, and the
 /// rest of the store attaches fine.
@@ -415,6 +488,64 @@ fn catalog_cleared_kind_word_is_a_benign_empty_slot() {
     }
     drop((m, store));
     let _ = std::fs::remove_file(&path);
+}
+
+/// Two heaps in one process: the second open of a store finds its recorded
+/// base taken (by a heap opened in between) and relocates — and all five
+/// structure kinds keep answering and mutating at the new base. The squatter
+/// keeps the old range mapped, mostly past its own end of file, so a pointer
+/// the relocation pass missed would fault (or scribble on the squatter's
+/// blocks, which its re-attach walk would then reject).
+#[test]
+fn relocated_store_keeps_every_structure_kind_working() {
+    let (path, squat_path) = (tmp("reloc_store"), tmp("reloc_squat"));
+    nvm::tid::set_tid(0);
+    let old_base = {
+        let store = Store::open_sized(&path, HEAP_BYTES).unwrap();
+        let (m, q) =
+            (store.hashmap::<0>("users", SHARDS).unwrap(), store.queue::<2>("jobs").unwrap());
+        let (l, t) = (store.list::<1>("index").unwrap(), store.bst::<3>("tree").unwrap());
+        let s = store.stack("undo").unwrap();
+        for k in 1..=200u64 {
+            assert!(m.insert(0, k) && l.insert(0, k) && t.insert(0, k * 7 % 211));
+            q.enqueue(0, k);
+            s.push(0, k);
+        }
+        for k in (1..=200u64).step_by(3) {
+            assert!(m.delete(0, k) && l.delete(0, k));
+        }
+        store.heap().base() as usize
+    };
+    let squatter = MappedHeap::create(&squat_path, nvm::mapped::MIN_HEAP_BYTES).unwrap();
+    let squatted = squatter.base() as usize == old_base;
+    let store = Store::open_sized(&path, HEAP_BYTES).unwrap();
+    // (A sibling test may hold the preferred base instead of the squatter;
+    // then the store was never there and need not move.)
+    assert!(store.summary().heap.relocated || !squatted);
+    let (m, q) = (store.hashmap::<0>("users", SHARDS).unwrap(), store.queue::<2>("jobs").unwrap());
+    let (l, t) = (store.list::<1>("index").unwrap(), store.bst::<3>("tree").unwrap());
+    let s = store.stack("undo").unwrap();
+    for k in 1..=200u64 {
+        assert_eq!(m.find(0, k), k % 3 != 1, "map key {k}");
+        assert_eq!(l.find(0, k), k % 3 != 1, "list key {k}");
+        assert!(t.find(0, k * 7 % 211), "bst key {k}");
+        assert_eq!(q.dequeue(0), Some(k));
+        assert_eq!(s.pop(0), Some(201 - k));
+    }
+    // ...and every kind keeps mutating: new nodes, recycled descriptors.
+    for k in 1001..=1200u64 {
+        assert!(m.insert(0, k) && l.insert(0, k) && t.insert(0, k));
+        q.enqueue(0, k);
+        s.push(0, k);
+    }
+    drop((m, q, l, t, s, store));
+    // A third open, at the base the relocation recorded, replays and sweeps.
+    let store = Store::open_sized(&path, HEAP_BYTES).unwrap();
+    assert!(store.hashmap::<0>("users", SHARDS).unwrap().find(0, 1200));
+    drop((store, squatter));
+    drop(MappedHeap::attach(&squat_path).expect("nothing scribbled on the squatter"));
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(&squat_path);
 }
 
 // ---------------------------------------------------------------------------

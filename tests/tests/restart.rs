@@ -214,7 +214,13 @@ fn run_one_seed(seed: u64) -> (u64, u64) {
 /// One SIGKILL round: returns (acked ops verified, in-flight ops resolved,
 /// heap segments after the parent's re-attach).
 fn run_one_seed_with(seed: u64, heap_bytes: usize, kill_after: Duration) -> (u64, u64, usize) {
-    let dir = std::env::temp_dir().join(format!("isb_restart_{}_{seed}", std::process::id()));
+    // Two tests run this matrix — on their own test threads, over the same
+    // seeds — so the directory carries what tells them apart. (It did not,
+    // and one test's `remove_dir_all`, child and attach then met the other's
+    // heap: "attached by live process", or two handles of one process on one
+    // file.)
+    let dir = std::env::temp_dir()
+        .join(format!("isb_restart_{}_{heap_bytes}_{seed}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
 
@@ -1211,10 +1217,31 @@ fn marker_decision(dir: &Path, slot: usize, tid: usize) -> Recovered {
     panic!("no rec_done marker covers slot {slot} tid {tid}");
 }
 
-fn wait_for(seed: u64, what: &str, mut cond: impl FnMut() -> bool) {
+/// What a stalled shared-heap round looked like from outside: the heap's
+/// shared words (participants, leases, bump lock and cursors) and how far
+/// each child's journal got.
+fn shared_state(dir: &Path) -> String {
+    let journals: Vec<String> = (0..SHARED_PROCS)
+        .map(|i| {
+            std::fs::metadata(shared_log_path(dir, i))
+                .map_or("none".into(), |m| m.len().to_string())
+        })
+        .collect();
+    format!(
+        "{}journal bytes per child: {}",
+        nvm::mapped::describe_page0(&heap_path(dir)),
+        journals.join(" ")
+    )
+}
+
+fn wait_for(seed: u64, dir: &Path, what: &str, mut cond: impl FnMut() -> bool) {
     let t0 = Instant::now();
     while !cond() {
-        assert!(t0.elapsed() < Duration::from_secs(60), "seed {seed}: timed out waiting: {what}");
+        assert!(
+            t0.elapsed() < Duration::from_secs(60),
+            "seed {seed}: timed out waiting: {what}\n{}",
+            shared_state(dir)
+        );
         std::thread::sleep(Duration::from_millis(5));
     }
 }
@@ -1254,7 +1281,7 @@ fn run_one_shared_seed(seed: u64, second_kill: bool) -> (u64, u64, bool) {
     let mut slots = [usize::MAX; SHARED_PROCS];
     for (idx, slot) in slots.iter_mut().enumerate() {
         let ready = dir.join(format!("ready_{idx}"));
-        wait_for(seed, "child readiness", || ready.exists());
+        wait_for(seed, &dir, "child readiness", || ready.exists());
         *slot = std::fs::read_to_string(&ready)
             .unwrap()
             .split_whitespace()
@@ -1284,7 +1311,7 @@ fn run_one_shared_seed(seed: u64, second_kill: bool) -> (u64, u64, bool) {
     let rec_start_for = |slot: usize| -> Option<usize> {
         (0..SHARED_PROCS).find(|idx| dir.join(format!("rec_start_{idx}_{slot}")).exists())
     };
-    wait_for(seed, "a survivor claiming the victim's recovery lease", || {
+    wait_for(seed, &dir, "a survivor claiming the victim's recovery lease", || {
         rec_start_for(slots[victim]).is_some()
     });
     let recoverer = rec_start_for(slots[victim]).unwrap();
@@ -1317,12 +1344,17 @@ fn run_one_shared_seed(seed: u64, second_kill: bool) -> (u64, u64, bool) {
     if recovery_in_flight {
         for (&i, &before) in live.iter().zip(&sizes) {
             let after = std::fs::metadata(shared_log_path(&dir, i)).map_or(0, |m| m.len());
-            assert!(after > before, "seed {seed}: survivor {i} stalled during a peer's recovery");
+            assert!(
+                after > before,
+                "seed {seed}: survivor {i} stalled during a peer's recovery ({before} journal \
+                 bytes then, {after} 120 ms later)\n{}",
+                shared_state(&dir)
+            );
         }
         progress_observed = true;
     }
 
-    wait_for(seed, "all dead peers recovered by survivors", || all_done(&killed));
+    wait_for(seed, &dir, "all dead peers recovered by survivors", || all_done(&killed));
     std::fs::write(dir.join("stop"), b"").unwrap();
     for idx in live {
         let mut c = children[idx].take().unwrap();
@@ -1560,11 +1592,13 @@ const GROW_KEY_BASE: u64 = 1_000_000;
 const GROW_KEYS: u64 = 60_000;
 const GROW_QVALS: u64 = 512;
 const GROW_PROBE_MAGIC: u64 = 0x5EED_F00D_CAFE_D00D;
+const GROW_LATE_SHARDS: usize = 256;
+const GROW_LATE_KEYS: u64 = 100;
 
 /// Child half: joins the parent's live shared store, inserts enough distinct
 /// keys to outgrow the initial segment (linking nodes from peer-grown
-/// segments into the shared structures), enqueues a batch, reports how many
-/// segments it grew, and exits cleanly.
+/// segments into the shared structures), enqueues a batch, creates a new
+/// catalog entry, reports how many segments it grew, and exits cleanly.
 #[test]
 #[ignore = "child half of the peer-growth test; spawned by the parent test"]
 fn shared_growth_child_worker() {
@@ -1586,6 +1620,13 @@ fn shared_growth_child_worker() {
         queue.enqueue(t, v);
     }
     let grown = nvm::stats::snapshot().since(&before).segments_grown;
+    // A structure created after the growth: its root block is too large for
+    // the size classes, so it comes off the bump cursor — in a grown segment
+    // — and the parent must find it through the catalog.
+    let late = store.hashmap::<0>("late", GROW_LATE_SHARDS).expect("late handle");
+    for k in 1..=GROW_LATE_KEYS {
+        assert!(late.insert(t, k));
+    }
     // Publish a raw pointer into a *grown* segment (the bump cursor lives in
     // the newest one): the parent dereferences it cold, before any operation
     // that could refresh its segment table as a side effect.
@@ -1648,8 +1689,15 @@ fn shared_peer_growth_is_readable_without_refresh() {
     // and shared attachers keep the whole reservation mapped file-backed.
     let v = unsafe { (probe as *const u64).read_volatile() };
     assert_eq!(v, GROW_PROBE_MAGIC, "peer-published block unreadable");
+    // The entry the child created after growing: found by name, its root
+    // validated and its buckets walked, though this process last looked at
+    // the segment directory before any of it existed.
+    let late = store.hashmap::<0>("late", GROW_LATE_SHARDS).expect("peer-created entry opens");
+    for k in 1..=GROW_LATE_KEYS + 20 {
+        assert_eq!(late.find(t0, k), k <= GROW_LATE_KEYS, "late key {k}");
+    }
     // Walk child-linked nodes (they live in segments grown after this
-    // process attached) — no refresh_segments call on this path.
+    // process attached) — nothing on this path refreshes anything either.
     for k in (GROW_KEY_BASE..GROW_KEY_BASE + GROW_KEYS).step_by(97) {
         assert!(map.find(t0, k), "child-inserted key {k} unreadable in the parent");
     }
@@ -1659,7 +1707,7 @@ fn shared_peer_growth_is_readable_without_refresh() {
         seen += 1;
     }
     assert_eq!(seen, GROW_QVALS, "child-enqueued values lost");
-    drop((map, queue, store));
+    drop((map, queue, late, store));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
