@@ -27,18 +27,18 @@
 use crate::arm;
 use crate::counters;
 use crate::engine::{help, HelpOutcome, Info, InfoFill, RES_FALSE, RES_TRUE};
+use crate::graph::{self, Graph};
+use crate::op::{cell_addr, OpCtx, TrackedNode};
 use crate::optype;
 use crate::pool::{Pool, PoolCfg, PoolItem};
 use crate::recovery::{
-    attach_standalone, op_recover, release_prev, AttachEnv, AttachError, AttachSummary,
-    MappedLayout, RecArea, Recovered, SlotOps,
+    install_roots, mapped_attach, root_words, AttachEnv, AttachError, MappedLayout, RecArea,
+    SlotOps,
 };
 use crate::tag;
-use nvm::mapped::{MapError, MappedHeap, MappedNvm, DEFAULT_HEAP_BYTES};
+use nvm::mapped::{MappedHeap, MappedNvm};
 use nvm::{PWord, Persist, PersistWords};
-use reclaim::{Collector, Guard};
-use std::collections::{HashMap, HashSet};
-use std::path::Path;
+use reclaim::Collector;
 use std::sync::Arc;
 
 /// Superblock structure-kind tag of a mapped `RBst`.
@@ -99,6 +99,12 @@ impl<M: Persist> PoolItem for Node<M> {
 
     fn count_reuse() {
         counters::node_reuse();
+    }
+}
+
+impl<M: Persist> TrackedNode<M> for Node<M> {
+    fn info(&self) -> &PWord<M> {
+        &self.info
     }
 }
 
@@ -175,22 +181,17 @@ impl<M: Persist, const ARM: u8> RBst<M, ARM> {
         Self { root, rec: RecArea::new(), collector, info_pool, node_pool, mapped: None }
     }
 
-    /// Draw a descriptor: pool hit, or heap in passthrough mode.
+    /// The context every operation on the tree runs in.
     #[inline]
-    fn alloc_info(&self) -> *mut Info<M> {
-        self.info_pool.take().unwrap_or_else(Info::alloc)
+    fn ctx(&self) -> OpCtx<'_, M, ARM> {
+        OpCtx { rec: &self.rec, collector: &self.collector, infos: &self.info_pool }
     }
 
     /// Draw a node: pool hit (re-initialized), or heap in passthrough mode.
     #[inline]
     fn alloc_node(&self, key: u64, left: u64, right: u64, info: u64) -> *mut Node<M> {
-        match self.node_pool.take() {
-            Some(p) => {
-                unsafe { (*p).init(key, left, right, info) };
-                p
-            }
-            None => Node::alloc(key, left, right, info),
-        }
+        self.node_pool
+            .draw(|n| n.init(key, left, right, info), || Node::alloc(key, left, right, info))
     }
 
     fn assert_key(key: u64) {
@@ -228,75 +229,12 @@ impl<M: Persist, const ARM: u8> RBst<M, ARM> {
         }
     }
 
-    fn publish(&self, pid: usize, info: *mut Info<M>, published: &mut u64, g: &Guard<'_>) {
-        self.rec.publish_arm::<ARM>(pid, info as u64);
-        if *published != 0 && *published != info as u64 {
-            unsafe { Info::<M>::release(tag::ptr_of(*published), 1, g) };
-        }
-        *published = info as u64;
-    }
-
-    /// Arms 0/1, an outcome that changes nothing: the ROpt read-only path
-    /// (see `SetCore::answer_tracked`).
-    fn answer_tracked(
-        &self,
-        pid: usize,
-        optype: u8,
-        seen: (u64, u64),
-        response: u64,
-        published: &mut u64,
-        g: &Guard<'_>,
-    ) {
-        debug_assert!(!arm::coalesces(ARM), "coalescing arms answer without a descriptor");
-        let info = self.alloc_info();
-        unsafe {
-            Info::fill(
-                info,
-                &InfoFill {
-                    optype,
-                    affect: &[seen],
-                    write: &[],
-                    newset: &[],
-                    del_mask: 0,
-                    presult: response,
-                },
-            );
-            M::store(&(*info).result, response);
-            self.persist_attempt(info, &[]);
-        }
-        self.publish(pid, info, published, g);
-        unsafe { Info::<M>::release(info, 1, g) }; // the never-installed affect slot
-    }
-
-    unsafe fn retire_node(&self, node: *mut Node<M>, g: &Guard<'_>) {
-        unsafe {
-            let iv = (*node).info.load();
-            Info::<M>::release(tag::ptr_of(iv), 1, g);
-            self.node_pool.retire(node, g);
-        }
-    }
-
-    unsafe fn persist_attempt(&self, info: *mut Info<M>, news: &[*mut Node<M>]) {
-        unsafe {
-            for &n in news {
-                arm::pwb_obj_arm::<M, _, ARM>(&*n);
-            }
-            if arm::is_tuned(ARM) {
-                arm::pwb_obj_arm::<M, _, ARM>(&*info);
-                M::pfence();
-            } else {
-                M::pbarrier_obj(&*info);
-            }
-        }
-    }
-
     /// Inserts `key`; `false` if present.
     pub fn insert(&self, pid: usize, key: u64) -> bool {
         Self::assert_key(key);
         // ONE pin covers the whole operation (see set_core::insert).
-        let g = self.collector.pin();
-        let prev = self.rec.begin::<ARM>(pid);
-        unsafe { release_prev::<M>(prev, &g) };
+        let (ctx, g) = (self.ctx(), self.collector.pin());
+        ctx.begin(pid, &g);
         let mut published: u64 = 0;
         loop {
             let s = unsafe { self.search(key) };
@@ -313,12 +251,12 @@ impl<M: Persist, const ARM: u8> RBst<M, ARM> {
                 // Key already present: nothing to change.
                 if !arm::coalesces(ARM) {
                     let seen = unsafe { (cell_addr(&(*s.l).info), s.l_info) };
-                    self.answer_tracked(pid, optype::INSERT, seen, RES_FALSE, &mut published, &g);
+                    ctx.answer_tracked(pid, optype::INSERT, seen, RES_FALSE, &mut published, &g);
                 }
                 return false;
             }
             // A fresh descriptor per attempt (pointer freshness).
-            let info = self.alloc_info();
+            let info = ctx.alloc_info();
             // Build the replacement subtree: internal(max) / {leaf(k), copy(l)}.
             let t = tag::tagged(info as u64);
             let new_leaf: *mut Node<M> = self.alloc_node(key, 0, 0, t);
@@ -345,12 +283,15 @@ impl<M: Persist, const ARM: u8> RBst<M, ARM> {
                         presult: RES_TRUE,
                     },
                 );
-                self.persist_attempt(info, &[internal, new_leaf, l_copy]);
+                for new in [internal, new_leaf, l_copy] {
+                    arm::pwb_obj_arm::<M, _, ARM>(&*new);
+                }
+                ctx.persist_descriptor(info);
             }
-            self.publish(pid, info, &mut published, &g);
+            ctx.publish(pid, info, &mut published, &g);
             match unsafe { help::<M, ARM>(info, true, &g) } {
                 HelpOutcome::Done => {
-                    unsafe { self.retire_node(s.l, &g) };
+                    unsafe { ctx.retire(&self.node_pool, s.l, &g) };
                     return true;
                 }
                 HelpOutcome::FailedAt(i) => {
@@ -371,9 +312,8 @@ impl<M: Persist, const ARM: u8> RBst<M, ARM> {
     /// Deletes `key`; `false` if absent.
     pub fn delete(&self, pid: usize, key: u64) -> bool {
         Self::assert_key(key);
-        let g = self.collector.pin();
-        let prev = self.rec.begin::<ARM>(pid);
-        unsafe { release_prev::<M>(prev, &g) };
+        let (ctx, g) = (self.ctx(), self.collector.pin());
+        ctx.begin(pid, &g);
         let mut published: u64 = 0;
         loop {
             let s = unsafe { self.search(key) };
@@ -394,7 +334,7 @@ impl<M: Persist, const ARM: u8> RBst<M, ARM> {
                 // Key not present: nothing to change.
                 if !arm::coalesces(ARM) {
                     let seen = unsafe { (cell_addr(&(*s.l).info), s.l_info) };
-                    self.answer_tracked(pid, optype::DELETE, seen, RES_FALSE, &mut published, &g);
+                    ctx.answer_tracked(pid, optype::DELETE, seen, RES_FALSE, &mut published, &g);
                 }
                 return false;
             }
@@ -410,7 +350,7 @@ impl<M: Persist, const ARM: u8> RBst<M, ARM> {
                 unsafe { help::<M, ARM>(tag::ptr_of(sib_info), false, &g) };
                 continue;
             }
-            let info = self.alloc_info();
+            let info = ctx.alloc_info();
             let t = tag::tagged(info as u64);
             // Copy of the sibling replaces p (freshness); its children are
             // frozen once sib is successfully tagged.
@@ -432,15 +372,16 @@ impl<M: Persist, const ARM: u8> RBst<M, ARM> {
                         presult: RES_TRUE,
                     },
                 );
-                self.persist_attempt(info, &[sib_copy]);
+                arm::pwb_obj_arm::<M, _, ARM>(&*sib_copy);
+                ctx.persist_descriptor(info);
             }
-            self.publish(pid, info, &mut published, &g);
+            ctx.publish(pid, info, &mut published, &g);
             match unsafe { help::<M, ARM>(info, true, &g) } {
                 HelpOutcome::Done => {
                     unsafe {
-                        self.retire_node(s.p, &g);
-                        self.retire_node(s.l, &g);
-                        self.retire_node(sib, &g);
+                        for gone in [s.p, s.l, sib] {
+                            ctx.retire(&self.node_pool, gone, &g);
+                        }
                     }
                     return true;
                 }
@@ -459,21 +400,8 @@ impl<M: Persist, const ARM: u8> RBst<M, ARM> {
     /// always restarts it; see `SetCore::find`).
     pub fn find(&self, pid: usize, key: u64) -> bool {
         Self::assert_key(key);
-        let g = self.collector.pin();
-        let mut published = if arm::coalesces(ARM) {
-            let prev = self.rec.begin::<ARM>(pid);
-            unsafe { release_prev::<M>(prev, &g) };
-            0
-        } else {
-            // A DIRECT previous entry carries no descriptor reference to
-            // hand over (see `recovery::release_prev`).
-            let prev = self.rec.begin_readonly(pid);
-            if tag::is_direct(prev) {
-                0
-            } else {
-                prev
-            }
-        };
+        let (ctx, g) = (self.ctx(), self.collector.pin());
+        let mut published = ctx.begin_find(pid, &g);
         loop {
             let s = unsafe { self.search(key) };
             if tag::is_tagged(s.l_info) {
@@ -484,7 +412,7 @@ impl<M: Persist, const ARM: u8> RBst<M, ARM> {
             if !arm::coalesces(ARM) {
                 let seen = unsafe { (cell_addr(&(*s.l).info), s.l_info) };
                 let enc = if res { RES_TRUE } else { RES_FALSE };
-                self.answer_tracked(pid, optype::FIND, seen, enc, &mut published, &g);
+                ctx.answer_tracked(pid, optype::FIND, seen, enc, &mut published, &g);
             }
             return res;
         }
@@ -501,84 +429,24 @@ impl<M: Persist, const ARM: u8> RBst<M, ARM> {
 
     /// `Insert.Recover`.
     pub fn recover_insert(&self, pid: usize, key: u64) -> bool {
-        let r = {
-            let g = self.collector.pin();
-            unsafe { op_recover::<M, ARM>(&self.rec, pid, &g) }
-        };
-        match r {
-            Recovered::Completed(v) => v == RES_TRUE,
-            Recovered::Restart => self.insert(pid, key),
-        }
+        self.ctx().recover(pid).as_bool().unwrap_or_else(|| self.insert(pid, key))
     }
 
     /// `Delete.Recover`.
     pub fn recover_delete(&self, pid: usize, key: u64) -> bool {
-        let r = {
-            let g = self.collector.pin();
-            unsafe { op_recover::<M, ARM>(&self.rec, pid, &g) }
-        };
-        match r {
-            Recovered::Completed(v) => v == RES_TRUE,
-            Recovered::Restart => self.delete(pid, key),
-        }
+        self.ctx().recover(pid).as_bool().unwrap_or_else(|| self.delete(pid, key))
     }
 
     /// `Find.Recover` (restart-safe).
     pub fn recover_find(&self, pid: usize, key: u64) -> bool {
-        let r = {
-            let g = self.collector.pin();
-            unsafe { op_recover::<M, ARM>(&self.rec, pid, &g) }
-        };
-        match r {
-            Recovered::Completed(v) => v == RES_TRUE,
-            Recovered::Restart => self.find(pid, key),
-        }
+        self.ctx().recover(pid).as_bool().unwrap_or_else(|| self.find(pid, key))
     }
 
-    /// Completes helping obligations left *visible* in the tree by a crash:
-    /// walks every reachable node and runs `Help` on every tagged info until
-    /// a full pass finds none. Call after every process ran its `recover_*`.
-    ///
-    /// Mirrors [`crate::set_core::SetCore::scrub`]: the adversarial crash
-    /// image can surface tags the normal run would have healed lazily — a
-    /// partially-tagged failed attempt whose earlier cells rolled back past
-    /// the gathered expected values leaves its later tags for helping to
-    /// clean, and under the tuned placement even completed operations'
-    /// untag write-backs can roll back. Helping is idempotent, so eager
-    /// re-helping can only untag/complete, never re-apply an effect.
+    /// Completes helping obligations left *visible* in the tree by a crash;
+    /// call after every process ran its `recover_*`. See
+    /// [`graph::scrub_unit`].
     pub fn scrub(&self) {
-        self.try_scrub().unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// [`RBst::scrub`] with the pass budget surfaced as a typed
-    /// [`AttachError::ScrubStalled`] instead of a panic (the mapped attach
-    /// path).
-    pub fn try_scrub(&self) -> Result<(), AttachError> {
-        const PASSES: usize = 64;
-        for _ in 0..PASSES {
-            let g = self.collector.pin();
-            let mut dirty = false;
-            // Iterative DFS: recursion depth is attacker-controlled here
-            // (crash images), while the walk itself needs no ordering.
-            let mut stack = vec![self.root];
-            while let Some(n) = stack.pop() {
-                unsafe {
-                    let iv = (*n).info.load();
-                    if tag::is_tagged(iv) {
-                        dirty = true;
-                        help::<M, ARM>(tag::ptr_of(iv), false, &g);
-                    }
-                    if !(*n).is_leaf() {
-                        stack.push((*n).left.load() as *mut Node<M>);
-                        stack.push((*n).right.load() as *mut Node<M>);
-                    }
-                }
-            }
-            if !dirty {
-                return Ok(());
-            }
-        }
-        Err(AttachError::ScrubStalled { kind: "bst", passes: PASSES })
+        graph::scrub::<M, ARM>(self, &self.collector).unwrap_or_else(|e| panic!("{e}"));
     }
 
     /// Quiescent in-order snapshot of the user keys.
@@ -628,51 +496,41 @@ impl<M: Persist, const ARM: u8> RBst<M, ARM> {
     }
 }
 
-#[inline]
-fn cell_addr<M: Persist>(w: &PWord<M>) -> u64 {
-    w as *const PWord<M> as u64
-}
-
-unsafe fn drop_node_raw<M: Persist>(p: *mut u8) {
-    drop(unsafe { Box::from_raw(p as *mut Node<M>) });
-}
-
-unsafe fn drop_info_raw<M: Persist>(p: *mut u8) {
-    drop(unsafe { Box::from_raw(p as *mut Info<M>) });
-}
-
-impl<const ARM: u8> RBst<MappedNvm, ARM> {
-    /// Attaches (or creates) a detectably recoverable BST backed by the
-    /// file-backed persistent heap at `path`, running the generic restart
-    /// driver ([`crate::recovery::attach_standalone`]) on an existing heap.
-    /// The calling thread must be registered (`nvm::tid::set_tid`).
-    pub fn attach(path: impl AsRef<Path>) -> Result<(Self, AttachSummary), AttachError> {
-        Self::attach_sized(path, DEFAULT_HEAP_BYTES)
+impl<M: Persist, const ARM: u8> Graph<M> for RBst<M, ARM> {
+    fn kind_name(&self) -> &'static str {
+        "bst"
     }
 
-    /// [`RBst::attach`] with an explicit heap size for creation.
-    pub fn attach_sized(
-        path: impl AsRef<Path>,
-        heap_bytes: usize,
-    ) -> Result<(Self, AttachSummary), AttachError> {
-        attach_standalone::<Self>(path.as_ref(), (), heap_bytes)
-    }
-
-    /// The persistent heap backing this tree.
-    pub fn heap(&self) -> &Arc<MappedHeap> {
-        self.mapped.as_ref().expect("mapped-mode tree")
-    }
-
-    /// Whole-node span check against the backing heap.
-    fn in_node(&self, a: u64) -> bool {
-        let heap = self.heap();
-        a & 7 == 0 && heap.contains_span(a as usize, std::mem::size_of::<Node<MappedNvm>>())
+    // Iterative DFS: recursion depth is attacker-controlled here (crash
+    // images, untrusted mappings), while the walk itself needs no ordering.
+    unsafe fn walk(
+        &self,
+        _unit: usize,
+        admit: &dyn Fn(u64) -> bool,
+        mut budget: usize,
+        visit: &mut dyn FnMut(u64, u64),
+    ) -> Result<(), u64> {
+        let mut stack = vec![self.root as u64];
+        while let Some(n) = stack.pop() {
+            if n == 0 || budget == 0 || !admit(n) {
+                return Err(n);
+            }
+            budget -= 1;
+            // SAFETY: non-null and admitted.
+            let node = unsafe { &*(n as *const Node<M>) };
+            visit(n, node.info.load());
+            if !node.is_leaf() {
+                stack.extend([node.left.load(), node.right.load()]);
+            }
+        }
+        Ok(())
     }
 }
+
+mapped_attach!(impl[const ARM: u8] RBst<MappedNvm, ARM>; () -> ());
 
 impl<const ARM: u8> MappedLayout for RBst<MappedNvm, ARM> {
     const KIND: u64 = KIND_BST;
-    const KIND_NAME: &'static str = "bst";
     type Cfg = ();
 
     fn cfg_word(_cfg: ()) -> u64 {
@@ -683,38 +541,33 @@ impl<const ARM: u8> MappedLayout for RBst<MappedNvm, ARM> {
         8 // the root node's address
     }
 
-    fn open(env: &AttachEnv, _cfg: (), root_blk: *mut u8) -> Result<Self, AttachError> {
+    unsafe fn open(env: &AttachEnv, _cfg: (), root_blk: *mut u8) -> Result<Self, AttachError> {
         let collector = env.collector();
         let info_pool = env.info_pool();
         let node_pool = Pool::new_for::<MappedNvm>(env.pool_cfg(), &collector);
-        let root_w = root_blk as *mut u64;
         // SAFETY: committed 8-byte root block, single-threaded attach.
-        let root = unsafe {
-            if root_w.read() == 0 {
-                // Fresh (or creation cut short — the root word is the last
-                // store, so re-running rebuilds the dummies; the abandoned
-                // blocks of a torn creation are swept once the heap attaches
-                // non-fresh). Same dummy shape as `with_config`.
-                let draw = |key: u64, left: u64, right: u64| {
-                    let p: *mut Node<MappedNvm> =
-                        node_pool.take().expect("arena pool always serves");
-                    (*p).init(key, left, right, 0);
-                    p
-                };
-                let l0 = draw(0, 0, 0);
-                let l1 = draw(KEY_INF1, 0, 0);
-                let inner = draw(KEY_INF1, l0 as u64, l1 as u64);
-                let r2 = draw(KEY_INF2, 0, 0);
-                let root = draw(KEY_INF2, inner as u64, r2 as u64);
-                root_w.write(root as u64);
-                MappedNvm::pbarrier(&*(root_w as *const nvm::PWord<MappedNvm>));
-                root
-            } else {
-                root_w.read() as *mut Node<MappedNvm>
-            }
-        };
+        let root_w = unsafe { root_words(root_blk, 1) };
+        if root_w[0].load() == 0 {
+            // Fresh (or creation cut short — the root word is the last
+            // store, so re-running rebuilds the dummies; the abandoned
+            // blocks of a torn creation are swept once the heap attaches
+            // non-fresh). Same dummy shape as `with_config`.
+            let draw = |key: u64, left: u64, right: u64| {
+                let p: *mut Node<MappedNvm> = node_pool.take().expect("arena pool always serves");
+                // SAFETY: a pool object is live and exclusively ours.
+                unsafe { (*p).init(key, left, right, 0) };
+                p
+            };
+            let l0 = draw(0, 0, 0);
+            let l1 = draw(KEY_INF1, 0, 0);
+            let inner = draw(KEY_INF1, l0 as u64, l1 as u64);
+            let r2 = draw(KEY_INF2, 0, 0);
+            let root = draw(KEY_INF2, inner as u64, r2 as u64);
+            // SAFETY: the five dummies were just drawn and initialised.
+            unsafe { install_roots(&[l0, l1, inner, r2, root], root_w, &[root as u64]) };
+        }
         Ok(Self {
-            root,
+            root: root_w[0].load() as *mut Node<MappedNvm>,
             rec: env.rec_area(),
             collector,
             info_pool,
@@ -725,78 +578,13 @@ impl<const ARM: u8> MappedLayout for RBst<MappedNvm, ARM> {
 }
 
 impl<const ARM: u8> SlotOps for RBst<MappedNvm, ARM> {
-    fn validate_unit(&self, _unit: usize, infos: &mut HashSet<u64>) -> Result<(), MapError> {
-        // Iterative DFS with a step budget (cycle guard); every node is
-        // dereferenced only after its whole span passed `in_node`.
-        let mut budget = self.heap().bump_granules() + 8;
-        if !self.in_node(self.root as u64) {
-            return Err(MapError::CorruptPointer { addr: self.root as u64 });
-        }
-        let mut stack = vec![self.root as u64];
-        while let Some(n) = stack.pop() {
-            if budget == 0 {
-                return Err(MapError::CorruptPointer { addr: n });
-            }
-            budget -= 1;
-            // SAFETY: span-validated before push.
-            unsafe {
-                let node = n as *mut Node<MappedNvm>;
-                let iv = tag::untagged((*node).info.load());
-                if iv != 0 {
-                    infos.insert(iv);
-                }
-                if (*node).is_leaf() {
-                    continue;
-                }
-                for child in [(*node).left.load(), (*node).right.load()] {
-                    if !self.in_node(child) {
-                        return Err(MapError::CorruptPointer { addr: child });
-                    }
-                    stack.push(child);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn valid_install(&self, addr: u64) -> bool {
-        self.in_node(addr)
-    }
-
-    fn try_scrub(&self) -> Result<(), AttachError> {
-        RBst::try_scrub(self)
-    }
-
-    unsafe fn census_unit(
-        &self,
-        _unit: usize,
-        live: &mut HashSet<usize>,
-        info_refs: &mut HashMap<usize, u32>,
-    ) {
-        let mut stack = vec![self.root];
-        while let Some(n) = stack.pop() {
-            // SAFETY: quiescent exclusive access post-scrub (caller).
-            unsafe {
-                live.insert(n as usize);
-                let iv = tag::untagged((*n).info.load());
-                if iv != 0 {
-                    *info_refs.entry(iv as usize).or_insert(0) += 1;
-                }
-                if !(*n).is_leaf() {
-                    stack.push((*n).left.load() as *mut Node<MappedNvm>);
-                    stack.push((*n).right.load() as *mut Node<MappedNvm>);
-                }
-            }
-        }
+    fn node_bytes(&self) -> usize {
+        std::mem::size_of::<Node<MappedNvm>>()
     }
 
     fn each_cached(&mut self, f: &mut dyn FnMut(usize)) {
         self.node_pool.each_idle(|p| f(p as usize));
         self.info_pool.each_idle(|p| f(p as usize));
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any + Send + Sync> {
-        self
     }
 }
 
@@ -807,40 +595,9 @@ impl<M: Persist, const ARM: u8> Drop for RBst<M, ARM> {
             // their caches to the persistent free list on drop.
             return;
         }
-        // Same dedup-grave teardown as the list (crash images can resurrect
-        // reachability of parked nodes).
-        let mut grave: std::collections::HashMap<usize, unsafe fn(*mut u8)> =
-            self.collector.take_parked().into_iter().map(|(p, f)| (p as usize, f)).collect();
-        self.rec.each_published(|rd| {
-            if !tag::is_direct(rd) && tag::untagged(rd) != 0 {
-                grave.insert(tag::untagged(rd) as usize, drop_info_raw::<M>);
-            }
-        });
-        unsafe fn scan<M: Persist>(
-            n: *mut Node<M>,
-            grave: &mut std::collections::HashMap<usize, unsafe fn(*mut u8)>,
-        ) {
-            unsafe {
-                if n.is_null() || grave.contains_key(&(n as usize)) {
-                    return;
-                }
-                grave.insert(n as usize, drop_node_raw::<M>);
-                let iv = tag::untagged((*n).info.load());
-                if iv != 0 {
-                    grave.insert(iv as usize, drop_info_raw::<M>);
-                }
-                if !(*n).is_leaf() {
-                    scan((*n).left.load() as *mut Node<M>, grave);
-                    scan((*n).right.load() as *mut Node<M>, grave);
-                }
-            }
-        }
-        unsafe {
-            scan(self.root, &mut grave);
-            for (p, f) in grave {
-                f(p as *mut u8);
-            }
-        }
+        let parked = self.collector.take_parked();
+        // SAFETY: quiescent teardown of a structure this value owns.
+        unsafe { graph::teardown::<M, Node<M>>(&*self, parked, &self.rec, []) };
     }
 }
 

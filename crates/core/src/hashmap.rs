@@ -18,18 +18,18 @@
 //! cells and interact only through the shared recovery slots, which keep the
 //! single-pending-op discipline per process.
 
-use crate::engine::RES_TRUE;
+use crate::graph::{self, Graph};
+use crate::op::OpCtx;
 use crate::pool::PoolCfg;
 use crate::recovery::{
-    attach_standalone, AttachEnv, AttachError, AttachSummary, MappedLayout, RecArea, Recovered,
+    install_roots, mapped_attach, root_words, AttachEnv, AttachError, MappedLayout, RecArea,
     SlotOps,
 };
 use crate::set_core::{self, Node, SetCore, SetPools};
-use nvm::mapped::{MapError, MappedHeap, MappedNvm, DEFAULT_HEAP_BYTES};
+use nvm::mapped::{MappedHeap, MappedNvm};
 use nvm::Persist;
 use reclaim::Collector;
-use std::collections::{HashMap, HashSet};
-use std::path::Path;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Default shard count for [`RHashMap::new`].
@@ -37,6 +37,8 @@ pub const DEFAULT_SHARDS: usize = 16;
 
 /// Superblock structure-kind tag of a mapped `RHashMap`.
 pub const KIND_MAP: u64 = 1;
+
+const KIND_NAME: &str = "hashmap";
 
 /// 2⁶⁴ / φ, the fibonacci-hashing multiplier.
 const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -67,18 +69,20 @@ const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
 ///
 /// With the mapped backend ([`RHashMap::attach`]) the same flow runs across
 /// an actual process restart: the attach replays Op-Recover for every
-/// process id and reports the decisions in its [`AttachSummary`].
+/// process id and reports the decisions in its
+/// [`crate::recovery::AttachSummary`].
 pub struct RHashMap<M: Persist, const ARM: u8 = 0> {
     heads: Box<[*mut Node<M>]>,
     /// Right-shift distance extracting the top `log2(shards)` hash bits.
     shift: u32,
     /// Lazy post-attach scrub: shard `s`'s flag is set when attach deferred
-    /// its tag-healing pass. The first operation routed to the shard drains
-    /// it ([`RHashMap::ensure_scrubbed`]); snapshot/invariant entry points
-    /// drain all. Deferral is sound because helping is part of the normal
-    /// operation paths — a leftover tag is healed on first contact either
-    /// way; the flag only bounds *when* the eager pass happens.
-    pending_scrub: Box<[std::sync::atomic::AtomicBool]>,
+    /// its tag-healing pass ([`SlotOps::attach_scrub`]). The first operation
+    /// routed to the shard drains it ([`RHashMap::ensure_scrubbed`]);
+    /// snapshot/invariant entry points drain all. Deferral is sound because
+    /// helping is part of the normal operation paths — a leftover tag is
+    /// healed on first contact either way; the flag only bounds *when* the
+    /// eager pass happens.
+    pending_scrub: Box<[AtomicBool]>,
     rec: RecArea<M>,
     // `collector` must drop before `pools` (drop-time drain recycles into
     // the free lists). ONE pool pair serves every shard: free lists are
@@ -135,19 +139,22 @@ impl<M: Persist, const ARM: u8> RHashMap<M, ARM> {
     pub fn with_shards_and_config(shards: usize, collector: Collector, pool: PoolCfg) -> Self {
         assert!(shards.is_power_of_two(), "shard count must be a power of two, got {shards}");
         let heads = (0..shards).map(|_| set_core::new_bucket()).collect();
+        let pools = SetPools::new(pool, &collector);
+        Self::over(heads, RecArea::new(), collector, pools, None)
+    }
+
+    fn over(
+        heads: Box<[*mut Node<M>]>,
+        rec: RecArea<M>,
+        collector: Collector,
+        pools: SetPools<M>,
+        mapped: Option<Arc<MappedHeap>>,
+    ) -> Self {
         // For one shard every key maps to bucket 0; `min(63)` keeps the
         // shift in range and the mask in `shard_of` does the rest.
-        let shift = (64 - shards.trailing_zeros()).min(63);
-        let pools = SetPools::new(pool, &collector);
-        Self {
-            heads,
-            shift,
-            pending_scrub: (0..shards).map(|_| std::sync::atomic::AtomicBool::new(false)).collect(),
-            rec: RecArea::new(),
-            collector,
-            pools,
-            mapped: None,
-        }
+        let shift = (64 - heads.len().trailing_zeros()).min(63);
+        let pending_scrub = heads.iter().map(|_| AtomicBool::new(false)).collect();
+        Self { heads, shift, pending_scrub, rec, collector, pools, mapped }
     }
 
     /// Number of shards (buckets).
@@ -166,14 +173,18 @@ impl<M: Persist, const ARM: u8> RHashMap<M, ARM> {
         (key.wrapping_mul(FIB) >> self.shift) as usize & (self.heads.len() - 1)
     }
 
-    /// The core view over bucket `shard` (the shard choice does not matter
-    /// for [`SetCore::op_recover`], which only reads the shared recovery
-    /// area).
+    /// The context every operation on the map runs in, whatever its shard.
+    #[inline]
+    fn ctx(&self) -> OpCtx<'_, M, ARM> {
+        OpCtx { rec: &self.rec, collector: &self.collector, infos: &self.pools.info }
+    }
+
+    /// The core view over bucket `shard`.
     #[inline]
     fn core_at(&self, shard: usize) -> SetCore<'_, M, ARM> {
         // SAFETY: every head is a live bucket owned by this map; all buckets
         // share the map's single recovery area, collector and pools.
-        unsafe { SetCore::new(self.heads[shard], &self.rec, &self.collector, &self.pools) }
+        unsafe { SetCore::new(self.heads[shard], self.ctx(), &self.pools.node) }
     }
 
     /// Drains a deferred post-attach scrub of `shard`, if one is pending.
@@ -182,11 +193,11 @@ impl<M: Persist, const ARM: u8> RHashMap<M, ARM> {
     /// eager pass is the same idempotent helping they perform themselves.
     #[inline]
     fn ensure_scrubbed(&self, shard: usize) {
-        use std::sync::atomic::Ordering;
         if self.pending_scrub[shard].load(Ordering::Relaxed)
             && self.pending_scrub[shard].swap(false, Ordering::Acquire)
         {
-            self.core_at(shard).scrub();
+            graph::scrub_unit::<M, ARM>(self, shard, &self.collector)
+                .unwrap_or_else(|e| panic!("{e}"));
         }
     }
 
@@ -222,27 +233,18 @@ impl<M: Persist, const ARM: u8> RHashMap<M, ARM> {
     /// re-invoking with the original key — and thus the original shard — on
     /// `Restart`).
     pub fn recover_insert(&self, pid: usize, key: u64) -> bool {
-        match self.core_at(0).op_recover(pid) {
-            Recovered::Completed(v) => v == RES_TRUE,
-            Recovered::Restart => self.insert(pid, key),
-        }
+        self.ctx().recover(pid).as_bool().unwrap_or_else(|| self.insert(pid, key))
     }
 
     /// `Delete.Recover`.
     pub fn recover_delete(&self, pid: usize, key: u64) -> bool {
-        match self.core_at(0).op_recover(pid) {
-            Recovered::Completed(v) => v == RES_TRUE,
-            Recovered::Restart => self.delete(pid, key),
-        }
+        self.ctx().recover(pid).as_bool().unwrap_or_else(|| self.delete(pid, key))
     }
 
     /// `Find.Recover`: finds never set `CP_q = 1`, so recovery always
     /// restarts them.
     pub fn recover_find(&self, pid: usize, key: u64) -> bool {
-        match self.core_at(0).op_recover(pid) {
-            Recovered::Completed(v) => v == RES_TRUE,
-            Recovered::Restart => self.find(pid, key),
-        }
+        self.ctx().recover(pid).as_bool().unwrap_or_else(|| self.find(pid, key))
     }
 
     /// Failure-report line for `pid`'s recovery slot
@@ -257,22 +259,12 @@ impl<M: Persist, const ARM: u8> RHashMap<M, ARM> {
     /// Completes helping obligations left visible by a crash in any shard
     /// (resurrected tags of completed operations under the tuned
     /// placement); call after every process ran its `recover_*`. See
-    /// [`crate::set_core::SetCore::scrub`].
+    /// [`graph::scrub_unit`].
     pub fn scrub(&self) {
-        for shard in 0..self.heads.len() {
-            self.pending_scrub[shard].store(false, std::sync::atomic::Ordering::Relaxed);
-            self.core_at(shard).scrub();
+        for flag in self.pending_scrub.iter() {
+            flag.store(false, Ordering::Relaxed);
         }
-    }
-
-    /// [`RHashMap::scrub`] with the pass budget surfaced as a typed
-    /// [`AttachError`] instead of a panic (the mapped attach path).
-    pub fn try_scrub(&self) -> Result<(), AttachError> {
-        for shard in 0..self.heads.len() {
-            self.pending_scrub[shard].store(false, std::sync::atomic::Ordering::Relaxed);
-            self.core_at(shard).try_scrub()?;
-        }
-        Ok(())
+        graph::scrub::<M, ARM>(self, &self.collector).unwrap_or_else(|e| panic!("{e}"));
     }
 
     /// Sorted snapshot of the user keys across all shards (requires
@@ -308,51 +300,32 @@ impl<M: Persist, const ARM: u8> RHashMap<M, ARM> {
     }
 }
 
-impl<const ARM: u8> RHashMap<MappedNvm, ARM> {
-    /// Attaches (or creates) a detectably recoverable hash map backed by the
-    /// file-backed persistent heap at `path`
-    /// ([`nvm::mapped::DEFAULT_HEAP_BYTES`] on creation).
-    ///
-    /// On an existing heap this runs the full restart-recovery sequence of
-    /// the generic driver ([`crate::recovery::attach_standalone`]): remap,
-    /// bounds-validated graph walk, per-pid Op-Recover replay (decisions in
-    /// the [`AttachSummary`]), scrub, census + sweep.
-    ///
-    /// The calling thread must be registered ([`nvm::tid::set_tid`]). One
-    /// process attaches a heap at a time; `shards` and `ARM` must match
-    /// the heap's recorded configuration.
-    pub fn attach(
-        path: impl AsRef<Path>,
-        shards: usize,
-    ) -> Result<(Self, AttachSummary), AttachError> {
-        Self::attach_sized(path, shards, DEFAULT_HEAP_BYTES)
+impl<M: Persist, const ARM: u8> Graph<M> for RHashMap<M, ARM> {
+    fn kind_name(&self) -> &'static str {
+        KIND_NAME
     }
 
-    /// [`RHashMap::attach`] with an explicit heap size for creation
-    /// (ignored when the heap already exists).
-    pub fn attach_sized(
-        path: impl AsRef<Path>,
-        shards: usize,
-        heap_bytes: usize,
-    ) -> Result<(Self, AttachSummary), AttachError> {
-        attach_standalone::<Self>(path.as_ref(), shards, heap_bytes)
+    // Each bucket is an independent work unit — the buckets partition every
+    // node and cell.
+    fn work_units(&self) -> usize {
+        self.heads.len()
     }
 
-    /// The persistent heap backing this map.
-    pub fn heap(&self) -> &Arc<MappedHeap> {
-        self.mapped.as_ref().expect("mapped-mode map")
-    }
-
-    /// Whole-node span check against the backing heap.
-    fn in_node(&self, a: u64) -> bool {
-        let heap = self.heap();
-        a & 7 == 0 && heap.contains_span(a as usize, std::mem::size_of::<Node<MappedNvm>>())
+    unsafe fn walk(
+        &self,
+        unit: usize,
+        admit: &dyn Fn(u64) -> bool,
+        budget: usize,
+        visit: &mut dyn FnMut(u64, u64),
+    ) -> Result<(), u64> {
+        unsafe { set_core::walk_bucket(self.heads[unit], admit, budget, visit) }
     }
 }
 
+mapped_attach!(impl[const ARM: u8] RHashMap<MappedNvm, ARM>; (shards: usize) -> shards);
+
 impl<const ARM: u8> MappedLayout for RHashMap<MappedNvm, ARM> {
     const KIND: u64 = KIND_MAP;
-    const KIND_NAME: &'static str = "hashmap";
     type Cfg = usize; // shard count
 
     fn validate_cfg(shards: usize) -> Result<(), AttachError> {
@@ -360,7 +333,7 @@ impl<const ARM: u8> MappedLayout for RHashMap<MappedNvm, ARM> {
             Ok(())
         } else {
             Err(AttachError::InvalidCfg {
-                kind: Self::KIND_NAME,
+                kind: KIND_NAME,
                 reason: format!("shard count must be a power of two, got {shards}"),
             })
         }
@@ -374,90 +347,50 @@ impl<const ARM: u8> MappedLayout for RHashMap<MappedNvm, ARM> {
         shards * 8 // one bucket-head address per shard
     }
 
-    fn open(env: &AttachEnv, shards: usize, root: *mut u8) -> Result<Self, AttachError> {
-        assert!(shards.is_power_of_two(), "shard count must be a power of two, got {shards}");
+    unsafe fn open(env: &AttachEnv, shards: usize, root: *mut u8) -> Result<Self, AttachError> {
+        // Every caller has checked already: `validate_cfg` before a creation,
+        // the store's catalog reader before a re-open.
+        debug_assert!(shards.is_power_of_two(), "shard count {shards} not a power of two");
         let collector = env.collector();
         let pools = SetPools::with_shared_info(env.info_pool(), env.pool_cfg(), &collector);
-        let heads_w = root as *mut u64;
-        let mut heads = Vec::with_capacity(shards);
-        for i in 0..shards {
-            // SAFETY: `shards`-word committed root block, single-threaded.
-            let existing = unsafe { heads_w.add(i).read() };
-            if existing != 0 {
-                heads.push(existing as *mut Node<MappedNvm>);
-            } else {
-                let b = set_core::new_bucket_in(&pools);
-                unsafe { heads_w.add(i).write(b as u64) };
-                heads.push(b);
-            }
+        // SAFETY: `shards`-word committed root block, single-threaded attach.
+        let roots = unsafe { root_words(root, shards) };
+        let mut heads: Vec<u64> = roots.iter().map(|w| w.load()).collect();
+        let mut sentinels = Vec::new();
+        for head in heads.iter_mut().filter(|h| **h == 0) {
+            let bucket = set_core::new_bucket_in(&pools.node);
+            *head = bucket[0] as u64;
+            sentinels.extend(bucket);
         }
-        let shift = (64 - shards.trailing_zeros()).min(63);
-        Ok(Self {
-            heads: heads.into_boxed_slice(),
-            shift,
-            pending_scrub: (0..shards).map(|_| std::sync::atomic::AtomicBool::new(false)).collect(),
-            rec: env.rec_area(),
-            collector,
-            pools,
-            mapped: Some(Arc::clone(&env.heap)),
-        })
+        if !sentinels.is_empty() {
+            // SAFETY: the sentinels were just drawn and initialised.
+            unsafe { install_roots(&sentinels, roots, &heads) };
+        }
+        let heads = heads.into_iter().map(|h| h as *mut Node<MappedNvm>).collect();
+        Ok(Self::over(heads, env.rec_area(), collector, pools, Some(Arc::clone(&env.heap))))
     }
 }
 
 impl<const ARM: u8> SlotOps for RHashMap<MappedNvm, ARM> {
-    // Attach parallelism: each bucket is an independent work unit — the
-    // buckets partition every node and cell, so per-shard validation and
-    // census walks never touch the same memory.
-    fn work_units(&self) -> usize {
-        self.heads.len()
+    fn node_bytes(&self) -> usize {
+        std::mem::size_of::<Node<MappedNvm>>()
     }
 
-    fn validate_unit(&self, unit: usize, infos: &mut HashSet<u64>) -> Result<(), MapError> {
-        let max_nodes = self.heap().bump_granules() + 4;
-        // SAFETY: `in_node` guarantees whole-node spans inside the mapping
-        // for every dereference.
-        unsafe {
-            set_core::validate_bucket(self.heads[unit], &|a| self.in_node(a), max_nodes, infos)
-        }
-        .map_err(|addr| MapError::CorruptPointer { addr })
-    }
-
-    fn valid_install(&self, addr: u64) -> bool {
-        self.in_node(addr)
-    }
-
-    fn try_scrub(&self) -> Result<(), AttachError> {
-        // Deferred: mark every shard pending instead of an O(structure)
-        // eager pass during attach. Sound because (a) runtime operations
-        // help any tagged descriptor they encounter — the eager pass is the
-        // same idempotent helping, merely batched — and (b) the census below
-        // counts descriptor references through *tagged* cells too
-        // (`census_bucket` untags before counting), so a descriptor kept
-        // alive only by an unscrubbed tag survives the sweep.
+    /// The deferred policy: mark every shard pending instead of an
+    /// O(structure) eager pass during attach. Sound because (a) runtime
+    /// operations help any tagged descriptor they encounter — the eager
+    /// pass is the same idempotent helping, merely batched — and (b) the
+    /// census counts descriptor references through *tagged* cells too, so a
+    /// descriptor kept alive only by an unscrubbed tag survives the sweep.
+    fn attach_scrub(&self) -> Result<(), AttachError> {
         for flag in self.pending_scrub.iter() {
-            flag.store(true, std::sync::atomic::Ordering::Release);
+            flag.store(true, Ordering::Release);
         }
         Ok(())
     }
 
-    unsafe fn census_unit(
-        &self,
-        unit: usize,
-        live: &mut HashSet<usize>,
-        info_refs: &mut HashMap<usize, u32>,
-    ) {
-        // SAFETY: quiescent exclusive access (caller); units are disjoint
-        // buckets.
-        unsafe { set_core::census_bucket(self.heads[unit], live, info_refs) };
-    }
-
     fn each_cached(&mut self, f: &mut dyn FnMut(usize)) {
-        self.pools.node.each_idle(|p| f(p as usize));
-        self.pools.info.each_idle(|p| f(p as usize));
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any + Send + Sync> {
-        self
+        self.pools.each_idle(f);
     }
 }
 
@@ -470,7 +403,7 @@ impl<M: Persist, const ARM: u8> RHashMap<M, ARM> {
     /// argument. Plain in-process use never needs it: an operation's own
     /// prologue runs it when this call has not.
     pub fn note_invocation(&self, pid: usize) {
-        crate::recovery::note_invocation::<M, ARM>(&self.rec, &self.collector, pid);
+        self.ctx().note_invocation(pid);
     }
 }
 
@@ -482,19 +415,11 @@ impl<M: Persist, const ARM: u8> Drop for RHashMap<M, ARM> {
             // they drop, and everything else stays for the next attach.
             return;
         }
-        // Quiescent teardown, as for `RList` but walking every shard: free
-        // the deduplicated union of {reachable across all buckets} ∪
-        // {parked} ∪ {published descriptors} exactly once (the shared
-        // collector and recovery area are scanned once, not per shard).
-        let mut grave: set_core::Grave =
-            self.collector.take_parked().into_iter().map(|(p, f)| (p as usize, f)).collect();
-        self.rec.each_published(|rd| set_core::grave_published_info::<M>(&mut grave, rd));
-        unsafe {
-            for &head in self.heads.iter() {
-                set_core::grave_scan_bucket(head, &mut grave);
-            }
-            set_core::free_grave(grave);
-        }
+        let parked = self.collector.take_parked();
+        // SAFETY: quiescent teardown of a structure this value owns (the
+        // shared collector and recovery area are scanned once, not per
+        // shard).
+        unsafe { graph::teardown::<M, Node<M>>(&*self, parked, &self.rec, []) };
     }
 }
 
@@ -732,6 +657,34 @@ mod tests {
             assert!(!map.find(0, 2));
             map.check_invariants();
         }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// The map's scrub policy is the deferred one: a non-fresh attach only
+    /// marks every shard pending, and the first operation routed to a shard
+    /// drains that shard's flag — and no other.
+    #[test]
+    fn mapped_attach_defers_the_scrub_to_first_contact() {
+        let _gate = crate::counters::gate_shared();
+        nvm::tid::set_tid(0);
+        let path = tmp_heap("deferred");
+        let pending = |m: &RHashMap<nvm::MappedNvm, 2>| -> Vec<bool> {
+            m.pending_scrub.iter().map(|f| f.load(Ordering::Relaxed)).collect()
+        };
+        {
+            let (map, _) = RHashMap::<nvm::MappedNvm, 2>::attach_sized(&path, 8, 1 << 21).unwrap();
+            assert_eq!(pending(&map), [false; 8], "a fresh map has nothing to scrub");
+            (1..=64).for_each(|k| assert!(map.insert(0, k)));
+        }
+        let (mut map, _) = RHashMap::<nvm::MappedNvm, 2>::attach_sized(&path, 8, 1 << 21).unwrap();
+        assert_eq!(pending(&map), [true; 8], "attach defers every shard");
+        let shard = map.shard_of(7);
+        assert!(map.find(0, 7));
+        let mut want = [true; 8];
+        want[shard] = false;
+        assert_eq!(pending(&map), want, "first contact drains its own shard only");
+        map.check_invariants();
+        assert_eq!(pending(&map), [false; 8], "quiescent entry points drain the rest");
         let _ = std::fs::remove_file(&path);
     }
 

@@ -44,11 +44,26 @@
 //!   constructor through the generic [`recovery::MappedLayout`] driver
 //!   (remap, Op-Recover replay per process, scrub, census + leak sweep),
 //!   and [`store::Store`] hosts many *named* structures in one heap.
-//! * `ARM: bool` — the persistency *placement*. `false` is the paper's
-//!   general ROpt-ISB placement ("Isb"); `true` is the hand-tuned one
-//!   ("Isb-Opt"), which defers the durability of `CP_q := 1` and batches
-//!   tag write-backs, saving one `psync` per operation (see
-//!   [`recovery`]'s module docs).
+//! * `ARM: u8` — the persistency *placement*, a level of the cumulative
+//!   ladder in [`arm`]: `0` ([`arm::PAPER`], "Isb") is the paper's general
+//!   ROpt-ISB placement; `1` ([`arm::TUNED`], "Isb-Opt") defers the
+//!   durability of `CP_q := 1` and batches tag write-backs, saving one
+//!   `psync` per operation; `2` ([`arm::COALESCED`], "Isb-Coal") adds
+//!   per-operation cache-line flush coalescing and persists only what
+//!   recovery reads; `3` ([`arm::LP`], "Isb-LP") adds the link-persist
+//!   elisions. See [`arm`] for what each level adds and [`recovery`]'s
+//!   module docs for the recovery-line protocol per arm.
+//!
+//! ## One skeleton, one walk
+//!
+//! ISB-tracking is a generic transformation, and the code is shaped like
+//! it: [`engine::help`] is the one helping procedure, [`op::OpCtx`] the one
+//! copy of the invocation skeleton around it (prologue, descriptor persist,
+//! publish, read-only answer, retire, Op-Recover), and a structure supplies
+//! only its gather phase and its node shape. Likewise each structure writes
+//! one traversal of its graph ([`graph::Graph::walk`]); attach-time
+//! validation and census, the scrub, drop-time teardown and the
+//! direct-tracking reachability test are visitors over it in [`graph`].
 //!
 //! ## Memory: pools and recycling
 //!
@@ -81,8 +96,10 @@ pub mod bst;
 pub mod counters;
 pub mod engine;
 pub mod exchanger;
+pub mod graph;
 pub mod hashmap;
 pub mod list;
+pub mod op;
 pub mod pool;
 pub mod queue;
 pub mod recovery;

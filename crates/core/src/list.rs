@@ -9,18 +9,17 @@
 //! test). The algorithm documentation lives in [`crate::set_core`]; the
 //! sharded multi-bucket instantiation is [`crate::hashmap::RHashMap`].
 
-use crate::engine::RES_TRUE;
+use crate::graph::{self, Graph};
+use crate::op::OpCtx;
 use crate::pool::PoolCfg;
 use crate::recovery::{
-    attach_standalone, AttachEnv, AttachError, AttachSummary, MappedLayout, RecArea, Recovered,
+    install_roots, mapped_attach, root_words, AttachEnv, AttachError, MappedLayout, RecArea,
     SlotOps,
 };
 use crate::set_core::{self, SetCore, SetPools};
-use nvm::mapped::{MapError, MappedHeap, MappedNvm, DEFAULT_HEAP_BYTES};
+use nvm::mapped::{MappedHeap, MappedNvm};
 use nvm::Persist;
 use reclaim::Collector;
-use std::collections::{HashMap, HashSet};
-use std::path::Path;
 use std::sync::Arc;
 
 pub use crate::set_core::{Node, KEY_MAX, KEY_MIN};
@@ -107,14 +106,19 @@ impl<M: Persist, const ARM: u8> RList<M, ARM> {
         &self.collector
     }
 
+    /// The context every operation on the list runs in.
+    #[inline]
+    fn ctx(&self) -> OpCtx<'_, M, ARM> {
+        OpCtx { rec: &self.rec, collector: &self.collector, infos: &self.pools.info }
+    }
+
     /// The core view over the list's single bucket.
     #[inline]
     fn core(&self) -> SetCore<'_, M, ARM> {
-        // SAFETY: `head` is this list's live bucket; `rec`/`collector`/
-        // `pools` are the area, collector and pools every operation on it
-        // goes through (pools declared after the collector, so they outlive
-        // its drop-time drain).
-        unsafe { SetCore::new(self.head, &self.rec, &self.collector, &self.pools) }
+        // SAFETY: `head` is this list's live bucket; `ctx()` and the node
+        // pool are what every operation on it goes through (pools declared
+        // after the collector, so they outlive its drop-time drain).
+        unsafe { SetCore::new(self.head, self.ctx(), &self.pools.node) }
     }
 
     /// Inserts `key`; returns `false` iff it was already present.
@@ -135,27 +139,18 @@ impl<M: Persist, const ARM: u8> RList<M, ARM> {
 
     /// `Insert.Recover` (Op-Recover with the insert's arguments).
     pub fn recover_insert(&self, pid: usize, key: u64) -> bool {
-        match self.core().op_recover(pid) {
-            Recovered::Completed(v) => v == RES_TRUE,
-            Recovered::Restart => self.insert(pid, key),
-        }
+        self.ctx().recover(pid).as_bool().unwrap_or_else(|| self.insert(pid, key))
     }
 
     /// `Delete.Recover`.
     pub fn recover_delete(&self, pid: usize, key: u64) -> bool {
-        match self.core().op_recover(pid) {
-            Recovered::Completed(v) => v == RES_TRUE,
-            Recovered::Restart => self.delete(pid, key),
-        }
+        self.ctx().recover(pid).as_bool().unwrap_or_else(|| self.delete(pid, key))
     }
 
     /// `Find.Recover`: finds never set `CP_q = 1`, so recovery always
     /// restarts them (restart-safe by read-onlyness).
     pub fn recover_find(&self, pid: usize, key: u64) -> bool {
-        match self.core().op_recover(pid) {
-            Recovered::Completed(v) => v == RES_TRUE,
-            Recovered::Restart => self.find(pid, key),
-        }
+        self.ctx().recover(pid).as_bool().unwrap_or_else(|| self.find(pid, key))
     }
 
     /// Failure-report line for `pid`'s recovery slot
@@ -169,15 +164,9 @@ impl<M: Persist, const ARM: u8> RList<M, ARM> {
 
     /// Completes helping obligations left visible by a crash (resurrected
     /// tags of completed operations under the tuned placement); call after
-    /// every process ran its `recover_*`. See [`SetCore::scrub`].
+    /// every process ran its `recover_*`. See [`graph::scrub_unit`].
     pub fn scrub(&self) {
-        self.core().scrub();
-    }
-
-    /// [`RList::scrub`] with the pass budget surfaced as a typed
-    /// [`AttachError`] instead of a panic (the mapped attach path).
-    pub fn try_scrub(&self) -> Result<(), AttachError> {
-        self.core().try_scrub()
+        graph::scrub::<M, ARM>(self, &self.collector).unwrap_or_else(|e| panic!("{e}"));
     }
 
     /// Snapshot of the user keys (requires exclusive access ⇒ quiescence).
@@ -194,39 +183,26 @@ impl<M: Persist, const ARM: u8> RList<M, ARM> {
     }
 }
 
-impl<const ARM: u8> RList<MappedNvm, ARM> {
-    /// Attaches (or creates) a detectably recoverable sorted list backed by
-    /// the file-backed persistent heap at `path`, running the generic
-    /// restart driver ([`crate::recovery::attach_standalone`]) on an
-    /// existing heap. The calling thread must be registered
-    /// (`nvm::tid::set_tid`).
-    pub fn attach(path: impl AsRef<Path>) -> Result<(Self, AttachSummary), AttachError> {
-        Self::attach_sized(path, DEFAULT_HEAP_BYTES)
+impl<M: Persist, const ARM: u8> Graph<M> for RList<M, ARM> {
+    fn kind_name(&self) -> &'static str {
+        "list"
     }
 
-    /// [`RList::attach`] with an explicit heap size for creation.
-    pub fn attach_sized(
-        path: impl AsRef<Path>,
-        heap_bytes: usize,
-    ) -> Result<(Self, AttachSummary), AttachError> {
-        attach_standalone::<Self>(path.as_ref(), (), heap_bytes)
-    }
-
-    /// The persistent heap backing this list.
-    pub fn heap(&self) -> &Arc<MappedHeap> {
-        self.mapped.as_ref().expect("mapped-mode list")
-    }
-
-    /// Whole-node span check against the backing heap.
-    fn in_node(&self, a: u64) -> bool {
-        let heap = self.heap();
-        a & 7 == 0 && heap.contains_span(a as usize, std::mem::size_of::<Node<MappedNvm>>())
+    unsafe fn walk(
+        &self,
+        _unit: usize,
+        admit: &dyn Fn(u64) -> bool,
+        budget: usize,
+        visit: &mut dyn FnMut(u64, u64),
+    ) -> Result<(), u64> {
+        unsafe { set_core::walk_bucket(self.head, admit, budget, visit) }
     }
 }
 
+mapped_attach!(impl[const ARM: u8] RList<MappedNvm, ARM>; () -> ());
+
 impl<const ARM: u8> MappedLayout for RList<MappedNvm, ARM> {
     const KIND: u64 = KIND_LIST;
-    const KIND_NAME: &'static str = "list";
     type Cfg = ();
 
     fn cfg_word(_cfg: ()) -> u64 {
@@ -237,23 +213,18 @@ impl<const ARM: u8> MappedLayout for RList<MappedNvm, ARM> {
         8 // the bucket head's address
     }
 
-    fn open(env: &AttachEnv, _cfg: (), root_blk: *mut u8) -> Result<Self, AttachError> {
+    unsafe fn open(env: &AttachEnv, _cfg: (), root_blk: *mut u8) -> Result<Self, AttachError> {
         let collector = env.collector();
         let pools = SetPools::with_shared_info(env.info_pool(), env.pool_cfg(), &collector);
-        let root_w = root_blk as *mut u64;
         // SAFETY: committed 8-byte root block, single-threaded attach.
-        let head = unsafe {
-            if root_w.read() == 0 {
-                let b = set_core::new_bucket_in(&pools);
-                root_w.write(b as u64);
-                nvm::mapped::MappedNvm::pbarrier(&*(root_w as *const nvm::PWord<MappedNvm>));
-                b
-            } else {
-                root_w.read() as *mut Node<MappedNvm>
-            }
-        };
+        let root = unsafe { root_words(root_blk, 1) };
+        if root[0].load() == 0 {
+            let bucket = set_core::new_bucket_in(&pools.node);
+            // SAFETY: both sentinels were just drawn and initialised.
+            unsafe { install_roots(&bucket, root, &[bucket[0] as u64]) };
+        }
         Ok(Self {
-            head,
+            head: root[0].load() as *mut Node<MappedNvm>,
             rec: env.rec_area(),
             collector,
             pools,
@@ -263,39 +234,12 @@ impl<const ARM: u8> MappedLayout for RList<MappedNvm, ARM> {
 }
 
 impl<const ARM: u8> SlotOps for RList<MappedNvm, ARM> {
-    fn validate_unit(&self, _unit: usize, infos: &mut HashSet<u64>) -> Result<(), MapError> {
-        let max_nodes = self.heap().bump_granules() + 4;
-        // SAFETY: `in_node` guarantees whole-node spans inside the mapping
-        // for every dereference.
-        unsafe { set_core::validate_bucket(self.head, &|a| self.in_node(a), max_nodes, infos) }
-            .map_err(|addr| MapError::CorruptPointer { addr })
-    }
-
-    fn valid_install(&self, addr: u64) -> bool {
-        self.in_node(addr)
-    }
-
-    fn try_scrub(&self) -> Result<(), AttachError> {
-        RList::try_scrub(self)
-    }
-
-    unsafe fn census_unit(
-        &self,
-        _unit: usize,
-        live: &mut HashSet<usize>,
-        info_refs: &mut HashMap<usize, u32>,
-    ) {
-        // SAFETY: quiescent exclusive access post-scrub (caller).
-        unsafe { set_core::census_bucket(self.head, live, info_refs) };
+    fn node_bytes(&self) -> usize {
+        std::mem::size_of::<Node<MappedNvm>>()
     }
 
     fn each_cached(&mut self, f: &mut dyn FnMut(usize)) {
-        self.pools.node.each_idle(|p| f(p as usize));
-        self.pools.info.each_idle(|p| f(p as usize));
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any + Send + Sync> {
-        self
+        self.pools.each_idle(f);
     }
 }
 
@@ -306,17 +250,9 @@ impl<M: Persist, const ARM: u8> Drop for RList<M, ARM> {
             // their caches to the persistent free list on drop.
             return;
         }
-        // Quiescent teardown. After a simulated crash the NVM image may have
-        // rolled pointers back, making *retired* (parked) nodes reachable
-        // again — so the reachable scan and the collector's parked bag can
-        // overlap. Free the union exactly once, deduplicated by address.
-        let mut grave: set_core::Grave =
-            self.collector.take_parked().into_iter().map(|(p, f)| (p as usize, f)).collect();
-        self.rec.each_published(|rd| set_core::grave_published_info::<M>(&mut grave, rd));
-        unsafe {
-            set_core::grave_scan_bucket(self.head, &mut grave);
-            set_core::free_grave(grave);
-        }
+        let parked = self.collector.take_parked();
+        // SAFETY: quiescent teardown of a structure this value owns.
+        unsafe { graph::teardown::<M, Node<M>>(&*self, parked, &self.rec, []) };
     }
 }
 

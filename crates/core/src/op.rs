@@ -1,0 +1,200 @@
+//! The operation context: the one copy of the invocation skeleton every
+//! descriptor-tracked operation shares.
+//!
+//! ISB-tracking is a generic transformation (Algorithms 1–2): an operation
+//! is *gather → persist the descriptor → publish `RD_q` → `Help` → answer*,
+//! and its recovery is `Op-Recover` over the published descriptor. A
+//! structure supplies only its gather phase (the [`InfoFill`] it builds) and
+//! its node shape ([`TrackedNode`]); everything around them lives here, in a
+//! borrowed, zero-state [`OpCtx`] monomorphised per `(M, ARM)`. The helping
+//! procedure itself is [`crate::engine::help`], the per-process recovery
+//! line [`crate::recovery::RecArea`].
+
+use crate::arm;
+use crate::engine::{Info, InfoFill};
+use crate::pool::{Pool, PoolItem};
+use crate::recovery::{op_recover, release_prev, RecArea, Recovered};
+use crate::tag;
+use nvm::{PWord, Persist};
+use reclaim::{Collector, Guard};
+
+/// A node of a descriptor-tracked structure: a pool item with an info word.
+pub trait TrackedNode<M: Persist>: PoolItem {
+    /// The node's info word (a tagged descriptor pointer, see [`crate::tag`]).
+    fn info(&self) -> &PWord<M>;
+}
+
+/// Address of a persistent word, as descriptors record cells.
+#[inline]
+pub fn cell_addr<M: Persist>(w: &PWord<M>) -> u64 {
+    w as *const PWord<M> as u64
+}
+
+/// Frees the `Box<T>` at `p` (drop-time teardown, see
+/// [`crate::graph::teardown`]).
+///
+/// # Safety
+/// `p` must be a live `Box<T>` allocation, freed exactly once.
+pub unsafe fn drop_raw<T>(p: *mut u8) {
+    drop(unsafe { Box::from_raw(p as *mut T) });
+}
+
+/// What an operation of one structure runs in: the recovery area it
+/// publishes through, the collector it pins, and the descriptor pool it
+/// draws from. Built per call by the owning structure; holds no state.
+/// `ARM` is the persistency placement, a [`crate::arm`] level.
+pub struct OpCtx<'a, M: Persist, const ARM: u8> {
+    /// The recovery area every operation on the structure publishes through.
+    pub rec: &'a RecArea<M>,
+    /// The structure's collector.
+    pub collector: &'a Collector,
+    /// The descriptor pool (must outlive `collector`'s drop-time drain).
+    pub infos: &'a Pool<Info<M>>,
+}
+
+impl<M: Persist, const ARM: u8> OpCtx<'_, M, ARM> {
+    /// An update's prologue: steps 1–2 of the protocol
+    /// ([`RecArea::begin`]) and the release of the `RD_q` hold on the
+    /// previous operation's descriptor.
+    #[inline]
+    pub fn begin(&self, pid: usize, g: &Guard<'_>) {
+        let prev = self.rec.begin::<ARM>(pid);
+        // SAFETY: `begin` took `prev` out of `pid`'s `RD_q`, whose owner is
+        // the calling thread, so this is the slot's one release.
+        unsafe { release_prev::<M>(prev, g) };
+    }
+
+    /// A `find`'s prologue. Returns what `published` starts as: in arms 0/1
+    /// the previous descriptor stays published (and held) until the find's
+    /// own replaces it — unless it is a [`crate::tag::DIRECT`] entry, which
+    /// carries no descriptor reference to hand over. In a coalescing arm the
+    /// prologue is no more than [`OpCtx::begin`].
+    #[inline]
+    pub fn begin_find(&self, pid: usize, g: &Guard<'_>) -> u64 {
+        if arm::coalesces(ARM) {
+            self.begin(pid, g);
+            return 0;
+        }
+        let prev = self.rec.begin_readonly(pid);
+        if tag::is_direct(prev) {
+            0
+        } else {
+            prev
+        }
+    }
+
+    /// Draw a descriptor: pool hit, or heap in passthrough mode. A fresh one
+    /// per attempt (pointer freshness — the pool's epoch delay keeps a
+    /// failed descriptor's address out of circulation while it is visible).
+    #[inline]
+    pub fn alloc_info(&self) -> *mut Info<M> {
+        self.infos.take().unwrap_or_else(Info::alloc)
+    }
+
+    /// Persist a filled descriptor — and whatever new nodes the caller noted
+    /// (`arm::pwb_obj_arm`) before it — ahead of its publication (paper
+    /// line 106, `pbarrier(newcurr, newnd, *opInfo)`).
+    ///
+    /// # Safety
+    /// `info` must be a live, filled descriptor.
+    #[inline]
+    pub unsafe fn persist_descriptor(&self, info: *mut Info<M>) {
+        unsafe {
+            if arm::is_tuned(ARM) {
+                arm::pwb_obj_arm::<M, _, ARM>(&*info);
+                M::pfence(); // order descriptor write-backs before RD_q's
+            } else {
+                M::pbarrier_obj(&*info);
+            }
+        }
+    }
+
+    /// Publish `info` in `RD_q`, releasing the hold on the descriptor
+    /// `published` names (this operation's previous attempt).
+    #[inline]
+    pub fn publish(&self, pid: usize, info: *mut Info<M>, published: &mut u64, g: &Guard<'_>) {
+        self.rec.publish_arm::<ARM>(pid, info as u64);
+        if *published != 0 && *published != info as u64 {
+            unsafe { Info::<M>::release(tag::ptr_of(*published), 1, g) };
+        }
+        *published = info as u64;
+    }
+
+    /// Arms 0/1, an outcome that changes nothing: the ROpt read-only path
+    /// (Algorithm 2, lines 73–77). The response is stored into the
+    /// descriptor before the one barrier that persists it, the descriptor is
+    /// published, and `Help` is never called, so the single affect slot
+    /// `seen = (info cell, value read)` is never installed. (Below the
+    /// coalescing arms `publish` is the plain `RD_q` publish, which is also
+    /// what a `find` — `CP_q` left at 0 — needs.)
+    #[inline]
+    pub fn answer_tracked(
+        &self,
+        pid: usize,
+        optype: u8,
+        seen: (u64, u64),
+        response: u64,
+        published: &mut u64,
+        g: &Guard<'_>,
+    ) {
+        debug_assert!(!arm::coalesces(ARM), "coalescing arms answer without a descriptor");
+        let info = self.alloc_info();
+        unsafe {
+            Info::fill(
+                info,
+                &InfoFill {
+                    optype,
+                    affect: &[seen],
+                    write: &[],
+                    newset: &[],
+                    del_mask: 0,
+                    presult: response,
+                },
+            );
+            M::store(&(*info).result, response);
+            self.persist_descriptor(info);
+        }
+        self.publish(pid, info, published, g);
+        unsafe { Info::release(info, 1, g) }; // the never-installed affect slot
+    }
+
+    /// Retire a node that left the structure, releasing its info reference.
+    /// The node was published, so reuse waits out the epoch delay.
+    ///
+    /// # Safety
+    /// `node` must be a live node of `pool`'s structure, unlinked by the
+    /// caller's completed operation and retired exactly once.
+    #[inline]
+    pub unsafe fn retire<N: TrackedNode<M>>(&self, pool: &Pool<N>, node: *mut N, g: &Guard<'_>) {
+        unsafe {
+            Info::<M>::release(tag::ptr_of((*node).info().load()), 1, g);
+            pool.retire(node, g);
+        }
+    }
+
+    /// Generic Op-Recover on the recovery area: `Completed` carries the
+    /// crashed operation's persisted (encoded) response; `Restart` means the
+    /// caller must re-invoke the operation with its original arguments.
+    pub fn recover(&self, pid: usize) -> Recovered {
+        // SAFETY: a published descriptor is persisted before publication
+        // and stays live while published.
+        unsafe { op_recover::<M, ARM>(self.rec, pid, &self.collector.pin()) }
+    }
+
+    /// The *system* half of an invocation, run ahead of the operation:
+    /// [`RecArea::mark_invoked`], then the release of what a coalescing
+    /// arm's glue took out of `RD_q`. Callers that journal their own intent
+    /// records around the structure (write-ahead logs driving a mapped heap)
+    /// must call this **before** writing the intent record — see
+    /// [`RecArea::mark_invoked`] for the crash-window argument. Plain
+    /// in-process use never needs it: an operation's own prologue runs the
+    /// glue when this call has not.
+    pub fn note_invocation(&self, pid: usize) {
+        let taken = self.rec.mark_invoked::<ARM>(pid);
+        if taken != 0 {
+            // SAFETY: the glue durably replaced `taken` in `pid`'s `RD_q`,
+            // whose owner is the calling thread: the slot's one release.
+            unsafe { release_prev::<M>(taken, &self.collector.pin()) };
+        }
+    }
+}

@@ -319,6 +319,22 @@ impl<T: PoolItem> Pool<T> {
         Some(Box::into_raw(b))
     }
 
+    /// Draw an object to initialise and publish: a pool hit, re-initialised
+    /// by `init` (recycled objects are dirty), or — in passthrough mode —
+    /// whatever `boxed` allocates, exactly as pre-pool code did.
+    #[inline]
+    pub fn draw(&self, init: impl FnOnce(&T), boxed: impl FnOnce() -> *mut T) -> *mut T {
+        match self.take() {
+            Some(p) => {
+                // SAFETY: a pool object is live and exclusively the caller's
+                // until it is published.
+                init(unsafe { &*p });
+                p
+            }
+            None => boxed(),
+        }
+    }
+
     /// Return a **never-published** object directly to the free list — the
     /// private-failure fast path, no EBR round-trip.
     ///
@@ -413,6 +429,14 @@ pub unsafe fn give_to<T: PoolItem>(owner: *const (), p: *mut T, g: &Guard<'_>) {
         unsafe { g.retire_box(p) };
     } else {
         unsafe { (*(owner as *const PoolInner<T>)).recycle(p) };
+    }
+}
+
+#[cfg(test)]
+impl<T: PoolItem> Pool<T> {
+    /// How many clones of this pool are alive (0 in passthrough mode).
+    pub(crate) fn holders(&self) -> usize {
+        self.inner.as_ref().map_or(0, Arc::strong_count)
     }
 }
 

@@ -43,18 +43,18 @@ use crate::counters;
 use crate::engine::{
     help, res_val, val_of, HelpOutcome, Info, InfoFill, RES_EMPTY, RES_UNIT, RES_VAL_BASE,
 };
+use crate::graph::{self, Graph};
+use crate::op::{cell_addr, OpCtx, TrackedNode};
 use crate::optype;
 use crate::pool::{Pool, PoolCfg, PoolItem};
 use crate::recovery::{
-    attach_standalone, op_recover, release_prev, AttachEnv, AttachError, AttachSummary,
-    MappedLayout, RecArea, Recovered, SlotOps,
+    install_roots, mapped_attach, root_words, AttachEnv, AttachError, MappedLayout, RecArea,
+    Recovered, Rooted, SlotOps,
 };
 use crate::tag;
-use nvm::mapped::{MapError, MappedHeap, MappedNvm, DEFAULT_HEAP_BYTES};
+use nvm::mapped::{MappedHeap, MappedNvm};
 use nvm::{PWord, Persist, PersistWords};
-use reclaim::{Collector, Guard};
-use std::collections::{HashMap, HashSet};
-use std::path::Path;
+use reclaim::Collector;
 use std::sync::Arc;
 
 /// Superblock structure-kind tag of a mapped `RQueue`.
@@ -105,6 +105,12 @@ impl<M: Persist> PoolItem for Node<M> {
     }
 }
 
+impl<M: Persist> TrackedNode<M> for Node<M> {
+    fn info(&self) -> &PWord<M> {
+        &self.info
+    }
+}
+
 impl<M: Persist> Drop for Node<M> {
     fn drop(&mut self) {
         counters::node_free();
@@ -127,27 +133,6 @@ unsafe impl<M: Persist> PersistWords<M> for Anchor<M> {
         f(&self.ptr);
         f(&self.info);
         f(&self.tail);
-    }
-}
-
-/// Where the queue's anchor lives: owned on the process heap, or borrowed
-/// from the mapped backend's persistent arena (a root block that must
-/// survive the process).
-enum AnchorStore<M: Persist> {
-    Owned(Box<Anchor<M>>),
-    Arena(*const Anchor<M>),
-}
-
-impl<M: Persist> std::ops::Deref for AnchorStore<M> {
-    type Target = Anchor<M>;
-    #[inline]
-    fn deref(&self) -> &Anchor<M> {
-        match self {
-            AnchorStore::Owned(b) => b,
-            // SAFETY: the arena root block outlives the queue (which keeps
-            // its MappedHeap alive).
-            AnchorStore::Arena(p) => unsafe { &**p },
-        }
     }
 }
 
@@ -178,7 +163,7 @@ impl<M: Persist> std::ops::Deref for AnchorStore<M> {
 /// assert_eq!(q.snapshot_vals(), vec![9]);
 /// ```
 pub struct RQueue<M: Persist, const ARM: u8 = 0> {
-    head: AnchorStore<M>,
+    head: Rooted<Anchor<M>>,
     rec: RecArea<M>,
     // `collector` must drop before the pools (drop-time drain recycles).
     collector: Collector,
@@ -221,7 +206,7 @@ impl<M: Persist, const ARM: u8> RQueue<M, ARM> {
         let info_pool = Pool::new_for::<M>(pool.clone(), &collector);
         let node_pool = Pool::new_for::<M>(pool, &collector);
         Self {
-            head: AnchorStore::Owned(Box::new(Anchor {
+            head: Rooted::Owned(Box::new(Anchor {
                 ptr: PWord::new(s0 as u64),
                 info: PWord::new(0),
                 tail: PWord::new(s0 as u64),
@@ -239,51 +224,16 @@ impl<M: Persist, const ARM: u8> RQueue<M, ARM> {
         &self.collector
     }
 
-    /// Draw a descriptor: pool hit, or heap in passthrough mode.
+    /// The context every operation on the queue runs in.
     #[inline]
-    fn alloc_info(&self) -> *mut Info<M> {
-        self.info_pool.take().unwrap_or_else(Info::alloc)
+    fn ctx(&self) -> OpCtx<'_, M, ARM> {
+        OpCtx { rec: &self.rec, collector: &self.collector, infos: &self.info_pool }
     }
 
     /// Draw a node: pool hit (re-initialized), or heap in passthrough mode.
     #[inline]
     fn alloc_node(&self, val: u64, next: u64, info: u64) -> *mut Node<M> {
-        match self.node_pool.take() {
-            Some(p) => {
-                unsafe { (*p).init(val, next, info) };
-                p
-            }
-            None => Node::alloc(val, next, info),
-        }
-    }
-
-    fn publish(&self, pid: usize, info: *mut Info<M>, published: &mut u64, g: &Guard<'_>) {
-        self.rec.publish_arm::<ARM>(pid, info as u64);
-        if *published != 0 && *published != info as u64 {
-            unsafe { Info::<M>::release(tag::ptr_of(*published), 1, g) };
-        }
-        *published = info as u64;
-    }
-
-    /// Persist a filled descriptor (and whatever the attempt noted before
-    /// it) ahead of its publication.
-    unsafe fn persist_descriptor(&self, info: *mut Info<M>) {
-        unsafe {
-            if arm::is_tuned(ARM) {
-                arm::pwb_obj_arm::<M, _, ARM>(&*info);
-                M::pfence(); // order descriptor write-backs before RD_q's
-            } else {
-                M::pbarrier_obj(&*info);
-            }
-        }
-    }
-
-    unsafe fn retire_node(&self, node: *mut Node<M>, g: &Guard<'_>) {
-        unsafe {
-            let iv = (*node).info.load();
-            Info::<M>::release(tag::ptr_of(iv), 1, g);
-            self.node_pool.retire(node, g);
-        }
+        self.node_pool.draw(|n| n.init(val, next, info), || Node::alloc(val, next, info))
     }
 
     /// Locate the last node: start at the tail hint and chase `next`.
@@ -308,9 +258,8 @@ impl<M: Persist, const ARM: u8> RQueue<M, ARM> {
     pub fn enqueue(&self, pid: usize, v: u64) {
         assert!(v < u64::MAX - RES_VAL_BASE, "value too large for result encoding");
         // ONE pin covers the whole operation (see set_core::insert).
-        let g = self.collector.pin();
-        let prev = self.rec.begin::<ARM>(pid);
-        unsafe { release_prev::<M>(prev, &g) };
+        let (ctx, g) = (self.ctx(), self.collector.pin());
+        ctx.begin(pid, &g);
         let newnd = self.alloc_node(v, 0, 0);
         let mut filled: u64 = 0;
         let mut published: u64 = 0;
@@ -321,7 +270,7 @@ impl<M: Persist, const ARM: u8> RQueue<M, ARM> {
                 continue;
             }
             // A fresh descriptor per attempt (pointer freshness).
-            let info = self.alloc_info();
+            let info = ctx.alloc_info();
             unsafe {
                 let t = tag::tagged(info as u64);
                 if filled != t {
@@ -343,9 +292,9 @@ impl<M: Persist, const ARM: u8> RQueue<M, ARM> {
                     },
                 );
                 arm::pwb_obj_arm::<M, _, ARM>(&*newnd);
-                self.persist_descriptor(info);
+                ctx.persist_descriptor(info);
             }
-            self.publish(pid, info, &mut published, &g);
+            ctx.publish(pid, info, &mut published, &g);
             match unsafe { help::<M, ARM>(info, true, &g) } {
                 HelpOutcome::Done => {
                     // Swing the tail hint; newnd's linkage is durable by now.
@@ -371,9 +320,8 @@ impl<M: Persist, const ARM: u8> RQueue<M, ARM> {
 
     /// Dequeues; `None` iff the queue was observed empty.
     pub fn dequeue(&self, pid: usize) -> Option<u64> {
-        let g = self.collector.pin();
-        let prev = self.rec.begin::<ARM>(pid);
-        unsafe { release_prev::<M>(prev, &g) };
+        let (ctx, g) = (self.ctx(), self.collector.pin());
+        ctx.begin(pid, &g);
         let mut published: u64 = 0;
         loop {
             // Gather order: anchor info, then sentinel, then its info, then next.
@@ -394,29 +342,13 @@ impl<M: Persist, const ARM: u8> RQueue<M, ARM> {
                 // Arms 0/1 take the ROpt read-only path; the coalescing arms
                 // answer without a descriptor (see `set_core`).
                 if !arm::coalesces(ARM) {
-                    let info = self.alloc_info();
-                    unsafe {
-                        Info::fill(
-                            info,
-                            &InfoFill {
-                                optype: optype::DEQ,
-                                affect: &[(cell_addr(&self.head.info), h_info)],
-                                write: &[],
-                                newset: &[],
-                                del_mask: 0,
-                                presult: RES_EMPTY,
-                            },
-                        );
-                        M::store(&(*info).result, RES_EMPTY);
-                        self.persist_descriptor(info);
-                    }
-                    self.publish(pid, info, &mut published, &g);
-                    unsafe { Info::<M>::release(info, 1, &g) };
+                    let seen = (cell_addr(&self.head.info), h_info);
+                    ctx.answer_tracked(pid, optype::DEQ, seen, RES_EMPTY, &mut published, &g);
                 }
                 return None;
             }
             // A fresh descriptor per attempt (pointer freshness).
-            let info = self.alloc_info();
+            let info = ctx.alloc_info();
             let fval = unsafe { (*(f as *mut Node<M>)).val.load() };
             unsafe {
                 Info::fill(
@@ -433,14 +365,14 @@ impl<M: Persist, const ARM: u8> RQueue<M, ARM> {
                         presult: res_val(fval),
                     },
                 );
-                self.persist_descriptor(info);
+                ctx.persist_descriptor(info);
             }
-            self.publish(pid, info, &mut published, &g);
+            ctx.publish(pid, info, &mut published, &g);
             match unsafe { help::<M, ARM>(info, true, &g) } {
                 HelpOutcome::Done => {
                     // Never leave the tail hint pointing at the retired sentinel.
                     let _ = self.head.tail.cas(s as u64, f);
-                    unsafe { self.retire_node(s, &g) };
+                    unsafe { ctx.retire(&self.node_pool, s, &g) };
                     return Some(fval);
                 }
                 HelpOutcome::FailedAt(i) => {
@@ -461,23 +393,14 @@ impl<M: Persist, const ARM: u8> RQueue<M, ARM> {
 
     /// `Enqueue.Recover`.
     pub fn recover_enqueue(&self, pid: usize, v: u64) {
-        let r = {
-            let g = self.collector.pin();
-            unsafe { op_recover::<M, ARM>(&self.rec, pid, &g) }
-        };
-        match r {
-            Recovered::Completed(_) => {}
-            Recovered::Restart => self.enqueue(pid, v),
+        if self.ctx().recover(pid) == Recovered::Restart {
+            self.enqueue(pid, v);
         }
     }
 
     /// `Dequeue.Recover`.
     pub fn recover_dequeue(&self, pid: usize) -> Option<u64> {
-        let r = {
-            let g = self.collector.pin();
-            unsafe { op_recover::<M, ARM>(&self.rec, pid, &g) }
-        };
-        match r {
+        match self.ctx().recover(pid) {
             Recovered::Completed(RES_EMPTY) => None,
             Recovered::Completed(v) => Some(val_of(v)),
             Recovered::Restart => self.dequeue(pid),
@@ -517,52 +440,18 @@ impl<M: Persist, const ARM: u8> RQueue<M, ARM> {
         }
     }
 
-    /// Completes helping obligations left visible by a crash: runs `Help`
-    /// on every tagged info reachable from the anchor or the sentinel chain
-    /// until a full pass finds none (the queue-side analogue of
-    /// [`crate::set_core::SetCore::scrub`]). Call after every process ran
-    /// its `recover_*` (the mapped backend's attach does, via
-    /// [`RQueue::try_scrub`] so a non-quiescing image surfaces as a typed
-    /// [`AttachError`] instead of killing the recovering process).
+    /// Completes helping obligations left visible by a crash, on the anchor
+    /// and along the sentinel chain; call after every process ran its
+    /// `recover_*`. See [`graph::scrub_unit`].
     pub fn scrub(&self) {
-        self.try_scrub().unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// [`RQueue::scrub`] with the pass budget surfaced as a typed
-    /// [`AttachError::ScrubStalled`] instead of a panic.
-    pub fn try_scrub(&self) -> Result<(), AttachError> {
-        const PASSES: usize = 64;
-        for _ in 0..PASSES {
-            let g = self.collector.pin();
-            let mut dirty = false;
-            unsafe {
-                let hv = self.head.info.load();
-                if tag::is_tagged(hv) {
-                    dirty = true;
-                    help::<M, ARM>(tag::ptr_of(hv), false, &g);
-                }
-                let mut n = self.head.ptr.load() as *mut Node<M>;
-                while !n.is_null() {
-                    let iv = (*n).info.load();
-                    if tag::is_tagged(iv) {
-                        dirty = true;
-                        help::<M, ARM>(tag::ptr_of(iv), false, &g);
-                    }
-                    n = (*n).next.load() as *mut Node<M>;
-                }
-            }
-            if !dirty {
-                return Ok(());
-            }
-        }
-        Err(AttachError::ScrubStalled { kind: "queue", passes: PASSES })
+        graph::scrub::<M, ARM>(self, &self.collector).unwrap_or_else(|e| panic!("{e}"));
     }
 
     /// The *system* half of an invocation — see
     /// [`crate::hashmap::RHashMap::note_invocation`]: write-ahead-logging
     /// callers must run this before writing their intent record.
     pub fn note_invocation(&self, pid: usize) {
-        crate::recovery::note_invocation::<M, ARM>(&self.rec, &self.collector, pid);
+        self.ctx().note_invocation(pid);
     }
 
     /// Structural invariants for a quiescent queue.
@@ -586,53 +475,43 @@ impl<M: Persist, const ARM: u8> RQueue<M, ARM> {
     }
 }
 
-#[inline]
-fn cell_addr<M: Persist>(w: &PWord<M>) -> u64 {
-    w as *const PWord<M> as u64
-}
-
-unsafe fn drop_node_raw<M: Persist>(p: *mut u8) {
-    drop(unsafe { Box::from_raw(p as *mut Node<M>) });
-}
-
-unsafe fn drop_info_raw<M: Persist>(p: *mut u8) {
-    drop(unsafe { Box::from_raw(p as *mut Info<M>) });
-}
-
-impl<const ARM: u8> RQueue<MappedNvm, ARM> {
-    /// Attaches (or creates) a detectably recoverable queue backed by the
-    /// file-backed persistent heap at `path`. Same recovery sequence as
-    /// [`crate::hashmap::RHashMap::attach`] — the generic driver
-    /// ([`crate::recovery::attach_standalone`]) runs remap, per-pid
-    /// Op-Recover replay, [`RQueue::try_scrub`], tail-hint heal, census +
-    /// sweep. The calling thread must be registered (`nvm::tid::set_tid`).
-    pub fn attach(path: impl AsRef<Path>) -> Result<(Self, AttachSummary), AttachError> {
-        Self::attach_sized(path, DEFAULT_HEAP_BYTES)
+impl<M: Persist, const ARM: u8> Graph<M> for RQueue<M, ARM> {
+    fn kind_name(&self) -> &'static str {
+        "queue"
     }
 
-    /// [`RQueue::attach`] with an explicit heap size for creation.
-    pub fn attach_sized(
-        path: impl AsRef<Path>,
-        heap_bytes: usize,
-    ) -> Result<(Self, AttachSummary), AttachError> {
-        attach_standalone::<Self>(path.as_ref(), (), heap_bytes)
-    }
-
-    /// The persistent heap backing this queue.
-    pub fn heap(&self) -> &Arc<MappedHeap> {
-        self.mapped.as_ref().expect("mapped-mode queue")
-    }
-
-    /// Whole-node span check against the backing heap.
-    fn in_node(&self, a: u64) -> bool {
-        let heap = self.heap();
-        a & 7 == 0 && heap.contains_span(a as usize, std::mem::size_of::<Node<MappedNvm>>())
+    // The anchor's info cell first (no node: address 0), then the sentinel
+    // chain to its null end.
+    unsafe fn walk(
+        &self,
+        _unit: usize,
+        admit: &dyn Fn(u64) -> bool,
+        mut budget: usize,
+        visit: &mut dyn FnMut(u64, u64),
+    ) -> Result<(), u64> {
+        visit(0, self.head.info.load());
+        let mut n = self.head.ptr.load();
+        if n == 0 {
+            return Err(0); // a queue always has its sentinel
+        }
+        while n != 0 {
+            if budget == 0 || !admit(n) {
+                return Err(n);
+            }
+            budget -= 1;
+            // SAFETY: non-null and admitted.
+            let node = unsafe { &*(n as *const Node<M>) };
+            visit(n, node.info.load());
+            n = node.next.load();
+        }
+        Ok(())
     }
 }
+
+mapped_attach!(impl[const ARM: u8] RQueue<MappedNvm, ARM>; () -> ());
 
 impl<const ARM: u8> MappedLayout for RQueue<MappedNvm, ARM> {
     const KIND: u64 = KIND_QUEUE;
-    const KIND_NAME: &'static str = "queue";
     type Cfg = ();
 
     fn cfg_word(_cfg: ()) -> u64 {
@@ -643,21 +522,19 @@ impl<const ARM: u8> MappedLayout for RQueue<MappedNvm, ARM> {
         std::mem::size_of::<Anchor<MappedNvm>>()
     }
 
-    fn open(env: &AttachEnv, _cfg: (), root: *mut u8) -> Result<Self, AttachError> {
+    unsafe fn open(env: &AttachEnv, _cfg: (), root: *mut u8) -> Result<Self, AttachError> {
         let collector = env.collector();
         let info_pool = env.info_pool();
         let node_pool = Pool::new_for::<MappedNvm>(env.pool_cfg(), &collector);
         let anchor = root as *const Anchor<MappedNvm>;
-        // SAFETY: zeroed-on-creation committed root block of Anchor size.
+        // SAFETY: zeroed-on-creation committed root block of Anchor size:
+        // the `(ptr, info, tail)` words of the `repr(C)` anchor.
         unsafe {
             if (*anchor).ptr.peek() == 0 {
                 // Fresh (or creation cut short): allocate the first sentinel.
                 let s0: *mut Node<MappedNvm> = node_pool.take().expect("arena pool always serves");
                 (*s0).init(0, 0, 0);
-                (*anchor).ptr.store(s0 as u64);
-                (*anchor).info.store(0);
-                (*anchor).tail.store(s0 as u64);
-                MappedNvm::pbarrier_obj(&*anchor);
+                install_roots(&[s0], root_words(root, 3), &[s0 as u64, 0, s0 as u64]);
             }
             // Images written before the hint moved into the anchor have a
             // zero third word (root blocks are zeroed at creation, granule-
@@ -669,7 +546,7 @@ impl<const ARM: u8> MappedLayout for RQueue<MappedNvm, ARM> {
             }
         }
         Ok(Self {
-            head: AnchorStore::Arena(anchor),
+            head: Rooted::Arena(anchor),
             rec: env.rec_area(),
             collector,
             info_pool,
@@ -680,87 +557,17 @@ impl<const ARM: u8> MappedLayout for RQueue<MappedNvm, ARM> {
 }
 
 impl<const ARM: u8> SlotOps for RQueue<MappedNvm, ARM> {
-    fn validate_unit(&self, _unit: usize, infos: &mut HashSet<u64>) -> Result<(), MapError> {
-        // No dereference below leaves the mapping (whole-node spans), and
-        // the chain must terminate within the heap's block count.
-        let mut budget = self.heap().bump_granules() + 4;
-        // SAFETY: the anchor is a committed root block; every node is
-        // dereferenced only after its whole span passed `in_node`.
-        unsafe {
-            let hv = tag::untagged(self.head.info.load());
-            if hv != 0 {
-                infos.insert(hv);
-            }
-            let mut n = self.head.ptr.load();
-            if !self.in_node(n) {
-                return Err(MapError::CorruptPointer { addr: n });
-            }
-            loop {
-                if budget == 0 {
-                    return Err(MapError::CorruptPointer { addr: n });
-                }
-                budget -= 1;
-                let node = n as *mut Node<MappedNvm>;
-                let iv = tag::untagged((*node).info.load());
-                if iv != 0 {
-                    infos.insert(iv);
-                }
-                let next = (*node).next.load();
-                if next == 0 {
-                    break;
-                }
-                if !self.in_node(next) {
-                    return Err(MapError::CorruptPointer { addr: next });
-                }
-                n = next;
-            }
-        }
-        Ok(())
-    }
-
-    fn valid_install(&self, addr: u64) -> bool {
-        self.in_node(addr)
-    }
-
-    fn try_scrub(&self) -> Result<(), AttachError> {
-        RQueue::try_scrub(self)
+    fn node_bytes(&self) -> usize {
+        std::mem::size_of::<Node<MappedNvm>>()
     }
 
     fn heal(&mut self) {
         self.heal_tail();
     }
 
-    unsafe fn census_unit(
-        &self,
-        _unit: usize,
-        live: &mut HashSet<usize>,
-        info_refs: &mut HashMap<usize, u32>,
-    ) {
-        let mut bump = |v: u64| {
-            let p = tag::untagged(v) as usize;
-            if p != 0 {
-                *info_refs.entry(p).or_insert(0) += 1;
-            }
-        };
-        // SAFETY: quiescent exclusive access post-scrub (caller).
-        unsafe {
-            bump(self.head.info.load());
-            let mut n = self.head.ptr.load() as *mut Node<MappedNvm>;
-            while !n.is_null() {
-                live.insert(n as usize);
-                bump((*n).info.load());
-                n = (*n).next.load() as *mut Node<MappedNvm>;
-            }
-        }
-    }
-
     fn each_cached(&mut self, f: &mut dyn FnMut(usize)) {
         self.node_pool.each_idle(|p| f(p as usize));
         self.info_pool.each_idle(|p| f(p as usize));
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any + Send + Sync> {
-        self
     }
 }
 
@@ -771,34 +578,9 @@ impl<M: Persist, const ARM: u8> Drop for RQueue<M, ARM> {
             // their caches to the persistent free list on drop.
             return;
         }
-        // See RList::drop — the union of reachable and parked objects is
-        // freed exactly once (crash images can resurrect reachability).
-        let mut grave: std::collections::HashMap<usize, unsafe fn(*mut u8)> =
-            self.collector.take_parked().into_iter().map(|(p, f)| (p as usize, f)).collect();
-        self.rec.each_published(|rd| {
-            if !tag::is_direct(rd) && tag::untagged(rd) != 0 {
-                grave.insert(tag::untagged(rd) as usize, drop_info_raw::<M>);
-            }
-        });
-        let anchor_info = tag::untagged(self.head.info.load());
-        if anchor_info != 0 {
-            grave.insert(anchor_info as usize, drop_info_raw::<M>);
-        }
-        unsafe {
-            let mut n = self.head.ptr.load() as *mut Node<M>;
-            while !n.is_null() {
-                let next = (*n).next.load() as *mut Node<M>;
-                let iv = tag::untagged((*n).info.load());
-                if iv != 0 {
-                    grave.insert(iv as usize, drop_info_raw::<M>);
-                }
-                grave.insert(n as usize, drop_node_raw::<M>);
-                n = next;
-            }
-            for (p, f) in grave {
-                f(p as *mut u8);
-            }
-        }
+        let parked = self.collector.take_parked();
+        // SAFETY: quiescent teardown of a structure this value owns.
+        unsafe { graph::teardown::<M, Node<M>>(&*self, parked, &self.rec, []) };
     }
 }
 

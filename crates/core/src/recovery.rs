@@ -377,6 +377,17 @@ pub enum Recovered {
     Restart,
 }
 
+impl Recovered {
+    /// The boolean response of a completed set operation; `None` on
+    /// `Restart`.
+    pub fn as_bool(self) -> Option<bool> {
+        match self {
+            Recovered::Completed(v) => Some(v == crate::engine::RES_TRUE),
+            Recovered::Restart => None,
+        }
+    }
+}
+
 /// Generic Op-Recover: decide whether the pending operation of `pid` took
 /// effect, completing it via `Help` if necessary. A published value carrying
 /// the [`crate::tag::DIRECT`] annotation names a direct-tracked *node*, not
@@ -420,22 +431,6 @@ pub unsafe fn release_prev<M: Persist>(prev: u64, g: &reclaim::Guard<'_>) {
         return;
     }
     unsafe { Info::<M>::release(crate::tag::ptr_of(prev), 1, g) };
-}
-
-/// A structure's `note_invocation`: [`RecArea::mark_invoked`], then the
-/// release of what a coalescing arm's glue took out of `RD_q`, through the
-/// structure's collector.
-pub(crate) fn note_invocation<M: Persist, const ARM: u8>(
-    rec: &RecArea<M>,
-    collector: &reclaim::Collector,
-    pid: usize,
-) {
-    let taken = rec.mark_invoked::<ARM>(pid);
-    if taken != 0 {
-        // SAFETY: the glue durably replaced `taken` in `pid`'s `RD_q`, whose
-        // owner is the calling thread, so this is the slot's one release.
-        unsafe { release_prev::<M>(taken, &collector.pin()) };
-    }
 }
 
 /// **Online** per-pid recovery: a *survivor* of a shared heap resolves the
@@ -526,6 +521,7 @@ pub mod rootkeys {
     pub const RESPTAB: u64 = 0x5245_5350; // "RESP"
 }
 
+use crate::graph::{census_unit, reachable, scrub, validate_unit, Graph};
 use nvm::mapped::{fan_out, MapError, MappedHeap, MappedNvm};
 use reclaim::Collector;
 use std::collections::{HashMap, HashSet};
@@ -543,9 +539,11 @@ pub enum AttachError {
     /// tagged descriptor could not be helped to completion, which no crash
     /// of a correct execution can produce (a diagnosis, not a panic).
     ScrubStalled {
-        /// Structure kind name ([`MappedLayout::KIND_NAME`]).
+        /// Structure kind name ([`Graph::kind_name`]).
         kind: &'static str,
-        /// Passes attempted before giving up.
+        /// The work unit that did not quiesce (e.g. the hash-map shard).
+        unit: usize,
+        /// Passes attempted before giving up ([`crate::graph::SCRUB_PASSES`]).
         passes: usize,
     },
     /// The named entry (or standalone heap) hosts a different structure
@@ -601,8 +599,8 @@ impl std::fmt::Display for AttachError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             AttachError::Map(e) => write!(f, "{e}"),
-            AttachError::ScrubStalled { kind, passes } => {
-                write!(f, "{kind}: attach scrub did not quiesce after {passes} passes")
+            AttachError::ScrubStalled { kind, unit, passes } => {
+                write!(f, "{kind} unit {unit}: scrub did not quiesce after {passes} passes")
             }
             AttachError::WrongKind { name, expected, found } if name.is_empty() => {
                 write!(f, "heap hosts structure kind {found}, expected {expected}")
@@ -741,93 +739,116 @@ impl AttachEnv {
     }
 }
 
-/// The attach-time operations the generic driver invokes on an already
-/// constructed mapped structure — the object-safe half of [`MappedLayout`]
-/// (a [`crate::store::Store`] drives a heterogeneous set of these).
+/// Persists a freshly created structure's durable roots **sentinels first,
+/// root words last**: every drawn sentinel is written back, a fence orders
+/// those write-backs, then `roots[i] := values[i]`, the root lines are
+/// written back, and a final fence makes them durable. A power failure
+/// anywhere in the sequence therefore never leaves a durable root naming a
+/// sentinel whose fields did not reach memory: either the root word is
+/// still zero (the creation re-runs; the abandoned sentinels are swept by
+/// the next non-fresh attach) or everything it names is durable. Storing a
+/// value a root already holds is harmless, so re-running is idempotent.
+///
+/// # Safety
+/// Single-threaded creation; every sentinel is a live, initialised node.
+pub(crate) unsafe fn install_roots<M: Persist, N: PersistWords<M>>(
+    sentinels: &[*mut N],
+    roots: &[PWord<M>],
+    values: &[u64],
+) {
+    assert_eq!(roots.len(), values.len());
+    for &s in sentinels {
+        M::pwb_obj(unsafe { &*s });
+    }
+    M::pfence();
+    for (w, &v) in roots.iter().zip(values) {
+        w.store(v);
+    }
+    M::pwb_obj(roots);
+    M::psync();
+}
+
+/// Where a structure's root cell (the queue's anchor, the stack's `top`)
+/// lives: owned on the process heap, or borrowed from the mapped backend's
+/// persistent arena — a root block that must survive the process.
+pub(crate) enum Rooted<T> {
+    /// The in-process models.
+    Owned(Box<T>),
+    /// A root block of the structure's [`MappedHeap`].
+    Arena(*const T),
+}
+
+impl<T> std::ops::Deref for Rooted<T> {
+    type Target = T;
+    #[inline]
+    fn deref(&self) -> &T {
+        match self {
+            Rooted::Owned(b) => b,
+            // SAFETY: the arena root block outlives the structure (which
+            // keeps its MappedHeap alive).
+            Rooted::Arena(p) => unsafe { &**p },
+        }
+    }
+}
+
+/// A mapped structure's root block as persistent words.
+///
+/// # Safety
+/// `root` must be a committed root block of at least `words * 8` bytes that
+/// outlives the returned borrow (the structure keeps its heap alive).
+pub(crate) unsafe fn root_words<'a>(root: *mut u8, words: usize) -> &'a [PWord<MappedNvm>] {
+    unsafe { std::slice::from_raw_parts(root as *const PWord<MappedNvm>, words) }
+}
+
+/// What a kind supplies to the attach driver beyond its [`Graph`] — the
+/// object-safe half of [`MappedLayout`] (a [`crate::store::Store`] drives a
+/// heterogeneous set of these). Validation, census, reachability and the
+/// default scrub are *derived* from [`Graph::walk`] by the driver
+/// ([`finish_attach`]); a kind states only facts, plus the two policies that
+/// differ on purpose.
 ///
 /// All methods run during the quiescent attach sequence: no structure
-/// operation runs concurrently. Validation and census may be split into
-/// [`SlotOps::work_units`] and run on attach-scoped worker threads (the
-/// units partition the graph, so per-unit runs never touch the same node);
-/// everything else stays on the attaching thread.
-pub trait SlotOps: Send + Sync {
-    /// Number of independent work units the attach driver may split this
-    /// structure's validation and census into (e.g. one per hash-map shard).
-    /// Units must partition the structure's graph; the default is one unit —
-    /// the whole structure.
-    fn work_units(&self) -> usize {
-        1
+/// operation runs concurrently.
+pub trait SlotOps: Graph<MappedNvm> + std::any::Any + Send + Sync {
+    /// Size of one node. The driver admits a pointer only when this whole
+    /// span, 8-aligned, lies inside the mapping — for the walk over the
+    /// untrusted image and for every value a descriptor installs.
+    fn node_bytes(&self) -> usize;
+
+    /// Post-replay scrub **policy**. The default is the eager one: the
+    /// scrub visitor over every unit, at the replay's (untuned) placement —
+    /// sound for every arm: strictly more persistency instructions,
+    /// identical helping. Two kinds override it on purpose:
+    /// [`crate::hashmap::RHashMap`] *defers* the pass to first contact per
+    /// shard (attach stays O(descriptors), not O(keys)), and
+    /// [`crate::stack::RStack`], which has no descriptors to help, splices
+    /// claimed nodes out instead.
+    fn attach_scrub(&self) -> Result<(), AttachError> {
+        scrub::<MappedNvm, { crate::arm::PAPER }>(self, &Collector::new())
     }
 
-    /// Bounds-checked pre-recovery validation of work unit `unit`
-    /// (`0..work_units()`) of the structure's graph in the **untrusted**
-    /// image: every reachable node must have a whole-node span inside the
-    /// mapping and the graph must terminate; referenced descriptors are only
-    /// *collected* into `infos` (the driver range-checks them with
-    /// [`validate_infos`]). No pointer may be dereferenced before its span
-    /// check. Typed error on violation. Units run concurrently, each worker
-    /// with its own `infos` set; the driver merges them.
-    fn validate_unit(&self, unit: usize, infos: &mut HashSet<u64>) -> Result<(), MapError>;
-
-    /// Whether `addr` is a plausible node of this structure (whole-span
-    /// check) — the driver validates descriptor WriteSet install values
-    /// against the union of the heap's structures.
-    fn valid_install(&self, addr: u64) -> bool;
-
-    /// Completes helping obligations left visible by the crash (bounded;
-    /// [`AttachError::ScrubStalled`] instead of a panic when the budget is
-    /// exhausted). Runs after the Op-Recover replay.
-    fn try_scrub(&self) -> Result<(), AttachError>;
-
-    /// Post-scrub structural repair (e.g. the queue's tail-hint heal).
+    /// Post-scrub structural repair (the queue's tail-hint heal).
     fn heal(&mut self) {}
-
-    /// Census of work unit `unit` of the quiescent structure: every
-    /// reachable node's payload address into `live`, and per descriptor still
-    /// referenced from a node cell the number of referencing cells into
-    /// `info_refs`. Each worker has private maps; the driver merges by union
-    /// and by summing reference counts, which equals a serial census because
-    /// units partition the cells.
-    ///
-    /// # Safety
-    /// Quiescent exclusive attach-time access.
-    unsafe fn census_unit(
-        &self,
-        unit: usize,
-        live: &mut HashSet<usize>,
-        info_refs: &mut HashMap<usize, u32>,
-    );
 
     /// Every arena block currently cached in this structure's pools (kept
     /// out of the sweep).
     fn each_cached(&mut self, f: &mut dyn FnMut(usize));
-
-    /// Direct tracking only: whether the node at `addr` is reachable from
-    /// this structure's roots (decides a crashed push's recovery).
-    fn direct_reachable(&self, _addr: u64) -> bool {
-        false
-    }
-
-    /// Type-erase for the store's handle cache.
-    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any + Send + Sync>;
 }
 
 /// A mapped structure kind: everything the generic attach driver needs to
 /// create, re-open and recover one detectably recoverable structure inside
 /// a [`MappedHeap`] — the per-kind constants and constructor on top of the
-/// attach-time operations of [`SlotOps`].
+/// facts of [`SlotOps`] and the traversal of [`Graph`].
 ///
 /// Implementations are thin: the whole remap → validate → replay → scrub →
 /// census → sweep lifecycle lives once in [`attach_standalone`] /
 /// [`finish_attach`], shared by every structure and by the multi-structure
 /// [`crate::store::Store`].
-pub trait MappedLayout: SlotOps + Sized + std::any::Any {
+pub trait MappedLayout: SlotOps + Sized {
     /// Structure-kind tag (superblock kind for standalone heaps, catalog
     /// entry kind inside a store). Tuning variants share a kind; the
     /// configuration word carries the tuning bit.
     const KIND: u64;
-    /// Human-readable kind name (errors/diagnostics).
-    const KIND_NAME: &'static str;
     /// Construction parameters beyond the heap (e.g. shard count).
     type Cfg: Copy;
 
@@ -847,11 +868,59 @@ pub trait MappedLayout: SlotOps + Sized + std::any::Any {
 
     /// Constructs the structure over `root` (a committed, zero-initialised
     /// on first use root block of [`MappedLayout::root_bytes`] bytes inside
-    /// `env.heap`): installs fresh roots when the block is still zeroed,
-    /// loads them otherwise. Must be idempotent — a creation cut short by a
-    /// kill re-runs it.
-    fn open(env: &AttachEnv, cfg: Self::Cfg, root: *mut u8) -> Result<Self, AttachError>;
+    /// `env.heap`): installs fresh roots when the block is still zeroed
+    /// (through `install_roots`, sentinels first), loads them otherwise.
+    /// Must be idempotent — a creation cut short by a kill re-runs it.
+    ///
+    /// # Safety
+    /// `root` must be such a block, and no other thread may be creating the
+    /// same structure (single-threaded attach, or the heap's file lock).
+    unsafe fn open(env: &AttachEnv, cfg: Self::Cfg, root: *mut u8) -> Result<Self, AttachError>;
 }
+
+/// The inherent `attach` / `attach_sized` / `heap` of a mapped kind, written
+/// once: `mapped_attach!(impl[generics] Type; (extra: args) -> cfg)`. The
+/// struct must carry a `mapped: Option<Arc<MappedHeap>>` field.
+macro_rules! mapped_attach {
+    (impl[$($gen:tt)*] $ty:ty; ($($arg:ident: $argty:ty),*) -> $cfg:expr) => {
+        impl<$($gen)*> $ty {
+            /// Attaches (or creates, at [`nvm::mapped::DEFAULT_HEAP_BYTES`])
+            /// this structure in the file-backed persistent heap at `path`.
+            ///
+            /// On an existing heap this runs the full restart-recovery
+            /// sequence of the generic driver
+            /// ([`crate::recovery::attach_standalone`]): remap,
+            /// bounds-validated graph walk, per-pid Op-Recover replay
+            /// (decisions in the [`crate::recovery::AttachSummary`]), scrub,
+            /// census + sweep. The calling thread must be registered
+            /// ([`nvm::tid::set_tid`]); one process attaches a heap at a
+            /// time, and the configuration (arm, shard count) must match the
+            /// heap's recorded one.
+            pub fn attach(
+                path: impl AsRef<std::path::Path>
+                $(, $arg: $argty)*
+            ) -> Result<(Self, $crate::recovery::AttachSummary), $crate::recovery::AttachError> {
+                Self::attach_sized(path, $($arg,)* nvm::mapped::DEFAULT_HEAP_BYTES)
+            }
+
+            /// [`Self::attach`] with an explicit heap size for creation
+            /// (ignored when the heap already exists).
+            pub fn attach_sized(
+                path: impl AsRef<std::path::Path>,
+                $($arg: $argty,)*
+                heap_bytes: usize,
+            ) -> Result<(Self, $crate::recovery::AttachSummary), $crate::recovery::AttachError> {
+                $crate::recovery::attach_standalone::<Self>(path.as_ref(), $cfg, heap_bytes)
+            }
+
+            /// The persistent heap backing this structure.
+            pub fn heap(&self) -> &std::sync::Arc<nvm::mapped::MappedHeap> {
+                self.mapped.as_ref().expect("a mapped-mode structure")
+            }
+        }
+    };
+}
+pub(crate) use mapped_attach;
 
 /// Attaches (or creates) a standalone single-structure heap at `path` and
 /// runs the full restart-recovery sequence (see [`finish_attach`]). This is
@@ -870,20 +939,23 @@ pub fn attach_standalone<L: MappedLayout>(
     let (meta_ptr, _) = heap.root_alloc(rootkeys::META, 16)?;
     let cfg_word = L::cfg_word(cfg);
     // SAFETY: single-threaded attach; committed 16-byte root block.
-    unsafe {
-        let meta = meta_ptr as *mut u64;
-        if fresh {
-            meta.write(cfg_word);
-        } else if meta.read() != cfg_word {
-            return Err(AttachError::CfgMismatch {
-                name: String::new(),
-                expected: cfg_word,
-                found: meta.read(),
-            });
-        }
+    let meta = &unsafe { root_words(meta_ptr, 1) }[0];
+    if fresh {
+        // Durable before the kind stamp below declares the heap created: a
+        // stamped heap whose configuration word never reached memory would
+        // refuse every later attach.
+        meta.store(cfg_word);
+        MappedNvm::pbarrier(meta);
+    } else if meta.load() != cfg_word {
+        return Err(AttachError::CfgMismatch {
+            name: String::new(),
+            expected: cfg_word,
+            found: meta.load(),
+        });
     }
     let (root_ptr, _) = heap.root_alloc(rootkeys::STRUCT, L::root_bytes(cfg))?;
-    let s = L::open(&env, cfg, root_ptr)?;
+    // SAFETY: the committed STRUCT root block, `root_bytes(cfg)` long.
+    let s = unsafe { L::open(&env, cfg, root_ptr) }?;
     if fresh {
         heap.set_kind(L::KIND);
         return Ok((s, AttachSummary::of(&heap)));
@@ -893,29 +965,36 @@ pub fn attach_standalone<L: MappedLayout>(
     // slot list covers every structure in the heap (standalone: exactly one).
     let (recovered, swept) =
         unsafe { finish_attach(&env, &mut slots, &[meta_ptr as usize, root_ptr as usize])? };
-    let s = *slots
-        .pop()
-        .expect("one slot")
-        .into_any()
-        .downcast::<L>()
-        .expect("slot type is L by construction");
+    let slot: Box<dyn std::any::Any + Send + Sync> = slots.pop().expect("one slot");
+    let s = *slot.downcast::<L>().expect("slot type is L by construction");
     Ok((s, AttachSummary { heap: *heap.report(), recovered, swept }))
 }
 
-/// The shared restart-recovery epilogue over an already re-attached heap:
+/// The shared restart-recovery epilogue over an already re-attached heap,
+/// every walk of it a visitor over [`Graph::walk`]:
 ///
 /// 1. **validate** every structure's graph and every referenced descriptor
-///    against the mapping (typed [`MapError::CorruptPointer`], never UB),
+///    against the mapping (typed [`MapError::CorruptPointer`], never UB): the
+///    walk admits a pointer only when its whole node span lies inside the
+///    mapping, stops at a budget of the heap's block count, and only
+///    *collects* the descriptors it sees for [`validate_infos`],
 /// 2. **replay** the per-pid recovery decision over the shared recovery
 ///    area — generic Op-Recover for descriptor-tracked entries, the
-///    direct-tracking decision (reachability / claim stamp) for
+///    direct-tracking decision ([`reachable`] / claim stamp) for
 ///    [`crate::tag::DIRECT`] entries — with refcount bookkeeping suspended,
-/// 3. **scrub** every structure to quiescence (typed
-///    [`AttachError::ScrubStalled`] on a non-quiescing image) and run
+/// 3. **scrub** every structure per its policy ([`SlotOps::attach_scrub`];
+///    typed [`AttachError::ScrubStalled`] on a non-quiescing image) and run
 ///    structural heals,
 /// 4. **census + sweep** over the **union** of all structures' live sets:
-///    rebuild every surviving descriptor's volatile bookkeeping and
-///    garbage-collect blocks the dead process leaked.
+///    every reachable node, and per descriptor the number of cells that
+///    reference it (tagged cells too, so a descriptor kept alive only by a
+///    not-yet-scrubbed tag survives); rebuild every surviving descriptor's
+///    volatile bookkeeping and garbage-collect blocks the dead process
+///    leaked.
+///
+/// Validation and census are split into [`Graph::work_units`] and run on
+/// attach-scoped worker threads; everything else stays on the attaching
+/// thread.
 ///
 /// # Safety
 /// Quiescent single-threaded attach over the heap `env` was opened on;
@@ -929,29 +1008,31 @@ pub unsafe fn finish_attach(
     extra_live: &[usize],
 ) -> Result<(Vec<(usize, Recovered)>, usize), AttachError> {
     let (heap, rec, owner) = (&*env.heap, &env.rec_area(), env.info_pool.handle());
+    let in_node =
+        |s: &dyn SlotOps, a: u64| a & 7 == 0 && heap.contains_span(a as usize, s.node_bytes());
     // 1. Pre-recovery validation of the untrusted image: no pointer is
     // dereferenced by the replay/scrub/census below unless the whole object
     // graph stays inside the mapping and terminates. This is what turns a
     // tampered superblock (e.g. a rewritten base) into a typed error
-    // instead of undefined behaviour. Split into per-structure work units
-    // and run on scoped threads — units partition the graphs, so the walks
-    // are independent.
+    // instead of undefined behaviour.
     let par_start = std::time::Instant::now();
     let units: Vec<(usize, usize)> = slots
         .iter()
         .enumerate()
         .flat_map(|(i, s)| (0..s.work_units().max(1)).map(move |u| (i, u)))
         .collect();
+    let budget = heap.bump_granules() + 8;
     let mut infos: HashSet<u64> = HashSet::new();
     let validated = fan_out(
         units.len(),
         || Ok(HashSet::new()),
         |acc: &mut Result<HashSet<u64>, MapError>, k| {
             let (i, u) = units[k];
-            if let Ok(local) = acc {
-                if let Err(e) = slots[i].validate_unit(u, local) {
-                    *acc = Err(e);
-                }
+            let Ok(local) = acc else { return };
+            let s = &*slots[i];
+            // SAFETY: `in_node` admits whole-node spans inside the mapping.
+            if let Err(addr) = unsafe { validate_unit(s, u, &|a| in_node(s, a), budget, local) } {
+                *acc = Err(MapError::CorruptPointer { addr });
             }
         },
     );
@@ -978,7 +1059,9 @@ pub unsafe fn finish_attach(
     if let Some(addr) = bad_rd {
         return Err(MapError::CorruptPointer { addr }.into());
     }
-    validate_infos::<MappedNvm>(heap, &infos, |a| slots.iter().any(|s| s.valid_install(a)))?;
+    // A value a descriptor installs is a node pointer the census walk will
+    // dereference: it must be a whole node of some structure in the heap.
+    validate_infos::<MappedNvm>(heap, &infos, |a| slots.iter().any(|s| in_node(&**s, a)))?;
 
     // 2. Replay + scrub with refcount bookkeeping suspended: the counts the
     // dead process persisted are recomputed from scratch below.
@@ -1006,7 +1089,7 @@ pub unsafe fn finish_attach(
             })
             .collect::<Vec<_>>();
         for s in slots.iter() {
-            s.try_scrub()?;
+            s.attach_scrub()?;
         }
         Ok::<_, AttachError>(decisions)
     })?;
@@ -1027,9 +1110,9 @@ pub unsafe fn finish_attach(
         || (HashSet::new(), HashMap::new()),
         |(l_live, l_refs): &mut (HashSet<usize>, HashMap<usize, u32>), k| {
             let (i, u) = units[k];
-            // SAFETY: quiescent exclusive access post-scrub; units partition
-            // the graph, so no two workers visit the same node.
-            unsafe { slots[i].census_unit(u, l_live, l_refs) };
+            // SAFETY: quiescent exclusive access to a validated image; units
+            // partition the graph, so no two workers visit the same node.
+            unsafe { census_unit(&*slots[i], u, l_live, l_refs) };
         },
     );
     for (l_live, l_refs) in counted {
@@ -1088,7 +1171,8 @@ pub unsafe fn finish_attach(
 /// popped).
 ///
 /// # Safety
-/// `rd` must be a span-validated direct entry over a quiescent image.
+/// `rd` must be a span-validated direct entry over a quiescent, validated
+/// image.
 unsafe fn direct_decide(rd: u64, pid: usize, slots: &[Box<dyn SlotOps>]) -> Recovered {
     let node = crate::tag::addr_of(rd);
     // Direct nodes lead with (val, next, popped_by) persistent words — the
@@ -1104,7 +1188,7 @@ unsafe fn direct_decide(rd: u64, pid: usize, slots: &[Box<dyn SlotOps>]) -> Reco
         }
     } else {
         // Push announcement.
-        if stamp != 0 || slots.iter().any(|s| s.direct_reachable(node)) {
+        if stamp != 0 || slots.iter().any(|s| reachable(&**s, node)) {
             Recovered::Completed(crate::engine::RES_UNIT)
         } else {
             Recovered::Restart
@@ -1490,6 +1574,65 @@ mod tests {
             no_stale_completed_sweep::<{ crate::arm::COALESCED }>(attempt);
             no_stale_completed_sweep::<{ crate::arm::LP }>(attempt);
         }
+    }
+
+    /// Two persistent words standing in for a pool-drawn sentinel.
+    #[repr(C)]
+    struct Sentinel([PWord<nvm::SimNvm>; 2]);
+
+    // SAFETY: both words, the only fields of a `repr(C)` struct.
+    unsafe impl PersistWords<nvm::SimNvm> for Sentinel {
+        fn each_word(&self, f: &mut dyn FnMut(&PWord<nvm::SimNvm>)) {
+            self.0.iter().for_each(f);
+        }
+    }
+
+    /// Creation crashed at every instruction of `install_roots`, over
+    /// per-word-drop seeds: a root word the image kept names a sentinel
+    /// whose every field the image kept too; a root word it dropped is still
+    /// zero, so the creation re-runs.
+    #[test]
+    fn sim_crash_during_creation_never_leaves_a_root_over_a_torn_sentinel() {
+        use nvm::{sim, SimNvm};
+        let _session = crate::simtest::session();
+        nvm::tid::set_tid(3);
+        let mut crashes = 0u64;
+        for seed in 0..64u64 {
+            for fuse in 1.. {
+                sim::reset();
+                let drawn: Vec<Box<Sentinel>> =
+                    (0..2).map(|_| Box::new(Sentinel(Default::default()))).collect();
+                let roots: Vec<PWord<SimNvm>> = vec![PWord::new(0), PWord::new(0)];
+                sim::persist_all(); // zeroed blocks: the clean start
+                                    // A pool-drawn sentinel is initialised by plain stores.
+                for (i, s) in drawn.iter().enumerate() {
+                    s.0[0].store(0x10 + i as u64);
+                    s.0[1].store(0x20 + i as u64);
+                }
+                let sentinels: Vec<*mut Sentinel> =
+                    drawn.iter().map(|s| &**s as *const Sentinel as *mut Sentinel).collect();
+                let values: Vec<u64> = sentinels.iter().map(|&s| s as u64).collect();
+                let crashed = crate::simtest::crashed_at(fuse, seed, || unsafe {
+                    install_roots(&sentinels, &roots, &values)
+                });
+                crashes += crashed as u64;
+                for (i, (root, s)) in roots.iter().zip(&drawn).enumerate() {
+                    let at = format!("fuse {fuse} seed {seed} root {i}");
+                    match root.load() {
+                        0 => assert!(crashed, "{at}: a completed creation installs every root"),
+                        r => {
+                            assert_eq!(r, values[i], "{at}");
+                            let fields = (s.0[0].load(), s.0[1].load());
+                            assert_eq!(fields, (0x10 + i as u64, 0x20 + i as u64), "{at}: torn");
+                        }
+                    }
+                }
+                if !crashed {
+                    break;
+                }
+            }
+        }
+        assert!(crashes >= 64 * 8, "the sweep ran: {crashes}");
     }
 
     #[test]

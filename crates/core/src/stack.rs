@@ -37,21 +37,20 @@
 //! announcement before taking the elimination result.
 
 use crate::counters;
-use crate::engine::{res_val, val_of, RES_UNIT};
+use crate::engine::{res_val, val_of, Info, RES_UNIT};
 use crate::exchanger::{ExchangeResult, RExchanger};
+use crate::graph::{self, Graph};
 use crate::pool::{Pool, PoolCfg, PoolItem};
 use crate::recovery::{
-    attach_standalone, release_prev, AttachEnv, AttachError, AttachSummary, MappedLayout, RecArea,
-    Recovered, SlotOps,
+    mapped_attach, release_prev, AttachEnv, AttachError, MappedLayout, RecArea, Recovered, Rooted,
+    SlotOps,
 };
 use crate::tag;
-use nvm::mapped::{MapError, MappedHeap, MappedNvm, DEFAULT_HEAP_BYTES};
+use nvm::mapped::{MappedHeap, MappedNvm};
 use nvm::pad::CachePadded;
 use nvm::{PWord, Persist, PersistWords, MAX_PROCS};
 use reclaim::{Collector, Guard};
 use std::cell::UnsafeCell;
-use std::collections::{HashMap, HashSet};
-use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 /// Superblock structure-kind tag of a mapped `RStack`.
@@ -130,37 +129,24 @@ pub(crate) unsafe fn direct_val<M: Persist>(node: u64) -> u64 {
 const ELIM_PUSH: u64 = 1 << 62;
 const ELIM_POP: u64 = 1 << 61;
 
-/// Where the stack's `top` cell lives: owned on the process heap, or
-/// borrowed from the mapped backend's persistent arena (a root block that
-/// must survive the process).
-enum TopStore<M: Persist> {
-    Owned(Box<PWord<M>>),
-    Arena(*const PWord<M>),
-}
-
-impl<M: Persist> std::ops::Deref for TopStore<M> {
-    type Target = PWord<M>;
-    #[inline]
-    fn deref(&self) -> &PWord<M> {
-        match self {
-            TopStore::Owned(b) => b,
-            // SAFETY: the arena root block outlives the stack (which keeps
-            // its MappedHeap alive).
-            TopStore::Arena(p) => unsafe { &**p },
-        }
-    }
-}
-
 /// Recoverable elimination stack (see module docs). Values must stay below
 /// `2^61 - 16`.
 pub struct RStack<M: Persist> {
-    top: TopStore<M>,
+    top: Rooted<PWord<M>>,
     /// Per-process recovery words (`RD_q`/`CP_q`) used for direct tracking.
     rec: RecArea<M>,
     exch: RExchanger<M>,
-    // `collector` must drop before `node_pool` (drop-time drain recycles).
+    // `collector` must drop before the pools (drop-time drain recycles).
     collector: Collector,
     node_pool: Pool<Node<M>>,
+    /// Mapped mode: the heap-wide descriptor pool. The stack draws no
+    /// descriptors, but every operation releases the `RD_q` hold of the
+    /// *previous* one (`release_prev`) — in a store that can be another
+    /// structure's descriptor, retired through **this** stack's collector and
+    /// recycled into this pool when the collector drains. The pool must
+    /// therefore outlive the collector even when the stack is the last
+    /// structure of its store to drop.
+    infos: Option<Pool<Info<M>>>,
     /// Deferred retirement: the node each process claimed with its *last*
     /// pop, retired on that process's next operation (once `RD_q` no longer
     /// names it). Each slot is touched only by its owning process.
@@ -201,11 +187,12 @@ impl<M: Persist> RStack<M> {
         let exch_pool = if pool.arena.is_some() { PoolCfg::default() } else { pool.clone() };
         let node_pool = Pool::new_for::<M>(pool, &collector);
         Self {
-            top: TopStore::Owned(Box::new(PWord::new(0))),
+            top: Rooted::Owned(Box::new(PWord::new(0))),
             rec: RecArea::new(),
             exch: RExchanger::with_config(Collector::new(), exch_pool),
             collector,
             node_pool,
+            infos: None,
             pending: (0..MAX_PROCS)
                 .map(|_| CachePadded::new(UnsafeCell::new(std::ptr::null_mut())))
                 .collect(),
@@ -218,13 +205,7 @@ impl<M: Persist> RStack<M> {
     /// Draw a node: pool hit (re-initialized), or heap in passthrough mode.
     #[inline]
     fn alloc_node(&self, val: u64, next: u64) -> *mut Node<M> {
-        match self.node_pool.take() {
-            Some(p) => {
-                unsafe { (*p).init(val, next) };
-                p
-            }
-            None => Node::alloc(val, next),
-        }
+        self.node_pool.draw(|n| n.init(val, next), || Node::alloc(val, next))
     }
 
     /// Whether any *other* process's `RD_q` still announces `n` (push or
@@ -369,20 +350,6 @@ impl<M: Persist> RStack<M> {
         }
     }
 
-    /// Whether `node` is reachable from `top` (quiescent or EBR-protected).
-    fn reachable(&self, node: u64) -> bool {
-        unsafe {
-            let mut n = (*self.top).load() as *mut Node<M>;
-            while !n.is_null() {
-                if n as u64 == node {
-                    return true;
-                }
-                n = (*n).next.load() as *mut Node<M>;
-            }
-        }
-        false
-    }
-
     /// The direct-tracking recovery decision for `pid`'s last announced
     /// operation (see module docs): claims arbitrate on the stamp, push
     /// announcements on reachability-or-stamp.
@@ -401,7 +368,7 @@ impl<M: Persist> RStack<M> {
             } else {
                 Recovered::Restart
             }
-        } else if stamp != 0 || self.reachable(node) {
+        } else if stamp != 0 || graph::reachable(self, node) {
             Recovered::Completed(RES_UNIT)
         } else {
             Recovered::Restart
@@ -479,39 +446,39 @@ impl<M: Persist> RStack<M> {
     }
 }
 
-impl RStack<MappedNvm> {
-    /// Attaches (or creates) a detectably recoverable stack backed by the
-    /// file-backed persistent heap at `path`, running the generic restart
-    /// driver ([`crate::recovery::attach_standalone`]) on an existing heap.
-    /// Elimination is disabled in mapped mode (volatile, not detectable).
-    /// The calling thread must be registered (`nvm::tid::set_tid`).
-    pub fn attach(path: impl AsRef<Path>) -> Result<(Self, AttachSummary), AttachError> {
-        Self::attach_sized(path, DEFAULT_HEAP_BYTES)
+impl<M: Persist> Graph<M> for RStack<M> {
+    fn kind_name(&self) -> &'static str {
+        "stack"
     }
 
-    /// [`RStack::attach`] with an explicit heap size for creation.
-    pub fn attach_sized(
-        path: impl AsRef<Path>,
-        heap_bytes: usize,
-    ) -> Result<(Self, AttachSummary), AttachError> {
-        attach_standalone::<Self>(path.as_ref(), (), heap_bytes)
-    }
-
-    /// The persistent heap backing this stack.
-    pub fn heap(&self) -> &Arc<MappedHeap> {
-        self.mapped.as_ref().expect("mapped-mode stack")
-    }
-
-    /// Whole-node span check against the backing heap.
-    fn in_node(&self, a: u64) -> bool {
-        let heap = self.heap();
-        a & 7 == 0 && heap.contains_span(a as usize, std::mem::size_of::<Node<MappedNvm>>())
+    // The chain from `top` to its null end; direct tracking references no
+    // descriptors, so every node is reported with info word 0.
+    unsafe fn walk(
+        &self,
+        _unit: usize,
+        admit: &dyn Fn(u64) -> bool,
+        mut budget: usize,
+        visit: &mut dyn FnMut(u64, u64),
+    ) -> Result<(), u64> {
+        let mut n = (*self.top).load();
+        while n != 0 {
+            if budget == 0 || !admit(n) {
+                return Err(n);
+            }
+            budget -= 1;
+            visit(n, 0);
+            // SAFETY: non-null and admitted.
+            n = unsafe { (*(n as *const Node<M>)).next.load() };
+        }
+        Ok(())
     }
 }
 
+// Elimination is disabled in mapped mode (volatile, not detectable).
+mapped_attach!(impl[] RStack<MappedNvm>; () -> ());
+
 impl MappedLayout for RStack<MappedNvm> {
     const KIND: u64 = KIND_STACK;
-    const KIND_NAME: &'static str = "stack";
     type Cfg = ();
 
     fn cfg_word(_cfg: ()) -> u64 {
@@ -522,15 +489,17 @@ impl MappedLayout for RStack<MappedNvm> {
         8 // the top cell
     }
 
-    fn open(env: &AttachEnv, _cfg: (), root: *mut u8) -> Result<Self, AttachError> {
+    // No sentinels: the zeroed root block *is* the empty stack.
+    unsafe fn open(env: &AttachEnv, _cfg: (), root: *mut u8) -> Result<Self, AttachError> {
         let collector = env.collector();
         let node_pool = Pool::new_for::<MappedNvm>(env.pool_cfg(), &collector);
         Ok(Self {
-            top: TopStore::Arena(root as *const PWord<MappedNvm>),
+            top: Rooted::Arena(root as *const PWord<MappedNvm>),
             rec: env.rec_area(),
             exch: RExchanger::with_config(Collector::new(), PoolCfg::default()),
             collector,
             node_pool,
+            infos: Some(env.info_pool()),
             pending: (0..MAX_PROCS)
                 .map(|_| CachePadded::new(UnsafeCell::new(std::ptr::null_mut())))
                 .collect(),
@@ -542,62 +511,25 @@ impl MappedLayout for RStack<MappedNvm> {
 }
 
 impl SlotOps for RStack<MappedNvm> {
-    fn validate_unit(&self, _unit: usize, _infos: &mut HashSet<u64>) -> Result<(), MapError> {
-        // Direct tracking references no descriptors; validate the chain.
-        let mut budget = self.heap().bump_granules() + 4;
-        let mut n = (*self.top).peek();
-        while n != 0 {
-            if !self.in_node(n) {
-                return Err(MapError::CorruptPointer { addr: n });
-            }
-            if budget == 0 {
-                return Err(MapError::CorruptPointer { addr: n });
-            }
-            budget -= 1;
-            // SAFETY: whole-node span just validated.
-            n = unsafe { (*(n as *const Node<MappedNvm>)).next.peek() };
-        }
-        Ok(())
+    fn node_bytes(&self) -> usize {
+        std::mem::size_of::<Node<MappedNvm>>()
     }
 
-    fn valid_install(&self, addr: u64) -> bool {
-        self.in_node(addr)
-    }
-
-    fn try_scrub(&self) -> Result<(), AttachError> {
+    /// The splice policy: there are no descriptors to help; a crash leaves
+    /// claimed-but-not-unlinked nodes instead, which [`RStack::scrub`] takes
+    /// out of the chain. The spliced (limbo) blocks stay live through the
+    /// census only if some `RD_q` names them — the driver adds those; the
+    /// rest are swept by omission.
+    fn attach_scrub(&self) -> Result<(), AttachError> {
         self.scrub();
         Ok(())
     }
 
-    unsafe fn census_unit(
-        &self,
-        _unit: usize,
-        live: &mut HashSet<usize>,
-        _info_refs: &mut HashMap<usize, u32>,
-    ) {
-        // SAFETY: quiescent exclusive access post-scrub (caller).
-        unsafe {
-            let mut n = (*self.top).peek() as *mut Node<MappedNvm>;
-            while !n.is_null() {
-                live.insert(n as usize);
-                n = (*n).next.peek() as *mut Node<MappedNvm>;
-            }
-        }
-        // Limbo blocks (claimed nodes the scrub spliced out) stay live only
-        // if some RD_q names them — the driver adds those; the rest are
-        // swept here by omission.
-    }
-
     fn each_cached(&mut self, f: &mut dyn FnMut(usize)) {
         self.node_pool.each_idle(|p| f(p as usize));
-    }
-
-    fn direct_reachable(&self, addr: u64) -> bool {
-        self.reachable(addr)
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any + Send + Sync> {
-        self
+        if let Some(infos) = &mut self.infos {
+            infos.each_idle(|p| f(p as usize));
+        }
     }
 }
 
@@ -608,34 +540,18 @@ impl<M: Persist> Drop for RStack<M> {
             // its cache to the persistent free list on drop.
             return;
         }
-        let parked: std::collections::HashMap<usize, unsafe fn(*mut u8)> =
-            self.collector.take_parked().into_iter().map(|(p, f)| (p as usize, f)).collect();
-        unsafe {
-            let mut n = (*self.top).load() as *mut Node<M>;
-            while !n.is_null() {
-                let next = (*n).next.load() as *mut Node<M>;
-                if !parked.contains_key(&(n as usize)) {
-                    drop(Box::from_raw(n));
-                }
-                n = next;
-            }
-            // Unlinked nodes waiting in pending slots / limbo are disjoint
-            // from the chain and from each other; free each exactly once.
-            for slot in &self.pending {
-                let p = *slot.get();
-                if !p.is_null() && !parked.contains_key(&(p as usize)) {
-                    drop(Box::from_raw(p));
-                }
-            }
-            for p in self.limbo.lock().unwrap().drain(..) {
-                if !parked.contains_key(&(p as usize)) {
-                    drop(Box::from_raw(p));
-                }
-            }
-            for (p, f) in parked {
-                f(p as *mut u8);
-            }
-        }
+        // Unlinked nodes waiting in pending slots / limbo: disjoint from the
+        // chain and from each other, possibly parked as well.
+        // SAFETY: exclusive access; each slot belongs to this value.
+        let mut unlinked: Vec<usize> = (self.pending.iter())
+            .map(|slot| unsafe { *slot.get() } as usize)
+            .filter(|&p| p != 0)
+            .collect();
+        let limbo = self.limbo.get_mut().unwrap_or_else(|e| e.into_inner());
+        unlinked.extend(limbo.drain(..).map(|p| p as usize));
+        let parked = self.collector.take_parked();
+        // SAFETY: quiescent teardown of a structure this value owns.
+        unsafe { graph::teardown::<M, Node<M>>(&*self, parked, &self.rec, unlinked) };
     }
 }
 
@@ -776,6 +692,45 @@ mod tests {
             want.insert(0, 99);
             assert_eq!(s.snapshot_vals(), want);
         }
+        let _ = std::fs::remove_file(&path);
+    }
+    /// In a store the stack's `release_prev` can be the last release of
+    /// another structure's descriptor, which then waits in the *stack's*
+    /// collector: when the stack is the last structure of its store to
+    /// drop, that collector's drain recycles the descriptor into the
+    /// heap-wide pool — which must still be alive (it was freed by then:
+    /// the drain pushed onto a freed free list, the malloc corruption
+    /// behind the `restart.rs` aborts).
+    #[test]
+    fn stack_dropped_last_still_has_the_descriptor_pool() {
+        let _gate = crate::counters::gate_shared();
+        nvm::tid::set_tid(0);
+        let path = std::env::temp_dir().join(format!("isb_stack_last_{}.heap", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let store = crate::store::Store::open_sized(&path, 4 << 20).unwrap();
+        let q = store.queue::<0>("q").unwrap();
+        let s = store.stack("s").unwrap();
+        // Process 1's enqueue descriptor ends up referenced by its `RD_q`
+        // alone: process 2's dequeue and enqueue overwrite the two cells.
+        q.enqueue(1, 10);
+        assert_eq!(q.dequeue(2), Some(10));
+        q.enqueue(2, 11);
+        assert_eq!(s.collector.pending(), 0);
+        s.push(1, 5); // releases it — through the stack's collector
+        assert_eq!(s.collector.pending(), 1, "the descriptor waits in the stack's collector");
+        drop((q, store));
+        let mut s = Arc::into_inner(s).expect("the last handle");
+        assert_eq!(s.infos.as_ref().map(Pool::holders), Some(1), "alive, and the stack's alone");
+        let idle = |s: &mut RStack<MappedNvm>| {
+            let mut n = 0;
+            s.infos.as_mut().unwrap().each_idle(|_| n += 1);
+            n
+        };
+        let before = idle(&mut s);
+        // What the stack's drop does first: its collector drains into the pool.
+        s.collector = Collector::new();
+        assert_eq!(idle(&mut s), before + 1, "recycled into the live pool");
+        drop(s);
         let _ = std::fs::remove_file(&path);
     }
 }

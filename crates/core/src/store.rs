@@ -228,7 +228,8 @@ impl Store {
             .into_iter()
             .zip(slots)
             .map(|(e, s)| {
-                (e.name, Entry { kind: e.kind, cfg: e.cfg, handle: Arc::from(s.into_any()) })
+                let handle: Box<dyn Any + Send + Sync> = s;
+                (e.name, Entry { kind: e.kind, cfg: e.cfg, handle: Arc::from(handle) })
             })
             .collect();
         Self { env, catalog, entries: Mutex::new(entries), summary, resptab }
@@ -323,7 +324,9 @@ impl Store {
             let root = unsafe {
                 heap.catalog_append(self.catalog, name, L::KIND, cfg_word, L::root_bytes(cfg))
             }?;
-            L::open(&self.env, cfg, root)
+            // SAFETY: the root block `catalog_append` just committed, under
+            // the creation serialization described below.
+            unsafe { L::open(&self.env, cfg, root) }
         };
         // Shared heaps serialize creation (catalog append + root install)
         // and the re-scan before it under the cross-process file lock — so
@@ -509,7 +512,8 @@ fn open_root<L: MappedLayout>(
     if env.heap.committed_payload_bytes(e.root).is_none_or(|b| b < L::root_bytes(cfg)) {
         return Err(MapError::CorruptCatalog { slot: e.slot }.into());
     }
-    L::open(env, cfg, e.root)
+    // SAFETY: checked above — a committed block covering the root.
+    unsafe { L::open(env, cfg, e.root) }
 }
 
 /// Kind-dispatched construction of an existing catalog entry (the tuning

@@ -104,6 +104,13 @@ pub unsafe trait PersistWords<M: Persist> {
     }
 }
 
+// SAFETY: a slice is its elements, contiguous; each one is visited.
+unsafe impl<M: Persist> PersistWords<M> for [PWord<M>] {
+    fn each_word(&self, f: &mut dyn FnMut(&PWord<M>)) {
+        self.iter().for_each(f);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

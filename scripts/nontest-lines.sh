@@ -1,0 +1,36 @@
+#!/usr/bin/env bash
+# Non-test line counts of Rust sources: per file, the lines before its first
+# `#[cfg(test)]`; then the total.
+#
+#   scripts/nontest-lines.sh [--max N] <file-or-directory>...
+#
+# Directories are searched for `*.rs`. With `--max N` the exit status is
+# non-zero when any single file has more than N non-test lines (CI's
+# file-size ceiling); the offenders are named on stderr. The before/after
+# tables in CHANGES.md come from this script.
+set -euo pipefail
+
+max=0
+if [ "${1:-}" = "--max" ]; then
+    max="${2:?--max needs a number}"
+    shift 2
+fi
+[ "$#" -gt 0 ] || { echo "usage: $0 [--max N] <paths...>" >&2; exit 2; }
+
+find "$@" -type f -name '*.rs' | sort | xargs awk -v max="$max" '
+    FNR == 1 { in_test = 0; order[++n] = FILENAME; lines[FILENAME] = 0 }
+    /^ *#\[cfg\(test\)\]/ { in_test = 1 }
+    !in_test { lines[FILENAME]++ }
+    END {
+        for (i = 1; i <= n; i++) {
+            f = order[i]
+            printf "%6d %s\n", lines[f], f
+            total += lines[f]
+            if (max > 0 && lines[f] > max) {
+                printf "%s: %d non-test lines (ceiling %d)\n", f, lines[f], max > "/dev/stderr"
+                bad = 1
+            }
+        }
+        printf "%6d total\n", total
+        exit bad
+    }'

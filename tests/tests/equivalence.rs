@@ -206,3 +206,76 @@ fn no_leaks_across_collection_cycles() {
     assert_eq!(isb::counters::live_nodes(), nodes0, "node leak/double-free");
     assert_eq!(isb::counters::live_infos(), infos0, "info leak/double-free");
 }
+
+/// The visitors over the one walk agree with each other and with the
+/// keyed snapshots: after a seeded random op sequence on each kind, the
+/// census visitor's live-node count is the snapshot's length plus that
+/// kind's sentinels, the validate visitor admits exactly the census's node
+/// set, and the teardown visitor (the structure's `Drop`) frees every live
+/// node down to the baseline.
+#[test]
+fn visitors_over_the_one_walk_agree() {
+    use isb::graph::{census_unit, validate_unit, Graph};
+    use std::cell::RefCell;
+    use std::collections::{HashMap, HashSet};
+
+    /// Census and validation of every unit of `g`: the live set must count
+    /// `want_nodes` and equal the set of pointers validation admitted.
+    fn agree(g: &impl Graph<M>, want_nodes: usize) {
+        let (mut live, mut refs) = (HashSet::new(), HashMap::new());
+        let admitted = RefCell::new(HashSet::new());
+        let mut infos = HashSet::new();
+        for unit in 0..g.work_units() {
+            // SAFETY: a live, quiescent structure of this thread's.
+            unsafe {
+                census_unit(g, unit, &mut live, &mut refs);
+                let admit = |a: u64| admitted.borrow_mut().insert(a as usize);
+                validate_unit(g, unit, &admit, usize::MAX, &mut infos).expect("a sound graph");
+            }
+        }
+        assert_eq!(live.len(), want_nodes, "{}: census vs snapshot", g.kind_name());
+        assert_eq!(live, admitted.into_inner(), "{}: census vs validate", g.kind_name());
+        let referenced: HashSet<u64> = refs.keys().map(|&p| p as u64).collect();
+        assert_eq!(referenced, infos, "{}: descriptors counted vs collected", g.kind_name());
+    }
+
+    let _gate = isb::counters::gate_exclusive();
+    nvm::tid::set_tid(0);
+    let nodes0 = isb::counters::live_nodes();
+    let ops = op_stream(0xC0FFEE, 1500, 40);
+    {
+        let mut list = isb::list::RList::<M, 1>::new();
+        let mut map = isb::hashmap::RHashMap::<M, 2>::with_shards(8);
+        let mut bst = isb::bst::RBst::<M, 0>::new();
+        let mut queue = isb::queue::RQueue::<M, 3>::new();
+        let mut stack = isb::stack::RStack::<M>::new();
+        for op in &ops {
+            match *op {
+                Op::Ins(k) => {
+                    assert_eq!(list.insert(0, k), map.insert(0, k));
+                    bst.insert(0, k);
+                    queue.enqueue(0, k);
+                    stack.push(0, k);
+                }
+                Op::Del(k) => {
+                    assert_eq!(list.delete(0, k), map.delete(0, k));
+                    bst.delete(0, k);
+                    queue.dequeue(0);
+                    stack.pop(0);
+                }
+                Op::Fnd(k) => assert_eq!(list.find(0, k), bst.find(0, k)),
+            }
+        }
+        let keys = (list.snapshot_keys().len(), map.snapshot_keys().len());
+        agree(&list, keys.0 + 2); // −∞ and +∞
+        agree(&map, keys.1 + 2 * 8); // per shard
+                                     // n keys: n leaves + n internals over 2 dummy internals + 3 dummy leaves.
+        let keys = bst.snapshot_keys().len();
+        agree(&bst, 2 * keys + 5);
+        let vals = (queue.snapshot_vals().len(), stack.snapshot_vals().len());
+        agree(&queue, vals.0 + 1); // the sentinel
+        agree(&stack, vals.1);
+        assert!(isb::counters::live_nodes() > nodes0);
+    }
+    assert_eq!(isb::counters::live_nodes(), nodes0, "teardown frees every node exactly once");
+}

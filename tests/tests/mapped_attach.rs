@@ -860,3 +860,160 @@ fn resptable_duplicate_client_heals_to_higher_watermark() {
     drop((tab, store));
     let _ = std::fs::remove_file(&path);
 }
+
+// -- structure creation: sentinels first, root last ---------------------------
+
+/// A power failure — unlike a SIGKILL, which drops no unflushed line — must
+/// never find a durable root naming a sentinel whose fields did not reach
+/// memory. Creation therefore writes back every sentinel it drew, fences,
+/// stores the root word(s), writes those lines back and fences again, all
+/// through the counted instructions. (The order itself is swept under the
+/// crash simulator by `recovery::tests::sim_crash_during_creation_…`.)
+#[test]
+fn creation_writes_back_sentinels_and_roots() {
+    const T: usize = 41; // counters of its own
+    nvm::tid::set_tid(T);
+    type Create = fn(&PathBuf);
+    // (kind, sentinel nodes, root-word lines, creator)
+    let kinds: &[(&str, u64, u64, Create)] = &[
+        ("hashmap", 128, 8, |p| {
+            drop(RHashMap::<MappedNvm, 2>::attach_sized(p, 64, HEAP_BYTES).unwrap())
+        }),
+        ("list", 2, 1, |p| drop(RList::<MappedNvm, 2>::attach_sized(p, HEAP_BYTES).unwrap())),
+        ("bst", 5, 1, |p| drop(RBst::<MappedNvm, 2>::attach_sized(p, HEAP_BYTES).unwrap())),
+        ("queue", 1, 1, |p| drop(RQueue::<MappedNvm, 2>::attach_sized(p, HEAP_BYTES).unwrap())),
+    ];
+    for &(kind, sentinels, root_lines, create) in kinds {
+        let path = tmp(&format!("create_{kind}"));
+        let before = nvm::stats::Snapshot::of_tid(T);
+        create(&path);
+        let d = nvm::stats::Snapshot::of_tid(T).since(&before);
+        // Every sentinel occupies a line of its own (arena blocks are
+        // granule-aligned); the configuration word adds one more.
+        let (lines, config_word) = (d.pwb + d.pbarrier_lines, 1);
+        assert!(
+            lines >= sentinels + root_lines + config_word,
+            "{kind}: {lines} lines written back, want the {sentinels} sentinels', \
+             {root_lines} of root words and the configuration word's"
+        );
+        assert!(d.pfence >= 1, "{kind}: no fence between the sentinels and the root store");
+        assert!(d.psync >= 1, "{kind}: no fence after the last root store");
+        let _ = std::fs::remove_file(&path);
+    }
+}
+
+// -- hostile images, every kind, through the one walk -------------------------
+
+/// File offset of the first link (`next` / `left`: word 1 of every node
+/// shape) of the node the structure's first root word names — the list's and
+/// the map's bucket head, the tree's root, the queue's sentinel (the anchor
+/// leads with its pointer), the stack's top.
+fn first_link(path: &PathBuf) -> u64 {
+    let base = read_word(path, 2);
+    let node = read_at(path, root_offset(path, 0x5354_5543)); // rootkeys::STRUCT
+    node - base + 8
+}
+
+/// One reachable link per kind patched to (a) the last word of the mapping —
+/// aligned, starts inside, but a whole node there runs past the end; (b) an
+/// in-window address that is not 8-aligned; (c) the node's own address, a
+/// cycle. Each attach is a typed `CorruptPointer` — naming the patched value
+/// for (a) and (b), terminating on its walk budget for (c) — and once the
+/// patch is undone the image attaches with its contents intact.
+#[test]
+fn hostile_links_fail_typed_in_every_kind() {
+    nvm::tid::set_tid(0);
+    type Step = fn(&PathBuf) -> Result<(), AttachError>;
+    // (kind, build a small populated heap, re-attach and check its contents)
+    let kinds: &[(&str, Step, Step)] = &[
+        (
+            "list",
+            |p| {
+                let (l, _) = RList::<MappedNvm, 0>::attach_sized(p, HEAP_BYTES)?;
+                (1..=8).for_each(|k| assert!(l.insert(0, k)));
+                Ok(())
+            },
+            |p| {
+                let (mut l, _) = RList::<MappedNvm, 0>::attach_sized(p, HEAP_BYTES)?;
+                assert_eq!(l.snapshot_keys(), (1..=8).collect::<Vec<_>>());
+                Ok(())
+            },
+        ),
+        (
+            "hashmap",
+            |p| {
+                let (m, _) = RHashMap::<MappedNvm, 0>::attach_sized(p, SHARDS, HEAP_BYTES)?;
+                (1..=32).for_each(|k| assert!(m.insert(0, k)));
+                Ok(())
+            },
+            |p| {
+                let (mut m, _) = RHashMap::<MappedNvm, 0>::attach_sized(p, SHARDS, HEAP_BYTES)?;
+                assert_eq!(m.snapshot_keys(), (1..=32).collect::<Vec<_>>());
+                Ok(())
+            },
+        ),
+        (
+            "bst",
+            |p| {
+                let (t, _) = RBst::<MappedNvm, 0>::attach_sized(p, HEAP_BYTES)?;
+                [9, 3, 12, 7].iter().for_each(|&k| assert!(t.insert(0, k)));
+                Ok(())
+            },
+            |p| {
+                let (mut t, _) = RBst::<MappedNvm, 0>::attach_sized(p, HEAP_BYTES)?;
+                assert_eq!(t.snapshot_keys(), vec![3, 7, 9, 12]);
+                Ok(())
+            },
+        ),
+        (
+            "queue",
+            |p| {
+                let (q, _) = RQueue::<MappedNvm, 0>::attach_sized(p, HEAP_BYTES)?;
+                (1..=5).for_each(|v| q.enqueue(0, v));
+                Ok(())
+            },
+            |p| {
+                let (mut q, _) = RQueue::<MappedNvm, 0>::attach_sized(p, HEAP_BYTES)?;
+                assert_eq!(q.snapshot_vals(), (1..=5).collect::<Vec<_>>());
+                Ok(())
+            },
+        ),
+        (
+            "stack",
+            |p| {
+                let (s, _) = RStack::<MappedNvm>::attach_sized(p, HEAP_BYTES)?;
+                (1..=4).for_each(|v| s.push(0, v));
+                Ok(())
+            },
+            |p| {
+                let (mut s, _) = RStack::<MappedNvm>::attach_sized(p, HEAP_BYTES)?;
+                assert_eq!(s.snapshot_vals(), vec![4, 3, 2, 1]);
+                Ok(())
+            },
+        ),
+    ];
+    for &(kind, build, check) in kinds {
+        let path = tmp(&format!("hostile_{kind}"));
+        build(&path).unwrap();
+        let (base, size) = (read_word(&path, 2), read_word(&path, 3));
+        let link = first_link(&path);
+        let intact = read_at(&path, link);
+        assert_ne!(intact, 0, "{kind}: the patched link is a live one");
+        let own = base + link - 8;
+        for (shape, hostile, named) in [
+            ("mapping end", base + size - 8, true),
+            ("unaligned", intact + 4, true),
+            ("cycle", own, false),
+        ] {
+            patch(&path, link, &hostile.to_le_bytes());
+            match map_err(check(&path)) {
+                MapError::CorruptPointer { addr } if !named || addr == hostile => {}
+                e => panic!("{kind} / {shape}: expected CorruptPointer({hostile:#x}), got {e}"),
+            }
+            assert_eq!(read_at(&path, link), hostile, "{kind} / {shape}: the attach rewrote it");
+        }
+        patch(&path, link, &intact.to_le_bytes());
+        check(&path).unwrap_or_else(|e| panic!("{kind}: the undamaged image must attach: {e}"));
+        let _ = std::fs::remove_file(&path);
+    }
+}
