@@ -32,6 +32,7 @@ use bench_harness::workload::{
 };
 use isb::hashmap::RHashMap;
 use isb::list::RList;
+use isb::pool::PoolCfg;
 use isb::queue::RQueue;
 use nvm::{CountingNvm, NoPersist, Persist, RealNvm};
 use std::cell::RefCell;
@@ -348,7 +349,7 @@ impl Ctx {
                 (r, isb::counters::info_reuses() + isb::counters::node_reuses() - reuse0)
             };
             let boxed = {
-                let s = Arc::new(RList::<M, 0>::boxed());
+                let s = Arc::new(RList::<M, 0>::with_pool(PoolCfg::boxed()));
                 prefill_set(&*s, range, 7);
                 nvm::stats::reset();
                 run_set(s, cfg)
@@ -418,7 +419,10 @@ impl Ctx {
                 run_set(m, cfg)
             };
             let boxed = {
-                let m = Arc::new(RHashMap::<CountingNvm, 0>::boxed_with_shards(16));
+                let m = Arc::new(RHashMap::<CountingNvm, 0>::with_shards_and_pool(
+                    16,
+                    PoolCfg::boxed(),
+                ));
                 prefill_set(&*m, 4096, 7);
                 nvm::stats::reset();
                 run_set(m, cfg)

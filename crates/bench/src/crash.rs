@@ -33,7 +33,6 @@ use isb::list::RList;
 use isb::queue::RQueue;
 use nvm::sim;
 use nvm::SimNvm;
-use reclaim::Collector;
 use std::sync::{Arc, Mutex};
 
 /// Serialises crash scenarios within a process (the simulator registry is
@@ -155,7 +154,7 @@ macro_rules! impl_recoverable_set {
         impl RecoverableSet for $ty {
             const NAME: &'static str = $name;
             fn build_for_crash() -> Self {
-                Self::with_collector(Collector::disabled())
+                Self::new()
             }
             $(
                 fn scrub(&self) {
@@ -199,8 +198,8 @@ impl_recoverable_set!(RList<SimNvm, 0>, "RList", scrub);
 // The BST scrubs too: a failed attempt whose earlier affect cells rolled
 // back past their expected values leaves its later tags for (eager) helping.
 impl_recoverable_set!(RBst<SimNvm, 0>, "RBst", scrub);
-// The sharded map in both persistency placements; `with_collector` builds
-// the default 16 shards, so seeded crashes land in different buckets while
+// The sharded map in both persistency placements; `new` builds the
+// default 16 shards, so seeded crashes land in different buckets while
 // all pending descriptors live in the one shared recovery area.
 impl_recoverable_set!(RHashMap<SimNvm, 0>, "RHashMap", scrub);
 impl_recoverable_set!(RHashMap<SimNvm, 1>, "RHashMap-Opt", scrub);
@@ -506,7 +505,7 @@ pub fn run_queue_scenario_arm<const ARM: u8>(cfg: CrashCfg) -> CrashReport {
     let mut report = CrashReport::default();
     {
         nvm::tid::set_tid(nvm::MAX_PROCS - 1);
-        let q = Arc::new(SimQueue::<ARM>::with_collector(Collector::disabled()));
+        let q = Arc::new(SimQueue::<ARM>::new());
         let prefill = cfg.keys_per_proc;
         for i in 0..prefill {
             q.enqueue(nvm::MAX_PROCS - 1, 1_000_000_000 + i);

@@ -27,19 +27,17 @@
 use crate::arm;
 use crate::counters;
 use crate::engine::{help, HelpOutcome, Info, InfoFill, RES_FALSE, RES_TRUE};
+use crate::env::Env;
 use crate::graph::{self, Graph};
-use crate::op::{cell_addr, OpCtx, TrackedNode};
+use crate::op::{cell_addr, TrackedNode};
 use crate::optype;
 use crate::pool::{Pool, PoolCfg, PoolItem};
 use crate::recovery::{
-    install_roots, mapped_attach, root_words, AttachEnv, AttachError, MappedLayout, RecArea,
-    SlotOps,
+    install_roots, mapped_attach, root_words, AttachEnv, AttachError, MappedLayout, SlotOps,
 };
 use crate::tag;
-use nvm::mapped::{MappedHeap, MappedNvm};
+use nvm::mapped::MappedNvm;
 use nvm::{PWord, Persist, PersistWords};
-use reclaim::Collector;
-use std::sync::Arc;
 
 /// Superblock structure-kind tag of a mapped `RBst`.
 pub const KIND_BST: u64 = 4;
@@ -130,14 +128,8 @@ struct SearchRes<M: Persist> {
 /// Detectably recoverable external BST (see module docs).
 pub struct RBst<M: Persist, const ARM: u8 = 0> {
     root: *mut Node<M>,
-    rec: RecArea<M>,
-    // `collector` must drop before the pools (drop-time drain recycles).
-    collector: Collector,
-    info_pool: Pool<Info<M>>,
     node_pool: Pool<Node<M>>,
-    /// Mapped mode: the persistent heap everything lives in (`Some`
-    /// suppresses drop-time teardown — the arena is the durable state).
-    mapped: Option<Arc<MappedHeap>>,
+    pub(crate) env: Env<M>,
 }
 
 unsafe impl<M: Persist, const ARM: u8> Send for RBst<M, ARM> {}
@@ -152,22 +144,11 @@ impl<M: Persist, const ARM: u8> Default for RBst<M, ARM> {
 impl<M: Persist, const ARM: u8> RBst<M, ARM> {
     /// New empty tree.
     pub fn new() -> Self {
-        Self::with_collector(Collector::new())
+        Self::with_pool(PoolCfg::default())
     }
 
-    /// New empty tree with pooling off (the boxed ablation arm).
-    pub fn boxed() -> Self {
-        Self::with_config(Collector::new(), PoolCfg::boxed())
-    }
-
-    /// New empty tree with the given collector (crash-sim runs pass
-    /// [`Collector::disabled`]; pooling drops to passthrough mode).
-    pub fn with_collector(collector: Collector) -> Self {
-        Self::with_config(collector, PoolCfg::default())
-    }
-
-    /// New empty tree with the given collector and pool configuration.
-    pub fn with_config(collector: Collector, pool: PoolCfg) -> Self {
+    /// New empty tree with the given pool configuration.
+    pub fn with_pool(pool: PoolCfg) -> Self {
         // Routing: k < node.key goes left. Dummy leaves: key 0 (below every
         // user key) on the far left, ∞ leaves on the right spine; user keys
         // always land in inner's left subtree with gp ≠ null.
@@ -176,15 +157,8 @@ impl<M: Persist, const ARM: u8> RBst<M, ARM> {
         let inner: *mut Node<M> = Node::alloc(KEY_INF1, l0 as u64, l1 as u64, 0);
         let r2: *mut Node<M> = Node::alloc(KEY_INF2, 0, 0, 0);
         let root = Node::alloc(KEY_INF2, inner as u64, r2 as u64, 0);
-        let info_pool = Pool::new_for::<M>(pool.clone(), &collector);
-        let node_pool = Pool::new_for::<M>(pool, &collector);
-        Self { root, rec: RecArea::new(), collector, info_pool, node_pool, mapped: None }
-    }
-
-    /// The context every operation on the tree runs in.
-    #[inline]
-    fn ctx(&self) -> OpCtx<'_, M, ARM> {
-        OpCtx { rec: &self.rec, collector: &self.collector, infos: &self.info_pool }
+        let mut env = Env::volatile(pool);
+        Self { root, node_pool: env.pool(), env }
     }
 
     /// Draw a node: pool hit (re-initialized), or heap in passthrough mode.
@@ -233,8 +207,8 @@ impl<M: Persist, const ARM: u8> RBst<M, ARM> {
     pub fn insert(&self, pid: usize, key: u64) -> bool {
         Self::assert_key(key);
         // ONE pin covers the whole operation (see set_core::insert).
-        let (ctx, g) = (self.ctx(), self.collector.pin());
-        ctx.begin(pid, &g);
+        let (env, g) = (&self.env, self.env.collector.pin());
+        env.begin::<ARM>(pid, &g);
         let mut published: u64 = 0;
         loop {
             let s = unsafe { self.search(key) };
@@ -251,12 +225,19 @@ impl<M: Persist, const ARM: u8> RBst<M, ARM> {
                 // Key already present: nothing to change.
                 if !arm::coalesces(ARM) {
                     let seen = unsafe { (cell_addr(&(*s.l).info), s.l_info) };
-                    ctx.answer_tracked(pid, optype::INSERT, seen, RES_FALSE, &mut published, &g);
+                    env.answer_tracked::<ARM>(
+                        pid,
+                        optype::INSERT,
+                        seen,
+                        RES_FALSE,
+                        &mut published,
+                        &g,
+                    );
                 }
                 return false;
             }
             // A fresh descriptor per attempt (pointer freshness).
-            let info = ctx.alloc_info();
+            let info = env.alloc_info();
             // Build the replacement subtree: internal(max) / {leaf(k), copy(l)}.
             let t = tag::tagged(info as u64);
             let new_leaf: *mut Node<M> = self.alloc_node(key, 0, 0, t);
@@ -286,12 +267,12 @@ impl<M: Persist, const ARM: u8> RBst<M, ARM> {
                 for new in [internal, new_leaf, l_copy] {
                     arm::pwb_obj_arm::<M, _, ARM>(&*new);
                 }
-                ctx.persist_descriptor(info);
+                env.persist_descriptor::<ARM>(info);
             }
-            ctx.publish(pid, info, &mut published, &g);
+            env.publish::<ARM>(pid, info, &mut published, &g);
             match unsafe { help::<M, ARM>(info, true, &g) } {
                 HelpOutcome::Done => {
-                    unsafe { ctx.retire(&self.node_pool, s.l, &g) };
+                    unsafe { env.retire(&self.node_pool, s.l, &g) };
                     return true;
                 }
                 HelpOutcome::FailedAt(i) => {
@@ -312,8 +293,8 @@ impl<M: Persist, const ARM: u8> RBst<M, ARM> {
     /// Deletes `key`; `false` if absent.
     pub fn delete(&self, pid: usize, key: u64) -> bool {
         Self::assert_key(key);
-        let (ctx, g) = (self.ctx(), self.collector.pin());
-        ctx.begin(pid, &g);
+        let (env, g) = (&self.env, self.env.collector.pin());
+        env.begin::<ARM>(pid, &g);
         let mut published: u64 = 0;
         loop {
             let s = unsafe { self.search(key) };
@@ -334,7 +315,14 @@ impl<M: Persist, const ARM: u8> RBst<M, ARM> {
                 // Key not present: nothing to change.
                 if !arm::coalesces(ARM) {
                     let seen = unsafe { (cell_addr(&(*s.l).info), s.l_info) };
-                    ctx.answer_tracked(pid, optype::DELETE, seen, RES_FALSE, &mut published, &g);
+                    env.answer_tracked::<ARM>(
+                        pid,
+                        optype::DELETE,
+                        seen,
+                        RES_FALSE,
+                        &mut published,
+                        &g,
+                    );
                 }
                 return false;
             }
@@ -350,7 +338,7 @@ impl<M: Persist, const ARM: u8> RBst<M, ARM> {
                 unsafe { help::<M, ARM>(tag::ptr_of(sib_info), false, &g) };
                 continue;
             }
-            let info = ctx.alloc_info();
+            let info = env.alloc_info();
             let t = tag::tagged(info as u64);
             // Copy of the sibling replaces p (freshness); its children are
             // frozen once sib is successfully tagged.
@@ -373,14 +361,14 @@ impl<M: Persist, const ARM: u8> RBst<M, ARM> {
                     },
                 );
                 arm::pwb_obj_arm::<M, _, ARM>(&*sib_copy);
-                ctx.persist_descriptor(info);
+                env.persist_descriptor::<ARM>(info);
             }
-            ctx.publish(pid, info, &mut published, &g);
+            env.publish::<ARM>(pid, info, &mut published, &g);
             match unsafe { help::<M, ARM>(info, true, &g) } {
                 HelpOutcome::Done => {
                     unsafe {
                         for gone in [s.p, s.l, sib] {
-                            ctx.retire(&self.node_pool, gone, &g);
+                            env.retire(&self.node_pool, gone, &g);
                         }
                     }
                     return true;
@@ -400,8 +388,8 @@ impl<M: Persist, const ARM: u8> RBst<M, ARM> {
     /// always restarts it; see `SetCore::find`).
     pub fn find(&self, pid: usize, key: u64) -> bool {
         Self::assert_key(key);
-        let (ctx, g) = (self.ctx(), self.collector.pin());
-        let mut published = ctx.begin_find(pid, &g);
+        let (env, g) = (&self.env, self.env.collector.pin());
+        let mut published = env.begin_find::<ARM>(pid, &g);
         loop {
             let s = unsafe { self.search(key) };
             if tag::is_tagged(s.l_info) {
@@ -412,41 +400,41 @@ impl<M: Persist, const ARM: u8> RBst<M, ARM> {
             if !arm::coalesces(ARM) {
                 let seen = unsafe { (cell_addr(&(*s.l).info), s.l_info) };
                 let enc = if res { RES_TRUE } else { RES_FALSE };
-                ctx.answer_tracked(pid, optype::FIND, seen, enc, &mut published, &g);
+                env.answer_tracked::<ARM>(pid, optype::FIND, seen, enc, &mut published, &g);
             }
             return res;
         }
     }
 
     /// Failure-report line for `pid`'s recovery slot
-    /// ([`RecArea::describe`]).
+    /// ([`crate::recovery::RecArea::describe`]).
     ///
     /// # Safety
-    /// As [`RecArea::describe`].
+    /// As [`crate::recovery::RecArea::describe`].
     pub unsafe fn describe_recovery(&self, pid: usize) -> String {
-        unsafe { self.rec.describe(pid) }
+        unsafe { self.env.rec.describe(pid) }
     }
 
     /// `Insert.Recover`.
     pub fn recover_insert(&self, pid: usize, key: u64) -> bool {
-        self.ctx().recover(pid).as_bool().unwrap_or_else(|| self.insert(pid, key))
+        self.env.recover::<ARM>(pid).as_bool().unwrap_or_else(|| self.insert(pid, key))
     }
 
     /// `Delete.Recover`.
     pub fn recover_delete(&self, pid: usize, key: u64) -> bool {
-        self.ctx().recover(pid).as_bool().unwrap_or_else(|| self.delete(pid, key))
+        self.env.recover::<ARM>(pid).as_bool().unwrap_or_else(|| self.delete(pid, key))
     }
 
     /// `Find.Recover` (restart-safe).
     pub fn recover_find(&self, pid: usize, key: u64) -> bool {
-        self.ctx().recover(pid).as_bool().unwrap_or_else(|| self.find(pid, key))
+        self.env.recover::<ARM>(pid).as_bool().unwrap_or_else(|| self.find(pid, key))
     }
 
     /// Completes helping obligations left *visible* in the tree by a crash;
     /// call after every process ran its `recover_*`. See
     /// [`graph::scrub_unit`].
     pub fn scrub(&self) {
-        graph::scrub::<M, ARM>(self, &self.collector).unwrap_or_else(|e| panic!("{e}"));
+        graph::scrub::<M, ARM>(self, &self.env.collector).unwrap_or_else(|e| panic!("{e}"));
     }
 
     /// Quiescent in-order snapshot of the user keys.
@@ -542,16 +530,15 @@ impl<const ARM: u8> MappedLayout for RBst<MappedNvm, ARM> {
     }
 
     unsafe fn open(env: &AttachEnv, _cfg: (), root_blk: *mut u8) -> Result<Self, AttachError> {
-        let collector = env.collector();
-        let info_pool = env.info_pool();
-        let node_pool = Pool::new_for::<MappedNvm>(env.pool_cfg(), &collector);
+        let mut env = env.env();
+        let node_pool = env.pool();
         // SAFETY: committed 8-byte root block, single-threaded attach.
         let root_w = unsafe { root_words(root_blk, 1) };
         if root_w[0].load() == 0 {
             // Fresh (or creation cut short — the root word is the last
             // store, so re-running rebuilds the dummies; the abandoned
             // blocks of a torn creation are swept once the heap attaches
-            // non-fresh). Same dummy shape as `with_config`.
+            // non-fresh). Same dummy shape as `with_pool`.
             let draw = |key: u64, left: u64, right: u64| {
                 let p: *mut Node<MappedNvm> = node_pool.take().expect("arena pool always serves");
                 // SAFETY: a pool object is live and exclusively ours.
@@ -566,14 +553,7 @@ impl<const ARM: u8> MappedLayout for RBst<MappedNvm, ARM> {
             // SAFETY: the five dummies were just drawn and initialised.
             unsafe { install_roots(&[l0, l1, inner, r2, root], root_w, &[root as u64]) };
         }
-        Ok(Self {
-            root: root_w[0].load() as *mut Node<MappedNvm>,
-            rec: env.rec_area(),
-            collector,
-            info_pool,
-            node_pool,
-            mapped: Some(Arc::clone(&env.heap)),
-        })
+        Ok(Self { root: root_w[0].load() as *mut Node<MappedNvm>, node_pool, env })
     }
 }
 
@@ -584,20 +564,13 @@ impl<const ARM: u8> SlotOps for RBst<MappedNvm, ARM> {
 
     fn each_cached(&mut self, f: &mut dyn FnMut(usize)) {
         self.node_pool.each_idle(|p| f(p as usize));
-        self.info_pool.each_idle(|p| f(p as usize));
     }
 }
 
 impl<M: Persist, const ARM: u8> Drop for RBst<M, ARM> {
     fn drop(&mut self) {
-        if self.mapped.is_some() {
-            // Mapped mode: the arena is the durable state; pools return
-            // their caches to the persistent free list on drop.
-            return;
-        }
-        let parked = self.collector.take_parked();
         // SAFETY: quiescent teardown of a structure this value owns.
-        unsafe { graph::teardown::<M, Node<M>>(&*self, parked, &self.rec, []) };
+        unsafe { self.env.teardown::<Node<M>>(&*self, []) };
     }
 }
 

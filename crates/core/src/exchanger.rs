@@ -95,7 +95,7 @@ impl<M: Persist> RExchanger<M> {
 
     /// New exchanger with the given collector and pool configuration.
     pub fn with_config(collector: Collector, pool: PoolCfg) -> Self {
-        let pool = Pool::new_for::<M>(pool, &collector);
+        let pool = Pool::new_for::<M>(pool, &collector, None);
         Self { slot: PWord::new(0), rec: RecArea::new(), collector, pool }
     }
 

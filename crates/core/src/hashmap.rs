@@ -5,12 +5,14 @@
 //! independent sorted-list bucket run by [`crate::set_core::SetCore`]. Keys
 //! are routed to a bucket by fibonacci hashing (multiply by 2⁶⁴/φ, take the
 //! top bits), which whitens dense integer key ranges across shards. All
-//! shards share **one** [`RecArea`] — the paper's model allows a single
-//! pending operation per process, regardless of which part of the structure
-//! it touches — and one collector, so `recover_*` needs no shard routing for
-//! the *decision*: the published descriptor carries everything `Help` needs,
-//! and only a `Restart` re-routes through the shard function (with the
-//! original arguments, exactly like the system model's re-invocation).
+//! shards share **one** [`Env`] — one recovery area, since the paper's model
+//! allows a single pending operation per process, regardless of which part
+//! of the structure it touches, and one collector — and one node pool (free
+//! lists are per-process, so cross-shard sharing adds no contention), so
+//! `recover_*` needs no shard routing for the *decision*: the published
+//! descriptor carries everything `Help` needs, and only a `Restart`
+//! re-routes through the shard function (with the original arguments,
+//! exactly like the system model's re-invocation).
 //!
 //! Per-bucket **pointer freshness** (DESIGN.md §4) is unaffected by
 //! sharding: the guarantee is per info/next *cell*, and every cell belongs
@@ -18,19 +20,17 @@
 //! cells and interact only through the shared recovery slots, which keep the
 //! single-pending-op discipline per process.
 
+use crate::env::Env;
 use crate::graph::{self, Graph};
-use crate::op::OpCtx;
-use crate::pool::PoolCfg;
+use crate::pool::{Pool, PoolCfg};
 use crate::recovery::{
-    install_roots, mapped_attach, root_words, AttachEnv, AttachError, MappedLayout, RecArea,
-    SlotOps,
+    install_roots, mapped_attach, root_words, AttachEnv, AttachError, MappedLayout, SlotOps,
 };
-use crate::set_core::{self, Node, SetCore, SetPools};
-use nvm::mapped::{MappedHeap, MappedNvm};
+use crate::set_core::{self, Node, SetCore};
+use nvm::mapped::MappedNvm;
 use nvm::Persist;
 use reclaim::Collector;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 
 /// Default shard count for [`RHashMap::new`].
 pub const DEFAULT_SHARDS: usize = 16;
@@ -83,16 +83,8 @@ pub struct RHashMap<M: Persist, const ARM: u8 = 0> {
     /// healed on first contact either way; the flag only bounds *when* the
     /// eager pass happens.
     pending_scrub: Box<[AtomicBool]>,
-    rec: RecArea<M>,
-    // `collector` must drop before `pools` (drop-time drain recycles into
-    // the free lists). ONE pool pair serves every shard: free lists are
-    // per-process, so cross-shard sharing adds no contention.
-    collector: Collector,
-    pools: SetPools<M>,
-    /// Mapped mode: the persistent heap every node/descriptor/head lives in.
-    /// `Some` suppresses drop-time teardown — the contents *are* the durable
-    /// state the next attach recovers.
-    mapped: Option<Arc<MappedHeap>>,
+    nodes: Pool<Node<M>>,
+    pub(crate) env: Env<M>,
 }
 
 unsafe impl<M: Persist, const ARM: u8> Send for RHashMap<M, ARM> {}
@@ -105,56 +97,31 @@ impl<M: Persist, const ARM: u8> Default for RHashMap<M, ARM> {
 }
 
 impl<M: Persist, const ARM: u8> RHashMap<M, ARM> {
-    /// New empty map with [`DEFAULT_SHARDS`] shards and a reclaiming
-    /// collector.
+    /// New empty map with [`DEFAULT_SHARDS`] shards.
     pub fn new() -> Self {
         Self::with_shards(DEFAULT_SHARDS)
     }
 
     /// New empty map with `shards` buckets (must be a power of two).
     pub fn with_shards(shards: usize) -> Self {
-        Self::with_shards_and_collector(shards, Collector::new())
+        Self::with_shards_and_pool(shards, PoolCfg::default())
     }
 
-    /// New empty map with the given collector and [`DEFAULT_SHARDS`] shards.
-    /// Crash-simulation runs pass [`Collector::disabled`] (a crash must not
-    /// free memory).
-    pub fn with_collector(collector: Collector) -> Self {
-        Self::with_shards_and_collector(DEFAULT_SHARDS, collector)
-    }
-
-    /// New empty map with `shards` buckets (power of two) and the given
-    /// collector.
-    pub fn with_shards_and_collector(shards: usize, collector: Collector) -> Self {
-        Self::with_shards_and_config(shards, collector, PoolCfg::default())
-    }
-
-    /// New empty map with pooling off (the fig9 "boxed" ablation arm).
-    pub fn boxed_with_shards(shards: usize) -> Self {
-        Self::with_shards_and_config(shards, Collector::new(), PoolCfg::boxed())
-    }
-
-    /// New empty map with `shards` buckets (power of two), the given
-    /// collector, and pool configuration.
-    pub fn with_shards_and_config(shards: usize, collector: Collector, pool: PoolCfg) -> Self {
+    /// New empty map with `shards` buckets (power of two) and the given pool
+    /// configuration.
+    pub fn with_shards_and_pool(shards: usize, pool: PoolCfg) -> Self {
         assert!(shards.is_power_of_two(), "shard count must be a power of two, got {shards}");
         let heads = (0..shards).map(|_| set_core::new_bucket()).collect();
-        let pools = SetPools::new(pool, &collector);
-        Self::over(heads, RecArea::new(), collector, pools, None)
+        let mut env = Env::volatile(pool);
+        Self::over(heads, env.pool(), env)
     }
 
-    fn over(
-        heads: Box<[*mut Node<M>]>,
-        rec: RecArea<M>,
-        collector: Collector,
-        pools: SetPools<M>,
-        mapped: Option<Arc<MappedHeap>>,
-    ) -> Self {
+    fn over(heads: Box<[*mut Node<M>]>, nodes: Pool<Node<M>>, env: Env<M>) -> Self {
         // For one shard every key maps to bucket 0; `min(63)` keeps the
         // shift in range and the mask in `shard_of` does the rest.
         let shift = (64 - heads.len().trailing_zeros()).min(63);
         let pending_scrub = heads.iter().map(|_| AtomicBool::new(false)).collect();
-        Self { heads, shift, pending_scrub, rec, collector, pools, mapped }
+        Self { heads, shift, pending_scrub, nodes, env }
     }
 
     /// Number of shards (buckets).
@@ -164,7 +131,7 @@ impl<M: Persist, const ARM: u8> RHashMap<M, ARM> {
 
     /// The map's collector (for diagnostics).
     pub fn collector(&self) -> &Collector {
-        &self.collector
+        &self.env.collector
     }
 
     /// Fibonacci-hash shard routing: top `log2(shards)` bits of `key · FIB`.
@@ -173,18 +140,12 @@ impl<M: Persist, const ARM: u8> RHashMap<M, ARM> {
         (key.wrapping_mul(FIB) >> self.shift) as usize & (self.heads.len() - 1)
     }
 
-    /// The context every operation on the map runs in, whatever its shard.
-    #[inline]
-    fn ctx(&self) -> OpCtx<'_, M, ARM> {
-        OpCtx { rec: &self.rec, collector: &self.collector, infos: &self.pools.info }
-    }
-
     /// The core view over bucket `shard`.
     #[inline]
     fn core_at(&self, shard: usize) -> SetCore<'_, M, ARM> {
         // SAFETY: every head is a live bucket owned by this map; all buckets
-        // share the map's single recovery area, collector and pools.
-        unsafe { SetCore::new(self.heads[shard], self.ctx(), &self.pools.node) }
+        // share the map's single environment and node pool.
+        unsafe { SetCore::new(self.heads[shard], &self.env, &self.nodes) }
     }
 
     /// Drains a deferred post-attach scrub of `shard`, if one is pending.
@@ -196,7 +157,7 @@ impl<M: Persist, const ARM: u8> RHashMap<M, ARM> {
         if self.pending_scrub[shard].load(Ordering::Relaxed)
             && self.pending_scrub[shard].swap(false, Ordering::Acquire)
         {
-            graph::scrub_unit::<M, ARM>(self, shard, &self.collector)
+            graph::scrub_unit::<M, ARM>(self, shard, &self.env.collector)
                 .unwrap_or_else(|e| panic!("{e}"));
         }
     }
@@ -233,27 +194,27 @@ impl<M: Persist, const ARM: u8> RHashMap<M, ARM> {
     /// re-invoking with the original key — and thus the original shard — on
     /// `Restart`).
     pub fn recover_insert(&self, pid: usize, key: u64) -> bool {
-        self.ctx().recover(pid).as_bool().unwrap_or_else(|| self.insert(pid, key))
+        self.env.recover::<ARM>(pid).as_bool().unwrap_or_else(|| self.insert(pid, key))
     }
 
     /// `Delete.Recover`.
     pub fn recover_delete(&self, pid: usize, key: u64) -> bool {
-        self.ctx().recover(pid).as_bool().unwrap_or_else(|| self.delete(pid, key))
+        self.env.recover::<ARM>(pid).as_bool().unwrap_or_else(|| self.delete(pid, key))
     }
 
     /// `Find.Recover`: finds never set `CP_q = 1`, so recovery always
     /// restarts them.
     pub fn recover_find(&self, pid: usize, key: u64) -> bool {
-        self.ctx().recover(pid).as_bool().unwrap_or_else(|| self.find(pid, key))
+        self.env.recover::<ARM>(pid).as_bool().unwrap_or_else(|| self.find(pid, key))
     }
 
     /// Failure-report line for `pid`'s recovery slot
-    /// ([`RecArea::describe`]).
+    /// ([`crate::recovery::RecArea::describe`]).
     ///
     /// # Safety
-    /// As [`RecArea::describe`].
+    /// As [`crate::recovery::RecArea::describe`].
     pub unsafe fn describe_recovery(&self, pid: usize) -> String {
-        unsafe { self.rec.describe(pid) }
+        unsafe { self.env.rec.describe(pid) }
     }
 
     /// Completes helping obligations left visible by a crash in any shard
@@ -264,7 +225,7 @@ impl<M: Persist, const ARM: u8> RHashMap<M, ARM> {
         for flag in self.pending_scrub.iter() {
             flag.store(false, Ordering::Relaxed);
         }
-        graph::scrub::<M, ARM>(self, &self.collector).unwrap_or_else(|e| panic!("{e}"));
+        graph::scrub::<M, ARM>(self, &self.env.collector).unwrap_or_else(|e| panic!("{e}"));
     }
 
     /// Sorted snapshot of the user keys across all shards (requires
@@ -351,14 +312,14 @@ impl<const ARM: u8> MappedLayout for RHashMap<MappedNvm, ARM> {
         // Every caller has checked already: `validate_cfg` before a creation,
         // the store's catalog reader before a re-open.
         debug_assert!(shards.is_power_of_two(), "shard count {shards} not a power of two");
-        let collector = env.collector();
-        let pools = SetPools::with_shared_info(env.info_pool(), env.pool_cfg(), &collector);
+        let mut env = env.env();
+        let nodes = env.pool();
         // SAFETY: `shards`-word committed root block, single-threaded attach.
         let roots = unsafe { root_words(root, shards) };
         let mut heads: Vec<u64> = roots.iter().map(|w| w.load()).collect();
         let mut sentinels = Vec::new();
         for head in heads.iter_mut().filter(|h| **h == 0) {
-            let bucket = set_core::new_bucket_in(&pools.node);
+            let bucket = set_core::new_bucket_in(&nodes);
             *head = bucket[0] as u64;
             sentinels.extend(bucket);
         }
@@ -367,7 +328,7 @@ impl<const ARM: u8> MappedLayout for RHashMap<MappedNvm, ARM> {
             unsafe { install_roots(&sentinels, roots, &heads) };
         }
         let heads = heads.into_iter().map(|h| h as *mut Node<MappedNvm>).collect();
-        Ok(Self::over(heads, env.rec_area(), collector, pools, Some(Arc::clone(&env.heap))))
+        Ok(Self::over(heads, nodes, env))
     }
 }
 
@@ -390,7 +351,7 @@ impl<const ARM: u8> SlotOps for RHashMap<MappedNvm, ARM> {
     }
 
     fn each_cached(&mut self, f: &mut dyn FnMut(usize)) {
-        self.pools.each_idle(f);
+        self.nodes.each_idle(|p| f(p as usize));
     }
 }
 
@@ -399,27 +360,20 @@ impl<M: Persist, const ARM: u8> RHashMap<M, ARM> {
     /// arms the whole `(RD_q, CP_q) := (Null, 0)` reset — persisted). Callers
     /// that journal their own intent records around the map (write-ahead
     /// logs driving a mapped heap) must call this **before** writing the
-    /// intent record — see [`RecArea::mark_invoked`] for the crash-window
-    /// argument. Plain in-process use never needs it: an operation's own
-    /// prologue runs it when this call has not.
+    /// intent record — see [`crate::recovery::RecArea::mark_invoked`] for the
+    /// crash-window argument. Plain in-process use never needs it: an
+    /// operation's own prologue runs it when this call has not.
     pub fn note_invocation(&self, pid: usize) {
-        self.ctx().note_invocation(pid);
+        self.env.note_invocation::<ARM>(pid);
     }
 }
 
 impl<M: Persist, const ARM: u8> Drop for RHashMap<M, ARM> {
     fn drop(&mut self) {
-        if self.mapped.is_some() {
-            // Mapped mode: the arena contents are the durable state; the
-            // pools return their caches to the persistent free list when
-            // they drop, and everything else stays for the next attach.
-            return;
-        }
-        let parked = self.collector.take_parked();
         // SAFETY: quiescent teardown of a structure this value owns (the
         // shared collector and recovery area are scanned once, not per
         // shard).
-        unsafe { graph::teardown::<M, Node<M>>(&*self, parked, &self.rec, []) };
+        unsafe { self.env.teardown::<Node<M>>(&*self, []) };
     }
 }
 

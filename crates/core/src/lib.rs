@@ -19,8 +19,8 @@
 //!   the one-bucket instantiation of the head-parameterized ordered-set core
 //!   in [`set_core`].
 //! * [`hashmap::RHashMap`] — sharded, detectably recoverable hash map: a
-//!   power-of-two array of [`set_core`] buckets sharing one recovery area
-//!   and one collector (DESIGN.md §8).
+//!   power-of-two array of [`set_core`] buckets sharing one environment
+//!   (DESIGN.md §8).
 //! * [`queue::RQueue`] — ISB-tracked MS-queue (paper §5 / supplementary B.2).
 //! * [`bst::RBst`] — detectably recoverable external BST (paper §6).
 //! * [`exchanger::RExchanger`] — detectably recoverable exchanger (paper §6).
@@ -54,13 +54,18 @@
 //!   elisions. See [`arm`] for what each level adds and [`recovery`]'s
 //!   module docs for the recovery-line protocol per arm.
 //!
-//! ## One skeleton, one walk
+//! ## One environment, one skeleton, one walk
 //!
 //! ISB-tracking is a generic transformation, and the code is shaped like
-//! it: [`engine::help`] is the one helping procedure, [`op::OpCtx`] the one
-//! copy of the invocation skeleton around it (prologue, descriptor persist,
-//! publish, read-only answer, retire, Op-Recover), and a structure supplies
-//! only its gather phase and its node shape. Likewise each structure writes
+//! it. What the paper keeps per *process* — `RD_q` / `CP_q`, the descriptor
+//! they name, the memory it lives in — a structure holds as one
+//! [`env::Env`]: recovery area, collector, descriptor pool and backing heap,
+//! built in one place ([`env::Env::volatile`], or
+//! [`recovery::AttachEnv::env`] inside a heap). [`engine::help`] is the one
+//! helping procedure, [`op`] the one copy of the invocation skeleton around
+//! it (prologue, descriptor persist, publish, read-only answer, retire,
+//! Op-Recover), run over that environment, and a structure supplies only
+//! its gather phase and its node shape. Likewise each structure writes
 //! one traversal of its graph ([`graph::Graph::walk`]); attach-time
 //! validation and census, the scrub, drop-time teardown and the
 //! direct-tracking reachability test are visitors over it in [`graph`].
@@ -95,6 +100,7 @@ pub mod arm;
 pub mod bst;
 pub mod counters;
 pub mod engine;
+pub mod env;
 pub mod exchanger;
 pub mod graph;
 pub mod hashmap;

@@ -3,24 +3,21 @@
 //!
 //! `RList` is the one-bucket instantiation of the head-parameterized
 //! ordered-set core in [`crate::set_core`]: it owns a single bucket head,
-//! its recovery area and its collector, and delegates every operation to
+//! its node pool and its [`Env`], and delegates every operation to
 //! [`SetCore`] with exactly the same persistency placement the pre-extraction
 //! list had (asserted bit-for-bit by the `persist_placement` regression
 //! test). The algorithm documentation lives in [`crate::set_core`]; the
 //! sharded multi-bucket instantiation is [`crate::hashmap::RHashMap`].
 
+use crate::env::Env;
 use crate::graph::{self, Graph};
-use crate::op::OpCtx;
-use crate::pool::PoolCfg;
+use crate::pool::{Pool, PoolCfg};
 use crate::recovery::{
-    install_roots, mapped_attach, root_words, AttachEnv, AttachError, MappedLayout, RecArea,
-    SlotOps,
+    install_roots, mapped_attach, root_words, AttachEnv, AttachError, MappedLayout, SlotOps,
 };
-use crate::set_core::{self, SetCore, SetPools};
-use nvm::mapped::{MappedHeap, MappedNvm};
+use crate::set_core::{self, SetCore};
+use nvm::mapped::MappedNvm;
 use nvm::Persist;
-use reclaim::Collector;
-use std::sync::Arc;
 
 pub use crate::set_core::{Node, KEY_MAX, KEY_MIN};
 
@@ -56,14 +53,8 @@ pub const KIND_LIST: u64 = 3;
 /// ```
 pub struct RList<M: Persist, const ARM: u8 = 0> {
     head: *mut Node<M>,
-    rec: RecArea<M>,
-    // `collector` must drop before `pools`: pending garbage recycles into
-    // the pools' free lists when the collector drains on drop.
-    collector: Collector,
-    pools: SetPools<M>,
-    /// Mapped mode: the persistent heap everything lives in (`Some`
-    /// suppresses drop-time teardown — the arena is the durable state).
-    mapped: Option<Arc<MappedHeap>>,
+    nodes: Pool<Node<M>>,
+    pub(crate) env: Env<M>,
 }
 
 unsafe impl<M: Persist, const ARM: u8> Send for RList<M, ARM> {}
@@ -76,49 +67,25 @@ impl<M: Persist, const ARM: u8> Default for RList<M, ARM> {
 }
 
 impl<M: Persist, const ARM: u8> RList<M, ARM> {
-    /// New empty list with a reclaiming collector and pooled allocation.
+    /// New empty list with pooled allocation.
     pub fn new() -> Self {
-        Self::with_collector(Collector::new())
+        Self::with_pool(PoolCfg::default())
     }
 
-    /// New empty list with pooling off: every descriptor/node is a fresh
-    /// heap allocation, as pre-pool builds behaved. The fig9 ablation and
-    /// the persist-placement goldens run this side by side with [`RList::new`].
-    pub fn boxed() -> Self {
-        Self::with_config(Collector::new(), PoolCfg::boxed())
-    }
-
-    /// New empty list with the given collector. Crash-simulation runs pass
-    /// [`Collector::disabled`] (a crash must not free memory; pooling
-    /// drops to passthrough mode automatically).
-    pub fn with_collector(collector: Collector) -> Self {
-        Self::with_config(collector, PoolCfg::default())
-    }
-
-    /// New empty list with the given collector and pool configuration.
-    pub fn with_config(collector: Collector, pool: PoolCfg) -> Self {
-        let pools = SetPools::new(pool, &collector);
-        Self { head: set_core::new_bucket(), rec: RecArea::new(), collector, pools, mapped: None }
-    }
-
-    /// The list's collector (for diagnostics).
-    pub fn collector(&self) -> &Collector {
-        &self.collector
-    }
-
-    /// The context every operation on the list runs in.
-    #[inline]
-    fn ctx(&self) -> OpCtx<'_, M, ARM> {
-        OpCtx { rec: &self.rec, collector: &self.collector, infos: &self.pools.info }
+    /// New empty list with the given pool configuration
+    /// ([`PoolCfg::boxed`]: every descriptor and node a fresh heap
+    /// allocation, as pre-pool builds behaved).
+    pub fn with_pool(pool: PoolCfg) -> Self {
+        let mut env = Env::volatile(pool);
+        Self { head: set_core::new_bucket(), nodes: env.pool(), env }
     }
 
     /// The core view over the list's single bucket.
     #[inline]
     fn core(&self) -> SetCore<'_, M, ARM> {
-        // SAFETY: `head` is this list's live bucket; `ctx()` and the node
-        // pool are what every operation on it goes through (pools declared
-        // after the collector, so they outlive its drop-time drain).
-        unsafe { SetCore::new(self.head, self.ctx(), &self.pools.node) }
+        // SAFETY: `head` is this list's live bucket; `env` and the node pool
+        // it built are what every operation on it goes through.
+        unsafe { SetCore::new(self.head, &self.env, &self.nodes) }
     }
 
     /// Inserts `key`; returns `false` iff it was already present.
@@ -139,34 +106,34 @@ impl<M: Persist, const ARM: u8> RList<M, ARM> {
 
     /// `Insert.Recover` (Op-Recover with the insert's arguments).
     pub fn recover_insert(&self, pid: usize, key: u64) -> bool {
-        self.ctx().recover(pid).as_bool().unwrap_or_else(|| self.insert(pid, key))
+        self.env.recover::<ARM>(pid).as_bool().unwrap_or_else(|| self.insert(pid, key))
     }
 
     /// `Delete.Recover`.
     pub fn recover_delete(&self, pid: usize, key: u64) -> bool {
-        self.ctx().recover(pid).as_bool().unwrap_or_else(|| self.delete(pid, key))
+        self.env.recover::<ARM>(pid).as_bool().unwrap_or_else(|| self.delete(pid, key))
     }
 
     /// `Find.Recover`: finds never set `CP_q = 1`, so recovery always
     /// restarts them (restart-safe by read-onlyness).
     pub fn recover_find(&self, pid: usize, key: u64) -> bool {
-        self.ctx().recover(pid).as_bool().unwrap_or_else(|| self.find(pid, key))
+        self.env.recover::<ARM>(pid).as_bool().unwrap_or_else(|| self.find(pid, key))
     }
 
     /// Failure-report line for `pid`'s recovery slot
-    /// ([`RecArea::describe`]).
+    /// ([`crate::recovery::RecArea::describe`]).
     ///
     /// # Safety
-    /// As [`RecArea::describe`].
+    /// As [`crate::recovery::RecArea::describe`].
     pub unsafe fn describe_recovery(&self, pid: usize) -> String {
-        unsafe { self.rec.describe(pid) }
+        unsafe { self.env.rec.describe(pid) }
     }
 
     /// Completes helping obligations left visible by a crash (resurrected
     /// tags of completed operations under the tuned placement); call after
     /// every process ran its `recover_*`. See [`graph::scrub_unit`].
     pub fn scrub(&self) {
-        graph::scrub::<M, ARM>(self, &self.collector).unwrap_or_else(|e| panic!("{e}"));
+        graph::scrub::<M, ARM>(self, &self.env.collector).unwrap_or_else(|e| panic!("{e}"));
     }
 
     /// Snapshot of the user keys (requires exclusive access ⇒ quiescence).
@@ -214,22 +181,16 @@ impl<const ARM: u8> MappedLayout for RList<MappedNvm, ARM> {
     }
 
     unsafe fn open(env: &AttachEnv, _cfg: (), root_blk: *mut u8) -> Result<Self, AttachError> {
-        let collector = env.collector();
-        let pools = SetPools::with_shared_info(env.info_pool(), env.pool_cfg(), &collector);
+        let mut env = env.env();
+        let nodes = env.pool();
         // SAFETY: committed 8-byte root block, single-threaded attach.
         let root = unsafe { root_words(root_blk, 1) };
         if root[0].load() == 0 {
-            let bucket = set_core::new_bucket_in(&pools.node);
+            let bucket = set_core::new_bucket_in(&nodes);
             // SAFETY: both sentinels were just drawn and initialised.
             unsafe { install_roots(&bucket, root, &[bucket[0] as u64]) };
         }
-        Ok(Self {
-            head: root[0].load() as *mut Node<MappedNvm>,
-            rec: env.rec_area(),
-            collector,
-            pools,
-            mapped: Some(Arc::clone(&env.heap)),
-        })
+        Ok(Self { head: root[0].load() as *mut Node<MappedNvm>, nodes, env })
     }
 }
 
@@ -239,20 +200,14 @@ impl<const ARM: u8> SlotOps for RList<MappedNvm, ARM> {
     }
 
     fn each_cached(&mut self, f: &mut dyn FnMut(usize)) {
-        self.pools.each_idle(f);
+        self.nodes.each_idle(|p| f(p as usize));
     }
 }
 
 impl<M: Persist, const ARM: u8> Drop for RList<M, ARM> {
     fn drop(&mut self) {
-        if self.mapped.is_some() {
-            // Mapped mode: the arena is the durable state; pools return
-            // their caches to the persistent free list on drop.
-            return;
-        }
-        let parked = self.collector.take_parked();
         // SAFETY: quiescent teardown of a structure this value owns.
-        unsafe { graph::teardown::<M, Node<M>>(&*self, parked, &self.rec, []) };
+        unsafe { self.env.teardown::<Node<M>>(&*self, []) };
     }
 }
 
@@ -274,7 +229,7 @@ mod tests {
         {
             let list = RList::<CountingNvm, ARM>::new();
             assert!(list.insert(0, 5));
-            assert_eq!(list.rec.read(0).0, 1, "an effectful operation publishes");
+            assert_eq!(list.env.rec.read(0).0, 1, "an effectful operation publishes");
             for i in 0..4 {
                 let drawn = (crate::counters::live_infos(), crate::counters::info_reuses());
                 let answer = match i {
@@ -286,7 +241,7 @@ mod tests {
                 assert!(!answer, "op {i} answers as the set stands");
                 let after = (crate::counters::live_infos(), crate::counters::info_reuses());
                 assert_eq!(after, drawn, "arm {ARM} op {i} drew a descriptor");
-                assert_eq!(list.rec.read(0), (0, 0), "arm {ARM} op {i} left the glue's reset");
+                assert_eq!(list.env.rec.read(0), (0, 0), "arm {ARM} op {i} left the glue's reset");
             }
             assert!(list.delete(0, 5));
         }

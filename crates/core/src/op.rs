@@ -1,22 +1,23 @@
-//! The operation context: the one copy of the invocation skeleton every
-//! descriptor-tracked operation shares.
+//! The one copy of the invocation skeleton every tracked operation shares.
 //!
 //! ISB-tracking is a generic transformation (Algorithms 1–2): an operation
 //! is *gather → persist the descriptor → publish `RD_q` → `Help` → answer*,
 //! and its recovery is `Op-Recover` over the published descriptor. A
 //! structure supplies only its gather phase (the [`InfoFill`] it builds) and
-//! its node shape ([`TrackedNode`]); everything around them lives here, in a
-//! borrowed, zero-state [`OpCtx`] monomorphised per `(M, ARM)`. The helping
+//! its node shape ([`TrackedNode`]); everything around them lives here, as
+//! methods over the structure's [`Env`], each monomorphised per `(M, ARM)` —
+//! `ARM` is the persistency placement, a [`crate::arm`] level. The helping
 //! procedure itself is [`crate::engine::help`], the per-process recovery
 //! line [`crate::recovery::RecArea`].
 
 use crate::arm;
 use crate::engine::{Info, InfoFill};
+use crate::env::Env;
 use crate::pool::{Pool, PoolItem};
-use crate::recovery::{op_recover, release_prev, RecArea, Recovered};
+use crate::recovery::{op_recover, release_prev, Recovered};
 use crate::tag;
 use nvm::{PWord, Persist};
-use reclaim::{Collector, Guard};
+use reclaim::Guard;
 
 /// A node of a descriptor-tracked structure: a pool item with an info word.
 pub trait TrackedNode<M: Persist>: PoolItem {
@@ -39,25 +40,12 @@ pub unsafe fn drop_raw<T>(p: *mut u8) {
     drop(unsafe { Box::from_raw(p as *mut T) });
 }
 
-/// What an operation of one structure runs in: the recovery area it
-/// publishes through, the collector it pins, and the descriptor pool it
-/// draws from. Built per call by the owning structure; holds no state.
-/// `ARM` is the persistency placement, a [`crate::arm`] level.
-pub struct OpCtx<'a, M: Persist, const ARM: u8> {
-    /// The recovery area every operation on the structure publishes through.
-    pub rec: &'a RecArea<M>,
-    /// The structure's collector.
-    pub collector: &'a Collector,
-    /// The descriptor pool (must outlive `collector`'s drop-time drain).
-    pub infos: &'a Pool<Info<M>>,
-}
-
-impl<M: Persist, const ARM: u8> OpCtx<'_, M, ARM> {
+impl<M: Persist> Env<M> {
     /// An update's prologue: steps 1–2 of the protocol
-    /// ([`RecArea::begin`]) and the release of the `RD_q` hold on the
-    /// previous operation's descriptor.
+    /// ([`crate::recovery::RecArea::begin`]) and the release of the `RD_q`
+    /// hold on the previous operation's descriptor.
     #[inline]
-    pub fn begin(&self, pid: usize, g: &Guard<'_>) {
+    pub fn begin<const ARM: u8>(&self, pid: usize, g: &Guard<'_>) {
         let prev = self.rec.begin::<ARM>(pid);
         // SAFETY: `begin` took `prev` out of `pid`'s `RD_q`, whose owner is
         // the calling thread, so this is the slot's one release.
@@ -68,11 +56,11 @@ impl<M: Persist, const ARM: u8> OpCtx<'_, M, ARM> {
     /// the previous descriptor stays published (and held) until the find's
     /// own replaces it — unless it is a [`crate::tag::DIRECT`] entry, which
     /// carries no descriptor reference to hand over. In a coalescing arm the
-    /// prologue is no more than [`OpCtx::begin`].
+    /// prologue is no more than [`Env::begin`].
     #[inline]
-    pub fn begin_find(&self, pid: usize, g: &Guard<'_>) -> u64 {
+    pub fn begin_find<const ARM: u8>(&self, pid: usize, g: &Guard<'_>) -> u64 {
         if arm::coalesces(ARM) {
-            self.begin(pid, g);
+            self.begin::<ARM>(pid, g);
             return 0;
         }
         let prev = self.rec.begin_readonly(pid);
@@ -98,7 +86,7 @@ impl<M: Persist, const ARM: u8> OpCtx<'_, M, ARM> {
     /// # Safety
     /// `info` must be a live, filled descriptor.
     #[inline]
-    pub unsafe fn persist_descriptor(&self, info: *mut Info<M>) {
+    pub unsafe fn persist_descriptor<const ARM: u8>(&self, info: *mut Info<M>) {
         unsafe {
             if arm::is_tuned(ARM) {
                 arm::pwb_obj_arm::<M, _, ARM>(&*info);
@@ -112,7 +100,13 @@ impl<M: Persist, const ARM: u8> OpCtx<'_, M, ARM> {
     /// Publish `info` in `RD_q`, releasing the hold on the descriptor
     /// `published` names (this operation's previous attempt).
     #[inline]
-    pub fn publish(&self, pid: usize, info: *mut Info<M>, published: &mut u64, g: &Guard<'_>) {
+    pub fn publish<const ARM: u8>(
+        &self,
+        pid: usize,
+        info: *mut Info<M>,
+        published: &mut u64,
+        g: &Guard<'_>,
+    ) {
         self.rec.publish_arm::<ARM>(pid, info as u64);
         if *published != 0 && *published != info as u64 {
             unsafe { Info::<M>::release(tag::ptr_of(*published), 1, g) };
@@ -128,7 +122,7 @@ impl<M: Persist, const ARM: u8> OpCtx<'_, M, ARM> {
     /// coalescing arms `publish` is the plain `RD_q` publish, which is also
     /// what a `find` — `CP_q` left at 0 — needs.)
     #[inline]
-    pub fn answer_tracked(
+    pub fn answer_tracked<const ARM: u8>(
         &self,
         pid: usize,
         optype: u8,
@@ -152,9 +146,9 @@ impl<M: Persist, const ARM: u8> OpCtx<'_, M, ARM> {
                 },
             );
             M::store(&(*info).result, response);
-            self.persist_descriptor(info);
+            self.persist_descriptor::<ARM>(info);
         }
-        self.publish(pid, info, published, g);
+        self.publish::<ARM>(pid, info, published, g);
         unsafe { Info::release(info, 1, g) }; // the never-installed affect slot
     }
 
@@ -175,21 +169,21 @@ impl<M: Persist, const ARM: u8> OpCtx<'_, M, ARM> {
     /// Generic Op-Recover on the recovery area: `Completed` carries the
     /// crashed operation's persisted (encoded) response; `Restart` means the
     /// caller must re-invoke the operation with its original arguments.
-    pub fn recover(&self, pid: usize) -> Recovered {
+    pub fn recover<const ARM: u8>(&self, pid: usize) -> Recovered {
         // SAFETY: a published descriptor is persisted before publication
         // and stays live while published.
-        unsafe { op_recover::<M, ARM>(self.rec, pid, &self.collector.pin()) }
+        unsafe { op_recover::<M, ARM>(&self.rec, pid, &self.collector.pin()) }
     }
 
     /// The *system* half of an invocation, run ahead of the operation:
-    /// [`RecArea::mark_invoked`], then the release of what a coalescing
-    /// arm's glue took out of `RD_q`. Callers that journal their own intent
-    /// records around the structure (write-ahead logs driving a mapped heap)
-    /// must call this **before** writing the intent record — see
-    /// [`RecArea::mark_invoked`] for the crash-window argument. Plain
-    /// in-process use never needs it: an operation's own prologue runs the
-    /// glue when this call has not.
-    pub fn note_invocation(&self, pid: usize) {
+    /// [`crate::recovery::RecArea::mark_invoked`] (which has the crash-window
+    /// argument), then the release of what a coalescing arm's glue took out
+    /// of `RD_q`. Callers that journal their own intent records around the
+    /// structure (write-ahead logs driving a mapped heap) must call this
+    /// **before** writing the intent record. Plain in-process use never
+    /// needs it: an operation's own prologue runs the glue when this call
+    /// has not.
+    pub fn note_invocation<const ARM: u8>(&self, pid: usize) {
         let taken = self.rec.mark_invoked::<ARM>(pid);
         if taken != 0 {
             // SAFETY: the glue durably replaced `taken` in `pid`'s `RD_q`,

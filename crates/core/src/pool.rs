@@ -27,10 +27,13 @@
 //! give/retire a real (or parked) free, so the adversarial harness and the
 //! grave-scan dedup keep seeing stable, unique addresses.
 //!
-//! **Mapped mode** ([`PoolCfg::mapped`]): refills allocate blocks from a
-//! persistent [`nvm::mapped::MappedHeap`] (committed only after full
-//! initialization), overflow and teardown return blocks to the arena's
-//! persistent free list, and the per-thread caches work unchanged on top.
+//! **Mapped mode** (a pool built by a mapped [`crate::env::Env`]): refills
+//! allocate blocks from a persistent [`nvm::mapped::MappedHeap`] (committed
+//! only after full initialization), overflow and teardown return blocks to
+//! the arena's persistent free list, and the per-thread caches work
+//! unchanged on top. An arena reaches a pool only through
+//! [`crate::recovery::AttachEnv::env`], so no volatile structure can draw
+//! arena blocks.
 //! The EBR retirement path is identical — the epoch delay is what makes
 //! *address* reuse safe, regardless of which allocator owns the address.
 //! Arena objects never run Rust destructors: persistent objects are plain
@@ -74,24 +77,20 @@ const SLAB: usize = 16;
 /// real). Bounds live-but-idle memory per process and per object type.
 pub const DEFAULT_CAPACITY: usize = 256;
 
-/// Pool configuration, carried by the structures' `with_*` constructors.
-#[derive(Debug, Clone)]
+/// Pool configuration of a volatile structure, carried by the structures'
+/// `with_pool` constructors into [`crate::env::Env::volatile`].
+#[derive(Debug, Clone, Copy)]
 pub struct PoolCfg {
     /// Master switch; pooling is additionally forced off under crash
     /// simulation and disabled collectors (passthrough mode).
     pub enabled: bool,
     /// Per-process free-list capacity.
     pub capacity: usize,
-    /// Route every allocation through this persistent arena instead of the
-    /// process heap (the mapped backend). Arena-backed pools never run in
-    /// passthrough mode: a `Box` fallback would hand out volatile memory
-    /// that silently vanishes on restart.
-    pub arena: Option<Arc<MappedHeap>>,
 }
 
 impl Default for PoolCfg {
     fn default() -> Self {
-        Self { enabled: true, capacity: DEFAULT_CAPACITY, arena: None }
+        Self { enabled: true, capacity: DEFAULT_CAPACITY }
     }
 }
 
@@ -105,13 +104,7 @@ impl PoolCfg {
 
     /// Pooling with a small per-process capacity (reuse-stress tests).
     pub fn tiny(capacity: usize) -> Self {
-        Self { enabled: true, capacity, arena: None }
-    }
-
-    /// All allocations drawn from (and returned to) `heap`'s persistent
-    /// bump/free-list allocator; the per-thread caches layer on top.
-    pub fn mapped(heap: Arc<MappedHeap>) -> Self {
-        Self { enabled: true, capacity: DEFAULT_CAPACITY, arena: Some(heap) }
+        Self { enabled: true, capacity }
     }
 }
 
@@ -120,8 +113,8 @@ impl PoolCfg {
 /// shares across every structure in one heap — all feed the same free
 /// lists) so its address is stable across moves of the owning structure
 /// (retired garbage holds raw `PoolInner` pointers until the collector
-/// frees it; each structure's collector drops before its own pool clone,
-/// which keeps the inner alive through the drain).
+/// frees it; the [`crate::env::Env`] that built the pool keeps the inner
+/// alive through its collector's drop-time drain).
 pub struct PoolInner<T: PoolItem> {
     /// Per-process free lists; each is touched only by its owning thread
     /// (same discipline as the reclamation slots).
@@ -204,59 +197,47 @@ impl<T: PoolItem> Clone for Pool<T> {
 }
 
 impl<T: PoolItem> Pool<T> {
-    /// The canonical constructor: applies `cfg` gated on the structure's
-    /// persistency model and collector — pooling drops to passthrough under
-    /// crash simulation or a disabled collector (see module docs). Every
-    /// structure builds its pools through this so the safety-critical gate
-    /// lives in exactly one place.
-    pub fn new_for<M: nvm::Persist>(cfg: PoolCfg, collector: &reclaim::Collector) -> Self {
-        if let Some(heap) = cfg.arena {
-            // An arena-backed pool must never fall back to `Box`: the
-            // fallback would hand out volatile memory whose addresses get
-            // persisted into the arena and dangle after a restart.
-            assert!(
-                cfg.enabled && collector.is_enabled() && !M::SIMULATED,
-                "arena-backed pools require pooling on, an enabled collector, \
-                 and a non-simulated persistency model"
-            );
-            return Self::with_arena(heap, cfg.capacity);
-        }
-        Self::new(cfg.enabled && collector.is_enabled() && !M::SIMULATED, cfg.capacity)
-    }
-
-    /// A pool; `enabled = false` yields passthrough mode (prefer
-    /// [`Pool::new_for`], which derives the flag from the model/collector).
-    pub fn new(enabled: bool, capacity: usize) -> Self {
+    /// The one constructor, and the one place the safety-critical gate
+    /// lives: `cfg` applies only under an enabled collector and a
+    /// non-simulated model — pooling drops to passthrough otherwise (see
+    /// module docs) — and an `arena`-backed pool must never be passthrough:
+    /// the `Box` fallback would hand out volatile memory whose addresses get
+    /// persisted into the arena and dangle after a restart. Structures reach
+    /// it through [`crate::env::Env::pool`].
+    pub(crate) fn new_for<M: nvm::Persist>(
+        cfg: PoolCfg,
+        collector: &reclaim::Collector,
+        arena: Option<Arc<MappedHeap>>,
+    ) -> Self {
+        let pooled = cfg.enabled && collector.is_enabled() && !M::SIMULATED;
+        assert!(
+            pooled || arena.is_none(),
+            "arena-backed pools require pooling on, an enabled collector, \
+             and a non-simulated persistency model"
+        );
         Self {
-            inner: enabled.then(|| {
+            inner: pooled.then(|| {
                 Arc::new(PoolInner {
                     lists: (0..MAX_PROCS)
                         .map(|_| CachePadded::new(UnsafeCell::new(Vec::new())))
                         .collect(),
-                    capacity,
-                    arena: None,
+                    capacity: cfg.capacity,
+                    arena,
                 })
             }),
-        }
-    }
-
-    /// A pool whose refills/overflows go through `heap` (the mapped
-    /// backend). Prefer [`Pool::new_for`] with [`PoolCfg::mapped`].
-    pub fn with_arena(heap: Arc<MappedHeap>, capacity: usize) -> Self {
-        Self {
-            inner: Some(Arc::new(PoolInner {
-                lists: (0..MAX_PROCS)
-                    .map(|_| CachePadded::new(UnsafeCell::new(Vec::new())))
-                    .collect(),
-                capacity,
-                arena: Some(heap),
-            })),
         }
     }
 
     /// Whether this pool actually recycles (false = passthrough).
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some()
+    }
+
+    /// A type-erased hold on the shared free lists (`None` in passthrough
+    /// mode): what the [`crate::env::Env`] that built the pool keeps, so the
+    /// lists outlive its collector's drop-time drain.
+    pub(crate) fn hold(&self) -> Option<Arc<dyn std::any::Any + Send + Sync>> {
+        self.inner.clone().map(|i| i as _)
     }
 
     /// Opaque handle for owner-routed retirement ([`retire_to`]); null in
@@ -438,6 +419,11 @@ impl<T: PoolItem> Pool<T> {
     pub(crate) fn holders(&self) -> usize {
         self.inner.as_ref().map_or(0, Arc::strong_count)
     }
+
+    /// Whether refills draw from a persistent arena.
+    pub(crate) fn arena_backed(&self) -> bool {
+        self.inner.as_ref().is_some_and(|i| i.arena.is_some())
+    }
 }
 
 #[cfg(test)]
@@ -447,6 +433,10 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
     static LIVE: AtomicUsize = AtomicUsize::new(0);
+
+    fn obj_pool(enabled: bool, capacity: usize) -> Pool<Obj> {
+        Pool::new_for::<nvm::CountingNvm>(PoolCfg { enabled, capacity }, &Collector::new(), None)
+    }
 
     /// Every test here allocates `Obj`s and some compare `LIVE` exactly, so
     /// they take turns (a poisoned turn is still a turn).
@@ -474,7 +464,7 @@ mod tests {
         nvm::tid::set_tid(0);
         let c = Collector::new();
         let g = c.pin();
-        let pool: Pool<Obj> = Pool::new(true, 64);
+        let pool: Pool<Obj> = obj_pool(true, 64);
         let a = pool.take().unwrap();
         unsafe { pool.give(a, &g) };
         let b = pool.take().unwrap();
@@ -487,7 +477,7 @@ mod tests {
         let _turn = live_turn();
         nvm::tid::set_tid(0);
         let c = Collector::new();
-        let pool: Pool<Obj> = Pool::new(false, 64);
+        let pool: Pool<Obj> = obj_pool(false, 64);
         assert!(pool.take().is_none());
         assert!(pool.handle().is_null());
         let p = Box::into_raw(Box::new(Obj::fresh()));
@@ -507,8 +497,8 @@ mod tests {
         // image builder).
         let _turn = live_turn();
         nvm::tid::set_tid(0);
-        let mut c = Collector::disabled();
-        let pool: Pool<Obj> = Pool::new(false, 64);
+        let c = Collector::disabled();
+        let pool: Pool<Obj> = obj_pool(false, 64);
         let p = Box::into_raw(Box::new(Obj::fresh()));
         let live = LIVE.load(Relaxed);
         {
@@ -530,7 +520,7 @@ mod tests {
         let _turn = live_turn();
         nvm::tid::set_tid(0);
         let c = Collector::new();
-        let mut pool: Pool<Obj> = Pool::new(true, 64);
+        let mut pool: Pool<Obj> = obj_pool(true, 64);
         let p = pool.take().unwrap();
         let idle0 = pool.idle();
         {
@@ -552,7 +542,7 @@ mod tests {
         nvm::tid::set_tid(0);
         let c = Collector::new();
         let g = c.pin();
-        let mut pool: Pool<Obj> = Pool::new(true, 4);
+        let mut pool: Pool<Obj> = obj_pool(true, 4);
         let ps: Vec<_> = (0..12).map(|_| pool.take().unwrap()).collect();
         let live = LIVE.load(Relaxed);
         for p in ps {
@@ -570,7 +560,7 @@ mod tests {
         {
             let c = Collector::new();
             let g = c.pin();
-            let mut pool: Pool<Obj> = Pool::new(true, 1024);
+            let mut pool: Pool<Obj> = obj_pool(true, 1024);
             let ps: Vec<_> = (0..40).map(|_| pool.take().unwrap()).collect();
             for p in ps {
                 unsafe { pool.give(p, &g) };

@@ -43,19 +43,18 @@ use crate::counters;
 use crate::engine::{
     help, res_val, val_of, HelpOutcome, Info, InfoFill, RES_EMPTY, RES_UNIT, RES_VAL_BASE,
 };
+use crate::env::Env;
 use crate::graph::{self, Graph};
-use crate::op::{cell_addr, OpCtx, TrackedNode};
+use crate::op::{cell_addr, TrackedNode};
 use crate::optype;
 use crate::pool::{Pool, PoolCfg, PoolItem};
 use crate::recovery::{
-    install_roots, mapped_attach, root_words, AttachEnv, AttachError, MappedLayout, RecArea,
-    Recovered, Rooted, SlotOps,
+    install_roots, mapped_attach, root_words, AttachEnv, AttachError, MappedLayout, Recovered,
+    Rooted, SlotOps,
 };
 use crate::tag;
-use nvm::mapped::{MappedHeap, MappedNvm};
+use nvm::mapped::MappedNvm;
 use nvm::{PWord, Persist, PersistWords};
-use reclaim::Collector;
-use std::sync::Arc;
 
 /// Superblock structure-kind tag of a mapped `RQueue`.
 pub const KIND_QUEUE: u64 = 2;
@@ -164,14 +163,8 @@ unsafe impl<M: Persist> PersistWords<M> for Anchor<M> {
 /// ```
 pub struct RQueue<M: Persist, const ARM: u8 = 0> {
     head: Rooted<Anchor<M>>,
-    rec: RecArea<M>,
-    // `collector` must drop before the pools (drop-time drain recycles).
-    collector: Collector,
-    info_pool: Pool<Info<M>>,
     node_pool: Pool<Node<M>>,
-    /// Mapped mode: the persistent heap everything lives in (`Some`
-    /// suppresses drop-time teardown).
-    mapped: Option<Arc<MappedHeap>>,
+    pub(crate) env: Env<M>,
 }
 
 unsafe impl<M: Persist, const ARM: u8> Send for RQueue<M, ARM> {}
@@ -184,50 +177,24 @@ impl<M: Persist, const ARM: u8> Default for RQueue<M, ARM> {
 }
 
 impl<M: Persist, const ARM: u8> RQueue<M, ARM> {
-    /// New empty queue with a reclaiming collector and pooled allocation.
+    /// New empty queue with pooled allocation.
     pub fn new() -> Self {
-        Self::with_collector(Collector::new())
+        Self::with_pool(PoolCfg::default())
     }
 
-    /// New empty queue with pooling off (the boxed ablation arm).
-    pub fn boxed() -> Self {
-        Self::with_config(Collector::new(), PoolCfg::boxed())
-    }
-
-    /// New empty queue with the given collector (crash-sim runs pass
-    /// [`Collector::disabled`]; pooling drops to passthrough mode).
-    pub fn with_collector(collector: Collector) -> Self {
-        Self::with_config(collector, PoolCfg::default())
-    }
-
-    /// New empty queue with the given collector and pool configuration.
-    pub fn with_config(collector: Collector, pool: PoolCfg) -> Self {
+    /// New empty queue with the given pool configuration.
+    pub fn with_pool(pool: PoolCfg) -> Self {
         let s0: *mut Node<M> = Node::alloc(0, 0, 0);
-        let info_pool = Pool::new_for::<M>(pool.clone(), &collector);
-        let node_pool = Pool::new_for::<M>(pool, &collector);
+        let mut env = Env::volatile(pool);
         Self {
             head: Rooted::Owned(Box::new(Anchor {
                 ptr: PWord::new(s0 as u64),
                 info: PWord::new(0),
                 tail: PWord::new(s0 as u64),
             })),
-            rec: RecArea::new(),
-            collector,
-            info_pool,
-            node_pool,
-            mapped: None,
+            node_pool: env.pool(),
+            env,
         }
-    }
-
-    /// The queue's collector (diagnostics).
-    pub fn collector(&self) -> &Collector {
-        &self.collector
-    }
-
-    /// The context every operation on the queue runs in.
-    #[inline]
-    fn ctx(&self) -> OpCtx<'_, M, ARM> {
-        OpCtx { rec: &self.rec, collector: &self.collector, infos: &self.info_pool }
     }
 
     /// Draw a node: pool hit (re-initialized), or heap in passthrough mode.
@@ -258,8 +225,8 @@ impl<M: Persist, const ARM: u8> RQueue<M, ARM> {
     pub fn enqueue(&self, pid: usize, v: u64) {
         assert!(v < u64::MAX - RES_VAL_BASE, "value too large for result encoding");
         // ONE pin covers the whole operation (see set_core::insert).
-        let (ctx, g) = (self.ctx(), self.collector.pin());
-        ctx.begin(pid, &g);
+        let (env, g) = (&self.env, self.env.collector.pin());
+        env.begin::<ARM>(pid, &g);
         let newnd = self.alloc_node(v, 0, 0);
         let mut filled: u64 = 0;
         let mut published: u64 = 0;
@@ -270,7 +237,7 @@ impl<M: Persist, const ARM: u8> RQueue<M, ARM> {
                 continue;
             }
             // A fresh descriptor per attempt (pointer freshness).
-            let info = ctx.alloc_info();
+            let info = env.alloc_info();
             unsafe {
                 let t = tag::tagged(info as u64);
                 if filled != t {
@@ -292,9 +259,9 @@ impl<M: Persist, const ARM: u8> RQueue<M, ARM> {
                     },
                 );
                 arm::pwb_obj_arm::<M, _, ARM>(&*newnd);
-                ctx.persist_descriptor(info);
+                env.persist_descriptor::<ARM>(info);
             }
-            ctx.publish(pid, info, &mut published, &g);
+            env.publish::<ARM>(pid, info, &mut published, &g);
             match unsafe { help::<M, ARM>(info, true, &g) } {
                 HelpOutcome::Done => {
                     // Swing the tail hint; newnd's linkage is durable by now.
@@ -320,8 +287,8 @@ impl<M: Persist, const ARM: u8> RQueue<M, ARM> {
 
     /// Dequeues; `None` iff the queue was observed empty.
     pub fn dequeue(&self, pid: usize) -> Option<u64> {
-        let (ctx, g) = (self.ctx(), self.collector.pin());
-        ctx.begin(pid, &g);
+        let (env, g) = (&self.env, self.env.collector.pin());
+        env.begin::<ARM>(pid, &g);
         let mut published: u64 = 0;
         loop {
             // Gather order: anchor info, then sentinel, then its info, then next.
@@ -343,12 +310,19 @@ impl<M: Persist, const ARM: u8> RQueue<M, ARM> {
                 // answer without a descriptor (see `set_core`).
                 if !arm::coalesces(ARM) {
                     let seen = (cell_addr(&self.head.info), h_info);
-                    ctx.answer_tracked(pid, optype::DEQ, seen, RES_EMPTY, &mut published, &g);
+                    env.answer_tracked::<ARM>(
+                        pid,
+                        optype::DEQ,
+                        seen,
+                        RES_EMPTY,
+                        &mut published,
+                        &g,
+                    );
                 }
                 return None;
             }
             // A fresh descriptor per attempt (pointer freshness).
-            let info = ctx.alloc_info();
+            let info = env.alloc_info();
             let fval = unsafe { (*(f as *mut Node<M>)).val.load() };
             unsafe {
                 Info::fill(
@@ -365,14 +339,14 @@ impl<M: Persist, const ARM: u8> RQueue<M, ARM> {
                         presult: res_val(fval),
                     },
                 );
-                ctx.persist_descriptor(info);
+                env.persist_descriptor::<ARM>(info);
             }
-            ctx.publish(pid, info, &mut published, &g);
+            env.publish::<ARM>(pid, info, &mut published, &g);
             match unsafe { help::<M, ARM>(info, true, &g) } {
                 HelpOutcome::Done => {
                     // Never leave the tail hint pointing at the retired sentinel.
                     let _ = self.head.tail.cas(s as u64, f);
-                    unsafe { ctx.retire(&self.node_pool, s, &g) };
+                    unsafe { env.retire(&self.node_pool, s, &g) };
                     return Some(fval);
                 }
                 HelpOutcome::FailedAt(i) => {
@@ -383,24 +357,24 @@ impl<M: Persist, const ARM: u8> RQueue<M, ARM> {
     }
 
     /// Failure-report line for `pid`'s recovery slot
-    /// ([`RecArea::describe`]).
+    /// ([`crate::recovery::RecArea::describe`]).
     ///
     /// # Safety
-    /// As [`RecArea::describe`].
+    /// As [`crate::recovery::RecArea::describe`].
     pub unsafe fn describe_recovery(&self, pid: usize) -> String {
-        unsafe { self.rec.describe(pid) }
+        unsafe { self.env.rec.describe(pid) }
     }
 
     /// `Enqueue.Recover`.
     pub fn recover_enqueue(&self, pid: usize, v: u64) {
-        if self.ctx().recover(pid) == Recovered::Restart {
+        if self.env.recover::<ARM>(pid) == Recovered::Restart {
             self.enqueue(pid, v);
         }
     }
 
     /// `Dequeue.Recover`.
     pub fn recover_dequeue(&self, pid: usize) -> Option<u64> {
-        match self.ctx().recover(pid) {
+        match self.env.recover::<ARM>(pid) {
             Recovered::Completed(RES_EMPTY) => None,
             Recovered::Completed(v) => Some(val_of(v)),
             Recovered::Restart => self.dequeue(pid),
@@ -444,14 +418,14 @@ impl<M: Persist, const ARM: u8> RQueue<M, ARM> {
     /// and along the sentinel chain; call after every process ran its
     /// `recover_*`. See [`graph::scrub_unit`].
     pub fn scrub(&self) {
-        graph::scrub::<M, ARM>(self, &self.collector).unwrap_or_else(|e| panic!("{e}"));
+        graph::scrub::<M, ARM>(self, &self.env.collector).unwrap_or_else(|e| panic!("{e}"));
     }
 
     /// The *system* half of an invocation — see
     /// [`crate::hashmap::RHashMap::note_invocation`]: write-ahead-logging
     /// callers must run this before writing their intent record.
     pub fn note_invocation(&self, pid: usize) {
-        self.ctx().note_invocation(pid);
+        self.env.note_invocation::<ARM>(pid);
     }
 
     /// Structural invariants for a quiescent queue.
@@ -523,9 +497,8 @@ impl<const ARM: u8> MappedLayout for RQueue<MappedNvm, ARM> {
     }
 
     unsafe fn open(env: &AttachEnv, _cfg: (), root: *mut u8) -> Result<Self, AttachError> {
-        let collector = env.collector();
-        let info_pool = env.info_pool();
-        let node_pool = Pool::new_for::<MappedNvm>(env.pool_cfg(), &collector);
+        let mut env = env.env();
+        let node_pool = env.pool();
         let anchor = root as *const Anchor<MappedNvm>;
         // SAFETY: zeroed-on-creation committed root block of Anchor size:
         // the `(ptr, info, tail)` words of the `repr(C)` anchor.
@@ -545,14 +518,7 @@ impl<const ARM: u8> MappedLayout for RQueue<MappedNvm, ARM> {
                 MappedNvm::pwb(&(*anchor).tail);
             }
         }
-        Ok(Self {
-            head: Rooted::Arena(anchor),
-            rec: env.rec_area(),
-            collector,
-            info_pool,
-            node_pool,
-            mapped: Some(Arc::clone(&env.heap)),
-        })
+        Ok(Self { head: Rooted::Arena(anchor), node_pool, env })
     }
 }
 
@@ -567,20 +533,13 @@ impl<const ARM: u8> SlotOps for RQueue<MappedNvm, ARM> {
 
     fn each_cached(&mut self, f: &mut dyn FnMut(usize)) {
         self.node_pool.each_idle(|p| f(p as usize));
-        self.info_pool.each_idle(|p| f(p as usize));
     }
 }
 
 impl<M: Persist, const ARM: u8> Drop for RQueue<M, ARM> {
     fn drop(&mut self) {
-        if self.mapped.is_some() {
-            // Mapped mode: the arena is the durable state; pools return
-            // their caches to the persistent free list on drop.
-            return;
-        }
-        let parked = self.collector.take_parked();
         // SAFETY: quiescent teardown of a structure this value owns.
-        unsafe { graph::teardown::<M, Node<M>>(&*self, parked, &self.rec, []) };
+        unsafe { self.env.teardown::<Node<M>>(&*self, []) };
     }
 }
 
@@ -603,12 +562,16 @@ mod tests {
                 let q = RQueue::<CountingNvm, ARM>::new();
                 q.enqueue(0, 7);
                 assert_eq!(q.dequeue(0), Some(7));
-                assert_eq!(q.rec.read(0).0, 1, "an effectful operation publishes");
+                assert_eq!(q.env.rec.read(0).0, 1, "an effectful operation publishes");
                 let drawn = (crate::counters::live_infos(), crate::counters::info_reuses());
                 assert_eq!(q.dequeue(0), None);
                 let after = (crate::counters::live_infos(), crate::counters::info_reuses());
                 assert_eq!(after, drawn, "arm {ARM}: dequeue on empty drew a descriptor");
-                assert_eq!(q.rec.read(0), (0, 0), "arm {ARM}: the glue's reset is all it wrote");
+                assert_eq!(
+                    q.env.rec.read(0),
+                    (0, 0),
+                    "arm {ARM}: the glue's reset is all it wrote"
+                );
             }
             assert_eq!(crate::counters::live_infos(), infos0, "info leak/double-free");
         }

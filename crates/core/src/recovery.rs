@@ -521,7 +521,9 @@ pub mod rootkeys {
     pub const RESPTAB: u64 = 0x5245_5350; // "RESP"
 }
 
+use crate::env::Env;
 use crate::graph::{census_unit, reachable, scrub, validate_unit, Graph};
+use crate::pool::Pool;
 use nvm::mapped::{fan_out, MapError, MappedHeap, MappedNvm};
 use reclaim::Collector;
 use std::collections::{HashMap, HashSet};
@@ -640,10 +642,7 @@ impl From<MapError> for AttachError {
 }
 
 /// What the generic driver hands a [`MappedLayout::open`] implementation:
-/// the attached heap, the shared recovery-slot block, and the heap-wide
-/// Info-descriptor pool (shared across every structure in a store, because
-/// `RD_q` hand-over on [`RecArea::begin`] releases the *previous*
-/// operation's descriptor regardless of which structure it belonged to).
+/// the attached heap and the way to an [`Env`] inside it ([`AttachEnv::env`]).
 pub struct AttachEnv {
     /// The opened (or freshly created) heap.
     pub heap: Arc<MappedHeap>,
@@ -651,9 +650,13 @@ pub struct AttachEnv {
     pub(crate) rec_base: *const u8,
     /// Shared cross-process epoch region (null ⇒ exclusive heap, collectors
     /// keep private epochs): every structure's collector attaches here,
-    /// forming one epoch domain across processes. See [`AttachEnv::collector`].
+    /// forming one epoch domain across processes.
     pub(crate) epoch_region: *mut u8,
-    info_pool: crate::pool::Pool<Info<MappedNvm>>,
+    /// The attacher's own environment: the view of the recovery slots the
+    /// attach replay and [`crate::store::Store::recover_peer`] decide over,
+    /// the collector they pin, and the heap-wide Info-descriptor pool every
+    /// structure's environment holds a clone of.
+    pub(crate) own: Env<MappedNvm>,
 }
 
 impl AttachEnv {
@@ -696,46 +699,47 @@ impl AttachEnv {
             }
             epoch_region = e;
         }
-        let info_pool =
-            crate::pool::Pool::with_arena(Arc::clone(&heap), crate::pool::DEFAULT_CAPACITY);
-        Ok((Self { heap, rec_base, epoch_region, info_pool }, fresh))
+        // SAFETY: `rec_base` / `epoch_region` are the root blocks of `heap`
+        // obtained above. `None`: this is where the heap-wide pool is built.
+        let own = unsafe { Self::env_over(rec_base, epoch_region, None, heap.clone()) };
+        Ok((Self { heap, rec_base, epoch_region, own }, fresh))
     }
 
-    /// A collector for one structure: a plain private-epoch collector on an
-    /// exclusive heap, or one attached to the heap's shared epoch region in
-    /// multi-process mode (every structure and process then forms a single
-    /// epoch domain — required, since a node retired by one process may be
-    /// read by any peer).
-    pub fn collector(&self) -> Collector {
-        let mut c = Collector::new();
-        if !self.epoch_region.is_null() {
-            // SAFETY: the region is the heap's committed EPOCHS root block
-            // (shared_region_bytes() long, 64-aligned), initialised by the
-            // initial attacher before any joiner builds structures, and kept
-            // alive by the heap Arc every structure holds via pool_cfg.
-            unsafe { c.attach_shared(self.epoch_region) };
+    /// An environment in `heap`: a collector — private-epoch on an exclusive
+    /// heap (null region), attached to the shared epoch region in
+    /// multi-process mode, where every structure and process forms a single
+    /// epoch domain (required, since a node retired by one process may be
+    /// read by any peer) — over a view of the recovery slots.
+    ///
+    /// # Safety
+    /// `rec_base` must be `heap`'s committed recovery-slot root block
+    /// (`RecArea::slots_bytes()` zero-initialised bytes) and `epoch_region`
+    /// null or its committed EPOCHS root block (`shared_region_bytes()`
+    /// long, 64-aligned, initialised by the initial attacher before any
+    /// joiner builds structures); both live as long as the heap, which the
+    /// environment keeps alive.
+    unsafe fn env_over(
+        rec_base: *const u8,
+        epoch_region: *mut u8,
+        infos: Option<Pool<Info<MappedNvm>>>,
+        heap: Arc<MappedHeap>,
+    ) -> Env<MappedNvm> {
+        let mut collector = Collector::new();
+        if !epoch_region.is_null() {
+            // SAFETY: the caller's EPOCHS block; nothing is pinned or retired yet.
+            unsafe { collector.attach_shared(epoch_region) };
         }
-        c
+        Env::mapped(unsafe { RecArea::attach_raw(rec_base) }, collector, infos, heap)
     }
 
-    /// A recovery-area view over the heap's shared slot block. Every
-    /// structure in the heap gets its own view of the **same** slots.
-    pub fn rec_area(&self) -> RecArea<MappedNvm> {
-        // SAFETY: the slot block is a committed root block of
-        // `RecArea::slots_bytes()` zero-initialised bytes that lives as long
-        // as the heap; the structure keeps `heap` alive via `pool_cfg`.
-        unsafe { RecArea::attach_raw(self.rec_base) }
-    }
-
-    /// A clone of the heap-wide Info-descriptor pool.
-    pub fn info_pool(&self) -> crate::pool::Pool<Info<MappedNvm>> {
-        self.info_pool.clone()
-    }
-
-    /// The pool configuration structure node pools must use (all allocation
-    /// routed through the persistent arena).
-    pub fn pool_cfg(&self) -> crate::pool::PoolCfg {
-        crate::pool::PoolCfg::mapped(Arc::clone(&self.heap))
+    /// The environment of one structure in the heap: its own collector (in
+    /// the heap's epoch domain), its own view of the **same** recovery slots,
+    /// a clone of the heap-wide Info pool, and the heap its node pool draws
+    /// arena blocks from.
+    pub fn env(&self) -> Env<MappedNvm> {
+        let infos = Some(self.own.infos.clone());
+        // SAFETY: the root blocks of `self.heap` (`open`).
+        unsafe { Self::env_over(self.rec_base, self.epoch_region, infos, self.heap.clone()) }
     }
 }
 
@@ -830,8 +834,8 @@ pub trait SlotOps: Graph<MappedNvm> + std::any::Any + Send + Sync {
     /// Post-scrub structural repair (the queue's tail-hint heal).
     fn heal(&mut self) {}
 
-    /// Every arena block currently cached in this structure's pools (kept
-    /// out of the sweep).
+    /// Every arena block currently cached in this structure's node pool
+    /// (kept out of the sweep; the driver adds the heap-wide Info pool's).
     fn each_cached(&mut self, f: &mut dyn FnMut(usize));
 }
 
@@ -880,7 +884,7 @@ pub trait MappedLayout: SlotOps + Sized {
 
 /// The inherent `attach` / `attach_sized` / `heap` of a mapped kind, written
 /// once: `mapped_attach!(impl[generics] Type; (extra: args) -> cfg)`. The
-/// struct must carry a `mapped: Option<Arc<MappedHeap>>` field.
+/// struct must carry its [`Env`] in an `env` field.
 macro_rules! mapped_attach {
     (impl[$($gen:tt)*] $ty:ty; ($($arg:ident: $argty:ty),*) -> $cfg:expr) => {
         impl<$($gen)*> $ty {
@@ -915,7 +919,7 @@ macro_rules! mapped_attach {
 
             /// The persistent heap backing this structure.
             pub fn heap(&self) -> &std::sync::Arc<nvm::mapped::MappedHeap> {
-                self.mapped.as_ref().expect("a mapped-mode structure")
+                self.env.heap()
             }
         }
     };
@@ -1007,7 +1011,7 @@ pub unsafe fn finish_attach(
     slots: &mut [Box<dyn SlotOps>],
     extra_live: &[usize],
 ) -> Result<(Vec<(usize, Recovered)>, usize), AttachError> {
-    let (heap, rec, owner) = (&*env.heap, &env.rec_area(), env.info_pool.handle());
+    let (heap, rec, owner) = (&*env.heap, &env.own.rec, env.own.infos.handle());
     let in_node =
         |s: &dyn SlotOps, a: u64| a & 7 == 0 && heap.contains_span(a as usize, s.node_bytes());
     // 1. Pre-recovery validation of the untrusted image: no pointer is
@@ -1146,6 +1150,9 @@ pub unsafe fn finish_attach(
             live.insert(p);
         });
     }
+    env.own.infos.clone().each_idle(|p| {
+        live.insert(p as usize);
+    });
     // Shared heaps: descriptors this attach reclaims are re-owned by *this*
     // process's pool, so stamp our participant slot (exclusive heaps keep 0).
     let owner_slot =

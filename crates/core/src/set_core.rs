@@ -5,9 +5,9 @@
 //! helping and Op-Recover never mention where the traversal started. This
 //! module exploits that by factoring the search and gather phases of the set
 //! algorithm out of [`crate::list::RList`] into [`SetCore`], a borrowed view
-//! `(head node, operation context, node pool)`; the skeleton around them —
-//! prologue, publish, help, answer, recover — is [`crate::op::OpCtx`], and
-//! the bucket's one traversal is [`walk_bucket`]. [`crate::list::RList`] is the
+//! `(head node, environment, node pool)`; the skeleton around them —
+//! prologue, publish, help, answer, recover — is [`crate::op`], run over the
+//! structure's [`Env`], and the bucket's one traversal is [`walk_bucket`]. [`crate::list::RList`] is the
 //! one-bucket instantiation; [`crate::hashmap::RHashMap`] routes keys to a
 //! power-of-two array of bucket heads sharing **one** recovery area (one
 //! pending operation per process, per the paper's model) and one collector.
@@ -28,7 +28,7 @@
 //!
 //! Outcomes that change nothing (`Find`, `Insert` of a present key, `Delete`
 //! of an absent key) never call `Help`. In arms 0/1 they take the paper's
-//! ROpt fast path ([`OpCtx::answer_tracked`]): a single-element AffectSet and
+//! ROpt fast path ([`Env::answer_tracked`]): a single-element AffectSet and
 //! the response computed from immutable fields *before* the descriptor is
 //! persisted and published. In
 //! the coalescing arms they take no descriptor at all and return with the
@@ -46,12 +46,13 @@
 use crate::arm;
 use crate::counters;
 use crate::engine::{help, HelpOutcome, Info, InfoFill, RES_FALSE, RES_TRUE};
-use crate::op::{cell_addr, OpCtx, TrackedNode};
+use crate::env::Env;
+use crate::op::{cell_addr, TrackedNode};
 use crate::optype;
-use crate::pool::{Pool, PoolCfg, PoolItem};
+use crate::pool::{Pool, PoolItem};
 use crate::tag;
 use nvm::{PWord, Persist, PersistWords};
-use reclaim::{Collector, Guard};
+use reclaim::Guard;
 
 /// Sentinel key of a bucket head (−∞).
 pub const KEY_MIN: u64 = 0;
@@ -106,42 +107,6 @@ impl<M: Persist> PoolItem for Node<M> {
 impl<M: Persist> TrackedNode<M> for Node<M> {
     fn info(&self) -> &PWord<M> {
         &self.info
-    }
-}
-
-/// The descriptor/node pools shared by every bucket of one ordered-set
-/// structure (`RList` owns one pair; `RHashMap` shares one pair across all
-/// shards). Pooling is forced into passthrough mode under crash simulation
-/// and disabled collectors — see [`crate::pool`].
-pub struct SetPools<M: Persist> {
-    /// Info-descriptor pool.
-    pub info: Pool<Info<M>>,
-    /// List-node pool.
-    pub node: Pool<Node<M>>,
-}
-
-impl<M: Persist> SetPools<M> {
-    /// Pools per `cfg`, gated on the structure's collector mode.
-    pub fn new(cfg: PoolCfg, collector: &Collector) -> Self {
-        Self {
-            info: Pool::new_for::<M>(cfg.clone(), collector),
-            node: Pool::new_for::<M>(cfg, collector),
-        }
-    }
-
-    /// Pools whose Info half is a clone of an existing (shared) pool — the
-    /// mapped backend hands every structure in one heap the same descriptor
-    /// pool, because `RD_q` hand-over releases the *previous* operation's
-    /// descriptor regardless of which structure it belonged to.
-    pub fn with_shared_info(info: Pool<Info<M>>, cfg: PoolCfg, collector: &Collector) -> Self {
-        Self { info, node: Pool::new_for::<M>(cfg, collector) }
-    }
-
-    /// Every object idle in either pool (blocks the mapped attach keeps out
-    /// of its sweep; quiescent exclusive access, see [`Pool::each_idle`]).
-    pub fn each_idle(&mut self, f: &mut dyn FnMut(usize)) {
-        self.node.each_idle(|p| f(p as usize));
-        self.info.each_idle(|p| f(p as usize));
     }
 }
 
@@ -213,7 +178,7 @@ struct SearchRes<M: Persist> {
 }
 
 /// A borrowed view of one ordered-set bucket plus the structure-wide
-/// operation context and node pool — everything the ISB set algorithm needs.
+/// environment and node pool — everything the ISB set algorithm needs.
 /// `ARM` is the persistency placement, a [`crate::arm`] level.
 ///
 /// `SetCore` is constructed per call by the owning structure; it holds no
@@ -221,7 +186,7 @@ struct SearchRes<M: Persist> {
 /// nodes/descriptors.
 pub struct SetCore<'a, M: Persist, const ARM: u8> {
     head: *mut Node<M>,
-    ctx: OpCtx<'a, M, ARM>,
+    env: &'a Env<M>,
     nodes: &'a Pool<Node<M>>,
 }
 
@@ -230,16 +195,11 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
     ///
     /// # Safety
     /// `head` must point to a live bucket created by [`new_bucket`] whose
-    /// nodes are only reclaimed through `ctx.collector`, `ctx` must be the
-    /// context every operation on this bucket runs in, and `nodes` the pool
-    /// every operation on the structure draws from (and must outlive the
-    /// collector).
-    pub unsafe fn new(
-        head: *mut Node<M>,
-        ctx: OpCtx<'a, M, ARM>,
-        nodes: &'a Pool<Node<M>>,
-    ) -> Self {
-        Self { head, ctx, nodes }
+    /// nodes are only reclaimed through `env`'s collector, `env` must be the
+    /// environment every operation on this bucket runs in, and `nodes` the
+    /// pool it built for the structure ([`Env::pool`]).
+    pub unsafe fn new(head: *mut Node<M>, env: &'a Env<M>, nodes: &'a Pool<Node<M>>) -> Self {
+        Self { head, env, nodes }
     }
 
     /// Draw a node: pool hit (re-initialized), or heap in passthrough mode.
@@ -303,8 +263,8 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
         // ONE pin covers the whole operation: the previous descriptor's
         // release, every attempt, and all retirements (interior help calls
         // re-pin through the collector's nested fast path).
-        let (ctx, g) = (&self.ctx, self.ctx.collector.pin());
-        ctx.begin(pid, &g);
+        let (env, g) = (self.env, self.env.collector.pin());
+        env.begin::<ARM>(pid, &g);
         // newnd → newcurr, drawn by the first attempt that has something to
         // insert; newcurr is refreshed per attempt as a copy of curr.
         let mut newcurr: *mut Node<M> = std::ptr::null_mut();
@@ -327,7 +287,14 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
                 // Key already present: nothing to change.
                 if !arm::coalesces(ARM) {
                     let seen = unsafe { (cell_addr(&(*s.curr).info), s.curr_info) };
-                    ctx.answer_tracked(pid, optype::INSERT, seen, RES_FALSE, &mut published, &g);
+                    env.answer_tracked::<ARM>(
+                        pid,
+                        optype::INSERT,
+                        seen,
+                        RES_FALSE,
+                        &mut published,
+                        &g,
+                    );
                 }
                 unsafe { self.drop_pending(newnd, newcurr, filled, &g) };
                 return false;
@@ -339,7 +306,7 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
             // A fresh descriptor per attempt (pointer freshness — the pool's
             // epoch delay keeps a failed descriptor's address out of
             // circulation while it is still visible).
-            let info = ctx.alloc_info();
+            let info = env.alloc_info();
             // Update path: refresh the copy of curr and the new nodes' tags.
             unsafe {
                 (*newcurr).key.store(curr_key);
@@ -369,12 +336,12 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
                 );
                 arm::pwb_obj_arm::<M, _, ARM>(&*newnd);
                 arm::pwb_obj_arm::<M, _, ARM>(&*newcurr);
-                ctx.persist_descriptor(info);
+                env.persist_descriptor::<ARM>(info);
             }
-            ctx.publish(pid, info, &mut published, &g);
+            env.publish::<ARM>(pid, info, &mut published, &g);
             match unsafe { help::<M, ARM>(info, true, &g) } {
                 HelpOutcome::Done => {
-                    unsafe { ctx.retire(self.nodes, s.curr, &g) };
+                    unsafe { env.retire(self.nodes, s.curr, &g) };
                     return true;
                 }
                 HelpOutcome::FailedAt(i) => {
@@ -388,8 +355,8 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
     /// Deletes `key`; returns `false` iff it was absent. (Algorithm 5.)
     pub fn delete(&self, pid: usize, key: u64) -> bool {
         Self::assert_key(key);
-        let (ctx, g) = (&self.ctx, self.ctx.collector.pin());
-        ctx.begin(pid, &g);
+        let (env, g) = (self.env, self.env.collector.pin());
+        env.begin::<ARM>(pid, &g);
         let mut published: u64 = 0;
         loop {
             let s = unsafe { self.search(key) };
@@ -406,11 +373,18 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
                 // Key not present: nothing to change.
                 if !arm::coalesces(ARM) {
                     let seen = unsafe { (cell_addr(&(*s.curr).info), s.curr_info) };
-                    ctx.answer_tracked(pid, optype::DELETE, seen, RES_FALSE, &mut published, &g);
+                    env.answer_tracked::<ARM>(
+                        pid,
+                        optype::DELETE,
+                        seen,
+                        RES_FALSE,
+                        &mut published,
+                        &g,
+                    );
                 }
                 return false;
             }
-            let info = ctx.alloc_info();
+            let info = env.alloc_info();
             // succ read after the helping phase; stable once both tags hold.
             let succ = unsafe { (*s.curr).next.load() };
             unsafe {
@@ -428,12 +402,12 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
                         presult: RES_TRUE,
                     },
                 );
-                ctx.persist_descriptor(info);
+                env.persist_descriptor::<ARM>(info);
             }
-            ctx.publish(pid, info, &mut published, &g);
+            env.publish::<ARM>(pid, info, &mut published, &g);
             match unsafe { help::<M, ARM>(info, true, &g) } {
                 HelpOutcome::Done => {
-                    unsafe { ctx.retire(self.nodes, s.curr, &g) };
+                    unsafe { env.retire(self.nodes, s.curr, &g) };
                     return true;
                 }
                 HelpOutcome::FailedAt(i) => {
@@ -449,8 +423,8 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
     /// persists and publishes its response; nothing reads it.)
     pub fn find(&self, pid: usize, key: u64) -> bool {
         Self::assert_key(key);
-        let (ctx, g) = (&self.ctx, self.ctx.collector.pin());
-        let mut published = ctx.begin_find(pid, &g);
+        let (env, g) = (self.env, self.env.collector.pin());
+        let mut published = env.begin_find::<ARM>(pid, &g);
         loop {
             let s = unsafe { self.search(key) };
             if tag::is_tagged(s.curr_info) {
@@ -461,7 +435,7 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
             if !arm::coalesces(ARM) {
                 let seen = unsafe { (cell_addr(&(*s.curr).info), s.curr_info) };
                 let enc = if res { RES_TRUE } else { RES_FALSE };
-                ctx.answer_tracked(pid, optype::FIND, seen, enc, &mut published, &g);
+                env.answer_tracked::<ARM>(pid, optype::FIND, seen, enc, &mut published, &g);
             }
             return res;
         }

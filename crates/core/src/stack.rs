@@ -30,28 +30,26 @@
 //! Under contention on `top`, colliding pushes and pops first try to
 //! **eliminate** through an [`RExchanger`]: a push offers `PUSH|v`, a pop
 //! offers `POP`; a (push, pop) match transfers the value without touching
-//! the stack; a mismatched pair simply retries. Elimination is *volatile*
-//! (the exchanger lives on the process heap), so an eliminated transfer is
-//! not detectable across a crash — the mapped backend disables elimination
-//! ([`RStack::attach`] sets the budget to zero), and a push withdraws its
-//! announcement before taking the elimination result.
+//! the stack; a mismatched pair simply retries, and a push withdraws its
+//! announcement before taking the elimination result. Only an in-process
+//! stack has the layer (see the `exch` field).
 
 use crate::counters;
-use crate::engine::{res_val, val_of, Info, RES_UNIT};
+use crate::engine::{res_val, val_of, RES_UNIT};
+use crate::env::Env;
 use crate::exchanger::{ExchangeResult, RExchanger};
 use crate::graph::{self, Graph};
 use crate::pool::{Pool, PoolCfg, PoolItem};
 use crate::recovery::{
-    mapped_attach, release_prev, AttachEnv, AttachError, MappedLayout, RecArea, Recovered, Rooted,
-    SlotOps,
+    mapped_attach, AttachEnv, AttachError, MappedLayout, Recovered, Rooted, SlotOps,
 };
 use crate::tag;
-use nvm::mapped::{MappedHeap, MappedNvm};
+use nvm::mapped::MappedNvm;
 use nvm::pad::CachePadded;
 use nvm::{PWord, Persist, PersistWords, MAX_PROCS};
 use reclaim::{Collector, Guard};
 use std::cell::UnsafeCell;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// Superblock structure-kind tag of a mapped `RStack`.
 pub const KIND_STACK: u64 = 5;
@@ -128,25 +126,21 @@ pub(crate) unsafe fn direct_val<M: Persist>(node: u64) -> u64 {
 
 const ELIM_PUSH: u64 = 1 << 62;
 const ELIM_POP: u64 = 1 << 61;
+/// Spin budget a colliding operation offers the elimination layer.
+const ELIM_BUDGET: usize = 200;
 
 /// Recoverable elimination stack (see module docs). Values must stay below
 /// `2^61 - 16`.
 pub struct RStack<M: Persist> {
     top: Rooted<PWord<M>>,
-    /// Per-process recovery words (`RD_q`/`CP_q`) used for direct tracking.
-    rec: RecArea<M>,
-    exch: RExchanger<M>,
-    // `collector` must drop before the pools (drop-time drain recycles).
-    collector: Collector,
+    /// The elimination layer. It is volatile machinery — the exchanger lives
+    /// on the process heap — so an eliminated transfer is not detectable
+    /// across a crash: an in-process stack has it, a stack in a heap
+    /// ([`MappedLayout::open`]) has `None`.
+    exch: Option<RExchanger<M>>,
     node_pool: Pool<Node<M>>,
-    /// Mapped mode: the heap-wide descriptor pool. The stack draws no
-    /// descriptors, but every operation releases the `RD_q` hold of the
-    /// *previous* one (`release_prev`) — in a store that can be another
-    /// structure's descriptor, retired through **this** stack's collector and
-    /// recycled into this pool when the collector drains. The pool must
-    /// therefore outlive the collector even when the stack is the last
-    /// structure of its store to drop.
-    infos: Option<Pool<Info<M>>>,
+    /// Its recovery words (`RD_q`/`CP_q`) are what direct tracking uses.
+    pub(crate) env: Env<M>,
     /// Deferred retirement: the node each process claimed with its *last*
     /// pop, retired on that process's next operation (once `RD_q` no longer
     /// names it). Each slot is touched only by its owning process.
@@ -155,12 +149,6 @@ pub struct RStack<M: Persist> {
     /// announces them (or because a helper unlinked them on the claimant's
     /// behalf). Freed at drop; in mapped mode the next attach sweeps them.
     limbo: Mutex<Vec<*mut Node<M>>>,
-    /// Spin budget offered to the elimination layer (0 disables it — the
-    /// mapped backend, where elimination would not be detectable).
-    elim_budget: usize,
-    /// Mapped mode: the persistent heap everything lives in (`Some`
-    /// suppresses drop-time teardown).
-    mapped: Option<Arc<MappedHeap>>,
 }
 
 unsafe impl<M: Persist> Send for RStack<M> {}
@@ -175,30 +163,26 @@ impl<M: Persist> Default for RStack<M> {
 impl<M: Persist> RStack<M> {
     /// New empty stack.
     pub fn new() -> Self {
-        Self::with_config(PoolCfg::default())
+        Self::with_pool(PoolCfg::default())
     }
 
     /// New empty stack with the given pool configuration (shared by the
     /// node pool and the elimination exchanger's descriptor pool).
-    pub fn with_config(pool: PoolCfg) -> Self {
-        let collector = Collector::new();
-        // The exchanger is volatile machinery: its descriptors never live
-        // in a persistent arena even when the nodes do.
-        let exch_pool = if pool.arena.is_some() { PoolCfg::default() } else { pool.clone() };
-        let node_pool = Pool::new_for::<M>(pool, &collector);
+    pub fn with_pool(pool: PoolCfg) -> Self {
+        let exch = RExchanger::with_config(Collector::new(), pool);
+        Self::over(Rooted::Owned(Box::new(PWord::new(0))), Some(exch), Env::volatile(pool))
+    }
+
+    fn over(top: Rooted<PWord<M>>, exch: Option<RExchanger<M>>, mut env: Env<M>) -> Self {
         Self {
-            top: Rooted::Owned(Box::new(PWord::new(0))),
-            rec: RecArea::new(),
-            exch: RExchanger::with_config(Collector::new(), exch_pool),
-            collector,
-            node_pool,
-            infos: None,
+            top,
+            exch,
+            node_pool: env.pool(),
+            env,
             pending: (0..MAX_PROCS)
                 .map(|_| CachePadded::new(UnsafeCell::new(std::ptr::null_mut())))
                 .collect(),
             limbo: Mutex::new(Vec::new()),
-            elim_budget: 200,
-            mapped: None,
         }
     }
 
@@ -217,7 +201,7 @@ impl<M: Persist> RStack<M> {
             if q == pid {
                 continue;
             }
-            let rd = self.rec.published(q);
+            let rd = self.env.rec.published(q);
             if tag::is_direct(rd) && tag::addr_of(rd) == n as u64 {
                 found = true;
             }
@@ -249,9 +233,8 @@ impl<M: Persist> RStack<M> {
     /// Pushes `v`.
     pub fn push(&self, pid: usize, v: u64) {
         assert!(v < ELIM_POP - 16, "value too large");
-        let g = self.collector.pin();
-        let prev = self.rec.begin::<0>(pid);
-        unsafe { release_prev::<M>(prev, &g) };
+        let g = self.env.collector.pin();
+        self.env.begin::<0>(pid, &g);
         self.flush_pending(pid, &g);
         let node = self.alloc_node(v, 0);
         unsafe {
@@ -259,7 +242,7 @@ impl<M: Persist> RStack<M> {
         }
         // Direct tracking: announce the node durably BEFORE it can become
         // reachable, so a crash after the link CAS finds RD_q naming it.
-        self.rec.publish(pid, node as u64 | tag::DIRECT);
+        self.env.rec.publish(pid, node as u64 | tag::DIRECT);
         loop {
             let t = (*self.top).load();
             unsafe { (*node).next.store(t) };
@@ -271,16 +254,16 @@ impl<M: Persist> RStack<M> {
                 return;
             }
             // Contention: try to eliminate against a pop.
-            if self.elim_budget > 0 {
+            if let Some(exch) = &self.exch {
                 if let ExchangeResult::Exchanged(other) =
-                    self.exch.exchange(pid, ELIM_PUSH | v, self.elim_budget)
+                    exch.exchange(pid, ELIM_PUSH | v, ELIM_BUDGET)
                 {
                     if other & ELIM_POP != 0 {
                         // A pop took our value directly; the node was never
                         // published — withdraw the announcement, then
                         // straight back to the pool. (The elimination itself
-                        // is volatile and not detectable; see module docs.)
-                        self.rec.publish(pid, 0);
+                        // is volatile and not detectable; see `exch`.)
+                        self.env.rec.publish(pid, 0);
                         unsafe { self.node_pool.give(node, &g) };
                         return;
                     }
@@ -292,9 +275,8 @@ impl<M: Persist> RStack<M> {
 
     /// Pops; `None` when empty.
     pub fn pop(&self, pid: usize) -> Option<u64> {
-        let g = self.collector.pin();
-        let prev = self.rec.begin::<0>(pid);
-        unsafe { release_prev::<M>(prev, &g) };
+        let g = self.env.collector.pin();
+        self.env.begin::<0>(pid, &g);
         self.flush_pending(pid, &g);
         loop {
             let t = (*self.top).load() as *mut Node<M>;
@@ -318,7 +300,7 @@ impl<M: Persist> RStack<M> {
             }
             // Announce the claim target durably BEFORE the claim CAS: the
             // stamp is the arbitration recovery reads through RD_q.
-            self.rec.publish(pid, t as u64 | tag::DIRECT | tag::TAG);
+            self.env.rec.publish(pid, t as u64 | tag::DIRECT | tag::TAG);
             // Arbitration: claim before unlinking (exactly-once across crash).
             if unsafe { (*t).popped_by.cas(0, pid as u64 + 1) } == 0 {
                 unsafe {
@@ -338,9 +320,8 @@ impl<M: Persist> RStack<M> {
                 }
             }
             // Lost the claim: try elimination against a push.
-            if self.elim_budget > 0 {
-                if let ExchangeResult::Exchanged(other) =
-                    self.exch.exchange(pid, ELIM_POP, self.elim_budget)
+            if let Some(exch) = &self.exch {
+                if let ExchangeResult::Exchanged(other) = exch.exchange(pid, ELIM_POP, ELIM_BUDGET)
                 {
                     if other & ELIM_PUSH != 0 {
                         return Some(other & !(ELIM_PUSH | ELIM_POP));
@@ -354,7 +335,7 @@ impl<M: Persist> RStack<M> {
     /// operation (see module docs): claims arbitrate on the stamp, push
     /// announcements on reachability-or-stamp.
     fn decide(&self, pid: usize) -> Recovered {
-        let (cp, rd) = self.rec.read(pid);
+        let (cp, rd) = self.env.rec.read(pid);
         if cp != 1 || !tag::is_direct(rd) || tag::addr_of(rd) == 0 {
             return Recovered::Restart;
         }
@@ -474,7 +455,6 @@ impl<M: Persist> Graph<M> for RStack<M> {
     }
 }
 
-// Elimination is disabled in mapped mode (volatile, not detectable).
 mapped_attach!(impl[] RStack<MappedNvm>; () -> ());
 
 impl MappedLayout for RStack<MappedNvm> {
@@ -491,22 +471,7 @@ impl MappedLayout for RStack<MappedNvm> {
 
     // No sentinels: the zeroed root block *is* the empty stack.
     unsafe fn open(env: &AttachEnv, _cfg: (), root: *mut u8) -> Result<Self, AttachError> {
-        let collector = env.collector();
-        let node_pool = Pool::new_for::<MappedNvm>(env.pool_cfg(), &collector);
-        Ok(Self {
-            top: Rooted::Arena(root as *const PWord<MappedNvm>),
-            rec: env.rec_area(),
-            exch: RExchanger::with_config(Collector::new(), PoolCfg::default()),
-            collector,
-            node_pool,
-            infos: Some(env.info_pool()),
-            pending: (0..MAX_PROCS)
-                .map(|_| CachePadded::new(UnsafeCell::new(std::ptr::null_mut())))
-                .collect(),
-            limbo: Mutex::new(Vec::new()),
-            elim_budget: 0, // elimination is volatile: not detectable
-            mapped: Some(Arc::clone(&env.heap)),
-        })
+        Ok(Self::over(Rooted::Arena(root as *const PWord<MappedNvm>), None, env.env()))
     }
 }
 
@@ -527,19 +492,11 @@ impl SlotOps for RStack<MappedNvm> {
 
     fn each_cached(&mut self, f: &mut dyn FnMut(usize)) {
         self.node_pool.each_idle(|p| f(p as usize));
-        if let Some(infos) = &mut self.infos {
-            infos.each_idle(|p| f(p as usize));
-        }
     }
 }
 
 impl<M: Persist> Drop for RStack<M> {
     fn drop(&mut self) {
-        if self.mapped.is_some() {
-            // Mapped mode: the arena is the durable state; the pool returns
-            // its cache to the persistent free list on drop.
-            return;
-        }
         // Unlinked nodes waiting in pending slots / limbo: disjoint from the
         // chain and from each other, possibly parked as well.
         // SAFETY: exclusive access; each slot belongs to this value.
@@ -549,9 +506,8 @@ impl<M: Persist> Drop for RStack<M> {
             .collect();
         let limbo = self.limbo.get_mut().unwrap_or_else(|e| e.into_inner());
         unlinked.extend(limbo.drain(..).map(|p| p as usize));
-        let parked = self.collector.take_parked();
         // SAFETY: quiescent teardown of a structure this value owns.
-        unsafe { graph::teardown::<M, Node<M>>(&*self, parked, &self.rec, unlinked) };
+        unsafe { self.env.teardown::<Node<M>>(&*self, unlinked) };
     }
 }
 
@@ -692,45 +648,6 @@ mod tests {
             want.insert(0, 99);
             assert_eq!(s.snapshot_vals(), want);
         }
-        let _ = std::fs::remove_file(&path);
-    }
-    /// In a store the stack's `release_prev` can be the last release of
-    /// another structure's descriptor, which then waits in the *stack's*
-    /// collector: when the stack is the last structure of its store to
-    /// drop, that collector's drain recycles the descriptor into the
-    /// heap-wide pool — which must still be alive (it was freed by then:
-    /// the drain pushed onto a freed free list, the malloc corruption
-    /// behind the `restart.rs` aborts).
-    #[test]
-    fn stack_dropped_last_still_has_the_descriptor_pool() {
-        let _gate = crate::counters::gate_shared();
-        nvm::tid::set_tid(0);
-        let path = std::env::temp_dir().join(format!("isb_stack_last_{}.heap", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        let store = crate::store::Store::open_sized(&path, 4 << 20).unwrap();
-        let q = store.queue::<0>("q").unwrap();
-        let s = store.stack("s").unwrap();
-        // Process 1's enqueue descriptor ends up referenced by its `RD_q`
-        // alone: process 2's dequeue and enqueue overwrite the two cells.
-        q.enqueue(1, 10);
-        assert_eq!(q.dequeue(2), Some(10));
-        q.enqueue(2, 11);
-        assert_eq!(s.collector.pending(), 0);
-        s.push(1, 5); // releases it — through the stack's collector
-        assert_eq!(s.collector.pending(), 1, "the descriptor waits in the stack's collector");
-        drop((q, store));
-        let mut s = Arc::into_inner(s).expect("the last handle");
-        assert_eq!(s.infos.as_ref().map(Pool::holders), Some(1), "alive, and the stack's alone");
-        let idle = |s: &mut RStack<MappedNvm>| {
-            let mut n = 0;
-            s.infos.as_mut().unwrap().each_idle(|_| n += 1);
-            n
-        };
-        let before = idle(&mut s);
-        // What the stack's drop does first: its collector drains into the pool.
-        s.collector = Collector::new();
-        assert_eq!(idle(&mut s), before + 1, "recycled into the live pool");
-        drop(s);
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -67,8 +67,9 @@ struct Entry {
 /// docs). Handles returned by the typed accessors are `Arc`s that keep the
 /// heap alive independently of the `Store`.
 pub struct Store {
-    /// What every handle is built in: the heap, the shared recovery area,
-    /// the heap-wide Info pool and (shared heaps) the epoch region.
+    /// What every handle is built in — the heap, the shared recovery area,
+    /// the heap-wide Info pool and (shared heaps) the epoch region — and the
+    /// store's own [`crate::env::Env`] in it, which peer recovery runs on.
     env: AttachEnv,
     catalog: *mut u8,
     entries: Mutex<HashMap<String, Entry>>,
@@ -441,8 +442,7 @@ impl Store {
         // Replay the dead process's (at most one per thread) pending
         // operations. Help is the ordinary lock-free helping path, so this
         // runs against live traffic from every survivor.
-        let rec = self.env.rec_area();
-        let col = self.env.collector();
+        let (rec, col) = (&self.env.own.rec, &self.env.own.collector);
         let mut decisions = Vec::new();
         let mut resolved = 0u64;
         for pid in MappedHeap::tid_band(slot) {
@@ -457,7 +457,7 @@ impl Store {
                 // recoverer dies inside the hook, a successor recomputes
                 // the same decision and re-resolves (idempotent); after the
                 // clear, the dead peer's client can be served again.
-                recover_dead_pid_with(&rec, pid, &g, |d| {
+                recover_dead_pid_with(rec, pid, &g, |d| {
                     if self.resptab.resolve(pid, d).is_some() {
                         resolved += 1;
                     }
@@ -560,6 +560,7 @@ fn construct_entry(env: &AttachEnv, e: &CatalogEntry) -> Result<Box<dyn SlotOps>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::env::Env;
     use crate::recovery::Recovered;
 
     fn tmp(name: &str) -> std::path::PathBuf {
@@ -879,6 +880,102 @@ mod tests {
                 Recovered::Completed(_) | Recovered::Restart => {}
             }
         }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// In a store an operation's prologue can perform the last release of
+    /// *another* structure's descriptor (the shared `RD_q` hands it over),
+    /// which then waits in **this** structure's collector. When this
+    /// structure is the last of its store to drop, that collector's drain
+    /// recycles the descriptor into the heap-wide pool — which must still be
+    /// alive, held by nothing but this structure's `Env` (it was freed by
+    /// then, once, for the stack: the drain pushed onto a freed free list,
+    /// the malloc corruption behind the `restart.rs` aborts).
+    fn dropped_last_still_has_the_pool<K: MappedLayout + Send + Sync>(
+        kind: &str,
+        cfg: K::Cfg,
+        op_by_pid_1: impl Fn(&K),
+        env: impl Fn(&mut K) -> &mut Env<MappedNvm>,
+    ) {
+        // Once observing the drain, once dropping for real (freed memory is
+        // poisoned under `MALLOC_PERTURB_`, so a drain into it aborts).
+        for observe in [true, false] {
+            let path = tmp(kind);
+            let store = Store::open_sized(&path, 4 << 20).unwrap();
+            let q = store.queue::<0>("q").unwrap();
+            let k = store.get::<K>("k", cfg).unwrap();
+            // Process 1's enqueue descriptor ends up referenced by its `RD_q`
+            // alone: process 2's dequeue and enqueue overwrite the two cells.
+            q.enqueue(1, 10);
+            assert_eq!(q.dequeue(2), Some(10));
+            q.enqueue(2, 11);
+            op_by_pid_1(&k); // releases it — through K's collector
+            drop((q, store));
+            let mut k = Arc::into_inner(k).expect("the last handle");
+            let env = env(&mut k);
+            assert!(env.collector.pending() >= 1, "{kind}: the descriptor waits in K's collector");
+            assert_eq!(env.infos.holders(), 1, "{kind}: the pool is alive, and K's alone");
+            if observe {
+                assert!(env.drain_observed() >= 1, "{kind}: recycled into the live pool");
+            }
+            drop(k);
+            let _ = std::fs::remove_file(&path);
+        }
+    }
+
+    #[test]
+    fn any_kind_dropped_last_still_has_the_descriptor_pool() {
+        let _gate = crate::counters::gate_shared();
+        nvm::tid::set_tid(0);
+        type M = MappedNvm;
+        let ins = |did: bool| assert!(did);
+        dropped_last_still_has_the_pool::<RList<M, 0>>(
+            "l",
+            (),
+            |l| ins(l.insert(1, 5)),
+            |l| &mut l.env,
+        );
+        dropped_last_still_has_the_pool::<RHashMap<M, 0>>(
+            "m",
+            2,
+            |m| ins(m.insert(1, 5)),
+            |m| &mut m.env,
+        );
+        dropped_last_still_has_the_pool::<RBst<M, 0>>(
+            "t",
+            (),
+            |t| ins(t.insert(1, 5)),
+            |t| &mut t.env,
+        );
+        dropped_last_still_has_the_pool::<RQueue<M, 0>>(
+            "k",
+            (),
+            |k| k.enqueue(1, 5),
+            |k| &mut k.env,
+        );
+        dropped_last_still_has_the_pool::<RStack<M>>("s", (), |s| s.push(1, 5), |s| &mut s.env);
+    }
+
+    /// A mapped `Env`'s pools draw from the arena, and refuse — rather than
+    /// fall back to `Box` — where a volatile one would go passthrough.
+    #[test]
+    fn mapped_env_pools_are_arena_backed_or_refuse() {
+        let _gate = crate::counters::gate_shared();
+        nvm::tid::set_tid(0);
+        type Node = crate::set_core::Node<MappedNvm>;
+        let path = tmp("envarena");
+        let store = Store::open_sized(&path, 4 << 20).unwrap();
+        let mut env = store.env.env();
+        assert!(env.infos.arena_backed() && env.pool::<Node>().arena_backed());
+        let (infos, heap) = (Some(env.infos.clone()), Arc::clone(store.heap()));
+        // SAFETY: the store's recovery-slot block, alive with `store`.
+        let rec = unsafe { crate::recovery::RecArea::attach_raw(store.env.rec_base) };
+        let mut parked = Env::mapped(rec, Collector::disabled(), infos, heap);
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            parked.pool::<Node>();
+        }));
+        assert!(refused.is_err(), "an arena pool under a disabled collector must not exist");
+        drop((env, parked, store));
         let _ = std::fs::remove_file(&path);
     }
 }

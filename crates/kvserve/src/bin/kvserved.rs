@@ -11,7 +11,8 @@
 //! Opens (recovering) the store heap at `--path`, binds, prints the bound
 //! address, and serves until killed — or until `--stop-file` appears, which
 //! triggers a graceful shutdown (used by harnesses that need the process to
-//! exit without SIGKILL so no in-flight state is left behind). With
+//! exit without SIGKILL so no in-flight state is left behind); a listener
+//! that fails for good ends it too, with exit code 1 and the error. With
 //! `--port-file` the bound port is published atomically (write + rename)
 //! once the server is accepting, which doubles as the "recovery finished"
 //! handshake for restart harnesses.
@@ -75,6 +76,12 @@ fn main() {
             .expect("publish port file");
     }
     loop {
+        if !server.is_serving() {
+            let why = server.listener_error().map_or("stopped".into(), |e| e.to_string());
+            server.stop();
+            eprintln!("kvserved: listener failed: {why}");
+            std::process::exit(1);
+        }
         if let Some(sf) = &stop_file {
             if sf.exists() {
                 server.stop();

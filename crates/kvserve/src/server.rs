@@ -208,6 +208,8 @@ struct Shared {
     lanes: Vec<Mutex<()>>,
     base_tid: usize,
     stop: AtomicBool,
+    /// The listener error that ended the acceptor, until someone asks.
+    listener_error: Mutex<Option<io::Error>>,
     kill: Option<KillSpec>,
     conns: Mutex<Vec<JoinHandle<()>>>,
 }
@@ -264,6 +266,7 @@ impl Server {
             lanes: (0..n_lanes).map(|_| Mutex::new(())).collect(),
             base_tid,
             stop: AtomicBool::new(false),
+            listener_error: Mutex::new(None),
             kill: KillSpec::from_env(),
             conns: Mutex::new(Vec::new()),
         });
@@ -310,6 +313,18 @@ impl Server {
         self.shared.conns.lock().expect("conn thread list poisoned").len()
     }
 
+    /// Whether the server still accepts connections: `false` once
+    /// [`Server::stop`] began — or once the listener failed for good, which
+    /// stops the server the same way ([`Server::listener_error`] has why).
+    pub fn is_serving(&self) -> bool {
+        !self.shared.stop.load(Ordering::Acquire)
+    }
+
+    /// Takes the listener error that ended the acceptor, if one did.
+    pub fn listener_error(&self) -> Option<io::Error> {
+        self.shared.listener_error.lock().unwrap_or_else(|e| e.into_inner()).take()
+    }
+
     /// Graceful shutdown: stop accepting, drain connections, join all.
     pub fn stop(mut self) {
         self.shared.stop.store(true, Ordering::Release);
@@ -326,26 +341,64 @@ impl Server {
     }
 }
 
+/// What the acceptor does with one `accept` result.
+enum AcceptStep {
+    /// A client: give it a connection thread.
+    Serve(TcpStream),
+    /// Nothing to serve, and nothing wrong with the listener: back off, retry.
+    Retry,
+    /// The listener is unusable.
+    Fatal(io::Error),
+}
+
+/// The acceptor's one decision. A failed `accept` is usually about the
+/// *connection* (the client reset during the handshake), the call (a
+/// signal; nothing queued on the non-blocking listener) or a resource that
+/// comes back (descriptors, buffers) — none of which may end a server that
+/// holds the heap.
+fn accept_step(accepted: io::Result<(TcpStream, SocketAddr)>) -> AcceptStep {
+    use io::ErrorKind::{ConnectionAborted, ConnectionReset, Interrupted, WouldBlock};
+    // Linux errno values: ENOMEM, ENFILE, EMFILE, ENOBUFS.
+    const EXHAUSTED: [i32; 4] = [12, 23, 24, 105];
+    match accepted {
+        Ok((stream, _)) => AcceptStep::Serve(stream),
+        Err(e)
+            if matches!(
+                e.kind(),
+                Interrupted | ConnectionAborted | ConnectionReset | WouldBlock
+            ) || e.raw_os_error().is_some_and(|code| EXHAUSTED.contains(&code)) =>
+        {
+            AcceptStep::Retry
+        }
+        Err(e) => AcceptStep::Fatal(e),
+    }
+}
+
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     while !shared.stop.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _)) => {
+        match accept_step(listener.accept()) {
+            AcceptStep::Serve(stream) => {
                 maybe_kill(&shared.kill, KillPoint::Accept);
                 let sh = Arc::clone(&shared);
-                let h = std::thread::Builder::new()
+                // A failed spawn drops the stream: the client's journal
+                // retries on a new connection.
+                let Ok(h) = std::thread::Builder::new()
                     .name("kv-conn".into())
                     .spawn(move || conn_loop(stream, sh))
-                    .expect("spawn conn");
+                else {
+                    continue;
+                };
                 // Reap on accept, or a long-lived server with reconnecting
                 // clients grows this list without bound.
                 let mut conns = shared.conns.lock().unwrap();
                 conns.retain(|c| !c.is_finished());
                 conns.push(h);
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
+            AcceptStep::Retry => std::thread::sleep(Duration::from_millis(5)),
+            AcceptStep::Fatal(e) => {
+                *shared.listener_error.lock().unwrap_or_else(|e| e.into_inner()) = Some(e);
+                shared.stop.store(true, Ordering::Release);
             }
-            Err(_) => break,
         }
     }
 }
@@ -470,4 +523,41 @@ fn handle(ctx: &Shared, pid: usize, req: &Request) -> Response {
     maybe_kill(&ctx.kill, KillPoint::PreAck);
     nvm::stats::count_kv_requests(1);
     Response { status: Status::Ok, op_seq: req.op_seq, value }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::KvClient;
+
+    #[test]
+    fn accept_errors_end_the_acceptor_only_when_the_listener_is_gone() {
+        use io::ErrorKind::*;
+        for kind in [ConnectionAborted, ConnectionReset, Interrupted, WouldBlock] {
+            assert!(matches!(accept_step(Err(kind.into())), AcceptStep::Retry), "{kind:?}");
+        }
+        for errno in [12, 23, 24, 105] {
+            let e = io::Error::from_raw_os_error(errno);
+            assert!(matches!(accept_step(Err(e)), AcceptStep::Retry), "errno {errno}");
+        }
+        assert!(matches!(accept_step(Err(InvalidInput.into())), AcceptStep::Fatal(_)));
+        let ebadf = io::Error::from_raw_os_error(9);
+        assert!(matches!(accept_step(Err(ebadf)), AcceptStep::Fatal(_)));
+    }
+
+    #[test]
+    fn a_client_that_leaves_without_a_byte_costs_the_next_one_nothing() {
+        let dir = std::env::temp_dir().join(format!("isb_kv_accept_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut cfg = Config::new(dir.join("kv.heap"));
+        cfg.heap_bytes = 8 << 20;
+        let server = Server::start(cfg).expect("server start");
+        drop(TcpStream::connect(server.local_addr()).expect("first client connects"));
+        let mut second = KvClient::connect(server.local_addr(), 7).expect("second client connects");
+        assert!(second.put(42).expect("served"));
+        assert!(server.is_serving() && server.listener_error().is_none());
+        server.stop();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

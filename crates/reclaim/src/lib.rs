@@ -442,10 +442,11 @@ impl Collector {
     /// deduplicated by address rather than let both sides free separately.
     ///
     /// Returns `(address, drop_fn)` pairs; the caller becomes responsible
-    /// for freeing each address exactly once.
-    pub fn take_parked(&mut self) -> Vec<DeferredFree> {
+    /// for freeing each address exactly once. (`&self`: the teardown runs
+    /// beside a shared borrow of the structure it walks.)
+    pub fn take_parked(&self) -> Vec<DeferredFree> {
         self.parked
-            .get_mut()
+            .lock()
             .unwrap_or_else(|e| e.into_inner())
             .drain(..)
             .map(|g| match g {

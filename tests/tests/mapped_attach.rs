@@ -995,24 +995,29 @@ fn hostile_links_fail_typed_in_every_kind() {
     for &(kind, build, check) in kinds {
         let path = tmp(&format!("hostile_{kind}"));
         build(&path).unwrap();
-        let (base, size) = (read_word(&path, 2), read_word(&path, 3));
-        let link = first_link(&path);
-        let intact = read_at(&path, link);
-        assert_ne!(intact, 0, "{kind}: the patched link is a live one");
-        let own = base + link - 8;
-        for (shape, hostile, named) in [
-            ("mapping end", base + size - 8, true),
-            ("unaligned", intact + 4, true),
-            ("cycle", own, false),
-        ] {
+        let (size, link) = (read_word(&path, 3), first_link(&path));
+        for (shape, named) in [("mapping end", true), ("unaligned", true), ("cycle", false)] {
+            // Read per shape: every test of this binary asks for the same
+            // preferred base, so an attach that finds it taken relocates the
+            // image — recorded base, links and the patched word alike.
+            let (base, intact) = (read_word(&path, 2), read_at(&path, link));
+            assert_ne!(intact, 0, "{kind}: the patched link is a live one");
+            let hostile = match shape {
+                "mapping end" => base + size - 8,
+                "unaligned" => intact + 4,
+                _ => base + link - 8, // the node's own address
+            };
             patch(&path, link, &hostile.to_le_bytes());
-            match map_err(check(&path)) {
+            let err = map_err(check(&path));
+            let moved = read_word(&path, 2).wrapping_sub(base);
+            let hostile = hostile.wrapping_add(moved);
+            match err {
                 MapError::CorruptPointer { addr } if !named || addr == hostile => {}
                 e => panic!("{kind} / {shape}: expected CorruptPointer({hostile:#x}), got {e}"),
             }
             assert_eq!(read_at(&path, link), hostile, "{kind} / {shape}: the attach rewrote it");
+            patch(&path, link, &intact.wrapping_add(moved).to_le_bytes());
         }
-        patch(&path, link, &intact.to_le_bytes());
         check(&path).unwrap_or_else(|e| panic!("{kind}: the undamaged image must attach: {e}"));
         let _ = std::fs::remove_file(&path);
     }

@@ -29,7 +29,6 @@ use isb::pool::PoolCfg;
 use isb::queue::RQueue;
 use nvm::stats::Snapshot;
 use nvm::CountingNvm;
-use reclaim::Collector;
 use std::alloc::{GlobalAlloc, Layout, System};
 
 /// Rounds every allocation up to whole, aligned cache lines (module docs).
@@ -266,7 +265,7 @@ fn set_core_extraction_preserves_persist_placement() {
     );
 
     // Boxed (pre-pool) allocation must reproduce the same table bit-for-bit.
-    let list = RList::<CountingNvm, 0>::boxed();
+    let list = RList::<CountingNvm, 0>::with_pool(PoolCfg::boxed());
     check_against(
         &GOLDEN_ISB,
         &SetUnderTest {
@@ -276,7 +275,7 @@ fn set_core_extraction_preserves_persist_placement() {
             find: Box::new(|k| list.find(0, k)),
         },
     );
-    let list = RList::<CountingNvm, 1>::boxed();
+    let list = RList::<CountingNvm, 1>::with_pool(PoolCfg::boxed());
     check_against(
         &GOLDEN_OPT,
         &SetUnderTest {
@@ -292,7 +291,7 @@ fn set_core_extraction_preserves_persist_placement() {
     // (5, 6) are untouched by the churn key (9), so every op still takes
     // the same algorithm path over the same structure shape.
     let reuse0 = isb::counters::info_reuses();
-    let warm = RList::<CountingNvm, 0>::with_config(Collector::new(), PoolCfg::tiny(8));
+    let warm = RList::<CountingNvm, 0>::with_pool(PoolCfg::tiny(8));
     for _ in 0..300 {
         assert!(warm.insert(0, 9));
         assert!(warm.delete(0, 9));
@@ -311,7 +310,7 @@ fn set_core_extraction_preserves_persist_placement() {
         },
     );
     let reuse0 = isb::counters::info_reuses();
-    let warm = RList::<CountingNvm, 1>::with_config(Collector::new(), PoolCfg::tiny(8));
+    let warm = RList::<CountingNvm, 1>::with_pool(PoolCfg::tiny(8));
     for _ in 0..300 {
         assert!(warm.insert(0, 9));
         assert!(warm.delete(0, 9));
@@ -352,7 +351,7 @@ fn set_core_extraction_preserves_persist_placement() {
             find: Box::new(|k| map.find(0, k)),
         },
     );
-    let map = RHashMap::<CountingNvm, 0>::boxed_with_shards(1);
+    let map = RHashMap::<CountingNvm, 0>::with_shards_and_pool(1, PoolCfg::boxed());
     check_against(
         &GOLDEN_ISB,
         &SetUnderTest {
@@ -377,7 +376,7 @@ fn set_core_extraction_preserves_persist_placement() {
             find: Box::new(|k| list.find(0, k)),
         },
     );
-    let list = RList::<CountingNvm, 2>::boxed();
+    let list = RList::<CountingNvm, 2>::with_pool(PoolCfg::boxed());
     check_against_coal(
         &GOLDEN_COAL,
         &SetUnderTest {
@@ -397,7 +396,7 @@ fn set_core_extraction_preserves_persist_placement() {
             find: Box::new(|k| list.find(0, k)),
         },
     );
-    let list = RList::<CountingNvm, 3>::boxed();
+    let list = RList::<CountingNvm, 3>::with_pool(PoolCfg::boxed());
     check_against_coal(
         &GOLDEN_LP,
         &SetUnderTest {
@@ -428,7 +427,7 @@ fn set_core_extraction_preserves_persist_placement() {
         },
     );
     let reuse0 = isb::counters::info_reuses();
-    let warm = RList::<CountingNvm, 3>::with_config(Collector::new(), PoolCfg::tiny(8));
+    let warm = RList::<CountingNvm, 3>::with_pool(PoolCfg::tiny(8));
     for _ in 0..300 {
         assert!(warm.insert(0, 9));
         assert!(warm.delete(0, 9));

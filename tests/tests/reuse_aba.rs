@@ -14,7 +14,6 @@ use isb::hashmap::RHashMap;
 use isb::list::RList;
 use isb::pool::PoolCfg;
 use nvm::CountingNvm;
-use reclaim::Collector;
 use std::sync::atomic::{AtomicI64, Ordering::Relaxed};
 use std::sync::Arc;
 
@@ -30,7 +29,7 @@ fn single_thread_one_key_churn_reuses_without_aba() {
     let _gate = isb::counters::gate_shared();
     nvm::tid::set_tid(0);
     let reuse0 = (isb::counters::info_reuses(), isb::counters::node_reuses());
-    let mut list = RList::<M, 0>::with_config(Collector::new(), PoolCfg::tiny(2));
+    let mut list = RList::<M, 0>::with_pool(PoolCfg::tiny(2));
     for round in 0..20_000u64 {
         assert!(list.insert(0, 7), "round {round}: insert must win on an empty set");
         assert!(list.find(0, 7), "round {round}: inserted key must be found");
@@ -64,7 +63,7 @@ fn concurrent_one_key_contention_with_tiny_pool() {
     let infos0 = isb::counters::live_infos();
 
     fn run<const ARM: u8>(label: &str) {
-        let list = Arc::new(RList::<M, ARM>::with_config(Collector::new(), PoolCfg::tiny(4)));
+        let list = Arc::new(RList::<M, ARM>::with_pool(PoolCfg::tiny(4)));
         let balance = Arc::new(AtomicI64::new(0)); // insert wins − delete wins
         let hs: Vec<_> = (0..4)
             .map(|t| {
@@ -115,8 +114,7 @@ fn concurrent_one_key_contention_with_tiny_pool() {
 fn hashmap_one_key_contention_with_tiny_pool() {
     let _gate = isb::counters::gate_shared();
     nvm::tid::set_tid(0);
-    let map =
-        Arc::new(RHashMap::<M, 1>::with_shards_and_config(8, Collector::new(), PoolCfg::tiny(4)));
+    let map = Arc::new(RHashMap::<M, 1>::with_shards_and_pool(8, PoolCfg::tiny(4)));
     let balance = Arc::new(AtomicI64::new(0));
     let hs: Vec<_> = (0..4)
         .map(|t| {
