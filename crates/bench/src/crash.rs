@@ -28,6 +28,7 @@
 //! harness only re-invokes them, exactly like the paper's system model.
 
 use isb::bst::RBst;
+use isb::graph::Graph;
 use isb::hashmap::RHashMap;
 use isb::list::RList;
 use isb::queue::RQueue;
@@ -588,59 +589,92 @@ pub fn run_queue_scenario_arm<const ARM: u8>(cfg: CrashCfg) -> CrashReport {
         }
         let img = sim::build_crash_image(cfg.seed ^ 0xD1CE);
         report.rolled_back = img.rolled_back;
+        // Pids (producers first, then consumers) whose operation is pending.
+        let pending_pids = || -> Vec<usize> {
+            plogs
+                .iter()
+                .map(|l| l.lock().unwrap().pending.is_some())
+                .chain(clogs.iter().map(|l| l.lock().unwrap().pending))
+                .enumerate()
+                .filter_map(|(pid, pending)| pending.then_some(pid))
+                .collect()
+        };
+        report.pending = pending_pids().len();
 
-        // What recovery finds in each pending process's slot, for the
-        // failure reports below.
-        let pending_pids = plogs
-            .iter()
-            .map(|l| l.lock().unwrap().pending.is_some())
-            .chain(clogs.iter().map(|l| l.lock().unwrap().pending))
-            .enumerate()
-            .filter_map(|(pid, pending)| pending.then_some(pid));
-        // SAFETY: every worker is joined; crash runs free nothing.
-        let found: Vec<(usize, String)> =
-            pending_pids.map(|pid| (pid, unsafe { q.describe_recovery(pid) })).collect();
-
-        // Recovery (single round; queue scenarios keep it simple — repeated
-        // recovery crashes are exercised by the list scenario).
-        let mut rhandles = Vec::new();
-        for (p, log) in plogs.iter().enumerate() {
-            let q = Arc::clone(&q);
-            let log = Arc::clone(log);
-            rhandles.push(std::thread::spawn(move || {
-                nvm::tid::set_tid(p);
-                let pend = log.lock().unwrap().pending;
-                if let Some(v) = pend {
-                    sim::run_crashable(|| q.recover_enqueue(p, v)).expect("no crash armed");
-                    let mut l = log.lock().unwrap();
-                    l.pending = None;
-                    l.acked.push(v);
-                }
-            }));
-        }
-        for (c, log) in clogs.iter().enumerate() {
-            let q = Arc::clone(&q);
-            let log = Arc::clone(log);
-            let pid = producers + c;
-            rhandles.push(std::thread::spawn(move || {
-                nvm::tid::set_tid(pid);
-                let pend = log.lock().unwrap().pending;
-                if pend {
-                    let r = sim::run_crashable(|| q.recover_dequeue(pid)).expect("no crash armed");
-                    let mut l = log.lock().unwrap();
-                    l.pending = false;
-                    if let Some(v) = r {
-                        l.got.push(v);
+        // Recovery rounds, as in the set scenario: every round but the last
+        // dies again at a seeded moment and is recovered again from a fresh
+        // adversarial image. `found` keeps what each round read in a pending
+        // process's slot, for the failure reports below.
+        let mut found: Vec<(usize, String)> = Vec::new();
+        for round in 0..=cfg.recovery_crashes {
+            let crash_again = round < cfg.recovery_crashes;
+            // SAFETY: every worker is joined; crash runs free nothing.
+            found.extend(
+                pending_pids().into_iter().map(|pid| (pid, unsafe { q.describe_recovery(pid) })),
+            );
+            let mut rhandles = Vec::new();
+            for (p, log) in plogs.iter().enumerate() {
+                let q = Arc::clone(&q);
+                let log = Arc::clone(log);
+                rhandles.push(std::thread::spawn(move || {
+                    nvm::tid::set_tid(p);
+                    let pend = log.lock().unwrap().pending;
+                    if let Some(v) = pend {
+                        // Err: died again; the next round recovers it.
+                        if sim::run_crashable(|| q.recover_enqueue(p, v)).is_ok() {
+                            let mut l = log.lock().unwrap();
+                            l.pending = None;
+                            l.acked.push(v);
+                        }
                     }
-                }
-            }));
+                }));
+            }
+            for (c, log) in clogs.iter().enumerate() {
+                let q = Arc::clone(&q);
+                let log = Arc::clone(log);
+                let pid = producers + c;
+                rhandles.push(std::thread::spawn(move || {
+                    nvm::tid::set_tid(pid);
+                    let pend = log.lock().unwrap().pending;
+                    if pend {
+                        if let Ok(r) = sim::run_crashable(|| q.recover_dequeue(pid)) {
+                            let mut l = log.lock().unwrap();
+                            l.pending = false;
+                            if let Some(v) = r {
+                                l.got.push(v);
+                            }
+                        }
+                    }
+                }));
+            }
+            if crash_again {
+                busy_wait_us(rng.below(200));
+                sim::trigger_crash();
+            }
+            for h in rhandles {
+                h.join().unwrap();
+            }
+            if crash_again {
+                sim::build_crash_image(cfg.seed ^ (0xBEEF + round as u64));
+            }
         }
-        for h in rhandles {
-            h.join().unwrap();
-        }
+        assert_eq!(pending_pids(), [], "seed {}: the last round has no crash armed", cfg.seed);
 
         // ---- Validation --------------------------------------------------
         let mut q = Arc::into_inner(q).expect("all workers joined");
+        // A node linked twice closes the chain into a cycle, and the
+        // quiescent walks below would never return: diagnose it here, against
+        // the number of nodes the scenario can have allocated at all.
+        let max_nodes = 1 + prefill as usize + producers * cfg.ops_per_proc;
+        // SAFETY: quiescent; crash runs free nothing, so every link is live.
+        if let Err(p) = unsafe { Graph::walk(&q, 0, &|_| true, max_nodes, &mut |_, _| {}) } {
+            panic!(
+                "seed {}: sentinel chain does not end within {max_nodes} nodes (stopped at \
+                 {p:#x}): a node was linked twice; pending (pid, slot) found by recovery: \
+                 {found:?}",
+                cfg.seed
+            );
+        }
         // Post-recovery scrub, as in the set driver: the LP arm elides the
         // cleanup untag flushes entirely, so the adversarial image can
         // resurrect tags of *completed* operations — at runtime lazy helping

@@ -148,8 +148,10 @@ pub fn run_set<B: SetBench + ?Sized + 'static>(s: Arc<B>, cfg: SetCfg) -> RunRes
             total.fetch_add(ops, Ordering::Relaxed);
         }));
     }
-    barrier.wait();
+    // Snapshot before the release: a worker's first operations must not
+    // run ahead of it, or they count in `ops` and not in the deltas.
     let s0 = stats::snapshot();
+    barrier.wait();
     let start = Instant::now();
     std::thread::sleep(cfg.duration);
     stop.store(true, Ordering::Relaxed);
@@ -229,8 +231,10 @@ pub fn run_queue<B: QueueBench + ?Sized + 'static>(q: Arc<B>, cfg: QueueCfg) -> 
             total.fetch_add(ops, Ordering::Relaxed);
         }));
     }
-    barrier.wait();
+    // Snapshot before the release: a worker's first operations must not
+    // run ahead of it, or they count in `ops` and not in the deltas.
     let s0 = stats::snapshot();
+    barrier.wait();
     let start = Instant::now();
     std::thread::sleep(cfg.duration);
     stop.store(true, Ordering::Relaxed);

@@ -10,7 +10,7 @@
 //! | [`PAPER`]     | `Isb`      | the paper's per-CAS `pwb` + per-phase `psync` placement |
 //! | [`TUNED`]     | `Isb-Opt`  | batched tag-loop flushes, merged barriers (PR 2) |
 //! | [`COALESCED`] | `Isb-Coal` | per-op cache-line dedupe via [`nvm::coalesce`]; the `RD_q`/`CP_q` line is reset whole by the invocation glue's one barrier and written once more, `CP_q := 1` with `RD_q := opInfo`, by the first publish; an operation that finds nothing to change takes no descriptor and publishes nothing |
-//! | [`LP`]        | `Isb-LP`   | link-persist: cleanup write-backs elided (re-swept by scrub / lazy helping) and, for single-affect ops (enqueue), the tag-phase `psync` merged into the update-phase `psync` |
+//! | [`LP`]        | `Isb-LP`   | link-persist: cleanup write-backs elided (re-swept by scrub / lazy helping); for single-affect ops (enqueue) the tag-phase `psync` merged into the update-phase `psync`; the queue's tail hint never written back (`heal_tail` and `find_last` re-derive it). The arm the KV service and `Store`-based workloads ship (`kvserve::server::ARM`) |
 //!
 //! The `u8` encoding (rather than a second `bool`) exists because stable
 //! Rust cannot derive one const generic from another; call sites write the
@@ -19,7 +19,8 @@
 //! including the mapped-heap config word, which stores the arm in the same
 //! byte the bool used to occupy.
 //!
-//! Soundness arguments for the two new arms are in `DESIGN.md` §12.
+//! Arms `0`–`2` are kept as the frozen reproductions (figures, placement
+//! goldens); soundness arguments for arms `2` and `3` are in `DESIGN.md` §12.
 
 /// The paper's placement (`Isb`): `pwb` after every CAS, `psync` per phase.
 pub const PAPER: u8 = 0;
@@ -78,6 +79,47 @@ pub(crate) fn pwb_obj_arm<M: Persist, T: PersistWords<M> + ?Sized, const ARM: u8
         M::pwb_obj_coal(obj);
     } else {
         M::pwb_obj(obj);
+    }
+}
+
+/// A structure's persisted configuration word
+/// ([`crate::recovery::MappedLayout::cfg_word`]) as an operator reads it in
+/// an error: every kind stores its arm in bits 32.., named here through
+/// [`name`]; the low word is a shard count where it is one — a power of two
+/// (the hash map's `validate_cfg`), which the fixed per-kind marker bytes of
+/// the other kinds (`0x51`, `0x42`, `0x4C`, `0x53`) are not.
+#[derive(Clone, Copy)]
+pub(crate) struct CfgWord(pub(crate) u64);
+
+impl CfgWord {
+    pub(crate) fn arm(self) -> u64 {
+        self.0 >> 32
+    }
+
+    pub(crate) fn low(self) -> u64 {
+        self.0 & 0xFFFF_FFFF
+    }
+
+    pub(crate) fn shards(self) -> Option<u64> {
+        self.low().is_power_of_two().then_some(self.low())
+    }
+
+    /// The arm's display name; an arm byte no build ever stamped, in hex.
+    pub(crate) fn arm_name(self) -> String {
+        match u8::try_from(self.arm()) {
+            Ok(a) if a <= LP => name(a).to_string(),
+            _ => format!("{:#x}", self.arm()),
+        }
+    }
+}
+
+impl std::fmt::Display for CfgWord {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "arm {}", self.arm_name())?;
+        match self.shards() {
+            Some(n) => write!(f, " ({n} shards)"),
+            None => Ok(()),
+        }
     }
 }
 

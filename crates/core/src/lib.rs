@@ -51,7 +51,8 @@
 //!   `psync` per operation; `2` ([`arm::COALESCED`], "Isb-Coal") adds
 //!   per-operation cache-line flush coalescing and persists only what
 //!   recovery reads; `3` ([`arm::LP`], "Isb-LP") adds the link-persist
-//!   elisions. See [`arm`] for what each level adds and [`recovery`]'s
+//!   elisions and is the arm the KV service ships. See [`arm`] for what
+//!   each level adds and [`recovery`]'s
 //!   module docs for the recovery-line protocol per arm.
 //!
 //! ## One environment, one skeleton, one walk

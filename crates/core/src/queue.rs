@@ -269,13 +269,19 @@ impl<M: Persist, const ARM: u8> RQueue<M, ARM> {
                     // stale by a crash image (never moves the hint backward:
                     // success implies the hint still equals walk_start, and
                     // newnd is strictly ahead of it).
-                    let t = if self.head.tail.cas(walk_start, newnd as u64) == walk_start {
-                        walk_start
-                    } else {
-                        self.head.tail.cas(last as u64, newnd as u64)
-                    };
-                    let _ = t;
-                    M::pwb(&self.head.tail);
+                    if self.head.tail.cas(walk_start, newnd as u64) != walk_start {
+                        let _ = self.head.tail.cas(last as u64, newnd as u64);
+                    }
+                    // Arms 0–2 write the hint back, unfenced, as the frozen
+                    // reproductions always did. LP does not: nothing that
+                    // recovers reads the durable hint — it may lag by
+                    // construction, the dequeue-side swing was never written
+                    // back, and `heal_tail` (attach) and `find_last`'s chase
+                    // (run time) re-derive the end from `Head` and the
+                    // durable `next` links (DESIGN.md §6, §12).
+                    if !arm::is_lp(ARM) {
+                        M::pwb(&self.head.tail);
+                    }
                     return;
                 }
                 HelpOutcome::FailedAt(i) => {
@@ -579,6 +585,43 @@ mod tests {
         nvm::tid::set_tid(0);
         one::<{ crate::arm::COALESCED }>();
         one::<{ crate::arm::LP }>();
+    }
+
+    /// LP never writes the tail hint back, so a crash image may hold the
+    /// hint of the last clean start — here a node dequeued since. Recovery
+    /// must re-derive the end from `Head`, not follow the hint.
+    #[test]
+    fn lp_stale_tail_hint_is_healed_not_followed() {
+        use nvm::{sim, SimNvm};
+        let _gate = crate::counters::gate_shared();
+        let _session = crate::simtest::session();
+        let mut stale = 0;
+        for seed in 0..16 {
+            sim::reset();
+            nvm::tid::set_tid(0);
+            let mut q = RQueue::<SimNvm, { crate::arm::LP }>::new();
+            for v in 1..=3 {
+                q.enqueue(0, v);
+            }
+            sim::persist_all(); // the durable hint: node 3
+            for v in 1..=3 {
+                assert_eq!(q.dequeue(0), Some(v));
+            }
+            q.enqueue(0, 4);
+            q.enqueue(0, 5);
+            assert_eq!(q.dequeue(0), Some(4)); // retires node 3, the old sentinel
+            let end = q.head.tail.load();
+            sim::trigger_crash();
+            sim::build_crash_image(seed);
+            stale += (q.head.tail.load() != end) as u32;
+            q.scrub(); // LP: a completed operation's untag may have rolled back
+            q.heal_tail();
+            assert_eq!(q.head.tail.load(), end, "seed {seed}: hint healed to the last node");
+            q.check_invariants();
+            q.enqueue(0, 6);
+            assert_eq!(q.snapshot_vals(), vec![5, 6], "seed {seed}");
+        }
+        assert!(stale > 0, "no image rolled the hint back: the test exercises nothing");
     }
 
     #[test]

@@ -43,6 +43,7 @@
 //! not persist the same reset a second time. The note is process memory: it
 //! dies with the process, so after a crash every prologue persists again.
 
+use crate::arm::CfgWord;
 use crate::engine::Info;
 use nvm::pad::CachePadded;
 use nvm::{PWord, Persist, PersistWords, MAX_PROCS};
@@ -610,11 +611,20 @@ impl std::fmt::Display for AttachError {
             AttachError::WrongKind { name, expected, found } => {
                 write!(f, "entry {name:?} hosts structure kind {found}, expected {expected}")
             }
-            AttachError::CfgMismatch { name, expected, found } if name.is_empty() => {
-                write!(f, "heap records configuration {found:#x}, expected {expected:#x}")
-            }
             AttachError::CfgMismatch { name, expected, found } => {
-                write!(f, "entry {name:?} records configuration {found:#x}, expected {expected:#x}")
+                if name.is_empty() {
+                    write!(f, "heap")?;
+                } else {
+                    write!(f, "entry {name:?}")?;
+                }
+                let (was, now) = (CfgWord(*found), CfgWord(*expected));
+                write!(f, " was created with {was}, this build opens it with ")?;
+                // Say on the second side only what differs from the first.
+                match (was.arm() == now.arm(), was.shards() == now.shards()) {
+                    (false, true) => write!(f, "{}", now.arm_name()),
+                    (true, false) => write!(f, "{} shards", now.low()),
+                    _ => write!(f, "{now}"),
+                }
             }
             AttachError::InvalidCfg { kind, reason } => {
                 write!(f, "unusable {kind} configuration: {reason}")
@@ -1267,6 +1277,44 @@ mod tests {
     use reclaim::Collector;
 
     type M = CountingNvm;
+
+    /// What an operator reads when a build meets a heap stamped by another:
+    /// arm names and shard counts, not two hex words.
+    #[test]
+    fn cfg_mismatch_reads_as_arms_and_shards() {
+        use crate::hashmap::RHashMap;
+        use crate::queue::RQueue;
+        use nvm::mapped::MappedNvm;
+        let map = |arm: u8, shards: usize| match arm {
+            2 => RHashMap::<MappedNvm, 2>::cfg_word(shards),
+            _ => RHashMap::<MappedNvm, 3>::cfg_word(shards),
+        };
+        let show = |name: &str, found: u64, expected: u64| {
+            AttachError::CfgMismatch { name: name.into(), expected, found }.to_string()
+        };
+        assert_eq!(
+            show("kv", map(2, 256), map(3, 256)),
+            "entry \"kv\" was created with arm Isb-Coal (256 shards), \
+             this build opens it with Isb-LP"
+        );
+        assert_eq!(
+            show("kv", map(3, 8), map(3, 16)),
+            "entry \"kv\" was created with arm Isb-LP (8 shards), \
+             this build opens it with 16 shards"
+        );
+        assert_eq!(
+            show("", map(2, 8), map(3, 16)),
+            "heap was created with arm Isb-Coal (8 shards), \
+             this build opens it with arm Isb-LP (16 shards)"
+        );
+        let queue = (RQueue::<MappedNvm, 2>::cfg_word(()), RQueue::<MappedNvm, 3>::cfg_word(()));
+        assert_eq!(
+            show("jobs", queue.0, queue.1),
+            "entry \"jobs\" was created with arm Isb-Coal, this build opens it with Isb-LP"
+        );
+        // An arm byte no build ever stamped stays legible as what it is.
+        assert!(show("jobs", queue.0 | 0xAB << 32, queue.1).contains("arm 0xab,"));
+    }
 
     #[test]
     fn begin_resets_and_publish_installs() {

@@ -27,8 +27,9 @@
 //!    `Recovering`): the client's own slot is in flight under a tid of
 //!    another process, whose recovery has not resolved it yet;
 //! 2. dedup check (`op_seq == last_seq` → replay stored response);
-//! 3. `mark_invoked(pid)` — the system half: `CP_q := 0` (the service's
-//!    coalescing arm: the whole `(RD_q, CP_q) := (Null, 0)` line), persisted;
+//! 3. `mark_invoked(pid)` — the system half: `CP_q := 0` (under the arm the
+//!    service ships, `Isb-LP`, as under every arm that coalesces: the whole
+//!    `(RD_q, CP_q) := (Null, 0)` line), persisted;
 //! 4. [`ResponseTable::begin_op`] — one store, one write-back and one sync
 //!    of `pending`. It is a single word precisely so that nothing here can
 //!    tear: the persistency model drops individual *words* (DESIGN §3), so a

@@ -74,8 +74,11 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Structure tuning arm the service opens its structures with.
-pub const ARM: u8 = isb::arm::COALESCED;
+/// Structure tuning arm the service opens its structures with: `Isb-LP`,
+/// the one arm the system ships. A heap whose `kv` / `jobs` entries were
+/// created under another arm is refused with
+/// [`AttachError::CfgMismatch`] before the listener is bound.
+pub const ARM: u8 = isb::arm::LP;
 /// Catalog name of the service's hash map.
 pub const MAP_NAME: &str = "kv";
 /// Catalog name of the service's queue.
@@ -543,6 +546,57 @@ mod tests {
         assert!(matches!(accept_step(Err(InvalidInput.into())), AcceptStep::Fatal(_)));
         let ebadf = io::Error::from_raw_os_error(9);
         assert!(matches!(accept_step(Err(ebadf)), AcceptStep::Fatal(_)));
+    }
+
+    /// The upgrade path: the previous build stamped `kv` / `jobs` with
+    /// `Isb-Coal`. This build refuses such a heap with a typed, readable
+    /// error before it binds (the address is taken: a bind would answer
+    /// `Io`) and before it writes anything of its own: the build that made
+    /// the heap opens it again and finds what it left. (Not byte-identical:
+    /// the attach that must precede reading the catalog advances the attach
+    /// epoch and rebuilds the allocator's free stacks, as every open does.)
+    #[test]
+    fn a_heap_of_the_previous_arm_is_refused_typed_and_intact() {
+        const PREVIOUS: u8 = isb::arm::COALESCED;
+        let dir = std::env::temp_dir().join(format!("isb_kv_upgrade_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut cfg = Config::new(dir.join("kv.heap"));
+        cfg.heap_bytes = 8 << 20;
+        let open_previous = || {
+            nvm::tid::set_tid(0);
+            let store = Store::open_sized(&cfg.path, cfg.heap_bytes).expect("previous build opens");
+            let map = store.hashmap::<PREVIOUS>(MAP_NAME, cfg.shards).expect("kv");
+            let queue = store.queue::<PREVIOUS>(QUEUE_NAME).expect("jobs");
+            (map, queue, store)
+        };
+        {
+            let (map, queue, _store) = open_previous();
+            assert!(map.insert(0, 42));
+            queue.enqueue(0, 7);
+        }
+        let bytes = std::fs::metadata(&cfg.path).unwrap().len();
+        let taken = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let refused = Server::start(Config { addr: taken.local_addr().unwrap(), ..cfg.clone() })
+            .err()
+            .expect("served another arm's heap");
+        let ServeError::Attach(AttachError::CfgMismatch { name, .. }) = &refused else {
+            panic!("expected CfgMismatch, got {refused}");
+        };
+        assert_eq!(name, MAP_NAME);
+        assert_eq!(
+            refused.to_string(),
+            "attach: entry \"kv\" was created with arm Isb-Coal (8 shards), \
+             this build opens it with Isb-LP"
+        );
+        assert_eq!(std::fs::metadata(&cfg.path).unwrap().len(), bytes, "the refusal grew the heap");
+        {
+            let (map, queue, store) = open_previous();
+            assert_eq!(store.entries().len(), 2, "the refusal appended to the catalog");
+            assert!(map.find(0, 42) && !map.find(0, 43));
+            assert_eq!((queue.dequeue(0), queue.dequeue(0)), (Some(7), None));
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -169,6 +169,25 @@ fn hashmap_lp_survives_many_seeded_crashes() {
 }
 
 #[test]
+fn hashmap_lp_high_contention_crashes() {
+    // The arm that ships, in the shape of `hashmap_high_contention_crashes`:
+    // adjacent keys in few shards, so a resurrected tag (LP never writes an
+    // untag back) is met by a neighbour's operation, not only by scrub.
+    let mut total_pending = 0;
+    for seed in 1300..1310 {
+        let rep = run_hashmap_lp_scenario(CrashCfg {
+            procs: 4,
+            ops_per_proc: 100,
+            keys_per_proc: 3,
+            recovery_crashes: 1,
+            seed,
+        });
+        total_pending += rep.pending;
+    }
+    assert!(total_pending > 0, "no crash ever landed mid-operation; harness broken");
+}
+
+#[test]
 fn hashmap_coalescing_arms_survive_repeated_recovery_crashes() {
     for seed in 1200..1206 {
         run_hashmap_coal_scenario(CrashCfg {
@@ -237,6 +256,50 @@ fn queue_lp_survives_many_seeded_crashes() {
         });
         total += rep.completed;
     }
+    assert!(total > 0);
+}
+
+#[test]
+fn queue_lp_survives_repeated_recovery_crashes() {
+    // Recovery itself dies twice: a re-invoked LP enqueue is cut between its
+    // link and its one `psync`, and the next image may also roll the tail
+    // hint (never written back under LP) to a node dequeued long ago.
+    let mut total_pending = 0;
+    let mut total = 0;
+    for seed in 2200..2215 {
+        let rep = run_queue_lp_scenario(CrashCfg {
+            procs: 4,
+            ops_per_proc: 60,
+            keys_per_proc: 16, // prefill
+            recovery_crashes: 2,
+            seed,
+        });
+        total_pending += rep.pending;
+        total += rep.completed;
+    }
+    assert!(total_pending > 0, "no crash ever landed mid-operation; harness broken");
+    assert!(total > 0);
+}
+
+#[test]
+fn queue_lp_high_contention_crashes() {
+    // A three-node prefill: the queue runs empty again and again, so the
+    // enqueuers' last node is the dequeuers' sentinel and every operation
+    // helps or is helped across the head / tail boundary.
+    let mut total_pending = 0;
+    let mut total = 0;
+    for seed in 2300..2320 {
+        let rep = run_queue_lp_scenario(CrashCfg {
+            procs: 4,
+            ops_per_proc: 100,
+            keys_per_proc: 3, // prefill
+            recovery_crashes: 1,
+            seed,
+        });
+        total_pending += rep.pending;
+        total += rep.completed;
+    }
+    assert!(total_pending > 0, "no crash ever landed mid-operation; harness broken");
     assert!(total > 0);
 }
 

@@ -10,9 +10,14 @@
 //! which must not run the invocation glue a second time. Of every applied
 //! request's budget, 1 line + 1 fence is `note_invocation` and 3 + 3 the
 //! response table (`begin_op`: `pending`; `finish_op`: `resp`, `last_seq`);
-//! the remainder is the `Isb-Coal` structure operation minus the glue
-//! barrier the note elides — which for a request that changes nothing (a
-//! `get`, a `put` of a present key, a `del` of an absent one) is all of it.
+//! the remainder is the `Isb-LP` structure operation (the arm the service
+//! ships, `kvserve::server::ARM`) minus the glue barrier the note elides —
+//! which for a request that changes nothing (a `get`, a `put` of a present
+//! key, a `del` of an absent one) is all of it, in any arm. Against
+//! `Isb-Coal`, LP's rows differ by the cleanup write-backs it elides
+//! (`put-new` 16 → 13 lines, `del-hit` 12 → 11, `deq` 12 → 11) and, on
+//! `enq`, by the merged tag-phase `psync` and the tail hint nobody reads
+//! back (14 / 8 → 10 / 7).
 //!
 //! The server runs one lane, so every request is counted on that lane's tid
 //! and read as a per-tid delta; the mapped heap hands out 64-byte-aligned
@@ -77,13 +82,13 @@ fn one_kv_request_costs_exactly_its_persist_budget() {
     });
 
     let golden: [(&str, (u64, u64)); 8] = [
-        ("put-new", (16, 8)),
+        ("put-new", (13, 8)),
         ("put-dup", (4, 4)),
-        ("del-hit", (12, 8)),
+        ("del-hit", (11, 8)),
         ("del-miss", (4, 4)),
         ("get", (4, 4)),
-        ("enq", (14, 8)),
-        ("deq", (12, 8)),
+        ("enq", (10, 7)),
+        ("deq", (11, 8)),
         ("replay", (0, 0)),
     ];
     assert_eq!(rows, golden, "(lines, fences) per request");

@@ -137,10 +137,11 @@ const QUEUE_COAL: [(&str, GoldenCoal); 5] = [
 ];
 
 /// The LP queue merges the tag-phase `psync` into the update-phase one on
-/// enqueue (single-affect help), dropping a whole round trip: `psync` 3 → 2.
+/// enqueue (single-affect help), dropping a whole round trip: `psync` 3 → 2 —
+/// and does not write the tail hint back (no recovery path reads it): 7 → 6.
 const QUEUE_LP: [(&str, GoldenCoal); 5] = [
-    ("enqueue-1", (7, 2, 1, 1, 1, 2, true)),
-    ("enqueue-2", (7, 2, 1, 1, 1, 2, true)),
+    ("enqueue-1", (6, 2, 1, 1, 1, 2, true)),
+    ("enqueue-2", (6, 2, 1, 1, 1, 2, true)),
     ("dequeue-1", (7, 1, 1, 1, 1, 3, true)),
     ("dequeue-2", (7, 1, 1, 1, 1, 3, true)),
     ("dequeue-empty", (0, 0, 1, 1, 0, 0, false)),

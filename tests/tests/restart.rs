@@ -441,6 +441,15 @@ fn store_restart_child_worker_coal_lp() {
     store_child_body::<2, 3>();
 }
 
+/// Same child workload, both structures under the arm that ships
+/// (`Isb-LP`): the map's elided cleanup write-backs meet a SIGKILL through a
+/// `Store`, as the service's `kv` map does.
+#[test]
+#[ignore = "child half of the store restart harness; spawned by the parent test"]
+fn store_restart_child_worker_lp() {
+    store_child_body::<3, 3>();
+}
+
 fn store_child_body<const MAP_ARM: u8, const QUEUE_ARM: u8>() {
     let Ok(dir) = std::env::var("ISB_RESTART_DIR") else { return };
     let dir = PathBuf::from(dir);
@@ -721,9 +730,10 @@ fn store_restart_sigkill_recovers_across_processes() {
     assert!(total_acked > 0, "no seed produced any acked work — kill timing broken");
 }
 
-/// The PR-6 tuning-arm leg of the store matrix: SIGKILL a child mutating a
+/// The tuning-arm legs of the store matrix: SIGKILL a child mutating a
 /// *coalesced* map (`ARM = 2`) and a *link-persist* queue (`ARM = 3`) in one
-/// heap; same zero-lost-acked / detectable-in-flight / model-equivalence
+/// heap, then one with both structures under `Isb-LP` — what `kvserve`
+/// opens; same zero-lost-acked / detectable-in-flight / model-equivalence
 /// bars. The arms ride in the catalog's cfg word, so a parent attaching with
 /// the wrong arm would be rejected before replay.
 #[test]
@@ -733,14 +743,17 @@ fn store_restart_sigkill_recovers_coalesced_arms() {
     let mut total_acked = 0;
     let mut total_inflight = 0;
     for seed in 0..seeds {
-        let (acked, inflight) =
-            run_one_store_seed_arm::<2, 3>(seed, "store_restart_child_worker_coal_lp");
-        total_acked += acked;
-        total_inflight += inflight;
+        for (acked, inflight) in [
+            run_one_store_seed_arm::<2, 3>(seed, "store_restart_child_worker_coal_lp"),
+            run_one_store_seed_arm::<3, 3>(seed, "store_restart_child_worker_lp"),
+        ] {
+            total_acked += acked;
+            total_inflight += inflight;
+        }
     }
     println!(
-        "coal/LP store restart matrix: {seeds} kills, {total_acked} acked ops verified, \
-         {total_inflight} in-flight ops detectably resolved"
+        "coal/LP and LP/LP store restart matrix: 2 x {seeds} kills, {total_acked} acked ops \
+         verified, {total_inflight} in-flight ops detectably resolved"
     );
     assert!(total_acked > 0, "no seed produced any acked work — kill timing broken");
 }
