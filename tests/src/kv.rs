@@ -1,17 +1,18 @@
 //! Shared harness for the KV service conformance suites
 //! (`tests/exactly_once.rs` and the shared-heap failover leg of
-//! `tests/restart.rs`): journaling clients paired with std-model shadows.
+//! `tests/restart.rs`): the server child's body, and journaling clients
+//! paired with std-model shadows.
 //!
 //! Every acknowledged response is checked against the model at the moment
 //! it arrives, so a duplicate apply trips an assert at the earliest point
 //! it is observable — a re-applied `put`/`del` flips its boolean, a
 //! re-applied enqueue duplicates a globally unique value in the drain.
 
+use crate::sigkill::Scratch;
 use kvserve::{ClientError, KvClient};
 use std::collections::{HashSet, VecDeque};
 use std::net::SocketAddr;
-use std::path::Path;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Keys per map client: small enough that duplicate inserts and absent
 /// deletes occur constantly (their `false` answers must match the model).
@@ -26,18 +27,30 @@ pub fn splitmix(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Polls `port_file` until a server publishes its port (atomic
-/// write+rename on the server side, so a read never sees a torn value).
-pub fn wait_port(port_file: &Path, what: &str) -> SocketAddr {
-    let t0 = Instant::now();
-    loop {
-        if let Ok(s) = std::fs::read_to_string(port_file) {
-            let port: u16 = s.trim().parse().expect("port file");
-            return format!("127.0.0.1:{port}").parse().unwrap();
-        }
-        assert!(t0.elapsed() < Duration::from_secs(60), "{what}: server never published a port");
-        std::thread::sleep(Duration::from_millis(2));
+/// The body of a server child test: one [`kvserve::Server`] process over
+/// its scratch directory's heap — `shared` servers open the SAME heap, each
+/// inside its own participant tid band, each running the peer-recovery
+/// healer. Publishes the bound port as `port_file` once the
+/// server is accepting (which, on restart, doubles as the "attach recovery
+/// finished" handshake) and serves until the parent writes `stop`.
+pub fn serve_child(scratch: &Scratch, heap_bytes: usize, shared: bool, port_file: &str) {
+    let mut cfg = kvserve::Config::new(scratch.heap());
+    cfg.heap_bytes = heap_bytes;
+    cfg.shards = 4;
+    cfg.workers = 2;
+    cfg.shared = shared;
+    let server = kvserve::Server::start(cfg).expect("child server start");
+    scratch.publish(port_file, server.local_addr().port());
+    while !scratch.file("stop").exists() {
+        std::thread::sleep(Duration::from_millis(20));
     }
+    server.stop();
+}
+
+/// Waits until a [`serve_child`] publishes `port_file`; returns its address.
+pub fn wait_port(scratch: &Scratch, port_file: &str) -> SocketAddr {
+    let port: u16 = scratch.wait_file(port_file).trim().parse().expect("port file");
+    SocketAddr::from(([127, 0, 0, 1], port))
 }
 
 /// One map client with a private key range and a `HashSet` shadow.

@@ -1,3 +1,4 @@
 //! Integration-test helpers (see tests/).
 
 pub mod kv;
+pub mod sigkill;

@@ -9,8 +9,9 @@
 //! mapped heap, resolved by the attach pipeline before the restarted server
 //! accepts a single connection.
 //!
-//! Harness shape (the `restart.rs` pattern): the parent spawns *this test
-//! binary* as a child running only [`kv_server_child`], with
+//! Harness shape (the `restart.rs` pattern, built from the same kit —
+//! [`isb_tests::sigkill`]): the parent spawns *this test binary* as a child
+//! running only [`kv_server_child`], with
 //! `ISB_KV_KILL_POINT`/`ISB_KV_KILL_AFTER` injected so the server SIGKILLs
 //! itself at a seeded point on the request path:
 //!
@@ -42,10 +43,9 @@
 //! Matrix: `ISB_KV_SEEDS` seeds (default 2) x all five kill points — 10
 //! seeded SIGKILL rounds per default `cargo test` run.
 
-use isb_tests::kv::{wait_port, MapClient, QueueClient, KEYS_PER_CLIENT};
+use isb_tests::kv::{serve_child, wait_port, MapClient, QueueClient, KEYS_PER_CLIENT};
+use isb_tests::sigkill::{Child, Scratch};
 use kvserve::{Config, KvClient, OpCode, Server};
-use std::path::{Path, PathBuf};
-use std::time::Duration;
 
 const MAP_CLIENTS: u64 = 3;
 const QUEUE_CLIENT: u64 = 100;
@@ -66,62 +66,39 @@ fn map_clients(seed: u64) -> Vec<MapClient> {
 // ---------------------------------------------------------------------------
 
 /// The server half. Ignored in normal runs; the parent spawns this test by
-/// name with `ISB_KV_DIR` set (and, for the crash phase, the kill env that
-/// [`kvserve::Server`] reads at start). Publishes the bound port atomically
-/// once the server is accepting — which, on restart, doubles as the
-/// "attach recovery finished" handshake.
+/// name (and, for the crash phase, with the kill env that
+/// [`kvserve::Server`] reads at start).
 #[test]
 #[ignore = "child half of the exactly-once harness; spawned by the parent test"]
 fn kv_server_child() {
-    let Ok(dir) = std::env::var("ISB_KV_DIR") else { return };
-    let dir = PathBuf::from(dir);
-    let mut cfg = Config::new(dir.join("kv.heap"));
-    cfg.heap_bytes = HEAP_BYTES;
-    cfg.shards = 4;
-    cfg.workers = 2;
-    let server = Server::start(cfg).expect("child server start");
-    let tmp = dir.join("port.tmp");
-    std::fs::write(&tmp, server.local_addr().port().to_string()).unwrap();
-    std::fs::rename(&tmp, dir.join("port")).unwrap();
-    let stop = dir.join("stop");
-    while !stop.exists() {
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    server.stop();
+    let Some(scratch) = Scratch::of_child() else { return };
+    serve_child(&scratch, HEAP_BYTES, false, "port");
 }
 
 // ---------------------------------------------------------------------------
 // Parent-side harness
 // ---------------------------------------------------------------------------
 
-fn spawn_server(dir: &Path, kill: Option<(&str, u64)>) -> std::process::Child {
-    let _ = std::fs::remove_file(dir.join("port"));
-    let mut cmd = std::process::Command::new(std::env::current_exe().unwrap());
-    cmd.args(["--exact", "kv_server_child", "--include-ignored", "--nocapture"])
-        .env("ISB_KV_DIR", dir)
-        .env_remove("ISB_KV_KILL_POINT")
-        .env_remove("ISB_KV_KILL_AFTER")
-        .stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::null());
+fn spawn_server(scratch: &Scratch, kill: Option<(&str, u64)>) -> Child {
+    let _ = std::fs::remove_file(scratch.file("port"));
+    let mut cmd = scratch.child("kv_server_child", &[]);
+    cmd.env_remove("ISB_KV_KILL_POINT").env_remove("ISB_KV_KILL_AFTER");
     if let Some((point, after)) = kill {
         cmd.env("ISB_KV_KILL_POINT", point).env("ISB_KV_KILL_AFTER", after.to_string());
     }
-    cmd.spawn().expect("spawn server child")
+    scratch.spawn(&mut cmd)
 }
 
 /// One full SIGKILL round at `point` with `seed`.
 fn run_round(point: &str, seed: u64) {
-    let dir =
-        std::env::temp_dir().join(format!("isb_kv_once_{}_{point}_{seed}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+    let scratch = Scratch::create("kv_once", point, seed);
     let ctx = format!("kill={point} seed={seed}");
 
     // `accept` counts connections (4 clients connect); the other points
     // count requests, so the countdown lands mid-workload.
     let kill_after = if point == "accept" { 1 + seed % 4 } else { 5 + (seed * 13) % 60 };
-    let mut child = spawn_server(&dir, Some((point, kill_after)));
-    let addr = wait_port(&dir.join("port"), &ctx);
+    let child = spawn_server(&scratch, Some((point, kill_after)));
+    let addr = wait_port(&scratch, "port");
 
     let mut maps = map_clients(seed);
     let mut queue = QueueClient::new(seed, QUEUE_CLIENT);
@@ -145,12 +122,12 @@ fn run_round(point: &str, seed: u64) {
         live |= queue.step(&ctx);
     }
     assert!(!live, "{ctx}: server survived {PRE_CRASH_ROUNDS} rounds without dying");
-    child.wait().expect("reap killed server");
+    child.wait_exit(); // it killed itself
 
     // Restart with no kill env: the attach pipeline replays, scrubs, and
     // resolves every in-flight op ID before the port file reappears.
-    let mut child = spawn_server(&dir, None);
-    let addr = wait_port(&dir.join("port"), &ctx);
+    let child = spawn_server(&scratch, None);
+    let addr = wait_port(&scratch, "port");
 
     for m in &mut maps {
         m.recover(addr, &ctx);
@@ -171,10 +148,8 @@ fn run_round(point: &str, seed: u64) {
     }
     queue.drain(&ctx);
 
-    std::fs::write(dir.join("stop"), b"ok").unwrap();
-    let status = child.wait().expect("reap server");
-    assert!(status.success(), "{ctx}: clean shutdown failed");
-    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::write(scratch.file("stop"), b"ok").unwrap();
+    assert!(child.wait_exit().success(), "{ctx}: clean shutdown failed");
 }
 
 fn run_matrix(point: &str) {
@@ -213,13 +188,11 @@ fn exactly_once_kill_postack() {
 /// middle — isolates harness bugs from recovery bugs.
 #[test]
 fn exactly_once_no_crash_control() {
-    let dir = std::env::temp_dir().join(format!("isb_kv_once_{}_control", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+    let scratch = Scratch::create("kv_once", "control", 7);
     let ctx = "control";
 
-    let mut child = spawn_server(&dir, None);
-    let addr = wait_port(&dir.join("port"), ctx);
+    let child = spawn_server(&scratch, None);
+    let addr = wait_port(&scratch, "port");
     let mut maps = map_clients(7);
     let mut queue = QueueClient::new(7, QUEUE_CLIENT);
     for m in &mut maps {
@@ -234,11 +207,11 @@ fn exactly_once_no_crash_control() {
     }
 
     // Graceful stop + restart: recovery with nothing in flight.
-    std::fs::write(dir.join("stop"), b"ok").unwrap();
-    assert!(child.wait().expect("reap").success());
-    let _ = std::fs::remove_file(dir.join("stop"));
-    let mut child = spawn_server(&dir, None);
-    let addr = wait_port(&dir.join("port"), ctx);
+    std::fs::write(scratch.file("stop"), b"ok").unwrap();
+    assert!(child.wait_exit().success());
+    let _ = std::fs::remove_file(scratch.file("stop"));
+    let child = spawn_server(&scratch, None);
+    let addr = wait_port(&scratch, "port");
     for m in &mut maps {
         m.recover(addr, ctx);
         m.sweep(ctx);
@@ -246,9 +219,8 @@ fn exactly_once_no_crash_control() {
     queue.recover(addr, ctx);
     queue.drain(ctx);
 
-    std::fs::write(dir.join("stop"), b"ok").unwrap();
-    assert!(child.wait().expect("reap").success());
-    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::write(scratch.file("stop"), b"ok").unwrap();
+    assert!(child.wait_exit().success());
 }
 
 // ---------------------------------------------------------------------------
@@ -257,15 +229,13 @@ fn exactly_once_no_crash_control() {
 
 /// An in-process server over a fresh heap (no kill env reaches it: the kill
 /// points are read from the environment of the *child* processes only).
-fn start_in_process(tag: &str, lanes: usize) -> (Server, PathBuf) {
-    let dir = std::env::temp_dir().join(format!("isb_kv_once_{}_{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let mut cfg = Config::new(dir.join("kv.heap"));
+fn start_in_process(tag: &str, lanes: usize) -> (Server, Scratch) {
+    let scratch = Scratch::create("kv_once", tag, 0);
+    let mut cfg = Config::new(scratch.heap());
     cfg.heap_bytes = HEAP_BYTES;
     cfg.shards = 4;
     cfg.workers = lanes;
-    (Server::start(cfg).expect("in-process server start"), dir)
+    (Server::start(cfg).expect("in-process server start"), scratch)
 }
 
 /// Four connections share ONE `client_id` and race the same
@@ -277,7 +247,7 @@ fn same_client_racing_connections_apply_once() {
     const ROUNDS: u64 = 64;
     const CLIENT: u64 = 7;
     const KEY: u64 = 4242;
-    let (server, dir) = start_in_process("race", 2);
+    let (server, _scratch) = start_in_process("race", 2);
     let addr = server.local_addr();
     let barrier = std::sync::Barrier::new(RACERS);
 
@@ -328,7 +298,6 @@ fn same_client_racing_connections_apply_once() {
     assert!(!c.del(KEY).unwrap(), "key was present twice");
 
     server.stop();
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// One lane, four concurrent clients: every request of every client funnels
@@ -337,7 +306,7 @@ fn same_client_racing_connections_apply_once() {
 /// every response matches the std model.
 #[test]
 fn single_lane_serves_concurrent_clients() {
-    let (server, dir) = start_in_process("onelane", 1);
+    let (server, _scratch) = start_in_process("onelane", 1);
     let addr = server.local_addr();
     std::thread::scope(|s| {
         for i in 1..=4u64 {
@@ -353,14 +322,13 @@ fn single_lane_serves_concurrent_clients() {
         }
     });
     server.stop();
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A long-lived server with reconnecting clients must not keep one
 /// `JoinHandle` per connection it has ever served.
 #[test]
 fn finished_connection_threads_are_reaped() {
-    let (server, dir) = start_in_process("reap", 1);
+    let (server, _scratch) = start_in_process("reap", 1);
     let addr = server.local_addr();
     let mut peak = 0;
     for i in 1..=200u64 {
@@ -374,5 +342,4 @@ fn finished_connection_threads_are_reaped() {
     // asynchronous to the next accept: allow a lag far below one-per-connect.
     assert!(peak <= 64, "server retained {peak} connection handles over 200 connects");
     server.stop();
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -7,6 +7,7 @@
 //! cross-process SIGKILL harness (`restart.rs`).
 
 use isb::bst::RBst;
+use isb::engine::{RES_TRUE, RES_UNIT};
 use isb::hashmap::RHashMap;
 use isb::list::RList;
 use isb::queue::RQueue;
@@ -705,8 +706,6 @@ const RTB1_MAGIC: u64 = 0x5254_4231;
 const LAST_SEQ: u64 = 8;
 const RESP: u64 = 16;
 const PENDING: u64 = 24;
-const RES_TRUE: u64 = 2;
-const RES_UNIT: u64 = 3;
 /// A pid whose last operation completed (an enqueue, so the next attach
 /// decides `Completed(RES_UNIT)` for it), and one that never ran
 /// (`Restart`).

@@ -11,18 +11,11 @@
 
 use isb::hashmap::RHashMap;
 use isb::list::RList;
+use isb_tests::kv::splitmix;
 use std::sync::Arc;
 
 fn ops() -> u64 {
     std::env::var("ISB_STRESS_OPS").ok().and_then(|s| s.parse().ok()).unwrap_or(150_000)
-}
-
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 fn run_disjoint<S, I, D, F>(s: Arc<S>, threads: usize, insert: I, delete: D, find: F)

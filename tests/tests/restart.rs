@@ -1,374 +1,201 @@
-//! True cross-process restart recovery: a child process hammers a mapped
-//! `RHashMap` with a write-ahead intent/ack journal, the parent `SIGKILL`s
-//! it mid-workload, re-attaches the heap **from the parent process**, and
-//! verifies
+//! True cross-process restart recovery: children hammer a mapped heap
+//! through write-ahead journals, the parent `SIGKILL`s them mid-workload,
+//! re-attaches the heap **from the parent process** and verifies every
+//! journal against the recovery decisions. How a round is built — scratch
+//! directory, child spawn and handshake, journal protocol, the
+//! acked / recovered / re-invoked / stale checks — is [`isb_tests::sigkill`];
+//! this file holds what is specific to a leg:
 //!
-//! 1. every **acked** operation is reflected in the recovered map (and its
-//!    acked response was correct at the time),
-//! 2. the at-most-one **unacked** in-flight operation per process is
-//!    *detectably* resolved: the attach-time Op-Recover replay either
-//!    reports `Completed(res)` (its durable response — applied to the
-//!    model) or `Restart` (it provably did not take effect — re-invoked),
-//! 3. a full equivalence pass against a `std::collections::HashMap` model
-//!    holds, plus the structural invariants.
+//! | test | what is killed | what is asserted |
+//! |------|----------------|------------------|
+//! | `restart_sigkill_recovers_across_processes` | a child with 3 workers on one `RHashMap<_, 0>`, at `30 + (seed * 37) % 170` ms | every journal resolves; key-range equivalence, `snapshot_keys`, structural invariants |
+//! | `restart_sigkill_mid_growth_recovers` | the same child over a 64 KiB initial segment, 1..=56 ms in | the same, and the matrix as a whole outgrew segment 0 |
+//! | `store_restart_sigkill_recovers_across_processes` | a child with 2 map workers + 1 queue worker on ONE `Store` heap (arms 0 / 0) | every journal resolves against the one shared replay; map equivalence, queue drain in order |
+//! | `store_restart_sigkill_recovers_coalesced_arms` | the same child under `Isb-Coal` / `Isb-LP` and `Isb-LP` / `Isb-LP` | the same, with the coalescing arms' stale-`Completed` rule |
+//! | `five_kinds_sigkill_recovers_through_one_driver` | one worker cycling map, queue, list, BST and stack of ONE store | its journal resolves through the store-wide decision; equivalence per structure |
+//! | `shared_kill_one_of_n_recovers_online` | one of 3 live processes sharing ONE heap | survivors keep acking DURING recovery; every journal resolves through the survivor-journaled decisions; map equivalence, queue exactly-once + per-producer FIFO |
+//! | `shared_kill_of_recoverer_is_superseded` | the victim, then its recoverer mid-lease | the last survivor steals the lease and recovers both; same checks |
+//! | `shared_peer_growth_is_readable_without_refresh` | nothing (the child exits) | peer-grown segments are readable with no refresh |
+//! | `shared_kv_failover_serves_dead_peers_clients` | one of two `kvserve` processes on one heap | its clients fail over to the survivor exactly-once |
+//! | `reattach_is_idempotent` | nothing | a second attach has nothing to sweep |
 //!
-//! ## Journal protocol (per worker thread, one log file per pid)
-//!
-//! ```text
-//! note_invocation(pid)          // CP_q := 0, persisted — the "system" half
-//! write "S <seq> <op> <key>\n"  // intent record (one write syscall)
-//! res = map.op(pid, key)
-//! write "A <seq> <res>\n"       // ack record
-//! ```
-//!
-//! `note_invocation` *before* the intent record is what makes every kill
-//! point unambiguous: if the S record exists, `CP_q` was already cleared for
-//! this operation, so a recovery decision of `Completed` can only refer to
-//! *this* operation (never to the previous one), and `Restart` proves it
-//! did not take effect. If the S record is missing, the operation never ran.
-//!
-//! The child is this same test binary re-executed with `--exact
-//! restart_child_worker --include-ignored` and `ISB_RESTART_DIR` set.
-//!
-//! Seeds: `ISB_RESTART_SEEDS` (default 20) seeded kill points; every failure
-//! message includes the seed. The mid-growth matrix sizes itself from
-//! `ISB_RESTART_GROWTH_SEEDS` (default 12) instead, so smoke runs can
-//! shrink the main matrix without starving the growth-window assert.
+//! Seeds: `ISB_RESTART_SEEDS` seeded kill points (default 20 for the first
+//! leg, 10 for the store and five-kinds legs); every failure message includes
+//! the seed. The mid-growth matrix sizes itself from
+//! `ISB_RESTART_GROWTH_SEEDS` (default 12) instead, so smoke runs can shrink
+//! the main matrix without starving the growth-window assert; the shared
+//! legs read `ISB_SHARED_SEEDS` (10) and `ISB_SHARED_KILL2_SEEDS` (3).
 
+use isb::bst::RBst;
 use isb::hashmap::RHashMap;
+use isb::list::RList;
+use isb::queue::RQueue;
 use isb::recovery::Recovered;
+use isb::stack::RStack;
 use isb::store::Store;
+use isb_tests::kv::splitmix;
+use isb_tests::sigkill::{
+    Child, Journal, Model, Op, Resp, Scratch, SeqModel, SeqModels, Tally, Target,
+};
 use nvm::MappedNvm;
-use std::collections::{HashMap, VecDeque};
-use std::fs::OpenOptions;
-use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::collections::HashMap;
+use std::fmt::Display;
+use std::process::Stdio;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 const SHARDS: usize = 8;
 const HEAP_BYTES: usize = 16 * 1024 * 1024;
 const WORKERS: usize = 3; // pids 1..=WORKERS, disjoint key ranges
 const KEYS_PER_WORKER: u64 = 1000;
 
-/// `RES_TRUE` of the result encoding (isb::engine::RES_TRUE).
-const RES_TRUE: u64 = 2;
-
-fn heap_path(dir: &Path) -> PathBuf {
-    dir.join("heap.img")
-}
-
-fn log_path(dir: &Path, pid: usize) -> PathBuf {
-    dir.join(format!("log_{pid}.txt"))
-}
-
 fn key_range(pid: usize) -> (u64, u64) {
     let lo = 1 + (pid as u64 - 1) * KEYS_PER_WORKER;
     (lo, lo + KEYS_PER_WORKER - 1)
 }
 
-/// Tiny deterministic PRNG (splitmix64) — keeps child and parent free of
-/// any shared-seed coupling beyond the seed value itself.
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+/// The seed count `var` asks for.
+fn seeds(var: &str, default: u64) -> u64 {
+    std::env::var(var).ok().and_then(|s| s.parse().ok()).unwrap_or(default)
+}
+
+/// 40 % inserts, 30 % deletes, 30 % finds.
+fn set_op(r: u64, key: u64) -> Op {
+    match r % 10 {
+        0..=3 => Op::Insert(key),
+        4..=6 => Op::Delete(key),
+        _ => Op::Find(key),
+    }
+}
+
+/// Runs `round` over the seeds, prints the leg's totals and checks that the
+/// kill timing left any work to verify.
+fn matrix(leg: &str, seeds: u64, mut round: impl FnMut(u64) -> Tally) {
+    let mut total = Tally::default();
+    for seed in 0..seeds {
+        total += round(seed);
+    }
+    println!(
+        "{leg}: {seeds} kills, {} acked ops verified, {} in-flight ops detectably resolved",
+        total.acked, total.inflight
+    );
+    assert!(total.acked > 0, "no seed produced any acked work — kill timing broken");
+}
+
+/// Spawns the child test `test`, waits until it is ready, lets it run for
+/// `run_for` and SIGKILLs it.
+fn run_and_kill(scratch: &Scratch, test: &str, params: &[(&str, &dyn Display)], run_for: Duration) {
+    let child = scratch.spawn(&mut scratch.child(test, params));
+    scratch.wait_file("ready");
+    std::thread::sleep(run_for);
+    child.sigkill();
+}
+
+/// `map` must hold exactly `model`'s keys of `pid`'s range.
+fn check_range<const ARM: u8>(
+    who: &str,
+    map: &RHashMap<MappedNvm, ARM>,
+    reader: usize,
+    pid: usize,
+    model: &SeqModel,
+) {
+    let (lo, hi) = key_range(pid);
+    for k in lo..=hi {
+        let want = model.set.contains(&k);
+        assert_eq!(map.find(reader, k), want, "{who}: map equivalence diverges at key {k}");
+    }
+}
+
+/// `queue` must hold exactly `model`'s values, in order.
+fn check_drain<const ARM: u8>(who: &str, queue: &RQueue<MappedNvm, ARM>, model: &mut SeqModel) {
+    while let Some(want) = model.fifo.pop_front() {
+        assert_eq!(queue.dequeue(0), Some(want), "{who}: queue contents diverge");
+    }
+    assert_eq!(queue.dequeue(0), None, "{who}: queue longer than model");
 }
 
 // ---------------------------------------------------------------------------
-// Child mode
+// Single map: 3 workers on one standalone RHashMap
 // ---------------------------------------------------------------------------
 
-/// The child workload. Ignored in normal runs; the parent spawns this test
-/// by name with `ISB_RESTART_DIR` set and kills it mid-loop.
+/// A map worker: journaled seeded set operations on `pid`'s key range,
+/// until the SIGKILL.
+fn map_worker<const ARM: u8>(
+    scratch: &Scratch,
+    map: &RHashMap<MappedNvm, ARM>,
+    pid: usize,
+    seed: u64,
+) {
+    nvm::tid::set_tid(pid);
+    let mut journal = Journal::append(&scratch.journal(pid));
+    let (lo, hi) = key_range(pid);
+    let mut rng = seed.wrapping_mul(31).wrapping_add(pid as u64);
+    loop {
+        let key = lo + splitmix(&mut rng) % (hi - lo + 1);
+        let op = set_op(splitmix(&mut rng), key);
+        journal.invoke('m', op, || map.note_invocation(pid), || map.invoke(pid, op));
+    }
+}
+
 #[test]
 #[ignore = "child half of the restart harness; spawned by the parent test"]
 fn restart_child_worker() {
-    let Ok(dir) = std::env::var("ISB_RESTART_DIR") else { return };
-    let dir = PathBuf::from(dir);
-    let seed: u64 = std::env::var("ISB_RESTART_SEED").unwrap().parse().unwrap();
-
+    let Some(scratch) = Scratch::of_child() else { return };
+    let seed: u64 = scratch.param("seed");
     nvm::tid::set_tid(0);
     // The growth leg shrinks the initial segment so the fill outgrows it.
-    let heap_bytes: usize = std::env::var("ISB_RESTART_HEAP_BYTES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(HEAP_BYTES);
     let (map, _summary) =
-        RHashMap::<MappedNvm, 0>::attach_sized(heap_path(&dir), SHARDS, heap_bytes)
+        RHashMap::<MappedNvm, 0>::attach_sized(scratch.heap(), SHARDS, scratch.param("heap_bytes"))
             .expect("child attach");
-    let map = Arc::new(map);
     // Signal readiness only once the heap is fully created.
-    std::fs::write(dir.join("ready"), b"ok").unwrap();
-
-    let handles: Vec<_> = (1..=WORKERS)
-        .map(|pid| {
-            let map = Arc::clone(&map);
-            let dir = dir.clone();
-            std::thread::spawn(move || {
-                nvm::tid::set_tid(pid);
-                let mut log =
-                    OpenOptions::new().create(true).append(true).open(log_path(&dir, pid)).unwrap();
-                let (lo, hi) = key_range(pid);
-                let mut rng = seed.wrapping_mul(31).wrapping_add(pid as u64);
-                let mut seq = 0u64;
-                loop {
-                    seq += 1;
-                    let key = lo + splitmix(&mut rng) % (hi - lo + 1);
-                    let op = match splitmix(&mut rng) % 10 {
-                        0..=3 => 'i',
-                        4..=6 => 'd',
-                        _ => 'f',
-                    };
-                    // System half of the invocation BEFORE the intent record
-                    // (see module docs).
-                    map.note_invocation(pid);
-                    log.write_all(format!("S {seq} {op} {key}\n").as_bytes()).unwrap();
-                    let res = match op {
-                        'i' => map.insert(pid, key),
-                        'd' => map.delete(pid, key),
-                        _ => map.find(pid, key),
-                    };
-                    log.write_all(format!("A {seq} {}\n", res as u8).as_bytes()).unwrap();
-                }
-            })
-        })
-        .collect();
-    for h in handles {
-        let _ = h.join(); // unreachable: the loop runs until SIGKILL
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Parent mode
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Op {
-    Insert,
-    Delete,
-    Find,
-}
-
-#[derive(Debug)]
-struct LogEntry {
-    seq: u64,
-    op: Op,
-    key: u64,
-    ack: Option<bool>,
-}
-
-/// Parses one pid's journal. Incomplete trailing lines (the kill landed
-/// mid-`write`) are ignored: a missing S means the op never ran; a missing
-/// A means the op is in flight.
-fn parse_log(path: &Path) -> Vec<LogEntry> {
-    let Ok(raw) = std::fs::read(path) else { return Vec::new() };
-    let text = String::from_utf8_lossy(&raw);
-    let mut entries: Vec<LogEntry> = Vec::new();
-    for line in text.split_inclusive('\n') {
-        if !line.ends_with('\n') {
-            break; // torn final record
+    scratch.publish("ready", "ok");
+    std::thread::scope(|s| {
+        for pid in 1..=WORKERS {
+            let (scratch, map) = (&scratch, &map);
+            s.spawn(move || map_worker(scratch, map, pid, seed));
         }
-        let mut it = line.split_whitespace();
-        match it.next() {
-            Some("S") => {
-                let seq: u64 = it.next().unwrap().parse().unwrap();
-                let op = match it.next().unwrap() {
-                    "i" => Op::Insert,
-                    "d" => Op::Delete,
-                    _ => Op::Find,
-                };
-                let key: u64 = it.next().unwrap().parse().unwrap();
-                entries.push(LogEntry { seq, op, key, ack: None });
-            }
-            Some("A") => {
-                let seq: u64 = it.next().unwrap().parse().unwrap();
-                let res = it.next().unwrap() == "1";
-                let last = entries.last_mut().expect("A without S");
-                assert_eq!(last.seq, seq, "ack out of order in {path:?}");
-                last.ack = Some(res);
-            }
-            _ => panic!("malformed journal line {line:?} in {path:?}"),
-        }
-    }
-    entries
+    });
 }
 
-/// Applies `op` to the model; returns the expected (linearized) response.
-fn model_apply(model: &mut HashMap<u64, u64>, op: Op, key: u64, seq: u64) -> bool {
-    match op {
-        Op::Insert => model.insert(key, seq).is_none(),
-        Op::Delete => model.remove(&key).is_some(),
-        Op::Find => model.contains_key(&key),
-    }
-}
-
-fn run_one_seed(seed: u64) -> (u64, u64) {
-    let kill_after = Duration::from_millis(30 + (seed * 37) % 170);
-    let (acked, inflight, _segments) = run_one_seed_with(seed, HEAP_BYTES, kill_after);
-    (acked, inflight)
-}
-
-/// One SIGKILL round: returns (acked ops verified, in-flight ops resolved,
-/// heap segments after the parent's re-attach).
-fn run_one_seed_with(seed: u64, heap_bytes: usize, kill_after: Duration) -> (u64, u64, usize) {
+/// One SIGKILL round: returns what it verified and the heap's segment count
+/// after the parent's re-attach.
+fn run_one_seed_with(seed: u64, heap_bytes: usize, kill_after: Duration) -> (Tally, usize) {
     // Two tests run this matrix — on their own test threads, over the same
-    // seeds — so the directory carries what tells them apart. (It did not,
-    // and one test's `remove_dir_all`, child and attach then met the other's
-    // heap: "attached by live process", or two handles of one process on one
-    // file.)
-    let dir = std::env::temp_dir()
-        .join(format!("isb_restart_{}_{heap_bytes}_{seed}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-
-    // Spawn the child: this test binary, child test only.
-    let mut child = std::process::Command::new(std::env::current_exe().unwrap())
-        .args(["--exact", "restart_child_worker", "--include-ignored", "--nocapture"])
-        .env("ISB_RESTART_DIR", &dir)
-        .env("ISB_RESTART_SEED", seed.to_string())
-        .env("ISB_RESTART_HEAP_BYTES", heap_bytes.to_string())
-        .stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::null())
-        .spawn()
-        .expect("spawn child");
-
-    // Wait until the child created the heap, then let it run a seeded while.
-    let t0 = Instant::now();
-    while !dir.join("ready").exists() {
-        assert!(t0.elapsed() < Duration::from_secs(60), "seed {seed}: child never became ready");
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    std::thread::sleep(kill_after);
-    child.kill().expect("SIGKILL child"); // SIGKILL on unix: no cleanup runs
-    child.wait().expect("reap child");
+    // seeds — so the heap size is what tells their directories apart.
+    let scratch = Scratch::create("restart", heap_bytes, seed);
+    let params = [("seed", &seed as _), ("heap_bytes", &heap_bytes as _)];
+    run_and_kill(&scratch, "restart_child_worker", &params, kill_after);
 
     // Re-attach FROM THIS PROCESS and recover.
     nvm::tid::set_tid(0);
     let (mut map, summary) =
-        RHashMap::<MappedNvm, 0>::attach_sized(heap_path(&dir), SHARDS, heap_bytes)
+        RHashMap::<MappedNvm, 0>::attach_sized(scratch.heap(), SHARDS, heap_bytes)
             .unwrap_or_else(|e| panic!("seed {seed}: parent attach failed: {e}"));
-
-    let mut union: HashMap<u64, u64> = HashMap::new();
-    let mut acked_ops = 0u64;
-    let mut inflight_ops = 0u64;
+    // One model for all workers: their key ranges are disjoint, so each
+    // journal replays sequentially against its own part of it.
+    let mut tally = Tally::default();
+    let mut model = SeqModels::default();
     for pid in 1..=WORKERS {
-        let entries = parse_log(&log_path(&dir, pid));
-        let mut model: HashMap<u64, u64> = HashMap::new();
-        let n = entries.len();
-        for (i, e) in entries.iter().enumerate() {
-            match e.ack {
-                Some(res) => {
-                    // 1. Acked ops: the logged response must match the
-                    // sequential model of this pid's disjoint key range.
-                    let want = model_apply(&mut model, e.op, e.key, e.seq);
-                    assert_eq!(
-                        res, want,
-                        "seed {seed} pid {pid} seq {} ({:?} {}): acked response wrong",
-                        e.seq, e.op, e.key
-                    );
-                    acked_ops += 1;
-                }
-                None => {
-                    // 2. The in-flight op: must be the last record, and the
-                    // recovery decision resolves it detectably.
-                    assert_eq!(i, n - 1, "seed {seed} pid {pid}: unacked op not last");
-                    inflight_ops += 1;
-                    match summary.decision(pid) {
-                        Recovered::Completed(res) => {
-                            // The operation took effect; its durable response
-                            // must match the model exactly.
-                            let res = res == RES_TRUE;
-                            let want = model_apply(&mut model, e.op, e.key, e.seq);
-                            assert_eq!(
-                                res, want,
-                                "seed {seed} pid {pid} seq {} ({:?} {}): recovered response wrong",
-                                e.seq, e.op, e.key
-                            );
-                        }
-                        Recovered::Restart => {
-                            // The operation did not take effect: re-invoke it
-                            // with its original arguments (the paper's
-                            // re-invocation semantics) and then apply it.
-                            let res = match e.op {
-                                Op::Insert => map.insert(pid, e.key),
-                                Op::Delete => map.delete(pid, e.key),
-                                Op::Find => map.find(pid, e.key),
-                            };
-                            let want = model_apply(&mut model, e.op, e.key, e.seq);
-                            assert_eq!(
-                                res, want,
-                                "seed {seed} pid {pid} seq {} ({:?} {}): re-invoked response wrong",
-                                e.seq, e.op, e.key
-                            );
-                        }
-                    }
-                }
-            }
-        }
-        if entries.last().is_none_or(|e| e.ack.is_some()) {
-            // No op in flight for this pid. A `Completed` decision can then
-            // only name the last *published* (acked, mutating) operation —
-            // cross-check its durable response against the journal.
-            if let Recovered::Completed(res) = summary.decision(pid) {
-                let last_mut = entries.iter().rev().find(|e| e.op != Op::Find);
-                let logged = last_mut
-                    .unwrap_or_else(|| {
-                        panic!("seed {seed} pid {pid}: Completed with no mutating op logged")
-                    })
-                    .ack
-                    .unwrap();
-                assert_eq!(
-                    res == RES_TRUE,
-                    logged,
-                    "seed {seed} pid {pid}: stale Completed response diverges from journal"
-                );
-            }
-        }
-        union.extend(model);
+        let who = format!("seed {seed} pid {pid}");
+        let mut reinvoke = |_: char, op: Op| map.invoke(pid, op);
+        tally +=
+            scratch.resolve(&who, pid, Some(summary.decision(pid)), 0, &mut model, &mut reinvoke);
+        check_range(&who, &map, 0, pid, model.of('m'));
     }
-
-    // 3. Full equivalence pass against the std::HashMap model.
-    for pid in 1..=WORKERS {
-        let (lo, hi) = key_range(pid);
-        for k in lo..=hi {
-            assert_eq!(
-                map.find(0, k),
-                union.contains_key(&k),
-                "seed {seed}: equivalence diverges at key {k}"
-            );
-        }
-    }
-    let mut want: Vec<u64> = union.keys().copied().collect();
+    let mut want: Vec<u64> = model.of('m').set.iter().copied().collect();
     want.sort_unstable();
     assert_eq!(map.snapshot_keys(), want, "seed {seed}: snapshot diverges from model");
     map.check_invariants();
-
-    drop(map);
-    let _ = std::fs::remove_dir_all(&dir);
-    (acked_ops, inflight_ops, summary.heap.segments)
+    (tally, summary.heap.segments)
 }
 
 /// The cross-process SIGKILL matrix: seeded kill points, zero lost acked
 /// ops, every in-flight op detectably resolved, full model equivalence.
 #[test]
 fn restart_sigkill_recovers_across_processes() {
-    let seeds: u64 =
-        std::env::var("ISB_RESTART_SEEDS").ok().and_then(|s| s.parse().ok()).unwrap_or(20);
-    let mut total_acked = 0;
-    let mut total_inflight = 0;
-    for seed in 0..seeds {
-        let (acked, inflight) = run_one_seed(seed);
-        total_acked += acked;
-        total_inflight += inflight;
-    }
-    println!(
-        "restart matrix: {seeds} kills, {total_acked} acked ops verified, \
-         {total_inflight} in-flight ops detectably resolved"
-    );
-    assert!(total_acked > 0, "no seed produced any acked work — kill timing broken");
+    matrix("restart matrix", seeds("ISB_RESTART_SEEDS", 20), |seed| {
+        run_one_seed_with(seed, HEAP_BYTES, Duration::from_millis(30 + (seed * 37) % 170)).0
+    });
 }
 
 /// The growth crash window: the same SIGKILL matrix over a heap whose
@@ -384,26 +211,16 @@ fn restart_sigkill_mid_growth_recovers() {
     // Deliberately NOT `ISB_RESTART_SEEDS`: the matrix-wide growth assert
     // below needs enough kill points that at least one lands after the
     // first segment growth, so a 1-seed smoke setting must not shrink it.
-    let seeds: u64 =
-        std::env::var("ISB_RESTART_GROWTH_SEEDS").ok().and_then(|s| s.parse().ok()).unwrap_or(12);
-    let mut total_acked = 0;
-    let mut total_inflight = 0;
     let mut max_segments = 0;
-    for seed in 0..seeds {
+    matrix("mid-growth matrix", seeds("ISB_RESTART_GROWTH_SEEDS", 12), |seed| {
         // 1..=56 ms after readiness: clustered on the fill ramp, where the
         // allocation rate (and thus growth) is highest.
         let kill_after = Duration::from_millis(1 + (seed * 5) % 56);
-        let (acked, inflight, segments) =
-            run_one_seed_with(seed, nvm::mapped::MIN_HEAP_BYTES, kill_after);
-        total_acked += acked;
-        total_inflight += inflight;
+        let (tally, segments) = run_one_seed_with(seed, nvm::mapped::MIN_HEAP_BYTES, kill_after);
         max_segments = max_segments.max(segments);
-    }
-    println!(
-        "mid-growth matrix: {seeds} kills, {total_acked} acked ops verified, \
-         {total_inflight} in-flight ops detectably resolved, max {max_segments} segments"
-    );
-    assert!(total_acked > 0, "no seed produced any acked work — kill timing broken");
+        tally
+    });
+    println!("mid-growth matrix: max {max_segments} segments");
     assert!(
         max_segments > 1,
         "no seed ever outgrew the 64 KiB initial segment — the growth window was not exercised"
@@ -417,296 +234,91 @@ fn restart_sigkill_mid_growth_recovers() {
 const STORE_HEAP_BYTES: usize = 32 * 1024 * 1024;
 const QUEUE_PID: usize = 3; // map workers are pids 1..=2
 
-/// `RES_UNIT` / `RES_EMPTY` / `RES_VAL_BASE` of the result encoding.
-const RES_UNIT: u64 = 3;
-const RES_EMPTY: u64 = 4;
-const RES_VAL_BASE: u64 = 16;
-
 /// Child: two map workers plus one queue worker hammer ONE store heap with
-/// per-pid journals until the parent kills them.
+/// per-pid journals until the parent kills them — under the paper's arms,
+/// or the PR-6 tuning arms (coalesced map `ARM = 2`, link-persist queue
+/// `ARM = 3`), or both structures under the arm that ships (`Isb-LP`, what
+/// the service's `kv` map runs). A SIGKILL is the one crash the NVM
+/// simulator cannot model — the mapped heap's surviving bytes are whatever
+/// the kernel saw, so the elided/deferred flushes of the tuning arms face a
+/// real (if friendly: the page cache persists CPU stores without clflush)
+/// restart.
 #[test]
 #[ignore = "child half of the store restart harness; spawned by the parent test"]
 fn store_restart_child_worker() {
-    store_child_body::<0, 0>();
+    let Some(scratch) = Scratch::of_child() else { return };
+    match scratch.param::<String>("arms").as_str() {
+        "m0q0" => store_child_body::<0, 0>(&scratch),
+        "m2q3" => store_child_body::<2, 3>(&scratch),
+        "m3q3" => store_child_body::<3, 3>(&scratch),
+        arms => panic!("no store child for arms {arms}"),
+    }
 }
 
-/// Same child workload over the PR-6 tuning arms: coalesced map (`ARM = 2`)
-/// and link-persist queue (`ARM = 3`). A SIGKILL is the one crash the NVM
-/// simulator cannot model — the mapped heap's surviving bytes are whatever
-/// the kernel saw, so the elided/deferred flushes of these arms face a real
-/// (if friendly: the page cache persists CPU stores without clflush) restart.
-#[test]
-#[ignore = "child half of the store restart harness; spawned by the parent test"]
-fn store_restart_child_worker_coal_lp() {
-    store_child_body::<2, 3>();
-}
-
-/// Same child workload, both structures under the arm that ships
-/// (`Isb-LP`): the map's elided cleanup write-backs meet a SIGKILL through a
-/// `Store`, as the service's `kv` map does.
-#[test]
-#[ignore = "child half of the store restart harness; spawned by the parent test"]
-fn store_restart_child_worker_lp() {
-    store_child_body::<3, 3>();
-}
-
-fn store_child_body<const MAP_ARM: u8, const QUEUE_ARM: u8>() {
-    let Ok(dir) = std::env::var("ISB_RESTART_DIR") else { return };
-    let dir = PathBuf::from(dir);
-    let seed: u64 = std::env::var("ISB_RESTART_SEED").unwrap().parse().unwrap();
-
+fn store_child_body<const MAP_ARM: u8, const QUEUE_ARM: u8>(scratch: &Scratch) {
+    let seed: u64 = scratch.param("seed");
     nvm::tid::set_tid(0);
-    let store = Arc::new(Store::open_sized(heap_path(&dir), STORE_HEAP_BYTES).expect("child open"));
+    let store = Store::open_sized(scratch.heap(), STORE_HEAP_BYTES).expect("child open");
     let map = store.hashmap::<MAP_ARM>("users", SHARDS).expect("users handle");
     let queue = store.queue::<QUEUE_ARM>("jobs").expect("jobs handle");
-    std::fs::write(dir.join("ready"), b"ok").unwrap();
+    scratch.publish("ready", "ok");
 
-    let mut handles = Vec::new();
-    for pid in 1..=2usize {
-        let map = Arc::clone(&map);
-        let dir = dir.clone();
-        handles.push(std::thread::spawn(move || {
-            nvm::tid::set_tid(pid);
-            let mut log =
-                OpenOptions::new().create(true).append(true).open(log_path(&dir, pid)).unwrap();
-            let (lo, hi) = key_range(pid);
-            let mut rng = seed.wrapping_mul(31).wrapping_add(pid as u64);
-            let mut seq = 0u64;
-            loop {
-                seq += 1;
-                let key = lo + splitmix(&mut rng) % (hi - lo + 1);
-                let op = match splitmix(&mut rng) % 10 {
-                    0..=3 => 'i',
-                    4..=6 => 'd',
-                    _ => 'f',
-                };
-                map.note_invocation(pid);
-                log.write_all(format!("S {seq} {op} {key}\n").as_bytes()).unwrap();
-                let res = match op {
-                    'i' => map.insert(pid, key),
-                    'd' => map.delete(pid, key),
-                    _ => map.find(pid, key),
-                };
-                log.write_all(format!("A {seq} {}\n", res as u8).as_bytes()).unwrap();
-            }
-        }));
-    }
-    {
-        let queue = Arc::clone(&queue);
-        let dir = dir.clone();
-        handles.push(std::thread::spawn(move || {
+    std::thread::scope(|s| {
+        for pid in 1..=2usize {
+            let map = &*map;
+            s.spawn(move || map_worker(scratch, map, pid, seed));
+        }
+        s.spawn(|| {
             nvm::tid::set_tid(QUEUE_PID);
-            let mut log = OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(log_path(&dir, QUEUE_PID))
-                .unwrap();
+            let mut journal = Journal::append(&scratch.journal(QUEUE_PID));
             let mut rng = seed.wrapping_mul(131).wrapping_add(QUEUE_PID as u64);
-            let mut seq = 0u64;
             loop {
-                seq += 1;
-                queue.note_invocation(QUEUE_PID);
-                if splitmix(&mut rng).is_multiple_of(2) {
-                    log.write_all(format!("S {seq} e {seq}\n").as_bytes()).unwrap();
-                    queue.enqueue(QUEUE_PID, seq);
-                    log.write_all(format!("A {seq} 1\n").as_bytes()).unwrap();
+                let op = if splitmix(&mut rng).is_multiple_of(2) {
+                    Op::Enqueue(journal.next_seq())
                 } else {
-                    log.write_all(format!("S {seq} d 0\n").as_bytes()).unwrap();
-                    let got = queue.dequeue(QUEUE_PID);
-                    let enc = got.map_or("E".to_string(), |v| v.to_string());
-                    log.write_all(format!("A {seq} {enc}\n").as_bytes()).unwrap();
-                }
+                    Op::Dequeue
+                };
+                let note = || queue.note_invocation(QUEUE_PID);
+                journal.invoke('q', op, note, || queue.invoke(QUEUE_PID, op));
             }
-        }));
-    }
-    for h in handles {
-        let _ = h.join(); // unreachable: the loop runs until SIGKILL
-    }
+        });
+    });
 }
 
-/// One queue journal record.
-#[derive(Debug)]
-struct QLogEntry {
-    enqueue: bool,
-    val: u64,
-    /// `None` = in flight; `Some(None)` = acked Empty; `Some(Some(v))`.
-    ack: Option<Option<u64>>,
-}
-
-fn parse_queue_log(path: &Path) -> Vec<QLogEntry> {
-    let Ok(raw) = std::fs::read(path) else { return Vec::new() };
-    let text = String::from_utf8_lossy(&raw);
-    let mut entries: Vec<QLogEntry> = Vec::new();
-    for line in text.split_inclusive('\n') {
-        if !line.ends_with('\n') {
-            break; // torn final record
-        }
-        let mut it = line.split_whitespace();
-        match it.next() {
-            Some("S") => {
-                let _seq: u64 = it.next().unwrap().parse().unwrap();
-                let enqueue = it.next().unwrap() == "e";
-                let val: u64 = it.next().unwrap().parse().unwrap();
-                entries.push(QLogEntry { enqueue, val, ack: None });
-            }
-            Some("A") => {
-                let _seq: u64 = it.next().unwrap().parse().unwrap();
-                let tok = it.next().unwrap();
-                let last = entries.last_mut().expect("A without S");
-                last.ack = Some(if last.enqueue {
-                    Some(last.val)
-                } else if tok == "E" {
-                    None
-                } else {
-                    Some(tok.parse().unwrap())
-                });
-            }
-            _ => panic!("malformed queue journal line {line:?}"),
-        }
-    }
-    entries
-}
-
-fn run_one_store_seed(seed: u64) -> (u64, u64) {
-    run_one_store_seed_arm::<0, 0>(seed, "store_restart_child_worker")
-}
-
-fn run_one_store_seed_arm<const MAP_ARM: u8, const QUEUE_ARM: u8>(
-    seed: u64,
-    child_test: &str,
-) -> (u64, u64) {
-    let dir = std::env::temp_dir()
-        .join(format!("isb_store_restart_m{MAP_ARM}q{QUEUE_ARM}_{}_{seed}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-
-    let mut child = std::process::Command::new(std::env::current_exe().unwrap())
-        .args(["--exact", child_test, "--include-ignored", "--nocapture"])
-        .env("ISB_RESTART_DIR", &dir)
-        .env("ISB_RESTART_SEED", seed.to_string())
-        .stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::null())
-        .spawn()
-        .expect("spawn child");
-    let t0 = Instant::now();
-    while !dir.join("ready").exists() {
-        assert!(t0.elapsed() < Duration::from_secs(60), "seed {seed}: child never became ready");
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    std::thread::sleep(Duration::from_millis(30 + (seed * 41) % 170));
-    child.kill().expect("SIGKILL child");
-    child.wait().expect("reap child");
+fn run_one_store_seed<const MAP_ARM: u8, const QUEUE_ARM: u8>(seed: u64) -> Tally {
+    let arms = format!("m{MAP_ARM}q{QUEUE_ARM}");
+    let scratch = Scratch::create("store_restart", &arms, seed);
+    let params = [("seed", &seed as _), ("arms", &arms as _)];
+    let kill_after = Duration::from_millis(30 + (seed * 41) % 170);
+    run_and_kill(&scratch, "store_restart_child_worker", &params, kill_after);
 
     // Re-open the WHOLE store from this process: one shared replay resolves
     // every structure's pending operation.
     nvm::tid::set_tid(0);
-    let store = Store::open_sized(heap_path(&dir), STORE_HEAP_BYTES)
+    let store = Store::open_sized(scratch.heap(), STORE_HEAP_BYTES)
         .unwrap_or_else(|e| panic!("seed {seed}: parent store open failed: {e}"));
     let summary = store.summary();
     let map = store.hashmap::<MAP_ARM>("users", SHARDS).expect("users handle");
     let queue = store.queue::<QUEUE_ARM>("jobs").expect("jobs handle");
 
-    let mut acked = 0u64;
-    let mut inflight = 0u64;
-
-    // Map workers: identical acked/in-flight verification as the
-    // single-structure matrix.
-    let mut union: HashMap<u64, u64> = HashMap::new();
-    for pid in 1..=2usize {
-        let entries = parse_log(&log_path(&dir, pid));
-        let mut model: HashMap<u64, u64> = HashMap::new();
-        let n = entries.len();
-        for (i, e) in entries.iter().enumerate() {
-            match e.ack {
-                Some(res) => {
-                    let want = model_apply(&mut model, e.op, e.key, e.seq);
-                    assert_eq!(res, want, "seed {seed} pid {pid} seq {}: acked map op", e.seq);
-                    acked += 1;
-                }
-                None => {
-                    assert_eq!(i, n - 1, "seed {seed} pid {pid}: unacked op not last");
-                    inflight += 1;
-                    match summary.decision(pid) {
-                        Recovered::Completed(res) => {
-                            let want = model_apply(&mut model, e.op, e.key, e.seq);
-                            assert_eq!(res == RES_TRUE, want, "seed {seed} pid {pid}: recovered");
-                        }
-                        Recovered::Restart => {
-                            let res = match e.op {
-                                Op::Insert => map.insert(pid, e.key),
-                                Op::Delete => map.delete(pid, e.key),
-                                Op::Find => map.find(pid, e.key),
-                            };
-                            let want = model_apply(&mut model, e.op, e.key, e.seq);
-                            assert_eq!(res, want, "seed {seed} pid {pid}: re-invoked");
-                        }
-                    }
-                }
-            }
-        }
-        union.extend(model);
-    }
-    for pid in 1..=2usize {
-        let (lo, hi) = key_range(pid);
-        for k in lo..=hi {
-            assert_eq!(
-                map.find(0, k),
-                union.contains_key(&k),
-                "seed {seed}: map equivalence diverges at key {k}"
-            );
-        }
-    }
-
-    // Queue worker: FIFO model replay, in-flight op resolved detectably.
-    let entries = parse_queue_log(&log_path(&dir, QUEUE_PID));
-    let mut model: VecDeque<u64> = VecDeque::new();
-    let n = entries.len();
-    for (i, e) in entries.iter().enumerate() {
-        match &e.ack {
-            Some(res) => {
-                let want = if e.enqueue {
-                    model.push_back(e.val);
-                    Some(e.val)
-                } else {
-                    model.pop_front()
-                };
-                assert_eq!(*res, want, "seed {seed} queue entry {i}: acked response wrong");
-                acked += 1;
-            }
-            None => {
-                assert_eq!(i, n - 1, "seed {seed}: unacked queue op not last");
-                inflight += 1;
-                match summary.decision(QUEUE_PID) {
-                    Recovered::Completed(res) if e.enqueue => {
-                        assert_eq!(res, RES_UNIT, "seed {seed}: enqueue response");
-                        model.push_back(e.val);
-                    }
-                    Recovered::Completed(res) => {
-                        let want = model.pop_front();
-                        let got = if res == RES_EMPTY { None } else { Some(res - RES_VAL_BASE) };
-                        assert_eq!(got, want, "seed {seed}: recovered dequeue response");
-                    }
-                    Recovered::Restart if e.enqueue => {
-                        queue.enqueue(QUEUE_PID, e.val);
-                        model.push_back(e.val);
-                    }
-                    Recovered::Restart => {
-                        let got = queue.dequeue(QUEUE_PID);
-                        assert_eq!(got, model.pop_front(), "seed {seed}: re-invoked dequeue");
-                    }
-                }
-            }
+    // Map workers: the same verification as the single-structure matrix,
+    // over disjoint parts of one model. Queue worker: FIFO model replay.
+    let mut tally = Tally::default();
+    let mut model = SeqModels::default();
+    for pid in 1..=QUEUE_PID {
+        let who = format!("seed {seed} arms {arms} pid {pid}");
+        let (arm, target): (u8, &dyn Target) =
+            if pid == QUEUE_PID { (QUEUE_ARM, &*queue) } else { (MAP_ARM, &*map) };
+        let mut reinvoke = |_: char, op: Op| target.invoke(pid, op);
+        let decision = Some(summary.decision(pid));
+        tally += scratch.resolve(&who, pid, decision, arm, &mut model, &mut reinvoke);
+        if pid != QUEUE_PID {
+            check_range(&who, &map, 0, pid, model.of('m'));
         }
     }
     // Drain: the recovered queue must match the model exactly, in order.
-    while let Some(want) = model.pop_front() {
-        assert_eq!(queue.dequeue(0), Some(want), "seed {seed}: queue contents diverge");
-    }
-    assert_eq!(queue.dequeue(0), None, "seed {seed}: queue longer than model");
-
-    drop((map, queue, store));
-    let _ = std::fs::remove_dir_all(&dir);
-    (acked, inflight)
+    check_drain(&format!("seed {seed} arms {arms}"), &queue, model.of('q'));
+    tally
 }
 
 /// The multi-structure store matrix: SIGKILL a child mutating a map AND a
@@ -714,20 +326,7 @@ fn run_one_store_seed_arm<const MAP_ARM: u8, const QUEUE_ARM: u8>(
 /// op detectably resolved per structure, model equivalence for both.
 #[test]
 fn store_restart_sigkill_recovers_across_processes() {
-    let seeds: u64 =
-        std::env::var("ISB_RESTART_SEEDS").ok().and_then(|s| s.parse().ok()).unwrap_or(10);
-    let mut total_acked = 0;
-    let mut total_inflight = 0;
-    for seed in 0..seeds {
-        let (acked, inflight) = run_one_store_seed(seed);
-        total_acked += acked;
-        total_inflight += inflight;
-    }
-    println!(
-        "store restart matrix: {seeds} kills, {total_acked} acked ops verified, \
-         {total_inflight} in-flight ops detectably resolved"
-    );
-    assert!(total_acked > 0, "no seed produced any acked work — kill timing broken");
+    matrix("store restart matrix", seeds("ISB_RESTART_SEEDS", 10), run_one_store_seed::<0, 0>);
 }
 
 /// The tuning-arm legs of the store matrix: SIGKILL a child mutating a
@@ -738,24 +337,9 @@ fn store_restart_sigkill_recovers_across_processes() {
 /// the wrong arm would be rejected before replay.
 #[test]
 fn store_restart_sigkill_recovers_coalesced_arms() {
-    let seeds: u64 =
-        std::env::var("ISB_RESTART_SEEDS").ok().and_then(|s| s.parse().ok()).unwrap_or(10);
-    let mut total_acked = 0;
-    let mut total_inflight = 0;
-    for seed in 0..seeds {
-        for (acked, inflight) in [
-            run_one_store_seed_arm::<2, 3>(seed, "store_restart_child_worker_coal_lp"),
-            run_one_store_seed_arm::<3, 3>(seed, "store_restart_child_worker_lp"),
-        ] {
-            total_acked += acked;
-            total_inflight += inflight;
-        }
-    }
-    println!(
-        "coal/LP and LP/LP store restart matrix: 2 x {seeds} kills, {total_acked} acked ops \
-         verified, {total_inflight} in-flight ops detectably resolved"
-    );
-    assert!(total_acked > 0, "no seed produced any acked work — kill timing broken");
+    let seeds = seeds("ISB_RESTART_SEEDS", 10);
+    matrix("coal/LP store restart matrix", seeds, run_one_store_seed::<2, 3>);
+    matrix("LP/LP store restart matrix", seeds, run_one_store_seed::<3, 3>);
 }
 
 /// Attach twice in a row without a crash: the second attach must be a
@@ -763,10 +347,8 @@ fn store_restart_sigkill_recovers_coalesced_arms() {
 #[test]
 fn reattach_is_idempotent() {
     nvm::tid::set_tid(0);
-    let dir = std::env::temp_dir().join(format!("isb_reattach_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = heap_path(&dir);
+    let scratch = Scratch::create("reattach", "once", 0);
+    let path = scratch.heap();
     {
         let (map, _) = RHashMap::<MappedNvm, 0>::attach_sized(&path, SHARDS, HEAP_BYTES).unwrap();
         for k in 1..=300u64 {
@@ -789,8 +371,6 @@ fn reattach_is_idempotent() {
     map.check_invariants();
     assert_eq!(map.snapshot_keys(), keys1, "re-attach changed the contents");
     assert_eq!(keys1, (2..=300).step_by(2).collect::<Vec<u64>>());
-    drop(map);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // ---------------------------------------------------------------------------
@@ -801,238 +381,114 @@ const FIVE_PID: usize = 1;
 const FIVE_MAP_KEYS: u64 = 100;
 const FIVE_SET_KEYS: u64 = 48;
 
+/// The five structures of the five-kinds store, by journal tag.
+struct Five {
+    m: Arc<RHashMap<MappedNvm, 0>>,
+    q: Arc<RQueue<MappedNvm, 0>>,
+    l: Arc<RList<MappedNvm, 1>>,
+    t: Arc<RBst<MappedNvm, 0>>,
+    s: Arc<RStack<MappedNvm>>,
+}
+
+impl Five {
+    fn open(store: &Store) -> Five {
+        Five {
+            m: store.hashmap::<0>("m", 4).unwrap(),
+            q: store.queue::<0>("q").unwrap(),
+            l: store.list::<1>("l").unwrap(),
+            t: store.bst::<0>("t").unwrap(),
+            s: store.stack("s").unwrap(),
+        }
+    }
+
+    fn target(&self, st: char) -> &dyn Target {
+        match st {
+            'm' => &*self.m,
+            'q' => &*self.q,
+            'l' => &*self.l,
+            't' => &*self.t,
+            _ => &*self.s,
+        }
+    }
+}
+
 /// Child: a single worker cycles random operations across a map, queue,
 /// list, BST and stack hosted by ONE store heap, journaling every op.
 #[test]
 #[ignore = "child half of the five-kinds restart harness; spawned by the parent test"]
 fn five_kinds_child_worker() {
-    let Ok(dir) = std::env::var("ISB_RESTART_DIR") else { return };
-    let dir = PathBuf::from(dir);
-    let seed: u64 = std::env::var("ISB_RESTART_SEED").unwrap().parse().unwrap();
-
+    let Some(scratch) = Scratch::of_child() else { return };
     nvm::tid::set_tid(FIVE_PID);
-    let store = Store::open_sized(heap_path(&dir), STORE_HEAP_BYTES).expect("child open");
-    let m = store.hashmap::<0>("m", 4).unwrap();
-    let q = store.queue::<0>("q").unwrap();
-    let l = store.list::<1>("l").unwrap();
-    let t = store.bst::<0>("t").unwrap();
-    let s = store.stack("s").unwrap();
-    std::fs::write(dir.join("ready"), b"ok").unwrap();
+    let store = Store::open_sized(scratch.heap(), STORE_HEAP_BYTES).expect("child open");
+    let five = Five::open(&store);
+    scratch.publish("ready", "ok");
 
-    let mut log =
-        OpenOptions::new().create(true).append(true).open(log_path(&dir, FIVE_PID)).unwrap();
-    let mut rng = seed.wrapping_mul(77).wrapping_add(5);
-    let mut seq = 0u64;
+    let mut journal = Journal::append(&scratch.journal(FIVE_PID));
+    let mut rng = scratch.param::<u64>("seed").wrapping_mul(77).wrapping_add(5);
     loop {
-        seq += 1;
-        let r = splitmix(&mut rng);
-        let (st, op, key) = match r % 5 {
-            0 => ('m', ['i', 'd', 'f'][(r >> 8) as usize % 3], 1 + (r >> 16) % FIVE_MAP_KEYS),
-            1 => ('q', ['e', 'd'][(r >> 8) as usize % 2], seq),
-            2 => ('l', ['i', 'd', 'f'][(r >> 8) as usize % 3], 1 + (r >> 16) % FIVE_SET_KEYS),
-            3 => ('t', ['i', 'd', 'f'][(r >> 8) as usize % 3], 1 + (r >> 16) % FIVE_SET_KEYS),
-            _ => ('s', ['u', 'o'][(r >> 8) as usize % 2], seq),
+        let (r, seq) = (splitmix(&mut rng), journal.next_seq());
+        let pick = (r >> 8) as usize;
+        let set = |keys: u64| {
+            let key = 1 + (r >> 16) % keys;
+            [Op::Insert(key), Op::Delete(key), Op::Find(key)][pick % 3]
         };
-        // System half of the invocation BEFORE the intent record.
-        m.note_invocation(FIVE_PID);
-        log.write_all(format!("S {seq} {st} {op} {key}\n").as_bytes()).unwrap();
-        let ack = match (st, op) {
-            ('m', 'i') => (m.insert(FIVE_PID, key) as u8).to_string(),
-            ('m', 'd') => (m.delete(FIVE_PID, key) as u8).to_string(),
-            ('m', _) => (m.find(FIVE_PID, key) as u8).to_string(),
-            ('q', 'e') => {
-                q.enqueue(FIVE_PID, key);
-                "1".to_string()
-            }
-            ('q', _) => q.dequeue(FIVE_PID).map_or("E".to_string(), |v| v.to_string()),
-            ('l', 'i') => (l.insert(FIVE_PID, key) as u8).to_string(),
-            ('l', 'd') => (l.delete(FIVE_PID, key) as u8).to_string(),
-            ('l', _) => (l.find(FIVE_PID, key) as u8).to_string(),
-            ('t', 'i') => (t.insert(FIVE_PID, key) as u8).to_string(),
-            ('t', 'd') => (t.delete(FIVE_PID, key) as u8).to_string(),
-            ('t', _) => (t.find(FIVE_PID, key) as u8).to_string(),
-            ('s', 'u') => {
-                s.push(FIVE_PID, key);
-                "1".to_string()
-            }
-            _ => s.pop(FIVE_PID).map_or("E".to_string(), |v| v.to_string()),
+        let (st, op) = match r % 5 {
+            0 => ('m', set(FIVE_MAP_KEYS)),
+            1 => ('q', [Op::Enqueue(seq), Op::Dequeue][pick % 2]),
+            2 => ('l', set(FIVE_SET_KEYS)),
+            3 => ('t', set(FIVE_SET_KEYS)),
+            _ => ('s', [Op::Push(seq), Op::Pop][pick % 2]),
         };
-        log.write_all(format!("A {seq} {ack}\n").as_bytes()).unwrap();
+        // One recovery area serves all five: the note goes through the map.
+        let note = || five.m.note_invocation(FIVE_PID);
+        journal.invoke(st, op, note, || five.target(st).invoke(FIVE_PID, op));
     }
 }
 
-/// Sequential model of the five structures.
-#[derive(Default)]
-struct FiveModel {
-    map: std::collections::HashSet<u64>,
-    queue: VecDeque<u64>,
-    list: std::collections::HashSet<u64>,
-    bst: std::collections::HashSet<u64>,
-    stack: Vec<u64>,
-}
-
-impl FiveModel {
-    /// Applies one journaled op; returns the expected ack token.
-    fn apply(&mut self, st: char, op: char, key: u64) -> String {
-        let set = |s: &mut std::collections::HashSet<u64>| match op {
-            'i' => (s.insert(key) as u8).to_string(),
-            'd' => (s.remove(&key) as u8).to_string(),
-            _ => (s.contains(&key) as u8).to_string(),
-        };
-        match (st, op) {
-            ('m', _) => set(&mut self.map),
-            ('l', _) => set(&mut self.list),
-            ('t', _) => set(&mut self.bst),
-            ('q', 'e') => {
-                self.queue.push_back(key);
-                "1".to_string()
-            }
-            ('q', _) => self.queue.pop_front().map_or("E".to_string(), |v| v.to_string()),
-            ('s', 'u') => {
-                self.stack.push(key);
-                "1".to_string()
-            }
-            _ => self.stack.pop().map_or("E".to_string(), |v| v.to_string()),
-        }
-    }
-}
-
-fn run_one_five_kinds_seed(seed: u64) -> (u64, u64) {
-    let dir = std::env::temp_dir().join(format!("isb_five_restart_{}_{seed}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-
-    let mut child = std::process::Command::new(std::env::current_exe().unwrap())
-        .args(["--exact", "five_kinds_child_worker", "--include-ignored", "--nocapture"])
-        .env("ISB_RESTART_DIR", &dir)
-        .env("ISB_RESTART_SEED", seed.to_string())
-        .stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::null())
-        .spawn()
-        .expect("spawn child");
-    let t0 = Instant::now();
-    while !dir.join("ready").exists() {
-        assert!(t0.elapsed() < Duration::from_secs(60), "seed {seed}: child never became ready");
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    std::thread::sleep(Duration::from_millis(25 + (seed * 53) % 160));
-    child.kill().expect("SIGKILL child");
-    child.wait().expect("reap child");
+fn run_one_five_kinds_seed(seed: u64) -> Tally {
+    let scratch = Scratch::create("five_kinds", "store", seed);
+    let kill_after = Duration::from_millis(25 + (seed * 53) % 160);
+    run_and_kill(&scratch, "five_kinds_child_worker", &[("seed", &seed)], kill_after);
 
     nvm::tid::set_tid(0);
-    let store = Store::open_sized(heap_path(&dir), STORE_HEAP_BYTES)
+    let store = Store::open_sized(scratch.heap(), STORE_HEAP_BYTES)
         .unwrap_or_else(|e| panic!("seed {seed}: parent store open failed: {e}"));
-    let m = store.hashmap::<0>("m", 4).unwrap();
-    let q = store.queue::<0>("q").unwrap();
-    let l = store.list::<1>("l").unwrap();
-    let t = store.bst::<0>("t").unwrap();
-    let s = store.stack("s").unwrap();
+    let five = Five::open(&store);
 
-    // Replay the journal against the sequential model.
-    let raw = std::fs::read(log_path(&dir, FIVE_PID)).unwrap_or_default();
-    let text = String::from_utf8_lossy(&raw);
-    let mut model = FiveModel::default();
-    let mut acked = 0u64;
-    let mut pending: Option<(char, char, u64)> = None;
-    for line in text.split_inclusive('\n') {
-        if !line.ends_with('\n') {
-            break; // torn final record
-        }
-        let mut it = line.split_whitespace();
-        match it.next() {
-            Some("S") => {
-                assert!(pending.is_none(), "seed {seed}: two ops in flight");
-                let _seq: u64 = it.next().unwrap().parse().unwrap();
-                let st = it.next().unwrap().chars().next().unwrap();
-                let op = it.next().unwrap().chars().next().unwrap();
-                let key: u64 = it.next().unwrap().parse().unwrap();
-                pending = Some((st, op, key));
-            }
-            Some("A") => {
-                let _seq: u64 = it.next().unwrap().parse().unwrap();
-                let got = it.next().unwrap();
-                let (st, op, key) = pending.take().expect("A without S");
-                let want = model.apply(st, op, key);
-                assert_eq!(got, want, "seed {seed}: acked {st}/{op}/{key} response wrong");
-                acked += 1;
-            }
-            _ => panic!("malformed journal line {line:?}"),
-        }
-    }
-    // Resolve the at-most-one in-flight op through the store-wide decision.
-    let mut inflight = 0u64;
-    if let Some((st, op, key)) = pending {
-        inflight = 1;
-        match store.summary().decision(FIVE_PID) {
-            Recovered::Completed(res) => {
-                // The op took effect: its durable response must match the
-                // model's expected response for this structure kind.
-                let want = model.apply(st, op, key);
-                let got = match (st, op) {
-                    ('q', 'e') | ('s', 'u') => {
-                        assert_eq!(res, RES_UNIT, "seed {seed}: ack-op response");
-                        "1".to_string()
-                    }
-                    ('q', _) | ('s', _) => {
-                        if res == RES_EMPTY {
-                            "E".to_string()
-                        } else {
-                            (res - RES_VAL_BASE).to_string()
-                        }
-                    }
-                    _ => ((res == RES_TRUE) as u8).to_string(),
-                };
-                assert_eq!(got, want, "seed {seed}: recovered {st}/{op}/{key} response wrong");
-            }
-            Recovered::Restart => {
-                // Re-invoke with the original arguments, then apply.
-                let got = match (st, op) {
-                    ('m', 'i') => (m.insert(FIVE_PID, key) as u8).to_string(),
-                    ('m', 'd') => (m.delete(FIVE_PID, key) as u8).to_string(),
-                    ('m', _) => (m.find(FIVE_PID, key) as u8).to_string(),
-                    ('q', 'e') => {
-                        q.enqueue(FIVE_PID, key);
-                        "1".to_string()
-                    }
-                    ('q', _) => q.dequeue(FIVE_PID).map_or("E".to_string(), |v| v.to_string()),
-                    ('l', 'i') => (l.insert(FIVE_PID, key) as u8).to_string(),
-                    ('l', 'd') => (l.delete(FIVE_PID, key) as u8).to_string(),
-                    ('l', _) => (l.find(FIVE_PID, key) as u8).to_string(),
-                    ('t', 'i') => (t.insert(FIVE_PID, key) as u8).to_string(),
-                    ('t', 'd') => (t.delete(FIVE_PID, key) as u8).to_string(),
-                    ('t', _) => (t.find(FIVE_PID, key) as u8).to_string(),
-                    ('s', 'u') => {
-                        s.push(FIVE_PID, key);
-                        "1".to_string()
-                    }
-                    _ => s.pop(FIVE_PID).map_or("E".to_string(), |v| v.to_string()),
-                };
-                let want = model.apply(st, op, key);
-                assert_eq!(got, want, "seed {seed}: re-invoked {st}/{op}/{key} response wrong");
-            }
-        }
-    }
+    // Replay the journal against the sequential models and resolve the
+    // at-most-one in-flight op through the store-wide decision. All five run
+    // arms 0 / 1 (the stack has none): the stale rule is theirs.
+    let who = format!("seed {seed} pid {FIVE_PID}");
+    let mut model = SeqModels::default();
+    let mut reinvoke = |st: char, op: Op| five.target(st).invoke(FIVE_PID, op);
+    let decision = Some(store.summary().decision(FIVE_PID));
+    let tally = scratch.resolve(&who, FIVE_PID, decision, 0, &mut model, &mut reinvoke);
 
     // Full equivalence per structure.
     for k in 1..=FIVE_MAP_KEYS {
-        assert_eq!(m.find(0, k), model.map.contains(&k), "seed {seed}: map diverges at {k}");
+        assert_eq!(five.m.find(0, k), model.of('m').set.contains(&k), "{who}: map diverges at {k}");
     }
     for k in 1..=FIVE_SET_KEYS {
-        assert_eq!(l.find(0, k), model.list.contains(&k), "seed {seed}: list diverges at {k}");
-        assert_eq!(t.find(0, k), model.bst.contains(&k), "seed {seed}: bst diverges at {k}");
+        assert_eq!(
+            five.l.find(0, k),
+            model.of('l').set.contains(&k),
+            "{who}: list diverges at {k}"
+        );
+        assert_eq!(five.t.find(0, k), model.of('t').set.contains(&k), "{who}: bst diverges at {k}");
     }
-    while let Some(want) = model.queue.pop_front() {
-        assert_eq!(q.dequeue(0), Some(want), "seed {seed}: queue diverges");
+    check_drain(&who, &five.q, model.of('q'));
+    while let Some(want) = model.of('s').lifo.pop() {
+        assert_eq!(five.s.pop(0), Some(want), "{who}: stack diverges");
     }
-    assert_eq!(q.dequeue(0), None, "seed {seed}: queue longer than model");
-    while let Some(want) = model.stack.pop() {
-        assert_eq!(s.pop(0), Some(want), "seed {seed}: stack diverges");
-    }
-    assert_eq!(s.pop(0), None, "seed {seed}: stack longer than model");
+    assert_eq!(five.s.pop(0), None, "{who}: stack longer than model");
+    tally
+}
 
-    drop((m, q, l, t, s, store));
-    let _ = std::fs::remove_dir_all(&dir);
-    (acked, inflight)
+/// The acceptance matrix: all FIVE structure kinds in one heap pass a
+/// SIGKILL/recover round-trip through the same generic attach driver.
+#[test]
+fn five_kinds_sigkill_recovers_through_one_driver() {
+    matrix("five-kinds matrix", seeds("ISB_RESTART_SEEDS", 10), run_one_five_kinds_seed);
 }
 
 // ---------------------------------------------------------------------------
@@ -1046,59 +502,42 @@ const SHARED_HEAP_BYTES: usize = 32 * 1024 * 1024;
 /// attributable to their producer for the per-producer FIFO check.
 const QVAL_STRIDE: u64 = 10_000_000;
 
-fn shared_log_path(dir: &Path, idx: usize) -> PathBuf {
-    dir.join(format!("slog_{idx}.txt"))
-}
-
 /// Child: joins (or creates) the SHARED store heap, spawns a healer thread
-/// that recovers dead peers under a lease (holding it `ISB_RECOVERY_HOLD_MS`
-/// first, so the parent can observe service during recovery — and kill the
-/// recoverer mid-lease), and hammers the shared map + queue with a journal
-/// until the parent writes the stop file.
+/// that recovers dead peers under a lease (holding it `hold_ms` first, so
+/// the parent can observe service during recovery — and kill the recoverer
+/// mid-lease), and hammers the shared map + queue with a journal until the
+/// parent writes the stop file.
 #[test]
 #[ignore = "child half of the shared-heap kill matrix; spawned by the parent test"]
 fn shared_child_worker() {
-    let Ok(dir) = std::env::var("ISB_RESTART_DIR") else { return };
-    let dir = PathBuf::from(dir);
-    let idx: usize = std::env::var("ISB_CHILD_IDX").unwrap().parse().unwrap();
-    let seed: u64 = std::env::var("ISB_RESTART_SEED").unwrap().parse().unwrap();
-    let hold = Duration::from_millis(
-        std::env::var("ISB_RECOVERY_HOLD_MS").ok().and_then(|s| s.parse().ok()).unwrap_or(0),
-    );
+    let Some(scratch) = Scratch::of_child() else { return };
+    let (idx, seed): (usize, u64) = (scratch.param("idx"), scratch.param("seed"));
+    let hold = Duration::from_millis(scratch.param("hold_ms"));
 
     nvm::tid::set_tid(0);
-    let store = Arc::new(
-        Store::open_shared_sized(heap_path(&dir), SHARED_HEAP_BYTES).expect("child shared open"),
-    );
+    let store =
+        Store::open_shared_sized(scratch.heap(), SHARED_HEAP_BYTES).expect("child shared open");
     let slot = store.heap().my_participant().expect("participant slot");
     let band = nvm::mapped::MappedHeap::tid_band(slot);
     // Every thread of this process registers a tid inside its band.
     nvm::tid::set_tid(band.start);
     let map = store.hashmap::<0>("users", SHARDS).expect("users handle");
     let queue = store.queue::<0>("jobs").expect("jobs handle");
-    // Write + rename: the parent polls for this file and must never read it
-    // between its creation and its contents.
-    let ready_tmp = dir.join(format!("ready_{idx}.tmp"));
-    std::fs::write(&ready_tmp, format!("{} {slot}", std::process::id())).unwrap();
-    std::fs::rename(&ready_tmp, dir.join(format!("ready_{idx}"))).unwrap();
+    scratch.publish(&format!("ready_{idx}"), slot);
 
-    let stop = dir.join("stop");
-    let healer = {
-        let store = Arc::clone(&store);
-        let dir = dir.clone();
-        let stop = stop.clone();
-        let healer_tid = band.start + 1;
-        std::thread::spawn(move || {
-            nvm::tid::set_tid(healer_tid);
+    let stop = scratch.file("stop");
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            nvm::tid::set_tid(band.start + 1);
             while !stop.exists() {
-                for s in store.dead_peers() {
-                    if store.claim_recovery(s) {
+                for peer in store.dead_peers() {
+                    if store.claim_recovery(peer) {
                         // Lease held: the parent observes this marker, then
                         // asserts survivors (this process included) keep
                         // acking operations before rec_done appears.
-                        std::fs::write(dir.join(format!("rec_start_{idx}_{s}")), b"").unwrap();
+                        scratch.publish(&format!("rec_start_{idx}_{peer}"), "");
                         std::thread::sleep(hold);
-                        if let Ok(Some(decisions)) = store.recover_peer(s) {
+                        if let Ok(Some(decisions)) = store.recover_peer(peer) {
                             let body: String = decisions
                                 .iter()
                                 .map(|(pid, d)| match d {
@@ -1106,114 +545,39 @@ fn shared_child_worker() {
                                     Recovered::Restart => format!("{pid} R\n"),
                                 })
                                 .collect();
-                            std::fs::write(dir.join(format!("rec_done_{idx}_{s}")), body).unwrap();
+                            scratch.publish(&format!("rec_done_{idx}_{peer}"), body);
                         }
                     }
                 }
                 std::thread::sleep(Duration::from_millis(10));
             }
-        })
-    };
+        });
 
-    let mut log =
-        OpenOptions::new().create(true).append(true).open(shared_log_path(&dir, idx)).unwrap();
-    let (lo, hi) = key_range(idx + 1); // disjoint 1000-key range per child
-    let mut rng = seed.wrapping_mul(97).wrapping_add(idx as u64 + 1);
-    let mut seq = 0u64;
-    let t = band.start;
-    // Stop is checked BEFORE each op: a graceful exit never leaves an
-    // in-flight record, so unacked journal tails only come from SIGKILLs.
-    while !stop.exists() {
-        seq += 1;
-        let r = splitmix(&mut rng);
-        // System half of the invocation BEFORE the intent record.
-        map.note_invocation(t);
-        if r.is_multiple_of(3) {
-            if (r >> 8).is_multiple_of(2) {
-                let val = (idx as u64 + 1) * QVAL_STRIDE + seq;
-                log.write_all(format!("S {seq} q e {val}\n").as_bytes()).unwrap();
-                queue.enqueue(t, val);
-                log.write_all(format!("A {seq} 1\n").as_bytes()).unwrap();
+        let mut journal = Journal::append(&scratch.journal(idx));
+        let (lo, hi) = key_range(idx + 1); // disjoint 1000-key range per child
+        let mut rng = seed.wrapping_mul(97).wrapping_add(idx as u64 + 1);
+        let t = band.start;
+        // Stop is checked BEFORE each op: a graceful exit never leaves an
+        // in-flight record, so unacked journal tails only come from SIGKILLs.
+        while !stop.exists() {
+            let r = splitmix(&mut rng);
+            let (st, op, target): (char, Op, &dyn Target) = if r.is_multiple_of(3) {
+                let val = (idx as u64 + 1) * QVAL_STRIDE + journal.next_seq();
+                ('q', [Op::Enqueue(val), Op::Dequeue][(r >> 8) as usize % 2], &*queue)
             } else {
-                log.write_all(format!("S {seq} q d 0\n").as_bytes()).unwrap();
-                let enc = queue.dequeue(t).map_or("E".to_string(), |v| v.to_string());
-                log.write_all(format!("A {seq} {enc}\n").as_bytes()).unwrap();
-            }
-        } else {
-            let key = lo + splitmix(&mut rng) % (hi - lo + 1);
-            let op = match (r >> 16) % 10 {
-                0..=3 => 'i',
-                4..=6 => 'd',
-                _ => 'f',
+                let key = lo + splitmix(&mut rng) % (hi - lo + 1);
+                ('m', set_op(r >> 16, key), &*map)
             };
-            log.write_all(format!("S {seq} m {op} {key}\n").as_bytes()).unwrap();
-            let res = match op {
-                'i' => map.insert(t, key),
-                'd' => map.delete(t, key),
-                _ => map.find(t, key),
-            };
-            log.write_all(format!("A {seq} {}\n", res as u8).as_bytes()).unwrap();
+            journal.invoke(st, op, || map.note_invocation(t), || target.invoke(t, op));
         }
-    }
-    let _ = healer.join();
-}
-
-/// One parsed record of the shared-heap journal.
-#[derive(Debug)]
-struct SharedEntry {
-    seq: u64,
-    /// 'i'/'d'/'f' map ops, 'e'/'x' queue enqueue/dequeue.
-    op: char,
-    /// Map key or enqueue value (0 for dequeues).
-    arg: u64,
-    /// Ack token as written (`"0"`/`"1"`, a value, or `"E"`); `None` = in flight.
-    ack: Option<String>,
-}
-
-fn parse_shared_log(path: &Path) -> Vec<SharedEntry> {
-    let Ok(raw) = std::fs::read(path) else { return Vec::new() };
-    let text = String::from_utf8_lossy(&raw);
-    let mut entries: Vec<SharedEntry> = Vec::new();
-    for line in text.split_inclusive('\n') {
-        if !line.ends_with('\n') {
-            break; // torn final record
-        }
-        let mut it = line.split_whitespace();
-        match it.next() {
-            Some("S") => {
-                let seq: u64 = it.next().unwrap().parse().unwrap();
-                let st = it.next().unwrap();
-                let op = it.next().unwrap().chars().next().unwrap();
-                let arg: u64 = it.next().unwrap().parse().unwrap();
-                let op = if st == "q" {
-                    if op == 'e' {
-                        'e'
-                    } else {
-                        'x'
-                    }
-                } else {
-                    op
-                };
-                entries.push(SharedEntry { seq, op, arg, ack: None });
-            }
-            Some("A") => {
-                let seq: u64 = it.next().unwrap().parse().unwrap();
-                let tok = it.next().unwrap().to_string();
-                let last = entries.last_mut().expect("A without S");
-                assert_eq!(last.seq, seq, "ack out of order in {path:?}");
-                last.ack = Some(tok);
-            }
-            _ => panic!("malformed shared journal line {line:?} in {path:?}"),
-        }
-    }
-    entries
+    });
 }
 
 /// Reads the survivor-journaled recovery decision for `tid` out of a
 /// `rec_done_<idx>_<slot>` marker.
-fn marker_decision(dir: &Path, slot: usize, tid: usize) -> Recovered {
+fn marker_decision(scratch: &Scratch, slot: usize, tid: usize) -> Recovered {
     for idx in 0..SHARED_PROCS {
-        let p = dir.join(format!("rec_done_{idx}_{slot}"));
+        let p = scratch.file(&format!("rec_done_{idx}_{slot}"));
         let Ok(body) = std::fs::read_to_string(&p) else { continue };
         for line in body.lines() {
             let mut it = line.split_whitespace();
@@ -1230,101 +594,128 @@ fn marker_decision(dir: &Path, slot: usize, tid: usize) -> Recovered {
     panic!("no rec_done marker covers slot {slot} tid {tid}");
 }
 
-/// What a stalled shared-heap round looked like from outside: the heap's
-/// shared words (participants, leases, bump lock and cursors) and how far
-/// each child's journal got.
-fn shared_state(dir: &Path) -> String {
-    let journals: Vec<String> = (0..SHARED_PROCS)
-        .map(|i| {
-            std::fs::metadata(shared_log_path(dir, i))
-                .map_or("none".into(), |m| m.len().to_string())
-        })
-        .collect();
-    format!(
-        "{}journal bytes per child: {}",
-        nvm::mapped::describe_page0(&heap_path(dir)),
-        journals.join(" ")
-    )
+/// The shared queue's accounting across ALL journals. No process owns the
+/// queue, so no sequential model can say what a dequeue should have
+/// answered; instead every (acked, `Completed`-recovered or re-invoked)
+/// enqueue and every dequeued value is recorded here, and checked after the
+/// final drain.
+#[derive(Default)]
+struct QueueLedger {
+    /// value -> its index among its producer's enqueues.
+    enq_order: HashMap<u64, usize>,
+    enq_count: [usize; SHARED_PROCS],
+    dequeued: Vec<u64>,
 }
 
-fn wait_for(seed: u64, dir: &Path, what: &str, mut cond: impl FnMut() -> bool) {
-    let t0 = Instant::now();
-    while !cond() {
-        assert!(
-            t0.elapsed() < Duration::from_secs(60),
-            "seed {seed}: timed out waiting: {what}\n{}",
-            shared_state(dir)
-        );
-        std::thread::sleep(Duration::from_millis(5));
+/// One child's journal seen through its private key range and the ledger.
+struct SharedModel<'a> {
+    idx: usize,
+    set: SeqModel,
+    ledger: &'a mut QueueLedger,
+}
+
+impl Model for SharedModel<'_> {
+    fn expect(&mut self, _st: char, op: Op, got: Resp) -> Resp {
+        match op {
+            Op::Enqueue(v) => {
+                self.ledger.enq_order.insert(v, self.ledger.enq_count[self.idx]);
+                self.ledger.enq_count[self.idx] += 1;
+                Resp::Unit
+            }
+            Op::Dequeue => {
+                // Any answer is one some interleaving gives; `check` has the
+                // exactly-once and FIFO rules.
+                if let Resp::Val(Some(v)) = got {
+                    self.ledger.dequeued.push(v);
+                }
+                got
+            }
+            _ => self.set.apply(op),
+        }
+    }
+}
+
+impl QueueLedger {
+    /// Requires every recorded enqueue to be observed exactly once —
+    /// dequeued by some process or still in `drained`, the recovered
+    /// queue's contents — and per-producer FIFO order to hold. (An enqueue
+    /// that was decided `Restart` though it had taken effect shows as a
+    /// duplicate: the re-invocation enqueued its value a second time.)
+    fn check(&self, seed: u64, drained: &[u64]) {
+        let producer = |v: u64| (v / QVAL_STRIDE) as usize - 1;
+        let mut seen: HashMap<u64, u32> = HashMap::new();
+        for &v in self.dequeued.iter().chain(drained) {
+            assert!(
+                self.enq_order.contains_key(&v),
+                "seed {seed}: value {v} observed but never (durably) enqueued"
+            );
+            *seen.entry(v).or_insert(0) += 1;
+        }
+        for (&v, &c) in &seen {
+            assert_eq!(c, 1, "seed {seed}: value {v} observed {c} times (duplicated)");
+        }
+        for &v in self.enq_order.keys() {
+            assert!(
+                seen.contains_key(&v),
+                "seed {seed}: acked enqueue {v} lost (not dequeued, not in the drain)"
+            );
+        }
+        // Per-producer FIFO: the drain preserves each producer's enqueue
+        // order, and everything dequeued precedes everything drained.
+        let mut last_drained = [None::<usize>; SHARED_PROCS];
+        let mut min_drained = [usize::MAX; SHARED_PROCS];
+        for &v in drained {
+            let p = producer(v);
+            let ord = self.enq_order[&v];
+            assert!(
+                last_drained[p].is_none_or(|prev| prev < ord),
+                "seed {seed}: drain violates producer {p}'s FIFO order at {v}"
+            );
+            last_drained[p] = Some(ord);
+            min_drained[p] = min_drained[p].min(ord);
+        }
+        for &v in &self.dequeued {
+            let p = producer(v);
+            assert!(
+                self.enq_order[&v] < min_drained[p],
+                "seed {seed}: dequeued {v} is newer than a still-queued value of producer {p}"
+            );
+        }
     }
 }
 
 /// One kill-one-of-N round. `second_kill` additionally SIGKILLs the
 /// *recoverer* mid-lease, so the last survivor must steal the lease and
-/// recover BOTH dead peers. Returns (acked ops verified, in-flight ops
-/// resolved by survivors, progress-during-recovery observed).
-fn run_one_shared_seed(seed: u64, second_kill: bool) -> (u64, u64, bool) {
-    let dir = std::env::temp_dir().join(format!(
-        "isb_shared_restart_{}_{}_{seed}",
-        if second_kill { "kill2" } else { "kill1" },
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-
+/// recover BOTH dead peers. Returns what it verified and whether progress
+/// during recovery was observed.
+fn run_one_shared_seed(seed: u64, second_kill: bool) -> (Tally, bool) {
+    let scratch = Scratch::create("shared", if second_kill { "kill2" } else { "kill1" }, seed);
     let hold_ms: u64 = if second_kill { 400 } else { 250 };
-    let mut children: Vec<Option<std::process::Child>> = (0..SHARED_PROCS)
+    let mut children: Vec<Option<Child>> = (0..SHARED_PROCS)
         .map(|idx| {
-            Some(
-                std::process::Command::new(std::env::current_exe().unwrap())
-                    .args(["--exact", "shared_child_worker", "--include-ignored", "--nocapture"])
-                    .env("ISB_RESTART_DIR", &dir)
-                    .env("ISB_CHILD_IDX", idx.to_string())
-                    .env("ISB_RESTART_SEED", seed.to_string())
-                    .env("ISB_RECOVERY_HOLD_MS", hold_ms.to_string())
-                    .stdout(std::process::Stdio::null())
-                    .stderr(std::process::Stdio::null())
-                    .spawn()
-                    .expect("spawn shared child"),
-            )
+            let params = [("idx", &idx as _), ("seed", &seed as _), ("hold_ms", &hold_ms as _)];
+            Some(scratch.spawn(&mut scratch.child("shared_child_worker", &params)))
         })
         .collect();
 
     // idx -> participant slot, from the ready files.
-    let mut slots = [usize::MAX; SHARED_PROCS];
-    for (idx, slot) in slots.iter_mut().enumerate() {
-        let ready = dir.join(format!("ready_{idx}"));
-        wait_for(seed, &dir, "child readiness", || ready.exists());
-        *slot = std::fs::read_to_string(&ready)
-            .unwrap()
-            .split_whitespace()
-            .nth(1)
-            .unwrap()
-            .parse()
-            .unwrap();
-    }
-    assert_eq!(
-        {
-            let mut s = slots.to_vec();
-            s.sort_unstable();
-            s.dedup();
-            s.len()
-        },
-        SHARED_PROCS,
-        "seed {seed}: participant slots must be distinct"
-    );
+    let slots: Vec<usize> = (0..SHARED_PROCS)
+        .map(|idx| scratch.wait_file(&format!("ready_{idx}")).parse().unwrap())
+        .collect();
+    let mut distinct = slots.clone();
+    distinct.sort_unstable();
+    distinct.dedup();
+    assert_eq!(distinct.len(), SHARED_PROCS, "seed {seed}: participant slots must be distinct");
 
     std::thread::sleep(Duration::from_millis(30 + (seed * 37) % 170));
     let victim = (seed as usize) % SHARED_PROCS;
     let mut killed: Vec<usize> = vec![victim];
-    let mut c = children[victim].take().unwrap();
-    c.kill().expect("SIGKILL victim");
-    c.wait().expect("reap victim");
+    children[victim].take().unwrap().sigkill();
 
     let rec_start_for = |slot: usize| -> Option<usize> {
-        (0..SHARED_PROCS).find(|idx| dir.join(format!("rec_start_{idx}_{slot}")).exists())
+        (0..SHARED_PROCS).find(|idx| scratch.file(&format!("rec_start_{idx}_{slot}")).exists())
     };
-    wait_for(seed, &dir, "a survivor claiming the victim's recovery lease", || {
+    scratch.wait_for("a survivor claiming the victim's recovery lease", || {
         rec_start_for(slots[victim]).is_some()
     });
     let recoverer = rec_start_for(slots[victim]).unwrap();
@@ -1333,52 +724,45 @@ fn run_one_shared_seed(seed: u64, second_kill: bool) -> (u64, u64, bool) {
     if second_kill {
         // Kill the recoverer while it holds the lease; the last survivor
         // must detect it, STEAL the lease, and recover both dead peers.
-        let mut c = children[recoverer].take().unwrap();
-        c.kill().expect("SIGKILL recoverer");
-        c.wait().expect("reap recoverer");
+        children[recoverer].take().unwrap().sigkill();
         killed.push(recoverer);
     }
 
     // Progress DURING recovery: while some recovery lease is claimed but not
     // finished, every remaining survivor must keep acking operations.
     let live: Vec<usize> = (0..SHARED_PROCS).filter(|i| !killed.contains(i)).collect();
-    let all_done = |killed: &[usize]| {
+    let all_done = || {
         killed.iter().all(|&k| {
-            (0..SHARED_PROCS).any(|idx| dir.join(format!("rec_done_{idx}_{}", slots[k])).exists())
+            (0..SHARED_PROCS)
+                .any(|idx| scratch.file(&format!("rec_done_{idx}_{}", slots[k])).exists())
         })
     };
-    let sizes: Vec<u64> = live
-        .iter()
-        .map(|&i| std::fs::metadata(shared_log_path(&dir, i)).map_or(0, |m| m.len()))
-        .collect();
-    let recovery_in_flight = !all_done(&killed);
+    let journal_len = |i: usize| std::fs::metadata(scratch.journal(i)).map_or(0, |m| m.len());
+    let sizes: Vec<u64> = live.iter().map(|&i| journal_len(i)).collect();
+    let recovery_in_flight = !all_done();
     std::thread::sleep(Duration::from_millis(120));
-    let mut progress_observed = false;
     if recovery_in_flight {
         for (&i, &before) in live.iter().zip(&sizes) {
-            let after = std::fs::metadata(shared_log_path(&dir, i)).map_or(0, |m| m.len());
+            let after = journal_len(i);
             assert!(
                 after > before,
                 "seed {seed}: survivor {i} stalled during a peer's recovery ({before} journal \
-                 bytes then, {after} 120 ms later)\n{}",
-                shared_state(&dir)
+                 bytes then, {after} 120 ms later)"
             );
         }
-        progress_observed = true;
     }
 
-    wait_for(seed, &dir, "all dead peers recovered by survivors", || all_done(&killed));
-    std::fs::write(dir.join("stop"), b"").unwrap();
+    scratch.wait_for("all dead peers recovered by survivors", all_done);
+    std::fs::write(scratch.file("stop"), b"").unwrap();
     for idx in live {
-        let mut c = children[idx].take().unwrap();
-        let status = c.wait().expect("reap survivor");
+        let status = children[idx].take().unwrap().wait_exit();
         assert!(status.success(), "seed {seed}: survivor {idx} exited dirty: {status:?}");
     }
 
     // Final full attach FROM THIS PROCESS (no live participants remain) and
     // journal verification.
     nvm::tid::set_tid(0);
-    let store = Store::open_shared_sized(heap_path(&dir), SHARED_HEAP_BYTES)
+    let store = Store::open_shared_sized(scratch.heap(), SHARED_HEAP_BYTES)
         .unwrap_or_else(|e| panic!("seed {seed}: parent shared open failed: {e}"));
     assert!(!store.summary().heap.joined, "seed {seed}: parent must be the initial attacher");
     let pslot = store.heap().my_participant().unwrap();
@@ -1387,164 +771,30 @@ fn run_one_shared_seed(seed: u64, second_kill: bool) -> (u64, u64, bool) {
     let map = store.hashmap::<0>("users", SHARDS).expect("users handle");
     let queue = store.queue::<0>("jobs").expect("jobs handle");
 
-    let mut acked = 0u64;
-    let mut inflight = 0u64;
-    // Queue bookkeeping across ALL journals: enqueue order per producer,
-    // globally-observed dequeues, values proven NOT enqueued (Restart).
-    let mut enq_order: HashMap<u64, usize> = HashMap::new(); // val -> per-producer index
-    let mut enq_count = [0usize; SHARED_PROCS];
-    let mut dequeued: Vec<u64> = Vec::new();
-    let mut forbidden: Vec<u64> = Vec::new();
-
-    for idx in 0..SHARED_PROCS {
-        let entries = parse_shared_log(&shared_log_path(&dir, idx));
-        let mut model: std::collections::HashSet<u64> = std::collections::HashSet::new();
-        let n = entries.len();
-        for (i, e) in entries.iter().enumerate() {
-            match &e.ack {
-                Some(tok) => {
-                    acked += 1;
-                    match e.op {
-                        'i' => assert_eq!(
-                            tok == "1",
-                            model.insert(e.arg),
-                            "seed {seed} child {idx} seq {}: acked insert response",
-                            e.seq
-                        ),
-                        'd' => assert_eq!(
-                            tok == "1",
-                            model.remove(&e.arg),
-                            "seed {seed} child {idx} seq {}: acked delete response",
-                            e.seq
-                        ),
-                        'f' => assert_eq!(
-                            tok == "1",
-                            model.contains(&e.arg),
-                            "seed {seed} child {idx} seq {}: acked find response",
-                            e.seq
-                        ),
-                        'e' => {
-                            enq_order.insert(e.arg, enq_count[idx]);
-                            enq_count[idx] += 1;
-                        }
-                        _ => {
-                            if tok != "E" {
-                                dequeued.push(tok.parse().unwrap());
-                            }
-                        }
-                    }
-                }
-                None => {
-                    // In-flight op: only a SIGKILLed child can leave one, it
-                    // must be the journal tail, and a survivor must have
-                    // resolved it detectably (the rec_done marker).
-                    assert!(
-                        killed.contains(&idx),
-                        "seed {seed}: survivor {idx} left an in-flight op"
-                    );
-                    assert_eq!(i, n - 1, "seed {seed} child {idx}: unacked op not last");
-                    inflight += 1;
-                    let band = nvm::mapped::MappedHeap::tid_band(slots[idx]);
-                    let decision = marker_decision(&dir, slots[idx], band.start);
-                    match (decision, e.op) {
-                        (Recovered::Completed(r), 'i') => assert_eq!(
-                            r == RES_TRUE,
-                            model.insert(e.arg),
-                            "seed {seed} child {idx}: recovered insert response"
-                        ),
-                        (Recovered::Completed(r), 'd') => assert_eq!(
-                            r == RES_TRUE,
-                            model.remove(&e.arg),
-                            "seed {seed} child {idx}: recovered delete response"
-                        ),
-                        (Recovered::Completed(r), 'e') => {
-                            assert_eq!(r, RES_UNIT, "seed {seed}: recovered enqueue response");
-                            enq_order.insert(e.arg, enq_count[idx]);
-                            enq_count[idx] += 1;
-                        }
-                        (Recovered::Completed(r), 'x') => {
-                            if r != RES_EMPTY {
-                                dequeued.push(r - RES_VAL_BASE);
-                            }
-                        }
-                        (Recovered::Completed(_), 'f') => {
-                            panic!("seed {seed}: a read-only find cannot recover Completed")
-                        }
-                        (Recovered::Restart, 'e') => forbidden.push(e.arg),
-                        (Recovered::Restart, _) => {} // provably took no effect
-                        (Recovered::Completed(_), op) => {
-                            panic!("seed {seed}: unexpected op {op:?}")
-                        }
-                    }
-                }
-            }
-        }
+    let mut tally = Tally::default();
+    let mut ledger = QueueLedger::default();
+    let mut reinvoke = |st: char, op: Op| match st {
+        'q' => queue.invoke(t0, op),
+        _ => map.invoke(t0, op),
+    };
+    for (idx, &slot) in slots.iter().enumerate() {
+        // Only a SIGKILLed child can have left an in-flight op, and a
+        // survivor must have resolved it detectably (the rec_done marker).
+        let who = format!("seed {seed} child {idx}");
+        let band = nvm::mapped::MappedHeap::tid_band(slot);
+        let decision = killed.contains(&idx).then(|| marker_decision(&scratch, slot, band.start));
+        let mut model = SharedModel { idx, set: SeqModel::default(), ledger: &mut ledger };
+        tally += scratch.resolve(&who, idx, decision, 0, &mut model, &mut reinvoke);
         // Map equivalence over this child's disjoint key range — EXACT, with
-        // no in-flight slack: the survivor's journaled decision already told
-        // us whether the dead peer's op took effect.
-        let (lo, hi) = key_range(idx + 1);
-        for k in lo..=hi {
-            assert_eq!(
-                map.find(t0, k),
-                model.contains(&k),
-                "seed {seed} child {idx}: map equivalence diverges at key {k}"
-            );
-        }
+        // no in-flight slack: the decision already told us whether the dead
+        // peer's op took effect, and a `Restart` was re-invoked above.
+        check_range(&who, &map, t0, idx + 1, &model.set);
     }
 
-    // Queue accounting: drain the recovered queue, then require every acked
-    // (or Completed-recovered) enqueue to be observed exactly once, nothing
-    // forbidden to appear, and per-producer FIFO order to hold.
-    let mut drained: Vec<u64> = Vec::new();
-    while let Some(v) = queue.dequeue(t0) {
-        drained.push(v);
-    }
-    let producer = |v: u64| (v / QVAL_STRIDE) as usize - 1;
-    let mut seen: HashMap<u64, u32> = HashMap::new();
-    for &v in dequeued.iter().chain(&drained) {
-        assert!(
-            enq_order.contains_key(&v),
-            "seed {seed}: value {v} observed but never (durably) enqueued"
-        );
-        *seen.entry(v).or_insert(0) += 1;
-    }
-    for (&v, &c) in &seen {
-        assert_eq!(c, 1, "seed {seed}: value {v} observed {c} times (duplicated)");
-    }
-    for &v in &forbidden {
-        assert!(!seen.contains_key(&v), "seed {seed}: Restart-decided enqueue {v} still surfaced");
-    }
-    for &v in enq_order.keys() {
-        assert!(
-            seen.contains_key(&v),
-            "seed {seed}: acked enqueue {v} lost (not dequeued, not in the drain)"
-        );
-    }
-    // Per-producer FIFO: the drain preserves each producer's enqueue order,
-    // and everything a producer had dequeued precedes everything drained.
-    let mut last_drained = [None::<usize>; SHARED_PROCS];
-    let mut min_drained = [usize::MAX; SHARED_PROCS];
-    for &v in &drained {
-        let p = producer(v);
-        let ord = enq_order[&v];
-        assert!(
-            last_drained[p].is_none_or(|prev| prev < ord),
-            "seed {seed}: drain violates producer {p}'s FIFO order at {v}"
-        );
-        last_drained[p] = Some(ord);
-        min_drained[p] = min_drained[p].min(ord);
-    }
-    for &v in &dequeued {
-        let p = producer(v);
-        assert!(
-            enq_order[&v] < min_drained[p],
-            "seed {seed}: dequeued {v} is newer than a still-queued value of producer {p}"
-        );
-    }
-
-    drop((map, queue, store));
-    let _ = std::fs::remove_dir_all(&dir);
-    (acked, inflight, progress_observed)
+    // Queue accounting over what the recovered queue still holds.
+    let drained: Vec<u64> = std::iter::from_fn(|| queue.dequeue(t0)).collect();
+    ledger.check(seed, &drained);
+    (tally, recovery_in_flight)
 }
 
 /// The kill-one-of-N matrix: [`SHARED_PROCS`] live processes mutate ONE
@@ -1554,23 +804,13 @@ fn run_one_shared_seed(seed: u64, second_kill: bool) -> (u64, u64, bool) {
 /// resolved by a survivor — all verified against per-process journals.
 #[test]
 fn shared_kill_one_of_n_recovers_online() {
-    let seeds: u64 =
-        std::env::var("ISB_SHARED_SEEDS").ok().and_then(|s| s.parse().ok()).unwrap_or(10);
-    let mut total_acked = 0;
-    let mut total_inflight = 0;
     let mut progress_seeds = 0u64;
-    for seed in 0..seeds {
-        let (acked, inflight, progressed) = run_one_shared_seed(seed, false);
-        total_acked += acked;
-        total_inflight += inflight;
+    matrix("shared kill-one-of-3 matrix", seeds("ISB_SHARED_SEEDS", 10), |seed| {
+        let (tally, progressed) = run_one_shared_seed(seed, false);
         progress_seeds += progressed as u64;
-    }
-    println!(
-        "shared kill-one-of-{SHARED_PROCS} matrix: {seeds} kills, {total_acked} acked ops \
-         verified, {total_inflight} in-flight ops resolved by survivors, \
-         progress-during-recovery observed on {progress_seeds} seeds"
-    );
-    assert!(total_acked > 0, "no seed produced any acked work — kill timing broken");
+        tally
+    });
+    println!("shared kill-one-of-3 matrix: progress during recovery on {progress_seeds} seeds");
     assert!(progress_seeds > 0, "no seed ever observed the recovery window — hold timing broken");
 }
 
@@ -1579,20 +819,8 @@ fn shared_kill_one_of_n_recovers_online() {
 /// it), and recovers BOTH dead peers — service never stops.
 #[test]
 fn shared_kill_of_recoverer_is_superseded() {
-    let seeds: u64 =
-        std::env::var("ISB_SHARED_KILL2_SEEDS").ok().and_then(|s| s.parse().ok()).unwrap_or(3);
-    let mut total_acked = 0;
-    let mut total_inflight = 0;
-    for seed in 0..seeds {
-        let (acked, inflight, _) = run_one_shared_seed(seed, true);
-        total_acked += acked;
-        total_inflight += inflight;
-    }
-    println!(
-        "shared second-kill matrix: {seeds} double kills, {total_acked} acked ops verified, \
-         {total_inflight} in-flight ops resolved by the surviving recoverer"
-    );
-    assert!(total_acked > 0, "no seed produced any acked work — kill timing broken");
+    let leg = "shared second-kill matrix (the victim, then its recoverer)";
+    matrix(leg, seeds("ISB_SHARED_KILL2_SEEDS", 3), |seed| run_one_shared_seed(seed, true).0);
 }
 
 // ---------------------------------------------------------------------------
@@ -1615,10 +843,9 @@ const GROW_LATE_KEYS: u64 = 100;
 #[test]
 #[ignore = "child half of the peer-growth test; spawned by the parent test"]
 fn shared_growth_child_worker() {
-    let Ok(dir) = std::env::var("ISB_GROW_DIR") else { return };
-    let dir = PathBuf::from(dir);
+    let Some(scratch) = Scratch::of_child() else { return };
     nvm::tid::set_tid(0);
-    let store = Store::open_shared_sized(heap_path(&dir), GROW_HEAP_BYTES).expect("child join");
+    let store = Store::open_shared_sized(scratch.heap(), GROW_HEAP_BYTES).expect("child join");
     assert!(store.summary().heap.joined, "parent is live: the child must join");
     let slot = store.heap().my_participant().expect("participant slot");
     let t = nvm::mapped::MappedHeap::tid_band(slot).start;
@@ -1646,7 +873,7 @@ fn shared_growth_child_worker() {
     let probe = store.heap().alloc(64).expect("probe block");
     unsafe { (probe as *mut u64).write_volatile(GROW_PROBE_MAGIC) };
     store.heap().commit(probe);
-    std::fs::write(dir.join("grow_done"), format!("{grown} {}", probe as usize)).unwrap();
+    scratch.publish("grow_done", format!("{grown} {}", probe as usize));
 }
 
 /// A peer grows the shared heap and links nodes from the new segments; this
@@ -1657,12 +884,9 @@ fn shared_growth_child_worker() {
 /// exists.)
 #[test]
 fn shared_peer_growth_is_readable_without_refresh() {
-    let dir = std::env::temp_dir().join(format!("isb_shared_grow_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-
+    let scratch = Scratch::create("shared_grow", "peer", 0);
     nvm::tid::set_tid(0);
-    let store = Store::open_shared_sized(heap_path(&dir), GROW_HEAP_BYTES).expect("parent create");
+    let store = Store::open_shared_sized(scratch.heap(), GROW_HEAP_BYTES).expect("parent create");
     let pslot = store.heap().my_participant().unwrap();
     let t0 = nvm::mapped::MappedHeap::tid_band(pslot).start;
     nvm::tid::set_tid(t0);
@@ -1681,13 +905,11 @@ fn shared_peer_growth_is_readable_without_refresh() {
         queue.dequeue(t0);
     }
 
-    let status = std::process::Command::new(std::env::current_exe().unwrap())
-        .args(["--exact", "shared_growth_child_worker", "--include-ignored", "--nocapture"])
-        .env("ISB_GROW_DIR", &dir)
-        .status()
-        .expect("run growth child");
+    // The child's own assertions are part of this test: let it be heard.
+    let mut cmd = scratch.child("shared_growth_child_worker", &[]);
+    let status = scratch.spawn(cmd.stdout(Stdio::inherit()).stderr(Stdio::inherit())).wait_exit();
     assert!(status.success(), "growth child exited dirty: {status:?}");
-    let done = std::fs::read_to_string(dir.join("grow_done")).unwrap();
+    let done = scratch.wait_file("grow_done");
     let mut parts = done.split_whitespace();
     let grown: u64 = parts.next().unwrap().parse().unwrap();
     let probe: usize = parts.next().unwrap().parse().unwrap();
@@ -1720,28 +942,6 @@ fn shared_peer_growth_is_readable_without_refresh() {
         seen += 1;
     }
     assert_eq!(seen, GROW_QVALS, "child-enqueued values lost");
-    drop((map, queue, late, store));
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// The acceptance matrix: all FIVE structure kinds in one heap pass a
-/// SIGKILL/recover round-trip through the same generic attach driver.
-#[test]
-fn five_kinds_sigkill_recovers_through_one_driver() {
-    let seeds: u64 =
-        std::env::var("ISB_RESTART_SEEDS").ok().and_then(|s| s.parse().ok()).unwrap_or(10);
-    let mut total_acked = 0;
-    let mut total_inflight = 0;
-    for seed in 0..seeds {
-        let (acked, inflight) = run_one_five_kinds_seed(seed);
-        total_acked += acked;
-        total_inflight += inflight;
-    }
-    println!(
-        "five-kinds matrix: {seeds} kills, {total_acked} acked ops verified, \
-         {total_inflight} in-flight ops detectably resolved"
-    );
-    assert!(total_acked > 0, "no seed produced any acked work — kill timing broken");
 }
 
 // ---------------------------------------------------------------------------
@@ -1752,30 +952,14 @@ fn five_kinds_sigkill_recovers_through_one_driver() {
 
 const KV_SHARED_HEAP_BYTES: usize = 32 * 1024 * 1024;
 
-/// Child: one shared-mode [`kvserve::Server`] process. Both children open
-/// the SAME heap (`open_shared_sized` behind `Config::shared`), each inside
-/// its own participant tid band, each running the peer-recovery healer.
-/// Publishes its port as `kvport_<idx>` once accepting.
+/// Child: one shared-mode server process ([`isb_tests::kv::serve_child`])
+/// publishing its port as `kvport_<idx>`.
 #[test]
 #[ignore = "child half of the shared-heap KV failover leg; spawned by the parent test"]
 fn shared_kv_server_child() {
-    let Ok(dir) = std::env::var("ISB_KV_DIR") else { return };
-    let dir = PathBuf::from(dir);
-    let idx: usize = std::env::var("ISB_KV_IDX").unwrap().parse().unwrap();
-    let mut cfg = kvserve::Config::new(dir.join("kvshared.heap"));
-    cfg.heap_bytes = KV_SHARED_HEAP_BYTES;
-    cfg.shards = 4;
-    cfg.workers = 2;
-    cfg.shared = true;
-    let server = kvserve::Server::start(cfg).expect("shared server start");
-    let tmp = dir.join(format!("kvport_{idx}.tmp"));
-    std::fs::write(&tmp, server.local_addr().port().to_string()).unwrap();
-    std::fs::rename(&tmp, dir.join(format!("kvport_{idx}"))).unwrap();
-    let stop = dir.join("kvstop");
-    while !stop.exists() {
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    server.stop();
+    let Some(scratch) = Scratch::of_child() else { return };
+    let port_file = format!("kvport_{}", scratch.param::<usize>("idx"));
+    isb_tests::kv::serve_child(&scratch, KV_SHARED_HEAP_BYTES, true, &port_file);
 }
 
 /// Two shared-mode KV server processes front one heap. One is SIGKILLed
@@ -1788,27 +972,14 @@ fn shared_kv_server_child() {
 fn shared_kv_failover_serves_dead_peers_clients() {
     use isb_tests::kv::{wait_port, MapClient, QueueClient};
 
-    let dir = std::env::temp_dir().join(format!("isb_kv_failover_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+    let scratch = Scratch::create("kv_failover", "shared", 0);
     let ctx = "kv-failover";
-
-    let spawn = |idx: usize| {
-        std::process::Command::new(std::env::current_exe().unwrap())
-            .args(["--exact", "shared_kv_server_child", "--include-ignored", "--nocapture"])
-            .env("ISB_KV_DIR", &dir)
-            .env("ISB_KV_IDX", idx.to_string())
-            .stdout(std::process::Stdio::null())
-            .stderr(std::process::Stdio::null())
-            .spawn()
-            .expect("spawn shared kv server")
-    };
     // Serialize the two starts: the first create and the joiner exercise
     // different attach paths, and this keeps which-is-which deterministic.
-    let mut child0 = spawn(0);
-    let addr0 = wait_port(&dir.join("kvport_0"), ctx);
-    let mut child1 = spawn(1);
-    let addr1 = wait_port(&dir.join("kvport_1"), ctx);
+    let child0 = scratch.spawn(&mut scratch.child("shared_kv_server_child", &[("idx", &0)]));
+    let addr0 = wait_port(&scratch, "kvport_0");
+    let child1 = scratch.spawn(&mut scratch.child("shared_kv_server_child", &[("idx", &1)]));
+    let addr1 = wait_port(&scratch, "kvport_1");
 
     // Survivor-side client on server 0; victim-side clients on server 1.
     let mut m0 = MapClient::new(11, 21, 5000);
@@ -1824,12 +995,11 @@ fn shared_kv_failover_serves_dead_peers_clients() {
         assert!(q1.step(ctx), "{ctx}: warmup queue on server 1");
     }
 
-    child1.kill().expect("SIGKILL server 1");
-    child1.wait().expect("reap server 1");
+    child1.sigkill();
 
     // Drive the victim clients into the transport error (their requests
     // stay pending) while the survivor keeps acking its own traffic.
-    let t0 = Instant::now();
+    let t0 = std::time::Instant::now();
     while m1.step(ctx) || q1.step(ctx) {
         assert!(m0.step(ctx), "{ctx}: survivor must serve during peer death");
         assert!(t0.elapsed() < Duration::from_secs(30), "{ctx}: victim clients never failed over");
@@ -1852,8 +1022,6 @@ fn shared_kv_failover_serves_dead_peers_clients() {
     m1.sweep(ctx);
     q1.drain(ctx);
 
-    std::fs::write(dir.join("kvstop"), b"ok").unwrap();
-    let status = child0.wait().expect("reap server 0");
-    assert!(status.success(), "{ctx}: survivor clean shutdown failed");
-    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::write(scratch.file("stop"), b"ok").unwrap();
+    assert!(child0.wait_exit().success(), "{ctx}: survivor clean shutdown failed");
 }
