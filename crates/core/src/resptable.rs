@@ -30,38 +30,47 @@
 //! 3. `mark_invoked(pid)` — the system half: `CP_q := 0` (under the arm the
 //!    service ships, `Isb-LP`, as under every arm that coalesces: the whole
 //!    `(RD_q, CP_q) := (Null, 0)` line), persisted;
-//! 4. [`ResponseTable::begin_op`] — one store, one write-back and one sync
-//!    of `pending`. It is a single word precisely so that nothing here can
-//!    tear: the persistency model drops individual *words* (DESIGN §3), so a
-//!    multi-word record would need a fence between payload and commit word;
+//! 4. [`ResponseTable::begin_op`] — `pending` stored and its line noted
+//!    for write-back, **no fence**. The structure operation's first fence
+//!    drains the note (under every arm an operation with an effect fences
+//!    its descriptor, then publishes it, before any `Help` CAS), so
+//!    `pending` is durable before any effect can be; an operation with no
+//!    effect issues no fence, and the note folds into step 6's write-back;
 //! 5. apply the structure operation (which publishes its own descriptor);
-//! 6. [`ResponseTable::finish_op`] — `resp` flushed and fenced **before**
-//!    `last_seq`. The `last_seq` store itself retires the record
-//!    (`pending.op_seq == last_seq` is no longer in flight); there is no
-//!    clear step;
+//! 6. [`ResponseTable::finish_op`] — `resp` stored **before** `last_seq`,
+//!    then one write-back of the slot's line and one `psync`. The
+//!    `last_seq` store itself retires the record (`pending.op_seq ==
+//!    last_seq` is no longer in flight); there is no clear step;
 //! 7. acknowledge on the socket.
 //!
-//! Step 3 before step 4 is load-bearing: because `CP_q` is durably zero
-//! before the in-flight record exists, a `Completed` replay decision found
+//! Steps 4 and 6 lean on the slot being **one 64-byte line** (its size is
+//! asserted below): hardware persists the stores to one line in store order
+//! (Px86), so whatever part of the line reaches media — by a write-back or
+//! by an eviction at any moment — is a prefix of `pending`, `resp`,
+//! `last_seq` as they were stored, and a fence between two of those stores
+//! would order the line only against itself. Step 3 before step 4 is load-bearing:
+//! because `CP_q` is durably zero before `pending` is even stored (an
+//! eviction may persist it at once), a `Completed` replay decision found
 //! behind it can only describe *this* operation — never a stale descriptor
 //! of the previous one (see
 //! [`RecArea::mark_invoked`](crate::recovery::RecArea::mark_invoked)).
-//! Step 6's internal order makes the pair atomic for readers: `last_seq` is
-//! written only after its response word is flush+fenced, so
-//! `op_seq == last_seq` proves `resp` is that operation's response, for a
-//! live reader and in every crash image alike.
+//! Step 6's store order makes the pair atomic for readers: `op_seq ==
+//! last_seq` proves `resp` is that operation's response, for a live reader
+//! (release/acquire) and in every crash image (line order) alike.
 //!
-//! Crash windows, per step: before 4 (or `pending` lost with the crash) →
-//! not in flight, decision ignored, client retry re-applies as fresh (the
-//! operation never started, or at worst published nothing: `Restart`).
-//! Between 4 and the end of 6 → in flight; `Completed(res)` finalizes `res`
-//! exactly as step 6 would (re-finalizing a half-written pair writes the
-//! same words), `Restart` clears `pending` and the retry re-applies. After
-//! 6 → the retry is a dedup hit. In every window the operation applies
-//! exactly once and the response the client eventually reads is the
-//! original. The three transitions are generic over the persistency model,
+//! Crash windows, per step: before 4, or with `pending` not yet on media →
+//! not in flight, decision ignored, client retry re-applies as fresh: the
+//! operation published nothing (its first fence had not drained `pending`),
+//! so it took no effect and recovery would only restart it. From the first
+//! fence after 4 to the end of 6 → in flight; `Completed(res)` finalizes
+//! `res` exactly as step 6 would (re-finalizing a half-written pair writes
+//! the same words), `Restart` clears `pending` and the retry re-applies.
+//! After 6 → the retry is a dedup hit. In every window the operation
+//! applies exactly once and the response the client eventually reads is
+//! the original. The transitions are generic over the persistency model,
 //! and the tests below crash them at every instruction under
-//! [`nvm::SimNvm`]'s per-word drops.
+//! [`nvm::SimNvm`] with the slot declared one line
+//! ([`nvm::sim::declare_line`]) — the model that makes the argument true.
 //!
 //! # GC / ack watermark
 //!
@@ -129,25 +138,25 @@ impl<M: Persist> ClientSlot<M> {
         (op_seq == self.last_seq.load() + 1).then_some(((pending >> SEQ_BITS) as usize, op_seq))
     }
 
-    /// Records `op_seq` as in flight under `tid`: one word, so the record
-    /// is either wholly on media or not at all.
+    /// Records `op_seq` as in flight under `tid` and notes the slot's line
+    /// for write-back without a fence: the operation's first fence drains
+    /// it before any effect can become durable, and an operation with no
+    /// effect folds the note into [`ClientSlot::finalize`]'s write-back.
     fn begin(&self, tid: usize, op_seq: u64) {
         assert!(tid < nvm::MAX_PROCS && op_seq <= MAX_OP_SEQ, "pending word out of range");
         self.pending.store((tid as u64) << SEQ_BITS | op_seq);
-        M::pwb(&self.pending);
-        M::psync();
+        M::pwb_coal(&self.pending);
     }
 
-    /// `resp` first (flushed, fenced), `last_seq` second — readers treat
-    /// `last_seq` as the commit point of the pair, and the same store
-    /// retires `pending`.
+    /// `resp` first, `last_seq` second, then one write-back and one fence:
+    /// the line persists in store order, so `last_seq` — the commit point
+    /// of the pair, and the store that retires `pending` — never reaches
+    /// media without `resp` (or without `pending`).
     fn finalize(&self, op_seq: u64, resp: u64) {
         debug_assert!(resp != RES_BOT, "finalized responses are never ⊥");
         self.resp.store(resp);
-        M::pwb(&self.resp);
-        M::pfence();
         self.last_seq.store(op_seq);
-        M::pwb(&self.last_seq);
+        M::pwb_coal(&self.last_seq);
         M::psync();
     }
 
@@ -168,6 +177,26 @@ impl<M: Persist> ClientSlot<M> {
                 Resolution::Restarted { client_id, op_seq }
             }
         })
+    }
+
+    /// Zeroes everything but the ID, durably: `pending` first and the
+    /// watermark last, so no prefix of the line pairs a cleared watermark
+    /// with the old `pending` (which [`ClientSlot::validate`] refuses).
+    fn wipe(&self) {
+        self.pending.store(0);
+        self.resp.store(0);
+        self.last_seq.store(0);
+        M::pwb(&self.last_seq);
+        M::psync();
+    }
+
+    /// Drops a duplicate registration: the residue is durably zero before
+    /// the tombstone stamp, so a later reclaim starts from a clean watermark.
+    fn bury(&self) {
+        self.wipe();
+        self.id.store(TOMBSTONE);
+        M::pwb(&self.id);
+        M::psync();
     }
 
     /// Refuses shapes no crash of a correct execution leaves behind.
@@ -371,8 +400,8 @@ impl ResponseTable {
     /// The client's ack watermark and the response stored at it:
     /// `(last_seq, resp)`, or `None` for an unregistered client. A
     /// `last_seq` of 0 means no operation was ever acknowledged. `resp` is
-    /// fenced before `last_seq` is stored, and `last_seq` is read first
-    /// here, so the response is at least as new as the watermark; the
+    /// stored before `last_seq`, and `last_seq` is read first here, so the
+    /// response is at least as new as the watermark; the
     /// client's lane holder — the sole live writer — reads them as a pair.
     pub fn lookup(&self, client_id: u64) -> Option<(u64, u64)> {
         let idx = self.find(client_id)?;
@@ -382,11 +411,14 @@ impl ResponseTable {
         Some((seq, resp))
     }
 
-    /// Durably records `op_seq` as in flight for the registered client
-    /// `client_id` under `pid`. Call **after**
-    /// [`crate::recovery::RecArea::mark_invoked`] (see module docs) and
-    /// before the structure operation's first instruction. The wire opcode
-    /// and argument are not recorded: resolution never re-applies.
+    /// Records `op_seq` as in flight for the registered client `client_id`
+    /// under `pid`, with the slot's line noted but not fenced: the
+    /// structure operation's first fence makes it durable, and
+    /// [`ResponseTable::finish_op`] drains it if no fence came. Call
+    /// **after** [`crate::recovery::RecArea::mark_invoked`] (see module
+    /// docs) and before the structure operation's first instruction, on the
+    /// thread that runs both. The wire opcode and argument are not recorded:
+    /// resolution never re-applies.
     pub fn begin_op(&self, pid: usize, client_id: u64, op_seq: u64, _op: u64, _arg: u64) {
         let idx = self.find(client_id).expect("begin_op follows register");
         self.client(idx).begin(pid, op_seq);
@@ -430,14 +462,6 @@ impl ResponseTable {
     /// a correct execution are healed; unreachable shapes fail typed.
     fn validate_heal(&self) -> Result<HealReport, AttachError> {
         let mut report = HealReport::default();
-        // Zeroes everything but the ID, durably (one line: one write-back).
-        let wipe = |s: &ClientSlot<MappedNvm>| {
-            s.last_seq.store(0);
-            s.resp.store(0);
-            s.pending.store(0);
-            MappedNvm::pwb(&s.last_seq);
-            MappedNvm::psync();
-        };
         let mut seen: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
         for idx in 0..CLIENT_SLOTS {
             let s = self.client(idx);
@@ -448,7 +472,7 @@ impl ResponseTable {
                     // after other words landed — impossible under the
                     // live ordering (ID is persisted at claim), yet cheap
                     // to heal deterministically: the slot is claimable.
-                    wipe(s);
+                    s.wipe();
                     report.torn_clients += 1;
                 }
                 continue;
@@ -470,13 +494,7 @@ impl ResponseTable {
                 } else {
                     (idx, prev)
                 };
-                let d = self.client(drop_);
-                // Residue is durably zero before the tombstone stamp, so a
-                // later reclaim starts from a clean watermark.
-                wipe(d);
-                d.id.store(TOMBSTONE);
-                MappedNvm::pwb(&d.id);
-                MappedNvm::psync();
+                self.client(drop_).bury();
                 seen.insert(id, keep);
                 report.dup_clients += 1;
             } else {
@@ -522,7 +540,9 @@ mod tests {
         assert_eq!(t.lookup(8), None);
         t.begin_op(3, 7, 1, 2, 40);
         assert_eq!(t.inflight(3), Some((7, 1)));
+        assert_eq!(nvm::coalesce::pending(), 1, "begin notes the slot's line, unfenced");
         t.finish_op(3, idx, 1, RES_TRUE);
+        assert_eq!(nvm::coalesce::pending(), 0, "finish drains it");
         assert_eq!(t.inflight(3), None, "the watermark store retires the record");
         assert_eq!(t.lookup(7), Some((1, RES_TRUE)));
     }
@@ -627,92 +647,163 @@ mod tests {
         [s.id.peek(), s.last_seq.peek(), s.resp.peek(), s.pending.peek()]
     }
 
-    /// A registered slot whose `words` are the durable state: acknowledged
-    /// through `OLD` when fresh, a crash image when re-installed.
+    /// A registered slot, declared one line, whose `words` are the durable
+    /// state: acknowledged through `OLD` when fresh, a crash image when
+    /// re-installed. Words built before it (the stand-ins) are durable too.
     fn durable_slot(words: [u64; 4]) -> Box<ClientSlot<SimNvm>> {
         let [id, last_seq, resp, pending] = words.map(PWord::new);
         let s = Box::new(ClientSlot { id, last_seq, resp, pending, _pad: [0; 4] });
-        for (w, v) in [&s.id, &s.last_seq, &s.resp, &s.pending].into_iter().zip(words) {
-            w.store(v); // registers the word with the simulator
-        }
+        sim::declare_line(&[&s.id, &s.last_seq, &s.resp, &s.pending]);
         sim::persist_all();
         s
     }
 
-    /// The whole crash argument lives in one slot, so it is checked there:
-    /// crash begin → finalize at every instruction, hand every image to
-    /// resolve under both decisions, crash *that* at every instruction too,
-    /// and resolve again. Over per-word-drop seeds the image always
-    /// validates, the client never reads the new watermark with anything
-    /// but the new response, and resolving is idempotent.
+    /// What every crash image of a slot must satisfy: it validates and
+    /// never shows the new watermark beside the old response.
+    fn check_image(slot: &ClientSlot<SimNvm>, ctx: &str) {
+        let [_, last_seq, resp, _] = words(slot);
+        assert!(last_seq != NEW.0 || resp == NEW.1, "{ctx}: new watermark, old response");
+        slot.validate().unwrap_or_else(|e| panic!("{ctx}: {e}"));
+    }
+
+    /// The whole crash argument lives in one slot, so it is checked there,
+    /// under the line model that makes it true. First crash `begin` → the
+    /// operation's first fence and publish (stand-in: `RD_q`, another line)
+    /// → its effect (stand-in: one word its `Help` CASes, durable whenever
+    /// the adversary likes) → `finalize` at every instruction over every
+    /// seed, and check each image: besides [`check_image`], an operation
+    /// whose effect is durable is never retired at the old watermark (the
+    /// retry would apply it twice). Then hand each image to resolve under
+    /// the decisions recovery could reach, crash *that* at every
+    /// instruction too, and resolve again: idempotent, and the answer the
+    /// decision names.
     #[test]
     fn sim_crash_at_every_instruction_of_begin_finalize_resolve() {
         let _session = crate::simtest::session();
         nvm::tid::set_tid(0);
-        let (mut images, mut resolved) = (0u64, 0u64);
+        let mut images = Vec::new();
         for seed in 0..64u64 {
             for fuse in 1.. {
                 sim::reset();
+                let [publish, effect] = [0, 0].map(|v| Box::new(PWord::<SimNvm>::new(v)));
                 let slot = durable_slot([7, OLD.0, OLD.1, 0]);
                 let mut begun = false;
                 let crashed = crashed_at(fuse, seed, || {
                     slot.begin(TID, NEW.0);
                     begun = true;
+                    SimNvm::pfence(); // the descriptor's (`Env::persist_descriptor`)
+                    publish.store(1);
+                    SimNvm::pwb(&publish);
+                    SimNvm::psync();
+                    effect.store(1);
                     slot.finalize(NEW.0, NEW.1);
                 });
-                images += 1;
                 let image = words(&slot);
-                slot.validate().unwrap_or_else(|e| panic!("fuse {fuse} seed {seed}: {e}"));
-                for decision in [Recovered::Completed(NEW.1), Recovered::Restart] {
-                    // A request is acknowledged Completed only once it
-                    // took effect, which is after `begin` returned.
-                    if decision != Recovered::Restart && !begun {
-                        continue;
-                    }
-                    for fuse2 in 1.. {
-                        sim::reset();
-                        let slot = durable_slot(image);
-                        let was_inflight = slot.inflight().is_some();
-                        let crashed2 = crashed_at(fuse2, seed ^ (fuse2 << 8), || {
-                            slot.resolve(TID, decision);
-                        });
-                        slot.validate().unwrap();
-                        let first = slot.resolve(TID, decision);
-                        assert!(first.is_none() || (crashed2 && was_inflight));
-                        assert_eq!(slot.resolve(TID, decision), None, "resolve is idempotent");
-                        assert_eq!(slot.inflight(), None);
-                        slot.validate().unwrap();
-                        resolved += 1;
-                        let [id, last_seq, resp, _] = words(&slot);
-                        assert_eq!(id, 7);
-                        let ctx = format!("fuse {fuse}/{fuse2} seed {seed} {decision:?}");
-                        match decision {
-                            // `begin` returned, so the record is on media:
-                            // either it was still in flight and is now
-                            // finalized, or `finalize` itself completed.
-                            Recovered::Completed(_) => assert_eq!((last_seq, resp), NEW, "{ctx}"),
-                            // Never the new watermark with the old
-                            // response. The old watermark may sit beside
-                            // the new response when the crash hit
-                            // `finalize`: the client has acknowledged
-                            // `OLD.0` by sending its successor, so that
-                            // response cannot be re-asked.
-                            Recovered::Restart => {
-                                assert!(last_seq == OLD.0 || (last_seq, resp) == NEW, "{ctx}");
-                                assert!(begun || (last_seq, resp) == OLD, "{ctx}");
-                            }
-                        }
-                        if !crashed2 {
-                            break;
-                        }
-                    }
+                let ctx = format!("fuse {fuse} seed {seed}: {image:?}");
+                check_image(&slot, &ctx);
+                if effect.peek() == 1 {
+                    let finalized = (image[1], image[2]) == NEW;
+                    let in_flight = slot.inflight() == Some((TID, NEW.0));
+                    assert!(in_flight || finalized, "{ctx}: effect durable, slot not in flight");
                 }
                 if !crashed {
                     assert_eq!((image[1], image[2]), NEW, "an uncrashed run ends acknowledged");
                     break;
                 }
+                images.push((seed, fuse, image, begun, publish.peek() == 1));
             }
         }
-        assert!(images >= 64 * 10 && resolved > images, "the sweep ran: {images} / {resolved}");
+        let mut resolved = 0;
+        for &(seed, fuse, image, begun, published) in &images {
+            for decision in [Recovered::Completed(NEW.1), Recovered::Restart] {
+                // Recovery completes an operation whose descriptor is
+                // durably published, and only such a one.
+                if decision != Recovered::Restart && !published {
+                    continue;
+                }
+                for fuse2 in 1.. {
+                    sim::reset();
+                    let slot = durable_slot(image);
+                    let was_inflight = slot.inflight().is_some();
+                    let crashed2 = crashed_at(fuse2, seed ^ (fuse2 << 8), || {
+                        slot.resolve(TID, decision);
+                    });
+                    let ctx = format!("fuse {fuse}/{fuse2} seed {seed} {decision:?}");
+                    check_image(&slot, &ctx);
+                    let first = slot.resolve(TID, decision);
+                    assert!(first.is_none() || (crashed2 && was_inflight));
+                    assert_eq!(slot.resolve(TID, decision), None, "resolve is idempotent");
+                    assert_eq!(slot.inflight(), None);
+                    slot.validate().unwrap();
+                    resolved += 1;
+                    let [id, last_seq, resp, _] = words(&slot);
+                    assert_eq!(id, 7);
+                    match decision {
+                        // The publish is durable, so `pending` is: the
+                        // fence before it drained `begin`'s write-back.
+                        // Either the slot was still in flight and is now
+                        // finalized, or `finalize` completed.
+                        Recovered::Completed(_) => assert_eq!((last_seq, resp), NEW, "{ctx}"),
+                        // The old watermark may sit beside the new response
+                        // when the crash hit `finalize`: the client has
+                        // acknowledged `OLD.0` by sending its successor, so
+                        // that response cannot be re-asked.
+                        Recovered::Restart => {
+                            assert!(last_seq == OLD.0 || (last_seq, resp) == NEW, "{ctx}");
+                            assert!(begun || (last_seq, resp) == OLD, "{ctx}");
+                        }
+                    }
+                    if !crashed2 {
+                        break;
+                    }
+                }
+            }
+        }
+        let n = images.len();
+        assert!(n >= 64 * 10 && resolved > n, "the sweep ran: {n} / {resolved}");
+    }
+
+    /// `validate_heal`'s two slot writes — the wipe of a torn registration
+    /// and the burial of a duplicate — crashed at every instruction under
+    /// the line model. The residue is in flight at `op_seq` 4, so a cleared
+    /// watermark beside it would skip ahead: every image must be one the
+    /// next attach heals (a tombstone only over zero residue), never one it
+    /// refuses, and healing again from it must finish the job.
+    #[test]
+    fn sim_crash_at_every_instruction_of_wipe_and_bury() {
+        let _session = crate::simtest::session();
+        nvm::tid::set_tid(0);
+        type Heal = fn(&ClientSlot<SimNvm>);
+        let heals: [(u64, Heal, u64); 2] =
+            [(0, ClientSlot::wipe, 0), (7, ClientSlot::bury, TOMBSTONE)];
+        let mut images = 0;
+        for (id, heal, healed_id) in heals {
+            for seed in 0..32u64 {
+                for fuse in 1.. {
+                    sim::reset();
+                    let slot = durable_slot([id, 3, RES_TRUE, (TID as u64) << SEQ_BITS | 4]);
+                    let crashed = crashed_at(fuse, seed, || heal(&slot));
+                    images += 1;
+                    let image = words(&slot);
+                    let ctx = format!("id {id} fuse {fuse} seed {seed}: {image:?}");
+                    match image[0] {
+                        0 => {}
+                        TOMBSTONE => assert_eq!(image[1..], [0, 0, 0], "{ctx}: residue"),
+                        _ => {
+                            if let Err(reason) = slot.validate() {
+                                let e = AttachError::CorruptResponseTable { slot: 0, reason };
+                                panic!("{ctx}: the next attach refuses: {e:?}");
+                            }
+                        }
+                    }
+                    heal(&slot);
+                    assert_eq!(words(&slot), [healed_id, 0, 0, 0], "{ctx}: healing again");
+                    if !crashed {
+                        break;
+                    }
+                }
+            }
+        }
+        assert!(images >= 2 * 32 * 5, "the sweep ran: {images}");
     }
 }

@@ -215,7 +215,11 @@ impl Store {
         // Joiners adopt the response table as-is: the initial attacher
         // validated/healed it, and live peers are mid-write in their slots.
         let resptab = ResponseTable::open(&heap)?;
-        let cataloged = Self::open_catalog(&env)?;
+        // Under the lock `Store::get` creates entries under: a peer may be
+        // between stamping an entry and installing its roots, and a joiner
+        // that opened it then would install roots of its own — and run on a
+        // private structure the catalog no longer names.
+        let cataloged = heap.with_file_lock(|| Self::open_catalog(&env))??;
         Ok(Self::assemble(env, cataloged, AttachSummary::of(&heap), resptab))
     }
 

@@ -23,13 +23,16 @@
 //! failover check (the client's slot is in flight under a dead peer's tid →
 //! `Recovering`) → dedup check → `note_invocation` (the recovery line
 //! reset, `(RD_q, CP_q) := (Null, 0)`, persisted once: the structure
-//! operation's prologue finds it done) → durable `pending` word →
-//! structure op → durable response finalize (`resp` fenced before
-//! `last_seq`) → socket acknowledgement. Three flushed lines and three
-//! fences of the request belong to the response table, one of each to
-//! `note_invocation`; the rest is the structure's own — nothing at all for
-//! a request that changes nothing (a `get`, a `put` of a present key, a
-//! `del` of an absent one, a `deq` on empty).
+//! operation's prologue finds it done) → `pending` stored, its line noted
+//! but not fenced (the structure's first fence drains it) → structure op →
+//! response finalize (`resp`, then `last_seq`, on the same line: one
+//! write-back, one `psync`) → socket acknowledgement. One flushed line and
+//! one fence of the request belong to `note_invocation`; the response
+//! table's client slot is one line and one fence for a request that
+//! changes nothing and two lines and one fence for one that does; the rest
+//! is the structure's own — nothing at all for a request that changes
+//! nothing (a `get`, a `put` of a present key, a `del` of an absent one, a
+//! `deq` on empty).
 //!
 //! [`parse_request`] refuses, before any of this, every identifier and
 //! argument a later layer would assert on (reserved client ids, sentinel
@@ -428,15 +431,7 @@ fn conn_loop(mut stream: TcpStream, shared: Arc<Shared>) {
             Err(status) => Response::err(status, 0),
             Ok(req) => {
                 maybe_kill(&shared.kill, KillPoint::Parse);
-                let lane = route(req.client_id, shared.lanes.len());
-                // A poisoned lane means a request panicked mid-sequence on
-                // this tid; its recovery state is only safe to reuse after
-                // a restart.
-                let Ok(_guard) = shared.lanes[lane].lock() else { return };
-                let tid = shared.base_tid + 1 + lane;
-                nvm::tid::set_tid(tid);
-                let resp = handle(&shared, tid, &req);
-                debug_assert_eq!(nvm::coalesce::pending(), 0, "lane released with unflushed lines");
+                let Some(resp) = on_lane(&shared, &req) else { return };
                 resp
             }
         };
@@ -449,6 +444,21 @@ fn conn_loop(mut stream: TcpStream, shared: Arc<Shared>) {
             return;
         }
     }
+}
+
+/// Runs `req` under its client's lane and that lane's tid; `None` when the
+/// lane is poisoned — a request panicked mid-sequence on this tid, and its
+/// recovery state is only safe to reuse after a restart.
+fn on_lane(shared: &Shared, req: &Request) -> Option<Response> {
+    let lane = route(req.client_id, shared.lanes.len());
+    let _guard = shared.lanes[lane].lock().ok()?;
+    let tid = shared.base_tid + 1 + lane;
+    nvm::tid::set_tid(tid);
+    let resp = handle(shared, tid, req);
+    // `begin_op` leaves the client slot's line noted and unfenced; only
+    // `finish_op`'s `psync` drains it.
+    debug_assert_eq!(nvm::coalesce::pending(), 0, "lane released with unflushed lines");
+    Some(resp)
 }
 
 /// Client → lane routing. Deterministic, so one client's requests always
@@ -596,6 +606,39 @@ mod tests {
             assert!(map.find(0, 42) && !map.find(0, 43));
             assert_eq!((queue.dequeue(0), queue.dequeue(0)), (Some(7), None));
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The release check of [`on_lane`] is what catches a `finish_op` that
+    /// stops draining the client slot's line `begin_op` noted. Every request
+    /// kind runs on this thread, which reads the `LineSet` itself so the
+    /// check bites in release builds too.
+    #[test]
+    fn a_lane_is_released_with_no_line_pending() {
+        let dir = std::env::temp_dir().join(format!("isb_kv_lane_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut cfg = Config::new(dir.join("kv.heap"));
+        cfg.heap_bytes = 8 << 20;
+        cfg.workers = 1;
+        let server = Server::start(cfg).expect("server start");
+        let requests = [
+            (OpCode::Put, 42),
+            (OpCode::Put, 42),
+            (OpCode::Get, 42),
+            (OpCode::Del, 42),
+            (OpCode::Del, 42),
+            (OpCode::Enq, 7),
+            (OpCode::Deq, 0),
+            (OpCode::Deq, 0),
+        ];
+        for (op_seq, (op, arg)) in (1..).zip(requests) {
+            let req = Request { op, client_id: 7, op_seq, arg };
+            let resp = on_lane(&server.shared, &req).expect("lane not poisoned");
+            assert_eq!(resp.status, Status::Ok, "{op:?}");
+            assert_eq!(nvm::coalesce::pending(), 0, "{op:?}: lane released with a line pending");
+        }
+        server.stop();
         let _ = std::fs::remove_dir_all(&dir);
     }
 

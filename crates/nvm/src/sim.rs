@@ -19,6 +19,18 @@
 //! publishes a reference to unpersisted state, so observing `POISON` through
 //! a reachable pointer after a crash indicates a missing-flush bug.
 //!
+//! # Declared lines
+//! A word is its own cache line unless an object declares a group of words
+//! one line ([`declare_line`]). Hardware persists the stores to one line in
+//! store order, so a declared line keeps its stores in order: a write-back
+//! snapshots *how far* into that order the line reached when it was issued,
+//! a fence commits that prefix, and the crash image persists some prefix of
+//! the order from the last committed write-back up to the latest store —
+//! never a later store without an earlier one. Every undeclared word keeps
+//! the per-word drop above, with the same seeded choice as before any line
+//! was declared. Lines are declared, not derived from addresses, because a
+//! `PWord<SimNvm>` is larger than 8 bytes.
+//!
 //! # Registry contract
 //! Words register themselves (address only) on first instrumented mutation.
 //! The registry holds raw addresses, so the caller must (1) keep every
@@ -39,7 +51,7 @@ use crate::pword::{PWord, PersistWords};
 use crate::stats;
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::Ordering::{Acquire, Relaxed, Release, SeqCst};
-use std::sync::atomic::{AtomicBool, AtomicU64};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize};
 use std::sync::Mutex;
 
 /// Value of the persisted shadow of a word that was never persisted.
@@ -56,6 +68,9 @@ pub struct SimMeta {
     pseq: AtomicU64,
     /// Last guaranteed-persisted value ([`POISON`] if none).
     persisted: AtomicU64,
+    /// Declared line: 0 = the word is its own line, else index + 1 into
+    /// `Globals::lines`.
+    line: AtomicUsize,
 }
 
 impl Default for SimMeta {
@@ -65,12 +80,25 @@ impl Default for SimMeta {
             born: globals().seq.load(Relaxed),
             pseq: AtomicU64::new(0),
             persisted: AtomicU64::new(POISON),
+            line: AtomicUsize::new(0),
         }
     }
 }
 
+/// One declared line: its words' persisted sides hold the committed prefix,
+/// `log` the stores after it.
+struct Line {
+    words: Vec<usize>,
+    /// `(word address, value)` of every store since the committed prefix,
+    /// in store order.
+    log: Vec<(usize, u64)>,
+    /// Position of `log[0]` in the line's store order.
+    start: u64,
+}
+
 struct Globals {
     registry: Mutex<Vec<usize>>,
+    lines: Mutex<Vec<Line>>,
     seq: AtomicU64,
     crash_armed: AtomicBool,
     /// Sequence number of the last [`persist_all`].
@@ -84,6 +112,7 @@ fn globals() -> &'static Globals {
     static G: OnceLock<Globals> = OnceLock::new();
     G.get_or_init(|| Globals {
         registry: Mutex::new(Vec::new()),
+        lines: Mutex::new(Vec::new()),
         seq: AtomicU64::new(1),
         crash_armed: AtomicBool::new(false),
         clean_start: AtomicU64::new(0),
@@ -173,11 +202,88 @@ fn register(w: &PWord<SimNvm>) {
     }
 }
 
+/// The word at a registered address.
+fn word(addr: usize) -> &'static PWord<SimNvm> {
+    // SAFETY: registry contract — the word outlives the simulation session.
+    unsafe { &*(addr as *const PWord<SimNvm>) }
+}
+
+/// Index of `w`'s declared line, if it has one.
+#[inline]
+fn line_of(w: &PWord<SimNvm>) -> Option<usize> {
+    w.meta.line.load(Relaxed).checked_sub(1)
+}
+
+/// Declares `words` one cache line (see the module docs): from now on a
+/// crash persists a prefix of their store order, and a write-back of any
+/// of them writes back the whole line as it stands. A word whose current
+/// value is not yet durable enters the line as a pending store. Declare an
+/// object once, before the operations under test and with no write-back
+/// of its words outstanding; stores to one line must not race.
+pub fn declare_line(words: &[&PWord<SimNvm>]) {
+    let mut lines = globals().lines.lock().unwrap();
+    let mut line = Line { words: Vec::new(), log: Vec::new(), start: 0 };
+    for &w in words {
+        register(w);
+        let prev = w.meta.line.swap(lines.len() + 1, Relaxed);
+        assert_eq!(prev, 0, "a word belongs to one declared line");
+        let addr = w as *const _ as usize;
+        line.words.push(addr);
+        let v = w.v.load(SeqCst);
+        if w.meta.persisted.load(Acquire) != v {
+            line.log.push((addr, v));
+        }
+    }
+    lines.push(line);
+}
+
+/// `write` performed on `w` — for a word of a declared line under the line
+/// lock, recording the store (if `write` reports one) in the line's order.
+#[inline]
+fn mutate<R>(w: &PWord<SimNvm>, write: impl FnOnce() -> (R, Option<u64>)) -> R {
+    let Some(idx) = line_of(w) else { return write().0 };
+    let mut lines = globals().lines.lock().unwrap();
+    let (r, stored) = write();
+    if let Some(v) = stored {
+        lines[idx].log.push((w as *const _ as usize, v));
+    }
+    r
+}
+
+/// Queues a write-back of `w` on this thread's outstanding set. The snapshot
+/// is the word's value — or, for a declared line, how far into the line's
+/// store order the write-back reaches.
+fn write_back(w: &PWord<SimNvm>) {
+    register(w);
+    let seq = globals().seq.fetch_add(1, Relaxed);
+    let snap = match line_of(w) {
+        None => w.v.load(SeqCst),
+        Some(idx) => {
+            let lines = globals().lines.lock().unwrap();
+            lines[idx].start + lines[idx].log.len() as u64
+        }
+    };
+    OUTSTANDING.with(|o| o.borrow_mut().push((w as *const _ as usize, snap, seq)));
+}
+
+/// Makes line `idx` durable through position `upto` of its store order.
+fn commit_line(idx: usize, upto: u64) {
+    let mut lines = globals().lines.lock().unwrap();
+    let line = &mut lines[idx];
+    let n = upto.saturating_sub(line.start) as usize;
+    for (addr, v) in line.log.drain(..n) {
+        word(addr).meta.persisted.store(v, Release);
+    }
+    line.start += n as u64;
+}
+
 fn commit(addr: usize, snap: u64, seq: u64) {
     let g = globals();
+    let w = word(addr);
+    if let Some(idx) = line_of(w) {
+        return commit_line(idx, snap);
+    }
     let _lk = g.commit_locks[(addr >> 3) % g.commit_locks.len()].lock().unwrap();
-    // SAFETY: registry contract — the word outlives the simulation session.
-    let w = unsafe { &*(addr as *const PWord<SimNvm>) };
     if w.meta.pseq.load(Acquire) < seq {
         w.meta.persisted.store(snap, Release);
         w.meta.pseq.store(seq, Release);
@@ -215,24 +321,21 @@ impl Persist for SimNvm {
     fn store(w: &PWord<Self>, v: u64) {
         maybe_crash();
         register(w);
-        w.v.store(v, Release);
+        mutate(w, || (w.v.store(v, Release), Some(v)));
     }
     #[inline]
     fn cas(w: &PWord<Self>, old: u64, new: u64) -> u64 {
         maybe_crash();
         register(w);
-        match w.v.compare_exchange(old, new, SeqCst, SeqCst) {
-            Ok(p) => p,
-            Err(p) => p,
-        }
+        mutate(w, || match w.v.compare_exchange(old, new, SeqCst, SeqCst) {
+            Ok(p) => (p, Some(new)),
+            Err(p) => (p, None),
+        })
     }
 
     fn pwb(w: &PWord<Self>) {
         maybe_crash();
-        register(w);
-        let seq = globals().seq.fetch_add(1, Relaxed);
-        let snap = w.v.load(SeqCst);
-        OUTSTANDING.with(|o| o.borrow_mut().push((w as *const _ as usize, snap, seq)));
+        write_back(w);
         stats::count_pwb(1);
     }
     fn pfence() {
@@ -248,10 +351,7 @@ impl Persist for SimNvm {
     }
     fn pbarrier(w: &PWord<Self>) {
         maybe_crash();
-        register(w);
-        let seq = globals().seq.fetch_add(1, Relaxed);
-        let snap = w.v.load(SeqCst);
-        OUTSTANDING.with(|o| o.borrow_mut().push((w as *const _ as usize, snap, seq)));
+        write_back(w);
         // The fence half of a pbarrier completes the write-backs it orders —
         // including every *preceding* outstanding pwb (DESIGN.md §3; on real
         // hardware the mfence drains all prior clflushes, not just this
@@ -271,10 +371,7 @@ impl Persist for SimNvm {
         maybe_crash();
         let mut lines = 0;
         obj.each_word(&mut |w| {
-            register(w);
-            let seq = globals().seq.fetch_add(1, Relaxed);
-            let snap = w.v.load(SeqCst);
-            OUTSTANDING.with(|o| o.borrow_mut().push((w as *const _ as usize, snap, seq)));
+            write_back(w);
             lines += 1;
         });
         // Fence half: completes this object's write-backs AND every
@@ -383,11 +480,35 @@ pub struct ImageReport {
     pub poisoned: usize,
 }
 
+impl ImageReport {
+    /// Counts one word of the image: `choice` survived where `latest` was
+    /// the volatile value.
+    fn count(&mut self, latest: u64, choice: u64) {
+        self.words += 1;
+        if choice == latest {
+            self.kept_latest += 1;
+        } else {
+            self.rolled_back += 1;
+            self.poisoned += (choice == POISON) as usize;
+        }
+    }
+}
+
+/// Installs `choice` as both sides of `w`: the surviving image *is* the
+/// durable state now.
+fn settle(w: &PWord<SimNvm>, choice: u64) {
+    w.v.store(choice, SeqCst);
+    w.meta.persisted.store(choice, Release);
+    w.meta.pseq.store(globals().seq.fetch_add(1, Relaxed), Release);
+}
+
 /// Reconstructs the post-crash NVM image and disarms the crash flag.
 ///
-/// Per registered word, chooses (seeded by `seed`) between the guaranteed-
-/// persisted value and the latest volatile value, then overwrites the
-/// volatile value with the choice so recovery code observes the NVM state.
+/// Per registered undeclared word, chooses (seeded by `seed`) between the
+/// guaranteed-persisted value and the latest volatile value; per declared
+/// line, chooses (from a second stream of the same seed) how many of its
+/// uncommitted stores survive, in order. The choice overwrites the volatile
+/// values so recovery code observes the NVM state.
 ///
 /// # Safety contract
 /// Must only be called when **no participant thread is running**, and every
@@ -398,28 +519,33 @@ pub fn build_crash_image(seed: u64) -> ImageReport {
     let mut rng = seed ^ 0xA076_1D64_78BD_642F;
     let mut rep = ImageReport::default();
     let reg = g.registry.lock().unwrap();
-    for &addr in reg.iter() {
-        // SAFETY: registry contract.
-        let w = unsafe { &*(addr as *const PWord<SimNvm>) };
+    for w in reg.iter().map(|&addr| word(addr)).filter(|w| line_of(w).is_none()) {
         let latest = w.v.load(SeqCst);
         let persisted = w.meta.persisted.load(Acquire);
-        rep.words += 1;
-        let choice = if persisted == latest || splitmix(&mut rng) & 1 == 0 {
-            rep.kept_latest += 1;
-            latest
-        } else {
-            rep.rolled_back += 1;
-            if persisted == POISON {
-                rep.poisoned += 1;
-            }
-            persisted
-        };
-        w.v.store(choice, SeqCst);
-        // The surviving image *is* the durable state now.
-        w.meta.persisted.store(choice, Release);
-        w.meta.pseq.store(g.seq.fetch_add(1, Relaxed), Release);
+        let keep = persisted == latest || splitmix(&mut rng) & 1 == 0;
+        let choice = if keep { latest } else { persisted };
+        rep.count(latest, choice);
+        settle(w, choice);
     }
     drop(reg);
+    let mut rng = seed ^ 0x2D35_8DCC_AA6C_78A5;
+    for line in g.lines.lock().unwrap().iter_mut() {
+        let prefix = match line.log.len() {
+            0 => 0,
+            n => (splitmix(&mut rng) % (n as u64 + 1)) as usize,
+        };
+        let mut image: Vec<(usize, u64)> =
+            line.words.iter().map(|&a| (a, word(a).meta.persisted.load(Acquire))).collect();
+        for &(addr, v) in &line.log[..prefix] {
+            image.iter_mut().find(|(a, _)| *a == addr).expect("a word of the line").1 = v;
+        }
+        for (addr, choice) in image {
+            rep.count(word(addr).v.load(SeqCst), choice);
+            settle(word(addr), choice);
+        }
+        line.start += line.log.len() as u64;
+        line.log.clear();
+    }
     g.crash_armed.store(false, SeqCst);
     rep
 }
@@ -431,12 +557,13 @@ pub fn build_crash_image(seed: u64) -> ImageReport {
 pub fn persist_all() {
     let g = globals();
     g.clean_start.store(g.seq.fetch_add(1, Relaxed) + 1, Relaxed);
-    let reg = g.registry.lock().unwrap();
-    for &addr in reg.iter() {
-        // SAFETY: registry contract.
-        let w = unsafe { &*(addr as *const PWord<SimNvm>) };
+    for w in g.registry.lock().unwrap().iter().map(|&addr| word(addr)) {
         w.meta.persisted.store(w.v.load(SeqCst), Release);
         w.meta.pseq.store(g.seq.fetch_add(1, Relaxed), Release);
+    }
+    for line in g.lines.lock().unwrap().iter_mut() {
+        line.start += line.log.len() as u64;
+        line.log.clear();
     }
 }
 
@@ -445,7 +572,7 @@ pub fn registered_words() -> usize {
     globals().registry.lock().unwrap().len()
 }
 
-/// Clears the registry and disarms crashes. Call after dropping all
+/// Clears the registry and the declared lines and disarms crashes. Call after dropping all
 /// simulated structures and before building new ones.
 ///
 /// # Single-session invariant
@@ -457,6 +584,7 @@ pub fn registered_words() -> usize {
 pub fn reset() {
     let g = globals();
     g.registry.lock().unwrap().clear();
+    g.lines.lock().unwrap().clear();
     g.crash_armed.store(false, SeqCst);
     OUTSTANDING.with(|o| o.borrow_mut().clear());
 }
@@ -601,6 +729,177 @@ mod tests {
         drop(s1);
         // After the first session ends, a fresh one is fine again.
         drop(begin_session());
+    }
+
+    /// Fresh words holding 0, durable through a clean start.
+    fn clean_words<const N: usize>() -> [Box<PWord<SimNvm>>; N] {
+        let ws = std::array::from_fn(|_| Box::new(PWord::new(0)));
+        persist_all();
+        ws
+    }
+
+    fn crash_image(seed: u64) {
+        trigger_crash();
+        build_crash_image(seed);
+    }
+
+    /// Length of the prefix of `order` (indices into `ws`, the value each
+    /// store wrote) that the image holds, or `None` for a non-prefix.
+    fn prefix_of(ws: &[Box<PWord<SimNvm>>], order: &[(usize, u64)]) -> Option<usize> {
+        let k = order.iter().take_while(|&&(i, v)| ws[i].peek() == v).count();
+        order[k..].iter().all(|&(i, _)| ws[i].peek() == 0).then_some(k)
+    }
+
+    /// Stores to a declared line survive a crash as a prefix of their
+    /// order (not of the declaration's or the addresses'), every prefix is
+    /// reachable, and a failed CAS is no store.
+    #[test]
+    fn a_declared_line_persists_every_prefix_of_its_store_order_and_nothing_else() {
+        let _l = LOCK.lock().unwrap();
+        let orders: [&[(usize, u64)]; 2] = [&[(1, 5), (0, 6)], &[(2, 7), (0, 8), (1, 9)]];
+        for order in orders {
+            let mut seen = vec![false; order.len() + 1];
+            for seed in 0..64 {
+                reset();
+                tid::set_tid(0);
+                let ws = clean_words::<3>();
+                let n = order.len();
+                declare_line(&ws[..n].iter().map(|w| &**w).collect::<Vec<_>>());
+                for &(i, v) in order {
+                    ws[i].cas(99, 1); // fails: not a store
+                    assert_eq!(ws[i].cas(0, v), 0);
+                }
+                crash_image(seed);
+                let k = prefix_of(&ws[..n], order)
+                    .unwrap_or_else(|| panic!("seed {seed}: non-prefix image of {order:?}"));
+                seen[k] = true;
+            }
+            assert!(seen.iter().all(|&s| s), "{order:?}: prefixes seen {seen:?}");
+        }
+        reset();
+    }
+
+    /// A write-back captures the line as it stood when issued: a store
+    /// after it stays droppable, everything before it survives the fence.
+    #[test]
+    fn a_line_write_back_snapshots_the_line_when_issued() {
+        let _l = LOCK.lock().unwrap();
+        let mut dropped = false;
+        for seed in 0..32 {
+            reset();
+            tid::set_tid(0);
+            let ws = clean_words::<3>();
+            declare_line(&[&ws[0], &ws[1], &ws[2]]);
+            ws[0].store(1);
+            ws[1].store(2);
+            SimNvm::pwb(&ws[2]); // any word writes back the whole line
+            ws[2].store(3);
+            SimNvm::psync();
+            assert_eq!([0, 1, 2].map(|i| ws[i].meta.persisted.load(Acquire)), [1, 2, 0]);
+            crash_image(seed);
+            assert_eq!((ws[0].peek(), ws[1].peek()), (1, 2), "seed {seed}: committed prefix lost");
+            dropped |= ws[2].peek() == 0;
+        }
+        assert!(dropped, "the store after the write-back must be droppable");
+        reset();
+    }
+
+    /// A psync that dies between two commits leaves the first write-back's
+    /// prefix durable and the line still a prefix beyond it.
+    #[test]
+    fn a_crash_mid_psync_keeps_a_line_prefix() {
+        let _l = LOCK.lock().unwrap();
+        quiet_crash_panics();
+        let order = [(0, 1), (1, 2), (2, 3)];
+        let mut seen = [false; 4];
+        for seed in 0..64 {
+            reset();
+            tid::set_tid(0);
+            let ws = clean_words::<3>();
+            declare_line(&[&ws[0], &ws[1], &ws[2]]);
+            ws[0].store(1);
+            SimNvm::pwb(&ws[0]); // reaches position 1
+            ws[1].store(2);
+            ws[2].store(3);
+            SimNvm::pwb(&ws[1]); // reaches position 3
+            let r = run_crashable(|| {
+                // The psync itself, its first commit's check, then the
+                // second commit's check: dies with one commit done.
+                crash_after(3);
+                SimNvm::psync();
+            });
+            assert_eq!(r, Err(Crashed));
+            assert_eq!(ws[0].meta.persisted.load(Acquire), 1, "first commit done");
+            assert_eq!(ws[1].meta.persisted.load(Acquire), 0, "second commit not done");
+            build_crash_image(seed);
+            let k = prefix_of(&ws, &order).unwrap_or_else(|| panic!("seed {seed}: non-prefix"));
+            assert!(k >= 1, "seed {seed}: the committed prefix was lost");
+            seen[k] = true;
+        }
+        assert_eq!(seen, [false, true, true, true]);
+        reset();
+    }
+
+    /// Undeclared words make today's per-word choice for a seed — the rule
+    /// restated here — whether or not a declared line is registered among
+    /// them.
+    #[test]
+    fn undeclared_words_keep_their_per_word_choices() {
+        let _l = LOCK.lock().unwrap();
+        for seed in 0..32 {
+            let expected = {
+                let mut rng = seed ^ 0xA076_1D64_78BD_642F;
+                // (persisted, latest) per word: only the unequal ones draw.
+                [(0, 1), (0, 0), (0, 3), (0, 4)].map(|(p, l)| {
+                    if p == l || splitmix(&mut rng) & 1 == 0 {
+                        l
+                    } else {
+                        p
+                    }
+                })
+            };
+            for with_line in [false, true] {
+                reset();
+                tid::set_tid(0);
+                let ws = clean_words::<4>();
+                let line = clean_words::<2>();
+                ws[0].store(1);
+                if with_line {
+                    declare_line(&[&line[0], &line[1]]);
+                    line[1].store(7);
+                }
+                ws[1].store(0);
+                ws[2].store(3);
+                if with_line {
+                    line[0].store(8);
+                }
+                ws[3].store(4);
+                crash_image(seed);
+                assert_eq!(ws.each_ref().map(|w| w.peek()), expected, "seed {seed} {with_line}");
+            }
+        }
+        reset();
+    }
+
+    #[test]
+    fn persist_all_and_reset_clear_line_state() {
+        let _l = LOCK.lock().unwrap();
+        for seed in 0..8 {
+            reset();
+            tid::set_tid(0);
+            let ws = clean_words::<2>();
+            declare_line(&[&ws[0], &ws[1]]);
+            ws[0].store(1);
+            ws[1].store(2);
+            persist_all();
+            assert!(globals().lines.lock().unwrap()[0].log.is_empty());
+            crash_image(seed);
+            assert_eq!((ws[0].peek(), ws[1].peek()), (1, 2), "seed {seed}: clean start lost");
+            ws[0].store(3);
+            reset();
+            assert!(globals().lines.lock().unwrap().is_empty());
+            assert_eq!(registered_words(), 0);
+        }
     }
 
     #[test]

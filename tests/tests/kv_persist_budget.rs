@@ -7,17 +7,21 @@
 //! structures' own placement is pinned per operation, here the whole
 //! exactly-once sequence around it — `note_invocation`, the response table's
 //! in-flight record and finalize, and the structure operation's prologue,
-//! which must not run the invocation glue a second time. Of every applied
-//! request's budget, 1 line + 1 fence is `note_invocation` and 3 + 3 the
-//! response table (`begin_op`: `pending`; `finish_op`: `resp`, `last_seq`);
-//! the remainder is the `Isb-LP` structure operation (the arm the service
-//! ships, `kvserve::server::ARM`) minus the glue barrier the note elides —
-//! which for a request that changes nothing (a `get`, a `put` of a present
-//! key, a `del` of an absent one) is all of it, in any arm. Against
-//! `Isb-Coal`, LP's rows differ by the cleanup write-backs it elides
-//! (`put-new` 16 → 13 lines, `del-hit` 12 → 11, `deq` 12 → 11) and, on
-//! `enq`, by the merged tag-phase `psync` and the tail hint nobody reads
-//! back (14 / 8 → 10 / 7).
+//! which must not run the invocation glue a second time. Of every request's
+//! budget, 1 line + 1 fence is `note_invocation`. The response table is the
+//! client's one 64-byte slot: `begin_op` stores `pending` and notes the line
+//! without a fence, `finish_op` stores `resp` then `last_seq` and pays one
+//! write-back and one `psync`. A request that changes nothing (a `get`, a
+//! `put` of a present key, a `del` of an absent one) issues no fence in
+//! between, so the note folds into `finish_op`'s write-back: 1 line + 1
+//! fence, and the structure operation costs nothing at all, in any arm. A
+//! request that changes something fences its descriptor first, which drains
+//! the note: 2 lines + 1 fence, the rest being the `Isb-LP` structure
+//! operation (the arm the service ships, `kvserve::server::ARM`) minus the
+//! glue barrier the note elides. Against `Isb-Coal`, LP's rows differ by the
+//! cleanup write-backs it elides (`put-new` 3 lines, `del-hit` and `deq` 1)
+//! and, on `enq`, by the merged tag-phase `psync` and the tail hint nobody
+//! reads back (4 lines, 1 fence).
 //!
 //! The server runs one lane, so every request is counted on that lane's tid
 //! and read as a per-tid delta; the mapped heap hands out 64-byte-aligned
@@ -82,13 +86,13 @@ fn one_kv_request_costs_exactly_its_persist_budget() {
     });
 
     let golden: [(&str, (u64, u64)); 8] = [
-        ("put-new", (13, 8)),
-        ("put-dup", (4, 4)),
-        ("del-hit", (11, 8)),
-        ("del-miss", (4, 4)),
-        ("get", (4, 4)),
-        ("enq", (10, 7)),
-        ("deq", (11, 8)),
+        ("put-new", (12, 6)),
+        ("put-dup", (2, 2)),
+        ("del-hit", (10, 6)),
+        ("del-miss", (2, 2)),
+        ("get", (2, 2)),
+        ("enq", (9, 5)),
+        ("deq", (10, 6)),
         ("replay", (0, 0)),
     ];
     assert_eq!(rows, golden, "(lines, fences) per request");
