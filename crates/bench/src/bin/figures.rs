@@ -436,10 +436,11 @@ impl Ctx {
     /// paper): how expensive is a *real* cross-process restart (remap +
     /// Op-Recover replay + scrub + census/sweep) as the store grows, and
     /// what running over a file-backed arena costs at runtime versus the
-    /// same structure on the process heap.
+    /// same structure on the process heap. The mapped map is the one entry
+    /// of a [`Store`](isb::store::Store).
     fn fig10(&self) {
         use isb::hashmap::RHashMap as HM;
-        use nvm::MappedNvm;
+        use isb::store::Store;
         use std::time::Instant;
 
         nvm::tid::set_tid(nvm::MAX_PROCS - 1);
@@ -462,20 +463,22 @@ impl Ctx {
             let _ = std::fs::remove_file(&path);
             let t0 = Instant::now();
             {
-                let (map, _) = HM::<MappedNvm, 0>::attach(&path, 16).unwrap();
+                let map = Store::open(&path).unwrap().hashmap::<0>("map", 16).unwrap();
                 for k in 1..=n {
                     map.insert(nvm::MAX_PROCS - 1, k);
                 }
             }
             let fill_ms = t0.elapsed().as_secs_f64() * 1e3;
             let t1 = Instant::now();
-            let (map, summary) = HM::<MappedNvm, 0>::attach(&path, 16).unwrap();
+            let store = Store::open(&path).unwrap();
+            let map = store.hashmap::<0>("map", 16).unwrap();
             let attach_ms = t1.elapsed().as_secs_f64() * 1e3;
+            let summary = store.summary();
             t_attach.row(
                 n.to_string(),
                 vec![fill_ms, attach_ms, summary.heap.committed as f64, summary.swept as f64],
             );
-            drop(map);
+            drop((map, store));
             let _ = std::fs::remove_file(&path);
         }
         self.emit("fig10_attach", &t_attach);
@@ -501,8 +504,7 @@ impl Ctx {
             let mapped = {
                 let path = dir.join(format!("tp_{threads}.heap"));
                 let _ = std::fs::remove_file(&path);
-                let (map, _) = HM::<MappedNvm, 0>::attach(&path, 16).unwrap();
-                let map = Arc::new(map);
+                let map = Store::open(&path).unwrap().hashmap::<0>("map", 16).unwrap();
                 prefill_set(&*map, range, 7);
                 nvm::stats::reset();
                 let r = run_set(map, cfg);
@@ -524,12 +526,10 @@ impl Ctx {
     /// Multi-structure store — Figure 11 (beyond the paper): what the
     /// catalog layer costs. (a) store attach latency as the number of
     /// cataloged structures grows (the union census/sweep walks every
-    /// entry's live set), (b) per-structure throughput when a map and a
-    /// queue share ONE heap versus each owning a dedicated heap (shared
-    /// bump allocator + shared recovery area vs private ones).
+    /// entry's live set), (b) per-structure throughput of a map and a queue
+    /// sharing ONE heap (shared bump allocator + shared recovery area).
     fn fig11(&self) {
         use isb::store::Store;
-        use nvm::MappedNvm;
         use std::time::Instant;
 
         nvm::tid::set_tid(nvm::MAX_PROCS - 1);
@@ -578,19 +578,14 @@ impl Ctx {
         }
         self.emit("fig11_attach", &t_attach);
 
-        // (b) Shared vs dedicated heap throughput, per structure.
+        // (b) Shared-heap throughput, per structure.
         let range = 4096u64;
         let mut t_tp = Table::new(
             format!(
-                "Figure 11: shared-heap (store) vs dedicated-heap throughput \
+                "Figure 11: shared-heap (store) throughput \
                  (Mops/s; map: 16 shards, keys [1,{range}], read-heavy; queue: 10k prefill)"
             ),
-            vec![
-                "map shared".into(),
-                "map dedicated".into(),
-                "queue shared".into(),
-                "queue dedicated".into(),
-            ],
+            vec!["map shared".into(), "queue shared".into()],
         );
         for &threads in &self.threads {
             let cfg = SetCfg {
@@ -616,30 +611,7 @@ impl Ctx {
                 let _ = std::fs::remove_file(&path);
                 (rm.mops(), rq.mops())
             };
-            let map_dedicated = {
-                let path = dir.join(format!("ded_map_{threads}.heap"));
-                let _ = std::fs::remove_file(&path);
-                let (map, _) = RHashMap::<MappedNvm, 0>::attach(&path, 16).unwrap();
-                let map = Arc::new(map);
-                prefill_set(&*map, range, 7);
-                nvm::stats::reset();
-                let r = run_set(map, cfg);
-                let _ = std::fs::remove_file(&path);
-                r.mops()
-            };
-            let queue_dedicated = {
-                let path = dir.join(format!("ded_q_{threads}.heap"));
-                let _ = std::fs::remove_file(&path);
-                let (q, _) = RQueue::<MappedNvm, 0>::attach(&path).unwrap();
-                nvm::stats::reset();
-                let r = run_queue(Arc::new(q), qcfg);
-                let _ = std::fs::remove_file(&path);
-                r.mops()
-            };
-            t_tp.row(
-                threads.to_string(),
-                vec![map_shared, map_dedicated, queue_shared, queue_dedicated],
-            );
+            t_tp.row(threads.to_string(), vec![map_shared, queue_shared]);
         }
         self.emit("fig11_throughput", &t_tp);
         let _ = std::fs::remove_dir_all(&dir);

@@ -123,6 +123,36 @@ impl std::fmt::Display for CfgWord {
     }
 }
 
+/// A structure-kind tag — a catalog entry's
+/// ([`crate::recovery::MappedLayout::KIND`]) or a heap's superblock kind —
+/// as an operator reads it in an error: its name beside the number.
+#[derive(Clone, Copy)]
+pub(crate) struct KindTag(pub(crate) u64);
+
+impl KindTag {
+    /// The kind's name; `None` for a tag no build ever stamped.
+    pub(crate) fn name(self) -> Option<&'static str> {
+        Some(match self.0 {
+            crate::hashmap::KIND_MAP => "hashmap",
+            crate::queue::KIND_QUEUE => "queue",
+            crate::list::KIND_LIST => "list",
+            crate::bst::KIND_BST => "bst",
+            crate::stack::KIND_STACK => "stack",
+            crate::store::KIND_STORE => "store",
+            _ => return None,
+        })
+    }
+}
+
+impl std::fmt::Display for KindTag {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.name() {
+            Some(name) => write!(f, "a {name} (kind {})", self.0),
+            None => write!(f, "an unknown kind ({})", self.0),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -32,14 +32,12 @@ use crate::graph::{self, Graph};
 use crate::op::{cell_addr, TrackedNode};
 use crate::optype;
 use crate::pool::{Pool, PoolCfg, PoolItem};
-use crate::recovery::{
-    install_roots, mapped_attach, root_words, AttachEnv, AttachError, MappedLayout, SlotOps,
-};
+use crate::recovery::{install_roots, root_words, AttachEnv, AttachError, MappedLayout, SlotOps};
 use crate::tag;
 use nvm::mapped::MappedNvm;
 use nvm::{PWord, Persist, PersistWords};
 
-/// Superblock structure-kind tag of a mapped `RBst`.
+/// Structure-kind tag of an `RBst` entry in a [`crate::store::Store`] catalog.
 pub const KIND_BST: u64 = 4;
 
 /// `∞₁`: larger than every user key.
@@ -515,8 +513,6 @@ impl<M: Persist, const ARM: u8> Graph<M> for RBst<M, ARM> {
     }
 }
 
-mapped_attach!(impl[const ARM: u8] RBst<MappedNvm, ARM>; () -> ());
-
 impl<const ARM: u8> MappedLayout for RBst<MappedNvm, ARM> {
     const KIND: u64 = KIND_BST;
     type Cfg = ();
@@ -719,43 +715,5 @@ mod tests {
         assert!(t.find(0, 42));
         assert!(t.recover_delete(0, 42));
         assert!(!t.find(0, 42));
-    }
-
-    #[test]
-    fn mapped_attach_bst_preserves_contents_across_detach() {
-        let _gate = crate::counters::gate_shared();
-        nvm::tid::set_tid(0);
-        let path = std::env::temp_dir().join(format!(
-            "isb_bst_{}_{}.heap",
-            std::process::id(),
-            std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .unwrap()
-                .subsec_nanos()
-        ));
-        let _ = std::fs::remove_file(&path);
-        {
-            let (t, s) = RBst::<nvm::MappedNvm, 0>::attach_sized(&path, 1 << 21).unwrap();
-            assert!(s.heap.created);
-            for k in [50u64, 20, 80, 10, 30, 70, 90, 25, 35] {
-                assert!(t.insert(0, k));
-            }
-            assert!(t.delete(0, 20));
-        }
-        {
-            let (mut t, s) = RBst::<nvm::MappedNvm, 0>::attach_sized(&path, 1 << 21).unwrap();
-            assert!(!s.heap.created);
-            assert_eq!(s.heap.poisoned, 0, "clean detach leaves no torn blocks");
-            assert_eq!(t.snapshot_keys(), vec![10, 25, 30, 35, 50, 70, 80, 90]);
-            t.check_invariants();
-            assert!(t.insert(0, 60));
-            assert!(t.delete(0, 90));
-        }
-        {
-            let (mut t, _) = RBst::<nvm::MappedNvm, 0>::attach_sized(&path, 1 << 21).unwrap();
-            assert_eq!(t.snapshot_keys(), vec![10, 25, 30, 35, 50, 60, 70, 80]);
-            t.check_invariants();
-        }
-        let _ = std::fs::remove_file(&path);
     }
 }

@@ -23,9 +23,7 @@
 use crate::env::Env;
 use crate::graph::{self, Graph};
 use crate::pool::{Pool, PoolCfg};
-use crate::recovery::{
-    install_roots, mapped_attach, root_words, AttachEnv, AttachError, MappedLayout, SlotOps,
-};
+use crate::recovery::{install_roots, root_words, AttachEnv, AttachError, MappedLayout, SlotOps};
 use crate::set_core::{self, Node, SetCore};
 use nvm::mapped::MappedNvm;
 use nvm::Persist;
@@ -35,7 +33,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// Default shard count for [`RHashMap::new`].
 pub const DEFAULT_SHARDS: usize = 16;
 
-/// Superblock structure-kind tag of a mapped `RHashMap`.
+/// Structure-kind tag of an `RHashMap` entry in a [`crate::store::Store`] catalog.
 pub const KIND_MAP: u64 = 1;
 
 const KIND_NAME: &str = "hashmap";
@@ -67,9 +65,9 @@ const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
 /// assert!(map.find(0, 42));
 /// ```
 ///
-/// With the mapped backend ([`RHashMap::attach`]) the same flow runs across
-/// an actual process restart: the attach replays Op-Recover for every
-/// process id and reports the decisions in its
+/// With the mapped backend ([`crate::store::Store::hashmap`]) the same flow
+/// runs across an actual process restart: the store's open replays
+/// Op-Recover for every process id and reports the decisions in its
 /// [`crate::recovery::AttachSummary`].
 pub struct RHashMap<M: Persist, const ARM: u8 = 0> {
     heads: Box<[*mut Node<M>]>,
@@ -282,8 +280,6 @@ impl<M: Persist, const ARM: u8> Graph<M> for RHashMap<M, ARM> {
         unsafe { set_core::walk_bucket(self.heads[unit], admit, budget, visit) }
     }
 }
-
-mapped_attach!(impl[const ARM: u8] RHashMap<MappedNvm, ARM>; (shards: usize) -> shards);
 
 impl<const ARM: u8> MappedLayout for RHashMap<MappedNvm, ARM> {
     const KIND: u64 = KIND_MAP;
@@ -563,103 +559,39 @@ mod tests {
         assert!(!map.recover_find(0, 10));
     }
 
-    fn tmp_heap(name: &str) -> std::path::PathBuf {
-        let p = std::env::temp_dir().join(format!(
-            "isb_hm_{}_{}_{name}.heap",
-            std::process::id(),
-            std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .unwrap()
-                .subsec_nanos()
-        ));
-        let _ = std::fs::remove_file(&p);
-        p
-    }
-
-    #[test]
-    fn mapped_attach_preserves_contents_across_detach() {
-        let _gate = crate::counters::gate_shared();
-        nvm::tid::set_tid(0);
-        let path = tmp_heap("roundtrip");
-        {
-            let (map, s) = RHashMap::<nvm::MappedNvm, 0>::attach_sized(&path, 8, 1 << 21).unwrap();
-            assert!(s.heap.created);
-            for k in 1..=200u64 {
-                assert!(map.insert(0, k));
-            }
-            for k in (1..=200u64).step_by(3) {
-                assert!(map.delete(0, k));
-            }
-        }
-        {
-            let (mut map, s) =
-                RHashMap::<nvm::MappedNvm, 0>::attach_sized(&path, 8, 1 << 21).unwrap();
-            assert!(!s.heap.created);
-            assert_eq!(s.heap.poisoned, 0, "clean detach leaves no torn blocks");
-            for k in 1..=200u64 {
-                assert_eq!(map.find(0, k), k % 3 != 1, "key {k} after re-attach");
-            }
-            map.check_invariants();
-            // The recovered map stays fully operational.
-            assert!(map.insert(0, 1000));
-            assert!(map.delete(0, 2));
-        }
-        {
-            let (mut map, _) =
-                RHashMap::<nvm::MappedNvm, 0>::attach_sized(&path, 8, 1 << 21).unwrap();
-            assert!(map.find(0, 1000));
-            assert!(!map.find(0, 2));
-            map.check_invariants();
-        }
-        let _ = std::fs::remove_file(&path);
-    }
-
     /// The map's scrub policy is the deferred one: a non-fresh attach only
     /// marks every shard pending, and the first operation routed to a shard
     /// drains that shard's flag — and no other.
     #[test]
     fn mapped_attach_defers_the_scrub_to_first_contact() {
+        use crate::store::Store;
         let _gate = crate::counters::gate_shared();
         nvm::tid::set_tid(0);
-        let path = tmp_heap("deferred");
+        let path =
+            std::env::temp_dir().join(format!("isb_hm_{}_deferred.heap", std::process::id()));
+        let _ = std::fs::remove_file(&path);
         let pending = |m: &RHashMap<nvm::MappedNvm, 2>| -> Vec<bool> {
             m.pending_scrub.iter().map(|f| f.load(Ordering::Relaxed)).collect()
         };
         {
-            let (map, _) = RHashMap::<nvm::MappedNvm, 2>::attach_sized(&path, 8, 1 << 21).unwrap();
+            let store = Store::open_sized(&path, 1 << 21).unwrap();
+            let map = store.hashmap::<2>("m", 8).unwrap();
             assert_eq!(pending(&map), [false; 8], "a fresh map has nothing to scrub");
             (1..=64).for_each(|k| assert!(map.insert(0, k)));
         }
-        let (mut map, _) = RHashMap::<nvm::MappedNvm, 2>::attach_sized(&path, 8, 1 << 21).unwrap();
+        let store = Store::open_sized(&path, 1 << 21).unwrap();
+        let map = store.hashmap::<2>("m", 8).unwrap();
         assert_eq!(pending(&map), [true; 8], "attach defers every shard");
         let shard = map.shard_of(7);
         assert!(map.find(0, 7));
         let mut want = [true; 8];
         want[shard] = false;
         assert_eq!(pending(&map), want, "first contact drains its own shard only");
+        drop(store);
+        let mut map = Arc::into_inner(map).expect("the last handle");
         map.check_invariants();
         assert_eq!(pending(&map), [false; 8], "quiescent entry points drain the rest");
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn mapped_attach_rejects_config_mismatch() {
-        let _gate = crate::counters::gate_shared();
-        nvm::tid::set_tid(0);
-        let path = tmp_heap("cfg");
-        drop(RHashMap::<nvm::MappedNvm, 0>::attach_sized(&path, 8, 1 << 21).unwrap());
-        // Different shard count.
-        match RHashMap::<nvm::MappedNvm, 0>::attach_sized(&path, 16, 1 << 21) {
-            Err(AttachError::CfgMismatch { .. }) => {}
-            Err(e) => panic!("expected CfgMismatch, got {e}"),
-            Ok(_) => panic!("shard-count mismatch must fail"),
-        }
-        // Different tuning.
-        match RHashMap::<nvm::MappedNvm, 1>::attach_sized(&path, 8, 1 << 21) {
-            Err(AttachError::CfgMismatch { .. }) => {}
-            Err(e) => panic!("expected CfgMismatch, got {e}"),
-            Ok(_) => panic!("tuning mismatch must fail"),
-        }
+        drop(map);
         let _ = std::fs::remove_file(&path);
     }
 }

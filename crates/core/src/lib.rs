@@ -40,10 +40,10 @@
 //!   [`nvm::NoPersist`] is the private-cache model, [`nvm::SimNvm`] is the
 //!   adversarial crash simulator, and [`nvm::MappedNvm`] pairs real flushes
 //!   with a file-backed heap ([`nvm::mapped`]) so the structure survives an
-//!   actual process death — **every** structure gains an `attach(path)`
-//!   constructor through the generic [`recovery::MappedLayout`] driver
-//!   (remap, Op-Recover replay per process, scrub, census + leak sweep),
-//!   and [`store::Store`] hosts many *named* structures in one heap.
+//!   actual process death: [`store::Store`] hosts **every** kind as a
+//!   *named* catalog entry of one heap, reopened through the generic
+//!   [`recovery::MappedLayout`] driver (remap, Op-Recover replay per
+//!   process, scrub, census + leak sweep).
 //! * `ARM: u8` — the persistency *placement*, a level of the cumulative
 //!   ladder in [`arm`]: `0` ([`arm::PAPER`], "Isb") is the paper's general
 //!   ROpt-ISB placement; `1` ([`arm::TUNED`], "Isb-Opt") defers the

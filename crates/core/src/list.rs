@@ -12,16 +12,14 @@
 use crate::env::Env;
 use crate::graph::{self, Graph};
 use crate::pool::{Pool, PoolCfg};
-use crate::recovery::{
-    install_roots, mapped_attach, root_words, AttachEnv, AttachError, MappedLayout, SlotOps,
-};
+use crate::recovery::{install_roots, root_words, AttachEnv, AttachError, MappedLayout, SlotOps};
 use crate::set_core::{self, SetCore};
 use nvm::mapped::MappedNvm;
 use nvm::Persist;
 
 pub use crate::set_core::{Node, KEY_MAX, KEY_MIN};
 
-/// Superblock structure-kind tag of a mapped `RList`.
+/// Structure-kind tag of an `RList` entry in a [`crate::store::Store`] catalog.
 pub const KIND_LIST: u64 = 3;
 
 /// Detectably recoverable sorted linked list. `ARM` is the persistency
@@ -165,8 +163,6 @@ impl<M: Persist, const ARM: u8> Graph<M> for RList<M, ARM> {
         unsafe { set_core::walk_bucket(self.head, admit, budget, visit) }
     }
 }
-
-mapped_attach!(impl[const ARM: u8] RList<MappedNvm, ARM>; () -> ());
 
 impl<const ARM: u8> MappedLayout for RList<MappedNvm, ARM> {
     const KIND: u64 = KIND_LIST;
@@ -499,48 +495,5 @@ mod tests {
         assert!(list.recover_delete(0, 10));
         assert!(!list.find(0, 10));
         assert!(!list.recover_find(0, 10));
-    }
-
-    #[test]
-    fn mapped_attach_list_preserves_contents_across_detach() {
-        let _gate = crate::counters::gate_shared();
-        nvm::tid::set_tid(0);
-        let path = std::env::temp_dir().join(format!(
-            "isb_list_{}_{}.heap",
-            std::process::id(),
-            std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .unwrap()
-                .subsec_nanos()
-        ));
-        let _ = std::fs::remove_file(&path);
-        {
-            let (list, s) = RList::<nvm::MappedNvm, 0>::attach_sized(&path, 1 << 21).unwrap();
-            assert!(s.heap.created);
-            for k in 1..=120u64 {
-                assert!(list.insert(0, k));
-            }
-            for k in (1..=120u64).step_by(3) {
-                assert!(list.delete(0, k));
-            }
-        }
-        {
-            let (mut list, s) = RList::<nvm::MappedNvm, 0>::attach_sized(&path, 1 << 21).unwrap();
-            assert!(!s.heap.created);
-            assert_eq!(s.heap.poisoned, 0, "clean detach leaves no torn blocks");
-            for k in 1..=120u64 {
-                assert_eq!(list.find(0, k), k % 3 != 1, "key {k} after re-attach");
-            }
-            list.check_invariants();
-            assert!(list.insert(0, 1000));
-            assert!(list.delete(0, 2));
-        }
-        {
-            let (mut list, _) = RList::<nvm::MappedNvm, 0>::attach_sized(&path, 1 << 21).unwrap();
-            assert!(list.find(0, 1000));
-            assert!(!list.find(0, 2));
-            list.check_invariants();
-        }
-        let _ = std::fs::remove_file(&path);
     }
 }

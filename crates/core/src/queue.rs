@@ -49,14 +49,13 @@ use crate::op::{cell_addr, TrackedNode};
 use crate::optype;
 use crate::pool::{Pool, PoolCfg, PoolItem};
 use crate::recovery::{
-    install_roots, mapped_attach, root_words, AttachEnv, AttachError, MappedLayout, Recovered,
-    Rooted, SlotOps,
+    install_roots, root_words, AttachEnv, AttachError, MappedLayout, Recovered, Rooted, SlotOps,
 };
 use crate::tag;
 use nvm::mapped::MappedNvm;
 use nvm::{PWord, Persist, PersistWords};
 
-/// Superblock structure-kind tag of a mapped `RQueue`.
+/// Structure-kind tag of an `RQueue` entry in a [`crate::store::Store`] catalog.
 pub const KIND_QUEUE: u64 = 2;
 
 /// A queue node.
@@ -488,8 +487,6 @@ impl<M: Persist, const ARM: u8> Graph<M> for RQueue<M, ARM> {
     }
 }
 
-mapped_attach!(impl[const ARM: u8] RQueue<MappedNvm, ARM>; () -> ());
-
 impl<const ARM: u8> MappedLayout for RQueue<MappedNvm, ARM> {
     const KIND: u64 = KIND_QUEUE;
     type Cfg = ();
@@ -746,45 +743,6 @@ mod tests {
             }
         }
         producer.join().unwrap();
-    }
-
-    #[test]
-    fn mapped_attach_queue_preserves_contents_across_detach() {
-        let _gate = crate::counters::gate_shared();
-        nvm::tid::set_tid(0);
-        let path = std::env::temp_dir().join(format!(
-            "isb_q_{}_{}.heap",
-            std::process::id(),
-            std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .unwrap()
-                .subsec_nanos()
-        ));
-        let _ = std::fs::remove_file(&path);
-        {
-            let (q, s) = RQueue::<nvm::MappedNvm, 0>::attach_sized(&path, 1 << 21).unwrap();
-            assert!(s.heap.created);
-            for v in 1..=50u64 {
-                q.enqueue(0, v);
-            }
-            assert_eq!(q.dequeue(0), Some(1));
-        }
-        {
-            let (mut q, s) = RQueue::<nvm::MappedNvm, 0>::attach_sized(&path, 1 << 21).unwrap();
-            assert!(!s.heap.created);
-            assert_eq!(q.snapshot_vals(), (2..=50).collect::<Vec<_>>());
-            q.check_invariants();
-            assert_eq!(q.dequeue(0), Some(2));
-            q.enqueue(0, 99);
-        }
-        {
-            let (mut q, _) = RQueue::<nvm::MappedNvm, 0>::attach_sized(&path, 1 << 21).unwrap();
-            let mut want: Vec<u64> = (3..=50).collect();
-            want.push(99);
-            assert_eq!(q.snapshot_vals(), want);
-            q.check_invariants();
-        }
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -43,7 +43,7 @@
 //! not persist the same reset a second time. The note is process memory: it
 //! dies with the process, so after a crash every prologue persists again.
 
-use crate::arm::CfgWord;
+use crate::arm::{CfgWord, KindTag};
 use crate::engine::Info;
 use nvm::pad::CachePadded;
 use nvm::{PWord, Persist, PersistWords, MAX_PROCS};
@@ -498,19 +498,13 @@ pub unsafe fn recover_dead_pid_with(
     decision
 }
 
-/// Root-directory keys the mapped backend registers in a heap's superblock.
-/// One heap hosts one structure (or one [`crate::store::Store`] catalog), so
-/// the keys only need to be unique within this set.
+/// Root-directory keys a [`crate::store::Store`] registers in its heap's
+/// superblock. Structures are not among them: each one's root block is
+/// named by its catalog entry.
 pub mod rootkeys {
     /// The heap-wide [`super::RecArea`] slot array (shared by every
     /// structure in a store: one pending operation per process).
     pub const RECAREA: u64 = 0x5245_4341; // "RECA"
-    /// Structure configuration word, validated on re-attach (standalone
-    /// heaps; store entries record their cfg in the catalog instead).
-    pub const META: u64 = 0x4D45_5441; // "META"
-    /// The structure's root block (standalone heaps; store entries' root
-    /// blocks are named by the catalog).
-    pub const STRUCT: u64 = 0x5354_5543; // "STUC"
     /// The [`crate::store::Store`] catalog block.
     pub const CATALOG: u64 = 0x4341_5441; // "CATA"
     /// The shared cross-process epoch region ([`reclaim::Collector::attach_shared`]):
@@ -530,8 +524,8 @@ use reclaim::Collector;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-/// Typed failures of the mapped attach path ([`MappedLayout`] driver and
-/// [`crate::store::Store`]). Every shape of damaged image, mismatched
+/// Typed failures of the mapped attach path ([`crate::store::Store`] and the
+/// [`MappedLayout`] driver under it). Every shape of damaged image, mismatched
 /// configuration or non-quiescing recovery surfaces here — attach never
 /// panics the process and never exhibits undefined behaviour.
 #[derive(Debug)]
@@ -549,10 +543,10 @@ pub enum AttachError {
         /// Passes attempted before giving up ([`crate::graph::SCRUB_PASSES`]).
         passes: usize,
     },
-    /// The named entry (or standalone heap) hosts a different structure
-    /// kind than the caller asked for.
+    /// The named entry hosts a different structure kind than the caller
+    /// asked for — or, with an empty name, the heap is not a store's.
     WrongKind {
-        /// Entry name (empty for a standalone heap).
+        /// Entry name (empty for the heap's own superblock kind).
         name: String,
         /// Kind tag the caller expected.
         expected: u64,
@@ -562,7 +556,7 @@ pub enum AttachError {
     /// The entry exists with a different configuration word (shard count /
     /// tuning) than the caller asked for.
     CfgMismatch {
-        /// Entry name (empty for a standalone heap).
+        /// Entry name.
         name: String,
         /// Configuration word the caller expected.
         expected: u64,
@@ -605,20 +599,19 @@ impl std::fmt::Display for AttachError {
             AttachError::ScrubStalled { kind, unit, passes } => {
                 write!(f, "{kind} unit {unit}: scrub did not quiesce after {passes} passes")
             }
-            AttachError::WrongKind { name, expected, found } if name.is_empty() => {
-                write!(f, "heap hosts structure kind {found}, expected {expected}")
-            }
             AttachError::WrongKind { name, expected, found } => {
-                write!(f, "entry {name:?} hosts structure kind {found}, expected {expected}")
+                let (found, want) = (KindTag(*found), KindTag(*expected));
+                if !name.is_empty() {
+                    return write!(f, "entry {name:?} hosts {found}, expected {want}");
+                }
+                // Kinds 1..=5 are the stamps of the retired single-structure heap.
+                let opens =
+                    if found.name().is_some() { "no longer opens" } else { "does not open" };
+                write!(f, "heap hosts {found}, a heap format this build {opens}; expected {want}")
             }
             AttachError::CfgMismatch { name, expected, found } => {
-                if name.is_empty() {
-                    write!(f, "heap")?;
-                } else {
-                    write!(f, "entry {name:?}")?;
-                }
                 let (was, now) = (CfgWord(*found), CfgWord(*expected));
-                write!(f, " was created with {was}, this build opens it with ")?;
+                write!(f, "entry {name:?} was created with {was}, this build opens it with ")?;
                 // Say on the second side only what differs from the first.
                 match (was.arm() == now.arm(), was.shards() == now.shards()) {
                     (false, true) => write!(f, "{}", now.arm_name()),
@@ -670,20 +663,21 @@ pub struct AttachEnv {
 }
 
 impl AttachEnv {
-    /// The attach prologue every mapped open shares — [`attach_standalone`]
-    /// and the store, as single owner or as joiner: the kind check, the
-    /// heap-wide recovery area and its recorded geometry, the cross-process
-    /// epoch region of a shared heap, and the heap-wide Info pool. Returns
-    /// the environment and whether the heap is fresh.
-    pub(crate) fn open(heap: Arc<MappedHeap>, kind: u64) -> Result<(Self, bool), AttachError> {
+    /// The attach prologue of every store open, as single owner or as
+    /// joiner: the check that the heap is a store's, the heap-wide recovery
+    /// area and its recorded geometry, the cross-process epoch region of a
+    /// shared heap, and the heap-wide Info pool. Returns the environment and
+    /// whether the heap is fresh.
+    pub(crate) fn open(heap: Arc<MappedHeap>) -> Result<(Self, bool), AttachError> {
         let (joined, found) = (heap.report().joined, heap.kind());
+        let expected = crate::store::KIND_STORE;
         // kind == 0 also covers a creation cut short before the final stamp:
         // every init step is idempotent, so re-running completes it. (Not for
         // a joiner: the initial attacher stamps the kind before it lets
         // anyone in.)
         let fresh = found == 0 && !joined;
-        if !fresh && found != kind {
-            return Err(AttachError::WrongKind { name: String::new(), expected: kind, found });
+        if !fresh && found != expected {
+            return Err(AttachError::WrongKind { name: String::new(), expected, found });
         }
         let (rec_base, _) =
             heap.root_alloc(rootkeys::RECAREA, RecArea::<MappedNvm>::slots_bytes())?;
@@ -855,20 +849,18 @@ pub trait SlotOps: Graph<MappedNvm> + std::any::Any + Send + Sync {
 /// facts of [`SlotOps`] and the traversal of [`Graph`].
 ///
 /// Implementations are thin: the whole remap → validate → replay → scrub →
-/// census → sweep lifecycle lives once in [`attach_standalone`] /
-/// [`finish_attach`], shared by every structure and by the multi-structure
-/// [`crate::store::Store`].
+/// census → sweep lifecycle lives once in [`crate::store::Store`] and
+/// [`finish_attach`], shared by every structure.
 pub trait MappedLayout: SlotOps + Sized {
-    /// Structure-kind tag (superblock kind for standalone heaps, catalog
-    /// entry kind inside a store). Tuning variants share a kind; the
-    /// configuration word carries the tuning bit.
+    /// Structure-kind tag of the catalog entry. Tuning variants share a
+    /// kind; the configuration word carries the tuning bit.
     const KIND: u64;
     /// Construction parameters beyond the heap (e.g. shard count).
     type Cfg: Copy;
 
     /// Rejects unusable configurations with a typed error **before**
-    /// anything durable happens — once a config reaches the superblock or
-    /// the catalog it is permanent, so a bad one must never get that far.
+    /// anything durable happens — once a config reaches the catalog it is
+    /// permanent, so a bad one must never get that far.
     fn validate_cfg(_cfg: Self::Cfg) -> Result<(), AttachError> {
         Ok(())
     }
@@ -890,98 +882,6 @@ pub trait MappedLayout: SlotOps + Sized {
     /// `root` must be such a block, and no other thread may be creating the
     /// same structure (single-threaded attach, or the heap's file lock).
     unsafe fn open(env: &AttachEnv, cfg: Self::Cfg, root: *mut u8) -> Result<Self, AttachError>;
-}
-
-/// The inherent `attach` / `attach_sized` / `heap` of a mapped kind, written
-/// once: `mapped_attach!(impl[generics] Type; (extra: args) -> cfg)`. The
-/// struct must carry its [`Env`] in an `env` field.
-macro_rules! mapped_attach {
-    (impl[$($gen:tt)*] $ty:ty; ($($arg:ident: $argty:ty),*) -> $cfg:expr) => {
-        impl<$($gen)*> $ty {
-            /// Attaches (or creates, at [`nvm::mapped::DEFAULT_HEAP_BYTES`])
-            /// this structure in the file-backed persistent heap at `path`.
-            ///
-            /// On an existing heap this runs the full restart-recovery
-            /// sequence of the generic driver
-            /// ([`crate::recovery::attach_standalone`]): remap,
-            /// bounds-validated graph walk, per-pid Op-Recover replay
-            /// (decisions in the [`crate::recovery::AttachSummary`]), scrub,
-            /// census + sweep. The calling thread must be registered
-            /// ([`nvm::tid::set_tid`]); one process attaches a heap at a
-            /// time, and the configuration (arm, shard count) must match the
-            /// heap's recorded one.
-            pub fn attach(
-                path: impl AsRef<std::path::Path>
-                $(, $arg: $argty)*
-            ) -> Result<(Self, $crate::recovery::AttachSummary), $crate::recovery::AttachError> {
-                Self::attach_sized(path, $($arg,)* nvm::mapped::DEFAULT_HEAP_BYTES)
-            }
-
-            /// [`Self::attach`] with an explicit heap size for creation
-            /// (ignored when the heap already exists).
-            pub fn attach_sized(
-                path: impl AsRef<std::path::Path>,
-                $($arg: $argty,)*
-                heap_bytes: usize,
-            ) -> Result<(Self, $crate::recovery::AttachSummary), $crate::recovery::AttachError> {
-                $crate::recovery::attach_standalone::<Self>(path.as_ref(), $cfg, heap_bytes)
-            }
-
-            /// The persistent heap backing this structure.
-            pub fn heap(&self) -> &std::sync::Arc<nvm::mapped::MappedHeap> {
-                self.env.heap()
-            }
-        }
-    };
-}
-pub(crate) use mapped_attach;
-
-/// Attaches (or creates) a standalone single-structure heap at `path` and
-/// runs the full restart-recovery sequence (see [`finish_attach`]). This is
-/// the one generic driver behind every structure's `attach(path)`.
-///
-/// The calling thread must be registered ([`nvm::tid::set_tid`]); one
-/// process attaches a heap at a time.
-pub fn attach_standalone<L: MappedLayout>(
-    path: &std::path::Path,
-    cfg: L::Cfg,
-    heap_bytes: usize,
-) -> Result<(L, AttachSummary), AttachError> {
-    L::validate_cfg(cfg)?;
-    let heap = MappedHeap::open(path, heap_bytes)?;
-    let (env, fresh) = AttachEnv::open(Arc::clone(&heap), L::KIND)?;
-    let (meta_ptr, _) = heap.root_alloc(rootkeys::META, 16)?;
-    let cfg_word = L::cfg_word(cfg);
-    // SAFETY: single-threaded attach; committed 16-byte root block.
-    let meta = &unsafe { root_words(meta_ptr, 1) }[0];
-    if fresh {
-        // Durable before the kind stamp below declares the heap created: a
-        // stamped heap whose configuration word never reached memory would
-        // refuse every later attach.
-        meta.store(cfg_word);
-        MappedNvm::pbarrier(meta);
-    } else if meta.load() != cfg_word {
-        return Err(AttachError::CfgMismatch {
-            name: String::new(),
-            expected: cfg_word,
-            found: meta.load(),
-        });
-    }
-    let (root_ptr, _) = heap.root_alloc(rootkeys::STRUCT, L::root_bytes(cfg))?;
-    // SAFETY: the committed STRUCT root block, `root_bytes(cfg)` long.
-    let s = unsafe { L::open(&env, cfg, root_ptr) }?;
-    if fresh {
-        heap.set_kind(L::KIND);
-        return Ok((s, AttachSummary::of(&heap)));
-    }
-    let mut slots: Vec<Box<dyn SlotOps>> = vec![Box::new(s)];
-    // SAFETY: quiescent single-threaded attach over a validated image; the
-    // slot list covers every structure in the heap (standalone: exactly one).
-    let (recovered, swept) =
-        unsafe { finish_attach(&env, &mut slots, &[meta_ptr as usize, root_ptr as usize])? };
-    let slot: Box<dyn std::any::Any + Send + Sync> = slots.pop().expect("one slot");
-    let s = *slot.downcast::<L>().expect("slot type is L by construction");
-    Ok((s, AttachSummary { heap: *heap.report(), recovered, swept }))
 }
 
 /// The shared restart-recovery epilogue over an already re-attached heap,
@@ -1238,7 +1138,7 @@ pub fn validate_infos<M: Persist>(
     Ok(())
 }
 
-/// What a mapped-backend `attach(path)` found and did: the heap-level
+/// What a [`crate::store::Store`] open found and did: the heap-level
 /// [`nvm::mapped::AttachReport`] plus the structure-level recovery outcome.
 #[derive(Debug)]
 pub struct AttachSummary {
@@ -1303,8 +1203,8 @@ mod tests {
              this build opens it with 16 shards"
         );
         assert_eq!(
-            show("", map(2, 8), map(3, 16)),
-            "heap was created with arm Isb-Coal (8 shards), \
+            show("kv", map(2, 8), map(3, 16)),
+            "entry \"kv\" was created with arm Isb-Coal (8 shards), \
              this build opens it with arm Isb-LP (16 shards)"
         );
         let queue = (RQueue::<MappedNvm, 2>::cfg_word(()), RQueue::<MappedNvm, 3>::cfg_word(()));

@@ -40,9 +40,7 @@ use crate::env::Env;
 use crate::exchanger::{ExchangeResult, RExchanger};
 use crate::graph::{self, Graph};
 use crate::pool::{Pool, PoolCfg, PoolItem};
-use crate::recovery::{
-    mapped_attach, AttachEnv, AttachError, MappedLayout, Recovered, Rooted, SlotOps,
-};
+use crate::recovery::{AttachEnv, AttachError, MappedLayout, Recovered, Rooted, SlotOps};
 use crate::tag;
 use nvm::mapped::MappedNvm;
 use nvm::pad::CachePadded;
@@ -51,7 +49,7 @@ use reclaim::{Collector, Guard};
 use std::cell::UnsafeCell;
 use std::sync::Mutex;
 
-/// Superblock structure-kind tag of a mapped `RStack`.
+/// Structure-kind tag of an `RStack` entry in a [`crate::store::Store`] catalog.
 pub const KIND_STACK: u64 = 5;
 
 /// A stack node.
@@ -455,8 +453,6 @@ impl<M: Persist> Graph<M> for RStack<M> {
     }
 }
 
-mapped_attach!(impl[] RStack<MappedNvm>; () -> ());
-
 impl MappedLayout for RStack<MappedNvm> {
     const KIND: u64 = KIND_STACK;
     type Cfg = ();
@@ -612,42 +608,5 @@ mod tests {
         assert_eq!(s.pop(0), Some(11));
         s.recover_push(1, 11);
         assert_eq!(s.snapshot_vals(), vec![7], "popped push must not re-apply");
-    }
-
-    #[test]
-    fn mapped_attach_stack_preserves_contents_across_detach() {
-        let _gate = crate::counters::gate_shared();
-        nvm::tid::set_tid(0);
-        let path = std::env::temp_dir().join(format!(
-            "isb_stack_{}_{}.heap",
-            std::process::id(),
-            std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .unwrap()
-                .subsec_nanos()
-        ));
-        let _ = std::fs::remove_file(&path);
-        {
-            let (s, r) = RStack::<nvm::MappedNvm>::attach_sized(&path, 1 << 21).unwrap();
-            assert!(r.heap.created);
-            for v in 1..=40u64 {
-                s.push(0, v);
-            }
-            assert_eq!(s.pop(0), Some(40));
-        }
-        {
-            let (mut s, r) = RStack::<nvm::MappedNvm>::attach_sized(&path, 1 << 21).unwrap();
-            assert!(!r.heap.created);
-            assert_eq!(s.snapshot_vals(), (1..=39).rev().collect::<Vec<_>>());
-            assert_eq!(s.pop(0), Some(39));
-            s.push(0, 99);
-        }
-        {
-            let (mut s, _) = RStack::<nvm::MappedNvm>::attach_sized(&path, 1 << 21).unwrap();
-            let mut want: Vec<u64> = (1..=38).rev().collect();
-            want.insert(0, 99);
-            assert_eq!(s.snapshot_vals(), want);
-        }
-        let _ = std::fs::remove_file(&path);
     }
 }

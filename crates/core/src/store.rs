@@ -1,10 +1,10 @@
 //! Multi-structure persistent store: one [`MappedHeap`], many **named**
-//! detectably recoverable structures.
+//! detectably recoverable structures. A mapped structure lives nowhere
+//! else: each one is an entry of a store's catalog.
 //!
-//! The mapped backend's per-structure `attach(path)` dedicates a whole heap
-//! file to one structure. Real persistent-memory pools (memento's typed
-//! pool roots, PAPERS.md) host *several* root objects per pool; this module
-//! is that shape for the ISB stack:
+//! Real persistent-memory pools (memento's typed pool roots, PAPERS.md) host
+//! *several* root objects per pool; this module is that shape for the ISB
+//! stack:
 //!
 //! * a **catalog** root block maps names to `(kind, cfg, root block)`
 //!   entries ([`nvm::mapped::CatalogEntry`]; entry creation stamps the kind
@@ -15,8 +15,8 @@
 //!   which structure it touches, so `RD_q`/`CP_q` are per-*process*, not
 //!   per-structure (descriptor hand-over across structures routes through
 //!   one shared Info pool);
-//! * attach-time recovery is the same generic driver the standalone path
-//!   uses ([`crate::recovery::finish_attach`]): validation, one Op-Recover
+//! * attach-time recovery is one generic driver over every entry
+//!   ([`crate::recovery::finish_attach`]): validation, one Op-Recover
 //!   replay over the shared area (descriptor entries and the stack's
 //!   [`crate::tag::DIRECT`] entries alike), per-structure scrub, and a
 //!   census/sweep computed over the **union** of every entry's live set.
@@ -169,7 +169,7 @@ impl Store {
     /// this point is the sole live participant, serialized by the attach
     /// flock).
     fn attach_heap(heap: Arc<MappedHeap>) -> Result<Self, AttachError> {
-        let (env, fresh) = AttachEnv::open(Arc::clone(&heap), KIND_STORE)?;
+        let (env, fresh) = AttachEnv::open(Arc::clone(&heap))?;
         // The KV response table rides every store heap: allocate (or
         // re-open) and validate/heal it here, where access is exclusive
         // (attach flock held / exclusive heap). In-flight op-IDs are
@@ -211,7 +211,7 @@ impl Store {
     /// builds per-process volatile state only — no replay, no scrub, no
     /// sweep — and adopts every cataloged structure.
     fn join_shared(heap: Arc<MappedHeap>) -> Result<Self, AttachError> {
-        let (env, _) = AttachEnv::open(Arc::clone(&heap), KIND_STORE)?;
+        let (env, _) = AttachEnv::open(Arc::clone(&heap))?;
         // Joiners adopt the response table as-is: the initial attacher
         // validated/healed it, and live peers are mid-write in their slots.
         let resptab = ResponseTable::open(&heap)?;
@@ -587,6 +587,7 @@ mod tests {
         let path = tmp("five");
         {
             let store = Store::open_sized(&path, 8 << 20).unwrap();
+            assert!(store.summary().heap.created);
             let m = store.hashmap::<0>("users", 4).unwrap();
             let q = store.queue::<0>("jobs").unwrap();
             let l = store.list::<1>("index").unwrap();
@@ -611,6 +612,8 @@ mod tests {
         }
         {
             let store = Store::open_sized(&path, 8 << 20).unwrap();
+            assert!(!store.summary().heap.created);
+            assert_eq!(store.summary().heap.poisoned, 0, "clean detach leaves no torn blocks");
             assert_eq!(store.entries().len(), 5);
             let m = store.hashmap::<0>("users", 4).unwrap();
             let q = store.queue::<0>("jobs").unwrap();
@@ -632,9 +635,42 @@ mod tests {
             }
             assert_eq!(s.pop(0), Some(11));
             assert_eq!(s.pop(0), None);
-            // The recovered store keeps serving.
-            assert!(m.insert(0, 1000));
+            // The recovered store keeps serving, every kind mutating.
+            assert!(m.insert(0, 1000) && m.delete(0, 2));
+            q.enqueue(0, 99);
+            assert!(l.insert(0, 1000) && l.delete(0, 3));
+            assert!(t.insert(0, 60) && t.delete(0, 12));
+            s.push(0, 99);
         }
+        // A third open finds those mutations, and with the store gone the
+        // handles are the last owners: every structure passes its quiescent
+        // checks.
+        let store = Store::open_sized(&path, 8 << 20).unwrap();
+        let m = store.hashmap::<0>("users", 4).unwrap();
+        let q = store.queue::<0>("jobs").unwrap();
+        let l = store.list::<1>("index").unwrap();
+        let t = store.bst::<0>("tree").unwrap();
+        let s = store.stack("undo").unwrap();
+        drop(store);
+        fn last<T>(h: Arc<T>) -> T {
+            Arc::into_inner(h).expect("the last handle")
+        }
+        let (mut m, mut q, mut l, mut t, mut s) = (last(m), last(q), last(l), last(t), last(s));
+        let mut want: Vec<u64> = (1..=100).filter(|&k| k != 2).collect();
+        want.push(1000);
+        assert_eq!(m.snapshot_keys(), want);
+        m.check_invariants();
+        assert_eq!(q.snapshot_vals(), [99]);
+        q.check_invariants();
+        let mut want: Vec<u64> = (5..=39).step_by(2).collect();
+        want.insert(0, 1);
+        want.push(1000);
+        assert_eq!(l.snapshot_keys(), want);
+        l.check_invariants();
+        assert_eq!(t.snapshot_keys(), [3, 7, 9, 60]);
+        t.check_invariants();
+        assert_eq!(s.snapshot_vals(), [99]);
+        drop((m, q, l, t, s));
         let _ = std::fs::remove_file(&path);
     }
 
@@ -646,7 +682,10 @@ mod tests {
         let store = Store::open_sized(&path, 4 << 20).unwrap();
         store.hashmap::<0>("users", 4).unwrap();
         match store.queue::<0>("users") {
-            Err(AttachError::WrongKind { name, expected, found }) => {
+            Err(e @ AttachError::WrongKind { .. }) => {
+                let text = "entry \"users\" hosts a hashmap (kind 1), expected a queue (kind 2)";
+                assert_eq!(e.to_string(), text);
+                let AttachError::WrongKind { name, expected, found } = e else { unreachable!() };
                 assert_eq!(name, "users");
                 assert_eq!(expected, crate::queue::KIND_QUEUE);
                 assert_eq!(found, crate::hashmap::KIND_MAP);
@@ -699,37 +738,7 @@ mod tests {
         // every future open with CorruptCatalog).
         let store = Store::open_sized(&path, 4 << 20).unwrap();
         assert!(store.hashmap::<0>("m", 4).unwrap().find(0, 7));
-        // Standalone attach pre-checks too, before even touching the file.
-        match RHashMap::<MappedNvm, 0>::attach_sized(tmp("precheck2"), 6, 4 << 20) {
-            Err(AttachError::InvalidCfg { .. }) => {}
-            other => panic!("expected InvalidCfg, got {:?}", other.err()),
-        }
         drop(store);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn store_heap_rejects_standalone_attach_and_vice_versa() {
-        let _gate = crate::counters::gate_shared();
-        nvm::tid::set_tid(0);
-        let path = tmp("crosskind");
-        drop(Store::open_sized(&path, 4 << 20).unwrap());
-        match RHashMap::<MappedNvm, 0>::attach_sized(&path, 4, 4 << 20) {
-            Err(AttachError::WrongKind { expected, found, .. }) => {
-                assert_eq!(expected, crate::hashmap::KIND_MAP);
-                assert_eq!(found, KIND_STORE);
-            }
-            other => panic!("expected WrongKind, got {:?}", other.err()),
-        }
-        let _ = std::fs::remove_file(&path);
-        drop(RQueue::<MappedNvm, 0>::attach_sized(&path, 4 << 20).unwrap());
-        match Store::open_sized(&path, 4 << 20) {
-            Err(AttachError::WrongKind { expected, found, .. }) => {
-                assert_eq!(expected, KIND_STORE);
-                assert_eq!(found, crate::queue::KIND_QUEUE);
-            }
-            other => panic!("expected WrongKind, got {:?}", other.err()),
-        }
         let _ = std::fs::remove_file(&path);
     }
 

@@ -91,11 +91,13 @@ pub const GRANULE: usize = 64;
 /// Superblock magic ("ISBMAP01").
 pub const MAGIC: u64 = 0x4953_424D_4150_3031;
 /// On-disk format version. v2: the root directory's per-structure keys
-/// (`HEADS`/`ANCHOR`) were replaced by the generic `STRUCT` key and the
-/// named-structure catalog was added. v3: the growable multi-segment arena —
-/// segment directory (`W_SEG_COUNT`, per-segment byte lengths) and the VA
-/// reservation size joined the superblock, and the `PAD` block state was
-/// added for segment-tail filler. Pre-v3 heaps must fail typed
+/// (`HEADS`/`ANCHOR`) gave way to one generic key and the named-structure
+/// catalog was added. (The single-structure heap behind that key was retired
+/// later with no version bump: a store's image did not change, and the `isb`
+/// store refuses the old heap by its superblock kind.) v3: the growable
+/// multi-segment arena — segment directory (`W_SEG_COUNT`, per-segment byte
+/// lengths) and the VA reservation size joined the superblock, and the `PAD`
+/// block state was added for segment-tail filler. Pre-v3 heaps must fail typed
 /// (`BadVersion`) rather than silently attach with an empty directory.
 pub const VERSION: u64 = 3;
 /// Base address requested for fresh heaps: high in the 47-bit user window,
@@ -110,8 +112,8 @@ pub const POISON: u64 = 0xDEAD_BEEF_DEAD_BEEF;
 pub const PART_TIDS: usize = MAX_PROCS / PART_SLOTS;
 /// Smallest heap [`MappedHeap::create`] accepts.
 pub const MIN_HEAP_BYTES: usize = 64 * 1024;
-/// Default heap size used by the structures' `attach` constructors (the
-/// *initial* segment; the arena grows on demand up to its VA reservation).
+/// Default heap size used by `isb::store::Store::open` (the *initial*
+/// segment; the arena grows on demand up to its VA reservation).
 pub const DEFAULT_HEAP_BYTES: usize = 64 * 1024 * 1024;
 
 /// Non-poisoning lock. The allocator/growth mutexes guard coordination state
@@ -318,8 +320,8 @@ pub struct AttachReport {
 /// A file-backed persistent heap (see module docs).
 ///
 /// One `MappedHeap` hosts one or more data structures (plus their recovery
-/// areas); the structures' `attach` constructors enforce the kind via the
-/// superblock. Exclusive attaches ([`MappedHeap::open`] /
+/// areas); `isb::store::Store` enforces the heap kind via the superblock.
+/// Exclusive attaches ([`MappedHeap::open`] /
 /// [`MappedHeap::attach`]) admit **one process at a time**, enforced by the
 /// durable participant registry ([`MapError::AlreadyAttached`]); shared
 /// attaches ([`MappedHeap::open_shared`]) let up to [`PART_SLOTS`] processes

@@ -1,25 +1,24 @@
 //! Attach-time corruption matrix for the mapped backend: every damaged-image
 //! shape must fail with a **typed** error (`MapError` via `AttachError`) —
-//! never undefined behaviour — and the benign torn states must heal. Covers
-//! the superblock/bitmap/header shapes, cross-kind opens across all five
-//! structure kinds plus the multi-structure store, and catalog-entry
-//! corruption. Complements the in-crate roundtrip tests and the
+//! never undefined behaviour — and the benign torn states must heal. Every
+//! image is a `Store` heap, the one format a mapped structure lives in.
+//! Covers the superblock/bitmap/header shapes, heaps of the retired
+//! single-structure format, catalog-entry corruption and hostile links in
+//! every structure kind. Complements the in-crate roundtrip tests and the
 //! cross-process SIGKILL harness (`restart.rs`).
 
-use isb::bst::RBst;
 use isb::engine::{RES_TRUE, RES_UNIT};
-use isb::hashmap::RHashMap;
-use isb::list::RList;
-use isb::queue::RQueue;
 use isb::recovery::AttachError;
-use isb::stack::RStack;
 use isb::store::Store;
 use nvm::mapped::MappedHeap;
-use nvm::{MapError, MappedNvm};
+use nvm::MapError;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 const SHARDS: usize = 4;
 const HEAP_BYTES: usize = 2 * 1024 * 1024;
+/// Catalog name of the one structure most images hold.
+const NAME: &str = "s";
 
 fn tmp(name: &str) -> PathBuf {
     let p = std::env::temp_dir().join(format!(
@@ -31,11 +30,26 @@ fn tmp(name: &str) -> PathBuf {
     p
 }
 
-/// Builds a populated map heap at `path` and detaches cleanly.
+/// Opens the store at `path`, takes one handle and closes the store again:
+/// the returned structure is the handle's last owner (so `&mut` quiescent
+/// checks run on it), and dropping it detaches the heap.
+fn sole<T>(
+    path: &PathBuf,
+    get: impl FnOnce(&Store) -> Result<Arc<T>, AttachError>,
+) -> Result<T, AttachError> {
+    let store = Store::open_sized(path, HEAP_BYTES)?;
+    let handle = get(&store)?;
+    drop(store);
+    Ok(Arc::into_inner(handle).expect("the store's last handle"))
+}
+
+/// Builds a store heap at `path` holding one populated map and detaches
+/// cleanly.
 fn mk_map(path: &PathBuf) {
     nvm::tid::set_tid(0);
-    let (map, s) = RHashMap::<MappedNvm, 0>::attach_sized(path, SHARDS, HEAP_BYTES).unwrap();
-    assert!(s.heap.created);
+    let store = Store::open_sized(path, HEAP_BYTES).unwrap();
+    assert!(store.summary().heap.created);
+    let map = store.hashmap::<0>(NAME, SHARDS).unwrap();
     for k in 1..=128u64 {
         assert!(map.insert(0, k));
     }
@@ -72,8 +86,14 @@ fn root_offset(path: &PathBuf, key: u64) -> u64 {
     panic!("root key {key:#x} not registered");
 }
 
+/// File offset of the root block of catalog slot 0's structure (entry word
+/// 2, a heap offset, is one: the mapping starts at file offset 0).
+fn entry_root(path: &PathBuf) -> u64 {
+    read_at(path, root_offset(path, 0x4341_5441) + 16) // rootkeys::CATALOG
+}
+
 fn attach(path: &PathBuf) -> Result<(), AttachError> {
-    RHashMap::<MappedNvm, 0>::attach_sized(path, SHARDS, HEAP_BYTES).map(|_| ())
+    sole(path, |s| s.hashmap::<0>(NAME, SHARDS)).map(drop)
 }
 
 /// Unwraps the heap-level error inside an `AttachError`.
@@ -170,14 +190,14 @@ fn superblock_from_a_different_base_fails_typed_not_ub() {
 fn pointer_at_mapping_end_fails_typed_not_oob() {
     let path = tmp("oob");
     mk_map(&path);
-    // Point the map's root block (the bucket-head array, registered under
-    // the generic STRUCT root key) at the very last 8-aligned address of
-    // the mapping: it is aligned and *starts* inside the arena, but reading
-    // a whole node there would run past the mapping end. The span-aware
+    // Point the map's first bucket head (word 0 of the root block its
+    // catalog entry names) at the very last 8-aligned address of the
+    // mapping: it is aligned and *starts* inside the arena, but reading a
+    // whole node there would run past the mapping end. The span-aware
     // validation must reject it before any dereference.
     let base = read_word(&path, 2);
     let size = read_word(&path, 3);
-    let heads_off = root_offset(&path, 0x5354_5543); // rootkeys::STRUCT
+    let heads_off = entry_root(&path);
     patch(&path, heads_off, &(base + size - 8).to_le_bytes());
     match map_err(attach(&path)) {
         MapError::CorruptPointer { addr } => assert_eq!(addr, base + size - 8),
@@ -243,64 +263,44 @@ fn smashed_block_header_fails_typed() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// Every structure kind refuses every other kind's heap with a typed
-/// `WrongKind` carrying both kind tags — the full cross-kind matrix,
-/// including the store.
+/// Superblock word 9: the heap's kind stamp.
+const W_KIND: u64 = 9;
+
+/// A heap whose superblock kind is not a store's — one of the stamps 1..=5
+/// of the retired single-structure heaps, or a tag no build knows — is
+/// refused with a typed `WrongKind` whose text names both kinds, before
+/// anything reads the image as a store. With its stamp restored, the same
+/// image opens with its contents intact.
 #[test]
-fn cross_kind_opens_fail_typed() {
-    nvm::tid::set_tid(0);
-
-    // One creator per kind.
-    type Mk = fn(&PathBuf);
-    let creators: &[(u64, Mk)] = &[
-        (isb::hashmap::KIND_MAP, |p| {
-            drop(RHashMap::<MappedNvm, 0>::attach_sized(p, SHARDS, HEAP_BYTES).unwrap())
-        }),
-        (isb::queue::KIND_QUEUE, |p| {
-            drop(RQueue::<MappedNvm, 0>::attach_sized(p, HEAP_BYTES).unwrap())
-        }),
-        (isb::list::KIND_LIST, |p| {
-            drop(RList::<MappedNvm, 0>::attach_sized(p, HEAP_BYTES).unwrap())
-        }),
-        (isb::bst::KIND_BST, |p| drop(RBst::<MappedNvm, 0>::attach_sized(p, HEAP_BYTES).unwrap())),
-        (isb::stack::KIND_STACK, |p| {
-            drop(RStack::<MappedNvm>::attach_sized(p, HEAP_BYTES).unwrap())
-        }),
-        (isb::store::KIND_STORE, |p| drop(Store::open_sized(p, HEAP_BYTES).unwrap())),
-    ];
-    // One opener per kind.
-    type Open = fn(&PathBuf) -> Result<(), AttachError>;
-    let openers: &[(u64, Open)] = &[
-        (isb::hashmap::KIND_MAP, |p| {
-            RHashMap::<MappedNvm, 0>::attach_sized(p, SHARDS, HEAP_BYTES).map(|_| ())
-        }),
-        (isb::queue::KIND_QUEUE, |p| {
-            RQueue::<MappedNvm, 0>::attach_sized(p, HEAP_BYTES).map(|_| ())
-        }),
-        (isb::list::KIND_LIST, |p| RList::<MappedNvm, 0>::attach_sized(p, HEAP_BYTES).map(|_| ())),
-        (isb::bst::KIND_BST, |p| RBst::<MappedNvm, 0>::attach_sized(p, HEAP_BYTES).map(|_| ())),
-        (isb::stack::KIND_STACK, |p| RStack::<MappedNvm>::attach_sized(p, HEAP_BYTES).map(|_| ())),
-        (isb::store::KIND_STORE, |p| Store::open_sized(p, HEAP_BYTES).map(|_| ())),
-    ];
-
-    for &(made, mk) in creators {
-        let path = tmp(&format!("cross_{made}"));
-        mk(&path);
-        for &(want, open) in openers {
-            if want == made {
-                continue;
+fn retired_heap_formats_are_refused_in_words() {
+    let path = tmp("retired");
+    mk_map(&path);
+    let store_kind = isb::store::KIND_STORE;
+    assert_eq!(read_word(&path, W_KIND), store_kind);
+    let retired =
+        ["hashmap", "queue", "list", "bst", "stack"].into_iter().zip(1u64..).map(|(name, kind)| {
+            (kind, format!("a {name} (kind {kind}), a heap format this build no longer opens"))
+        });
+    let unknown = (0xEE, "an unknown kind (238), a heap format this build does not open".into());
+    for (kind, hosts) in retired.chain([unknown]) {
+        patch(&path, W_KIND * 8, &kind.to_le_bytes());
+        match Store::open_sized(&path, HEAP_BYTES) {
+            Err(e @ AttachError::WrongKind { .. }) => {
+                let want = format!("heap hosts {hosts}; expected a store (kind 6)");
+                assert_eq!(e.to_string(), want);
+                let AttachError::WrongKind { name, expected, found } = e else { unreachable!() };
+                assert_eq!((name.as_str(), expected, found), ("", store_kind, kind));
             }
-            match open(&path) {
-                Err(AttachError::WrongKind { expected, found, .. }) => {
-                    assert_eq!(expected, want, "opener kind");
-                    assert_eq!(found, made, "creator kind");
-                }
-                Err(e) => panic!("kind {made} opened as {want}: expected WrongKind, got {e}"),
-                Ok(()) => panic!("kind {made} must not open as kind {want}"),
-            }
+            Err(e) => panic!("kind {kind}: expected WrongKind, got {e}"),
+            Ok(_) => panic!("kind {kind} must not open as a store"),
         }
-        let _ = std::fs::remove_file(&path);
     }
+    patch(&path, W_KIND * 8, &store_kind.to_le_bytes());
+    let mut map = sole(&path, |s| s.hashmap::<0>(NAME, SHARDS)).expect("the restored stamp opens");
+    assert_eq!(map.snapshot_keys(), (1..=128).collect::<Vec<u64>>());
+    map.check_invariants();
+    drop(map);
+    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
@@ -316,9 +316,11 @@ fn heap_level_torn_tail_is_poisoned_through_structure_attach() {
         // no commit
     }
     nvm::tid::set_tid(0);
-    let (mut map, s) = RHashMap::<MappedNvm, 0>::attach_sized(&path, SHARDS, HEAP_BYTES)
-        .expect("torn tail must heal, not fail");
-    assert_eq!(s.heap.poisoned, 1, "exactly the abandoned block is poisoned");
+    let store = Store::open_sized(&path, HEAP_BYTES).expect("torn tail must heal, not fail");
+    assert_eq!(store.summary().heap.poisoned, 1, "exactly the abandoned block is poisoned");
+    let map = store.hashmap::<0>(NAME, SHARDS).unwrap();
+    drop(store);
+    let mut map = Arc::into_inner(map).unwrap();
     assert_eq!(map.snapshot_keys(), (1..=128).collect::<Vec<u64>>());
     map.check_invariants();
     drop(map);
@@ -673,20 +675,22 @@ fn structure_survives_growth_across_attach() {
     // growth steps, and a later attach must walk every segment.
     let keys = 20_000u64;
     {
-        let (map, s) =
-            RHashMap::<MappedNvm, 0>::attach_sized(&path, SHARDS, nvm::mapped::MIN_HEAP_BYTES)
-                .unwrap();
-        assert!(s.heap.created);
+        let store = Store::open_sized(&path, nvm::mapped::MIN_HEAP_BYTES).unwrap();
+        assert!(store.summary().heap.created);
+        let map = store.hashmap::<0>(NAME, SHARDS).unwrap();
         for k in 1..=keys {
             assert!(map.insert(0, k));
         }
-        assert!(map.heap().segments() > 1, "fill must outgrow the initial segment");
+        assert!(store.heap().segments() > 1, "fill must outgrow the initial segment");
     }
-    let (mut map, s) =
-        RHashMap::<MappedNvm, 0>::attach_sized(&path, SHARDS, nvm::mapped::MIN_HEAP_BYTES).unwrap();
+    let store = Store::open_sized(&path, nvm::mapped::MIN_HEAP_BYTES).unwrap();
+    let s = store.summary();
     assert!(!s.heap.created);
     assert!(s.heap.segments > 1);
     assert_eq!(s.heap.poisoned, 0);
+    let map = store.hashmap::<0>(NAME, SHARDS).unwrap();
+    drop(store);
+    let mut map = Arc::into_inner(map).unwrap();
     assert_eq!(map.snapshot_keys(), (1..=keys).collect::<Vec<u64>>());
     map.check_invariants();
     drop(map);
@@ -864,39 +868,41 @@ fn resptable_duplicate_client_heals_to_higher_watermark() {
 
 /// A power failure — unlike a SIGKILL, which drops no unflushed line — must
 /// never find a durable root naming a sentinel whose fields did not reach
-/// memory. Creation therefore writes back every sentinel it drew, fences,
-/// stores the root word(s), writes those lines back and fences again, all
-/// through the counted instructions. (The order itself is swept under the
-/// crash simulator by `recovery::tests::sim_crash_during_creation_…`.)
+/// memory. Creating a catalog entry's structure therefore writes back every
+/// sentinel it drew, fences, stores the root word(s), writes those lines
+/// back and fences again, all through the counted instructions. (The order
+/// itself is swept under the crash simulator by
+/// `recovery::tests::sim_crash_during_creation_…`.)
 #[test]
 fn creation_writes_back_sentinels_and_roots() {
     const T: usize = 41; // counters of its own
     nvm::tid::set_tid(T);
-    type Create = fn(&PathBuf);
+    type Create = fn(&Store);
     // (kind, sentinel nodes, root-word lines, creator)
     let kinds: &[(&str, u64, u64, Create)] = &[
-        ("hashmap", 128, 8, |p| {
-            drop(RHashMap::<MappedNvm, 2>::attach_sized(p, 64, HEAP_BYTES).unwrap())
-        }),
-        ("list", 2, 1, |p| drop(RList::<MappedNvm, 2>::attach_sized(p, HEAP_BYTES).unwrap())),
-        ("bst", 5, 1, |p| drop(RBst::<MappedNvm, 2>::attach_sized(p, HEAP_BYTES).unwrap())),
-        ("queue", 1, 1, |p| drop(RQueue::<MappedNvm, 2>::attach_sized(p, HEAP_BYTES).unwrap())),
+        ("hashmap", 128, 8, |s| drop(s.hashmap::<2>(NAME, 64).unwrap())),
+        ("list", 2, 1, |s| drop(s.list::<2>(NAME).unwrap())),
+        ("bst", 5, 1, |s| drop(s.bst::<2>(NAME).unwrap())),
+        ("queue", 1, 1, |s| drop(s.queue::<2>(NAME).unwrap())),
     ];
     for &(kind, sentinels, root_lines, create) in kinds {
         let path = tmp(&format!("create_{kind}"));
+        let store = Store::open_sized(&path, HEAP_BYTES).unwrap();
         let before = nvm::stats::Snapshot::of_tid(T);
-        create(&path);
+        create(&store);
         let d = nvm::stats::Snapshot::of_tid(T).since(&before);
         // Every sentinel occupies a line of its own (arena blocks are
-        // granule-aligned); the configuration word adds one more.
-        let (lines, config_word) = (d.pwb + d.pbarrier_lines, 1);
+        // granule-aligned). The catalog entry is heap metadata, written
+        // back outside the counted instructions.
+        let lines = d.pwb + d.pbarrier_lines;
         assert!(
-            lines >= sentinels + root_lines + config_word,
-            "{kind}: {lines} lines written back, want the {sentinels} sentinels', \
-             {root_lines} of root words and the configuration word's"
+            lines >= sentinels + root_lines,
+            "{kind}: {lines} lines written back, want the {sentinels} sentinels' and \
+             {root_lines} of root words"
         );
         assert!(d.pfence >= 1, "{kind}: no fence between the sentinels and the root store");
         assert!(d.psync >= 1, "{kind}: no fence after the last root store");
+        drop(store);
         let _ = std::fs::remove_file(&path);
     }
 }
@@ -904,12 +910,12 @@ fn creation_writes_back_sentinels_and_roots() {
 // -- hostile images, every kind, through the one walk -------------------------
 
 /// File offset of the first link (`next` / `left`: word 1 of every node
-/// shape) of the node the structure's first root word names — the list's and
-/// the map's bucket head, the tree's root, the queue's sentinel (the anchor
-/// leads with its pointer), the stack's top.
+/// shape) of the node the first root word of catalog slot 0's structure
+/// names — the list's and the map's bucket head, the tree's root, the
+/// queue's sentinel (the anchor leads with its pointer), the stack's top.
 fn first_link(path: &PathBuf) -> u64 {
     let base = read_word(path, 2);
-    let node = read_at(path, root_offset(path, 0x5354_5543)); // rootkeys::STRUCT
+    let node = read_at(path, entry_root(path));
     node - base + 8
 }
 
@@ -923,70 +929,68 @@ fn first_link(path: &PathBuf) -> u64 {
 fn hostile_links_fail_typed_in_every_kind() {
     nvm::tid::set_tid(0);
     type Step = fn(&PathBuf) -> Result<(), AttachError>;
-    // (kind, build a small populated heap, re-attach and check its contents)
+    // (kind, build a small populated store, re-open it and check the contents)
     let kinds: &[(&str, Step, Step)] = &[
         (
             "list",
             |p| {
-                let (l, _) = RList::<MappedNvm, 0>::attach_sized(p, HEAP_BYTES)?;
+                let l = sole(p, |s| s.list::<0>(NAME))?;
                 (1..=8).for_each(|k| assert!(l.insert(0, k)));
                 Ok(())
             },
             |p| {
-                let (mut l, _) = RList::<MappedNvm, 0>::attach_sized(p, HEAP_BYTES)?;
-                assert_eq!(l.snapshot_keys(), (1..=8).collect::<Vec<_>>());
+                let keys = sole(p, |s| s.list::<0>(NAME))?.snapshot_keys();
+                assert_eq!(keys, (1..=8).collect::<Vec<_>>());
                 Ok(())
             },
         ),
         (
             "hashmap",
             |p| {
-                let (m, _) = RHashMap::<MappedNvm, 0>::attach_sized(p, SHARDS, HEAP_BYTES)?;
+                let m = sole(p, |s| s.hashmap::<0>(NAME, SHARDS))?;
                 (1..=32).for_each(|k| assert!(m.insert(0, k)));
                 Ok(())
             },
             |p| {
-                let (mut m, _) = RHashMap::<MappedNvm, 0>::attach_sized(p, SHARDS, HEAP_BYTES)?;
-                assert_eq!(m.snapshot_keys(), (1..=32).collect::<Vec<_>>());
+                let keys = sole(p, |s| s.hashmap::<0>(NAME, SHARDS))?.snapshot_keys();
+                assert_eq!(keys, (1..=32).collect::<Vec<_>>());
                 Ok(())
             },
         ),
         (
             "bst",
             |p| {
-                let (t, _) = RBst::<MappedNvm, 0>::attach_sized(p, HEAP_BYTES)?;
+                let t = sole(p, |s| s.bst::<0>(NAME))?;
                 [9, 3, 12, 7].iter().for_each(|&k| assert!(t.insert(0, k)));
                 Ok(())
             },
             |p| {
-                let (mut t, _) = RBst::<MappedNvm, 0>::attach_sized(p, HEAP_BYTES)?;
-                assert_eq!(t.snapshot_keys(), vec![3, 7, 9, 12]);
+                assert_eq!(sole(p, |s| s.bst::<0>(NAME))?.snapshot_keys(), vec![3, 7, 9, 12]);
                 Ok(())
             },
         ),
         (
             "queue",
             |p| {
-                let (q, _) = RQueue::<MappedNvm, 0>::attach_sized(p, HEAP_BYTES)?;
+                let q = sole(p, |s| s.queue::<0>(NAME))?;
                 (1..=5).for_each(|v| q.enqueue(0, v));
                 Ok(())
             },
             |p| {
-                let (mut q, _) = RQueue::<MappedNvm, 0>::attach_sized(p, HEAP_BYTES)?;
-                assert_eq!(q.snapshot_vals(), (1..=5).collect::<Vec<_>>());
+                let vals = sole(p, |s| s.queue::<0>(NAME))?.snapshot_vals();
+                assert_eq!(vals, (1..=5).collect::<Vec<_>>());
                 Ok(())
             },
         ),
         (
             "stack",
             |p| {
-                let (s, _) = RStack::<MappedNvm>::attach_sized(p, HEAP_BYTES)?;
+                let s = sole(p, |s| s.stack(NAME))?;
                 (1..=4).for_each(|v| s.push(0, v));
                 Ok(())
             },
             |p| {
-                let (mut s, _) = RStack::<MappedNvm>::attach_sized(p, HEAP_BYTES)?;
-                assert_eq!(s.snapshot_vals(), vec![4, 3, 2, 1]);
+                assert_eq!(sole(p, |s| s.stack(NAME))?.snapshot_vals(), vec![4, 3, 2, 1]);
                 Ok(())
             },
         ),

@@ -8,9 +8,9 @@
 //!
 //! | test | what is killed | what is asserted |
 //! |------|----------------|------------------|
-//! | `restart_sigkill_recovers_across_processes` | a child with 3 workers on one `RHashMap<_, 0>`, at `30 + (seed * 37) % 170` ms | every journal resolves; key-range equivalence, `snapshot_keys`, structural invariants |
+//! | `restart_sigkill_recovers_across_processes` | a child with 3 workers on the one `RHashMap<_, 0>` of a `Store`, at `30 + (seed * 37) % 170` ms | every journal resolves; key-range equivalence, `snapshot_keys`, structural invariants |
 //! | `restart_sigkill_mid_growth_recovers` | the same child over a 64 KiB initial segment, 1..=56 ms in | the same, and the matrix as a whole outgrew segment 0 |
-//! | `store_restart_sigkill_recovers_across_processes` | a child with 2 map workers + 1 queue worker on ONE `Store` heap (arms 0 / 0) | every journal resolves against the one shared replay; map equivalence, queue drain in order |
+//! | `store_restart_sigkill_recovers_across_processes` | a child with 2 map workers + 1 queue worker on ONE `Store` heap (arms 0 / 0) | every journal resolves against the one shared replay; map equivalence, snapshot and invariants, queue drain in order |
 //! | `store_restart_sigkill_recovers_coalesced_arms` | the same child under `Isb-Coal` / `Isb-LP` and `Isb-LP` / `Isb-LP` | the same, with the coalescing arms' stale-`Completed` rule |
 //! | `five_kinds_sigkill_recovers_through_one_driver` | one worker cycling map, queue, list, BST and stack of ONE store | its journal resolves through the store-wide decision; equivalence per structure |
 //! | `shared_kill_one_of_n_recovers_online` | one of 3 live processes sharing ONE heap | survivors keep acking DURING recovery; every journal resolves through the survivor-journaled decisions; map equivalence, queue exactly-once + per-producer FIFO |
@@ -115,8 +115,11 @@ fn check_drain<const ARM: u8>(who: &str, queue: &RQueue<MappedNvm, ARM>, model: 
 }
 
 // ---------------------------------------------------------------------------
-// Single map: 3 workers on one standalone RHashMap
+// Map workers on ONE store heap, alone or beside a queue worker, SIGKILL
 // ---------------------------------------------------------------------------
+
+const STORE_HEAP_BYTES: usize = 32 * 1024 * 1024;
+const QUEUE_PID: usize = WORKERS; // beside a queue, map workers are pids 1..=2
 
 /// A map worker: journaled seeded set operations on `pid`'s key range,
 /// until the SIGKILL.
@@ -137,64 +140,130 @@ fn map_worker<const ARM: u8>(
     }
 }
 
+/// Child: workers hammer ONE store heap with per-pid journals until the
+/// parent kills them. `arms` names the structures and their arms: `m0` is
+/// three map workers under the paper's arm; `m0q0`, `m2q3` and `m3q3` are
+/// two map workers plus one queue worker under the paper's arms, the tuning
+/// arms (coalesced map `ARM = 2`, link-persist queue `ARM = 3`), or
+/// both structures under the arm that ships (`Isb-LP`, what the service's
+/// `kv` map runs). A SIGKILL is the one crash the NVM simulator cannot model
+/// — the mapped heap's surviving bytes are whatever the kernel saw, so the
+/// elided/deferred flushes of the tuning arms face a real (if friendly: the
+/// page cache persists CPU stores without clflush) restart.
 #[test]
 #[ignore = "child half of the restart harness; spawned by the parent test"]
-fn restart_child_worker() {
+fn store_restart_child_worker() {
     let Some(scratch) = Scratch::of_child() else { return };
+    match scratch.param::<String>("arms").as_str() {
+        "m0" | "m0q0" => store_child_body::<0, 0>(&scratch),
+        "m2q3" => store_child_body::<2, 3>(&scratch),
+        "m3q3" => store_child_body::<3, 3>(&scratch),
+        arms => panic!("no store child for arms {arms}"),
+    }
+}
+
+fn store_child_body<const MAP_ARM: u8, const QUEUE_ARM: u8>(scratch: &Scratch) {
     let seed: u64 = scratch.param("seed");
+    let with_queue = scratch.param::<String>("arms").contains('q');
     nvm::tid::set_tid(0);
     // The growth leg shrinks the initial segment so the fill outgrows it.
-    let (map, _summary) =
-        RHashMap::<MappedNvm, 0>::attach_sized(scratch.heap(), SHARDS, scratch.param("heap_bytes"))
-            .expect("child attach");
+    let store = Store::open_sized(scratch.heap(), scratch.param("heap_bytes")).expect("child open");
+    let map = store.hashmap::<MAP_ARM>("users", SHARDS).expect("users handle");
+    let queue = with_queue.then(|| store.queue::<QUEUE_ARM>("jobs").expect("jobs handle"));
     // Signal readiness only once the heap is fully created.
     scratch.publish("ready", "ok");
+
     std::thread::scope(|s| {
-        for pid in 1..=WORKERS {
-            let (scratch, map) = (&scratch, &map);
+        for pid in 1..=WORKERS - with_queue as usize {
+            let map = &*map;
             s.spawn(move || map_worker(scratch, map, pid, seed));
         }
+        let Some(queue) = &queue else { return };
+        s.spawn(move || {
+            nvm::tid::set_tid(QUEUE_PID);
+            let mut journal = Journal::append(&scratch.journal(QUEUE_PID));
+            let mut rng = seed.wrapping_mul(131).wrapping_add(QUEUE_PID as u64);
+            loop {
+                let op = if splitmix(&mut rng).is_multiple_of(2) {
+                    Op::Enqueue(journal.next_seq())
+                } else {
+                    Op::Dequeue
+                };
+                let note = || queue.note_invocation(QUEUE_PID);
+                journal.invoke('q', op, note, || queue.invoke(QUEUE_PID, op));
+            }
+        });
     });
 }
 
-/// One SIGKILL round: returns what it verified and the heap's segment count
-/// after the parent's re-attach.
-fn run_one_seed_with(seed: u64, heap_bytes: usize, kill_after: Duration) -> (Tally, usize) {
-    // Two tests run this matrix — on their own test threads, over the same
-    // seeds — so the heap size is what tells their directories apart.
-    let scratch = Scratch::create("restart", heap_bytes, seed);
-    let params = [("seed", &seed as _), ("heap_bytes", &heap_bytes as _)];
-    run_and_kill(&scratch, "restart_child_worker", &params, kill_after);
+/// One SIGKILL round of `store_restart_child_worker` under `MAP_ARM` (and,
+/// `with_queue`, `QUEUE_ARM`) on a heap created at `heap_bytes`. Re-opens
+/// the WHOLE store from this process — one shared replay resolves every
+/// structure's pending operation — and verifies every journal, the map
+/// (key ranges, snapshot, invariants) and the queue's drain. Returns what it
+/// verified and the heap's segment count.
+fn run_store_round<const MAP_ARM: u8, const QUEUE_ARM: u8>(
+    leg: &str,
+    seed: u64,
+    heap_bytes: usize,
+    kill_after: Duration,
+    with_queue: bool,
+) -> (Tally, usize) {
+    let arms = if with_queue { format!("m{MAP_ARM}q{QUEUE_ARM}") } else { format!("m{MAP_ARM}") };
+    // Two tests run the single-map matrix — on their own test threads, over
+    // the same seeds — so the heap size is what tells their directories apart.
+    let scratch = Scratch::create(leg, format!("{arms}_{heap_bytes}"), seed);
+    let params = [("seed", &seed as _), ("arms", &arms as _), ("heap_bytes", &heap_bytes as _)];
+    run_and_kill(&scratch, "store_restart_child_worker", &params, kill_after);
 
-    // Re-attach FROM THIS PROCESS and recover.
     nvm::tid::set_tid(0);
-    let (mut map, summary) =
-        RHashMap::<MappedNvm, 0>::attach_sized(scratch.heap(), SHARDS, heap_bytes)
-            .unwrap_or_else(|e| panic!("seed {seed}: parent attach failed: {e}"));
-    // One model for all workers: their key ranges are disjoint, so each
-    // journal replays sequentially against its own part of it.
+    let store = Store::open_sized(scratch.heap(), heap_bytes)
+        .unwrap_or_else(|e| panic!("seed {seed}: parent store open failed: {e}"));
+    let summary = store.summary();
+    let map = store.hashmap::<MAP_ARM>("users", SHARDS).expect("users handle");
+    let queue = with_queue.then(|| store.queue::<QUEUE_ARM>("jobs").expect("jobs handle"));
+
+    // Map workers: disjoint parts of one model, each journal replayed
+    // sequentially against its own. Queue worker: FIFO model replay.
     let mut tally = Tally::default();
     let mut model = SeqModels::default();
     for pid in 1..=WORKERS {
-        let who = format!("seed {seed} pid {pid}");
-        let mut reinvoke = |_: char, op: Op| map.invoke(pid, op);
-        tally +=
-            scratch.resolve(&who, pid, Some(summary.decision(pid)), 0, &mut model, &mut reinvoke);
-        check_range(&who, &map, 0, pid, model.of('m'));
+        let who = format!("seed {seed} arms {arms} pid {pid}");
+        let (arm, target): (u8, &dyn Target) = match &queue {
+            Some(queue) if pid == QUEUE_PID => (QUEUE_ARM, &**queue),
+            _ => (MAP_ARM, &*map),
+        };
+        let mut reinvoke = |_: char, op: Op| target.invoke(pid, op);
+        let decision = Some(summary.decision(pid));
+        tally += scratch.resolve(&who, pid, decision, arm, &mut model, &mut reinvoke);
+        if !with_queue || pid != QUEUE_PID {
+            check_range(&who, &map, 0, pid, model.of('m'));
+        }
     }
+    let who = format!("seed {seed} arms {arms}");
+    // Drain: the recovered queue must match the model exactly, in order.
+    if let Some(queue) = &queue {
+        check_drain(&who, queue, model.of('q'));
+    }
+    let segments = summary.heap.segments;
+    // With the store closed, the map's handle is its last owner.
+    drop((queue, store));
+    let mut map = Arc::into_inner(map).expect("the store's last handle");
     let mut want: Vec<u64> = model.of('m').set.iter().copied().collect();
     want.sort_unstable();
-    assert_eq!(map.snapshot_keys(), want, "seed {seed}: snapshot diverges from model");
+    assert_eq!(map.snapshot_keys(), want, "{who}: snapshot diverges from model");
     map.check_invariants();
-    (tally, summary.heap.segments)
+    (tally, segments)
 }
 
-/// The cross-process SIGKILL matrix: seeded kill points, zero lost acked
-/// ops, every in-flight op detectably resolved, full model equivalence.
+/// The cross-process SIGKILL matrix: three map workers on one store's map,
+/// seeded kill points, zero lost acked ops, every in-flight op detectably
+/// resolved, full model equivalence.
 #[test]
 fn restart_sigkill_recovers_across_processes() {
     matrix("restart matrix", seeds("ISB_RESTART_SEEDS", 20), |seed| {
-        run_one_seed_with(seed, HEAP_BYTES, Duration::from_millis(30 + (seed * 37) % 170)).0
+        let kill_after = Duration::from_millis(30 + (seed * 37) % 170);
+        run_store_round::<0, 0>("restart", seed, HEAP_BYTES, kill_after, false).0
     });
 }
 
@@ -216,7 +285,9 @@ fn restart_sigkill_mid_growth_recovers() {
         // 1..=56 ms after readiness: clustered on the fill ramp, where the
         // allocation rate (and thus growth) is highest.
         let kill_after = Duration::from_millis(1 + (seed * 5) % 56);
-        let (tally, segments) = run_one_seed_with(seed, nvm::mapped::MIN_HEAP_BYTES, kill_after);
+        let heap_bytes = nvm::mapped::MIN_HEAP_BYTES;
+        let (tally, segments) =
+            run_store_round::<0, 0>("restart", seed, heap_bytes, kill_after, false);
         max_segments = max_segments.max(segments);
         tally
     });
@@ -227,98 +298,11 @@ fn restart_sigkill_mid_growth_recovers() {
     );
 }
 
-// ---------------------------------------------------------------------------
-// Multi-structure store scenario: one heap, a map AND a queue, SIGKILL
-// ---------------------------------------------------------------------------
-
-const STORE_HEAP_BYTES: usize = 32 * 1024 * 1024;
-const QUEUE_PID: usize = 3; // map workers are pids 1..=2
-
-/// Child: two map workers plus one queue worker hammer ONE store heap with
-/// per-pid journals until the parent kills them — under the paper's arms,
-/// or the PR-6 tuning arms (coalesced map `ARM = 2`, link-persist queue
-/// `ARM = 3`), or both structures under the arm that ships (`Isb-LP`, what
-/// the service's `kv` map runs). A SIGKILL is the one crash the NVM
-/// simulator cannot model — the mapped heap's surviving bytes are whatever
-/// the kernel saw, so the elided/deferred flushes of the tuning arms face a
-/// real (if friendly: the page cache persists CPU stores without clflush)
-/// restart.
-#[test]
-#[ignore = "child half of the store restart harness; spawned by the parent test"]
-fn store_restart_child_worker() {
-    let Some(scratch) = Scratch::of_child() else { return };
-    match scratch.param::<String>("arms").as_str() {
-        "m0q0" => store_child_body::<0, 0>(&scratch),
-        "m2q3" => store_child_body::<2, 3>(&scratch),
-        "m3q3" => store_child_body::<3, 3>(&scratch),
-        arms => panic!("no store child for arms {arms}"),
-    }
-}
-
-fn store_child_body<const MAP_ARM: u8, const QUEUE_ARM: u8>(scratch: &Scratch) {
-    let seed: u64 = scratch.param("seed");
-    nvm::tid::set_tid(0);
-    let store = Store::open_sized(scratch.heap(), STORE_HEAP_BYTES).expect("child open");
-    let map = store.hashmap::<MAP_ARM>("users", SHARDS).expect("users handle");
-    let queue = store.queue::<QUEUE_ARM>("jobs").expect("jobs handle");
-    scratch.publish("ready", "ok");
-
-    std::thread::scope(|s| {
-        for pid in 1..=2usize {
-            let map = &*map;
-            s.spawn(move || map_worker(scratch, map, pid, seed));
-        }
-        s.spawn(|| {
-            nvm::tid::set_tid(QUEUE_PID);
-            let mut journal = Journal::append(&scratch.journal(QUEUE_PID));
-            let mut rng = seed.wrapping_mul(131).wrapping_add(QUEUE_PID as u64);
-            loop {
-                let op = if splitmix(&mut rng).is_multiple_of(2) {
-                    Op::Enqueue(journal.next_seq())
-                } else {
-                    Op::Dequeue
-                };
-                let note = || queue.note_invocation(QUEUE_PID);
-                journal.invoke('q', op, note, || queue.invoke(QUEUE_PID, op));
-            }
-        });
-    });
-}
-
+/// One round of the map-and-queue store matrix.
 fn run_one_store_seed<const MAP_ARM: u8, const QUEUE_ARM: u8>(seed: u64) -> Tally {
-    let arms = format!("m{MAP_ARM}q{QUEUE_ARM}");
-    let scratch = Scratch::create("store_restart", &arms, seed);
-    let params = [("seed", &seed as _), ("arms", &arms as _)];
     let kill_after = Duration::from_millis(30 + (seed * 41) % 170);
-    run_and_kill(&scratch, "store_restart_child_worker", &params, kill_after);
-
-    // Re-open the WHOLE store from this process: one shared replay resolves
-    // every structure's pending operation.
-    nvm::tid::set_tid(0);
-    let store = Store::open_sized(scratch.heap(), STORE_HEAP_BYTES)
-        .unwrap_or_else(|e| panic!("seed {seed}: parent store open failed: {e}"));
-    let summary = store.summary();
-    let map = store.hashmap::<MAP_ARM>("users", SHARDS).expect("users handle");
-    let queue = store.queue::<QUEUE_ARM>("jobs").expect("jobs handle");
-
-    // Map workers: the same verification as the single-structure matrix,
-    // over disjoint parts of one model. Queue worker: FIFO model replay.
-    let mut tally = Tally::default();
-    let mut model = SeqModels::default();
-    for pid in 1..=QUEUE_PID {
-        let who = format!("seed {seed} arms {arms} pid {pid}");
-        let (arm, target): (u8, &dyn Target) =
-            if pid == QUEUE_PID { (QUEUE_ARM, &*queue) } else { (MAP_ARM, &*map) };
-        let mut reinvoke = |_: char, op: Op| target.invoke(pid, op);
-        let decision = Some(summary.decision(pid));
-        tally += scratch.resolve(&who, pid, decision, arm, &mut model, &mut reinvoke);
-        if pid != QUEUE_PID {
-            check_range(&who, &map, 0, pid, model.of('m'));
-        }
-    }
-    // Drain: the recovered queue must match the model exactly, in order.
-    check_drain(&format!("seed {seed} arms {arms}"), &queue, model.of('q'));
-    tally
+    run_store_round::<MAP_ARM, QUEUE_ARM>("store_restart", seed, STORE_HEAP_BYTES, kill_after, true)
+        .0
 }
 
 /// The multi-structure store matrix: SIGKILL a child mutating a map AND a
@@ -348,9 +332,13 @@ fn store_restart_sigkill_recovers_coalesced_arms() {
 fn reattach_is_idempotent() {
     nvm::tid::set_tid(0);
     let scratch = Scratch::create("reattach", "once", 0);
-    let path = scratch.heap();
+    let open = || {
+        let store = Store::open_sized(scratch.heap(), HEAP_BYTES).unwrap();
+        let map = store.hashmap::<0>("users", SHARDS).unwrap();
+        (store, map)
+    };
     {
-        let (map, _) = RHashMap::<MappedNvm, 0>::attach_sized(&path, SHARDS, HEAP_BYTES).unwrap();
+        let (_store, map) = open();
         for k in 1..=300u64 {
             assert!(map.insert(0, k));
         }
@@ -359,15 +347,19 @@ fn reattach_is_idempotent() {
         }
     }
     let keys1 = {
-        let (mut map, s) =
-            RHashMap::<MappedNvm, 0>::attach_sized(&path, SHARDS, HEAP_BYTES).unwrap();
-        assert_eq!(s.heap.poisoned, 0, "clean detach left torn blocks");
+        let (store, map) = open();
+        assert_eq!(store.summary().heap.poisoned, 0, "clean detach left torn blocks");
+        drop(store);
+        let mut map = Arc::into_inner(map).unwrap();
         map.check_invariants();
         map.snapshot_keys()
     };
-    let (mut map, s) = RHashMap::<MappedNvm, 0>::attach_sized(&path, SHARDS, HEAP_BYTES).unwrap();
+    let (store, map) = open();
+    let s = store.summary();
     assert_eq!(s.heap.poisoned, 0);
     assert_eq!(s.swept, 0, "second attach must have nothing left to sweep");
+    drop(store);
+    let mut map = Arc::into_inner(map).unwrap();
     map.check_invariants();
     assert_eq!(map.snapshot_keys(), keys1, "re-attach changed the contents");
     assert_eq!(keys1, (2..=300).step_by(2).collect::<Vec<u64>>());
