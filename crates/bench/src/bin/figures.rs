@@ -617,32 +617,33 @@ impl Ctx {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Flush-coalescing tuning arms — Figure 12 (beyond the paper, PR 6):
-    /// the full arm ladder (`Isb` → `Isb-Opt` → `Isb-Coal` → `Isb-LP`) on
-    /// the sharded hash map and the queue, under both the counting model
-    /// (pwb-equivalents, elided write-backs and drained lines per op — the
-    /// hardware-independent placement picture) and real flushes (Mops/s —
-    /// what the saved `pwb`/`psync` traffic buys end-to-end).
+    /// Flush-coalescing tuning arms — Figure 12 (beyond the paper): the arm
+    /// ladder (`Isb` → `Isb-Opt` → `Isb-LP`) on the sharded hash map and the
+    /// queue, under both the counting model (pwb-equivalents, elided
+    /// write-backs and drained lines per op — the hardware-independent
+    /// placement picture) and real flushes (Mops/s — what the saved
+    /// `pwb`/`psync` traffic buys end-to-end). The `_coal` tables are
+    /// `Isb-LP`'s coalescing traffic.
     fn fig12(&self) {
-        const ARM_NAMES: &[&str] = &["Isb", "Isb-Opt", "Isb-Coal", "Isb-LP"];
+        use isb::arm::{LP, PAPER, TUNED};
+        const ARMS: [u8; 3] = [PAPER, TUNED, LP];
         fn map_for<M: Persist>(arm: u8) -> Arc<dyn SetBench> {
             match arm {
-                0 => Arc::new(RHashMap::<M, 0>::with_shards(16)),
-                1 => Arc::new(RHashMap::<M, 1>::with_shards(16)),
-                2 => Arc::new(RHashMap::<M, 2>::with_shards(16)),
-                _ => Arc::new(RHashMap::<M, 3>::with_shards(16)),
+                PAPER => Arc::new(RHashMap::<M, PAPER>::with_shards(16)),
+                TUNED => Arc::new(RHashMap::<M, TUNED>::with_shards(16)),
+                _ => Arc::new(RHashMap::<M, LP>::with_shards(16)),
             }
         }
         fn queue_for<M: Persist>(arm: u8) -> Arc<dyn QueueBench> {
             match arm {
-                0 => Arc::new(RQueue::<M, 0>::new()),
-                1 => Arc::new(RQueue::<M, 1>::new()),
-                2 => Arc::new(RQueue::<M, 2>::new()),
-                _ => Arc::new(RQueue::<M, 3>::new()),
+                PAPER => Arc::new(RQueue::<M, PAPER>::new()),
+                TUNED => Arc::new(RQueue::<M, TUNED>::new()),
+                _ => Arc::new(RQueue::<M, LP>::new()),
             }
         }
-        let arm_cols = || ARM_NAMES.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        let coal_cols = |what: &str| vec![format!("Isb-Coal {what}"), format!("Isb-LP {what}")];
+        let arm_cols = || ARMS.map(|a| isb::arm::name(a).to_string()).to_vec();
+        let coal_cols = || vec!["Isb-LP elided/op".to_string(), "Isb-LP drained/op".to_string()];
+        let coal_row = |lp: &RunResult| vec![lp.elided_per_op(), lp.coalesced_per_op()];
 
         // Map: update-intensive (the arms tune the mutating hot path).
         let range = 4096u64;
@@ -653,7 +654,7 @@ impl Ctx {
         );
         let mut t_coal = Table::new(
             "Figure 12: hash-map coalescing traffic per op (counting model)".to_string(),
-            [coal_cols("elided/op"), coal_cols("drained/op")].concat(),
+            coal_cols(),
         );
         let mut t_real = Table::new(
             format!("Figure 12: hash-map throughput by tuning arm, real flushes (Mops/s; 16 shards, keys [1,{range}], update-intensive)"),
@@ -661,8 +662,9 @@ impl Ctx {
         );
         for &n in &self.threads {
             let cfg = SetCfg { threads: n, key_range: range, mix, duration: self.dur, seed: 42 };
-            let counting: Vec<RunResult> = (0u8..4)
-                .map(|arm| {
+            let counting: Vec<RunResult> = ARMS
+                .iter()
+                .map(|&arm| {
                     let m = map_for::<CountingNvm>(arm);
                     prefill_set(&*m, range, 7);
                     nvm::stats::reset();
@@ -670,17 +672,10 @@ impl Ctx {
                 })
                 .collect();
             t_pwb.row(n.to_string(), counting.iter().map(|r| r.flushes_per_op()).collect());
-            t_coal.row(
-                n.to_string(),
-                vec![
-                    counting[2].elided_per_op(),
-                    counting[3].elided_per_op(),
-                    counting[2].coalesced_per_op(),
-                    counting[3].coalesced_per_op(),
-                ],
-            );
-            let real: Vec<f64> = (0u8..4)
-                .map(|arm| {
+            t_coal.row(n.to_string(), coal_row(&counting[2]));
+            let real: Vec<f64> = ARMS
+                .iter()
+                .map(|&arm| {
                     let m = map_for::<RealNvm>(arm);
                     prefill_set(&*m, range, 7);
                     nvm::stats::reset();
@@ -705,7 +700,7 @@ impl Ctx {
         );
         let mut t_coal = Table::new(
             "Figure 12: queue coalescing traffic per op (counting model)".to_string(),
-            [coal_cols("elided/op"), coal_cols("drained/op")].concat(),
+            coal_cols(),
         );
         let mut t_real = Table::new(
             "Figure 12: queue throughput by tuning arm, real flushes (Mops/s)".to_string(),
@@ -713,8 +708,9 @@ impl Ctx {
         );
         for &n in &self.threads {
             let qcfg = QueueCfg { threads: n, prefill: self.queue_prefill, duration: self.dur };
-            let counting: Vec<RunResult> = (0u8..4)
-                .map(|arm| {
+            let counting: Vec<RunResult> = ARMS
+                .iter()
+                .map(|&arm| {
                     let q = queue_for::<CountingNvm>(arm);
                     nvm::stats::reset();
                     run_queue(q, qcfg)
@@ -722,17 +718,10 @@ impl Ctx {
                 .collect();
             t_pwb.row(n.to_string(), counting.iter().map(|r| r.flushes_per_op()).collect());
             t_psync.row(n.to_string(), counting.iter().map(|r| r.psyncs_per_op()).collect());
-            t_coal.row(
-                n.to_string(),
-                vec![
-                    counting[2].elided_per_op(),
-                    counting[3].elided_per_op(),
-                    counting[2].coalesced_per_op(),
-                    counting[3].coalesced_per_op(),
-                ],
-            );
-            let real: Vec<f64> = (0u8..4)
-                .map(|arm| {
+            t_coal.row(n.to_string(), coal_row(&counting[2]));
+            let real: Vec<f64> = ARMS
+                .iter()
+                .map(|&arm| {
                     let q = queue_for::<RealNvm>(arm);
                     nvm::stats::reset();
                     run_queue(q, qcfg).mops()

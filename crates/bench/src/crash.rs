@@ -204,13 +204,12 @@ impl_recoverable_set!(RBst<SimNvm, 0>, "RBst", scrub);
 // all pending descriptors live in the one shared recovery area.
 impl_recoverable_set!(RHashMap<SimNvm, 0>, "RHashMap", scrub);
 impl_recoverable_set!(RHashMap<SimNvm, 1>, "RHashMap-Opt", scrub);
-// The coalescing arms against the same per-word adversary: `SimNvm` keeps its
-// default `pwb_coal = pwb` (a noted line is simply an outstanding word until
-// the next fence — exactly the crash-visibility window coalescing introduces),
-// while the write-backs the arms *elide* (deferred `CP_q := 1`, LP's cleanup
-// untag flushes, the merged enqueue `psync`) genuinely never happen, so the
-// image builder is free to roll those words back and recovery must cope.
-impl_recoverable_set!(RHashMap<SimNvm, 2>, "RHashMap-Coal", scrub);
+// `Isb-LP` against the same per-word adversary: `SimNvm` keeps its default
+// `pwb_coal = pwb` (a noted line is simply an outstanding word until the next
+// fence — exactly the crash-visibility window coalescing introduces), while
+// the write-backs the arm *elides* (deferred `CP_q := 1`, the cleanup untag
+// flushes, the merged enqueue `psync`) genuinely never happen, so the image
+// builder is free to roll those words back and recovery must cope.
 impl_recoverable_set!(RHashMap<SimNvm, 3>, "RHashMap-LP", scrub);
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -458,11 +457,6 @@ pub fn run_hashmap_opt_scenario(cfg: CrashCfg) -> CrashReport {
     run_set_scenario::<RHashMap<SimNvm, 1>>(cfg)
 }
 
-/// Runs one seeded sharded-hash-map crash scenario, coalescing placement.
-pub fn run_hashmap_coal_scenario(cfg: CrashCfg) -> CrashReport {
-    run_set_scenario::<RHashMap<SimNvm, 2>>(cfg)
-}
-
 /// Runs one seeded sharded-hash-map crash scenario, link-persist placement.
 pub fn run_hashmap_lp_scenario(cfg: CrashCfg) -> CrashReport {
     run_set_scenario::<RHashMap<SimNvm, 3>>(cfg)
@@ -476,11 +470,6 @@ pub fn run_hashmap_lp_scenario(cfg: CrashCfg) -> CrashReport {
 /// (see [`run_queue_scenario_arm`]).
 pub fn run_queue_scenario(cfg: CrashCfg) -> CrashReport {
     run_queue_scenario_arm::<0>(cfg)
-}
-
-/// Runs one seeded queue crash scenario, coalescing placement.
-pub fn run_queue_coal_scenario(cfg: CrashCfg) -> CrashReport {
-    run_queue_scenario_arm::<2>(cfg)
 }
 
 /// Runs one seeded queue crash scenario, link-persist placement — the arm

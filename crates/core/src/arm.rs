@@ -7,10 +7,27 @@
 //!
 //! | arm | name | adds |
 //! |-----|------|------|
-//! | [`PAPER`]     | `Isb`      | the paper's per-CAS `pwb` + per-phase `psync` placement |
-//! | [`TUNED`]     | `Isb-Opt`  | batched tag-loop flushes, merged barriers (PR 2) |
-//! | [`COALESCED`] | `Isb-Coal` | per-op cache-line dedupe via [`nvm::coalesce`]; the `RD_q`/`CP_q` line is reset whole by the invocation glue's one barrier and written once more, `CP_q := 1` with `RD_q := opInfo`, by the first publish; an operation that finds nothing to change takes no descriptor and publishes nothing |
-//! | [`LP`]        | `Isb-LP`   | link-persist: cleanup write-backs elided (re-swept by scrub / lazy helping); for single-affect ops (enqueue) the tag-phase `psync` merged into the update-phase `psync`; the queue's tail hint never written back (`heal_tail` and `find_last` re-derive it). The arm the KV service and `Store`-based workloads ship (`kvserve::server::ARM`) |
+//! | [`PAPER`] | `Isb`     | the paper's per-CAS `pwb` + per-phase `psync` placement |
+//! | [`TUNED`] | `Isb-Opt` | batched tag-loop flushes, merged barriers |
+//! | [`LP`]    | `Isb-LP`  | per-op cache-line dedupe via [`nvm::coalesce`]; the `RD_q`/`CP_q` line is reset whole by the invocation glue's one barrier and written once more, `CP_q := 1` with `RD_q := opInfo`, by the first publish; an operation that finds nothing to change takes no descriptor and publishes nothing. Link-persist: cleanup write-backs elided (re-swept by scrub / lazy helping); for single-affect ops (enqueue) the tag-phase `psync` merged into the update-phase `psync`; the queue's tail hint never written back (`heal_tail` and `find_last` re-derive it). The arm the KV service and `Store`-based workloads ship (`kvserve::server::ARM`) |
+//!
+//! Level `2` was `Isb-Coal`, the coalescing glue without the link-persist
+//! elisions. It was retired once `Isb-LP` shipped; its measurements are the
+//! committed `bench_results/BENCH_2026-08-08_fig12.json` and
+//! `BENCH_2026-10-04_lp-shipped.json`. A structure cannot be built at it:
+//!
+//! ```
+//! let map = isb::hashmap::RHashMap::<nvm::CountingNvm, { isb::arm::LP }>::with_shards(8);
+//! # drop(map);
+//! ```
+//!
+//! ```compile_fail
+//! let map = isb::hashmap::RHashMap::<nvm::CountingNvm, 2>::with_shards(8);
+//! # drop(map);
+//! ```
+//!
+//! A catalog entry a build of that arm stamped is refused, typed and named
+//! ([`crate::recovery::AttachError::CfgMismatch`]).
 //!
 //! The `u8` encoding (rather than a second `bool`) exists because stable
 //! Rust cannot derive one const generic from another; call sites write the
@@ -19,17 +36,20 @@
 //! including the mapped-heap config word, which stores the arm in the same
 //! byte the bool used to occupy.
 //!
-//! Arms `0`–`2` are kept as the frozen reproductions (figures, placement
-//! goldens); soundness arguments for arms `2` and `3` are in `DESIGN.md` §12.
+//! Arms `0`/`1` are kept as the paper's reproduction (figures, placement
+//! goldens); the soundness argument for arm `3` is in `DESIGN.md` §12.
 
 /// The paper's placement (`Isb`): `pwb` after every CAS, `psync` per phase.
 pub const PAPER: u8 = 0;
 /// Hand-tuned placement (`Isb-Opt`): batched tag flushes, merged barriers.
 pub const TUNED: u8 = 1;
-/// `Isb-Coal`: TUNED plus per-operation cache-line flush coalescing.
-pub const COALESCED: u8 = 2;
-/// `Isb-LP`: COALESCED plus link-persist elisions (see module docs).
+/// `Isb-LP`: TUNED plus the coalescing glue and the link-persist elisions
+/// (see module docs).
 pub const LP: u8 = 3;
+
+/// The retired `Isb-Coal` level: still decoded in a catalog entry, never
+/// placed.
+pub(crate) const RETIRED: u8 = 2;
 
 /// Does `arm` use the hand-tuned (batched) placement?
 #[inline]
@@ -37,13 +57,8 @@ pub const fn is_tuned(arm: u8) -> bool {
     arm >= TUNED
 }
 
-/// Does `arm` route batched flushes through the coalescing line set?
-#[inline]
-pub const fn coalesces(arm: u8) -> bool {
-    arm >= COALESCED
-}
-
-/// Does `arm` apply the link-persist elisions?
+/// Does `arm` route batched flushes through the coalescing line set and
+/// apply the link-persist elisions?
 #[inline]
 pub const fn is_lp(arm: u8) -> bool {
     arm >= LP
@@ -54,18 +69,30 @@ pub const fn name(arm: u8) -> &'static str {
     match arm {
         PAPER => "Isb",
         TUNED => "Isb-Opt",
-        COALESCED => "Isb-Coal",
         _ => "Isb-LP",
+    }
+}
+
+/// Fails the build unless `ARM` is a level this build places. Every armed
+/// structure draws its node pool through [`crate::env::Env::pool`], which
+/// calls this, so a structure built at the retired level is a compile error
+/// rather than `Isb-Opt`'s placement running under arm 2's catalog stamp.
+pub(crate) const fn placed<const ARM: u8>() {
+    const {
+        assert!(
+            matches!(ARM, PAPER | TUNED | LP),
+            "this build places arms 0, 1 and 3 (arm 2, Isb-Coal, is retired)"
+        )
     }
 }
 
 use nvm::{PWord, Persist, PersistWords};
 
-/// Arm-dispatched stand-alone flush: coalescing arms defer into the line
-/// set, lower arms flush immediately. Monomorphises to one call either way.
+/// Arm-dispatched stand-alone flush: `Isb-LP` defers into the line set,
+/// lower arms flush immediately. Monomorphises to one call either way.
 #[inline]
 pub(crate) fn pwb_arm<M: Persist, const ARM: u8>(w: &PWord<M>) {
-    if coalesces(ARM) {
+    if is_lp(ARM) {
         M::pwb_coal(w);
     } else {
         M::pwb(w);
@@ -75,7 +102,7 @@ pub(crate) fn pwb_arm<M: Persist, const ARM: u8>(w: &PWord<M>) {
 /// Arm-dispatched whole-object flush (see [`pwb_arm`]).
 #[inline]
 pub(crate) fn pwb_obj_arm<M: Persist, T: PersistWords<M> + ?Sized, const ARM: u8>(obj: &T) {
-    if coalesces(ARM) {
+    if is_lp(ARM) {
         M::pwb_obj_coal(obj);
     } else {
         M::pwb_obj(obj);
@@ -104,9 +131,11 @@ impl CfgWord {
         self.low().is_power_of_two().then_some(self.low())
     }
 
-    /// The arm's display name; an arm byte no build ever stamped, in hex.
+    /// The arm's display name — the retired level's too; an arm byte no
+    /// build ever stamped, in hex.
     pub(crate) fn arm_name(self) -> String {
         match u8::try_from(self.arm()) {
+            Ok(RETIRED) => "Isb-Coal".to_string(),
             Ok(a) if a <= LP => name(a).to_string(),
             _ => format!("{:#x}", self.arm()),
         }
@@ -159,13 +188,12 @@ mod tests {
 
     #[test]
     fn levels_are_cumulative() {
-        assert!(!is_tuned(PAPER) && !coalesces(PAPER) && !is_lp(PAPER));
-        assert!(is_tuned(TUNED) && !coalesces(TUNED));
-        assert!(is_tuned(COALESCED) && coalesces(COALESCED) && !is_lp(COALESCED));
-        assert!(is_tuned(LP) && coalesces(LP) && is_lp(LP));
+        assert!(!is_tuned(PAPER) && !is_lp(PAPER));
+        assert!(is_tuned(TUNED) && !is_lp(TUNED));
+        assert!(is_tuned(LP) && is_lp(LP));
         assert_eq!(name(PAPER), "Isb");
         assert_eq!(name(TUNED), "Isb-Opt");
-        assert_eq!(name(COALESCED), "Isb-Coal");
         assert_eq!(name(LP), "Isb-LP");
+        assert_eq!(CfgWord((RETIRED as u64) << 32).arm_name(), "Isb-Coal");
     }
 }

@@ -18,8 +18,8 @@
 //!   common ancestor before any leaf. WriteSet = `{⟨gp.child, p, sibCopy⟩}`,
 //!   NewSet = `{sibCopy}`.
 //! * **Find(k)**, and an insert/delete that finds nothing to change: the
-//!   ROpt read-only path on `{l}` in arms 0/1, no descriptor at all in the
-//!   coalescing arms (see [`crate::set_core`]).
+//!   ROpt read-only path on `{l}` in arms 0/1, no descriptor at all under
+//!   `Isb-LP` (see [`crate::set_core`]).
 //!
 //! The copies preserve pointer freshness exactly as in the list: a node
 //! leaves a child pointer only by being retired.
@@ -156,7 +156,7 @@ impl<M: Persist, const ARM: u8> RBst<M, ARM> {
         let r2: *mut Node<M> = Node::alloc(KEY_INF2, 0, 0, 0);
         let root = Node::alloc(KEY_INF2, inner as u64, r2 as u64, 0);
         let mut env = Env::volatile(pool);
-        Self { root, node_pool: env.pool(), env }
+        Self { root, node_pool: env.pool::<_, ARM>(), env }
     }
 
     /// Draw a node: pool hit (re-initialized), or heap in passthrough mode.
@@ -221,7 +221,7 @@ impl<M: Persist, const ARM: u8> RBst<M, ARM> {
             let l_key = unsafe { (*s.l).key.load() };
             if l_key == key {
                 // Key already present: nothing to change.
-                if !arm::coalesces(ARM) {
+                if !arm::is_lp(ARM) {
                     let seen = unsafe { (cell_addr(&(*s.l).info), s.l_info) };
                     env.answer_tracked::<ARM>(
                         pid,
@@ -311,7 +311,7 @@ impl<M: Persist, const ARM: u8> RBst<M, ARM> {
             let l_key = unsafe { (*s.l).key.load() };
             if l_key != key {
                 // Key not present: nothing to change.
-                if !arm::coalesces(ARM) {
+                if !arm::is_lp(ARM) {
                     let seen = unsafe { (cell_addr(&(*s.l).info), s.l_info) };
                     env.answer_tracked::<ARM>(
                         pid,
@@ -395,7 +395,7 @@ impl<M: Persist, const ARM: u8> RBst<M, ARM> {
                 continue;
             }
             let res = unsafe { (*s.l).key.load() } == key;
-            if !arm::coalesces(ARM) {
+            if !arm::is_lp(ARM) {
                 let seen = unsafe { (cell_addr(&(*s.l).info), s.l_info) };
                 let enc = if res { RES_TRUE } else { RES_FALSE };
                 env.answer_tracked::<ARM>(pid, optype::FIND, seen, enc, &mut published, &g);
@@ -527,7 +527,7 @@ impl<const ARM: u8> MappedLayout for RBst<MappedNvm, ARM> {
 
     unsafe fn open(env: &AttachEnv, _cfg: (), root_blk: *mut u8) -> Result<Self, AttachError> {
         let mut env = env.env();
-        let node_pool = env.pool();
+        let node_pool = env.pool::<_, ARM>();
         // SAFETY: committed 8-byte root block, single-threaded attach.
         let root_w = unsafe { root_words(root_blk, 1) };
         if root_w[0].load() == 0 {

@@ -591,8 +591,6 @@ pub unsafe fn help<M: Persist, const ARM: u8>(
                 cleanup::<M, ARM>(r, tagged_val, untagged_val, naffect, nnew, del_mask);
                 if !arm::is_tuned(ARM) {
                     M::psync();
-                } else if arm::coalesces(ARM) && !arm::is_lp(ARM) {
-                    M::coal_drain();
                 }
                 return HelpOutcome::Done;
             }
@@ -664,12 +662,6 @@ pub unsafe fn help<M: Persist, const ARM: u8>(
     cleanup::<M, ARM>(r, tagged_val, untagged_val, naffect, nnew, del_mask);
     if !arm::is_tuned(ARM) {
         M::psync();
-    } else if arm::coalesces(ARM) && !arm::is_lp(ARM) {
-        // The coalesced cleanup lines must be written back before the op
-        // returns: the untag CAS released the descriptor's cells, so the
-        // noted nodes may be retired/recycled once we return. No fence —
-        // cleanup durability stays opportunistic exactly as in TUNED.
-        M::coal_drain();
     }
     HelpOutcome::Done
 }

@@ -82,10 +82,12 @@ impl<M: Persist> Env<M> {
         Self { rec, collector, infos, pools: Vec::new(), heap: Some(heap), cfg }
     }
 
-    /// A node pool for the structure: arena-backed in a heap (never
-    /// falling back to `Box` — the pool constructor panics instead), otherwise
-    /// pooled or passthrough as the model and the settings decide.
-    pub fn pool<N: PoolItem>(&mut self) -> Pool<N> {
+    /// A node pool for a structure placed at `ARM`, a level checked at
+    /// compile time (`arm::placed`): arena-backed in a heap (never falling
+    /// back to `Box` — the pool constructor panics instead), otherwise pooled
+    /// or passthrough as the model and the settings decide.
+    pub fn pool<N: PoolItem, const ARM: u8>(&mut self) -> Pool<N> {
+        crate::arm::placed::<ARM>();
         let pool = Pool::new_for::<M>(self.cfg, &self.collector, self.heap.clone());
         self.pools.extend(pool.hold());
         pool
@@ -146,11 +148,11 @@ mod tests {
     fn volatile_collector_and_pools_follow_the_model() {
         let mut sim = Env::<SimNvm>::volatile(PoolCfg::default());
         assert!(!sim.collector.is_enabled(), "a simulated crash must not free memory");
-        assert!(!sim.infos.is_enabled() && !sim.pool::<Obj>().is_enabled(), "passthrough");
+        assert!(!sim.infos.is_enabled() && !sim.pool::<Obj, 0>().is_enabled(), "passthrough");
         let mut boxed = Env::<CountingNvm>::volatile(PoolCfg::boxed());
         assert!(boxed.collector.is_enabled());
-        assert!(!boxed.infos.is_enabled() && !boxed.pool::<Obj>().is_enabled(), "passthrough");
+        assert!(!boxed.infos.is_enabled() && !boxed.pool::<Obj, 0>().is_enabled(), "passthrough");
         let mut pooled = Env::<CountingNvm>::volatile(PoolCfg::default());
-        assert!(pooled.infos.is_enabled() && pooled.pool::<Obj>().is_enabled());
+        assert!(pooled.infos.is_enabled() && pooled.pool::<Obj, 0>().is_enabled());
     }
 }

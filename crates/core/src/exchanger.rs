@@ -85,17 +85,8 @@ impl<M: Persist> Default for RExchanger<M> {
 impl<M: Persist> RExchanger<M> {
     /// New exchanger.
     pub fn new() -> Self {
-        Self::with_collector(Collector::new())
-    }
-
-    /// New exchanger with the given collector.
-    pub fn with_collector(collector: Collector) -> Self {
-        Self::with_config(collector, PoolCfg::default())
-    }
-
-    /// New exchanger with the given collector and pool configuration.
-    pub fn with_config(collector: Collector, pool: PoolCfg) -> Self {
-        let pool = Pool::new_for::<M>(pool, &collector, None);
+        let collector = Collector::new();
+        let pool = Pool::new_for::<M>(PoolCfg::default(), &collector, None);
         Self { slot: PWord::new(0), rec: RecArea::new(), collector, pool }
     }
 

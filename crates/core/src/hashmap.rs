@@ -111,7 +111,7 @@ impl<M: Persist, const ARM: u8> RHashMap<M, ARM> {
         assert!(shards.is_power_of_two(), "shard count must be a power of two, got {shards}");
         let heads = (0..shards).map(|_| set_core::new_bucket()).collect();
         let mut env = Env::volatile(pool);
-        Self::over(heads, env.pool(), env)
+        Self::over(heads, env.pool::<_, ARM>(), env)
     }
 
     fn over(heads: Box<[*mut Node<M>]>, nodes: Pool<Node<M>>, env: Env<M>) -> Self {
@@ -309,7 +309,7 @@ impl<const ARM: u8> MappedLayout for RHashMap<MappedNvm, ARM> {
         // the store's catalog reader before a re-open.
         debug_assert!(shards.is_power_of_two(), "shard count {shards} not a power of two");
         let mut env = env.env();
-        let nodes = env.pool();
+        let nodes = env.pool::<_, ARM>();
         // SAFETY: `shards`-word committed root block, single-threaded attach.
         let roots = unsafe { root_words(root, shards) };
         let mut heads: Vec<u64> = roots.iter().map(|w| w.load()).collect();
@@ -570,17 +570,17 @@ mod tests {
         let path =
             std::env::temp_dir().join(format!("isb_hm_{}_deferred.heap", std::process::id()));
         let _ = std::fs::remove_file(&path);
-        let pending = |m: &RHashMap<nvm::MappedNvm, 2>| -> Vec<bool> {
+        let pending = |m: &RHashMap<nvm::MappedNvm, 3>| -> Vec<bool> {
             m.pending_scrub.iter().map(|f| f.load(Ordering::Relaxed)).collect()
         };
         {
             let store = Store::open_sized(&path, 1 << 21).unwrap();
-            let map = store.hashmap::<2>("m", 8).unwrap();
+            let map = store.hashmap::<3>("m", 8).unwrap();
             assert_eq!(pending(&map), [false; 8], "a fresh map has nothing to scrub");
             (1..=64).for_each(|k| assert!(map.insert(0, k)));
         }
         let store = Store::open_sized(&path, 1 << 21).unwrap();
-        let map = store.hashmap::<2>("m", 8).unwrap();
+        let map = store.hashmap::<3>("m", 8).unwrap();
         assert_eq!(pending(&map), [true; 8], "attach defers every shard");
         let shard = map.shard_of(7);
         assert!(map.find(0, 7));

@@ -24,7 +24,7 @@
 //! * [`queue::RQueue`] — ISB-tracked MS-queue (paper §5 / supplementary B.2).
 //! * [`bst::RBst`] — detectably recoverable external BST (paper §6).
 //! * [`exchanger::RExchanger`] — detectably recoverable exchanger (paper §6).
-//! * [`stack::RStack`] — direct-tracked elimination stack (paper §1/§5):
+//! * [`stack::RStack`] — direct-tracked stack (paper §1/§5):
 //!   `RD_q` announces *nodes* instead of descriptors, claim stamps
 //!   arbitrate pops across a crash.
 //! * [`store::Store`] — one mapped heap hosting many named structures
@@ -48,12 +48,12 @@
 //!   ladder in [`arm`]: `0` ([`arm::PAPER`], "Isb") is the paper's general
 //!   ROpt-ISB placement; `1` ([`arm::TUNED`], "Isb-Opt") defers the
 //!   durability of `CP_q := 1` and batches tag write-backs, saving one
-//!   `psync` per operation; `2` ([`arm::COALESCED`], "Isb-Coal") adds
-//!   per-operation cache-line flush coalescing and persists only what
-//!   recovery reads; `3` ([`arm::LP`], "Isb-LP") adds the link-persist
-//!   elisions and is the arm the KV service ships. See [`arm`] for what
-//!   each level adds and [`recovery`]'s
-//!   module docs for the recovery-line protocol per arm.
+//!   `psync` per operation; `3` ([`arm::LP`], "Isb-LP") adds per-operation
+//!   cache-line flush coalescing, persists only what recovery reads, adds
+//!   the link-persist elisions and is the arm the KV service ships (level
+//!   `2`, the coalescing without the elisions, is retired). See [`arm`] for
+//!   what each level adds and [`recovery`]'s module docs for the
+//!   recovery-line protocol per arm.
 //!
 //! ## One environment, one skeleton, one walk
 //!

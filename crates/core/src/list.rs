@@ -24,7 +24,7 @@ pub const KIND_LIST: u64 = 3;
 
 /// Detectably recoverable sorted linked list. `ARM` is the persistency
 /// placement, a [`crate::arm`] level: `0` the paper's general one ("Isb"),
-/// `1` the hand-tuned one ("Isb-Opt"), `2`/`3` the coalescing arms.
+/// `1` the hand-tuned one ("Isb-Opt"), `3` the coalescing one ("Isb-LP").
 ///
 /// # Example: the detectable recovery flow
 ///
@@ -75,7 +75,7 @@ impl<M: Persist, const ARM: u8> RList<M, ARM> {
     /// allocation, as pre-pool builds behaved).
     pub fn with_pool(pool: PoolCfg) -> Self {
         let mut env = Env::volatile(pool);
-        Self { head: set_core::new_bucket(), nodes: env.pool(), env }
+        Self { head: set_core::new_bucket(), nodes: env.pool::<_, ARM>(), env }
     }
 
     /// The core view over the list's single bucket.
@@ -178,7 +178,7 @@ impl<const ARM: u8> MappedLayout for RList<MappedNvm, ARM> {
 
     unsafe fn open(env: &AttachEnv, _cfg: (), root_blk: *mut u8) -> Result<Self, AttachError> {
         let mut env = env.env();
-        let nodes = env.pool();
+        let nodes = env.pool::<_, ARM>();
         // SAFETY: committed 8-byte root block, single-threaded attach.
         let root = unsafe { root_words(root_blk, 1) };
         if root[0].load() == 0 {
@@ -216,14 +216,17 @@ mod tests {
     type L = RList<CountingNvm, 0>;
     type LOpt = RList<CountingNvm, 1>;
 
-    /// In a coalescing arm an operation that finds nothing to change takes
+    /// Under `Isb-LP` an operation that finds nothing to change takes
     /// no descriptor and publishes nothing: the recovery line stays as the
     /// glue reset it, and the previous operation's descriptor, which the
     /// glue took out of `RD_q`, is released (teardown balances).
-    fn no_effect_ops_take_no_descriptor<const ARM: u8>() {
+    #[test]
+    fn coalescing_no_effect_ops_take_no_descriptor() {
+        let _gate = crate::counters::gate_exclusive();
+        nvm::tid::set_tid(0);
         let infos0 = crate::counters::live_infos();
         {
-            let list = RList::<CountingNvm, ARM>::new();
+            let list = RList::<CountingNvm, { crate::arm::LP }>::new();
             assert!(list.insert(0, 5));
             assert_eq!(list.env.rec.read(0).0, 1, "an effectful operation publishes");
             for i in 0..4 {
@@ -236,20 +239,12 @@ mod tests {
                 };
                 assert!(!answer, "op {i} answers as the set stands");
                 let after = (crate::counters::live_infos(), crate::counters::info_reuses());
-                assert_eq!(after, drawn, "arm {ARM} op {i} drew a descriptor");
-                assert_eq!(list.env.rec.read(0), (0, 0), "arm {ARM} op {i} left the glue's reset");
+                assert_eq!(after, drawn, "op {i} drew a descriptor");
+                assert_eq!(list.env.rec.read(0), (0, 0), "op {i} left the glue's reset");
             }
             assert!(list.delete(0, 5));
         }
         assert_eq!(crate::counters::live_infos(), infos0, "info leak/double-free");
-    }
-
-    #[test]
-    fn coalescing_no_effect_ops_take_no_descriptor() {
-        let _gate = crate::counters::gate_exclusive();
-        nvm::tid::set_tid(0);
-        no_effect_ops_take_no_descriptor::<{ crate::arm::COALESCED }>();
-        no_effect_ops_take_no_descriptor::<{ crate::arm::LP }>();
     }
 
     #[test]

@@ -55,11 +55,11 @@ impl<M: Persist> Env<M> {
     /// A `find`'s prologue. Returns what `published` starts as: in arms 0/1
     /// the previous descriptor stays published (and held) until the find's
     /// own replaces it — unless it is a [`crate::tag::DIRECT`] entry, which
-    /// carries no descriptor reference to hand over. In a coalescing arm the
+    /// carries no descriptor reference to hand over. Under `Isb-LP` the
     /// prologue is no more than [`Env::begin`].
     #[inline]
     pub fn begin_find<const ARM: u8>(&self, pid: usize, g: &Guard<'_>) -> u64 {
-        if arm::coalesces(ARM) {
+        if arm::is_lp(ARM) {
             self.begin::<ARM>(pid, g);
             return 0;
         }
@@ -118,9 +118,9 @@ impl<M: Persist> Env<M> {
     /// (Algorithm 2, lines 73–77). The response is stored into the
     /// descriptor before the one barrier that persists it, the descriptor is
     /// published, and `Help` is never called, so the single affect slot
-    /// `seen = (info cell, value read)` is never installed. (Below the
-    /// coalescing arms `publish` is the plain `RD_q` publish, which is also
-    /// what a `find` — `CP_q` left at 0 — needs.)
+    /// `seen = (info cell, value read)` is never installed. (Below `Isb-LP`
+    /// `publish` is the plain `RD_q` publish, which is also what a `find` —
+    /// `CP_q` left at 0 — needs.)
     #[inline]
     pub fn answer_tracked<const ARM: u8>(
         &self,
@@ -131,7 +131,7 @@ impl<M: Persist> Env<M> {
         published: &mut u64,
         g: &Guard<'_>,
     ) {
-        debug_assert!(!arm::coalesces(ARM), "coalescing arms answer without a descriptor");
+        debug_assert!(!arm::is_lp(ARM), "Isb-LP answers without a descriptor");
         let info = self.alloc_info();
         unsafe {
             Info::fill(
@@ -177,8 +177,8 @@ impl<M: Persist> Env<M> {
 
     /// The *system* half of an invocation, run ahead of the operation:
     /// [`crate::recovery::RecArea::mark_invoked`] (which has the crash-window
-    /// argument), then the release of what a coalescing arm's glue took out
-    /// of `RD_q`. Callers that journal their own intent records around the
+    /// argument), then the release of what `Isb-LP`'s glue took out of
+    /// `RD_q`. Callers that journal their own intent records around the
     /// structure (write-ahead logs driving a mapped heap) must call this
     /// **before** writing the intent record. Plain in-process use never
     /// needs it: an operation's own prologue runs the glue when this call

@@ -191,7 +191,7 @@ impl<M: Persist, const ARM: u8> RQueue<M, ARM> {
                 info: PWord::new(0),
                 tail: PWord::new(s0 as u64),
             })),
-            node_pool: env.pool(),
+            node_pool: env.pool::<_, ARM>(),
             env,
         }
     }
@@ -311,9 +311,9 @@ impl<M: Persist, const ARM: u8> RQueue<M, ARM> {
             }
             if f == 0 {
                 // Empty (linearized at the `s.next` read): nothing to change.
-                // Arms 0/1 take the ROpt read-only path; the coalescing arms
-                // answer without a descriptor (see `set_core`).
-                if !arm::coalesces(ARM) {
+                // Arms 0/1 take the ROpt read-only path; `Isb-LP` answers
+                // without a descriptor (see `set_core`).
+                if !arm::is_lp(ARM) {
                     let seen = (cell_addr(&self.head.info), h_info);
                     env.answer_tracked::<ARM>(
                         pid,
@@ -501,7 +501,7 @@ impl<const ARM: u8> MappedLayout for RQueue<MappedNvm, ARM> {
 
     unsafe fn open(env: &AttachEnv, _cfg: (), root: *mut u8) -> Result<Self, AttachError> {
         let mut env = env.env();
-        let node_pool = env.pool();
+        let node_pool = env.pool::<_, ARM>();
         let anchor = root as *const Anchor<MappedNvm>;
         // SAFETY: zeroed-on-creation committed root block of Anchor size:
         // the `(ptr, info, tail)` words of the `repr(C)` anchor.
@@ -556,32 +556,24 @@ mod tests {
     type QOpt = RQueue<CountingNvm, 1>;
 
     /// The queue's no-effect operation (see the list's test of the same
-    /// name): a coalescing arm's dequeue on empty.
+    /// name): an `Isb-LP` dequeue on empty.
     #[test]
     fn coalescing_no_effect_ops_take_no_descriptor() {
-        fn one<const ARM: u8>() {
-            let infos0 = crate::counters::live_infos();
-            {
-                let q = RQueue::<CountingNvm, ARM>::new();
-                q.enqueue(0, 7);
-                assert_eq!(q.dequeue(0), Some(7));
-                assert_eq!(q.env.rec.read(0).0, 1, "an effectful operation publishes");
-                let drawn = (crate::counters::live_infos(), crate::counters::info_reuses());
-                assert_eq!(q.dequeue(0), None);
-                let after = (crate::counters::live_infos(), crate::counters::info_reuses());
-                assert_eq!(after, drawn, "arm {ARM}: dequeue on empty drew a descriptor");
-                assert_eq!(
-                    q.env.rec.read(0),
-                    (0, 0),
-                    "arm {ARM}: the glue's reset is all it wrote"
-                );
-            }
-            assert_eq!(crate::counters::live_infos(), infos0, "info leak/double-free");
-        }
         let _gate = crate::counters::gate_exclusive();
         nvm::tid::set_tid(0);
-        one::<{ crate::arm::COALESCED }>();
-        one::<{ crate::arm::LP }>();
+        let infos0 = crate::counters::live_infos();
+        {
+            let q = RQueue::<CountingNvm, { crate::arm::LP }>::new();
+            q.enqueue(0, 7);
+            assert_eq!(q.dequeue(0), Some(7));
+            assert_eq!(q.env.rec.read(0).0, 1, "an effectful operation publishes");
+            let drawn = (crate::counters::live_infos(), crate::counters::info_reuses());
+            assert_eq!(q.dequeue(0), None);
+            let after = (crate::counters::live_infos(), crate::counters::info_reuses());
+            assert_eq!(after, drawn, "dequeue on empty drew a descriptor");
+            assert_eq!(q.env.rec.read(0), (0, 0), "the glue's reset is all it wrote");
+        }
+        assert_eq!(crate::counters::live_infos(), infos0, "info leak/double-free");
     }
 
     /// LP never writes the tail hint back, so a crash image may hold the

@@ -22,15 +22,15 @@
 //! of `CP_q = 1` to the attempt's publish `psync` (ordering is still enforced
 //! with a `pfence`), saving one `psync` per operation.
 //!
-//! The coalescing arms ([`crate::arm::COALESCED`] and up) have no step 2 of
-//! their own. `RD_q` and `CP_q` share one cache line, so their glue is
-//! `(RD_q, CP_q) := (Null, 0)`, both words made durable by the one barrier
-//! step 1 pays anyway, and `CP_q := 1` is stored by the first publish
-//! ([`RecArea::publish_arm`]), in the same line and under the same `psync`
-//! as `RD_q := opInfo`. Every image of a crashed first publish — `(Null, 0)`,
-//! `(Null, 1)`, `(info, 0)`, `(info, 1)` — is decided by step 4 as it stands.
+//! `Isb-LP` ([`crate::arm::LP`]) has no step 2 of its own. `RD_q` and `CP_q`
+//! share one cache line, so its glue is `(RD_q, CP_q) := (Null, 0)`, both
+//! words made durable by the one barrier step 1 pays anyway, and
+//! `CP_q := 1` is stored by the first publish ([`RecArea::publish_arm`]), in
+//! the same line and under the same `psync` as `RD_q := opInfo`. Every image
+//! of a crashed first publish — `(Null, 0)`, `(Null, 1)`, `(info, 0)`,
+//! `(info, 1)` — is decided by step 4 as it stands.
 //! An operation that finds nothing to change (a `find`, an `insert` of a
-//! present key, …) never reaches a publish in these arms: it leaves the line
+//! present key, …) never reaches a publish in this arm: it leaves the line
 //! as the glue (or an earlier, failed attempt) left it, which step 4 maps to
 //! a restart, and re-invoking an operation that changed nothing is a legal
 //! linearisation (DESIGN.md §12).
@@ -192,7 +192,7 @@ impl<M: Persist> RecArea<M> {
         let noted = &self.glue_noted[pid];
         if noted.load(Relaxed) {
             noted.store(false, Relaxed);
-            if s.cp.load() == 0 && (!crate::arm::coalesces(ARM) || s.rd.load() == 0) {
+            if s.cp.load() == 0 && (!crate::arm::is_lp(ARM) || s.rd.load() == 0) {
                 return 0;
             }
         }
@@ -204,7 +204,7 @@ impl<M: Persist> RecArea<M> {
     /// system itself does not crash, so crash injection is suspended for it.
     ///
     /// Arms 0/1: `CP_q := 0`, persisted; returns `0` (`RD_q` is the
-    /// operation's to reset). Coalescing arms: `(RD_q, CP_q) := (Null, 0)`,
+    /// operation's to reset). `Isb-LP`: `(RD_q, CP_q) := (Null, 0)`,
     /// both words of the one line persisted by the one barrier; returns the
     /// previous `RD_q`, whose reference the caller releases — after the
     /// barrier, so a process that dies in between leaks it to the next
@@ -212,7 +212,7 @@ impl<M: Persist> RecArea<M> {
     #[inline]
     fn glue<const ARM: u8>(s: &ProcRec<M>) -> u64 {
         system_glue::<M, _>(|| {
-            if crate::arm::coalesces(ARM) {
+            if crate::arm::is_lp(ARM) {
                 let prev = s.rd.load();
                 s.rd.store(0);
                 s.cp.store(0);
@@ -230,14 +230,14 @@ impl<M: Persist> RecArea<M> {
     /// operation's published info pointer so the caller can release its
     /// reference-count hold on it.
     pub fn begin<const ARM: u8>(&self, pid: usize) -> u64 {
-        // Coalescing arms route every batched flush through the line set, so
-        // a duplicate stand-alone pwb inside one fence window is a flush-diet
+        // `Isb-LP` routes every batched flush through the line set, so a
+        // duplicate stand-alone pwb inside one fence window is a flush-diet
         // regression; arm the (feature-gated) lint. Lower arms legitimately
         // re-flush lines, so disarm.
-        nvm::coalesce::lint::set_armed(crate::arm::coalesces(ARM));
+        nvm::coalesce::lint::set_armed(crate::arm::is_lp(ARM));
         let s = self.slot(pid);
         let taken = self.invoke_glue::<ARM>(pid, s);
-        if crate::arm::coalesces(ARM) {
+        if crate::arm::is_lp(ARM) {
             // The glue was the whole prologue: it reset `RD_q` inside its
             // own barrier, and `CP_q := 1` waits for the first publish.
             return taken;
@@ -262,9 +262,9 @@ impl<M: Persist> RecArea<M> {
     /// Arms 0/1: `CP_q := 0` (persisted) only — the prologue of their
     /// `find`, which skips `RD_q := Null / CP_q := 1` because restarting it
     /// is always safe. Returns the previously published info pointer, which
-    /// stays published until the find's own descriptor replaces it. (A
-    /// coalescing arm's `find` runs [`RecArea::begin`], which is no more
-    /// than the glue there.)
+    /// stays published until the find's own descriptor replaces it. (An
+    /// `Isb-LP` `find` runs [`RecArea::begin`], which is no more than the
+    /// glue there.)
     pub fn begin_readonly(&self, pid: usize) -> u64 {
         let s = self.slot(pid);
         // System glue FIRST: `CP_q := 0` happens at invocation, before any
@@ -283,13 +283,13 @@ impl<M: Persist> RecArea<M> {
         M::psync();
     }
 
-    /// Arm-aware [`RecArea::publish`]. Coalescing arms store `CP_q := 1`
-    /// here, not in [`RecArea::begin`]: CP and RD live in one cache line
+    /// Arm-aware [`RecArea::publish`]. `Isb-LP` stores `CP_q := 1` here,
+    /// not in [`RecArea::begin`]: CP and RD live in one cache line
     /// ([`ProcRec`]), so noting both in the line set makes the publish flush
     /// a single write-back where TUNED pays one in begin and one here. Only
-    /// attempts that go on to `Help` publish in those arms.
+    /// attempts that go on to `Help` publish in that arm.
     pub fn publish_arm<const ARM: u8>(&self, pid: usize, info: u64) {
-        if !crate::arm::coalesces(ARM) {
+        if !crate::arm::is_lp(ARM) {
             return self.publish(pid, info);
         }
         let s = self.slot(pid);
@@ -336,9 +336,9 @@ impl<M: Persist> RecArea<M> {
 
     /// Runs the invocation glue ([`RecArea::begin`]'s first step) ahead of
     /// the operation. The next prologue on `pid` through this area finds the
-    /// note left here and skips its own copy. Returns the previous `RD_q` a
-    /// coalescing arm's glue took out (`0` otherwise); the caller releases
-    /// it ([`release_prev`]).
+    /// note left here and skips its own copy. Returns the previous `RD_q`
+    /// `Isb-LP`'s glue took out (`0` otherwise); the caller releases it
+    /// ([`release_prev`]).
     ///
     /// Callers that write their own intent records around a mapped structure
     /// (write-ahead logs, request journals) must call this *before* logging
@@ -1185,35 +1185,34 @@ mod tests {
         use crate::hashmap::RHashMap;
         use crate::queue::RQueue;
         use nvm::mapped::MappedNvm;
-        let map = |arm: u8, shards: usize| match arm {
-            2 => RHashMap::<MappedNvm, 2>::cfg_word(shards),
-            _ => RHashMap::<MappedNvm, 3>::cfg_word(shards),
-        };
+        // The retired arm's stamp: the same word with arm byte 2.
+        let retired = |word: u64| word & 0xFFFF_FFFF | (crate::arm::RETIRED as u64) << 32;
+        let map = RHashMap::<MappedNvm, 3>::cfg_word;
         let show = |name: &str, found: u64, expected: u64| {
             AttachError::CfgMismatch { name: name.into(), expected, found }.to_string()
         };
         assert_eq!(
-            show("kv", map(2, 256), map(3, 256)),
+            show("kv", retired(map(256)), map(256)),
             "entry \"kv\" was created with arm Isb-Coal (256 shards), \
              this build opens it with Isb-LP"
         );
         assert_eq!(
-            show("kv", map(3, 8), map(3, 16)),
+            show("kv", map(8), map(16)),
             "entry \"kv\" was created with arm Isb-LP (8 shards), \
              this build opens it with 16 shards"
         );
         assert_eq!(
-            show("kv", map(2, 8), map(3, 16)),
+            show("kv", retired(map(8)), map(16)),
             "entry \"kv\" was created with arm Isb-Coal (8 shards), \
              this build opens it with arm Isb-LP (16 shards)"
         );
-        let queue = (RQueue::<MappedNvm, 2>::cfg_word(()), RQueue::<MappedNvm, 3>::cfg_word(()));
+        let queue = RQueue::<MappedNvm, 3>::cfg_word(());
         assert_eq!(
-            show("jobs", queue.0, queue.1),
+            show("jobs", retired(queue), queue),
             "entry \"jobs\" was created with arm Isb-Coal, this build opens it with Isb-LP"
         );
         // An arm byte no build ever stamped stays legible as what it is.
-        assert!(show("jobs", queue.0 | 0xAB << 32, queue.1).contains("arm 0xab,"));
+        assert!(show("jobs", queue | 0xAB << 32, queue).contains("arm 0xab,"));
     }
 
     #[test]
@@ -1328,23 +1327,23 @@ mod tests {
     }
 
     /// `mark_invoked` + prologue runs the glue once, not twice; a prologue
-    /// on its own still runs it, every time. In a coalescing arm the glue is
-    /// the whole prologue (one line, one fence) and whichever call ran it
-    /// hands out the previous `RD_q` — once.
+    /// on its own still runs it, every time. Under `Isb-LP` the glue is the
+    /// whole prologue (one line, one fence) and whichever call ran it hands
+    /// out the previous `RD_q` — once.
     fn marked_invocation_runs_the_glue_once<const ARM: u8>(t: usize) {
         nvm::tid::set_tid(t);
         let rec: RecArea<M> = RecArea::new();
-        let coalesces = crate::arm::coalesces(ARM);
-        let after_begin = if coalesces { (0, 0) } else { (1, 0) };
+        let lp = crate::arm::is_lp(ARM);
+        let after_begin = if lp { (0, 0) } else { (1, 0) };
         let bare = cost(t, || assert_eq!(rec.begin::<ARM>(t), 0));
-        if coalesces {
+        if lp {
             assert_eq!(bare, (1, 1), "the glue barrier is the whole prologue");
         }
         rec.publish_arm::<ARM>(t, 0x1230);
         let marked = cost(t, || {
             let taken = rec.mark_invoked::<ARM>(t);
             let prev = rec.begin::<ARM>(t);
-            let want = if coalesces { (0x1230, 0) } else { (0, 0x1230) };
+            let want = if lp { (0x1230, 0) } else { (0, 0x1230) };
             assert_eq!((taken, prev), want, "the previous RD_q is handed out once");
         });
         assert_eq!(marked, bare, "the prologue must not re-persist what mark_invoked did");
@@ -1360,7 +1359,6 @@ mod tests {
         const T: usize = MAX_PROCS - 3; // counters of its own
         marked_invocation_runs_the_glue_once::<{ crate::arm::PAPER }>(T);
         marked_invocation_runs_the_glue_once::<{ crate::arm::TUNED }>(T);
-        marked_invocation_runs_the_glue_once::<{ crate::arm::COALESCED }>(T);
         marked_invocation_runs_the_glue_once::<{ crate::arm::LP }>(T);
 
         // The arms-0/1 find prologue.
@@ -1381,8 +1379,8 @@ mod tests {
     /// Two structures of one store are two views over one slot array. A
     /// note left in one view while the other view's operation wrote the
     /// slot must not let the first view's next prologue skip the persist:
-    /// neither beside `CP_q = 1`, nor — in a coalescing arm, whose prologue
-    /// is nothing but the glue — beside a `RD_q` an arm-0 `find` published
+    /// neither beside `CP_q = 1`, nor — under `Isb-LP`, whose prologue is
+    /// nothing but the glue — beside a `RD_q` an arm-0 `find` published
     /// under `CP_q = 0`.
     #[test]
     fn stale_note_beside_a_set_checkpoint_still_persists() {
@@ -1401,11 +1399,11 @@ mod tests {
         assert_eq!(cost(T, || assert_eq!(a.begin_readonly(T), 0x40)), (1, 1), "cleared durably");
         assert_eq!(a.read(T), (0, 0x40), "CP cleared");
 
-        assert_eq!(a.mark_invoked::<{ crate::arm::COALESCED }>(T), 0x40);
+        assert_eq!(a.mark_invoked::<{ crate::arm::LP }>(T), 0x40);
         b.begin_readonly(T);
         b.publish(T, 0x80);
         assert_eq!(a.read(T), (0, 0x80), "CP_q = 0, but RD_q is not the glue's Null");
-        let reset = cost(T, || assert_eq!(a.begin::<{ crate::arm::COALESCED }>(T), 0x80));
+        let reset = cost(T, || assert_eq!(a.begin::<{ crate::arm::LP }>(T), 0x80));
         assert_eq!(reset, (1, 1), "reset durably");
         assert_eq!(a.read(T), (0, 0));
     }
@@ -1413,7 +1411,7 @@ mod tests {
     /// What the swept invocation does once its glue has run.
     #[derive(Debug, Clone, Copy, PartialEq)]
     enum Attempt {
-        /// Returns at once: a coalescing arm's no-effect operation.
+        /// Returns at once: an `Isb-LP` no-effect operation.
         None,
         /// Publishes a descriptor whose `Help` cannot take effect, then
         /// returns: a no-effect outcome found after one failed attempt.
@@ -1429,7 +1427,7 @@ mod tests {
     /// previous operation's `Completed`: it is `Restart`, or — only when the
     /// new operation's own attempt can succeed — that attempt's response.
     /// And the previous descriptor is handed out for release at most once,
-    /// exactly once if `RD_q` no longer names it (a coalescing arm's glue
+    /// exactly once if `RD_q` no longer names it (`Isb-LP`'s glue
     /// takes it out and returns it in one uncrashable step).
     fn no_stale_completed_sweep<const ARM: u8>(attempt: Attempt) {
         use nvm::{sim, SimNvm};
@@ -1501,7 +1499,7 @@ mod tests {
                     }
                     let still_named = (rec.read(P).1 == done as u64) as u32;
                     assert!(handed.get() + still_named <= 1, "{at}: released twice");
-                    if crate::arm::coalesces(ARM) {
+                    if crate::arm::is_lp(ARM) {
                         assert_eq!(handed.get() + still_named, 1, "{at}: leaked by the glue");
                     }
                     // SAFETY: the test owns both descriptors.
@@ -1515,9 +1513,9 @@ mod tests {
                 }
             }
         }
-        // Unmarked, a coalescing arm's no-effect invocation is the glue
-        // alone: nothing in it can crash.
-        let floor = if attempt == Attempt::None && crate::arm::coalesces(ARM) { 64 } else { 640 };
+        // Unmarked, an `Isb-LP` no-effect invocation is the glue alone:
+        // nothing in it can crash.
+        let floor = if attempt == Attempt::None && crate::arm::is_lp(ARM) { 64 } else { 640 };
         assert!(crashes >= floor, "the sweep ran: {crashes}");
     }
 
@@ -1526,7 +1524,6 @@ mod tests {
         for attempt in [Attempt::None, Attempt::Fails, Attempt::Succeeds] {
             no_stale_completed_sweep::<{ crate::arm::PAPER }>(attempt);
             no_stale_completed_sweep::<{ crate::arm::TUNED }>(attempt);
-            no_stale_completed_sweep::<{ crate::arm::COALESCED }>(attempt);
             no_stale_completed_sweep::<{ crate::arm::LP }>(attempt);
         }
     }

@@ -30,8 +30,8 @@
 //! of an absent key) never call `Help`. In arms 0/1 they take the paper's
 //! ROpt fast path ([`Env::answer_tracked`]): a single-element AffectSet and
 //! the response computed from immutable fields *before* the descriptor is
-//! persisted and published. In
-//! the coalescing arms they take no descriptor at all and return with the
+//! persisted and published. Under
+//! `Isb-LP` they take no descriptor at all and return with the
 //! recovery line as the invocation glue left it, which recovery maps to a
 //! restart (`recovery` module docs; DESIGN.md §12).
 //!
@@ -285,7 +285,7 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
             let curr_key = unsafe { (*s.curr).key.load() };
             if curr_key == key {
                 // Key already present: nothing to change.
-                if !arm::coalesces(ARM) {
+                if !arm::is_lp(ARM) {
                     let seen = unsafe { (cell_addr(&(*s.curr).info), s.curr_info) };
                     env.answer_tracked::<ARM>(
                         pid,
@@ -371,7 +371,7 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
             let curr_key = unsafe { (*s.curr).key.load() };
             if curr_key != key {
                 // Key not present: nothing to change.
-                if !arm::coalesces(ARM) {
+                if !arm::is_lp(ARM) {
                     let seen = unsafe { (cell_addr(&(*s.curr).info), s.curr_info) };
                     env.answer_tracked::<ARM>(
                         pid,
@@ -432,7 +432,7 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
                 continue;
             }
             let res = unsafe { (*s.curr).key.load() } == key;
-            if !arm::coalesces(ARM) {
+            if !arm::is_lp(ARM) {
                 let seen = unsafe { (cell_addr(&(*s.curr).info), s.curr_info) };
                 let enc = if res { RES_TRUE } else { RES_FALSE };
                 env.answer_tracked::<ARM>(pid, optype::FIND, seen, enc, &mut published, &g);

@@ -1,7 +1,8 @@
-//! Recoverable elimination stack: **direct tracking** on a Treiber stack,
-//! combined with the recoverable exchanger for elimination (paper Sections 1
-//! and 5: "the approach can be combined with a technique we call
-//! direct-tracking … to get an elimination stack").
+//! Recoverable stack: **direct tracking** on a Treiber stack (paper Sections
+//! 1 and 5: "the approach can be combined with a technique we call
+//! direct-tracking … to get an elimination stack"). The elimination half,
+//! the recoverable exchanger, is [`crate::exchanger::RExchanger`], which
+//! stands on its own; the stack does not route collisions through it.
 //!
 //! Direct tracking (no descriptors): the per-process recovery word `RD_q`
 //! names a **node** instead of an Info structure, annotated with
@@ -26,18 +27,10 @@
 //! re-entering the pool, so no crash can observe a recycled announcement.
 //! (Mapped mode: limbo blocks stay committed and the next attach sweeps
 //! them.)
-//!
-//! Under contention on `top`, colliding pushes and pops first try to
-//! **eliminate** through an [`RExchanger`]: a push offers `PUSH|v`, a pop
-//! offers `POP`; a (push, pop) match transfers the value without touching
-//! the stack; a mismatched pair simply retries, and a push withdraws its
-//! announcement before taking the elimination result. Only an in-process
-//! stack has the layer (see the `exch` field).
 
 use crate::counters;
 use crate::engine::{res_val, val_of, RES_UNIT};
 use crate::env::Env;
-use crate::exchanger::{ExchangeResult, RExchanger};
 use crate::graph::{self, Graph};
 use crate::pool::{Pool, PoolCfg, PoolItem};
 use crate::recovery::{AttachEnv, AttachError, MappedLayout, Recovered, Rooted, SlotOps};
@@ -45,7 +38,7 @@ use crate::tag;
 use nvm::mapped::MappedNvm;
 use nvm::pad::CachePadded;
 use nvm::{PWord, Persist, PersistWords, MAX_PROCS};
-use reclaim::{Collector, Guard};
+use reclaim::Guard;
 use std::cell::UnsafeCell;
 use std::sync::Mutex;
 
@@ -122,20 +115,13 @@ pub(crate) unsafe fn direct_val<M: Persist>(node: u64) -> u64 {
     unsafe { (*(node as *const Node<M>)).val.peek() }
 }
 
-const ELIM_PUSH: u64 = 1 << 62;
-const ELIM_POP: u64 = 1 << 61;
-/// Spin budget a colliding operation offers the elimination layer.
-const ELIM_BUDGET: usize = 200;
+/// Exclusive bound on a pushed value.
+const VALUE_LIMIT: u64 = (1 << 61) - 16;
 
-/// Recoverable elimination stack (see module docs). Values must stay below
+/// Recoverable stack (see module docs). Values must stay below
 /// `2^61 - 16`.
 pub struct RStack<M: Persist> {
     top: Rooted<PWord<M>>,
-    /// The elimination layer. It is volatile machinery — the exchanger lives
-    /// on the process heap — so an eliminated transfer is not detectable
-    /// across a crash: an in-process stack has it, a stack in a heap
-    /// ([`MappedLayout::open`]) has `None`.
-    exch: Option<RExchanger<M>>,
     node_pool: Pool<Node<M>>,
     /// Its recovery words (`RD_q`/`CP_q`) are what direct tracking uses.
     pub(crate) env: Env<M>,
@@ -164,18 +150,16 @@ impl<M: Persist> RStack<M> {
         Self::with_pool(PoolCfg::default())
     }
 
-    /// New empty stack with the given pool configuration (shared by the
-    /// node pool and the elimination exchanger's descriptor pool).
+    /// New empty stack with the given pool configuration.
     pub fn with_pool(pool: PoolCfg) -> Self {
-        let exch = RExchanger::with_config(Collector::new(), pool);
-        Self::over(Rooted::Owned(Box::new(PWord::new(0))), Some(exch), Env::volatile(pool))
+        Self::over(Rooted::Owned(Box::new(PWord::new(0))), Env::volatile(pool))
     }
 
-    fn over(top: Rooted<PWord<M>>, exch: Option<RExchanger<M>>, mut env: Env<M>) -> Self {
+    fn over(top: Rooted<PWord<M>>, mut env: Env<M>) -> Self {
         Self {
             top,
-            exch,
-            node_pool: env.pool(),
+            // Direct tracking runs the paper's prologue (`begin::<0>`).
+            node_pool: env.pool::<_, { crate::arm::PAPER }>(),
             env,
             pending: (0..MAX_PROCS)
                 .map(|_| CachePadded::new(UnsafeCell::new(std::ptr::null_mut())))
@@ -230,7 +214,7 @@ impl<M: Persist> RStack<M> {
 
     /// Pushes `v`.
     pub fn push(&self, pid: usize, v: u64) {
-        assert!(v < ELIM_POP - 16, "value too large");
+        assert!(v < VALUE_LIMIT, "value too large");
         let g = self.env.collector.pin();
         self.env.begin::<0>(pid, &g);
         self.flush_pending(pid, &g);
@@ -250,23 +234,6 @@ impl<M: Persist> RStack<M> {
                 M::pwb(&self.top);
                 M::psync();
                 return;
-            }
-            // Contention: try to eliminate against a pop.
-            if let Some(exch) = &self.exch {
-                if let ExchangeResult::Exchanged(other) =
-                    exch.exchange(pid, ELIM_PUSH | v, ELIM_BUDGET)
-                {
-                    if other & ELIM_POP != 0 {
-                        // A pop took our value directly; the node was never
-                        // published — withdraw the announcement, then
-                        // straight back to the pool. (The elimination itself
-                        // is volatile and not detectable; see `exch`.)
-                        self.env.rec.publish(pid, 0);
-                        unsafe { self.node_pool.give(node, &g) };
-                        return;
-                    }
-                    // push/push collision: no transfer happened — retry.
-                }
             }
         }
     }
@@ -315,15 +282,6 @@ impl<M: Persist> RStack<M> {
                     // else: a helper unlinked it and parked it in limbo.
                     M::psync();
                     return Some(v);
-                }
-            }
-            // Lost the claim: try elimination against a push.
-            if let Some(exch) = &self.exch {
-                if let ExchangeResult::Exchanged(other) = exch.exchange(pid, ELIM_POP, ELIM_BUDGET)
-                {
-                    if other & ELIM_PUSH != 0 {
-                        return Some(other & !(ELIM_PUSH | ELIM_POP));
-                    }
                 }
             }
         }
@@ -467,7 +425,7 @@ impl MappedLayout for RStack<MappedNvm> {
 
     // No sentinels: the zeroed root block *is* the empty stack.
     unsafe fn open(env: &AttachEnv, _cfg: (), root: *mut u8) -> Result<Self, AttachError> {
-        Ok(Self::over(Rooted::Arena(root as *const PWord<MappedNvm>), None, env.env()))
+        Ok(Self::over(Rooted::Arena(root as *const PWord<MappedNvm>), env.env()))
     }
 }
 

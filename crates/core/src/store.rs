@@ -383,7 +383,7 @@ impl Store {
         self.get(name, ())
     }
 
-    /// Typed handle: direct-tracked stack (elimination disabled — mapped).
+    /// Typed handle: direct-tracked stack.
     pub fn stack(&self, name: &str) -> Result<Arc<RStack<MappedNvm>>, AttachError> {
         self.get(name, ())
     }
@@ -530,17 +530,23 @@ fn construct_entry(env: &AttachEnv, e: &CatalogEntry) -> Result<Box<dyn SlotOps>
     ) -> Result<Box<dyn SlotOps>, AttachError> {
         Ok(Box::new(open_root::<L>(env, cfg, e)?))
     }
-    // The tuning arm rides in bits 32..40 of the configuration word; a value
-    // outside the known ladder means the catalog record was written by an
-    // incompatible (newer) build — reject rather than guess a placement.
-    let arm = (e.cfg >> 32) & 0xFF;
+    // The tuning arm rides in bits 32..40 of the configuration word. An
+    // entry of the retired level is refused by name, as the build that opens
+    // it would be told; a value outside the ladder means the catalog record
+    // was written by an incompatible (newer) build — reject rather than
+    // guess a placement.
+    let arm = (e.cfg >> 32) as u8;
     macro_rules! open_armed {
         ($ty:ident, $cfg:expr) => {
             match arm {
                 0 => open_as::<$ty<MappedNvm, 0>>(env, $cfg, e),
                 1 => open_as::<$ty<MappedNvm, 1>>(env, $cfg, e),
-                2 => open_as::<$ty<MappedNvm, 2>>(env, $cfg, e),
                 3 => open_as::<$ty<MappedNvm, 3>>(env, $cfg, e),
+                crate::arm::RETIRED => Err(AttachError::CfgMismatch {
+                    name: e.name.clone(),
+                    expected: e.cfg & !(0xFF << 32) | (crate::arm::LP as u64) << 32,
+                    found: e.cfg,
+                }),
                 _ => Err(MapError::CorruptCatalog { slot: e.slot }.into()),
             }
         };
@@ -979,13 +985,13 @@ mod tests {
         let path = tmp("envarena");
         let store = Store::open_sized(&path, 4 << 20).unwrap();
         let mut env = store.env.env();
-        assert!(env.infos.arena_backed() && env.pool::<Node>().arena_backed());
+        assert!(env.infos.arena_backed() && env.pool::<Node, 0>().arena_backed());
         let (infos, heap) = (Some(env.infos.clone()), Arc::clone(store.heap()));
         // SAFETY: the store's recovery-slot block, alive with `store`.
         let rec = unsafe { crate::recovery::RecArea::attach_raw(store.env.rec_base) };
         let mut parked = Env::mapped(rec, Collector::disabled(), infos, heap);
         let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            parked.pool::<Node>();
+            parked.pool::<Node, 0>();
         }));
         assert!(refused.is_err(), "an arena pool under a disabled collector must not exist");
         drop((env, parked, store));

@@ -558,33 +558,46 @@ mod tests {
         assert!(matches!(accept_step(Err(ebadf)), AcceptStep::Fatal(_)));
     }
 
-    /// The upgrade path: the previous build stamped `kv` / `jobs` with
-    /// `Isb-Coal`. This build refuses such a heap with a typed, readable
-    /// error before it binds (the address is taken: a bind would answer
-    /// `Io`) and before it writes anything of its own: the build that made
-    /// the heap opens it again and finds what it left. (Not byte-identical:
-    /// the attach that must precede reading the catalog advances the attach
-    /// epoch and rebuilds the allocator's free stacks, as every open does.)
+    /// The upgrade path: earlier builds stamped `kv` / `jobs` with the
+    /// retired `Isb-Coal` arm (byte 2 of the entry's configuration word).
+    /// This build refuses such a heap with a typed, readable error before it
+    /// binds (the address is taken: a bind would answer `Io`) and before it
+    /// writes anything of its own. The heap is made under this build's arm
+    /// and the `kv` entry's arm byte patched in the file; patched back, the
+    /// heap opens and holds what it held. (Not byte-identical: the attach
+    /// that must precede reading the catalog advances the attach epoch and
+    /// rebuilds the allocator's free stacks, as every open does.)
     #[test]
     fn a_heap_of_the_previous_arm_is_refused_typed_and_intact() {
-        const PREVIOUS: u8 = isb::arm::COALESCED;
+        use std::os::unix::fs::FileExt;
+        const RETIRED: u8 = 2;
         let dir = std::env::temp_dir().join(format!("isb_kv_upgrade_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let mut cfg = Config::new(dir.join("kv.heap"));
         cfg.heap_bytes = 8 << 20;
-        let open_previous = || {
+        let open = || {
             nvm::tid::set_tid(0);
-            let store = Store::open_sized(&cfg.path, cfg.heap_bytes).expect("previous build opens");
-            let map = store.hashmap::<PREVIOUS>(MAP_NAME, cfg.shards).expect("kv");
-            let queue = store.queue::<PREVIOUS>(QUEUE_NAME).expect("jobs");
+            let store = Store::open_sized(&cfg.path, cfg.heap_bytes).expect("the heap opens");
+            let map = store.hashmap::<ARM>(MAP_NAME, cfg.shards).expect("kv");
+            let queue = store.queue::<ARM>(QUEUE_NAME).expect("jobs");
             (map, queue, store)
         };
-        {
-            let (map, queue, _store) = open_previous();
+        // Catalog slot 0 is `kv`, created first; its arm is byte 4 of entry
+        // word 1, the configuration word.
+        let arm_at = {
+            let (map, queue, store) = open();
             assert!(map.insert(0, 42));
             queue.enqueue(0, 7);
-        }
+            let heap = store.heap();
+            let catalog = heap.root_get(isb::recovery::rootkeys::CATALOG).expect("catalog");
+            (catalog as usize - heap.base() as usize + 8 + 4) as u64
+        };
+        let file = std::fs::OpenOptions::new().read(true).write(true).open(&cfg.path).unwrap();
+        let mut arm = [0u8];
+        file.read_exact_at(&mut arm, arm_at).unwrap();
+        assert_eq!(arm, [ARM], "slot 0 is the kv entry");
+        file.write_all_at(&[RETIRED], arm_at).unwrap();
         let bytes = std::fs::metadata(&cfg.path).unwrap().len();
         let taken = TcpListener::bind("127.0.0.1:0").expect("bind");
         let refused = Server::start(Config { addr: taken.local_addr().unwrap(), ..cfg.clone() })
@@ -600,8 +613,9 @@ mod tests {
              this build opens it with Isb-LP"
         );
         assert_eq!(std::fs::metadata(&cfg.path).unwrap().len(), bytes, "the refusal grew the heap");
+        file.write_all_at(&[ARM], arm_at).unwrap();
         {
-            let (map, queue, store) = open_previous();
+            let (map, queue, store) = open();
             assert_eq!(store.entries().len(), 2, "the refusal appended to the catalog");
             assert!(map.find(0, 42) && !map.find(0, 43));
             assert_eq!((queue.dequeue(0), queue.dequeue(0)), (Some(7), None));

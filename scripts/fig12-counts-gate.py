@@ -28,11 +28,11 @@ import json
 import os
 import sys
 
-# Per table, per column (`Isb`, `Isb-Opt`, `Isb-Coal`, `Isb-LP`): measured scatter x 3.
+# Per table, per column (`Isb`, `Isb-Opt`, `Isb-LP`): measured scatter x 3.
 TABLES = {
-    "fig12_map_pwb": (0.05, 0.2, 0.2, 0.2),  # 0.012, 0.062, 0.058, 0.057
-    "fig12_queue_pwb": (0.25, 0.35, 0.25, 1.5),  # 0.083, 0.109, 0.077, 0.491
-    "fig12_queue_psync": (0.01, 0.01, 0.01, 0.01),  # 0 in 20 runs
+    "fig12_map_pwb": (0.05, 0.2, 0.2),  # 0.012, 0.062, 0.057
+    "fig12_queue_pwb": (0.25, 0.35, 1.5),  # 0.083, 0.109, 0.491
+    "fig12_queue_psync": (0.01, 0.01, 0.01),  # 0 in 20 runs
 }
 
 

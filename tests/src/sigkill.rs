@@ -629,7 +629,7 @@ impl Scratch {
     ///   and pop sets `CP_q := 1` and — whether or not it changed anything,
     ///   the ROpt path publishes too — leaves its descriptor in `RD_q`,
     ///   while a find leaves `CP_q = 0`; so the operation named is the last
-    ///   of a mutating *kind*. Arms 2 / 3: the invocation glue resets
+    ///   of a mutating *kind*. Arm 3: the invocation glue resets
     ///   `(RD_q, CP_q)` whole on every invocation and an operation that
     ///   changes nothing publishes nothing; so only the very last acked
     ///   operation can be named, and only if it took effect.
@@ -678,7 +678,7 @@ impl Scratch {
         }
         if let Some(Recovered::Completed(res)) = decision {
             if recs.last().is_none_or(|r| r.ack.is_some()) {
-                let named = if isb::arm::coalesces(arm) {
+                let named = if isb::arm::is_lp(arm) {
                     recs.last().filter(|r| r.took_effect())
                 } else {
                     recs.iter().rev().find(|r| !matches!(r.op, Op::Find(_)))
@@ -902,13 +902,11 @@ mod tests {
             assert!(stale(&ops, t, arm).is_err(), "arm {arm} accepted a diverging response");
             assert!(stale(&ops[2..], t, arm).is_err(), "arm {arm}: a find publishes nothing");
         }
-        // Arms 2 / 3: only the very last op, and only if it took effect.
-        for arm in [2, 3] {
-            assert!(stale(&ops[..1], t, arm).is_ok());
-            assert!(stale(&ops[..1], f, arm).is_err(), "arm {arm} accepted a diverging response");
-            assert!(stale(&ops[..2], f, arm).is_err(), "arm {arm}: a no-op publishes nothing");
-            assert!(stale(&ops, t, arm).is_err(), "arm {arm}: a find publishes nothing");
-        }
+        // Arm 3: only the very last op, and only if it took effect.
+        assert!(stale(&ops[..1], t, 3).is_ok());
+        assert!(stale(&ops[..1], f, 3).is_err(), "arm 3 accepted a diverging response");
+        assert!(stale(&ops[..2], f, 3).is_err(), "arm 3: a no-op publishes nothing");
+        assert!(stale(&ops, t, 3).is_err(), "arm 3: a find publishes nothing");
         // Queue and stack answers decode through the same rule.
         let q = [Op::Enqueue(9), Op::Dequeue];
         let nine = Recovered::Completed(isb::engine::res_val(9));

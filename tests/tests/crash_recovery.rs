@@ -3,9 +3,8 @@
 //! and exactly-once / detectability validation (DESIGN.md §8).
 
 use bench_harness::crash::{
-    run_hashmap_coal_scenario, run_hashmap_lp_scenario, run_hashmap_opt_scenario,
-    run_hashmap_scenario, run_list_scenario, run_queue_coal_scenario, run_queue_lp_scenario,
-    run_queue_scenario, CrashCfg,
+    run_hashmap_lp_scenario, run_hashmap_opt_scenario, run_hashmap_scenario, run_list_scenario,
+    run_queue_lp_scenario, run_queue_scenario, CrashCfg,
 };
 
 #[test]
@@ -130,30 +129,14 @@ fn hashmap_high_contention_crashes() {
 }
 
 #[test]
-fn hashmap_coal_survives_many_seeded_crashes() {
-    // Coalescing placement: a noted line is an outstanding word until the
+fn hashmap_lp_survives_many_seeded_crashes() {
+    // Link-persist placement. A noted line is an outstanding word until the
     // next fence, and `CP_q := 1` is deferred into `publish_arm` — the image
     // builder may crash an op between `begin` and publish with a durably-zero
-    // checkpoint bit, which must read as Restart.
-    let mut total_pending = 0;
-    for seed in 1000..1012 {
-        let rep = run_hashmap_coal_scenario(CrashCfg {
-            procs: 3,
-            ops_per_proc: 80,
-            keys_per_proc: 24,
-            recovery_crashes: 0,
-            seed,
-        });
-        total_pending += rep.pending;
-    }
-    assert!(total_pending > 0, "no crash ever landed mid-operation; harness broken");
-}
-
-#[test]
-fn hashmap_lp_survives_many_seeded_crashes() {
-    // Link-persist placement: cleanup untag flushes are elided entirely, so
-    // the adversary can resurrect tags of completed operations; the scrub /
-    // lazy-helping path must heal them without double-applying effects.
+    // checkpoint bit, which must read as Restart. Cleanup untag flushes are
+    // elided entirely, so the adversary can resurrect tags of completed
+    // operations; the scrub / lazy-helping path must heal them without
+    // double-applying effects.
     let mut total_pending = 0;
     for seed in 1100..1112 {
         let rep = run_hashmap_lp_scenario(CrashCfg {
@@ -189,14 +172,8 @@ fn hashmap_lp_high_contention_crashes() {
 
 #[test]
 fn hashmap_coalescing_arms_survive_repeated_recovery_crashes() {
+    // The coalescing glue `Isb-LP` runs, with recovery itself dying twice.
     for seed in 1200..1206 {
-        run_hashmap_coal_scenario(CrashCfg {
-            procs: 3,
-            ops_per_proc: 60,
-            keys_per_proc: 16,
-            recovery_crashes: 2,
-            seed,
-        });
         run_hashmap_lp_scenario(CrashCfg {
             procs: 3,
             ops_per_proc: 60,
@@ -212,22 +189,6 @@ fn queue_survives_many_seeded_crashes() {
     let mut total = 0;
     for seed in 0..40 {
         let rep = run_queue_scenario(CrashCfg {
-            procs: 4,
-            ops_per_proc: 60,
-            keys_per_proc: 16, // prefill
-            recovery_crashes: 0,
-            seed,
-        });
-        total += rep.completed;
-    }
-    assert!(total > 0);
-}
-
-#[test]
-fn queue_coal_survives_many_seeded_crashes() {
-    let mut total = 0;
-    for seed in 2000..2020 {
-        let rep = run_queue_coal_scenario(CrashCfg {
             procs: 4,
             ops_per_proc: 60,
             keys_per_proc: 16, // prefill

@@ -245,7 +245,7 @@ fn visitors_over_the_one_walk_agree() {
     let ops = op_stream(0xC0FFEE, 1500, 40);
     {
         let mut list = isb::list::RList::<M, 1>::new();
-        let mut map = isb::hashmap::RHashMap::<M, 2>::with_shards(8);
+        let mut map = isb::hashmap::RHashMap::<M, 3>::with_shards(8);
         let mut bst = isb::bst::RBst::<M, 0>::new();
         let mut queue = isb::queue::RQueue::<M, 3>::new();
         let mut stack = isb::stack::RStack::<M>::new();

@@ -18,10 +18,10 @@
 //! request that changes something fences its descriptor first, which drains
 //! the note: 2 lines + 1 fence, the rest being the `Isb-LP` structure
 //! operation (the arm the service ships, `kvserve::server::ARM`) minus the
-//! glue barrier the note elides. Against `Isb-Coal`, LP's rows differ by the
-//! cleanup write-backs it elides (`put-new` 3 lines, `del-hit` and `deq` 1)
-//! and, on `enq`, by the merged tag-phase `psync` and the tail hint nobody
-//! reads back (4 lines, 1 fence).
+//! glue barrier the note elides. Of those, the link-persist elisions are the
+//! cleanup write-backs (`put-new` 3 lines, `del-hit` and `deq` 1) and, on
+//! `enq`, the merged tag-phase `psync` and the tail hint nobody reads back
+//! (4 lines, 1 fence).
 //!
 //! The server runs one lane, so every request is counted on that lane's tid
 //! and read as a per-tid delta; the mapped heap hands out 64-byte-aligned

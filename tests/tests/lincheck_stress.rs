@@ -1,6 +1,6 @@
 //! Linearizability stress tests: small concurrent histories recorded with a
 //! global clock and verified by the WGL checker — for the ISB list, queue,
-//! BST and the elimination stack.
+//! BST and the stack.
 
 use lincheck::specs::{QueueOp, QueueSpec, SetOp, SetSpec, StackOp, StackSpec};
 use lincheck::{clock, is_linearizable, OpRec};
@@ -192,7 +192,7 @@ fn isb_queue_histories_are_linearizable() {
 }
 
 #[test]
-fn elimination_stack_histories_are_linearizable() {
+fn stack_histories_are_linearizable() {
     for seed in 0..20u64 {
         let s = Arc::new(isb::stack::RStack::<M>::new());
         let log = Arc::new(Mutex::new(Vec::new()));

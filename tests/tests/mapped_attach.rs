@@ -435,6 +435,16 @@ fn catalog_shard_count_beyond_the_root_block_fails_typed() {
     assert_slot0_rejected_untouched(&path, || patch(&path, cat + 8, &cfg.to_le_bytes()));
 }
 
+/// The arm byte of entry word 1: a level no build ever stamped. (The retired
+/// level 2 is refused by name instead: `kvserve`'s upgrade test.)
+#[test]
+fn catalog_unknown_arm_fails_typed() {
+    let path = tmp("cat_arm");
+    let cat = mk_store(&path);
+    patch(&path, cat + 12, &[9]);
+    assert_slot0_rejected_untouched(&path, || patch(&path, cat + 12, &[0]));
+}
+
 /// A root offset that lands inside another block's payload — the recovery
 /// area's — right behind bytes forged to look like a committed header: the
 /// commit bitmap, not the bytes, says where blocks start.
@@ -506,7 +516,7 @@ fn relocated_store_keeps_every_structure_kind_working() {
     let old_base = {
         let store = Store::open_sized(&path, HEAP_BYTES).unwrap();
         let (m, q) =
-            (store.hashmap::<0>("users", SHARDS).unwrap(), store.queue::<2>("jobs").unwrap());
+            (store.hashmap::<0>("users", SHARDS).unwrap(), store.queue::<3>("jobs").unwrap());
         let (l, t) = (store.list::<1>("index").unwrap(), store.bst::<3>("tree").unwrap());
         let s = store.stack("undo").unwrap();
         for k in 1..=200u64 {
@@ -525,7 +535,7 @@ fn relocated_store_keeps_every_structure_kind_working() {
     // (A sibling test may hold the preferred base instead of the squatter;
     // then the store was never there and need not move.)
     assert!(store.summary().heap.relocated || !squatted);
-    let (m, q) = (store.hashmap::<0>("users", SHARDS).unwrap(), store.queue::<2>("jobs").unwrap());
+    let (m, q) = (store.hashmap::<0>("users", SHARDS).unwrap(), store.queue::<3>("jobs").unwrap());
     let (l, t) = (store.list::<1>("index").unwrap(), store.bst::<3>("tree").unwrap());
     let s = store.stack("undo").unwrap();
     for k in 1..=200u64 {
@@ -880,10 +890,10 @@ fn creation_writes_back_sentinels_and_roots() {
     type Create = fn(&Store);
     // (kind, sentinel nodes, root-word lines, creator)
     let kinds: &[(&str, u64, u64, Create)] = &[
-        ("hashmap", 128, 8, |s| drop(s.hashmap::<2>(NAME, 64).unwrap())),
-        ("list", 2, 1, |s| drop(s.list::<2>(NAME).unwrap())),
-        ("bst", 5, 1, |s| drop(s.bst::<2>(NAME).unwrap())),
-        ("queue", 1, 1, |s| drop(s.queue::<2>(NAME).unwrap())),
+        ("hashmap", 128, 8, |s| drop(s.hashmap::<3>(NAME, 64).unwrap())),
+        ("list", 2, 1, |s| drop(s.list::<3>(NAME).unwrap())),
+        ("bst", 5, 1, |s| drop(s.bst::<3>(NAME).unwrap())),
+        ("queue", 1, 1, |s| drop(s.queue::<3>(NAME).unwrap())),
     ];
     for &(kind, sentinels, root_lines, create) in kinds {
         let path = tmp(&format!("create_{kind}"));

@@ -78,7 +78,7 @@ const GOLDEN_OPT: [(&str, Golden); 6] = [
     ("delete-miss", (4, 1, 1, 2, 1, false)),
 ];
 
-/// Golden row for the coalescing arms: `(pwb, pwb_elided, pbarrier,
+/// Golden row for the coalescing arm: `(pwb, pwb_elided, pbarrier,
 /// pbarrier_lines, pfence, psync, response)`.
 ///
 /// Under `CountingNvm` the `pwb` column counts *pwb-equivalents*: coalesced
@@ -88,20 +88,10 @@ const GOLDEN_OPT: [(&str, Golden); 6] = [
 /// the same-line `CP_q` flush; an op that finds nothing to change publishes
 /// nothing, and the one barrier it counts is the invocation glue's
 /// `(RD_q, CP_q) := (Null, 0)`.
-type GoldenCoal = (u64, u64, u64, u64, u64, u64, bool);
-
-/// Coalescing placement ("Isb-Coal", `ARM = 2`) for the ordered-set core.
-const GOLDEN_COAL: [(&str, GoldenCoal); 6] = [
-    ("insert-new", (12, 1, 1, 1, 1, 3, true)),
-    ("insert-dup", (0, 0, 1, 1, 0, 0, false)),
-    ("find-hit", (0, 0, 1, 1, 0, 0, true)),
-    ("find-miss", (0, 0, 1, 1, 0, 0, false)),
-    ("delete-hit", (8, 1, 1, 1, 1, 3, true)),
-    ("delete-miss", (0, 0, 1, 1, 0, 0, false)),
-];
+type GoldenLp = (u64, u64, u64, u64, u64, u64, bool);
 
 /// Link-persist placement ("Isb-LP", `ARM = 3`) for the ordered-set core.
-const GOLDEN_LP: [(&str, GoldenCoal); 6] = [
+const GOLDEN_LP: [(&str, GoldenLp); 6] = [
     ("insert-new", (9, 1, 1, 1, 1, 3, true)),
     ("insert-dup", (0, 0, 1, 1, 0, 0, false)),
     ("find-hit", (0, 0, 1, 1, 0, 0, true)),
@@ -128,18 +118,10 @@ const QUEUE_OPT: [(&str, Golden); 5] = [
     ("dequeue-empty", (4, 1, 1, 2, 1, false)),
 ];
 
-const QUEUE_COAL: [(&str, GoldenCoal); 5] = [
-    ("enqueue-1", (10, 1, 1, 1, 1, 3, true)),
-    ("enqueue-2", (10, 1, 1, 1, 1, 3, true)),
-    ("dequeue-1", (8, 1, 1, 1, 1, 3, true)),
-    ("dequeue-2", (8, 1, 1, 1, 1, 3, true)),
-    ("dequeue-empty", (0, 0, 1, 1, 0, 0, false)),
-];
-
 /// The LP queue merges the tag-phase `psync` into the update-phase one on
 /// enqueue (single-affect help), dropping a whole round trip: `psync` 3 → 2 —
 /// and does not write the tail hint back (no recovery path reads it): 7 → 6.
-const QUEUE_LP: [(&str, GoldenCoal); 5] = [
+const QUEUE_LP: [(&str, GoldenLp); 5] = [
     ("enqueue-1", (6, 2, 1, 1, 1, 2, true)),
     ("enqueue-2", (6, 2, 1, 1, 1, 2, true)),
     ("dequeue-1", (7, 1, 1, 1, 1, 3, true)),
@@ -209,7 +191,7 @@ fn check_rows(name: &str, ops: &[OpRow<'_>], golden: &[(&str, Golden)]) {
     }
 }
 
-fn check_rows_coal(name: &str, ops: &[OpRow<'_>], golden: &[(&str, GoldenCoal)]) {
+fn check_rows_lp(name: &str, ops: &[OpRow<'_>], golden: &[(&str, GoldenLp)]) {
     for ((opname, op), (gname, g)) in ops.iter().zip(golden.iter()) {
         assert_eq!(opname, gname);
         let (resp, d) = counted(op);
@@ -218,7 +200,7 @@ fn check_rows_coal(name: &str, ops: &[OpRow<'_>], golden: &[(&str, GoldenCoal)])
             got, *g,
             "{name} {opname}: (pwb, elided, pbarrier, lines, pfence, psync, response)"
         );
-        // Every pwb-equivalent the coalescing arms issue must eventually hit
+        // Every pwb-equivalent the coalescing arm counts must eventually hit
         // a physical flush path: drained at a fence or evicted on overflow.
         assert!(
             d.lines_coalesced <= d.pwb,
@@ -235,8 +217,8 @@ fn check_against(golden: &[(&str, Golden); 6], s: &SetUnderTest<'_>) {
     check_rows(s.name, &set_ops(s), golden);
 }
 
-fn check_against_coal(golden: &[(&str, GoldenCoal); 6], s: &SetUnderTest<'_>) {
-    check_rows_coal(s.name, &set_ops(s), golden);
+fn check_against_lp(golden: &[(&str, GoldenLp); 6], s: &SetUnderTest<'_>) {
+    check_rows_lp(s.name, &set_ops(s), golden);
 }
 
 #[test]
@@ -363,32 +345,12 @@ fn set_core_extraction_preserves_persist_placement() {
         },
     );
 
-    // ---- Coalescing arms (PR 6) --------------------------------------
+    // ---- The coalescing arm --------------------------------------------
     //
-    // Same scenario, arms 2 (Isb-Coal) and 3 (Isb-LP): pooled and boxed
-    // lists, a one-shard map, and a recycle-hot LP list.
-    let list = RList::<CountingNvm, 2>::new();
-    check_against_coal(
-        &GOLDEN_COAL,
-        &SetUnderTest {
-            name: "RList<Isb-Coal>",
-            insert: Box::new(|k| list.insert(0, k)),
-            delete: Box::new(|k| list.delete(0, k)),
-            find: Box::new(|k| list.find(0, k)),
-        },
-    );
-    let list = RList::<CountingNvm, 2>::with_pool(PoolCfg::boxed());
-    check_against_coal(
-        &GOLDEN_COAL,
-        &SetUnderTest {
-            name: "RList<Isb-Coal>/boxed",
-            insert: Box::new(|k| list.insert(0, k)),
-            delete: Box::new(|k| list.delete(0, k)),
-            find: Box::new(|k| list.find(0, k)),
-        },
-    );
+    // Same scenario, arm 3 (Isb-LP): pooled and boxed lists, a one-shard
+    // map, and a recycle-hot list.
     let list = RList::<CountingNvm, 3>::new();
-    check_against_coal(
+    check_against_lp(
         &GOLDEN_LP,
         &SetUnderTest {
             name: "RList<Isb-LP>",
@@ -398,7 +360,7 @@ fn set_core_extraction_preserves_persist_placement() {
         },
     );
     let list = RList::<CountingNvm, 3>::with_pool(PoolCfg::boxed());
-    check_against_coal(
+    check_against_lp(
         &GOLDEN_LP,
         &SetUnderTest {
             name: "RList<Isb-LP>/boxed",
@@ -407,18 +369,8 @@ fn set_core_extraction_preserves_persist_placement() {
             find: Box::new(|k| list.find(0, k)),
         },
     );
-    let map = RHashMap::<CountingNvm, 2>::with_shards(1);
-    check_against_coal(
-        &GOLDEN_COAL,
-        &SetUnderTest {
-            name: "RHashMap<Isb-Coal>/1",
-            insert: Box::new(|k| map.insert(0, k)),
-            delete: Box::new(|k| map.delete(0, k)),
-            find: Box::new(|k| map.find(0, k)),
-        },
-    );
     let map = RHashMap::<CountingNvm, 3>::with_shards(1);
-    check_against_coal(
+    check_against_lp(
         &GOLDEN_LP,
         &SetUnderTest {
             name: "RHashMap<Isb-LP>/1",
@@ -437,7 +389,7 @@ fn set_core_extraction_preserves_persist_placement() {
         isb::counters::info_reuses() > reuse0,
         "LP warmup never hit the recycle path — the pooled golden run is vacuous"
     );
-    check_against_coal(
+    check_against_lp(
         &GOLDEN_LP,
         &SetUnderTest {
             name: "RList<Isb-LP>/pooled-warm",
@@ -452,49 +404,33 @@ fn set_core_extraction_preserves_persist_placement() {
     check_rows("RQueue<Isb>", &queue_ops(&q), &QUEUE_ISB);
     let q = RQueue::<CountingNvm, 1>::new();
     check_rows("RQueue<Isb-Opt>", &queue_ops(&q), &QUEUE_OPT);
-    let q = RQueue::<CountingNvm, 2>::new();
-    check_rows_coal("RQueue<Isb-Coal>", &queue_ops(&q), &QUEUE_COAL);
     let q = RQueue::<CountingNvm, 3>::new();
-    check_rows_coal("RQueue<Isb-LP>", &queue_ops(&q), &QUEUE_LP);
+    check_rows_lp("RQueue<Isb-LP>", &queue_ops(&q), &QUEUE_LP);
 }
 
-/// The tuning arms must form a monotone ladder on the nominal tables, an
-/// operation that changes nothing must cost a coalescing arm its invocation
-/// glue and nothing else, and the LP arm must clear the ≥20% pwb-equivalent
-/// reduction bar on the tuned hash-map and queue hot paths. Asserted on the golden CONSTANTS so
-/// the claim is placement-noise-free; the measured runs above tie the
-/// constants to reality.
+/// `Isb-LP` must write back strictly less than `Isb-Opt` on every mutating
+/// set operation and every queue step, an operation that changes nothing
+/// must cost it its invocation glue and nothing else, and it must clear the
+/// ≥20% pwb-equivalent reduction bar on the tuned hash-map and queue hot
+/// paths. Asserted on the golden CONSTANTS so the claim is
+/// placement-noise-free; the measured runs above tie the constants to
+/// reality.
 #[test]
 fn coalescing_arms_strictly_reduce_pwb_traffic() {
     // Mutating set ops: insert-new, insert-dup, delete-hit, delete-miss.
     for i in [0usize, 1, 4, 5] {
-        let opt = GOLDEN_OPT[i].1 .0;
-        let coal = GOLDEN_COAL[i].1 .0;
-        let lp = GOLDEN_LP[i].1 .0;
-        assert!(coal < opt, "{}: coal pwb {coal} !< opt {opt}", GOLDEN_OPT[i].0);
-        assert!(lp <= coal, "{}: lp pwb {lp} !<= coal {coal}", GOLDEN_OPT[i].0);
-    }
-    // LP's cleanup elision must show up on the ops that untag nodes.
-    for i in [0usize, 4] {
-        assert!(GOLDEN_LP[i].1 .0 < GOLDEN_COAL[i].1 .0, "{}: LP saved nothing", GOLDEN_OPT[i].0);
+        let (opt, lp) = (GOLDEN_OPT[i].1 .0, GOLDEN_LP[i].1 .0);
+        assert!(lp < opt, "{}: lp pwb {lp} !< opt {opt}", GOLDEN_OPT[i].0);
     }
     // No effect, no descriptor: one line and one fence, the glue barrier.
     let glue_only = (0, 0, 1, 1, 0, 0);
-    let no_effect = [1usize, 2, 3, 5].map(|i| (GOLDEN_COAL[i].1, GOLDEN_LP[i].1));
-    for (coal, lp) in no_effect.into_iter().chain([(QUEUE_COAL[4].1, QUEUE_LP[4].1)]) {
-        assert_eq!((coal.0, coal.1, coal.2, coal.3, coal.4, coal.5), glue_only);
+    for lp in [1usize, 2, 3, 5].map(|i| GOLDEN_LP[i].1).into_iter().chain([QUEUE_LP[4].1]) {
         assert_eq!((lp.0, lp.1, lp.2, lp.3, lp.4, lp.5), glue_only);
     }
-    // Queue ladder, per scenario step.
+    // Queue, per scenario step.
     for i in 0..5 {
-        let opt = QUEUE_OPT[i].1 .0;
-        let coal = QUEUE_COAL[i].1 .0;
-        let lp = QUEUE_LP[i].1 .0;
-        assert!(coal < opt, "{}: coal pwb {coal} !< opt {opt}", QUEUE_OPT[i].0);
-        assert!(lp <= coal, "{}: lp pwb {lp} !<= coal {coal}", QUEUE_OPT[i].0);
-    }
-    for i in 0..4 {
-        assert!(QUEUE_LP[i].1 .0 < QUEUE_COAL[i].1 .0, "{}: LP saved nothing", QUEUE_OPT[i].0);
+        let (opt, lp) = (QUEUE_OPT[i].1 .0, QUEUE_LP[i].1 .0);
+        assert!(lp < opt, "{}: lp pwb {lp} !< opt {opt}", QUEUE_OPT[i].0);
     }
     // LP enqueue drops a whole psync (3 -> 2).
     assert_eq!(QUEUE_OPT[0].1 .4, 3);

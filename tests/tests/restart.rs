@@ -11,7 +11,7 @@
 //! | `restart_sigkill_recovers_across_processes` | a child with 3 workers on the one `RHashMap<_, 0>` of a `Store`, at `30 + (seed * 37) % 170` ms | every journal resolves; key-range equivalence, `snapshot_keys`, structural invariants |
 //! | `restart_sigkill_mid_growth_recovers` | the same child over a 64 KiB initial segment, 1..=56 ms in | the same, and the matrix as a whole outgrew segment 0 |
 //! | `store_restart_sigkill_recovers_across_processes` | a child with 2 map workers + 1 queue worker on ONE `Store` heap (arms 0 / 0) | every journal resolves against the one shared replay; map equivalence, snapshot and invariants, queue drain in order |
-//! | `store_restart_sigkill_recovers_coalesced_arms` | the same child under `Isb-Coal` / `Isb-LP` and `Isb-LP` / `Isb-LP` | the same, with the coalescing arms' stale-`Completed` rule |
+//! | `store_restart_sigkill_recovers_coalesced_arms` | the same child under `Isb-Opt` / `Isb-LP` and `Isb-LP` / `Isb-LP` | the same, with each arm's stale-`Completed` rule |
 //! | `five_kinds_sigkill_recovers_through_one_driver` | one worker cycling map, queue, list, BST and stack of ONE store | its journal resolves through the store-wide decision; equivalence per structure |
 //! | `shared_kill_one_of_n_recovers_online` | one of 3 live processes sharing ONE heap | survivors keep acking DURING recovery; every journal resolves through the survivor-journaled decisions; map equivalence, queue exactly-once + per-producer FIFO |
 //! | `shared_kill_of_recoverer_is_superseded` | the victim, then its recoverer mid-lease | the last survivor steals the lease and recovers both; same checks |
@@ -142,21 +142,22 @@ fn map_worker<const ARM: u8>(
 
 /// Child: workers hammer ONE store heap with per-pid journals until the
 /// parent kills them. `arms` names the structures and their arms: `m0` is
-/// three map workers under the paper's arm; `m0q0`, `m2q3` and `m3q3` are
-/// two map workers plus one queue worker under the paper's arms, the tuning
-/// arms (coalesced map `ARM = 2`, link-persist queue `ARM = 3`), or
-/// both structures under the arm that ships (`Isb-LP`, what the service's
-/// `kv` map runs). A SIGKILL is the one crash the NVM simulator cannot model
-/// — the mapped heap's surviving bytes are whatever the kernel saw, so the
-/// elided/deferred flushes of the tuning arms face a real (if friendly: the
-/// page cache persists CPU stores without clflush) restart.
+/// three map workers under the paper's arm; `m0q0`, `m1q3` and `m3q3` are
+/// two map workers plus one queue worker under the paper's arms, the two
+/// glue shapes in one recovery area (hand-tuned map `ARM = 1`, link-persist
+/// queue `ARM = 3`), or both structures under the arm that ships (`Isb-LP`,
+/// what the service's `kv` map runs). A SIGKILL is the one crash the NVM
+/// simulator cannot model — the mapped heap's surviving bytes are whatever
+/// the kernel saw, so the elided/deferred flushes of the tuning arms face a
+/// real (if friendly: the page cache persists CPU stores without clflush)
+/// restart.
 #[test]
 #[ignore = "child half of the restart harness; spawned by the parent test"]
 fn store_restart_child_worker() {
     let Some(scratch) = Scratch::of_child() else { return };
     match scratch.param::<String>("arms").as_str() {
         "m0" | "m0q0" => store_child_body::<0, 0>(&scratch),
-        "m2q3" => store_child_body::<2, 3>(&scratch),
+        "m1q3" => store_child_body::<1, 3>(&scratch),
         "m3q3" => store_child_body::<3, 3>(&scratch),
         arms => panic!("no store child for arms {arms}"),
     }
@@ -314,15 +315,16 @@ fn store_restart_sigkill_recovers_across_processes() {
 }
 
 /// The tuning-arm legs of the store matrix: SIGKILL a child mutating a
-/// *coalesced* map (`ARM = 2`) and a *link-persist* queue (`ARM = 3`) in one
-/// heap, then one with both structures under `Isb-LP` — what `kvserve`
-/// opens; same zero-lost-acked / detectable-in-flight / model-equivalence
-/// bars. The arms ride in the catalog's cfg word, so a parent attaching with
-/// the wrong arm would be rejected before replay.
+/// *hand-tuned* map (`ARM = 1`) and a *link-persist* queue (`ARM = 3`) in one
+/// heap — both glue shapes over one shared recovery area — then one with
+/// both structures under `Isb-LP`, what `kvserve` opens; same
+/// zero-lost-acked / detectable-in-flight / model-equivalence bars. The arms
+/// ride in the catalog's cfg word, so a parent attaching with the wrong arm
+/// would be rejected before replay.
 #[test]
 fn store_restart_sigkill_recovers_coalesced_arms() {
     let seeds = seeds("ISB_RESTART_SEEDS", 10);
-    matrix("coal/LP store restart matrix", seeds, run_one_store_seed::<2, 3>);
+    matrix("Opt/LP store restart matrix", seeds, run_one_store_seed::<1, 3>);
     matrix("LP/LP store restart matrix", seeds, run_one_store_seed::<3, 3>);
 }
 
