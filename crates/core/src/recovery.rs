@@ -33,7 +33,11 @@
 //! present key, …) never reaches a publish in this arm: it leaves the line
 //! as the glue (or an earlier, failed attempt) left it, which step 4 maps to
 //! a restart, and re-invoking an operation that changed nothing is a legal
-//! linearisation (DESIGN.md §12).
+//! linearisation (DESIGN.md §12). The glue of the *next* invocation then
+//! reads the line back as `(Null, 0)` — durably so, since every store that
+//! makes a slot fresh is made with its barrier — and skips both the stores
+//! and the barrier: an operation that follows a no-effect one on the same
+//! pid pays for its invocation nothing at all.
 //!
 //! The glue runs once per invocation. A caller that needs it *earlier* than
 //! the operation's own prologue — the KV service, which must order it
@@ -92,8 +96,8 @@ pub const ARENA_SLOT_STRIDE: usize = 128;
 /// Per-process recovery areas for one data structure.
 pub struct RecArea<M: Persist> {
     slots: Slots<M>,
-    /// Per pid: [`RecArea::mark_invoked`] ran the invocation glue and no
-    /// prologue has consumed that yet. Volatile on purpose, and touched
+    /// Per pid: [`RecArea::mark_invoked`] ran the arms-0/1 invocation glue
+    /// and no prologue has consumed that yet (`Isb-LP` never sets it). Volatile on purpose, and touched
     /// only by the thread that owns the pid, so `Relaxed` suffices (the
     /// hand-over of a pid between threads synchronizes on its own).
     glue_noted: Vec<CachePadded<AtomicBool>>,
@@ -182,18 +186,23 @@ impl<M: Persist> RecArea<M> {
     /// [`crate::store::Store`] share one slot array, and a caller may mark
     /// through one structure and then run another's operation, leaving the
     /// note behind. Reading the slot back closes that: every reset in this
-    /// file is stored together with its barrier, so the reset state the
-    /// owner reads back is a durable one, and a stale note beside anything
-    /// else takes the persisting path. The note, not the read, decides
+    /// file is stored together with its barrier (the list is at
+    /// [`RecArea::glue`]), so the reset state the owner reads back is a
+    /// durable one, and a stale note beside anything else takes the
+    /// persisting path. In arms 0/1 the note, not the read, decides
     /// *whether* to elide, so operations invoked without `mark_invoked` keep
-    /// their placement (and their golden persist counts) exactly.
+    /// their placement (and their golden persist counts) exactly. `Isb-LP`
+    /// needs no note: its glue makes the same read-back itself, on every
+    /// invocation.
     #[inline]
     fn invoke_glue<const ARM: u8>(&self, pid: usize, s: &ProcRec<M>) -> u64 {
-        let noted = &self.glue_noted[pid];
-        if noted.load(Relaxed) {
-            noted.store(false, Relaxed);
-            if s.cp.load() == 0 && (!crate::arm::is_lp(ARM) || s.rd.load() == 0) {
-                return 0;
+        if !crate::arm::is_lp(ARM) {
+            let noted = &self.glue_noted[pid];
+            if noted.load(Relaxed) {
+                noted.store(false, Relaxed);
+                if s.cp.load() == 0 {
+                    return 0;
+                }
             }
         }
         Self::glue::<ARM>(s)
@@ -209,11 +218,33 @@ impl<M: Persist> RecArea<M> {
     /// previous `RD_q`, whose reference the caller releases — after the
     /// barrier, so a process that dies in between leaks it to the next
     /// attach's sweep instead of freeing a descriptor `RD_q` durably names.
+    ///
+    /// `Isb-LP` skips the stores and the barrier when the line already reads
+    /// back `(Null, 0)`: a fresh line is a durably fresh line, because every
+    /// store that can make it read so is made with its barrier —
+    /// - this glue, both words under one `pbarrier_obj`;
+    /// - the arms-0/1 glue, `CP_q := 0` under `pbarrier`, beside a `RD_q`
+    ///   that arm 0's `begin` nulled under `pbarrier` or arm 1's under
+    ///   `pwb` + `pfence`;
+    /// - [`RecArea::clear_slot`], each word under its own `pbarrier`;
+    /// - creation: zeroed arena memory, or a model's initial persisted
+    ///   value (attach replay and the peer sweep read slots and reset
+    ///   nothing but through `clear_slot`).
+    ///
+    /// Both words take part: `CP_q = 0` beside a `RD_q` that an arms-0/1
+    /// `find` left published is not fresh, and eliding there lets this
+    /// operation's first publish persist `CP_q = 1` beside the old `RD_q`.
+    /// The read sits *inside* the uncrashable system half: read before it, a
+    /// crash on the load itself would leave the previous operation's
+    /// `(RD_q, 1)` standing for this invocation.
     #[inline]
     fn glue<const ARM: u8>(s: &ProcRec<M>) -> u64 {
         system_glue::<M, _>(|| {
             if crate::arm::is_lp(ARM) {
                 let prev = s.rd.load();
+                if prev == 0 && s.cp.load() == 0 {
+                    return 0;
+                }
                 s.rd.store(0);
                 s.cp.store(0);
                 M::pbarrier_obj(s);
@@ -336,7 +367,8 @@ impl<M: Persist> RecArea<M> {
 
     /// Runs the invocation glue ([`RecArea::begin`]'s first step) ahead of
     /// the operation. The next prologue on `pid` through this area finds the
-    /// note left here and skips its own copy. Returns the previous `RD_q`
+    /// note left here and skips its own copy (arms 0/1; `Isb-LP` leaves no
+    /// note, its prologue reads the fresh line back). Returns the previous `RD_q`
     /// `Isb-LP`'s glue took out (`0` otherwise); the caller releases it
     /// ([`release_prev`]).
     ///
@@ -349,7 +381,9 @@ impl<M: Persist> RecArea<M> {
     #[must_use = "the reference taken out of RD_q must be released"]
     pub fn mark_invoked<const ARM: u8>(&self, pid: usize) -> u64 {
         let taken = Self::glue::<ARM>(self.slot(pid));
-        self.glue_noted[pid].store(true, Relaxed);
+        if !crate::arm::is_lp(ARM) {
+            self.glue_noted[pid].store(true, Relaxed);
+        }
         taken
     }
 
@@ -1327,17 +1361,29 @@ mod tests {
     }
 
     /// `mark_invoked` + prologue runs the glue once, not twice; a prologue
-    /// on its own still runs it, every time. Under `Isb-LP` the glue is the
-    /// whole prologue (one line, one fence) and whichever call ran it hands
-    /// out the previous `RD_q` — once.
+    /// on its own still runs it, every time the previous operation published.
+    /// Under `Isb-LP` the glue is the whole prologue (one line, one fence)
+    /// and whichever call ran it hands out the previous `RD_q` — once; on a
+    /// line nothing published to since the last glue (a fresh slot, or
+    /// after an operation with no effect) it costs nothing at all.
     fn marked_invocation_runs_the_glue_once<const ARM: u8>(t: usize) {
         nvm::tid::set_tid(t);
         let rec: RecArea<M> = RecArea::new();
         let lp = crate::arm::is_lp(ARM);
         let after_begin = if lp { (0, 0) } else { (1, 0) };
-        let bare = cost(t, || assert_eq!(rec.begin::<ARM>(t), 0));
+        let first = cost(t, || assert_eq!(rec.begin::<ARM>(t), 0));
+        rec.publish_arm::<ARM>(t, 0x1230);
+        let bare = cost(t, || assert_eq!(rec.begin::<ARM>(t), 0x1230));
         if lp {
+            assert_eq!(first, (0, 0), "a fresh line elides the glue");
             assert_eq!(bare, (1, 1), "the glue barrier is the whole prologue");
+            let fresh = cost(t, || {
+                assert_eq!(rec.mark_invoked::<ARM>(t), 0);
+                assert_eq!(rec.begin::<ARM>(t), 0);
+            });
+            assert_eq!(fresh, (0, 0), "after a no-effect operation, marked or not");
+        } else {
+            assert_eq!(first, bare, "arms 0/1 persist on every invocation");
         }
         rec.publish_arm::<ARM>(t, 0x1230);
         let marked = cost(t, || {
@@ -1420,16 +1466,32 @@ mod tests {
         Succeeds,
     }
 
+    /// What ran on the pid between the operation that completed and the
+    /// swept invocation.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Before {
+        /// Nothing: the line still names the completed operation.
+        Completed,
+        /// An operation of the swept arm that changed nothing. Under
+        /// `Isb-LP` it leaves the line fresh, so the swept glue elides.
+        NoEffect,
+        /// The arms-0/1 `find` prologue, as another structure of one store
+        /// runs it over the shared slot: `CP_q = 0` beside the completed
+        /// operation's descriptor, still published — not a fresh line.
+        Find,
+    }
+
     /// The pid's previous operation completed (`CP_q = 1`, `RD_q` → a
-    /// descriptor with its result set). Crash the next invocation at every
-    /// instruction from `mark_invoked` (or, unmarked, from the prologue) to
-    /// its return, over per-word-drop seeds. The decision is never the
-    /// previous operation's `Completed`: it is `Restart`, or — only when the
-    /// new operation's own attempt can succeed — that attempt's response.
-    /// And the previous descriptor is handed out for release at most once,
-    /// exactly once if `RD_q` no longer names it (`Isb-LP`'s glue
-    /// takes it out and returns it in one uncrashable step).
-    fn no_stale_completed_sweep<const ARM: u8>(attempt: Attempt) {
+    /// descriptor with its result set), then `before` ran. Crash the next
+    /// invocation at every instruction from `mark_invoked` (or, unmarked,
+    /// from the prologue) to its return, over per-word-drop seeds. The
+    /// decision is never the previous operation's `Completed`: it is
+    /// `Restart`, or — only when the new operation's own attempt can
+    /// succeed — that attempt's response. And the previous descriptor is
+    /// handed out for release at most once, exactly once if `RD_q` no
+    /// longer names it (`Isb-LP`'s glue takes it out and returns it in one
+    /// uncrashable step).
+    fn no_stale_completed_sweep<const ARM: u8>(before: Before, attempt: Attempt) {
         use nvm::{sim, SimNvm};
         const P: usize = 2;
         const NEXT_RESPONSE: u64 = crate::engine::RES_FALSE;
@@ -1471,6 +1533,11 @@ mod tests {
 
                     let handed = std::cell::Cell::new(0);
                     let hand = |prev: u64| handed.set(handed.get() + (prev == done as u64) as u32);
+                    match before {
+                        Before::Completed => {}
+                        Before::NoEffect => hand(rec.begin::<ARM>(P)),
+                        Before::Find => assert_eq!(rec.begin_readonly(P), done as u64),
+                    }
                     if marked {
                         hand(rec.mark_invoked::<ARM>(P));
                     }
@@ -1484,8 +1551,9 @@ mod tests {
                         }
                     });
                     crashes += crashed as u64;
-                    let at =
-                        format!("arm {ARM} {attempt:?} marked {marked} fuse {fuse} seed {seed}");
+                    let at = format!(
+                        "arm {ARM} {before:?} {attempt:?} marked {marked} fuse {fuse} seed {seed}"
+                    );
                     let decision = decide();
                     let completed = Recovered::Completed(NEXT_RESPONSE);
                     match attempt {
@@ -1513,18 +1581,32 @@ mod tests {
                 }
             }
         }
-        // Unmarked, an `Isb-LP` no-effect invocation is the glue alone:
-        // nothing in it can crash.
-        let floor = if attempt == Attempt::None && crate::arm::is_lp(ARM) { 64 } else { 640 };
-        assert!(crashes >= floor, "the sweep ran: {crashes}");
+        // An `Isb-LP` no-effect invocation, marked or not, is the glue
+        // alone: nothing in it can crash.
+        if attempt == Attempt::None && crate::arm::is_lp(ARM) {
+            assert_eq!(crashes, 0, "the glue is uncrashable");
+        } else {
+            assert!(crashes >= 640, "the sweep ran: {crashes}");
+        }
     }
 
+    /// Mutation-checked, each against the `Isb-LP` elision:
+    /// - the line read before the glue's uncrashable half fails at
+    ///   `Completed None`, unmarked, fuse 1 — a crash on the load decides
+    ///   the previous operation's `Completed`;
+    /// - eliding on `CP_q = 0` alone fails at `Find Fails`, marked, fuse 4,
+    ///   "leaked by the glue" (the old `RD_q` is neither handed out nor
+    ///   named once the attempt publishes); without that check, at fuse 7
+    ///   the publish has persisted `CP_q = 1` beside the old `RD_q` and the
+    ///   decision is its stale `Completed`.
     #[test]
     fn sim_crash_before_first_publish_never_decides_stale_completed() {
-        for attempt in [Attempt::None, Attempt::Fails, Attempt::Succeeds] {
-            no_stale_completed_sweep::<{ crate::arm::PAPER }>(attempt);
-            no_stale_completed_sweep::<{ crate::arm::TUNED }>(attempt);
-            no_stale_completed_sweep::<{ crate::arm::LP }>(attempt);
+        for before in [Before::Completed, Before::NoEffect, Before::Find] {
+            for attempt in [Attempt::None, Attempt::Fails, Attempt::Succeeds] {
+                no_stale_completed_sweep::<{ crate::arm::PAPER }>(before, attempt);
+                no_stale_completed_sweep::<{ crate::arm::TUNED }>(before, attempt);
+                no_stale_completed_sweep::<{ crate::arm::LP }>(before, attempt);
+            }
         }
     }
 

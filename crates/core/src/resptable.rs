@@ -19,6 +19,12 @@
 //!   operation took effect, and [`ResponseTable::resolve`] maps that verdict
 //!   onto the slot `pending` names the pid in.
 //!
+//! Only sequenced requests come here. A `get` is unsequenced on the wire
+//! (`op_seq = 0`): the service answers it from the map before step 1 and
+//! records nothing, because recovery owes a read nothing — killed in flight
+//! it has no outcome to resolve, and the client's re-issue is a fresh,
+//! linearisable read.
+//!
 //! # Write ordering (the crash-window argument)
 //!
 //! The request path is, in order:
@@ -28,8 +34,10 @@
 //!    another process, whose recovery has not resolved it yet;
 //! 2. dedup check (`op_seq == last_seq` → replay stored response);
 //! 3. `mark_invoked(pid)` — the system half: `CP_q := 0` (under the arm the
-//!    service ships, `Isb-LP`, as under every arm that coalesces: the whole
-//!    `(RD_q, CP_q) := (Null, 0)` line), persisted;
+//!    service ships, `Isb-LP`: the whole `(RD_q, CP_q) := (Null, 0)` line),
+//!    persisted — or, under `Isb-LP`, nothing at all when the line already
+//!    reads `(Null, 0)`: every store that makes it so is made with its
+//!    barrier, so it is durably so already;
 //! 4. [`ResponseTable::begin_op`] — `pending` stored and its line noted
 //!    for write-back, **no fence**. The structure operation's first fence
 //!    drains the note (under every arm an operation with an effect fences

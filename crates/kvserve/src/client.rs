@@ -1,9 +1,13 @@
 //! The journaling client: op-seq tracking, reconnect, and retry.
 //!
-//! Every request carries this client's `(client_id, op_seq)`. The client
-//! keeps the last **unacknowledged** request (there is at most one — the
-//! protocol is one-in-flight per client) and the last acknowledged
-//! request/response pair. After a server crash the caller reconnects and:
+//! Every request with an effect carries this client's `(client_id, op_seq)`.
+//! The client keeps the last **unacknowledged** one (there is at most one —
+//! the protocol is one-in-flight per client) and the last acknowledged
+//! request/response pair. A `get` is none of these: it goes out as
+//! `op_seq = 0`, touches neither the sequence counter, the pending request
+//! nor the acknowledged pair, and a `get` lost to a crash is simply issued
+//! again — it changed nothing, so answering it afresh is a legal
+//! linearisation. After a server crash the caller reconnects and:
 //!
 //! * [`KvClient::replay_last_acked`] re-sends the already-acknowledged
 //!   request — the server must answer from its durable response table,
@@ -196,9 +200,19 @@ impl KvClient {
     }
 
     /// Issues a fresh operation. At most one may be in flight: call
-    /// [`KvClient::retry_pending`] first after a transport error.
+    /// [`KvClient::retry_pending`] first after a transport error. A `get`
+    /// goes out unsequenced and leaves the session's sequence state as it
+    /// was.
     pub fn call(&mut self, op: OpCode, arg: u64) -> Result<u64, ClientError> {
         assert!(self.pending.is_none(), "retry the pending request first");
+        if op == OpCode::Get {
+            let req = Request { op, client_id: self.client_id, op_seq: 0, arg };
+            let resp = self.roundtrip(&req)?;
+            return match resp.status {
+                Status::Ok => Ok(resp.value),
+                status => Err(ClientError::Rejected(status)),
+            };
+        }
         let req = Request { op, client_id: self.client_id, op_seq: self.next_seq, arg };
         self.pending = Some(req);
         let resp = self.roundtrip(&req)?;

@@ -19,6 +19,14 @@
 //! stored response therefore reproduces the original acknowledgement
 //! byte-for-byte.
 //!
+//! `op_seq` names an operation with an effect: `put`, `del`, `enq` and
+//! `deq` carry `1..=MAX_OP_SEQ`, and their retries are answered exactly
+//! once; an unnumbered one (`0`) is a typed `BadArg`. A `get` carries `0`:
+//! it is unsequenced, answered from the map as it stands and never
+//! recorded, so a retried `get` re-executes — a legal linearisation of an
+//! operation that changes nothing. A `get` that carries a number parses
+//! too, and is answered the same way: its number is echoed, not recorded.
+//!
 //! Robustness contract: every malformed input a peer can send — truncated
 //! frames, oversized or zero length prefixes, unknown opcodes, garbage
 //! bytes, identifiers and arguments outside what the structures and the
@@ -28,6 +36,7 @@
 //! and a [`Request`] it returns can be applied without tripping an
 //! assertion further in: nothing durable happens for a refused frame.
 
+use isb::resptable::MAX_OP_SEQ;
 use std::io::{self, Read};
 
 /// Protocol version stamped in every frame.
@@ -80,7 +89,8 @@ pub struct Request {
     pub client_id: u64,
     /// Per-client sequence number; must be `last_acked` (retry) or
     /// `last_acked + 1` (fresh), and at most
-    /// [`isb::resptable::MAX_OP_SEQ`].
+    /// [`isb::resptable::MAX_OP_SEQ`]. 0 only on an unsequenced `get`
+    /// (see the module docs).
     pub op_seq: u64,
     /// Key (map ops, strictly between 0 and `u64::MAX`) or value (enqueue,
     /// below `u64::MAX - RES_VAL_BASE`); ignored by dequeue.
@@ -115,7 +125,8 @@ pub enum Status {
     /// Length prefix exceeds [`MAX_FRAME`] (fatal: framing lost).
     Oversized = 9,
     /// A key, an enqueued value or `op_seq` is outside the range the
-    /// structures and the response table can hold (non-fatal).
+    /// structures and the response table can hold, or `op_seq` is zero on
+    /// a request other than `get` (non-fatal).
     BadArg = 10,
 }
 
@@ -215,7 +226,8 @@ pub fn parse_request(payload: &[u8]) -> Result<Request, Status> {
         OpCode::Enq => arg < u64::MAX - isb::engine::RES_VAL_BASE,
         OpCode::Deq => true,
     };
-    if !arg_ok || op_seq > isb::resptable::MAX_OP_SEQ {
+    // Only a `get` may be unsequenced (0); every write names its operation.
+    if !arg_ok || op_seq > MAX_OP_SEQ || (op_seq == 0 && op != OpCode::Get) {
         return Err(Status::BadArg);
     }
     Ok(Request { op, client_id, op_seq, arg })
@@ -349,6 +361,22 @@ mod tests {
         assert!(parse(OpCode::Deq, 1, 1, u64::MAX).is_ok(), "dequeue ignores its argument");
         assert_eq!(parse(OpCode::Deq, 1, 1 << 56, 0), Err(Status::BadArg));
         assert!(parse(OpCode::Deq, 1, (1 << 56) - 1, 0).is_ok());
+    }
+
+    /// Only a `get` may go unsequenced: a write without a number is refused
+    /// typed instead of answered; a `get` may carry one or not.
+    #[test]
+    fn only_a_get_may_be_unsequenced() {
+        let parse = |op, op_seq| {
+            parse_request(&encode_request(&Request { op, client_id: 1, op_seq, arg: 5 })[4..])
+        };
+        for op_seq in [0, 1, MAX_OP_SEQ] {
+            assert!(parse(OpCode::Get, op_seq).is_ok(), "get #{op_seq}");
+        }
+        for op in [OpCode::Put, OpCode::Del, OpCode::Enq, OpCode::Deq] {
+            assert_eq!(parse(op, 0), Err(Status::BadArg), "{op:?} #0");
+            assert!(parse(op, 1).is_ok(), "{op:?} #1");
+        }
     }
 
     #[test]

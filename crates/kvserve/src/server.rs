@@ -19,25 +19,38 @@
 //! `pending` word names the op-ID being applied and the tid applying it,
 //! and the slot's watermark store retires it.
 //!
-//! Order per request (see `isb::resptable` for the crash-window argument):
-//! failover check (the client's slot is in flight under a dead peer's tid →
-//! `Recovering`) → dedup check → `note_invocation` (the recovery line
-//! reset, `(RD_q, CP_q) := (Null, 0)`, persisted once: the structure
-//! operation's prologue finds it done) → `pending` stored, its line noted
-//! but not fenced (the structure's first fence drains it) → structure op →
-//! response finalize (`resp`, then `last_seq`, on the same line: one
-//! write-back, one `psync`) → socket acknowledgement. One flushed line and
-//! one fence of the request belong to `note_invocation`; the response
-//! table's client slot is one line and one fence for a request that
-//! changes nothing and two lines and one fence for one that does; the rest
-//! is the structure's own — nothing at all for a request that changes
-//! nothing (a `get`, a `put` of a present key, a `del` of an absent one, a
-//! `deq` on empty).
+//! Order per request with an effect (see `isb::resptable` for the
+//! crash-window argument): failover check (the client's slot is in flight
+//! under a dead peer's tid → `Recovering`) → dedup check →
+//! `note_invocation` (the recovery line reset, `(RD_q, CP_q) := (Null, 0)`,
+//! persisted once: the structure operation's prologue finds it done) →
+//! `pending` stored, its line noted but not fenced (the structure's first
+//! fence drains it) → structure op → response finalize (`resp`, then
+//! `last_seq`, on the same line: one write-back, one `psync`) → socket
+//! acknowledgement. One flushed line and one fence of the request belong to
+//! `note_invocation` — none when the lane's previous operation changed
+//! nothing, because the glue then reads the line back fresh and skips its
+//! barrier; the response table's client slot is one line and one fence for
+//! a request that changes nothing and two lines and one fence for one that
+//! does; the rest is the structure's own — nothing at all for a request
+//! that changes nothing (a `put` of a present key, a `del` of an absent
+//! one, a `deq` on empty).
+//!
+//! A `get` takes none of that path. It is unsequenced (`op_seq = 0`, see
+//! [`crate::proto`]) and answered under its lane by the map's `find` before
+//! registration: no response-table call, no invocation note, no in-flight
+//! record. Recovery owes a read nothing — killed in flight, it resolves to
+//! nothing and the client's re-issue reads afresh — so a read persists
+//! nothing either: its `find`'s prologue is the `Isb-LP` glue, which costs
+//! 0 lines and 0 fences after a no-effect request and 1 + 1 after one that
+//! published. A `get` that carries a number is answered the same way: the
+//! number is echoed, never recorded.
 //!
 //! [`parse_request`] refuses, before any of this, every identifier and
 //! argument a later layer would assert on (reserved client ids, sentinel
-//! keys, unencodable values, sequence numbers beyond the packed word), so a
-//! hostile frame costs its sender a typed error and never a lane.
+//! keys, unencodable values, sequence numbers beyond the packed word, an
+//! unnumbered write), so a hostile frame costs its sender a typed error and
+//! never a lane.
 //!
 //! # Restart
 //!
@@ -48,8 +61,10 @@
 //! accept. In shared mode a healer thread additionally runs
 //! [`Store::heal_peers`], so a SIGKILLed peer server's in-flight requests
 //! resolve online while this process keeps serving; until that happens,
-//! requests from the dead peer's clients are answered
-//! [`Status::Recovering`] rather than risking a double apply.
+//! sequenced requests from the dead peer's clients are answered
+//! [`Status::Recovering`] rather than risking a double apply (their
+//! unsequenced `get`s are answered: whichever side of the pending write
+//! they read is a legal linearisation point for it).
 //!
 //! # Crash injection
 //!
@@ -159,9 +174,11 @@ pub enum KillPoint {
     Accept,
     /// After parsing a request frame, before dispatch.
     Parse,
-    /// After the durable in-flight record, before the structure op.
+    /// After the durable in-flight record, before the structure op (a
+    /// `get`: before its `find`).
     Invoke,
-    /// After the durable response finalize, before the socket write.
+    /// After the durable response finalize, before the socket write (a
+    /// `get`: after its `find`).
     PreAck,
     /// After the acknowledgement reached the socket.
     PostAck,
@@ -467,8 +484,19 @@ fn route(client_id: u64, n: usize) -> usize {
     (client_id.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) as usize % n
 }
 
-/// One request, applied exactly once (see module docs for the ordering).
+/// One request, applied exactly once (see module docs for the ordering). An
+/// unsequenced `get` is answered as the map stands, before any of it.
 fn handle(ctx: &Shared, pid: usize, req: &Request) -> Response {
+    if req.op == OpCode::Get {
+        // Unsequenced: no slot, no in-flight record, no invocation note.
+        // Killed before its answer, it resolves to nothing at all, and the
+        // client's re-issue is a fresh read — a legal linearisation.
+        maybe_kill(&ctx.kill, KillPoint::Invoke);
+        let value = apply(ctx, pid, req);
+        maybe_kill(&ctx.kill, KillPoint::PreAck);
+        nvm::stats::count_kv_requests(1);
+        return Response { status: Status::Ok, op_seq: req.op_seq, value };
+    }
     let Some(client_idx) = ctx.resptab.register(req.client_id) else {
         return Response::err(Status::TableFull, req.op_seq);
     };
@@ -496,33 +524,26 @@ fn handle(ctx: &Shared, pid: usize, req: &Request) -> Response {
     // persisted) MUST precede the in-flight record — this is what pins a
     // later Completed replay decision to *this* op-ID (see `isb::resptable`).
     match req.op {
-        OpCode::Put | OpCode::Del | OpCode::Get => ctx.map.note_invocation(pid),
+        OpCode::Put | OpCode::Del => ctx.map.note_invocation(pid),
         OpCode::Enq | OpCode::Deq => ctx.queue.note_invocation(pid),
+        OpCode::Get => unreachable!("a get is answered unsequenced"),
     }
     ctx.resptab.begin_op(pid, req.client_id, req.op_seq, req.op as u64, req.arg);
     maybe_kill(&ctx.kill, KillPoint::Invoke);
-    let value = match req.op {
-        OpCode::Put => {
-            if ctx.map.insert(pid, req.arg) {
-                RES_TRUE
-            } else {
-                RES_FALSE
-            }
-        }
-        OpCode::Del => {
-            if ctx.map.delete(pid, req.arg) {
-                RES_TRUE
-            } else {
-                RES_FALSE
-            }
-        }
-        OpCode::Get => {
-            if ctx.map.find(pid, req.arg) {
-                RES_TRUE
-            } else {
-                RES_FALSE
-            }
-        }
+    let value = apply(ctx, pid, req);
+    ctx.resptab.finish_op(pid, client_idx, req.op_seq, value);
+    maybe_kill(&ctx.kill, KillPoint::PreAck);
+    nvm::stats::count_kv_requests(1);
+    Response { status: Status::Ok, op_seq: req.op_seq, value }
+}
+
+/// The structure operation `req` names, and its encoded result word.
+fn apply(ctx: &Shared, pid: usize, req: &Request) -> u64 {
+    let truth = |b: bool| if b { RES_TRUE } else { RES_FALSE };
+    match req.op {
+        OpCode::Put => truth(ctx.map.insert(pid, req.arg)),
+        OpCode::Del => truth(ctx.map.delete(pid, req.arg)),
+        OpCode::Get => truth(ctx.map.find(pid, req.arg)),
         OpCode::Enq => {
             ctx.queue.enqueue(pid, req.arg);
             RES_UNIT
@@ -531,17 +552,13 @@ fn handle(ctx: &Shared, pid: usize, req: &Request) -> Response {
             Some(v) => res_val(v),
             None => isb::engine::RES_EMPTY,
         },
-    };
-    ctx.resptab.finish_op(pid, client_idx, req.op_seq, value);
-    maybe_kill(&ctx.kill, KillPoint::PreAck);
-    nvm::stats::count_kv_requests(1);
-    Response { status: Status::Ok, op_seq: req.op_seq, value }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::KvClient;
+    use crate::client::{ClientError, KvClient};
 
     #[test]
     fn accept_errors_end_the_acceptor_only_when_the_listener_is_gone() {
@@ -636,22 +653,77 @@ mod tests {
         cfg.heap_bytes = 8 << 20;
         cfg.workers = 1;
         let server = Server::start(cfg).expect("server start");
+        // `(op, op_seq, arg)`: every kind, the `get` unsequenced.
         let requests = [
-            (OpCode::Put, 42),
-            (OpCode::Put, 42),
-            (OpCode::Get, 42),
-            (OpCode::Del, 42),
-            (OpCode::Del, 42),
-            (OpCode::Enq, 7),
-            (OpCode::Deq, 0),
-            (OpCode::Deq, 0),
+            (OpCode::Put, 1, 42),
+            (OpCode::Put, 2, 42),
+            (OpCode::Get, 0, 42),
+            (OpCode::Del, 3, 42),
+            (OpCode::Del, 4, 42),
+            (OpCode::Enq, 5, 7),
+            (OpCode::Deq, 6, 0),
+            (OpCode::Deq, 7, 0),
         ];
-        for (op_seq, (op, arg)) in (1..).zip(requests) {
+        for (op, op_seq, arg) in requests {
             let req = Request { op, client_id: 7, op_seq, arg };
             let resp = on_lane(&server.shared, &req).expect("lane not poisoned");
             assert_eq!(resp.status, Status::Ok, "{op:?}");
             assert_eq!(nvm::coalesce::pending(), 0, "{op:?}: lane released with a line pending");
         }
+        server.stop();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A shared-mode server holds back a client's sequenced requests while
+    /// the client's slot is in flight under a peer's tid (`Recovering`),
+    /// but answers its `get`s from the map as it stands. The peer's write —
+    /// its record names a tid of a band no participant owns, so no healer
+    /// resolves it under the test — is pending across two `get`s of its key,
+    /// one before its effect and one after: each is a legal linearisation,
+    /// and once the write is finalized its retry is a dedup hit that agrees
+    /// with the later `get`.
+    #[test]
+    fn a_get_is_answered_while_a_peers_write_is_recovering() {
+        const CLIENT: u64 = 7;
+        const KEY: u64 = 42;
+        let dir = std::env::temp_dir().join(format!("isb_kv_peer_get_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut cfg = Config::new(dir.join("kv.heap"));
+        cfg.heap_bytes = 8 << 20;
+        cfg.shared = true;
+        cfg.workers = 1;
+        let server = Server::start(cfg).expect("server start");
+        let sh = &server.shared;
+        let mut c = KvClient::connect(server.local_addr(), CLIENT).expect("connect");
+        assert!(c.put(KEY - 1).unwrap(), "op_seq 1, acknowledged");
+        let recovering = || {
+            let mut probe = KvClient::connect(server.local_addr(), CLIENT).expect("connect");
+            probe.recovering_retries = 0;
+            matches!(probe.put(KEY), Err(ClientError::Rejected(Status::Recovering)))
+        };
+
+        // The peer's `put KEY`, op_seq 2: recorded in flight under its tid.
+        let peer = sh.own_band.end + 1;
+        sh.resptab.begin_op(peer, CLIENT, 2, OpCode::Put as u64, KEY);
+        assert!(recovering(), "the client's writes wait for the peer's recovery");
+        assert!(!c.get(KEY).unwrap(), "read before the write's effect");
+        // Its effect lands (on a spare tid of this band: the tid the record
+        // names only decides who may resolve it).
+        nvm::tid::set_tid(sh.base_tid + 2);
+        assert!(sh.map.insert(sh.base_tid + 2, KEY));
+        assert!(recovering(), "still in flight");
+        assert!(c.get(KEY).unwrap(), "read after the write's effect");
+        assert!(c.pending().is_none() && c.last_acked().unwrap().0.op_seq == 1);
+
+        // Resolved as the healer would: Completed, with the effect's answer.
+        let idx = sh.resptab.register(CLIENT).expect("registered");
+        sh.resptab.finish_op(peer, idx, 2, RES_TRUE);
+        assert_eq!(nvm::coalesce::pending(), 0);
+        assert!(!recovering());
+        assert!(c.put(KEY).unwrap(), "the retry replays the peer's answer");
+        assert!(c.del(KEY).unwrap() && !c.get(KEY).unwrap(), "applied once");
+        drop(c);
         server.stop();
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -7,6 +7,12 @@
 //! it arrives, so a duplicate apply trips an assert at the earliest point
 //! it is observable — a re-applied `put`/`del` flips its boolean, a
 //! re-applied enqueue duplicates a globally unique value in the drain.
+//!
+//! Reads are held to linearisability, not to byte-identity: a `get` is
+//! unsequenced, never stored and never replayed. Each map client owns its
+//! key range and reads only with none of its own writes pending, so the
+//! model's answer is the only one a linearisable read can give — whether
+//! the read was answered the first time or re-issued after a crash.
 
 use crate::sigkill::Scratch;
 use kvserve::{ClientError, KvClient};
@@ -100,19 +106,22 @@ impl MapClient {
             return false;
         }
         let key = self.base + splitmix(&mut self.rng) % KEYS_PER_CLIENT;
-        let r = match splitmix(&mut self.rng) % 10 {
-            0..=3 => c.put(key).map(|fresh| (fresh, self.model.insert(key), "put")),
-            4..=6 => c.del(key).map(|hit| (hit, self.model.remove(&key), "del")),
-            _ => c.get(key).map(|found| (found, self.model.contains(&key), "get")),
+        let (op, r) = match splitmix(&mut self.rng) % 10 {
+            0..=3 => ("put", c.put(key).map(|fresh| (fresh, self.model.insert(key)))),
+            4..=6 => ("del", c.del(key).map(|hit| (hit, self.model.remove(&key)))),
+            _ => ("get", c.get(key).map(|found| (found, self.model.contains(&key)))),
         };
         match r {
-            Ok((got, want, op)) => {
+            Ok((got, want)) => {
                 assert_eq!(got, want, "{ctx}: client {} {op} {key} diverged from model", self.id);
                 true
             }
             Err(ClientError::Io(_)) => {
-                // The model is untouched on a transport error: the op is
-                // still pending and is accounted for by `retry_pending`.
+                // The model is untouched on a transport error: a write is
+                // still pending and is accounted for by `retry_pending`; a
+                // read leaves nothing behind.
+                let read = op == "get";
+                assert_eq!(c.pending().is_none(), read, "{ctx}: client {} {op} {key}", self.id);
                 false
             }
             Err(e) => panic!("{ctx}: client {} unexpected rejection: {e}", self.id),
@@ -143,8 +152,7 @@ impl MapClient {
             let want = match req.op {
                 kvserve::OpCode::Put => self.model.insert(key),
                 kvserve::OpCode::Del => self.model.remove(&key),
-                kvserve::OpCode::Get => self.model.contains(&key),
-                other => panic!("map client issued {other:?}"),
+                other => panic!("map client left {other:?} pending"),
             };
             assert_eq!(
                 kvserve::client::as_bool(value),
@@ -154,9 +162,10 @@ impl MapClient {
                 req.op
             );
         }
-        // Replay the acknowledged watermark request: the server must answer
-        // from its durable response table, byte-identical, re-applying
-        // nothing (a re-applied put/del would flip its boolean).
+        // Replay the acknowledged watermark request — always a write: the
+        // server must answer from its durable response table,
+        // byte-identical, re-applying nothing (a re-applied put/del would
+        // flip its boolean).
         if let Some((replayed, original)) =
             c.replay_last_acked().unwrap_or_else(|e| panic!("{ctx}: replay failed: {e}"))
         {

@@ -1,13 +1,16 @@
 //! Exactly-once conformance suite for the network-facing KV service.
 //!
-//! The contract under test: a client that names every request with a
-//! `(client_id, op_seq)` operation ID may retry any request after a server
-//! crash and observe **exactly-once** semantics — the retry returns the
-//! original response if the crashed attempt completed (byte-identical,
+//! The contract under test: a client that names every request with an
+//! effect with a `(client_id, op_seq)` operation ID may retry it after a
+//! server crash and observe **exactly-once** semantics — the retry returns
+//! the original response if the crashed attempt completed (byte-identical,
 //! nothing re-applied), and applies the operation fresh if it did not. The
 //! server proves completion through the durable response table in the
 //! mapped heap, resolved by the attach pipeline before the restarted server
-//! accepts a single connection.
+//! accepts a single connection. A `get` is unsequenced: a read killed in
+//! flight leaves nothing to resolve, and every read is asserted
+//! *linearisable* against the model (byte-identity is a property of stored
+//! responses, and a read's is never stored).
 //!
 //! Harness shape (the `restart.rs` pattern, built from the same kit —
 //! [`isb_tests::sigkill`]): the parent spawns *this test binary* as a child
@@ -17,8 +20,10 @@
 //!
 //! * `accept`  — right after accepting a connection;
 //! * `parse`   — after parsing a request, before any durable intent;
-//! * `invoke`  — after the durable intent record, before the apply;
-//! * `preack`  — after the apply is finalized, before the ack is written;
+//! * `invoke`  — after the durable intent record, before the apply (a
+//!   `get`: before its `find`);
+//! * `preack`  — after the apply is finalized, before the ack is written
+//!   (a `get`: after its `find`);
 //! * `postack` — after the ack reached the socket.
 //!
 //! Parent-side clients ([`isb_tests::kv`]) drive seeded workloads against
@@ -41,11 +46,12 @@
 //!    client's key range and a complete queue drain.
 //!
 //! Matrix: `ISB_KV_SEEDS` seeds (default 2) x all five kill points — 10
-//! seeded SIGKILL rounds per default `cargo test` run.
+//! seeded SIGKILL rounds per default `cargo test` run — plus one round that
+//! kills the server inside a `get`.
 
 use isb_tests::kv::{serve_child, wait_port, MapClient, QueueClient, KEYS_PER_CLIENT};
 use isb_tests::sigkill::{Child, Scratch};
-use kvserve::{Config, KvClient, OpCode, Server};
+use kvserve::{ClientError, Config, KvClient, OpCode, Server};
 
 const MAP_CLIENTS: u64 = 3;
 const QUEUE_CLIENT: u64 = 100;
@@ -181,6 +187,40 @@ fn exactly_once_kill_preack() {
 #[test]
 fn exactly_once_kill_postack() {
     run_matrix("postack");
+}
+
+/// A `get` in flight at the kill: the server dies at `invoke` inside a read
+/// (the client's `put` is the point's first hit, its `get` the second). The
+/// read leaves the client nothing to retry — no pending request, the `put`
+/// still its acknowledged watermark — and after the restart the same read,
+/// issued afresh, answers what the model holds.
+#[test]
+fn exactly_once_kill_get_in_flight() {
+    const KEY: u64 = 7;
+    let scratch = Scratch::create("kv_once", "get", 0);
+    let ctx = "kill=invoke in a get";
+    let child = spawn_server(&scratch, Some(("invoke", 2)));
+    let mut m = MapClient::new(0, 1, 1);
+    m.connect(wait_port(&scratch, "port"), false, ctx);
+    let c = m.conn.as_mut().unwrap();
+    assert!(c.put(KEY).unwrap());
+    m.model.insert(KEY);
+    let read = c.get(KEY);
+    assert!(matches!(read, Err(ClientError::Io(_))), "{ctx}: answered {read:?}");
+    assert!(c.pending().is_none(), "{ctx}: a read left a request to retry");
+    assert_eq!(c.last_acked().map(|(req, _)| (req.op, req.op_seq)), Some((OpCode::Put, 1)));
+    child.wait_exit();
+
+    let child = spawn_server(&scratch, None);
+    let addr = wait_port(&scratch, "port");
+    m.recover(addr, ctx);
+    assert!(m.conn.as_mut().unwrap().get(KEY).unwrap(), "{ctx}: the re-issued read");
+    for _ in 0..POST_CRASH_ROUNDS {
+        assert!(m.step(ctx), "{ctx}: post-restart step failed");
+    }
+    m.sweep(ctx);
+    std::fs::write(scratch.file("stop"), b"ok").unwrap();
+    assert!(child.wait_exit().success(), "{ctx}: clean shutdown failed");
 }
 
 /// No-crash control: the same workload and final equivalence checks against

@@ -7,11 +7,19 @@
 //! structures' own placement is pinned per operation, here the whole
 //! exactly-once sequence around it — `note_invocation`, the response table's
 //! in-flight record and finalize, and the structure operation's prologue,
-//! which must not run the invocation glue a second time. Of every request's
-//! budget, 1 line + 1 fence is `note_invocation`. The response table is the
-//! client's one 64-byte slot: `begin_op` stores `pending` and notes the line
-//! without a fence, `finish_op` stores `resp` then `last_seq` and pays one
-//! write-back and one `psync`. A request that changes nothing (a `get`, a
+//! which must not run the invocation glue a second time. Every kind is
+//! measured twice, after a request that published and after one that
+//! changed nothing, because the glue's cost depends on that predecessor and
+//! nothing else: after a publish it is 1 line + 1 fence (the recovery line
+//! reset, `(RD_q, CP_q) := (Null, 0)`); after a no-effect request the line
+//! already reads `(Null, 0)` and the glue costs nothing.
+//!
+//! A `get` is unsequenced: the server answers it with the map's `find`
+//! alone, so it costs the glue and nothing more — 0 / 0 in a stream of
+//! reads. Every other request runs the full sequence. The response table
+//! is the client's one 64-byte slot: `begin_op` stores `pending` and notes
+//! the line without a fence, `finish_op` stores `resp` then `last_seq` and
+//! pays one write-back and one `psync`. A request that changes nothing (a
 //! `put` of a present key, a `del` of an absent one) issues no fence in
 //! between, so the note folds into `finish_op`'s write-back: 1 line + 1
 //! fence, and the structure operation costs nothing at all, in any arm. A
@@ -65,37 +73,67 @@ fn one_kv_request_costs_exactly_its_persist_budget() {
     }
     assert_eq!(c.dequeue().unwrap(), Some(1));
 
+    // Each kind twice: once after a request that published (the `put` of a
+    // key not yet present: the recovery line names its descriptor) and once
+    // after one that changed nothing (a `get`: the line is fresh). A row's
+    // cost then depends on nothing before it but that predecessor.
     let mut rows = Vec::new();
-    let mut row = |name: &'static str, request: &mut dyn FnMut(&mut KvClient)| {
-        let before = persists();
-        request(&mut c);
-        // The lane finishes every persist before it writes the socket.
-        let after = persists();
-        rows.push((name, (after.0 - before.0, after.1 - before.1)));
-    };
-    row("put-new", &mut |c| assert!(c.put(100).unwrap()));
-    row("put-dup", &mut |c| assert!(!c.put(100).unwrap()));
-    row("del-hit", &mut |c| assert!(c.del(100).unwrap()));
-    row("del-miss", &mut |c| assert!(!c.del(100).unwrap()));
-    row("get", &mut |c| assert!(c.get(1).unwrap()));
-    row("enq", &mut |c| c.enqueue(9).unwrap());
-    row("deq", &mut |c| assert_eq!(c.dequeue().unwrap(), Some(2)));
-    row("replay", &mut |c| {
-        let (again, original) = c.replay_last_acked().unwrap().expect("a request was acked");
-        assert_eq!(again, original, "the replay is the stored response");
-    });
+    let mut dirty_key = 1000;
+    for after_effect in [true, false] {
+        let mut row = |name: &'static str, request: &mut dyn FnMut(&mut KvClient)| {
+            if after_effect {
+                dirty_key += 1;
+                assert!(c.put(dirty_key).unwrap());
+            } else {
+                assert!(c.get(1).unwrap());
+            }
+            let before = persists();
+            request(&mut c);
+            // The lane finishes every persist before it writes the socket.
+            let after = persists();
+            rows.push((name, after_effect, (after.0 - before.0, after.1 - before.1)));
+        };
+        let key = 100 + after_effect as u64;
+        row("put-new", &mut |c| assert!(c.put(key).unwrap()));
+        row("put-dup", &mut |c| assert!(!c.put(key).unwrap()));
+        row("del-hit", &mut |c| assert!(c.del(key).unwrap()));
+        row("del-miss", &mut |c| assert!(!c.del(key).unwrap()));
+        row("get", &mut |c| assert!(c.get(1).unwrap()));
+        row("enq", &mut |c| c.enqueue(9).unwrap());
+        let head = if after_effect { 2 } else { 3 };
+        row("deq", &mut |c| assert_eq!(c.dequeue().unwrap(), Some(head)));
+        row("replay", &mut |c| {
+            let (again, original) = c.replay_last_acked().unwrap().expect("a request was acked");
+            assert_eq!(again, original, "the replay is the stored response");
+        });
+    }
 
-    let golden: [(&str, (u64, u64)); 8] = [
-        ("put-new", (12, 6)),
-        ("put-dup", (2, 2)),
-        ("del-hit", (10, 6)),
-        ("del-miss", (2, 2)),
-        ("get", (2, 2)),
-        ("enq", (9, 5)),
-        ("deq", (10, 6)),
-        ("replay", (0, 0)),
+    // `(kind, after an effect, (lines, fences))`.
+    let golden: [(&str, bool, (u64, u64)); 16] = [
+        ("put-new", true, (12, 6)),
+        ("put-dup", true, (2, 2)),
+        ("del-hit", true, (10, 6)),
+        ("del-miss", true, (2, 2)),
+        ("get", true, (1, 1)),
+        ("enq", true, (9, 5)),
+        ("deq", true, (10, 6)),
+        ("replay", true, (0, 0)),
+        ("put-new", false, (11, 5)),
+        ("put-dup", false, (1, 1)),
+        ("del-hit", false, (9, 5)),
+        ("del-miss", false, (1, 1)),
+        ("get", false, (0, 0)),
+        ("enq", false, (8, 4)),
+        ("deq", false, (9, 5)),
+        ("replay", false, (0, 0)),
     ];
     assert_eq!(rows, golden, "(lines, fences) per request");
+    // The invocation glue is the whole difference: one line and one fence
+    // after an effect, nothing after a request that changed nothing.
+    for (dirty, fresh) in golden[..8].iter().zip(&golden[8..]) {
+        let glue = if dirty.0 == "replay" { (0, 0) } else { (1, 1) };
+        assert_eq!((dirty.2 .0 - fresh.2 .0, dirty.2 .1 - fresh.2 .1), glue, "{}", dirty.0);
+    }
 
     drop(c);
     server.stop();

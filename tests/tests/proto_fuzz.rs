@@ -32,15 +32,15 @@ use std::time::Duration;
 // ---------------------------------------------------------------------------
 
 /// Every request `parse_request` accepts: ids, keys and values strictly
-/// inside their reserved bounds, `op_seq` within the packed word's 56 bits.
+/// inside their reserved bounds, `op_seq` within the packed word's 56 bits
+/// and 0 only on a `get`.
 fn arb_request() -> impl Strategy<Value = Request> {
     let arg = 1..u64::MAX - isb::engine::RES_VAL_BASE;
     (1..=5u8, 1..u64::MAX, 0..=isb::resptable::MAX_OP_SEQ, arg).prop_map(
-        |(op, client_id, op_seq, arg)| Request {
-            op: OpCode::from_u8(op).unwrap(),
-            client_id,
-            op_seq,
-            arg,
+        |(op, client_id, op_seq, arg)| {
+            let op = OpCode::from_u8(op).unwrap();
+            let op_seq = if op == OpCode::Get { op_seq } else { op_seq.max(1) };
+            Request { op, client_id, op_seq, arg }
         },
     )
 }
@@ -148,10 +148,16 @@ fn assert_alive() {
 /// Hostile *fields* in a well-formed frame, each of which used to trip an
 /// assertion behind the parser (and poison the client's lane): sentinel
 /// keys, an enqueue the result encoding cannot hold, the reserved client
-/// id, a sequence number wider than the response table's packed word.
+/// id, a sequence number wider than the response table's packed word — and
+/// one a layer behind it would misread: a write without a number, which
+/// only a `get` may go without.
 fn hostile_fields(pick: u8, client_id: u64, op_seq: u64) -> (Request, Status) {
     let key_op = [OpCode::Put, OpCode::Del, OpCode::Get][(pick / 8 % 3) as usize];
     match pick % 8 {
+        5 | 6 => {
+            let op = [OpCode::Put, OpCode::Del, OpCode::Enq, OpCode::Deq][(pick / 8 % 4) as usize];
+            (Request { op, client_id, op_seq: 0, arg: 5 }, Status::BadArg)
+        }
         0 => (Request { op: key_op, client_id, op_seq, arg: 0 }, Status::BadArg),
         1 => (Request { op: key_op, client_id, op_seq, arg: u64::MAX }, Status::BadArg),
         2 => {
@@ -326,6 +332,10 @@ fn typed_rejections_pinned() {
             p[0] = 1;
             p[1] = 3; // GET with client_id 0
             (p, Status::BadClientId)
+        },
+        {
+            let put = Request { op: OpCode::Put, client_id: 1, op_seq: 0, arg: 5 };
+            (encode_request(&put)[4..].try_into().unwrap(), Status::BadArg)
         },
     ];
     for (payload, want) in reqs {
