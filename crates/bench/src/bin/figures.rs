@@ -32,7 +32,6 @@ use bench_harness::workload::{
 };
 use isb::hashmap::RHashMap;
 use isb::list::RList;
-use isb::pool::PoolCfg;
 use isb::queue::RQueue;
 use nvm::{CountingNvm, NoPersist, Persist, RealNvm};
 use std::cell::RefCell;
@@ -96,7 +95,7 @@ fn parse_args() -> Opts {
 
 const ALL_FIGS: &[&str] = &[
     "fig1a", "fig1b", "fig1c", "fig1d", "fig1e", "fig1f", "fig3", "fig4", "fig5", "fig6", "fig7",
-    "fig8", "fig9", "fig10", "fig11", "fig12", "fig14",
+    "fig8", "fig10", "fig11", "fig12", "fig14",
 ];
 
 /// The list algorithms of the figures, by paper name.
@@ -313,123 +312,6 @@ impl Ctx {
             }
             self.emit(&format!("fig8_{label}"), &t);
         }
-    }
-
-    /// Hot-path allocation ablation — Figure 9 (beyond the paper): pooled
-    /// (epoch-recycled descriptor/node pools, the default) vs boxed
-    /// (fresh heap allocation per descriptor/node, the pre-pool behaviour),
-    /// on the default read-heavy mix.
-    ///
-    /// Throughput runs under the **counting** model: the persistency
-    /// placement is identical by construction (asserted by the persists
-    /// table below and the `persist_placement` golden test), so executing
-    /// real write-backs would only add a constant that masks the allocator
-    /// effect being measured — and makes the numbers hardware-dependent. A
-    /// RealNvm pair is emitted alongside for the end-to-end picture.
-    fn fig9(&self) {
-        let range = 500u64;
-        let mix = Mix::READ_INTENSIVE;
-
-        // One (pooled, boxed) pair of runs per thread count and model.
-        struct Pair {
-            pooled: RunResult,
-            boxed: RunResult,
-            pooled_reuse_per_op: f64,
-        }
-        fn pair_for<M: Persist>(threads: usize, range: u64, mix: Mix, dur: Duration) -> Pair {
-            let cfg = SetCfg { threads, key_range: range, mix, duration: dur, seed: 42 };
-            let (pooled, reused) = {
-                let s = Arc::new(RList::<M, 0>::new());
-                prefill_set(&*s, range, 7);
-                // Snapshot AFTER prefill so reuses/op relates the timed
-                // run's reuses to the timed run's operations only.
-                let reuse0 = isb::counters::info_reuses() + isb::counters::node_reuses();
-                nvm::stats::reset();
-                let r = run_set(s, cfg);
-                (r, isb::counters::info_reuses() + isb::counters::node_reuses() - reuse0)
-            };
-            let boxed = {
-                let s = Arc::new(RList::<M, 0>::with_pool(PoolCfg::boxed()));
-                prefill_set(&*s, range, 7);
-                nvm::stats::reset();
-                run_set(s, cfg)
-            };
-            Pair { pooled, boxed, pooled_reuse_per_op: reused as f64 / pooled.ops.max(1) as f64 }
-        }
-
-        let cols = |what: &str| vec![format!("Isb-pooled {what}"), format!("Isb-boxed {what}")];
-        let mut t_tp = Table::new(
-            format!("Figure 9: pooled vs boxed list throughput, counting model (Mops/s; keys [1,{range}], read-heavy)"),
-            cols("Mops/s"),
-        );
-        let mut t_real = Table::new(
-            format!("Figure 9: pooled vs boxed list throughput, real flushes (Mops/s; keys [1,{range}], read-heavy)"),
-            cols("Mops/s"),
-        );
-        let mut t_persist = Table::new(
-            "Figure 9: persistency instructions per op (must be identical pooled vs boxed)"
-                .to_string(),
-            vec![
-                "pooled pbarrier/op".into(),
-                "boxed pbarrier/op".into(),
-                "pooled pwb/op".into(),
-                "boxed pwb/op".into(),
-                "pooled psync/op".into(),
-                "boxed psync/op".into(),
-            ],
-        );
-        let mut t_reuse = Table::new(
-            "Figure 9: pool reuses per operation (info + node; counting model)".to_string(),
-            vec!["reuses/op".into()],
-        );
-        for &n in &self.threads {
-            let c = pair_for::<CountingNvm>(n, range, mix, self.dur);
-            t_tp.row(n.to_string(), vec![c.pooled.mops(), c.boxed.mops()]);
-            t_persist.row(
-                n.to_string(),
-                vec![
-                    c.pooled.barriers_per_op(),
-                    c.boxed.barriers_per_op(),
-                    c.pooled.flushes_per_op(),
-                    c.boxed.flushes_per_op(),
-                    c.pooled.psyncs_per_op(),
-                    c.boxed.psyncs_per_op(),
-                ],
-            );
-            t_reuse.row(n.to_string(), vec![c.pooled_reuse_per_op]);
-            let r = pair_for::<RealNvm>(n, range, mix, self.dur);
-            t_real.row(n.to_string(), vec![r.pooled.mops(), r.boxed.mops()]);
-        }
-        self.emit("fig9_list", &t_tp);
-        self.emit("fig9_list_real", &t_real);
-        self.emit("fig9_persists", &t_persist);
-        self.emit("fig9_reuse", &t_reuse);
-
-        // Map arm: pooled vs boxed RHashMap/16 under the counting model.
-        let mut t_map = Table::new(
-            "Figure 9: pooled vs boxed hash-map throughput, counting model (Mops/s; 16 shards, keys [1,4096], read-heavy)".to_string(),
-            vec!["Isb-HM/16-pooled".into(), "Isb-HM/16-boxed".into()],
-        );
-        for &n in &self.threads {
-            let cfg = SetCfg { threads: n, key_range: 4096, mix, duration: self.dur, seed: 42 };
-            let pooled = {
-                let m = Arc::new(RHashMap::<CountingNvm, 0>::with_shards(16));
-                prefill_set(&*m, 4096, 7);
-                nvm::stats::reset();
-                run_set(m, cfg)
-            };
-            let boxed = {
-                let m = Arc::new(RHashMap::<CountingNvm, 0>::with_shards_and_pool(
-                    16,
-                    PoolCfg::boxed(),
-                ));
-                prefill_set(&*m, 4096, 7);
-                nvm::stats::reset();
-                run_set(m, cfg)
-            };
-            t_map.row(n.to_string(), vec![pooled.mops(), boxed.mops()]);
-        }
-        self.emit("fig9_map", &t_map);
     }
 
     /// Mapped-backend attach latency + throughput — Figure 10 (beyond the
@@ -1032,7 +914,6 @@ fn main() {
             ),
             "fig7" => ctx.fig7(),
             "fig8" => ctx.fig8(),
-            "fig9" => ctx.fig9(),
             "fig10" => ctx.fig10(),
             "fig11" => ctx.fig11(),
             "fig12" => ctx.fig12(),

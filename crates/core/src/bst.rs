@@ -31,7 +31,7 @@ use crate::env::Env;
 use crate::graph::{self, Graph};
 use crate::op::{cell_addr, TrackedNode};
 use crate::optype;
-use crate::pool::{Pool, PoolCfg, PoolItem};
+use crate::pool::{Pool, PoolItem};
 use crate::recovery::{install_roots, root_words, AttachEnv, AttachError, MappedLayout, SlotOps};
 use crate::tag;
 use nvm::mapped::MappedNvm;
@@ -142,11 +142,6 @@ impl<M: Persist, const ARM: u8> Default for RBst<M, ARM> {
 impl<M: Persist, const ARM: u8> RBst<M, ARM> {
     /// New empty tree.
     pub fn new() -> Self {
-        Self::with_pool(PoolCfg::default())
-    }
-
-    /// New empty tree with the given pool configuration.
-    pub fn with_pool(pool: PoolCfg) -> Self {
         // Routing: k < node.key goes left. Dummy leaves: key 0 (below every
         // user key) on the far left, ∞ leaves on the right spine; user keys
         // always land in inner's left subtree with gp ≠ null.
@@ -155,7 +150,7 @@ impl<M: Persist, const ARM: u8> RBst<M, ARM> {
         let inner: *mut Node<M> = Node::alloc(KEY_INF1, l0 as u64, l1 as u64, 0);
         let r2: *mut Node<M> = Node::alloc(KEY_INF2, 0, 0, 0);
         let root = Node::alloc(KEY_INF2, inner as u64, r2 as u64, 0);
-        let mut env = Env::volatile(pool);
+        let mut env = Env::volatile();
         Self { root, node_pool: env.pool::<_, ARM>(), env }
     }
 
@@ -534,7 +529,7 @@ impl<const ARM: u8> MappedLayout for RBst<MappedNvm, ARM> {
             // Fresh (or creation cut short — the root word is the last
             // store, so re-running rebuilds the dummies; the abandoned
             // blocks of a torn creation are swept once the heap attaches
-            // non-fresh). Same dummy shape as `with_pool`.
+            // non-fresh). Same dummy shape as `new`.
             let draw = |key: u64, left: u64, right: u64| {
                 let p: *mut Node<MappedNvm> = node_pool.take().expect("arena pool always serves");
                 // SAFETY: a pool object is live and exclusively ours.

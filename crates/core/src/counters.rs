@@ -1,5 +1,5 @@
 //! Live-object and pool-reuse counters for leak/double-free detection and
-//! allocation-ablation reporting.
+//! for proving that the recycle path runs.
 //!
 //! Every node/Info heap allocation increments, every deallocation decrements;
 //! pool hits bump the reuse counters instead. After dropping a structure (and
@@ -8,10 +8,8 @@
 //!
 //! The counters are **compiled out of the hot path by default**: they are
 //! active only under `cfg(test)` (this crate's own unit tests) or the
-//! `count-allocs` feature (enabled by the `tests` and `bench_harness`
-//! packages). Production users of `isb` pay nothing; the benchmark harness
-//! opts in explicitly so the fig9 ablation can report reuse rates. When
-//! disabled, every accessor reports zero.
+//! `count-allocs` feature (enabled by the `tests` package). Production users
+//! of `isb` pay nothing. When disabled, every accessor reports zero.
 
 #[cfg(any(test, feature = "count-allocs"))]
 use std::sync::atomic::{AtomicIsize, AtomicU64, Ordering::Relaxed};

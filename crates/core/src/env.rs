@@ -33,7 +33,7 @@
 
 use crate::engine::Info;
 use crate::graph::{self, Graph};
-use crate::pool::{Pool, PoolCfg, PoolItem};
+use crate::pool::{Pool, PoolItem};
 use crate::recovery::RecArea;
 use nvm::mapped::MappedHeap;
 use nvm::Persist;
@@ -55,16 +55,15 @@ pub struct Env<M: Persist> {
     pools: Vec<Arc<dyn Any + Send + Sync>>,
     /// Mapped mode: the persistent heap everything lives in.
     heap: Option<Arc<MappedHeap>>,
-    /// Settings of the pools built here (mapped mode: the default).
-    cfg: PoolCfg,
 }
 
 impl<M: Persist> Env<M> {
-    /// The environment of an in-process structure, pooled per `cfg`.
-    pub fn volatile(cfg: PoolCfg) -> Self {
+    /// The environment of an in-process structure: pooled, or passthrough
+    /// under crash simulation.
+    pub fn volatile() -> Self {
         let collector = if M::SIMULATED { Collector::disabled() } else { Collector::new() };
-        let infos = Pool::new_for::<M>(cfg, &collector, None);
-        Self { rec: RecArea::new(), collector, infos, pools: Vec::new(), heap: None, cfg }
+        let infos = Pool::new_for::<M>(&collector, None);
+        Self { rec: RecArea::new(), collector, infos, pools: Vec::new(), heap: None }
     }
 
     /// The environment of a structure inside `heap`
@@ -76,19 +75,17 @@ impl<M: Persist> Env<M> {
         infos: Option<Pool<Info<M>>>,
         heap: Arc<MappedHeap>,
     ) -> Self {
-        let cfg = PoolCfg::default();
-        let infos =
-            infos.unwrap_or_else(|| Pool::new_for::<M>(cfg, &collector, Some(heap.clone())));
-        Self { rec, collector, infos, pools: Vec::new(), heap: Some(heap), cfg }
+        let infos = infos.unwrap_or_else(|| Pool::new_for::<M>(&collector, Some(heap.clone())));
+        Self { rec, collector, infos, pools: Vec::new(), heap: Some(heap) }
     }
 
     /// A node pool for a structure placed at `ARM`, a level checked at
     /// compile time (`arm::placed`): arena-backed in a heap (never falling
     /// back to `Box` — the pool constructor panics instead), otherwise pooled
-    /// or passthrough as the model and the settings decide.
+    /// or passthrough as the model decides.
     pub fn pool<N: PoolItem, const ARM: u8>(&mut self) -> Pool<N> {
         crate::arm::placed::<ARM>();
-        let pool = Pool::new_for::<M>(self.cfg, &self.collector, self.heap.clone());
+        let pool = Pool::new_for::<M>(&self.collector, self.heap.clone());
         self.pools.extend(pool.hold());
         pool
     }
@@ -146,13 +143,14 @@ mod tests {
 
     #[test]
     fn volatile_collector_and_pools_follow_the_model() {
-        let mut sim = Env::<SimNvm>::volatile(PoolCfg::default());
+        let mut sim = Env::<SimNvm>::volatile();
         assert!(!sim.collector.is_enabled(), "a simulated crash must not free memory");
         assert!(!sim.infos.is_enabled() && !sim.pool::<Obj, 0>().is_enabled(), "passthrough");
-        let mut boxed = Env::<CountingNvm>::volatile(PoolCfg::boxed());
-        assert!(boxed.collector.is_enabled());
-        assert!(!boxed.infos.is_enabled() && !boxed.pool::<Obj, 0>().is_enabled(), "passthrough");
-        let mut pooled = Env::<CountingNvm>::volatile(PoolCfg::default());
+        let mut pooled = Env::<CountingNvm>::volatile();
+        assert!(pooled.collector.is_enabled());
         assert!(pooled.infos.is_enabled() && pooled.pool::<Obj, 0>().is_enabled());
+        // The exchanger holds an `Env` too, so it parks under the simulator.
+        let x = crate::exchanger::RExchanger::<SimNvm>::new();
+        assert!(!x.env.collector.is_enabled(), "an exchanger must not free under simulation");
     }
 }

@@ -13,11 +13,10 @@
 //! effect) — the paper's "tracked progress" distilled to three fields.
 
 use crate::engine::{res_val, val_of, RES_BOT, RES_EMPTY};
-use crate::pool::{Pool, PoolCfg, PoolItem};
-use crate::recovery::RecArea;
+use crate::env::Env;
+use crate::pool::{Pool, PoolItem};
 use crate::tag;
 use nvm::{PWord, Persist, PersistWords};
-use reclaim::Collector;
 
 /// The per-operation descriptor exchanged between processes.
 #[repr(C)]
@@ -67,10 +66,8 @@ pub enum ExchangeResult {
 /// A detectably recoverable exchanger.
 pub struct RExchanger<M: Persist> {
     slot: PWord<M>,
-    rec: RecArea<M>,
-    // `collector` must drop before `pool` (drop-time drain recycles).
-    collector: Collector,
     pool: Pool<ExInfo<M>>,
+    pub(crate) env: Env<M>,
 }
 
 unsafe impl<M: Persist> Send for RExchanger<M> {}
@@ -85,26 +82,22 @@ impl<M: Persist> Default for RExchanger<M> {
 impl<M: Persist> RExchanger<M> {
     /// New exchanger.
     pub fn new() -> Self {
-        let collector = Collector::new();
-        let pool = Pool::new_for::<M>(PoolCfg::default(), &collector, None);
-        Self { slot: PWord::new(0), rec: RecArea::new(), collector, pool }
+        let mut env = Env::volatile();
+        Self { slot: PWord::new(0), pool: env.pool::<_, 1>(), env }
     }
 
     fn alloc_info(&self, v: u64) -> *mut ExInfo<M> {
-        match self.pool.take() {
-            Some(p) => {
-                unsafe { (*p).init(v) };
-                p
-            }
-            None => {
+        self.pool.draw(
+            |i| i.init(v),
+            || {
                 crate::counters::info_alloc();
                 Box::into_raw(Box::new(ExInfo {
                     value: PWord::new(v),
                     partner: PWord::new(0),
                     result: PWord::new(RES_BOT),
                 }))
-            }
-        }
+            },
+        )
     }
 
     /// Complete with `partner`'s value: persist the response, then return it.
@@ -124,8 +117,8 @@ impl<M: Persist> RExchanger<M> {
     pub fn exchange(&self, pid: usize, v: u64, budget: usize) -> ExchangeResult {
         // ONE pin covers the retirement of the previous descriptor and the
         // whole collision loop.
-        let g = self.collector.pin();
-        let prev = self.rec.begin::<1>(pid);
+        let g = self.env.collector.pin();
+        let prev = self.env.rec.begin::<1>(pid);
         if tag::untagged(prev) != 0 {
             // Published in RD_q and possibly seen by a past partner: the
             // pool's epoch delay applies.
@@ -136,7 +129,7 @@ impl<M: Persist> RExchanger<M> {
             M::pwb_obj(&*info);
             M::pfence();
         }
-        self.rec.publish(pid, info as u64);
+        self.env.rec.publish(pid, info as u64);
         let mut spins = 0;
         loop {
             let cur = self.slot.load();
@@ -194,7 +187,7 @@ impl<M: Persist> RExchanger<M> {
     /// `Exchange.Recover`: decide from the tracked ExInfo whether the
     /// crashed exchange took effect.
     pub fn recover_exchange(&self, pid: usize, v: u64, budget: usize) -> ExchangeResult {
-        let (cp, rd) = self.rec.read(pid);
+        let (cp, rd) = self.env.rec.read(pid);
         if cp != 1 || rd == 0 {
             return self.exchange(pid, v, budget);
         }
@@ -227,12 +220,12 @@ impl<M: Persist> RExchanger<M> {
 impl<M: Persist> Drop for RExchanger<M> {
     fn drop(&mut self) {
         let mut grave = std::collections::HashSet::new();
-        self.rec.each_published(|rd| {
+        self.env.rec.each_published(|rd| {
             if tag::untagged(rd) != 0 {
                 grave.insert(tag::untagged(rd));
             }
         });
-        for (p, _) in self.collector.take_parked() {
+        for (p, _) in self.env.collector.take_parked() {
             grave.remove(&(p as u64)); // parked ExInfos freed below once
             unsafe { drop(Box::from_raw(p as *mut ExInfo<M>)) };
         }

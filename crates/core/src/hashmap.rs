@@ -22,7 +22,7 @@
 
 use crate::env::Env;
 use crate::graph::{self, Graph};
-use crate::pool::{Pool, PoolCfg};
+use crate::pool::Pool;
 use crate::recovery::{install_roots, root_words, AttachEnv, AttachError, MappedLayout, SlotOps};
 use crate::set_core::{self, Node, SetCore};
 use nvm::mapped::MappedNvm;
@@ -102,15 +102,9 @@ impl<M: Persist, const ARM: u8> RHashMap<M, ARM> {
 
     /// New empty map with `shards` buckets (must be a power of two).
     pub fn with_shards(shards: usize) -> Self {
-        Self::with_shards_and_pool(shards, PoolCfg::default())
-    }
-
-    /// New empty map with `shards` buckets (power of two) and the given pool
-    /// configuration.
-    pub fn with_shards_and_pool(shards: usize, pool: PoolCfg) -> Self {
         assert!(shards.is_power_of_two(), "shard count must be a power of two, got {shards}");
         let heads = (0..shards).map(|_| set_core::new_bucket()).collect();
-        let mut env = Env::volatile(pool);
+        let mut env = Env::volatile();
         Self::over(heads, env.pool::<_, ARM>(), env)
     }
 

@@ -11,7 +11,7 @@
 
 use crate::env::Env;
 use crate::graph::{self, Graph};
-use crate::pool::{Pool, PoolCfg};
+use crate::pool::Pool;
 use crate::recovery::{install_roots, root_words, AttachEnv, AttachError, MappedLayout, SlotOps};
 use crate::set_core::{self, SetCore};
 use nvm::mapped::MappedNvm;
@@ -65,16 +65,9 @@ impl<M: Persist, const ARM: u8> Default for RList<M, ARM> {
 }
 
 impl<M: Persist, const ARM: u8> RList<M, ARM> {
-    /// New empty list with pooled allocation.
+    /// New empty list.
     pub fn new() -> Self {
-        Self::with_pool(PoolCfg::default())
-    }
-
-    /// New empty list with the given pool configuration
-    /// ([`PoolCfg::boxed`]: every descriptor and node a fresh heap
-    /// allocation, as pre-pool builds behaved).
-    pub fn with_pool(pool: PoolCfg) -> Self {
-        let mut env = Env::volatile(pool);
+        let mut env = Env::volatile();
         Self { head: set_core::new_bucket(), nodes: env.pool::<_, ARM>(), env }
     }
 

@@ -73,40 +73,9 @@ pub trait PoolItem: Send + Sized + 'static {
 /// How many objects a heap refill allocates at once.
 const SLAB: usize = 16;
 
-/// Default per-process free-list capacity (objects beyond it are freed for
-/// real). Bounds live-but-idle memory per process and per object type.
+/// Per-process free-list capacity (objects beyond it are freed for real).
+/// Bounds live-but-idle memory per process and per object type.
 pub const DEFAULT_CAPACITY: usize = 256;
-
-/// Pool configuration of a volatile structure, carried by the structures'
-/// `with_pool` constructors into [`crate::env::Env::volatile`].
-#[derive(Debug, Clone, Copy)]
-pub struct PoolCfg {
-    /// Master switch; pooling is additionally forced off under crash
-    /// simulation and disabled collectors (passthrough mode).
-    pub enabled: bool,
-    /// Per-process free-list capacity.
-    pub capacity: usize,
-}
-
-impl Default for PoolCfg {
-    fn default() -> Self {
-        Self { enabled: true, capacity: DEFAULT_CAPACITY }
-    }
-}
-
-impl PoolCfg {
-    /// Pooling disabled: every allocation is boxed, as pre-pool builds did.
-    /// The fig9 ablation and the persist-placement golden tests run this
-    /// mode side by side with the default.
-    pub fn boxed() -> Self {
-        Self { enabled: false, ..Self::default() }
-    }
-
-    /// Pooling with a small per-process capacity (reuse-stress tests).
-    pub fn tiny(capacity: usize) -> Self {
-        Self { enabled: true, capacity }
-    }
-}
 
 /// The shared pool state. Heap-allocated behind [`Pool`] (reference-counted,
 /// so clones of one pool — e.g. the Info pool a [`crate::store::Store`]
@@ -119,7 +88,6 @@ pub struct PoolInner<T: PoolItem> {
     /// Per-process free lists; each is touched only by its owning thread
     /// (same discipline as the reclamation slots).
     lists: Vec<CachePadded<UnsafeCell<Vec<*mut T>>>>,
-    capacity: usize,
     /// Mapped mode: refills allocate from (and overflow/teardown frees to)
     /// this persistent arena instead of the process heap.
     arena: Option<Arc<MappedHeap>>,
@@ -144,7 +112,7 @@ impl<T: PoolItem> PoolInner<T> {
     /// (heap `Box` or its arena) that no thread can reach.
     unsafe fn recycle(&self, p: *mut T) {
         let list = self.my_list();
-        if list.len() < self.capacity {
+        if list.len() < DEFAULT_CAPACITY {
             list.push(p);
         } else {
             unsafe { self.dealloc(p) };
@@ -198,22 +166,20 @@ impl<T: PoolItem> Clone for Pool<T> {
 
 impl<T: PoolItem> Pool<T> {
     /// The one constructor, and the one place the safety-critical gate
-    /// lives: `cfg` applies only under an enabled collector and a
-    /// non-simulated model — pooling drops to passthrough otherwise (see
-    /// module docs) — and an `arena`-backed pool must never be passthrough:
-    /// the `Box` fallback would hand out volatile memory whose addresses get
-    /// persisted into the arena and dangle after a restart. Structures reach
-    /// it through [`crate::env::Env::pool`].
+    /// lives: a pool recycles under an enabled collector and a non-simulated
+    /// model, and is passthrough otherwise (see module docs) — and an
+    /// `arena`-backed pool must never be passthrough: the `Box` fallback
+    /// would hand out volatile memory whose addresses get persisted into the
+    /// arena and dangle after a restart. Structures reach it through
+    /// [`crate::env::Env::pool`].
     pub(crate) fn new_for<M: nvm::Persist>(
-        cfg: PoolCfg,
         collector: &reclaim::Collector,
         arena: Option<Arc<MappedHeap>>,
     ) -> Self {
-        let pooled = cfg.enabled && collector.is_enabled() && !M::SIMULATED;
+        let pooled = collector.is_enabled() && !M::SIMULATED;
         assert!(
             pooled || arena.is_none(),
-            "arena-backed pools require pooling on, an enabled collector, \
-             and a non-simulated persistency model"
+            "arena-backed pools require an enabled collector and a non-simulated persistency model"
         );
         Self {
             inner: pooled.then(|| {
@@ -221,7 +187,6 @@ impl<T: PoolItem> Pool<T> {
                     lists: (0..MAX_PROCS)
                         .map(|_| CachePadded::new(UnsafeCell::new(Vec::new())))
                         .collect(),
-                    capacity: cfg.capacity,
                     arena,
                 })
             }),
@@ -260,7 +225,6 @@ impl<T: PoolItem> Pool<T> {
             return Some(p);
         }
         let owner = inner as *const PoolInner<T> as *const ();
-        let refill = SLAB.min(inner.capacity.max(1));
         if let Some(heap) = &inner.arena {
             // Mapped mode: draw blocks from the persistent arena. Each block
             // is committed only after `T::fresh()` fully initialized it, so
@@ -273,7 +237,7 @@ impl<T: PoolItem> Pool<T> {
             } else {
                 0
             };
-            for _ in 0..refill {
+            for _ in 0..SLAB {
                 let raw = heap
                     .alloc(std::mem::size_of::<T>())
                     .unwrap_or_else(|e| panic!("persistent arena refill failed: {e}"))
@@ -290,7 +254,7 @@ impl<T: PoolItem> Pool<T> {
             }
             return list.pop();
         }
-        for _ in 0..refill - 1 {
+        for _ in 0..SLAB - 1 {
             let mut b = Box::new(T::fresh());
             b.attach(owner);
             list.push(Box::into_raw(b));
@@ -434,8 +398,8 @@ mod tests {
 
     static LIVE: AtomicUsize = AtomicUsize::new(0);
 
-    fn obj_pool(enabled: bool, capacity: usize) -> Pool<Obj> {
-        Pool::new_for::<nvm::CountingNvm>(PoolCfg { enabled, capacity }, &Collector::new(), None)
+    fn obj_pool() -> Pool<Obj> {
+        Pool::new_for::<nvm::CountingNvm>(&Collector::new(), None)
     }
 
     /// Every test here allocates `Obj`s and some compare `LIVE` exactly, so
@@ -464,7 +428,7 @@ mod tests {
         nvm::tid::set_tid(0);
         let c = Collector::new();
         let g = c.pin();
-        let pool: Pool<Obj> = obj_pool(true, 64);
+        let pool: Pool<Obj> = obj_pool();
         let a = pool.take().unwrap();
         unsafe { pool.give(a, &g) };
         let b = pool.take().unwrap();
@@ -477,7 +441,8 @@ mod tests {
         let _turn = live_turn();
         nvm::tid::set_tid(0);
         let c = Collector::new();
-        let pool: Pool<Obj> = obj_pool(false, 64);
+        // A simulated model makes the pool passthrough under any collector.
+        let pool: Pool<Obj> = Pool::new_for::<nvm::SimNvm>(&c, None);
         assert!(pool.take().is_none());
         assert!(pool.handle().is_null());
         let p = Box::into_raw(Box::new(Obj::fresh()));
@@ -498,7 +463,8 @@ mod tests {
         let _turn = live_turn();
         nvm::tid::set_tid(0);
         let c = Collector::disabled();
-        let pool: Pool<Obj> = obj_pool(false, 64);
+        let pool: Pool<Obj> = Pool::new_for::<nvm::CountingNvm>(&c, None);
+        assert!(!pool.is_enabled(), "a disabled collector makes the pool passthrough");
         let p = Box::into_raw(Box::new(Obj::fresh()));
         let live = LIVE.load(Relaxed);
         {
@@ -520,7 +486,7 @@ mod tests {
         let _turn = live_turn();
         nvm::tid::set_tid(0);
         let c = Collector::new();
-        let mut pool: Pool<Obj> = obj_pool(true, 64);
+        let mut pool: Pool<Obj> = obj_pool();
         let p = pool.take().unwrap();
         let idle0 = pool.idle();
         {
@@ -542,14 +508,18 @@ mod tests {
         nvm::tid::set_tid(0);
         let c = Collector::new();
         let g = c.pin();
-        let mut pool: Pool<Obj> = obj_pool(true, 4);
-        let ps: Vec<_> = (0..12).map(|_| pool.take().unwrap()).collect();
+        let mut pool: Pool<Obj> = obj_pool();
+        let taken = 300; // more than the capacity
+        let ps: Vec<_> = (0..taken).map(|_| pool.take().unwrap()).collect();
+        // Slab refills leave the rest of the last slab on the list.
+        let idle = pool.idle();
         let live = LIVE.load(Relaxed);
         for p in ps {
             unsafe { pool.give(p, &g) };
         }
-        assert_eq!(pool.idle(), 4, "free list capped at capacity");
-        assert_eq!(LIVE.load(Relaxed), live - 8, "overflow freed for real");
+        assert_eq!(pool.idle(), DEFAULT_CAPACITY, "free list capped at capacity");
+        let freed = idle + taken - DEFAULT_CAPACITY;
+        assert_eq!(LIVE.load(Relaxed), live - freed, "overflow freed for real");
     }
 
     #[test]
@@ -560,7 +530,7 @@ mod tests {
         {
             let c = Collector::new();
             let g = c.pin();
-            let mut pool: Pool<Obj> = obj_pool(true, 1024);
+            let mut pool: Pool<Obj> = obj_pool();
             let ps: Vec<_> = (0..40).map(|_| pool.take().unwrap()).collect();
             for p in ps {
                 unsafe { pool.give(p, &g) };

@@ -47,7 +47,7 @@ use crate::env::Env;
 use crate::graph::{self, Graph};
 use crate::op::{cell_addr, TrackedNode};
 use crate::optype;
-use crate::pool::{Pool, PoolCfg, PoolItem};
+use crate::pool::{Pool, PoolItem};
 use crate::recovery::{
     install_roots, root_words, AttachEnv, AttachError, MappedLayout, Recovered, Rooted, SlotOps,
 };
@@ -176,15 +176,10 @@ impl<M: Persist, const ARM: u8> Default for RQueue<M, ARM> {
 }
 
 impl<M: Persist, const ARM: u8> RQueue<M, ARM> {
-    /// New empty queue with pooled allocation.
+    /// New empty queue.
     pub fn new() -> Self {
-        Self::with_pool(PoolCfg::default())
-    }
-
-    /// New empty queue with the given pool configuration.
-    pub fn with_pool(pool: PoolCfg) -> Self {
         let s0: *mut Node<M> = Node::alloc(0, 0, 0);
-        let mut env = Env::volatile(pool);
+        let mut env = Env::volatile();
         Self {
             head: Rooted::Owned(Box::new(Anchor {
                 ptr: PWord::new(s0 as u64),

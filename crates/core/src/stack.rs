@@ -32,7 +32,7 @@ use crate::counters;
 use crate::engine::{res_val, val_of, RES_UNIT};
 use crate::env::Env;
 use crate::graph::{self, Graph};
-use crate::pool::{Pool, PoolCfg, PoolItem};
+use crate::pool::{Pool, PoolItem};
 use crate::recovery::{AttachEnv, AttachError, MappedLayout, Recovered, Rooted, SlotOps};
 use crate::tag;
 use nvm::mapped::MappedNvm;
@@ -147,12 +147,7 @@ impl<M: Persist> Default for RStack<M> {
 impl<M: Persist> RStack<M> {
     /// New empty stack.
     pub fn new() -> Self {
-        Self::with_pool(PoolCfg::default())
-    }
-
-    /// New empty stack with the given pool configuration.
-    pub fn with_pool(pool: PoolCfg) -> Self {
-        Self::over(Rooted::Owned(Box::new(PWord::new(0))), Env::volatile(pool))
+        Self::over(Rooted::Owned(Box::new(PWord::new(0))), Env::volatile())
     }
 
     fn over(top: Rooted<PWord<M>>, mut env: Env<M>) -> Self {

@@ -1255,6 +1255,27 @@ mod tests {
     }
 
     #[test]
+    fn a_full_registry_refuses_typed_and_a_freed_slot_is_claimed_again() {
+        let path = tmp("regfull");
+        let heap =
+            MappedHeap::open_shared_with(&path, MIN_HEAP_BYTES, FakeProbe::with(&[])).unwrap();
+        heap.release_attach_lock();
+        // This process holds slot 0; peers fill every other slot.
+        let peers: Vec<usize> = (1..PART_SLOTS as u64)
+            .map(|i| heap.debug_register_peer(9000 + i, 5).unwrap())
+            .collect();
+        let full = heap.participants();
+        assert_eq!(full.len(), PART_SLOTS);
+        assert!(matches!(heap.debug_register_peer(9999, 7), Err(MapError::RegistryFull)));
+        assert_eq!(heap.participants(), full, "a refused claim writes nothing");
+        heap.clear_participant(peers[2]);
+        assert_eq!(heap.debug_register_peer(9999, 7).unwrap(), peers[2]);
+        assert!(heap.participants().contains(&(peers[2], 9999, 7)));
+        drop(heap);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
     fn join_refuses_live_exclusive_attacher() {
         let path = tmp("exclpeer");
         // A real exclusive attach (default liveness probe) holds the heap.

@@ -18,14 +18,12 @@
 //! Counters are read as a per-tid delta ([`Snapshot::of_tid`]): the whole
 //! scenario runs on tid 0, and nothing another thread counts can leak in.
 //!
-//! The table is checked for **pooled** (default) and **boxed** allocation,
-//! and again on a pooled list that was churned until its descriptors and
-//! nodes come from the recycle path — pooling must not change persist
-//! placement by a single instruction.
+//! The table is checked on fresh structures and again on a list that was
+//! churned until its descriptors and nodes come from the recycle path —
+//! recycling must not change persist placement by a single instruction.
 
 use isb::hashmap::RHashMap;
 use isb::list::RList;
-use isb::pool::PoolCfg;
 use isb::queue::RQueue;
 use nvm::stats::Snapshot;
 use nvm::CountingNvm;
@@ -236,7 +234,7 @@ fn check_against_lp(golden: &[(&str, GoldenLp); 6], s: &SetUnderTest<'_>) {
 fn set_core_extraction_preserves_persist_placement() {
     nvm::tid::set_tid(0);
 
-    // Default (pooled) allocation, fresh structures.
+    // Fresh structures.
     let list = RList::<CountingNvm, 0>::new();
     check_against(
         &GOLDEN_ISB,
@@ -258,34 +256,12 @@ fn set_core_extraction_preserves_persist_placement() {
         },
     );
 
-    // Boxed (pre-pool) allocation must reproduce the same table bit-for-bit.
-    let list = RList::<CountingNvm, 0>::with_pool(PoolCfg::boxed());
-    check_against(
-        &GOLDEN_ISB,
-        &SetUnderTest {
-            name: "RList<Isb>/boxed",
-            insert: Box::new(|k| list.insert(0, k)),
-            delete: Box::new(|k| list.delete(0, k)),
-            find: Box::new(|k| list.find(0, k)),
-        },
-    );
-    let list = RList::<CountingNvm, 1>::with_pool(PoolCfg::boxed());
-    check_against(
-        &GOLDEN_OPT,
-        &SetUnderTest {
-            name: "RList<Isb-Opt>/boxed",
-            insert: Box::new(|k| list.insert(0, k)),
-            delete: Box::new(|k| list.delete(0, k)),
-            find: Box::new(|k| list.find(0, k)),
-        },
-    );
-
-    // Pooled with the recycle path HOT: a tiny pool churned until reuse is
-    // guaranteed (the leak counters prove it below). The scenario keys
-    // (5, 6) are untouched by the churn key (9), so every op still takes
-    // the same algorithm path over the same structure shape.
+    // The recycle path HOT: a list churned until reuse is guaranteed (the
+    // reuse counters prove it below). The scenario keys (5, 6) are
+    // untouched by the churn key (9), so every op still takes the same
+    // algorithm path over the same structure shape.
     let reuse0 = isb::counters::info_reuses();
-    let warm = RList::<CountingNvm, 0>::with_pool(PoolCfg::tiny(8));
+    let warm = RList::<CountingNvm, 0>::new();
     for _ in 0..300 {
         assert!(warm.insert(0, 9));
         assert!(warm.delete(0, 9));
@@ -304,7 +280,7 @@ fn set_core_extraction_preserves_persist_placement() {
         },
     );
     let reuse0 = isb::counters::info_reuses();
-    let warm = RList::<CountingNvm, 1>::with_pool(PoolCfg::tiny(8));
+    let warm = RList::<CountingNvm, 1>::new();
     for _ in 0..300 {
         assert!(warm.insert(0, 9));
         assert!(warm.delete(0, 9));
@@ -345,36 +321,15 @@ fn set_core_extraction_preserves_persist_placement() {
             find: Box::new(|k| map.find(0, k)),
         },
     );
-    let map = RHashMap::<CountingNvm, 0>::with_shards_and_pool(1, PoolCfg::boxed());
-    check_against(
-        &GOLDEN_ISB,
-        &SetUnderTest {
-            name: "RHashMap<Isb>/1/boxed",
-            insert: Box::new(|k| map.insert(0, k)),
-            delete: Box::new(|k| map.delete(0, k)),
-            find: Box::new(|k| map.find(0, k)),
-        },
-    );
-
     // ---- The coalescing arm --------------------------------------------
     //
-    // Same scenario, arm 3 (Isb-LP): pooled and boxed lists, a one-shard
-    // map, and a recycle-hot list.
+    // Same scenario, arm 3 (Isb-LP): a list, a one-shard map, and a
+    // recycle-hot list.
     let list = RList::<CountingNvm, 3>::new();
     check_against_lp(
         &GOLDEN_LP,
         &SetUnderTest {
             name: "RList<Isb-LP>",
-            insert: Box::new(|k| list.insert(0, k)),
-            delete: Box::new(|k| list.delete(0, k)),
-            find: Box::new(|k| list.find(0, k)),
-        },
-    );
-    let list = RList::<CountingNvm, 3>::with_pool(PoolCfg::boxed());
-    check_against_lp(
-        &GOLDEN_LP,
-        &SetUnderTest {
-            name: "RList<Isb-LP>/boxed",
             insert: Box::new(|k| list.insert(0, k)),
             delete: Box::new(|k| list.delete(0, k)),
             find: Box::new(|k| list.find(0, k)),
@@ -391,7 +346,7 @@ fn set_core_extraction_preserves_persist_placement() {
         },
     );
     let reuse0 = isb::counters::info_reuses();
-    let warm = RList::<CountingNvm, 3>::with_pool(PoolCfg::tiny(8));
+    let warm = RList::<CountingNvm, 3>::new();
     for _ in 0..300 {
         assert!(warm.insert(0, 9));
         assert!(warm.delete(0, 9));

@@ -1,6 +1,7 @@
-//! Reuse-ABA stress: hammer insert/delete on ONE key with tiny pool
-//! capacities so descriptors and nodes recycle as fast as the epoch
-//! machinery allows, and assert that no completed operation's tag ever
+//! Reuse-ABA stress: hammer insert/delete on ONE key so descriptors and
+//! nodes recycle as fast as the epoch machinery allows (a volatile
+//! structure always recycles: the recycle path is the only allocation path
+//! it takes), and assert that no completed operation's tag ever
 //! resurrects (a recycled descriptor address confused with a live one would
 //! leave a reachable tagged node, double-apply an effect, or corrupt the
 //! responses).
@@ -12,16 +13,15 @@
 
 use isb::hashmap::RHashMap;
 use isb::list::RList;
-use isb::pool::PoolCfg;
 use nvm::CountingNvm;
 use std::sync::atomic::{AtomicI64, Ordering::Relaxed};
 use std::sync::Arc;
 
 type M = CountingNvm;
 
-/// Single-thread determinism: with a capacity-2 pool every retired
-/// descriptor re-enters circulation almost immediately; 20k rounds on one
-/// key force constant reuse of both infos and nodes. Every response is
+/// Single-thread determinism: every retired descriptor re-enters
+/// circulation two epoch advances later; 20k rounds on one key force
+/// constant reuse of both infos and nodes. Every response is
 /// deterministic — any ABA confusion shows up as a wrong response or a
 /// tagged node at quiescence.
 #[test]
@@ -29,7 +29,7 @@ fn single_thread_one_key_churn_reuses_without_aba() {
     let _gate = isb::counters::gate_shared();
     nvm::tid::set_tid(0);
     let reuse0 = (isb::counters::info_reuses(), isb::counters::node_reuses());
-    let mut list = RList::<M, 0>::with_pool(PoolCfg::tiny(2));
+    let mut list = RList::<M, 0>::new();
     for round in 0..20_000u64 {
         assert!(list.insert(0, 7), "round {round}: insert must win on an empty set");
         assert!(list.find(0, 7), "round {round}: inserted key must be found");
@@ -48,7 +48,7 @@ fn single_thread_one_key_churn_reuses_without_aba() {
     assert_eq!(list.snapshot_keys(), Vec::<u64>::new());
 }
 
-/// Concurrent contention on ONE key with a tiny pool, both tunings. Checks:
+/// Concurrent contention on ONE key, both tunings. Checks:
 ///
 /// * conservation — `#insert-wins − #delete-wins ∈ {0, 1}` and equals the
 ///   final membership (an ABA double-apply breaks this);
@@ -63,7 +63,7 @@ fn concurrent_one_key_contention_with_tiny_pool() {
     let infos0 = isb::counters::live_infos();
 
     fn run<const ARM: u8>(label: &str) {
-        let list = Arc::new(RList::<M, ARM>::with_pool(PoolCfg::tiny(4)));
+        let list = Arc::new(RList::<M, ARM>::new());
         let balance = Arc::new(AtomicI64::new(0)); // insert wins − delete wins
         let hs: Vec<_> = (0..4)
             .map(|t| {
@@ -114,7 +114,7 @@ fn concurrent_one_key_contention_with_tiny_pool() {
 fn hashmap_one_key_contention_with_tiny_pool() {
     let _gate = isb::counters::gate_shared();
     nvm::tid::set_tid(0);
-    let map = Arc::new(RHashMap::<M, 1>::with_shards_and_pool(8, PoolCfg::tiny(4)));
+    let map = Arc::new(RHashMap::<M, 1>::with_shards(8));
     let balance = Arc::new(AtomicI64::new(0));
     let hs: Vec<_> = (0..4)
         .map(|t| {
