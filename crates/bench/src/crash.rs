@@ -23,15 +23,18 @@
 //!
 //! Set-shaped structures (list, BST, and anything added later) share one
 //! generic driver, [`run_set_scenario`], parameterised by the
-//! [`RecoverableSet`] view; recovery decisions stay inside each structure's
-//! `recover_*` methods (which wrap `isb::recovery::op_recover`) — the
-//! harness only re-invokes them, exactly like the paper's system model.
+//! [`RecoverableSet`] view; producer/consumer structures (queue, stack)
+//! share [`run_bag_scenario`] over [`RecoverableBag`]. Recovery decisions
+//! stay inside each structure's `recover_*` methods (which wrap
+//! `isb::recovery::op_recover`) — the harness only re-invokes them, exactly
+//! like the paper's system model.
 
 use isb::bst::RBst;
 use isb::graph::Graph;
 use isb::hashmap::RHashMap;
 use isb::list::RList;
 use isb::queue::RQueue;
+use isb::stack::RStack;
 use nvm::sim;
 use nvm::SimNvm;
 use std::sync::{Arc, Mutex};
@@ -463,13 +466,100 @@ pub fn run_hashmap_lp_scenario(cfg: CrashCfg) -> CrashReport {
 }
 
 // ---------------------------------------------------------------------------
-// Queue scenario
+// Producer/consumer scenarios (queue, stack)
 // ---------------------------------------------------------------------------
 
+/// Uniform crash-scenario view of a detectably recoverable producer/consumer
+/// structure — a bag of values that producers put and consumers take, in
+/// whatever order the structure keeps: what [`RecoverableSet`] is for sets.
+/// `Default` builds it fresh (under the simulator its collector is disabled:
+/// a crash must not free memory).
+pub trait RecoverableBag: Graph<SimNvm> + Default + Send + Sync + 'static {
+    /// Structure name used in failure reports.
+    const NAME: &'static str;
+
+    /// Enqueue / push `v`.
+    fn put(&self, pid: usize, v: u64);
+    /// Dequeue / pop; `None` when empty.
+    fn take(&self, pid: usize) -> Option<u64>;
+    /// `put`'s recovery with the crashed invocation's argument.
+    fn recover_put(&self, pid: usize, v: u64);
+    /// `take`'s recovery.
+    fn recover_take(&self, pid: usize) -> Option<u64>;
+
+    /// `pid`'s recovery slot and published descriptor, for failure reports
+    /// (requires quiescence).
+    fn describe_recovery(&self, pid: usize) -> String;
+    /// Post-recovery scrub and structural heals, then the invariant checks
+    /// (requires quiescence; see [`RecoverableSet::scrub`]).
+    fn settle(&mut self);
+    /// The values left, in the structure's order (requires quiescence).
+    fn snapshot(&mut self) -> Vec<u64>;
+}
+
+impl<const ARM: u8> RecoverableBag for RQueue<SimNvm, ARM> {
+    const NAME: &'static str = "RQueue";
+    fn put(&self, pid: usize, v: u64) {
+        self.enqueue(pid, v)
+    }
+    fn take(&self, pid: usize) -> Option<u64> {
+        self.dequeue(pid)
+    }
+    fn recover_put(&self, pid: usize, v: u64) {
+        self.recover_enqueue(pid, v)
+    }
+    fn recover_take(&self, pid: usize) -> Option<u64> {
+        self.recover_dequeue(pid)
+    }
+    fn describe_recovery(&self, pid: usize) -> String {
+        // SAFETY: called between rounds, with every worker joined; crash
+        // runs free nothing (disabled collector).
+        unsafe { RQueue::describe_recovery(self, pid) }
+    }
+    // The LP arm elides the cleanup untag flushes and never writes the tail
+    // hint back: the image can resurrect tags of completed operations and
+    // roll the hint to a node dequeued long ago.
+    fn settle(&mut self) {
+        self.scrub();
+        self.heal_tail();
+        self.check_invariants();
+    }
+    fn snapshot(&mut self) -> Vec<u64> {
+        self.snapshot_vals()
+    }
+}
+
+impl RecoverableBag for RStack<SimNvm> {
+    const NAME: &'static str = "RStack";
+    fn put(&self, pid: usize, v: u64) {
+        self.push(pid, v)
+    }
+    fn take(&self, pid: usize) -> Option<u64> {
+        self.pop(pid)
+    }
+    fn recover_put(&self, pid: usize, v: u64) {
+        self.recover_push(pid, v)
+    }
+    fn recover_take(&self, pid: usize) -> Option<u64> {
+        self.recover_pop(pid)
+    }
+    fn describe_recovery(&self, pid: usize) -> String {
+        // SAFETY: as the queue's.
+        unsafe { RStack::describe_recovery(self, pid) }
+    }
+    fn settle(&mut self) {
+        self.scrub();
+        self.check_invariants();
+    }
+    fn snapshot(&mut self) -> Vec<u64> {
+        self.snapshot_vals()
+    }
+}
+
 /// Runs one seeded queue crash scenario, paper placement
-/// (see [`run_queue_scenario_arm`]).
+/// (see [`run_bag_scenario`]).
 pub fn run_queue_scenario(cfg: CrashCfg) -> CrashReport {
-    run_queue_scenario_arm::<0>(cfg)
+    run_bag_scenario::<RQueue<SimNvm, 0>>(cfg)
 }
 
 /// Runs one seeded queue crash scenario, link-persist placement — the arm
@@ -477,14 +567,19 @@ pub fn run_queue_scenario(cfg: CrashCfg) -> CrashReport {
 /// the adversarial image may roll the tag CAS back independently of the
 /// descriptor state it points at.
 pub fn run_queue_lp_scenario(cfg: CrashCfg) -> CrashReport {
-    run_queue_scenario_arm::<3>(cfg)
+    run_bag_scenario::<RQueue<SimNvm, 3>>(cfg)
 }
 
-/// Runs one seeded queue crash scenario; panics on violations (duplicate or
-/// lost values across the crash). Producers/consumers use disjoint pid and
-/// value spaces.
-pub fn run_queue_scenario_arm<const ARM: u8>(cfg: CrashCfg) -> CrashReport {
-    type SimQueue<const ARM: u8> = RQueue<SimNvm, ARM>;
+/// Runs one seeded stack crash scenario (the stack's one placement,
+/// link-persist).
+pub fn run_stack_scenario(cfg: CrashCfg) -> CrashReport {
+    run_bag_scenario::<RStack<SimNvm>>(cfg)
+}
+
+/// Runs one seeded producer/consumer crash scenario; panics on violations
+/// (duplicate or lost values across the crash). Producers/consumers use
+/// disjoint pid and value spaces.
+pub fn run_bag_scenario<B: RecoverableBag>(cfg: CrashCfg) -> CrashReport {
     let _session = SESSION.lock().unwrap_or_else(|e| e.into_inner());
     // Exclusive process-wide simulator session: a concurrent one (e.g. a
     // test bypassing this harness) now panics cleanly instead of corrupting
@@ -495,10 +590,10 @@ pub fn run_queue_scenario_arm<const ARM: u8>(cfg: CrashCfg) -> CrashReport {
     let mut report = CrashReport::default();
     {
         nvm::tid::set_tid(nvm::MAX_PROCS - 1);
-        let q = Arc::new(SimQueue::<ARM>::new());
+        let q = Arc::new(B::default());
         let prefill = cfg.keys_per_proc;
         for i in 0..prefill {
-            q.enqueue(nvm::MAX_PROCS - 1, 1_000_000_000 + i);
+            q.put(nvm::MAX_PROCS - 1, 1_000_000_000 + i);
         }
         sim::persist_all();
 
@@ -510,66 +605,48 @@ pub fn run_queue_scenario_arm<const ARM: u8>(cfg: CrashCfg) -> CrashReport {
             (0..producers).map(|_| Arc::new(Mutex::new(ProdLog::default()))).collect();
         let clogs: Vec<_> =
             (0..consumers).map(|_| Arc::new(Mutex::new(ConsLog::default()))).collect();
-        // Cooperative crash trigger, as in the set scenario: the worker that
-        // completes the seeded target-th operation (< 90% of the workload)
-        // arms the crash, so it always lands with operations outstanding.
+        // Cooperative crash trigger, as in the set scenario, but inside an
+        // operation: the worker that completes the seeded target-th operation
+        // (< 90% of the workload) crashes its next one at a seeded
+        // instruction ([`fused_worker`]).
         let total_ops = ((producers + consumers) * cfg.ops_per_proc) as u64;
         let mut rng = Rng::new(cfg.seed ^ 0xFEED);
         let target = 1 + rng.below(total_ops * 9 / 10);
+        let fuse = 1 + rng.below(FUSE_SPAN);
         let progress = Arc::new(std::sync::atomic::AtomicU64::new(0));
         let mut handles = Vec::new();
         for (p, log) in plogs.iter().enumerate() {
-            let q = Arc::clone(&q);
-            let log = Arc::clone(log);
-            let progress = Arc::clone(&progress);
+            let (q, log, progress) = (Arc::clone(&q), Arc::clone(log), Arc::clone(&progress));
             let ops = cfg.ops_per_proc;
             handles.push(std::thread::spawn(move || {
                 nvm::tid::set_tid(p);
-                for i in 0..ops as u64 {
+                fused_worker(ops, &progress, target, fuse, |i| {
                     let v = (p as u64 + 1) * 1_000_000 + i;
                     log.lock().unwrap().pending = Some(v);
-                    match sim::run_crashable(|| q.enqueue(p, v)) {
-                        Ok(()) => {
-                            let mut l = log.lock().unwrap();
-                            l.pending = None;
-                            l.acked.push(v);
-                            if progress.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1
-                                == target
-                            {
-                                sim::trigger_crash();
-                            }
-                        }
-                        Err(_) => return,
+                    let done = sim::run_crashable(|| q.put(p, v)).is_ok();
+                    if done {
+                        let mut l = log.lock().unwrap();
+                        l.pending = None;
+                        l.acked.push(v);
                     }
-                }
+                    done
+                });
             }));
         }
         for (c, log) in clogs.iter().enumerate() {
-            let q = Arc::clone(&q);
-            let log = Arc::clone(log);
-            let progress = Arc::clone(&progress);
+            let (q, log, progress) = (Arc::clone(&q), Arc::clone(log), Arc::clone(&progress));
             let pid = producers + c;
             let ops = cfg.ops_per_proc;
             handles.push(std::thread::spawn(move || {
                 nvm::tid::set_tid(pid);
-                for _ in 0..ops {
+                fused_worker(ops, &progress, target, fuse, |_| {
                     log.lock().unwrap().pending = true;
-                    match sim::run_crashable(|| q.dequeue(pid)) {
-                        Ok(r) => {
-                            let mut l = log.lock().unwrap();
-                            l.pending = false;
-                            if let Some(v) = r {
-                                l.got.push(v);
-                            }
-                            if progress.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1
-                                == target
-                            {
-                                sim::trigger_crash();
-                            }
-                        }
-                        Err(_) => return,
-                    }
-                }
+                    let Ok(r) = sim::run_crashable(|| q.take(pid)) else { return false };
+                    let mut l = log.lock().unwrap();
+                    l.pending = false;
+                    l.got.extend(r);
+                    true
+                });
             }));
         }
         watchdog_crash(&progress, target);
@@ -597,10 +674,7 @@ pub fn run_queue_scenario_arm<const ARM: u8>(cfg: CrashCfg) -> CrashReport {
         let mut found: Vec<(usize, String)> = Vec::new();
         for round in 0..=cfg.recovery_crashes {
             let crash_again = round < cfg.recovery_crashes;
-            // SAFETY: every worker is joined; crash runs free nothing.
-            found.extend(
-                pending_pids().into_iter().map(|pid| (pid, unsafe { q.describe_recovery(pid) })),
-            );
+            found.extend(pending_pids().into_iter().map(|pid| (pid, q.describe_recovery(pid))));
             let mut rhandles = Vec::new();
             for (p, log) in plogs.iter().enumerate() {
                 let q = Arc::clone(&q);
@@ -610,7 +684,7 @@ pub fn run_queue_scenario_arm<const ARM: u8>(cfg: CrashCfg) -> CrashReport {
                     let pend = log.lock().unwrap().pending;
                     if let Some(v) = pend {
                         // Err: died again; the next round recovers it.
-                        if sim::run_crashable(|| q.recover_enqueue(p, v)).is_ok() {
+                        if sim::run_crashable(|| q.recover_put(p, v)).is_ok() {
                             let mut l = log.lock().unwrap();
                             l.pending = None;
                             l.acked.push(v);
@@ -626,7 +700,7 @@ pub fn run_queue_scenario_arm<const ARM: u8>(cfg: CrashCfg) -> CrashReport {
                     nvm::tid::set_tid(pid);
                     let pend = log.lock().unwrap().pending;
                     if pend {
-                        if let Ok(r) = sim::run_crashable(|| q.recover_dequeue(pid)) {
+                        if let Ok(r) = sim::run_crashable(|| q.recover_take(pid)) {
                             let mut l = log.lock().unwrap();
                             l.pending = false;
                             if let Some(v) = r {
@@ -653,25 +727,24 @@ pub fn run_queue_scenario_arm<const ARM: u8>(cfg: CrashCfg) -> CrashReport {
         let mut q = Arc::into_inner(q).expect("all workers joined");
         // A node linked twice closes the chain into a cycle, and the
         // quiescent walks below would never return: diagnose it here, against
-        // the number of nodes the scenario can have allocated at all.
-        let max_nodes = 1 + prefill as usize + producers * cfg.ops_per_proc;
+        // the number of nodes the scenario can have allocated at all (two
+        // sentinels, two nodes per put: the stack's push copies one).
+        let max_nodes = 2 + 2 * (prefill as usize + producers * cfg.ops_per_proc);
         // SAFETY: quiescent; crash runs free nothing, so every link is live.
         if let Err(p) = unsafe { Graph::walk(&q, 0, &|_| true, max_nodes, &mut |_, _| {}) } {
             panic!(
-                "seed {}: sentinel chain does not end within {max_nodes} nodes (stopped at \
-                 {p:#x}): a node was linked twice; pending (pid, slot) found by recovery: \
-                 {found:?}",
-                cfg.seed
+                "seed {}: {} chain does not end within {max_nodes} nodes (stopped at {p:#x}): a \
+                 node was linked twice; pending (pid, slot) found by recovery: {found:?}",
+                cfg.seed,
+                B::NAME
             );
         }
         // Post-recovery scrub, as in the set driver: the LP arm elides the
         // cleanup untag flushes entirely, so the adversarial image can
         // resurrect tags of *completed* operations — at runtime lazy helping
-        // heals them, but the harness validates a quiescent queue now.
-        q.scrub();
-        q.heal_tail();
-        q.check_invariants();
-        let remaining = q.snapshot_vals();
+        // heals them, but the harness validates a quiescent structure now.
+        q.settle();
+        let remaining = q.snapshot();
         let mut seen = std::collections::HashMap::new();
         for &v in remaining.iter() {
             *seen.entry(v).or_insert(0u32) += 1;
@@ -688,9 +761,10 @@ pub fn run_queue_scenario_arm<const ARM: u8>(cfg: CrashCfg) -> CrashReport {
         for (&v, &n) in &seen {
             assert!(
                 n <= 1,
-                "seed {}: value {v} appears {n} times (duplicated across crash); \
+                "seed {}: {} value {v} appears {n} times (duplicated across crash); \
                  pending (pid, slot) found by recovery: {found:?}",
-                cfg.seed
+                cfg.seed,
+                B::NAME
             );
         }
         for i in 0..prefill {
@@ -698,8 +772,9 @@ pub fn run_queue_scenario_arm<const ARM: u8>(cfg: CrashCfg) -> CrashReport {
             assert_eq!(
                 seen.get(&v),
                 Some(&1),
-                "seed {}: prefilled {v} lost; pending (pid, slot) found by recovery: {found:?}",
-                cfg.seed
+                "seed {}: {} prefilled {v} lost; pending (pid, slot) found by recovery: {found:?}",
+                cfg.seed,
+                B::NAME
             );
         }
         for log in &plogs {
@@ -709,15 +784,53 @@ pub fn run_queue_scenario_arm<const ARM: u8>(cfg: CrashCfg) -> CrashReport {
                 assert_eq!(
                     seen.get(&v),
                     Some(&1),
-                    "seed {}: acked value {v} lost or duplicated; \
+                    "seed {}: {} acked value {v} lost or duplicated; \
                      pending (pid, slot) found by recovery: {found:?}",
-                    cfg.seed
+                    cfg.seed,
+                    B::NAME
                 );
             }
         }
     }
     sim::reset();
     report
+}
+
+/// Upper bound on the fuse [`run_bag_scenario`] lights: about the
+/// instrumented operations of one put or take, so the crash lands at any of
+/// them — after the operation took effect too — or, when the operation
+/// outruns the fuse, right after it.
+const FUSE_SPAN: u64 = 64;
+
+/// One worker of [`run_bag_scenario`]: runs `op(0..ops)` — each `false` once
+/// the crash killed it — and, if it completes the scenario's `target`-th
+/// operation, crashes its next one at instrumented operation `fuse`. A crash
+/// landing only where workers are parked (on the simulator's registry lock,
+/// mostly while filling a descriptor) would almost never hit an operation
+/// between its effect and its return.
+fn fused_worker(
+    ops: usize,
+    progress: &std::sync::atomic::AtomicU64,
+    target: u64,
+    fuse: u64,
+    mut op: impl FnMut(u64) -> bool,
+) {
+    let mut lit = false;
+    for i in 0..ops as u64 {
+        if lit {
+            sim::crash_after(fuse);
+        }
+        if !op(i) {
+            return;
+        }
+        if lit {
+            sim::trigger_crash(); // the operation outran the fuse
+        }
+        lit = progress.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1 == target;
+    }
+    if lit {
+        sim::trigger_crash();
+    }
 }
 
 // ---------------------------------------------------------------------------

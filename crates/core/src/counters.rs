@@ -1,51 +1,32 @@
 //! Live-object and pool-reuse counters for leak/double-free detection and
 //! for proving that the recycle path runs.
 //!
-//! Every node/Info heap allocation increments, every deallocation decrements;
-//! pool hits bump the reuse counters instead. After dropping a structure (and
-//! its collector and pools), the live counts must return to their baseline —
-//! the integration tests assert this.
-//!
-//! The counters are **compiled out of the hot path by default**: they are
-//! active only under `cfg(test)` (this crate's own unit tests) or the
-//! `count-allocs` feature (enabled by the `tests` package). Production users
-//! of `isb` pay nothing. When disabled, every accessor reports zero.
+//! Every node/Info construction counts an allocation, every drop a free;
+//! pool hits count a reuse instead. The counts are entries of
+//! [`nvm::stats`] — per tid and always on, like every persistency
+//! instruction count — and the readers below sum them over every tid. After
+//! dropping a structure (and its collector and pools), the live counts must
+//! return to their baseline — the integration tests assert this.
 
-#[cfg(any(test, feature = "count-allocs"))]
-use std::sync::atomic::{AtomicIsize, AtomicU64, Ordering::Relaxed};
-
-#[cfg(any(test, feature = "count-allocs"))]
-static NODES: AtomicIsize = AtomicIsize::new(0);
-#[cfg(any(test, feature = "count-allocs"))]
-static INFOS: AtomicIsize = AtomicIsize::new(0);
-#[cfg(any(test, feature = "count-allocs"))]
-static NODE_REUSE: AtomicU64 = AtomicU64::new(0);
-#[cfg(any(test, feature = "count-allocs"))]
-static INFO_REUSE: AtomicU64 = AtomicU64::new(0);
+use nvm::stats;
 
 pub(crate) fn node_alloc() {
-    #[cfg(any(test, feature = "count-allocs"))]
-    NODES.fetch_add(1, Relaxed);
+    stats::count_node_allocs(1);
 }
 pub(crate) fn node_free() {
-    #[cfg(any(test, feature = "count-allocs"))]
-    NODES.fetch_sub(1, Relaxed);
+    stats::count_node_frees(1);
 }
 pub(crate) fn info_alloc() {
-    #[cfg(any(test, feature = "count-allocs"))]
-    INFOS.fetch_add(1, Relaxed);
+    stats::count_info_allocs(1);
 }
 pub(crate) fn info_free() {
-    #[cfg(any(test, feature = "count-allocs"))]
-    INFOS.fetch_sub(1, Relaxed);
+    stats::count_info_frees(1);
 }
 pub(crate) fn node_reuse() {
-    #[cfg(any(test, feature = "count-allocs"))]
-    NODE_REUSE.fetch_add(1, Relaxed);
+    stats::count_node_reuses(1);
 }
 pub(crate) fn info_reuse() {
-    #[cfg(any(test, feature = "count-allocs"))]
-    INFO_REUSE.fetch_add(1, Relaxed);
+    stats::count_info_reuses(1);
 }
 
 /// Test coordination: the counters are process-global, so leak assertions
@@ -63,44 +44,26 @@ pub fn gate_exclusive() -> std::sync::RwLockWriteGuard<'static, ()> {
     TEST_GATE.write().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Number of live nodes across all structures in this process (0 when the
-/// counters are compiled out).
+/// Number of live nodes across all structures in this process.
 pub fn live_nodes() -> isize {
-    #[cfg(any(test, feature = "count-allocs"))]
-    return NODES.load(Relaxed);
-    #[cfg(not(any(test, feature = "count-allocs")))]
-    0
+    let s = stats::snapshot();
+    s.node_allocs as isize - s.node_frees as isize
 }
 
-/// Number of live Info descriptors across all structures in this process
-/// (0 when the counters are compiled out).
+/// Number of live Info descriptors across all structures in this process.
 pub fn live_infos() -> isize {
-    #[cfg(any(test, feature = "count-allocs"))]
-    return INFOS.load(Relaxed);
-    #[cfg(not(any(test, feature = "count-allocs")))]
-    0
+    let s = stats::snapshot();
+    s.info_allocs as isize - s.info_frees as isize
 }
 
 /// Total node allocations served from a pool free list instead of the heap
-/// (monotonic; 0 when the counters are compiled out).
+/// (monotonic).
 pub fn node_reuses() -> u64 {
-    #[cfg(any(test, feature = "count-allocs"))]
-    return NODE_REUSE.load(Relaxed);
-    #[cfg(not(any(test, feature = "count-allocs")))]
-    0
+    stats::snapshot().node_reuses
 }
 
 /// Total Info allocations served from a pool free list instead of the heap
-/// (monotonic; 0 when the counters are compiled out).
+/// (monotonic).
 pub fn info_reuses() -> u64 {
-    #[cfg(any(test, feature = "count-allocs"))]
-    return INFO_REUSE.load(Relaxed);
-    #[cfg(not(any(test, feature = "count-allocs")))]
-    0
-}
-
-/// Whether the allocation counters are compiled in (`cfg(test)` or the
-/// `count-allocs` feature). Callers can skip count-based assertions when not.
-pub const fn enabled() -> bool {
-    cfg!(any(test, feature = "count-allocs"))
+    stats::snapshot().info_reuses
 }

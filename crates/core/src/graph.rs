@@ -11,7 +11,6 @@
 //! | [`census_unit`] | everything | live node set + per-descriptor reference counts |
 //! | [`scrub_unit`] / [`scrub`] | everything | helps every tagged info until a pass finds none, at most [`SCRUB_PASSES`] |
 //! | [`teardown`] | everything | frees the deduplicated union of reachable, parked and published objects |
-//! | [`reachable`] | everything | the direct-tracking decision for a crashed push |
 
 use crate::engine::Info;
 use crate::recovery::{AttachError, RecArea};
@@ -25,8 +24,7 @@ use std::collections::{HashMap, HashSet};
 /// structure writes. Everything that reaches "every node and its info word"
 /// is a visitor over [`Graph::walk`] written once in this module:
 /// [`validate_unit`] and [`census_unit`] for the attach driver, the scrub
-/// ([`scrub_unit`]), the drop-time [`teardown`] and the direct-tracking
-/// [`reachable`] test.
+/// ([`scrub_unit`]) and the drop-time [`teardown`].
 pub trait Graph<M: Persist> {
     /// Human-readable kind name (errors/diagnostics).
     fn kind_name(&self) -> &'static str;
@@ -43,8 +41,7 @@ pub trait Graph<M: Persist> {
     /// `visit(node address, info word)`: iteratively, at most `budget`
     /// nodes, asking `admit` about every pointer **before** it is
     /// dereferenced. An info cell outside any node (the queue's anchor) is
-    /// reported with node address 0; a structure without descriptors (the
-    /// stack) reports info word 0. A node's links are read *after* `visit`
+    /// reported with node address 0. A node's links are read *after* `visit`
     /// returns, so a visitor may help the descriptor it was shown.
     ///
     /// `Err(p)`: pointer `p` was null where a node must be, refused by
@@ -123,20 +120,6 @@ pub fn scrub<M: Persist, const ARM: u8>(
     (0..graph.work_units()).try_for_each(|unit| scrub_unit::<M, ARM>(graph, unit, collector))
 }
 
-/// Whether the node at `addr` is reachable from `graph`'s roots — the
-/// direct-tracking decision for a crashed push.
-pub fn reachable<M: Persist>(graph: &(impl Graph<M> + ?Sized), addr: u64) -> bool {
-    let found = std::cell::Cell::new(false);
-    (0..graph.work_units()).any(|unit| {
-        // SAFETY: a live structure, quiescent or pinned (the caller's). The
-        // walk stops at the first pointer it is refused: the one after `addr`.
-        let _ = unsafe {
-            graph.walk(unit, &|_| !found.get(), usize::MAX, &mut |n, _| found.set(n == addr))
-        };
-        found.get()
-    })
-}
-
 /// Drop-time teardown of a process-heap structure, shared by every model:
 /// frees the deduplicated union of {`parked` garbage of the structure's
 /// collector} ∪ {descriptors published in `rec`} ∪ {nodes the walk reaches
@@ -157,10 +140,8 @@ pub unsafe fn teardown<M: Persist, N>(
     use crate::op::drop_raw;
     let mut grave: HashMap<usize, unsafe fn(*mut u8)> =
         parked.into_iter().map(|(p, f)| (p as usize, f)).collect();
-    // DIRECT announcements name nodes, not descriptors: the direct-tracked
-    // structure owns those.
     rec.each_published(|rd| {
-        if let Some(info) = descriptor_of(rd).filter(|_| !tag::is_direct(rd)) {
+        if let Some(info) = descriptor_of(rd) {
             grave.insert(info, drop_raw::<Info<M>>);
         }
     });

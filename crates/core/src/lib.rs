@@ -24,9 +24,8 @@
 //! * [`queue::RQueue`] — ISB-tracked MS-queue (paper §5 / supplementary B.2).
 //! * [`bst::RBst`] — detectably recoverable external BST (paper §6).
 //! * [`exchanger::RExchanger`] — detectably recoverable exchanger (paper §6).
-//! * [`stack::RStack`] — direct-tracked stack (paper §1/§5):
-//!   `RD_q` announces *nodes* instead of descriptors, claim stamps
-//!   arbitrate pops across a crash.
+//! * [`stack::RStack`] — ISB-tracked stack (paper §1/§5): the list's
+//!   bucket at `Isb-LP`, pushing and popping at its front.
 //! * [`store::Store`] — one mapped heap hosting many named structures
 //!   (catalog + shared recovery area + union census/sweep, DESIGN.md §11).
 //!
@@ -68,8 +67,9 @@
 //! Op-Recover), run over that environment, and a structure supplies only
 //! its gather phase and its node shape. Likewise each structure writes
 //! one traversal of its graph ([`graph::Graph::walk`]); attach-time
-//! validation and census, the scrub, drop-time teardown and the
-//! direct-tracking reachability test are visitors over it in [`graph`].
+//! validation and census, the scrub and drop-time teardown are visitors
+//! over it in [`graph`]. Every kind is tracked the one way: there is no
+//! second recovery protocol.
 //!
 //! ## Memory: pools and recycling
 //!
@@ -157,4 +157,8 @@ pub mod optype {
     pub const ENQ: u8 = 4;
     /// Queue dequeue.
     pub const DEQ: u8 = 5;
+    /// Stack push.
+    pub const PUSH: u8 = 6;
+    /// Stack pop.
+    pub const POP: u8 = 7;
 }

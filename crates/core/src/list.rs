@@ -73,7 +73,7 @@ impl<M: Persist, const ARM: u8> RList<M, ARM> {
 
     /// The core view over the list's single bucket.
     #[inline]
-    fn core(&self) -> SetCore<'_, M, ARM> {
+    pub(crate) fn core(&self) -> SetCore<'_, M, ARM> {
         // SAFETY: `head` is this list's live bucket; `env` and the node pool
         // it built are what every operation on it goes through.
         unsafe { SetCore::new(self.head, &self.env, &self.nodes) }

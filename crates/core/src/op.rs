@@ -14,7 +14,7 @@ use crate::arm;
 use crate::engine::{Info, InfoFill};
 use crate::env::Env;
 use crate::pool::{Pool, PoolItem};
-use crate::recovery::{op_recover, release_prev, Recovered};
+use crate::recovery::{op_recover, Recovered};
 use crate::tag;
 use nvm::{PWord, Persist};
 use reclaim::Guard;
@@ -49,26 +49,20 @@ impl<M: Persist> Env<M> {
         let prev = self.rec.begin::<ARM>(pid);
         // SAFETY: `begin` took `prev` out of `pid`'s `RD_q`, whose owner is
         // the calling thread, so this is the slot's one release.
-        unsafe { release_prev::<M>(prev, g) };
+        unsafe { Info::<M>::release(tag::ptr_of(prev), 1, g) };
     }
 
     /// A `find`'s prologue. Returns what `published` starts as: in arms 0/1
     /// the previous descriptor stays published (and held) until the find's
-    /// own replaces it — unless it is a [`crate::tag::DIRECT`] entry, which
-    /// carries no descriptor reference to hand over. Under `Isb-LP` the
-    /// prologue is no more than [`Env::begin`].
+    /// own replaces it. Under `Isb-LP` the prologue is no more than
+    /// [`Env::begin`].
     #[inline]
     pub fn begin_find<const ARM: u8>(&self, pid: usize, g: &Guard<'_>) -> u64 {
         if arm::is_lp(ARM) {
             self.begin::<ARM>(pid, g);
             return 0;
         }
-        let prev = self.rec.begin_readonly(pid);
-        if tag::is_direct(prev) {
-            0
-        } else {
-            prev
-        }
+        self.rec.begin_readonly(pid)
     }
 
     /// Draw a descriptor: pool hit, or heap in passthrough mode. A fresh one
@@ -188,7 +182,7 @@ impl<M: Persist> Env<M> {
         if taken != 0 {
             // SAFETY: the glue durably replaced `taken` in `pid`'s `RD_q`,
             // whose owner is the calling thread: the slot's one release.
-            unsafe { release_prev::<M>(taken, &self.collector.pin()) };
+            unsafe { Info::<M>::release(tag::ptr_of(taken), 1, &self.collector.pin()) };
         }
     }
 }

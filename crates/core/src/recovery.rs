@@ -351,7 +351,7 @@ impl<M: Persist> RecArea<M> {
     pub unsafe fn describe(&self, pid: usize) -> String {
         let (cp, rd) = self.read(pid);
         let mut out = format!("CP_q {cp} RD_q {rd:#x}");
-        if rd != 0 && !crate::tag::is_direct(rd) {
+        if rd != 0 {
             out += ": ";
             out += &unsafe { (*crate::tag::ptr_of::<Info<M>>(rd)).describe() };
         }
@@ -370,7 +370,7 @@ impl<M: Persist> RecArea<M> {
     /// note left here and skips its own copy (arms 0/1; `Isb-LP` leaves no
     /// note, its prologue reads the fresh line back). Returns the previous `RD_q`
     /// `Isb-LP`'s glue took out (`0` otherwise); the caller releases it
-    /// ([`release_prev`]).
+    /// ([`Info::release`], as [`crate::env::Env::note_invocation`] does).
     ///
     /// Callers that write their own intent records around a mapped structure
     /// (write-ahead logs, request journals) must call this *before* logging
@@ -424,11 +424,7 @@ impl Recovered {
 }
 
 /// Generic Op-Recover: decide whether the pending operation of `pid` took
-/// effect, completing it via `Help` if necessary. A published value carrying
-/// the [`crate::tag::DIRECT`] annotation names a direct-tracked *node*, not
-/// a descriptor — it belongs to a different structure's pending operation
-/// (the caller's own operation therefore never began), so the decision is
-/// `Restart`; the direct structure's own recovery reads it instead.
+/// effect, completing it via `Help` if necessary.
 ///
 /// # Safety
 /// Must be called in a quiescent-or-recovering context where the published
@@ -440,7 +436,7 @@ pub unsafe fn op_recover<M: Persist, const ARM: u8>(
     guard: &reclaim::Guard<'_>,
 ) -> Recovered {
     let (cp, rd) = rec.read(pid);
-    if cp != 1 || rd == 0 || crate::tag::is_direct(rd) {
+    if cp != 1 || rd == 0 {
         return Recovered::Restart;
     }
     match unsafe { crate::engine::help_recovering::<M, ARM>(crate::tag::ptr_of(rd), guard) } {
@@ -449,36 +445,12 @@ pub unsafe fn op_recover<M: Persist, const ARM: u8>(
     }
 }
 
-/// Releases the `RD_q` reference on the *previous* operation's published
-/// value (the word [`RecArea::begin`] or [`RecArea::mark_invoked`] returned;
-/// `0` releases nothing). With one recovery area
-/// shared by several structures ([`crate::store::Store`]) the previous
-/// value may be a [`crate::tag::DIRECT`] node announcement instead of an
-/// Info pointer — those carry no descriptor reference (the direct-tracked
-/// structure reclaims its nodes through its own deferred-retire slots), so
-/// they are skipped.
-///
-/// # Safety
-/// As [`Info::release`]: `prev` must be the value `begin` returned for an
-/// operation the caller owns, released exactly once.
-pub unsafe fn release_prev<M: Persist>(prev: u64, g: &reclaim::Guard<'_>) {
-    if crate::tag::is_direct(prev) {
-        return;
-    }
-    unsafe { Info::<M>::release(crate::tag::ptr_of(prev), 1, g) };
-}
-
 /// **Online** per-pid recovery: a *survivor* of a shared heap resolves the
 /// pending operation of a SIGKILLed peer while every structure keeps
 /// serving. This is Op-Recover for exactly one pid — `Help` is lock-free
 /// and idempotent, so replaying it concurrently with live traffic is the
 /// ordinary helping path, not a special mode — followed by a durable slot
 /// reset and the release of the slot's descriptor reference.
-///
-/// Direct-tracked announcements ([`crate::tag::DIRECT`]) are left in place
-/// and decided `Restart`: their resolution needs the owning structure's
-/// roots (reachability / claim-stamp reads), which the next full attach
-/// performs; the untouched slot keeps the announced node alive for it.
 ///
 /// `on_decision` runs **after** the decision is computed but **before** the
 /// slot is durably cleared. Callers that mirror the decision into their own
@@ -508,21 +480,13 @@ pub unsafe fn recover_dead_pid_with(
     guard: &reclaim::Guard<'_>,
     on_decision: impl FnOnce(Recovered),
 ) -> Recovered {
-    let (cp, rd) = rec.read(pid);
-    let addr = crate::tag::addr_of(rd);
-    if crate::tag::is_direct(rd) && addr != 0 {
-        return Recovered::Restart;
-    }
-    let decision = if cp != 1 || addr == 0 {
-        Recovered::Restart
-    } else {
-        // SAFETY: caller holds the recovery lease over a validated published
-        // descriptor; help is the ordinary concurrent helping path.
-        unsafe { op_recover::<MappedNvm, 0>(rec, pid, guard) }
-    };
+    let rd = rec.published(pid);
+    // SAFETY: caller holds the recovery lease over a validated published
+    // descriptor; help is the ordinary concurrent helping path.
+    let decision = unsafe { op_recover::<MappedNvm, 0>(rec, pid, guard) };
     on_decision(decision);
     rec.clear_slot(pid);
-    if addr != 0 {
+    if rd != 0 {
         // SAFETY: the RD slot held one reference on the descriptor and was
         // durably cleared above, so this release runs at most once across
         // recoverer supersessions. A foreign-owned final release leaks the
@@ -551,7 +515,7 @@ pub mod rootkeys {
 }
 
 use crate::env::Env;
-use crate::graph::{census_unit, reachable, scrub, validate_unit, Graph};
+use crate::graph::{census_unit, scrub, validate_unit, Graph};
 use crate::pool::Pool;
 use nvm::mapped::{fan_out, MapError, MappedHeap, MappedNvm};
 use reclaim::Collector;
@@ -596,6 +560,15 @@ pub enum AttachError {
         expected: u64,
         /// Configuration word recorded in the image.
         found: u64,
+    },
+    /// The named entry was written in a format this build no longer opens
+    /// (a stack of the retired direct-tracked format). Refused before
+    /// anything durable happens; the image stays as it was.
+    RetiredFormat {
+        /// Entry name.
+        name: String,
+        /// The retired format, as an operator reads it.
+        format: &'static str,
     },
     /// The caller passed an unusable configuration (e.g. a non-power-of-two
     /// shard count). Rejected **before** anything durable happens — a bad
@@ -652,6 +625,9 @@ impl std::fmt::Display for AttachError {
                     (true, false) => write!(f, "{} shards", now.low()),
                     _ => write!(f, "{now}"),
                 }
+            }
+            AttachError::RetiredFormat { name, format } => {
+                write!(f, "entry {name:?} holds {format}, a format this build no longer opens")
             }
             AttachError::InvalidCfg { kind, reason } => {
                 write!(f, "unusable {kind} configuration: {reason}")
@@ -860,11 +836,9 @@ pub trait SlotOps: Graph<MappedNvm> + std::any::Any + Send + Sync {
     /// Post-replay scrub **policy**. The default is the eager one: the
     /// scrub visitor over every unit, at the replay's (untuned) placement —
     /// sound for every arm: strictly more persistency instructions,
-    /// identical helping. Two kinds override it on purpose:
-    /// [`crate::hashmap::RHashMap`] *defers* the pass to first contact per
-    /// shard (attach stays O(descriptors), not O(keys)), and
-    /// [`crate::stack::RStack`], which has no descriptors to help, splices
-    /// claimed nodes out instead.
+    /// identical helping. [`crate::hashmap::RHashMap`] overrides it on
+    /// purpose: it *defers* the pass to first contact per shard (attach
+    /// stays O(descriptors), not O(keys)).
     fn attach_scrub(&self) -> Result<(), AttachError> {
         scrub::<MappedNvm, { crate::arm::PAPER }>(self, &Collector::new())
     }
@@ -926,10 +900,8 @@ pub trait MappedLayout: SlotOps + Sized {
 ///    walk admits a pointer only when its whole node span lies inside the
 ///    mapping, stops at a budget of the heap's block count, and only
 ///    *collects* the descriptors it sees for [`validate_infos`],
-/// 2. **replay** the per-pid recovery decision over the shared recovery
-///    area — generic Op-Recover for descriptor-tracked entries, the
-///    direct-tracking decision ([`reachable`] / claim stamp) for
-///    [`crate::tag::DIRECT`] entries — with refcount bookkeeping suspended,
+/// 2. **replay** Op-Recover per pid over the shared recovery area, with
+///    refcount bookkeeping suspended,
 /// 3. **scrub** every structure per its policy ([`SlotOps::attach_scrub`];
 ///    typed [`AttachError::ScrubStalled`] on a non-quiescing image) and run
 ///    structural heals,
@@ -988,25 +960,11 @@ pub unsafe fn finish_attach(
         infos.extend(local?);
     }
     let validate_elapsed = par_start.elapsed();
-    let mut bad_rd = None;
     rec.each_published(|rd| {
-        let p = crate::tag::addr_of(rd);
-        if p == 0 {
-            return;
-        }
-        if crate::tag::is_direct(rd) {
-            // Direct entries name nodes; whole-granule span (every arena
-            // object occupies at least one committed 64-byte granule).
-            if p & 7 != 0 || !heap.contains_span(p as usize, nvm::mapped::GRANULE) {
-                bad_rd = Some(p);
-            }
-        } else {
-            infos.insert(p);
+        if rd != 0 {
+            infos.insert(rd);
         }
     });
-    if let Some(addr) = bad_rd {
-        return Err(MapError::CorruptPointer { addr }.into());
-    }
     // A value a descriptor installs is a node pointer the census walk will
     // dereference: it must be a whole node of some structure in the heap.
     validate_infos::<MappedNvm>(heap, &infos, |a| slots.iter().any(|s| in_node(&**s, a)))?;
@@ -1017,23 +975,11 @@ pub unsafe fn finish_attach(
         let col = Collector::new();
         let decisions = (0..MAX_PROCS)
             .map(|pid| {
-                let g = col.pin();
-                // SAFETY (op_recover): quiescent attach; every published
-                // descriptor was validated above. Replay runs the untuned
-                // placement — sound for both tunings (strictly more
-                // persistency instructions, identical decisions).
-                let d = {
-                    let (cp, rd) = rec.read(pid);
-                    if cp != 1 || crate::tag::addr_of(rd) == 0 {
-                        Recovered::Restart
-                    } else if crate::tag::is_direct(rd) {
-                        // SAFETY: span-validated direct node.
-                        unsafe { direct_decide(rd, pid, slots) }
-                    } else {
-                        unsafe { op_recover::<MappedNvm, 0>(rec, pid, &g) }
-                    }
-                };
-                (pid, d)
+                // SAFETY: quiescent attach; every published descriptor was
+                // validated above. Replay runs the untuned placement — sound
+                // for every arm (strictly more persistency instructions,
+                // identical decisions).
+                (pid, unsafe { op_recover::<MappedNvm, 0>(rec, pid, &col.pin()) })
             })
             .collect::<Vec<_>>();
         for s in slots.iter() {
@@ -1073,17 +1019,8 @@ pub unsafe fn finish_attach(
     // (replay and scrub between them are serial by design).
     nvm::stats::count_attach_par_ms((validate_elapsed + census_start.elapsed()).as_millis() as u64);
     rec.each_published(|rd| {
-        let p = crate::tag::addr_of(rd) as usize;
-        if p == 0 {
-            return;
-        }
-        if crate::tag::is_direct(rd) {
-            // An announced direct node must survive the sweep even when it
-            // was already unlinked: the announcing process's recovery reads
-            // its claim stamp.
-            live.insert(p);
-        } else {
-            *info_refs.entry(p).or_insert(0) += 1;
+        if rd != 0 {
+            *info_refs.entry(rd as usize).or_insert(0) += 1;
         }
     });
     live.extend(extra_live.iter().copied());
@@ -1113,38 +1050,6 @@ pub unsafe fn finish_attach(
     // process's caches across every structure in the heap.
     let swept = unsafe { heap.sweep_except(&live) };
     Ok((recovered, swept))
-}
-
-/// The direct-tracking recovery decision (paper §1/§5, "direct tracking"):
-/// a pop's claim announcement completed iff the claim stamp names the
-/// claimant; a push's node announcement completed iff the node is reachable
-/// from some structure's roots or carries any claim stamp (pushed, then
-/// popped).
-///
-/// # Safety
-/// `rd` must be a span-validated direct entry over a quiescent, validated
-/// image.
-unsafe fn direct_decide(rd: u64, pid: usize, slots: &[Box<dyn SlotOps>]) -> Recovered {
-    let node = crate::tag::addr_of(rd);
-    // Direct nodes lead with (val, next, popped_by) persistent words — the
-    // stack's layout; see `RStack`'s `MappedLayout` impl.
-    let stamp = unsafe { crate::stack::direct_stamp::<MappedNvm>(node) };
-    if crate::tag::is_tagged(rd) {
-        // Pop claim: the CAS on the stamp is the arbitration.
-        if stamp == pid as u64 + 1 {
-            let v = unsafe { crate::stack::direct_val::<MappedNvm>(node) };
-            Recovered::Completed(crate::engine::res_val(v))
-        } else {
-            Recovered::Restart
-        }
-    } else {
-        // Push announcement.
-        if stamp != 0 || slots.iter().any(|s| reachable(&**s, node)) {
-            Recovered::Completed(crate::engine::RES_UNIT)
-        } else {
-            Recovered::Restart
-        }
-    }
 }
 
 /// Pre-recovery validation of every collected descriptor against the
@@ -1182,7 +1087,7 @@ pub struct AttachSummary {
     /// heap). `Completed(res)` carries the crashed operation's response.
     pub recovered: Vec<(usize, Recovered)>,
     /// Committed blocks swept by the attach-time garbage collection (blocks
-    /// the killed process leaked from pool caches and limbo bags).
+    /// the killed process leaked from pool caches and deferred-free bags).
     pub swept: usize,
 }
 

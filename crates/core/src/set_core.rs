@@ -10,7 +10,9 @@
 //! structure's [`Env`], and the bucket's one traversal is [`walk_bucket`]. [`crate::list::RList`] is the
 //! one-bucket instantiation; [`crate::hashmap::RHashMap`] routes keys to a
 //! power-of-two array of bucket heads sharing **one** recovery area (one
-//! pending operation per process, per the paper's model) and one collector.
+//! pending operation per process, per the paper's model) and one collector;
+//! [`crate::stack::RStack`] is the list whose updates land at the bucket's
+//! front ([`SetCore::push`] / [`SetCore::pop`]).
 //!
 //! The bucket is sorted by strictly increasing `u64` keys with two sentinels
 //! (`0 = −∞`, `u64::MAX = +∞`); user keys must lie strictly between. Each
@@ -45,7 +47,9 @@
 
 use crate::arm;
 use crate::counters;
-use crate::engine::{help, HelpOutcome, Info, InfoFill, RES_FALSE, RES_TRUE};
+use crate::engine::{
+    help, res_val, HelpOutcome, Info, InfoFill, RES_EMPTY, RES_FALSE, RES_TRUE, RES_UNIT,
+};
 use crate::env::Env;
 use crate::op::{cell_addr, TrackedNode};
 use crate::optype;
@@ -170,6 +174,15 @@ pub unsafe fn walk_bucket<M: Persist>(
     }
 }
 
+/// Where an update lands in the bucket: before the first node whose key is
+/// at least `k` (the ordered set), or before the first node (the stack, whose
+/// node keys are its values, in push order).
+#[derive(Clone, Copy, PartialEq)]
+enum At {
+    Key(u64),
+    Front,
+}
+
 struct SearchRes<M: Persist> {
     pred: *mut Node<M>,
     curr: *mut Node<M>,
@@ -213,18 +226,23 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
     }
 
     /// Algorithm 5 `Search`: returns the first node with `node.key >= key`
-    /// as `curr`, its predecessor, and their info values — each info value
-    /// read on first access to its node (before the node's `next`).
+    /// (at [`At::Front`], the first node after the head) as `curr`, its
+    /// predecessor, and their info values — each info value read on first
+    /// access to its node (before the node's `next`).
     ///
     /// # Safety
     /// Caller must hold an EBR pin.
-    unsafe fn search(&self, key: u64) -> SearchRes<M> {
+    #[inline(always)]
+    unsafe fn search(&self, at: At) -> SearchRes<M> {
         unsafe {
             let mut curr = self.head;
             let mut curr_info = (*curr).info.load();
             let mut pred = curr;
             let mut pred_info = curr_info;
-            while (*curr).key.load() < key {
+            while match at {
+                At::Key(key) => (*curr).key.load() < key,
+                At::Front => curr == self.head,
+            } {
                 pred = curr;
                 pred_info = curr_info;
                 curr = (*curr).next.load() as *mut Node<M>;
@@ -260,6 +278,25 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
     /// (Algorithm 3, `Insert`.)
     pub fn insert(&self, pid: usize, key: u64) -> bool {
         Self::assert_key(key);
+        self.link(pid, At::Key(key), key)
+    }
+
+    /// Links a node holding `v` in front of the first node: the stack's
+    /// push, the set's insert landing at the front instead of at `v`'s key.
+    /// `v` must stay below `u64::MAX - 16` ([`SetCore::pop`] answers it
+    /// through the response encoding).
+    pub fn push(&self, pid: usize, v: u64) {
+        self.link(pid, At::Front, v);
+    }
+
+    /// The insert at `at` of a node keyed `key`: copy-replace `curr`, link
+    /// `pred → newnd → newcurr`. `false` iff `at` is `key`'s and finds it.
+    #[inline(always)]
+    fn link(&self, pid: usize, at: At, key: u64) -> bool {
+        let (op, presult) = match at {
+            At::Key(_) => (optype::INSERT, RES_TRUE),
+            At::Front => (optype::PUSH, RES_UNIT),
+        };
         // ONE pin covers the whole operation: the previous descriptor's
         // release, every attempt, and all retirements (interior help calls
         // re-pin through the collector's nested fast path).
@@ -272,7 +309,7 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
         let mut filled: u64 = 0; // tagged-info value currently in the new nodes' cells
         let mut published: u64 = 0;
         loop {
-            let s = unsafe { self.search(key) };
+            let s = unsafe { self.search(at) };
             // Helping phase.
             if tag::is_tagged(s.pred_info) {
                 unsafe { help::<M, ARM>(tag::ptr_of(s.pred_info), false, &g) };
@@ -283,18 +320,11 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
                 continue;
             }
             let curr_key = unsafe { (*s.curr).key.load() };
-            if curr_key == key {
+            if at == At::Key(curr_key) {
                 // Key already present: nothing to change.
                 if !arm::is_lp(ARM) {
                     let seen = unsafe { (cell_addr(&(*s.curr).info), s.curr_info) };
-                    env.answer_tracked::<ARM>(
-                        pid,
-                        optype::INSERT,
-                        seen,
-                        RES_FALSE,
-                        &mut published,
-                        &g,
-                    );
+                    env.answer_tracked::<ARM>(pid, op, seen, RES_FALSE, &mut published, &g);
                 }
                 unsafe { self.drop_pending(newnd, newcurr, filled, &g) };
                 return false;
@@ -323,7 +353,7 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
                 Info::fill(
                     info,
                     &InfoFill {
-                        optype: optype::INSERT,
+                        optype: op,
                         affect: &[
                             (cell_addr(&(*s.pred).info), s.pred_info),
                             (cell_addr(&(*s.curr).info), s.curr_info),
@@ -331,7 +361,7 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
                         write: &[(cell_addr(&(*s.pred).next), s.curr as u64, newnd as u64)],
                         newset: &[cell_addr(&(*newnd).info), cell_addr(&(*newcurr).info)],
                         del_mask: 0b10, // curr is deletion-tagged (copy-replaced)
-                        presult: RES_TRUE,
+                        presult,
                     },
                 );
                 arm::pwb_obj_arm::<M, _, ARM>(&*newnd);
@@ -355,11 +385,24 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
     /// Deletes `key`; returns `false` iff it was absent. (Algorithm 5.)
     pub fn delete(&self, pid: usize, key: u64) -> bool {
         Self::assert_key(key);
+        self.unlink(pid, At::Key(key)).is_some()
+    }
+
+    /// Unlinks the first node: the stack's pop. Answers its key; `None` on
+    /// an empty bucket.
+    pub fn pop(&self, pid: usize) -> Option<u64> {
+        self.unlink(pid, At::Front)
+    }
+
+    /// The delete at `at`: unlinks `curr` and answers its key, or `None`
+    /// when `curr` is not `at`'s (a missing key, the `+∞` sentinel).
+    #[inline(always)]
+    fn unlink(&self, pid: usize, at: At) -> Option<u64> {
         let (env, g) = (self.env, self.env.collector.pin());
         env.begin::<ARM>(pid, &g);
         let mut published: u64 = 0;
         loop {
-            let s = unsafe { self.search(key) };
+            let s = unsafe { self.search(at) };
             if tag::is_tagged(s.pred_info) {
                 unsafe { help::<M, ARM>(tag::ptr_of(s.pred_info), false, &g) };
                 continue;
@@ -369,20 +412,18 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
                 continue;
             }
             let curr_key = unsafe { (*s.curr).key.load() };
-            if curr_key != key {
+            let (op, found) = match at {
+                At::Key(key) => (optype::DELETE, curr_key == key),
+                At::Front => (optype::POP, curr_key != KEY_MAX),
+            };
+            if !found {
                 // Key not present: nothing to change.
                 if !arm::is_lp(ARM) {
                     let seen = unsafe { (cell_addr(&(*s.curr).info), s.curr_info) };
-                    env.answer_tracked::<ARM>(
-                        pid,
-                        optype::DELETE,
-                        seen,
-                        RES_FALSE,
-                        &mut published,
-                        &g,
-                    );
+                    let response = if at == At::Front { RES_EMPTY } else { RES_FALSE };
+                    env.answer_tracked::<ARM>(pid, op, seen, response, &mut published, &g);
                 }
-                return false;
+                return None;
             }
             let info = env.alloc_info();
             // succ read after the helping phase; stable once both tags hold.
@@ -391,7 +432,7 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
                 Info::fill(
                     info,
                     &InfoFill {
-                        optype: optype::DELETE,
+                        optype: op,
                         affect: &[
                             (cell_addr(&(*s.pred).info), s.pred_info),
                             (cell_addr(&(*s.curr).info), s.curr_info),
@@ -399,7 +440,7 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
                         write: &[(cell_addr(&(*s.pred).next), s.curr as u64, succ)],
                         newset: &[],
                         del_mask: 0b10, // curr stays deletion-tagged forever
-                        presult: RES_TRUE,
+                        presult: if at == At::Front { res_val(curr_key) } else { RES_TRUE },
                     },
                 );
                 env.persist_descriptor::<ARM>(info);
@@ -408,7 +449,7 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
             match unsafe { help::<M, ARM>(info, true, &g) } {
                 HelpOutcome::Done => {
                     unsafe { env.retire(self.nodes, s.curr, &g) };
-                    return true;
+                    return Some(curr_key);
                 }
                 HelpOutcome::FailedAt(i) => {
                     unsafe { Info::release(info, (2 - i) as u32, &g) };
@@ -426,7 +467,7 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
         let (env, g) = (self.env, self.env.collector.pin());
         let mut published = env.begin_find::<ARM>(pid, &g);
         loop {
-            let s = unsafe { self.search(key) };
+            let s = unsafe { self.search(At::Key(key)) };
             if tag::is_tagged(s.curr_info) {
                 unsafe { help::<M, ARM>(tag::ptr_of(s.curr_info), false, &g) };
                 continue;

@@ -17,9 +17,8 @@
 //!   one shared Info pool);
 //! * attach-time recovery is one generic driver over every entry
 //!   ([`crate::recovery::finish_attach`]): validation, one Op-Recover
-//!   replay over the shared area (descriptor entries and the stack's
-//!   [`crate::tag::DIRECT`] entries alike), per-structure scrub, and a
-//!   census/sweep computed over the **union** of every entry's live set.
+//!   replay over the shared area, per-structure scrub, and a census/sweep
+//!   computed over the **union** of every entry's live set.
 //!
 //! ```no_run
 //! use isb::store::Store;
@@ -383,7 +382,7 @@ impl Store {
         self.get(name, ())
     }
 
-    /// Typed handle: direct-tracked stack.
+    /// Typed handle: stack (placed at `Isb-LP`, the one arm it runs at).
     pub fn stack(&self, name: &str) -> Result<Arc<RStack<MappedNvm>>, AttachError> {
         self.get(name, ())
     }
@@ -562,7 +561,16 @@ fn construct_entry(env: &AttachEnv, e: &CatalogEntry) -> Result<Box<dyn SlotOps>
         crate::queue::KIND_QUEUE => open_armed!(RQueue, ()),
         crate::list::KIND_LIST => open_armed!(RList, ()),
         crate::bst::KIND_BST => open_armed!(RBst, ()),
-        crate::stack::KIND_STACK => open_as::<RStack<MappedNvm>>(env, (), e),
+        crate::stack::KIND_STACK => match e.cfg {
+            crate::stack::RETIRED_CFG => Err(AttachError::RetiredFormat {
+                name: e.name.clone(),
+                format: "a direct-tracked stack",
+            }),
+            cfg if cfg == RStack::<MappedNvm>::cfg_word(()) => {
+                open_as::<RStack<MappedNvm>>(env, (), e)
+            }
+            _ => Err(MapError::CorruptCatalog { slot: e.slot }.into()),
+        },
         _ => Err(MapError::CorruptCatalog { slot: e.slot }.into()),
     }
 }
@@ -814,6 +822,48 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    /// A dead peer's stack operations resolve online like any other kind's:
+    /// a completed push and a completed pop left published on two tids of
+    /// its band answer `Completed` — unit, and the popped value — and both
+    /// slots are cleared.
+    #[test]
+    fn recover_peer_completes_a_dead_peers_stack_operations() {
+        use crate::engine::{res_val, RES_UNIT};
+        /// Alive: this process alone.
+        struct OnlyUs;
+        impl nvm::liveness::PidLiveness for OnlyUs {
+            fn is_alive(&self, pid: u64, _birth: u64) -> bool {
+                pid == std::process::id() as u64
+            }
+        }
+        let _gate = crate::counters::gate_shared();
+        nvm::tid::set_tid(0);
+        let path = tmp("peerstack");
+        let store = Store::open_shared_with(&path, 4 << 20, Arc::new(OnlyUs)).unwrap();
+        let me = MappedHeap::tid_band(store.heap().my_participant().unwrap()).start;
+        nvm::tid::set_tid(me);
+        let s = store.stack("s").unwrap();
+        s.push(me, 41);
+        let dead = store.heap().debug_register_peer(u32::MAX as u64 - 13, 1).unwrap();
+        let (pusher, popper) =
+            (MappedHeap::tid_band(dead).start, MappedHeap::tid_band(dead).start + 1);
+        nvm::tid::set_tid(pusher);
+        s.push(pusher, 42);
+        nvm::tid::set_tid(popper);
+        assert_eq!(s.pop(popper), Some(42));
+        nvm::tid::set_tid(me);
+        let rec = &s.0.env.rec;
+        assert_eq!((rec.read(pusher).0, rec.read(popper).0), (1, 1), "both published");
+        let decisions = store.recover_peer(dead).unwrap().expect("recovered under the lease");
+        let of = |t: usize| decisions.iter().find(|(p, _)| *p == t).map(|&(_, d)| d);
+        assert_eq!(of(pusher), Some(Recovered::Completed(RES_UNIT)), "the push");
+        assert_eq!(of(popper), Some(Recovered::Completed(res_val(42))), "the pop");
+        assert_eq!((rec.read(pusher), rec.read(popper)), ((0, 0), (0, 0)), "both slots cleared");
+        assert_eq!((s.pop(me), s.pop(me)), (Some(41), None));
+        drop((s, store));
+        let _ = std::fs::remove_file(&path);
+    }
+
     /// The lease split: `claim_recovery` is re-entrant for its holder, and
     /// `recover_peer` finishes under an already-held lease.
     #[test]
@@ -972,7 +1022,7 @@ mod tests {
             |k| k.enqueue(1, 5),
             |k| &mut k.env,
         );
-        dropped_last_still_has_the_pool::<RStack<M>>("s", (), |s| s.push(1, 5), |s| &mut s.env);
+        dropped_last_still_has_the_pool::<RStack<M>>("s", (), |s| s.push(1, 5), |s| &mut s.0.env);
     }
 
     /// A mapped `Env`'s pools draw from the arena, and refuse — rather than

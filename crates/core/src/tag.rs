@@ -10,28 +10,6 @@
 /// Tag bit.
 pub const TAG: u64 = 1;
 
-/// Direct-tracking bit (bit 2) of a published `RD_q` value: set when the
-/// word names a **node** announced by a direct-tracked structure
-/// ([`crate::stack::RStack`]) instead of an [`crate::engine::Info`]
-/// descriptor. Recovery and release sites must branch on it — treating a
-/// direct entry as a descriptor (or vice versa) would misinterpret raw
-/// memory. Within a direct entry, [`TAG`] (bit 0) distinguishes a pop's
-/// *claim* announcement from a push's node announcement.
-pub const DIRECT: u64 = 0b100;
-
-/// Whether a published `RD_q` value is a direct-tracked node announcement.
-#[inline]
-pub const fn is_direct(p: u64) -> bool {
-    p & DIRECT == DIRECT
-}
-
-/// The node/descriptor address of a published `RD_q` value with every
-/// low-bit annotation ([`TAG`], [`DIRECT`]) stripped.
-#[inline]
-pub const fn addr_of(p: u64) -> u64 {
-    p & !(TAG | DIRECT)
-}
-
 /// Returns a tagged version of `p` without changing the referent.
 #[inline]
 pub const fn tagged(p: u64) -> u64 {

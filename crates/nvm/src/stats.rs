@@ -117,6 +117,18 @@ counters! {
     /// (each was a request interrupted by a crash and decided
     /// Completed-with-response or Restart).
     kv_intents_resolved: count_kv_intents_resolved,
+    /// Structure nodes constructed (a heap or arena refill, or a bare `Box`).
+    node_allocs: count_node_allocs,
+    /// Structure nodes dropped; `node_allocs - node_frees` is the live count.
+    node_frees: count_node_frees,
+    /// Node draws served from a pool free list instead of a refill.
+    node_reuses: count_node_reuses,
+    /// Info descriptors constructed.
+    info_allocs: count_info_allocs,
+    /// Info descriptors dropped.
+    info_frees: count_info_frees,
+    /// Descriptor draws served from a pool free list instead of a refill.
+    info_reuses: count_info_reuses,
 }
 
 fn table() -> &'static [CachePadded<Slot>] {
@@ -246,6 +258,12 @@ mod tests {
         count_kv_requests(1);
         count_kv_dedup_hits(1);
         count_kv_intents_resolved(1);
+        count_node_allocs(1);
+        count_node_frees(1);
+        count_node_reuses(1);
+        count_info_allocs(1);
+        count_info_frees(1);
+        count_info_reuses(1);
         let d = Snapshot::of_tid(45).since(&before);
         for (name, _, read) in FIELDS {
             assert_eq!(read(&d), 1, "{name} bumped once");

@@ -624,12 +624,14 @@ impl Scratch {
     ///   ack and the next `note_invocation`, and its recovery words still
     ///   name an acked operation, whose journaled response `res` must equal
     ///   ("stale Completed"). Which one depends on `arm`, the placement of
-    ///   the structures this journal ran on. Arms 0 / 1 (and the stack,
-    ///   which has no arm): every insert, delete, enqueue, dequeue, push
-    ///   and pop sets `CP_q := 1` and — whether or not it changed anything,
-    ///   the ROpt path publishes too — leaves its descriptor in `RD_q`,
-    ///   while a find leaves `CP_q = 0`; so the operation named is the last
-    ///   of a mutating *kind*. Arm 3: the invocation glue resets
+    ///   the structures this journal ran on. Arms 0 / 1: every insert,
+    ///   delete, enqueue and dequeue sets `CP_q := 1` and — whether or not
+    ///   it changed anything, the ROpt path publishes too — leaves its
+    ///   descriptor in `RD_q`, while a find leaves `CP_q = 0`; so the
+    ///   operation named is the last of a mutating *kind*. A stack (always
+    ///   `Isb-LP`) between them keeps that true: a push or pop that took
+    ///   effect publishes, and an empty pop's glue resets the line to a
+    ///   `Restart`. Arm 3: the invocation glue resets
     ///   `(RD_q, CP_q)` whole on every invocation and an operation that
     ///   changes nothing publishes nothing; so only the very last acked
     ///   operation can be named, and only if it took effect.

@@ -4,7 +4,7 @@
 
 use bench_harness::crash::{
     run_hashmap_lp_scenario, run_hashmap_opt_scenario, run_hashmap_scenario, run_list_scenario,
-    run_queue_lp_scenario, run_queue_scenario, CrashCfg,
+    run_queue_lp_scenario, run_queue_scenario, run_stack_scenario, CrashCfg,
 };
 
 #[test]
@@ -262,6 +262,64 @@ fn queue_lp_high_contention_crashes() {
     }
     assert!(total_pending > 0, "no crash ever landed mid-operation; harness broken");
     assert!(total > 0);
+}
+
+#[test]
+fn stack_survives_many_seeded_crashes() {
+    // Every push copy-replaces the first node and every pop unlinks it, so
+    // all operations meet at `head.next`: a crash image may keep a push's
+    // link and roll back the copy's fields, or keep the descriptor's result
+    // and roll back the link — both must resolve exactly once.
+    let (mut total_pending, mut total) = (0, 0);
+    for seed in 3100..3130 {
+        let rep = run_stack_scenario(CrashCfg {
+            procs: 4,
+            ops_per_proc: 60,
+            keys_per_proc: 16, // prefill
+            recovery_crashes: 0,
+            seed,
+        });
+        total_pending += rep.pending;
+        total += rep.completed;
+    }
+    assert!(total_pending > 0, "no crash ever landed mid-operation; harness broken");
+    assert!(total > 0);
+}
+
+#[test]
+fn stack_survives_repeated_recovery_crashes() {
+    // Recovery itself dies twice: a re-invoked push or pop is cut anywhere
+    // between its glue and its last `psync`.
+    let mut total_pending = 0;
+    for seed in 3200..3215 {
+        let rep = run_stack_scenario(CrashCfg {
+            procs: 4,
+            ops_per_proc: 60,
+            keys_per_proc: 16, // prefill
+            recovery_crashes: 2,
+            seed,
+        });
+        total_pending += rep.pending;
+    }
+    assert!(total_pending > 0, "no crash ever landed mid-operation; harness broken");
+}
+
+#[test]
+fn stack_high_contention_crashes() {
+    // A three-value prefill: the stack runs empty again and again, so pops
+    // meet the `+∞` sentinel and pushes copy-replace it.
+    let mut total_pending = 0;
+    for seed in 3300..3320 {
+        let rep = run_stack_scenario(CrashCfg {
+            procs: 4,
+            ops_per_proc: 100,
+            keys_per_proc: 3, // prefill
+            recovery_crashes: 1,
+            seed,
+        });
+        total_pending += rep.pending;
+    }
+    assert!(total_pending > 0, "no crash ever landed mid-operation; harness broken");
 }
 
 #[test]

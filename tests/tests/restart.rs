@@ -450,8 +450,9 @@ fn run_one_five_kinds_seed(seed: u64) -> Tally {
     let five = Five::open(&store);
 
     // Replay the journal against the sequential models and resolve the
-    // at-most-one in-flight op through the store-wide decision. All five run
-    // arms 0 / 1 (the stack has none): the stale rule is theirs.
+    // at-most-one in-flight op through the store-wide decision. Four run
+    // arms 0 / 1 and the stack `Isb-LP`, whose pushes and pops keep the
+    // arms-0/1 stale rule (`Scratch::resolve`).
     let who = format!("seed {seed} pid {FIVE_PID}");
     let mut model = SeqModels::default();
     let mut reinvoke = |st: char, op: Op| five.target(st).invoke(FIVE_PID, op);
