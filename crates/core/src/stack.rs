@@ -251,6 +251,44 @@ mod tests {
         assert_eq!(s.snapshot_vals(), vec![5, 4, 3, 2, 1]);
     }
 
+    /// Pointer freshness (DESIGN.md §4): `head.next` never receives a node it
+    /// held before. A pin held across the run keeps every retired node out of
+    /// the pool, so a repeated address can only be a node linked back in — as
+    /// a push that pushed the old first node down instead of copying it would
+    /// do when its own node is popped.
+    #[test]
+    fn head_next_never_receives_a_node_twice() {
+        let _gate = crate::counters::gate_shared();
+        nvm::tid::set_tid(0);
+        let s = S::new();
+        let _pin = s.0.env.collector.pin();
+        let first = || {
+            let mut seen = Vec::new();
+            // SAFETY: the stack is live and only this thread runs on it.
+            let _ = unsafe { s.walk(0, &|_| true, 2, &mut |n, _| seen.push(n)) };
+            seen[1]
+        };
+        let mut held = vec![first()];
+        for v in 1..=8u64 {
+            s.push(0, 2 * v);
+            held.push(first());
+            s.push(0, 2 * v + 1);
+            held.push(first());
+            assert_eq!(s.pop(0), Some(2 * v + 1));
+            held.push(first());
+            if v % 4 == 0 {
+                // Down to empty and back: the `+∞` sentinel is replaced too.
+                while s.pop(0).is_some() {
+                    held.push(first());
+                }
+            }
+        }
+        let mut sorted = held.clone();
+        sorted.sort_unstable();
+        sorted.dedup();
+        assert_eq!(sorted.len(), held.len(), "a node returned to head.next: {held:#x?}");
+    }
+
     #[test]
     fn recovery_without_crash_behaves_like_invocation() {
         let _gate = crate::counters::gate_shared();
