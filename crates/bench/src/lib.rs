@@ -8,11 +8,14 @@
 //!    view over every evaluated implementation (ISB and baselines).
 //! 3. [`crash`]: the crash-recovery test harness over [`nvm::SimNvm`]:
 //!    seeded system-wide crashes, adversarial NVM-image reconstruction,
-//!    per-process recovery, and exactly-once/detectability validation.
+//!    per-process recovery, and exactly-once/detectability validation —
+//!    over [`ops`], the operation vocabulary the SIGKILL legs of the `tests`
+//!    crate speak too.
 
 #![warn(missing_docs)]
 
 pub mod adapters;
 pub mod crash;
+pub mod ops;
 pub mod report;
 pub mod workload;

@@ -25,7 +25,6 @@
 //! leaves a child pointer only by being retired.
 
 use crate::arm;
-use crate::counters;
 use crate::engine::{help, HelpOutcome, Info, InfoFill, RES_FALSE, RES_TRUE};
 use crate::env::Env;
 use crate::graph::{self, Graph};
@@ -65,7 +64,7 @@ unsafe impl<M: Persist> PersistWords<M> for Node<M> {
 
 impl<M: Persist> Node<M> {
     fn alloc(key: u64, left: u64, right: u64, info: u64) -> *mut Node<M> {
-        counters::node_alloc();
+        nvm::stats::count_node_allocs(1);
         Box::into_raw(Box::new(Node {
             key: PWord::new(key),
             left: PWord::new(left),
@@ -89,12 +88,12 @@ impl<M: Persist> Node<M> {
 
 impl<M: Persist> PoolItem for Node<M> {
     fn fresh() -> Self {
-        counters::node_alloc();
+        nvm::stats::count_node_allocs(1);
         Node { key: PWord::new(0), left: PWord::new(0), right: PWord::new(0), info: PWord::new(0) }
     }
 
     fn count_reuse() {
-        counters::node_reuse();
+        nvm::stats::count_node_reuses(1);
     }
 }
 
@@ -106,7 +105,7 @@ impl<M: Persist> TrackedNode<M> for Node<M> {
 
 impl<M: Persist> Drop for Node<M> {
     fn drop(&mut self) {
-        counters::node_free();
+        nvm::stats::count_node_frees(1);
     }
 }
 

@@ -10,25 +10,6 @@
 
 use nvm::stats;
 
-pub(crate) fn node_alloc() {
-    stats::count_node_allocs(1);
-}
-pub(crate) fn node_free() {
-    stats::count_node_frees(1);
-}
-pub(crate) fn info_alloc() {
-    stats::count_info_allocs(1);
-}
-pub(crate) fn info_free() {
-    stats::count_info_frees(1);
-}
-pub(crate) fn node_reuse() {
-    stats::count_node_reuses(1);
-}
-pub(crate) fn info_reuse() {
-    stats::count_info_reuses(1);
-}
-
 /// Test coordination: the counters are process-global, so leak assertions
 /// need exclusive use while ordinary allocating tests hold the shared side.
 /// (Poisoning is ignored — a panicked test must not cascade.)

@@ -151,7 +151,7 @@ unsafe impl<M: Persist> Sync for Info<M> {}
 
 impl<M: Persist> PoolItem for Info<M> {
     fn fresh() -> Self {
-        crate::counters::info_alloc();
+        nvm::stats::count_info_allocs(1);
         Info {
             meta: PWord::new(0),
             presult: PWord::new(RES_BOT),
@@ -179,13 +179,13 @@ impl<M: Persist> PoolItem for Info<M> {
     }
 
     fn count_reuse() {
-        crate::counters::info_reuse();
+        nvm::stats::count_info_reuses(1);
     }
 }
 
 impl<M: Persist> Drop for Info<M> {
     fn drop(&mut self) {
-        crate::counters::info_free();
+        nvm::stats::count_info_frees(1);
     }
 }
 
@@ -559,6 +559,15 @@ pub unsafe fn help<M: Persist, const ARM: u8>(
     let untagged_val = tag::untagged(info as u64);
     let (naffect, nwrite, nnew, del_mask) = r.counts();
     let start = if invoker { 0 } else { 1 };
+    // Link-persist merges a single-affect operation's tag-phase `psync` into
+    // its update-phase one (below), so a crash image may hold its `result`
+    // without its write, or its write without its tag, whose cell then reads
+    // an older value again — `expected`, once recovery helped the tag before
+    // it. What proves such an operation (the queue's enqueue, whose write is
+    // a `next` link that only ever goes Null → node) took effect is its write
+    // in place, never its tag or its `result`. Outside crash images the two
+    // always agree (DESIGN.md §4).
+    let merged = arm::is_lp(ARM) && naffect == 1 && nwrite > 0;
 
     // ---- Tagging phase -------------------------------------------------
     let mut k = start;
@@ -587,7 +596,19 @@ pub unsafe fn help<M: Persist, const ARM: u8>(
             //    Re-run the idempotent cleanup (heals crash-resurrected
             //    partial tags during scrub) and report completion.
             // 2. `result` unset ⇒ the attempt genuinely failed: backtrack.
-            if M::load(&r.result) != RES_BOT {
+            //
+            // A merged operation asks its write instead (see `merged`).
+            let completed = if merged {
+                unsafe { writes_in_place(r, nwrite) }
+            } else {
+                M::load(&r.result) != RES_BOT
+            };
+            if completed {
+                if merged && M::load(&r.result) == RES_BOT {
+                    M::store(&r.result, M::load(&r.presult));
+                    arm::pwb_arm::<M, ARM>(&r.result);
+                    M::psync();
+                }
                 cleanup::<M, ARM>(r, tagged_val, untagged_val, naffect, nnew, del_mask);
                 if !arm::is_tuned(ARM) {
                     M::psync();
@@ -643,14 +664,27 @@ pub unsafe fn help<M: Persist, const ARM: u8>(
     }
 
     // ---- Update phase ---------------------------------------------------
+    let mut in_place = true;
     for w in 0..nwrite {
         let slot = r.write_slot(w);
         let cell = M::load(&slot[0]) as *const PWord<M>;
         let old = M::load(&slot[1]);
         let new = M::load(&slot[2]);
         let cell = unsafe { &*cell };
-        let _ = cell.cas(old, new); // idempotent: fails silently on re-execution
+        let seen = cell.cas(old, new); // idempotent: fails silently on re-execution
+        in_place &= seen == old || seen == new;
         arm::pwb_arm::<M, ARM>(cell);
+    }
+    if merged && !in_place {
+        // The tag was won over an `expected` that a crash image restored
+        // while another operation's write stands: this attempt can never
+        // take effect. Take the tag back, durably, before anyone else acts
+        // on it.
+        let (cell, _) = unsafe { r.affect_at(0) };
+        let _ = cell.cas(tagged_val, untagged_val);
+        arm::pwb_arm::<M, ARM>(cell);
+        M::psync();
+        return HelpOutcome::FailedAt(0);
     }
     let presult = M::load(&r.presult);
     debug_assert_ne!(presult, RES_BOT, "presult must be precomputed before publication");
@@ -664,6 +698,21 @@ pub unsafe fn help<M: Persist, const ARM: u8>(
         M::psync();
     }
     HelpOutcome::Done
+}
+
+/// Whether every write of `r` holds its new value (a merged operation's
+/// proof of effect, see [`help`]).
+///
+/// # Safety
+/// As [`help`].
+unsafe fn writes_in_place<M: Persist>(r: &Info<M>, nwrite: usize) -> bool {
+    (0..nwrite).all(|w| {
+        let slot = r.write_slot(w);
+        // SAFETY: a write slot names a cell of a node the caller's pin keeps
+        // live ([`help`]'s contract).
+        let cell = unsafe { &*(M::load(&slot[0]) as *const PWord<M>) };
+        M::load(cell) == M::load(&slot[2])
+    })
 }
 
 /// The idempotent cleanup phase of [`help`]: untag every affect/new cell
@@ -750,8 +799,8 @@ pub unsafe fn help_recovering<M: Persist, const ARM: u8>(
             }
         }
     }
-    let _ = unsafe { help::<M, ARM>(info, true, guard) };
-    let res = M::load(&r.result);
+    let done = unsafe { help::<M, ARM>(info, true, guard) } == HelpOutcome::Done;
+    let res = if done { M::load(&r.result) } else { RES_BOT };
     if res == RES_BOT {
         let mut untagged = false;
         for k in (0..naffect).rev() {

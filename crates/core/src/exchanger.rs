@@ -45,12 +45,12 @@ impl<M: Persist> ExInfo<M> {
 
 impl<M: Persist> PoolItem for ExInfo<M> {
     fn fresh() -> Self {
-        crate::counters::info_alloc();
+        nvm::stats::count_info_allocs(1);
         ExInfo { value: PWord::new(0), partner: PWord::new(0), result: PWord::new(RES_BOT) }
     }
 
     fn count_reuse() {
-        crate::counters::info_reuse();
+        nvm::stats::count_info_reuses(1);
     }
 }
 
@@ -90,7 +90,7 @@ impl<M: Persist> RExchanger<M> {
         self.pool.draw(
             |i| i.init(v),
             || {
-                crate::counters::info_alloc();
+                nvm::stats::count_info_allocs(1);
                 Box::into_raw(Box::new(ExInfo {
                     value: PWord::new(v),
                     partner: PWord::new(0),
@@ -237,7 +237,7 @@ impl<M: Persist> Drop for RExchanger<M> {
 
 impl<M: Persist> Drop for ExInfo<M> {
     fn drop(&mut self) {
-        crate::counters::info_free();
+        nvm::stats::count_info_frees(1);
     }
 }
 

@@ -175,8 +175,8 @@ impl<M: Persist> Env<M> {
     /// `RD_q`. Callers that journal their own intent records around the
     /// structure (write-ahead logs driving a mapped heap) must call this
     /// **before** writing the intent record. Plain in-process use never
-    /// needs it: an operation's own prologue runs the glue when this call
-    /// has not.
+    /// needs it: an operation's own prologue runs the glue too (under
+    /// `Isb-LP` it then finds the line fresh and persists nothing).
     pub fn note_invocation<const ARM: u8>(&self, pid: usize) {
         let taken = self.rec.mark_invoked::<ARM>(pid);
         if taken != 0 {

@@ -39,7 +39,6 @@
 //! CASes fail silently (same argument as the list).
 
 use crate::arm;
-use crate::counters;
 use crate::engine::{
     help, res_val, val_of, HelpOutcome, Info, InfoFill, RES_EMPTY, RES_UNIT, RES_VAL_BASE,
 };
@@ -76,7 +75,7 @@ unsafe impl<M: Persist> PersistWords<M> for Node<M> {
 
 impl<M: Persist> Node<M> {
     fn alloc(val: u64, next: u64, info: u64) -> *mut Node<M> {
-        counters::node_alloc();
+        nvm::stats::count_node_allocs(1);
         Box::into_raw(Box::new(Node {
             val: PWord::new(val),
             next: PWord::new(next),
@@ -94,12 +93,12 @@ impl<M: Persist> Node<M> {
 
 impl<M: Persist> PoolItem for Node<M> {
     fn fresh() -> Self {
-        counters::node_alloc();
+        nvm::stats::count_node_allocs(1);
         Node { val: PWord::new(0), next: PWord::new(0), info: PWord::new(0) }
     }
 
     fn count_reuse() {
-        counters::node_reuse();
+        nvm::stats::count_node_reuses(1);
     }
 }
 
@@ -111,7 +110,7 @@ impl<M: Persist> TrackedNode<M> for Node<M> {
 
 impl<M: Persist> Drop for Node<M> {
     fn drop(&mut self) {
-        counters::node_free();
+        nvm::stats::count_node_frees(1);
     }
 }
 
@@ -606,6 +605,45 @@ mod tests {
             assert_eq!(q.snapshot_vals(), vec![5, 6], "seed {seed}");
         }
         assert!(stale > 0, "no image rolled the hint back: the test exercises nothing");
+    }
+
+    /// A crash image of an `Isb-LP` enqueue may keep its `result` and lose
+    /// its tag and its link: one fence window, three lines. When another
+    /// process enqueues before the crashed one recovers, its tag and its
+    /// link take the cell, and recovery must restart the crashed enqueue,
+    /// not answer it complete from its `result` (DESIGN.md §4). Swept over
+    /// every instruction of the crashed enqueue and 16 images; while the
+    /// `result` decided, fuse 61 of seed 4 lost the value.
+    #[test]
+    fn lp_enqueue_recovers_by_its_link_not_its_result() {
+        use nvm::{sim, SimNvm};
+        let _gate = crate::counters::gate_shared();
+        let _session = crate::simtest::session();
+        let mut crashes = 0;
+        for seed in 0..16 {
+            for fuse in 1.. {
+                sim::reset();
+                nvm::tid::set_tid(1);
+                let mut q = RQueue::<SimNvm, { crate::arm::LP }>::new();
+                sim::persist_all();
+                q.enqueue(1, 10);
+                if !crate::simtest::crashed_at(fuse, seed, || q.enqueue(1, 20)) {
+                    break;
+                }
+                crashes += 1;
+                nvm::tid::set_tid(0);
+                q.enqueue(0, 30); // another process, before pid 1 recovers
+                nvm::tid::set_tid(1);
+                q.recover_enqueue(1, 20);
+                q.scrub();
+                q.heal_tail();
+                q.check_invariants();
+                let mut vals = q.snapshot_vals();
+                vals.sort_unstable();
+                assert_eq!(vals, [10, 20, 30], "fuse {fuse} seed {seed}");
+            }
+        }
+        assert!(crashes > 0, "no crash landed: the test exercises nothing");
     }
 
     #[test]

@@ -39,19 +39,17 @@
 //! and the barrier: an operation that follows a no-effect one on the same
 //! pid pays for its invocation nothing at all.
 //!
-//! The glue runs once per invocation. A caller that needs it *earlier* than
-//! the operation's own prologue — the KV service, which must order it
-//! before its durable in-flight record — runs it through
-//! [`RecArea::mark_invoked`], which leaves a volatile per-pid note that the
-//! line is durably reset; the prologue that follows finds the note and does
-//! not persist the same reset a second time. The note is process memory: it
-//! dies with the process, so after a crash every prologue persists again.
+//! A caller that needs the glue *earlier* than the operation's own prologue
+//! — the KV service, which must order it before its durable in-flight
+//! record — runs it through [`RecArea::mark_invoked`]. Under `Isb-LP` the
+//! prologue that follows reads the line back fresh and persists nothing
+//! again; arms 0/1 persist `CP_q := 0` a second time (no shipped path marks
+//! an invocation below `Isb-LP`).
 
 use crate::arm::{CfgWord, KindTag};
 use crate::engine::Info;
 use nvm::pad::CachePadded;
 use nvm::{PWord, Persist, PersistWords, MAX_PROCS};
-use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 
 /// One process's persistent private recovery variables: two words of one
 /// cache line (the owned layout pads each slot to its own lines, the arena
@@ -96,11 +94,6 @@ pub const ARENA_SLOT_STRIDE: usize = 128;
 /// Per-process recovery areas for one data structure.
 pub struct RecArea<M: Persist> {
     slots: Slots<M>,
-    /// Per pid: [`RecArea::mark_invoked`] ran the arms-0/1 invocation glue
-    /// and no prologue has consumed that yet (`Isb-LP` never sets it). Volatile on purpose, and touched
-    /// only by the thread that owns the pid, so `Relaxed` suffices (the
-    /// hand-over of a pid between threads synchronizes on its own).
-    glue_noted: Vec<CachePadded<AtomicBool>>,
 }
 
 // SAFETY: all slot state is atomics behind `&self`; the arena pointer is
@@ -130,14 +123,8 @@ fn system_glue<M: Persist, R>(f: impl FnOnce() -> R) -> R {
 impl<M: Persist> RecArea<M> {
     /// Creates recovery slots for [`MAX_PROCS`] processes.
     pub fn new() -> Self {
-        Self::over(Slots::Owned(
-            (0..MAX_PROCS).map(|_| CachePadded::new(ProcRec::default())).collect(),
-        ))
-    }
-
-    fn over(slots: Slots<M>) -> Self {
-        let glue_noted = (0..MAX_PROCS).map(|_| CachePadded::new(AtomicBool::new(false))).collect();
-        Self { slots, glue_noted }
+        let slots = (0..MAX_PROCS).map(|_| CachePadded::new(ProcRec::default())).collect();
+        Self { slots: Slots::Owned(slots) }
     }
 
     /// Bytes an arena-resident recovery area occupies
@@ -160,7 +147,7 @@ impl<M: Persist> RecArea<M> {
     pub unsafe fn attach_raw(base: *const u8) -> Self {
         assert!(std::mem::size_of::<ProcRec<M>>() <= ARENA_SLOT_STRIDE);
         assert_eq!(std::mem::size_of::<M::Meta>(), 0, "arena slots require metadata-free models");
-        Self::over(Slots::Arena(base))
+        Self { slots: Slots::Arena(base) }
     }
 
     #[inline]
@@ -173,39 +160,6 @@ impl<M: Persist> RecArea<M> {
                 unsafe { &*(base.add(pid * ARENA_SLOT_STRIDE) as *const ProcRec<M>) }
             }
         }
-    }
-
-    /// The invocation glue at an operation's prologue — unless
-    /// [`RecArea::mark_invoked`] already ran it for this invocation. Returns
-    /// what [`RecArea::glue`] returns, `0` when the note elided it (the
-    /// reference was handed to `mark_invoked`'s caller).
-    ///
-    /// The note alone would be enough under the service's discipline (the
-    /// lane owns the tid, so nothing on this pid can write the slot between
-    /// the two calls). But the note is per view, the structures of one
-    /// [`crate::store::Store`] share one slot array, and a caller may mark
-    /// through one structure and then run another's operation, leaving the
-    /// note behind. Reading the slot back closes that: every reset in this
-    /// file is stored together with its barrier (the list is at
-    /// [`RecArea::glue`]), so the reset state the owner reads back is a
-    /// durable one, and a stale note beside anything else takes the
-    /// persisting path. In arms 0/1 the note, not the read, decides
-    /// *whether* to elide, so operations invoked without `mark_invoked` keep
-    /// their placement (and their golden persist counts) exactly. `Isb-LP`
-    /// needs no note: its glue makes the same read-back itself, on every
-    /// invocation.
-    #[inline]
-    fn invoke_glue<const ARM: u8>(&self, pid: usize, s: &ProcRec<M>) -> u64 {
-        if !crate::arm::is_lp(ARM) {
-            let noted = &self.glue_noted[pid];
-            if noted.load(Relaxed) {
-                noted.store(false, Relaxed);
-                if s.cp.load() == 0 {
-                    return 0;
-                }
-            }
-        }
-        Self::glue::<ARM>(s)
     }
 
     /// The *system* half of an invocation, which the paper models as
@@ -267,7 +221,7 @@ impl<M: Persist> RecArea<M> {
         // re-flush lines, so disarm.
         nvm::coalesce::lint::set_armed(crate::arm::is_lp(ARM));
         let s = self.slot(pid);
-        let taken = self.invoke_glue::<ARM>(pid, s);
+        let taken = Self::glue::<ARM>(s);
         if crate::arm::is_lp(ARM) {
             // The glue was the whole prologue: it reset `RD_q` inside its
             // own barrier, and `CP_q := 1` waits for the first publish.
@@ -302,7 +256,7 @@ impl<M: Persist> RecArea<M> {
         // (crashable) operation code — otherwise a crash on the operation's
         // first instruction would leave `CP_q = 1` pointing at the previous
         // operation's descriptor and recovery would return a stale response.
-        self.invoke_glue::<{ crate::arm::PAPER }>(pid, s);
+        Self::glue::<{ crate::arm::PAPER }>(s);
         s.rd.load()
     }
 
@@ -366,11 +320,11 @@ impl<M: Persist> RecArea<M> {
     }
 
     /// Runs the invocation glue ([`RecArea::begin`]'s first step) ahead of
-    /// the operation. The next prologue on `pid` through this area finds the
-    /// note left here and skips its own copy (arms 0/1; `Isb-LP` leaves no
-    /// note, its prologue reads the fresh line back). Returns the previous `RD_q`
-    /// `Isb-LP`'s glue took out (`0` otherwise); the caller releases it
-    /// ([`Info::release`], as [`crate::env::Env::note_invocation`] does).
+    /// the operation. Under `Isb-LP` the operation's own prologue then reads
+    /// the fresh line back and skips its copy; arms 0/1 persist `CP_q := 0`
+    /// a second time. Returns the previous `RD_q` `Isb-LP`'s glue took out
+    /// (`0` otherwise); the caller releases it ([`Info::release`], as
+    /// [`crate::env::Env::note_invocation`] does).
     ///
     /// Callers that write their own intent records around a mapped structure
     /// (write-ahead logs, request journals) must call this *before* logging
@@ -380,11 +334,7 @@ impl<M: Persist> RecArea<M> {
     /// operation a stale response.
     #[must_use = "the reference taken out of RD_q must be released"]
     pub fn mark_invoked<const ARM: u8>(&self, pid: usize) -> u64 {
-        let taken = Self::glue::<ARM>(self.slot(pid));
-        if !crate::arm::is_lp(ARM) {
-            self.glue_noted[pid].store(true, Relaxed);
-        }
-        taken
+        Self::glue::<ARM>(self.slot(pid))
     }
 
     /// Durably resets a dead peer's slot to the fresh state (`CP = 0`,
@@ -1265,98 +1215,44 @@ mod tests {
         (after.0 - before.0, after.1 - before.1)
     }
 
-    /// `mark_invoked` + prologue runs the glue once, not twice; a prologue
-    /// on its own still runs it, every time the previous operation published.
-    /// Under `Isb-LP` the glue is the whole prologue (one line, one fence)
-    /// and whichever call ran it hands out the previous `RD_q` — once; on a
-    /// line nothing published to since the last glue (a fresh slot, or
-    /// after an operation with no effect) it costs nothing at all.
-    fn marked_invocation_runs_the_glue_once<const ARM: u8>(t: usize) {
-        nvm::tid::set_tid(t);
-        let rec: RecArea<M> = RecArea::new();
-        let lp = crate::arm::is_lp(ARM);
-        let after_begin = if lp { (0, 0) } else { (1, 0) };
-        let first = cost(t, || assert_eq!(rec.begin::<ARM>(t), 0));
-        rec.publish_arm::<ARM>(t, 0x1230);
-        let bare = cost(t, || assert_eq!(rec.begin::<ARM>(t), 0x1230));
-        if lp {
-            assert_eq!(first, (0, 0), "a fresh line elides the glue");
-            assert_eq!(bare, (1, 1), "the glue barrier is the whole prologue");
-            let fresh = cost(t, || {
-                assert_eq!(rec.mark_invoked::<ARM>(t), 0);
-                assert_eq!(rec.begin::<ARM>(t), 0);
-            });
-            assert_eq!(fresh, (0, 0), "after a no-effect operation, marked or not");
-        } else {
-            assert_eq!(first, bare, "arms 0/1 persist on every invocation");
-        }
-        rec.publish_arm::<ARM>(t, 0x1230);
-        let marked = cost(t, || {
-            let taken = rec.mark_invoked::<ARM>(t);
-            let prev = rec.begin::<ARM>(t);
-            let want = if lp { (0x1230, 0) } else { (0, 0x1230) };
-            assert_eq!((taken, prev), want, "the previous RD_q is handed out once");
-        });
-        assert_eq!(marked, bare, "the prologue must not re-persist what mark_invoked did");
-        assert_eq!(rec.read(t), after_begin);
-        rec.publish_arm::<ARM>(t, 0x1230);
-        let again = cost(t, || assert_eq!(rec.begin::<ARM>(t), 0x1230));
-        assert_eq!(again, bare, "the note is consumed, not sticky");
-    }
-
+    /// Under `Isb-LP` the glue is the whole prologue (one line, one fence),
+    /// and `mark_invoked` + prologue runs it once, not twice: whichever call
+    /// ran it hands out the previous `RD_q` — once; on a line nothing
+    /// published to since the last glue (a fresh slot, or after an operation
+    /// with no effect) it costs nothing at all. A line whose `CP_q = 0` sits
+    /// beside a `RD_q` that an arm-0 `find` published — another structure of
+    /// one store, over the shared slot — is not fresh: it is reset durably.
     #[test]
     fn marked_invocation_persists_the_checkpoint_once() {
         let _gate = crate::counters::gate_shared();
         const T: usize = MAX_PROCS - 3; // counters of its own
-        marked_invocation_runs_the_glue_once::<{ crate::arm::PAPER }>(T);
-        marked_invocation_runs_the_glue_once::<{ crate::arm::TUNED }>(T);
-        marked_invocation_runs_the_glue_once::<{ crate::arm::LP }>(T);
-
-        // The arms-0/1 find prologue.
-        let rec: RecArea<M> = RecArea::new();
-        let readonly = || {
-            rec.begin_readonly(T);
-        };
-        let bare_ro = cost(T, readonly);
-        assert_eq!(bare_ro, (1, 1));
-        let marked_ro = cost(T, || {
-            assert_eq!(rec.mark_invoked::<{ crate::arm::PAPER }>(T), 0);
-            rec.begin_readonly(T);
-        });
-        assert_eq!(marked_ro, bare_ro);
-        assert_eq!(cost(T, readonly), bare_ro);
-    }
-
-    /// Two structures of one store are two views over one slot array. A
-    /// note left in one view while the other view's operation wrote the
-    /// slot must not let the first view's next prologue skip the persist:
-    /// neither beside `CP_q = 1`, nor — under `Isb-LP`, whose prologue is
-    /// nothing but the glue — beside a `RD_q` an arm-0 `find` published
-    /// under `CP_q = 0`.
-    #[test]
-    fn stale_note_beside_a_set_checkpoint_still_persists() {
-        let _gate = crate::counters::gate_shared();
-        const T: usize = MAX_PROCS - 4;
+        const LP: u8 = crate::arm::LP;
         nvm::tid::set_tid(T);
-        let arena = vec![0u64; RecArea::<M>::slots_bytes() / 8];
-        // SAFETY: zeroed, 8-aligned, slots_bytes() long, outlives both views.
-        let (a, b): (RecArea<M>, RecArea<M>) = unsafe {
-            (RecArea::attach_raw(arena.as_ptr().cast()), RecArea::attach_raw(arena.as_ptr().cast()))
-        };
-        assert_eq!(a.mark_invoked::<{ crate::arm::PAPER }>(T), 0);
-        b.begin::<0>(T);
-        b.publish(T, 0x40);
-        assert_eq!(a.read(T), (1, 0x40));
-        assert_eq!(cost(T, || assert_eq!(a.begin_readonly(T), 0x40)), (1, 1), "cleared durably");
-        assert_eq!(a.read(T), (0, 0x40), "CP cleared");
+        let rec: RecArea<M> = RecArea::new();
+        let first = cost(T, || assert_eq!(rec.begin::<LP>(T), 0));
+        assert_eq!(first, (0, 0), "a fresh line elides the glue");
+        rec.publish_arm::<LP>(T, 0x1230);
+        let bare = cost(T, || assert_eq!(rec.begin::<LP>(T), 0x1230));
+        assert_eq!(bare, (1, 1), "the glue barrier is the whole prologue");
+        let fresh = cost(T, || {
+            assert_eq!(rec.mark_invoked::<LP>(T), 0);
+            assert_eq!(rec.begin::<LP>(T), 0);
+        });
+        assert_eq!(fresh, (0, 0), "after a no-effect operation, marked or not");
+        rec.publish_arm::<LP>(T, 0x1230);
+        let marked = cost(T, || {
+            let handed = (rec.mark_invoked::<LP>(T), rec.begin::<LP>(T));
+            assert_eq!(handed, (0x1230, 0), "the previous RD_q is handed out once");
+        });
+        assert_eq!(marked, bare, "the prologue must not re-persist what mark_invoked did");
+        assert_eq!(rec.read(T), (0, 0));
 
-        assert_eq!(a.mark_invoked::<{ crate::arm::LP }>(T), 0x40);
-        b.begin_readonly(T);
-        b.publish(T, 0x80);
-        assert_eq!(a.read(T), (0, 0x80), "CP_q = 0, but RD_q is not the glue's Null");
-        let reset = cost(T, || assert_eq!(a.begin::<{ crate::arm::LP }>(T), 0x80));
+        rec.begin_readonly(T);
+        rec.publish(T, 0x80);
+        assert_eq!(rec.read(T), (0, 0x80), "CP_q = 0, but RD_q is not the glue's Null");
+        let reset = cost(T, || assert_eq!(rec.begin::<LP>(T), 0x80));
         assert_eq!(reset, (1, 1), "reset durably");
-        assert_eq!(a.read(T), (0, 0));
+        assert_eq!(rec.read(T), (0, 0));
     }
 
     /// What the swept invocation does once its glue has run.

@@ -46,7 +46,6 @@
 //! unchanged.
 
 use crate::arm;
-use crate::counters;
 use crate::engine::{
     help, res_val, HelpOutcome, Info, InfoFill, RES_EMPTY, RES_FALSE, RES_TRUE, RES_UNIT,
 };
@@ -81,7 +80,7 @@ unsafe impl<M: Persist> PersistWords<M> for Node<M> {
 
 impl<M: Persist> Node<M> {
     fn alloc(key: u64, next: u64, info: u64) -> *mut Node<M> {
-        counters::node_alloc();
+        nvm::stats::count_node_allocs(1);
         Box::into_raw(Box::new(Node {
             key: PWord::new(key),
             next: PWord::new(next),
@@ -99,12 +98,12 @@ impl<M: Persist> Node<M> {
 
 impl<M: Persist> PoolItem for Node<M> {
     fn fresh() -> Self {
-        counters::node_alloc();
+        nvm::stats::count_node_allocs(1);
         Node { key: PWord::new(0), next: PWord::new(0), info: PWord::new(0) }
     }
 
     fn count_reuse() {
-        counters::node_reuse();
+        nvm::stats::count_node_reuses(1);
     }
 }
 
@@ -116,7 +115,7 @@ impl<M: Persist> TrackedNode<M> for Node<M> {
 
 impl<M: Persist> Drop for Node<M> {
     fn drop(&mut self) {
-        counters::node_free();
+        nvm::stats::count_node_frees(1);
     }
 }
 

@@ -8,13 +8,16 @@
 //! cargo run -p isb-examples --bin crash_recovery [seed]
 //! ```
 
-use bench_harness::crash::{run_list_scenario, run_queue_scenario, CrashCfg};
+use bench_harness::crash::{run_scenario, CrashCfg};
+use isb::list::RList;
+use isb::queue::RQueue;
+use nvm::SimNvm;
 
 fn main() {
     let seed: u64 = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(7);
 
     println!("=== detectably recoverable list under a system-wide crash ===");
-    let rep = run_list_scenario(CrashCfg {
+    let rep = run_scenario::<RList<SimNvm, 0>>(CrashCfg {
         procs: 3,
         ops_per_proc: 100,
         keys_per_proc: 10,
@@ -30,7 +33,7 @@ fn main() {
 
     println!();
     println!("=== detectably recoverable queue under a system-wide crash ===");
-    let rep = run_queue_scenario(CrashCfg {
+    let rep = run_scenario::<RQueue<SimNvm, 0>>(CrashCfg {
         procs: 4,
         ops_per_proc: 80,
         keys_per_proc: 32,

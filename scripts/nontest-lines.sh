@@ -1,6 +1,9 @@
 #!/usr/bin/env bash
-# Non-test line counts of Rust sources: per file, the lines before its first
-# `#[cfg(test)]`; then the total.
+# Non-test line counts of Rust sources: per file, every line except the
+# items a column-0 `#[cfg(test)]` gates (the attribute line, any further
+# attributes, and the item through its matching closing brace, or through
+# its `;` when it has no body); then the total. An indented `#[cfg(test)]`
+# counts like any other line.
 #
 #   scripts/nontest-lines.sh [--max N] <file-or-directory>...
 #
@@ -18,9 +21,22 @@ fi
 [ "$#" -gt 0 ] || { echo "usage: $0 [--max N] <paths...>" >&2; exit 2; }
 
 find "$@" -type f -name '*.rs' | sort | xargs awk -v max="$max" '
-    FNR == 1 { in_test = 0; order[++n] = FILENAME; lines[FILENAME] = 0 }
-    /^ *#\[cfg\(test\)\]/ { in_test = 1 }
-    !in_test { lines[FILENAME]++ }
+    FNR == 1 { gated = 0; order[++n] = FILENAME; lines[FILENAME] = 0 }
+    !gated && /^#\[cfg\(test\)\]/ { gated = 1; depth = 0; opened = 0; next }
+    gated {
+        # Braces inside string and char literals and comments do not count.
+        t = $0
+        gsub(/"([^"\\]|\\.)*"/, "", t)
+        gsub(/'\''([^'\''\\]|\\.)'\''/, "", t)
+        sub(/\/\/.*$/, "", t)
+        o = gsub(/\{/, "", t)
+        c = gsub(/\}/, "", t)
+        depth += o - c
+        if (o) opened = 1
+        if (opened ? depth <= 0 : t ~ /;[ \t]*$/) gated = 0
+        next
+    }
+    { lines[FILENAME]++ }
     END {
         for (i = 1; i <= n; i++) {
             f = order[i]

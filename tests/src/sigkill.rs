@@ -1,7 +1,8 @@
 //! The SIGKILL kit: what the cross-process legs (`tests/restart.rs`,
 //! `tests/exactly_once.rs`) share, once — the scratch directory, the child
-//! process, the write-ahead journal, the operation vocabulary and the check
-//! of a journal against a recovery decision.
+//! process, the write-ahead journal and the check of a journal against a
+//! recovery decision. The operations journaled are `bench_harness::ops`',
+//! the vocabulary the `SimNvm` crash driver speaks too.
 //!
 //! A leg is: a parent test creates a [`Scratch`], spawns this same test
 //! binary as a [`Child`] running one `#[ignore]`d child test, lets it hammer
@@ -40,15 +41,9 @@
 //! journal was resolved by; a [`Child`] dropped by a panic is SIGKILLed and
 //! reaped, so no failing round leaves a process behind.
 
-use isb::bst::RBst;
-use isb::engine::{val_of, RES_EMPTY, RES_FALSE, RES_TRUE, RES_UNIT, RES_VAL_BASE};
-use isb::hashmap::RHashMap;
-use isb::list::RList;
-use isb::queue::RQueue;
+use bench_harness::ops::{Op, Resp, SeqModel};
 use isb::recovery::Recovered;
-use isb::stack::RStack;
-use nvm::MappedNvm;
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::BTreeMap;
 use std::fmt::Display;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -259,199 +254,63 @@ impl Drop for Child {
 }
 
 // ---------------------------------------------------------------------------
-// Operation vocabulary
+// Journal encoding and models
 // ---------------------------------------------------------------------------
 
-/// An operation of one of the five structure kinds, with its argument.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Op {
-    /// Set insert (hash map, list, BST).
-    Insert(u64),
-    /// Set delete.
-    Delete(u64),
-    /// Set membership.
-    Find(u64),
-    /// Queue enqueue.
-    Enqueue(u64),
-    /// Queue dequeue.
-    Dequeue,
-    /// Stack push.
-    Push(u64),
-    /// Stack pop.
-    Pop,
-}
-
-/// An operation's response.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Resp {
-    /// Insert / delete / find.
-    Bool(bool),
-    /// Enqueue / push.
-    Unit,
-    /// Dequeue / pop; `None` = empty.
-    Val(Option<u64>),
-}
-
-impl Op {
-    /// The journal words: a letter and the argument (`0` when none).
-    fn token(self) -> (char, u64) {
-        match self {
-            Op::Insert(k) => ('i', k),
-            Op::Delete(k) => ('d', k),
-            Op::Find(k) => ('f', k),
-            Op::Enqueue(v) => ('e', v),
-            Op::Dequeue => ('x', 0),
-            Op::Push(v) => ('u', v),
-            Op::Pop => ('o', 0),
-        }
-    }
-
-    fn from_token(letter: &str, arg: u64) -> Option<Op> {
-        Some(match letter {
-            "i" => Op::Insert(arg),
-            "d" => Op::Delete(arg),
-            "f" => Op::Find(arg),
-            "e" => Op::Enqueue(arg),
-            "x" => Op::Dequeue,
-            "u" => Op::Push(arg),
-            "o" => Op::Pop,
-            _ => return None,
-        })
-    }
-
-    /// The response `res` — the encoded word of a `Recovered::Completed` —
-    /// stands for; `None` when this operation never answers that word.
-    pub fn decode(self, res: u64) -> Option<Resp> {
-        match self {
-            Op::Insert(_) | Op::Delete(_) | Op::Find(_) => match res {
-                RES_TRUE => Some(Resp::Bool(true)),
-                RES_FALSE => Some(Resp::Bool(false)),
-                _ => None,
-            },
-            Op::Enqueue(_) | Op::Push(_) => (res == RES_UNIT).then_some(Resp::Unit),
-            Op::Dequeue | Op::Pop => match res {
-                RES_EMPTY => Some(Resp::Val(None)),
-                r if r >= RES_VAL_BASE => Some(Resp::Val(Some(val_of(r)))),
-                _ => None,
-            },
-        }
-    }
-
-    /// Parses an ack word written by [`Resp::token`] for this operation.
-    fn parse_ack(self, word: &str) -> Option<Resp> {
-        match (self, word) {
-            (Op::Insert(_) | Op::Delete(_) | Op::Find(_), "1") => Some(Resp::Bool(true)),
-            (Op::Insert(_) | Op::Delete(_) | Op::Find(_), "0") => Some(Resp::Bool(false)),
-            (Op::Enqueue(_) | Op::Push(_), "ok") => Some(Resp::Unit),
-            (Op::Dequeue | Op::Pop, "E") => Some(Resp::Val(None)),
-            (Op::Dequeue | Op::Pop, v) => v.parse().ok().map(|v| Resp::Val(Some(v))),
-            _ => None,
-        }
+/// The journal words of `op`: a letter and the argument (`0` when none);
+/// [`op_of`] reads them back.
+fn token(op: Op) -> (char, u64) {
+    match op {
+        Op::Insert(k) => ('i', k),
+        Op::Delete(k) => ('d', k),
+        Op::Find(k) => ('f', k),
+        Op::Enqueue(v) => ('e', v),
+        Op::Dequeue => ('x', 0),
+        Op::Push(v) => ('u', v),
+        Op::Pop => ('o', 0),
     }
 }
 
-impl Resp {
-    fn token(self) -> String {
-        match self {
-            Resp::Bool(b) => (b as u8).to_string(),
-            Resp::Unit => "ok".to_string(),
-            Resp::Val(None) => "E".to_string(),
-            Resp::Val(Some(v)) => v.to_string(),
-        }
+fn op_of(letter: &str, arg: u64) -> Option<Op> {
+    Some(match letter {
+        "i" => Op::Insert(arg),
+        "d" => Op::Delete(arg),
+        "f" => Op::Find(arg),
+        "e" => Op::Enqueue(arg),
+        "x" => Op::Dequeue,
+        "u" => Op::Push(arg),
+        "o" => Op::Pop,
+        _ => return None,
+    })
+}
+
+/// The ack word of `resp`.
+fn ack_token(resp: Resp) -> String {
+    match resp {
+        Resp::Bool(b) => (b as u8).to_string(),
+        Resp::Unit => "ok".to_string(),
+        Resp::Val(None) => "E".to_string(),
+        Resp::Val(Some(v)) => v.to_string(),
     }
 }
 
-/// A structure an [`Op`] can be invoked on: the five `Store` handle kinds.
-pub trait Target {
-    /// Invokes `op` as process `pid`; panics on an operation of another kind.
-    fn invoke(&self, pid: usize, op: Op) -> Resp;
-}
-
-macro_rules! set_target {
-    ($kind:ident) => {
-        impl<const ARM: u8> Target for $kind<MappedNvm, ARM> {
-            fn invoke(&self, pid: usize, op: Op) -> Resp {
-                Resp::Bool(match op {
-                    Op::Insert(k) => self.insert(pid, k),
-                    Op::Delete(k) => self.delete(pid, k),
-                    Op::Find(k) => self.find(pid, k),
-                    _ => panic!("{op:?} is not a set operation"),
-                })
-            }
-        }
-    };
-}
-set_target!(RHashMap);
-set_target!(RList);
-set_target!(RBst);
-
-impl<const ARM: u8> Target for RQueue<MappedNvm, ARM> {
-    fn invoke(&self, pid: usize, op: Op) -> Resp {
-        match op {
-            Op::Enqueue(v) => {
-                self.enqueue(pid, v);
-                Resp::Unit
-            }
-            Op::Dequeue => Resp::Val(self.dequeue(pid)),
-            _ => panic!("{op:?} is not a queue operation"),
-        }
+/// Parses an ack word written by [`ack_token`] for `op`.
+fn parse_ack(op: Op, word: &str) -> Option<Resp> {
+    match (op, word) {
+        (Op::Insert(_) | Op::Delete(_) | Op::Find(_), "1") => Some(Resp::Bool(true)),
+        (Op::Insert(_) | Op::Delete(_) | Op::Find(_), "0") => Some(Resp::Bool(false)),
+        (Op::Enqueue(_) | Op::Push(_), "ok") => Some(Resp::Unit),
+        (Op::Dequeue | Op::Pop, "E") => Some(Resp::Val(None)),
+        (Op::Dequeue | Op::Pop, v) => v.parse().ok().map(|v| Resp::Val(Some(v))),
+        _ => None,
     }
 }
-
-impl Target for RStack<MappedNvm> {
-    fn invoke(&self, pid: usize, op: Op) -> Resp {
-        match op {
-            Op::Push(v) => {
-                self.push(pid, v);
-                Resp::Unit
-            }
-            Op::Pop => Resp::Val(self.pop(pid)),
-            _ => panic!("{op:?} is not a stack operation"),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Sequential models
-// ---------------------------------------------------------------------------
 
 /// What [`Scratch::resolve`] checks responses against.
 pub trait Model {
     /// Applies `op` on the structure tagged `st`, where the structure
     /// answered `got`; returns the response it should have given.
     fn expect(&mut self, st: char, op: Op, got: Resp) -> Resp;
-}
-
-/// The sequential model of one structure that one process owns.
-#[derive(Debug, Default)]
-pub struct SeqModel {
-    /// Set contents (insert / delete / find).
-    pub set: HashSet<u64>,
-    /// Queue contents, front first.
-    pub fifo: VecDeque<u64>,
-    /// Stack contents, top last.
-    pub lifo: Vec<u64>,
-}
-
-impl SeqModel {
-    /// Applies `op`; returns the response of a sequential execution.
-    pub fn apply(&mut self, op: Op) -> Resp {
-        match op {
-            Op::Insert(k) => Resp::Bool(self.set.insert(k)),
-            Op::Delete(k) => Resp::Bool(self.set.remove(&k)),
-            Op::Find(k) => Resp::Bool(self.set.contains(&k)),
-            Op::Enqueue(v) => {
-                self.fifo.push_back(v);
-                Resp::Unit
-            }
-            Op::Dequeue => Resp::Val(self.fifo.pop_front()),
-            Op::Push(v) => {
-                self.lifo.push(v);
-                Resp::Unit
-            }
-            Op::Pop => Resp::Val(self.lifo.pop()),
-        }
-    }
 }
 
 /// One [`SeqModel`] per structure tag of a journal.
@@ -506,11 +365,11 @@ impl Journal {
         run: impl FnOnce() -> Resp,
     ) -> Resp {
         self.seq += 1;
-        let (seq, (letter, arg)) = (self.seq, op.token());
+        let (seq, (letter, arg)) = (self.seq, token(op));
         note();
         self.file.write_all(format!("S {seq} {st} {letter} {arg}\n").as_bytes()).expect("intent");
         let res = run();
-        self.file.write_all(format!("A {seq} {}\n", res.token()).as_bytes()).expect("ack");
+        self.file.write_all(format!("A {seq} {}\n", ack_token(res)).as_bytes()).expect("ack");
         res
     }
 }
@@ -564,7 +423,7 @@ pub fn read_journal(path: &Path) -> Vec<Rec> {
                 if let Some(prev) = recs.last().filter(|r| r.ack.is_none()) {
                     panic!("unacked op (seq {}) is not the last record of {path:?}", prev.seq);
                 }
-                let op = arg.parse().ok().and_then(|arg| Op::from_token(letter, arg));
+                let op = arg.parse().ok().and_then(|arg| op_of(letter, arg));
                 let (Some(st), Some(op)) = (st.chars().next(), op) else { malformed!() };
                 recs.push(Rec { seq, st, op, ack: None });
             }
@@ -575,7 +434,7 @@ pub fn read_journal(path: &Path) -> Vec<Rec> {
                     "ack out of order in {path:?}: A {seq} after S {}",
                     last.seq
                 );
-                let Some(ack) = last.op.parse_ack(word) else { malformed!() };
+                let Some(ack) = parse_ack(last.op, word) else { malformed!() };
                 last.ack = Some(ack);
             }
             _ => malformed!(),
@@ -708,6 +567,7 @@ impl Scratch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use isb::engine::{RES_EMPTY, RES_FALSE, RES_TRUE, RES_UNIT};
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     /// Every kind of operation, with `arg` where one is taken.
@@ -739,11 +599,11 @@ mod tests {
         let mut model = SeqModel::default();
         let mut text = String::new();
         for (i, &op) in ops.iter().enumerate() {
-            let (letter, arg) = op.token();
+            let (letter, arg) = token(op);
             text += &format!("S {} m {letter} {arg}\n", i + 1);
             let res = model.apply(op);
             if !(cut && i + 1 == ops.len()) {
-                text += &format!("A {} {}\n", i + 1, res.token());
+                text += &format!("A {} {}\n", i + 1, ack_token(res));
             }
         }
         text
@@ -779,8 +639,8 @@ mod tests {
     #[test]
     fn every_op_round_trips_through_its_tokens() {
         for op in all_ops(41) {
-            let (letter, arg) = op.token();
-            assert_eq!(Op::from_token(&letter.to_string(), arg), Some(op));
+            let (letter, arg) = token(op);
+            assert_eq!(op_of(&letter.to_string(), arg), Some(op));
         }
         for (op, resp) in [
             (Op::Insert(1), Resp::Bool(true)),
@@ -790,10 +650,10 @@ mod tests {
             (Op::Dequeue, Resp::Val(None)),
             (Op::Pop, Resp::Val(Some(1))),
         ] {
-            assert_eq!(op.parse_ack(&resp.token()), Some(resp), "{op:?}");
+            assert_eq!(parse_ack(op, &ack_token(resp)), Some(resp), "{op:?}");
             assert_eq!(op.decode(encode(resp)), Some(resp), "{op:?}");
         }
-        assert_eq!(Op::Insert(1).parse_ack("ok"), None);
+        assert_eq!(parse_ack(Op::Insert(1), "ok"), None);
         assert_eq!(Op::Enqueue(1).decode(RES_TRUE), None);
         assert_eq!(Op::Pop.decode(RES_UNIT), None);
     }

@@ -2,16 +2,19 @@
 //! NVM simulator, adversarial image reconstruction, per-process recovery,
 //! and exactly-once / detectability validation (DESIGN.md §8).
 
-use bench_harness::crash::{
-    run_hashmap_lp_scenario, run_hashmap_opt_scenario, run_hashmap_scenario, run_list_scenario,
-    run_queue_lp_scenario, run_queue_scenario, run_stack_scenario, CrashCfg,
-};
+use bench_harness::crash::{run_scenario, CrashCfg};
+use isb::bst::RBst;
+use isb::hashmap::RHashMap;
+use isb::list::RList;
+use isb::queue::RQueue;
+use isb::stack::RStack;
+use nvm::SimNvm;
 
 #[test]
 fn list_survives_many_seeded_crashes() {
     let mut total_pending = 0;
     for seed in 0..40 {
-        let rep = run_list_scenario(CrashCfg {
+        let rep = run_scenario::<RList<SimNvm, 0>>(CrashCfg {
             procs: 3,
             ops_per_proc: 80,
             keys_per_proc: 10,
@@ -28,7 +31,7 @@ fn list_survives_many_seeded_crashes() {
 #[test]
 fn list_survives_repeated_recovery_crashes() {
     for seed in 100..115 {
-        run_list_scenario(CrashCfg {
+        run_scenario::<RList<SimNvm, 0>>(CrashCfg {
             procs: 3,
             ops_per_proc: 60,
             keys_per_proc: 8,
@@ -42,7 +45,7 @@ fn list_survives_repeated_recovery_crashes() {
 fn list_high_contention_crashes() {
     // Tiny key space per process ⇒ many adjacent-node conflicts and helping.
     for seed in 200..220 {
-        run_list_scenario(CrashCfg {
+        run_scenario::<RList<SimNvm, 0>>(CrashCfg {
             procs: 4,
             ops_per_proc: 100,
             keys_per_proc: 3,
@@ -62,7 +65,7 @@ fn hashmap_survives_many_seeded_crashes() {
     // post-recovery POISON scan per seed.
     let mut total_pending = 0;
     for seed in 0..12 {
-        let rep = run_hashmap_scenario(CrashCfg {
+        let rep = run_scenario::<RHashMap<SimNvm, 0>>(CrashCfg {
             procs: 3,
             ops_per_proc: 80,
             keys_per_proc: 24,
@@ -79,7 +82,7 @@ fn hashmap_opt_survives_many_seeded_crashes() {
     // Hand-tuned placement over the same scenario family, different seeds.
     let mut total_pending = 0;
     for seed in 700..712 {
-        let rep = run_hashmap_opt_scenario(CrashCfg {
+        let rep = run_scenario::<RHashMap<SimNvm, 1>>(CrashCfg {
             procs: 3,
             ops_per_proc: 80,
             keys_per_proc: 24,
@@ -95,14 +98,14 @@ fn hashmap_opt_survives_many_seeded_crashes() {
 fn hashmap_survives_repeated_recovery_crashes() {
     // Multi-crash: recovery itself dies twice per seed, in both placements.
     for seed in 800..806 {
-        run_hashmap_scenario(CrashCfg {
+        run_scenario::<RHashMap<SimNvm, 0>>(CrashCfg {
             procs: 3,
             ops_per_proc: 60,
             keys_per_proc: 16,
             recovery_crashes: 2,
             seed,
         });
-        run_hashmap_opt_scenario(CrashCfg {
+        run_scenario::<RHashMap<SimNvm, 1>>(CrashCfg {
             procs: 3,
             ops_per_proc: 60,
             keys_per_proc: 16,
@@ -118,7 +121,7 @@ fn hashmap_high_contention_crashes() {
     // shards, exercising cross-process helping inside a bucket while other
     // buckets stay idle.
     for seed in 900..910 {
-        run_hashmap_scenario(CrashCfg {
+        run_scenario::<RHashMap<SimNvm, 0>>(CrashCfg {
             procs: 4,
             ops_per_proc: 100,
             keys_per_proc: 3,
@@ -139,7 +142,7 @@ fn hashmap_lp_survives_many_seeded_crashes() {
     // double-applying effects.
     let mut total_pending = 0;
     for seed in 1100..1112 {
-        let rep = run_hashmap_lp_scenario(CrashCfg {
+        let rep = run_scenario::<RHashMap<SimNvm, 3>>(CrashCfg {
             procs: 3,
             ops_per_proc: 80,
             keys_per_proc: 24,
@@ -158,7 +161,7 @@ fn hashmap_lp_high_contention_crashes() {
     // untag back) is met by a neighbour's operation, not only by scrub.
     let mut total_pending = 0;
     for seed in 1300..1310 {
-        let rep = run_hashmap_lp_scenario(CrashCfg {
+        let rep = run_scenario::<RHashMap<SimNvm, 3>>(CrashCfg {
             procs: 4,
             ops_per_proc: 100,
             keys_per_proc: 3,
@@ -174,7 +177,7 @@ fn hashmap_lp_high_contention_crashes() {
 fn hashmap_coalescing_arms_survive_repeated_recovery_crashes() {
     // The coalescing glue `Isb-LP` runs, with recovery itself dying twice.
     for seed in 1200..1206 {
-        run_hashmap_lp_scenario(CrashCfg {
+        run_scenario::<RHashMap<SimNvm, 3>>(CrashCfg {
             procs: 3,
             ops_per_proc: 60,
             keys_per_proc: 16,
@@ -188,7 +191,7 @@ fn hashmap_coalescing_arms_survive_repeated_recovery_crashes() {
 fn queue_survives_many_seeded_crashes() {
     let mut total = 0;
     for seed in 0..40 {
-        let rep = run_queue_scenario(CrashCfg {
+        let rep = run_scenario::<RQueue<SimNvm, 0>>(CrashCfg {
             procs: 4,
             ops_per_proc: 60,
             keys_per_proc: 16, // prefill
@@ -208,7 +211,7 @@ fn queue_lp_survives_many_seeded_crashes() {
     // resolve to exactly-once effects via Op-Recover.
     let mut total = 0;
     for seed in 2100..2120 {
-        let rep = run_queue_lp_scenario(CrashCfg {
+        let rep = run_scenario::<RQueue<SimNvm, 3>>(CrashCfg {
             procs: 4,
             ops_per_proc: 60,
             keys_per_proc: 16, // prefill
@@ -228,7 +231,7 @@ fn queue_lp_survives_repeated_recovery_crashes() {
     let mut total_pending = 0;
     let mut total = 0;
     for seed in 2200..2215 {
-        let rep = run_queue_lp_scenario(CrashCfg {
+        let rep = run_scenario::<RQueue<SimNvm, 3>>(CrashCfg {
             procs: 4,
             ops_per_proc: 60,
             keys_per_proc: 16, // prefill
@@ -250,7 +253,7 @@ fn queue_lp_high_contention_crashes() {
     let mut total_pending = 0;
     let mut total = 0;
     for seed in 2300..2320 {
-        let rep = run_queue_lp_scenario(CrashCfg {
+        let rep = run_scenario::<RQueue<SimNvm, 3>>(CrashCfg {
             procs: 4,
             ops_per_proc: 100,
             keys_per_proc: 3, // prefill
@@ -272,7 +275,7 @@ fn stack_survives_many_seeded_crashes() {
     // and roll back the link — both must resolve exactly once.
     let (mut total_pending, mut total) = (0, 0);
     for seed in 3100..3130 {
-        let rep = run_stack_scenario(CrashCfg {
+        let rep = run_scenario::<RStack<SimNvm>>(CrashCfg {
             procs: 4,
             ops_per_proc: 60,
             keys_per_proc: 16, // prefill
@@ -292,7 +295,7 @@ fn stack_survives_repeated_recovery_crashes() {
     // between its glue and its last `psync`.
     let mut total_pending = 0;
     for seed in 3200..3215 {
-        let rep = run_stack_scenario(CrashCfg {
+        let rep = run_scenario::<RStack<SimNvm>>(CrashCfg {
             procs: 4,
             ops_per_proc: 60,
             keys_per_proc: 16, // prefill
@@ -310,7 +313,7 @@ fn stack_high_contention_crashes() {
     // meet the `+∞` sentinel and pushes copy-replace it.
     let mut total_pending = 0;
     for seed in 3300..3320 {
-        let rep = run_stack_scenario(CrashCfg {
+        let rep = run_scenario::<RStack<SimNvm>>(CrashCfg {
             procs: 4,
             ops_per_proc: 100,
             keys_per_proc: 3, // prefill
@@ -325,7 +328,7 @@ fn stack_high_contention_crashes() {
 #[test]
 fn bst_survives_many_seeded_crashes() {
     for seed in 0..25 {
-        bench_harness::crash::run_bst_scenario(CrashCfg {
+        run_scenario::<RBst<SimNvm, 0>>(CrashCfg {
             procs: 3,
             ops_per_proc: 80,
             keys_per_proc: 8,
@@ -338,7 +341,7 @@ fn bst_survives_many_seeded_crashes() {
 #[test]
 fn bst_survives_repeated_recovery_crashes() {
     for seed in 500..510 {
-        bench_harness::crash::run_bst_scenario(CrashCfg {
+        run_scenario::<RBst<SimNvm, 0>>(CrashCfg {
             procs: 3,
             ops_per_proc: 60,
             keys_per_proc: 6,

@@ -26,7 +26,8 @@
 //! request that changes something fences its descriptor first, which drains
 //! the note: 2 lines + 1 fence, the rest being the `Isb-LP` structure
 //! operation (the arm the service ships, `kvserve::server::ARM`) minus the
-//! glue barrier the note elides. Of those, the link-persist elisions are the
+//! glue barrier `note_invocation` already paid (the prologue reads the line
+//! back fresh). Of those, the link-persist elisions are the
 //! cleanup write-backs (`put-new` 3 lines, `del-hit` and `deq` 1) and, on
 //! `enq`, the merged tag-phase `psync` and the tail hint nobody reads back
 //! (4 lines, 1 fence).

@@ -26,6 +26,7 @@
 //! the main matrix without starving the growth-window assert; the shared
 //! legs read `ISB_SHARED_SEEDS` (10) and `ISB_SHARED_KILL2_SEEDS` (3).
 
+use bench_harness::ops::{Op, Resp, SeqModel, Target};
 use isb::bst::RBst;
 use isb::hashmap::RHashMap;
 use isb::list::RList;
@@ -34,9 +35,7 @@ use isb::recovery::Recovered;
 use isb::stack::RStack;
 use isb::store::Store;
 use isb_tests::kv::splitmix;
-use isb_tests::sigkill::{
-    Child, Journal, Model, Op, Resp, Scratch, SeqModel, SeqModels, Tally, Target,
-};
+use isb_tests::sigkill::{Child, Journal, Model, Scratch, SeqModels, Tally};
 use nvm::MappedNvm;
 use std::collections::HashMap;
 use std::fmt::Display;
