@@ -99,13 +99,13 @@ impl<M: Persist, const N: bool> QueueBench for baselines::capsules_queue::Capsul
 
 impl<M: Persist, const ARM: u8> SetBench for RList<M, ARM> {
     fn insert(&self, pid: usize, k: u64) -> bool {
-        RList::insert(self, pid, k)
+        RHashMap::insert(self, pid, k)
     }
     fn delete(&self, pid: usize, k: u64) -> bool {
-        RList::delete(self, pid, k)
+        RHashMap::delete(self, pid, k)
     }
     fn find(&self, pid: usize, k: u64) -> bool {
-        RList::find(self, pid, k)
+        RHashMap::find(self, pid, k)
     }
 }
 

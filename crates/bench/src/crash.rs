@@ -9,7 +9,7 @@
 //!    *before* invoking it (the paper assumes the system re-invokes
 //!    `Op.Recover` with the same arguments, i.e., the system knows them).
 //! 3. The worker that completes the seeded target-th operation crashes its
-//!    next one at a seeded instruction ([`fused_worker`]) — a
+//!    next one at a seeded instruction (`fused_worker`) — a
 //!    **system-wide crash**: every worker dies at its next instrumented
 //!    memory access.
 //! 4. [`nvm::sim::build_crash_image`] reconstructs an adversarial NVM image

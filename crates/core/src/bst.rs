@@ -28,13 +28,15 @@ use crate::arm;
 use crate::engine::{help, HelpOutcome, Info, InfoFill, RES_FALSE, RES_TRUE};
 use crate::env::Env;
 use crate::graph::{self, Graph};
-use crate::op::{cell_addr, TrackedNode};
+use crate::op::{cell_addr, tracked_node};
 use crate::optype;
-use crate::pool::{Pool, PoolItem};
-use crate::recovery::{install_roots, root_words, AttachEnv, AttachError, MappedLayout, SlotOps};
+use crate::pool::Pool;
+use crate::recovery::{
+    install_roots, root_words, AttachEnv, AttachError, MappedLayout, Rooted, SlotOps,
+};
 use crate::tag;
 use nvm::mapped::MappedNvm;
-use nvm::{PWord, Persist, PersistWords};
+use nvm::{PWord, Persist};
 
 /// Structure-kind tag of an `RBst` entry in a [`crate::store::Store`] catalog.
 pub const KIND_BST: u64 = 4;
@@ -44,69 +46,47 @@ pub const KEY_INF1: u64 = u64::MAX - 1;
 /// `∞₂`: larger than `∞₁`.
 pub const KEY_INF2: u64 = u64::MAX;
 
-/// A tree node; leaves have null children.
-#[repr(C)]
-pub struct Node<M: Persist> {
-    key: PWord<M>,
-    left: PWord<M>,
-    right: PWord<M>,
-    info: PWord<M>,
-}
-
-unsafe impl<M: Persist> PersistWords<M> for Node<M> {
-    fn each_word(&self, f: &mut dyn FnMut(&PWord<M>)) {
-        f(&self.key);
-        f(&self.left);
-        f(&self.right);
-        f(&self.info);
-    }
+tracked_node! {
+    /// A tree node; leaves have null children.
+    Node { key, left, right, info }
 }
 
 impl<M: Persist> Node<M> {
-    fn alloc(key: u64, left: u64, right: u64, info: u64) -> *mut Node<M> {
-        nvm::stats::count_node_allocs(1);
-        Box::into_raw(Box::new(Node {
-            key: PWord::new(key),
-            left: PWord::new(left),
-            right: PWord::new(right),
-            info: PWord::new(info),
-        }))
-    }
-
     fn is_leaf(&self) -> bool {
         self.left.load() == 0
     }
-
-    /// Re-initialize a pool-recycled node.
-    fn init(&self, key: u64, left: u64, right: u64, info: u64) {
-        self.key.store(key);
-        self.left.store(left);
-        self.right.store(right);
-        self.info.store(info);
-    }
 }
 
-impl<M: Persist> PoolItem for Node<M> {
-    fn fresh() -> Self {
-        nvm::stats::count_node_allocs(1);
-        Node { key: PWord::new(0), left: PWord::new(0), right: PWord::new(0), info: PWord::new(0) }
+/// The one construction of the tree's initial shape over its `root` word:
+/// while the word is zero, five dummies drawn from `nodes` — an `∞₂` root
+/// over an `∞₁` internal (with a key-0 and an `∞₁` leaf) and an `∞₂` leaf —
+/// installed before the word that names them ([`install_roots`]). Routing
+/// goes left on `k < node.key`, so every user key lands in the `∞₁`
+/// internal's left subtree, with a parent and a grandparent. Returns the
+/// root. The in-process constructor runs it over an owned zero word,
+/// [`crate::recovery::MappedLayout::open`] over the catalog root block; a
+/// creation cut short re-runs it (its abandoned blocks are swept once the
+/// heap attaches non-fresh).
+///
+/// # Safety
+/// Single-threaded creation; a set `root` names dummies built by an earlier
+/// run over memory `nodes` draws from (the same heap).
+pub(crate) unsafe fn dummies<M: Persist>(nodes: &Pool<Node<M>>, root: &PWord<M>) -> *mut Node<M> {
+    if root.load() == 0 {
+        let draw = |key: u64, left: *mut Node<M>, right: *mut Node<M>| {
+            nodes.draw(|n| n.init(key, left as u64, right as u64, 0))
+        };
+        let null = std::ptr::null_mut();
+        let (l0, l1) = (draw(0, null, null), draw(KEY_INF1, null, null));
+        let inner = draw(KEY_INF1, l0, l1);
+        let r2 = draw(KEY_INF2, null, null);
+        let top = draw(KEY_INF2, inner, r2);
+        // SAFETY: the five dummies were just drawn and initialised.
+        unsafe {
+            install_roots(&[l0, l1, inner, r2, top], std::slice::from_ref(root), &[top as u64])
+        };
     }
-
-    fn count_reuse() {
-        nvm::stats::count_node_reuses(1);
-    }
-}
-
-impl<M: Persist> TrackedNode<M> for Node<M> {
-    fn info(&self) -> &PWord<M> {
-        &self.info
-    }
-}
-
-impl<M: Persist> Drop for Node<M> {
-    fn drop(&mut self) {
-        nvm::stats::count_node_frees(1);
-    }
+    root.load() as *mut Node<M>
 }
 
 struct SearchRes<M: Persist> {
@@ -127,6 +107,9 @@ pub struct RBst<M: Persist, const ARM: u8 = 0> {
     root: *mut Node<M>,
     node_pool: Pool<Node<M>>,
     pub(crate) env: Env<M>,
+    /// The root word naming `root` (read once, at construction; held for
+    /// the structure's lifetime).
+    _roots: Rooted<[PWord<M>]>,
 }
 
 unsafe impl<M: Persist, const ARM: u8> Send for RBst<M, ARM> {}
@@ -141,23 +124,25 @@ impl<M: Persist, const ARM: u8> Default for RBst<M, ARM> {
 impl<M: Persist, const ARM: u8> RBst<M, ARM> {
     /// New empty tree.
     pub fn new() -> Self {
-        // Routing: k < node.key goes left. Dummy leaves: key 0 (below every
-        // user key) on the far left, ∞ leaves on the right spine; user keys
-        // always land in inner's left subtree with gp ≠ null.
-        let l0: *mut Node<M> = Node::alloc(0, 0, 0, 0);
-        let l1: *mut Node<M> = Node::alloc(KEY_INF1, 0, 0, 0);
-        let inner: *mut Node<M> = Node::alloc(KEY_INF1, l0 as u64, l1 as u64, 0);
-        let r2: *mut Node<M> = Node::alloc(KEY_INF2, 0, 0, 0);
-        let root = Node::alloc(KEY_INF2, inner as u64, r2 as u64, 0);
-        let mut env = Env::volatile();
-        Self { root, node_pool: env.pool::<_, ARM>(), env }
+        // SAFETY: a new root block of our own.
+        unsafe { Self::over(Env::volatile(), Rooted::zeroed(1)) }
     }
 
-    /// Draw a node: pool hit (re-initialized), or heap in passthrough mode.
+    /// The tree over its one root word, its dummies built or loaded by
+    /// [`dummies`].
+    ///
+    /// # Safety
+    /// As [`dummies`], over the memory `env`'s pools draw from.
+    unsafe fn over(mut env: Env<M>, roots: Rooted<[PWord<M>]>) -> Self {
+        let node_pool = env.pool::<_, ARM>();
+        let root = unsafe { dummies(&node_pool, &roots[0]) };
+        Self { root, node_pool, env, _roots: roots }
+    }
+
+    /// Draw a node from the structure's pool, initialized.
     #[inline]
     fn alloc_node(&self, key: u64, left: u64, right: u64, info: u64) -> *mut Node<M> {
-        self.node_pool
-            .draw(|n| n.init(key, left, right, info), || Node::alloc(key, left, right, info))
+        self.node_pool.draw(|n| n.init(key, left, right, info))
     }
 
     fn assert_key(key: u64) {
@@ -519,31 +504,10 @@ impl<const ARM: u8> MappedLayout for RBst<MappedNvm, ARM> {
         8 // the root node's address
     }
 
-    unsafe fn open(env: &AttachEnv, _cfg: (), root_blk: *mut u8) -> Result<Self, AttachError> {
-        let mut env = env.env();
-        let node_pool = env.pool::<_, ARM>();
-        // SAFETY: committed 8-byte root block, single-threaded attach.
-        let root_w = unsafe { root_words(root_blk, 1) };
-        if root_w[0].load() == 0 {
-            // Fresh (or creation cut short — the root word is the last
-            // store, so re-running rebuilds the dummies; the abandoned
-            // blocks of a torn creation are swept once the heap attaches
-            // non-fresh). Same dummy shape as `new`.
-            let draw = |key: u64, left: u64, right: u64| {
-                let p: *mut Node<MappedNvm> = node_pool.take().expect("arena pool always serves");
-                // SAFETY: a pool object is live and exclusively ours.
-                unsafe { (*p).init(key, left, right, 0) };
-                p
-            };
-            let l0 = draw(0, 0, 0);
-            let l1 = draw(KEY_INF1, 0, 0);
-            let inner = draw(KEY_INF1, l0 as u64, l1 as u64);
-            let r2 = draw(KEY_INF2, 0, 0);
-            let root = draw(KEY_INF2, inner as u64, r2 as u64);
-            // SAFETY: the five dummies were just drawn and initialised.
-            unsafe { install_roots(&[l0, l1, inner, r2, root], root_w, &[root as u64]) };
-        }
-        Ok(Self { root: root_w[0].load() as *mut Node<MappedNvm>, node_pool, env })
+    unsafe fn open(env: &AttachEnv, _cfg: (), root: *mut u8) -> Result<Self, AttachError> {
+        // SAFETY: committed 8-byte root block, single-threaded attach,
+        // dummies drawn from the heap's arena.
+        Ok(unsafe { Self::over(env.env(), root_words(root, 1)) })
     }
 }
 
@@ -560,7 +524,7 @@ impl<const ARM: u8> SlotOps for RBst<MappedNvm, ARM> {
 impl<M: Persist, const ARM: u8> Drop for RBst<M, ARM> {
     fn drop(&mut self) {
         // SAFETY: quiescent teardown of a structure this value owns.
-        unsafe { self.env.teardown::<Node<M>>(&*self, []) };
+        unsafe { self.env.teardown::<Node<M>>(&*self) };
     }
 }
 

@@ -254,14 +254,6 @@ pub struct InfoFill<'a> {
 }
 
 impl<M: Persist> Info<M> {
-    /// Allocates an empty Info with `installs = 0`; [`Info::fill`] sets the
-    /// real count. Returned pointer is owned by the ISB reference-count
-    /// protocol. Pooled callers draw from [`crate::pool::Pool::take`]
-    /// instead and fall back here in passthrough mode.
-    pub fn alloc() -> *mut Info<M> {
-        Box::into_raw(Box::new(Self::fresh()))
-    }
-
     /// AffectSet slot `k` (layout is packed; see struct docs).
     #[inline]
     fn affect_slot(&self, k: usize) -> &[PWord<M>; 2] {
@@ -288,8 +280,9 @@ impl<M: Persist> Info<M> {
     /// Sets `installs = 1 (RD_q) + |affect| + |newset|`.
     ///
     /// # Safety
-    /// `info` must be a live allocation from [`Info::alloc`] that no other
-    /// thread can currently reach.
+    /// `info` must be a live descriptor drawn from its pool
+    /// ([`crate::env::Env::alloc_info`]) that no other thread can currently
+    /// reach.
     pub unsafe fn fill(info: *mut Info<M>, f: &InfoFill<'_>) {
         let i = unsafe { &*info };
         debug_assert!(f.affect.len() <= MAX_AFFECT && !f.affect.is_empty());
@@ -851,7 +844,7 @@ mod tests {
         new: u64,
         del_mask: u8,
     ) -> *mut Info<M> {
-        let info = Info::<M>::alloc();
+        let info = Box::into_raw(Box::new(Info::<M>::fresh()));
         unsafe {
             Info::fill(
                 info,
@@ -1085,7 +1078,7 @@ mod tests {
         let ctx = Ctx::new();
         let g = ctx.c.pin();
         // Old info sits untagged in a cell with one remaining reference.
-        let old = Info::<M>::alloc();
+        let old = Box::into_raw(Box::new(Info::<M>::fresh()));
         unsafe {
             Info::fill(
                 old,

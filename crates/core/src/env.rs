@@ -99,20 +99,15 @@ impl<M: Persist> Env<M> {
     /// durable state the next attach recovers, and the pools return their
     /// caches to its free list when they drop. Otherwise
     /// [`graph::teardown`] over `graph`, this environment's parked garbage
-    /// and published descriptors, and the `unlinked` nodes the structure
-    /// holds aside.
+    /// and published descriptors.
     ///
     /// # Safety
     /// As [`graph::teardown`]: the `Drop` of the structure that owns both
-    /// `graph` and this environment, every node a `Box<N>`.
-    pub(crate) unsafe fn teardown<N>(
-        &self,
-        graph: &impl Graph<M>,
-        unlinked: impl IntoIterator<Item = usize>,
-    ) {
+    /// `graph` and this environment, every node a `Box<N>` its pools drew.
+    pub(crate) unsafe fn teardown<N>(&self, graph: &impl Graph<M>) {
         if self.heap.is_none() {
             let parked = self.collector.take_parked();
-            unsafe { graph::teardown::<M, N>(graph, parked, &self.rec, unlinked) };
+            unsafe { graph::teardown::<M, N>(graph, parked, &self.rec) };
         }
     }
 }

@@ -6,17 +6,27 @@
 //! its own ExInfo into the waiter's `partner` field (one CAS — the
 //! collision), after which both sides read each other's `value`.
 //!
+//! **Withdrawal** is a CAS on the same word: a waiter whose budget runs out
+//! claims its own `partner` field with `WITHDRAWN`, a mark no ExInfo
+//! address equals, and clears the slot only once that CAS wins. So exactly
+//! one of the collision and the withdrawal takes effect; a waiter whose
+//! withdrawal fails has a partner and completes the exchange.
+//!
 //! Detectability: `RD_q` names the operation's ExInfo; its `result` is
 //! persisted before returning. On recovery, a set `result` is returned
-//! directly; a set `partner` lets the response be recomputed; an ExInfo
-//! still alone in the slot can be withdrawn (the operation did not take
-//! effect) — the paper's "tracked progress" distilled to three fields.
+//! directly; a `partner` naming an ExInfo lets the response be recomputed;
+//! an offer that was (or now is) withdrawn did not take effect — the paper's
+//! "tracked progress" distilled to three fields.
 
 use crate::engine::{res_val, val_of, RES_BOT, RES_EMPTY};
 use crate::env::Env;
 use crate::pool::{Pool, PoolItem};
 use crate::tag;
 use nvm::{PWord, Persist, PersistWords};
+
+/// A withdrawn offer's `partner` word: ExInfos are 8-aligned, so no
+/// collider's address equals it.
+const WITHDRAWN: u64 = 1;
 
 /// The per-operation descriptor exchanged between processes.
 #[repr(C)]
@@ -87,28 +97,23 @@ impl<M: Persist> RExchanger<M> {
     }
 
     fn alloc_info(&self, v: u64) -> *mut ExInfo<M> {
-        self.pool.draw(
-            |i| i.init(v),
-            || {
-                nvm::stats::count_info_allocs(1);
-                Box::into_raw(Box::new(ExInfo {
-                    value: PWord::new(v),
-                    partner: PWord::new(0),
-                    result: PWord::new(RES_BOT),
-                }))
-            },
-        )
+        self.pool.draw(|i| i.init(v))
     }
 
     /// Complete with `partner`'s value: persist the response, then return it.
     unsafe fn finish(&self, info: *mut ExInfo<M>, partner: u64) -> u64 {
+        let v = unsafe { (*(partner as *const ExInfo<M>)).value.load() };
+        unsafe { Self::answer(info, res_val(v)) };
+        v
+    }
+
+    /// Persist `info`'s response (its partner's value, or `RES_EMPTY` for
+    /// an offer nobody can take any more).
+    unsafe fn answer(info: *mut ExInfo<M>, result: u64) {
         unsafe {
-            let p = partner as *const ExInfo<M>;
-            let v = (*p).value.load();
-            M::store(&(*info).result, res_val(v));
+            M::store(&(*info).result, result);
             M::pwb(&(*info).result);
             M::psync();
-            v
         }
     }
 
@@ -145,16 +150,12 @@ impl<M: Persist> RExchanger<M> {
                             return ExchangeResult::Exchanged(v);
                         }
                         spins += 1;
-                        if spins > budget {
-                            // Withdraw; if that fails, a partner just arrived.
-                            if self.slot.cas(info as u64, 0) == info as u64 {
-                                unsafe {
-                                    M::store(&(*info).result, RES_EMPTY);
-                                    M::pwb(&(*info).result);
-                                    M::psync();
-                                }
-                                return ExchangeResult::TimedOut;
-                            }
+                        // Withdraw by claiming our own `partner` word; if
+                        // that fails, a partner just arrived (next round).
+                        if spins > budget && unsafe { (*info).partner.cas(0, WITHDRAWN) } == 0 {
+                            let _ = self.slot.cas(info as u64, 0);
+                            unsafe { Self::answer(info, RES_EMPTY) };
+                            return ExchangeResult::TimedOut;
                         }
                         std::hint::spin_loop();
                     }
@@ -168,16 +169,12 @@ impl<M: Persist> RExchanger<M> {
                     let _ = self.slot.cas(cur, 0); // release for the next pair
                     return ExchangeResult::Exchanged(v);
                 }
-                // Already matched: help clear the slot and retry.
+                // Already matched or withdrawn: help clear the slot and retry.
                 let _ = self.slot.cas(cur, 0);
             }
             spins += 1;
             if spins > budget {
-                unsafe {
-                    M::store(&(*info).result, RES_EMPTY);
-                    M::pwb(&(*info).result);
-                    M::psync();
-                }
+                unsafe { Self::answer(info, RES_EMPTY) };
                 drop(g);
                 return ExchangeResult::TimedOut;
             }
@@ -200,18 +197,14 @@ impl<M: Persist> RExchanger<M> {
             if r != RES_BOT {
                 return ExchangeResult::Exchanged(val_of(r));
             }
-            // Result not persisted: did a partner collide before the crash?
-            let p = (*info).partner.load();
-            if p != 0 {
+            // Result not persisted: withdraw the offer (a no-op when it was
+            // withdrawn before the crash). A partner that collided first
+            // makes the withdrawal fail, and the exchange took effect.
+            let p = (*info).partner.cas(0, WITHDRAWN);
+            if p != 0 && p != WITHDRAWN {
                 return ExchangeResult::Exchanged(self.finish(info, p));
             }
-            // Still alone: withdraw if we're in the slot, then re-invoke.
             let _ = self.slot.cas(info as u64, 0);
-            // Unless a partner snuck in during the withdraw:
-            let p = (*info).partner.load();
-            if p != 0 {
-                return ExchangeResult::Exchanged(self.finish(info, p));
-            }
         }
         self.exchange(pid, v, budget)
     }
@@ -313,6 +306,47 @@ mod tests {
         // Each side received exactly the other's values, in order.
         assert_eq!(got, (0..n).map(|i| 1000 + i).collect::<Vec<_>>());
         assert_eq!(other, (0..n).map(|i| 2000 + i).collect::<Vec<_>>());
+    }
+
+    /// Short budgets make offers time out all the time, so withdrawals race
+    /// collisions: whoever answers `Exchanged(v)` must have been answered
+    /// `Exchanged(mine)` by the owner of `v` — a withdrawn offer is never
+    /// taken, and a taken one is never withdrawn.
+    #[test]
+    fn a_withdrawn_offer_is_never_taken() {
+        let _gate = crate::counters::gate_shared();
+        let x = Arc::new(X::new());
+        let per = 200_000u64;
+        // Thread t offers `t << 32 | i`; answers[t][i] is what it got back.
+        let answers: Vec<Vec<ExchangeResult>> = (0..2u64)
+            .map(|t| {
+                let x = Arc::clone(&x);
+                std::thread::spawn(move || {
+                    nvm::tid::set_tid(t as usize);
+                    (0..per).map(|i| x.exchange(t as usize, t << 32 | i, i as usize % 8)).collect()
+                })
+            })
+            .collect::<Vec<_>>()
+            .into_iter()
+            .map(|h| h.join().unwrap())
+            .collect();
+        let mut matched = 0;
+        for (t, mine) in answers.iter().enumerate() {
+            for (i, &r) in mine.iter().enumerate() {
+                if let ExchangeResult::Exchanged(v) = r {
+                    let (owner, j) = ((v >> 32) as usize, (v & 0xFFFF_FFFF) as usize);
+                    let offered = (t as u64) << 32 | i as u64;
+                    assert_ne!(owner, t, "{offered:#x} got its own side's value {v:#x}");
+                    assert_eq!(
+                        answers[owner][j],
+                        ExchangeResult::Exchanged(offered),
+                        "{offered:#x} took {v:#x}, whose owner was not answered with it"
+                    );
+                    matched += 1;
+                }
+            }
+        }
+        assert!(matched > 0, "the two threads never met");
     }
 
     #[test]

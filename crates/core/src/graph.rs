@@ -123,19 +123,18 @@ pub fn scrub<M: Persist, const ARM: u8>(
 /// Drop-time teardown of a process-heap structure, shared by every model:
 /// frees the deduplicated union of {`parked` garbage of the structure's
 /// collector} ∪ {descriptors published in `rec`} ∪ {nodes the walk reaches
-/// and the descriptors they reference} ∪ {`unlinked` nodes the structure
-/// holds aside} exactly once. Deduplicated by address because after a
+/// and the descriptors they reference} exactly once. Deduplicated by address because after a
 /// simulated crash the NVM image may have rolled pointers back, making
 /// *retired* (parked) nodes reachable again.
 ///
 /// # Safety
 /// Quiescent exclusive access (the structure's `Drop`); every node is a
-/// `Box<N>`, every descriptor a `Box<Info<M>>`, owned by the structure.
+/// `Box<N>`, every descriptor a `Box<Info<M>>` (what a heap-mode or
+/// passthrough pool draws), owned by the structure.
 pub unsafe fn teardown<M: Persist, N>(
     graph: &impl Graph<M>,
     parked: Vec<reclaim::DeferredFree>,
     rec: &RecArea<M>,
-    unlinked: impl IntoIterator<Item = usize>,
 ) {
     use crate::op::drop_raw;
     let mut grave: HashMap<usize, unsafe fn(*mut u8)> =
@@ -157,7 +156,6 @@ pub unsafe fn teardown<M: Persist, N>(
             })
         };
     }
-    grave.extend(unlinked.into_iter().map(|p| (p, drop_raw::<N> as unsafe fn(*mut u8))));
     for (p, free) in grave {
         unsafe { free(p as *mut u8) };
     }

@@ -23,10 +23,10 @@
 use crate::env::Env;
 use crate::graph::{self, Graph};
 use crate::pool::Pool;
-use crate::recovery::{install_roots, root_words, AttachEnv, AttachError, MappedLayout, SlotOps};
+use crate::recovery::{root_words, AttachEnv, AttachError, MappedLayout, Rooted, SlotOps};
 use crate::set_core::{self, Node, SetCore};
 use nvm::mapped::MappedNvm;
-use nvm::Persist;
+use nvm::{PWord, Persist};
 use reclaim::Collector;
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -83,6 +83,9 @@ pub struct RHashMap<M: Persist, const ARM: u8 = 0> {
     pending_scrub: Box<[AtomicBool]>,
     nodes: Pool<Node<M>>,
     pub(crate) env: Env<M>,
+    /// The root words naming `heads`, one per shard (read once, at
+    /// construction; held for the structure's lifetime).
+    _roots: Rooted<[PWord<M>]>,
 }
 
 unsafe impl<M: Persist, const ARM: u8> Send for RHashMap<M, ARM> {}
@@ -103,17 +106,23 @@ impl<M: Persist, const ARM: u8> RHashMap<M, ARM> {
     /// New empty map with `shards` buckets (must be a power of two).
     pub fn with_shards(shards: usize) -> Self {
         assert!(shards.is_power_of_two(), "shard count must be a power of two, got {shards}");
-        let heads = (0..shards).map(|_| set_core::new_bucket()).collect();
-        let mut env = Env::volatile();
-        Self::over(heads, env.pool::<_, ARM>(), env)
+        // SAFETY: a new root block of our own.
+        unsafe { Self::over(Env::volatile(), Rooted::zeroed(shards)) }
     }
 
-    fn over(heads: Box<[*mut Node<M>]>, nodes: Pool<Node<M>>, env: Env<M>) -> Self {
+    /// The map over `roots`, one word per shard, its buckets built or loaded
+    /// by [`set_core::buckets`].
+    ///
+    /// # Safety
+    /// As [`set_core::buckets`], over the memory `env`'s pools draw from.
+    unsafe fn over(mut env: Env<M>, roots: Rooted<[PWord<M>]>) -> Self {
+        let nodes = env.pool::<_, ARM>();
+        let heads = unsafe { set_core::buckets(&nodes, &roots) };
         // For one shard every key maps to bucket 0; `min(63)` keeps the
         // shift in range and the mask in `shard_of` does the rest.
         let shift = (64 - heads.len().trailing_zeros()).min(63);
         let pending_scrub = heads.iter().map(|_| AtomicBool::new(false)).collect();
-        Self { heads, shift, pending_scrub, nodes, env }
+        Self { heads, shift, pending_scrub, nodes, env, _roots: roots }
     }
 
     /// Number of shards (buckets).
@@ -132,9 +141,11 @@ impl<M: Persist, const ARM: u8> RHashMap<M, ARM> {
         (key.wrapping_mul(FIB) >> self.shift) as usize & (self.heads.len() - 1)
     }
 
-    /// The core view over bucket `shard`.
+    /// The core view over bucket `shard`, its deferred post-attach scrub
+    /// drained first.
     #[inline]
-    fn core_at(&self, shard: usize) -> SetCore<'_, M, ARM> {
+    pub(crate) fn bucket(&self, shard: usize) -> SetCore<'_, M, ARM> {
+        self.ensure_scrubbed(shard);
         // SAFETY: every head is a live bucket owned by this map; all buckets
         // share the map's single environment and node pool.
         unsafe { SetCore::new(self.heads[shard], &self.env, &self.nodes) }
@@ -154,32 +165,28 @@ impl<M: Persist, const ARM: u8> RHashMap<M, ARM> {
         }
     }
 
-    /// Drains every shard's deferred scrub (quiescent entry points).
-    fn drain_pending_scrub(&self) {
+    /// Drains every shard's deferred scrub, for a quiescent walk that does
+    /// not go through [`RHashMap::bucket`] (the stack's invariant check).
+    pub(crate) fn drain_pending_scrub(&self) {
         for shard in 0..self.heads.len() {
             self.ensure_scrubbed(shard);
         }
     }
 
     /// Inserts `key`; returns `false` iff it was already present.
+    /// (Algorithm 3, `Insert`.)
     pub fn insert(&self, pid: usize, key: u64) -> bool {
-        let shard = self.shard_of(key);
-        self.ensure_scrubbed(shard);
-        self.core_at(shard).insert(pid, key)
+        self.bucket(self.shard_of(key)).insert(pid, key)
     }
 
-    /// Deletes `key`; returns `false` iff it was absent.
+    /// Deletes `key`; returns `false` iff it was absent. (Algorithm 5.)
     pub fn delete(&self, pid: usize, key: u64) -> bool {
-        let shard = self.shard_of(key);
-        self.ensure_scrubbed(shard);
-        self.core_at(shard).delete(pid, key)
+        self.bucket(self.shard_of(key)).delete(pid, key)
     }
 
-    /// Whether `key` is present.
+    /// Whether `key` is present. (Algorithm 3, `Find`.)
     pub fn find(&self, pid: usize, key: u64) -> bool {
-        let shard = self.shard_of(key);
-        self.ensure_scrubbed(shard);
-        self.core_at(shard).find(pid, key)
+        self.bucket(self.shard_of(key)).find(pid, key)
     }
 
     /// `Insert.Recover` (generic Op-Recover on the shared recovery area,
@@ -223,10 +230,9 @@ impl<M: Persist, const ARM: u8> RHashMap<M, ARM> {
     /// Sorted snapshot of the user keys across all shards (requires
     /// exclusive access ⇒ quiescence).
     pub fn snapshot_keys(&mut self) -> Vec<u64> {
-        self.drain_pending_scrub();
         let mut out = Vec::new();
         for shard in 0..self.heads.len() {
-            self.core_at(shard).snapshot_keys_into(&mut out);
+            self.bucket(shard).snapshot_keys_into(&mut out);
         }
         out.sort_unstable();
         out
@@ -236,11 +242,10 @@ impl<M: Persist, const ARM: u8> RHashMap<M, ARM> {
     /// each reachable key must live in the bucket the shard function routes
     /// it to. Panics on violation.
     pub fn check_invariants(&mut self) {
-        self.drain_pending_scrub();
         for shard in 0..self.heads.len() {
-            self.core_at(shard).check_invariants();
+            self.bucket(shard).check_invariants();
             let mut keys = Vec::new();
-            self.core_at(shard).snapshot_keys_into(&mut keys);
+            self.bucket(shard).snapshot_keys_into(&mut keys);
             for k in keys {
                 assert_eq!(
                     self.shard_of(k),
@@ -302,23 +307,9 @@ impl<const ARM: u8> MappedLayout for RHashMap<MappedNvm, ARM> {
         // Every caller has checked already: `validate_cfg` before a creation,
         // the store's catalog reader before a re-open.
         debug_assert!(shards.is_power_of_two(), "shard count {shards} not a power of two");
-        let mut env = env.env();
-        let nodes = env.pool::<_, ARM>();
-        // SAFETY: `shards`-word committed root block, single-threaded attach.
-        let roots = unsafe { root_words(root, shards) };
-        let mut heads: Vec<u64> = roots.iter().map(|w| w.load()).collect();
-        let mut sentinels = Vec::new();
-        for head in heads.iter_mut().filter(|h| **h == 0) {
-            let bucket = set_core::new_bucket_in(&nodes);
-            *head = bucket[0] as u64;
-            sentinels.extend(bucket);
-        }
-        if !sentinels.is_empty() {
-            // SAFETY: the sentinels were just drawn and initialised.
-            unsafe { install_roots(&sentinels, roots, &heads) };
-        }
-        let heads = heads.into_iter().map(|h| h as *mut Node<MappedNvm>).collect();
-        Ok(Self::over(heads, nodes, env))
+        // SAFETY: `shards`-word committed root block, single-threaded attach,
+        // buckets drawn from the heap's arena.
+        Ok(unsafe { Self::over(env.env(), root_words(root, shards)) })
     }
 }
 
@@ -363,7 +354,7 @@ impl<M: Persist, const ARM: u8> Drop for RHashMap<M, ARM> {
         // SAFETY: quiescent teardown of a structure this value owns (the
         // shared collector and recovery area are scanned once, not per
         // shard).
-        unsafe { self.env.teardown::<Node<M>>(&*self, []) };
+        unsafe { self.env.teardown::<Node<M>>(&*self) };
     }
 }
 

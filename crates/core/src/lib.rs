@@ -15,17 +15,16 @@
 //! operation unlocks anything — carries the response across the crash.
 //!
 //! ## Structures
-//! * [`list::RList`] — detectably recoverable sorted linked list (paper §4),
-//!   the one-bucket instantiation of the head-parameterized ordered-set core
-//!   in [`set_core`].
 //! * [`hashmap::RHashMap`] — sharded, detectably recoverable hash map: a
-//!   power-of-two array of [`set_core`] buckets sharing one environment
-//!   (DESIGN.md §8).
+//!   power-of-two array of buckets of the head-parameterized ordered-set
+//!   core in [`set_core`], sharing one environment (DESIGN.md §8).
+//! * [`list::RList`] — detectably recoverable sorted linked list (paper §4):
+//!   the one-shard hash map, which it dereferences to.
 //! * [`queue::RQueue`] — ISB-tracked MS-queue (paper §5 / supplementary B.2).
 //! * [`bst::RBst`] — detectably recoverable external BST (paper §6).
 //! * [`exchanger::RExchanger`] — detectably recoverable exchanger (paper §6).
-//! * [`stack::RStack`] — ISB-tracked stack (paper §1/§5): the list's
-//!   bucket at `Isb-LP`, pushing and popping at its front.
+//! * [`stack::RStack`] — ISB-tracked stack (paper §1/§5): the list at
+//!   `Isb-LP`, pushing and popping at its bucket's front.
 //! * [`store::Store`] — one mapped heap hosting many named structures
 //!   (catalog + shared recovery area + union census/sweep, DESIGN.md §11).
 //!
@@ -65,16 +64,19 @@
 //! helping procedure, [`op`] the one copy of the invocation skeleton around
 //! it (prologue, descriptor persist, publish, read-only answer, retire,
 //! Op-Recover), run over that environment, and a structure supplies only
-//! its gather phase and its node shape. Likewise each structure writes
-//! one traversal of its graph ([`graph::Graph::walk`]); attach-time
-//! validation and census, the scrub and drop-time teardown are visitors
-//! over it in [`graph`]. Every kind is tracked the one way: there is no
+//! its gather phase, its node shape (`op::tracked_node!`) and one function
+//! that builds its initial shape — run by its in-process constructor over
+//! owned root words and by its mapped `open` over the catalog root block.
+//! Likewise each structure writes one traversal of its graph
+//! ([`graph::Graph::walk`]); attach-time validation and census, the scrub
+//! and drop-time teardown are visitors over it in [`graph`]. Every kind is tracked the one way: there is no
 //! second recovery protocol.
 //!
 //! ## Memory: pools and recycling
 //!
-//! Descriptors and nodes are drawn from per-thread, epoch-recycled pools
-//! ([`pool`]): retirement routes through the EBR collector, so an address
+//! Descriptors and nodes — a constructor's sentinels included — are drawn
+//! from per-thread, epoch-recycled pools ([`pool`]), the only source of
+//! either: retirement routes through the EBR collector, so an address
 //! re-enters circulation only after two global epoch advances — the same
 //! delay that makes deallocation safe, preserving the info-pointer ABA
 //! argument (DESIGN.md §5/§9). Never-published objects skip the EBR

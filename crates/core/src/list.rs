@@ -1,19 +1,18 @@
 //! Detectably recoverable sorted linked list (paper Section 4,
 //! Algorithms 3–5), obtained by applying ROpt-ISB (Algorithm 2).
 //!
-//! `RList` is the one-bucket instantiation of the head-parameterized
-//! ordered-set core in [`crate::set_core`]: it owns a single bucket head,
-//! its node pool and its [`Env`], and delegates every operation to
-//! [`SetCore`] with exactly the same persistency placement the pre-extraction
-//! list had (asserted bit-for-bit by the `persist_placement` regression
-//! test). The algorithm documentation lives in [`crate::set_core`]; the
-//! sharded multi-bucket instantiation is [`crate::hashmap::RHashMap`].
+//! `RList` is a one-shard [`RHashMap`]: one bucket of the ordered-set core in
+//! [`crate::set_core`], behind a shard function that performs no
+//! persistency instructions, so its placement is the map's bit for bit
+//! (asserted by the `persist_placement` regression test). It dereferences to
+//! the map for every operation, recovery, scrub, snapshot and teardown, and
+//! adds only its constructor, its catalog facts (kind [`KIND_LIST`],
+//! configuration word `0x4C | arm << 32`) and its name. The algorithm
+//! documentation lives in [`crate::set_core`].
 
-use crate::env::Env;
-use crate::graph::{self, Graph};
-use crate::pool::Pool;
-use crate::recovery::{install_roots, root_words, AttachEnv, AttachError, MappedLayout, SlotOps};
-use crate::set_core::{self, SetCore};
+use crate::graph::Graph;
+use crate::hashmap::RHashMap;
+use crate::recovery::{AttachEnv, AttachError, MappedLayout, SlotOps};
 use nvm::mapped::MappedNvm;
 use nvm::Persist;
 
@@ -49,14 +48,7 @@ pub const KIND_LIST: u64 = 3;
 /// assert!(list.recover_delete(0, 7));
 /// assert!(!list.find(0, 7));
 /// ```
-pub struct RList<M: Persist, const ARM: u8 = 0> {
-    head: *mut Node<M>,
-    nodes: Pool<Node<M>>,
-    pub(crate) env: Env<M>,
-}
-
-unsafe impl<M: Persist, const ARM: u8> Send for RList<M, ARM> {}
-unsafe impl<M: Persist, const ARM: u8> Sync for RList<M, ARM> {}
+pub struct RList<M: Persist, const ARM: u8 = 0>(RHashMap<M, ARM>);
 
 impl<M: Persist, const ARM: u8> Default for RList<M, ARM> {
     fn default() -> Self {
@@ -67,77 +59,20 @@ impl<M: Persist, const ARM: u8> Default for RList<M, ARM> {
 impl<M: Persist, const ARM: u8> RList<M, ARM> {
     /// New empty list.
     pub fn new() -> Self {
-        let mut env = Env::volatile();
-        Self { head: set_core::new_bucket(), nodes: env.pool::<_, ARM>(), env }
+        Self(RHashMap::with_shards(1))
     }
+}
 
-    /// The core view over the list's single bucket.
-    #[inline]
-    pub(crate) fn core(&self) -> SetCore<'_, M, ARM> {
-        // SAFETY: `head` is this list's live bucket; `env` and the node pool
-        // it built are what every operation on it goes through.
-        unsafe { SetCore::new(self.head, &self.env, &self.nodes) }
+impl<M: Persist, const ARM: u8> std::ops::Deref for RList<M, ARM> {
+    type Target = RHashMap<M, ARM>;
+    fn deref(&self) -> &RHashMap<M, ARM> {
+        &self.0
     }
+}
 
-    /// Inserts `key`; returns `false` iff it was already present.
-    /// (Algorithm 3, `Insert`.)
-    pub fn insert(&self, pid: usize, key: u64) -> bool {
-        self.core().insert(pid, key)
-    }
-
-    /// Deletes `key`; returns `false` iff it was absent. (Algorithm 5.)
-    pub fn delete(&self, pid: usize, key: u64) -> bool {
-        self.core().delete(pid, key)
-    }
-
-    /// Whether `key` is present. (Algorithm 3, `Find`.)
-    pub fn find(&self, pid: usize, key: u64) -> bool {
-        self.core().find(pid, key)
-    }
-
-    /// `Insert.Recover` (Op-Recover with the insert's arguments).
-    pub fn recover_insert(&self, pid: usize, key: u64) -> bool {
-        self.env.recover::<ARM>(pid).as_bool().unwrap_or_else(|| self.insert(pid, key))
-    }
-
-    /// `Delete.Recover`.
-    pub fn recover_delete(&self, pid: usize, key: u64) -> bool {
-        self.env.recover::<ARM>(pid).as_bool().unwrap_or_else(|| self.delete(pid, key))
-    }
-
-    /// `Find.Recover`: finds never set `CP_q = 1`, so recovery always
-    /// restarts them (restart-safe by read-onlyness).
-    pub fn recover_find(&self, pid: usize, key: u64) -> bool {
-        self.env.recover::<ARM>(pid).as_bool().unwrap_or_else(|| self.find(pid, key))
-    }
-
-    /// Failure-report line for `pid`'s recovery slot
-    /// ([`crate::recovery::RecArea::describe`]).
-    ///
-    /// # Safety
-    /// As [`crate::recovery::RecArea::describe`].
-    pub unsafe fn describe_recovery(&self, pid: usize) -> String {
-        unsafe { self.env.rec.describe(pid) }
-    }
-
-    /// Completes helping obligations left visible by a crash (resurrected
-    /// tags of completed operations under the tuned placement); call after
-    /// every process ran its `recover_*`. See [`graph::scrub_unit`].
-    pub fn scrub(&self) {
-        graph::scrub::<M, ARM>(self, &self.env.collector).unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Snapshot of the user keys (requires exclusive access ⇒ quiescence).
-    pub fn snapshot_keys(&mut self) -> Vec<u64> {
-        let mut out = Vec::new();
-        self.core().snapshot_keys_into(&mut out);
-        out
-    }
-
-    /// Structural invariants: strictly sorted keys, intact sentinels, no
-    /// reachable node is tagged (quiescent list). Panics on violation.
-    pub fn check_invariants(&mut self) {
-        self.core().check_invariants();
+impl<M: Persist, const ARM: u8> std::ops::DerefMut for RList<M, ARM> {
+    fn deref_mut(&mut self) -> &mut RHashMap<M, ARM> {
+        &mut self.0
     }
 }
 
@@ -148,12 +83,12 @@ impl<M: Persist, const ARM: u8> Graph<M> for RList<M, ARM> {
 
     unsafe fn walk(
         &self,
-        _unit: usize,
+        unit: usize,
         admit: &dyn Fn(u64) -> bool,
         budget: usize,
         visit: &mut dyn FnMut(u64, u64),
     ) -> Result<(), u64> {
-        unsafe { set_core::walk_bucket(self.head, admit, budget, visit) }
+        unsafe { self.0.walk(unit, admit, budget, visit) }
     }
 }
 
@@ -166,37 +101,25 @@ impl<const ARM: u8> MappedLayout for RList<MappedNvm, ARM> {
     }
 
     fn root_bytes(_cfg: ()) -> usize {
-        8 // the bucket head's address
+        RHashMap::<MappedNvm, ARM>::root_bytes(1)
     }
 
-    unsafe fn open(env: &AttachEnv, _cfg: (), root_blk: *mut u8) -> Result<Self, AttachError> {
-        let mut env = env.env();
-        let nodes = env.pool::<_, ARM>();
-        // SAFETY: committed 8-byte root block, single-threaded attach.
-        let root = unsafe { root_words(root_blk, 1) };
-        if root[0].load() == 0 {
-            let bucket = set_core::new_bucket_in(&nodes);
-            // SAFETY: both sentinels were just drawn and initialised.
-            unsafe { install_roots(&bucket, root, &[bucket[0] as u64]) };
-        }
-        Ok(Self { head: root[0].load() as *mut Node<MappedNvm>, nodes, env })
+    unsafe fn open(env: &AttachEnv, _cfg: (), root: *mut u8) -> Result<Self, AttachError> {
+        unsafe { RHashMap::open(env, 1, root) }.map(Self)
     }
 }
 
 impl<const ARM: u8> SlotOps for RList<MappedNvm, ARM> {
     fn node_bytes(&self) -> usize {
-        std::mem::size_of::<Node<MappedNvm>>()
+        self.0.node_bytes()
+    }
+
+    fn attach_scrub(&self) -> Result<(), AttachError> {
+        self.0.attach_scrub()
     }
 
     fn each_cached(&mut self, f: &mut dyn FnMut(usize)) {
-        self.nodes.each_idle(|p| f(p as usize));
-    }
-}
-
-impl<M: Persist, const ARM: u8> Drop for RList<M, ARM> {
-    fn drop(&mut self) {
-        // SAFETY: quiescent teardown of a structure this value owns.
-        unsafe { self.env.teardown::<Node<M>>(&*self, []) };
+        self.0.each_cached(f);
     }
 }
 

@@ -25,6 +25,60 @@ pub trait TrackedNode<M: Persist>: PoolItem {
     fn info(&self) -> &PWord<M>;
 }
 
+/// Declares a kind's node shape — all a structure supplies beyond its gather
+/// phase: a `repr(C)` struct of persistent words, one of them `info`, with
+/// its [`nvm::PersistWords`], an `init` that rewrites every word (a drawn
+/// node is dirty), and the [`PoolItem`] / [`TrackedNode`] / `Drop` impls
+/// that count it as a node.
+macro_rules! tracked_node {
+    ($(#[$doc:meta])* $name:ident { $($word:ident),+ }) => {
+        $(#[$doc])*
+        #[repr(C)]
+        pub struct $name<M: nvm::Persist> {
+            $($word: nvm::PWord<M>),+
+        }
+
+        // SAFETY: every word, the only fields of a `repr(C)` struct.
+        unsafe impl<M: nvm::Persist> nvm::PersistWords<M> for $name<M> {
+            fn each_word(&self, f: &mut dyn FnMut(&nvm::PWord<M>)) {
+                $(f(&self.$word);)+
+            }
+        }
+
+        impl<M: nvm::Persist> $name<M> {
+            /// Initialize a drawn node, every word.
+            #[inline]
+            fn init(&self, $($word: u64),+) {
+                $(self.$word.store($word);)+
+            }
+        }
+
+        impl<M: nvm::Persist> $crate::pool::PoolItem for $name<M> {
+            fn fresh() -> Self {
+                nvm::stats::count_node_allocs(1);
+                $name { $($word: nvm::PWord::new(0)),+ }
+            }
+
+            fn count_reuse() {
+                nvm::stats::count_node_reuses(1);
+            }
+        }
+
+        impl<M: nvm::Persist> $crate::op::TrackedNode<M> for $name<M> {
+            fn info(&self) -> &nvm::PWord<M> {
+                &self.info
+            }
+        }
+
+        impl<M: nvm::Persist> Drop for $name<M> {
+            fn drop(&mut self) {
+                nvm::stats::count_node_frees(1);
+            }
+        }
+    };
+}
+pub(crate) use tracked_node;
+
 /// Address of a persistent word, as descriptors record cells.
 #[inline]
 pub fn cell_addr<M: Persist>(w: &PWord<M>) -> u64 {
@@ -65,12 +119,12 @@ impl<M: Persist> Env<M> {
         self.rec.begin_readonly(pid)
     }
 
-    /// Draw a descriptor: pool hit, or heap in passthrough mode. A fresh one
-    /// per attempt (pointer freshness — the pool's epoch delay keeps a
-    /// failed descriptor's address out of circulation while it is visible).
+    /// Draw a descriptor from the descriptor pool. A fresh one per attempt
+    /// (pointer freshness — the pool's epoch delay keeps a failed
+    /// descriptor's address out of circulation while it is visible).
     #[inline]
     pub fn alloc_info(&self) -> *mut Info<M> {
-        self.infos.take().unwrap_or_else(Info::alloc)
+        self.infos.take()
     }
 
     /// Persist a filled descriptor — and whatever new nodes the caller noted

@@ -22,10 +22,13 @@
 //!   go straight back to the free list ([`Pool::give`]): no other thread can
 //!   hold their address, per the engine's `installs` accounting.
 //!
-//! Crash simulation (`M::SIMULATED`) and disabled collectors run with the
-//! pool in **passthrough** mode: every take is a heap allocation and every
-//! give/retire a real (or parked) free, so the adversarial harness and the
-//! grave-scan dedup keep seeing stable, unique addresses.
+//! A pool is the **only** source of nodes and descriptors: every sentinel a
+//! constructor draws and every object an operation publishes comes from
+//! [`Pool::take`] / [`Pool::draw`]. Crash simulation (`M::SIMULATED`) and
+//! disabled collectors run the pool in **passthrough** mode: every take is a
+//! `Box<T::fresh()>` of its own and every give/retire a real (or parked)
+//! free, so the adversarial harness and the grave-scan dedup keep seeing
+//! stable, unique addresses.
 //!
 //! **Mapped mode** (a pool built by a mapped [`crate::env::Env`]): refills
 //! allocate blocks from a persistent [`nvm::mapped::MappedHeap`] (committed
@@ -168,8 +171,8 @@ impl<T: PoolItem> Pool<T> {
     /// The one constructor, and the one place the safety-critical gate
     /// lives: a pool recycles under an enabled collector and a non-simulated
     /// model, and is passthrough otherwise (see module docs) — and an
-    /// `arena`-backed pool must never be passthrough: the `Box` fallback
-    /// would hand out volatile memory whose addresses get persisted into the
+    /// `arena`-backed pool must never be passthrough: its `Box` draws would
+    /// hand out volatile memory whose addresses get persisted into the
     /// arena and dangle after a restart. Structures reach it through
     /// [`crate::env::Env::pool`].
     pub(crate) fn new_for<M: nvm::Persist>(
@@ -193,11 +196,6 @@ impl<T: PoolItem> Pool<T> {
         }
     }
 
-    /// Whether this pool actually recycles (false = passthrough).
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
     /// A type-erased hold on the shared free lists (`None` in passthrough
     /// mode): what the [`crate::env::Env`] that built the pool keeps, so the
     /// lists outlive its collector's drop-time drain.
@@ -212,72 +210,67 @@ impl<T: PoolItem> Pool<T> {
     }
 
     /// Pop a reusable object from the calling thread's free list, refilling
-    /// a slab from the heap when empty. `None` in passthrough mode (the
-    /// caller allocates exactly as pre-pool code did).
+    /// a slab from the heap when empty; in passthrough mode a fresh
+    /// `Box<T::fresh()>` of its own.
     ///
     /// The returned object is *dirty*: the caller must re-initialize every
     /// field it will publish.
-    pub fn take(&self) -> Option<*mut T> {
-        let inner = self.inner.as_deref()?;
+    pub fn take(&self) -> *mut T {
+        let Some(inner) = self.inner.as_deref() else {
+            return Box::into_raw(Box::new(T::fresh()));
+        };
         let list = inner.my_list();
         if let Some(p) = list.pop() {
             T::count_reuse();
-            return Some(p);
+            return p;
         }
+        // Refill a slab. Mapped mode draws blocks from the persistent arena,
+        // each committed only after `T::fresh()` fully initialized it, so a
+        // kill mid-refill leaves torn blocks the next attach poisons. The
+        // arena grows new segments on demand, so its panic means the VA
+        // reservation (or a `create_bounded` cap) is genuinely exhausted.
         let owner = inner as *const PoolInner<T> as *const ();
-        if let Some(heap) = &inner.arena {
-            // Mapped mode: draw blocks from the persistent arena. Each block
-            // is committed only after `T::fresh()` fully initialized it, so
-            // a kill mid-refill leaves torn blocks the next attach poisons.
-            // The arena grows new segments on demand, so this panic now
-            // means the VA reservation (or a `create_bounded` cap) is
-            // genuinely exhausted, not that the initial size was guessed low.
-            let oslot = if heap.is_shared() {
-                heap.my_participant().map_or(0, |s| s as u32 + 1)
-            } else {
-                0
-            };
-            for _ in 0..SLAB {
-                let raw = heap
-                    .alloc(std::mem::size_of::<T>())
-                    .unwrap_or_else(|e| panic!("persistent arena refill failed: {e}"))
-                    as *mut T;
-                // SAFETY: freshly allocated, exclusively owned block large
-                // enough for a `T` (64-byte aligned payload).
-                unsafe {
-                    raw.write(T::fresh());
-                    (*raw).attach(owner);
-                    (*raw).attach_slot(oslot);
+        let arena = inner.arena.as_deref();
+        let oslot = arena
+            .filter(|heap| heap.is_shared())
+            .and_then(MappedHeap::my_participant)
+            .map_or(0, |s| s as u32 + 1);
+        for _ in 0..SLAB {
+            let raw = match arena {
+                Some(heap) => {
+                    let raw = heap
+                        .alloc(std::mem::size_of::<T>())
+                        .unwrap_or_else(|e| panic!("persistent arena refill failed: {e}"))
+                        as *mut T;
+                    // SAFETY: freshly allocated, exclusively owned block
+                    // large enough for a `T` (64-byte aligned payload).
+                    unsafe { raw.write(T::fresh()) };
+                    raw
                 }
-                heap.commit(raw as *mut u8);
-                list.push(raw);
+                None => Box::into_raw(Box::new(T::fresh())),
+            };
+            // SAFETY: a fresh object, exclusively ours.
+            unsafe {
+                (*raw).attach(owner);
+                (*raw).attach_slot(oslot);
             }
-            return list.pop();
+            if let Some(heap) = arena {
+                heap.commit(raw as *mut u8);
+            }
+            list.push(raw);
         }
-        for _ in 0..SLAB - 1 {
-            let mut b = Box::new(T::fresh());
-            b.attach(owner);
-            list.push(Box::into_raw(b));
-        }
-        let mut b = Box::new(T::fresh());
-        b.attach(owner);
-        Some(Box::into_raw(b))
+        list.pop().expect("a slab was just refilled")
     }
 
-    /// Draw an object to initialise and publish: a pool hit, re-initialised
-    /// by `init` (recycled objects are dirty), or — in passthrough mode —
-    /// whatever `boxed` allocates, exactly as pre-pool code did.
+    /// Draw an object to initialise and publish: [`Pool::take`], then `init`
+    /// over it (a recycled object is dirty).
     #[inline]
-    pub fn draw(&self, init: impl FnOnce(&T), boxed: impl FnOnce() -> *mut T) -> *mut T {
-        match self.take() {
-            Some(p) => {
-                // SAFETY: a pool object is live and exclusively the caller's
-                // until it is published.
-                init(unsafe { &*p });
-                p
-            }
-            None => boxed(),
-        }
+    pub fn draw(&self, init: impl FnOnce(&T)) -> *mut T {
+        let p = self.take();
+        // SAFETY: a drawn object is live and exclusively the caller's until
+        // it is published.
+        init(unsafe { &*p });
+        p
     }
 
     /// Return a **never-published** object directly to the free list — the
@@ -292,7 +285,7 @@ impl<T: PoolItem> Pool<T> {
     /// `sim::reset`).
     ///
     /// # Safety
-    /// `p` must be a live `Box<T>` allocation whose address no other thread
+    /// `p` must be a live object of this pool whose address no other thread
     /// can hold (never installed in a shared cell, never passed to `help`).
     pub unsafe fn give(&self, p: *mut T, g: &Guard<'_>) {
         match self.inner.as_deref() {
@@ -320,21 +313,12 @@ impl<T: PoolItem> Pool<T> {
         }
     }
 
-    /// Objects currently waiting on free lists (diagnostics). `&mut self`
+    /// Visits every object currently idle on the free lists. `&mut self`
     /// because the per-thread lists are unsynchronized: reading them while
     /// other threads take/give would be a data race, so quiescent exclusive
     /// access (across every clone of this pool) is required, not merely
-    /// recommended.
-    pub fn idle(&mut self) -> usize {
-        // SAFETY: quiescent exclusive access per the contract above.
-        self.inner
-            .as_deref()
-            .map_or(0, |i| i.lists.iter().map(|l| unsafe { (*l.get()).len() }).sum())
-    }
-
-    /// Visits every object currently idle on the free lists (`&mut self`
-    /// for the same reason as [`Pool::idle`]). The mapped backend's attach
-    /// uses this to keep cache-resident blocks out of its arena sweep.
+    /// recommended. The mapped backend's attach uses this to keep
+    /// cache-resident blocks out of its arena sweep.
     pub fn each_idle(&mut self, mut f: impl FnMut(*mut T)) {
         if let Some(i) = self.inner.as_deref() {
             for l in i.lists.iter() {
@@ -379,6 +363,19 @@ pub unsafe fn give_to<T: PoolItem>(owner: *const (), p: *mut T, g: &Guard<'_>) {
 
 #[cfg(test)]
 impl<T: PoolItem> Pool<T> {
+    /// Whether this pool actually recycles (false = passthrough).
+    pub(crate) fn is_enabled(&self) -> bool {
+        self.inner.is_some()
+    }
+
+    /// Objects currently waiting on free lists (`&mut self`: as
+    /// [`Pool::each_idle`]).
+    pub(crate) fn idle(&mut self) -> usize {
+        let mut n = 0;
+        self.each_idle(|_| n += 1);
+        n
+    }
+
     /// How many clones of this pool are alive (0 in passthrough mode).
     pub(crate) fn holders(&self) -> usize {
         self.inner.as_ref().map_or(0, Arc::strong_count)
@@ -429,9 +426,9 @@ mod tests {
         let c = Collector::new();
         let g = c.pin();
         let pool: Pool<Obj> = obj_pool();
-        let a = pool.take().unwrap();
+        let a = pool.take();
         unsafe { pool.give(a, &g) };
-        let b = pool.take().unwrap();
+        let b = pool.take();
         assert_eq!(a, b, "give must feed the next take (LIFO)");
         unsafe { pool.give(b, &g) };
     }
@@ -443,16 +440,16 @@ mod tests {
         let c = Collector::new();
         // A simulated model makes the pool passthrough under any collector.
         let pool: Pool<Obj> = Pool::new_for::<nvm::SimNvm>(&c, None);
-        assert!(pool.take().is_none());
         assert!(pool.handle().is_null());
-        let p = Box::into_raw(Box::new(Obj::fresh()));
         let live = LIVE.load(Relaxed);
+        let p = pool.take();
+        assert_eq!(LIVE.load(Relaxed), live + 1, "a passthrough take is one fresh object");
         {
             let g = c.pin();
             unsafe { pool.give(p, &g) };
         }
         drop(c); // collector drop frees the retired object
-        assert_eq!(LIVE.load(Relaxed), live - 1, "passthrough give frees via EBR");
+        assert_eq!(LIVE.load(Relaxed), live, "passthrough give frees via EBR");
     }
 
     #[test]
@@ -465,7 +462,7 @@ mod tests {
         let c = Collector::disabled();
         let pool: Pool<Obj> = Pool::new_for::<nvm::CountingNvm>(&c, None);
         assert!(!pool.is_enabled(), "a disabled collector makes the pool passthrough");
-        let p = Box::into_raw(Box::new(Obj::fresh()));
+        let p = pool.take();
         let live = LIVE.load(Relaxed);
         {
             let g = c.pin();
@@ -487,7 +484,7 @@ mod tests {
         nvm::tid::set_tid(0);
         let c = Collector::new();
         let mut pool: Pool<Obj> = obj_pool();
-        let p = pool.take().unwrap();
+        let p = pool.take();
         let idle0 = pool.idle();
         {
             let g = c.pin();
@@ -510,7 +507,7 @@ mod tests {
         let g = c.pin();
         let mut pool: Pool<Obj> = obj_pool();
         let taken = 300; // more than the capacity
-        let ps: Vec<_> = (0..taken).map(|_| pool.take().unwrap()).collect();
+        let ps: Vec<_> = (0..taken).map(|_| pool.take()).collect();
         // Slab refills leave the rest of the last slab on the list.
         let idle = pool.idle();
         let live = LIVE.load(Relaxed);
@@ -531,7 +528,7 @@ mod tests {
             let c = Collector::new();
             let g = c.pin();
             let mut pool: Pool<Obj> = obj_pool();
-            let ps: Vec<_> = (0..40).map(|_| pool.take().unwrap()).collect();
+            let ps: Vec<_> = (0..40).map(|_| pool.take()).collect();
             for p in ps {
                 unsafe { pool.give(p, &g) };
             }

@@ -44,74 +44,22 @@ use crate::engine::{
 };
 use crate::env::Env;
 use crate::graph::{self, Graph};
-use crate::op::{cell_addr, TrackedNode};
+use crate::op::{cell_addr, tracked_node};
 use crate::optype;
-use crate::pool::{Pool, PoolItem};
+use crate::pool::Pool;
 use crate::recovery::{
-    install_roots, root_words, AttachEnv, AttachError, MappedLayout, Recovered, Rooted, SlotOps,
+    install_roots, AttachEnv, AttachError, MappedLayout, Recovered, Rooted, SlotOps,
 };
 use crate::tag;
 use nvm::mapped::MappedNvm;
-use nvm::{PWord, Persist, PersistWords};
+use nvm::{PWord, Persist};
 
 /// Structure-kind tag of an `RQueue` entry in a [`crate::store::Store`] catalog.
 pub const KIND_QUEUE: u64 = 2;
 
-/// A queue node.
-#[repr(C)]
-pub struct Node<M: Persist> {
-    val: PWord<M>,
-    next: PWord<M>,
-    info: PWord<M>,
-}
-
-unsafe impl<M: Persist> PersistWords<M> for Node<M> {
-    fn each_word(&self, f: &mut dyn FnMut(&PWord<M>)) {
-        f(&self.val);
-        f(&self.next);
-        f(&self.info);
-    }
-}
-
-impl<M: Persist> Node<M> {
-    fn alloc(val: u64, next: u64, info: u64) -> *mut Node<M> {
-        nvm::stats::count_node_allocs(1);
-        Box::into_raw(Box::new(Node {
-            val: PWord::new(val),
-            next: PWord::new(next),
-            info: PWord::new(info),
-        }))
-    }
-
-    /// Re-initialize a pool-recycled node.
-    fn init(&self, val: u64, next: u64, info: u64) {
-        self.val.store(val);
-        self.next.store(next);
-        self.info.store(info);
-    }
-}
-
-impl<M: Persist> PoolItem for Node<M> {
-    fn fresh() -> Self {
-        nvm::stats::count_node_allocs(1);
-        Node { val: PWord::new(0), next: PWord::new(0), info: PWord::new(0) }
-    }
-
-    fn count_reuse() {
-        nvm::stats::count_node_reuses(1);
-    }
-}
-
-impl<M: Persist> TrackedNode<M> for Node<M> {
-    fn info(&self) -> &PWord<M> {
-        &self.info
-    }
-}
-
-impl<M: Persist> Drop for Node<M> {
-    fn drop(&mut self) {
-        nvm::stats::count_node_frees(1);
-    }
+tracked_node! {
+    /// A queue node.
+    Node { val, next, info }
 }
 
 /// The head anchor: a pseudo-node holding the sentinel pointer and an info
@@ -119,17 +67,44 @@ impl<M: Persist> Drop for Node<M> {
 /// shared tail hint (see module docs for why the hint must not be cached
 /// per process).
 #[repr(C)]
-struct Anchor<M: Persist> {
+pub(crate) struct Anchor<M: Persist> {
     ptr: PWord<M>,
     info: PWord<M>,
     tail: PWord<M>,
 }
 
-unsafe impl<M: Persist> PersistWords<M> for Anchor<M> {
-    fn each_word(&self, f: &mut dyn FnMut(&PWord<M>)) {
-        f(&self.ptr);
-        f(&self.info);
-        f(&self.tail);
+impl<M: Persist> Anchor<M> {
+    /// The three words, in order.
+    fn words(&self) -> &[PWord<M>] {
+        // SAFETY: a `repr(C)` struct of three `PWord<M>` fields is laid out
+        // as `[PWord<M>; 3]` (equal types, so no padding between them), and
+        // the pointer covers the whole struct.
+        unsafe { std::slice::from_raw_parts(self as *const Self as *const PWord<M>, 3) }
+    }
+}
+
+/// The one construction of the queue's initial shape over its `anchor`:
+/// while the anchor names no sentinel, a sentinel drawn from `nodes`,
+/// installed before the anchor words that name it ([`install_roots`]). The
+/// in-process constructor runs it over an owned zeroed anchor,
+/// [`crate::recovery::MappedLayout::open`] over the catalog root block.
+///
+/// # Safety
+/// Single-threaded creation; a set anchor names a sentinel built by an
+/// earlier run over memory `nodes` draws from (the same heap).
+pub(crate) unsafe fn sentinel<M: Persist>(nodes: &Pool<Node<M>>, anchor: &Anchor<M>) {
+    if anchor.ptr.load() == 0 {
+        let s0 = nodes.draw(|n| n.init(0, 0, 0));
+        // SAFETY: the sentinel was just drawn and initialised.
+        unsafe { install_roots(&[s0], anchor.words(), &[s0 as u64, 0, s0 as u64]) };
+    }
+    // Images written before the hint moved into the anchor have a zero
+    // third word (root blocks are zeroed at creation, granule-rounded, so
+    // the slot exists). Seed it from the sentinel — idempotent, and any
+    // stale seed is healed by the first walk.
+    if anchor.tail.load() == 0 {
+        anchor.tail.store(anchor.ptr.load());
+        M::pwb(&anchor.tail);
     }
 }
 
@@ -177,23 +152,25 @@ impl<M: Persist, const ARM: u8> Default for RQueue<M, ARM> {
 impl<M: Persist, const ARM: u8> RQueue<M, ARM> {
     /// New empty queue.
     pub fn new() -> Self {
-        let s0: *mut Node<M> = Node::alloc(0, 0, 0);
-        let mut env = Env::volatile();
-        Self {
-            head: Rooted::Owned(Box::new(Anchor {
-                ptr: PWord::new(s0 as u64),
-                info: PWord::new(0),
-                tail: PWord::new(s0 as u64),
-            })),
-            node_pool: env.pool::<_, ARM>(),
-            env,
-        }
+        let anchor = Anchor { ptr: PWord::new(0), info: PWord::new(0), tail: PWord::new(0) };
+        // SAFETY: a new anchor of our own.
+        unsafe { Self::over(Env::volatile(), Rooted::Owned(Box::new(anchor))) }
     }
 
-    /// Draw a node: pool hit (re-initialized), or heap in passthrough mode.
+    /// The queue over `head`, its sentinel built or loaded by [`sentinel`].
+    ///
+    /// # Safety
+    /// As [`sentinel`], over the memory `env`'s pools draw from.
+    unsafe fn over(mut env: Env<M>, head: Rooted<Anchor<M>>) -> Self {
+        let node_pool = env.pool::<_, ARM>();
+        unsafe { sentinel(&node_pool, &head) };
+        Self { head, node_pool, env }
+    }
+
+    /// Draw a node from the structure's pool, initialized.
     #[inline]
     fn alloc_node(&self, val: u64, next: u64, info: u64) -> *mut Node<M> {
-        self.node_pool.draw(|n| n.init(val, next, info), || Node::alloc(val, next, info))
+        self.node_pool.draw(|n| n.init(val, next, info))
     }
 
     /// Locate the last node: start at the tail hint and chase `next`.
@@ -494,28 +471,11 @@ impl<const ARM: u8> MappedLayout for RQueue<MappedNvm, ARM> {
     }
 
     unsafe fn open(env: &AttachEnv, _cfg: (), root: *mut u8) -> Result<Self, AttachError> {
-        let mut env = env.env();
-        let node_pool = env.pool::<_, ARM>();
-        let anchor = root as *const Anchor<MappedNvm>;
-        // SAFETY: zeroed-on-creation committed root block of Anchor size:
-        // the `(ptr, info, tail)` words of the `repr(C)` anchor.
-        unsafe {
-            if (*anchor).ptr.peek() == 0 {
-                // Fresh (or creation cut short): allocate the first sentinel.
-                let s0: *mut Node<MappedNvm> = node_pool.take().expect("arena pool always serves");
-                (*s0).init(0, 0, 0);
-                install_roots(&[s0], root_words(root, 3), &[s0 as u64, 0, s0 as u64]);
-            }
-            // Images written before the hint moved into the anchor have a
-            // zero third word (root blocks are zeroed at creation, granule-
-            // rounded, so the slot exists). Seed it from the sentinel —
-            // idempotent, and any stale seed is healed by the first walk.
-            if (*anchor).tail.peek() == 0 {
-                (*anchor).tail.store((*anchor).ptr.peek());
-                MappedNvm::pwb(&(*anchor).tail);
-            }
-        }
-        Ok(Self { head: Rooted::Arena(anchor), node_pool, env })
+        // SAFETY: zeroed-on-creation committed root block of Anchor size
+        // (the `(ptr, info, tail)` words of the `repr(C)` anchor),
+        // single-threaded attach, sentinel drawn from the heap's arena.
+        let head = Rooted::Arena(root as *const Anchor<MappedNvm>);
+        Ok(unsafe { Self::over(env.env(), head) })
     }
 }
 
@@ -536,7 +496,7 @@ impl<const ARM: u8> SlotOps for RQueue<MappedNvm, ARM> {
 impl<M: Persist, const ARM: u8> Drop for RQueue<M, ARM> {
     fn drop(&mut self) {
         // SAFETY: quiescent teardown of a structure this value owns.
-        unsafe { self.env.teardown::<Node<M>>(&*self, []) };
+        unsafe { self.env.teardown::<Node<M>>(&*self) };
     }
 }
 

@@ -512,8 +512,11 @@ pub enum AttachError {
         found: u64,
     },
     /// The named entry was written in a format this build no longer opens
-    /// (a stack of the retired direct-tracked format). Refused before
-    /// anything durable happens; the image stays as it was.
+    /// (a stack of the retired direct-tracked format). Refused before any
+    /// entry is opened or recovered: the entry and every structure in the
+    /// heap stay as they were. (The heap-level attach that precedes reading
+    /// the catalog has already run, as on every open: it persisted a new
+    /// attach epoch and rebuilt the allocator's free stacks.)
     RetiredFormat {
         /// Entry name.
         name: String,
@@ -736,17 +739,19 @@ pub(crate) unsafe fn install_roots<M: Persist, N: PersistWords<M>>(
     M::psync();
 }
 
-/// Where a structure's root cell (the queue's anchor, the stack's `top`)
-/// lives: owned on the process heap, or borrowed from the mapped backend's
-/// persistent arena — a root block that must survive the process.
-pub(crate) enum Rooted<T> {
+/// A structure's root block, the words its initial shape hangs from: owned
+/// on the process heap by an in-process structure, or a root block of the
+/// mapped backend's persistent arena, which must survive the process. Either
+/// way the kind's one construction function builds over it, sentinels
+/// before roots ([`install_roots`]).
+pub(crate) enum Rooted<T: ?Sized> {
     /// The in-process models.
     Owned(Box<T>),
     /// A root block of the structure's [`MappedHeap`].
     Arena(*const T),
 }
 
-impl<T> std::ops::Deref for Rooted<T> {
+impl<T: ?Sized> std::ops::Deref for Rooted<T> {
     type Target = T;
     #[inline]
     fn deref(&self) -> &T {
@@ -759,13 +764,22 @@ impl<T> std::ops::Deref for Rooted<T> {
     }
 }
 
+impl<M: Persist> Rooted<[PWord<M>]> {
+    /// An in-process root block of `words` zero words. The structure holds
+    /// it for its lifetime: the crash simulator registers the words when the
+    /// creation stores to them.
+    pub(crate) fn zeroed(words: usize) -> Self {
+        Rooted::Owned((0..words).map(|_| PWord::new(0)).collect())
+    }
+}
+
 /// A mapped structure's root block as persistent words.
 ///
 /// # Safety
 /// `root` must be a committed root block of at least `words * 8` bytes that
-/// outlives the returned borrow (the structure keeps its heap alive).
-pub(crate) unsafe fn root_words<'a>(root: *mut u8, words: usize) -> &'a [PWord<MappedNvm>] {
-    unsafe { std::slice::from_raw_parts(root as *const PWord<MappedNvm>, words) }
+/// outlives the returned block (the structure keeps its heap alive).
+pub(crate) unsafe fn root_words(root: *mut u8, words: usize) -> Rooted<[PWord<MappedNvm>]> {
+    Rooted::Arena(std::ptr::slice_from_raw_parts(root as *const PWord<MappedNvm>, words))
 }
 
 /// What a kind supplies to the attach driver beyond its [`Graph`] — the
@@ -786,9 +800,10 @@ pub trait SlotOps: Graph<MappedNvm> + std::any::Any + Send + Sync {
     /// Post-replay scrub **policy**. The default is the eager one: the
     /// scrub visitor over every unit, at the replay's (untuned) placement —
     /// sound for every arm: strictly more persistency instructions,
-    /// identical helping. [`crate::hashmap::RHashMap`] overrides it on
-    /// purpose: it *defers* the pass to first contact per shard (attach
-    /// stays O(descriptors), not O(keys)).
+    /// identical helping; the queue and the BST run it. The set kinds
+    /// ([`crate::hashmap::RHashMap`], and the list and stack over it)
+    /// override it on purpose: they *defer* the pass to first contact per
+    /// shard (attach stays O(descriptors), not O(keys)).
     fn attach_scrub(&self) -> Result<(), AttachError> {
         scrub::<MappedNvm, { crate::arm::PAPER }>(self, &Collector::new())
     }
@@ -832,9 +847,11 @@ pub trait MappedLayout: SlotOps + Sized {
 
     /// Constructs the structure over `root` (a committed, zero-initialised
     /// on first use root block of [`MappedLayout::root_bytes`] bytes inside
-    /// `env.heap`): installs fresh roots when the block is still zeroed
-    /// (through `install_roots`, sentinels first), loads them otherwise.
-    /// Must be idempotent — a creation cut short by a kill re-runs it.
+    /// `env.heap`) through the kind's one construction function, the one its
+    /// in-process constructor runs over owned words: it installs fresh roots
+    /// when the block is still zeroed (through `install_roots`, sentinels
+    /// first) and loads them otherwise. Idempotent — a creation cut short by
+    /// a kill re-runs it.
     ///
     /// # Safety
     /// `root` must be such a block, and no other thread may be creating the
@@ -1062,6 +1079,7 @@ impl AttachSummary {
 mod tests {
     use super::*;
     use crate::engine::{help, Info, InfoFill, RES_TRUE};
+    use crate::pool::PoolItem;
     use nvm::CountingNvm;
     use reclaim::Collector;
 
@@ -1154,7 +1172,7 @@ mod tests {
         }
         // CP = 1, RD → info whose help cannot proceed and result = ⊥ ⇒ restart.
         let cell: nvm::PWord<M> = nvm::PWord::new(0xDEAD0);
-        let info = Info::<M>::alloc();
+        let info = Box::into_raw(Box::new(Info::<M>::fresh()));
         unsafe {
             Info::fill(
                 info,
@@ -1175,7 +1193,7 @@ mod tests {
         }
         // CP = 1, RD → info whose help completes ⇒ Completed(result).
         let cell2: nvm::PWord<M> = nvm::PWord::new(0);
-        let info2 = Info::<M>::alloc();
+        let info2 = Box::into_raw(Box::new(Info::<M>::fresh()));
         unsafe {
             Info::fill(
                 info2,
@@ -1320,7 +1338,8 @@ mod tests {
                     let rec: RecArea<SimNvm> = RecArea::new();
                     let cells: [Box<PWord<SimNvm>>; 2] =
                         [Box::new(PWord::new(0)), Box::new(PWord::new(0xDEAD0))];
-                    let (done, next) = (Info::<SimNvm>::alloc(), Info::<SimNvm>::alloc());
+                    let [done, next] =
+                        [(); 2].map(|_| Box::into_raw(Box::new(Info::<SimNvm>::fresh())));
                     fill(done, &cells[0], 0, RES_TRUE);
                     // A stale expected value cannot take effect.
                     let expected = if attempt == Attempt::Succeeds { 0xDEAD0 } else { 0x5550 };
@@ -1411,63 +1430,107 @@ mod tests {
         }
     }
 
-    /// Two persistent words standing in for a pool-drawn sentinel.
-    #[repr(C)]
-    struct Sentinel([PWord<nvm::SimNvm>; 2]);
-
-    // SAFETY: both words, the only fields of a `repr(C)` struct.
-    unsafe impl PersistWords<nvm::SimNvm> for Sentinel {
-        fn each_word(&self, f: &mut dyn FnMut(&PWord<nvm::SimNvm>)) {
-            self.0.iter().for_each(f);
-        }
+    /// The words of the node at `p` as the crash image left them, after
+    /// checking that the link naming it survived.
+    fn image_of<N: PersistWords<nvm::SimNvm>>(p: u64, at: &str) -> Vec<u64> {
+        assert!(p != 0 && p != nvm::sim::POISON, "{at}: a torn link {p:#x}");
+        let mut words = Vec::new();
+        // SAFETY: a surviving link names a node the creation drew (and
+        // leaked: its words stay registered until the next reset).
+        unsafe { (*(p as *const N)).each_word(&mut |w| words.push(w.peek())) };
+        words
     }
 
-    /// Creation crashed at every instruction of `install_roots`, over
-    /// per-word-drop seeds: a root word the image kept names a sentinel
-    /// whose every field the image kept too; a root word it dropped is still
-    /// zero, so the creation re-runs.
+    /// Every kind's one construction function — the buckets of the list
+    /// (and so the stack) and the map, the queue's sentinel and anchor, the
+    /// BST's five dummies — crashed at every instruction over per-word-drop
+    /// seeds, on a root block the test owns: a root word the image kept
+    /// names sentinels whose every field the image kept too; a root word it
+    /// dropped is still zero, so the creation re-runs.
     #[test]
     fn sim_crash_during_creation_never_leaves_a_root_over_a_torn_sentinel() {
+        use crate::{bst, queue, set_core};
         use nvm::{sim, SimNvm};
+        type Build = fn(&[PWord<SimNvm>]);
+        type Check = fn(&[u64], &str);
+        // Passthrough, as under every simulated model: each draw is a `Box`
+        // of its own, which a crashed creation abandons.
+        fn pool<N: PoolItem>() -> Pool<N> {
+            Pool::new_for::<SimNvm>(&Collector::disabled(), None)
+        }
+        let buckets: Build = |r| drop(unsafe { set_core::buckets(&pool(), r) });
+        let bucket_shape: Check = |roots, at| {
+            type N = set_core::Node<SimNvm>;
+            for &head in roots.iter().filter(|&&r| r != 0) {
+                let head = image_of::<N>(head, at);
+                assert_eq!((head[0], head[2]), (set_core::KEY_MIN, 0), "{at}: torn head");
+                assert_eq!(
+                    image_of::<N>(head[1], at),
+                    [set_core::KEY_MAX, 0, 0],
+                    "{at}: torn tail"
+                );
+            }
+        };
+        let kinds: [(&str, usize, Build, Check); 4] = [
+            ("list", 1, buckets, bucket_shape),
+            ("map", 2, buckets, bucket_shape),
+            (
+                "queue",
+                3,
+                // SAFETY: three words laid out as the `repr(C)` anchor.
+                |r| unsafe {
+                    queue::sentinel(&pool(), &*(r.as_ptr() as *const queue::Anchor<SimNvm>))
+                },
+                |anchor, at| {
+                    assert_eq!(anchor[1], 0, "{at}: the anchor's info word");
+                    for &s in [anchor[0], anchor[2]].iter().filter(|&&s| s != 0) {
+                        assert_eq!(image_of::<queue::Node<SimNvm>>(s, at), [0; 3], "{at}: torn");
+                    }
+                },
+            ),
+            (
+                "bst",
+                1,
+                |r| {
+                    unsafe { bst::dummies(&pool(), &r[0]) };
+                },
+                |root, at| {
+                    type N = bst::Node<SimNvm>;
+                    use bst::{KEY_INF1 as I1, KEY_INF2 as I2};
+                    if root[0] != 0 {
+                        let top = image_of::<N>(root[0], at);
+                        let inner = image_of::<N>(top[1], at);
+                        let keys = [top[0], top[3], inner[0], inner[3]];
+                        assert_eq!(keys, [I2, 0, I1, 0], "{at}: torn internals");
+                        assert_eq!(image_of::<N>(top[2], at), [I2, 0, 0, 0], "{at}: torn");
+                        assert_eq!(image_of::<N>(inner[1], at), [0; 4], "{at}: torn");
+                        assert_eq!(image_of::<N>(inner[2], at), [I1, 0, 0, 0], "{at}: torn");
+                    }
+                },
+            ),
+        ];
         let _session = crate::simtest::session();
         nvm::tid::set_tid(3);
-        let mut crashes = 0u64;
-        for seed in 0..64u64 {
-            for fuse in 1.. {
-                sim::reset();
-                let drawn: Vec<Box<Sentinel>> =
-                    (0..2).map(|_| Box::new(Sentinel(Default::default()))).collect();
-                let roots: Vec<PWord<SimNvm>> = vec![PWord::new(0), PWord::new(0)];
-                sim::persist_all(); // zeroed blocks: the clean start
-                                    // A pool-drawn sentinel is initialised by plain stores.
-                for (i, s) in drawn.iter().enumerate() {
-                    s.0[0].store(0x10 + i as u64);
-                    s.0[1].store(0x20 + i as u64);
-                }
-                let sentinels: Vec<*mut Sentinel> =
-                    drawn.iter().map(|s| &**s as *const Sentinel as *mut Sentinel).collect();
-                let values: Vec<u64> = sentinels.iter().map(|&s| s as u64).collect();
-                let crashed = crate::simtest::crashed_at(fuse, seed, || unsafe {
-                    install_roots(&sentinels, &roots, &values)
-                });
-                crashes += crashed as u64;
-                for (i, (root, s)) in roots.iter().zip(&drawn).enumerate() {
-                    let at = format!("fuse {fuse} seed {seed} root {i}");
-                    match root.load() {
-                        0 => assert!(crashed, "{at}: a completed creation installs every root"),
-                        r => {
-                            assert_eq!(r, values[i], "{at}");
-                            let fields = (s.0[0].load(), s.0[1].load());
-                            assert_eq!(fields, (0x10 + i as u64, 0x20 + i as u64), "{at}: torn");
-                        }
+        for (kind, words, build, shape) in kinds {
+            let mut crashes = 0u64;
+            for seed in 0..64u64 {
+                for fuse in 1.. {
+                    sim::reset();
+                    let roots: Vec<PWord<SimNvm>> = (0..words).map(|_| PWord::new(0)).collect();
+                    sim::persist_all(); // a zeroed root block: the clean start
+                    let crashed = crate::simtest::crashed_at(fuse, seed, || build(&roots));
+                    crashes += crashed as u64;
+                    let image: Vec<u64> = roots.iter().map(PWord::peek).collect();
+                    let at = format!("{kind}: fuse {fuse} seed {seed}, roots {image:#x?}");
+                    assert!(crashed || image[0] != 0, "{at}: a completed creation installs");
+                    shape(&image, &at);
+                    if !crashed {
+                        break;
                     }
                 }
-                if !crashed {
-                    break;
-                }
             }
+            assert!(crashes >= 64 * 8, "{kind}: the sweep ran: {crashes}");
         }
-        assert!(crashes >= 64 * 8, "the sweep ran: {crashes}");
     }
 
     #[test]

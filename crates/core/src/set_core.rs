@@ -3,14 +3,14 @@
 //!
 //! The ISB construction is *head-agnostic*: AffectSet/WriteSet tracking,
 //! helping and Op-Recover never mention where the traversal started. This
-//! module exploits that by factoring the search and gather phases of the set
-//! algorithm out of [`crate::list::RList`] into [`SetCore`], a borrowed view
-//! `(head node, environment, node pool)`; the skeleton around them —
-//! prologue, publish, help, answer, recover — is [`crate::op`], run over the
-//! structure's [`Env`], and the bucket's one traversal is [`walk_bucket`]. [`crate::list::RList`] is the
-//! one-bucket instantiation; [`crate::hashmap::RHashMap`] routes keys to a
-//! power-of-two array of bucket heads sharing **one** recovery area (one
-//! pending operation per process, per the paper's model) and one collector;
+//! module is the set algorithm's search and gather phases as [`SetCore`], a
+//! borrowed view `(head node, environment, node pool)`; the skeleton around
+//! them — prologue, publish, help, answer, recover — is [`crate::op`], run
+//! over the structure's [`Env`]. A bucket is built once, by `buckets`, and
+//! walked once, by [`walk_bucket`]. [`crate::hashmap::RHashMap`] routes keys
+//! to a power-of-two array of bucket heads sharing **one** recovery area
+//! (one pending operation per process, per the paper's model) and one
+//! collector; [`crate::list::RList`] is its one-shard instance, and
 //! [`crate::stack::RStack`] is the list whose updates land at the bucket's
 //! front ([`SetCore::push`] / [`SetCore::pop`]).
 //!
@@ -50,11 +50,12 @@ use crate::engine::{
     help, res_val, HelpOutcome, Info, InfoFill, RES_EMPTY, RES_FALSE, RES_TRUE, RES_UNIT,
 };
 use crate::env::Env;
-use crate::op::{cell_addr, TrackedNode};
+use crate::op::{cell_addr, tracked_node};
 use crate::optype;
-use crate::pool::{Pool, PoolItem};
+use crate::pool::Pool;
+use crate::recovery::install_roots;
 use crate::tag;
-use nvm::{PWord, Persist, PersistWords};
+use nvm::{PWord, Persist};
 use reclaim::Guard;
 
 /// Sentinel key of a bucket head (−∞).
@@ -62,88 +63,39 @@ pub const KEY_MIN: u64 = 0;
 /// Sentinel key of a bucket tail (+∞).
 pub const KEY_MAX: u64 = u64::MAX;
 
-/// A list node: `key` (immutable once published), `next`, `info`.
-#[repr(C)]
-pub struct Node<M: Persist> {
-    key: PWord<M>,
-    next: PWord<M>,
-    info: PWord<M>,
+tracked_node! {
+    /// A list node: `key` (immutable once published), `next`, `info`.
+    Node { key, next, info }
 }
 
-unsafe impl<M: Persist> PersistWords<M> for Node<M> {
-    fn each_word(&self, f: &mut dyn FnMut(&PWord<M>)) {
-        f(&self.key);
-        f(&self.next);
-        f(&self.info);
+/// The one construction of a set kind's buckets, one per word of `roots`
+/// (the map's shards; the list's and the stack's one bucket): a root word
+/// that is still zero gets an empty bucket — a `−∞` head linked to a `+∞`
+/// tail, both drawn from `nodes` — installed sentinels first
+/// ([`install_roots`]); a root word already set is loaded. Returns every
+/// bucket's head. The in-process constructor runs it over owned zero words,
+/// [`crate::recovery::MappedLayout::open`] over the catalog root block.
+///
+/// # Safety
+/// Single-threaded creation; a set root word names a bucket built by an
+/// earlier run over memory `nodes` draws from (the same heap).
+pub(crate) unsafe fn buckets<M: Persist>(
+    nodes: &Pool<Node<M>>,
+    roots: &[PWord<M>],
+) -> Box<[*mut Node<M>]> {
+    let mut heads: Vec<u64> = roots.iter().map(PWord::load).collect();
+    let mut sentinels = Vec::new();
+    for head in heads.iter_mut().filter(|h| **h == 0) {
+        let tail = nodes.draw(|n| n.init(KEY_MAX, 0, 0));
+        let first = nodes.draw(|n| n.init(KEY_MIN, tail as u64, 0));
+        *head = first as u64;
+        sentinels.extend([first, tail]);
     }
-}
-
-impl<M: Persist> Node<M> {
-    fn alloc(key: u64, next: u64, info: u64) -> *mut Node<M> {
-        nvm::stats::count_node_allocs(1);
-        Box::into_raw(Box::new(Node {
-            key: PWord::new(key),
-            next: PWord::new(next),
-            info: PWord::new(info),
-        }))
+    if !sentinels.is_empty() {
+        // SAFETY: the sentinels were just drawn and initialised.
+        unsafe { install_roots(&sentinels, roots, &heads) };
     }
-
-    /// Re-initialize a pool-recycled node (all fields — the node is dirty).
-    fn init(&self, key: u64, next: u64, info: u64) {
-        self.key.store(key);
-        self.next.store(next);
-        self.info.store(info);
-    }
-}
-
-impl<M: Persist> PoolItem for Node<M> {
-    fn fresh() -> Self {
-        nvm::stats::count_node_allocs(1);
-        Node { key: PWord::new(0), next: PWord::new(0), info: PWord::new(0) }
-    }
-
-    fn count_reuse() {
-        nvm::stats::count_node_reuses(1);
-    }
-}
-
-impl<M: Persist> TrackedNode<M> for Node<M> {
-    fn info(&self) -> &PWord<M> {
-        &self.info
-    }
-}
-
-impl<M: Persist> Drop for Node<M> {
-    fn drop(&mut self) {
-        nvm::stats::count_node_frees(1);
-    }
-}
-
-/// Allocates a fresh empty bucket: a `−∞` head linked to a `+∞` tail.
-/// Ownership passes to the caller, which tears it down through
-/// [`crate::graph::teardown`].
-pub fn new_bucket<M: Persist>() -> *mut Node<M> {
-    let tail: *mut Node<M> = Node::alloc(KEY_MAX, 0, 0);
-    Node::alloc(KEY_MIN, tail as u64, 0)
-}
-
-/// Allocates a fresh empty bucket whose sentinels `[head, tail]` are drawn
-/// from `nodes`: the mapped backend routes this through its persistent arena
-/// so bucket heads survive the process. The caller makes them durable before
-/// the root word that names the head (`recovery::install_roots`). Panics on
-/// a passthrough pool — a heap-`Box` sentinel whose address gets persisted
-/// into the arena would dangle after a restart, so there is deliberately no
-/// fallback.
-pub fn new_bucket_in<M: Persist>(nodes: &Pool<Node<M>>) -> [*mut Node<M>; 2] {
-    let draw = |key: u64, next: u64| {
-        let p = nodes.take().expect("mapped bucket sentinels require an arena-backed pool");
-        // SAFETY: a pool object is live and exclusively ours until
-        // published; init rewrites every (dirty) field.
-        unsafe { (*p).init(key, next, 0) };
-        p
-    };
-    let tail = draw(KEY_MAX, 0);
-    [draw(KEY_MIN, tail as u64), tail]
+    heads.into_iter().map(|h| h as *mut Node<M>).collect()
 }
 
 /// The bucket traversal ([`crate::graph::Graph::walk`] for the list and for
@@ -206,7 +158,7 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
     /// A view over the bucket rooted at `head`.
     ///
     /// # Safety
-    /// `head` must point to a live bucket created by [`new_bucket`] whose
+    /// `head` must point to a live bucket created by `buckets` whose
     /// nodes are only reclaimed through `env`'s collector, `env` must be the
     /// environment every operation on this bucket runs in, and `nodes` the
     /// pool it built for the structure ([`Env::pool`]).
@@ -214,10 +166,10 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
         Self { head, env, nodes }
     }
 
-    /// Draw a node: pool hit (re-initialized), or heap in passthrough mode.
+    /// Draw a node from the structure's pool, initialized.
     #[inline]
     fn alloc_node(&self, key: u64, next: u64, info: u64) -> *mut Node<M> {
-        self.nodes.draw(|n| n.init(key, next, info), || Node::alloc(key, next, info))
+        self.nodes.draw(|n| n.init(key, next, info))
     }
 
     fn assert_key(key: u64) {

@@ -2,11 +2,11 @@
 //! the ordered-set core's node shape (paper Sections 1 and 5 list the stack
 //! among the structures the approach covers; the construction is ours).
 //!
-//! `RStack` is a one-bucket structure like [`crate::list::RList`] — a `−∞`
-//! head sentinel, the values in push order, a `+∞` tail sentinel — whose
-//! operations land at the bucket's front instead of at a key
-//! ([`SetCore::push`] / [`SetCore::pop`]). It runs at the shipped placement
-//! `Isb-LP` only, so it shares the list's descriptor engine, Op-Recover,
+//! `RStack` is a [`crate::list::RList`] — one bucket: a `−∞` head sentinel,
+//! the values in push order, a `+∞` tail sentinel — whose operations land
+//! at the bucket's front instead of at a key ([`SetCore::push`] /
+//! [`SetCore::pop`]). It runs at the shipped placement `Isb-LP` only, so it
+//! shares the list's descriptor engine, Op-Recover, construction, deferred
 //! scrub, walk and mapped layout, and has nothing of its own to recover.
 //!
 //! * **Push(v)**: AffectSet = `{head (update), first (deletion)}`, WriteSet =
@@ -68,7 +68,7 @@ impl<M: Persist> RStack<M> {
     }
 
     fn core(&self) -> SetCore<'_, M, LP> {
-        self.0.core()
+        self.0.bucket(0)
     }
 
     /// Pushes `v`.
@@ -114,12 +114,15 @@ impl<M: Persist> RStack<M> {
 
     /// Quiescent snapshot, top first.
     pub fn snapshot_vals(&mut self) -> Vec<u64> {
-        self.0.snapshot_keys()
+        let mut out = Vec::new();
+        self.core().snapshot_keys_into(&mut out);
+        out
     }
 
     /// Structural invariants of a quiescent stack: the chain ends at its
     /// `+∞` sentinel and no node on it is tagged. Panics on violation.
     pub fn check_invariants(&mut self) {
+        self.0.drain_pending_scrub();
         // SAFETY: quiescent exclusive access to a live structure.
         let ended = unsafe {
             self.walk(0, &|_| true, usize::MAX, &mut |n, info| {
@@ -167,6 +170,10 @@ impl MappedLayout for RStack<MappedNvm> {
 impl SlotOps for RStack<MappedNvm> {
     fn node_bytes(&self) -> usize {
         self.0.node_bytes()
+    }
+
+    fn attach_scrub(&self) -> Result<(), AttachError> {
+        self.0.attach_scrub()
     }
 
     fn each_cached(&mut self, f: &mut dyn FnMut(usize)) {

@@ -688,7 +688,7 @@ fn map_reservation(
 /// not require.
 pub struct MappedNvm;
 
-crate::persist::real_flush_persist!(MappedNvm, "mapped", true);
+crate::persist::shared_cache_persist!(MappedNvm, "mapped", true, true);
 
 #[cfg(test)]
 mod tests {

@@ -1,8 +1,6 @@
 //! The [`Persist`] trait and its real-machine implementations.
 
 use crate::coalesce;
-use crate::coalesce::lint;
-use crate::flush;
 use crate::pword::{PWord, PersistWords};
 use crate::stats;
 use crate::CACHE_LINE;
@@ -108,18 +106,44 @@ pub(crate) fn coal_note_range(p: *const u8, len: usize, mut flush_through: impl 
     }
 }
 
-/// The `Persist` impl of the two models that execute real write-backs:
-/// [`RealNvm`] and [`crate::MappedNvm`] differ only in `NAME` and `MAPPED`.
-/// `pwb` is one [`flush::flush`] of the machine's [`flush::Kind`], `pfence`
-/// is [`flush::pfence`] (an `sfence` when that kind is weakly ordered, free
-/// under `clflush`), `psync` and the barriers end in `mfence`. Every
-/// persistency instruction is counted; counts do not depend on the kind.
-macro_rules! real_flush_persist {
-    ($ty:ty, $name:literal, $mapped:literal) => {
+/// The `Persist` impl of the shared-cache models: [`RealNvm`],
+/// [`crate::MappedNvm`] and [`CountingNvm`] differ only in `NAME`, `MAPPED`
+/// and `$exec`, whether the machine instructions run. With `$exec`, `pwb` is
+/// one [`crate::flush::flush`] of the machine's [`crate::flush::Kind`],
+/// `pfence` is [`crate::flush::pfence`] (an `sfence` when that kind is weakly
+/// ordered, free under `clflush`), `psync` and the barriers end in `mfence`;
+/// without it nothing executes. Every persistency instruction is counted the
+/// same either way ([`crate::flush::flush_range`] returns
+/// [`crate::flush::lines_in_range`]); counts do not depend on the kind.
+macro_rules! shared_cache_persist {
+    ($ty:ty, $name:literal, $mapped:literal, $exec:literal) => {
         const _: () = {
             use $crate::coalesce::{self, lint};
             use $crate::persist::{coal_note_range, Persist};
             use $crate::{flush, stats, PWord, PersistWords};
+
+            /// Writes back the line at `l` when the instructions execute.
+            #[inline(always)]
+            fn flush_line(l: *const u8) {
+                if $exec {
+                    // SAFETY: every caller passes a line of a live object
+                    // (`pwb`'s word, a noted or overflowing coalesced line).
+                    unsafe { flush::flush(l) };
+                }
+            }
+
+            /// Writes back `[p, p + len)` when the instructions execute;
+            /// the number of lines either way.
+            #[inline(always)]
+            fn flush_range(p: *const u8, len: usize) -> u64 {
+                if $exec {
+                    // SAFETY: `used_range` is a sub-range of the live object
+                    // it came from (PersistWords safety contract).
+                    unsafe { flush::flush_range(p, len) }
+                } else {
+                    flush::lines_in_range(p, len)
+                }
+            }
 
             impl Persist for $ty {
                 const NAME: &'static str = $name;
@@ -129,8 +153,7 @@ macro_rules! real_flush_persist {
                 #[inline]
                 fn pwb(w: &PWord<Self>) {
                     lint::note_pwb(w.addr());
-                    // SAFETY: `w.addr()` points into the live `PWord` behind `w`.
-                    unsafe { flush::flush(w.addr()) };
+                    flush_line(w.addr());
                     stats::count_pwb(1);
                 }
                 #[inline]
@@ -139,63 +162,63 @@ macro_rules! real_flush_persist {
                     // they are ordered before post-fence flushes.
                     Self::coal_drain();
                     lint::fence();
-                    flush::pfence();
+                    if $exec {
+                        flush::pfence();
+                    }
                     stats::count_pfence();
                 }
                 #[inline]
                 fn psync() {
                     Self::coal_drain();
                     lint::fence();
-                    flush::mfence();
+                    if $exec {
+                        flush::mfence();
+                    }
                     stats::count_psync();
                 }
                 #[inline]
                 fn pbarrier(w: &PWord<Self>) {
                     Self::coal_drain();
                     lint::fence();
-                    // SAFETY: as in `pwb`.
-                    unsafe { flush::flush(w.addr()) };
-                    flush::mfence();
+                    flush_line(w.addr());
+                    if $exec {
+                        flush::mfence();
+                    }
                     stats::count_pbarrier(1);
                 }
                 #[inline]
                 fn pwb_obj<T: PersistWords<Self> + ?Sized>(obj: &T) {
                     let (p, len) = obj.used_range();
-                    // SAFETY: `used_range` is a sub-range of the live object
-                    // behind `obj` (PersistWords safety contract).
-                    let n = unsafe { flush::flush_range(p, len) };
-                    stats::count_pwb(n);
+                    stats::count_pwb(flush_range(p, len));
                 }
                 #[inline]
                 fn pbarrier_obj<T: PersistWords<Self> + ?Sized>(obj: &T) {
                     Self::coal_drain();
                     lint::fence();
                     let (p, len) = obj.used_range();
-                    // SAFETY: as in `pwb_obj`.
-                    let n = unsafe { flush::flush_range(p, len) };
-                    flush::mfence();
+                    let n = flush_range(p, len);
+                    if $exec {
+                        flush::mfence();
+                    }
                     stats::count_pbarrier(n);
                 }
 
                 #[inline]
                 fn pwb_coal(w: &PWord<Self>) {
-                    // SAFETY: an overflow line is the live `PWord` behind `w`.
-                    coal_note_range(w.addr(), 1, |l| unsafe { flush::flush(l as *const u8) });
+                    coal_note_range(w.addr(), 1, |l| flush_line(l as *const u8));
                 }
                 #[inline]
                 fn pwb_obj_coal<T: PersistWords<Self> + ?Sized>(obj: &T) {
                     let (p, len) = obj.used_range();
-                    // SAFETY: overflow lines lie inside the live object
-                    // (PersistWords safety contract).
-                    coal_note_range(p, len, |l| unsafe { flush::flush(l as *const u8) });
+                    coal_note_range(p, len, |l| flush_line(l as *const u8));
                 }
                 #[inline]
                 fn coal_drain() {
-                    // SAFETY: every pending line was noted from an object that
-                    // is, per the `pwb_coal` contract, still live at the
-                    // draining fence (and a mapped-heap object is never
-                    // unmapped while its structure is attached).
-                    let n = coalesce::drain(|l| unsafe { flush::flush(l as *const u8) });
+                    // Every pending line was noted from an object that is,
+                    // per the `pwb_coal` contract, still live at the draining
+                    // fence (and a mapped-heap object is never unmapped while
+                    // its structure is attached).
+                    let n = coalesce::drain(|l| flush_line(l as *const u8));
                     if n > 0 {
                         stats::count_lines_coalesced(n);
                     }
@@ -204,79 +227,23 @@ macro_rules! real_flush_persist {
         };
     };
 }
-pub(crate) use real_flush_persist;
+pub(crate) use shared_cache_persist;
 
 /// Shared-cache model on real hardware: `pwb` is the machine's write-back
-/// instruction ([`flush::kind`]: `clwb`, `clflushopt`, or the paper's
+/// instruction ([`crate::flush::kind`]: `clwb`, `clflushopt`, or the paper's
 /// `clflush`), `psync` = `mfence`, `pfence` = `sfence` for the weakly-ordered
 /// kinds and a no-op under `clflush` (as in the paper's evaluation). All
 /// persistency instructions are counted.
 pub struct RealNvm;
 
-real_flush_persist!(RealNvm, "real", false);
+shared_cache_persist!(RealNvm, "real", false, true);
 
 /// Shared-cache model with *counted but not executed* flushes. Portable,
 /// used by CI and by counting-only experiments where flush latency is not
 /// itself under study.
 pub struct CountingNvm;
 
-impl Persist for CountingNvm {
-    const NAME: &'static str = "counting";
-    type Meta = ();
-
-    #[inline]
-    fn pwb(w: &PWord<Self>) {
-        lint::note_pwb(w.addr());
-        stats::count_pwb(1);
-    }
-    #[inline]
-    fn pfence() {
-        Self::coal_drain();
-        lint::fence();
-        stats::count_pfence();
-    }
-    #[inline]
-    fn psync() {
-        Self::coal_drain();
-        lint::fence();
-        stats::count_psync();
-    }
-    #[inline]
-    fn pbarrier(_w: &PWord<Self>) {
-        Self::coal_drain();
-        lint::fence();
-        stats::count_pbarrier(1);
-    }
-    #[inline]
-    fn pwb_obj<T: PersistWords<Self> + ?Sized>(obj: &T) {
-        let (p, len) = obj.used_range();
-        stats::count_pwb(flush::lines_in_range(p, len));
-    }
-    #[inline]
-    fn pbarrier_obj<T: PersistWords<Self> + ?Sized>(obj: &T) {
-        Self::coal_drain();
-        lint::fence();
-        let (p, len) = obj.used_range();
-        stats::count_pbarrier(flush::lines_in_range(p, len));
-    }
-
-    #[inline]
-    fn pwb_coal(w: &PWord<Self>) {
-        coal_note_range(w.addr(), 1, |_| {});
-    }
-    #[inline]
-    fn pwb_obj_coal<T: PersistWords<Self> + ?Sized>(obj: &T) {
-        let (p, len) = obj.used_range();
-        coal_note_range(p, len, |_| {});
-    }
-    #[inline]
-    fn coal_drain() {
-        let n = coalesce::drain(|_| {});
-        if n > 0 {
-            stats::count_lines_coalesced(n);
-        }
-    }
-}
+shared_cache_persist!(CountingNvm, "counting", false, false);
 
 /// Private-cache model: shared variables are always persistent, so every
 /// persistency instruction is free (and uncounted). Used for Figure 4 and
@@ -304,7 +271,7 @@ impl Persist for NoPersist {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::tid;
+    use crate::{flush, tid};
 
     /// Registers the calling test thread as `t` — a tid no sibling test
     /// uses — and returns a reader of that tid's counters alone.
