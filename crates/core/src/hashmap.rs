@@ -165,14 +165,6 @@ impl<M: Persist, const ARM: u8> RHashMap<M, ARM> {
         }
     }
 
-    /// Drains every shard's deferred scrub, for a quiescent walk that does
-    /// not go through [`RHashMap::bucket`] (the stack's invariant check).
-    pub(crate) fn drain_pending_scrub(&self) {
-        for shard in 0..self.heads.len() {
-            self.ensure_scrubbed(shard);
-        }
-    }
-
     /// Inserts `key`; returns `false` iff it was already present.
     /// (Algorithm 3, `Insert`.)
     pub fn insert(&self, pid: usize, key: u64) -> bool {

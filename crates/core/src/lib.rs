@@ -23,8 +23,8 @@
 //! * [`queue::RQueue`] — ISB-tracked MS-queue (paper §5 / supplementary B.2).
 //! * [`bst::RBst`] — detectably recoverable external BST (paper §6).
 //! * [`exchanger::RExchanger`] — detectably recoverable exchanger (paper §6).
-//! * [`stack::RStack`] — ISB-tracked stack (paper §1/§5): the list at
-//!   `Isb-LP`, pushing and popping at its bucket's front.
+//! * [`stack::RStack`] — ISB-tracked stack (paper §1/§5): a one-shard hash
+//!   map at `Isb-LP`, pushing and popping at its bucket's front.
 //! * [`store::Store`] — one mapped heap hosting many named structures
 //!   (catalog + shared recovery area + union census/sweep, DESIGN.md §11).
 //!

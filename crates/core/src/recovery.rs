@@ -1445,31 +1445,42 @@ mod tests {
     /// (and so the stack) and the map, the queue's sentinel and anchor, the
     /// BST's five dummies — crashed at every instruction over per-word-drop
     /// seeds, on a root block the test owns: a root word the image kept
-    /// names sentinels whose every field the image kept too; a root word it
-    /// dropped is still zero, so the creation re-runs.
+    /// names sentinels of their own whose every field the image kept too; a
+    /// root word it dropped is still zero, so the creation re-runs; a
+    /// creation that completed set every root word.
     #[test]
     fn sim_crash_during_creation_never_leaves_a_root_over_a_torn_sentinel() {
         use crate::{bst, queue, set_core};
         use nvm::{sim, SimNvm};
         type Build = fn(&[PWord<SimNvm>]);
-        type Check = fn(&[u64], &str);
+        type Check = fn(&[u64], bool, &str);
         // Passthrough, as under every simulated model: each draw is a `Box`
         // of its own, which a crashed creation abandons.
         fn pool<N: PoolItem>() -> Pool<N> {
             Pool::new_for::<SimNvm>(&Collector::disabled(), None)
         }
+        fn distinct(nodes: &[u64], at: &str) {
+            let mut sorted = nodes.to_vec();
+            sorted.sort_unstable();
+            sorted.dedup();
+            assert_eq!(sorted.len(), nodes.len(), "{at}: shared sentinels {nodes:#x?}");
+        }
         let buckets: Build = |r| drop(unsafe { set_core::buckets(&pool(), r) });
-        let bucket_shape: Check = |roots, at| {
+        let bucket_shape: Check = |roots, crashed, at| {
             type N = set_core::Node<SimNvm>;
-            for &head in roots.iter().filter(|&&r| r != 0) {
-                let head = image_of::<N>(head, at);
-                assert_eq!((head[0], head[2]), (set_core::KEY_MIN, 0), "{at}: torn head");
-                assert_eq!(
-                    image_of::<N>(head[1], at),
-                    [set_core::KEY_MAX, 0, 0],
-                    "{at}: torn tail"
-                );
+            let mut drawn = Vec::new();
+            for &head in roots {
+                if head == 0 {
+                    assert!(crashed, "{at}: a completed creation installs every bucket");
+                    continue;
+                }
+                let fields = image_of::<N>(head, at);
+                assert_eq!((fields[0], fields[2]), (set_core::KEY_MIN, 0), "{at}: torn head");
+                let tail = fields[1];
+                assert_eq!(image_of::<N>(tail, at), [set_core::KEY_MAX, 0, 0], "{at}: torn tail");
+                drawn.extend([head, tail]);
             }
+            distinct(&drawn, at);
         };
         let kinds: [(&str, usize, Build, Check); 4] = [
             ("list", 1, buckets, bucket_shape),
@@ -1481,9 +1492,13 @@ mod tests {
                 |r| unsafe {
                     queue::sentinel(&pool(), &*(r.as_ptr() as *const queue::Anchor<SimNvm>))
                 },
-                |anchor, at| {
+                |anchor, crashed, at| {
                     assert_eq!(anchor[1], 0, "{at}: the anchor's info word");
-                    for &s in [anchor[0], anchor[2]].iter().filter(|&&s| s != 0) {
+                    let (head, tail) = (anchor[0], anchor[2]);
+                    if !crashed || head != 0 && tail != 0 {
+                        assert!(head != 0 && head == tail, "{at}: one sentinel, head and tail");
+                    }
+                    for s in [head, tail].into_iter().filter(|&s| s != 0) {
                         assert_eq!(image_of::<queue::Node<SimNvm>>(s, at), [0; 3], "{at}: torn");
                     }
                 },
@@ -1494,18 +1509,21 @@ mod tests {
                 |r| {
                     unsafe { bst::dummies(&pool(), &r[0]) };
                 },
-                |root, at| {
+                |root, crashed, at| {
                     type N = bst::Node<SimNvm>;
                     use bst::{KEY_INF1 as I1, KEY_INF2 as I2};
-                    if root[0] != 0 {
-                        let top = image_of::<N>(root[0], at);
-                        let inner = image_of::<N>(top[1], at);
-                        let keys = [top[0], top[3], inner[0], inner[3]];
-                        assert_eq!(keys, [I2, 0, I1, 0], "{at}: torn internals");
-                        assert_eq!(image_of::<N>(top[2], at), [I2, 0, 0, 0], "{at}: torn");
-                        assert_eq!(image_of::<N>(inner[1], at), [0; 4], "{at}: torn");
-                        assert_eq!(image_of::<N>(inner[2], at), [I1, 0, 0, 0], "{at}: torn");
+                    if root[0] == 0 {
+                        assert!(crashed, "{at}: a completed creation installs the root");
+                        return;
                     }
+                    let top = image_of::<N>(root[0], at);
+                    let inner = image_of::<N>(top[1], at);
+                    let keys = [top[0], top[3], inner[0], inner[3]];
+                    assert_eq!(keys, [I2, 0, I1, 0], "{at}: torn internals");
+                    assert_eq!(image_of::<N>(top[2], at), [I2, 0, 0, 0], "{at}: torn");
+                    assert_eq!(image_of::<N>(inner[1], at), [0; 4], "{at}: torn");
+                    assert_eq!(image_of::<N>(inner[2], at), [I1, 0, 0, 0], "{at}: torn");
+                    distinct(&[root[0], top[1], top[2], inner[1], inner[2]], at);
                 },
             ),
         ];
@@ -1522,8 +1540,7 @@ mod tests {
                     crashes += crashed as u64;
                     let image: Vec<u64> = roots.iter().map(PWord::peek).collect();
                     let at = format!("{kind}: fuse {fuse} seed {seed}, roots {image:#x?}");
-                    assert!(crashed || image[0] != 0, "{at}: a completed creation installs");
-                    shape(&image, &at);
+                    shape(&image, crashed, &at);
                     if !crashed {
                         break;
                     }

@@ -11,7 +11,7 @@
 //! to a power-of-two array of bucket heads sharing **one** recovery area
 //! (one pending operation per process, per the paper's model) and one
 //! collector; [`crate::list::RList`] is its one-shard instance, and
-//! [`crate::stack::RStack`] is the list whose updates land at the bucket's
+//! [`crate::stack::RStack`] another one whose updates land at the bucket's
 //! front ([`SetCore::push`] / [`SetCore::pop`]).
 //!
 //! The bucket is sorted by strictly increasing `u64` keys with two sentinels

@@ -2,12 +2,13 @@
 //! the ordered-set core's node shape (paper Sections 1 and 5 list the stack
 //! among the structures the approach covers; the construction is ours).
 //!
-//! `RStack` is a [`crate::list::RList`] — one bucket: a `−∞` head sentinel,
-//! the values in push order, a `+∞` tail sentinel — whose operations land
-//! at the bucket's front instead of at a key ([`SetCore::push`] /
-//! [`SetCore::pop`]). It runs at the shipped placement `Isb-LP` only, so it
-//! shares the list's descriptor engine, Op-Recover, construction, deferred
-//! scrub, walk and mapped layout, and has nothing of its own to recover.
+//! `RStack` is a one-shard [`RHashMap`], as the list is — one bucket: a
+//! `−∞` head sentinel, the values in push order, a `+∞` tail sentinel —
+//! whose operations land at the bucket's front instead of at a key
+//! ([`SetCore::push`] / [`SetCore::pop`]). It runs at the shipped placement
+//! `Isb-LP` only, so it shares the list's descriptor engine, Op-Recover,
+//! construction, deferred scrub, walk and mapped layout, and has nothing of
+//! its own to recover.
 //!
 //! * **Push(v)**: AffectSet = `{head (update), first (deletion)}`, WriteSet =
 //!   `{⟨head.next, first, newnd⟩}`, NewSet = `{newnd(v), newcurr}` where
@@ -33,7 +34,7 @@
 use crate::arm::LP;
 use crate::engine::val_of;
 use crate::graph::Graph;
-use crate::list::RList;
+use crate::hashmap::RHashMap;
 use crate::recovery::{AttachEnv, AttachError, MappedLayout, Recovered, SlotOps};
 use crate::set_core::SetCore;
 use crate::tag;
@@ -53,7 +54,7 @@ const VALUE_LIMIT: u64 = (1 << 61) - 16;
 
 /// Recoverable stack (see module docs). Values must stay below
 /// `2^61 - 16`.
-pub struct RStack<M: Persist>(pub(crate) RList<M, LP>);
+pub struct RStack<M: Persist>(pub(crate) RHashMap<M, LP>);
 
 impl<M: Persist> Default for RStack<M> {
     fn default() -> Self {
@@ -64,9 +65,10 @@ impl<M: Persist> Default for RStack<M> {
 impl<M: Persist> RStack<M> {
     /// New empty stack.
     pub fn new() -> Self {
-        Self(RList::new())
+        Self(RHashMap::with_shards(1))
     }
 
+    /// The one bucket, its deferred post-attach scrub drained first.
     fn core(&self) -> SetCore<'_, M, LP> {
         self.0.bucket(0)
     }
@@ -122,7 +124,8 @@ impl<M: Persist> RStack<M> {
     /// Structural invariants of a quiescent stack: the chain ends at its
     /// `+∞` sentinel and no node on it is tagged. Panics on violation.
     pub fn check_invariants(&mut self) {
-        self.0.drain_pending_scrub();
+        // `core` drains a deferred post-attach scrub before the raw walk.
+        self.core();
         // SAFETY: quiescent exclusive access to a live structure.
         let ended = unsafe {
             self.walk(0, &|_| true, usize::MAX, &mut |n, info| {
@@ -157,13 +160,13 @@ impl MappedLayout for RStack<MappedNvm> {
         0x53 | (LP as u64) << 32
     }
 
-    fn root_bytes(cfg: ()) -> usize {
-        RList::<MappedNvm, LP>::root_bytes(cfg)
+    fn root_bytes(_cfg: ()) -> usize {
+        RHashMap::<MappedNvm, LP>::root_bytes(1)
     }
 
     // The list's layout: the head sentinel's address, sentinels installed first.
-    unsafe fn open(env: &AttachEnv, cfg: (), root: *mut u8) -> Result<Self, AttachError> {
-        unsafe { RList::open(env, cfg, root) }.map(Self)
+    unsafe fn open(env: &AttachEnv, _cfg: (), root: *mut u8) -> Result<Self, AttachError> {
+        unsafe { RHashMap::open(env, 1, root) }.map(Self)
     }
 }
 
