@@ -122,6 +122,17 @@ fn make_queue<M: Persist>(name: &str) -> Arc<dyn QueueBench> {
     }
 }
 
+/// `Isb-Q` at placement arm `arm` (Figure 12's ladder; Figure 7 runs
+/// `Isb-Opt`).
+fn isb_queue<M: Persist>(arm: u8) -> Arc<dyn QueueBench> {
+    use isb::arm::{PAPER, TUNED};
+    match arm {
+        PAPER => Arc::new(RQueue::<M, PAPER>::new()),
+        TUNED => Arc::new(RQueue::<M, TUNED>::new()),
+        _ => Arc::new(RQueue::<M, { isb::arm::LP }>::new()),
+    }
+}
+
 const SHARED_LIST_ALGOS: &[&str] = &["Isb", "Isb-Opt", "Capsules", "Capsules-Opt", "DT-Opt"];
 const PRIVATE_LIST_ALGOS: &[&str] =
     &["Isb", "Isb-Opt", "Capsules", "Capsules-Opt", "DT-Opt", "Harris-LL"];
@@ -269,6 +280,34 @@ impl Ctx {
             t.row(n.to_string(), vals);
         }
         self.emit("fig7_private", &t);
+
+        // Beside the throughput: what each queue persists per operation, on
+        // one thread under the counting model (`Isb-Q` at every placement
+        // arm). A `pbarrier` counts as its lines plus a `psync`.
+        use isb::arm::{LP, PAPER, TUNED};
+        let algos: Vec<(String, Arc<dyn QueueBench>)> = [PAPER, TUNED, LP]
+            .map(|arm| (format!("Isb-Q/{}", isb::arm::name(arm)), isb_queue::<CountingNvm>(arm)))
+            .into_iter()
+            .chain(shared[1..].iter().map(|a| (a.to_string(), make_queue::<CountingNvm>(a))))
+            .collect();
+        let mut t = Table::new(
+            "Figure 7 (counts): queue persistency instructions per op, 1 thread (counting model)",
+            algos.iter().map(|a| a.0.clone()).collect(),
+        );
+        let qcfg = QueueCfg { threads: 1, prefill: self.queue_prefill, duration: self.dur };
+        let per_op: Vec<[f64; 3]> = algos
+            .into_iter()
+            .map(|(_, q)| {
+                nvm::stats::reset();
+                let r = run_queue(q, qcfg);
+                let (s, n) = (r.stats, r.ops.max(1) as f64);
+                [s.pwb + s.pbarrier_lines, s.pfence, s.psync + s.pbarrier].map(|c| c as f64 / n)
+            })
+            .collect();
+        for (i, label) in ["pwb-eq/op", "pfence/op", "psync/op"].into_iter().enumerate() {
+            t.row(label, per_op.iter().map(|c| c[i]).collect());
+        }
+        self.emit("fig7_counts", &t);
     }
 
     /// Sharded hash map shard sweep — Figure 8 (beyond the paper): RHashMap
@@ -516,13 +555,6 @@ impl Ctx {
                 _ => Arc::new(RHashMap::<M, LP>::with_shards(16)),
             }
         }
-        fn queue_for<M: Persist>(arm: u8) -> Arc<dyn QueueBench> {
-            match arm {
-                PAPER => Arc::new(RQueue::<M, PAPER>::new()),
-                TUNED => Arc::new(RQueue::<M, TUNED>::new()),
-                _ => Arc::new(RQueue::<M, LP>::new()),
-            }
-        }
         let arm_cols = || ARMS.map(|a| isb::arm::name(a).to_string()).to_vec();
         let coal_cols = || vec!["Isb-LP elided/op".to_string(), "Isb-LP drained/op".to_string()];
         let coal_row = |lp: &RunResult| vec![lp.elided_per_op(), lp.coalesced_per_op()];
@@ -593,7 +625,7 @@ impl Ctx {
             let counting: Vec<RunResult> = ARMS
                 .iter()
                 .map(|&arm| {
-                    let q = queue_for::<CountingNvm>(arm);
+                    let q = isb_queue::<CountingNvm>(arm);
                     nvm::stats::reset();
                     run_queue(q, qcfg)
                 })
@@ -604,7 +636,7 @@ impl Ctx {
             let real: Vec<f64> = ARMS
                 .iter()
                 .map(|&arm| {
-                    let q = queue_for::<RealNvm>(arm);
+                    let q = isb_queue::<RealNvm>(arm);
                     nvm::stats::reset();
                     run_queue(q, qcfg).mops()
                 })

@@ -9,7 +9,7 @@
 //! |-----|------|------|
 //! | [`PAPER`] | `Isb`     | the paper's per-CAS `pwb` + per-phase `psync` placement |
 //! | [`TUNED`] | `Isb-Opt` | batched tag-loop flushes, merged barriers |
-//! | [`LP`]    | `Isb-LP`  | per-op cache-line dedupe via [`nvm::coalesce`]; the `RD_q`/`CP_q` line is reset whole by the invocation glue's one barrier and written once more, `CP_q := 1` with `RD_q := opInfo`, by the first publish; an operation that finds nothing to change takes no descriptor and publishes nothing. Link-persist: cleanup write-backs elided (re-swept by scrub / lazy helping); for single-affect ops (enqueue) the tag-phase `psync` merged into the update-phase `psync`; the queue's tail hint never written back (`heal_tail` and `find_last` re-derive it). The arm the KV service and `Store`-based workloads ship (`kvserve::server::ARM`) |
+//! | [`LP`]    | `Isb-LP`  | per-op cache-line dedupe via [`nvm::coalesce`]; the `RD_q`/`CP_q` line is reset whole by the invocation glue's one barrier and written once more, `CP_q := 1` with `RD_q := opInfo`, by the first publish; an operation that finds nothing to change takes no descriptor and publishes nothing. Link-persist: cleanup write-backs elided (re-swept by scrub / lazy helping); for link ops (the enqueue, whose descriptor carries the `LINK` bit) the tag-phase `psync` merged into the update-phase `psync`; the queue's tail hint never written back (`heal_tail` and `find_last` re-derive it). The arm the KV service and `Store`-based workloads ship (`kvserve::server::ARM`) |
 //!
 //! Level `2` was `Isb-Coal`, the coalescing glue without the link-persist
 //! elisions. It was retired once `Isb-LP` shipped; its measurements are the

@@ -16,8 +16,8 @@
 //!      untags the already-tagged prefix (to `untagged(info)` — a fresh
 //!      value, preserving pointer freshness) and the attempt fails.
 //!    * **Update**: execute the WriteSet CASes (idempotent: re-execution
-//!      fails silently), then persist the precomputed response into
-//!      `result`.
+//!      fails silently), then durably set the descriptor's `DONE` bit: its
+//!      response is the precomputed `presult`.
 //!    * **Cleanup**: untag every affect/new node still in the structure;
 //!      deletion-tagged positions (mask bit set) stay tagged forever,
 //!      doubling as Harris mark bits.
@@ -47,8 +47,8 @@ pub const MAX_WRITE: usize = 2;
 /// Maximum NewSet size (BST insert uses 3).
 pub const MAX_NEW: usize = 3;
 
-/// `result` encodings. The response of an operation is stored in a single
-/// persistent word so that one `pwb` makes it durable.
+/// Response encodings, precomputed into a descriptor's `presult`. `RES_BOT`
+/// is recovery's "did not take effect", never a response.
 pub const RES_BOT: u64 = 0;
 /// Boolean `false` response.
 pub const RES_FALSE: u64 = 1;
@@ -61,6 +61,11 @@ pub const RES_EMPTY: u64 = 4;
 /// Values `v` are encoded as `v + RES_VAL_BASE`; callers must keep payloads
 /// below `u64::MAX - RES_VAL_BASE`.
 pub const RES_VAL_BASE: u64 = 16;
+
+/// `meta` bit: the one write is a Null → node link that decides the operation.
+pub(crate) const LINK: u64 = 1 << 40;
+/// `meta` bit: the operation took effect; its response is `presult`.
+pub(crate) const DONE: u64 = 1 << 41;
 
 /// Encode a payload value as a result word.
 ///
@@ -92,34 +97,34 @@ pub fn val_of(res: u64) -> u64 {
 }
 
 /// The Info structure: everything a helper (or the owner's recovery code)
-/// needs to run the operation to completion, plus its `result`.
+/// needs to run the operation to completion, plus whether it took effect.
 ///
 /// All descriptor fields are persistent words; the operation persists the
 /// whole Info (`pbarrier(*opInfo, NewSet)`) before publishing it. The field
-/// order packs the common shapes into few cache lines — a read-only
-/// descriptor (one affect entry) fits entirely in the first line, and
-/// two-affect/one-write/two-new descriptors (list insert/delete, queue ops)
-/// in two — so the pre-publication barrier flushes 1–2 lines, matching the
-/// paper's remark that "a single pwb flushes all fields fitting in a cache
-/// line". [`PersistWords::used_range`] exposes exactly the used prefix.
+/// order packs the shapes (affect/write/new) into few cache lines, matching
+/// the paper's remark that "a single pwb flushes all fields fitting in a
+/// cache line": a read-only descriptor and the queue's 1/1/1 and 1/1/0 fit
+/// the first, the list's 2/1/2 and 2/1/0 and the BST's 2/1/3 and 4/1/1 two.
+/// [`PersistWords::used_range`] exposes exactly the used prefix.
 #[repr(C, align(64))]
 pub struct Info<M: Persist> {
-    /// Packed `optype | naffect<<8 | nwrite<<16 | nnew<<24 | del_mask<<32`.
-    pub meta: PWord<M>,
-    /// Precomputed response, written before publication so every helper
-    /// stores the same value into `result`.
-    pub presult: PWord<M>,
-    /// The operation's response; [`RES_BOT`] until the update phase ends.
-    pub result: PWord<M>,
+    /// Packed `optype | naffect<<8 | nwrite<<16 | nnew<<24 | del_mask<<32`
+    /// and the [`LINK`] and [`DONE`] bits (there is no response word).
+    meta: PWord<M>,
+    /// Precomputed response, written before publication; the operation's
+    /// response once [`DONE`] is set.
+    presult: PWord<M>,
     /// AffectSet entry 0: (info-cell address, expected value).
     a0: [PWord<M>; 2],
     /// WriteSet entry 0: (cell address, old, new).
     w0: [PWord<M>; 3],
+    /// NewSet entry 0: the info-cell address of a new node.
+    n0: PWord<M>,
     // --- end of cache line 1 (8 words) ---
     /// AffectSet entry 1.
     a1: [PWord<M>; 2],
-    /// NewSet: info-cell addresses of the new nodes.
-    newset: [PWord<M>; MAX_NEW],
+    /// NewSet entries 1...
+    n1: [PWord<M>; MAX_NEW - 1],
     /// AffectSet entry 2.
     a2: [PWord<M>; 2],
     /// AffectSet entry 3.
@@ -155,11 +160,11 @@ impl<M: Persist> PoolItem for Info<M> {
         Info {
             meta: PWord::new(0),
             presult: PWord::new(RES_BOT),
-            result: PWord::new(RES_BOT),
             a0: Default::default(),
             w0: Default::default(),
+            n0: Default::default(),
             a1: Default::default(),
-            newset: Default::default(),
+            n1: Default::default(),
             a2: Default::default(),
             a3: Default::default(),
             w1: Default::default(),
@@ -193,47 +198,37 @@ unsafe impl<M: Persist> PersistWords<M> for Info<M> {
     fn each_word(&self, f: &mut dyn FnMut(&PWord<M>)) {
         f(&self.meta);
         f(&self.presult);
-        f(&self.result);
         let (na, nw, nn, _) = self.counts();
         for k in 0..na.max(1) {
-            let a = self.affect_slot(k);
-            f(&a[0]);
-            f(&a[1]);
+            self.affect_slot(k).iter().for_each(&mut *f);
         }
         for k in 0..nw {
-            let w = self.write_slot(k);
-            f(&w[0]);
-            f(&w[1]);
-            f(&w[2]);
+            self.write_slot(k).iter().for_each(&mut *f);
         }
         for k in 0..nn {
-            f(&self.newset[k]);
+            f(self.new_slot(k));
         }
     }
 
     fn used_range(&self) -> (*const u8, usize) {
         let (na, nw, nn, _) = self.counts();
-        // Word offsets of the last used field per the #[repr(C)] layout.
-        let mut end = 5usize; // header + a0
-        if nw >= 1 {
-            end = end.max(8);
+        macro_rules! end {
+            ($field:ident) => {
+                std::mem::offset_of!(Self, $field) + std::mem::size_of_val(&self.$field)
+            };
         }
-        if na >= 2 {
-            end = end.max(10);
-        }
-        if nn >= 1 {
-            end = end.max(10 + nn);
-        }
-        if na >= 3 {
-            end = end.max(15);
-        }
-        if na >= 4 {
-            end = end.max(17);
-        }
-        if nw >= 2 {
-            end = end.max(20);
-        }
-        (self as *const Self as *const u8, end * 8)
+        let used = [
+            (true, end!(a0)),
+            (nw >= 1, end!(w0)),
+            (nn >= 1, end!(n0)),
+            (na >= 2, end!(a1)),
+            (nn >= 2, end!(n1) - (MAX_NEW - nn) * size_of::<PWord<M>>()),
+            (na >= 3, end!(a2)),
+            (na >= 4, end!(a3)),
+            (nw >= 2, end!(w1)),
+        ];
+        let end = used.iter().filter(|u| u.0).map(|u| u.1).max().unwrap_or(0);
+        (self as *const Self as *const u8, end)
     }
 }
 
@@ -274,6 +269,16 @@ impl<M: Persist> Info<M> {
         }
     }
 
+    /// NewSet slot `k`.
+    #[inline]
+    fn new_slot(&self, k: usize) -> &PWord<M> {
+        if k == 0 {
+            &self.n0
+        } else {
+            &self.n1[k - 1]
+        }
+    }
+
     /// Fills the descriptor for one attempt. Only legal while the Info is
     /// unreachable to other threads (never installed / fresh).
     ///
@@ -295,7 +300,6 @@ impl<M: Persist> Info<M> {
             | (f.del_mask as u64) << 32;
         M::store(&i.meta, meta);
         M::store(&i.presult, f.presult);
-        M::store(&i.result, RES_BOT);
         for (k, &(cell, exp)) in f.affect.iter().enumerate() {
             let slot = i.affect_slot(k);
             M::store(&slot[0], cell);
@@ -308,7 +312,7 @@ impl<M: Persist> Info<M> {
             M::store(&slot[2], new);
         }
         for (k, &cell) in f.newset.iter().enumerate() {
-            M::store(&i.newset[k], cell);
+            M::store(i.new_slot(k), cell);
         }
         // A freshly filled descriptor is private until `help` runs on it
         // (recycled descriptors may carry a stale true).
@@ -327,9 +331,14 @@ impl<M: Persist> Info<M> {
         )
     }
 
-    /// Number of AffectSet entries.
-    pub fn naffect(&self) -> usize {
-        self.counts().0
+    /// Whether the operation took effect: its response is `presult`.
+    pub(crate) fn done(&self) -> bool {
+        M::load(&self.meta) & DONE != 0
+    }
+
+    /// Sets a `meta` bit: [`LINK`] before publication, [`DONE`] by any helper.
+    pub(crate) fn mark(&self, bit: u64) {
+        M::store(&self.meta, M::load(&self.meta) | bit);
     }
 
     /// `(cell, expected)` of affect entry `k`.
@@ -404,20 +413,16 @@ impl<M: Persist> Info<M> {
         self.installs.load(Ordering::Acquire)
     }
 
-    /// One line for a failure report: `meta`, `presult`, `result`, and per
-    /// affect entry the cell's address, its expected and its *current*
-    /// value.
+    /// One line for a failure report: `meta` (with its done bit),
+    /// `presult`, and per affect entry the cell's address, its expected and
+    /// its *current* value.
     ///
     /// # Safety
     /// Every affect cell address must still be live (quiescence).
     pub unsafe fn describe(&self) -> String {
-        let mut out = format!(
-            "meta {:#x} presult {:#x} result {:#x} affect",
-            M::load(&self.meta),
-            M::load(&self.presult),
-            M::load(&self.result)
-        );
-        for k in 0..self.naffect().min(MAX_AFFECT) {
+        let mut out =
+            format!("meta {:#x} presult {:#x} affect", M::load(&self.meta), M::load(&self.presult));
+        for k in 0..self.counts().0.min(MAX_AFFECT) {
             let (cell, expected) = unsafe { self.affect_at(k) };
             out += &format!(" [{cell:p}: expected {expected:#x}, now {:#x}]", M::load(cell));
         }
@@ -454,7 +459,7 @@ impl<M: Persist> Info<M> {
             }
         }
         for k in 0..nn {
-            if !valid_cell(M::load(&self.newset[k])) {
+            if !valid_cell(M::load(self.new_slot(k))) {
                 return false;
             }
         }
@@ -520,7 +525,7 @@ pub fn with_release_suspended<R>(f: impl FnOnce() -> R) -> R {
 /// Outcome of [`help`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HelpOutcome {
-    /// The operation took effect (its `result` is set) and cleanup ran.
+    /// The operation took effect (its `DONE` bit is set) and cleanup ran.
     Done,
     /// Tagging failed at AffectSet position `i`; positions `< i` were
     /// untagged (backtracked). If `i > 0` the invoker must allocate a fresh
@@ -552,15 +557,15 @@ pub unsafe fn help<M: Persist, const ARM: u8>(
     let untagged_val = tag::untagged(info as u64);
     let (naffect, nwrite, nnew, del_mask) = r.counts();
     let start = if invoker { 0 } else { 1 };
-    // Link-persist merges a single-affect operation's tag-phase `psync` into
-    // its update-phase one (below), so a crash image may hold its `result`
-    // without its write, or its write without its tag, whose cell then reads
-    // an older value again — `expected`, once recovery helped the tag before
-    // it. What proves such an operation (the queue's enqueue, whose write is
-    // a `next` link that only ever goes Null → node) took effect is its write
-    // in place, never its tag or its `result`. Outside crash images the two
-    // always agree (DESIGN.md §4).
-    let merged = arm::is_lp(ARM) && naffect == 1 && nwrite > 0;
+    // A link operation's tag-phase `psync` is merged into its update-phase
+    // one (below), so a crash image may hold its `DONE` bit without its
+    // write, or its write without its tag, whose cell then reads an older
+    // value again — `expected`, once recovery helped the tag before it. What
+    // proves such an operation (`Isb-LP`'s enqueue, whose write is a `next`
+    // link that only ever goes Null → node) took effect is its write in
+    // place. The descriptor carries the bit, so every recoverer decides by
+    // this rule, whatever arm it helps at (DESIGN.md §4).
+    let merged = M::load(&r.meta) & LINK != 0;
 
     // ---- Tagging phase -------------------------------------------------
     let mut k = start;
@@ -572,34 +577,30 @@ pub unsafe fn help<M: Persist, const ARM: u8>(
             M::pwb(cell);
         }
         if res != expected && res != tagged_val {
-            // A foreign value. Two cases, discriminated by `result`
+            // A foreign value. Two cases, discriminated by `DONE`
             // (Algorithm 1's completion check):
             //
-            // 1. `result` set ⇒ the operation ALREADY COMPLETED through a
-            //    helper: the helper finished tagging, ran the update, stored
-            //    the response, and its cleanup released this cell — which a
+            // 1. `DONE` set ⇒ the operation ALREADY COMPLETED through a
+            //    helper: the helper finished tagging, ran the update, set
+            //    `DONE`, and its cleanup released this cell — which a
             //    later operation then re-tagged. Pointer freshness makes the
             //    discrimination sound: cell values never repeat, so a
             //    genuine pre-completion conflict can never be followed by
             //    the cell holding `expected`/our tag again, and the helper's
-            //    result store happens-before the cleanup release we are
+            //    `DONE` store happens-before the cleanup release we are
             //    reading through. Declaring failure here is the one
             //    mistake an invoker must not make — it would re-initialize
             //    its "never-published" nodes while they are reachable.
             //    Re-run the idempotent cleanup (heals crash-resurrected
             //    partial tags during scrub) and report completion.
-            // 2. `result` unset ⇒ the attempt genuinely failed: backtrack.
+            // 2. `DONE` unset ⇒ the attempt genuinely failed: backtrack.
             //
             // A merged operation asks its write instead (see `merged`).
-            let completed = if merged {
-                unsafe { writes_in_place(r, nwrite) }
-            } else {
-                M::load(&r.result) != RES_BOT
-            };
+            let completed = if merged { unsafe { writes_in_place(r, nwrite) } } else { r.done() };
             if completed {
-                if merged && M::load(&r.result) == RES_BOT {
-                    M::store(&r.result, M::load(&r.presult));
-                    arm::pwb_arm::<M, ARM>(&r.result);
+                if merged && !r.done() {
+                    r.mark(DONE);
+                    arm::pwb_arm::<M, ARM>(&r.meta);
                     M::psync();
                 }
                 cleanup::<M, ARM>(r, tagged_val, untagged_val, naffect, nnew, del_mask);
@@ -644,15 +645,14 @@ pub unsafe fn help<M: Persist, const ARM: u8>(
             M::pwb(cell);
         }
     }
-    // Link-persist: for a single-affect operation (the queue's enqueue) the
-    // tag-phase psync is merged into the update-phase psync below — the tag
-    // line stays in the coalescing set and is written back together with the
-    // link and the result. Sound because the descriptor and RD_q are already
-    // durable (publish psync'd before help), so a crash image holding any
-    // subset of {tag, link, result} re-runs this idempotent help from
-    // op_recover; see DESIGN.md §12. Multi-affect ops keep the barrier: their
-    // updates must never be durable before the full tag prefix is.
-    if !(arm::is_lp(ARM) && naffect == 1) {
+    // Link-persist: a link operation's tag-phase psync is merged into the
+    // update-phase psync below — the tag line stays in the coalescing set and
+    // is written back together with the link and `DONE`. Sound because the
+    // descriptor and RD_q are already durable (publish psync'd before help),
+    // so a crash image holding any subset of {tag, link, DONE} re-runs this
+    // idempotent help from op_recover; see DESIGN.md §12. Every other update
+    // (the single-affect dequeue too) must never be durable before its tags.
+    if !merged {
         M::psync();
     }
 
@@ -679,10 +679,9 @@ pub unsafe fn help<M: Persist, const ARM: u8>(
         M::psync();
         return HelpOutcome::FailedAt(0);
     }
-    let presult = M::load(&r.presult);
-    debug_assert_ne!(presult, RES_BOT, "presult must be precomputed before publication");
-    M::store(&r.result, presult);
-    arm::pwb_arm::<M, ARM>(&r.result);
+    debug_assert_ne!(M::load(&r.presult), RES_BOT, "presult is precomputed before publication");
+    r.mark(DONE);
+    arm::pwb_arm::<M, ARM>(&r.meta);
     M::psync();
 
     // ---- Cleanup phase --------------------------------------------------
@@ -739,7 +738,7 @@ fn cleanup<M: Persist, const ARM: u8>(
         }
     }
     for n in 0..nnew {
-        let cell = M::load(&r.newset[n]) as *const PWord<M>;
+        let cell = M::load(r.new_slot(n)) as *const PWord<M>;
         // SAFETY: as above.
         let cell = unsafe { &*cell };
         let _ = cell.cas(tagged_val, untagged_val);
@@ -750,8 +749,8 @@ fn cleanup<M: Persist, const ARM: u8>(
 }
 
 /// [`help`] as Op-Recover runs it on the descriptor a crashed process left
-/// published. Returns the operation's `result`: [`RES_BOT`] means it did not
-/// take effect and no longer can.
+/// published. Returns the operation's response, `presult` once `DONE` is
+/// set: [`RES_BOT`] means it did not take effect and no longer can.
 ///
 /// A crash image differs from every state a running system passes through
 /// in one way `help` alone does not cope with: each cell reverts on its own,
@@ -764,8 +763,8 @@ fn cleanup<M: Persist, const ARM: u8>(
 ///   read `expected`; recovery does the same before `help` judges the cell.
 ///   Otherwise the attempt fails on a tag that hides exactly the value it
 ///   expects, recovery restarts the operation, and whoever later finds the
-///   descriptor's tag further down — or, for a single-affect link-persist
-///   enqueue, the link itself — completes it a second time. Not under the
+///   descriptor's tag further down — or, for a link operation, the link
+///   itself — completes it a second time. Not under the
 ///   mapped model: a killed process's page cache keeps every store, no cell
 ///   reverts, and attach dereferences only descriptors it has validated.
 /// * When the attempt does fail, its tag may sit *past* the failing
@@ -782,7 +781,7 @@ pub unsafe fn help_recovering<M: Persist, const ARM: u8>(
 ) -> u64 {
     let r = unsafe { &*info };
     let tagged_val = tag::tagged(info as u64);
-    let naffect = r.naffect();
+    let naffect = r.counts().0;
     if !M::MAPPED {
         for k in 0..naffect {
             let (cell, _) = unsafe { r.affect_at(k) };
@@ -793,7 +792,7 @@ pub unsafe fn help_recovering<M: Persist, const ARM: u8>(
         }
     }
     let done = unsafe { help::<M, ARM>(info, true, guard) } == HelpOutcome::Done;
-    let res = if done { M::load(&r.result) } else { RES_BOT };
+    let res = if done { M::load(&r.presult) } else { RES_BOT };
     if res == RES_BOT {
         let mut untagged = false;
         for k in (0..naffect).rev() {
@@ -873,7 +872,7 @@ mod tests {
         let out = unsafe { help::<M, 0>(info, true, &g) };
         assert_eq!(out, HelpOutcome::Done);
         assert_eq!(w.load(), 200, "write applied");
-        assert_eq!(unsafe { &*info }.result.load(), RES_TRUE);
+        assert!(unsafe { &*info }.done());
         // Cleanup untagged a0, a1 stays deletion-tagged.
         assert_eq!(a0.load(), tag::untagged(info as u64));
         assert_eq!(a1.load(), tag::tagged(info as u64));
@@ -895,7 +894,7 @@ mod tests {
         w.store(777); // someone else moved the world on
 
         // Re-execution (recovery): the tag CAS on a0 fails (the cell now
-        // holds untagged(info) ≠ 0), and the completion check sees `result`
+        // holds untagged(info) ≠ 0), and the completion check sees `DONE`
         // set — the operation already took effect, so help reports Done
         // WITHOUT re-running the write (Algorithm 1's completion check; an
         // invoker that mistook this for failure would re-initialize nodes
@@ -903,13 +902,13 @@ mod tests {
         let out = unsafe { help::<M, 0>(info, true, &g) };
         assert_eq!(out, HelpOutcome::Done);
         assert_eq!(w.load(), 777, "idempotence: update not re-applied");
-        assert_eq!(unsafe { &*info }.result.load(), RES_TRUE, "result survives");
+        assert!(unsafe { &*info }.done(), "DONE survives");
         unsafe { Info::release(info, 3, &g) };
     }
 
-    /// The completion check discriminates on `result`, not the cell value:
+    /// The completion check discriminates on `DONE`, not the cell value:
     /// a *foreign* value (a later operation's tag over our released cell)
-    /// with `result` set is completion, with `result` unset it is failure.
+    /// with `DONE` set is completion, with `DONE` unset it is failure.
     #[test]
     fn foreign_cell_value_is_completion_iff_result_set() {
         let _gate = crate::counters::gate_shared();
@@ -926,7 +925,7 @@ mod tests {
         assert_eq!(
             unsafe { help::<M, 0>(info, true, &g) },
             HelpOutcome::Done,
-            "foreign value + result set = the operation completed"
+            "foreign value + DONE = the operation completed"
         );
         assert_eq!(w.load(), 777, "update not re-applied");
         unsafe { Info::release(info, 3, &g) };
@@ -939,7 +938,7 @@ mod tests {
         assert_eq!(
             unsafe { help::<M, 0>(info2, true, &g) },
             HelpOutcome::FailedAt(0),
-            "foreign value + result unset = genuine failure"
+            "foreign value + no DONE = genuine failure"
         );
         assert_eq!(w2.load(), 100, "failed attempt applies nothing");
         unsafe { Info::release(info2, 3, &g) };
@@ -979,7 +978,7 @@ mod tests {
         assert_eq!(a0.load(), tag::untagged(info as u64), "prefix untagged");
         assert_eq!(a1.load(), 0xdead0, "conflicting cell untouched");
         assert_eq!(w.load(), 100, "update not performed");
-        assert_eq!(unsafe { &*info }.result.load(), RES_BOT);
+        assert!(!unsafe { &*info }.done());
         unsafe { Info::release(info, 3, &g) };
     }
 
@@ -1103,6 +1102,45 @@ mod tests {
         // old has been retired (freed when the collector drains) — we can't
         // touch it; absence of double-free is checked by the collector drop.
         unsafe { Info::release(info, 3, &g) };
+    }
+
+    /// The lines the pre-publication barrier writes back, per descriptor
+    /// shape the structures build (`naffect / nwrite / nnew`): a read-only
+    /// descriptor and both queue operations one, the list's and the BST's
+    /// updates two.
+    #[test]
+    fn each_descriptor_shape_fits_its_line_budget() {
+        let _gate = crate::counters::gate_shared();
+        assert_eq!(std::mem::size_of::<Info<M>>(), 192, "three lines, volatile words included");
+        let shapes = [
+            ("read-only", (1, 0, 0), 1),
+            ("enqueue", (1, 1, 1), 1),
+            ("dequeue", (1, 1, 0), 1),
+            ("list insert", (2, 1, 2), 2),
+            ("list delete", (2, 1, 0), 2),
+            ("BST insert", (2, 1, 3), 2),
+            ("BST delete", (4, 1, 1), 2),
+        ];
+        for (name, (na, nw, nn), lines) in shapes {
+            let info = Box::into_raw(Box::new(Info::<M>::fresh()));
+            unsafe {
+                Info::fill(
+                    info,
+                    &InfoFill {
+                        optype: 1,
+                        affect: &[(0x8, 0); MAX_AFFECT][..na],
+                        write: &[(0x8, 0, 0); MAX_WRITE][..nw],
+                        newset: &[0x8; MAX_NEW][..nn],
+                        del_mask: 0,
+                        presult: RES_TRUE,
+                    },
+                );
+                let (start, len) = (*info).used_range();
+                assert_eq!(start, info as *const u8, "{name}: the range starts at the descriptor");
+                assert_eq!(nvm::flush::lines_in_range(start, len), lines, "{name}");
+                drop(Box::from_raw(info));
+            }
+        }
     }
 
     #[test]

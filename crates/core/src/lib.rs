@@ -11,8 +11,8 @@
 //! lock-free designs: each update installs a descriptor ([`engine::Info`])
 //! in the nodes it affects (tagging = soft-locking them), a per-process
 //! persistent pointer `RD_q` names the descriptor of the attempt in flight,
-//! and a `result` field inside the descriptor — persisted before the
-//! operation unlocks anything — carries the response across the crash.
+//! and the descriptor's precomputed response with its done bit — persisted
+//! before the operation unlocks anything — carries it across the crash.
 //!
 //! ## Structures
 //! * [`hashmap::RHashMap`] — sharded, detectably recoverable hash map: a

@@ -163,9 +163,9 @@ impl<M: Persist> Env<M> {
     }
 
     /// Arms 0/1, an outcome that changes nothing: the ROpt read-only path
-    /// (Algorithm 2, lines 73–77). The response is stored into the
-    /// descriptor before the one barrier that persists it, the descriptor is
-    /// published, and `Help` is never called, so the single affect slot
+    /// (Algorithm 2, lines 73–77). The descriptor, marked done, is persisted
+    /// with its response by one barrier and published, and `Help` is never
+    /// called, so the single affect slot
     /// `seen = (info cell, value read)` is never installed. (Below `Isb-LP`
     /// `publish` is the plain `RD_q` publish, which is also what a `find` —
     /// `CP_q` left at 0 — needs.)
@@ -193,7 +193,7 @@ impl<M: Persist> Env<M> {
                     presult: response,
                 },
             );
-            M::store(&(*info).result, response);
+            (*info).mark(crate::engine::DONE);
             self.persist_descriptor::<ARM>(info);
         }
         self.publish::<ARM>(pid, info, published, g);

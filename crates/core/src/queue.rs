@@ -25,13 +25,12 @@
 //! * **Enqueue(v)**: locate the last node `l` (tail hint + chase);
 //!   AffectSet = `{l}` (update), WriteSet = `{⟨l.next, Null, newnd⟩}`,
 //!   NewSet = `{newnd}`; response = ack. After `Help` completes, swing
-//!   `Tail`.
-//! * **Dequeue()**: read the anchor's info, then the sentinel `s = Head`,
-//!   then `f = s.next` (that order — tag success then freezes each earlier
-//!   read). Empty (`f = Null`): read-only fast path returning `Empty`,
-//!   linearized at the `s.next` read (sound because `next` is monotonic:
-//!   Null → node, never back). Otherwise AffectSet = `{anchor (update),
-//!   s (deletion)}`, WriteSet = `{⟨Head.ptr, s, f⟩}`, response = `f.val`
+//!   `Tail`. Under `Isb-LP` the link decides it (`engine::LINK`).
+//! * **Dequeue()**: read the anchor's info, `s = Head`, `f = s.next`, then
+//!   `s.info` (that order: DESIGN.md §6). Empty (`f = Null`): read-only fast
+//!   path returning `Empty`, linearized at the `s.next` read (sound because
+//!   `next` is monotonic: Null → node, never back). Otherwise AffectSet =
+//!   `{anchor}`, WriteSet = `{⟨Head.ptr, s, f⟩}`, response = `f.val`
 //!   (precomputed, immutable). `s` is retired; `f` becomes the sentinel.
 //!
 //! Pointer freshness holds: `Head.ptr` and `next` fields only ever abandon a
@@ -40,7 +39,7 @@
 
 use crate::arm;
 use crate::engine::{
-    help, res_val, val_of, HelpOutcome, Info, InfoFill, RES_EMPTY, RES_UNIT, RES_VAL_BASE,
+    help, res_val, val_of, HelpOutcome, Info, InfoFill, LINK, RES_EMPTY, RES_UNIT, RES_VAL_BASE,
 };
 use crate::env::Env;
 use crate::graph::{self, Graph};
@@ -228,6 +227,9 @@ impl<M: Persist, const ARM: u8> RQueue<M, ARM> {
                         presult: RES_UNIT,
                     },
                 );
+                if arm::is_lp(ARM) {
+                    (*info).mark(LINK); // the link decides the enqueue (DESIGN.md §4)
+                }
                 arm::pwb_obj_arm::<M, _, ARM>(&*newnd);
                 env.persist_descriptor::<ARM>(info);
             }
@@ -267,11 +269,11 @@ impl<M: Persist, const ARM: u8> RQueue<M, ARM> {
         env.begin::<ARM>(pid, &g);
         let mut published: u64 = 0;
         loop {
-            // Gather order: anchor info, then sentinel, then its info, then next.
+            // Gather order: anchor info, sentinel, its next, its info (DESIGN.md §6).
             let h_info = self.head.info.load();
             let s = self.head.ptr.load() as *mut Node<M>;
-            let s_info = unsafe { (*s).info.load() };
             let f = unsafe { (*s).next.load() };
+            let s_info = unsafe { (*s).info.load() };
             if tag::is_tagged(h_info) {
                 unsafe { help::<M, ARM>(tag::ptr_of(h_info), false, &g) };
                 continue;
@@ -305,13 +307,10 @@ impl<M: Persist, const ARM: u8> RQueue<M, ARM> {
                     info,
                     &InfoFill {
                         optype: optype::DEQ,
-                        affect: &[
-                            (cell_addr(&self.head.info), h_info),
-                            (cell_addr(&(*s).info), s_info),
-                        ],
+                        affect: &[(cell_addr(&self.head.info), h_info)],
                         write: &[(cell_addr(&self.head.ptr), s as u64, f)],
                         newset: &[],
-                        del_mask: 0b10, // the old sentinel is deletion-tagged
+                        del_mask: 0,
                         presult: res_val(fval),
                     },
                 );
@@ -326,7 +325,7 @@ impl<M: Persist, const ARM: u8> RQueue<M, ARM> {
                     return Some(fval);
                 }
                 HelpOutcome::FailedAt(i) => {
-                    unsafe { Info::<M>::release(info, (2 - i) as u32, &g) };
+                    unsafe { Info::<M>::release(info, (1 - i) as u32, &g) };
                 }
             }
         }
@@ -567,13 +566,13 @@ mod tests {
         assert!(stale > 0, "no image rolled the hint back: the test exercises nothing");
     }
 
-    /// A crash image of an `Isb-LP` enqueue may keep its `result` and lose
+    /// A crash image of an `Isb-LP` enqueue may keep its done bit and lose
     /// its tag and its link: one fence window, three lines. When another
     /// process enqueues before the crashed one recovers, its tag and its
     /// link take the cell, and recovery must restart the crashed enqueue,
-    /// not answer it complete from its `result` (DESIGN.md §4). Swept over
-    /// every instruction of the crashed enqueue and 16 images; while the
-    /// `result` decided, fuse 61 of seed 4 lost the value.
+    /// not answer it complete from its done bit (DESIGN.md §4). Swept over
+    /// every instruction of the crashed enqueue and 16 images; when recovery
+    /// decided by the response, fuse 61 of seed 4 lost the value.
     #[test]
     fn lp_enqueue_recovers_by_its_link_not_its_result() {
         use nvm::{sim, SimNvm};
@@ -601,6 +600,53 @@ mod tests {
                 let mut vals = q.snapshot_vals();
                 vals.sort_unstable();
                 assert_eq!(vals, [10, 20, 30], "fuse {fuse} seed {seed}");
+            }
+        }
+        assert!(crashes > 0, "no crash landed: the test exercises nothing");
+    }
+
+    /// An `Isb-LP` dequeue carries no link bit: its write, the head move,
+    /// does not decide it — the head moves on — so it keeps its tag-phase
+    /// `psync`, and an image that holds its head move holds its anchor tag
+    /// too. Without that fence an image may keep the head move and lose the
+    /// tag and the done bit; another process's dequeue then tags the anchor
+    /// over the same expected value, and the crashed dequeue's recovery
+    /// meets a foreign value without its done bit, restarts, and its value
+    /// is lost. Swept over every instruction of the crashed dequeue and 16
+    /// images, with 20 and 30 queued behind an already dequeued 10.
+    #[test]
+    fn lp_dequeue_is_decided_by_its_tag() {
+        use nvm::{sim, SimNvm};
+        let _gate = crate::counters::gate_shared();
+        let _session = crate::simtest::session();
+        let mut crashes = 0;
+        for seed in 0..16 {
+            for fuse in 1.. {
+                sim::reset();
+                nvm::tid::set_tid(1);
+                let mut q = RQueue::<SimNvm, { crate::arm::LP }>::new();
+                for v in [10, 20, 30] {
+                    q.enqueue(1, v);
+                }
+                sim::persist_all();
+                assert_eq!(q.dequeue(1), Some(10));
+                if !crate::simtest::crashed_at(fuse, seed, || {
+                    q.dequeue(1);
+                }) {
+                    break;
+                }
+                crashes += 1;
+                nvm::tid::set_tid(0);
+                let other = q.dequeue(0); // another process, before pid 1 recovers
+                nvm::tid::set_tid(1);
+                let mine = q.recover_dequeue(1);
+                q.scrub();
+                q.heal_tail();
+                q.check_invariants();
+                let mut vals: Vec<u64> = [other, mine].into_iter().flatten().collect();
+                vals.extend(q.snapshot_vals());
+                vals.sort_unstable();
+                assert_eq!(vals, [20, 30], "fuse {fuse} seed {seed}: {other:?} {mine:?}");
             }
         }
         assert!(crashes > 0, "no crash landed: the test exercises nothing");

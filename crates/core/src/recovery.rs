@@ -14,8 +14,9 @@
 //!    `RD_q := opInfo; pwb; psync` ([`RecArea::publish`]).
 //! 4. On recovery ([`RecArea::read`]): `CP_q = 0` or `RD_q = Null` means the
 //!    operation made no changes — restart it. Otherwise `Help(RD_q)` is run
-//!    and the Info's `result` decides: set ⇒ the operation took effect and
-//!    this is its response; unset ⇒ it did not take effect and is re-invoked.
+//!    and the Info's done bit decides: set ⇒ the operation took effect and
+//!    its precomputed response is the answer; unset ⇒ it did not take effect
+//!    and is re-invoked.
 //!
 //! Steps 1–2 as written are arm [`crate::arm::PAPER`]. The hand-tuned arm
 //! ([`crate::arm::TUNED`], "Isb-Opt" in the evaluation) defers the durability
@@ -1170,7 +1171,7 @@ mod tests {
             let g = c.pin();
             assert_eq!(unsafe { op_recover::<M, 0>(&rec, 0, &g) }, Recovered::Restart);
         }
-        // CP = 1, RD → info whose help cannot proceed and result = ⊥ ⇒ restart.
+        // CP = 1, RD → info whose help cannot proceed and is not done ⇒ restart.
         let cell: nvm::PWord<M> = nvm::PWord::new(0xDEAD0);
         let info = Box::into_raw(Box::new(Info::<M>::fresh()));
         unsafe {
@@ -1191,7 +1192,7 @@ mod tests {
             let g = c.pin();
             assert_eq!(unsafe { op_recover::<M, 0>(&rec, 0, &g) }, Recovered::Restart);
         }
-        // CP = 1, RD → info whose help completes ⇒ Completed(result).
+        // CP = 1, RD → info whose help completes ⇒ Completed(presult).
         let cell2: nvm::PWord<M> = nvm::PWord::new(0);
         let info2 = Box::into_raw(Box::new(Info::<M>::fresh()));
         unsafe {
@@ -1301,7 +1302,7 @@ mod tests {
     }
 
     /// The pid's previous operation completed (`CP_q = 1`, `RD_q` → a
-    /// descriptor with its result set), then `before` ran. Crash the next
+    /// descriptor marked done), then `before` ran. Crash the next
     /// invocation at every instruction from `mark_invoked` (or, unmarked,
     /// from the prologue) to its return, over per-word-drop seeds. The
     /// decision is never the previous operation's `Completed`: it is

@@ -98,8 +98,12 @@ pub const MAGIC: u64 = 0x4953_424D_4150_3031;
 /// multi-segment arena — segment directory (`W_SEG_COUNT`, per-segment byte
 /// lengths) and the VA reservation size joined the superblock, and the `PAD`
 /// block state was added for segment-tail filler. Pre-v3 heaps must fail typed
-/// (`BadVersion`) rather than silently attach with an empty directory.
-pub const VERSION: u64 = 3;
+/// (`BadVersion`) rather than silently attach with an empty directory. v4:
+/// the structures' operation descriptor (`isb::engine::Info`) lost its
+/// `result` word to a done bit in its first word and moved its first new-node
+/// entry into its first cache line, so a v3 heap's published descriptors
+/// would be misread; it fails typed (`BadVersion(3)`).
+pub const VERSION: u64 = 4;
 /// Base address requested for fresh heaps: high in the 47-bit user window,
 /// far from the default heap/mmap/stack regions of both parent and child
 /// processes, so cross-process re-attach almost always lands at the same

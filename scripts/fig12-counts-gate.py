@@ -17,8 +17,9 @@ pwb cells scatter because `figures` runs on the process allocator: where a
 node sits relative to a 64-byte boundary decides, per process, whether it
 spans one line or two and what it dedupes against — most of all in the LP
 queue, whose enqueue drains tag, link and new node in one fence window
-(6.5 ... 7.0; on the mapped heap's aligned blocks it is exactly 7.5 with the
-glue). `persist_placement.rs` pins exact counts under a line-aligning
+(5.25 ... 5.43 since the one-line queue descriptors; on the mapped heap's
+aligned blocks it is exactly 6.0 with the glue, `benchmark/`'s `queue_2t`).
+`persist_placement.rs` pins exact counts under a line-aligning
 allocator; this gate watches the *mix* the figures run. What it catches, 3
 mutated runs in 3: with LP's cleanup elision reverted `fig12_map_pwb` /
 `Isb-LP` moves by +0.7 against a tolerance of 0.2.

@@ -30,7 +30,9 @@
 //! back fresh). Of those, the link-persist elisions are the
 //! cleanup write-backs (`put-new` 3 lines, `del-hit` and `deq` 1) and, on
 //! `enq`, the merged tag-phase `psync` and the tail hint nobody reads back
-//! (4 lines, 1 fence).
+//! (4 lines, 1 fence). A queue descriptor is one line, and the dequeue tags
+//! the head anchor alone, so `deq` writes back the anchor's line in its tag
+//! window and again with the head move, and nothing of the old sentinel.
 //!
 //! The server runs one lane, so every request is counted on that lane's tid
 //! and read as a per-tid delta; the mapped heap hands out 64-byte-aligned
@@ -116,16 +118,16 @@ fn one_kv_request_costs_exactly_its_persist_budget() {
         ("del-hit", true, (10, 6)),
         ("del-miss", true, (2, 2)),
         ("get", true, (1, 1)),
-        ("enq", true, (9, 5)),
-        ("deq", true, (10, 6)),
+        ("enq", true, (8, 5)),
+        ("deq", true, (8, 6)),
         ("replay", true, (0, 0)),
         ("put-new", false, (11, 5)),
         ("put-dup", false, (1, 1)),
         ("del-hit", false, (9, 5)),
         ("del-miss", false, (1, 1)),
         ("get", false, (0, 0)),
-        ("enq", false, (8, 4)),
-        ("deq", false, (9, 5)),
+        ("enq", false, (7, 4)),
+        ("deq", false, (7, 5)),
         ("replay", false, (0, 0)),
     ];
     assert_eq!(rows, golden, "(lines, fences) per request");

@@ -151,6 +151,22 @@ fn wrong_version_fails_typed() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// A heap of the previous format — version 3, whose descriptors kept a
+/// response word and their first new-node entry past the first cache line —
+/// fails typed before anything reads a published descriptor.
+#[test]
+fn previous_descriptor_format_fails_typed() {
+    assert_eq!(nvm::mapped::VERSION, 4);
+    let path = tmp("v3");
+    mk_map(&path);
+    patch(&path, 8, &3u64.to_le_bytes()); // word 1: version
+    match map_err(attach(&path)) {
+        MapError::BadVersion(v) => assert_eq!(v, 3),
+        e => panic!("expected BadVersion, got {e}"),
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
 #[test]
 fn invalid_base_fails_typed() {
     let path = tmp("base");

@@ -105,33 +105,39 @@ const GOLDEN_LP: [(&str, GoldenLp); 6] = [
 ];
 
 /// Queue goldens, one row per scenario step (two enqueues, two successful
-/// dequeues, one empty dequeue).
+/// dequeues, one empty dequeue). Every queue descriptor is one line: the
+/// enqueue's 1/1/1 and the dequeue's 1/1/0 (its AffectSet is the anchor
+/// alone) fit the descriptor's first line.
 const QUEUE_ISB: [(&str, Golden); 5] = [
-    ("enqueue-1", (9, 3, 4, 0, 5, true)),
-    ("enqueue-2", (9, 3, 4, 0, 5, true)),
-    ("dequeue-1", (7, 3, 4, 0, 5, true)),
-    ("dequeue-2", (7, 3, 4, 0, 5, true)),
+    ("enqueue-1", (9, 3, 3, 0, 5, true)),
+    ("enqueue-2", (9, 3, 3, 0, 5, true)),
+    ("dequeue-1", (6, 3, 3, 0, 5, true)),
+    ("dequeue-2", (6, 3, 3, 0, 5, true)),
     ("dequeue-empty", (2, 3, 3, 0, 2, false)),
 ];
 
 const QUEUE_OPT: [(&str, Golden); 5] = [
-    ("enqueue-1", (12, 1, 1, 2, 3, true)),
-    ("enqueue-2", (12, 1, 1, 2, 3, true)),
-    ("dequeue-1", (10, 1, 1, 2, 3, true)),
-    ("dequeue-2", (10, 1, 1, 2, 3, true)),
+    ("enqueue-1", (11, 1, 1, 2, 3, true)),
+    ("enqueue-2", (11, 1, 1, 2, 3, true)),
+    ("dequeue-1", (8, 1, 1, 2, 3, true)),
+    ("dequeue-2", (8, 1, 1, 2, 3, true)),
     ("dequeue-empty", (4, 1, 1, 2, 1, false)),
 ];
 
 /// The LP queue merges the tag-phase `psync` into the update-phase one on
-/// enqueue (single-affect help), dropping a whole round trip: `psync` 3 → 2 —
-/// and does not write the tail hint back (no recovery path reads it): 7 → 6.
-/// `enqueue-1` is the first op on a new queue, whose recovery line is fresh:
-/// no glue barrier; every later row follows an op that published.
+/// enqueue (the descriptor's link bit), dropping a whole round trip: `psync`
+/// 3 → 2 — and does not write the tail hint back (no recovery path reads
+/// it). An enqueue writes back its new node, its descriptor, the recovery
+/// line, the tagged and linked node, and the descriptor's done bit; a
+/// dequeue its descriptor, the recovery line, the anchor in the tag window
+/// and again with the head move, and the done bit. `enqueue-1` is the first
+/// op on a new queue, whose recovery line is fresh: no glue barrier; every
+/// later row follows an op that published.
 const QUEUE_LP: [(&str, GoldenLp); 5] = [
-    ("enqueue-1", (6, 2, 0, 0, 1, 2, true)),
-    ("enqueue-2", (6, 2, 1, 1, 1, 2, true)),
-    ("dequeue-1", (7, 1, 1, 1, 1, 3, true)),
-    ("dequeue-2", (7, 1, 1, 1, 1, 3, true)),
+    ("enqueue-1", (5, 2, 0, 0, 1, 2, true)),
+    ("enqueue-2", (5, 2, 1, 1, 1, 2, true)),
+    ("dequeue-1", (5, 1, 1, 1, 1, 3, true)),
+    ("dequeue-2", (5, 1, 1, 1, 1, 3, true)),
     ("dequeue-empty", (0, 0, 1, 1, 0, 0, false)),
 ];
 
