@@ -339,6 +339,13 @@ impl<M: Persist, const ARM: u8> RHashMap<M, ARM> {
     pub fn note_invocation(&self, pid: usize) {
         self.env.note_invocation::<ARM>(pid);
     }
+
+    /// After an operation whose invocation a durable record carried:
+    /// releases `RD_q`'s reference on the record's `prior` if the operation
+    /// moved `RD_q` — see [`crate::env::Env::release_prior`].
+    pub fn release_prior(&self, pid: usize, prior: u64) {
+        self.env.release_prior::<ARM>(pid, prior);
+    }
 }
 
 impl<M: Persist, const ARM: u8> Drop for RHashMap<M, ARM> {

@@ -228,15 +228,34 @@ impl<M: Persist> Env<M> {
     /// argument), then the release of what `Isb-LP`'s glue took out of
     /// `RD_q`. Callers that journal their own intent records around the
     /// structure (write-ahead logs driving a mapped heap) must call this
-    /// **before** writing the intent record. Plain in-process use never
-    /// needs it: an operation's own prologue runs the glue too (under
-    /// `Isb-LP` it then finds the line fresh and persists nothing).
+    /// **before** writing the intent record, unless the record carries
+    /// `RD_q` itself ([`crate::recovery::mark_recorded`]). Plain in-process
+    /// use never needs it: an operation's own prologue runs the glue too
+    /// (under `Isb-LP` it then finds the line fresh and persists nothing).
     pub fn note_invocation<const ARM: u8>(&self, pid: usize) {
         let taken = self.rec.mark_invoked::<ARM>(pid);
         if taken != 0 {
             // SAFETY: the glue durably replaced `taken` in `pid`'s `RD_q`,
             // whose owner is the calling thread: the slot's one release.
             unsafe { Info::<M>::release(tag::ptr_of(taken), 1, &self.collector.pin()) };
+        }
+    }
+
+    /// The end of an operation whose invocation a durable record carried
+    /// ([`crate::recovery::mark_recorded`]), `prior` being the `RD_q` the
+    /// record holds: the operation's prologue released nothing, so `RD_q`'s
+    /// reference on `prior` is released here — once the operation has
+    /// returned, and only if it moved `RD_q`. Released any earlier, a
+    /// retried attempt could draw `prior` back from the descriptor pool and
+    /// publish it, and an effect would then read as "`RD_q` still equals
+    /// `prior`": nothing published. `Isb-LP` only (arms 0/1 record nothing).
+    pub fn release_prior<const ARM: u8>(&self, pid: usize, prior: u64) {
+        const { assert!(arm::is_lp(ARM), "only Isb-LP invocations are recorded") };
+        if prior != 0 && self.rec.published(pid) != prior {
+            // SAFETY: `RD_q` of `pid`, whose owner is the calling thread,
+            // durably names another descriptor now (the publish that moved
+            // it synced): the reference it held on `prior` is released once.
+            unsafe { Info::<M>::release(tag::ptr_of(prior), 1, &self.collector.pin()) };
         }
     }
 }

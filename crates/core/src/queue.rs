@@ -403,6 +403,12 @@ impl<M: Persist, const ARM: u8> RQueue<M, ARM> {
         self.env.note_invocation::<ARM>(pid);
     }
 
+    /// After an operation whose invocation a durable record carried — see
+    /// [`crate::hashmap::RHashMap::release_prior`].
+    pub fn release_prior(&self, pid: usize, prior: u64) {
+        self.env.release_prior::<ARM>(pid, prior);
+    }
+
     /// Structural invariants for a quiescent queue.
     pub fn check_invariants(&mut self) {
         unsafe {

@@ -40,17 +40,55 @@
 //! and the barrier: an operation that follows a no-effect one on the same
 //! pid pays for its invocation nothing at all.
 //!
-//! A caller that needs the glue *earlier* than the operation's own prologue
-//! — the KV service, which must order it before its durable in-flight
-//! record — runs it through [`RecArea::mark_invoked`]. Under `Isb-LP` the
-//! prologue that follows reads the line back fresh and persists nothing
-//! again; arms 0/1 persist `CP_q := 0` a second time (no shipped path marks
-//! an invocation below `Isb-LP`).
+//! A caller that writes intent records of its own around the structure (a
+//! write-ahead log, a request journal) needs the glue *earlier* than the
+//! operation's prologue, before its record: it runs it through
+//! [`RecArea::mark_invoked`]. Under `Isb-LP` the prologue that follows
+//! reads the line back fresh and persists nothing again; arms 0/1 persist
+//! `CP_q := 0` a second time.
+//!
+//! A caller whose durable per-operation record *is* the invocation record
+//! needs no glue at all. The KV service's client slot
+//! ([`crate::resptable`]) stores the lane's `RD_q` as it stands into its
+//! `prior` word before its `pending` word, in one line, and calls
+//! [`mark_recorded`]; the `Isb-LP` prologue that follows consumes the mark
+//! and leaves the line as it is. Step 1's purpose — recovery never
+//! attaching an older operation's completed descriptor to the new one — is
+//! then served by the record: an in-flight request whose pid's `RD_q` still
+//! equals its `prior` published nothing and resolves `Restart`; any other
+//! `RD_q` is one of its own attempts, decided by step 4. `RD_q` keeps its
+//! reference on `prior` until the operation returns
+//! ([`crate::env::Env::release_prior`]), so no attempt can draw that
+//! descriptor back from the pool and make `RD_q == prior` after an effect.
 
 use crate::arm::{CfgWord, KindTag};
 use crate::engine::Info;
 use nvm::pad::CachePadded;
 use nvm::{PWord, Persist, PersistWords, MAX_PROCS};
+use std::cell::Cell;
+
+thread_local! {
+    /// `pid + 1` of an invocation a durable record carries ([`mark_recorded`])
+    /// until its operation's `Isb-LP` prologue consumes it; 0 when none.
+    static RECORDED: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Notes that the calling thread's next `Isb-LP` operation on `pid` has its
+/// invocation recorded by the caller: a durable per-operation record that
+/// holds the `RD_q` of `pid` as it stood, stored before the record's own
+/// in-flight word in one line (the KV client slot's `prior`, see
+/// [`crate::resptable`]). That operation's prologue then runs no glue
+/// ([`RecArea::begin`]), and the caller releases `RD_q`'s old reference
+/// after the operation ([`crate::env::Env::release_prior`]).
+pub fn mark_recorded(pid: usize) {
+    RECORDED.with(|r| r.set(pid + 1));
+}
+
+/// Whether a recorded invocation ([`mark_recorded`]) still waits, on this
+/// thread, for the prologue of its operation.
+pub fn recorded_pending() -> bool {
+    RECORDED.with(|r| r.get() != 0)
+}
 
 /// One process's persistent private recovery variables: two words of one
 /// cache line (the owned layout pads each slot to its own lines, the arena
@@ -152,7 +190,7 @@ impl<M: Persist> RecArea<M> {
     }
 
     #[inline]
-    fn slot(&self, pid: usize) -> &ProcRec<M> {
+    pub(crate) fn slot(&self, pid: usize) -> &ProcRec<M> {
         match &self.slots {
             Slots::Owned(v) => &v[pid],
             Slots::Arena(base) => {
@@ -214,7 +252,10 @@ impl<M: Persist> RecArea<M> {
 
     /// Steps 1–2 of the protocol (see module docs). Returns the *previous*
     /// operation's published info pointer so the caller can release its
-    /// reference-count hold on it.
+    /// reference-count hold on it — `0` under `Isb-LP` after
+    /// [`mark_recorded`] for `pid`: the prologue consumes the mark, runs no
+    /// glue, and `RD_q` keeps its reference until the recording caller
+    /// releases it.
     pub fn begin<const ARM: u8>(&self, pid: usize) -> u64 {
         // `Isb-LP` routes every batched flush through the line set, so a
         // duplicate stand-alone pwb inside one fence window is a flush-diet
@@ -222,12 +263,19 @@ impl<M: Persist> RecArea<M> {
         // re-flush lines, so disarm.
         nvm::coalesce::lint::set_armed(crate::arm::is_lp(ARM));
         let s = self.slot(pid);
-        let taken = Self::glue::<ARM>(s);
+        let recorded = || RECORDED.with(|r| r.get() == pid + 1);
         if crate::arm::is_lp(ARM) {
-            // The glue was the whole prologue: it reset `RD_q` inside its
+            if recorded() {
+                RECORDED.with(|r| r.set(0));
+                return 0;
+            }
+            // The glue is the whole prologue: it resets `RD_q` inside its
             // own barrier, and `CP_q := 1` waits for the first publish.
-            return taken;
+            return Self::glue::<ARM>(s);
         }
+        // Arms 0/1 do more than the glue: no record stands in for them.
+        debug_assert!(!recorded(), "a recorded invocation below Isb-LP");
+        Self::glue::<ARM>(s);
         let prev = s.rd.load();
         s.rd.store(0);
         if crate::arm::is_tuned(ARM) {
@@ -328,11 +376,12 @@ impl<M: Persist> RecArea<M> {
     /// [`crate::env::Env::note_invocation`] does).
     ///
     /// Callers that write their own intent records around a mapped structure
-    /// (write-ahead logs, request journals) must call this *before* logging
-    /// the intent: otherwise a crash between the log write and the
-    /// operation's first instruction leaves `CP_q = 1` pointing at the
-    /// *previous* operation's descriptor, and recovery would hand the new
-    /// operation a stale response.
+    /// (write-ahead logs, request journals) and keep no `prior` in them
+    /// ([`mark_recorded`]) must call this *before* logging the intent:
+    /// otherwise a crash between the log write and the operation's first
+    /// instruction leaves `CP_q = 1` pointing at the *previous* operation's
+    /// descriptor, and recovery would hand the new operation a stale
+    /// response.
     #[must_use = "the reference taken out of RD_q must be released"]
     pub fn mark_invoked<const ARM: u8>(&self, pid: usize) -> u64 {
         Self::glue::<ARM>(self.slot(pid))
@@ -386,6 +435,9 @@ pub unsafe fn op_recover<M: Persist, const ARM: u8>(
     pid: usize,
     guard: &reclaim::Guard<'_>,
 ) -> Recovered {
+    // The replay's placement, not the one of the last operation this thread
+    // ran: arms 0/1 legitimately re-flush a line.
+    nvm::coalesce::lint::set_armed(crate::arm::is_lp(ARM));
     let (cp, rd) = rec.read(pid);
     if cp != 1 || rd == 0 {
         return Recovered::Restart;

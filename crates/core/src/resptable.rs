@@ -17,7 +17,11 @@
 //!   After a crash every in-flight request is resolvable: the attach
 //!   replay's per-pid [`Recovered`] decision says whether the interrupted
 //!   operation took effect, and [`ResponseTable::resolve`] maps that verdict
-//!   onto the slot `pending` names the pid in.
+//!   onto the slot `pending` names the pid in;
+//! * `prior`: the pid's `RD_q` as it stood when the request began. It is
+//!   the request's invocation record — the paper's step 1, `CP_q := 0` —
+//!   kept where the request's own record is, and it is only ever compared
+//!   with `RD_q`, never dereferenced.
 //!
 //! Only sequenced requests come here. A `get` is unsequenced on the wire
 //! (`op_seq = 0`): the service answers it from the map before step 1 and
@@ -33,52 +37,56 @@
 //!    `Recovering`): the client's own slot is in flight under a tid of
 //!    another process, whose recovery has not resolved it yet;
 //! 2. dedup check (`op_seq == last_seq` → replay stored response);
-//! 3. `mark_invoked(pid)` — the system half: `CP_q := 0` (under the arm the
-//!    service ships, `Isb-LP`: the whole `(RD_q, CP_q) := (Null, 0)` line),
-//!    persisted — or, under `Isb-LP`, nothing at all when the line already
-//!    reads `(Null, 0)`: every store that makes it so is made with its
-//!    barrier, so it is durably so already;
-//! 4. [`ResponseTable::begin_op`] — `pending` stored and its line noted
-//!    for write-back, **no fence**. The structure operation's first fence
-//!    drains the note (under every arm an operation with an effect fences
-//!    its descriptor, then publishes it, before any `Help` CAS), so
-//!    `pending` is durable before any effect can be; an operation with no
-//!    effect issues no fence, and the note folds into step 6's write-back;
-//! 5. apply the structure operation (which publishes its own descriptor);
-//! 6. [`ResponseTable::finish_op`] — `resp` stored **before** `last_seq`,
+//! 3. [`ResponseTable::begin_op`] — the pid's `RD_q` stored into `prior`,
+//!    **then** `pending`, and the slot's line noted for write-back, **no
+//!    fence**. The structure operation's first fence drains the note (under
+//!    every arm an operation with an effect fences its descriptor, then
+//!    publishes it, before any `Help` CAS), so `pending` is durable before
+//!    any effect can be; an operation with no effect issues no fence, and
+//!    the note folds into step 5's write-back. `begin_op` also marks the
+//!    invocation recorded ([`crate::recovery::mark_recorded`]): the
+//!    operation's `Isb-LP` prologue runs no invocation glue;
+//! 4. apply the structure operation (which publishes its own descriptor);
+//! 5. [`ResponseTable::finish_op`] — `resp` stored **before** `last_seq`,
 //!    then one write-back of the slot's line and one `psync`. The
 //!    `last_seq` store itself retires the record (`pending.op_seq ==
 //!    last_seq` is no longer in flight); there is no clear step;
+//! 6. release `RD_q`'s reference on `prior` if the operation moved `RD_q`
+//!    ([`crate::env::Env::release_prior`]);
 //! 7. acknowledge on the socket.
 //!
-//! Steps 4 and 6 lean on the slot being **one 64-byte line** (its size is
+//! Steps 3 and 5 lean on the slot being **one 64-byte line** (its size is
 //! asserted below): hardware persists the stores to one line in store order
 //! (Px86), so whatever part of the line reaches media — by a write-back or
-//! by an eviction at any moment — is a prefix of `pending`, `resp`,
-//! `last_seq` as they were stored, and a fence between two of those stores
-//! would order the line only against itself. Step 3 before step 4 is load-bearing:
-//! because `CP_q` is durably zero before `pending` is even stored (an
-//! eviction may persist it at once), a `Completed` replay decision found
-//! behind it can only describe *this* operation — never a stale descriptor
-//! of the previous one (see
-//! [`RecArea::mark_invoked`](crate::recovery::RecArea::mark_invoked)).
-//! Step 6's store order makes the pair atomic for readers: `op_seq ==
-//! last_seq` proves `resp` is that operation's response, for a live reader
-//! (release/acquire) and in every crash image (line order) alike.
+//! by an eviction at any moment — is a prefix of `prior`, `pending`,
+//! `resp`, `last_seq` as they were stored, and a fence between two of
+//! those stores would order the line only against itself. `prior` before
+//! `pending` is load-bearing: a request found in flight has its `prior` on
+//! media, and [`ResponseTable::resolve`] answers `Restart` while the pid's
+//! `RD_q` still equals it — the request published nothing, and whatever
+//! `RD_q` names is an earlier request's descriptor, whose `Completed` is
+//! not this request's. Any other `RD_q` is one of this request's own
+//! attempts: only the lane writes it, and it holds its reference on
+//! `prior` until step 6, so no attempt can draw that address back from the
+//! descriptor pool. Step 5's store order makes the pair atomic for
+//! readers: `op_seq == last_seq` proves `resp` is that operation's
+//! response, for a live reader (release/acquire) and in every crash image
+//! (line order) alike.
 //!
-//! Crash windows, per step: before 4, or with `pending` not yet on media →
+//! Crash windows, per step: before 3, or with `pending` not yet on media →
 //! not in flight, decision ignored, client retry re-applies as fresh: the
 //! operation published nothing (its first fence had not drained `pending`),
 //! so it took no effect and recovery would only restart it. From the first
-//! fence after 4 to the end of 6 → in flight; `Completed(res)` finalizes
-//! `res` exactly as step 6 would (re-finalizing a half-written pair writes
+//! fence after 3 to the end of 5 → in flight; `Completed(res)` finalizes
+//! `res` exactly as step 5 would (re-finalizing a half-written pair writes
 //! the same words), `Restart` clears `pending` and the retry re-applies.
-//! After 6 → the retry is a dedup hit. In every window the operation
+//! After 5 → the retry is a dedup hit. In every window the operation
 //! applies exactly once and the response the client eventually reads is
 //! the original. The transitions are generic over the persistency model,
 //! and the tests below crash them at every instruction under
-//! [`nvm::SimNvm`] with the slot declared one line
-//! ([`nvm::sim::declare_line`]) — the model that makes the argument true.
+//! [`nvm::SimNvm`] with the slot and the recovery line each declared one
+//! line ([`nvm::sim::declare_line`]) — the model that makes the argument
+//! true.
 //!
 //! # GC / ack watermark
 //!
@@ -94,7 +102,7 @@
 //! slot whose owner might still retry.
 
 use crate::engine::RES_BOT;
-use crate::recovery::{rootkeys, AttachError, Recovered};
+use crate::recovery::{rootkeys, AttachError, RecArea, Recovered};
 use nvm::mapped::{MappedHeap, MappedNvm};
 use nvm::{PWord, Persist};
 use std::sync::Arc;
@@ -135,7 +143,9 @@ struct ClientSlot<M: Persist> {
     /// `(tid << 56) | op_seq` of the newest request begun for this client;
     /// in flight iff `op_seq == last_seq + 1`.
     pending: PWord<M>,
-    _pad: [u64; 4],
+    /// `RD_q` of that request's tid when it began; stored before `pending`.
+    prior: PWord<M>,
+    _pad: [u64; 3],
 }
 
 impl<M: Persist> ClientSlot<M> {
@@ -146,12 +156,15 @@ impl<M: Persist> ClientSlot<M> {
         (op_seq == self.last_seq.load() + 1).then_some(((pending >> SEQ_BITS) as usize, op_seq))
     }
 
-    /// Records `op_seq` as in flight under `tid` and notes the slot's line
-    /// for write-back without a fence: the operation's first fence drains
-    /// it before any effect can become durable, and an operation with no
-    /// effect folds the note into [`ClientSlot::finalize`]'s write-back.
-    fn begin(&self, tid: usize, op_seq: u64) {
+    /// Records `op_seq` as in flight under `tid`, whose `RD_q` reads
+    /// `prior`, and notes the slot's line for write-back without a fence:
+    /// the operation's first fence drains it before any effect can become
+    /// durable, and an operation with no effect folds the note into
+    /// [`ClientSlot::finalize`]'s write-back. `prior` is stored first, so
+    /// no prefix of the line shows `pending` without it.
+    fn begin(&self, tid: usize, op_seq: u64, prior: u64) {
         assert!(tid < nvm::MAX_PROCS && op_seq <= MAX_OP_SEQ, "pending word out of range");
+        self.prior.store(prior);
         self.pending.store((tid as u64) << SEQ_BITS | op_seq);
         M::pwb_coal(&self.pending);
     }
@@ -168,12 +181,16 @@ impl<M: Persist> ClientSlot<M> {
         M::psync();
     }
 
-    /// Disposes of the request in flight under `tid` (if any) by `decision`:
-    /// `Completed` finalizes, `Restart` clears `pending`. Either way the
-    /// slot is no longer in flight, so a second call is a no-op.
-    fn resolve(&self, tid: usize, decision: Recovered) -> Option<Resolution> {
+    /// Disposes of the request in flight under `tid` (if any) by `decision`,
+    /// the Op-Recover verdict on `rd`, `tid`'s `RD_q`: `Completed` finalizes,
+    /// `Restart` clears `pending` — and so does `rd == prior`, whatever the
+    /// verdict: the request published nothing, and the descriptor `rd`
+    /// names is an earlier request's. Either way the slot is no longer in
+    /// flight, so a second call is a no-op.
+    fn resolve(&self, tid: usize, rd: u64, decision: Recovered) -> Option<Resolution> {
         let (_, op_seq) = self.inflight().filter(|&(t, _)| t == tid)?;
         let client_id = self.id.load();
+        let decision = if rd == self.prior.load() { Recovered::Restart } else { decision };
         Some(match decision {
             Recovered::Completed(resp) if resp != RES_BOT => {
                 self.finalize(op_seq, resp);
@@ -192,6 +209,7 @@ impl<M: Persist> ClientSlot<M> {
     /// with the old `pending` (which [`ClientSlot::validate`] refuses).
     fn wipe(&self) {
         self.pending.store(0);
+        self.prior.store(0);
         self.resp.store(0);
         self.last_seq.store(0);
         M::pwb(&self.last_seq);
@@ -273,6 +291,8 @@ pub enum Resolution {
 pub struct ResponseTable {
     _heap: Arc<MappedHeap>,
     base: *mut u8,
+    /// The heap-wide recovery slots, whose `RD_q` a request's `prior` holds.
+    rec: Arc<RecArea<MappedNvm>>,
 }
 
 // SAFETY: the raw base points into the heap mapping, which `_heap` keeps
@@ -301,7 +321,11 @@ impl ResponseTable {
     /// so healing here would race their slot updates).
     pub(crate) fn open(heap: &Arc<MappedHeap>) -> Result<Self, AttachError> {
         let (base, fresh) = heap.root_alloc(rootkeys::RESPTAB, Self::bytes())?;
-        let t = Self { _heap: Arc::clone(heap), base };
+        let (rec_base, _) =
+            heap.root_alloc(rootkeys::RECAREA, RecArea::<MappedNvm>::slots_bytes())?;
+        // SAFETY: the heap's committed recovery-slot block, alive with `_heap`.
+        let rec = Arc::new(unsafe { RecArea::attach_raw(rec_base) });
+        let t = Self { _heap: Arc::clone(heap), base, rec };
         let magic = t.header().load();
         if fresh || magic == 0 {
             t.header().store(MAGIC);
@@ -420,16 +444,26 @@ impl ResponseTable {
     }
 
     /// Records `op_seq` as in flight for the registered client `client_id`
-    /// under `pid`, with the slot's line noted but not fenced: the
-    /// structure operation's first fence makes it durable, and
-    /// [`ResponseTable::finish_op`] drains it if no fence came. Call
-    /// **after** [`crate::recovery::RecArea::mark_invoked`] (see module
-    /// docs) and before the structure operation's first instruction, on the
-    /// thread that runs both. The wire opcode and argument are not recorded:
-    /// resolution never re-applies.
+    /// under `pid`, with `pid`'s `RD_q` as its `prior`, and the slot's line
+    /// noted but not fenced: the structure operation's first fence makes it
+    /// durable, and [`ResponseTable::finish_op`] drains it if no fence
+    /// came. This is the invocation record (see module docs): call it
+    /// before the structure operation's first instruction, on the thread
+    /// that runs both, and no invocation glue — the operation's `Isb-LP`
+    /// prologue consumes the mark this leaves instead; after the
+    /// operation, release `RD_q`'s hold on [`ResponseTable::prior`]. The
+    /// wire opcode and argument are not recorded: resolution never
+    /// re-applies.
     pub fn begin_op(&self, pid: usize, client_id: u64, op_seq: u64, _op: u64, _arg: u64) {
         let idx = self.find(client_id).expect("begin_op follows register");
-        self.client(idx).begin(pid, op_seq);
+        self.client(idx).begin(pid, op_seq, self.rec.published(pid));
+        crate::recovery::mark_recorded(pid);
+    }
+
+    /// The `prior` the newest [`ResponseTable::begin_op`] of the client at
+    /// `client_idx` recorded.
+    pub fn prior(&self, client_idx: usize) -> u64 {
+        self.client(client_idx).prior.load()
     }
 
     /// Durably finalizes the response into the client slot, which also
@@ -444,12 +478,15 @@ impl ResponseTable {
     /// wiring. Idempotent: once resolved, the slot is no longer in flight
     /// and later calls are no-ops.
     ///
-    /// `Completed(res)` finalizes `res` as the request's response (the
-    /// write-ordering argument in the module docs is what makes the
-    /// decision attributable to this op-ID); `Restart` clears `pending` so
-    /// the client's retry re-applies.
+    /// `Completed(res)` finalizes `res` as the request's response, unless
+    /// `pid`'s `RD_q` still equals the slot's `prior` (the module docs'
+    /// write-ordering argument: then the request published nothing, and the
+    /// decision is an earlier request's); `Restart` clears `pending` so the
+    /// client's retry re-applies. Call it while `RD_q` still holds what the
+    /// decision was computed from.
     pub fn resolve(&self, pid: usize, decision: Recovered) -> Option<Resolution> {
-        (0..CLIENT_SLOTS).find_map(|idx| self.client(idx).resolve(pid, decision))
+        let rd = self.rec.published(pid);
+        (0..CLIENT_SLOTS).find_map(|idx| self.client(idx).resolve(pid, rd, decision))
     }
 
     /// `true` when `client_id`'s slot is in flight under a pid *outside*
@@ -475,7 +512,8 @@ impl ResponseTable {
             let s = self.client(idx);
             let id = s.id.load();
             if id == 0 || id == TOMBSTONE {
-                if s.last_seq.load() != 0 || s.resp.load() != 0 || s.pending.load() != 0 {
+                let residue = [&s.last_seq, &s.resp, &s.pending, &s.prior];
+                if residue.iter().any(|w| w.load() != 0) {
                     // Registration tore before the ID stamp persisted but
                     // after other words landed — impossible under the
                     // live ordering (ID is persisted at claim), yet cheap
@@ -525,9 +563,13 @@ impl ResponseTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{res_val, RES_FALSE, RES_TRUE};
+    use crate::engine::{help, res_val, Info, InfoFill, RES_FALSE, RES_TRUE};
+    use crate::op::cell_addr;
+    use crate::pool::PoolItem;
+    use crate::recovery::op_recover;
     use crate::simtest::crashed_at;
     use nvm::{sim, SimNvm};
+    use reclaim::Collector;
 
     fn mk(name: &str) -> (Arc<MappedHeap>, ResponseTable) {
         let path =
@@ -563,12 +605,19 @@ mod tests {
         t.finish_op(5, idx, 3, RES_FALSE);
         t.begin_op(5, 9, 4, 5, 0);
         assert_eq!(t.resolve(6, Recovered::Restart), None, "another pid's decision");
+        // `RD_q` still reads the request's `prior`: it published nothing,
+        // and the verdict is an earlier request's.
+        let r = t.resolve(5, Recovered::Completed(res_val(77))).unwrap();
+        assert_eq!(r, Resolution::Restarted { client_id: 9, op_seq: 4 });
+        t.begin_op(5, 9, 4, 5, 0);
+        t.rec.publish(5, 0x40); // an attempt of its own
         let r = t.resolve(5, Recovered::Completed(res_val(123))).unwrap();
         assert_eq!(r, Resolution::Finalized { client_id: 9, op_seq: 4, resp: res_val(123) });
         assert_eq!(t.lookup(9), Some((4, res_val(123))));
         assert_eq!(t.resolve(5, Recovered::Restart), None, "idempotent");
 
         t.begin_op(5, 9, 5, 1, 7);
+        assert_eq!(t.prior(idx), 0x40, "the next request records RD_q as it stands");
         let r = t.resolve(5, Recovered::Restart).unwrap();
         assert_eq!(r, Resolution::Restarted { client_id: 9, op_seq: 5 });
         assert_eq!(t.lookup(9), Some((4, res_val(123))), "watermark untouched");
@@ -650,18 +699,19 @@ mod tests {
     const TID: usize = 9;
     const OLD: (u64, u64) = (4, RES_FALSE);
     const NEW: (u64, u64) = (5, RES_TRUE);
+    const LP: u8 = crate::arm::LP;
 
-    fn words(s: &ClientSlot<SimNvm>) -> [u64; 4] {
-        [s.id.peek(), s.last_seq.peek(), s.resp.peek(), s.pending.peek()]
+    fn words(s: &ClientSlot<SimNvm>) -> [u64; 5] {
+        [s.id.peek(), s.last_seq.peek(), s.resp.peek(), s.pending.peek(), s.prior.peek()]
     }
 
     /// A registered slot, declared one line, whose `words` are the durable
     /// state: acknowledged through `OLD` when fresh, a crash image when
     /// re-installed. Words built before it (the stand-ins) are durable too.
-    fn durable_slot(words: [u64; 4]) -> Box<ClientSlot<SimNvm>> {
-        let [id, last_seq, resp, pending] = words.map(PWord::new);
-        let s = Box::new(ClientSlot { id, last_seq, resp, pending, _pad: [0; 4] });
-        sim::declare_line(&[&s.id, &s.last_seq, &s.resp, &s.pending]);
+    fn durable_slot(words: [u64; 5]) -> Box<ClientSlot<SimNvm>> {
+        let [id, last_seq, resp, pending, prior] = words.map(PWord::new);
+        let s = Box::new(ClientSlot { id, last_seq, resp, pending, prior, _pad: [0; 3] });
+        sim::declare_line(&[&s.id, &s.last_seq, &s.resp, &s.pending, &s.prior]);
         sim::persist_all();
         s
     }
@@ -669,60 +719,133 @@ mod tests {
     /// What every crash image of a slot must satisfy: it validates and
     /// never shows the new watermark beside the old response.
     fn check_image(slot: &ClientSlot<SimNvm>, ctx: &str) {
-        let [_, last_seq, resp, _] = words(slot);
+        let [_, last_seq, resp, _, _] = words(slot);
         assert!(last_seq != NEW.0 || resp == NEW.1, "{ctx}: new watermark, old response");
         slot.validate().unwrap_or_else(|e| panic!("{ctx}: {e}"));
     }
 
-    /// The whole crash argument lives in one slot, so it is checked there,
-    /// under the line model that makes it true. First crash `begin` → the
-    /// operation's first fence and publish (stand-in: `RD_q`, another line)
-    /// → its effect (stand-in: one word its `Help` CASes, durable whenever
-    /// the adversary likes) → `finalize` at every instruction over every
-    /// seed, and check each image: besides [`check_image`], an operation
-    /// whose effect is durable is never retired at the old watermark (the
-    /// retry would apply it twice). Then hand each image to resolve under
-    /// the decisions recovery could reach, crash *that* at every
-    /// instruction too, and resolve again: idempotent, and the answer the
-    /// decision names.
+    /// Fills `info` to tag `tag`, expected to read `expected`, and (if
+    /// given) to move `effect` 0 → 1, answering `presult`.
+    fn fill<M: Persist>(
+        info: *mut Info<M>,
+        (tag, expected): (&PWord<M>, u64),
+        effect: Option<&PWord<M>>,
+        presult: u64,
+    ) -> *mut Info<M> {
+        let write: Vec<_> = effect.iter().map(|w| (cell_addr(*w), 0, 1)).collect();
+        let affect = [(cell_addr(tag), expected)];
+        let f = InfoFill {
+            optype: 1,
+            affect: &affect,
+            write: &write,
+            newset: &[],
+            del_mask: 0,
+            presult,
+        };
+        // SAFETY: a descriptor drawn for the caller, not yet published.
+        unsafe { Info::fill(info, &f) };
+        info
+    }
+
+    /// A fresh boxed descriptor, [`fill`]ed; the caller frees it.
+    fn descriptor<M: Persist>(tag: &PWord<M>, effect: &PWord<M>, presult: u64) -> *mut Info<M> {
+        fill(Box::into_raw(Box::new(Info::fresh())), (tag, 0), Some(effect), presult)
+    }
+
+    /// The whole crash argument lives in two lines, the client slot and
+    /// the lane's recovery line `(RD_q, CP_q)`, so it is checked there,
+    /// under the line model that makes it true. Request `OLD.0` published
+    /// descriptor X and completed (`RD_q` = X, `CP_q` = 1, answer
+    /// `OLD.1`). Crash request `NEW.0` at every instruction over every seed
+    /// — `begin` (`prior` = X) → either no publish, or the operation's
+    /// first fence, its publish of descriptor Y and Y's `Help` (one effect
+    /// word) → `finalize` — and check each image: besides [`check_image`],
+    /// an operation whose effect is durable is never retired at the old
+    /// watermark (the retry would apply it twice). Resolve each image as
+    /// the attach does, by Op-Recover on the recovery line: never to X's
+    /// answer, and `Restart` only with the effect off media. Then hand each
+    /// image to resolve under the decisions recovery could reach, crash
+    /// *that* at every instruction too, and resolve again: idempotent, and
+    /// the answer the decision names.
+    ///
+    /// Mutation-checked: with `resolve` ignoring `prior`, or with `begin`
+    /// storing `prior` after `pending`, an image resolves to X's `OLD.1`.
     #[test]
     fn sim_crash_at_every_instruction_of_begin_finalize_resolve() {
         let _session = crate::simtest::session();
         nvm::tid::set_tid(0);
+        let c = Collector::new();
         let mut images = Vec::new();
-        for seed in 0..64u64 {
-            for fuse in 1.. {
-                sim::reset();
-                let [publish, effect] = [0, 0].map(|v| Box::new(PWord::<SimNvm>::new(v)));
-                let slot = durable_slot([7, OLD.0, OLD.1, 0]);
-                let mut begun = false;
-                let crashed = crashed_at(fuse, seed, || {
-                    slot.begin(TID, NEW.0);
-                    begun = true;
-                    SimNvm::pfence(); // the descriptor's (`Env::persist_descriptor`)
-                    publish.store(1);
-                    SimNvm::pwb(&publish);
-                    SimNvm::psync();
-                    effect.store(1);
-                    slot.finalize(NEW.0, NEW.1);
-                });
-                let image = words(&slot);
-                let ctx = format!("fuse {fuse} seed {seed}: {image:?}");
-                check_image(&slot, &ctx);
-                if effect.peek() == 1 {
+        for publishes in [false, true] {
+            for seed in 0..64u64 {
+                for fuse in 1.. {
+                    sim::reset();
+                    // X's tag cell and effect word, then Y's.
+                    let cells: [Box<PWord<SimNvm>>; 4] = [(); 4].map(|_| Box::new(PWord::new(0)));
+                    cells.iter().for_each(|w| w.store(0)); // registers the words
+                    let (x, y) = (
+                        descriptor(&cells[0], &cells[1], OLD.1),
+                        descriptor(&cells[2], &cells[3], NEW.1),
+                    );
+                    let rec = RecArea::<SimNvm>::new();
+                    rec.publish_arm::<LP>(TID, x as u64);
+                    // SAFETY: `x` is filled and live until the iteration ends.
+                    unsafe { help::<SimNvm, LP>(x, true, &c.pin()) };
+                    sim::persist_all();
+                    let line = rec.slot(TID);
+                    sim::declare_line(&[&line.rd, &line.cp]);
+                    let slot = durable_slot([7, OLD.0, OLD.1, (TID as u64) << SEQ_BITS | OLD.0, 0]);
+                    let mut begun = false;
+                    let crashed = crashed_at(fuse, seed, || {
+                        slot.begin(TID, NEW.0, rec.published(TID));
+                        begun = true;
+                        if publishes {
+                            SimNvm::pfence(); // the descriptor's (`Env::persist_descriptor`)
+                            rec.publish_arm::<LP>(TID, y as u64);
+                            // SAFETY: as `x`.
+                            unsafe { help::<SimNvm, LP>(y, true, &c.pin()) };
+                        }
+                        slot.finalize(NEW.0, NEW.1);
+                    });
+                    let (image, rd) = (words(&slot), rec.published(TID));
+                    let effect = cells[3].peek() == 1;
+                    let ctx = format!("publishes {publishes} fuse {fuse} seed {seed}: {image:?}");
+                    check_image(&slot, &ctx);
                     let finalized = (image[1], image[2]) == NEW;
-                    let in_flight = slot.inflight() == Some((TID, NEW.0));
-                    assert!(in_flight || finalized, "{ctx}: effect durable, slot not in flight");
+                    if effect {
+                        let in_flight = slot.inflight() == Some((TID, NEW.0));
+                        assert!(
+                            in_flight || finalized,
+                            "{ctx}: effect durable, slot not in flight"
+                        );
+                    }
+                    // SAFETY: the recovery line names `x` or `y`, both live.
+                    let decision = unsafe { op_recover::<SimNvm, 0>(&rec, TID, &c.pin()) };
+                    match slot.resolve(TID, rd, decision) {
+                        Some(Resolution::Finalized { resp, .. }) => {
+                            assert_eq!(resp, NEW.1, "{ctx}: resolved to request {}'s answer", OLD.0)
+                        }
+                        Some(Resolution::Restarted { .. }) => {
+                            assert!(!effect, "{ctx}: a durable effect restarted: applied twice")
+                        }
+                        // Not in flight: acknowledged, or `pending` off
+                        // media and so (above) no effect either.
+                        None => {}
+                    }
+                    // SAFETY: nothing refers to them past this iteration.
+                    for info in [x, y] {
+                        drop(unsafe { Box::from_raw(info) });
+                    }
+                    if !crashed {
+                        assert!(finalized, "an uncrashed run ends acknowledged");
+                        break;
+                    }
+                    images.push((seed, fuse, image, begun, rd, rd == y as u64));
                 }
-                if !crashed {
-                    assert_eq!((image[1], image[2]), NEW, "an uncrashed run ends acknowledged");
-                    break;
-                }
-                images.push((seed, fuse, image, begun, publish.peek() == 1));
             }
         }
         let mut resolved = 0;
-        for &(seed, fuse, image, begun, published) in &images {
+        for &(seed, fuse, image, begun, rd, published) in &images {
             for decision in [Recovered::Completed(NEW.1), Recovered::Restart] {
                 // Recovery completes an operation whose descriptor is
                 // durably published, and only such a one.
@@ -734,23 +857,23 @@ mod tests {
                     let slot = durable_slot(image);
                     let was_inflight = slot.inflight().is_some();
                     let crashed2 = crashed_at(fuse2, seed ^ (fuse2 << 8), || {
-                        slot.resolve(TID, decision);
+                        slot.resolve(TID, rd, decision);
                     });
                     let ctx = format!("fuse {fuse}/{fuse2} seed {seed} {decision:?}");
                     check_image(&slot, &ctx);
-                    let first = slot.resolve(TID, decision);
+                    let first = slot.resolve(TID, rd, decision);
                     assert!(first.is_none() || (crashed2 && was_inflight));
-                    assert_eq!(slot.resolve(TID, decision), None, "resolve is idempotent");
+                    assert_eq!(slot.resolve(TID, rd, decision), None, "resolve is idempotent");
                     assert_eq!(slot.inflight(), None);
                     slot.validate().unwrap();
                     resolved += 1;
-                    let [id, last_seq, resp, _] = words(&slot);
+                    let [id, last_seq, resp, _, _] = words(&slot);
                     assert_eq!(id, 7);
                     match decision {
-                        // The publish is durable, so `pending` is: the
-                        // fence before it drained `begin`'s write-back.
-                        // Either the slot was still in flight and is now
-                        // finalized, or `finalize` completed.
+                        // The publish is durable, so `pending` and `prior`
+                        // are: the fence before it drained `begin`'s
+                        // write-back. Either the slot was still in flight
+                        // and is now finalized, or `finalize` completed.
                         Recovered::Completed(_) => assert_eq!((last_seq, resp), NEW, "{ctx}"),
                         // The old watermark may sit beside the new response
                         // when the crash hit `finalize`: the client has
@@ -768,7 +891,75 @@ mod tests {
             }
         }
         let n = images.len();
-        assert!(n >= 64 * 10 && resolved > n, "the sweep ran: {n} / {resolved}");
+        assert!(n >= 2 * 64 * 10 && resolved > n, "the sweep ran: {n} / {resolved}");
+    }
+
+    /// `RD_q`'s reference on a recorded request's `prior` is held until the
+    /// operation returns, checked with a pool that hands a released
+    /// descriptor straight back. Request `OLD.0` left X in `RD_q`, a done
+    /// descriptor that never went through `Help` (the read-only answer's
+    /// shape): private, so its last release returns it to this thread's
+    /// free list at once. Request `NEW.0` is recorded; its operation's
+    /// first attempt fails, and the retry takes effect. Released at that
+    /// first publish, X is what the retry draws, so `RD_q == prior` after
+    /// a real effect and a kill there resolves `Restart` — the client's
+    /// retry would apply it twice. Held, the kill finalizes, and X returns
+    /// to the pool only once the operation has returned.
+    #[test]
+    fn a_recorded_request_holds_its_prior_until_the_operation_returns() {
+        use crate::engine::{HelpOutcome, DONE};
+        use crate::env::Env;
+        type C = nvm::CountingNvm;
+        let _gate = crate::counters::gate_shared();
+        nvm::tid::set_tid(TID);
+        let env = Env::<C>::volatile();
+        let g = env.collector.pin();
+        // X's tag cell, then the retry's tag cell and its effect word.
+        let cells: [PWord<C>; 3] = [0, 0, 0].map(PWord::new);
+        env.begin::<LP>(TID, &g);
+        let x = fill(env.alloc_info(), (&cells[0], 0), None, OLD.1);
+        // SAFETY: `x` is live; the release is its never-installed affect slot.
+        unsafe {
+            (*x).mark(DONE);
+            env.persist_descriptor::<LP>(x);
+            Info::release(x, 1, &g);
+        }
+        env.publish::<LP>(TID, x, &mut 0, &g);
+
+        let slot = ClientSlot::<C> {
+            id: PWord::new(7),
+            last_seq: PWord::new(OLD.0),
+            resp: PWord::new(OLD.1),
+            pending: PWord::new(0),
+            prior: PWord::new(0),
+            _pad: [0; 3],
+        };
+        slot.begin(TID, NEW.0, env.rec.published(TID));
+        crate::recovery::mark_recorded(TID);
+        env.begin::<LP>(TID, &g);
+        assert!(!crate::recovery::recorded_pending(), "the prologue consumed the record");
+        let mut published = 0;
+        let failed = fill(env.alloc_info(), (&cells[1], 0xBAD0), None, NEW.1);
+        // SAFETY: drawn and filled above, live while published.
+        unsafe { env.persist_descriptor::<LP>(failed) };
+        env.publish::<LP>(TID, failed, &mut published, &g);
+        assert!(matches!(unsafe { help::<C, LP>(failed, true, &g) }, HelpOutcome::FailedAt(0)));
+        let retry = fill(env.alloc_info(), (&cells[1], 0), Some(&cells[2]), NEW.1);
+        // SAFETY: as `failed`.
+        unsafe { env.persist_descriptor::<LP>(retry) };
+        env.publish::<LP>(TID, retry, &mut published, &g);
+        assert!(matches!(unsafe { help::<C, LP>(retry, true, &g) }, HelpOutcome::Done));
+        assert_eq!(cells[2].load(), 1, "the effect");
+
+        // Killed here, the request resolves to its own answer.
+        // SAFETY: `RD_q` names `retry`, live.
+        let decision = unsafe { op_recover::<C, 0>(&env.rec, TID, &g) };
+        let resolution = slot.resolve(TID, env.rec.published(TID), decision);
+        let finalized = Resolution::Finalized { client_id: 7, op_seq: NEW.0, resp: NEW.1 };
+        assert_eq!(resolution, Some(finalized), "an effect behind RD_q == prior");
+        // Returned: the hold ends, once, and the pool hands X out again.
+        env.release_prior::<LP>(TID, x as u64);
+        assert_eq!(env.alloc_info(), x, "RD_q's reference on prior released");
     }
 
     /// `validate_heal`'s two slot writes — the wipe of a torn registration
@@ -789,14 +980,15 @@ mod tests {
             for seed in 0..32u64 {
                 for fuse in 1.. {
                     sim::reset();
-                    let slot = durable_slot([id, 3, RES_TRUE, (TID as u64) << SEQ_BITS | 4]);
+                    let pending = (TID as u64) << SEQ_BITS | 4;
+                    let slot = durable_slot([id, 3, RES_TRUE, pending, 0x40]);
                     let crashed = crashed_at(fuse, seed, || heal(&slot));
                     images += 1;
                     let image = words(&slot);
                     let ctx = format!("id {id} fuse {fuse} seed {seed}: {image:?}");
                     match image[0] {
                         0 => {}
-                        TOMBSTONE => assert_eq!(image[1..], [0, 0, 0], "{ctx}: residue"),
+                        TOMBSTONE => assert_eq!(image[1..], [0; 4], "{ctx}: residue"),
                         _ => {
                             if let Err(reason) = slot.validate() {
                                 let e = AttachError::CorruptResponseTable { slot: 0, reason };
@@ -805,7 +997,7 @@ mod tests {
                         }
                     }
                     heal(&slot);
-                    assert_eq!(words(&slot), [healed_id, 0, 0, 0], "{ctx}: healing again");
+                    assert_eq!(words(&slot), [healed_id, 0, 0, 0, 0], "{ctx}: healing again");
                     if !crashed {
                         break;
                     }

@@ -578,8 +578,21 @@ fn construct_entry(env: &AttachEnv, e: &CatalogEntry) -> Result<Box<dyn SlotOps>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::RES_TRUE;
     use crate::env::Env;
     use crate::recovery::Recovered;
+
+    /// The client of the response-table tests, and its map.
+    const CLIENT: u64 = 7;
+    type LpMap = RHashMap<MappedNvm, { crate::arm::LP }>;
+
+    /// Alive: this process alone.
+    struct OnlyUs;
+    impl nvm::liveness::PidLiveness for OnlyUs {
+        fn is_alive(&self, pid: u64, _birth: u64) -> bool {
+            pid == std::process::id() as u64
+        }
+    }
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let p = std::env::temp_dir().join(format!(
@@ -829,13 +842,6 @@ mod tests {
     #[test]
     fn recover_peer_completes_a_dead_peers_stack_operations() {
         use crate::engine::{res_val, RES_UNIT};
-        /// Alive: this process alone.
-        struct OnlyUs;
-        impl nvm::liveness::PidLiveness for OnlyUs {
-            fn is_alive(&self, pid: u64, _birth: u64) -> bool {
-                pid == std::process::id() as u64
-            }
-        }
         let _gate = crate::counters::gate_shared();
         nvm::tid::set_tid(0);
         let path = tmp("peerstack");
@@ -920,6 +926,63 @@ mod tests {
         assert!(decisions.is_empty(), "nothing ran under a torn claim");
         assert!(!store.heap().participants().iter().any(|&(s, _, _)| s == torn));
         assert!(store.recover_peer(torn).unwrap().is_none(), "second reclaim is a no-op");
+        drop(store);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// A request recorded on lane `pid` behind an acknowledged one: request
+    /// 1, a put, published its descriptor and was acknowledged; request 2
+    /// was recorded and died before it published anything. Returns the
+    /// handles the caller keeps alive.
+    fn ack_then_record(store: &Store, pid: usize) -> Arc<LpMap> {
+        let (m, tab) = (store.get::<LpMap>("kv", 2).unwrap(), store.response_table());
+        let idx = tab.register(CLIENT).unwrap();
+        tab.begin_op(pid, CLIENT, 1, 0, 42);
+        assert!(m.insert(pid, 42));
+        tab.finish_op(pid, idx, 1, RES_TRUE);
+        m.release_prior(pid, tab.prior(idx));
+        tab.begin_op(pid, CLIENT, 2, 0, 43);
+        let rd = m.env.rec.published(pid);
+        assert!(rd != 0 && rd == tab.prior(idx), "RD_q names request 1's descriptor, as prior");
+        m
+    }
+
+    /// Recovery behind a completed `RD_q`: Op-Recover answers request 1's
+    /// `Completed`, and request 2 — in flight with its `prior` equal to
+    /// `RD_q` — must resolve `Restarted`, not finalize request 1's answer
+    /// as its own. Online, by a survivor's `recover_peer`, and on an
+    /// exclusive reopen.
+    #[test]
+    fn a_recorded_request_that_published_nothing_restarts() {
+        let _gate = crate::counters::gate_shared();
+        nvm::tid::set_tid(0);
+        let restarted = |store: &Store, pid: usize, decision: Recovered| {
+            assert_eq!(decision, Recovered::Completed(RES_TRUE), "request 1's verdict");
+            let tab = store.response_table();
+            assert_eq!(tab.lookup(CLIENT), Some((1, RES_TRUE)), "finalized request 1's answer");
+            assert_eq!(tab.inflight(pid), None);
+        };
+        let path = tmp("recorded_peer");
+        let store = Store::open_shared_with(&path, 4 << 20, Arc::new(OnlyUs)).unwrap();
+        let me = MappedHeap::tid_band(store.heap().my_participant().unwrap()).start;
+        let dead = store.heap().debug_register_peer(u32::MAX as u64 - 17, 1).unwrap();
+        let lane = MappedHeap::tid_band(dead).start;
+        nvm::tid::set_tid(lane);
+        let m = ack_then_record(&store, lane);
+        nvm::tid::set_tid(me);
+        let decisions = store.recover_peer(dead).unwrap().expect("recovered under the lease");
+        let decision = decisions.iter().find(|(p, _)| *p == lane).expect("the lane's").1;
+        restarted(&store, lane, decision);
+        drop((m, store));
+        let _ = std::fs::remove_file(&path);
+
+        let path = tmp("recorded_reopen");
+        {
+            let store = Store::open_sized(&path, 4 << 20).unwrap();
+            drop(ack_then_record(&store, 1));
+        }
+        let store = Store::open_sized(&path, 4 << 20).unwrap();
+        restarted(&store, 1, store.summary().decision(1));
         drop(store);
         let _ = std::fs::remove_file(&path);
     }

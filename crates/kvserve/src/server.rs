@@ -21,30 +21,29 @@
 //!
 //! Order per request with an effect (see `isb::resptable` for the
 //! crash-window argument): failover check (the client's slot is in flight
-//! under a dead peer's tid → `Recovering`) → dedup check →
-//! `note_invocation` (the recovery line reset, `(RD_q, CP_q) := (Null, 0)`,
-//! persisted once: the structure operation's prologue finds it done) →
-//! `pending` stored, its line noted but not fenced (the structure's first
-//! fence drains it) → structure op → response finalize (`resp`, then
-//! `last_seq`, on the same line: one write-back, one `psync`) → socket
-//! acknowledgement. One flushed line and one fence of the request belong to
-//! `note_invocation` — none when the lane's previous operation changed
-//! nothing, because the glue then reads the line back fresh and skips its
-//! barrier; the response table's client slot is one line and one fence for
-//! a request that changes nothing and two lines and one fence for one that
-//! does; the rest is the structure's own — nothing at all for a request
-//! that changes nothing (a `put` of a present key, a `del` of an absent
-//! one, a `deq` on empty).
+//! under a dead peer's tid → `Recovering`) → dedup check → the invocation
+//! record: the lane's `RD_q` stored as the slot's `prior`, then `pending`,
+//! the line noted but not fenced (the structure's first fence drains it) →
+//! structure op, whose prologue runs no invocation glue: the record stands
+//! in for it → response finalize (`resp`, then `last_seq`, on the same
+//! line: one write-back, one `psync`) → `RD_q`'s reference on `prior`
+//! released if the op moved `RD_q` → socket acknowledgement. The response
+//! table's client slot is one line and one fence for a request that
+//! changes nothing and two lines and one fence for one that does; the rest
+//! is the structure's own — nothing at all for a request that changes
+//! nothing (a `put` of a present key, a `del` of an absent one, a `deq` on
+//! empty). Nothing of the request resets the lane's recovery line.
 //!
 //! A `get` takes none of that path. It is unsequenced (`op_seq = 0`, see
 //! [`crate::proto`]) and answered under its lane by the map's `find` before
-//! registration: no response-table call, no invocation note, no in-flight
-//! record. Recovery owes a read nothing — killed in flight, it resolves to
-//! nothing and the client's re-issue reads afresh — so a read persists
-//! nothing either: its `find`'s prologue is the `Isb-LP` glue, which costs
-//! 0 lines and 0 fences after a no-effect request and 1 + 1 after one that
-//! published. A `get` that carries a number is answered the same way: the
-//! number is echoed, never recorded.
+//! registration: no response-table call, no invocation record, no
+//! in-flight record. Recovery owes a read nothing — killed in flight, it
+//! resolves to nothing and the client's re-issue reads afresh — so a read
+//! records nothing either: its `find`'s prologue is the `Isb-LP` glue,
+//! which costs 0 lines and 0 fences on a fresh recovery line (after a read,
+//! or a no-effect operation that followed one) and 1 + 1 on a line a
+//! request published to. A `get` that carries a number is answered the
+//! same way: the number is echoed, never recorded.
 //!
 //! [`parse_request`] refuses, before any of this, every identifier and
 //! argument a later layer would assert on (reserved client ids, sentinel
@@ -473,8 +472,10 @@ fn on_lane(shared: &Shared, req: &Request) -> Option<Response> {
     nvm::tid::set_tid(tid);
     let resp = handle(shared, tid, req);
     // `begin_op` leaves the client slot's line noted and unfenced; only
-    // `finish_op`'s `psync` drains it.
+    // `finish_op`'s `psync` drains it. It also marks the invocation
+    // recorded, and only the structure operation's prologue consumes that.
     debug_assert_eq!(nvm::coalesce::pending(), 0, "lane released with unflushed lines");
+    debug_assert!(!isb::recovery::recorded_pending(), "lane released with an unconsumed record");
     Some(resp)
 }
 
@@ -488,7 +489,7 @@ fn route(client_id: u64, n: usize) -> usize {
 /// unsequenced `get` is answered as the map stands, before any of it.
 fn handle(ctx: &Shared, pid: usize, req: &Request) -> Response {
     if req.op == OpCode::Get {
-        // Unsequenced: no slot, no in-flight record, no invocation note.
+        // Unsequenced: no slot, no in-flight record, no invocation record.
         // Killed before its answer, it resolves to nothing at all, and the
         // client's re-issue is a fresh read — a legal linearisation.
         maybe_kill(&ctx.kill, KillPoint::Invoke);
@@ -520,18 +521,19 @@ fn handle(ctx: &Shared, pid: usize, req: &Request) -> Response {
     if req.op_seq != last_seq + 1 {
         return Response::err(Status::SeqGap, req.op_seq);
     }
-    // The system half of the invocation (the recovery line reset,
-    // persisted) MUST precede the in-flight record — this is what pins a
-    // later Completed replay decision to *this* op-ID (see `isb::resptable`).
-    match req.op {
-        OpCode::Put | OpCode::Del => ctx.map.note_invocation(pid),
-        OpCode::Enq | OpCode::Deq => ctx.queue.note_invocation(pid),
-        OpCode::Get => unreachable!("a get is answered unsequenced"),
-    }
+    // The in-flight record is the invocation record too: it holds the
+    // lane's `RD_q` as `prior`, which pins a later Completed replay
+    // decision to *this* op-ID (see `isb::resptable`).
     ctx.resptab.begin_op(pid, req.client_id, req.op_seq, req.op as u64, req.arg);
     maybe_kill(&ctx.kill, KillPoint::Invoke);
     let value = apply(ctx, pid, req);
     ctx.resptab.finish_op(pid, client_idx, req.op_seq, value);
+    let prior = ctx.resptab.prior(client_idx);
+    match req.op {
+        OpCode::Put | OpCode::Del => ctx.map.release_prior(pid, prior),
+        OpCode::Enq | OpCode::Deq => ctx.queue.release_prior(pid, prior),
+        OpCode::Get => unreachable!("a get is answered unsequenced"),
+    }
     maybe_kill(&ctx.kill, KillPoint::PreAck);
     nvm::stats::count_kv_requests(1);
     Response { status: Status::Ok, op_seq: req.op_seq, value }

@@ -5,34 +5,36 @@
 //!
 //! This is the service-path counterpart of `persist_placement.rs`: there the
 //! structures' own placement is pinned per operation, here the whole
-//! exactly-once sequence around it — `note_invocation`, the response table's
-//! in-flight record and finalize, and the structure operation's prologue,
-//! which must not run the invocation glue a second time. Every kind is
-//! measured twice, after a request that published and after one that
-//! changed nothing, because the glue's cost depends on that predecessor and
-//! nothing else: after a publish it is 1 line + 1 fence (the recovery line
-//! reset, `(RD_q, CP_q) := (Null, 0)`); after a no-effect request the line
-//! already reads `(Null, 0)` and the glue costs nothing.
+//! exactly-once sequence around it — the response table's in-flight record
+//! and finalize, and the structure operation's prologue, which runs no
+//! invocation glue: the client slot's record is the invocation record (its
+//! `prior` word holds the lane's `RD_q`, stored before `pending` in the
+//! same line). Every kind is measured twice, after a request that
+//! published and after one that changed nothing. A sequenced request costs
+//! the same after either: nothing of it resets the lane's recovery line.
+//! Only a `get` runs the invocation glue: 1 line + 1 fence after a
+//! publish (the recovery line reset, `(RD_q, CP_q) := (Null, 0)`), nothing
+//! on a line that already reads `(Null, 0)`.
 //!
 //! A `get` is unsequenced: the server answers it with the map's `find`
 //! alone, so it costs the glue and nothing more — 0 / 0 in a stream of
 //! reads. Every other request runs the full sequence. The response table
-//! is the client's one 64-byte slot: `begin_op` stores `pending` and notes
-//! the line without a fence, `finish_op` stores `resp` then `last_seq` and
-//! pays one write-back and one `psync`. A request that changes nothing (a
-//! `put` of a present key, a `del` of an absent one) issues no fence in
-//! between, so the note folds into `finish_op`'s write-back: 1 line + 1
-//! fence, and the structure operation costs nothing at all, in any arm. A
-//! request that changes something fences its descriptor first, which drains
-//! the note: 2 lines + 1 fence, the rest being the `Isb-LP` structure
-//! operation (the arm the service ships, `kvserve::server::ARM`) minus the
-//! glue barrier `note_invocation` already paid (the prologue reads the line
-//! back fresh). Of those, the link-persist elisions are the
-//! cleanup write-backs (`put-new` 3 lines, `del-hit` and `deq` 1) and, on
-//! `enq`, the merged tag-phase `psync` and the tail hint nobody reads back
-//! (4 lines, 1 fence). A queue descriptor is one line, and the dequeue tags
-//! the head anchor alone, so `deq` writes back the anchor's line in its tag
-//! window and again with the head move, and nothing of the old sentinel.
+//! is the client's one 64-byte slot: `begin_op` stores `prior` and
+//! `pending` and notes the line without a fence, `finish_op` stores `resp`
+//! then `last_seq` and pays one write-back and one `psync`. A request that
+//! changes nothing (a `put` of a present key, a `del` of an absent one)
+//! issues no fence in between, so the note folds into `finish_op`'s
+//! write-back: 1 line + 1 fence, and the structure operation costs nothing
+//! at all, in any arm. A request that changes something fences its
+//! descriptor first, which drains the note: 2 lines + 1 fence, the rest
+//! being the `Isb-LP` structure operation (the arm the service ships,
+//! `kvserve::server::ARM`) without its glue. Of those, the link-persist
+//! elisions are the cleanup write-backs (`put-new` 3 lines, `del-hit` and
+//! `deq` 1) and, on `enq`, the merged tag-phase `psync` and the tail hint
+//! nobody reads back (4 lines, 1 fence). A queue descriptor is one line,
+//! and the dequeue tags the head anchor alone, so `deq` writes back the
+//! anchor's line in its tag window and again with the head move, and
+//! nothing of the old sentinel.
 //!
 //! The server runs one lane, so every request is counted on that lane's tid
 //! and read as a per-tid delta; the mapped heap hands out 64-byte-aligned
@@ -113,13 +115,13 @@ fn one_kv_request_costs_exactly_its_persist_budget() {
 
     // `(kind, after an effect, (lines, fences))`.
     let golden: [(&str, bool, (u64, u64)); 16] = [
-        ("put-new", true, (12, 6)),
-        ("put-dup", true, (2, 2)),
-        ("del-hit", true, (10, 6)),
-        ("del-miss", true, (2, 2)),
+        ("put-new", true, (11, 5)),
+        ("put-dup", true, (1, 1)),
+        ("del-hit", true, (9, 5)),
+        ("del-miss", true, (1, 1)),
         ("get", true, (1, 1)),
-        ("enq", true, (8, 5)),
-        ("deq", true, (8, 6)),
+        ("enq", true, (7, 4)),
+        ("deq", true, (7, 5)),
         ("replay", true, (0, 0)),
         ("put-new", false, (11, 5)),
         ("put-dup", false, (1, 1)),
@@ -131,10 +133,11 @@ fn one_kv_request_costs_exactly_its_persist_budget() {
         ("replay", false, (0, 0)),
     ];
     assert_eq!(rows, golden, "(lines, fences) per request");
-    // The invocation glue is the whole difference: one line and one fence
-    // after an effect, nothing after a request that changed nothing.
+    // The invocation glue is the whole difference, and only a `get` runs
+    // it: one line and one fence after an effect, nothing after a request
+    // that changed nothing. A sequenced request's record stands in for it.
     for (dirty, fresh) in golden[..8].iter().zip(&golden[8..]) {
-        let glue = if dirty.0 == "replay" { (0, 0) } else { (1, 1) };
+        let glue = if dirty.0 == "get" { (1, 1) } else { (0, 0) };
         assert_eq!((dirty.2 .0 - fresh.2 .0, dirty.2 .1 - fresh.2 .1), glue, "{}", dirty.0);
     }
 
