@@ -1,48 +1,69 @@
-//! Blocks: headers, commit bitmaps, the two allocator tiers, and the attach
+//! Blocks: slabs, commit bitmaps, the two allocator tiers, and the attach
 //! passes over them (walk/heal, relocation, sweep).
 //!
-//! Every block is one **header granule** — word 0 `magic | state | payload
-//! granules`, word 1 the free-list next-link — followed by its payload
-//! granules; each segment's **commit bitmap** has one bit per granule, set
-//! iff that granule heads a `COMMITTED` block.
+//! Every segment's granule space is cut into **chunks** of [`SLAB`]
+//! granules (4 KiB), aligned to the segment's first granule, so one word of
+//! the segment's **commit bitmap** (one bit per granule) covers exactly one
+//! chunk. Granule 0 of a chunk is a **header granule**, one of three kinds:
 //!
-//! Blocks of 1..=[`MAX_CLASS`] payload granules (the node/descriptor sizes on
-//! every hot path) are served from per-thread (tid-indexed, cache-padded)
-//! free lists, refilled [`SLAB_BLOCKS`] at a time from the bump cursor
+//! * a **slab** — word 0 `magic | SLAB | class`, word 1 the *allocated*
+//!   mask, word 2 the *committed* mask — heads `63 / class` blocks of one
+//!   class (1..=[`MAX_CLASS`] payload granules, the node/descriptor sizes
+//!   of every hot path) at chunk granules `1 + k·class`;
+//! * a **cold block** — word 0 `magic | state | payload granules` — heads
+//!   one block above `MAX_CLASS` (recovery areas, roots, catalogs) whose
+//!   payload starts at chunk granule 1 and runs on over as many whole chunks
+//!   as it needs;
+//! * a **pad** — segment-tail and gap filler (`segments`), no block.
+//!
+//! A block is named by its payload granule, and its header is the first
+//! granule of that granule's chunk, so `commit`, `free` and
+//! `committed_payload_bytes` find it by arithmetic. A bitmap bit is set iff
+//! its granule starts the payload of a committed block; a slab's masks are
+//! indexed like its bitmap word.
+//!
+//! Small blocks are served from per-thread (tid-indexed, cache-padded) free
+//! lists, stocked one slab carve at a time from the bump cursor
 //! (`segments`) and spilled to per-class **lock-free global stacks**
-//! (version-counted Treiber stacks whose heads are superblock words, shared by
-//! every attached process, and whose next-links live in the free blocks'
-//! header granules). Larger blocks (recovery areas, roots, catalogs — cold
-//! paths) go through a small non-poisoning mutex.
+//! (version-counted Treiber stacks whose heads are superblock words, shared
+//! by every attached process, and whose next-links live in word 0 of the
+//! free blocks' payloads). Cold blocks go through a small non-poisoning
+//! mutex.
 //!
 //! Invariants this file owns:
 //!
 //! * **Allocation state is the headers plus the bitmaps.** Free lists, stack
 //!   heads and next-links are volatile state in persistent space, rebuilt by
 //!   every full attach; no crash can tear a persistent list pointer.
-//! * **Transition order.** `alloc` writes the header (`ALLOCATED`) before the
-//!   bump offset is published (`segments`); the caller initializes the
-//!   payload, then `commit` sets the bitmap bit **before** flipping the
-//!   header to `COMMITTED`; `free` flips the header to `FREE` **before**
-//!   clearing the bit. These are plain ordered stores — a `SIGKILL` loses no
-//!   completed store — not `superblock::persist`: they sit on every
-//!   operation's hot path.
+//! * **Transition order.** A slab carve writes its header (class and both
+//!   masks) before the bump offset is published (`segments`); `alloc` sets
+//!   the block's allocated bit (a cold block: its header to `ALLOCATED`); the
+//!   caller initializes the payload, then `commit` sets the bitmap bit
+//!   **before** the committed bit (`COMMITTED`); `free` clears the committed
+//!   bit and then the allocated bit (`FREE`) **before** the bitmap bit.
+//!   These are plain ordered atomics — a `SIGKILL` loses no completed store
+//!   — not `superblock::persist`: they sit on every operation's hot path.
 //! * **Every torn state classifies.** The attach walk therefore reads an
-//!   `ALLOCATED` block as a torn tail allocation (poisoned with [`POISON`]
-//!   and freed), a `FREE` block with a set bit as a lost bit-clear (healed),
-//!   and any other header/bitmap disagreement as *corruption*: a typed
-//!   [`MapError`], never undefined behaviour. Blocks never straddle a segment
-//!   boundary, which is what makes the walk and the sweep independent per
-//!   segment (`fan_out`).
+//!   allocated, uncommitted block as a torn allocation (poisoned with
+//!   [`POISON`] and freed; this also covers a commit or a free cut between
+//!   its two steps), a free block with a set bit as a lost bit-clear
+//!   (healed), and any other disagreement — a committed block with no bit,
+//!   a committed bit with no allocated bit, a mask or bitmap bit on a granule
+//!   that starts no block (a header, a pad, a payload's inside, a slab's
+//!   remainder), a header off a chunk boundary — as *corruption*: a typed
+//!   [`MapError`], never undefined behaviour. Slabs and blocks never straddle
+//!   a segment boundary, which is what makes the walk and the sweep
+//!   independent per segment (`fan_out`).
 //! * **Relocation is a fallback with two known weaknesses.** When the
 //!   recorded base is taken, every word of every committed payload whose
 //!   (tag-stripped) value lands inside the old window is rebased. That is
 //!   sound only because every persistent pointer of the ISB structures points
 //!   into the arena and *user payloads must not alias the arena's address
 //!   range*; and the pass is not crash-atomic — a kill midway leaves a mixed
-//!   image under the old recorded base (ROADMAP item 4).
+//!   image under the old recorded base (ROADMAP item 7).
 
 use super::fanout::fan_out;
+use super::segments::SegSlot;
 use super::superblock::{W_ALLOC_LOCK, W_BUMP, W_BUMP_RESV, W_GLOBAL0};
 use super::{lock_np, MapError, MappedHeap, GRANULE, POISON};
 use crate::stats;
@@ -55,16 +76,22 @@ const HDR_MAGIC: u64 = 0xB10C;
 const ST_ALLOCATED: u64 = 1;
 const ST_COMMITTED: u64 = 2;
 const ST_FREE: u64 = 3;
-/// Segment-tail filler written by the reservation path so blocks never
-/// straddle a segment boundary. Header-only: the payload-granule count may
-/// be zero, the commit bit is never set, and pads never enter a free list.
+/// Segment-tail and gap filler written by the bump path so chunks never
+/// straddle a segment boundary. Header-only: it covers `1 + count` granules
+/// (the count may be zero), holds no block and never carries a bit.
 pub(super) const ST_PAD: u64 = 4;
+/// A slab header; its count field is the class (payload granules per block).
+const ST_SLAB: u64 = 5;
+/// Slab header words: the allocated and the committed mask.
+const W_ALLOCATED: usize = 1;
+const W_COMMITTED: usize = 2;
 
 /// Largest size class (payload granules) served by the sharded free lists;
 /// larger blocks take the cold mutex path.
 pub const MAX_CLASS: usize = 8;
-/// Blocks carved from the bump region per sharded free-list refill.
-pub const SLAB_BLOCKS: usize = 8;
+/// Granules per chunk: a slab, or the unit a cold block and a reservation
+/// are rounded up to. One commit-bitmap word.
+pub(super) const SLAB: usize = 64;
 /// Per-thread free-list capacity per class; overflow spills to the global
 /// lock-free stack.
 const CACHE_CAP: usize = 64;
@@ -72,8 +99,8 @@ const CACHE_CAP: usize = 64;
 const RELOC_CHUNK: usize = 4096;
 
 #[inline]
-pub(super) fn encode_hdr(state: u64, payload_granules: u64) -> u64 {
-    (HDR_MAGIC << 48) | (state << 40) | payload_granules
+pub(super) fn encode_hdr(state: u64, count: u64) -> u64 {
+    (HDR_MAGIC << 48) | (state << 40) | count
 }
 
 #[inline]
@@ -84,10 +111,76 @@ fn decode_hdr(h: u64) -> Option<(u64, u64)> {
     Some(((h >> 40) & 0xFF, h & 0xFFFF_FFFF))
 }
 
-/// Per-thread size-class free lists (header granule indices). Indexed by the
-/// registered tid and only ever touched by that thread, which is what makes
-/// the `UnsafeCell` sound (same discipline as `isb::pool`).
+/// Block-start bits of a slab of class `pg`: `1 + k·pg` for `k < 63 / pg`.
+fn slab_starts(pg: usize) -> u64 {
+    (0..(SLAB - 1) / pg).fold(0, |m, k| m | 1 << (1 + k * pg))
+}
+
+/// Granules a block of `pg` payload granules spans outside a slab: its
+/// header and payload, rounded up to whole chunks.
+fn cold_span(pg: usize) -> usize {
+    (1 + pg).next_multiple_of(SLAB)
+}
+
+/// Granules a chunk header of `state` / `count` covers (the walks' step).
+fn span(state: u64, count: usize) -> usize {
+    match state {
+        ST_SLAB => SLAB,
+        ST_PAD => 1 + count,
+        _ => cold_span(count),
+    }
+}
+
+/// The indices of the set bits of `m`, lowest first.
+fn bits(mut m: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let b = (m != 0).then(|| m.trailing_zeros() as usize)?;
+        m &= m - 1;
+        Some(b)
+    })
+}
+
+/// Per-thread size-class free lists (payload granule indices). Indexed by
+/// the registered tid and only ever touched by that thread, which is what
+/// makes the `UnsafeCell` sound (same discipline as `isb::pool`).
 pub(super) type ThreadCache = [Vec<u32>; MAX_CLASS];
+
+/// What a heap's bumped granules hold ([`MappedHeap::usage`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct HeapUsage {
+    /// Per size class (index = payload granules − 1): blocks handed out —
+    /// committed, or allocated and not yet committed.
+    pub committed: [usize; MAX_CLASS],
+    /// Per size class: free blocks, returned or carved and never handed out.
+    pub free: [usize; MAX_CLASS],
+    /// Slab header granules.
+    pub headers: usize,
+    /// Granules that hold no block: segment-tail and gap pads, and each
+    /// slab's remainder past its last block.
+    pub pads: usize,
+    /// Granules of blocks above [`MAX_CLASS`]: header, payload and the
+    /// round-up to a whole chunk.
+    pub cold: usize,
+}
+
+impl HeapUsage {
+    /// Granules accounted for — [`MappedHeap::bump_granules`], when no
+    /// thread is allocating.
+    pub fn granules(&self) -> usize {
+        let blocks: usize =
+            (0..MAX_CLASS).map(|c| (self.committed[c] + self.free[c]) * (c + 1)).sum();
+        blocks + self.headers + self.pads + self.cold
+    }
+}
+
+/// A granule's coordinates, from one segment lookup: the header of its
+/// chunk, and the bitmap word over the chunk with the granule's bit in it
+/// (the same bit in a slab's masks).
+struct Loc<'a> {
+    hdr: &'a [AtomicU64; 3],
+    bm: &'a AtomicU64,
+    bit: u64,
+}
 
 /// One segment's share of the attach walk.
 #[derive(Default)]
@@ -102,53 +195,58 @@ struct SegWalk {
 impl MappedHeap {
     // -- headers and bitmap ------------------------------------------------
 
+    /// Word 0 of granule `g`: a chunk header when `g` starts a chunk.
     #[inline]
     pub(super) fn hdr(&self, g: usize) -> &AtomicU64 {
         // SAFETY: granule g starts inside a mapped data region.
         unsafe { &*(self.base.add(self.granule_off(g)) as *const AtomicU64) }
     }
 
-    /// Second word of the header granule: the free-list next-link (volatile
-    /// state in persistent space, rebuilt on attach; torn values harmless).
+    /// Coordinates of global granule `g`, which lies in segment `s`.
     #[inline]
-    fn link_word(&self, g: usize) -> &AtomicU64 {
-        // SAFETY: word 1 of the 8-word header granule.
-        unsafe { &*(self.base.add(self.granule_off(g) + 8) as *const AtomicU64) }
+    fn loc_in(&self, s: &SegSlot, g: usize) -> Loc<'_> {
+        let local = g - s.g_start.load(Relaxed);
+        let chunk = local / SLAB;
+        let hdr = s.data_off.load(Relaxed) + chunk * SLAB * GRANULE;
+        let bm = s.bm_off.load(Relaxed) + chunk * 8;
+        debug_assert!(bm + 8 <= s.data_off.load(Relaxed));
+        // SAFETY: the chunk's first granule lies in the segment's data
+        // region, its bitmap word in the segment's bitmap.
+        unsafe {
+            Loc {
+                hdr: &*(self.base.add(hdr) as *const [AtomicU64; 3]),
+                bm: &*(self.base.add(bm) as *const AtomicU64),
+                bit: 1 << (local % SLAB),
+            }
+        }
+    }
+
+    #[inline]
+    fn loc(&self, g: usize) -> Loc<'_> {
+        self.loc_in(self.seg_of(g), g)
     }
 
     #[inline]
     fn payload(&self, g: usize) -> *mut u8 {
-        // Payload starts one granule after the header granule.
-        unsafe { self.base.add(self.granule_off(g) + GRANULE) }
+        // SAFETY: granule g lies inside a mapped data region.
+        unsafe { self.base.add(self.granule_off(g)) }
     }
 
-    /// Bitmap word + bit index covering global granule `g`.
+    /// Word 0 of a free block's payload: its free-list next-link (volatile
+    /// state in persistent space, rebuilt on attach; torn values harmless).
     #[inline]
-    fn bm_word(&self, g: usize) -> (&AtomicU64, u32) {
-        let s = self.seg_of(g);
-        let local = g - s.g_start.load(Relaxed);
-        let off = s.bm_off.load(Relaxed) + (local / 64) * 8;
-        debug_assert!(off + 8 <= s.data_off.load(Relaxed));
-        // SAFETY: inside the segment's bitmap region.
-        (unsafe { &*(self.base.add(off) as *const AtomicU64) }, (local % 64) as u32)
+    fn link_word(&self, g: usize) -> &AtomicU64 {
+        // SAFETY: the first word of a payload granule.
+        unsafe { &*(self.payload(g) as *const AtomicU64) }
     }
 
-    #[inline]
-    fn bm_test(&self, g: usize) -> bool {
-        let (w, b) = self.bm_word(g);
-        w.load(Acquire) & (1 << b) != 0
-    }
-
-    #[inline]
-    fn bm_set(&self, g: usize) {
-        let (w, b) = self.bm_word(g);
-        w.fetch_or(1 << b, SeqCst);
-    }
-
-    #[inline]
-    fn bm_clear(&self, g: usize) {
-        let (w, b) = self.bm_word(g);
-        w.fetch_and(!(1 << b), SeqCst);
+    /// Overwrites the `pg`-granule payload at granule `g` with [`POISON`].
+    fn poison(&self, g: usize, pg: usize) {
+        let p = self.payload(g) as *mut u64;
+        for k in 0..pg * (GRANULE / 8) {
+            // SAFETY: payload of a block wholly inside the arena.
+            unsafe { p.add(k).write(POISON) };
+        }
     }
 
     // -- allocation --------------------------------------------------------
@@ -221,82 +319,79 @@ impl MappedHeap {
         Ok(p)
     }
 
-    /// Flips a free-list block back to `ALLOCATED` and returns its payload.
-    fn take_block(&self, g: usize, pg: usize) -> *mut u8 {
-        self.hdr(g).store(encode_hdr(ST_ALLOCATED, pg as u64), Release);
-        self.payload(g)
-    }
-
     fn alloc_sharded(&self, pg: usize) -> Result<*mut u8, MapError> {
         let cls = pg - 1;
-        if let Some(cache) = self.my_cache() {
-            if let Some(g) = cache[cls].pop() {
-                stats::count_free_list_hits(1);
-                return Ok(self.take_block(g as usize, pg));
-            }
-        }
-        if let Some(g) = self.global_pop(cls) {
+        let cached = self.my_cache().and_then(|cache| cache[cls].pop());
+        if let Some(g) = cached.map(|g| g as usize).or_else(|| self.global_pop(cls)) {
             stats::count_free_list_hits(1);
-            return Ok(self.take_block(g, pg));
+            let at = self.loc(g);
+            at.hdr[W_ALLOCATED].fetch_or(at.bit, Release);
+            return Ok(self.payload(g));
         }
-        // Slab refill: carve SLAB_BLOCKS same-class blocks out of one bump
-        // reservation. Block 0 is returned ALLOCATED; the rest are stocked
-        // FREE (crash-safe: a lost cache is rebuilt from their headers).
-        // Shared mode serializes the reserve+publish window under the bump
-        // lock so a SIGKILLed peer can leave at most one healable gap.
+        // Slab carve: one chunk of same-class blocks. Block 0 is returned
+        // allocated; the rest are stocked free (crash-safe: a lost cache is
+        // rebuilt from the masks). Shared mode serializes the
+        // reserve+publish window under the bump lock so a SIGKILLed peer can
+        // leave at most one healable gap.
         stats::count_slab_refills(1);
-        let stride = 1 + pg;
         let bump_lock = self.lock_shared_bump();
-        let r = self.bump_reserve(stride * SLAB_BLOCKS)?;
-        self.hdr(r.start).store(encode_hdr(ST_ALLOCATED, pg as u64), Release);
-        for i in 1..SLAB_BLOCKS {
-            self.hdr(r.start + i * stride).store(encode_hdr(ST_FREE, pg as u64), Release);
-        }
+        let r = self.bump_reserve(SLAB)?;
+        let slab = self.loc(r.start);
+        slab.hdr[W_ALLOCATED].store(1 << 1, Release);
+        slab.hdr[W_COMMITTED].store(0, Release);
+        slab.hdr[0].store(encode_hdr(ST_SLAB, pg as u64), Release);
         self.publish_bump(r.from, r.end);
         drop(bump_lock);
-        if let Some(cache) = self.my_cache() {
-            for i in 1..SLAB_BLOCKS {
-                cache[cls].push((r.start + i * stride) as u32);
-            }
-        } else {
-            for i in 1..SLAB_BLOCKS {
-                self.global_push(cls, r.start + i * stride);
-            }
+        // Reversed, so the thread's cache hands the blocks out in order.
+        let rest = (1..(SLAB - 1) / pg).rev().map(|k| r.start + 1 + k * pg);
+        match self.my_cache() {
+            Some(cache) => cache[cls].extend(rest.map(|g| g as u32)),
+            None => rest.for_each(|g| self.global_push(cls, g)),
         }
-        Ok(self.payload(r.start))
+        Ok(self.payload(r.start + 1))
     }
 
     /// The mutex path: blocks above `MAX_CLASS` (recovery areas, roots,
     /// catalogs).
     fn alloc_cold(&self, pg: usize) -> Result<*mut u8, MapError> {
         let mut cold = lock_np(&self.cold);
-        if let Some(list) = cold.get_mut(&(pg as u32)) {
-            if let Some(g) = list.pop() {
-                stats::count_free_list_hits(1);
-                return Ok(self.take_block(g as usize, pg));
-            }
+        if let Some(g) = cold.get_mut(&(pg as u32)).and_then(Vec::pop) {
+            stats::count_free_list_hits(1);
+            self.loc(g as usize).hdr[0].store(encode_hdr(ST_ALLOCATED, pg as u64), Release);
+            return Ok(self.payload(g as usize));
         }
         // The cold mutex stays held across the bump: large blocks are rare.
         let bump_lock = self.lock_shared_bump();
-        let r = self.bump_reserve(1 + pg)?;
+        let r = self.bump_reserve(cold_span(pg))?;
         self.hdr(r.start).store(encode_hdr(ST_ALLOCATED, pg as u64), Release);
         self.publish_bump(r.from, r.end);
         drop(bump_lock);
-        Ok(self.payload(r.start))
+        Ok(self.payload(r.start + 1))
     }
 
     /// Marks the block at payload `p` fully initialized. Bitmap bit before
     /// header state (see the module docs for the crash analysis).
     pub fn commit(&self, p: *mut u8) {
-        let g = self.granule_of(p);
-        let (state, pg) = decode_hdr(self.hdr(g).load(Acquire)).expect("commit of a non-block");
-        debug_assert_eq!(state, ST_ALLOCATED, "commit of a block not in ALLOCATED state");
-        self.bm_set(g);
-        self.hdr(g).store(encode_hdr(ST_COMMITTED, pg), Release);
+        let at = self.loc(self.granule_of(p));
+        let (state, pg) = decode_hdr(at.hdr[0].load(Acquire)).expect("commit of a non-block");
+        debug_assert!(
+            if state == ST_SLAB {
+                at.hdr[W_ALLOCATED].load(Relaxed) & !at.hdr[W_COMMITTED].load(Relaxed) & at.bit != 0
+            } else {
+                state == ST_ALLOCATED
+            },
+            "commit of a block not in ALLOCATED state"
+        );
+        at.bm.fetch_or(at.bit, SeqCst);
+        if state == ST_SLAB {
+            at.hdr[W_COMMITTED].fetch_or(at.bit, Release);
+        } else {
+            at.hdr[0].store(encode_hdr(ST_COMMITTED, pg), Release);
+        }
     }
 
-    /// Returns the block at payload `p` to the free lists (header to `FREE`
-    /// before the bitmap bit clears; no destructor runs).
+    /// Returns the block at payload `p` to the free lists (header state
+    /// before the bitmap bit; no destructor runs).
     ///
     /// # Safety
     /// `p` must be a payload pointer obtained from this heap's
@@ -304,31 +399,34 @@ impl MappedHeap {
     /// most once per allocation.
     pub unsafe fn free(&self, p: *mut u8) {
         let g = self.granule_of(p);
-        let (_, pg) = decode_hdr(self.hdr(g).load(Acquire)).expect("free of a non-block");
-        self.hdr(g).store(encode_hdr(ST_FREE, pg), Release);
-        self.bm_clear(g);
-        let pg = pg as usize;
-        if pg <= MAX_CLASS {
-            let cls = pg - 1;
-            if let Some(cache) = self.my_cache() {
-                if cache[cls].len() < CACHE_CAP {
-                    cache[cls].push(g as u32);
-                    return;
-                }
-            }
-            self.global_push(cls, g);
-        } else {
+        let at = self.loc(g);
+        let (state, pg) = decode_hdr(at.hdr[0].load(Acquire)).expect("free of a non-block");
+        if state != ST_SLAB {
+            at.hdr[0].store(encode_hdr(ST_FREE, pg), Release);
+            at.bm.fetch_and(!at.bit, SeqCst);
             lock_np(&self.cold).entry(pg as u32).or_default().push(g as u32);
+            return;
         }
+        at.hdr[W_COMMITTED].fetch_and(!at.bit, Release);
+        at.hdr[W_ALLOCATED].fetch_and(!at.bit, Release);
+        at.bm.fetch_and(!at.bit, SeqCst);
+        let cls = pg as usize - 1;
+        if let Some(cache) = self.my_cache() {
+            if cache[cls].len() < CACHE_CAP {
+                cache[cls].push(g as u32);
+                return;
+            }
+        }
+        self.global_push(cls, g);
     }
 
     /// Payload bytes of the `COMMITTED` block whose payload starts at `p`;
     /// `None` when `p` is not the payload of one. For pointers read out of an
     /// untrusted image (a catalog entry's root): nothing is dereferenced
-    /// before the granule ahead of `p` is known to lie in a data region, and
-    /// the commit bit — which the attach walk cross-checked against the
-    /// headers — is what says a block starts there, so bytes inside another
-    /// block's payload that merely look like a header do not pass.
+    /// before `p` is known to lie in a data region, and the commit bit —
+    /// which the attach walk cross-checked against the headers — is what says
+    /// a block starts there, so bytes inside another block's payload that
+    /// merely look like a header do not pass.
     pub fn committed_payload_bytes(&self, p: *const u8) -> Option<usize> {
         let off = (p as usize).checked_sub(self.base as usize)?;
         if !off.is_multiple_of(GRANULE) {
@@ -336,27 +434,79 @@ impl MappedHeap {
         }
         // A peer may have published the segment `p` lives in.
         self.refresh_segments().ok()?;
-        let (s, d) = self.segs[..self.n_segs.load(Acquire)].iter().find_map(|s| {
-            let d = s.data_off.load(Relaxed);
-            (off > d && off < d + s.granules.load(Relaxed) * GRANULE).then_some((s, d))
-        })?;
-        let g = s.g_start.load(Relaxed) + (off - d) / GRANULE - 1;
-        if !self.bm_test(g) {
+        let g = self.try_granule_of(p)?;
+        let s = self.seg_of(g);
+        let at = self.loc_in(s, g);
+        if at.bm.load(Acquire) & at.bit == 0 {
             return None;
         }
-        match decode_hdr(self.hdr(g).load(Acquire))? {
-            (ST_COMMITTED, pg) if g + 1 + pg as usize <= s.g_end() => Some(pg as usize * GRANULE),
+        let head = g - at.bit.trailing_zeros() as usize;
+        match decode_hdr(at.hdr[0].load(Acquire))? {
+            (ST_SLAB, pg)
+                if (1..=MAX_CLASS as u64).contains(&pg)
+                    && slab_starts(pg as usize) & at.hdr[W_COMMITTED].load(Acquire) & at.bit
+                        != 0
+                    && head + SLAB <= s.g_end() =>
+            {
+                Some(pg as usize * GRANULE)
+            }
+            (ST_COMMITTED, pg) if at.bit == 1 << 1 && head + 1 + pg as usize <= s.g_end() => {
+                Some(pg as usize * GRANULE)
+            }
             _ => None,
         }
     }
 
+    /// What the bumped granules hold, read off the chunk headers below the
+    /// bump (read-only; a racy snapshot while other threads allocate).
+    pub fn usage(&self) -> HeapUsage {
+        let bump = self.word(W_BUMP).load(Acquire) as usize;
+        let mut u = HeapUsage::default();
+        for s in &self.segs[..self.n_segs.load(Acquire)] {
+            for (_, at, state, n) in self.chunks(s, bump) {
+                match state {
+                    ST_SLAB => {
+                        let starts = slab_starts(n);
+                        let blocks = starts.count_ones() as usize;
+                        let used =
+                            (at.hdr[W_ALLOCATED].load(Acquire) & starts).count_ones() as usize;
+                        u.committed[n - 1] += used;
+                        u.free[n - 1] += blocks - used;
+                        u.headers += 1;
+                        u.pads += SLAB - 1 - blocks * n;
+                    }
+                    ST_PAD => u.pads += 1 + n,
+                    _ => u.cold += cold_span(n),
+                }
+            }
+        }
+        u
+    }
+
+    /// The chunk headers of segment `s` below `bump`, as `(granule,
+    /// coordinates, state, count)`, on an image the attach walk validated.
+    fn chunks<'a>(
+        &'a self,
+        s: &'a SegSlot,
+        bump: usize,
+    ) -> impl Iterator<Item = (usize, Loc<'a>, u64, usize)> + 'a {
+        let mut g = s.g_start.load(Relaxed);
+        std::iter::from_fn(move || {
+            let at = (g < bump.min(s.g_end())).then(|| self.loc_in(s, g))?;
+            let (state, n) = decode_hdr(at.hdr[0].load(Acquire)).expect("a validated header");
+            let chunk = g;
+            g += span(state, n as usize);
+            Some((chunk, at, state, n as usize))
+        })
+    }
+
     // -- attach walk -------------------------------------------------------
 
-    /// Walks every block header up to the bump offset: rebuilds the free
-    /// lists, poisons torn tail allocations, heals benign bitmap bits, and
-    /// fails with a typed error on any state no crash ordering can produce.
-    /// One work unit per segment. Returns the committed blocks as
-    /// `(granule, payload_granules)`.
+    /// Walks every chunk header up to the bump offset: rebuilds the free
+    /// lists, poisons torn allocations, heals benign bitmap bits, and fails
+    /// with a typed error on any state no crash ordering can produce. One
+    /// work unit per segment. Returns the committed blocks as
+    /// `(payload granule, payload granules)`.
     pub(super) fn walk_and_heal(&mut self) -> Result<Vec<(usize, usize)>, MapError> {
         let bump = self.word(W_BUMP).load(Acquire) as usize;
         // Reset the volatile-in-persistent allocator words (reservation
@@ -395,7 +545,8 @@ impl MappedHeap {
         // rest into the cold map.
         for (pg, list) in free {
             if (pg as usize) <= MAX_CLASS {
-                for g in list {
+                // Reversed, so the stacks hand the lowest blocks out first.
+                for g in list.into_iter().rev() {
                     self.global_push(pg as usize - 1, g as usize);
                 }
             } else {
@@ -414,70 +565,111 @@ impl MappedHeap {
         // between the two) lies wholly past the bump: empty, not corrupt.
         let limit = bump.clamp(g0, g0 + granules);
         let mut w = SegWalk::default();
-        let mut committed_set: HashSet<usize> = HashSet::new();
+        // The bitmap the walk expects, one word per chunk: the bits of the
+        // committed blocks.
+        let mut expect = vec![0u64; granules.div_ceil(SLAB)];
         let mut g = g0;
         while g < limit {
-            let (state, pg) = decode_hdr(self.hdr(g).load(Acquire))
-                .ok_or(MapError::CorruptHeader { granule: g })?;
-            let pg = pg as usize;
-            if (state != ST_PAD && pg == 0) || g + 1 + pg > limit {
-                return Err(MapError::CorruptHeader { granule: g });
+            let bad = |at: usize| MapError::CorruptHeader { granule: at };
+            let at = self.loc_in(s, g);
+            if at.bit != 1 {
+                return Err(bad(g));
             }
+            let (state, n) = decode_hdr(at.hdr[0].load(Acquire)).ok_or(bad(g))?;
+            let n = n as usize;
+            let end = g + span(state, n);
+            if end > limit {
+                return Err(bad(g));
+            }
+            let want = &mut expect[(g - g0) / SLAB];
             match state {
                 ST_PAD => {
-                    // Segment-tail filler: skipped; its bits must be clear
+                    // Filler: holds no block; its bits must be clear
                     // (enforced by the bitmap cross-check below).
                 }
-                ST_COMMITTED => {
-                    if !self.bm_test(g) {
-                        return Err(MapError::CorruptBitmap { granule: g });
+                ST_SLAB => {
+                    if !(1..=MAX_CLASS).contains(&n) {
+                        return Err(bad(g));
                     }
-                    w.committed.push((g, pg));
-                    committed_set.insert(g);
-                }
-                ST_ALLOCATED => {
-                    // Torn tail allocation: the owning operation never
-                    // committed it, so nothing can reference it. Poison the
-                    // payload (so any stale use is loud) and recycle it.
-                    let p = self.payload(g) as *mut u64;
-                    for k in 0..pg * (GRANULE / 8) {
-                        // SAFETY: payload of a block wholly inside the arena.
-                        unsafe { p.add(k).write(POISON) };
+                    let starts = slab_starts(n);
+                    let a = at.hdr[W_ALLOCATED].load(Acquire);
+                    let c = at.hdr[W_COMMITTED].load(Acquire);
+                    // A mask bit on no block start, or a committed block
+                    // that was never allocated: no crash ordering writes it.
+                    let wrong = (a | c) & !starts | c & !a;
+                    if wrong != 0 {
+                        return Err(bad(g + wrong.trailing_zeros() as usize));
                     }
-                    self.hdr(g).store(encode_hdr(ST_FREE, pg as u64), Release);
-                    self.bm_clear(g);
-                    w.free.entry(pg as u32).or_default().push(g as u32);
-                    w.poisoned += 1;
-                }
-                ST_FREE => {
-                    if self.bm_test(g) {
-                        // Crash between the two halves of a free: benign.
-                        self.bm_clear(g);
-                        w.healed += 1;
+                    let bm = at.bm.load(Acquire);
+                    if c & !bm != 0 {
+                        let granule = g + (c & !bm).trailing_zeros() as usize;
+                        return Err(MapError::CorruptBitmap { granule });
                     }
-                    w.free.entry(pg as u32).or_default().push(g as u32);
-                    w.free_blocks += 1;
+                    // Torn allocations: the owning operation never
+                    // committed them, so nothing can reference them. Poison
+                    // the payloads (so any stale use is loud) and recycle
+                    // them. A free block's set bit is a lost bit-clear.
+                    let torn = a & !c;
+                    let healed = bm & starts & !a;
+                    for b in bits(torn) {
+                        self.poison(g + b, n);
+                    }
+                    if torn != 0 {
+                        at.hdr[W_ALLOCATED].fetch_and(!torn, Release);
+                    }
+                    if bm & (torn | healed) != 0 {
+                        at.bm.fetch_and(!(torn | healed), SeqCst);
+                    }
+                    *want = c;
+                    w.committed.extend(bits(c).map(|b| (g + b, n)));
+                    let free = w.free.entry(n as u32).or_default();
+                    free.extend(bits(starts & !c).map(|b| (g + b) as u32));
+                    w.poisoned += torn.count_ones() as usize;
+                    w.healed += healed.count_ones() as usize;
+                    w.free_blocks += (starts & !a).count_ones() as usize;
                 }
-                _ => return Err(MapError::CorruptHeader { granule: g }),
+                ST_ALLOCATED | ST_COMMITTED | ST_FREE => {
+                    // A small block only ever lives in a slab.
+                    if n <= MAX_CLASS {
+                        return Err(bad(g));
+                    }
+                    let (p, bit) = (g + 1, 1 << 1);
+                    let set = at.bm.load(Acquire) & bit != 0;
+                    if state == ST_COMMITTED {
+                        if !set {
+                            return Err(MapError::CorruptBitmap { granule: p });
+                        }
+                        *want = bit;
+                        w.committed.push((p, n));
+                    } else {
+                        if state == ST_ALLOCATED {
+                            self.poison(p, n);
+                            at.hdr[0].store(encode_hdr(ST_FREE, n as u64), Release);
+                            w.poisoned += 1;
+                        } else {
+                            w.healed += usize::from(set);
+                            w.free_blocks += 1;
+                        }
+                        if set {
+                            at.bm.fetch_and(!bit, SeqCst);
+                        }
+                        w.free.entry(n as u32).or_default().push(p as u32);
+                    }
+                }
+                _ => return Err(bad(g)),
             }
-            g += 1 + pg;
+            g = end;
         }
-        if g != limit {
-            return Err(MapError::CorruptHeader { granule: g });
-        }
-        // Cross-check: every set bitmap bit must sit under a committed
-        // header. A bit with no block under it cannot result from any crash
-        // ordering — it is corruption.
-        for wi in 0..granules.div_ceil(64) {
-            let (word, _) = self.bm_word(g0 + wi * 64);
-            let mut bits = word.load(Acquire);
-            while bits != 0 {
-                let b = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let gran = g0 + wi * 64 + b;
-                if !committed_set.contains(&gran) {
-                    return Err(MapError::CorruptBitmap { granule: gran });
-                }
+        // Cross-check: every set bitmap bit must be one the walk expects. A
+        // bit on a header, a pad, a payload's inside or past the bump cannot
+        // result from any crash ordering — it is corruption.
+        for (k, want) in expect.into_iter().enumerate() {
+            let chunk = g0 + k * SLAB;
+            let stray = self.loc_in(s, chunk).bm.load(Acquire) & !want;
+            if stray != 0 {
+                return Err(MapError::CorruptBitmap {
+                    granule: chunk + stray.trailing_zeros() as usize,
+                });
             }
         }
         Ok(w)
@@ -531,18 +723,315 @@ impl MappedHeap {
     /// # Safety
     /// As [`MappedHeap::sweep_except`] (one segment's slice).
     unsafe fn sweep_segment(&self, i: usize, bump: usize, live: &HashSet<usize>) -> usize {
-        let s = &self.segs[i];
-        let limit = bump.min(s.g_end());
         let mut swept = 0;
-        let mut g = s.g_start.load(Relaxed);
-        while g < limit {
-            let (state, pg) = decode_hdr(self.hdr(g).load(Acquire)).expect("swept a corrupt heap");
-            if state == ST_COMMITTED && !live.contains(&(self.payload(g) as usize)) {
-                unsafe { self.free(self.payload(g)) };
-                swept += 1;
+        for (g, at, state, _) in self.chunks(&self.segs[i], bump) {
+            let committed = match state {
+                ST_SLAB => at.hdr[W_COMMITTED].load(Acquire),
+                ST_COMMITTED => 1 << 1,
+                _ => 0,
+            };
+            for b in bits(committed) {
+                let p = self.payload(g + b);
+                if !live.contains(&(p as usize)) {
+                    unsafe { self.free(p) };
+                    swept += 1;
+                }
             }
-            g += 1 + pg as usize;
         }
         swept
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::tests::tmp;
+    use super::*;
+    use crate::mapped::MIN_HEAP_BYTES;
+
+    /// `(allocated, committed, bitmap)` bits of the block at payload `p`.
+    fn bits_of(heap: &MappedHeap, p: *mut u8) -> (bool, bool, bool) {
+        let at = heap.loc(heap.granule_of(p));
+        let set = |w: &AtomicU64| w.load(Acquire) & at.bit != 0;
+        (set(&at.hdr[W_ALLOCATED]), set(&at.hdr[W_COMMITTED]), set(at.bm))
+    }
+
+    /// A committed block of `bytes` whose payload is filled with `0xAA`.
+    fn committed(heap: &MappedHeap, bytes: usize) -> *mut u8 {
+        let p = heap.alloc(bytes).unwrap();
+        unsafe { std::ptr::write_bytes(p, 0xAA, bytes.div_ceil(GRANULE) * GRANULE) };
+        heap.commit(p);
+        p
+    }
+
+    /// The first pad header of segment 0, after committing cold blocks until
+    /// the 64 KiB first segment overflows into a second one.
+    fn grow_past_first_segment(heap: &MappedHeap) -> usize {
+        while heap.segments() == 1 {
+            committed(heap, 4096);
+        }
+        let s = &heap.segs[0];
+        let mut g = s.g_start.load(Relaxed);
+        loop {
+            let (state, n) = decode_hdr(heap.hdr(g).load(Acquire)).unwrap();
+            if state == ST_PAD {
+                return g;
+            }
+            g += span(state, n as usize);
+        }
+    }
+
+    #[test]
+    fn slab_carve_serves_63_class1_or_21_class3_blocks() {
+        let path = tmp("slab_carve");
+        let heap = MappedHeap::create(&path, MIN_HEAP_BYTES).unwrap();
+        for (bytes, pg, per_slab) in [(64, 1, 63), (192, 3, 21)] {
+            let bump = heap.bump_granules();
+            let mut blocks: Vec<_> = (0..per_slab).map(|_| heap.alloc(bytes).unwrap()).collect();
+            assert_eq!(heap.bump_granules(), bump + SLAB, "{per_slab} x {bytes} B bump one slab");
+            // The header granule first, then the payloads back to back,
+            // each still granule-aligned and `pg` granules long.
+            blocks.sort();
+            for (k, &p) in blocks.iter().enumerate() {
+                assert_eq!(p, heap.payload(bump + 1 + k * pg));
+            }
+            assert_eq!(decode_hdr(heap.hdr(bump).load(Acquire)), Some((ST_SLAB, pg as u64)));
+            heap.alloc(bytes).unwrap();
+            assert_eq!(
+                heap.bump_granules(),
+                bump + 2 * SLAB,
+                "block {} opens a slab",
+                per_slab + 1
+            );
+        }
+        drop(heap);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn slab_usage_sums_to_bump_granules() {
+        let path = tmp("slab_usage");
+        let heap = MappedHeap::create(&path, MIN_HEAP_BYTES).unwrap();
+        // Every hot class of the structures plus two cold sizes, over more
+        // than the first segment holds (its tail becomes a pad); then every
+        // third round of them is freed.
+        let sizes = [24, 120, 192, 512, 9 * GRANULE, 100 * GRANULE];
+        let blocks: Vec<_> = (0..600).map(|i| committed(&heap, sizes[i % sizes.len()])).collect();
+        for (_, &p) in
+            blocks.iter().enumerate().filter(|(i, _)| (i / sizes.len()).is_multiple_of(3))
+        {
+            unsafe { heap.free(p) };
+        }
+        assert!(heap.segments() > 1);
+        let u = heap.usage();
+        assert_eq!(u.granules(), heap.bump_granules());
+        // 100 blocks of each size, 66 still live; slabs of 63, 31, 21, 7.
+        for (pg, per_slab) in [(1, 63), (2, 31), (3, 21), (8, 7)] {
+            let slabs = 100usize.div_ceil(per_slab);
+            assert_eq!(u.committed[pg - 1], 66, "class {pg}");
+            assert_eq!(u.free[pg - 1], slabs * per_slab - 66, "class {pg}");
+        }
+        assert_eq!(u.headers, 2 + 4 + 5 + 15);
+        assert_eq!(u.cold, 100 * SLAB + 100 * 2 * SLAB);
+        assert!(u.pads >= 1, "segment 0's tail is a pad");
+        // The attach walk reads the same image back.
+        drop(heap);
+        let heap = MappedHeap::attach(&path).unwrap();
+        assert_eq!(heap.usage(), u);
+        assert_eq!(heap.report().committed, 6 * 66);
+        assert_eq!(heap.report().free_blocks, u.free.iter().sum::<usize>() + 2 * 34);
+        drop(heap);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn slab_committed_payload_bytes_answers_only_at_block_starts() {
+        let path = tmp("slab_cpb");
+        let heap = MappedHeap::create(&path, MIN_HEAP_BYTES).unwrap();
+        let bytes = |g: usize| heap.committed_payload_bytes(heap.payload(g));
+        // One class-8 slab: blocks at granules 1, 9, .., 49 of the chunk;
+        // 57..63 lie past its count.
+        let blocks: Vec<_> = (0..7).map(|_| committed(&heap, 8 * GRANULE)).collect();
+        let h = heap.granule_of(blocks[0]) - 1;
+        for (k, &p) in blocks.iter().enumerate() {
+            assert_eq!(p, heap.payload(h + 1 + 8 * k));
+            assert_eq!(heap.committed_payload_bytes(p), Some(8 * GRANULE));
+        }
+        for (g, what) in
+            [(h, "the slab header"), (h + 2, "a block's inside"), (h + 57, "past count")]
+        {
+            assert_eq!(bytes(g), None, "{what}");
+            // Not even under a forged bit: the header says no block is there.
+            let at = heap.loc(g);
+            at.bm.fetch_or(at.bit, SeqCst);
+            assert_eq!(bytes(g), None, "{what} with its bit set");
+            at.bm.fetch_and(!at.bit, SeqCst);
+        }
+        // An allocated block answers only once committed.
+        let q = heap.alloc(GRANULE).unwrap();
+        assert_eq!(heap.committed_payload_bytes(q), None);
+        heap.commit(q);
+        assert_eq!(heap.committed_payload_bytes(q), Some(GRANULE));
+        // A cold block at its payload only; nothing in a pad.
+        let cold = committed(&heap, 20 * GRANULE);
+        assert_eq!(heap.committed_payload_bytes(cold), Some(20 * GRANULE));
+        assert_eq!(bytes(heap.granule_of(cold) - 1), None);
+        let pad = grow_past_first_segment(&heap);
+        assert_eq!((bytes(pad), bytes(pad + 1)), (None, None));
+        drop(heap);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// What an attach makes of one block's `(allocated, committed, bitmap)`.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Want {
+        Free,
+        Healed,
+        Poisoned,
+        Live,
+        CorruptBitmap,
+        CorruptHeader,
+    }
+
+    /// Every combination of the three bits of one block, patched into a real
+    /// heap image beside a committed neighbour, classifies as the table says:
+    /// the same outcomes a per-block header had.
+    #[test]
+    fn slab_torn_state_matrix_classifies_every_image() {
+        use Want::*;
+        let table = [
+            ((false, false, false), Free),
+            ((false, false, true), Healed),
+            ((true, false, false), Poisoned),
+            ((true, false, true), Poisoned),
+            ((true, true, true), Live),
+            ((true, true, false), CorruptBitmap),
+            ((false, true, false), CorruptHeader),
+            ((false, true, true), CorruptHeader),
+        ];
+        for ((a, c, b), want) in table {
+            let path = tmp("slab_matrix");
+            let (g, off) = {
+                let heap = MappedHeap::create(&path, MIN_HEAP_BYTES).unwrap();
+                committed(&heap, GRANULE);
+                let p = committed(&heap, GRANULE);
+                let at = heap.loc(heap.granule_of(p));
+                for (w, on) in [(&at.hdr[W_ALLOCATED], a), (&at.hdr[W_COMMITTED], c), (at.bm, b)] {
+                    if on {
+                        w.fetch_or(at.bit, SeqCst);
+                    } else {
+                        w.fetch_and(!at.bit, SeqCst);
+                    }
+                }
+                (heap.granule_of(p), p as usize - heap.base() as usize)
+            };
+            let got = match MappedHeap::attach(&path) {
+                Err(MapError::CorruptBitmap { granule }) if granule == g => CorruptBitmap,
+                Err(MapError::CorruptHeader { granule }) if granule == g => CorruptHeader,
+                Err(e) => panic!("{:?}: unexpected {e}", (a, c, b)),
+                Ok(heap) => {
+                    let r = *heap.report();
+                    let p = unsafe { heap.base().add(off) };
+                    let live = (r.committed, r.poisoned, r.healed_bits) == (2, 0, 0);
+                    assert_eq!(bits_of(&heap, p), (live, live, live), "{:?}", (a, c, b));
+                    assert_eq!(heap.committed_payload_bytes(p), live.then_some(GRANULE));
+                    // Word 0 of a free payload holds its free-list link.
+                    let word = |k| unsafe { (p as *const u64).add(k).read() };
+                    let poisoned = (1..8).all(|k| word(k) == POISON);
+                    assert_eq!(poisoned, r.poisoned == 1, "{:?}", (a, c, b));
+                    match (r.committed, r.poisoned, r.healed_bits) {
+                        (1, 0, 0) => Free,
+                        (1, 0, 1) => Healed,
+                        (1, 1, 0) => Poisoned,
+                        (2, 0, 0) => Live,
+                        other => panic!("{:?}: report {other:?}", (a, c, b)),
+                    }
+                }
+            };
+            assert_eq!(got, want, "{:?}", (a, c, b));
+            let _ = std::fs::remove_file(&path);
+        }
+    }
+
+    /// A bitmap or mask bit on a granule that starts no block — a slab
+    /// header, a block's inside, a slab's remainder, a pad, a cold block's
+    /// header — is typed corruption.
+    #[test]
+    fn slab_stray_bits_on_headers_and_pads_fail_typed() {
+        type Patch = fn(&MappedHeap, usize, usize, usize) -> (usize, bool);
+        // Each patch gets the slab, the cold block and the pad granule, sets
+        // one bit and names the granule and whether the error is a bitmap
+        // (else a header) one.
+        let patches: [(&str, Patch); 8] = [
+            ("slab header bit", |heap, h, _, _| (set_bm(heap, h), true)),
+            ("bit inside a block", |heap, h, _, _| (set_bm(heap, h + 2), true)),
+            ("bit past the count", |heap, h, _, _| (set_bm(heap, h + 57), true)),
+            ("pad header bit", |heap, _, _, pad| (set_bm(heap, pad), true)),
+            ("bit inside a pad", |heap, _, _, pad| (set_bm(heap, pad + 1), true)),
+            ("cold header bit", |heap, _, cold, _| (set_bm(heap, cold), true)),
+            ("allocated bit on the header", |heap, h, _, _| {
+                heap.loc(h).hdr[W_ALLOCATED].fetch_or(1, SeqCst);
+                (h, false)
+            }),
+            ("committed bit past the count", |heap, h, _, _| {
+                let at = heap.loc(h);
+                at.hdr[W_ALLOCATED].fetch_or(1 << 57, SeqCst);
+                at.hdr[W_COMMITTED].fetch_or(1 << 57, SeqCst);
+                (h + 57, false)
+            }),
+        ];
+        for (what, patch) in patches {
+            let path = tmp("slab_stray");
+            let (granule, bitmap) = {
+                let heap = MappedHeap::create(&path, MIN_HEAP_BYTES).unwrap();
+                let h = heap.granule_of(committed(&heap, 8 * GRANULE)) - 1;
+                let cold = heap.granule_of(committed(&heap, 20 * GRANULE)) - 1;
+                let pad = grow_past_first_segment(&heap);
+                patch(&heap, h, cold, pad)
+            };
+            match MappedHeap::attach(&path) {
+                Err(MapError::CorruptBitmap { granule: g }) if bitmap => {
+                    assert_eq!(g, granule, "{what}")
+                }
+                Err(MapError::CorruptHeader { granule: g }) if !bitmap => {
+                    assert_eq!(g, granule, "{what}")
+                }
+                other => panic!("{what}: got {other:?}"),
+            }
+            let _ = std::fs::remove_file(&path);
+        }
+    }
+
+    fn set_bm(heap: &MappedHeap, g: usize) -> usize {
+        let at = heap.loc(g);
+        at.bm.fetch_or(at.bit, SeqCst);
+        g
+    }
+
+    /// A shared heap whose bump lock died with a reservation in flight: the
+    /// thief pads the gap, the next slab follows it, and the usage and the
+    /// attach walk account for both.
+    #[test]
+    fn slab_after_a_healed_bump_gap() {
+        let path = tmp("slab_gap");
+        let heap = MappedHeap::open_shared(&path, MIN_HEAP_BYTES).unwrap();
+        heap.release_attach_lock();
+        committed(&heap, GRANULE);
+        // A peer in registry slot 5 (unclaimed, hence dead) reserved a slab,
+        // scribbled over it and died holding the lock.
+        let gap = heap.bump_granules();
+        heap.word(W_BUMP_RESV).store((gap + SLAB) as u64, SeqCst);
+        heap.hdr(gap).store(u64::MAX, SeqCst);
+        heap.word(W_ALLOC_LOCK).store(5 + 1, SeqCst);
+        let p = committed(&heap, 3 * GRANULE);
+        assert_eq!(decode_hdr(heap.hdr(gap).load(Acquire)), Some((ST_PAD, SLAB as u64 - 1)));
+        assert_eq!(heap.granule_of(p), gap + SLAB + 1, "the next slab follows the healed gap");
+        let u = heap.usage();
+        assert_eq!(u.granules(), heap.bump_granules());
+        assert_eq!(u.pads, SLAB, "the gap; slabs of classes 1 and 3 leave no remainder");
+        drop(heap);
+        let heap = MappedHeap::attach(&path).unwrap();
+        assert_eq!((heap.report().committed, heap.usage()), (2, u));
+        drop(heap);
+        let _ = std::fs::remove_file(&path);
     }
 }

@@ -22,12 +22,12 @@
 //!   the invariants it owns: `sys` (the raw syscalls: one mapping per heap,
 //!   the attach flock), `superblock` (page-0 word layout, its pre-mmap
 //!   parser, the one durable metadata write), `segments` (the growable
-//!   contiguous granule space and its bump cursor), `alloc` (block headers,
-//!   commit bitmaps, the sharded allocator, the attach walk / relocation /
-//!   sweep), `registry` (participants and recovery leases), `catalog` (named
-//!   structures), `fanout` (the one attach-time thread fan-out). This file
-//!   holds the handle, the errors and the attach pipeline that strings the
-//!   layers together.
+//!   contiguous granule space and its bump cursor), `alloc` (slab and block
+//!   headers, commit bitmaps, the sharded allocator, the attach walk /
+//!   relocation / sweep), `registry` (participants and recovery leases),
+//!   `catalog` (named structures), `fanout` (the one attach-time thread
+//!   fan-out). This file holds the handle, the errors and the attach
+//!   pipeline that strings the layers together.
 //! * [`AttachReport`] — what an attach found: whether the heap was created
 //!   fresh, whether it had to be **relocated** to a new base address, how
 //!   many segments it spans, and how many torn tail allocations were
@@ -66,7 +66,7 @@ mod segments;
 mod superblock;
 mod sys;
 
-pub use alloc::{MAX_CLASS, SLAB_BLOCKS};
+pub use alloc::{HeapUsage, MAX_CLASS};
 pub use catalog::{CatalogEntry, CATALOG_ENTRY_BYTES, CATALOG_NAME_BYTES, CATALOG_SLOTS};
 pub use fanout::fan_out;
 pub use registry::LeaseOutcome;
@@ -102,8 +102,14 @@ pub const MAGIC: u64 = 0x4953_424D_4150_3031;
 /// the structures' operation descriptor (`isb::engine::Info`) lost its
 /// `result` word to a done bit in its first word and moved its first new-node
 /// entry into its first cache line, so a v3 heap's published descriptors
-/// would be misread; it fails typed (`BadVersion(3)`).
-pub const VERSION: u64 = 4;
+/// would be misread; it fails typed (`BadVersion(3)`). v5: small blocks
+/// share one header granule per 64-granule slab (class, allocated and
+/// committed masks) instead of one each, cold blocks and pads start on a
+/// slab boundary, a commit bit marks a payload's first granule rather than
+/// a header, and the free-list links moved into the free payloads; a v4
+/// walk would misread every block, so a v4 heap fails typed
+/// (`BadVersion(4)`).
+pub const VERSION: u64 = 5;
 /// Base address requested for fresh heaps: high in the 47-bit user window,
 /// far from the default heap/mmap/stack regions of both parent and child
 /// processes, so cross-process re-attach almost always lands at the same
@@ -161,14 +167,15 @@ pub enum MapError {
     /// impossible offsets, bump beyond the data region, an impossible
     /// segment-directory entry, …).
     BadSuperblock(&'static str),
-    /// A block header below the bump offset is not a valid header.
+    /// A chunk header below the bump offset is not a valid header, or a
+    /// slab's masks name a block no crash ordering can produce.
     CorruptHeader {
-        /// Granule index of the bad header.
+        /// Granule index of the bad header, or of the block a mask misnames.
         granule: usize,
     },
-    /// The commit bitmap disagrees with the block headers in a way no crash
-    /// ordering can produce (a set bit with no committed block under it, or
-    /// a committed block whose bit is clear).
+    /// The commit bitmap disagrees with the headers in a way no crash
+    /// ordering can produce (a set bit with no committed block starting at
+    /// its granule, or a committed block whose bit is clear).
     CorruptBitmap {
         /// Granule index of the disagreement.
         granule: usize,
@@ -700,7 +707,7 @@ mod tests {
     use crate::{stats, tid, PWord, Persist};
     use std::collections::HashSet;
 
-    fn tmp(name: &str) -> PathBuf {
+    pub(super) fn tmp(name: &str) -> PathBuf {
         let p = std::env::temp_dir().join(format!(
             "isb_mapped_{}_{}_{name}.heap",
             std::process::id(),
@@ -746,22 +753,25 @@ mod tests {
     #[test]
     fn torn_tail_allocation_is_poisoned_and_recycled() {
         let path = tmp("torn");
-        {
+        let torn_off = {
             let heap = MappedHeap::create(&path, MIN_HEAP_BYTES).unwrap();
             let p = heap.alloc(64).unwrap();
             unsafe { (p as *mut u64).write(7) };
             heap.commit(p);
             let torn = heap.alloc(64).unwrap();
-            unsafe { (torn as *mut u64).write(0xAAAA) };
+            unsafe { std::ptr::write_bytes(torn, 0xAA, 64) };
             // no commit: simulates a crash mid-allocation
-        }
+            torn as usize - heap.base() as usize
+        };
         let heap = MappedHeap::attach(&path).unwrap();
         assert_eq!(heap.report().poisoned, 1);
         assert_eq!(heap.report().committed, 1);
         // The torn block was recycled: the next same-size alloc reuses it,
-        // and its payload was poisoned in between.
-        let p = heap.alloc(64).unwrap();
-        assert_eq!(unsafe { (p as *const u64).read() }, POISON);
+        // and its payload was poisoned in between (all of it but word 0,
+        // which held the block's free-list link since).
+        let p = heap.alloc(64).unwrap() as *const u64;
+        assert_eq!(p as usize - heap.base() as usize, torn_off);
+        assert!((1..8).all(|k| unsafe { p.add(k).read() } == POISON));
         drop(heap);
         let _ = std::fs::remove_file(&path);
     }
@@ -780,7 +790,7 @@ mod tests {
         };
         let heap = MappedHeap::attach(&path).unwrap();
         assert_eq!(heap.report().committed, 1);
-        // The slab refill carved extra FREE blocks besides the one we freed.
+        // The slab carve stocked free blocks besides the one we freed.
         assert!(heap.report().free_blocks >= 1);
         // Free blocks feed later allocations of their size class: the next
         // alloc comes off a rebuilt free list, not the bump cursor.

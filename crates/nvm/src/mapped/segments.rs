@@ -22,16 +22,18 @@
 //!   `adopt_segment`. Slots are append-only — fields, then a `Release` count —
 //!   so readers never see a half-initialized slot. The refresh is internal:
 //!   every translation or bounds check that misses runs it before answering.
-//! * **Header before bump.** Every granule below `W_BUMP` carries a valid
-//!   block header. A reservation CASes the volatile cursor `W_BUMP_RESV`
-//!   forward (writing `PAD` filler over any segment tail it skips — blocks
-//!   never straddle a segment), its owner writes the block headers, and
-//!   `publish_bump` moves `W_BUMP` only once every earlier reservation has
-//!   published. In shared mode the reserve-to-publish window runs under
-//!   `W_ALLOC_LOCK`, so a SIGKILLed peer leaves at most one gap, which the
-//!   thief of its lock overwrites with `PAD` (`heal_bump_gap`).
+//! * **Header before bump.** Every chunk below `W_BUMP` starts with a valid
+//!   header (`alloc`). Reservations are whole chunks, so the cursors only
+//!   ever sit on a chunk boundary or a segment end. A reservation CASes the
+//!   volatile cursor `W_BUMP_RESV` forward (writing `PAD` filler over any
+//!   segment tail it skips — chunks never straddle a segment), its owner
+//!   writes the chunk header, and `publish_bump` moves `W_BUMP` only once
+//!   every earlier reservation has published. In shared mode the
+//!   reserve-to-publish window runs under `W_ALLOC_LOCK`, so a SIGKILLed
+//!   peer leaves at most one gap, which the thief of its lock overwrites
+//!   with `PAD` (`heal_bump_gap`).
 
-use super::alloc::{encode_hdr, ST_PAD};
+use super::alloc::{encode_hdr, SLAB, ST_PAD};
 use super::superblock::{
     persist, plausible_segment, W_ALLOC_LOCK, W_BUMP, W_BUMP_RESV, W_SEG0, W_SEG_COUNT,
 };
@@ -69,8 +71,8 @@ pub(super) fn seg_geometry(bytes: usize) -> (usize, usize) {
 }
 
 /// A won bump reservation: granules `[from, end)` belong to the caller;
-/// usable blocks start at `start` (pads, if any, were written to
-/// `[from, start)`). The caller must write headers for every granule in
+/// its chunks start at `start` (pads, if any, were written to
+/// `[from, start)`). The caller must write the header of every chunk in
 /// `[start, end)` and then call `publish_bump(from, end)`.
 pub(super) struct Resv {
     pub(super) from: usize,
@@ -206,7 +208,7 @@ impl MappedHeap {
         &self.segs[i.expect("granule inside the mapped arena")]
     }
 
-    /// VA offset of the *header granule* of global granule `g`.
+    /// VA offset of global granule `g`.
     #[inline]
     pub(super) fn granule_off(&self, g: usize) -> usize {
         let s = self.seg_of(g);
@@ -224,10 +226,8 @@ impl MappedHeap {
         self.try_granule_of(p).expect("payload pointer outside every mapped segment")
     }
 
-    /// [`MappedHeap::granule_of`] for a pointer that may lie outside every
-    /// adopted segment. `p` must otherwise be a payload start: the block
-    /// paths hand in pointers [`MappedHeap::alloc`] produced, and
-    /// [`MappedHeap::committed_payload_bytes`] checks an untrusted one first.
+    /// The global index of the granule holding `p`, when `p` lies in an
+    /// adopted segment's data region.
     pub(super) fn try_granule_of(&self, p: *const u8) -> Option<usize> {
         let off = (p as usize).checked_sub(self.base as usize)?;
         let n = self.n_segs.load(Acquire);
@@ -235,8 +235,7 @@ impl MappedHeap {
             let s = &self.segs[i];
             let doff = s.data_off.load(Relaxed);
             if off >= doff && off < doff + s.granules.load(Relaxed) * GRANULE {
-                debug_assert!(off.is_multiple_of(GRANULE) && off >= doff + GRANULE);
-                return Some(s.g_start.load(Relaxed) + (off - doff) / GRANULE - 1);
+                return Some(s.g_start.load(Relaxed) + (off - doff) / GRANULE);
             }
         }
         None
@@ -318,10 +317,12 @@ impl MappedHeap {
         }
     }
 
-    /// Reserves `need` contiguous granules from the bump region (growing the
-    /// arena when exhausted). Lock-free: CASes the volatile reservation
-    /// cursor forward, writing `PAD` filler over any segment tail it skips.
+    /// Reserves `need` contiguous granules, a whole number of chunks, from
+    /// the bump region (growing the arena when exhausted). Lock-free: CASes
+    /// the volatile reservation cursor forward, writing `PAD` filler over any
+    /// segment tail it skips.
     pub(super) fn bump_reserve(&self, need: usize) -> Result<Resv, MapError> {
+        debug_assert!(need.is_multiple_of(SLAB));
         let resv = self.word(W_BUMP_RESV);
         loop {
             let cur = resv.load(Acquire) as usize;
@@ -345,7 +346,7 @@ impl MappedHeap {
                 continue;
             }
             // Won [cur, end): write the pad headers now; the caller writes
-            // the block headers and then publishes the persistent bump.
+            // the chunk headers and then publishes the persistent bump.
             for (g, ppg) in pads {
                 self.hdr(g).store(encode_hdr(ST_PAD, ppg as u64), Release);
             }

@@ -91,7 +91,7 @@ counters! {
     /// Heap allocations served from a free list (per-thread cache, global
     /// stack, or cold map) rather than the bump cursor.
     free_list_hits: count_free_list_hits,
-    /// Slab refills: bump-cursor reservations that carved a batch of blocks
+    /// Slab carves: bump-cursor reservations that carved a slab of blocks
     /// for a per-thread cache.
     slab_refills: count_slab_refills,
     /// Heap segments added by growth past the initial mapping.

@@ -63,3 +63,9 @@ fn pipeline_runs() {
     let out = run_example(env!("CARGO_BIN_EXE_pipeline"), &[]);
     assert!(out.contains("reconciled total"), "unexpected output:\n{out}");
 }
+
+#[test]
+fn heap_usage_runs() {
+    let out = run_example(env!("CARGO_BIN_EXE_heap_usage"), &[]);
+    assert!(out.contains("live keys") && out.contains("B/key"), "unexpected output:\n{out}");
+}

@@ -151,20 +151,23 @@ fn wrong_version_fails_typed() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// A heap of the previous format — version 3, whose descriptors kept a
-/// response word and their first new-node entry past the first cache line —
-/// fails typed before anything reads a published descriptor.
+/// A heap of a previous format fails typed before anything reads it: version
+/// 4, whose every block carried a header granule of its own (a v5 walk would
+/// misread every block), and version 3, whose descriptors kept a response
+/// word and their first new-node entry past the first cache line.
 #[test]
 fn previous_descriptor_format_fails_typed() {
-    assert_eq!(nvm::mapped::VERSION, 4);
-    let path = tmp("v3");
-    mk_map(&path);
-    patch(&path, 8, &3u64.to_le_bytes()); // word 1: version
-    match map_err(attach(&path)) {
-        MapError::BadVersion(v) => assert_eq!(v, 3),
-        e => panic!("expected BadVersion, got {e}"),
+    assert_eq!(nvm::mapped::VERSION, 5);
+    for old in [4u64, 3] {
+        let path = tmp("old_version");
+        mk_map(&path);
+        patch(&path, 8, &old.to_le_bytes()); // word 1: version
+        match map_err(attach(&path)) {
+            MapError::BadVersion(v) => assert_eq!(v, old),
+            e => panic!("expected BadVersion({old}), got {e}"),
+        }
+        let _ = std::fs::remove_file(&path);
     }
-    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
@@ -239,49 +242,88 @@ fn bitmap_overlapping_data_region_fails_typed() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// The chunk headers of a heap file below its bump, in order: `(granule,
+/// state, count)` with the state and count fields of header word 0 (see
+/// `nvm::mapped`'s `alloc` layer: state 2 a committed cold block, 4 a pad, 5
+/// a slab whose count is its class).
+fn chunks(path: &PathBuf) -> Vec<(u64, u64, u64)> {
+    let (data_off, bump) = (read_word(path, 6), read_word(path, 5));
+    let mut out = Vec::new();
+    let mut g = 0;
+    while g < bump {
+        let h = read_at(path, data_off + g * 64);
+        let (state, count) = (h >> 40 & 0xFF, h & 0xFFFF_FFFF);
+        out.push((g, state, count));
+        g += match state {
+            5 => 64,
+            4 => 1 + count,
+            _ => (1 + count).next_multiple_of(64),
+        };
+    }
+    out
+}
+
+/// Granule of the first slab of a heap file.
+fn first_slab(path: &PathBuf) -> u64 {
+    chunks(path).into_iter().find(|&(_, state, _)| state == 5).expect("a slab").0
+}
+
 #[test]
 fn torn_bitmap_fails_typed() {
-    let path = tmp("bitmap");
-    mk_map(&path);
-    // The commit bitmap starts at word 7's offset (PAGE = 4096). Set a bit
-    // in the middle of a committed block's payload: a set bit with no
-    // committed header under it cannot arise from any crash ordering.
-    let bm_off = read_word(&path, 7);
-    // Granule 1 is the first block's payload (granule 0 is its header):
-    // set its bit on top of the legitimate ones.
-    let word0 = read_at(&path, bm_off);
-    patch(&path, bm_off, &(word0 | 0b10).to_le_bytes());
-    match map_err(attach(&path)) {
-        MapError::CorruptBitmap { granule } => assert_eq!(granule, 1),
-        e => panic!("expected CorruptBitmap, got {e}"),
+    // The commit bitmap starts at word 7's offset (PAGE = 4096). The first
+    // chunk holds one committed cold block (the recovery area): granule 0
+    // is its header, granule 1 starts its payload and carries the one set
+    // bit of the chunk's word. A further bit on the header or inside the
+    // payload starts no committed block: no crash ordering sets it.
+    for granule in [0, 2] {
+        let path = tmp("bitmap");
+        mk_map(&path);
+        let bm_off = read_word(&path, 7);
+        let word0 = read_at(&path, bm_off);
+        assert_eq!((chunks(&path)[0].1, word0), (2, 0b10), "a committed cold block at granule 0");
+        patch(&path, bm_off, &(word0 | 1 << granule).to_le_bytes());
+        match map_err(attach(&path)) {
+            MapError::CorruptBitmap { granule: g } => assert_eq!(g, granule as usize),
+            e => panic!("expected CorruptBitmap, got {e}"),
+        }
+        let _ = std::fs::remove_file(&path);
     }
-    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
 fn committed_block_with_cleared_bit_fails_typed() {
     let path = tmp("bitclear");
     mk_map(&path);
-    // Clear the whole first bitmap word: every early committed block now has
-    // header COMMITTED but bit 0 — the other irreconcilable direction.
-    let bm_off = read_word(&path, 7);
-    patch(&path, bm_off, &0u64.to_le_bytes());
-    assert!(matches!(map_err(attach(&path)), MapError::CorruptBitmap { .. }));
+    // Clear the bitmap word of the first slab: every block its committed
+    // mask names is now committed with no bit — the other irreconcilable
+    // direction. The first of them (the slab's granule 1) is named.
+    let slab = first_slab(&path);
+    let bm_word = read_word(&path, 7) + slab / 64 * 8;
+    assert_eq!(read_at(&path, bm_word) & 0b10, 0b10, "the slab's first block is committed");
+    patch(&path, bm_word, &0u64.to_le_bytes());
+    match map_err(attach(&path)) {
+        MapError::CorruptBitmap { granule } => assert_eq!(granule as u64, slab + 1),
+        e => panic!("expected CorruptBitmap, got {e}"),
+    }
     let _ = std::fs::remove_file(&path);
 }
 
 #[test]
 fn smashed_block_header_fails_typed() {
-    let path = tmp("header");
-    mk_map(&path);
-    // First block header lives at data_off (superblock word 6).
-    let data_off = read_word(&path, 6);
-    patch(&path, data_off, &0xFFFF_FFFF_FFFF_FFFFu64.to_le_bytes());
-    match map_err(attach(&path)) {
-        MapError::CorruptHeader { granule } => assert_eq!(granule, 0),
-        e => panic!("expected CorruptHeader, got {e}"),
+    // The first chunk header lives at data_off (superblock word 6); smash
+    // it, and then (in a second image) the header of the first slab.
+    for first in [true, false] {
+        let path = tmp("header");
+        mk_map(&path);
+        let granule = if first { 0 } else { first_slab(&path) };
+        let data_off = read_word(&path, 6);
+        patch(&path, data_off + granule * 64, &0xFFFF_FFFF_FFFF_FFFFu64.to_le_bytes());
+        match map_err(attach(&path)) {
+            MapError::CorruptHeader { granule: g } => assert_eq!(g as u64, granule),
+            e => panic!("expected CorruptHeader, got {e}"),
+        }
+        let _ = std::fs::remove_file(&path);
     }
-    let _ = std::fs::remove_file(&path);
 }
 
 /// Superblock word 9: the heap's kind stamp.
