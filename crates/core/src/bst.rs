@@ -28,13 +28,13 @@ use crate::arm;
 use crate::engine::{help, HelpOutcome, Info, InfoFill, RES_FALSE, RES_TRUE};
 use crate::env::Env;
 use crate::graph::{self, Graph};
-use crate::op::{cell_addr, tracked_node};
+use crate::op::tracked_node;
 use crate::optype;
 use crate::pool::Pool;
 use crate::recovery::{
     install_roots, root_words, AttachEnv, AttachError, MappedLayout, Rooted, SlotOps,
 };
-use crate::tag;
+use crate::tag::{self, Base};
 use nvm::mapped::MappedNvm;
 use nvm::{PWord, Persist};
 
@@ -66,15 +66,19 @@ impl<M: Persist> Node<M> {
 /// root. The in-process constructor runs it over an owned zero word,
 /// [`crate::recovery::MappedLayout::open`] over the catalog root block; a
 /// creation cut short re-runs it (its abandoned blocks are swept once the
-/// heap attaches non-fresh).
+/// heap attaches non-fresh). The links are offsets from `b`.
 ///
 /// # Safety
 /// Single-threaded creation; a set `root` names dummies built by an earlier
 /// run over memory `nodes` draws from (the same heap).
-pub(crate) unsafe fn dummies<M: Persist>(nodes: &Pool<Node<M>>, root: &PWord<M>) -> *mut Node<M> {
+pub(crate) unsafe fn dummies<M: Persist>(
+    b: Base,
+    nodes: &Pool<Node<M>>,
+    root: &PWord<M>,
+) -> *mut Node<M> {
     if root.load() == 0 {
         let draw = |key: u64, left: *mut Node<M>, right: *mut Node<M>| {
-            nodes.draw(|n| n.init(key, left as u64, right as u64, 0))
+            nodes.draw(|n| n.init(key, b.word(left), b.word(right), 0))
         };
         let null = std::ptr::null_mut();
         let (l0, l1) = (draw(0, null, null), draw(KEY_INF1, null, null));
@@ -83,10 +87,10 @@ pub(crate) unsafe fn dummies<M: Persist>(nodes: &Pool<Node<M>>, root: &PWord<M>)
         let top = draw(KEY_INF2, inner, r2);
         // SAFETY: the five dummies were just drawn and initialised.
         unsafe {
-            install_roots(&[l0, l1, inner, r2, top], std::slice::from_ref(root), &[top as u64])
+            install_roots(&[l0, l1, inner, r2, top], std::slice::from_ref(root), &[b.word(top)])
         };
     }
-    root.load() as *mut Node<M>
+    b.at(root.load())
 }
 
 struct SearchRes<M: Persist> {
@@ -135,7 +139,7 @@ impl<M: Persist, const ARM: u8> RBst<M, ARM> {
     /// As [`dummies`], over the memory `env`'s pools draw from.
     unsafe fn over(mut env: Env<M>, roots: Rooted<[PWord<M>]>) -> Self {
         let node_pool = env.pool::<_, ARM>();
-        let root = unsafe { dummies(&node_pool, &roots[0]) };
+        let root = unsafe { dummies(env.rec.base, &node_pool, &roots[0]) };
         Self { root, node_pool, env, _roots: roots }
     }
 
@@ -156,6 +160,7 @@ impl<M: Persist, const ARM: u8> RBst<M, ARM> {
     /// # Safety
     /// Caller must hold an EBR pin.
     unsafe fn search(&self, key: u64) -> SearchRes<M> {
+        let b = self.env.rec.base;
         unsafe {
             let mut gp = std::ptr::null_mut();
             let mut gp_info = 0;
@@ -164,7 +169,7 @@ impl<M: Persist, const ARM: u8> RBst<M, ARM> {
             let mut p_info = (*p).info.load();
             let mut p_cell: *const PWord<M> =
                 if key < (*p).key.load() { &(*p).left } else { &(*p).right };
-            let mut l = (*p_cell).load() as *mut Node<M>;
+            let mut l = b.at::<Node<M>>((*p_cell).load());
             let mut l_info = (*l).info.load();
             while !(*l).is_leaf() {
                 gp = p;
@@ -173,7 +178,7 @@ impl<M: Persist, const ARM: u8> RBst<M, ARM> {
                 p = l;
                 p_info = l_info;
                 p_cell = if key < (*p).key.load() { &(*p).left } else { &(*p).right };
-                l = (*p_cell).load() as *mut Node<M>;
+                l = b.at((*p_cell).load());
                 l_info = (*l).info.load();
             }
             SearchRes { gp, p, l, gp_info, p_info, l_info, gp_cell, p_cell }
@@ -184,24 +189,24 @@ impl<M: Persist, const ARM: u8> RBst<M, ARM> {
     pub fn insert(&self, pid: usize, key: u64) -> bool {
         Self::assert_key(key);
         // ONE pin covers the whole operation (see set_core::insert).
-        let (env, g) = (&self.env, self.env.collector.pin());
+        let (env, g, b) = (&self.env, self.env.collector.pin(), self.env.rec.base);
         env.begin::<ARM>(pid, &g);
         let mut published: u64 = 0;
         loop {
             let s = unsafe { self.search(key) };
             if tag::is_tagged(s.p_info) {
-                unsafe { help::<M, ARM>(tag::ptr_of(s.p_info), false, &g) };
+                unsafe { help::<M, ARM>(b, b.at(s.p_info), false, &g) };
                 continue;
             }
             if tag::is_tagged(s.l_info) {
-                unsafe { help::<M, ARM>(tag::ptr_of(s.l_info), false, &g) };
+                unsafe { help::<M, ARM>(b, b.at(s.l_info), false, &g) };
                 continue;
             }
             let l_key = unsafe { (*s.l).key.load() };
             if l_key == key {
                 // Key already present: nothing to change.
                 if !arm::is_lp(ARM) {
-                    let seen = unsafe { (cell_addr(&(*s.l).info), s.l_info) };
+                    let seen = unsafe { (b.word(&(*s.l).info), s.l_info) };
                     env.answer_tracked::<ARM>(
                         pid,
                         optype::INSERT,
@@ -216,26 +221,26 @@ impl<M: Persist, const ARM: u8> RBst<M, ARM> {
             // A fresh descriptor per attempt (pointer freshness).
             let info = env.alloc_info();
             // Build the replacement subtree: internal(max) / {leaf(k), copy(l)}.
-            let t = tag::tagged(info as u64);
+            let t = tag::tagged(b.word(info));
             let new_leaf: *mut Node<M> = self.alloc_node(key, 0, 0, t);
             let l_copy: *mut Node<M> = self.alloc_node(l_key, 0, 0, t);
             let (lc, rc, ik) =
                 if key < l_key { (new_leaf, l_copy, l_key) } else { (l_copy, new_leaf, key) };
-            let internal: *mut Node<M> = self.alloc_node(ik, lc as u64, rc as u64, t);
+            let internal: *mut Node<M> = self.alloc_node(ik, b.word(lc), b.word(rc), t);
             unsafe {
                 Info::fill(
                     info,
                     &InfoFill {
                         optype: optype::INSERT,
                         affect: &[
-                            (cell_addr(&(*s.p).info), s.p_info),
-                            (cell_addr(&(*s.l).info), s.l_info),
+                            (b.word(&(*s.p).info), s.p_info),
+                            (b.word(&(*s.l).info), s.l_info),
                         ],
-                        write: &[(s.p_cell as u64, s.l as u64, internal as u64)],
+                        write: &[(b.word(s.p_cell), b.word(s.l), b.word(internal))],
                         newset: &[
-                            cell_addr(&(*internal).info),
-                            cell_addr(&(*new_leaf).info),
-                            cell_addr(&(*l_copy).info),
+                            b.word(&(*internal).info),
+                            b.word(&(*new_leaf).info),
+                            b.word(&(*l_copy).info),
                         ],
                         del_mask: 0b10, // l is copy-replaced
                         presult: RES_TRUE,
@@ -247,7 +252,7 @@ impl<M: Persist, const ARM: u8> RBst<M, ARM> {
                 env.persist_descriptor::<ARM>(info);
             }
             env.publish::<ARM>(pid, info, &mut published, &g);
-            match unsafe { help::<M, ARM>(info, true, &g) } {
+            match unsafe { help::<M, ARM>(b, info, true, &g) } {
                 HelpOutcome::Done => {
                     unsafe { env.retire(&self.node_pool, s.l, &g) };
                     return true;
@@ -270,28 +275,28 @@ impl<M: Persist, const ARM: u8> RBst<M, ARM> {
     /// Deletes `key`; `false` if absent.
     pub fn delete(&self, pid: usize, key: u64) -> bool {
         Self::assert_key(key);
-        let (env, g) = (&self.env, self.env.collector.pin());
+        let (env, g, b) = (&self.env, self.env.collector.pin(), self.env.rec.base);
         env.begin::<ARM>(pid, &g);
         let mut published: u64 = 0;
         loop {
             let s = unsafe { self.search(key) };
             if tag::is_tagged(s.gp_info) {
-                unsafe { help::<M, ARM>(tag::ptr_of(s.gp_info), false, &g) };
+                unsafe { help::<M, ARM>(b, b.at(s.gp_info), false, &g) };
                 continue;
             }
             if tag::is_tagged(s.p_info) {
-                unsafe { help::<M, ARM>(tag::ptr_of(s.p_info), false, &g) };
+                unsafe { help::<M, ARM>(b, b.at(s.p_info), false, &g) };
                 continue;
             }
             if tag::is_tagged(s.l_info) {
-                unsafe { help::<M, ARM>(tag::ptr_of(s.l_info), false, &g) };
+                unsafe { help::<M, ARM>(b, b.at(s.l_info), false, &g) };
                 continue;
             }
             let l_key = unsafe { (*s.l).key.load() };
             if l_key != key {
                 // Key not present: nothing to change.
                 if !arm::is_lp(ARM) {
-                    let seen = unsafe { (cell_addr(&(*s.l).info), s.l_info) };
+                    let seen = unsafe { (b.word(&(*s.l).info), s.l_info) };
                     env.answer_tracked::<ARM>(
                         pid,
                         optype::DELETE,
@@ -307,16 +312,16 @@ impl<M: Persist, const ARM: u8> RBst<M, ARM> {
             let (sib, sib_info, sib_key, sib_l, sib_r) = unsafe {
                 let sib_cell: &PWord<M> =
                     if std::ptr::eq(s.p_cell, &(*s.p).left) { &(*s.p).right } else { &(*s.p).left };
-                let sib = sib_cell.load() as *mut Node<M>;
+                let sib = b.at::<Node<M>>(sib_cell.load());
                 let si = (*sib).info.load();
                 (sib, si, (*sib).key.load(), (*sib).left.load(), (*sib).right.load())
             };
             if tag::is_tagged(sib_info) {
-                unsafe { help::<M, ARM>(tag::ptr_of(sib_info), false, &g) };
+                unsafe { help::<M, ARM>(b, b.at(sib_info), false, &g) };
                 continue;
             }
             let info = env.alloc_info();
-            let t = tag::tagged(info as u64);
+            let t = tag::tagged(b.word(info));
             // Copy of the sibling replaces p (freshness); its children are
             // frozen once sib is successfully tagged.
             let sib_copy: *mut Node<M> = self.alloc_node(sib_key, sib_l, sib_r, t);
@@ -326,13 +331,13 @@ impl<M: Persist, const ARM: u8> RBst<M, ARM> {
                     &InfoFill {
                         optype: optype::DELETE,
                         affect: &[
-                            (cell_addr(&(*s.gp).info), s.gp_info),
-                            (cell_addr(&(*s.p).info), s.p_info),
-                            (cell_addr(&(*s.l).info), s.l_info),
-                            (cell_addr(&(*sib).info), sib_info),
+                            (b.word(&(*s.gp).info), s.gp_info),
+                            (b.word(&(*s.p).info), s.p_info),
+                            (b.word(&(*s.l).info), s.l_info),
+                            (b.word(&(*sib).info), sib_info),
                         ],
-                        write: &[(s.gp_cell as u64, s.p as u64, sib_copy as u64)],
-                        newset: &[cell_addr(&(*sib_copy).info)],
+                        write: &[(b.word(s.gp_cell), b.word(s.p), b.word(sib_copy))],
+                        newset: &[b.word(&(*sib_copy).info)],
                         del_mask: 0b1110, // p, l, sib all leave the tree
                         presult: RES_TRUE,
                     },
@@ -341,7 +346,7 @@ impl<M: Persist, const ARM: u8> RBst<M, ARM> {
                 env.persist_descriptor::<ARM>(info);
             }
             env.publish::<ARM>(pid, info, &mut published, &g);
-            match unsafe { help::<M, ARM>(info, true, &g) } {
+            match unsafe { help::<M, ARM>(b, info, true, &g) } {
                 HelpOutcome::Done => {
                     unsafe {
                         for gone in [s.p, s.l, sib] {
@@ -365,17 +370,17 @@ impl<M: Persist, const ARM: u8> RBst<M, ARM> {
     /// always restarts it; see `SetCore::find`).
     pub fn find(&self, pid: usize, key: u64) -> bool {
         Self::assert_key(key);
-        let (env, g) = (&self.env, self.env.collector.pin());
+        let (env, g, b) = (&self.env, self.env.collector.pin(), self.env.rec.base);
         let mut published = env.begin_find::<ARM>(pid, &g);
         loop {
             let s = unsafe { self.search(key) };
             if tag::is_tagged(s.l_info) {
-                unsafe { help::<M, ARM>(tag::ptr_of(s.l_info), false, &g) };
+                unsafe { help::<M, ARM>(b, b.at(s.l_info), false, &g) };
                 continue;
             }
             let res = unsafe { (*s.l).key.load() } == key;
             if !arm::is_lp(ARM) {
-                let seen = unsafe { (cell_addr(&(*s.l).info), s.l_info) };
+                let seen = unsafe { (b.word(&(*s.l).info), s.l_info) };
                 let enc = if res { RES_TRUE } else { RES_FALSE };
                 env.answer_tracked::<ARM>(pid, optype::FIND, seen, enc, &mut published, &g);
             }
@@ -416,7 +421,7 @@ impl<M: Persist, const ARM: u8> RBst<M, ARM> {
 
     /// Quiescent in-order snapshot of the user keys.
     pub fn snapshot_keys(&mut self) -> Vec<u64> {
-        unsafe fn walk<M: Persist>(n: *mut Node<M>, out: &mut Vec<u64>) {
+        unsafe fn walk<M: Persist>(b: Base, n: *mut Node<M>, out: &mut Vec<u64>) {
             unsafe {
                 if n.is_null() {
                     return;
@@ -428,19 +433,19 @@ impl<M: Persist, const ARM: u8> RBst<M, ARM> {
                     }
                     return;
                 }
-                walk((*n).left.load() as *mut Node<M>, out);
-                walk((*n).right.load() as *mut Node<M>, out);
+                walk::<M>(b, b.at((*n).left.load()), out);
+                walk::<M>(b, b.at((*n).right.load()), out);
             }
         }
         let mut out = Vec::new();
-        unsafe { walk(self.root, &mut out) };
+        unsafe { walk(self.env.rec.base, self.root, &mut out) };
         out
     }
 
     /// Structural invariants for a quiescent tree: leaf-orientation, BST
     /// routing, untagged reachable nodes.
     pub fn check_invariants(&mut self) {
-        unsafe fn walk<M: Persist>(n: *mut Node<M>, lo: u64, hi: u64) {
+        unsafe fn walk<M: Persist>(b: Base, n: *mut Node<M>, lo: u64, hi: u64) {
             unsafe {
                 assert!(!n.is_null(), "null child in external tree");
                 let k = (*n).key.load();
@@ -453,17 +458,21 @@ impl<M: Persist, const ARM: u8> RBst<M, ARM> {
                     return;
                 }
                 assert!((*n).right.load() != 0, "internal with one child");
-                walk((*n).left.load() as *mut Node<M>, lo, k.saturating_sub(1));
-                walk((*n).right.load() as *mut Node<M>, k, hi);
+                walk::<M>(b, b.at((*n).left.load()), lo, k.saturating_sub(1));
+                walk::<M>(b, b.at((*n).right.load()), k, hi);
             }
         }
-        unsafe { walk(self.root, 0, u64::MAX) };
+        unsafe { walk(self.env.rec.base, self.root, 0, u64::MAX) };
     }
 }
 
 impl<M: Persist, const ARM: u8> Graph<M> for RBst<M, ARM> {
     fn kind_name(&self) -> &'static str {
         "bst"
+    }
+
+    fn base(&self) -> Base {
+        self.env.rec.base
     }
 
     // Iterative DFS: recursion depth is attacker-controlled here (crash
@@ -475,15 +484,17 @@ impl<M: Persist, const ARM: u8> Graph<M> for RBst<M, ARM> {
         mut budget: usize,
         visit: &mut dyn FnMut(u64, u64),
     ) -> Result<(), u64> {
-        let mut stack = vec![self.root as u64];
+        let b = self.env.rec.base;
+        let mut stack = vec![b.word(self.root)];
         while let Some(n) = stack.pop() {
             if n == 0 || budget == 0 || !admit(n) {
                 return Err(n);
             }
             budget -= 1;
+            let p = b.at::<Node<M>>(n);
             // SAFETY: non-null and admitted.
-            let node = unsafe { &*(n as *const Node<M>) };
-            visit(n, node.info.load());
+            let node = unsafe { &*p };
+            visit(p as u64, node.info.load());
             if !node.is_leaf() {
                 stack.extend([node.left.load(), node.right.load()]);
             }
@@ -501,7 +512,7 @@ impl<const ARM: u8> MappedLayout for RBst<MappedNvm, ARM> {
     }
 
     fn root_bytes(_cfg: ()) -> usize {
-        8 // the root node's address
+        8 // the root node's link
     }
 
     unsafe fn open(env: &AttachEnv, _cfg: (), root: *mut u8) -> Result<Self, AttachError> {

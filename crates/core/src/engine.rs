@@ -35,7 +35,7 @@
 
 use crate::arm;
 use crate::pool::PoolItem;
-use crate::tag;
+use crate::tag::{self, Base};
 use nvm::{PWord, Persist, PersistWords};
 use reclaim::Guard;
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU32, Ordering};
@@ -114,9 +114,10 @@ pub struct Info<M: Persist> {
     /// Precomputed response, written before publication; the operation's
     /// response once [`DONE`] is set.
     presult: PWord<M>,
-    /// AffectSet entry 0: (info-cell address, expected value).
+    /// AffectSet entry 0: (info-cell offset, expected value). Every cell
+    /// and every link value here is a link word ([`crate::tag`]).
     a0: [PWord<M>; 2],
-    /// WriteSet entry 0: (cell address, old, new).
+    /// WriteSet entry 0: (cell, old, new).
     w0: [PWord<M>; 3],
     /// NewSet entry 0: the info-cell address of a new node.
     n0: PWord<M>,
@@ -236,11 +237,12 @@ unsafe impl<M: Persist> PersistWords<M> for Info<M> {
 pub struct InfoFill<'a> {
     /// Operation type tag (diagnostics only; the engine does not interpret it).
     pub optype: u8,
-    /// `(info cell address, expected value)` per affected node, in tagging order.
+    /// `(info cell, expected value)` per affected node, in tagging order.
+    /// Cells, and every link value, are link words ([`crate::tag::Base`]).
     pub affect: &'a [(u64, u64)],
-    /// `(cell address, old, new)` CAS triples.
+    /// `(cell, old, new)` CAS triples.
     pub write: &'a [(u64, u64, u64)],
-    /// Info-cell addresses of newly allocated nodes (pre-tagged by the caller).
+    /// Info cells of newly allocated nodes (pre-tagged by the caller).
     pub newset: &'a [u64],
     /// Bit `i` set ⇒ `affect[i]` is tagged **for deletion** (skip at cleanup).
     pub del_mask: u8,
@@ -341,16 +343,25 @@ impl<M: Persist> Info<M> {
         M::store(&self.meta, M::load(&self.meta) | bit);
     }
 
-    /// `(cell, expected)` of affect entry `k`.
+    /// `(cell, expected)` of affect entry `k`, its cell decoded at `b`.
     ///
     /// # Safety
-    /// The stored cell address must still be live (EBR pin or quiescence).
+    /// The stored cell must still be live (EBR pin or quiescence).
     #[inline]
-    unsafe fn affect_at(&self, k: usize) -> (&PWord<M>, u64) {
+    unsafe fn affect_at(&self, b: Base, k: usize) -> (&PWord<M>, u64) {
         let slot = self.affect_slot(k);
-        let cell = M::load(&slot[0]) as *const PWord<M>;
+        let cell = b.at::<PWord<M>>(M::load(&slot[0]));
         let exp = M::load(&slot[1]);
         (unsafe { &*cell }, exp)
+    }
+
+    /// The cell of a write or new-set slot, decoded at `b`.
+    ///
+    /// # Safety
+    /// As [`Info::affect_at`].
+    #[inline]
+    unsafe fn cell_at(b: Base, slot: &PWord<M>) -> &PWord<M> {
+        unsafe { &*b.at::<PWord<M>>(M::load(slot)) }
     }
 
     /// Releases `n` references; retires the Info through `guard` at zero.
@@ -415,15 +426,15 @@ impl<M: Persist> Info<M> {
 
     /// One line for a failure report: `meta` (with its done bit),
     /// `presult`, and per affect entry the cell's address, its expected and
-    /// its *current* value.
+    /// its *current* value, the cells decoded at `b`.
     ///
     /// # Safety
-    /// Every affect cell address must still be live (quiescence).
-    pub unsafe fn describe(&self) -> String {
+    /// Every affect cell must still be live (quiescence).
+    pub unsafe fn describe(&self, b: Base) -> String {
         let mut out =
             format!("meta {:#x} presult {:#x} affect", M::load(&self.meta), M::load(&self.presult));
         for k in 0..self.counts().0.min(MAX_AFFECT) {
-            let (cell, expected) = unsafe { self.affect_at(k) };
+            let (cell, expected) = unsafe { self.affect_at(b, k) };
             out += &format!(" [{cell:p}: expected {expected:#x}, now {:#x}]", M::load(cell));
         }
         out
@@ -431,10 +442,10 @@ impl<M: Persist> Info<M> {
 
     /// Attach-time bounds validation of a descriptor read from an
     /// **untrusted** mapped image, before `help` may dereference any of its
-    /// cell addresses: the set sizes must be within the engine's capacities,
-    /// every used affect/write/newset cell address must satisfy `valid_cell`
-    /// (an in-arena 8-byte-span check — helping reads/CASes one word
-    /// there), and every write `new` value must satisfy `valid_install`
+    /// cells: the set sizes must be within the engine's capacities, every
+    /// used affect/write/newset cell offset must satisfy `valid_cell` (an
+    /// in-arena 8-byte-span check — helping reads/CASes one word there), and
+    /// every write `new` value must satisfy `valid_install`
     /// (callers pass a whole-node span check: `help` installs the value
     /// into a cell the later census walk dereferences as a node). Returns
     /// `false` on any violation.
@@ -539,11 +550,15 @@ pub enum HelpOutcome {
 /// first AffectSet element; helpers — who discovered the Info through an
 /// already-tagged node — start from the second.
 ///
+/// `b` is the base the descriptor's link words are offsets from (the
+/// structure's, which its recovery area carries).
+///
 /// # Safety
 /// `info` must point to a filled, live `Info` reachable per the protocol;
 /// the caller must hold an EBR pin (`guard`) covering every node in the
 /// descriptor.
 pub unsafe fn help<M: Persist, const ARM: u8>(
+    b: Base,
     info: *mut Info<M>,
     invoker: bool,
     guard: &Guard<'_>,
@@ -553,8 +568,8 @@ pub unsafe fn help<M: Persist, const ARM: u8>(
     // or as a backtrack/cleanup placeholder): it must never skip the EBR
     // delay on reuse. Release-ordered so the flag travels with the tag CAS.
     r.shared.store(true, Ordering::Release);
-    let tagged_val = tag::tagged(info as u64);
-    let untagged_val = tag::untagged(info as u64);
+    let untagged_val = b.word(info);
+    let tagged_val = tag::tagged(untagged_val);
     let (naffect, nwrite, nnew, del_mask) = r.counts();
     let start = if invoker { 0 } else { 1 };
     // A link operation's tag-phase `psync` is merged into its update-phase
@@ -570,7 +585,7 @@ pub unsafe fn help<M: Persist, const ARM: u8>(
     // ---- Tagging phase -------------------------------------------------
     let mut k = start;
     while k < naffect {
-        let (cell, expected) = unsafe { r.affect_at(k) };
+        let (cell, expected) = unsafe { r.affect_at(b, k) };
         debug_assert!(!tag::is_tagged(expected), "expected info values are untagged");
         let res = cell.cas(expected, tagged_val);
         if !arm::is_tuned(ARM) {
@@ -596,14 +611,15 @@ pub unsafe fn help<M: Persist, const ARM: u8>(
             // 2. `DONE` unset ⇒ the attempt genuinely failed: backtrack.
             //
             // A merged operation asks its write instead (see `merged`).
-            let completed = if merged { unsafe { writes_in_place(r, nwrite) } } else { r.done() };
+            let completed =
+                if merged { unsafe { writes_in_place(b, r, nwrite) } } else { r.done() };
             if completed {
                 if merged && !r.done() {
                     r.mark(DONE);
                     arm::pwb_arm::<M, ARM>(&r.meta);
                     M::psync();
                 }
-                cleanup::<M, ARM>(r, tagged_val, untagged_val, naffect, nnew, del_mask);
+                cleanup::<M, ARM>(b, r, tagged_val, untagged_val, naffect, nnew, del_mask);
                 if !arm::is_tuned(ARM) {
                     M::psync();
                 }
@@ -613,7 +629,7 @@ pub unsafe fn help<M: Persist, const ARM: u8>(
             let mut j = k;
             while j > 0 {
                 j -= 1;
-                let (c, _) = unsafe { r.affect_at(j) };
+                let (c, _) = unsafe { r.affect_at(b, j) };
                 let _ = c.cas(tagged_val, untagged_val);
                 arm::pwb_arm::<M, ARM>(c);
             }
@@ -622,7 +638,7 @@ pub unsafe fn help<M: Persist, const ARM: u8>(
         }
         if res == expected {
             // We won the install: release the overwritten info value.
-            let old = tag::ptr_of::<Info<M>>(expected);
+            let old = b.at::<Info<M>>(expected);
             if !old.is_null() {
                 unsafe { Info::release(old, 1, guard) };
             }
@@ -632,7 +648,7 @@ pub unsafe fn help<M: Persist, const ARM: u8>(
     if arm::is_tuned(ARM) {
         // Batched write-backs of all tags before the phase-ending psync.
         for k in 0..naffect {
-            let (cell, _) = unsafe { r.affect_at(k) };
+            let (cell, _) = unsafe { r.affect_at(b, k) };
             arm::pwb_arm::<M, ARM>(cell);
         }
     } else {
@@ -641,7 +657,7 @@ pub unsafe fn help<M: Persist, const ARM: u8>(
         // the crashed invoker never completed. Re-flush them so no update is
         // ever durable while a tag it depends on is not (DESIGN.md §4).
         for k in 0..start {
-            let (cell, _) = unsafe { r.affect_at(k) };
+            let (cell, _) = unsafe { r.affect_at(b, k) };
             M::pwb(cell);
         }
     }
@@ -660,10 +676,9 @@ pub unsafe fn help<M: Persist, const ARM: u8>(
     let mut in_place = true;
     for w in 0..nwrite {
         let slot = r.write_slot(w);
-        let cell = M::load(&slot[0]) as *const PWord<M>;
+        let cell = unsafe { Info::cell_at(b, &slot[0]) };
         let old = M::load(&slot[1]);
         let new = M::load(&slot[2]);
-        let cell = unsafe { &*cell };
         let seen = cell.cas(old, new); // idempotent: fails silently on re-execution
         in_place &= seen == old || seen == new;
         arm::pwb_arm::<M, ARM>(cell);
@@ -673,7 +688,7 @@ pub unsafe fn help<M: Persist, const ARM: u8>(
         // while another operation's write stands: this attempt can never
         // take effect. Take the tag back, durably, before anyone else acts
         // on it.
-        let (cell, _) = unsafe { r.affect_at(0) };
+        let (cell, _) = unsafe { r.affect_at(b, 0) };
         let _ = cell.cas(tagged_val, untagged_val);
         arm::pwb_arm::<M, ARM>(cell);
         M::psync();
@@ -685,7 +700,7 @@ pub unsafe fn help<M: Persist, const ARM: u8>(
     M::psync();
 
     // ---- Cleanup phase --------------------------------------------------
-    cleanup::<M, ARM>(r, tagged_val, untagged_val, naffect, nnew, del_mask);
+    cleanup::<M, ARM>(b, r, tagged_val, untagged_val, naffect, nnew, del_mask);
     if !arm::is_tuned(ARM) {
         M::psync();
     }
@@ -697,12 +712,12 @@ pub unsafe fn help<M: Persist, const ARM: u8>(
 ///
 /// # Safety
 /// As [`help`].
-unsafe fn writes_in_place<M: Persist>(r: &Info<M>, nwrite: usize) -> bool {
+unsafe fn writes_in_place<M: Persist>(b: Base, r: &Info<M>, nwrite: usize) -> bool {
     (0..nwrite).all(|w| {
         let slot = r.write_slot(w);
         // SAFETY: a write slot names a cell of a node the caller's pin keeps
         // live ([`help`]'s contract).
-        let cell = unsafe { &*(M::load(&slot[0]) as *const PWord<M>) };
+        let cell = unsafe { Info::cell_at(b, &slot[0]) };
         M::load(cell) == M::load(&slot[2])
     })
 }
@@ -719,6 +734,7 @@ unsafe fn writes_in_place<M: Persist>(r: &Info<M>, nwrite: usize) -> bool {
 /// elision only widens the window, never the set of recovery behaviours
 /// (DESIGN.md §12).
 fn cleanup<M: Persist, const ARM: u8>(
+    b: Base,
     r: &Info<M>,
     tagged_val: u64,
     untagged_val: u64,
@@ -731,16 +747,15 @@ fn cleanup<M: Persist, const ARM: u8>(
             continue; // deletion-tagged: stays tagged forever (mark bit)
         }
         // SAFETY: descriptor cells stay live per the help() contract.
-        let (cell, _) = unsafe { r.affect_at(k) };
+        let (cell, _) = unsafe { r.affect_at(b, k) };
         let _ = cell.cas(tagged_val, untagged_val);
         if !arm::is_lp(ARM) {
             arm::pwb_arm::<M, ARM>(cell);
         }
     }
     for n in 0..nnew {
-        let cell = M::load(r.new_slot(n)) as *const PWord<M>;
         // SAFETY: as above.
-        let cell = unsafe { &*cell };
+        let cell = unsafe { Info::cell_at(b, r.new_slot(n)) };
         let _ = cell.cas(tagged_val, untagged_val);
         if !arm::is_lp(ARM) {
             arm::pwb_arm::<M, ARM>(cell);
@@ -776,28 +791,30 @@ fn cleanup<M: Persist, const ARM: u8>(
 /// As [`help`], and every foreign tag in an affect cell must name a live
 /// descriptor (crash runs free nothing).
 pub unsafe fn help_recovering<M: Persist, const ARM: u8>(
+    b: Base,
     info: *mut Info<M>,
     guard: &Guard<'_>,
 ) -> u64 {
     let r = unsafe { &*info };
-    let tagged_val = tag::tagged(info as u64);
+    let untagged_val = b.word(info);
+    let tagged_val = tag::tagged(untagged_val);
     let naffect = r.counts().0;
     if !M::MAPPED {
         for k in 0..naffect {
-            let (cell, _) = unsafe { r.affect_at(k) };
+            let (cell, _) = unsafe { r.affect_at(b, k) };
             let seen = M::load(cell);
             if tag::is_tagged(seen) && seen != tagged_val {
-                let _ = unsafe { help::<M, ARM>(tag::ptr_of(seen), false, guard) };
+                let _ = unsafe { help::<M, ARM>(b, b.at(seen), false, guard) };
             }
         }
     }
-    let done = unsafe { help::<M, ARM>(info, true, guard) } == HelpOutcome::Done;
+    let done = unsafe { help::<M, ARM>(b, info, true, guard) } == HelpOutcome::Done;
     let res = if done { M::load(&r.presult) } else { RES_BOT };
     if res == RES_BOT {
         let mut untagged = false;
         for k in (0..naffect).rev() {
-            let (cell, _) = unsafe { r.affect_at(k) };
-            if cell.cas(tagged_val, tag::untagged(info as u64)) == tagged_val {
+            let (cell, _) = unsafe { r.affect_at(b, k) };
+            if cell.cas(tagged_val, untagged_val) == tagged_val {
                 M::pwb(cell);
                 untagged = true;
             }
@@ -869,7 +886,7 @@ mod tests {
         let a1 = cellv(0);
         let w = cellv(100);
         let info = unsafe { mk_info(&a0, 0, &a1, 0, &w, 100, 200, 0b10) };
-        let out = unsafe { help::<M, 0>(info, true, &g) };
+        let out = unsafe { help::<M, 0>(Base(0), info, true, &g) };
         assert_eq!(out, HelpOutcome::Done);
         assert_eq!(w.load(), 200, "write applied");
         assert!(unsafe { &*info }.done());
@@ -890,7 +907,7 @@ mod tests {
         let a1 = cellv(0);
         let w = cellv(100);
         let info = unsafe { mk_info(&a0, 0, &a1, 0, &w, 100, 200, 0b10) };
-        assert_eq!(unsafe { help::<M, 0>(info, true, &g) }, HelpOutcome::Done);
+        assert_eq!(unsafe { help::<M, 0>(Base(0), info, true, &g) }, HelpOutcome::Done);
         w.store(777); // someone else moved the world on
 
         // Re-execution (recovery): the tag CAS on a0 fails (the cell now
@@ -899,7 +916,7 @@ mod tests {
         // WITHOUT re-running the write (Algorithm 1's completion check; an
         // invoker that mistook this for failure would re-initialize nodes
         // that are reachable).
-        let out = unsafe { help::<M, 0>(info, true, &g) };
+        let out = unsafe { help::<M, 0>(Base(0), info, true, &g) };
         assert_eq!(out, HelpOutcome::Done);
         assert_eq!(w.load(), 777, "idempotence: update not re-applied");
         assert!(unsafe { &*info }.done(), "DONE survives");
@@ -919,11 +936,11 @@ mod tests {
         let a1 = cellv(0);
         let w = cellv(100);
         let info = unsafe { mk_info(&a0, 0, &a1, 0, &w, 100, 200, 0b10) };
-        assert_eq!(unsafe { help::<M, 0>(info, true, &g) }, HelpOutcome::Done);
+        assert_eq!(unsafe { help::<M, 0>(Base(0), info, true, &g) }, HelpOutcome::Done);
         a0.store(0xF0F0); // later op's value in the released cell
         w.store(777);
         assert_eq!(
-            unsafe { help::<M, 0>(info, true, &g) },
+            unsafe { help::<M, 0>(Base(0), info, true, &g) },
             HelpOutcome::Done,
             "foreign value + DONE = the operation completed"
         );
@@ -936,7 +953,7 @@ mod tests {
         let w2 = cellv(100);
         let info2 = unsafe { mk_info(&b0, 0, &b1, 0, &w2, 100, 200, 0) };
         assert_eq!(
-            unsafe { help::<M, 0>(info2, true, &g) },
+            unsafe { help::<M, 0>(Base(0), info2, true, &g) },
             HelpOutcome::FailedAt(0),
             "foreign value + no DONE = genuine failure"
         );
@@ -956,7 +973,7 @@ mod tests {
         // Simulate a crash after tagging both nodes but before the update:
         a0.store(tag::tagged(info as u64));
         a1.store(tag::tagged(info as u64));
-        let out = unsafe { help::<M, 0>(info, true, &g) };
+        let out = unsafe { help::<M, 0>(Base(0), info, true, &g) };
         assert_eq!(out, HelpOutcome::Done, "re-tagging treats tagged(info) as success");
         assert_eq!(w.load(), 200);
         // Releases happened for... no prior values (tag CAS saw res == tagged).
@@ -973,7 +990,7 @@ mod tests {
         let a1 = cellv(0xdead0); // does not match expected 0
         let w = cellv(100);
         let info = unsafe { mk_info(&a0, 0, &a1, 0, &w, 100, 200, 0b10) };
-        let out = unsafe { help::<M, 0>(info, true, &g) };
+        let out = unsafe { help::<M, 0>(Base(0), info, true, &g) };
         assert_eq!(out, HelpOutcome::FailedAt(1));
         assert_eq!(a0.load(), tag::untagged(info as u64), "prefix untagged");
         assert_eq!(a1.load(), 0xdead0, "conflicting cell untouched");
@@ -993,7 +1010,7 @@ mod tests {
         let info = unsafe { mk_info(&a0, 0, &a1, 0, &w, 100, 200, 0b10) };
         // Invoker tagged a0, then stalled; a helper picks it up.
         a0.store(tag::tagged(info as u64));
-        let out = unsafe { help::<M, 0>(info, false, &g) };
+        let out = unsafe { help::<M, 0>(Base(0), info, false, &g) };
         assert_eq!(out, HelpOutcome::Done);
         assert_eq!(w.load(), 200);
         assert_eq!(a0.load(), tag::untagged(info as u64), "helper's cleanup untags position 0");
@@ -1010,7 +1027,7 @@ mod tests {
         let w = cellv(100);
         let info = unsafe { mk_info(&a0, 0, &a1, 0, &w, 100, 200, 0b10) };
         a0.store(tag::tagged(info as u64)); // invoker got this far, then died
-        let out = unsafe { help::<M, 0>(info, false, &g) };
+        let out = unsafe { help::<M, 0>(Base(0), info, false, &g) };
         assert_eq!(out, HelpOutcome::FailedAt(1));
         assert_eq!(a0.load(), tag::untagged(info as u64), "helper backtracks the invoker's tag");
         unsafe { Info::release(info, 3, &g) };
@@ -1029,7 +1046,7 @@ mod tests {
         let (x0, a0, a1) = (cellv(0), cellv(0), cellv(0));
         let (wx, w) = (cellv(100), cellv(500));
         let prev = unsafe { mk_info(&x0, 0, &a0, 0, &wx, 100, 200, 0) };
-        assert_eq!(unsafe { help::<M, 1>(prev, true, &g) }, HelpOutcome::Done);
+        assert_eq!(unsafe { help::<M, 1>(Base(0), prev, true, &g) }, HelpOutcome::Done);
         let expected = tag::untagged(prev as u64);
         assert_eq!(a0.load(), expected);
         let info = unsafe { mk_info(&a0, expected, &a1, 0, &w, 500, 600, 0) };
@@ -1039,11 +1056,11 @@ mod tests {
         };
 
         image();
-        assert_eq!(unsafe { help::<M, 1>(info, true, &g) }, HelpOutcome::FailedAt(0));
+        assert_eq!(unsafe { help::<M, 1>(Base(0), info, true, &g) }, HelpOutcome::FailedAt(0));
         assert_eq!(a1.load(), tag::tagged(info as u64), "left for a helper to complete");
 
         image();
-        assert_eq!(unsafe { help_recovering::<M, 1>(info, &g) }, RES_TRUE);
+        assert_eq!(unsafe { help_recovering::<M, 1>(Base(0), info, &g) }, RES_TRUE);
         assert_eq!((wx.load(), w.load()), (200, 600), "healed without re-applying; applied");
         assert_eq!(a0.load(), tag::untagged(info as u64));
         assert_eq!(a1.load(), tag::untagged(info as u64));
@@ -1064,7 +1081,7 @@ mod tests {
         let (a0, a1, w) = (cellv(0xBAD0), cellv(0), cellv(100));
         let info = unsafe { mk_info(&a0, 0, &a1, 0, &w, 100, 200, 0) };
         a1.store(tag::tagged(info as u64));
-        assert_eq!(unsafe { help_recovering::<M, 1>(info, &g) }, RES_BOT);
+        assert_eq!(unsafe { help_recovering::<M, 1>(Base(0), info, &g) }, RES_BOT);
         assert_eq!(a0.load(), 0xBAD0);
         assert_eq!(a1.load(), tag::untagged(info as u64));
         assert_eq!(w.load(), 100, "update not performed");
@@ -1097,7 +1114,7 @@ mod tests {
         let a1 = cellv(0);
         let w = cellv(1);
         let info = unsafe { mk_info(&a0, tag::untagged(old as u64), &a1, 0, &w, 1, 2, 0b10) };
-        assert_eq!(unsafe { help::<M, 0>(info, true, &g) }, HelpOutcome::Done);
+        assert_eq!(unsafe { help::<M, 0>(Base(0), info, true, &g) }, HelpOutcome::Done);
         // The winning tag CAS over `old`'s value released its last reference:
         // old has been retired (freed when the collector drains) — we can't
         // touch it; absence of double-free is checked by the collector drop.
@@ -1185,7 +1202,7 @@ mod tests {
         let before = nvm::stats::Snapshot::of_tid(P);
         {
             let g = ctx.c.pin();
-            unsafe { help::<M, 0>(info, true, &g) };
+            unsafe { help::<M, 0>(Base(0), info, true, &g) };
         }
         let paper = nvm::stats::Snapshot::of_tid(P).since(&before);
 
@@ -1194,7 +1211,7 @@ mod tests {
         let before = nvm::stats::Snapshot::of_tid(P);
         {
             let g = ctx.c.pin();
-            unsafe { help::<M, 1>(info2, true, &g) };
+            unsafe { help::<M, 1>(Base(0), info2, true, &g) };
         }
         let tuned = nvm::stats::Snapshot::of_tid(P).since(&before);
         assert!(tuned.psync < paper.psync, "tuned {tuned:?} vs paper {paper:?}");

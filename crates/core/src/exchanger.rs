@@ -21,11 +21,10 @@
 use crate::engine::{res_val, val_of, RES_BOT, RES_EMPTY};
 use crate::env::Env;
 use crate::pool::{Pool, PoolItem};
-use crate::tag;
 use nvm::{PWord, Persist, PersistWords};
 
 /// A withdrawn offer's `partner` word: ExInfos are 8-aligned, so no
-/// collider's address equals it.
+/// collider's link word equals it.
 const WITHDRAWN: u64 = 1;
 
 /// The per-operation descriptor exchanged between processes.
@@ -102,7 +101,7 @@ impl<M: Persist> RExchanger<M> {
 
     /// Complete with `partner`'s value: persist the response, then return it.
     unsafe fn finish(&self, info: *mut ExInfo<M>, partner: u64) -> u64 {
-        let v = unsafe { (*(partner as *const ExInfo<M>)).value.load() };
+        let v = unsafe { (*self.env.rec.base.at::<ExInfo<M>>(partner)).value.load() };
         unsafe { Self::answer(info, res_val(v)) };
         v
     }
@@ -122,38 +121,39 @@ impl<M: Persist> RExchanger<M> {
     pub fn exchange(&self, pid: usize, v: u64, budget: usize) -> ExchangeResult {
         // ONE pin covers the retirement of the previous descriptor and the
         // whole collision loop.
-        let g = self.env.collector.pin();
+        let (g, b) = (self.env.collector.pin(), self.env.rec.base);
         let prev = self.env.rec.begin::<1>(pid);
-        if tag::untagged(prev) != 0 {
+        if prev != 0 {
             // Published in RD_q and possibly seen by a past partner: the
             // pool's epoch delay applies.
-            unsafe { self.pool.retire(tag::untagged(prev) as *mut ExInfo<M>, &g) };
+            unsafe { self.pool.retire(b.at(prev), &g) };
         }
         let info = self.alloc_info(v);
         unsafe {
             M::pwb_obj(&*info);
             M::pfence();
         }
-        self.env.rec.publish(pid, info as u64);
+        let me = b.word(info);
+        self.env.rec.publish(pid, me);
         let mut spins = 0;
         loop {
             let cur = self.slot.load();
             if cur == 0 {
                 // Try to capture the slot and wait for a partner.
-                if self.slot.cas(0, info as u64) == 0 {
+                if self.slot.cas(0, me) == 0 {
                     M::pwb(&self.slot);
                     loop {
                         let p = unsafe { (*info).partner.load() };
                         if p != 0 {
                             let v = unsafe { self.finish(info, p) };
-                            let _ = self.slot.cas(info as u64, 0);
+                            let _ = self.slot.cas(me, 0);
                             return ExchangeResult::Exchanged(v);
                         }
                         spins += 1;
                         // Withdraw by claiming our own `partner` word; if
                         // that fails, a partner just arrived (next round).
                         if spins > budget && unsafe { (*info).partner.cas(0, WITHDRAWN) } == 0 {
-                            let _ = self.slot.cas(info as u64, 0);
+                            let _ = self.slot.cas(me, 0);
                             unsafe { Self::answer(info, RES_EMPTY) };
                             return ExchangeResult::TimedOut;
                         }
@@ -162,8 +162,8 @@ impl<M: Persist> RExchanger<M> {
                 }
             } else {
                 // Collide with the waiter.
-                let waiter = cur as *mut ExInfo<M>;
-                if unsafe { (*waiter).partner.cas(0, info as u64) } == 0 {
+                let waiter = b.at::<ExInfo<M>>(cur);
+                if unsafe { (*waiter).partner.cas(0, me) } == 0 {
                     unsafe { M::pwb(&(*waiter).partner) };
                     let v = unsafe { self.finish(info, cur) };
                     let _ = self.slot.cas(cur, 0); // release for the next pair
@@ -188,7 +188,7 @@ impl<M: Persist> RExchanger<M> {
         if cp != 1 || rd == 0 {
             return self.exchange(pid, v, budget);
         }
-        let info = rd as *mut ExInfo<M>;
+        let info = self.env.rec.base.at::<ExInfo<M>>(rd);
         unsafe {
             let r = (*info).result.load();
             if r == RES_EMPTY {
@@ -204,7 +204,7 @@ impl<M: Persist> RExchanger<M> {
             if p != 0 && p != WITHDRAWN {
                 return ExchangeResult::Exchanged(self.finish(info, p));
             }
-            let _ = self.slot.cas(info as u64, 0);
+            let _ = self.slot.cas(rd, 0);
         }
         self.exchange(pid, v, budget)
     }
@@ -212,18 +212,15 @@ impl<M: Persist> RExchanger<M> {
 
 impl<M: Persist> Drop for RExchanger<M> {
     fn drop(&mut self) {
-        let mut grave = std::collections::HashSet::new();
-        self.env.rec.each_published(|rd| {
-            if tag::untagged(rd) != 0 {
-                grave.insert(tag::untagged(rd));
-            }
-        });
+        let b = self.env.rec.base;
+        let mut grave: std::collections::HashSet<*mut ExInfo<M>> =
+            self.env.rec.published_words().map(|rd| b.at(rd)).collect();
         for (p, _) in self.env.collector.take_parked() {
-            grave.remove(&(p as u64)); // parked ExInfos freed below once
-            unsafe { drop(Box::from_raw(p as *mut ExInfo<M>)) };
+            grave.remove(&p.cast()); // parked ExInfos freed below once
+            unsafe { drop(Box::from_raw(p.cast::<ExInfo<M>>())) };
         }
         for p in grave {
-            unsafe { drop(Box::from_raw(p as *mut ExInfo<M>)) };
+            unsafe { drop(Box::from_raw(p)) };
         }
     }
 }

@@ -7,14 +7,14 @@
 //!
 //! | visitor | admits | does |
 //! |---|---|---|
-//! | [`validate_unit`] | what the caller checked (whole-node spans inside the mapping), budgeted | collects the descriptors an untrusted image references; the offending pointer otherwise |
+//! | [`validate_unit`] | what the caller checked (whole-node spans inside the mapping), budgeted | collects the descriptors an untrusted image references; the offending link otherwise |
 //! | [`census_unit`] | everything | live node set + per-descriptor reference counts |
 //! | [`scrub_unit`] / [`scrub`] | everything | helps every tagged info until a pass finds none, at most [`SCRUB_PASSES`] |
 //! | [`teardown`] | everything | frees the deduplicated union of reachable, parked and published objects |
 
 use crate::engine::Info;
 use crate::recovery::{AttachError, RecArea};
-use crate::tag;
+use crate::tag::{self, Base};
 use nvm::Persist;
 use reclaim::Collector;
 use std::collections::{HashMap, HashSet};
@@ -29,6 +29,9 @@ pub trait Graph<M: Persist> {
     /// Human-readable kind name (errors/diagnostics).
     fn kind_name(&self) -> &'static str;
 
+    /// The base the graph's link words are offsets from ([`crate::tag`]).
+    fn base(&self) -> Base;
+
     /// Number of independent work units (one per hash-map shard; the
     /// default is one — the whole structure). Units partition the graph's
     /// nodes and cells, so per-unit walks never touch the same memory and
@@ -39,19 +42,20 @@ pub trait Graph<M: Persist> {
 
     /// Visits every node reachable in work unit `unit` as
     /// `visit(node address, info word)`: iteratively, at most `budget`
-    /// nodes, asking `admit` about every pointer **before** it is
-    /// dereferenced. An info cell outside any node (the queue's anchor) is
-    /// reported with node address 0. A node's links are read *after* `visit`
-    /// returns, so a visitor may help the descriptor it was shown.
+    /// nodes, asking `admit` about every link word (a [`Base`] offset)
+    /// **before** it is followed. An info cell outside any node (the queue's
+    /// anchor) is reported with node address 0. A node's links are read
+    /// *after* `visit` returns, so a visitor may help the descriptor it was
+    /// shown.
     ///
-    /// `Err(p)`: pointer `p` was null where a node must be, refused by
+    /// `Err(w)`: link `w` was null where a node must be, refused by
     /// `admit`, or the one the budget ran out at (a cycle).
     ///
     /// # Safety
-    /// Every non-null pointer `admit` accepts must be dereferenceable as a
-    /// node of this structure. Trusted callers (a live structure, quiescent
-    /// or pinned) pass `&|_| true`; attach over an untrusted image passes a
-    /// whole-node span check.
+    /// Every non-null link `admit` accepts must name a node of this
+    /// structure at [`Graph::base`]. Trusted callers (a live structure,
+    /// quiescent or pinned) pass `&|_| true`; attach over an untrusted image
+    /// passes a whole-node span check.
     unsafe fn walk(
         &self,
         unit: usize,
@@ -61,10 +65,11 @@ pub trait Graph<M: Persist> {
     ) -> Result<(), u64>;
 }
 
-/// The descriptor an info word names (tagged or not), if any.
-fn descriptor_of(info: u64) -> Option<usize> {
-    let p = tag::untagged(info) as usize;
-    (p != 0).then_some(p)
+/// The link word of the descriptor an info word names (tagged or not), if
+/// any.
+fn descriptor_of(info: u64) -> Option<u64> {
+    let w = tag::untagged(info);
+    (w != 0).then_some(w)
 }
 
 /// Upper bound on scrub passes over one work unit. Each pass helps every
@@ -93,7 +98,7 @@ pub fn scrub_unit<M: Persist, const ARM: u8>(
     collector: &Collector,
 ) -> Result<(), AttachError> {
     for _ in 0..SCRUB_PASSES {
-        let g = collector.pin();
+        let (g, b) = (collector.pin(), graph.base());
         let mut dirty = false;
         // SAFETY: a live structure (the caller's); tagged infos name live
         // descriptors (validated by attach, never freed in crash mode).
@@ -101,7 +106,7 @@ pub fn scrub_unit<M: Persist, const ARM: u8>(
             graph.walk(unit, &|_| true, usize::MAX, &mut |_, info| {
                 if tag::is_tagged(info) {
                     dirty = true;
-                    crate::engine::help::<M, ARM>(tag::ptr_of(info), false, &g);
+                    crate::engine::help::<M, ARM>(b, b.at(info), false, &g);
                 }
             })
         };
@@ -139,18 +144,17 @@ pub unsafe fn teardown<M: Persist, N>(
     use crate::op::drop_raw;
     let mut grave: HashMap<usize, unsafe fn(*mut u8)> =
         parked.into_iter().map(|(p, f)| (p as usize, f)).collect();
-    rec.each_published(|rd| {
-        if let Some(info) = descriptor_of(rd) {
-            grave.insert(info, drop_raw::<Info<M>>);
-        }
-    });
+    let descriptor = |info| descriptor_of(info).map(|w| rec.base.at::<u8>(w) as usize);
+    for rd in rec.published_words() {
+        grave.insert(rec.base.at::<u8>(rd) as usize, drop_raw::<Info<M>>);
+    }
     for unit in 0..graph.work_units() {
         let _ = unsafe {
             graph.walk(unit, &|_| true, usize::MAX, &mut |n, info| {
                 if n != 0 {
                     grave.insert(n as usize, drop_raw::<N>);
                 }
-                if let Some(info) = descriptor_of(info) {
+                if let Some(info) = descriptor(info) {
                     grave.insert(info, drop_raw::<Info<M>>);
                 }
             })
@@ -166,7 +170,7 @@ pub unsafe fn teardown<M: Persist, N>(
 /// stops after `budget` nodes (a cycle), and the descriptors the nodes
 /// reference are only *collected* into `infos` — the caller range-checks
 /// them before anything follows one ([`crate::recovery::validate_infos`]).
-/// `Err` carries the offending pointer.
+/// `Err` carries the offending link word.
 ///
 /// # Safety
 /// As [`Graph::walk`]: `admit` must accept only dereferenceable nodes.
@@ -179,14 +183,15 @@ pub unsafe fn validate_unit<M: Persist>(
 ) -> Result<(), u64> {
     unsafe {
         graph.walk(unit, admit, budget, &mut |_, info| {
-            infos.extend(descriptor_of(info).map(|p| p as u64));
+            infos.extend(descriptor_of(info));
         })
     }
 }
 
 /// The census visitor over work unit `unit` of a quiescent structure: every
 /// reachable node's address into `live`, and per descriptor still referenced
-/// from an info cell the number of referencing cells into `info_refs`.
+/// from an info cell (keyed by its link word) the number of referencing
+/// cells into `info_refs`.
 ///
 /// # Safety
 /// Quiescent exclusive access to a live (or validated) structure.
@@ -194,7 +199,7 @@ pub unsafe fn census_unit<M: Persist>(
     graph: &(impl Graph<M> + ?Sized),
     unit: usize,
     live: &mut HashSet<usize>,
-    info_refs: &mut HashMap<usize, u32>,
+    info_refs: &mut HashMap<u64, u32>,
 ) {
     let _ = unsafe {
         graph.walk(unit, &|_| true, usize::MAX, &mut |n, info| {

@@ -25,6 +25,7 @@ use crate::graph::{self, Graph};
 use crate::pool::Pool;
 use crate::recovery::{root_words, AttachEnv, AttachError, MappedLayout, Rooted, SlotOps};
 use crate::set_core::{self, Node, SetCore};
+use crate::tag::Base;
 use nvm::mapped::MappedNvm;
 use nvm::{PWord, Persist};
 use reclaim::Collector;
@@ -117,7 +118,7 @@ impl<M: Persist, const ARM: u8> RHashMap<M, ARM> {
     /// As [`set_core::buckets`], over the memory `env`'s pools draw from.
     unsafe fn over(mut env: Env<M>, roots: Rooted<[PWord<M>]>) -> Self {
         let nodes = env.pool::<_, ARM>();
-        let heads = unsafe { set_core::buckets(&nodes, &roots) };
+        let heads = unsafe { set_core::buckets(env.rec.base, &nodes, &roots) };
         // For one shard every key maps to bucket 0; `min(63)` keeps the
         // shift in range and the mask in `shard_of` does the rest.
         let shift = (64 - heads.len().trailing_zeros()).min(63);
@@ -255,6 +256,10 @@ impl<M: Persist, const ARM: u8> Graph<M> for RHashMap<M, ARM> {
         KIND_NAME
     }
 
+    fn base(&self) -> Base {
+        self.env.rec.base
+    }
+
     // Each bucket is an independent work unit — the buckets partition every
     // node and cell.
     fn work_units(&self) -> usize {
@@ -268,7 +273,7 @@ impl<M: Persist, const ARM: u8> Graph<M> for RHashMap<M, ARM> {
         budget: usize,
         visit: &mut dyn FnMut(u64, u64),
     ) -> Result<(), u64> {
-        unsafe { set_core::walk_bucket(self.heads[unit], admit, budget, visit) }
+        unsafe { set_core::walk_bucket(self.env.rec.base, self.heads[unit], admit, budget, visit) }
     }
 }
 
@@ -292,7 +297,7 @@ impl<const ARM: u8> MappedLayout for RHashMap<MappedNvm, ARM> {
     }
 
     fn root_bytes(shards: usize) -> usize {
-        shards * 8 // one bucket-head address per shard
+        shards * 8 // one bucket-head link per shard
     }
 
     unsafe fn open(env: &AttachEnv, shards: usize, root: *mut u8) -> Result<Self, AttachError> {

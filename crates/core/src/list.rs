@@ -13,6 +13,7 @@
 use crate::graph::Graph;
 use crate::hashmap::RHashMap;
 use crate::recovery::{AttachEnv, AttachError, MappedLayout, SlotOps};
+use crate::tag::Base;
 use nvm::mapped::MappedNvm;
 use nvm::Persist;
 
@@ -79,6 +80,10 @@ impl<M: Persist, const ARM: u8> std::ops::DerefMut for RList<M, ARM> {
 impl<M: Persist, const ARM: u8> Graph<M> for RList<M, ARM> {
     fn kind_name(&self) -> &'static str {
         "list"
+    }
+
+    fn base(&self) -> Base {
+        self.0.base()
     }
 
     unsafe fn walk(

@@ -15,13 +15,12 @@ use crate::engine::{Info, InfoFill};
 use crate::env::Env;
 use crate::pool::{Pool, PoolItem};
 use crate::recovery::{op_recover, Recovered};
-use crate::tag;
 use nvm::{PWord, Persist};
 use reclaim::Guard;
 
 /// A node of a descriptor-tracked structure: a pool item with an info word.
 pub trait TrackedNode<M: Persist>: PoolItem {
-    /// The node's info word (a tagged descriptor pointer, see [`crate::tag`]).
+    /// The node's info word (a tagged descriptor link, see [`crate::tag`]).
     fn info(&self) -> &PWord<M>;
 }
 
@@ -79,12 +78,6 @@ macro_rules! tracked_node {
 }
 pub(crate) use tracked_node;
 
-/// Address of a persistent word, as descriptors record cells.
-#[inline]
-pub fn cell_addr<M: Persist>(w: &PWord<M>) -> u64 {
-    w as *const PWord<M> as u64
-}
-
 /// Frees the `Box<T>` at `p` (drop-time teardown, see
 /// [`crate::graph::teardown`]).
 ///
@@ -103,7 +96,7 @@ impl<M: Persist> Env<M> {
         let prev = self.rec.begin::<ARM>(pid);
         // SAFETY: `begin` took `prev` out of `pid`'s `RD_q`, whose owner is
         // the calling thread, so this is the slot's one release.
-        unsafe { Info::<M>::release(tag::ptr_of(prev), 1, g) };
+        unsafe { Info::<M>::release(self.rec.base.at(prev), 1, g) };
     }
 
     /// A `find`'s prologue. Returns what `published` starts as: in arms 0/1
@@ -155,11 +148,13 @@ impl<M: Persist> Env<M> {
         published: &mut u64,
         g: &Guard<'_>,
     ) {
-        self.rec.publish_arm::<ARM>(pid, info as u64);
-        if *published != 0 && *published != info as u64 {
-            unsafe { Info::<M>::release(tag::ptr_of(*published), 1, g) };
+        let b = self.rec.base;
+        let word = b.word(info);
+        self.rec.publish_arm::<ARM>(pid, word);
+        if *published != 0 && *published != word {
+            unsafe { Info::<M>::release(b.at(*published), 1, g) };
         }
-        *published = info as u64;
+        *published = word;
     }
 
     /// Arms 0/1, an outcome that changes nothing: the ROpt read-only path
@@ -209,7 +204,7 @@ impl<M: Persist> Env<M> {
     #[inline]
     pub unsafe fn retire<N: TrackedNode<M>>(&self, pool: &Pool<N>, node: *mut N, g: &Guard<'_>) {
         unsafe {
-            Info::<M>::release(tag::ptr_of((*node).info().load()), 1, g);
+            Info::<M>::release(self.rec.base.at((*node).info().load()), 1, g);
             pool.retire(node, g);
         }
     }
@@ -237,7 +232,7 @@ impl<M: Persist> Env<M> {
         if taken != 0 {
             // SAFETY: the glue durably replaced `taken` in `pid`'s `RD_q`,
             // whose owner is the calling thread: the slot's one release.
-            unsafe { Info::<M>::release(tag::ptr_of(taken), 1, &self.collector.pin()) };
+            unsafe { Info::<M>::release(self.rec.base.at(taken), 1, &self.collector.pin()) };
         }
     }
 
@@ -255,7 +250,7 @@ impl<M: Persist> Env<M> {
             // SAFETY: `RD_q` of `pid`, whose owner is the calling thread,
             // durably names another descriptor now (the publish that moved
             // it synced): the reference it held on `prior` is released once.
-            unsafe { Info::<M>::release(tag::ptr_of(prior), 1, &self.collector.pin()) };
+            unsafe { Info::<M>::release(self.rec.base.at(prior), 1, &self.collector.pin()) };
         }
     }
 }

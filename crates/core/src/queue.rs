@@ -43,13 +43,13 @@ use crate::engine::{
 };
 use crate::env::Env;
 use crate::graph::{self, Graph};
-use crate::op::{cell_addr, tracked_node};
+use crate::op::tracked_node;
 use crate::optype;
 use crate::pool::Pool;
 use crate::recovery::{
     install_roots, AttachEnv, AttachError, MappedLayout, Recovered, Rooted, SlotOps,
 };
-use crate::tag;
+use crate::tag::{self, Base};
 use nvm::mapped::MappedNvm;
 use nvm::{PWord, Persist};
 
@@ -86,16 +86,17 @@ impl<M: Persist> Anchor<M> {
 /// while the anchor names no sentinel, a sentinel drawn from `nodes`,
 /// installed before the anchor words that name it ([`install_roots`]). The
 /// in-process constructor runs it over an owned zeroed anchor,
-/// [`crate::recovery::MappedLayout::open`] over the catalog root block.
+/// [`crate::recovery::MappedLayout::open`] over the catalog root block; the
+/// links are offsets from `b`.
 ///
 /// # Safety
 /// Single-threaded creation; a set anchor names a sentinel built by an
 /// earlier run over memory `nodes` draws from (the same heap).
-pub(crate) unsafe fn sentinel<M: Persist>(nodes: &Pool<Node<M>>, anchor: &Anchor<M>) {
+pub(crate) unsafe fn sentinel<M: Persist>(b: Base, nodes: &Pool<Node<M>>, anchor: &Anchor<M>) {
     if anchor.ptr.load() == 0 {
         let s0 = nodes.draw(|n| n.init(0, 0, 0));
         // SAFETY: the sentinel was just drawn and initialised.
-        unsafe { install_roots(&[s0], anchor.words(), &[s0 as u64, 0, s0 as u64]) };
+        unsafe { install_roots(&[s0], anchor.words(), &[b.word(s0), 0, b.word(s0)]) };
     }
     // Images written before the hint moved into the anchor have a zero
     // third word (root blocks are zeroed at creation, granule-rounded, so
@@ -162,7 +163,7 @@ impl<M: Persist, const ARM: u8> RQueue<M, ARM> {
     /// As [`sentinel`], over the memory `env`'s pools draw from.
     unsafe fn over(mut env: Env<M>, head: Rooted<Anchor<M>>) -> Self {
         let node_pool = env.pool::<_, ARM>();
-        unsafe { sentinel(&node_pool, &head) };
+        unsafe { sentinel(env.rec.base, &node_pool, &head) };
         Self { head, node_pool, env }
     }
 
@@ -176,16 +177,17 @@ impl<M: Persist, const ARM: u8> RQueue<M, ARM> {
     /// Returns `(last, last_info)` with the info read before confirming
     /// `last.next == Null` (gather order matters for freshness).
     unsafe fn find_last(&self) -> (*mut Node<M>, u64, u64) {
+        let b = self.env.rec.base;
         unsafe {
             let start = self.head.tail.load();
-            let mut n = start as *mut Node<M>;
+            let mut n = b.at::<Node<M>>(start);
             loop {
                 let info = (*n).info.load();
                 let next = (*n).next.load();
                 if next == 0 {
                     return (n, info, start);
                 }
-                n = next as *mut Node<M>;
+                n = b.at(next);
             }
         }
     }
@@ -194,7 +196,7 @@ impl<M: Persist, const ARM: u8> RQueue<M, ARM> {
     pub fn enqueue(&self, pid: usize, v: u64) {
         assert!(v < u64::MAX - RES_VAL_BASE, "value too large for result encoding");
         // ONE pin covers the whole operation (see set_core::insert).
-        let (env, g) = (&self.env, self.env.collector.pin());
+        let (env, g, b) = (&self.env, self.env.collector.pin(), self.env.rec.base);
         env.begin::<ARM>(pid, &g);
         let newnd = self.alloc_node(v, 0, 0);
         let mut filled: u64 = 0;
@@ -202,16 +204,16 @@ impl<M: Persist, const ARM: u8> RQueue<M, ARM> {
         loop {
             let (last, last_info, walk_start) = unsafe { self.find_last() };
             if tag::is_tagged(last_info) {
-                unsafe { help::<M, ARM>(tag::ptr_of(last_info), false, &g) };
+                unsafe { help::<M, ARM>(b, b.at(last_info), false, &g) };
                 continue;
             }
             // A fresh descriptor per attempt (pointer freshness).
             let info = env.alloc_info();
             unsafe {
-                let t = tag::tagged(info as u64);
+                let t = tag::tagged(b.word(info));
                 if filled != t {
                     if filled != 0 {
-                        Info::<M>::release(tag::ptr_of(filled), 1, &g);
+                        Info::<M>::release(b.at(filled), 1, &g);
                     }
                     (*newnd).info.store(t);
                     filled = t;
@@ -220,9 +222,9 @@ impl<M: Persist, const ARM: u8> RQueue<M, ARM> {
                     info,
                     &InfoFill {
                         optype: optype::ENQ,
-                        affect: &[(cell_addr(&(*last).info), last_info)],
-                        write: &[(cell_addr(&(*last).next), 0, newnd as u64)],
-                        newset: &[cell_addr(&(*newnd).info)],
+                        affect: &[(b.word(&(*last).info), last_info)],
+                        write: &[(b.word(&(*last).next), 0, b.word(newnd))],
+                        newset: &[b.word(&(*newnd).info)],
                         del_mask: 0,
                         presult: RES_UNIT,
                     },
@@ -234,15 +236,15 @@ impl<M: Persist, const ARM: u8> RQueue<M, ARM> {
                 env.persist_descriptor::<ARM>(info);
             }
             env.publish::<ARM>(pid, info, &mut published, &g);
-            match unsafe { help::<M, ARM>(info, true, &g) } {
+            match unsafe { help::<M, ARM>(b, info, true, &g) } {
                 HelpOutcome::Done => {
                     // Swing the tail hint; newnd's linkage is durable by now.
                     // Using the walk's starting value also heals a hint left
                     // stale by a crash image (never moves the hint backward:
                     // success implies the hint still equals walk_start, and
                     // newnd is strictly ahead of it).
-                    if self.head.tail.cas(walk_start, newnd as u64) != walk_start {
-                        let _ = self.head.tail.cas(last as u64, newnd as u64);
+                    if self.head.tail.cas(walk_start, b.word(newnd)) != walk_start {
+                        let _ = self.head.tail.cas(b.word(last), b.word(newnd));
                     }
                     // Arms 0–2 write the hint back, unfenced, as the frozen
                     // reproductions always did. LP does not: nothing that
@@ -265,21 +267,21 @@ impl<M: Persist, const ARM: u8> RQueue<M, ARM> {
 
     /// Dequeues; `None` iff the queue was observed empty.
     pub fn dequeue(&self, pid: usize) -> Option<u64> {
-        let (env, g) = (&self.env, self.env.collector.pin());
+        let (env, g, b) = (&self.env, self.env.collector.pin(), self.env.rec.base);
         env.begin::<ARM>(pid, &g);
         let mut published: u64 = 0;
         loop {
             // Gather order: anchor info, sentinel, its next, its info (DESIGN.md §6).
             let h_info = self.head.info.load();
-            let s = self.head.ptr.load() as *mut Node<M>;
+            let s = b.at::<Node<M>>(self.head.ptr.load());
             let f = unsafe { (*s).next.load() };
             let s_info = unsafe { (*s).info.load() };
             if tag::is_tagged(h_info) {
-                unsafe { help::<M, ARM>(tag::ptr_of(h_info), false, &g) };
+                unsafe { help::<M, ARM>(b, b.at(h_info), false, &g) };
                 continue;
             }
             if tag::is_tagged(s_info) {
-                unsafe { help::<M, ARM>(tag::ptr_of(s_info), false, &g) };
+                unsafe { help::<M, ARM>(b, b.at(s_info), false, &g) };
                 continue;
             }
             if f == 0 {
@@ -287,7 +289,7 @@ impl<M: Persist, const ARM: u8> RQueue<M, ARM> {
                 // Arms 0/1 take the ROpt read-only path; `Isb-LP` answers
                 // without a descriptor (see `set_core`).
                 if !arm::is_lp(ARM) {
-                    let seen = (cell_addr(&self.head.info), h_info);
+                    let seen = (b.word(&self.head.info), h_info);
                     env.answer_tracked::<ARM>(
                         pid,
                         optype::DEQ,
@@ -301,14 +303,14 @@ impl<M: Persist, const ARM: u8> RQueue<M, ARM> {
             }
             // A fresh descriptor per attempt (pointer freshness).
             let info = env.alloc_info();
-            let fval = unsafe { (*(f as *mut Node<M>)).val.load() };
+            let fval = unsafe { (*b.at::<Node<M>>(f)).val.load() };
             unsafe {
                 Info::fill(
                     info,
                     &InfoFill {
                         optype: optype::DEQ,
-                        affect: &[(cell_addr(&self.head.info), h_info)],
-                        write: &[(cell_addr(&self.head.ptr), s as u64, f)],
+                        affect: &[(b.word(&self.head.info), h_info)],
+                        write: &[(b.word(&self.head.ptr), b.word(s), f)],
                         newset: &[],
                         del_mask: 0,
                         presult: res_val(fval),
@@ -317,10 +319,10 @@ impl<M: Persist, const ARM: u8> RQueue<M, ARM> {
                 env.persist_descriptor::<ARM>(info);
             }
             env.publish::<ARM>(pid, info, &mut published, &g);
-            match unsafe { help::<M, ARM>(info, true, &g) } {
+            match unsafe { help::<M, ARM>(b, info, true, &g) } {
                 HelpOutcome::Done => {
                     // Never leave the tail hint pointing at the retired sentinel.
-                    let _ = self.head.tail.cas(s as u64, f);
+                    let _ = self.head.tail.cas(b.word(s), f);
                     unsafe { env.retire(&self.node_pool, s, &g) };
                     return Some(fval);
                 }
@@ -358,13 +360,13 @@ impl<M: Persist, const ARM: u8> RQueue<M, ARM> {
 
     /// Snapshot of queued values, front to back (requires quiescence).
     pub fn snapshot_vals(&mut self) -> Vec<u64> {
-        let mut out = Vec::new();
+        let (mut out, b) = (Vec::new(), self.env.rec.base);
         unsafe {
-            let s = self.head.ptr.load() as *mut Node<M>;
-            let mut n = (*s).next.load() as *mut Node<M>;
+            let s = b.at::<Node<M>>(self.head.ptr.load());
+            let mut n = b.at::<Node<M>>((*s).next.load());
             while !n.is_null() {
                 out.push((*n).val.load());
-                n = (*n).next.load() as *mut Node<M>;
+                n = b.at((*n).next.load());
             }
         }
         out
@@ -375,16 +377,17 @@ impl<M: Persist, const ARM: u8> RQueue<M, ARM> {
     /// a node that was dequeued before the crash; any recovery pass or first
     /// enqueue performs exactly this repair lazily.
     pub fn heal_tail(&mut self) {
+        let b = self.env.rec.base;
         unsafe {
-            let mut n = self.head.ptr.load() as *mut Node<M>;
+            let mut n = self.head.ptr.load();
             loop {
-                let next = (*n).next.load();
+                let next = (*b.at::<Node<M>>(n)).next.load();
                 if next == 0 {
                     break;
                 }
-                n = next as *mut Node<M>;
+                n = next;
             }
-            self.head.tail.store(n as u64);
+            self.head.tail.store(n);
             M::pwb(&self.head.tail);
         }
     }
@@ -411,19 +414,18 @@ impl<M: Persist, const ARM: u8> RQueue<M, ARM> {
 
     /// Structural invariants for a quiescent queue.
     pub fn check_invariants(&mut self) {
+        let b = self.env.rec.base;
         unsafe {
-            let s = self.head.ptr.load() as *mut Node<M>;
+            let s = b.at::<Node<M>>(self.head.ptr.load());
             assert!(!s.is_null(), "sentinel must exist");
             assert!(!tag::is_tagged((*s).info.load()), "sentinel tagged at quiescence");
             // The tail hint must point to a node on the sentinel chain.
-            let t = self.head.tail.load();
+            let t = b.at::<Node<M>>(self.head.tail.load());
             let mut n = s;
             let mut on_chain = false;
             while !n.is_null() {
-                if n as u64 == t {
-                    on_chain = true;
-                }
-                n = (*n).next.load() as *mut Node<M>;
+                on_chain |= n == t;
+                n = b.at((*n).next.load());
             }
             assert!(on_chain, "tail hint left the chain");
         }
@@ -433,6 +435,10 @@ impl<M: Persist, const ARM: u8> RQueue<M, ARM> {
 impl<M: Persist, const ARM: u8> Graph<M> for RQueue<M, ARM> {
     fn kind_name(&self) -> &'static str {
         "queue"
+    }
+
+    fn base(&self) -> Base {
+        self.env.rec.base
     }
 
     // The anchor's info cell first (no node: address 0), then the sentinel
@@ -454,9 +460,10 @@ impl<M: Persist, const ARM: u8> Graph<M> for RQueue<M, ARM> {
                 return Err(n);
             }
             budget -= 1;
+            let p = self.env.rec.base.at::<Node<M>>(n);
             // SAFETY: non-null and admitted.
-            let node = unsafe { &*(n as *const Node<M>) };
-            visit(n, node.info.load());
+            let node = unsafe { &*p };
+            visit(p as u64, node.info.load());
             n = node.next.load();
         }
         Ok(())
@@ -479,7 +486,7 @@ impl<const ARM: u8> MappedLayout for RQueue<MappedNvm, ARM> {
         // SAFETY: zeroed-on-creation committed root block of Anchor size
         // (the `(ptr, info, tail)` words of the `repr(C)` anchor),
         // single-threaded attach, sentinel drawn from the heap's arena.
-        let head = Rooted::Arena(root as *const Anchor<MappedNvm>);
+        let head = Rooted::Arena(root.cast::<Anchor<MappedNvm>>());
         Ok(unsafe { Self::over(env.env(), head) })
     }
 }

@@ -63,6 +63,7 @@
 
 use crate::arm::{CfgWord, KindTag};
 use crate::engine::Info;
+use crate::tag::Base;
 use nvm::pad::CachePadded;
 use nvm::{PWord, Persist, PersistWords, MAX_PROCS};
 use std::cell::Cell;
@@ -95,7 +96,7 @@ pub fn recorded_pending() -> bool {
 /// layout starts each slot on one).
 #[repr(C)]
 pub struct ProcRec<M: Persist> {
-    /// `RD_q`: pointer to the Info structure of the last attempt.
+    /// `RD_q`: the Info structure of the last attempt (a link word).
     pub rd: PWord<M>,
     /// `CP_q`: 1 once `RD_q` has been initialised for the current operation.
     pub cp: PWord<M>,
@@ -130,9 +131,12 @@ enum Slots<M: Persist> {
 /// 64-byte aligned).
 pub const ARENA_SLOT_STRIDE: usize = 128;
 
-/// Per-process recovery areas for one data structure.
+/// Per-process recovery areas for one data structure, and the [`Base`] its
+/// link words — `RD_q` and every word of the descriptors and nodes it
+/// reaches — are offsets from.
 pub struct RecArea<M: Persist> {
     slots: Slots<M>,
+    pub(crate) base: Base,
 }
 
 // SAFETY: all slot state is atomics behind `&self`; the arena pointer is
@@ -163,7 +167,7 @@ impl<M: Persist> RecArea<M> {
     /// Creates recovery slots for [`MAX_PROCS`] processes.
     pub fn new() -> Self {
         let slots = (0..MAX_PROCS).map(|_| CachePadded::new(ProcRec::default())).collect();
-        Self { slots: Slots::Owned(slots) }
+        Self { slots: Slots::Owned(slots), base: Base(0) }
     }
 
     /// Bytes an arena-resident recovery area occupies
@@ -172,21 +176,21 @@ impl<M: Persist> RecArea<M> {
         MAX_PROCS * ARENA_SLOT_STRIDE
     }
 
-    /// A recovery area over persistent slots at `base` (the mapped backend's
-    /// root block). Zeroed memory is a valid fresh state (`CP = 0`,
-    /// `RD = Null`); previously persisted slots are exactly what recovery
-    /// needs to read.
+    /// A recovery area over persistent slots at `slots` (the mapped backend's
+    /// root block) of a heap mapped at `base`. Zeroed memory is a valid fresh
+    /// state (`CP = 0`, `RD = Null`); previously persisted slots are exactly
+    /// what recovery needs to read.
     ///
     /// # Safety
-    /// `base` must point to [`RecArea::slots_bytes`] bytes of 8-aligned
+    /// `slots` must point to [`RecArea::slots_bytes`] bytes of 8-aligned
     /// memory that outlives the returned area and is zeroed or holds a
     /// previously persisted slot array; `M::Meta` must be zero-sized (the
     /// mapped/real models — the crash simulator keeps its shadow state on
     /// the process heap and cannot live in an arena).
-    pub unsafe fn attach_raw(base: *const u8) -> Self {
+    pub unsafe fn attach_raw(slots: *const u8, base: Base) -> Self {
         assert!(std::mem::size_of::<ProcRec<M>>() <= ARENA_SLOT_STRIDE);
         assert_eq!(std::mem::size_of::<M::Meta>(), 0, "arena slots require metadata-free models");
-        Self { slots: Slots::Arena(base) }
+        Self { slots: Slots::Arena(slots), base }
     }
 
     #[inline]
@@ -356,16 +360,14 @@ impl<M: Persist> RecArea<M> {
         let mut out = format!("CP_q {cp} RD_q {rd:#x}");
         if rd != 0 {
             out += ": ";
-            out += &unsafe { (*crate::tag::ptr_of::<Info<M>>(rd)).describe() };
+            out += &unsafe { (*self.base.at::<Info<M>>(rd)).describe(self.base) };
         }
         out
     }
 
-    /// Iterate all published info pointers (drop-time info scan).
-    pub fn each_published(&self, mut f: impl FnMut(u64)) {
-        for pid in 0..MAX_PROCS {
-            f(self.slot(pid).rd.load());
-        }
+    /// Every published descriptor's link word (drop-time info scan).
+    pub fn published_words(&self) -> impl Iterator<Item = u64> + '_ {
+        (0..MAX_PROCS).map(|pid| self.slot(pid).rd.load()).filter(|&rd| rd != 0)
     }
 
     /// Runs the invocation glue ([`RecArea::begin`]'s first step) ahead of
@@ -442,7 +444,7 @@ pub unsafe fn op_recover<M: Persist, const ARM: u8>(
     if cp != 1 || rd == 0 {
         return Recovered::Restart;
     }
-    match unsafe { crate::engine::help_recovering::<M, ARM>(crate::tag::ptr_of(rd), guard) } {
+    match unsafe { crate::engine::help_recovering::<M, ARM>(rec.base, rec.base.at(rd), guard) } {
         crate::engine::RES_BOT => Recovered::Restart,
         res => Recovered::Completed(res),
     }
@@ -494,7 +496,7 @@ pub unsafe fn recover_dead_pid_with(
         // durably cleared above, so this release runs at most once across
         // recoverer supersessions. A foreign-owned final release leaks the
         // block by design (engine owner-slot guard); full attach sweeps it.
-        unsafe { Info::<MappedNvm>::release(crate::tag::ptr_of(rd), 1, guard) };
+        unsafe { Info::<MappedNvm>::release(rec.base.at(rd), 1, guard) };
     }
     decision
 }
@@ -749,7 +751,8 @@ impl AttachEnv {
             // SAFETY: the caller's EPOCHS block; nothing is pinned or retired yet.
             unsafe { collector.attach_shared(epoch_region) };
         }
-        Env::mapped(unsafe { RecArea::attach_raw(rec_base) }, collector, infos, heap)
+        let base = Base(heap.base() as usize);
+        Env::mapped(unsafe { RecArea::attach_raw(rec_base, base) }, collector, infos, heap)
     }
 
     /// The environment of one structure in the heap: its own collector (in
@@ -948,13 +951,13 @@ pub unsafe fn finish_attach(
     extra_live: &[usize],
 ) -> Result<(Vec<(usize, Recovered)>, usize), AttachError> {
     let (heap, rec, owner) = (&*env.heap, &env.own.rec, env.own.infos.handle());
-    let in_node =
-        |s: &dyn SlotOps, a: u64| a & 7 == 0 && heap.contains_span(a as usize, s.node_bytes());
-    // 1. Pre-recovery validation of the untrusted image: no pointer is
-    // dereferenced by the replay/scrub/census below unless the whole object
+    let in_node = |s: &dyn SlotOps, off: u64| {
+        off & 7 == 0 && heap.contains_span(off as usize, s.node_bytes())
+    };
+    // 1. Pre-recovery validation of the untrusted image: no link is
+    // followed by the replay/scrub/census below unless the whole object
     // graph stays inside the mapping and terminates. This is what turns a
-    // tampered superblock (e.g. a rewritten base) into a typed error
-    // instead of undefined behaviour.
+    // damaged link into a typed error instead of undefined behaviour.
     let par_start = std::time::Instant::now();
     let units: Vec<(usize, usize)> = slots
         .iter()
@@ -980,11 +983,7 @@ pub unsafe fn finish_attach(
         infos.extend(local?);
     }
     let validate_elapsed = par_start.elapsed();
-    rec.each_published(|rd| {
-        if rd != 0 {
-            infos.insert(rd);
-        }
-    });
+    infos.extend(rec.published_words());
     // A value a descriptor installs is a node pointer the census walk will
     // dereference: it must be a whole node of some structure in the heap.
     validate_infos::<MappedNvm>(heap, &infos, |a| slots.iter().any(|s| in_node(&**s, a)))?;
@@ -1018,11 +1017,11 @@ pub unsafe fn finish_attach(
     // partition the referencing cells.
     let census_start = std::time::Instant::now();
     let mut live: HashSet<usize> = HashSet::new();
-    let mut info_refs: HashMap<usize, u32> = HashMap::new();
+    let mut info_refs: HashMap<u64, u32> = HashMap::new();
     let counted = fan_out(
         units.len(),
         || (HashSet::new(), HashMap::new()),
-        |(l_live, l_refs): &mut (HashSet<usize>, HashMap<usize, u32>), k| {
+        |(l_live, l_refs): &mut (HashSet<usize>, HashMap<u64, u32>), k| {
             let (i, u) = units[k];
             // SAFETY: quiescent exclusive access to a validated image; units
             // partition the graph, so no two workers visit the same node.
@@ -1038,11 +1037,9 @@ pub unsafe fn finish_attach(
     // Parallel-phase wall clock: validation up front plus the census here
     // (replay and scrub between them are serial by design).
     nvm::stats::count_attach_par_ms((validate_elapsed + census_start.elapsed()).as_millis() as u64);
-    rec.each_published(|rd| {
-        if rd != 0 {
-            *info_refs.entry(rd as usize).or_insert(0) += 1;
-        }
-    });
+    for rd in rec.published_words() {
+        *info_refs.entry(rd).or_insert(0) += 1;
+    }
     live.extend(extra_live.iter().copied());
     // (An exclusive heap's null epoch region adds 0, no block's address.)
     live.extend([env.rec_base as usize, env.epoch_region as usize]);
@@ -1063,8 +1060,9 @@ pub unsafe fn finish_attach(
     for (&info, &cnt) in &info_refs {
         // SAFETY: quiescent; `info_refs` holds the true counts (cells + RD
         // slots) of descriptors validated above.
-        unsafe { (*(info as *const Info<MappedNvm>)).reset_after_attach(cnt, owner, owner_slot) };
-        live.insert(info);
+        let info = rec.base.at::<Info<MappedNvm>>(info);
+        unsafe { (*info).reset_after_attach(cnt, owner, owner_slot) };
+        live.insert(info as usize);
     }
     // SAFETY: quiescent; `live` covers roots, graphs, descriptors and this
     // process's caches across every structure in the heap.
@@ -1072,13 +1070,14 @@ pub unsafe fn finish_attach(
     Ok((recovered, swept))
 }
 
-/// Pre-recovery validation of every collected descriptor against the
+/// Pre-recovery validation of every collected descriptor offset against the
 /// mapping: the descriptor's **whole span** must lie inside the heap, and
-/// (via [`Info::validate_bounds`]) every cell address it names must have an
+/// (via [`Info::validate_bounds`]) every cell offset it names must have an
 /// in-heap 8-byte span while every value it installs must satisfy
 /// `valid_install` (callers pass a node-span check — installed values are
-/// node pointers the census walk will dereference). Any violation is a
-/// typed [`nvm::MapError::CorruptPointer`], never a dereference.
+/// node offsets the census walk will follow). Any violation is a typed
+/// [`nvm::MapError::CorruptPointer`] naming the offending word, never a
+/// dereference.
 pub fn validate_infos<M: Persist>(
     heap: &nvm::mapped::MappedHeap,
     infos: &std::collections::HashSet<u64>,
@@ -1086,11 +1085,10 @@ pub fn validate_infos<M: Persist>(
 ) -> Result<(), nvm::MapError> {
     let cell_ok = |a: u64| a & 7 == 0 && heap.contains_span(a as usize, 8);
     for &info in infos {
-        if info & 7 != 0 || !heap.contains_span(info as usize, std::mem::size_of::<Info<M>>()) {
-            return Err(nvm::MapError::CorruptPointer { addr: info });
-        }
-        // SAFETY: the descriptor's whole span is inside the mapping.
-        if !unsafe { (*(info as *const Info<M>)).validate_bounds(cell_ok, valid_install) } {
+        let inside = cell_ok(info) && heap.contains_span(info as usize, size_of::<Info<M>>());
+        // SAFETY: read only once the descriptor's whole span is inside the mapping.
+        let at = || unsafe { &*Base(heap.base() as usize).at::<Info<M>>(info) };
+        if !inside || !at().validate_bounds(cell_ok, valid_install) {
             return Err(nvm::MapError::CorruptPointer { addr: info });
         }
     }
@@ -1101,7 +1099,7 @@ pub fn validate_infos<M: Persist>(
 /// [`nvm::mapped::AttachReport`] plus the structure-level recovery outcome.
 #[derive(Debug)]
 pub struct AttachSummary {
-    /// Heap-level report (created / relocated / poisoned torn blocks / …).
+    /// Heap-level report (created / joined / poisoned torn blocks / …).
     pub heap: nvm::mapped::AttachReport,
     /// Per-pid Op-Recover decisions of the replay pass (empty on a fresh
     /// heap). `Completed(res)` carries the crashed operation's response.
@@ -1420,7 +1418,7 @@ mod tests {
                             rec.publish_arm::<ARM>(P, next as u64);
                             // SAFETY: `next` is filled, live, and persisted
                             // by `persist_all`.
-                            let _ = unsafe { help::<SimNvm, ARM>(next, true, &c.pin()) };
+                            let _ = unsafe { help::<SimNvm, ARM>(Base(0), next, true, &c.pin()) };
                         }
                     });
                     crashes += crashed as u64;
@@ -1518,7 +1516,7 @@ mod tests {
             sorted.dedup();
             assert_eq!(sorted.len(), nodes.len(), "{at}: shared sentinels {nodes:#x?}");
         }
-        let buckets: Build = |r| drop(unsafe { set_core::buckets(&pool(), r) });
+        let buckets: Build = |r| drop(unsafe { set_core::buckets(Base(0), &pool(), r) });
         let bucket_shape: Check = |roots, crashed, at| {
             type N = set_core::Node<SimNvm>;
             let mut drawn = Vec::new();
@@ -1543,7 +1541,11 @@ mod tests {
                 3,
                 // SAFETY: three words laid out as the `repr(C)` anchor.
                 |r| unsafe {
-                    queue::sentinel(&pool(), &*(r.as_ptr() as *const queue::Anchor<SimNvm>))
+                    queue::sentinel(
+                        Base(0),
+                        &pool(),
+                        &*(r.as_ptr() as *const queue::Anchor<SimNvm>),
+                    )
                 },
                 |anchor, crashed, at| {
                     assert_eq!(anchor[1], 0, "{at}: the anchor's info word");
@@ -1560,7 +1562,7 @@ mod tests {
                 "bst",
                 1,
                 |r| {
-                    unsafe { bst::dummies(&pool(), &r[0]) };
+                    unsafe { bst::dummies(Base(0), &pool(), &r[0]) };
                 },
                 |root, crashed, at| {
                     type N = bst::Node<SimNvm>;
@@ -1614,12 +1616,7 @@ mod tests {
         rec.publish(7, 0x70);
         assert_eq!(rec.read(0), (1, 0x10));
         assert_eq!(rec.read(7), (1, 0x70));
-        let mut seen = Vec::new();
-        rec.each_published(|rd| {
-            if rd != 0 {
-                seen.push(rd);
-            }
-        });
+        let mut seen: Vec<u64> = rec.published_words().collect();
         seen.sort();
         assert_eq!(seen, vec![0x10, 0x70]);
     }

@@ -103,6 +103,7 @@
 
 use crate::engine::RES_BOT;
 use crate::recovery::{rootkeys, AttachError, RecArea, Recovered};
+use crate::tag::Base;
 use nvm::mapped::{MappedHeap, MappedNvm};
 use nvm::{PWord, Persist};
 use std::sync::Arc;
@@ -324,7 +325,7 @@ impl ResponseTable {
         let (rec_base, _) =
             heap.root_alloc(rootkeys::RECAREA, RecArea::<MappedNvm>::slots_bytes())?;
         // SAFETY: the heap's committed recovery-slot block, alive with `_heap`.
-        let rec = Arc::new(unsafe { RecArea::attach_raw(rec_base) });
+        let rec = Arc::new(unsafe { RecArea::attach_raw(rec_base, Base(heap.base() as usize)) });
         let t = Self { _heap: Arc::clone(heap), base, rec };
         let magic = t.header().load();
         if fresh || magic == 0 {
@@ -564,7 +565,6 @@ impl ResponseTable {
 mod tests {
     use super::*;
     use crate::engine::{help, res_val, Info, InfoFill, RES_FALSE, RES_TRUE};
-    use crate::op::cell_addr;
     use crate::pool::PoolItem;
     use crate::recovery::op_recover;
     use crate::simtest::crashed_at;
@@ -732,8 +732,8 @@ mod tests {
         effect: Option<&PWord<M>>,
         presult: u64,
     ) -> *mut Info<M> {
-        let write: Vec<_> = effect.iter().map(|w| (cell_addr(*w), 0, 1)).collect();
-        let affect = [(cell_addr(tag), expected)];
+        let write: Vec<_> = effect.iter().map(|w| (Base(0).word(*w), 0, 1)).collect();
+        let affect = [(Base(0).word(tag), expected)];
         let f = InfoFill {
             optype: 1,
             affect: &affect,
@@ -790,7 +790,7 @@ mod tests {
                     let rec = RecArea::<SimNvm>::new();
                     rec.publish_arm::<LP>(TID, x as u64);
                     // SAFETY: `x` is filled and live until the iteration ends.
-                    unsafe { help::<SimNvm, LP>(x, true, &c.pin()) };
+                    unsafe { help::<SimNvm, LP>(Base(0), x, true, &c.pin()) };
                     sim::persist_all();
                     let line = rec.slot(TID);
                     sim::declare_line(&[&line.rd, &line.cp]);
@@ -803,7 +803,7 @@ mod tests {
                             SimNvm::pfence(); // the descriptor's (`Env::persist_descriptor`)
                             rec.publish_arm::<LP>(TID, y as u64);
                             // SAFETY: as `x`.
-                            unsafe { help::<SimNvm, LP>(y, true, &c.pin()) };
+                            unsafe { help::<SimNvm, LP>(Base(0), y, true, &c.pin()) };
                         }
                         slot.finalize(NEW.0, NEW.1);
                     });
@@ -943,12 +943,15 @@ mod tests {
         // SAFETY: drawn and filled above, live while published.
         unsafe { env.persist_descriptor::<LP>(failed) };
         env.publish::<LP>(TID, failed, &mut published, &g);
-        assert!(matches!(unsafe { help::<C, LP>(failed, true, &g) }, HelpOutcome::FailedAt(0)));
+        assert!(matches!(
+            unsafe { help::<C, LP>(Base(0), failed, true, &g) },
+            HelpOutcome::FailedAt(0)
+        ));
         let retry = fill(env.alloc_info(), (&cells[1], 0), Some(&cells[2]), NEW.1);
         // SAFETY: as `failed`.
         unsafe { env.persist_descriptor::<LP>(retry) };
         env.publish::<LP>(TID, retry, &mut published, &g);
-        assert!(matches!(unsafe { help::<C, LP>(retry, true, &g) }, HelpOutcome::Done));
+        assert!(matches!(unsafe { help::<C, LP>(Base(0), retry, true, &g) }, HelpOutcome::Done));
         assert_eq!(cells[2].load(), 1, "the effect");
 
         // Killed here, the request resolves to its own answer.

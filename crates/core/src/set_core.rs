@@ -16,7 +16,7 @@
 //!
 //! The bucket is sorted by strictly increasing `u64` keys with two sentinels
 //! (`0 = −∞`, `u64::MAX = +∞`); user keys must lie strictly between. Each
-//! node carries an `info` field (tagged pointer, see [`crate::tag`]).
+//! node carries an `info` field (a tagged link, see [`crate::tag`]).
 //!
 //! * A node tagged **for update** has its `next` field about to change; it
 //!   is untagged when the update completes.
@@ -50,11 +50,11 @@ use crate::engine::{
     help, res_val, HelpOutcome, Info, InfoFill, RES_EMPTY, RES_FALSE, RES_TRUE, RES_UNIT,
 };
 use crate::env::Env;
-use crate::op::{cell_addr, tracked_node};
+use crate::op::tracked_node;
 use crate::optype;
 use crate::pool::Pool;
 use crate::recovery::install_roots;
-use crate::tag;
+use crate::tag::{self, Base};
 use nvm::{PWord, Persist};
 use reclaim::Guard;
 
@@ -74,12 +74,14 @@ tracked_node! {
 /// tail, both drawn from `nodes` — installed sentinels first
 /// ([`install_roots`]); a root word already set is loaded. Returns every
 /// bucket's head. The in-process constructor runs it over owned zero words,
-/// [`crate::recovery::MappedLayout::open`] over the catalog root block.
+/// [`crate::recovery::MappedLayout::open`] over the catalog root block; the
+/// links are offsets from `b`.
 ///
 /// # Safety
 /// Single-threaded creation; a set root word names a bucket built by an
 /// earlier run over memory `nodes` draws from (the same heap).
 pub(crate) unsafe fn buckets<M: Persist>(
+    b: Base,
     nodes: &Pool<Node<M>>,
     roots: &[PWord<M>],
 ) -> Box<[*mut Node<M>]> {
@@ -87,37 +89,40 @@ pub(crate) unsafe fn buckets<M: Persist>(
     let mut sentinels = Vec::new();
     for head in heads.iter_mut().filter(|h| **h == 0) {
         let tail = nodes.draw(|n| n.init(KEY_MAX, 0, 0));
-        let first = nodes.draw(|n| n.init(KEY_MIN, tail as u64, 0));
-        *head = first as u64;
+        let first = nodes.draw(|n| n.init(KEY_MIN, b.word(tail), 0));
+        *head = b.word(first);
         sentinels.extend([first, tail]);
     }
     if !sentinels.is_empty() {
         // SAFETY: the sentinels were just drawn and initialised.
         unsafe { install_roots(&sentinels, roots, &heads) };
     }
-    heads.into_iter().map(|h| h as *mut Node<M>).collect()
+    heads.into_iter().map(|h| b.at(h)).collect()
 }
 
 /// The bucket traversal ([`crate::graph::Graph::walk`] for the list and for
-/// every hash-map shard): from `head` along `next` to the `+∞` sentinel.
+/// every hash-map shard): from `head` along `next` to the `+∞` sentinel,
+/// the links offsets from `b`.
 ///
 /// # Safety
 /// As [`crate::graph::Graph::walk`].
 pub unsafe fn walk_bucket<M: Persist>(
+    b: Base,
     head: *mut Node<M>,
     admit: &dyn Fn(u64) -> bool,
     mut budget: usize,
     visit: &mut dyn FnMut(u64, u64),
 ) -> Result<(), u64> {
-    let mut n = head as u64;
+    let mut n = b.word(head);
     loop {
         if n == 0 || budget == 0 || !admit(n) {
             return Err(n);
         }
         budget -= 1;
+        let p = b.at::<Node<M>>(n);
         // SAFETY: non-null and admitted.
-        let node = unsafe { &*(n as *const Node<M>) };
-        visit(n, node.info.load());
+        let node = unsafe { &*p };
+        visit(p as u64, node.info.load());
         if node.key.load() == KEY_MAX {
             return Ok(());
         }
@@ -185,6 +190,7 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
     /// Caller must hold an EBR pin.
     #[inline(always)]
     unsafe fn search(&self, at: At) -> SearchRes<M> {
+        let b = self.env.rec.base;
         unsafe {
             let mut curr = self.head;
             let mut curr_info = (*curr).info.load();
@@ -196,7 +202,7 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
             } {
                 pred = curr;
                 pred_info = curr_info;
-                curr = (*curr).next.load() as *mut Node<M>;
+                curr = b.at((*curr).next.load());
                 curr_info = (*curr).info.load();
             }
             SearchRes { pred, curr, pred_info, curr_info }
@@ -218,7 +224,7 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
         }
         unsafe {
             if filled != 0 {
-                Info::<M>::release(tag::ptr_of(filled), 2, g);
+                Info::<M>::release(self.env.rec.base.at(filled), 2, g);
             }
             self.nodes.give(newnd, g);
             self.nodes.give(newcurr, g);
@@ -251,7 +257,7 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
         // ONE pin covers the whole operation: the previous descriptor's
         // release, every attempt, and all retirements (interior help calls
         // re-pin through the collector's nested fast path).
-        let (env, g) = (self.env, self.env.collector.pin());
+        let (env, g, b) = (self.env, self.env.collector.pin(), self.env.rec.base);
         env.begin::<ARM>(pid, &g);
         // newnd → newcurr, drawn by the first attempt that has something to
         // insert; newcurr is refreshed per attempt as a copy of curr.
@@ -263,18 +269,18 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
             let s = unsafe { self.search(at) };
             // Helping phase.
             if tag::is_tagged(s.pred_info) {
-                unsafe { help::<M, ARM>(tag::ptr_of(s.pred_info), false, &g) };
+                unsafe { help::<M, ARM>(b, b.at(s.pred_info), false, &g) };
                 continue;
             }
             if tag::is_tagged(s.curr_info) {
-                unsafe { help::<M, ARM>(tag::ptr_of(s.curr_info), false, &g) };
+                unsafe { help::<M, ARM>(b, b.at(s.curr_info), false, &g) };
                 continue;
             }
             let curr_key = unsafe { (*s.curr).key.load() };
             if at == At::Key(curr_key) {
                 // Key already present: nothing to change.
                 if !arm::is_lp(ARM) {
-                    let seen = unsafe { (cell_addr(&(*s.curr).info), s.curr_info) };
+                    let seen = unsafe { (b.word(&(*s.curr).info), s.curr_info) };
                     env.answer_tracked::<ARM>(pid, op, seen, RES_FALSE, &mut published, &g);
                 }
                 unsafe { self.drop_pending(newnd, newcurr, filled, &g) };
@@ -282,7 +288,7 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
             }
             if newnd.is_null() {
                 newcurr = self.alloc_node(0, 0, 0);
-                newnd = self.alloc_node(key, newcurr as u64, 0);
+                newnd = self.alloc_node(key, b.word(newcurr), 0);
             }
             // A fresh descriptor per attempt (pointer freshness — the pool's
             // epoch delay keeps a failed descriptor's address out of
@@ -292,10 +298,10 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
             unsafe {
                 (*newcurr).key.store(curr_key);
                 (*newcurr).next.store((*s.curr).next.load());
-                let t = tag::tagged(info as u64);
+                let t = tag::tagged(b.word(info));
                 if filled != t {
                     if filled != 0 {
-                        Info::<M>::release(tag::ptr_of(filled), 2, &g);
+                        Info::<M>::release(b.at(filled), 2, &g);
                     }
                     (*newnd).info.store(t);
                     (*newcurr).info.store(t);
@@ -306,11 +312,11 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
                     &InfoFill {
                         optype: op,
                         affect: &[
-                            (cell_addr(&(*s.pred).info), s.pred_info),
-                            (cell_addr(&(*s.curr).info), s.curr_info),
+                            (b.word(&(*s.pred).info), s.pred_info),
+                            (b.word(&(*s.curr).info), s.curr_info),
                         ],
-                        write: &[(cell_addr(&(*s.pred).next), s.curr as u64, newnd as u64)],
-                        newset: &[cell_addr(&(*newnd).info), cell_addr(&(*newcurr).info)],
+                        write: &[(b.word(&(*s.pred).next), b.word(s.curr), b.word(newnd))],
+                        newset: &[b.word(&(*newnd).info), b.word(&(*newcurr).info)],
                         del_mask: 0b10, // curr is deletion-tagged (copy-replaced)
                         presult,
                     },
@@ -320,7 +326,7 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
                 env.persist_descriptor::<ARM>(info);
             }
             env.publish::<ARM>(pid, info, &mut published, &g);
-            match unsafe { help::<M, ARM>(info, true, &g) } {
+            match unsafe { help::<M, ARM>(b, info, true, &g) } {
                 HelpOutcome::Done => {
                     unsafe { env.retire(self.nodes, s.curr, &g) };
                     return true;
@@ -349,17 +355,17 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
     /// when `curr` is not `at`'s (a missing key, the `+∞` sentinel).
     #[inline(always)]
     fn unlink(&self, pid: usize, at: At) -> Option<u64> {
-        let (env, g) = (self.env, self.env.collector.pin());
+        let (env, g, b) = (self.env, self.env.collector.pin(), self.env.rec.base);
         env.begin::<ARM>(pid, &g);
         let mut published: u64 = 0;
         loop {
             let s = unsafe { self.search(at) };
             if tag::is_tagged(s.pred_info) {
-                unsafe { help::<M, ARM>(tag::ptr_of(s.pred_info), false, &g) };
+                unsafe { help::<M, ARM>(b, b.at(s.pred_info), false, &g) };
                 continue;
             }
             if tag::is_tagged(s.curr_info) {
-                unsafe { help::<M, ARM>(tag::ptr_of(s.curr_info), false, &g) };
+                unsafe { help::<M, ARM>(b, b.at(s.curr_info), false, &g) };
                 continue;
             }
             let curr_key = unsafe { (*s.curr).key.load() };
@@ -370,7 +376,7 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
             if !found {
                 // Key not present: nothing to change.
                 if !arm::is_lp(ARM) {
-                    let seen = unsafe { (cell_addr(&(*s.curr).info), s.curr_info) };
+                    let seen = unsafe { (b.word(&(*s.curr).info), s.curr_info) };
                     let response = if at == At::Front { RES_EMPTY } else { RES_FALSE };
                     env.answer_tracked::<ARM>(pid, op, seen, response, &mut published, &g);
                 }
@@ -385,10 +391,10 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
                     &InfoFill {
                         optype: op,
                         affect: &[
-                            (cell_addr(&(*s.pred).info), s.pred_info),
-                            (cell_addr(&(*s.curr).info), s.curr_info),
+                            (b.word(&(*s.pred).info), s.pred_info),
+                            (b.word(&(*s.curr).info), s.curr_info),
                         ],
-                        write: &[(cell_addr(&(*s.pred).next), s.curr as u64, succ)],
+                        write: &[(b.word(&(*s.pred).next), b.word(s.curr), succ)],
                         newset: &[],
                         del_mask: 0b10, // curr stays deletion-tagged forever
                         presult: if at == At::Front { res_val(curr_key) } else { RES_TRUE },
@@ -397,7 +403,7 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
                 env.persist_descriptor::<ARM>(info);
             }
             env.publish::<ARM>(pid, info, &mut published, &g);
-            match unsafe { help::<M, ARM>(info, true, &g) } {
+            match unsafe { help::<M, ARM>(b, info, true, &g) } {
                 HelpOutcome::Done => {
                     unsafe { env.retire(self.nodes, s.curr, &g) };
                     return Some(curr_key);
@@ -415,17 +421,17 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
     /// persists and publishes its response; nothing reads it.)
     pub fn find(&self, pid: usize, key: u64) -> bool {
         Self::assert_key(key);
-        let (env, g) = (self.env, self.env.collector.pin());
+        let (env, g, b) = (self.env, self.env.collector.pin(), self.env.rec.base);
         let mut published = env.begin_find::<ARM>(pid, &g);
         loop {
             let s = unsafe { self.search(At::Key(key)) };
             if tag::is_tagged(s.curr_info) {
-                unsafe { help::<M, ARM>(tag::ptr_of(s.curr_info), false, &g) };
+                unsafe { help::<M, ARM>(b, b.at(s.curr_info), false, &g) };
                 continue;
             }
             let res = unsafe { (*s.curr).key.load() } == key;
             if !arm::is_lp(ARM) {
-                let seen = unsafe { (cell_addr(&(*s.curr).info), s.curr_info) };
+                let seen = unsafe { (b.word(&(*s.curr).info), s.curr_info) };
                 let enc = if res { RES_TRUE } else { RES_FALSE };
                 env.answer_tracked::<ARM>(pid, optype::FIND, seen, enc, &mut published, &g);
             }
@@ -436,11 +442,12 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
     /// Appends this bucket's user keys to `out` in bucket order (requires
     /// exclusive access ⇒ quiescence).
     pub fn snapshot_keys_into(&self, out: &mut Vec<u64>) {
+        let b = self.env.rec.base;
         unsafe {
-            let mut n = (*self.head).next.load() as *mut Node<M>;
+            let mut n = b.at::<Node<M>>((*self.head).next.load());
             while (*n).key.load() != KEY_MAX {
                 out.push((*n).key.load());
-                n = (*n).next.load() as *mut Node<M>;
+                n = b.at((*n).next.load());
             }
         }
     }
@@ -449,10 +456,11 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
     /// sentinels, no reachable node is tagged (quiescent bucket). Panics on
     /// violation.
     pub fn check_invariants(&self) {
+        let b = self.env.rec.base;
         unsafe {
             assert_eq!((*self.head).key.load(), KEY_MIN);
             let mut prev_key = KEY_MIN;
-            let mut n = (*self.head).next.load() as *mut Node<M>;
+            let mut n = b.at::<Node<M>>((*self.head).next.load());
             loop {
                 let k = (*n).key.load();
                 assert!(k > prev_key, "keys must be strictly increasing: {prev_key} !< {k}");
@@ -464,7 +472,7 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
                     break;
                 }
                 prev_key = k;
-                n = (*n).next.load() as *mut Node<M>;
+                n = b.at((*n).next.load());
             }
         }
     }

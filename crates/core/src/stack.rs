@@ -141,6 +141,10 @@ impl<M: Persist> Graph<M> for RStack<M> {
         "stack"
     }
 
+    fn base(&self) -> tag::Base {
+        self.0.base()
+    }
+
     unsafe fn walk(
         &self,
         unit: usize,

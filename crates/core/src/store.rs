@@ -1101,7 +1101,9 @@ mod tests {
         assert!(env.infos.arena_backed() && env.pool::<Node, 0>().arena_backed());
         let (infos, heap) = (Some(env.infos.clone()), Arc::clone(store.heap()));
         // SAFETY: the store's recovery-slot block, alive with `store`.
-        let rec = unsafe { crate::recovery::RecArea::attach_raw(store.env.rec_base) };
+        let rec = unsafe {
+            crate::recovery::RecArea::attach_raw(store.env.rec_base, store.env.own.rec.base)
+        };
         let mut parked = Env::mapped(rec, Collector::disabled(), infos, heap);
         let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             parked.pool::<Node, 0>();

@@ -1,5 +1,5 @@
 //! Blocks: slabs, commit bitmaps, the two allocator tiers, and the attach
-//! passes over them (walk/heal, relocation, sweep).
+//! passes over them (walk/heal, sweep).
 //!
 //! Every segment's granule space is cut into **chunks** of [`SLAB`]
 //! granules (4 KiB), aligned to the segment's first granule, so one word of
@@ -54,13 +54,10 @@
 //!   [`MapError`], never undefined behaviour. Slabs and blocks never straddle
 //!   a segment boundary, which is what makes the walk and the sweep
 //!   independent per segment (`fan_out`).
-//! * **Relocation is a fallback with two known weaknesses.** When the
-//!   recorded base is taken, every word of every committed payload whose
-//!   (tag-stripped) value lands inside the old window is rebased. That is
-//!   sound only because every persistent pointer of the ISB structures points
-//!   into the arena and *user payloads must not alias the arena's address
-//!   range*; and the pass is not crash-atomic — a kill midway leaves a mixed
-//!   image under the old recorded base (ROADMAP item 7).
+//! * **No pass rewrites a payload.** The walk reads and heals headers and
+//!   bitmaps, and poisons only torn (never committed) payloads: a committed
+//!   payload is the caller's, and its links are heap offsets that mean the
+//!   same at every base.
 
 use super::fanout::fan_out;
 use super::segments::SegSlot;
@@ -95,8 +92,6 @@ pub(super) const SLAB: usize = 64;
 /// Per-thread free-list capacity per class; overflow spills to the global
 /// lock-free stack.
 const CACHE_CAP: usize = 64;
-/// Committed blocks per relocation work unit.
-const RELOC_CHUNK: usize = 4096;
 
 #[inline]
 pub(super) fn encode_hdr(state: u64, count: u64) -> u64 {
@@ -185,7 +180,7 @@ struct Loc<'a> {
 /// One segment's share of the attach walk.
 #[derive(Default)]
 struct SegWalk {
-    committed: Vec<(usize, usize)>,
+    committed: usize,
     free: HashMap<u32, Vec<u32>>,
     poisoned: usize,
     healed: usize,
@@ -505,9 +500,8 @@ impl MappedHeap {
     /// Walks every chunk header up to the bump offset: rebuilds the free
     /// lists, poisons torn allocations, heals benign bitmap bits, and fails
     /// with a typed error on any state no crash ordering can produce. One
-    /// work unit per segment. Returns the committed blocks as
-    /// `(payload granule, payload granules)`.
-    pub(super) fn walk_and_heal(&mut self) -> Result<Vec<(usize, usize)>, MapError> {
+    /// work unit per segment.
+    pub(super) fn walk_and_heal(&mut self) -> Result<(), MapError> {
         let bump = self.word(W_BUMP).load(Acquire) as usize;
         // Reset the volatile-in-persistent allocator words (reservation
         // cursor, bump lock, global free-stack heads): their last-run values
@@ -527,11 +521,10 @@ impl MappedHeap {
         // Segment order: the first corrupt segment names the error, and the
         // free lists are stocked the same way whoever walked what.
         walks.sort_unstable_by_key(|&(i, _)| i);
-        let mut committed = Vec::new();
         let mut free: HashMap<u32, Vec<u32>> = HashMap::new();
         for (_, walk) in walks {
             let sw = walk?;
-            committed.extend(sw.committed);
+            self.report.committed += sw.committed;
             for (pg, mut list) in sw.free {
                 free.entry(pg).or_default().append(&mut list);
             }
@@ -539,7 +532,6 @@ impl MappedHeap {
             self.report.healed_bits += sw.healed;
             self.report.free_blocks += sw.free_blocks;
         }
-        self.report.committed = committed.len();
         self.report.free_blocks += self.report.poisoned;
         // Stock the allocator: hot classes into the lock-free stacks, the
         // rest into the cold map.
@@ -553,7 +545,7 @@ impl MappedHeap {
                 lock_np(&self.cold).entry(pg).or_default().extend(list);
             }
         }
-        Ok(committed)
+        Ok(())
     }
 
     /// Walks one segment's slice of the granule space (see `walk_and_heal`).
@@ -621,7 +613,7 @@ impl MappedHeap {
                         at.bm.fetch_and(!(torn | healed), SeqCst);
                     }
                     *want = c;
-                    w.committed.extend(bits(c).map(|b| (g + b, n)));
+                    w.committed += c.count_ones() as usize;
                     let free = w.free.entry(n as u32).or_default();
                     free.extend(bits(starts & !c).map(|b| (g + b) as u32));
                     w.poisoned += torn.count_ones() as usize;
@@ -640,7 +632,7 @@ impl MappedHeap {
                             return Err(MapError::CorruptBitmap { granule: p });
                         }
                         *want = bit;
-                        w.committed.push((p, n));
+                        w.committed += 1;
                     } else {
                         if state == ST_ALLOCATED {
                             self.poison(p, n);
@@ -673,33 +665,6 @@ impl MappedHeap {
             }
         }
         Ok(w)
-    }
-
-    /// The offset-relocation pass: rebases every committed payload word that
-    /// points into the old mapping (see the module docs for the aliasing
-    /// caveat). One work unit per [`RELOC_CHUNK`] blocks — blocks are
-    /// disjoint, so the units race on nothing.
-    pub(super) fn relocate(&self, old_base: usize, committed: &[(usize, usize)]) {
-        let (old, new) = (old_base as u64, self.base as u64);
-        let span = self.size.load(Acquire) as u64;
-        let chunks: Vec<_> = committed.chunks(RELOC_CHUNK).collect();
-        fan_out(
-            chunks.len(),
-            || (),
-            |_, unit| {
-                for &(g, pg) in chunks[unit] {
-                    let p = self.payload(g) as *mut u64;
-                    for i in 0..pg * (GRANULE / 8) {
-                        // SAFETY: exclusive attach; units hold disjoint blocks.
-                        let v = unsafe { p.add(i).read() };
-                        let t = v & !1; // strip the info-pointer tag bit
-                        if t >= old && t < old + span {
-                            unsafe { p.add(i).write((t - old + new) | (v & 1)) };
-                        }
-                    }
-                }
-            },
-        );
     }
 
     /// Frees every committed block whose payload address is **not** in

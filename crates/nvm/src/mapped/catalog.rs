@@ -94,7 +94,7 @@ impl MappedHeap {
         if name_len == 0
             || name_len > CATALOG_NAME_BYTES
             || root_off < self.segs[0].data_off.load(Relaxed)
-            || !self.contains_span((self.base as usize).saturating_add(root_off), 1)
+            || !self.contains_span(root_off, 1)
         {
             return Err(MapError::CorruptCatalog { slot });
         }

@@ -1,8 +1,8 @@
 //! The one attach-time fan-out.
 //!
-//! Every parallel phase of an attach — the per-segment walk and sweep, the
-//! chunked relocation, and the structure layer's per-work-unit validation and
-//! census — is the same shape: `units` independent pieces of work, each
+//! Every parallel phase of an attach — the per-segment walk and sweep, and
+//! the structure layer's per-work-unit validation and census — is the same
+//! shape: `units` independent pieces of work, each
 //! folded into the accumulator of whichever worker claimed it. Workers are
 //! scoped threads, as many as the machine has cores but never more than there
 //! are units; one unit (or one core) runs inline on the calling thread.
@@ -24,7 +24,7 @@ pub fn fan_out<A: Send>(
     work: impl Fn(&mut A, usize) + Sync,
 ) -> Vec<A> {
     // Asked once: on Linux the answer costs reads of /proc and the cgroup
-    // files, which five fan-outs per attach would pay for again each time.
+    // files, which four fan-outs per attach would pay for again each time.
     static CORES: OnceLock<usize> = OnceLock::new();
     let cores = *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
     fan_out_on(cores, units, new_acc, work)

@@ -23,15 +23,14 @@
 //!   the attach flock), `superblock` (page-0 word layout, its pre-mmap
 //!   parser, the one durable metadata write), `segments` (the growable
 //!   contiguous granule space and its bump cursor), `alloc` (slab and block
-//!   headers, commit bitmaps, the sharded allocator, the attach walk /
-//!   relocation / sweep), `registry` (participants and recovery leases),
+//!   headers, commit bitmaps, the sharded allocator, the attach walk and
+//!   sweep), `registry` (participants and recovery leases),
 //!   `catalog` (named structures), `fanout` (the one attach-time thread
 //!   fan-out). This file holds the handle, the errors and the attach
 //!   pipeline that strings the layers together.
 //! * [`AttachReport`] — what an attach found: whether the heap was created
-//!   fresh, whether it had to be **relocated** to a new base address, how
-//!   many segments it spans, and how many torn tail allocations were
-//!   poisoned.
+//!   fresh or joined live, how many segments it spans, and how many torn
+//!   tail allocations were poisoned.
 //!
 //! ## One attach pipeline
 //!
@@ -43,20 +42,17 @@
 //! a live attacher is exclusive — [`MapError::ExclusivePeer`]), map the
 //! **whole VA reservation file-backed** in one `mmap`, build the handle
 //! through the one constructor, and claim a registry slot. A full attach
-//! additionally reclaims stale slots, walks and heals every segment, and
-//! relocates if the recorded base was taken; a join runs none of that — the
-//! heap is live state, not a crash image.
+//! additionally reclaims stale slots and walks and heals every segment; a
+//! join runs none of that — the heap is live state, not a crash image.
 //!
 //! ## Addressing
 //!
-//! Structures store **absolute pointers** in their persistent words (the
-//! same representation the in-process models use, so the entire engine is
-//! shared). The heap therefore asks for its recorded base address
-//! (`MAP_FIXED_NOREPLACE`; fresh heaps ask for [`PREFERRED_BASE`]). When it is
-//! taken, create and full attach map anywhere and the latter runs the
-//! **offset-relocation pass** (`alloc`, and DESIGN.md §10 for the trade-off
-//! against offset pointers); a joiner cannot — its peers exchange absolute
-//! pointers — and fails with [`MapError::BaseTaken`].
+//! Every attacher maps wherever the kernel puts the reservation
+//! ([`MappedHeap::base`] differs per attach, and per handle when one process
+//! holds two). Nothing in the image depends on it: the superblock, the root
+//! directory and the catalog name blocks by heap offset, and the structures
+//! store their links as heap offsets too (`isb::tag::Base`, DESIGN.md §10),
+//! so no attach ever rewrites a payload word.
 
 mod alloc;
 mod catalog;
@@ -83,7 +79,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering::{AcqRel, Acquire, Relaxed, SeqCst};
 use std::sync::atomic::{AtomicBool, AtomicUsize};
 use std::sync::{Arc, Mutex, MutexGuard};
-use superblock::{persist, persist_line, Page0, SbGeom, MODE_SHARED, PAGE, W_BASE, W_EPOCH};
+use superblock::{persist, persist_line, Page0, SbGeom, MODE_SHARED, PAGE, W_EPOCH};
 
 /// Allocation granule (one cache line): blocks are sized and aligned to it,
 /// and the commit bitmaps track one bit per granule.
@@ -108,13 +104,10 @@ pub const MAGIC: u64 = 0x4953_424D_4150_3031;
 /// slab boundary, a commit bit marks a payload's first granule rather than
 /// a header, and the free-list links moved into the free payloads; a v4
 /// walk would misread every block, so a v4 heap fails typed
-/// (`BadVersion(4)`).
-pub const VERSION: u64 = 5;
-/// Base address requested for fresh heaps: high in the 47-bit user window,
-/// far from the default heap/mmap/stack regions of both parent and child
-/// processes, so cross-process re-attach almost always lands at the same
-/// address and the relocation pass stays a fallback.
-pub const PREFERRED_BASE: usize = 0x6000_0000_0000;
+/// (`BadVersion(4)`). v6: the structures' links became heap offsets and
+/// superblock word 2 (the recorded base) was retired; a v5 heap's links are
+/// absolute addresses, so it fails typed (`BadVersion(5)`).
+pub const VERSION: u64 = 6;
 /// Pattern written over the payload of torn (allocated-but-never-committed)
 /// tail blocks before they are returned to the free list.
 pub const POISON: u64 = 0xDEAD_BEEF_DEAD_BEEF;
@@ -180,13 +173,11 @@ pub enum MapError {
         /// Granule index of the disagreement.
         granule: usize,
     },
-    /// A persistent pointer read from the image points outside the mapping
-    /// (or the object graph does not terminate) — e.g. a superblock whose
-    /// recorded base was rewritten to a different address, so the structure's
-    /// absolute pointers no longer land inside the arena. Caught by the
+    /// A link read from the image (a heap offset) names a span outside the
+    /// mapping, or the object graph does not terminate. Caught by the
     /// structures' pre-recovery validation walk before any dereference.
     CorruptPointer {
-        /// The offending pointer value.
+        /// The offending link word.
         addr: u64,
     },
     /// A catalog entry is inconsistent: unknown structure kind, a root that
@@ -221,13 +212,6 @@ pub enum MapError {
         /// Pid of the live exclusive attacher.
         pid: u64,
     },
-    /// A shared join could not map the heap at its recorded base address
-    /// (taken in this process) — relocation is impossible while peers are
-    /// live, because absolute pointers are shared.
-    BaseTaken {
-        /// The base address the live peers are using.
-        base: u64,
-    },
     /// A durable layout field recorded in the superblock disagrees with the
     /// geometry this build was compiled with (e.g. recovery-area slot count
     /// or stride). Mismatched builds must not silently alias shared state.
@@ -260,7 +244,7 @@ impl std::fmt::Display for MapError {
                 write!(f, "commit bitmap disagrees with headers at granule {granule}")
             }
             MapError::CorruptPointer { addr } => {
-                write!(f, "persistent pointer {addr:#x} points outside the mapped arena")
+                write!(f, "persistent link {addr:#x} points outside the mapped arena")
             }
             MapError::CorruptCatalog { slot } => {
                 write!(f, "corrupt catalog entry in slot {slot}")
@@ -277,9 +261,6 @@ impl std::fmt::Display for MapError {
             }
             MapError::ExclusivePeer { pid } => {
                 write!(f, "cannot join: live process {pid} attached this heap exclusively")
-            }
-            MapError::BaseTaken { base } => {
-                write!(f, "cannot join shared heap: its base address {base:#x} is taken here")
             }
             MapError::LayoutMismatch { what, expected, found } => {
                 write!(f, "heap layout mismatch: {what} is {found}, this build expects {expected}")
@@ -301,14 +282,10 @@ impl From<std::io::Error> for MapError {
 pub struct AttachReport {
     /// The heap file did not exist (or was empty) and was created fresh.
     pub created: bool,
-    /// The recorded base address was unavailable; every in-arena pointer was
-    /// rebased by the offset-relocation pass.
-    pub relocated: bool,
     /// Attach epoch after this attach (1 for a fresh heap).
     pub attach_epoch: u64,
     /// This attach *joined* a live shared heap: peers were already attached,
-    /// so no walk/heal/relocation ran (the heap state is live, not a crash
-    /// image).
+    /// so no walk/heal ran (the heap state is live, not a crash image).
     pub joined: bool,
     /// Torn tail allocations (allocated, never committed) that were poisoned
     /// and returned to the free list.
@@ -397,6 +374,10 @@ impl Drop for MappedHeap {
         if slot != usize::MAX {
             self.clear_participant(slot);
         }
+        // A line this thread noted and never fenced (an operation cut
+        // short: a request begun and not run) is written back while it is
+        // still mapped — once unmapped, its address names nothing.
+        <MappedNvm as crate::Persist>::coal_drain();
         // Closing the file also releases a still-held attach flock.
         sys::munmap(self.base, self.reserve);
     }
@@ -433,8 +414,7 @@ impl MappedHeap {
         Self::create_locked(file, path, bytes, max_bytes, false, crate::liveness::default_probe())
     }
 
-    /// Attaches an existing heap at its recorded base address, falling back
-    /// to the relocation pass (see module docs).
+    /// Attaches an existing heap: a full walking attach (see module docs).
     pub fn attach(path: &Path) -> Result<Arc<Self>, MapError> {
         let file = open_locked(path, false)?;
         let page = Page0::read(&file)?;
@@ -505,7 +485,7 @@ impl MappedHeap {
         // any stale superblock content — reads back as zero.
         file.set_len(0)?;
         file.set_len(g.seg0 as u64)?;
-        let (base, _) = map_reservation(&file, g.reserve, PREFERRED_BASE, false)?;
+        let base = sys::map_file(&file, g.reserve)?;
         let report = AttachReport { created: true, attach_epoch: 1, ..Default::default() };
         let heap = Self::over(base, &g, file, path, shared, live, report);
         heap.stamp_fresh(&g);
@@ -528,17 +508,12 @@ impl MappedHeap {
             return Err(MapError::AlreadyAttached { pid: p.pid });
         }
         let g = page.geometry(file.metadata()?.len())?;
-        let (base, relocated) = map_reservation(&file, g.reserve, g.base, false)?;
-        let report = AttachReport { relocated, ..Default::default() };
-        let mut heap = Self::over(base, &g, file, path, shared, live, report);
+        let base = sys::map_file(&file, g.reserve)?;
+        let mut heap = Self::over(base, &g, file, path, shared, live, AttachReport::default());
         // Stale registry slots (every one is dead or mid-claim: the guard
         // above passed) are reclaimed before this process claims its own.
         heap.registry_clear_stale();
-        let committed = heap.walk_and_heal()?;
-        if relocated {
-            heap.relocate(g.base, &committed);
-            persist(heap.word(W_BASE), base as u64);
-        }
+        heap.walk_and_heal()?;
         heap.report.attach_epoch = heap.word(W_EPOCH).load(Acquire) + 1;
         persist(heap.word(W_EPOCH), heap.report.attach_epoch);
         heap.claim_participant()?;
@@ -547,8 +522,8 @@ impl MappedHeap {
 
     /// Joins a **live** shared heap: every live participant must have
     /// attached in *shared* mode (the mode word is stamped before the pid
-    /// under this same flock, so a live slot always carries its mode), the
-    /// mapping must land at the recorded base, and *no* walk/heal/sweep runs.
+    /// under this same flock, so a live slot always carries its mode), and
+    /// *no* walk/heal/sweep runs.
     fn join_locked(
         file: File,
         page: &Page0,
@@ -559,7 +534,7 @@ impl MappedHeap {
         if let Some(p) = page.live_participants(&*live).find(|p| p.mode != MODE_SHARED) {
             return Err(MapError::ExclusivePeer { pid: p.pid });
         }
-        let (base, _) = map_reservation(&file, g.reserve, g.base, true)?;
+        let base = sys::map_file(&file, g.reserve)?;
         let report = AttachReport { joined: true, ..Default::default() };
         let mut heap = Self::over(base, &g, file, path, true, live, report);
         heap.claim_participant()?;
@@ -651,7 +626,8 @@ impl MappedHeap {
         self.shared
     }
 
-    /// Base address of the mapping.
+    /// Where this handle mapped the heap: the base its link words are
+    /// offsets from.
     pub fn base(&self) -> *mut u8 {
         self.base
     }
@@ -664,25 +640,6 @@ impl MappedHeap {
     /// What this attach found and did.
     pub fn report(&self) -> &AttachReport {
         &self.report
-    }
-}
-
-/// Maps the whole `reserve`-byte window of `file` — at `preferred` when that
-/// range is free, else (unless `strict`) wherever the kernel puts it. Returns
-/// `(base, relocated)`.
-fn map_reservation(
-    file: &File,
-    reserve: usize,
-    preferred: usize,
-    strict: bool,
-) -> Result<(*mut u8, bool), MapError> {
-    match sys::map_file(file, reserve, Some(preferred))? {
-        Some(base) => Ok((base, false)),
-        None if strict => Err(MapError::BaseTaken { base: preferred as u64 }),
-        None => {
-            let base = sys::map_file(file, reserve, None)?;
-            Ok((base.expect("an unhinted mmap is never refused"), true))
-        }
     }
 }
 
@@ -900,28 +857,35 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    /// Re-attaches `path` with its recorded base occupied, which is what
-    /// sends a real attach down the relocation path: another mapping of this
-    /// process (a sibling heap, a library) already sits there.
-    fn attach_with_base_taken(path: &Path, old_base: usize) -> Arc<MappedHeap> {
+    /// Re-attaches `path` with its old base squatted (another mapping of this
+    /// process sits there), so the heap maps elsewhere, and checks that no
+    /// committed payload word moved: each `(offset, words)` cell reads back
+    /// bit-identical at the new base.
+    fn attach_elsewhere_unchanged(path: &Path, old_base: usize, cells: &[(usize, [u64; 2])]) {
         let squat = sys::Squat::at(old_base);
         let heap = MappedHeap::attach(path).unwrap();
-        // No squat means a sibling test's mapping took the base first, and may
-        // have let go of it again since.
-        if squat.is_some() {
-            assert!(heap.report().relocated && heap.base() as usize != old_base);
+        // No squat means a sibling test's mapping holds the range already.
+        assert!(squat.is_none() || heap.base() as usize != old_base);
+        for &(off, words) in cells {
+            let cell = unsafe { heap.base().add(off) } as *const [u64; 2];
+            assert_eq!(unsafe { cell.read() }, words, "the payload at offset {off:#x} moved");
+            // Word 1 is a link as the codec writes it (tagged offset): it
+            // resolves against the new base to the target that holds 4242.
+            let target = unsafe { heap.base().add(words[1] as usize & !1) } as *const u64;
+            assert_eq!(unsafe { target.read() }, 4242, "the link at offset {off:#x}");
         }
-        heap
+        drop((heap, squat));
+        let _ = std::fs::remove_file(path);
     }
 
+    /// A grown heap attached at another base: a cell in a grown segment that
+    /// links to a segment-0 target still reaches it, and its words — an
+    /// in-window address and the tagged offset — are bit-identical.
     #[test]
     fn grown_heap_relocates_across_segments() {
         let path = tmp("grow_reloc");
-        let (old_base, off_cell, off_target) = {
+        let (old_base, cell) = {
             let heap = MappedHeap::create(&path, MIN_HEAP_BYTES).unwrap();
-            // Fill past the first segment, then store a cross-segment
-            // pointer: a late (segment-1) cell pointing at an early
-            // (segment-0) target.
             let target = heap.alloc(8).unwrap();
             unsafe { (target as *mut u64).write(4242) };
             heap.commit(target);
@@ -929,54 +893,37 @@ mod tests {
                 let p = heap.alloc(120).unwrap();
                 heap.commit(p);
             }
-            assert!(heap.segments() > 1);
-            let cell = heap.alloc(16).unwrap();
-            unsafe { (cell as *mut u64).write(target as u64 | 1) };
-            heap.commit(cell);
+            assert!(heap.segments() > 1, "the fill outgrows the initial segment");
+            let late = heap.alloc(16).unwrap();
             let base = heap.base() as usize;
-            (base, cell as usize - base, target as usize - base)
+            let words = [target as u64, (target as usize - base) as u64 | 1];
+            unsafe { (late as *mut [u64; 2]).write(words) };
+            heap.commit(late);
+            (base, (late as usize - base, words))
         };
-        let heap = attach_with_base_taken(&path, old_base);
-        let cell = unsafe { heap.base().add(off_cell) } as *const u64;
-        let want = (heap.base() as usize + off_target) as u64 | 1;
-        assert_eq!(unsafe { cell.read() }, want, "cross-segment pointer rebased");
-        drop(heap);
-        let _ = std::fs::remove_file(&path);
+        attach_elsewhere_unchanged(&path, old_base, &[cell]);
     }
 
+    /// A forced relocation rebases in-arena pointers without rewriting them:
+    /// a link is an offset that resolves against whatever base the heap maps
+    /// at, and a user word that aliases the old window (plain or tagged) is
+    /// not mistaken for one — every payload word reads back bit-identical.
     #[test]
     fn forced_relocation_rebases_in_arena_pointers() {
         let path = tmp("reloc");
-        let (old_base, off_cell, off_target) = {
+        let (old_base, cell) = {
             let heap = MappedHeap::create(&path, MIN_HEAP_BYTES).unwrap();
             let target = heap.alloc(8).unwrap();
             unsafe { (target as *mut u64).write(4242) };
             heap.commit(target);
             let cell = heap.alloc(16).unwrap();
-            // word 0: tagged in-arena pointer; word 1: user data that must
-            // NOT be rebased.
-            unsafe {
-                (cell as *mut u64).write(target as u64 | 1);
-                (cell as *mut u64).add(1).write(555);
-            }
-            heap.commit(cell);
             let base = heap.base() as usize;
-            (base, cell as usize - base, target as usize - base)
+            let words = [target as u64 | 1, (target as usize - base) as u64 | 1];
+            unsafe { (cell as *mut [u64; 2]).write(words) };
+            heap.commit(cell);
+            (base, (cell as usize - base, words))
         };
-        let heap = attach_with_base_taken(&path, old_base);
-        let cell = unsafe { heap.base().add(off_cell) } as *const u64;
-        let want = (heap.base() as usize + off_target) as u64 | 1;
-        assert_eq!(unsafe { cell.read() }, want, "tagged pointer rebased, tag preserved");
-        assert_eq!(unsafe { cell.add(1).read() }, 555, "non-pointer word untouched");
-        // The rebased pointer dereferences to the original value.
-        let t = (unsafe { cell.read() } & !1) as *const u64;
-        assert_eq!(unsafe { t.read() }, 4242);
-        // The new base is the recorded one from here on: no second relocation.
-        drop(heap);
-        let heap = MappedHeap::attach(&path).unwrap();
-        assert_eq!(unsafe { (heap.base().add(off_cell) as *const u64).read() } & !1, t as u64);
-        drop(heap);
-        let _ = std::fs::remove_file(&path);
+        attach_elsewhere_unchanged(&path, old_base, &[cell]);
     }
 
     /// The `/proc/self/maps` lines overlapping `[base, base + len)`.
@@ -1310,27 +1257,21 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    /// A line noted in a heap and never fenced is written back when the heap
+    /// drops, not by a later fence of this thread, when its address is no
+    /// longer mapped (a write-back there faults).
     #[test]
-    fn shared_join_with_base_taken_fails_typed() {
-        let path = tmp("basetaken");
-        let probe = FakeProbe::with(&[]);
-        let heap = MappedHeap::open_shared_with(&path, MIN_HEAP_BYTES, probe.clone()).unwrap();
-        assert!(heap.is_shared());
-        assert!(!heap.report().joined);
-        heap.release_attach_lock();
-        // A second open_shared in the *same* process sees a live participant
-        // (us) and takes the join path — which cannot map the recorded base
-        // because our own mapping occupies it.
-        match MappedHeap::open_shared_with(&path, MIN_HEAP_BYTES, probe.clone()) {
-            Err(MapError::BaseTaken { base }) => assert_eq!(base, heap.base() as u64),
-            other => panic!("expected BaseTaken, got {other:?}"),
-        }
+    fn dropping_a_heap_drains_its_unfenced_lines() {
+        crate::tid::set_tid(46);
+        let path = tmp("unfenced");
+        let heap = MappedHeap::create(&path, MIN_HEAP_BYTES).unwrap();
+        let p = heap.alloc(64).unwrap();
+        heap.commit(p);
+        // SAFETY: a committed, 64-aligned block nothing else references.
+        MappedNvm::pwb_coal(unsafe { &*(p as *const PWord<MappedNvm>) });
+        assert_eq!(crate::coalesce::pending(), 1);
         drop(heap);
-        // After a clean exit no participant is live: full attach, not join.
-        let heap = MappedHeap::open_shared_with(&path, MIN_HEAP_BYTES, probe).unwrap();
-        assert!(!heap.report().joined);
-        heap.release_attach_lock();
-        drop(heap);
+        assert_eq!(crate::coalesce::pending(), 0, "the line left the set before the unmap");
         let _ = std::fs::remove_file(&path);
     }
 

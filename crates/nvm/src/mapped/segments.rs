@@ -241,17 +241,15 @@ impl MappedHeap {
         None
     }
 
-    /// Whether the whole `len`-byte span starting at `addr` lies inside the
-    /// published bytes — the check attach-time pointer validation must use
-    /// before dereferencing an object of that size (an object *starting* in
-    /// the last bytes of the arena would otherwise be read past its end). A
-    /// miss first adopts segments a peer may have published.
-    pub fn contains_span(&self, addr: usize, len: usize) -> bool {
+    /// Whether the whole `len`-byte span at heap offset `off` lies inside the
+    /// published bytes and past the superblock page, which holds no object
+    /// (offset 0 is the null link) — the check attach-time link validation
+    /// must use before following a link to an object of that size (an object
+    /// *starting* in the last bytes of the arena would otherwise be read past
+    /// its end). A miss first adopts segments a peer may have published.
+    pub fn contains_span(&self, off: usize, len: usize) -> bool {
         let inside = || {
-            addr >= self.base as usize
-                && addr
-                    .checked_add(len)
-                    .is_some_and(|end| end <= self.base as usize + self.size.load(Acquire))
+            off >= PAGE && off.checked_add(len).is_some_and(|end| end <= self.size.load(Acquire))
         };
         inside() || (self.shared && self.refresh_segments().is_ok() && inside())
     }

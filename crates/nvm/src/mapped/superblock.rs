@@ -2,7 +2,7 @@
 //! accessor every durable metadata write goes through.
 //!
 //! Page 0 is an array of little-endian `u64` words. Words 0..16 are the
-//! header (magic / version / base / sizes / attach epoch / bump / geometry /
+//! header (magic / version / a retired word / sizes / attach epoch / bump / geometry /
 //! kind / segment count / reservation / allocator lock and cursor /
 //! recovery-area geometry), 16..48 the **root directory**
 //! ([`ROOT_SLOTS`] `(key, payload offset)` pairs), 48..80 the **segment
@@ -41,7 +41,8 @@ pub(super) const PAGE: usize = 4096;
 // Superblock word indices (u64 words from the start of the mapping).
 pub(super) const W_MAGIC: usize = 0;
 pub(super) const W_VERSION: usize = 1;
-pub(super) const W_BASE: usize = 2;
+// Word 2 held the recorded base address until format v6: links are heap
+// offsets since, so nothing reads or writes it.
 pub(super) const W_SIZE: usize = 3; // bytes of segment 0 (the full file for a 1-segment heap)
 pub(super) const W_EPOCH: usize = 4;
 pub(super) const W_BUMP: usize = 5; // global granule-space bump (all segments)
@@ -160,8 +161,6 @@ pub(super) struct SbGeom {
     pub(super) seg_lens: Vec<usize>,
     /// VA reservation length.
     pub(super) reserve: usize,
-    /// Base address recorded in the superblock (0 for a fresh layout).
-    pub(super) base: usize,
     /// Segment-0 data offset.
     pub(super) data_off: usize,
     /// Segment-0 data granules.
@@ -183,7 +182,7 @@ impl SbGeom {
         let bm_bytes = ((seg0 - PAGE) / GRANULE).div_ceil(8).next_multiple_of(GRANULE);
         let data_off = PAGE + bm_bytes;
         let granules = (seg0 - data_off) / GRANULE;
-        SbGeom { seg0, seg_lens: Vec::new(), reserve, base: 0, data_off, granules }
+        SbGeom { seg0, seg_lens: Vec::new(), reserve, data_off, granules }
     }
 }
 
@@ -275,10 +274,6 @@ impl Page0 {
         if reserve < total as usize || !reserve.is_multiple_of(PAGE) || reserve >= 1 << 47 {
             return Err(MapError::BadSuperblock("VA reservation does not cover the segments"));
         }
-        let base = w(W_BASE) as usize;
-        if base == 0 || !base.is_multiple_of(PAGE) || base >= 1 << 47 {
-            return Err(MapError::BadSuperblock("recorded base address is not a valid mapping"));
-        }
         let seg0 = size as usize;
         let data_off = w(W_DATA_OFF) as usize;
         let granules = w(W_GRANULES) as usize;
@@ -304,7 +299,7 @@ impl Page0 {
         if (w(W_BUMP) as usize) > total_granules {
             return Err(MapError::BadSuperblock("bump offset beyond the data region"));
         }
-        Ok(SbGeom { seg0, seg_lens, reserve, base, data_off, granules })
+        Ok(SbGeom { seg0, seg_lens, reserve, data_off, granules })
     }
 }
 
@@ -377,7 +372,6 @@ impl MappedHeap {
         persist_all(
             [
                 (W_VERSION, VERSION),
-                (W_BASE, self.base as u64),
                 (W_SIZE, g.seg0 as u64),
                 (W_EPOCH, 1),
                 (W_DATA_OFF, g.data_off as u64),

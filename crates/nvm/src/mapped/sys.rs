@@ -5,8 +5,10 @@
 //! Invariants this file owns:
 //!
 //! * **One mapping per heap.** [`map_file`] is the only function in
-//!   `nvm::mapped` that maps the heap file, and every attacher calls it for
-//!   its *whole* VA reservation from file offset 0 (file offset == VA offset).
+//!   `nvm::mapped` that maps the heap file, and every attacher calls it once
+//!   for its *whole* VA reservation from file offset 0 (file offset == heap
+//!   offset), wherever the kernel puts it: the image holds offsets, never
+//!   addresses, so no attacher needs a particular base.
 //!   Pages of a `MAP_SHARED` file mapping become readable the instant the
 //!   file covers them, so growth is an `ftruncate` and nothing else — nobody
 //!   maps a second time. Pages past EOF are plain address space; nothing
@@ -23,7 +25,6 @@ use std::os::fd::AsRawFd;
 const PROT_READ: usize = 1;
 const PROT_WRITE: usize = 2;
 const MAP_SHARED: usize = 0x01;
-const MAP_FIXED_NOREPLACE: usize = 0x10_0000;
 const LOCK_EX: usize = 2;
 const LOCK_UN: usize = 8;
 const ENOSYS: isize = -38;
@@ -115,31 +116,17 @@ fn sys_to_err(r: isize) -> MapError {
     }
 }
 
-/// Maps `len` bytes of `file` from offset 0, read-write and `MAP_SHARED` —
-/// the heap's one mapping (see the module docs). With `at`, the mapping must
-/// land exactly there (`MAP_FIXED_NOREPLACE`); `Ok(None)` means the range is
-/// taken. Without it the kernel picks the address and the answer is never
-/// `None`.
-pub(super) fn map_file(
-    file: &File,
-    len: usize,
-    at: Option<usize>,
-) -> Result<Option<*mut u8>, MapError> {
-    let flags = if at.is_some() { MAP_SHARED | MAP_FIXED_NOREPLACE } else { MAP_SHARED };
-    let args = [at.unwrap_or(0), len, PROT_READ | PROT_WRITE, flags, file.as_raw_fd() as usize, 0];
-    // SAFETY: a new mapping at a free address; NOREPLACE never clobbers one.
+/// Maps `len` bytes of `file` from offset 0, read-write and `MAP_SHARED`,
+/// wherever the kernel puts them — the heap's one mapping (see the module
+/// docs).
+pub(super) fn map_file(file: &File, len: usize) -> Result<*mut u8, MapError> {
+    let args = [0, len, PROT_READ | PROT_WRITE, MAP_SHARED, file.as_raw_fd() as usize, 0];
+    // SAFETY: a new mapping at an address of the kernel's choosing.
     let r = unsafe { syscall(nr::MMAP, args) };
     if is_sys_err(r) {
-        // A refused hint (EEXIST: range taken, or otherwise unmappable
-        // there) is an answer, not a failure.
-        return if at.is_some() && r != ENOSYS { Ok(None) } else { Err(sys_to_err(r)) };
+        return Err(sys_to_err(r));
     }
-    if at.is_some_and(|a| a != r as usize) {
-        // Old kernels ignore NOREPLACE and map elsewhere: undo.
-        munmap(r as *mut u8, len);
-        return Ok(None);
-    }
-    Ok(Some(r as *mut u8))
+    Ok(r as *mut u8)
 }
 
 /// Unmaps `[base, base + len)`. All completed stores of a `MAP_SHARED`
@@ -169,7 +156,7 @@ pub(super) fn flock_un(file: &File) {
 }
 
 /// Test hook: one anonymous `PROT_NONE` page squatting exactly at an address
-/// (a heap's recorded base), so the next attach finds it taken and relocates.
+/// (where a heap was mapped before), so the next attach lands elsewhere.
 #[cfg(test)]
 pub(super) struct Squat(usize);
 
@@ -179,6 +166,7 @@ impl Squat {
     /// already occupies the address, which serves the same purpose.
     pub(super) fn at(addr: usize) -> Option<Squat> {
         const MAP_PRIVATE_ANON: usize = 0x02 | 0x20;
+        const MAP_FIXED_NOREPLACE: usize = 0x10_0000;
         let flags = MAP_PRIVATE_ANON | MAP_FIXED_NOREPLACE;
         // SAFETY: a new anonymous page; NOREPLACE never clobbers a mapping.
         let r = unsafe { syscall(nr::MMAP, [addr, super::PAGE, 0, flags, usize::MAX, 0]) };

@@ -91,11 +91,10 @@ fn main() {
     let store = Store::open_sized(heap_path(&dir), HEAP_BYTES).expect("parent open");
     let summary = store.summary();
     println!(
-        "  attach epoch {}, {} cataloged structures, relocated: {}, torn blocks poisoned: {}, \
+        "  attach epoch {}, {} cataloged structures, torn blocks poisoned: {}, \
          leaked blocks swept: {}",
         summary.heap.attach_epoch,
         store.entries().len(),
-        summary.heap.relocated,
         summary.heap.poisoned,
         summary.swept
     );

@@ -220,7 +220,8 @@ fn visitors_over_the_one_walk_agree() {
     use std::collections::{HashMap, HashSet};
 
     /// Census and validation of every unit of `g`: the live set must count
-    /// `want_nodes` and equal the set of pointers validation admitted.
+    /// `want_nodes` and equal the set of links validation admitted (the
+    /// in-process models run at base 0, where a link is its node's address).
     fn agree(g: &impl Graph<M>, want_nodes: usize) {
         let (mut live, mut refs) = (HashSet::new(), HashMap::new());
         let admitted = RefCell::new(HashSet::new());
@@ -235,7 +236,7 @@ fn visitors_over_the_one_walk_agree() {
         }
         assert_eq!(live.len(), want_nodes, "{}: census vs snapshot", g.kind_name());
         assert_eq!(live, admitted.into_inner(), "{}: census vs validate", g.kind_name());
-        let referenced: HashSet<u64> = refs.keys().map(|&p| p as u64).collect();
+        let referenced: HashSet<u64> = refs.keys().copied().collect();
         assert_eq!(referenced, infos, "{}: descriptors counted vs collected", g.kind_name());
     }
 

@@ -152,13 +152,14 @@ fn wrong_version_fails_typed() {
 }
 
 /// A heap of a previous format fails typed before anything reads it: version
+/// 5, whose links are absolute addresses rather than heap offsets, version
 /// 4, whose every block carried a header granule of its own (a v5 walk would
 /// misread every block), and version 3, whose descriptors kept a response
 /// word and their first new-node entry past the first cache line.
 #[test]
 fn previous_descriptor_format_fails_typed() {
-    assert_eq!(nvm::mapped::VERSION, 5);
-    for old in [4u64, 3] {
+    assert_eq!(nvm::mapped::VERSION, 6);
+    for old in [5u64, 4, 3] {
         let path = tmp("old_version");
         mk_map(&path);
         patch(&path, 8, &old.to_le_bytes()); // word 1: version
@@ -171,37 +172,13 @@ fn previous_descriptor_format_fails_typed() {
 }
 
 #[test]
-fn invalid_base_fails_typed() {
-    let path = tmp("base");
+fn invalid_reservation_fails_typed() {
+    let path = tmp("resv");
     mk_map(&path);
-    // Word 2: the recorded base. An unaligned/garbage base is rejected
-    // before anything is mapped.
-    patch(&path, 16, &0x0123_4567_u64.to_le_bytes());
+    // Word 11: the VA reservation, the span every attacher maps. One that
+    // is not page-aligned is rejected before anything is mapped.
+    patch(&path, 11 * 8, &(read_word(&path, 11) + 8).to_le_bytes());
     assert!(matches!(map_err(attach(&path)), MapError::BadSuperblock(_)));
-    let _ = std::fs::remove_file(&path);
-}
-
-#[test]
-fn superblock_from_a_different_base_fails_typed_not_ub() {
-    let path = tmp("rebase");
-    mk_map(&path);
-    // Rewrite the recorded base to a *valid-looking but wrong* page-aligned
-    // address: the mapping then lands somewhere the structure's absolute
-    // pointers do not reference. The pre-recovery validation walk must turn
-    // this into a typed error instead of chasing wild pointers.
-    let old = read_word(&path, 2);
-    let wrong = old ^ 0x2000_0000_0000; // flip a high bit: stays aligned & canonical
-    patch(&path, 16, &wrong.to_le_bytes());
-    match map_err(attach(&path)) {
-        MapError::CorruptPointer { addr } => {
-            // The first out-of-window pointer is reported verbatim.
-            assert_ne!(addr, 0);
-        }
-        // If the kernel could not map at `wrong` either, the relocation
-        // pass rebases *relative to the recorded base*, which scrambles the
-        // pointers the same way — still a typed CorruptPointer.
-        e => panic!("expected CorruptPointer, got {e}"),
-    }
     let _ = std::fs::remove_file(&path);
 }
 
@@ -210,21 +187,14 @@ fn pointer_at_mapping_end_fails_typed_not_oob() {
     let path = tmp("oob");
     mk_map(&path);
     // Point the map's first bucket head (word 0 of the root block its
-    // catalog entry names) at the very last 8-aligned address of the
+    // catalog entry names) at the very last 8-aligned offset of the
     // mapping: it is aligned and *starts* inside the arena, but reading a
     // whole node there would run past the mapping end. The span-aware
     // validation must reject it before any dereference.
-    let base = read_word(&path, 2);
     let size = read_word(&path, 3);
-    let heads_off = entry_root(&path);
-    patch(&path, heads_off, &(base + size - 8).to_le_bytes());
-    let err = map_err(attach(&path));
-    // An attach that finds `base` taken by a sibling test's heap relocates
-    // first and records the base it mapped at: the pointer it reports is the
-    // patched one, rebased there.
-    let mapped_at = read_word(&path, 2);
-    match err {
-        MapError::CorruptPointer { addr } => assert_eq!(addr, mapped_at + size - 8),
+    patch(&path, entry_root(&path), &(size - 8).to_le_bytes());
+    match map_err(attach(&path)) {
+        MapError::CorruptPointer { addr } => assert_eq!(addr, size - 8),
         e => panic!("expected CorruptPointer, got {e}"),
     }
     let _ = std::fs::remove_file(&path);
@@ -602,12 +572,78 @@ fn catalog_cleared_kind_word_is_a_benign_empty_slot() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// Two heaps in one process: the second open of a store finds its recorded
-/// base taken (by a heap opened in between) and relocates — and all five
-/// structure kinds keep answering and mutating at the new base. The squatter
-/// keeps the old range mapped, mostly past its own end of file, so a pointer
-/// the relocation pass missed would fault (or scribble on the squatter's
-/// blocks, which its re-attach walk would then reject).
+/// One shared heap, two handles in one process: the second
+/// `Store::open_shared` of the live heap is a joiner, and it maps at a base
+/// of its own (the first handle's mapping holds the first). Every structure
+/// kind written through handle A is read and mutated through handle B, a map
+/// key and a queue value equal to an address inside A's window come back
+/// unchanged through B, and B's online peer recovery resolves a dead band's
+/// dequeue, published under A, as completed with its value.
+#[test]
+fn one_shared_store_at_two_bases_in_one_process() {
+    use isb::engine::res_val;
+    use isb::recovery::Recovered;
+    let path = tmp("two_bases");
+    let a = Store::open_shared_sized(&path, HEAP_BYTES).unwrap();
+    let ta = MappedHeap::tid_band(a.heap().my_participant().unwrap()).start;
+    nvm::tid::set_tid(ta);
+    let (m, q) = (a.hashmap::<0>("users", SHARDS).unwrap(), a.queue::<3>("jobs").unwrap());
+    let (l, t) = (a.list::<1>("index").unwrap(), a.bst::<3>("tree").unwrap());
+    let s = a.stack("undo").unwrap();
+    for k in 1..=100u64 {
+        assert!(m.insert(ta, k) && l.insert(ta, k) && t.insert(ta, k * 7 % 101));
+        q.enqueue(ta, k);
+        s.push(ta, k);
+    }
+    let in_window = a.heap().base() as u64 + 0x1_0000;
+    assert!(m.insert(ta, in_window));
+    q.enqueue(ta, in_window);
+    // A dead peer's band dequeues under A and dies before anyone learns the
+    // answer.
+    let dead = a.heap().debug_register_peer(u32::MAX as u64 - 21, 1).unwrap();
+    let td = MappedHeap::tid_band(dead).start;
+    nvm::tid::set_tid(td);
+    assert_eq!(q.dequeue(td), Some(1));
+
+    let b = Store::open_shared_sized(&path, HEAP_BYTES).unwrap();
+    assert!(b.summary().heap.joined);
+    assert_ne!(b.heap().base(), a.heap().base(), "a joiner maps at a base of its own");
+    let tb = MappedHeap::tid_band(b.heap().my_participant().unwrap()).start;
+    nvm::tid::set_tid(tb);
+    let decisions = b.recover_peer(dead).unwrap().expect("recovered under the lease");
+    assert!(decisions.contains(&(td, Recovered::Completed(res_val(1)))), "{decisions:?}");
+    let (m2, q2) = (b.hashmap::<0>("users", SHARDS).unwrap(), b.queue::<3>("jobs").unwrap());
+    let (l2, t2) = (b.list::<1>("index").unwrap(), b.bst::<3>("tree").unwrap());
+    let s2 = b.stack("undo").unwrap();
+    for k in 1..=100u64 {
+        assert!(m2.find(tb, k) && l2.find(tb, k) && t2.find(tb, k * 7 % 101), "key {k}");
+        assert_eq!(s2.pop(tb), Some(101 - k));
+    }
+    for k in 2..=100u64 {
+        assert_eq!(q2.dequeue(tb), Some(k));
+    }
+    assert!(m2.find(tb, in_window), "an in-window key reads back unchanged");
+    assert_eq!(q2.dequeue(tb), Some(in_window), "an in-window value reads back unchanged");
+    for k in 1001..=1100u64 {
+        assert!(m2.insert(tb, k) && l2.insert(tb, k) && t2.insert(tb, k));
+        q2.enqueue(tb, k);
+        s2.push(tb, k);
+    }
+    // ...and what B wrote reads back through A.
+    nvm::tid::set_tid(ta);
+    assert!(m.find(ta, 1100) && l.find(ta, 1001) && t.find(ta, 1050));
+    assert_eq!((q.dequeue(ta), s.pop(ta)), (Some(1001), Some(1100)));
+    drop((m2, q2, l2, t2, s2, b));
+    drop((m, q, l, t, s, a));
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A store closed and reopened at another base (a heap opened in between
+/// holds the old range) keeps all five structure kinds answering and
+/// mutating: its links are offsets, so nothing is rewritten on the way in.
+/// The squatter keeps the old range mapped, mostly past its own end of file,
+/// so a link decoded against the old base would fault (or scribble on the
+/// squatter's blocks, which its re-attach walk would then reject).
 #[test]
 fn relocated_store_keeps_every_structure_kind_working() {
     let (path, squat_path) = (tmp("reloc_store"), tmp("reloc_squat"));
@@ -631,9 +667,9 @@ fn relocated_store_keeps_every_structure_kind_working() {
     let squatter = MappedHeap::create(&squat_path, nvm::mapped::MIN_HEAP_BYTES).unwrap();
     let squatted = squatter.base() as usize == old_base;
     let store = Store::open_sized(&path, HEAP_BYTES).unwrap();
-    // (A sibling test may hold the preferred base instead of the squatter;
-    // then the store was never there and need not move.)
-    assert!(store.summary().heap.relocated || !squatted);
+    // (The kernel may put the squatter elsewhere; then the store need not
+    // move, and the rest still runs.)
+    assert!(store.heap().base() as usize != old_base || !squatted);
     let (m, q) = (store.hashmap::<0>("users", SHARDS).unwrap(), store.queue::<3>("jobs").unwrap());
     let (l, t) = (store.list::<1>("index").unwrap(), store.bst::<3>("tree").unwrap());
     let s = store.stack("undo").unwrap();
@@ -651,7 +687,7 @@ fn relocated_store_keeps_every_structure_kind_working() {
         s.push(0, k);
     }
     drop((m, q, l, t, s, store));
-    // A third open, at the base the relocation recorded, replays and sweeps.
+    // A third open, wherever it maps, replays and sweeps.
     let store = Store::open_sized(&path, HEAP_BYTES).unwrap();
     assert!(store.hashmap::<0>("users", SHARDS).unwrap().find(0, 1200));
     drop((store, squatter));
@@ -1021,16 +1057,15 @@ fn creation_writes_back_sentinels_and_roots() {
 /// File offset of the first link (`next` / `left`: word 1 of every node
 /// shape) of the node the first root word of catalog slot 0's structure
 /// names — the list's and the map's bucket head, the tree's root, the
-/// queue's sentinel (the anchor leads with its pointer), the stack's top.
+/// queue's sentinel (the anchor leads with its link), the stack's top. A
+/// link is a heap offset, and a heap offset is a file offset.
 fn first_link(path: &PathBuf) -> u64 {
-    let base = read_word(path, 2);
-    let node = read_at(path, entry_root(path));
-    node - base + 8
+    read_at(path, entry_root(path)) + 8
 }
 
 /// One reachable link per kind patched to (a) the last word of the mapping —
 /// aligned, starts inside, but a whole node there runs past the end; (b) an
-/// in-window address that is not 8-aligned; (c) the node's own address, a
+/// in-heap offset that is not 8-aligned; (c) the node's own offset, a
 /// cycle. Each attach is a typed `CorruptPointer` — naming the patched value
 /// for (a) and (b), terminating on its walk budget for (c) — and once the
 /// patch is undone the image attaches with its contents intact.
@@ -1108,27 +1143,21 @@ fn hostile_links_fail_typed_in_every_kind() {
         let path = tmp(&format!("hostile_{kind}"));
         build(&path).unwrap();
         let (size, link) = (read_word(&path, 3), first_link(&path));
+        let intact = read_at(&path, link);
+        assert_ne!(intact, 0, "{kind}: the patched link is a live one");
         for (shape, named) in [("mapping end", true), ("unaligned", true), ("cycle", false)] {
-            // Read per shape: every test of this binary asks for the same
-            // preferred base, so an attach that finds it taken relocates the
-            // image — recorded base, links and the patched word alike.
-            let (base, intact) = (read_word(&path, 2), read_at(&path, link));
-            assert_ne!(intact, 0, "{kind}: the patched link is a live one");
             let hostile = match shape {
-                "mapping end" => base + size - 8,
+                "mapping end" => size - 8,
                 "unaligned" => intact + 4,
-                _ => base + link - 8, // the node's own address
+                _ => link - 8, // the node's own offset
             };
             patch(&path, link, &hostile.to_le_bytes());
-            let err = map_err(check(&path));
-            let moved = read_word(&path, 2).wrapping_sub(base);
-            let hostile = hostile.wrapping_add(moved);
-            match err {
+            match map_err(check(&path)) {
                 MapError::CorruptPointer { addr } if !named || addr == hostile => {}
                 e => panic!("{kind} / {shape}: expected CorruptPointer({hostile:#x}), got {e}"),
             }
             assert_eq!(read_at(&path, link), hostile, "{kind} / {shape}: the attach rewrote it");
-            patch(&path, link, &intact.wrapping_add(moved).to_le_bytes());
+            patch(&path, link, &intact.to_le_bytes());
         }
         check(&path).unwrap_or_else(|e| panic!("{kind}: the undamaged image must attach: {e}"));
         let _ = std::fs::remove_file(&path);

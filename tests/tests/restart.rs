@@ -861,13 +861,15 @@ fn shared_growth_child_worker() {
     for k in 1..=GROW_LATE_KEYS {
         assert!(late.insert(t, k));
     }
-    // Publish a raw pointer into a *grown* segment (the bump cursor lives in
-    // the newest one): the parent dereferences it cold, before any operation
-    // that could refresh its segment table as a side effect.
+    // Publish the heap offset of a block in a *grown* segment (the bump
+    // cursor lives in the newest one): the parent dereferences it cold,
+    // before any operation that could refresh its segment table as a side
+    // effect.
     let probe = store.heap().alloc(64).expect("probe block");
     unsafe { (probe as *mut u64).write_volatile(GROW_PROBE_MAGIC) };
     store.heap().commit(probe);
-    scratch.publish("grow_done", format!("{grown} {}", probe as usize));
+    let off = probe as usize - store.heap().base() as usize;
+    scratch.publish("grow_done", format!("{grown} {off}"));
 }
 
 /// A peer grows the shared heap and links nodes from the new segments; this
@@ -906,17 +908,17 @@ fn shared_peer_growth_is_readable_without_refresh() {
     let done = scratch.wait_file("grow_done");
     let mut parts = done.split_whitespace();
     let grown: u64 = parts.next().unwrap().parse().unwrap();
-    let probe: usize = parts.next().unwrap().parse().unwrap();
+    let off: usize = parts.next().unwrap().parse().unwrap();
     assert!(grown > 0, "child never grew the heap — raise GROW_KEYS to keep this test honest");
     assert!(
-        probe > store.heap().base() as usize + GROW_HEAP_BYTES,
+        off > GROW_HEAP_BYTES,
         "probe block not in a grown segment — raise GROW_KEYS to keep this test honest"
     );
-    // The distilled hazard first: dereference the peer-published pointer
+    // The distilled hazard first: dereference the peer-published block
     // with this process's segment table untouched since before the growth.
-    // SAFETY: the child committed the block before publishing its address,
+    // SAFETY: the child committed the block before publishing its offset,
     // and shared attachers keep the whole reservation mapped file-backed.
-    let v = unsafe { (probe as *const u64).read_volatile() };
+    let v = unsafe { (store.heap().base().add(off) as *const u64).read_volatile() };
     assert_eq!(v, GROW_PROBE_MAGIC, "peer-published block unreadable");
     // The entry the child created after growing: found by name, its root
     // validated and its buckets walked, though this process last looked at
