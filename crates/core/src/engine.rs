@@ -22,6 +22,16 @@
 //!      deletion-tagged positions (mask bit set) stay tagged forever,
 //!      doubling as Harris mark bits.
 //!
+//! ### Layout
+//!
+//! An [`Info`] is two cache lines (128 bytes under every real model): `meta`
+//! (the set sizes and the `LINK` / `DONE` bits), `presult`, twelve words
+//! that pack the AffectSet pairs, the WriteSet triple and the NewSet cells
+//! at offsets the sizes give, and the volatile bookkeeping in the last two
+//! words. A shape whose sets fill `k` of the twelve words persists
+//! `2 + k` words: one line for a read-only descriptor and both queue
+//! operations, two for the list's and the BST's updates.
+//!
 //! ### Reference counting (`installs`)
 //!
 //! The paper assumes a garbage collector; we instead count, per Info, the
@@ -38,14 +48,17 @@ use crate::pool::PoolItem;
 use crate::tag::{self, Base};
 use nvm::{PWord, Persist, PersistWords};
 use reclaim::Guard;
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU16, AtomicU32, Ordering};
 
 /// Maximum AffectSet size (BST delete uses 4: grandparent, parent, leaf, sibling).
 pub const MAX_AFFECT: usize = 4;
-/// Maximum WriteSet size.
-pub const MAX_WRITE: usize = 2;
+/// Maximum WriteSet size (every update writes one cell).
+pub const MAX_WRITE: usize = 1;
 /// Maximum NewSet size (BST insert uses 3).
 pub const MAX_NEW: usize = 3;
+/// Words of a descriptor's packed sets: a shape `na / nw / nn` takes
+/// `2·na + 3·nw + nn` of them, the BST delete's 4/1/1 all twelve.
+const SET_WORDS: usize = 12;
 
 /// Response encodings, precomputed into a descriptor's `presult`. `RES_BOT`
 /// is recovery's "did not take effect", never a response.
@@ -99,13 +112,16 @@ pub fn val_of(res: u64) -> u64 {
 /// The Info structure: everything a helper (or the owner's recovery code)
 /// needs to run the operation to completion, plus whether it took effect.
 ///
-/// All descriptor fields are persistent words; the operation persists the
-/// whole Info (`pbarrier(*opInfo, NewSet)`) before publishing it. The field
-/// order packs the shapes (affect/write/new) into few cache lines, matching
-/// the paper's remark that "a single pwb flushes all fields fitting in a
-/// cache line": a read-only descriptor and the queue's 1/1/1 and 1/1/0 fit
-/// the first, the list's 2/1/2 and 2/1/0 and the BST's 2/1/3 and 4/1/1 two.
-/// [`PersistWords::used_range`] exposes exactly the used prefix.
+/// Two cache lines. The persistent words come first: `meta`, `presult` and
+/// the three sets packed into `sets` — the affect pairs, then the write
+/// triples, then the new-node cells, each at an offset the counts in `meta`
+/// give (`Shape`). The operation persists the used prefix
+/// (`pbarrier(*opInfo, NewSet)`, [`PersistWords::used_range`]) before
+/// publishing it, matching the paper's remark that "a single pwb flushes all
+/// fields fitting in a cache line": a read-only descriptor and the queue's
+/// 1/1/1 and 1/1/0 fit the first line, the list's 2/1/2 and 2/1/0 and the
+/// BST's 2/1/3 and 4/1/1 (which fills all twelve set words) two. The
+/// volatile bookkeeping takes the last two words of the second line.
 #[repr(C, align(64))]
 pub struct Info<M: Persist> {
     /// Packed `optype | naffect<<8 | nwrite<<16 | nnew<<24 | del_mask<<32`
@@ -114,43 +130,32 @@ pub struct Info<M: Persist> {
     /// Precomputed response, written before publication; the operation's
     /// response once [`DONE`] is set.
     presult: PWord<M>,
-    /// AffectSet entry 0: (info-cell offset, expected value). Every cell
-    /// and every link value here is a link word ([`crate::tag`]).
-    a0: [PWord<M>; 2],
-    /// WriteSet entry 0: (cell, old, new).
-    w0: [PWord<M>; 3],
-    /// NewSet entry 0: the info-cell address of a new node.
-    n0: PWord<M>,
-    // --- end of cache line 1 (8 words) ---
-    /// AffectSet entry 1.
-    a1: [PWord<M>; 2],
-    /// NewSet entries 1...
-    n1: [PWord<M>; MAX_NEW - 1],
-    /// AffectSet entry 2.
-    a2: [PWord<M>; 2],
-    /// AffectSet entry 3.
-    a3: [PWord<M>; 2],
-    /// WriteSet entry 1.
-    w1: [PWord<M>; 3],
+    /// AffectSet `(info cell, expected value)` pairs, WriteSet `(cell, old,
+    /// new)` triples, NewSet info cells, in that order (`Shape`). Every
+    /// cell and every link value here is a link word ([`crate::tag`]).
+    sets: [PWord<M>; SET_WORDS],
     /// Volatile reference count (see module docs). Not persistent state.
     installs: AtomicU32,
-    /// Volatile: handle of the owning [`crate::pool::Pool`] (null ⇒ plain
-    /// heap allocation). Written once at pool refill, read at retirement.
-    owner: AtomicPtr<()>,
     /// Volatile: participant slot + 1 of the process whose pool owns this
     /// descriptor (0 ⇒ exclusive heap / plain allocation — no cross-process
-    /// ambiguity). In a *shared* mapped heap the `owner` pointer above is
+    /// ambiguity). In a *shared* mapped heap the `owner` pointer below is
     /// only meaningful inside the owning process's address space: a peer
     /// performing the final release must not dereference it. Written at
     /// pool refill, read at retirement.
-    owner_slot: AtomicU32,
+    owner_slot: AtomicU16,
     /// Volatile: set by [`help`] before its first tag CAS. While false the
     /// descriptor is provably private — its address was never installed in
     /// a shared cell, so at refcount zero it can re-enter the pool without
     /// the EBR round-trip (read-only fast-path descriptors, which never call
     /// `help`, hit this on every operation).
     shared: AtomicBool,
+    /// Volatile: handle of the owning [`crate::pool::Pool`] (null ⇒ plain
+    /// heap allocation). Written once at pool refill, read at retirement.
+    owner: AtomicPtr<()>,
 }
+
+// `owner_slot` holds a participant slot + 1.
+const _: () = assert!(nvm::mapped::PART_SLOTS < u16::MAX as usize);
 
 unsafe impl<M: Persist> Send for Info<M> {}
 unsafe impl<M: Persist> Sync for Info<M> {}
@@ -161,18 +166,11 @@ impl<M: Persist> PoolItem for Info<M> {
         Info {
             meta: PWord::new(0),
             presult: PWord::new(RES_BOT),
-            a0: Default::default(),
-            w0: Default::default(),
-            n0: Default::default(),
-            a1: Default::default(),
-            n1: Default::default(),
-            a2: Default::default(),
-            a3: Default::default(),
-            w1: Default::default(),
+            sets: Default::default(),
             installs: AtomicU32::new(0),
-            owner: AtomicPtr::new(std::ptr::null_mut()),
-            owner_slot: AtomicU32::new(0),
+            owner_slot: AtomicU16::new(0),
             shared: AtomicBool::new(false),
+            owner: AtomicPtr::new(std::ptr::null_mut()),
         }
     }
 
@@ -180,7 +178,7 @@ impl<M: Persist> PoolItem for Info<M> {
         *self.owner.get_mut() = pool as *mut ();
     }
 
-    fn attach_slot(&mut self, slot: u32) {
+    fn attach_slot(&mut self, slot: u16) {
         *self.owner_slot.get_mut() = slot;
     }
 
@@ -199,37 +197,56 @@ unsafe impl<M: Persist> PersistWords<M> for Info<M> {
     fn each_word(&self, f: &mut dyn FnMut(&PWord<M>)) {
         f(&self.meta);
         f(&self.presult);
-        let (na, nw, nn, _) = self.counts();
-        for k in 0..na.max(1) {
-            self.affect_slot(k).iter().for_each(&mut *f);
-        }
-        for k in 0..nw {
-            self.write_slot(k).iter().for_each(&mut *f);
-        }
-        for k in 0..nn {
-            f(self.new_slot(k));
-        }
+        self.sets[..self.shape().words()].iter().for_each(f);
     }
 
     fn used_range(&self) -> (*const u8, usize) {
-        let (na, nw, nn, _) = self.counts();
-        macro_rules! end {
-            ($field:ident) => {
-                std::mem::offset_of!(Self, $field) + std::mem::size_of_val(&self.$field)
-            };
-        }
-        let used = [
-            (true, end!(a0)),
-            (nw >= 1, end!(w0)),
-            (nn >= 1, end!(n0)),
-            (na >= 2, end!(a1)),
-            (nn >= 2, end!(n1) - (MAX_NEW - nn) * size_of::<PWord<M>>()),
-            (na >= 3, end!(a2)),
-            (na >= 4, end!(a3)),
-            (nw >= 2, end!(w1)),
-        ];
-        let end = used.iter().filter(|u| u.0).map(|u| u.1).max().unwrap_or(0);
+        let end = std::mem::offset_of!(Self, sets) + self.shape().words() * size_of::<PWord<M>>();
         (self as *const Self as *const u8, end)
+    }
+}
+
+/// Where a descriptor's sets sit in its `sets` words, from the counts in
+/// its `meta`: affect entry `k` at `2k`, write entry `k` at `2·na + 3k`,
+/// new entry `k` at `2·na + 3·nw + k`.
+#[derive(Clone, Copy)]
+struct Shape {
+    na: usize,
+    nw: usize,
+    nn: usize,
+    del_mask: u8,
+}
+
+impl Shape {
+    fn of(meta: u64) -> Self {
+        let count = |shift: u32| ((meta >> shift) & 0xff) as usize;
+        Shape { na: count(8), nw: count(16), nn: count(24), del_mask: (meta >> 32) as u8 }
+    }
+
+    /// Whether the sets fit the descriptor: at least one affect entry, each
+    /// set within its capacity, all of them within [`SET_WORDS`].
+    fn fits(self) -> bool {
+        (1..=MAX_AFFECT).contains(&self.na)
+            && self.nw <= MAX_WRITE
+            && self.nn <= MAX_NEW
+            && 2 * self.na + 3 * self.nw + self.nn <= SET_WORDS
+    }
+
+    /// Set words the persisted prefix covers (affect entry 0 always).
+    fn words(self) -> usize {
+        2 * self.na.max(1) + 3 * self.nw + self.nn
+    }
+
+    fn affect(k: usize) -> usize {
+        2 * k
+    }
+
+    fn write(self, k: usize) -> usize {
+        2 * self.na + 3 * k
+    }
+
+    fn newset(self, k: usize) -> usize {
+        2 * self.na + 3 * self.nw + k
     }
 }
 
@@ -251,40 +268,14 @@ pub struct InfoFill<'a> {
 }
 
 impl<M: Persist> Info<M> {
-    /// AffectSet slot `k` (layout is packed; see struct docs).
-    #[inline]
-    fn affect_slot(&self, k: usize) -> &[PWord<M>; 2] {
-        match k {
-            0 => &self.a0,
-            1 => &self.a1,
-            2 => &self.a2,
-            _ => &self.a3,
-        }
-    }
-
-    /// WriteSet slot `k`.
-    #[inline]
-    fn write_slot(&self, k: usize) -> &[PWord<M>; 3] {
-        match k {
-            0 => &self.w0,
-            _ => &self.w1,
-        }
-    }
-
-    /// NewSet slot `k`.
-    #[inline]
-    fn new_slot(&self, k: usize) -> &PWord<M> {
-        if k == 0 {
-            &self.n0
-        } else {
-            &self.n1[k - 1]
-        }
-    }
-
     /// Fills the descriptor for one attempt. Only legal while the Info is
     /// unreachable to other threads (never installed / fresh).
     ///
     /// Sets `installs = 1 (RD_q) + |affect| + |newset|`.
+    ///
+    /// Panics (also in release builds) when the sets do not fit the
+    /// descriptor ([`MAX_AFFECT`], [`MAX_WRITE`], [`MAX_NEW`] and the twelve
+    /// set words): the words past them are the volatile bookkeeping.
     ///
     /// # Safety
     /// `info` must be a live descriptor drawn from its pool
@@ -292,45 +283,32 @@ impl<M: Persist> Info<M> {
     /// reach.
     pub unsafe fn fill(info: *mut Info<M>, f: &InfoFill<'_>) {
         let i = unsafe { &*info };
-        debug_assert!(f.affect.len() <= MAX_AFFECT && !f.affect.is_empty());
-        debug_assert!(f.write.len() <= MAX_WRITE);
-        debug_assert!(f.newset.len() <= MAX_NEW);
+        let (na, nw, nn) = (f.affect.len(), f.write.len(), f.newset.len());
+        assert!(
+            Shape { na, nw, nn, del_mask: f.del_mask }.fits(),
+            "descriptor shape {na}/{nw}/{nn} exceeds its {SET_WORDS} set words"
+        );
         let meta = (f.optype as u64)
-            | (f.affect.len() as u64) << 8
-            | (f.write.len() as u64) << 16
-            | (f.newset.len() as u64) << 24
+            | (na as u64) << 8
+            | (nw as u64) << 16
+            | (nn as u64) << 24
             | (f.del_mask as u64) << 32;
         M::store(&i.meta, meta);
         M::store(&i.presult, f.presult);
-        for (k, &(cell, exp)) in f.affect.iter().enumerate() {
-            let slot = i.affect_slot(k);
-            M::store(&slot[0], cell);
-            M::store(&slot[1], exp);
-        }
-        for (k, &(cell, old, new)) in f.write.iter().enumerate() {
-            let slot = i.write_slot(k);
-            M::store(&slot[0], cell);
-            M::store(&slot[1], old);
-            M::store(&slot[2], new);
-        }
-        for (k, &cell) in f.newset.iter().enumerate() {
-            M::store(i.new_slot(k), cell);
+        let affect = f.affect.iter().flat_map(|&(cell, exp)| [cell, exp]);
+        let write = f.write.iter().flat_map(|&(cell, old, new)| [cell, old, new]);
+        for (word, v) in i.sets.iter().zip(affect.chain(write).chain(f.newset.iter().copied())) {
+            M::store(word, v);
         }
         // A freshly filled descriptor is private until `help` runs on it
         // (recycled descriptors may carry a stale true).
         i.shared.store(false, Ordering::Relaxed);
-        i.installs.store(1 + f.affect.len() as u32 + f.newset.len() as u32, Ordering::Release);
+        i.installs.store(1 + na as u32 + nn as u32, Ordering::Release);
     }
 
     #[inline]
-    fn counts(&self) -> (usize, usize, usize, u8) {
-        let m = M::load(&self.meta);
-        (
-            ((m >> 8) & 0xff) as usize,
-            ((m >> 16) & 0xff) as usize,
-            ((m >> 24) & 0xff) as usize,
-            ((m >> 32) & 0xff) as u8,
-        )
+    fn shape(&self) -> Shape {
+        Shape::of(M::load(&self.meta))
     }
 
     /// Whether the operation took effect: its response is `presult`.
@@ -349,19 +327,17 @@ impl<M: Persist> Info<M> {
     /// The stored cell must still be live (EBR pin or quiescence).
     #[inline]
     unsafe fn affect_at(&self, b: Base, k: usize) -> (&PWord<M>, u64) {
-        let slot = self.affect_slot(k);
-        let cell = b.at::<PWord<M>>(M::load(&slot[0]));
-        let exp = M::load(&slot[1]);
-        (unsafe { &*cell }, exp)
+        let cell = unsafe { self.cell_at(b, Shape::affect(k)) };
+        (cell, M::load(&self.sets[Shape::affect(k) + 1]))
     }
 
-    /// The cell of a write or new-set slot, decoded at `b`.
+    /// The cell set word `w` names, decoded at `b`.
     ///
     /// # Safety
     /// As [`Info::affect_at`].
     #[inline]
-    unsafe fn cell_at(b: Base, slot: &PWord<M>) -> &PWord<M> {
-        unsafe { &*b.at::<PWord<M>>(M::load(slot)) }
+    unsafe fn cell_at(&self, b: Base, w: usize) -> &PWord<M> {
+        unsafe { &*b.at::<PWord<M>>(M::load(&self.sets[w])) }
     }
 
     /// Releases `n` references; retires the Info through `guard` at zero.
@@ -433,7 +409,7 @@ impl<M: Persist> Info<M> {
     pub unsafe fn describe(&self, b: Base) -> String {
         let mut out =
             format!("meta {:#x} presult {:#x} affect", M::load(&self.meta), M::load(&self.presult));
-        for k in 0..self.counts().0.min(MAX_AFFECT) {
+        for k in 0..self.shape().na.min(MAX_AFFECT) {
             let (cell, expected) = unsafe { self.affect_at(b, k) };
             out += &format!(" [{cell:p}: expected {expected:#x}, now {:#x}]", M::load(cell));
         }
@@ -442,39 +418,25 @@ impl<M: Persist> Info<M> {
 
     /// Attach-time bounds validation of a descriptor read from an
     /// **untrusted** mapped image, before `help` may dereference any of its
-    /// cells: the set sizes must be within the engine's capacities, every
-    /// used affect/write/newset cell offset must satisfy `valid_cell` (an
-    /// in-arena 8-byte-span check — helping reads/CASes one word there), and
-    /// every write `new` value must satisfy `valid_install`
-    /// (callers pass a whole-node span check: `help` installs the value
-    /// into a cell the later census walk dereferences as a node). Returns
-    /// `false` on any violation.
+    /// cells: the sets must fit the descriptor (as [`Info::fill`] checks, so
+    /// no read reaches the volatile words), every used affect/write/newset
+    /// cell offset must satisfy `valid_cell` (an in-arena 8-byte-span check
+    /// — helping reads/CASes one word there), and every write `new` value
+    /// must satisfy `valid_install` (callers pass a whole-node span check:
+    /// `help` installs the value into a cell the later census walk
+    /// dereferences as a node). Returns `false` on any violation.
     pub fn validate_bounds(
         &self,
         valid_cell: impl Fn(u64) -> bool,
         valid_install: impl Fn(u64) -> bool,
     ) -> bool {
-        let (na, nw, nn, _) = self.counts();
-        if na == 0 || na > MAX_AFFECT || nw > MAX_WRITE || nn > MAX_NEW {
-            return false;
-        }
-        for k in 0..na {
-            if !valid_cell(M::load(&self.affect_slot(k)[0])) {
-                return false;
-            }
-        }
-        for k in 0..nw {
-            let w = self.write_slot(k);
-            if !valid_cell(M::load(&w[0])) || !valid_install(M::load(&w[2])) {
-                return false;
-            }
-        }
-        for k in 0..nn {
-            if !valid_cell(M::load(self.new_slot(k))) {
-                return false;
-            }
-        }
-        true
+        let s = self.shape();
+        let word = |w: usize| M::load(&self.sets[w]);
+        s.fits()
+            && (0..s.na).all(|k| valid_cell(word(Shape::affect(k))))
+            && (0..s.nw)
+                .all(|k| valid_cell(word(s.write(k))) && valid_install(word(s.write(k) + 2)))
+            && (0..s.nn).all(|k| valid_cell(word(s.newset(k))))
     }
 
     /// Attach-time census fix-up for a descriptor that survived a process
@@ -491,7 +453,7 @@ impl<M: Persist> Info<M> {
     /// must be the new structure's Info-pool handle (or null), and
     /// `owner_slot` the attaching process's participant slot + 1 (0 for an
     /// exclusive attach).
-    pub unsafe fn reset_after_attach(&self, count: u32, owner: *const (), owner_slot: u32) {
+    pub unsafe fn reset_after_attach(&self, count: u32, owner: *const (), owner_slot: u16) {
         self.installs.store(count, Ordering::Release);
         self.owner.store(owner as *mut (), Ordering::Release);
         self.owner_slot.store(owner_slot, Ordering::Release);
@@ -506,8 +468,8 @@ impl<M: Persist> Info<M> {
 /// `owner_slot == 0` and never reach the comparison, so the convention only
 /// binds processes that joined a shared heap.
 #[inline]
-fn my_participant_slot() -> u32 {
-    (nvm::tid::tid() / nvm::mapped::PART_TIDS) as u32 + 1
+fn my_participant_slot() -> u16 {
+    (nvm::tid::tid() / nvm::mapped::PART_TIDS) as u16 + 1
 }
 
 thread_local! {
@@ -570,7 +532,8 @@ pub unsafe fn help<M: Persist, const ARM: u8>(
     r.shared.store(true, Ordering::Release);
     let untagged_val = b.word(info);
     let tagged_val = tag::tagged(untagged_val);
-    let (naffect, nwrite, nnew, del_mask) = r.counts();
+    let s = r.shape();
+    let naffect = s.na;
     let start = if invoker { 0 } else { 1 };
     // A link operation's tag-phase `psync` is merged into its update-phase
     // one (below), so a crash image may hold its `DONE` bit without its
@@ -611,15 +574,14 @@ pub unsafe fn help<M: Persist, const ARM: u8>(
             // 2. `DONE` unset ⇒ the attempt genuinely failed: backtrack.
             //
             // A merged operation asks its write instead (see `merged`).
-            let completed =
-                if merged { unsafe { writes_in_place(b, r, nwrite) } } else { r.done() };
+            let completed = if merged { unsafe { writes_in_place(b, r, s) } } else { r.done() };
             if completed {
                 if merged && !r.done() {
                     r.mark(DONE);
                     arm::pwb_arm::<M, ARM>(&r.meta);
                     M::psync();
                 }
-                cleanup::<M, ARM>(b, r, tagged_val, untagged_val, naffect, nnew, del_mask);
+                cleanup::<M, ARM>(b, r, tagged_val, untagged_val, s);
                 if !arm::is_tuned(ARM) {
                     M::psync();
                 }
@@ -674,11 +636,11 @@ pub unsafe fn help<M: Persist, const ARM: u8>(
 
     // ---- Update phase ---------------------------------------------------
     let mut in_place = true;
-    for w in 0..nwrite {
-        let slot = r.write_slot(w);
-        let cell = unsafe { Info::cell_at(b, &slot[0]) };
-        let old = M::load(&slot[1]);
-        let new = M::load(&slot[2]);
+    for k in 0..s.nw {
+        let w = s.write(k);
+        let cell = unsafe { r.cell_at(b, w) };
+        let old = M::load(&r.sets[w + 1]);
+        let new = M::load(&r.sets[w + 2]);
         let seen = cell.cas(old, new); // idempotent: fails silently on re-execution
         in_place &= seen == old || seen == new;
         arm::pwb_arm::<M, ARM>(cell);
@@ -700,7 +662,7 @@ pub unsafe fn help<M: Persist, const ARM: u8>(
     M::psync();
 
     // ---- Cleanup phase --------------------------------------------------
-    cleanup::<M, ARM>(b, r, tagged_val, untagged_val, naffect, nnew, del_mask);
+    cleanup::<M, ARM>(b, r, tagged_val, untagged_val, s);
     if !arm::is_tuned(ARM) {
         M::psync();
     }
@@ -712,13 +674,13 @@ pub unsafe fn help<M: Persist, const ARM: u8>(
 ///
 /// # Safety
 /// As [`help`].
-unsafe fn writes_in_place<M: Persist>(b: Base, r: &Info<M>, nwrite: usize) -> bool {
-    (0..nwrite).all(|w| {
-        let slot = r.write_slot(w);
-        // SAFETY: a write slot names a cell of a node the caller's pin keeps
+unsafe fn writes_in_place<M: Persist>(b: Base, r: &Info<M>, s: Shape) -> bool {
+    (0..s.nw).all(|k| {
+        let w = s.write(k);
+        // SAFETY: a write entry names a cell of a node the caller's pin keeps
         // live ([`help`]'s contract).
-        let cell = unsafe { Info::cell_at(b, &slot[0]) };
-        M::load(cell) == M::load(&slot[2])
+        let cell = unsafe { r.cell_at(b, w) };
+        M::load(cell) == M::load(&r.sets[w + 2])
     })
 }
 
@@ -738,12 +700,10 @@ fn cleanup<M: Persist, const ARM: u8>(
     r: &Info<M>,
     tagged_val: u64,
     untagged_val: u64,
-    naffect: usize,
-    nnew: usize,
-    del_mask: u8,
+    s: Shape,
 ) {
-    for k in 0..naffect {
-        if del_mask & (1 << k) != 0 {
+    for k in 0..s.na {
+        if s.del_mask & (1 << k) != 0 {
             continue; // deletion-tagged: stays tagged forever (mark bit)
         }
         // SAFETY: descriptor cells stay live per the help() contract.
@@ -753,9 +713,9 @@ fn cleanup<M: Persist, const ARM: u8>(
             arm::pwb_arm::<M, ARM>(cell);
         }
     }
-    for n in 0..nnew {
+    for k in 0..s.nn {
         // SAFETY: as above.
-        let cell = unsafe { Info::cell_at(b, r.new_slot(n)) };
+        let cell = unsafe { r.cell_at(b, s.newset(k)) };
         let _ = cell.cas(tagged_val, untagged_val);
         if !arm::is_lp(ARM) {
             arm::pwb_arm::<M, ARM>(cell);
@@ -798,7 +758,7 @@ pub unsafe fn help_recovering<M: Persist, const ARM: u8>(
     let r = unsafe { &*info };
     let untagged_val = b.word(info);
     let tagged_val = tag::tagged(untagged_val);
-    let naffect = r.counts().0;
+    let naffect = r.shape().na;
     if !M::MAPPED {
         for k in 0..naffect {
             let (cell, _) = unsafe { r.affect_at(b, k) };
@@ -1121,14 +1081,32 @@ mod tests {
         unsafe { Info::release(info, 3, &g) };
     }
 
+    /// Fills `info` with shape `na / nw / nn` over dummy cells.
+    fn fill_shape(info: &mut Info<M>, (na, nw, nn): (usize, usize, usize)) {
+        let fill = InfoFill {
+            optype: 1,
+            affect: &[(0x8, 0); MAX_AFFECT + 1][..na],
+            write: &[(0x8, 0, 0); MAX_WRITE + 1][..nw],
+            newset: &[0x8; MAX_NEW + 1][..nn],
+            del_mask: 0,
+            presult: RES_TRUE,
+        };
+        // SAFETY: a fresh descriptor, ours alone.
+        unsafe { Info::fill(info, &fill) };
+    }
+
     /// The lines the pre-publication barrier writes back, per descriptor
     /// shape the structures build (`naffect / nwrite / nnew`): a read-only
     /// descriptor and both queue operations one, the list's and the BST's
-    /// updates two.
+    /// updates two. Each range ends before the volatile words, which share
+    /// the second line.
     #[test]
     fn each_descriptor_shape_fits_its_line_budget() {
         let _gate = crate::counters::gate_shared();
-        assert_eq!(std::mem::size_of::<Info<M>>(), 192, "three lines, volatile words included");
+        assert_eq!(size_of::<Info<nvm::RealNvm>>(), 128, "two lines, volatile words included");
+        assert_eq!(size_of::<Info<M>>(), 128);
+        assert_eq!(size_of::<Info<nvm::MappedNvm>>(), 128);
+        let volatile = std::mem::offset_of!(Info<M>, installs);
         let shapes = [
             ("read-only", (1, 0, 0), 1),
             ("enqueue", (1, 1, 1), 1),
@@ -1138,26 +1116,23 @@ mod tests {
             ("BST insert", (2, 1, 3), 2),
             ("BST delete", (4, 1, 1), 2),
         ];
-        for (name, (na, nw, nn), lines) in shapes {
-            let info = Box::into_raw(Box::new(Info::<M>::fresh()));
-            unsafe {
-                Info::fill(
-                    info,
-                    &InfoFill {
-                        optype: 1,
-                        affect: &[(0x8, 0); MAX_AFFECT][..na],
-                        write: &[(0x8, 0, 0); MAX_WRITE][..nw],
-                        newset: &[0x8; MAX_NEW][..nn],
-                        del_mask: 0,
-                        presult: RES_TRUE,
-                    },
-                );
-                let (start, len) = (*info).used_range();
-                assert_eq!(start, info as *const u8, "{name}: the range starts at the descriptor");
-                assert_eq!(nvm::flush::lines_in_range(start, len), lines, "{name}");
-                drop(Box::from_raw(info));
-            }
+        for (name, shape, lines) in shapes {
+            let mut info = Info::<M>::fresh();
+            fill_shape(&mut info, shape);
+            let (start, len) = info.used_range();
+            assert_eq!(start, &info as *const _ as *const u8, "{name}: the range starts at it");
+            assert_eq!(nvm::flush::lines_in_range(start, len), lines, "{name}");
+            assert!(len <= volatile, "{name}: the range reaches the volatile words");
         }
+    }
+
+    /// A shape past the twelve set words would write into the volatile
+    /// words: `fill` refuses it in every build.
+    #[test]
+    #[should_panic(expected = "exceeds its 12 set words")]
+    fn fill_refuses_an_over_capacity_shape() {
+        let _gate = crate::counters::gate_shared();
+        fill_shape(&mut Info::fresh(), (4, 1, 3));
     }
 
     #[test]

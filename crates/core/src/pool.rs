@@ -68,7 +68,7 @@ pub trait PoolItem: Send + Sized + 'static {
     /// (0 ⇒ exclusive heap). On *shared* mapped heaps the Info descriptor
     /// stores it so a peer performing the final release can recognise a
     /// foreign pool handle and leak instead of dereferencing it.
-    fn attach_slot(&mut self, _slot: u32) {}
+    fn attach_slot(&mut self, _slot: u16) {}
     /// Counter hook: the object was served from a free list.
     fn count_reuse() {}
 }
@@ -234,7 +234,7 @@ impl<T: PoolItem> Pool<T> {
         let oslot = arena
             .filter(|heap| heap.is_shared())
             .and_then(MappedHeap::my_participant)
-            .map_or(0, |s| s as u32 + 1);
+            .map_or(0, |s| s as u16 + 1);
         for _ in 0..SLAB {
             let raw = match arena {
                 Some(heap) => {

@@ -1054,7 +1054,7 @@ pub unsafe fn finish_attach(
     // Shared heaps: descriptors this attach reclaims are re-owned by *this*
     // process's pool, so stamp our participant slot (exclusive heaps keep 0).
     let owner_slot =
-        if heap.is_shared() { heap.my_participant().map_or(0, |s| s as u32 + 1) } else { 0 };
+        if heap.is_shared() { heap.my_participant().map_or(0, |s| s as u16 + 1) } else { 0 };
     // Rewrite every live descriptor's volatile bookkeeping (recomputed
     // reference count, this process's Info pool as owner) and keep it.
     for (&info, &cnt) in &info_refs {

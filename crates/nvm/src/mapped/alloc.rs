@@ -749,7 +749,7 @@ mod tests {
     fn slab_carve_serves_63_class1_or_21_class3_blocks() {
         let path = tmp("slab_carve");
         let heap = MappedHeap::create(&path, MIN_HEAP_BYTES).unwrap();
-        for (bytes, pg, per_slab) in [(64, 1, 63), (192, 3, 21)] {
+        for (bytes, pg, per_slab) in [(64, 1, 63), (128, 2, 31), (192, 3, 21)] {
             let bump = heap.bump_granules();
             let mut blocks: Vec<_> = (0..per_slab).map(|_| heap.alloc(bytes).unwrap()).collect();
             assert_eq!(heap.bump_granules(), bump + SLAB, "{per_slab} x {bytes} B bump one slab");

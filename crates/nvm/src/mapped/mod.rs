@@ -106,8 +106,12 @@ pub const MAGIC: u64 = 0x4953_424D_4150_3031;
 /// walk would misread every block, so a v4 heap fails typed
 /// (`BadVersion(4)`). v6: the structures' links became heap offsets and
 /// superblock word 2 (the recorded base) was retired; a v5 heap's links are
-/// absolute addresses, so it fails typed (`BadVersion(5)`).
-pub const VERSION: u64 = 6;
+/// absolute addresses, so it fails typed (`BadVersion(5)`). v7: the
+/// descriptor shrank from three cache lines to two — its sets packed into
+/// one array whose offsets follow the set sizes, the second write entry
+/// gone — so a v6 heap's descriptors would be misread and its slabs hold
+/// the old size class; it fails typed (`BadVersion(6)`).
+pub const VERSION: u64 = 7;
 /// Pattern written over the payload of torn (allocated-but-never-committed)
 /// tail blocks before they are returned to the free list.
 pub const POISON: u64 = 0xDEAD_BEEF_DEAD_BEEF;

@@ -13,8 +13,10 @@
 //! headers and pads, idle free blocks and cold blocks, which sum to the
 //! bumped bytes per key (the benchmark's `heap_bytes_per_key`).
 
+use isb::engine::Info;
+use isb::set_core::Node;
 use isb::store::Store;
-use nvm::mapped::{HeapUsage, GRANULE, MAX_CLASS};
+use nvm::mapped::{HeapUsage, MappedNvm, GRANULE, MAX_CLASS};
 use std::collections::HashSet;
 
 const KEY_SPACE: u64 = 131_072;
@@ -23,8 +25,8 @@ const SHARDS: usize = 2_048;
 const FIRST_SEGMENT: usize = 16 << 20;
 const ROUNDS: usize = 4;
 /// Size classes (payload granules) of the map's node and descriptor.
-const NODE: usize = 1;
-const INFO: usize = 3;
+const NODE: usize = size_of::<Node<MappedNvm>>().div_ceil(GRANULE);
+const INFO: usize = size_of::<Info<MappedNvm>>().div_ceil(GRANULE);
 
 /// SplitMix64: a seeded, dependency-free key stream.
 struct Rng(u64);

@@ -68,4 +68,11 @@ fn pipeline_runs() {
 fn heap_usage_runs() {
     let out = run_example(env!("CARGO_BIN_EXE_heap_usage"), &[]);
     assert!(out.contains("live keys") && out.contains("B/key"), "unexpected output:\n{out}");
+    // The descriptor row counts the blocks of the shipped descriptor's class.
+    let blocks = out
+        .lines()
+        .find_map(|l| l.trim().strip_prefix("descriptors ("))
+        .and_then(|rest| rest.split(' ').next())
+        .and_then(|n| n.parse::<u64>().ok());
+    assert!(blocks.is_some_and(|n| n > 0), "no descriptor blocks counted:\n{out}");
 }

@@ -152,14 +152,16 @@ fn wrong_version_fails_typed() {
 }
 
 /// A heap of a previous format fails typed before anything reads it: version
-/// 5, whose links are absolute addresses rather than heap offsets, version
-/// 4, whose every block carried a header granule of its own (a v5 walk would
-/// misread every block), and version 3, whose descriptors kept a response
-/// word and their first new-node entry past the first cache line.
+/// 6, whose descriptors took three cache lines with the sets in fixed
+/// slots, version 5, whose links are absolute addresses rather than heap
+/// offsets, version 4, whose every block carried a header granule of its
+/// own (a v5 walk would misread every block), and version 3, whose
+/// descriptors kept a response word and their first new-node entry past the
+/// first cache line.
 #[test]
 fn previous_descriptor_format_fails_typed() {
-    assert_eq!(nvm::mapped::VERSION, 6);
-    for old in [5u64, 4, 3] {
+    assert_eq!(nvm::mapped::VERSION, 7);
+    for old in [6u64, 5, 4, 3] {
         let path = tmp("old_version");
         mk_map(&path);
         patch(&path, 8, &old.to_le_bytes()); // word 1: version
@@ -169,6 +171,53 @@ fn previous_descriptor_format_fails_typed() {
         }
         let _ = std::fs::remove_file(&path);
     }
+}
+
+/// File offsets of a node of the map that names a descriptor and of that
+/// descriptor: the first non-zero `info` word (word 2 of a list node) along
+/// the buckets, in shard order.
+fn live_descriptor(path: &PathBuf) -> (u64, u64) {
+    let root = entry_root(path);
+    for shard in 0..SHARDS as u64 {
+        let mut node = read_at(path, root + 8 * shard);
+        while node != 0 {
+            let info = read_at(path, node + 16) & !1;
+            if info != 0 {
+                return (node, info);
+            }
+            node = read_at(path, node + 8) & !1;
+        }
+    }
+    panic!("no node of the map names a descriptor");
+}
+
+/// A committed descriptor whose `meta` claims the sets 4/1/3 — each within
+/// its own capacity, together two words past the twelve set words (file
+/// words 2..14 of the descriptor) — and whose set words all name a live
+/// node, so every cell and install it names passes the span checks: only
+/// the capacity check stands between attach and a read of its last
+/// new-node cell past the set words. It fails typed, naming the
+/// descriptor; the undamaged image attaches.
+#[test]
+fn over_capacity_descriptor_fails_typed() {
+    let path = tmp("info_capacity");
+    mk_map(&path);
+    let (node, info) = live_descriptor(&path);
+    let intact: Vec<u64> = (0..14).map(|w| read_at(&path, info + 8 * w)).collect();
+    let claimed = intact[0] & !0xff_ff_ff_00 | 4 << 8 | 1 << 16 | 3 << 24;
+    patch(&path, info, &claimed.to_le_bytes());
+    for w in 2..14 {
+        patch(&path, info + 8 * w, &node.to_le_bytes());
+    }
+    match map_err(attach(&path)) {
+        MapError::CorruptPointer { addr } => assert_eq!(addr, info),
+        e => panic!("expected CorruptPointer({info:#x}), got {e}"),
+    }
+    for (w, v) in intact.iter().enumerate() {
+        patch(&path, info + 8 * w as u64, &v.to_le_bytes());
+    }
+    attach(&path).unwrap_or_else(|e| panic!("the undamaged image must attach: {e}"));
+    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
