@@ -30,6 +30,7 @@ use bench_harness::report::Table;
 use bench_harness::workload::{
     prefill_set, run_queue, run_set, run_shard_sweep, Mix, QueueCfg, RunResult, SetCfg,
 };
+use isb::arm::LP;
 use isb::hashmap::RHashMap;
 use isb::list::RList;
 use isb::queue::RQueue;
@@ -129,7 +130,7 @@ fn isb_queue<M: Persist>(arm: u8) -> Arc<dyn QueueBench> {
     match arm {
         PAPER => Arc::new(RQueue::<M, PAPER>::new()),
         TUNED => Arc::new(RQueue::<M, TUNED>::new()),
-        _ => Arc::new(RQueue::<M, { isb::arm::LP }>::new()),
+        _ => Arc::new(RQueue::<M, LP>::new()),
     }
 }
 
@@ -284,7 +285,7 @@ impl Ctx {
         // Beside the throughput: what each queue persists per operation, on
         // one thread under the counting model (`Isb-Q` at every placement
         // arm). A `pbarrier` counts as its lines plus a `psync`.
-        use isb::arm::{LP, PAPER, TUNED};
+        use isb::arm::{PAPER, TUNED};
         let algos: Vec<(String, Arc<dyn QueueBench>)> = [PAPER, TUNED, LP]
             .map(|arm| (format!("Isb-Q/{}", isb::arm::name(arm)), isb_queue::<CountingNvm>(arm)))
             .into_iter()
@@ -384,7 +385,7 @@ impl Ctx {
             let _ = std::fs::remove_file(&path);
             let t0 = Instant::now();
             {
-                let map = Store::open(&path).unwrap().hashmap::<0>("map", 16).unwrap();
+                let map = Store::open(&path).unwrap().hashmap::<LP>("map", 16).unwrap();
                 for k in 1..=n {
                     map.insert(nvm::MAX_PROCS - 1, k);
                 }
@@ -392,7 +393,7 @@ impl Ctx {
             let fill_ms = t0.elapsed().as_secs_f64() * 1e3;
             let t1 = Instant::now();
             let store = Store::open(&path).unwrap();
-            let map = store.hashmap::<0>("map", 16).unwrap();
+            let map = store.hashmap::<LP>("map", 16).unwrap();
             let attach_ms = t1.elapsed().as_secs_f64() * 1e3;
             let summary = store.summary();
             t_attach.row(
@@ -425,7 +426,7 @@ impl Ctx {
             let mapped = {
                 let path = dir.join(format!("tp_{threads}.heap"));
                 let _ = std::fs::remove_file(&path);
-                let map = Store::open(&path).unwrap().hashmap::<0>("map", 16).unwrap();
+                let map = Store::open(&path).unwrap().hashmap::<LP>("map", 16).unwrap();
                 prefill_set(&*map, range, 7);
                 nvm::stats::reset();
                 let r = run_set(map, cfg);
@@ -433,7 +434,7 @@ impl Ctx {
                 r
             };
             let heap = {
-                let m = Arc::new(HM::<RealNvm, 0>::with_shards(16));
+                let m = Arc::new(HM::<RealNvm, LP>::with_shards(16));
                 prefill_set(&*m, range, 7);
                 nvm::stats::reset();
                 run_set(m, cfg)
@@ -479,7 +480,7 @@ impl Ctx {
             {
                 let store = Store::open(&path).unwrap();
                 for e in 0..n {
-                    let m = store.hashmap::<0>(&format!("m{e}"), 8).unwrap();
+                    let m = store.hashmap::<LP>(&format!("m{e}"), 8).unwrap();
                     for k in 1..=keys_per_entry {
                         m.insert(pid, k);
                     }
@@ -521,8 +522,8 @@ impl Ctx {
                 let path = dir.join(format!("shared_{threads}.heap"));
                 let _ = std::fs::remove_file(&path);
                 let store = Store::open(&path).unwrap();
-                let m = store.hashmap::<0>("users", 16).unwrap();
-                let q = store.queue::<0>("jobs").unwrap();
+                let m = store.hashmap::<LP>("users", 16).unwrap();
+                let q = store.queue::<LP>("jobs").unwrap();
                 prefill_set(&*m, range, 7);
                 nvm::stats::reset();
                 let rm = run_set(Arc::clone(&m), cfg);
@@ -546,7 +547,7 @@ impl Ctx {
     /// `pwb`/`psync` traffic buys end-to-end). The `_coal` tables are
     /// `Isb-LP`'s coalescing traffic.
     fn fig12(&self) {
-        use isb::arm::{LP, PAPER, TUNED};
+        use isb::arm::{PAPER, TUNED};
         const ARMS: [u8; 3] = [PAPER, TUNED, LP];
         fn map_for<M: Persist>(arm: u8) -> Arc<dyn SetBench> {
             match arm {
@@ -700,7 +701,7 @@ impl Ctx {
             let slot = store.heap().my_participant().expect("parent slot");
             let band = MappedHeap::tid_band(slot);
             nvm::tid::set_tid(band.start);
-            let map = store.hashmap::<0>("users", 16).expect("users");
+            let map = store.hashmap::<LP>("users", 16).expect("users");
             for k in 1..=keys {
                 map.insert(band.start, k);
             }
@@ -841,7 +842,7 @@ fn fig14_child() -> ! {
     let slot = store.heap().my_participant().expect("child slot");
     let t = nvm::mapped::MappedHeap::tid_band(slot).start;
     nvm::tid::set_tid(t);
-    let map = store.hashmap::<0>("users", 16).expect("users");
+    let map = store.hashmap::<LP>("users", 16).expect("users");
     std::fs::write(std::env::var("ISB_FIG14_READY").unwrap(), b"").unwrap();
     let mut rng = 0xdead_beef_cafe_f00du64;
     loop {

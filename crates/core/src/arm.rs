@@ -9,7 +9,7 @@
 //! |-----|------|------|
 //! | [`PAPER`] | `Isb`     | the paper's per-CAS `pwb` + per-phase `psync` placement |
 //! | [`TUNED`] | `Isb-Opt` | batched tag-loop flushes, merged barriers |
-//! | [`LP`]    | `Isb-LP`  | per-op cache-line dedupe via [`nvm::coalesce`]; the `RD_q`/`CP_q` line is reset whole by the invocation glue's one barrier and written once more, `CP_q := 1` with `RD_q := opInfo`, by the first publish; an operation that finds nothing to change takes no descriptor and publishes nothing. Link-persist: cleanup write-backs elided (re-swept by scrub / lazy helping); for link ops (the enqueue, whose descriptor carries the `LINK` bit) the tag-phase `psync` merged into the update-phase `psync`; the queue's tail hint never written back (`heal_tail` and `find_last` re-derive it). The arm the KV service and `Store`-based workloads ship (`kvserve::server::ARM`) |
+//! | [`LP`]    | `Isb-LP`  | per-op cache-line dedupe via [`nvm::coalesce`]; the `RD_q`/`CP_q` line is reset whole by the invocation glue's one barrier and written once more, `CP_q := 1` with `RD_q := opInfo`, by the first publish; an operation that finds nothing to change takes no descriptor and publishes nothing. Link-persist: cleanup write-backs elided (re-swept by scrub / lazy helping); for link ops (the enqueue, whose descriptor carries the `LINK` bit) the tag-phase `psync` merged into the update-phase `psync`; the queue's tail hint never written back (`heal_tail` and `find_last` re-derive it). The one arm of a mapped structure: every [`crate::store::Store`] entry, and so the KV service (`kvserve::server::ARM`), is placed, replayed and scrubbed at it |
 //!
 //! Level `2` was `Isb-Coal`, the coalescing glue without the link-persist
 //! elisions. It was retired once `Isb-LP` shipped; its measurements are the
@@ -27,17 +27,17 @@
 //! ```
 //!
 //! A catalog entry a build of that arm stamped is refused, typed and named
-//! ([`crate::recovery::AttachError::CfgMismatch`]).
+//! ([`crate::recovery::AttachError::CfgMismatch`]), as is one stamped with
+//! arm `0` or `1`.
 //!
 //! The `u8` encoding (rather than a second `bool`) exists because stable
 //! Rust cannot derive one const generic from another; call sites write the
 //! level directly (`RQueue<M, { arm::LP }>` or simply `RQueue<M, 3>`).
-//! Arms `0`/`1` are bit-for-bit the old `TUNED = false`/`true` placements —
-//! including the mapped-heap config word, which stores the arm in the same
-//! byte the bool used to occupy.
-//!
-//! Arms `0`/`1` are kept as the paper's reproduction (figures, placement
-//! goldens); the soundness argument for arm `3` is in `DESIGN.md` §12.
+//! Arms `0`/`1` are bit-for-bit the old `TUNED = false`/`true` placements.
+//! They are kept as the paper's reproduction (figures, placement goldens,
+//! the crash simulator's sweeps) and run in process only: a store places,
+//! replays and scrubs at arm `3` alone. The soundness argument for arm `3`
+//! is in `DESIGN.md` §12.
 
 /// The paper's placement (`Isb`): `pwb` after every CAS, `psync` per phase.
 pub const PAPER: u8 = 0;

@@ -503,12 +503,12 @@ impl<M: Persist, const ARM: u8> Graph<M> for RBst<M, ARM> {
     }
 }
 
-impl<const ARM: u8> MappedLayout for RBst<MappedNvm, ARM> {
+impl MappedLayout for RBst<MappedNvm, { arm::LP }> {
     const KIND: u64 = KIND_BST;
     type Cfg = ();
 
     fn cfg_word(_cfg: ()) -> u64 {
-        0x42 | (ARM as u64) << 32
+        0x42 | (arm::LP as u64) << 32
     }
 
     fn root_bytes(_cfg: ()) -> usize {
@@ -522,7 +522,7 @@ impl<const ARM: u8> MappedLayout for RBst<MappedNvm, ARM> {
     }
 }
 
-impl<const ARM: u8> SlotOps for RBst<MappedNvm, ARM> {
+impl SlotOps for RBst<MappedNvm, { arm::LP }> {
     fn node_bytes(&self) -> usize {
         std::mem::size_of::<Node<MappedNvm>>()
     }

@@ -541,8 +541,11 @@ pub unsafe fn help<M: Persist, const ARM: u8>(
     // value again — `expected`, once recovery helped the tag before it. What
     // proves such an operation (`Isb-LP`'s enqueue, whose write is a `next`
     // link that only ever goes Null → node) took effect is its write in
-    // place. The descriptor carries the bit, so every recoverer decides by
-    // this rule, whatever arm it helps at (DESIGN.md §4).
+    // place — until cleanup has run: from then on the linked nodes may be
+    // dequeued, freed and reused, so the write can be gone, and `DONE`,
+    // durable a fence before cleanup starts, is the proof again. The
+    // descriptor carries the bit, so every recoverer decides by this rule,
+    // whatever arm it helps at (DESIGN.md §4).
     let merged = M::load(&r.meta) & LINK != 0;
 
     // ---- Tagging phase -------------------------------------------------
@@ -573,8 +576,10 @@ pub unsafe fn help<M: Persist, const ARM: u8>(
             //    partial tags during scrub) and report completion.
             // 2. `DONE` unset ⇒ the attempt genuinely failed: backtrack.
             //
-            // A merged operation asks its write instead (see `merged`).
-            let completed = if merged { unsafe { writes_in_place(b, r, s) } } else { r.done() };
+            // A merged operation whose cleanup has not run asks its write
+            // instead (see `merged`).
+            let ask_write = merged && unsafe { new_cells_tagged(b, r, s, tagged_val) };
+            let completed = if ask_write { unsafe { writes_in_place(b, r, s) } } else { r.done() };
             if completed {
                 if merged && !r.done() {
                     r.mark(DONE);
@@ -682,6 +687,17 @@ unsafe fn writes_in_place<M: Persist>(b: Base, r: &Info<M>, s: Shape) -> bool {
         let cell = unsafe { r.cell_at(b, w) };
         M::load(cell) == M::load(&r.sets[w + 2])
     })
+}
+
+/// Whether a new cell of `r` still holds `r`'s tag: cleanup, which untags
+/// them after `DONE` is durable, has not run to them.
+///
+/// # Safety
+/// As [`help`].
+unsafe fn new_cells_tagged<M: Persist>(b: Base, r: &Info<M>, s: Shape, tagged_val: u64) -> bool {
+    // SAFETY: a new-set entry names a cell of a node the descriptor
+    // installs, which the caller's pin keeps live ([`help`]'s contract).
+    (0..s.nn).any(|k| M::load(unsafe { r.cell_at(b, s.newset(k)) }) == tagged_val)
 }
 
 /// The idempotent cleanup phase of [`help`]: untag every affect/new cell

@@ -20,6 +20,7 @@
 //! cells and interact only through the shared recovery slots, which keep the
 //! single-pending-op discipline per process.
 
+use crate::arm::LP;
 use crate::env::Env;
 use crate::graph::{self, Graph};
 use crate::pool::Pool;
@@ -277,7 +278,7 @@ impl<M: Persist, const ARM: u8> Graph<M> for RHashMap<M, ARM> {
     }
 }
 
-impl<const ARM: u8> MappedLayout for RHashMap<MappedNvm, ARM> {
+impl MappedLayout for RHashMap<MappedNvm, LP> {
     const KIND: u64 = KIND_MAP;
     type Cfg = usize; // shard count
 
@@ -293,7 +294,7 @@ impl<const ARM: u8> MappedLayout for RHashMap<MappedNvm, ARM> {
     }
 
     fn cfg_word(shards: usize) -> u64 {
-        shards as u64 | (ARM as u64) << 32
+        shards as u64 | (LP as u64) << 32
     }
 
     fn root_bytes(shards: usize) -> usize {
@@ -310,7 +311,7 @@ impl<const ARM: u8> MappedLayout for RHashMap<MappedNvm, ARM> {
     }
 }
 
-impl<const ARM: u8> SlotOps for RHashMap<MappedNvm, ARM> {
+impl SlotOps for RHashMap<MappedNvm, LP> {
     fn node_bytes(&self) -> usize {
         std::mem::size_of::<Node<MappedNvm>>()
     }

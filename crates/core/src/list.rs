@@ -7,9 +7,10 @@
 //! (asserted by the `persist_placement` regression test). It dereferences to
 //! the map for every operation, recovery, scrub, snapshot and teardown, and
 //! adds only its constructor, its catalog facts (kind [`KIND_LIST`],
-//! configuration word `0x4C | arm << 32`) and its name. The algorithm
+//! configuration word `0x4C | 3 << 32`, `Isb-LP`) and its name. The algorithm
 //! documentation lives in [`crate::set_core`].
 
+use crate::arm::LP;
 use crate::graph::Graph;
 use crate::hashmap::RHashMap;
 use crate::recovery::{AttachEnv, AttachError, MappedLayout, SlotOps};
@@ -97,16 +98,16 @@ impl<M: Persist, const ARM: u8> Graph<M> for RList<M, ARM> {
     }
 }
 
-impl<const ARM: u8> MappedLayout for RList<MappedNvm, ARM> {
+impl MappedLayout for RList<MappedNvm, LP> {
     const KIND: u64 = KIND_LIST;
     type Cfg = ();
 
     fn cfg_word(_cfg: ()) -> u64 {
-        0x4C | (ARM as u64) << 32
+        0x4C | (LP as u64) << 32
     }
 
     fn root_bytes(_cfg: ()) -> usize {
-        RHashMap::<MappedNvm, ARM>::root_bytes(1)
+        RHashMap::<MappedNvm, LP>::root_bytes(1)
     }
 
     unsafe fn open(env: &AttachEnv, _cfg: (), root: *mut u8) -> Result<Self, AttachError> {
@@ -114,7 +115,7 @@ impl<const ARM: u8> MappedLayout for RList<MappedNvm, ARM> {
     }
 }
 
-impl<const ARM: u8> SlotOps for RList<MappedNvm, ARM> {
+impl SlotOps for RList<MappedNvm, LP> {
     fn node_bytes(&self) -> usize {
         self.0.node_bytes()
     }

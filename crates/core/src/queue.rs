@@ -470,12 +470,12 @@ impl<M: Persist, const ARM: u8> Graph<M> for RQueue<M, ARM> {
     }
 }
 
-impl<const ARM: u8> MappedLayout for RQueue<MappedNvm, ARM> {
+impl MappedLayout for RQueue<MappedNvm, { arm::LP }> {
     const KIND: u64 = KIND_QUEUE;
     type Cfg = ();
 
     fn cfg_word(_cfg: ()) -> u64 {
-        0x51 | (ARM as u64) << 32
+        0x51 | (arm::LP as u64) << 32
     }
 
     fn root_bytes(_cfg: ()) -> usize {
@@ -491,7 +491,7 @@ impl<const ARM: u8> MappedLayout for RQueue<MappedNvm, ARM> {
     }
 }
 
-impl<const ARM: u8> SlotOps for RQueue<MappedNvm, ARM> {
+impl SlotOps for RQueue<MappedNvm, { arm::LP }> {
     fn node_bytes(&self) -> usize {
         std::mem::size_of::<Node<MappedNvm>>()
     }
@@ -616,6 +616,35 @@ mod tests {
             }
         }
         assert!(crashes > 0, "no crash landed: the test exercises nothing");
+    }
+
+    /// An `Isb-LP` enqueue whose cleanup has run is decided by its done bit,
+    /// not its link: its predecessor, which holds the link, may by then be
+    /// dequeued, freed and reused. Pid 1's enqueue of 10 completes, pid 2
+    /// dequeues it (the old sentinel, the predecessor, retires), and the old
+    /// sentinel's words are overwritten as its reuse would. Recovery of pid
+    /// 1 — a process killed before it acknowledged the enqueue — must answer
+    /// `Completed`: decided by the link it restarts, and 10 is enqueued
+    /// twice (the shared-heap kill matrix of `restart.rs`, 1 run in 5).
+    #[test]
+    fn lp_enqueue_is_decided_by_its_done_bit_once_cleaned_up() {
+        let _gate = crate::counters::gate_shared();
+        nvm::tid::set_tid(1);
+        let q = RQueue::<CountingNvm, { crate::arm::LP }>::new();
+        let old = q.env.rec.base.at::<Node<CountingNvm>>(q.head.ptr.load());
+        q.enqueue(1, 10);
+        let g = q.env.collector.pin(); // the retired sentinel stays allocated
+        assert_eq!(q.dequeue(2), Some(10));
+        // SAFETY: `old` is retired, not freed, while `g` is pinned.
+        let (next, info) = unsafe { (&(*old).next, &(*old).info) };
+        let words = [next.load(), info.load()];
+        next.store(0);
+        info.store(0x4000);
+        assert_eq!(q.env.recover::<{ crate::arm::LP }>(1), Recovered::Completed(RES_UNIT));
+        next.store(words[0]);
+        info.store(words[1]);
+        drop(g);
+        assert_eq!(q.dequeue(2), None, "10 enqueued once");
     }
 
     /// An `Isb-LP` dequeue carries no link bit: its write, the head move,

@@ -220,19 +220,22 @@ impl<M: Persist> RecArea<M> {
     /// back `(Null, 0)`: a fresh line is a durably fresh line, because every
     /// store that can make it read so is made with its barrier —
     /// - this glue, both words under one `pbarrier_obj`;
-    /// - the arms-0/1 glue, `CP_q := 0` under `pbarrier`, beside a `RD_q`
-    ///   that arm 0's `begin` nulled under `pbarrier` or arm 1's under
-    ///   `pwb` + `pfence`;
     /// - [`RecArea::clear_slot`], each word under its own `pbarrier`;
     /// - creation: zeroed arena memory, or a model's initial persisted
     ///   value (attach replay and the peer sweep read slots and reset
     ///   nothing but through `clear_slot`).
     ///
-    /// Both words take part: `CP_q = 0` beside a `RD_q` that an arms-0/1
-    /// `find` left published is not fresh, and eliding there lets this
-    /// operation's first publish persist `CP_q = 1` beside the old `RD_q`.
-    /// The read sits *inside* the uncrashable system half: read before it, a
-    /// crash on the load itself would leave the previous operation's
+    /// No arms-0/1 store reaches an `Isb-LP` line: a store places every
+    /// structure at `Isb-LP`, and an in-process structure owns its area.
+    ///
+    /// Both words take part. `clear_slot` makes `CP_q = 0` durable a barrier
+    /// before `RD_q = Null`, so a peer recoverer killed between the two
+    /// leaves `(RD_q, CP_q) = (X, 0)`, the dead operation's descriptor still
+    /// named; the next attach's replay decides it `Restart` and resets
+    /// nothing. That line is not fresh: eliding there leaks `X`'s reference,
+    /// and lets this operation's first publish persist `CP_q = 1` beside
+    /// `X`. The read sits *inside* the uncrashable system half: read before
+    /// it, a crash on the load itself would leave the previous operation's
     /// `(RD_q, 1)` standing for this invocation.
     #[inline]
     fn glue<const ARM: u8>(s: &ProcRec<M>) -> u64 {
@@ -487,8 +490,9 @@ pub unsafe fn recover_dead_pid_with(
 ) -> Recovered {
     let rd = rec.published(pid);
     // SAFETY: caller holds the recovery lease over a validated published
-    // descriptor; help is the ordinary concurrent helping path.
-    let decision = unsafe { op_recover::<MappedNvm, 0>(rec, pid, guard) };
+    // descriptor; help is the ordinary concurrent helping path, at the one
+    // placement a mapped structure has.
+    let decision = unsafe { op_recover::<MappedNvm, { crate::arm::LP }>(rec, pid, guard) };
     on_decision(decision);
     rec.clear_slot(pid);
     if rd != 0 {
@@ -854,14 +858,13 @@ pub trait SlotOps: Graph<MappedNvm> + std::any::Any + Send + Sync {
     fn node_bytes(&self) -> usize;
 
     /// Post-replay scrub **policy**. The default is the eager one: the
-    /// scrub visitor over every unit, at the replay's (untuned) placement —
-    /// sound for every arm: strictly more persistency instructions,
-    /// identical helping; the queue and the BST run it. The set kinds
+    /// scrub visitor over every unit, helping at `Isb-LP` as every live
+    /// operation and the replay do; the queue and the BST run it. The set kinds
     /// ([`crate::hashmap::RHashMap`], and the list and stack over it)
     /// override it on purpose: they *defer* the pass to first contact per
     /// shard (attach stays O(descriptors), not O(keys)).
     fn attach_scrub(&self) -> Result<(), AttachError> {
-        scrub::<MappedNvm, { crate::arm::PAPER }>(self, &Collector::new())
+        scrub::<MappedNvm, { crate::arm::LP }>(self, &Collector::new())
     }
 
     /// Post-scrub structural repair (the queue's tail-hint heal).
@@ -879,10 +882,11 @@ pub trait SlotOps: Graph<MappedNvm> + std::any::Any + Send + Sync {
 ///
 /// Implementations are thin: the whole remap → validate → replay → scrub →
 /// census → sweep lifecycle lives once in [`crate::store::Store`] and
-/// [`finish_attach`], shared by every structure.
+/// [`finish_attach`], shared by every structure. Each kind implements it
+/// (and [`SlotOps`]) at `Isb-LP` only: that is the one placement a mapped
+/// structure has, and the one the replay and the scrub run.
 pub trait MappedLayout: SlotOps + Sized {
-    /// Structure-kind tag of the catalog entry. Tuning variants share a
-    /// kind; the configuration word carries the tuning bit.
+    /// Structure-kind tag of the catalog entry.
     const KIND: u64;
     /// Construction parameters beyond the heap (e.g. shard count).
     type Cfg: Copy;
@@ -894,8 +898,8 @@ pub trait MappedLayout: SlotOps + Sized {
         Ok(())
     }
 
-    /// Encodes `cfg` (plus the tuning) into the persisted configuration
-    /// word checked on re-attach.
+    /// Encodes `cfg` (plus the arm, `Isb-LP`, in bits 32..40) into the
+    /// persisted configuration word checked on re-attach.
     fn cfg_word(cfg: Self::Cfg) -> u64;
 
     /// Size of the structure's persistent root block.
@@ -995,10 +999,9 @@ pub unsafe fn finish_attach(
         let decisions = (0..MAX_PROCS)
             .map(|pid| {
                 // SAFETY: quiescent attach; every published descriptor was
-                // validated above. Replay runs the untuned placement — sound
-                // for every arm (strictly more persistency instructions,
-                // identical decisions).
-                (pid, unsafe { op_recover::<MappedNvm, 0>(rec, pid, &col.pin()) })
+                // validated above. Replay runs `Help` at `Isb-LP`, the one
+                // placement a mapped structure has.
+                (pid, unsafe { op_recover::<MappedNvm, { crate::arm::LP }>(rec, pid, &col.pin()) })
             })
             .collect::<Vec<_>>();
         for s in slots.iter() {
@@ -1270,6 +1273,15 @@ mod tests {
         }
     }
 
+    /// The first half of [`RecArea::clear_slot`], as a peer recoverer killed
+    /// between its two barriers leaves `pid`'s line: `CP_q = 0` durable,
+    /// `RD_q` still naming the dead operation's descriptor.
+    fn torn_clear<N: Persist>(rec: &RecArea<N>, pid: usize) {
+        let s = rec.slot(pid);
+        s.cp.store(0);
+        N::pbarrier(&s.cp);
+    }
+
     /// Flushed lines and fences tid `t` has issued so far.
     fn persists(t: usize) -> (u64, u64) {
         let s = nvm::stats::Snapshot::of_tid(t);
@@ -1289,8 +1301,9 @@ mod tests {
     /// ran it hands out the previous `RD_q` — once; on a line nothing
     /// published to since the last glue (a fresh slot, or after an operation
     /// with no effect) it costs nothing at all. A line whose `CP_q = 0` sits
-    /// beside a `RD_q` that an arm-0 `find` published — another structure of
-    /// one store, over the shared slot — is not fresh: it is reset durably.
+    /// beside a named `RD_q` — a peer recoverer's `clear_slot` killed
+    /// between its two barriers — is not fresh: it is reset durably, and the
+    /// named descriptor handed out.
     #[test]
     fn marked_invocation_persists_the_checkpoint_once() {
         let _gate = crate::counters::gate_shared();
@@ -1316,8 +1329,8 @@ mod tests {
         assert_eq!(marked, bare, "the prologue must not re-persist what mark_invoked did");
         assert_eq!(rec.read(T), (0, 0));
 
-        rec.begin_readonly(T);
-        rec.publish(T, 0x80);
+        rec.publish_arm::<LP>(T, 0x80);
+        torn_clear(&rec, T);
         assert_eq!(rec.read(T), (0, 0x80), "CP_q = 0, but RD_q is not the glue's Null");
         let reset = cost(T, || assert_eq!(rec.begin::<LP>(T), 0x80));
         assert_eq!(reset, (1, 1), "reset durably");
@@ -1345,10 +1358,13 @@ mod tests {
         /// An operation of the swept arm that changed nothing. Under
         /// `Isb-LP` it leaves the line fresh, so the swept glue elides.
         NoEffect,
-        /// The arms-0/1 `find` prologue, as another structure of one store
-        /// runs it over the shared slot: `CP_q = 0` beside the completed
-        /// operation's descriptor, still published — not a fresh line.
+        /// The arms-0/1 `find` prologue: `CP_q = 0` beside the completed
+        /// operation's descriptor, still published.
         Find,
+        /// A peer recoverer's `clear_slot`, killed between its barriers
+        /// ([`torn_clear`]): the same `(RD_q, 0)` image, the one way it
+        /// reaches an `Isb-LP` line.
+        TornClear,
     }
 
     /// The pid's previous operation completed (`CP_q = 1`, `RD_q` → a
@@ -1397,7 +1413,7 @@ mod tests {
                     fill(next, &cells[1], expected, NEXT_RESPONSE);
                     rec.begin::<ARM>(P);
                     rec.publish_arm::<ARM>(P, done as u64);
-                    let decide = || unsafe { op_recover::<SimNvm, 0>(&rec, P, &c.pin()) };
+                    let decide = || unsafe { op_recover::<SimNvm, ARM>(&rec, P, &c.pin()) };
                     assert_eq!(decide(), Recovered::Completed(RES_TRUE), "the stale verdict");
                     cells[1].store(0xDEAD0); // registers the word
                     sim::persist_all();
@@ -1408,6 +1424,7 @@ mod tests {
                         Before::Completed => {}
                         Before::NoEffect => hand(rec.begin::<ARM>(P)),
                         Before::Find => assert_eq!(rec.begin_readonly(P), done as u64),
+                        Before::TornClear => torn_clear(&rec, P),
                     }
                     if marked {
                         hand(rec.mark_invoked::<ARM>(P));
@@ -1465,18 +1482,24 @@ mod tests {
     /// - the line read before the glue's uncrashable half fails at
     ///   `Completed None`, unmarked, fuse 1 — a crash on the load decides
     ///   the previous operation's `Completed`;
-    /// - eliding on `CP_q = 0` alone fails at `Find Fails`, marked, fuse 4,
-    ///   "leaked by the glue" (the old `RD_q` is neither handed out nor
-    ///   named once the attempt publishes); without that check, at fuse 7
+    /// - eliding on `CP_q = 0` alone fails at `TornClear Fails`, marked,
+    ///   fuse 4, "leaked by the glue" (the old `RD_q` is neither handed out
+    ///   nor named once the attempt publishes); without that check, at fuse 7
     ///   the publish has persisted `CP_q = 1` beside the old `RD_q` and the
     ///   decision is its stale `Completed`.
+    ///
+    /// `Find` runs at arms 0/1 only: it is their own `find`'s prologue, and
+    /// no `find` of theirs shares a line with an `Isb-LP` structure.
     #[test]
     fn sim_crash_before_first_publish_never_decides_stale_completed() {
-        for before in [Before::Completed, Before::NoEffect, Before::Find] {
-            for attempt in [Attempt::None, Attempt::Fails, Attempt::Succeeds] {
-                no_stale_completed_sweep::<{ crate::arm::PAPER }>(before, attempt);
-                no_stale_completed_sweep::<{ crate::arm::TUNED }>(before, attempt);
-                no_stale_completed_sweep::<{ crate::arm::LP }>(before, attempt);
+        use crate::arm::{LP, PAPER, TUNED};
+        for attempt in [Attempt::None, Attempt::Fails, Attempt::Succeeds] {
+            for before in [Before::Completed, Before::NoEffect, Before::Find, Before::TornClear] {
+                no_stale_completed_sweep::<PAPER>(before, attempt);
+                no_stale_completed_sweep::<TUNED>(before, attempt);
+                if before != Before::Find {
+                    no_stale_completed_sweep::<LP>(before, attempt);
+                }
             }
         }
     }

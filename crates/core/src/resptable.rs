@@ -820,7 +820,7 @@ mod tests {
                         );
                     }
                     // SAFETY: the recovery line names `x` or `y`, both live.
-                    let decision = unsafe { op_recover::<SimNvm, 0>(&rec, TID, &c.pin()) };
+                    let decision = unsafe { op_recover::<SimNvm, LP>(&rec, TID, &c.pin()) };
                     match slot.resolve(TID, rd, decision) {
                         Some(Resolution::Finalized { resp, .. }) => {
                             assert_eq!(resp, NEW.1, "{ctx}: resolved to request {}'s answer", OLD.0)
@@ -956,7 +956,7 @@ mod tests {
 
         // Killed here, the request resolves to its own answer.
         // SAFETY: `RD_q` names `retry`, live.
-        let decision = unsafe { op_recover::<C, 0>(&env.rec, TID, &g) };
+        let decision = unsafe { op_recover::<C, LP>(&env.rec, TID, &g) };
         let resolution = slot.resolve(TID, env.rec.published(TID), decision);
         let finalized = Resolution::Finalized { client_id: 7, op_seq: NEW.0, resp: NEW.1 };
         assert_eq!(resolution, Some(finalized), "an effect behind RD_q == prior");

@@ -18,21 +18,27 @@
 //! * attach-time recovery is one generic driver over every entry
 //!   ([`crate::recovery::finish_attach`]): validation, one Op-Recover
 //!   replay over the shared area, per-structure scrub, and a census/sweep
-//!   computed over the **union** of every entry's live set.
+//!   computed over the **union** of every entry's live set;
+//! * every structure is placed at `Isb-LP` ([`crate::arm::LP`]), and the
+//!   replay, the scrub and online peer recovery help at it too. The paper's
+//!   arms 0 / 1 run in process only; a catalog entry stamped with one is
+//!   refused ([`AttachError::CfgMismatch`]).
 //!
 //! ```no_run
+//! use isb::arm::LP;
 //! use isb::store::Store;
 //!
 //! nvm::tid::set_tid(0);
 //! let store = Store::open("/tmp/app.heap").unwrap();
-//! let users = store.hashmap::<0>("users", 8).unwrap();
-//! let jobs = store.queue::<0>("jobs").unwrap();
+//! let users = store.hashmap::<LP>("users", 8).unwrap();
+//! let jobs = store.queue::<LP>("jobs").unwrap();
 //! users.insert(0, 42);
 //! jobs.enqueue(0, 7);
 //! // After a kill, Store::open replays recovery for every structure and
 //! // store.summary().decision(pid) resolves the in-flight operation.
 //! ```
 
+use crate::arm::LP;
 use crate::bst::RBst;
 use crate::hashmap::RHashMap;
 use crate::list::RList;
@@ -353,32 +359,51 @@ impl Store {
     }
 
     /// Typed handle: sharded hash map (`shards` must match on re-open).
+    ///
+    /// `ARM` can only be [`crate::arm::LP`], the one placement a mapped
+    /// structure has (the module example builds at it); any other level
+    /// fails to build. The parameter stays because the benchmark names
+    /// `store.hashmap::<ARM>` (ROADMAP 0(e)).
+    ///
+    /// ```compile_fail
+    /// let store = isb::store::Store::open("/tmp/app.heap").unwrap();
+    /// let users = store.hashmap::<0>("users", 8).unwrap();
+    /// ```
     pub fn hashmap<const ARM: u8>(
         &self,
         name: &str,
         shards: usize,
-    ) -> Result<Arc<RHashMap<MappedNvm, ARM>>, AttachError> {
+    ) -> Result<Arc<RHashMap<MappedNvm, ARM>>, AttachError>
+    where
+        RHashMap<MappedNvm, ARM>: MappedLayout<Cfg = usize>,
+    {
         self.get(name, shards)
     }
 
-    /// Typed handle: FIFO queue.
+    /// Typed handle: FIFO queue (`ARM` as for [`Store::hashmap`]).
     pub fn queue<const ARM: u8>(
         &self,
         name: &str,
-    ) -> Result<Arc<RQueue<MappedNvm, ARM>>, AttachError> {
+    ) -> Result<Arc<RQueue<MappedNvm, ARM>>, AttachError>
+    where
+        RQueue<MappedNvm, ARM>: MappedLayout<Cfg = ()>,
+    {
         self.get(name, ())
     }
 
-    /// Typed handle: sorted list.
-    pub fn list<const ARM: u8>(
-        &self,
-        name: &str,
-    ) -> Result<Arc<RList<MappedNvm, ARM>>, AttachError> {
+    /// Typed handle: sorted list (`ARM` as for [`Store::hashmap`]).
+    pub fn list<const ARM: u8>(&self, name: &str) -> Result<Arc<RList<MappedNvm, ARM>>, AttachError>
+    where
+        RList<MappedNvm, ARM>: MappedLayout<Cfg = ()>,
+    {
         self.get(name, ())
     }
 
-    /// Typed handle: external BST.
-    pub fn bst<const ARM: u8>(&self, name: &str) -> Result<Arc<RBst<MappedNvm, ARM>>, AttachError> {
+    /// Typed handle: external BST (`ARM` as for [`Store::hashmap`]).
+    pub fn bst<const ARM: u8>(&self, name: &str) -> Result<Arc<RBst<MappedNvm, ARM>>, AttachError>
+    where
+        RBst<MappedNvm, ARM>: MappedLayout<Cfg = ()>,
+    {
         self.get(name, ())
     }
 
@@ -519,8 +544,7 @@ fn open_root<L: MappedLayout>(
     unsafe { L::open(env, cfg, e.root) }
 }
 
-/// Kind-dispatched construction of an existing catalog entry (the tuning
-/// bit lives in the configuration word).
+/// Kind-dispatched construction of an existing catalog entry, at `Isb-LP`.
 fn construct_entry(env: &AttachEnv, e: &CatalogEntry) -> Result<Box<dyn SlotOps>, AttachError> {
     fn open_as<L: MappedLayout>(
         env: &AttachEnv,
@@ -529,38 +553,38 @@ fn construct_entry(env: &AttachEnv, e: &CatalogEntry) -> Result<Box<dyn SlotOps>
     ) -> Result<Box<dyn SlotOps>, AttachError> {
         Ok(Box::new(open_root::<L>(env, cfg, e)?))
     }
-    // The tuning arm rides in bits 32..40 of the configuration word. An
-    // entry of the retired level is refused by name, as the build that opens
-    // it would be told; a value outside the ladder means the catalog record
-    // was written by an incompatible (newer) build — reject rather than
-    // guess a placement.
-    let arm = (e.cfg >> 32) as u8;
-    macro_rules! open_armed {
-        ($ty:ident, $cfg:expr) => {
-            match arm {
-                0 => open_as::<$ty<MappedNvm, 0>>(env, $cfg, e),
-                1 => open_as::<$ty<MappedNvm, 1>>(env, $cfg, e),
-                3 => open_as::<$ty<MappedNvm, 3>>(env, $cfg, e),
-                crate::arm::RETIRED => Err(AttachError::CfgMismatch {
-                    name: e.name.clone(),
-                    expected: e.cfg & !(0xFF << 32) | (crate::arm::LP as u64) << 32,
-                    found: e.cfg,
-                }),
-                _ => Err(MapError::CorruptCatalog { slot: e.slot }.into()),
-            }
-        };
-    }
+    // The arm rides in bits 32..40 of the configuration word. An entry of
+    // another level — the paper's arms, which run in process only, or the
+    // retired one — is refused by name, as the build that opens it would be
+    // told; a value outside the ladder means the catalog record was written
+    // by an incompatible (newer) build — reject rather than guess a placement.
+    let placed = || match (e.cfg >> 32) as u8 {
+        LP => Ok(()),
+        crate::arm::PAPER | crate::arm::TUNED | crate::arm::RETIRED => {
+            Err(AttachError::CfgMismatch {
+                name: e.name.clone(),
+                expected: e.cfg & !(0xFF << 32) | (LP as u64) << 32,
+                found: e.cfg,
+            })
+        }
+        _ => Err(MapError::CorruptCatalog { slot: e.slot }.into()),
+    };
     match e.kind {
         crate::hashmap::KIND_MAP => {
             let shards = (e.cfg & 0xFFFF_FFFF) as usize;
             if !shards.is_power_of_two() {
                 return Err(MapError::CorruptCatalog { slot: e.slot }.into());
             }
-            open_armed!(RHashMap, shards)
+            placed()?;
+            open_as::<RHashMap<MappedNvm, LP>>(env, shards, e)
         }
-        crate::queue::KIND_QUEUE => open_armed!(RQueue, ()),
-        crate::list::KIND_LIST => open_armed!(RList, ()),
-        crate::bst::KIND_BST => open_armed!(RBst, ()),
+        crate::queue::KIND_QUEUE => {
+            placed().and_then(|()| open_as::<RQueue<MappedNvm, LP>>(env, (), e))
+        }
+        crate::list::KIND_LIST => {
+            placed().and_then(|()| open_as::<RList<MappedNvm, LP>>(env, (), e))
+        }
+        crate::bst::KIND_BST => placed().and_then(|()| open_as::<RBst<MappedNvm, LP>>(env, (), e)),
         crate::stack::KIND_STACK => match e.cfg {
             crate::stack::RETIRED_CFG => Err(AttachError::RetiredFormat {
                 name: e.name.clone(),
@@ -584,7 +608,7 @@ mod tests {
 
     /// The client of the response-table tests, and its map.
     const CLIENT: u64 = 7;
-    type LpMap = RHashMap<MappedNvm, { crate::arm::LP }>;
+    type LpMap = RHashMap<MappedNvm, LP>;
 
     /// Alive: this process alone.
     struct OnlyUs;
@@ -615,10 +639,10 @@ mod tests {
         {
             let store = Store::open_sized(&path, 8 << 20).unwrap();
             assert!(store.summary().heap.created);
-            let m = store.hashmap::<0>("users", 4).unwrap();
-            let q = store.queue::<0>("jobs").unwrap();
-            let l = store.list::<1>("index").unwrap();
-            let t = store.bst::<0>("tree").unwrap();
+            let m = store.hashmap::<LP>("users", 4).unwrap();
+            let q = store.queue::<LP>("jobs").unwrap();
+            let l = store.list::<LP>("index").unwrap();
+            let t = store.bst::<LP>("tree").unwrap();
             let s = store.stack("undo").unwrap();
             for k in 1..=100u64 {
                 assert!(m.insert(0, k));
@@ -642,10 +666,10 @@ mod tests {
             assert!(!store.summary().heap.created);
             assert_eq!(store.summary().heap.poisoned, 0, "clean detach leaves no torn blocks");
             assert_eq!(store.entries().len(), 5);
-            let m = store.hashmap::<0>("users", 4).unwrap();
-            let q = store.queue::<0>("jobs").unwrap();
-            let l = store.list::<1>("index").unwrap();
-            let t = store.bst::<0>("tree").unwrap();
+            let m = store.hashmap::<LP>("users", 4).unwrap();
+            let q = store.queue::<LP>("jobs").unwrap();
+            let l = store.list::<LP>("index").unwrap();
+            let t = store.bst::<LP>("tree").unwrap();
             let s = store.stack("undo").unwrap();
             for k in 1..=100u64 {
                 assert!(m.find(0, k), "map key {k} lost");
@@ -673,10 +697,10 @@ mod tests {
         // handles are the last owners: every structure passes its quiescent
         // checks.
         let store = Store::open_sized(&path, 8 << 20).unwrap();
-        let m = store.hashmap::<0>("users", 4).unwrap();
-        let q = store.queue::<0>("jobs").unwrap();
-        let l = store.list::<1>("index").unwrap();
-        let t = store.bst::<0>("tree").unwrap();
+        let m = store.hashmap::<LP>("users", 4).unwrap();
+        let q = store.queue::<LP>("jobs").unwrap();
+        let l = store.list::<LP>("index").unwrap();
+        let t = store.bst::<LP>("tree").unwrap();
         let s = store.stack("undo").unwrap();
         drop(store);
         fn last<T>(h: Arc<T>) -> T {
@@ -707,8 +731,8 @@ mod tests {
         nvm::tid::set_tid(0);
         let path = tmp("typed");
         let store = Store::open_sized(&path, 4 << 20).unwrap();
-        store.hashmap::<0>("users", 4).unwrap();
-        match store.queue::<0>("users") {
+        store.hashmap::<LP>("users", 4).unwrap();
+        match store.queue::<LP>("users") {
             Err(e @ AttachError::WrongKind { .. }) => {
                 let text = "entry \"users\" hosts a hashmap (kind 1), expected a queue (kind 2)";
                 assert_eq!(e.to_string(), text);
@@ -719,17 +743,13 @@ mod tests {
             }
             other => panic!("expected WrongKind, got {other:?}", other = other.err()),
         }
-        match store.hashmap::<0>("users", 8) {
+        match store.hashmap::<LP>("users", 8) {
             Err(AttachError::CfgMismatch { name, .. }) => assert_eq!(name, "users"),
             other => panic!("expected CfgMismatch, got {other:?}", other = other.err()),
         }
-        match store.hashmap::<1>("users", 4) {
-            Err(AttachError::CfgMismatch { .. }) => {}
-            other => panic!("expected CfgMismatch (tuning), got {other:?}", other = other.err()),
-        }
         // The matching handle still opens, and is the same object.
-        let a = store.hashmap::<0>("users", 4).unwrap();
-        let b = store.hashmap::<0>("users", 4).unwrap();
+        let a = store.hashmap::<LP>("users", 4).unwrap();
+        let b = store.hashmap::<LP>("users", 4).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
         drop((a, b, store));
         let _ = std::fs::remove_file(&path);
@@ -744,27 +764,27 @@ mod tests {
         let path = tmp("precheck");
         {
             let store = Store::open_sized(&path, 4 << 20).unwrap();
-            match store.hashmap::<0>("m", 3) {
+            match store.hashmap::<LP>("m", 3) {
                 Err(AttachError::InvalidCfg { kind, .. }) => assert_eq!(kind, "hashmap"),
                 other => panic!("expected InvalidCfg, got {:?}", other.err()),
             }
             let long = "x".repeat(nvm::mapped::CATALOG_NAME_BYTES + 1);
-            match store.queue::<0>(&long) {
+            match store.queue::<LP>(&long) {
                 Err(AttachError::InvalidName { .. }) => {}
                 other => panic!("expected InvalidName, got {:?}", other.err()),
             }
-            match store.queue::<0>("") {
+            match store.queue::<LP>("") {
                 Err(AttachError::InvalidName { .. }) => {}
                 other => panic!("expected InvalidName, got {:?}", other.err()),
             }
             assert!(store.entries().is_empty(), "nothing durable was written");
             // A valid handle still works after the rejections.
-            store.hashmap::<0>("m", 4).unwrap().insert(0, 7);
+            store.hashmap::<LP>("m", 4).unwrap().insert(0, 7);
         }
         // ...and the heap re-opens cleanly (a durable bad entry would brick
         // every future open with CorruptCatalog).
         let store = Store::open_sized(&path, 4 << 20).unwrap();
-        assert!(store.hashmap::<0>("m", 4).unwrap().find(0, 7));
+        assert!(store.hashmap::<LP>("m", 4).unwrap().find(0, 7));
         drop(store);
         let _ = std::fs::remove_file(&path);
     }
@@ -783,8 +803,8 @@ mod tests {
             assert!(store.heap().is_shared());
             let slot = store.heap().my_participant().expect("registered");
             nvm::tid::set_tid(MappedHeap::tid_band(slot).start);
-            let m = store.hashmap::<0>("m", 2).unwrap();
-            let q = store.queue::<0>("q").unwrap();
+            let m = store.hashmap::<LP>("m", 2).unwrap();
+            let q = store.queue::<LP>("q").unwrap();
             for i in 1..=20u64 {
                 assert!(m.insert(nvm::tid::tid(), i));
                 q.enqueue(nvm::tid::tid(), i);
@@ -820,8 +840,8 @@ mod tests {
             let slot = store.heap().my_participant().unwrap();
             let t = MappedHeap::tid_band(slot).start;
             nvm::tid::set_tid(t);
-            let m = store.hashmap::<0>("m", 2).unwrap();
-            let q = store.queue::<0>("q").unwrap();
+            let m = store.hashmap::<LP>("m", 2).unwrap();
+            let q = store.queue::<LP>("q").unwrap();
             for i in 1..=20u64 {
                 assert!(m.find(t, i), "map key {i} lost");
             }
@@ -994,8 +1014,8 @@ mod tests {
         let path = tmp("sharedrec");
         {
             let store = Store::open_sized(&path, 4 << 20).unwrap();
-            let m = store.hashmap::<0>("m", 2).unwrap();
-            let q = store.queue::<0>("q").unwrap();
+            let m = store.hashmap::<LP>("m", 2).unwrap();
+            let q = store.queue::<LP>("q").unwrap();
             // Alternating ops hand the shared RD_q across structures.
             for i in 1..=50u64 {
                 assert!(m.insert(0, i));
@@ -1034,7 +1054,7 @@ mod tests {
         for observe in [true, false] {
             let path = tmp(kind);
             let store = Store::open_sized(&path, 4 << 20).unwrap();
-            let q = store.queue::<0>("q").unwrap();
+            let q = store.queue::<LP>("q").unwrap();
             let k = store.get::<K>("k", cfg).unwrap();
             // Process 1's enqueue descriptor ends up referenced by its `RD_q`
             // alone: process 2's dequeue and enqueue overwrite the two cells.
@@ -1061,25 +1081,25 @@ mod tests {
         nvm::tid::set_tid(0);
         type M = MappedNvm;
         let ins = |did: bool| assert!(did);
-        dropped_last_still_has_the_pool::<RList<M, 0>>(
+        dropped_last_still_has_the_pool::<RList<M, LP>>(
             "l",
             (),
             |l| ins(l.insert(1, 5)),
             |l| &mut l.env,
         );
-        dropped_last_still_has_the_pool::<RHashMap<M, 0>>(
+        dropped_last_still_has_the_pool::<RHashMap<M, LP>>(
             "m",
             2,
             |m| ins(m.insert(1, 5)),
             |m| &mut m.env,
         );
-        dropped_last_still_has_the_pool::<RBst<M, 0>>(
+        dropped_last_still_has_the_pool::<RBst<M, LP>>(
             "t",
             (),
             |t| ins(t.insert(1, 5)),
             |t| &mut t.env,
         );
-        dropped_last_still_has_the_pool::<RQueue<M, 0>>(
+        dropped_last_still_has_the_pool::<RQueue<M, LP>>(
             "k",
             (),
             |k| k.enqueue(1, 5),
@@ -1098,7 +1118,7 @@ mod tests {
         let path = tmp("envarena");
         let store = Store::open_sized(&path, 4 << 20).unwrap();
         let mut env = store.env.env();
-        assert!(env.infos.arena_backed() && env.pool::<Node, 0>().arena_backed());
+        assert!(env.infos.arena_backed() && env.pool::<Node, LP>().arena_backed());
         let (infos, heap) = (Some(env.infos.clone()), Arc::clone(store.heap()));
         // SAFETY: the store's recovery-slot block, alive with `store`.
         let rec = unsafe {
@@ -1106,7 +1126,7 @@ mod tests {
         };
         let mut parked = Env::mapped(rec, Collector::disabled(), infos, heap);
         let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            parked.pool::<Node, 0>();
+            parked.pool::<Node, LP>();
         }));
         assert!(refused.is_err(), "an arena pool under a disabled collector must not exist");
         drop((env, parked, store));

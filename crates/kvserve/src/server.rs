@@ -578,7 +578,8 @@ mod tests {
     }
 
     /// The upgrade path: earlier builds stamped `kv` / `jobs` with the
-    /// retired `Isb-Coal` arm (byte 2 of the entry's configuration word).
+    /// retired `Isb-Coal` arm (byte 2 of the entry's configuration word),
+    /// and a store could place the paper's `Isb` (0) and `Isb-Opt` (1).
     /// This build refuses such a heap with a typed, readable error before it
     /// binds (the address is taken: a bind would answer `Io`) and before it
     /// writes anything of its own. The heap is made under this build's arm
@@ -589,7 +590,6 @@ mod tests {
     #[test]
     fn a_heap_of_the_previous_arm_is_refused_typed_and_intact() {
         use std::os::unix::fs::FileExt;
-        const RETIRED: u8 = 2;
         let dir = std::env::temp_dir().join(format!("isb_kv_upgrade_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
@@ -604,40 +604,58 @@ mod tests {
         };
         // Catalog slot 0 is `kv`, created first; its arm is byte 4 of entry
         // word 1, the configuration word.
-        let arm_at = {
+        let (catalog_at, arm_at) = {
             let (map, queue, store) = open();
             assert!(map.insert(0, 42));
             queue.enqueue(0, 7);
             let heap = store.heap();
             let catalog = heap.root_get(isb::recovery::rootkeys::CATALOG).expect("catalog");
-            (catalog as usize - heap.base() as usize + 8 + 4) as u64
+            let at = (catalog as usize - heap.base() as usize) as u64;
+            (at, at + 8 + 4)
         };
         let file = std::fs::OpenOptions::new().read(true).write(true).open(&cfg.path).unwrap();
+        let catalog = || {
+            let mut block =
+                vec![0u8; nvm::mapped::CATALOG_SLOTS * nvm::mapped::CATALOG_ENTRY_BYTES];
+            file.read_exact_at(&mut block, catalog_at).unwrap();
+            block
+        };
         let mut arm = [0u8];
         file.read_exact_at(&mut arm, arm_at).unwrap();
         assert_eq!(arm, [ARM], "slot 0 is the kv entry");
-        file.write_all_at(&[RETIRED], arm_at).unwrap();
-        let bytes = std::fs::metadata(&cfg.path).unwrap().len();
-        let taken = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let refused = Server::start(Config { addr: taken.local_addr().unwrap(), ..cfg.clone() })
-            .err()
-            .expect("served another arm's heap");
-        let ServeError::Attach(AttachError::CfgMismatch { name, .. }) = &refused else {
-            panic!("expected CfgMismatch, got {refused}");
-        };
-        assert_eq!(name, MAP_NAME);
-        assert_eq!(
-            refused.to_string(),
-            "attach: entry \"kv\" was created with arm Isb-Coal (8 shards), \
-             this build opens it with Isb-LP"
-        );
-        assert_eq!(std::fs::metadata(&cfg.path).unwrap().len(), bytes, "the refusal grew the heap");
-        file.write_all_at(&[ARM], arm_at).unwrap();
-        {
+        for (stamp, was) in [(0, "Isb"), (1, "Isb-Opt"), (2, "Isb-Coal")] {
+            file.write_all_at(&[stamp], arm_at).unwrap();
+            let (bytes, stamped) = (std::fs::metadata(&cfg.path).unwrap().len(), catalog());
+            let taken = TcpListener::bind("127.0.0.1:0").expect("bind");
+            let refused =
+                Server::start(Config { addr: taken.local_addr().unwrap(), ..cfg.clone() })
+                    .err()
+                    .expect("served another arm's heap");
+            let ServeError::Attach(AttachError::CfgMismatch { name, .. }) = &refused else {
+                panic!("arm {stamp}: expected CfgMismatch, got {refused}");
+            };
+            assert_eq!(name, MAP_NAME);
+            assert_eq!(
+                refused.to_string(),
+                format!(
+                    "attach: entry \"kv\" was created with arm {was} (8 shards), \
+                     this build opens it with Isb-LP"
+                )
+            );
+            let grown = std::fs::metadata(&cfg.path).unwrap().len();
+            assert_eq!(grown, bytes, "arm {stamp}: the refusal grew the heap");
+            assert!(catalog() == stamped, "arm {stamp}: the refusal wrote the catalog");
+            file.write_all_at(&[ARM], arm_at).unwrap();
             let (map, queue, store) = open();
-            assert_eq!(store.entries().len(), 2, "the refusal appended to the catalog");
-            assert!(map.find(0, 42) && !map.find(0, 43));
-            assert_eq!((queue.dequeue(0), queue.dequeue(0)), (Some(7), None));
+            assert_eq!(
+                store.entries().len(),
+                2,
+                "arm {stamp}: the refusal appended to the catalog"
+            );
+            assert!(map.find(0, 42) && !map.find(0, 43), "arm {stamp}");
+            // The queue's one value goes back in, for the next arm's open.
+            assert_eq!((queue.dequeue(0), queue.dequeue(0)), (Some(7), None), "arm {stamp}");
+            queue.enqueue(0, 7);
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -16,6 +16,7 @@
 //! cargo run --release -p isb-examples --bin restart_kv
 //! ```
 
+use isb::arm::LP;
 use isb::recovery::Recovered;
 use isb::store::Store;
 use std::path::{Path, PathBuf};
@@ -42,8 +43,8 @@ fn heap_path(dir: &Path) -> PathBuf {
 fn child(dir: &Path, total: u64) {
     nvm::tid::set_tid(0);
     let store = Store::open_sized(heap_path(dir), HEAP_BYTES).expect("child open");
-    let map = store.hashmap::<0>("kv", SHARDS).expect("kv handle");
-    let jobs = store.queue::<0>("jobs").expect("jobs handle");
+    let map = store.hashmap::<LP>("kv", SHARDS).expect("kv handle");
+    let jobs = store.queue::<LP>("jobs").expect("jobs handle");
     let crash_at = total / 2;
     let mut acked = Vec::new();
     for k in 1..=crash_at {
@@ -98,8 +99,8 @@ fn main() {
         summary.heap.poisoned,
         summary.swept
     );
-    let map = store.hashmap::<0>("kv", SHARDS).expect("kv handle");
-    let jobs = store.queue::<0>("jobs").expect("jobs handle");
+    let map = store.hashmap::<LP>("kv", SHARDS).expect("kv handle");
+    let jobs = store.queue::<LP>("jobs").expect("jobs handle");
 
     // Every acked key must be present, and every acked job still queued.
     let acked: Vec<u64> = std::fs::read_to_string(dir.join("acked"))

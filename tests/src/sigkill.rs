@@ -482,24 +482,16 @@ impl Scratch {
     /// * nothing in flight but `Completed(res)`: the process died between an
     ///   ack and the next `note_invocation`, and its recovery words still
     ///   name an acked operation, whose journaled response `res` must equal
-    ///   ("stale Completed"). Which one depends on `arm`, the placement of
-    ///   the structures this journal ran on. Arms 0 / 1: every insert,
-    ///   delete, enqueue and dequeue sets `CP_q := 1` and — whether or not
-    ///   it changed anything, the ROpt path publishes too — leaves its
-    ///   descriptor in `RD_q`, while a find leaves `CP_q = 0`; so the
-    ///   operation named is the last of a mutating *kind*. A stack (always
-    ///   `Isb-LP`) between them keeps that true: a push or pop that took
-    ///   effect publishes, and an empty pop's glue resets the line to a
-    ///   `Restart`. Arm 3: the invocation glue resets
-    ///   `(RD_q, CP_q)` whole on every invocation and an operation that
-    ///   changes nothing publishes nothing; so only the very last acked
-    ///   operation can be named, and only if it took effect.
+    ///   ("stale Completed"). Every mapped structure runs `Isb-LP`, whose
+    ///   invocation glue resets `(RD_q, CP_q)` whole on every invocation and
+    ///   where an operation that changes nothing publishes nothing; so only
+    ///   the very last acked operation can be named, and only if it took
+    ///   effect.
     pub fn resolve(
         &self,
         who: &str,
         id: usize,
         decision: Option<Recovered>,
-        arm: u8,
         model: &mut dyn Model,
         reinvoke: &mut dyn FnMut(char, Op) -> Resp,
     ) -> Tally {
@@ -539,15 +531,10 @@ impl Scratch {
         }
         if let Some(Recovered::Completed(res)) = decision {
             if recs.last().is_none_or(|r| r.ack.is_some()) {
-                let named = if isb::arm::is_lp(arm) {
-                    recs.last().filter(|r| r.took_effect())
-                } else {
-                    recs.iter().rev().find(|r| !matches!(r.op, Op::Find(_)))
-                };
-                let named = named.unwrap_or_else(|| {
+                let named = recs.last().filter(|r| r.took_effect()).unwrap_or_else(|| {
                     panic!(
                         "{who}: stale Completed({res}) with nothing in flight, and no acked \
-                         operation of journal {id} that arm {arm} could have left published"
+                         operation of journal {id} left published"
                     )
                 });
                 assert_eq!(
@@ -609,19 +596,13 @@ mod tests {
         text
     }
 
-    fn resolve(s: &Scratch, decision: Recovered, arm: u8, reinvoked: Resp) -> (Tally, u32) {
+    fn resolve(s: &Scratch, decision: Recovered, reinvoked: Resp) -> (Tally, u32) {
         let mut calls = 0;
-        let tally = s.resolve(
-            "unit pid 1",
-            1,
-            Some(decision),
-            arm,
-            &mut SeqModels::default(),
-            &mut |_, _| {
+        let tally =
+            s.resolve("unit pid 1", 1, Some(decision), &mut SeqModels::default(), &mut |_, _| {
                 calls += 1;
                 reinvoked
-            },
-        );
+            });
         (tally, calls)
     }
 
@@ -709,28 +690,25 @@ mod tests {
             let at = format!("unit pid 1 seq 4 (m {op:?})");
 
             // Restart: re-invoked exactly once, and the answer is checked.
-            assert_eq!(
-                resolve(&s, Recovered::Restart, 0, want),
-                (Tally { acked: 3, inflight: 1 }, 1)
-            );
-            let msg = panic_message(|| resolve(&s, Recovered::Restart, 0, wrong));
+            assert_eq!(resolve(&s, Recovered::Restart, want), (Tally { acked: 3, inflight: 1 }, 1));
+            let msg = panic_message(|| resolve(&s, Recovered::Restart, wrong));
             assert!(msg.contains(&at) && msg.contains("re-invoked response wrong"), "{msg}");
 
             // Completed: decoded, never re-invoked; a find cannot complete.
             if let Op::Find(_) = op {
-                let msg = panic_message(|| resolve(&s, Recovered::Completed(RES_TRUE), 0, want));
+                let msg = panic_message(|| resolve(&s, Recovered::Completed(RES_TRUE), want));
                 assert!(msg.contains(&at) && msg.contains("read-only find"), "{msg}");
                 continue;
             }
             assert_eq!(
-                resolve(&s, Recovered::Completed(encode(want)), 0, wrong),
+                resolve(&s, Recovered::Completed(encode(want)), wrong),
                 (Tally { acked: 3, inflight: 1 }, 0)
             );
             let bad = Recovered::Completed(encode(wrong));
-            let msg = panic_message(|| resolve(&s, bad, 0, want));
+            let msg = panic_message(|| resolve(&s, bad, want));
             assert!(msg.contains(&at) && msg.contains("recovered response wrong"), "{msg}");
             // A word of another kind of operation is wrong too.
-            let msg = panic_message(|| resolve(&s, Recovered::Completed(0), 0, want));
+            let msg = panic_message(|| resolve(&s, Recovered::Completed(0), want));
             assert!(msg.contains(&at) && msg.contains("recovered response wrong"), "{msg}");
         }
     }
@@ -738,12 +716,12 @@ mod tests {
     #[test]
     fn resolve_checks_acked_responses_and_unkilled_processes() {
         let s = scratch_with("kit_acked", "S 1 m i 5\nA 1 1\nS 2 m i 5\nA 2 1\n");
-        let msg = panic_message(|| resolve(&s, Recovered::Restart, 0, Resp::Unit));
+        let msg = panic_message(|| resolve(&s, Recovered::Restart, Resp::Unit));
         assert!(msg.contains("unit pid 1 seq 2") && msg.contains("acked response wrong"), "{msg}");
 
         let s = scratch_with("kit_unkilled", &journal_text(&[Op::Insert(5)], true));
         let msg = panic_message(|| {
-            s.resolve("unit pid 1", 1, None, 0, &mut SeqModels::default(), &mut |_, _| Resp::Unit)
+            s.resolve("unit pid 1", 1, None, &mut SeqModels::default(), &mut |_, _| Resp::Unit)
         });
         assert!(msg.contains("not killed"), "{msg}");
     }
@@ -752,32 +730,26 @@ mod tests {
     fn stale_completed_names_the_op_its_arm_leaves_published() {
         let t = Recovered::Completed(RES_TRUE);
         let f = Recovered::Completed(RES_FALSE);
-        let stale = |ops: &[Op], d: Recovered, arm: u8| {
+        let stale = |ops: &[Op], d: Recovered| {
             let s = scratch_with("kit_stale", &journal_text(ops, false));
-            catch_unwind(AssertUnwindSafe(|| resolve(&s, d, arm, Resp::Unit))).map_err(|_| ())
+            catch_unwind(AssertUnwindSafe(|| resolve(&s, d, Resp::Unit))).map_err(|_| ())
         };
-        // insert(5) took effect, the duplicate insert did not, then a find.
+        // insert(5) took effect, the duplicate insert did not, then a find:
+        // `Isb-LP` names only the very last op, and only if it took effect.
         let ops = [Op::Insert(5), Op::Insert(5), Op::Find(5)];
-        // Arms 0 / 1: the last mutating-kind op — the duplicate, answered false.
-        for arm in [0, 1] {
-            assert!(stale(&ops, f, arm).is_ok());
-            assert!(stale(&ops, t, arm).is_err(), "arm {arm} accepted a diverging response");
-            assert!(stale(&ops[2..], t, arm).is_err(), "arm {arm}: a find publishes nothing");
-        }
-        // Arm 3: only the very last op, and only if it took effect.
-        assert!(stale(&ops[..1], t, 3).is_ok());
-        assert!(stale(&ops[..1], f, 3).is_err(), "arm 3 accepted a diverging response");
-        assert!(stale(&ops[..2], f, 3).is_err(), "arm 3: a no-op publishes nothing");
-        assert!(stale(&ops, t, 3).is_err(), "arm 3: a find publishes nothing");
+        assert!(stale(&ops[..1], t).is_ok());
+        assert!(stale(&ops[..1], f).is_err(), "accepted a diverging response");
+        assert!(stale(&ops[..2], f).is_err(), "a no-op publishes nothing");
+        assert!(stale(&ops[..2], t).is_err(), "an earlier op is reset by the next glue");
+        assert!(stale(&ops, t).is_err(), "a find publishes nothing");
         // Queue and stack answers decode through the same rule.
         let q = [Op::Enqueue(9), Op::Dequeue];
-        let nine = Recovered::Completed(isb::engine::res_val(9));
-        assert!(stale(&q, nine, 0).is_ok() && stale(&q, nine, 3).is_ok());
-        assert!(stale(&q, Recovered::Completed(RES_EMPTY), 3).is_err());
-        assert!(stale(&[Op::Push(9)], Recovered::Completed(RES_UNIT), 0).is_ok());
+        assert!(stale(&q, Recovered::Completed(isb::engine::res_val(9))).is_ok());
+        assert!(stale(&q, Recovered::Completed(RES_EMPTY)).is_err());
+        assert!(stale(&[Op::Push(9)], Recovered::Completed(RES_UNIT)).is_ok());
         // An in-flight tail is not a stale decision: resolved, not cross-checked.
         let s = scratch_with("kit_stale", &journal_text(&[Op::Insert(5), Op::Delete(5)], true));
-        assert_eq!(resolve(&s, t, 3, Resp::Unit).0, Tally { acked: 1, inflight: 1 });
+        assert_eq!(resolve(&s, t, Resp::Unit).0, Tally { acked: 1, inflight: 1 });
     }
 
     /// Child half of `a_child_dropped_by_a_panic_is_killed_and_reaped`.

@@ -7,6 +7,7 @@
 //! every structure kind. Complements the in-crate roundtrip tests and the
 //! cross-process SIGKILL harness (`restart.rs`).
 
+use isb::arm::LP;
 use isb::engine::{RES_TRUE, RES_UNIT};
 use isb::recovery::AttachError;
 use isb::store::Store;
@@ -49,7 +50,7 @@ fn mk_map(path: &PathBuf) {
     nvm::tid::set_tid(0);
     let store = Store::open_sized(path, HEAP_BYTES).unwrap();
     assert!(store.summary().heap.created);
-    let map = store.hashmap::<0>(NAME, SHARDS).unwrap();
+    let map = store.hashmap::<LP>(NAME, SHARDS).unwrap();
     for k in 1..=128u64 {
         assert!(map.insert(0, k));
     }
@@ -93,7 +94,7 @@ fn entry_root(path: &PathBuf) -> u64 {
 }
 
 fn attach(path: &PathBuf) -> Result<(), AttachError> {
-    sole(path, |s| s.hashmap::<0>(NAME, SHARDS)).map(drop)
+    sole(path, |s| s.hashmap::<LP>(NAME, SHARDS)).map(drop)
 }
 
 /// Unwraps the heap-level error inside an `AttachError`.
@@ -378,7 +379,7 @@ fn retired_heap_formats_are_refused_in_words() {
         }
     }
     patch(&path, W_KIND * 8, &store_kind.to_le_bytes());
-    let mut map = sole(&path, |s| s.hashmap::<0>(NAME, SHARDS)).expect("the restored stamp opens");
+    let mut map = sole(&path, |s| s.hashmap::<LP>(NAME, SHARDS)).expect("the restored stamp opens");
     assert_eq!(map.snapshot_keys(), (1..=128).collect::<Vec<u64>>());
     map.check_invariants();
     drop(map);
@@ -400,7 +401,7 @@ fn heap_level_torn_tail_is_poisoned_through_structure_attach() {
     nvm::tid::set_tid(0);
     let store = Store::open_sized(&path, HEAP_BYTES).expect("torn tail must heal, not fail");
     assert_eq!(store.summary().heap.poisoned, 1, "exactly the abandoned block is poisoned");
-    let map = store.hashmap::<0>(NAME, SHARDS).unwrap();
+    let map = store.hashmap::<LP>(NAME, SHARDS).unwrap();
     drop(store);
     let mut map = Arc::into_inner(map).unwrap();
     assert_eq!(map.snapshot_keys(), (1..=128).collect::<Vec<u64>>());
@@ -418,8 +419,8 @@ fn mk_store(path: &PathBuf) -> u64 {
     nvm::tid::set_tid(0);
     {
         let store = Store::open_sized(path, HEAP_BYTES).unwrap();
-        let m = store.hashmap::<0>("users", SHARDS).unwrap();
-        let q = store.queue::<0>("jobs").unwrap();
+        let m = store.hashmap::<LP>("users", SHARDS).unwrap();
+        let q = store.queue::<LP>("jobs").unwrap();
         for k in 1..=64u64 {
             assert!(m.insert(0, k));
         }
@@ -492,8 +493,8 @@ fn assert_slot0_rejected_untouched(path: &PathBuf, undo: impl FnOnce()) {
     undo();
     nvm::tid::set_tid(0);
     let store = Store::open_sized(path, HEAP_BYTES).expect("the undamaged image attaches");
-    let m = store.hashmap::<0>("users", SHARDS).unwrap();
-    let q = store.queue::<0>("jobs").unwrap();
+    let m = store.hashmap::<LP>("users", SHARDS).unwrap();
+    let q = store.queue::<LP>("jobs").unwrap();
     for k in 1..=96u64 {
         assert_eq!(m.find(0, k), k <= 64, "map key {k}");
     }
@@ -512,19 +513,20 @@ fn catalog_shard_count_beyond_the_root_block_fails_typed() {
     let path = tmp("cat_shards");
     let cat = mk_store(&path);
     let cfg = read_at(&path, cat + 8);
-    assert_eq!(cfg, SHARDS as u64, "slot 0 is the arm-0 map");
-    patch(&path, cat + 8, &(1u64 << 20).to_le_bytes());
+    assert_eq!(cfg, SHARDS as u64 | (LP as u64) << 32, "slot 0 is the map");
+    patch(&path, cat + 8, &(1u64 << 20 | (LP as u64) << 32).to_le_bytes());
     assert_slot0_rejected_untouched(&path, || patch(&path, cat + 8, &cfg.to_le_bytes()));
 }
 
-/// The arm byte of entry word 1: a level no build ever stamped. (The retired
-/// level 2 is refused by name instead: `kvserve`'s upgrade test.)
+/// The arm byte of entry word 1: a level no build ever stamped. (Levels 0,
+/// 1 and the retired 2 are refused by name instead: `kvserve`'s upgrade
+/// test.)
 #[test]
 fn catalog_unknown_arm_fails_typed() {
     let path = tmp("cat_arm");
     let cat = mk_store(&path);
     patch(&path, cat + 12, &[9]);
-    assert_slot0_rejected_untouched(&path, || patch(&path, cat + 12, &[0]));
+    assert_slot0_rejected_untouched(&path, || patch(&path, cat + 12, &[LP]));
 }
 
 /// A stack entry of the retired direct-tracked format — its configuration
@@ -613,7 +615,7 @@ fn catalog_cleared_kind_word_is_a_benign_empty_slot() {
     let names: Vec<String> = store.entries().into_iter().map(|(n, _, _)| n).collect();
     assert_eq!(names, vec!["users".to_string()], "slot 1 invisible, slot 0 intact");
     assert!(store.summary().swept > 0, "the orphaned entry's blocks are reclaimed");
-    let m = store.hashmap::<0>("users", SHARDS).unwrap();
+    let m = store.hashmap::<LP>("users", SHARDS).unwrap();
     for k in 1..=64u64 {
         assert!(m.find(0, k), "surviving entry damaged by the sweep");
     }
@@ -636,8 +638,8 @@ fn one_shared_store_at_two_bases_in_one_process() {
     let a = Store::open_shared_sized(&path, HEAP_BYTES).unwrap();
     let ta = MappedHeap::tid_band(a.heap().my_participant().unwrap()).start;
     nvm::tid::set_tid(ta);
-    let (m, q) = (a.hashmap::<0>("users", SHARDS).unwrap(), a.queue::<3>("jobs").unwrap());
-    let (l, t) = (a.list::<1>("index").unwrap(), a.bst::<3>("tree").unwrap());
+    let (m, q) = (a.hashmap::<LP>("users", SHARDS).unwrap(), a.queue::<LP>("jobs").unwrap());
+    let (l, t) = (a.list::<LP>("index").unwrap(), a.bst::<LP>("tree").unwrap());
     let s = a.stack("undo").unwrap();
     for k in 1..=100u64 {
         assert!(m.insert(ta, k) && l.insert(ta, k) && t.insert(ta, k * 7 % 101));
@@ -661,8 +663,8 @@ fn one_shared_store_at_two_bases_in_one_process() {
     nvm::tid::set_tid(tb);
     let decisions = b.recover_peer(dead).unwrap().expect("recovered under the lease");
     assert!(decisions.contains(&(td, Recovered::Completed(res_val(1)))), "{decisions:?}");
-    let (m2, q2) = (b.hashmap::<0>("users", SHARDS).unwrap(), b.queue::<3>("jobs").unwrap());
-    let (l2, t2) = (b.list::<1>("index").unwrap(), b.bst::<3>("tree").unwrap());
+    let (m2, q2) = (b.hashmap::<LP>("users", SHARDS).unwrap(), b.queue::<LP>("jobs").unwrap());
+    let (l2, t2) = (b.list::<LP>("index").unwrap(), b.bst::<LP>("tree").unwrap());
     let s2 = b.stack("undo").unwrap();
     for k in 1..=100u64 {
         assert!(m2.find(tb, k) && l2.find(tb, k) && t2.find(tb, k * 7 % 101), "key {k}");
@@ -700,8 +702,8 @@ fn relocated_store_keeps_every_structure_kind_working() {
     let old_base = {
         let store = Store::open_sized(&path, HEAP_BYTES).unwrap();
         let (m, q) =
-            (store.hashmap::<0>("users", SHARDS).unwrap(), store.queue::<3>("jobs").unwrap());
-        let (l, t) = (store.list::<1>("index").unwrap(), store.bst::<3>("tree").unwrap());
+            (store.hashmap::<LP>("users", SHARDS).unwrap(), store.queue::<LP>("jobs").unwrap());
+        let (l, t) = (store.list::<LP>("index").unwrap(), store.bst::<LP>("tree").unwrap());
         let s = store.stack("undo").unwrap();
         for k in 1..=200u64 {
             assert!(m.insert(0, k) && l.insert(0, k) && t.insert(0, k * 7 % 211));
@@ -719,8 +721,9 @@ fn relocated_store_keeps_every_structure_kind_working() {
     // (The kernel may put the squatter elsewhere; then the store need not
     // move, and the rest still runs.)
     assert!(store.heap().base() as usize != old_base || !squatted);
-    let (m, q) = (store.hashmap::<0>("users", SHARDS).unwrap(), store.queue::<3>("jobs").unwrap());
-    let (l, t) = (store.list::<1>("index").unwrap(), store.bst::<3>("tree").unwrap());
+    let (m, q) =
+        (store.hashmap::<LP>("users", SHARDS).unwrap(), store.queue::<LP>("jobs").unwrap());
+    let (l, t) = (store.list::<LP>("index").unwrap(), store.bst::<LP>("tree").unwrap());
     let s = store.stack("undo").unwrap();
     for k in 1..=200u64 {
         assert_eq!(m.find(0, k), k % 3 != 1, "map key {k}");
@@ -738,7 +741,7 @@ fn relocated_store_keeps_every_structure_kind_working() {
     drop((m, q, l, t, s, store));
     // A third open, wherever it maps, replays and sweeps.
     let store = Store::open_sized(&path, HEAP_BYTES).unwrap();
-    assert!(store.hashmap::<0>("users", SHARDS).unwrap().find(0, 1200));
+    assert!(store.hashmap::<LP>("users", SHARDS).unwrap().find(0, 1200));
     drop((store, squatter));
     drop(MappedHeap::attach(&squat_path).expect("nothing scribbled on the squatter"));
     let _ = std::fs::remove_file(&path);
@@ -871,7 +874,7 @@ fn structure_survives_growth_across_attach() {
     {
         let store = Store::open_sized(&path, nvm::mapped::MIN_HEAP_BYTES).unwrap();
         assert!(store.summary().heap.created);
-        let map = store.hashmap::<0>(NAME, SHARDS).unwrap();
+        let map = store.hashmap::<LP>(NAME, SHARDS).unwrap();
         for k in 1..=keys {
             assert!(map.insert(0, k));
         }
@@ -882,7 +885,7 @@ fn structure_survives_growth_across_attach() {
     assert!(!s.heap.created);
     assert!(s.heap.segments > 1);
     assert_eq!(s.heap.poisoned, 0);
-    let map = store.hashmap::<0>(NAME, SHARDS).unwrap();
+    let map = store.hashmap::<LP>(NAME, SHARDS).unwrap();
     drop(store);
     let mut map = Arc::into_inner(map).unwrap();
     assert_eq!(map.snapshot_keys(), (1..=keys).collect::<Vec<u64>>());
@@ -929,9 +932,9 @@ fn mk_kv_store(path: &PathBuf) -> (u64, usize) {
     nvm::tid::set_tid(0);
     let idx = {
         let store = Store::open_sized(path, HEAP_BYTES).unwrap();
-        let m = store.hashmap::<0>("kv", SHARDS).unwrap();
+        let m = store.hashmap::<LP>("kv", SHARDS).unwrap();
         assert!(m.insert(0, 1));
-        store.queue::<0>("jobs").unwrap().enqueue(DONE_PID, 9);
+        store.queue::<LP>("jobs").unwrap().enqueue(DONE_PID, 9);
         let tab = store.response_table();
         let idx = tab.register(42).expect("slot free");
         tab.finish_op(0, idx, 5, RES_TRUE);
@@ -1074,10 +1077,10 @@ fn creation_writes_back_sentinels_and_roots() {
     type Create = fn(&Store);
     // (kind, sentinel nodes, root-word lines, creator)
     let kinds: &[(&str, u64, u64, Create)] = &[
-        ("hashmap", 128, 8, |s| drop(s.hashmap::<3>(NAME, 64).unwrap())),
-        ("list", 2, 1, |s| drop(s.list::<3>(NAME).unwrap())),
-        ("bst", 5, 1, |s| drop(s.bst::<3>(NAME).unwrap())),
-        ("queue", 1, 1, |s| drop(s.queue::<3>(NAME).unwrap())),
+        ("hashmap", 128, 8, |s| drop(s.hashmap::<LP>(NAME, 64).unwrap())),
+        ("list", 2, 1, |s| drop(s.list::<LP>(NAME).unwrap())),
+        ("bst", 5, 1, |s| drop(s.bst::<LP>(NAME).unwrap())),
+        ("queue", 1, 1, |s| drop(s.queue::<LP>(NAME).unwrap())),
     ];
     for &(kind, sentinels, root_lines, create) in kinds {
         let path = tmp(&format!("create_{kind}"));
@@ -1127,12 +1130,12 @@ fn hostile_links_fail_typed_in_every_kind() {
         (
             "list",
             |p| {
-                let l = sole(p, |s| s.list::<0>(NAME))?;
+                let l = sole(p, |s| s.list::<LP>(NAME))?;
                 (1..=8).for_each(|k| assert!(l.insert(0, k)));
                 Ok(())
             },
             |p| {
-                let keys = sole(p, |s| s.list::<0>(NAME))?.snapshot_keys();
+                let keys = sole(p, |s| s.list::<LP>(NAME))?.snapshot_keys();
                 assert_eq!(keys, (1..=8).collect::<Vec<_>>());
                 Ok(())
             },
@@ -1140,12 +1143,12 @@ fn hostile_links_fail_typed_in_every_kind() {
         (
             "hashmap",
             |p| {
-                let m = sole(p, |s| s.hashmap::<0>(NAME, SHARDS))?;
+                let m = sole(p, |s| s.hashmap::<LP>(NAME, SHARDS))?;
                 (1..=32).for_each(|k| assert!(m.insert(0, k)));
                 Ok(())
             },
             |p| {
-                let keys = sole(p, |s| s.hashmap::<0>(NAME, SHARDS))?.snapshot_keys();
+                let keys = sole(p, |s| s.hashmap::<LP>(NAME, SHARDS))?.snapshot_keys();
                 assert_eq!(keys, (1..=32).collect::<Vec<_>>());
                 Ok(())
             },
@@ -1153,24 +1156,24 @@ fn hostile_links_fail_typed_in_every_kind() {
         (
             "bst",
             |p| {
-                let t = sole(p, |s| s.bst::<0>(NAME))?;
+                let t = sole(p, |s| s.bst::<LP>(NAME))?;
                 [9, 3, 12, 7].iter().for_each(|&k| assert!(t.insert(0, k)));
                 Ok(())
             },
             |p| {
-                assert_eq!(sole(p, |s| s.bst::<0>(NAME))?.snapshot_keys(), vec![3, 7, 9, 12]);
+                assert_eq!(sole(p, |s| s.bst::<LP>(NAME))?.snapshot_keys(), vec![3, 7, 9, 12]);
                 Ok(())
             },
         ),
         (
             "queue",
             |p| {
-                let q = sole(p, |s| s.queue::<0>(NAME))?;
+                let q = sole(p, |s| s.queue::<LP>(NAME))?;
                 (1..=5).for_each(|v| q.enqueue(0, v));
                 Ok(())
             },
             |p| {
-                let vals = sole(p, |s| s.queue::<0>(NAME))?.snapshot_vals();
+                let vals = sole(p, |s| s.queue::<LP>(NAME))?.snapshot_vals();
                 assert_eq!(vals, (1..=5).collect::<Vec<_>>());
                 Ok(())
             },

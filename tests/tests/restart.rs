@@ -8,16 +8,18 @@
 //!
 //! | test | what is killed | what is asserted |
 //! |------|----------------|------------------|
-//! | `restart_sigkill_recovers_across_processes` | a child with 3 workers on the one `RHashMap<_, 0>` of a `Store`, at `30 + (seed * 37) % 170` ms | every journal resolves; key-range equivalence, `snapshot_keys`, structural invariants |
+//! | `restart_sigkill_recovers_across_processes` | a child with 3 workers on the one map of a `Store`, at `30 + (seed * 37) % 170` ms | every journal resolves; key-range equivalence, `snapshot_keys`, structural invariants |
 //! | `restart_sigkill_mid_growth_recovers` | the same child over a 64 KiB initial segment, 1..=56 ms in | the same, and the matrix as a whole outgrew segment 0 |
-//! | `store_restart_sigkill_recovers_across_processes` | a child with 2 map workers + 1 queue worker on ONE `Store` heap (arms 0 / 0) | every journal resolves against the one shared replay; map equivalence, snapshot and invariants, queue drain in order |
-//! | `store_restart_sigkill_recovers_coalesced_arms` | the same child under `Isb-Opt` / `Isb-LP` and `Isb-LP` / `Isb-LP` | the same, with each arm's stale-`Completed` rule |
+//! | `store_restart_sigkill_recovers_across_processes` | a child with 2 map workers + 1 queue worker on ONE `Store` heap | every journal resolves against the one shared replay; map equivalence, snapshot and invariants, queue drain in order |
 //! | `five_kinds_sigkill_recovers_through_one_driver` | one worker cycling map, queue, list, BST and stack of ONE store | its journal resolves through the store-wide decision; equivalence per structure |
 //! | `shared_kill_one_of_n_recovers_online` | one of 3 live processes sharing ONE heap | survivors keep acking DURING recovery; every journal resolves through the survivor-journaled decisions; map equivalence, queue exactly-once + per-producer FIFO |
 //! | `shared_kill_of_recoverer_is_superseded` | the victim, then its recoverer mid-lease | the last survivor steals the lease and recovers both; same checks |
 //! | `shared_peer_growth_is_readable_without_refresh` | nothing (the child exits) | peer-grown segments are readable with no refresh |
 //! | `shared_kv_failover_serves_dead_peers_clients` | one of two `kvserve` processes on one heap | its clients fail over to the survivor exactly-once |
 //! | `reattach_is_idempotent` | nothing | a second attach has nothing to sweep |
+//!
+//! Every structure runs `Isb-LP`, the one placement a mapped structure has,
+//! so every leg tests the write order that ships.
 //!
 //! Seeds: `ISB_RESTART_SEEDS` seeded kill points (default 20 for the first
 //! leg, 10 for the store and five-kinds legs); every failure message includes
@@ -27,6 +29,7 @@
 //! legs read `ISB_SHARED_SEEDS` (10) and `ISB_SHARED_KILL2_SEEDS` (3).
 
 use bench_harness::ops::{Op, Resp, SeqModel, Target};
+use isb::arm::LP;
 use isb::bst::RBst;
 use isb::hashmap::RHashMap;
 use isb::list::RList;
@@ -90,14 +93,11 @@ fn run_and_kill(scratch: &Scratch, test: &str, params: &[(&str, &dyn Display)], 
     child.sigkill();
 }
 
+/// The map every leg runs.
+type Map = RHashMap<MappedNvm, LP>;
+
 /// `map` must hold exactly `model`'s keys of `pid`'s range.
-fn check_range<const ARM: u8>(
-    who: &str,
-    map: &RHashMap<MappedNvm, ARM>,
-    reader: usize,
-    pid: usize,
-    model: &SeqModel,
-) {
+fn check_range(who: &str, map: &Map, reader: usize, pid: usize, model: &SeqModel) {
     let (lo, hi) = key_range(pid);
     for k in lo..=hi {
         let want = model.set.contains(&k);
@@ -106,7 +106,7 @@ fn check_range<const ARM: u8>(
 }
 
 /// `queue` must hold exactly `model`'s values, in order.
-fn check_drain<const ARM: u8>(who: &str, queue: &RQueue<MappedNvm, ARM>, model: &mut SeqModel) {
+fn check_drain(who: &str, queue: &RQueue<MappedNvm, LP>, model: &mut SeqModel) {
     while let Some(want) = model.fifo.pop_front() {
         assert_eq!(queue.dequeue(0), Some(want), "{who}: queue contents diverge");
     }
@@ -122,12 +122,7 @@ const QUEUE_PID: usize = WORKERS; // beside a queue, map workers are pids 1..=2
 
 /// A map worker: journaled seeded set operations on `pid`'s key range,
 /// until the SIGKILL.
-fn map_worker<const ARM: u8>(
-    scratch: &Scratch,
-    map: &RHashMap<MappedNvm, ARM>,
-    pid: usize,
-    seed: u64,
-) {
+fn map_worker(scratch: &Scratch, map: &Map, pid: usize, seed: u64) {
     nvm::tid::set_tid(pid);
     let mut journal = Journal::append(&scratch.journal(pid));
     let (lo, hi) = key_range(pid);
@@ -140,36 +135,23 @@ fn map_worker<const ARM: u8>(
 }
 
 /// Child: workers hammer ONE store heap with per-pid journals until the
-/// parent kills them. `arms` names the structures and their arms: `m0` is
-/// three map workers under the paper's arm; `m0q0`, `m1q3` and `m3q3` are
-/// two map workers plus one queue worker under the paper's arms, the two
-/// glue shapes in one recovery area (hand-tuned map `ARM = 1`, link-persist
-/// queue `ARM = 3`), or both structures under the arm that ships (`Isb-LP`,
-/// what the service's `kv` map runs). A SIGKILL is the one crash the NVM
-/// simulator cannot model — the mapped heap's surviving bytes are whatever
-/// the kernel saw, so the elided/deferred flushes of the tuning arms face a
-/// real (if friendly: the page cache persists CPU stores without clflush)
-/// restart.
+/// parent kills them: three map workers, or (`with_queue`) two map workers
+/// plus one queue worker over one recovery area. A SIGKILL is the one crash
+/// the NVM simulator cannot model — the mapped heap's surviving bytes are
+/// whatever the kernel saw, so `Isb-LP`'s elided flushes face a real (if
+/// friendly: the page cache persists CPU stores without clflush) restart.
 #[test]
 #[ignore = "child half of the restart harness; spawned by the parent test"]
 fn store_restart_child_worker() {
     let Some(scratch) = Scratch::of_child() else { return };
-    match scratch.param::<String>("arms").as_str() {
-        "m0" | "m0q0" => store_child_body::<0, 0>(&scratch),
-        "m1q3" => store_child_body::<1, 3>(&scratch),
-        "m3q3" => store_child_body::<3, 3>(&scratch),
-        arms => panic!("no store child for arms {arms}"),
-    }
-}
-
-fn store_child_body<const MAP_ARM: u8, const QUEUE_ARM: u8>(scratch: &Scratch) {
+    let scratch = &scratch;
     let seed: u64 = scratch.param("seed");
-    let with_queue = scratch.param::<String>("arms").contains('q');
+    let with_queue: bool = scratch.param("with_queue");
     nvm::tid::set_tid(0);
     // The growth leg shrinks the initial segment so the fill outgrows it.
     let store = Store::open_sized(scratch.heap(), scratch.param("heap_bytes")).expect("child open");
-    let map = store.hashmap::<MAP_ARM>("users", SHARDS).expect("users handle");
-    let queue = with_queue.then(|| store.queue::<QUEUE_ARM>("jobs").expect("jobs handle"));
+    let map = store.hashmap::<LP>("users", SHARDS).expect("users handle");
+    let queue = with_queue.then(|| store.queue::<LP>("jobs").expect("jobs handle"));
     // Signal readiness only once the heap is fully created.
     scratch.publish("ready", "ok");
 
@@ -196,51 +178,52 @@ fn store_child_body<const MAP_ARM: u8, const QUEUE_ARM: u8>(scratch: &Scratch) {
     });
 }
 
-/// One SIGKILL round of `store_restart_child_worker` under `MAP_ARM` (and,
-/// `with_queue`, `QUEUE_ARM`) on a heap created at `heap_bytes`. Re-opens
-/// the WHOLE store from this process — one shared replay resolves every
-/// structure's pending operation — and verifies every journal, the map
-/// (key ranges, snapshot, invariants) and the queue's drain. Returns what it
-/// verified and the heap's segment count.
-fn run_store_round<const MAP_ARM: u8, const QUEUE_ARM: u8>(
+/// One SIGKILL round of `store_restart_child_worker` (its queue worker
+/// `with_queue`) on a heap created at `heap_bytes`. Re-opens the WHOLE
+/// store from this process — one shared replay resolves every structure's
+/// pending operation — and verifies every journal, the map (key ranges,
+/// snapshot, invariants) and the queue's drain. Returns what it verified and
+/// the heap's segment count.
+fn run_store_round(
     leg: &str,
     seed: u64,
     heap_bytes: usize,
     kill_after: Duration,
     with_queue: bool,
 ) -> (Tally, usize) {
-    let arms = if with_queue { format!("m{MAP_ARM}q{QUEUE_ARM}") } else { format!("m{MAP_ARM}") };
+    let shape = if with_queue { "mq" } else { "m" };
     // Two tests run the single-map matrix — on their own test threads, over
     // the same seeds — so the heap size is what tells their directories apart.
-    let scratch = Scratch::create(leg, format!("{arms}_{heap_bytes}"), seed);
-    let params = [("seed", &seed as _), ("arms", &arms as _), ("heap_bytes", &heap_bytes as _)];
+    let scratch = Scratch::create(leg, format!("{shape}_{heap_bytes}"), seed);
+    let params =
+        [("seed", &seed as _), ("with_queue", &with_queue as _), ("heap_bytes", &heap_bytes as _)];
     run_and_kill(&scratch, "store_restart_child_worker", &params, kill_after);
 
     nvm::tid::set_tid(0);
     let store = Store::open_sized(scratch.heap(), heap_bytes)
         .unwrap_or_else(|e| panic!("seed {seed}: parent store open failed: {e}"));
     let summary = store.summary();
-    let map = store.hashmap::<MAP_ARM>("users", SHARDS).expect("users handle");
-    let queue = with_queue.then(|| store.queue::<QUEUE_ARM>("jobs").expect("jobs handle"));
+    let map = store.hashmap::<LP>("users", SHARDS).expect("users handle");
+    let queue = with_queue.then(|| store.queue::<LP>("jobs").expect("jobs handle"));
 
     // Map workers: disjoint parts of one model, each journal replayed
     // sequentially against its own. Queue worker: FIFO model replay.
     let mut tally = Tally::default();
     let mut model = SeqModels::default();
     for pid in 1..=WORKERS {
-        let who = format!("seed {seed} arms {arms} pid {pid}");
-        let (arm, target): (u8, &dyn Target) = match &queue {
-            Some(queue) if pid == QUEUE_PID => (QUEUE_ARM, &**queue),
-            _ => (MAP_ARM, &*map),
+        let who = format!("seed {seed} {shape} pid {pid}");
+        let target: &dyn Target = match &queue {
+            Some(queue) if pid == QUEUE_PID => &**queue,
+            _ => &*map,
         };
         let mut reinvoke = |_: char, op: Op| target.invoke(pid, op);
         let decision = Some(summary.decision(pid));
-        tally += scratch.resolve(&who, pid, decision, arm, &mut model, &mut reinvoke);
+        tally += scratch.resolve(&who, pid, decision, &mut model, &mut reinvoke);
         if !with_queue || pid != QUEUE_PID {
             check_range(&who, &map, 0, pid, model.of('m'));
         }
     }
-    let who = format!("seed {seed} arms {arms}");
+    let who = format!("seed {seed} {shape}");
     // Drain: the recovered queue must match the model exactly, in order.
     if let Some(queue) = &queue {
         check_drain(&who, queue, model.of('q'));
@@ -263,7 +246,7 @@ fn run_store_round<const MAP_ARM: u8, const QUEUE_ARM: u8>(
 fn restart_sigkill_recovers_across_processes() {
     matrix("restart matrix", seeds("ISB_RESTART_SEEDS", 20), |seed| {
         let kill_after = Duration::from_millis(30 + (seed * 37) % 170);
-        run_store_round::<0, 0>("restart", seed, HEAP_BYTES, kill_after, false).0
+        run_store_round("restart", seed, HEAP_BYTES, kill_after, false).0
     });
 }
 
@@ -286,8 +269,7 @@ fn restart_sigkill_mid_growth_recovers() {
         // allocation rate (and thus growth) is highest.
         let kill_after = Duration::from_millis(1 + (seed * 5) % 56);
         let heap_bytes = nvm::mapped::MIN_HEAP_BYTES;
-        let (tally, segments) =
-            run_store_round::<0, 0>("restart", seed, heap_bytes, kill_after, false);
+        let (tally, segments) = run_store_round("restart", seed, heap_bytes, kill_after, false);
         max_segments = max_segments.max(segments);
         tally
     });
@@ -298,33 +280,15 @@ fn restart_sigkill_mid_growth_recovers() {
     );
 }
 
-/// One round of the map-and-queue store matrix.
-fn run_one_store_seed<const MAP_ARM: u8, const QUEUE_ARM: u8>(seed: u64) -> Tally {
-    let kill_after = Duration::from_millis(30 + (seed * 41) % 170);
-    run_store_round::<MAP_ARM, QUEUE_ARM>("store_restart", seed, STORE_HEAP_BYTES, kill_after, true)
-        .0
-}
-
 /// The multi-structure store matrix: SIGKILL a child mutating a map AND a
 /// queue in ONE heap at seeded points; zero lost acked ops, every in-flight
 /// op detectably resolved per structure, model equivalence for both.
 #[test]
 fn store_restart_sigkill_recovers_across_processes() {
-    matrix("store restart matrix", seeds("ISB_RESTART_SEEDS", 10), run_one_store_seed::<0, 0>);
-}
-
-/// The tuning-arm legs of the store matrix: SIGKILL a child mutating a
-/// *hand-tuned* map (`ARM = 1`) and a *link-persist* queue (`ARM = 3`) in one
-/// heap — both glue shapes over one shared recovery area — then one with
-/// both structures under `Isb-LP`, what `kvserve` opens; same
-/// zero-lost-acked / detectable-in-flight / model-equivalence bars. The arms
-/// ride in the catalog's cfg word, so a parent attaching with the wrong arm
-/// would be rejected before replay.
-#[test]
-fn store_restart_sigkill_recovers_coalesced_arms() {
-    let seeds = seeds("ISB_RESTART_SEEDS", 10);
-    matrix("Opt/LP store restart matrix", seeds, run_one_store_seed::<1, 3>);
-    matrix("LP/LP store restart matrix", seeds, run_one_store_seed::<3, 3>);
+    matrix("store restart matrix", seeds("ISB_RESTART_SEEDS", 10), |seed| {
+        let kill_after = Duration::from_millis(30 + (seed * 41) % 170);
+        run_store_round("store_restart", seed, STORE_HEAP_BYTES, kill_after, true).0
+    });
 }
 
 /// Attach twice in a row without a crash: the second attach must be a
@@ -335,7 +299,7 @@ fn reattach_is_idempotent() {
     let scratch = Scratch::create("reattach", "once", 0);
     let open = || {
         let store = Store::open_sized(scratch.heap(), HEAP_BYTES).unwrap();
-        let map = store.hashmap::<0>("users", SHARDS).unwrap();
+        let map = store.hashmap::<LP>("users", SHARDS).unwrap();
         (store, map)
     };
     {
@@ -376,20 +340,20 @@ const FIVE_SET_KEYS: u64 = 48;
 
 /// The five structures of the five-kinds store, by journal tag.
 struct Five {
-    m: Arc<RHashMap<MappedNvm, 0>>,
-    q: Arc<RQueue<MappedNvm, 0>>,
-    l: Arc<RList<MappedNvm, 1>>,
-    t: Arc<RBst<MappedNvm, 0>>,
+    m: Arc<Map>,
+    q: Arc<RQueue<MappedNvm, LP>>,
+    l: Arc<RList<MappedNvm, LP>>,
+    t: Arc<RBst<MappedNvm, LP>>,
     s: Arc<RStack<MappedNvm>>,
 }
 
 impl Five {
     fn open(store: &Store) -> Five {
         Five {
-            m: store.hashmap::<0>("m", 4).unwrap(),
-            q: store.queue::<0>("q").unwrap(),
-            l: store.list::<1>("l").unwrap(),
-            t: store.bst::<0>("t").unwrap(),
+            m: store.hashmap::<LP>("m", 4).unwrap(),
+            q: store.queue::<LP>("q").unwrap(),
+            l: store.list::<LP>("l").unwrap(),
+            t: store.bst::<LP>("t").unwrap(),
             s: store.stack("s").unwrap(),
         }
     }
@@ -449,14 +413,12 @@ fn run_one_five_kinds_seed(seed: u64) -> Tally {
     let five = Five::open(&store);
 
     // Replay the journal against the sequential models and resolve the
-    // at-most-one in-flight op through the store-wide decision. Four run
-    // arms 0 / 1 and the stack `Isb-LP`, whose pushes and pops keep the
-    // arms-0/1 stale rule (`Scratch::resolve`).
+    // at-most-one in-flight op through the store-wide decision.
     let who = format!("seed {seed} pid {FIVE_PID}");
     let mut model = SeqModels::default();
     let mut reinvoke = |st: char, op: Op| five.target(st).invoke(FIVE_PID, op);
     let decision = Some(store.summary().decision(FIVE_PID));
-    let tally = scratch.resolve(&who, FIVE_PID, decision, 0, &mut model, &mut reinvoke);
+    let tally = scratch.resolve(&who, FIVE_PID, decision, &mut model, &mut reinvoke);
 
     // Full equivalence per structure.
     for k in 1..=FIVE_MAP_KEYS {
@@ -515,8 +477,8 @@ fn shared_child_worker() {
     let band = nvm::mapped::MappedHeap::tid_band(slot);
     // Every thread of this process registers a tid inside its band.
     nvm::tid::set_tid(band.start);
-    let map = store.hashmap::<0>("users", SHARDS).expect("users handle");
-    let queue = store.queue::<0>("jobs").expect("jobs handle");
+    let map = store.hashmap::<LP>("users", SHARDS).expect("users handle");
+    let queue = store.queue::<LP>("jobs").expect("jobs handle");
     scratch.publish(&format!("ready_{idx}"), slot);
 
     let stop = scratch.file("stop");
@@ -762,8 +724,8 @@ fn run_one_shared_seed(seed: u64, second_kill: bool) -> (Tally, bool) {
     let pslot = store.heap().my_participant().unwrap();
     let t0 = nvm::mapped::MappedHeap::tid_band(pslot).start;
     nvm::tid::set_tid(t0);
-    let map = store.hashmap::<0>("users", SHARDS).expect("users handle");
-    let queue = store.queue::<0>("jobs").expect("jobs handle");
+    let map = store.hashmap::<LP>("users", SHARDS).expect("users handle");
+    let queue = store.queue::<LP>("jobs").expect("jobs handle");
 
     let mut tally = Tally::default();
     let mut ledger = QueueLedger::default();
@@ -778,7 +740,7 @@ fn run_one_shared_seed(seed: u64, second_kill: bool) -> (Tally, bool) {
         let band = nvm::mapped::MappedHeap::tid_band(slot);
         let decision = killed.contains(&idx).then(|| marker_decision(&scratch, slot, band.start));
         let mut model = SharedModel { idx, set: SeqModel::default(), ledger: &mut ledger };
-        tally += scratch.resolve(&who, idx, decision, 0, &mut model, &mut reinvoke);
+        tally += scratch.resolve(&who, idx, decision, &mut model, &mut reinvoke);
         // Map equivalence over this child's disjoint key range — EXACT, with
         // no in-flight slack: the decision already told us whether the dead
         // peer's op took effect, and a `Restart` was re-invoked above.
@@ -844,8 +806,8 @@ fn shared_growth_child_worker() {
     let slot = store.heap().my_participant().expect("participant slot");
     let t = nvm::mapped::MappedHeap::tid_band(slot).start;
     nvm::tid::set_tid(t);
-    let map = store.hashmap::<0>("users", SHARDS).expect("users handle");
-    let queue = store.queue::<0>("jobs").expect("jobs handle");
+    let map = store.hashmap::<LP>("users", SHARDS).expect("users handle");
+    let queue = store.queue::<LP>("jobs").expect("jobs handle");
     let before = nvm::stats::snapshot();
     for k in GROW_KEY_BASE..GROW_KEY_BASE + GROW_KEYS {
         assert!(map.insert(t, k));
@@ -857,7 +819,7 @@ fn shared_growth_child_worker() {
     // A structure created after the growth: its root block is too large for
     // the size classes, so it comes off the bump cursor — in a grown segment
     // — and the parent must find it through the catalog.
-    let late = store.hashmap::<0>("late", GROW_LATE_SHARDS).expect("late handle");
+    let late = store.hashmap::<LP>("late", GROW_LATE_SHARDS).expect("late handle");
     for k in 1..=GROW_LATE_KEYS {
         assert!(late.insert(t, k));
     }
@@ -886,8 +848,8 @@ fn shared_peer_growth_is_readable_without_refresh() {
     let pslot = store.heap().my_participant().unwrap();
     let t0 = nvm::mapped::MappedHeap::tid_band(pslot).start;
     nvm::tid::set_tid(t0);
-    let map = store.hashmap::<0>("users", SHARDS).expect("users handle");
-    let queue = store.queue::<0>("jobs").expect("jobs handle");
+    let map = store.hashmap::<LP>("users", SHARDS).expect("users handle");
+    let queue = store.queue::<LP>("jobs").expect("jobs handle");
     // Warm this process's descriptor/node caches: the post-growth reads
     // below must run without an allocator refill (a refill refreshes the
     // volatile segment table as a side effect, which would mask a missing
@@ -923,7 +885,7 @@ fn shared_peer_growth_is_readable_without_refresh() {
     // The entry the child created after growing: found by name, its root
     // validated and its buckets walked, though this process last looked at
     // the segment directory before any of it existed.
-    let late = store.hashmap::<0>("late", GROW_LATE_SHARDS).expect("peer-created entry opens");
+    let late = store.hashmap::<LP>("late", GROW_LATE_SHARDS).expect("peer-created entry opens");
     for k in 1..=GROW_LATE_KEYS + 20 {
         assert_eq!(late.find(t0, k), k <= GROW_LATE_KEYS, "late key {k}");
     }
