@@ -18,6 +18,12 @@
 //! where the CPU has them, the paper's `clflush` otherwise; reported in the
 //! banner and the `--json` host block); Figure 4 and the private-cache parts
 //! of Figure 7 run under the private-cache model.
+//!
+//! Figure 12's 1-thread counting-model row runs a fixed number of operations
+//! ([`COUNT_OPS`]) from a fixed seed, and every allocation of its points
+//! starts on its own cache line(s) ([`line_aligned`]), so it repeats exactly
+//! whatever ran before it in the process. Every other point runs on the
+//! process allocator's placement.
 
 use baselines::capsules_list::CapsulesList;
 use baselines::capsules_queue::CapsulesQueue;
@@ -26,9 +32,11 @@ use baselines::harris::HarrisList;
 use baselines::log_queue::LogQueue;
 use baselines::ms_queue::MsQueue;
 use bench_harness::adapters::{QueueBench, SetBench};
+use bench_harness::placement::{line_aligned, LineAligned};
 use bench_harness::report::Table;
 use bench_harness::workload::{
-    prefill_set, run_queue, run_set, run_shard_sweep, Mix, QueueCfg, RunResult, SetCfg,
+    count_queue, count_set, prefill_set, run_queue, run_set, run_shard_sweep, Mix, QueueCfg,
+    RunResult, SetCfg, COUNT_OPS,
 };
 use isb::arm::LP;
 use isb::hashmap::RHashMap;
@@ -38,6 +46,9 @@ use nvm::{CountingNvm, NoPersist, Persist, RealNvm};
 use std::cell::RefCell;
 use std::sync::Arc;
 use std::time::Duration;
+
+#[global_allocator]
+static ALLOC: LineAligned = LineAligned::SCOPED;
 
 struct Opts {
     figs: Vec<String>,
@@ -363,7 +374,6 @@ impl Ctx {
     fn fig10(&self) {
         use isb::hashmap::RHashMap as HM;
         use isb::store::Store;
-        use std::time::Instant;
 
         nvm::tid::set_tid(nvm::MAX_PROCS - 1);
         let dir = std::env::temp_dir().join(format!("isb_fig10_{}", std::process::id()));
@@ -373,35 +383,14 @@ impl Ctx {
         let mut t_attach = Table::new(
             "Figure 10: mapped-backend attach latency vs store size (16 shards, 64 MiB heap)"
                 .to_string(),
-            vec![
-                "fill ms".into(),
-                "attach ms".into(),
-                "committed blocks".into(),
-                "swept blocks".into(),
-            ],
+            ATTACH_COLS.map(String::from).to_vec(),
         );
         for &n in &[1_000u64, 10_000, 50_000] {
-            let path = dir.join(format!("attach_{n}.heap"));
-            let _ = std::fs::remove_file(&path);
-            let t0 = Instant::now();
-            {
-                let map = Store::open(&path).unwrap().hashmap::<LP>("map", 16).unwrap();
-                for k in 1..=n {
-                    map.insert(nvm::MAX_PROCS - 1, k);
-                }
-            }
-            let fill_ms = t0.elapsed().as_secs_f64() * 1e3;
-            let t1 = Instant::now();
-            let store = Store::open(&path).unwrap();
-            let map = store.hashmap::<LP>("map", 16).unwrap();
-            let attach_ms = t1.elapsed().as_secs_f64() * 1e3;
-            let summary = store.summary();
-            t_attach.row(
-                n.to_string(),
-                vec![fill_ms, attach_ms, summary.heap.committed as f64, summary.swept as f64],
-            );
-            drop((map, store));
-            let _ = std::fs::remove_file(&path);
+            let row = attach_point(&dir.join(format!("attach_{n}.heap")), |store| {
+                let map = store.hashmap::<LP>("map", 16).unwrap();
+                (1..=n).for_each(|k| assert!(map.insert(nvm::MAX_PROCS - 1, k)));
+            });
+            t_attach.row(n.to_string(), row);
         }
         self.emit("fig10_attach", &t_attach);
 
@@ -416,13 +405,8 @@ impl Ctx {
             vec!["Isb-HM/16-mapped".into(), "Isb-HM/16-heap".into()],
         );
         for &threads in &self.threads {
-            let cfg = SetCfg {
-                threads,
-                key_range: range,
-                mix: Mix::READ_INTENSIVE,
-                duration: self.dur,
-                seed: 42,
-            };
+            // Read-intensive, seed 42: the default mix and seed.
+            let cfg = SetCfg { threads, key_range: range, duration: self.dur, ..SetCfg::default() };
             let mapped = {
                 let path = dir.join(format!("tp_{threads}.heap"));
                 let _ = std::fs::remove_file(&path);
@@ -452,7 +436,6 @@ impl Ctx {
     /// sharing ONE heap (shared bump allocator + shared recovery area).
     fn fig11(&self) {
         use isb::store::Store;
-        use std::time::Instant;
 
         nvm::tid::set_tid(nvm::MAX_PROCS - 1);
         let pid = nvm::MAX_PROCS - 1;
@@ -466,37 +449,16 @@ impl Ctx {
                 "Figure 11: store attach latency vs catalog entries \
                  ({keys_per_entry} keys per entry, 8 shards each, 64 MiB heap)"
             ),
-            vec![
-                "fill ms".into(),
-                "attach ms".into(),
-                "committed blocks".into(),
-                "swept blocks".into(),
-            ],
+            ATTACH_COLS.map(String::from).to_vec(),
         );
         for &n in &[1usize, 2, 4, 8] {
-            let path = dir.join(format!("attach_{n}.heap"));
-            let _ = std::fs::remove_file(&path);
-            let t0 = Instant::now();
-            {
-                let store = Store::open(&path).unwrap();
+            let row = attach_point(&dir.join(format!("attach_{n}.heap")), |store| {
                 for e in 0..n {
                     let m = store.hashmap::<LP>(&format!("m{e}"), 8).unwrap();
-                    for k in 1..=keys_per_entry {
-                        m.insert(pid, k);
-                    }
+                    (1..=keys_per_entry).for_each(|k| assert!(m.insert(pid, k)));
                 }
-            }
-            let fill_ms = t0.elapsed().as_secs_f64() * 1e3;
-            let t1 = Instant::now();
-            let store = Store::open(&path).unwrap();
-            let attach_ms = t1.elapsed().as_secs_f64() * 1e3;
-            let s = store.summary();
-            t_attach.row(
-                n.to_string(),
-                vec![fill_ms, attach_ms, s.heap.committed as f64, s.swept as f64],
-            );
-            drop(store);
-            let _ = std::fs::remove_file(&path);
+            });
+            t_attach.row(n.to_string(), row);
         }
         self.emit("fig11_attach", &t_attach);
 
@@ -510,13 +472,8 @@ impl Ctx {
             vec!["map shared".into(), "queue shared".into()],
         );
         for &threads in &self.threads {
-            let cfg = SetCfg {
-                threads,
-                key_range: range,
-                mix: Mix::READ_INTENSIVE,
-                duration: self.dur,
-                seed: 42,
-            };
+            // Read-intensive, seed 42: the default mix and seed.
+            let cfg = SetCfg { threads, key_range: range, duration: self.dur, ..SetCfg::default() };
             let qcfg = QueueCfg { threads, prefill: 10_000, duration: self.dur };
             let (map_shared, queue_shared) = {
                 let path = dir.join(format!("shared_{threads}.heap"));
@@ -545,7 +502,10 @@ impl Ctx {
     /// write-backs and drained lines per op — the hardware-independent
     /// placement picture) and real flushes (Mops/s — what the saved
     /// `pwb`/`psync` traffic buys end-to-end). The `_coal` tables are
-    /// `Isb-LP`'s coalescing traffic.
+    /// `Isb-LP`'s coalescing traffic. The counting model's 1-thread row is
+    /// a fixed-count point (`count_set` / `count_queue`) whose allocations
+    /// all start on their own lines (`line_aligned`), exact per seed; CI's
+    /// counts gate compares it with the committed baseline.
     fn fig12(&self) {
         use isb::arm::{PAPER, TUNED};
         const ARMS: [u8; 3] = [PAPER, TUNED, LP];
@@ -580,10 +540,15 @@ impl Ctx {
             let counting: Vec<RunResult> = ARMS
                 .iter()
                 .map(|&arm| {
-                    let m = map_for::<CountingNvm>(arm);
-                    prefill_set(&*m, range, 7);
-                    nvm::stats::reset();
-                    run_set(m, cfg)
+                    counting(n, || {
+                        let m = map_for::<CountingNvm>(arm);
+                        prefill_set(&*m, range, 7);
+                        nvm::stats::reset();
+                        match n {
+                            1 => count_set(&*m, cfg, COUNT_OPS),
+                            _ => run_set(m, cfg),
+                        }
+                    })
                 })
                 .collect();
             t_pwb.row(n.to_string(), counting.iter().map(|r| r.flushes_per_op()).collect());
@@ -626,9 +591,14 @@ impl Ctx {
             let counting: Vec<RunResult> = ARMS
                 .iter()
                 .map(|&arm| {
-                    let q = isb_queue::<CountingNvm>(arm);
-                    nvm::stats::reset();
-                    run_queue(q, qcfg)
+                    counting(n, || {
+                        let q = isb_queue::<CountingNvm>(arm);
+                        nvm::stats::reset();
+                        match n {
+                            1 => count_queue(&*q, qcfg.prefill, COUNT_OPS),
+                            _ => run_queue(q, qcfg),
+                        }
+                    })
                 })
                 .collect();
             t_pwb.row(n.to_string(), counting.iter().map(|r| r.flushes_per_op()).collect());
@@ -696,8 +666,7 @@ impl Ctx {
             let ready = dir.join(format!("ready_{keys}"));
 
             nvm::tid::set_tid(0);
-            let store =
-                Arc::new(Store::open_shared_sized(&path, FIG14_HEAP_BYTES).expect("parent open"));
+            let store = Arc::new(Store::open_sized(&path, FIG14_HEAP_BYTES).expect("parent open"));
             let slot = store.heap().my_participant().expect("parent slot");
             let band = MappedHeap::tid_band(slot);
             nvm::tid::set_tid(band.start);
@@ -823,6 +792,36 @@ impl Ctx {
 
 const FIG14_HEAP_BYTES: usize = 64 << 20;
 
+/// The columns of an [`attach_point`] row.
+const ATTACH_COLS: [&str; 4] = ["fill ms", "attach ms", "committed blocks", "swept blocks"];
+
+/// Fills a new store at `path`, drops it and times its re-open (Figures 10
+/// and 11): the [`ATTACH_COLS`] row.
+fn attach_point(path: &std::path::Path, fill: impl FnOnce(&isb::store::Store)) -> Vec<f64> {
+    use isb::store::Store;
+    let _ = std::fs::remove_file(path);
+    let t0 = std::time::Instant::now();
+    fill(&Store::open(path).unwrap());
+    let fill_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let t1 = std::time::Instant::now();
+    let store = Store::open(path).unwrap();
+    let attach_ms = t1.elapsed().as_secs_f64() * 1e3;
+    let s = store.summary();
+    let row = vec![fill_ms, attach_ms, s.heap.committed as f64, s.swept as f64];
+    drop(store);
+    let _ = std::fs::remove_file(path);
+    row
+}
+
+/// A counting-model point at `n` threads; at 1 thread its allocations all
+/// start on their own lines ([`line_aligned`]).
+fn counting<R>(n: usize, point: impl FnOnce() -> R) -> R {
+    match n {
+        1 => line_aligned(point),
+        _ => point(),
+    }
+}
+
 fn splitmix(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut z = *state;
@@ -838,7 +837,7 @@ fn fig14_child() -> ! {
     let path = std::env::var("ISB_FIG14_HEAP").unwrap();
     let keys: u64 = std::env::var("ISB_FIG14_KEYS").unwrap().parse().unwrap();
     nvm::tid::set_tid(0);
-    let store = Store::open_shared_sized(&path, FIG14_HEAP_BYTES).expect("child shared open");
+    let store = Store::open_sized(&path, FIG14_HEAP_BYTES).expect("child open");
     let slot = store.heap().my_participant().expect("child slot");
     let t = nvm::mapped::MappedHeap::tid_band(slot).start;
     nvm::tid::set_tid(t);

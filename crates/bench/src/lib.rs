@@ -11,11 +11,15 @@
 //!    per-process recovery, and exactly-once/detectability validation —
 //!    over [`ops`], the operation vocabulary the SIGKILL legs of the `tests`
 //!    crate speak too.
+//!
+//! [`placement::LineAligned`] is the allocator the count-reporting binaries
+//! install, so a pinned count does not follow where malloc put an object.
 
 #![warn(missing_docs)]
 
 pub mod adapters;
 pub mod crash;
 pub mod ops;
+pub mod placement;
 pub mod report;
 pub mod workload;

@@ -2,10 +2,15 @@
 //! N threads, uniformly random keys from a range, a find/insert/delete mix,
 //! timed runs, with prefill to ≈40% occupancy; reports throughput and
 //! persistency-instruction counts per operation.
+//!
+//! A timed run's op count — and with it every per-op count — follows the
+//! clock. [`count_set`] / [`count_queue`] run the first thread's stream for
+//! a fixed number of operations instead, so a 1-thread count point repeats
+//! exactly per seed.
 
 use crate::adapters::{QueueBench, SetBench};
 use nvm::stats;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
@@ -101,6 +106,29 @@ fn xorshift(x: &mut u64) -> u64 {
     *x
 }
 
+/// Operations a fixed-count point runs ([`count_set`], [`count_queue`]).
+pub const COUNT_OPS: u64 = 1 << 16;
+
+/// The key stream of thread `t` under `seed`.
+fn stream(seed: u64, t: usize) -> u64 {
+    seed ^ ((t as u64 + 1) << 20) | 1
+}
+
+/// Runs draw `r` of a set stream on `s` as process `t`: a find, insert or
+/// delete (by `mix`) of a key from `[1, range]`.
+#[inline]
+fn set_op<B: SetBench + ?Sized>(s: &B, t: usize, r: u64, mix: Mix, range: u64) {
+    let k = 1 + (r >> 8) % range;
+    let dice = (r % 100) as u8;
+    if dice < mix.find_pct {
+        std::hint::black_box(s.find(t, k));
+    } else if dice < mix.find_pct + mix.insert_pct {
+        std::hint::black_box(s.insert(t, k));
+    } else {
+        std::hint::black_box(s.delete(t, k));
+    }
+}
+
 /// Prefill a set to ≈40% of `key_range` (the paper performs `range/2`
 /// uniform inserts; duplicates land it near 40%).
 pub fn prefill_set<B: SetBench + ?Sized>(s: &B, key_range: u64, seed: u64) {
@@ -112,55 +140,67 @@ pub fn prefill_set<B: SetBench + ?Sized>(s: &B, key_range: u64, seed: u64) {
     }
 }
 
-/// Runs the set benchmark: `cfg.threads` threads hammer `s` for
-/// `cfg.duration`, counting completed operations and persistency
-/// instructions (measured-window only).
-pub fn run_set<B: SetBench + ?Sized + 'static>(s: Arc<B>, cfg: SetCfg) -> RunResult {
-    let stop = Arc::new(AtomicBool::new(false));
-    let total = Arc::new(AtomicU64::new(0));
-    let barrier = Arc::new(Barrier::new(cfg.threads + 1));
-    let mut handles = Vec::new();
-    for t in 0..cfg.threads {
-        let s = Arc::clone(&s);
-        let stop = Arc::clone(&stop);
-        let total = Arc::clone(&total);
-        let barrier = Arc::clone(&barrier);
-        let mix = cfg.mix;
-        let range = cfg.key_range;
-        let mut x = cfg.seed ^ ((t as u64 + 1) << 20) | 1;
-        handles.push(std::thread::spawn(move || {
-            nvm::tid::set_tid(t);
-            barrier.wait();
-            let mut ops = 0u64;
-            while !stop.load(Ordering::Relaxed) {
-                let r = xorshift(&mut x);
-                let k = 1 + (r >> 8) % range;
-                let dice = (r % 100) as u8;
-                if dice < mix.find_pct {
-                    std::hint::black_box(s.find(t, k));
-                } else if dice < mix.find_pct + mix.insert_pct {
-                    std::hint::black_box(s.insert(t, k));
-                } else {
-                    std::hint::black_box(s.delete(t, k));
-                }
-                ops += 1;
-            }
-            total.fetch_add(ops, Ordering::Relaxed);
-        }));
-    }
+/// Runs `work(t, stop)` on `threads` threads, tid `t` each, for `duration`;
+/// each returns its op count. Counts are the measured window's.
+fn timed<W>(threads: usize, duration: Duration, work: W) -> RunResult
+where
+    W: Fn(usize, &AtomicBool) -> u64 + Send + Sync + 'static,
+{
+    let (stop, barrier) = (Arc::new(AtomicBool::new(false)), Arc::new(Barrier::new(threads + 1)));
+    let work = Arc::new(work);
+    let handles: Vec<_> = (0..threads)
+        .map(|t| {
+            let (stop, barrier, work) =
+                (Arc::clone(&stop), Arc::clone(&barrier), Arc::clone(&work));
+            std::thread::spawn(move || {
+                nvm::tid::set_tid(t);
+                barrier.wait();
+                work(t, &stop)
+            })
+        })
+        .collect();
     // Snapshot before the release: a worker's first operations must not
     // run ahead of it, or they count in `ops` and not in the deltas.
     let s0 = stats::snapshot();
     barrier.wait();
     let start = Instant::now();
-    std::thread::sleep(cfg.duration);
+    std::thread::sleep(duration);
     stop.store(true, Ordering::Relaxed);
-    for h in handles {
-        h.join().unwrap();
-    }
+    let ops = handles.into_iter().map(|h| h.join().unwrap()).sum();
     let elapsed = start.elapsed();
-    let s1 = stats::snapshot();
-    RunResult { ops: total.load(Ordering::Relaxed), elapsed, stats: s1.since(&s0) }
+    RunResult { ops, elapsed, stats: stats::snapshot().since(&s0) }
+}
+
+/// Runs the set benchmark: `cfg.threads` threads hammer `s` for
+/// `cfg.duration`, counting completed operations and persistency
+/// instructions (measured-window only).
+pub fn run_set<B: SetBench + ?Sized + 'static>(s: Arc<B>, cfg: SetCfg) -> RunResult {
+    timed(cfg.threads, cfg.duration, move |t, stop| {
+        let (mut x, mut ops) = (stream(cfg.seed, t), 0u64);
+        while !stop.load(Ordering::Relaxed) {
+            set_op(&*s, t, xorshift(&mut x), cfg.mix, cfg.key_range);
+            ops += 1;
+        }
+        ops
+    })
+}
+
+/// Runs `op(1..=ops)` on the calling thread as tid 0 with no clock. The
+/// counts are the tid's own, so nothing another thread counts leaks in.
+fn count(ops: u64, op: impl FnMut(u64)) -> RunResult {
+    nvm::tid::set_tid(0);
+    let s0 = stats::Snapshot::of_tid(0);
+    let start = Instant::now();
+    (1..=ops).for_each(op);
+    RunResult { ops, elapsed: start.elapsed(), stats: stats::Snapshot::of_tid(0).since(&s0) }
+}
+
+/// The first thread's stream of a [`run_set`] under `cfg` (its seed, mix
+/// and key range), cut at `ops` operations on tid 0: every counter
+/// repeats exactly per seed.
+pub fn count_set<B: SetBench + ?Sized>(s: &B, cfg: SetCfg, ops: u64) -> RunResult {
+    let mut x = stream(cfg.seed, 0);
+    count(ops, |_| set_op(s, 0, xorshift(&mut x), cfg.mix, cfg.key_range))
 }
 
 /// Runs the set workload once per shard count: `mk(shards)` builds a fresh
@@ -204,44 +244,33 @@ impl Default for QueueCfg {
 /// Runs the queue benchmark: each thread performs enqueue/dequeue pairs
 /// (the paper's workload, scaled prefill).
 pub fn run_queue<B: QueueBench + ?Sized + 'static>(q: Arc<B>, cfg: QueueCfg) -> RunResult {
+    prefill_queue(&*q, cfg.prefill);
+    timed(cfg.threads, cfg.duration, move |t, stop| {
+        let (mut v, mut ops) = ((t as u64 + 1) << 32, 0u64);
+        while !stop.load(Ordering::Relaxed) {
+            v += 1;
+            q.enqueue(t, v);
+            std::hint::black_box(q.dequeue(t));
+            ops += 2;
+        }
+        ops
+    })
+}
+
+/// Enqueues `1..=n` as tid 0.
+fn prefill_queue<B: QueueBench + ?Sized>(q: &B, n: u64) {
     nvm::tid::set_tid(0);
-    for i in 0..cfg.prefill {
-        q.enqueue(0, i + 1);
-    }
-    let stop = Arc::new(AtomicBool::new(false));
-    let total = Arc::new(AtomicU64::new(0));
-    let barrier = Arc::new(Barrier::new(cfg.threads + 1));
-    let mut handles = Vec::new();
-    for t in 0..cfg.threads {
-        let q = Arc::clone(&q);
-        let stop = Arc::clone(&stop);
-        let total = Arc::clone(&total);
-        let barrier = Arc::clone(&barrier);
-        handles.push(std::thread::spawn(move || {
-            nvm::tid::set_tid(t);
-            barrier.wait();
-            let mut ops = 0u64;
-            let mut v = (t as u64 + 1) << 32;
-            while !stop.load(Ordering::Relaxed) {
-                v += 1;
-                q.enqueue(t, v);
-                std::hint::black_box(q.dequeue(t));
-                ops += 2;
-            }
-            total.fetch_add(ops, Ordering::Relaxed);
-        }));
-    }
-    // Snapshot before the release: a worker's first operations must not
-    // run ahead of it, or they count in `ops` and not in the deltas.
-    let s0 = stats::snapshot();
-    barrier.wait();
-    let start = Instant::now();
-    std::thread::sleep(cfg.duration);
-    stop.store(true, Ordering::Relaxed);
-    for h in handles {
-        h.join().unwrap();
-    }
-    let elapsed = start.elapsed();
-    let s1 = stats::snapshot();
-    RunResult { ops: total.load(Ordering::Relaxed), elapsed, stats: s1.since(&s0) }
+    (1..=n).for_each(|v| q.enqueue(0, v));
+}
+
+/// [`run_queue`]'s workload on one thread — `prefill` enqueues, then
+/// enqueue/dequeue pairs — cut at `ops` operations on tid 0.
+pub fn count_queue<B: QueueBench + ?Sized>(q: &B, prefill: u64, ops: u64) -> RunResult {
+    prefill_queue(q, prefill);
+    count(ops, |i| match i % 2 {
+        1 => q.enqueue(0, 1 << 32 | i),
+        _ => {
+            std::hint::black_box(q.dequeue(0));
+        }
+    })
 }

@@ -48,7 +48,7 @@ use crate::pool::PoolItem;
 use crate::tag::{self, Base};
 use nvm::{PWord, Persist, PersistWords};
 use reclaim::Guard;
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU16, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU32, Ordering};
 
 /// Maximum AffectSet size (BST delete uses 4: grandparent, parent, leaf, sibling).
 pub const MAX_AFFECT: usize = 4;
@@ -136,13 +136,6 @@ pub struct Info<M: Persist> {
     sets: [PWord<M>; SET_WORDS],
     /// Volatile reference count (see module docs). Not persistent state.
     installs: AtomicU32,
-    /// Volatile: participant slot + 1 of the process whose pool owns this
-    /// descriptor (0 ⇒ exclusive heap / plain allocation — no cross-process
-    /// ambiguity). In a *shared* mapped heap the `owner` pointer below is
-    /// only meaningful inside the owning process's address space: a peer
-    /// performing the final release must not dereference it. Written at
-    /// pool refill, read at retirement.
-    owner_slot: AtomicU16,
     /// Volatile: set by [`help`] before its first tag CAS. While false the
     /// descriptor is provably private — its address was never installed in
     /// a shared cell, so at refcount zero it can re-enter the pool without
@@ -151,11 +144,11 @@ pub struct Info<M: Persist> {
     shared: AtomicBool,
     /// Volatile: handle of the owning [`crate::pool::Pool`] (null ⇒ plain
     /// heap allocation). Written once at pool refill, read at retirement.
+    /// In a mapped heap the handle is an address in the owning process:
+    /// [`Info::release`] follows it only when it is the releasing
+    /// collector's own pool.
     owner: AtomicPtr<()>,
 }
-
-// `owner_slot` holds a participant slot + 1.
-const _: () = assert!(nvm::mapped::PART_SLOTS < u16::MAX as usize);
 
 unsafe impl<M: Persist> Send for Info<M> {}
 unsafe impl<M: Persist> Sync for Info<M> {}
@@ -168,7 +161,6 @@ impl<M: Persist> PoolItem for Info<M> {
             presult: PWord::new(RES_BOT),
             sets: Default::default(),
             installs: AtomicU32::new(0),
-            owner_slot: AtomicU16::new(0),
             shared: AtomicBool::new(false),
             owner: AtomicPtr::new(std::ptr::null_mut()),
         }
@@ -176,10 +168,6 @@ impl<M: Persist> PoolItem for Info<M> {
 
     fn attach(&mut self, pool: *const ()) {
         *self.owner.get_mut() = pool as *mut ();
-    }
-
-    fn attach_slot(&mut self, slot: u16) {
-        *self.owner_slot.get_mut() = slot;
     }
 
     fn count_reuse() {
@@ -369,19 +357,16 @@ impl<M: Persist> Info<M> {
         let prev = i.installs.fetch_sub(n, Ordering::AcqRel);
         debug_assert!(prev >= n, "info reference-count underflow ({prev} - {n})");
         if prev == n {
-            let oslot = i.owner_slot.load(Ordering::Relaxed);
-            if oslot != 0 && oslot != my_participant_slot() {
-                // Shared heap, and the descriptor's pool belongs to ANOTHER
-                // process (a peer, possibly dead): its `owner` pointer is an
-                // address in that process's heap — dereferencing it here
-                // would be arbitrary-memory corruption. Leak the descriptor
-                // instead; the block stays allocated in the arena and the
-                // next full (exclusive) attach sweeps it. Bounded: final
-                // releases of foreign descriptors only happen when a peer
-                // died mid-operation or handed off helping.
+            let owner = i.owner.load(Ordering::Relaxed) as *const ();
+            if M::MAPPED && owner as usize != guard.tag() {
+                // Not the pool the guard's collector is tagged with (this
+                // process's live pool for this heap, `Env::mapped`): `owner`
+                // may be an address in a peer, possibly dead, so leak the
+                // block to the next full attach's sweep instead of following
+                // it. Bounded: only a peer's death mid-operation or helping
+                // hands a descriptor's last reference to another process.
                 return;
             }
-            let owner = i.owner.load(Ordering::Relaxed) as *const ();
             if !owner.is_null() && !i.shared.load(Ordering::Acquire) {
                 // Never passed through `help` ⇒ never installed in a shared
                 // cell ⇒ only this thread can hold the address: back to the
@@ -450,26 +435,12 @@ impl<M: Persist> Info<M> {
     /// Quiescent exclusive access (attach-time recovery only); `count` must
     /// equal the number of places that reference this descriptor (info
     /// cells holding its address plus `RD_q` slots naming it), `owner`
-    /// must be the new structure's Info-pool handle (or null), and
-    /// `owner_slot` the attaching process's participant slot + 1 (0 for an
-    /// exclusive attach).
-    pub unsafe fn reset_after_attach(&self, count: u32, owner: *const (), owner_slot: u16) {
+    /// must be the new structure's Info-pool handle (or null).
+    pub unsafe fn reset_after_attach(&self, count: u32, owner: *const ()) {
         self.installs.store(count, Ordering::Release);
         self.owner.store(owner as *mut (), Ordering::Release);
-        self.owner_slot.store(owner_slot, Ordering::Release);
         self.shared.store(true, Ordering::Release);
     }
-}
-
-/// The calling thread's participant slot + 1, derived from the tid-banding
-/// convention of shared heaps: participant slot `s` owns tids
-/// `s * PART_TIDS .. (s + 1) * PART_TIDS` (see
-/// [`nvm::mapped::MappedHeap::tid_band`]). Exclusive-mode descriptors carry
-/// `owner_slot == 0` and never reach the comparison, so the convention only
-/// binds processes that joined a shared heap.
-#[inline]
-fn my_participant_slot() -> u16 {
-    (nvm::tid::tid() / nvm::mapped::PART_TIDS) as u16 + 1
 }
 
 thread_local! {

@@ -68,14 +68,17 @@ impl<M: Persist> Env<M> {
 
     /// The environment of a structure inside `heap`
     /// ([`crate::recovery::AttachEnv::env`]); `infos` is the heap-wide
-    /// descriptor pool, built here when the caller has none yet.
+    /// descriptor pool, built here when the caller has none yet. The
+    /// collector is tagged with that pool's handle: [`Info::release`]
+    /// recycles a descriptor only into the pool its guard names.
     pub(crate) fn mapped(
         rec: RecArea<M>,
-        collector: Collector,
+        mut collector: Collector,
         infos: Option<Pool<Info<M>>>,
         heap: Arc<MappedHeap>,
     ) -> Self {
         let infos = infos.unwrap_or_else(|| Pool::new_for::<M>(&collector, Some(heap.clone())));
+        collector.set_tag(infos.handle() as usize);
         Self { rec, collector, infos, pools: Vec::new(), heap: Some(heap) }
     }
 
@@ -114,9 +117,11 @@ impl<M: Persist> Env<M> {
 
 #[cfg(test)]
 impl<M: Persist> Env<M> {
-    /// What dropping this environment does first — its collector drains —
-    /// run now and observed: how many descriptors the drain recycled into
-    /// the descriptor pool.
+    /// What dropping this environment does first — its collector drops,
+    /// draining (a collector in a heap's epoch domain drains what no pin
+    /// protects and leaks the rest) — run
+    /// now and observed: how many descriptors the drop recycled into the
+    /// descriptor pool.
     pub(crate) fn drain_observed(&mut self) -> usize {
         let before = self.infos.idle();
         self.collector = Collector::new();

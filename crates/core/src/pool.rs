@@ -64,11 +64,6 @@ pub trait PoolItem: Send + Sized + 'static {
     /// (structures whose retirement site cannot see the pool — the Info
     /// descriptor released inside the engine — store it; nodes ignore it).
     fn attach(&mut self, _pool: *const ()) {}
-    /// Called once per object with the owning process's participant slot + 1
-    /// (0 ⇒ exclusive heap). On *shared* mapped heaps the Info descriptor
-    /// stores it so a peer performing the final release can recognise a
-    /// foreign pool handle and leak instead of dereferencing it.
-    fn attach_slot(&mut self, _slot: u16) {}
     /// Counter hook: the object was served from a free list.
     fn count_reuse() {}
 }
@@ -231,10 +226,15 @@ impl<T: PoolItem> Pool<T> {
         // reservation (or a `create_bounded` cap) is genuinely exhausted.
         let owner = inner as *const PoolInner<T> as *const ();
         let arena = inner.arena.as_deref();
-        let oslot = arena
-            .filter(|heap| heap.is_shared())
-            .and_then(MappedHeap::my_participant)
-            .map_or(0, |s| s as u16 + 1);
+        // The tid-band rule (`Store::open`): a joiner's threads stay in its
+        // band, or its recovery slots and announce words are a peer's.
+        debug_assert!(
+            arena
+                .and_then(MappedHeap::my_participant)
+                .is_none_or(|s| s == 0 || MappedHeap::tid_band(s).contains(&nvm::tid::tid())),
+            "tid {} outside its participant's band",
+            nvm::tid::tid()
+        );
         for _ in 0..SLAB {
             let raw = match arena {
                 Some(heap) => {
@@ -250,10 +250,7 @@ impl<T: PoolItem> Pool<T> {
                 None => Box::into_raw(Box::new(T::fresh())),
             };
             // SAFETY: a fresh object, exclusively ours.
-            unsafe {
-                (*raw).attach(owner);
-                (*raw).attach_slot(oslot);
-            }
+            unsafe { (*raw).attach(owner) };
             if let Some(heap) = arena {
                 heap.commit(raw as *mut u8);
             }

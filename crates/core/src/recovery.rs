@@ -514,8 +514,8 @@ pub mod rootkeys {
     pub const RECAREA: u64 = 0x5245_4341; // "RECA"
     /// The [`crate::store::Store`] catalog block.
     pub const CATALOG: u64 = 0x4341_5441; // "CATA"
-    /// The shared cross-process epoch region ([`reclaim::Collector::attach_shared`]):
-    /// global epoch + per-participant announce words, one domain per heap.
+    /// The heap's one epoch region ([`reclaim::Collector::attach_shared`]):
+    /// global epoch + per-tid announce words, one domain per heap.
     pub const EPOCHS: u64 = 0x4550_4F43; // "EPOC"
     /// The KV-service response table ([`crate::resptable::ResponseTable`]):
     /// one slot per client holding its dedup pair and the op-ID in flight,
@@ -673,9 +673,8 @@ pub struct AttachEnv {
     pub heap: Arc<MappedHeap>,
     /// The heap-wide recovery-slot block.
     pub(crate) rec_base: *const u8,
-    /// Shared cross-process epoch region (null ⇒ exclusive heap, collectors
-    /// keep private epochs): every structure's collector attaches here,
-    /// forming one epoch domain across processes.
+    /// The heap's epoch region: every structure's collector, in every
+    /// attached process, attaches here, forming one epoch domain.
     pub(crate) epoch_region: *mut u8,
     /// The attacher's own environment: the view of the recovery slots the
     /// attach replay and [`crate::store::Store::recover_peer`] decide over,
@@ -687,9 +686,9 @@ pub struct AttachEnv {
 impl AttachEnv {
     /// The attach prologue of every store open, as single owner or as
     /// joiner: the check that the heap is a store's, the heap-wide recovery
-    /// area and its recorded geometry, the cross-process epoch region of a
-    /// shared heap, and the heap-wide Info pool. Returns the environment and
-    /// whether the heap is fresh.
+    /// area and its recorded geometry, the heap's epoch region, and the
+    /// heap-wide Info pool. Returns the environment and whether the heap is
+    /// fresh.
     pub(crate) fn open(heap: Arc<MappedHeap>) -> Result<(Self, bool), AttachError> {
         let (joined, found) = (heap.report().joined, heap.kind());
         let expected = crate::store::KIND_STORE;
@@ -707,23 +706,18 @@ impl AttachEnv {
         // the superblock: a binary compiled with different MAX_PROCS / slot
         // stride must fail typed instead of misreading a peer's slots.
         heap.validate_rec_geometry(MAX_PROCS as u64, ARENA_SLOT_STRIDE as u64)?;
-        let mut epoch_region = std::ptr::null_mut();
-        if heap.is_shared() {
-            let (e, created) = heap.root_alloc(rootkeys::EPOCHS, reclaim::shared_region_bytes())?;
-            if !joined {
-                // SAFETY: committed root block of the required size; we are
-                // the sole live participant (attach flock held), so
-                // re-initialising over a prior run's stale pins is safe — and
-                // required, since a SIGKILLed fleet leaves announce words
-                // pinned forever.
-                unsafe { Collector::init_shared_region(e) };
-            } else if created {
-                // A live shared heap always carries the epoch region (the
-                // initial attacher installs it before releasing the lock);
-                // its absence means the image predates shared mode.
-                return Err(MapError::BadSuperblock("shared heap without an epoch region").into());
-            }
-            epoch_region = e;
+        let (epoch_region, created) =
+            heap.root_alloc(rootkeys::EPOCHS, reclaim::shared_region_bytes())?;
+        if !joined {
+            // SAFETY: committed root block of the required size; we are the
+            // sole live participant (attach flock held), so re-initialising
+            // over a prior run's stale pins is safe — and required, since a
+            // SIGKILLed fleet leaves announce words pinned forever.
+            unsafe { Collector::init_shared_region(epoch_region) };
+        } else if created {
+            // A live heap always carries the epoch region (the initial
+            // attacher installs it before releasing the lock).
+            return Err(MapError::BadSuperblock("live heap without an epoch region").into());
         }
         // SAFETY: `rec_base` / `epoch_region` are the root blocks of `heap`
         // obtained above. `None`: this is where the heap-wide pool is built.
@@ -731,18 +725,19 @@ impl AttachEnv {
         Ok((Self { heap, rec_base, epoch_region, own }, fresh))
     }
 
-    /// An environment in `heap`: a collector — private-epoch on an exclusive
-    /// heap (null region), attached to the shared epoch region in
-    /// multi-process mode, where every structure and process forms a single
-    /// epoch domain (required, since a node retired by one process may be
-    /// read by any peer) — over a view of the recovery slots.
+    /// An environment in `heap`: a collector attached to the heap's epoch
+    /// region, where every structure and process forms a single epoch
+    /// domain — required, since a descriptor `RD_q` hands over may be
+    /// released through another structure's environment than the one it
+    /// was helped in, and a node retired by one process may be read by any
+    /// peer — over a view of the recovery slots.
     ///
     /// # Safety
     /// `rec_base` must be `heap`'s committed recovery-slot root block
     /// (`RecArea::slots_bytes()` zero-initialised bytes) and `epoch_region`
-    /// null or its committed EPOCHS root block (`shared_region_bytes()`
-    /// long, 64-aligned, initialised by the initial attacher before any
-    /// joiner builds structures); both live as long as the heap, which the
+    /// its committed EPOCHS root block (`shared_region_bytes()` long,
+    /// 64-aligned, initialised by the initial attacher before any joiner
+    /// builds structures); both live as long as the heap, which the
     /// environment keeps alive.
     unsafe fn env_over(
         rec_base: *const u8,
@@ -751,10 +746,8 @@ impl AttachEnv {
         heap: Arc<MappedHeap>,
     ) -> Env<MappedNvm> {
         let mut collector = Collector::new();
-        if !epoch_region.is_null() {
-            // SAFETY: the caller's EPOCHS block; nothing is pinned or retired yet.
-            unsafe { collector.attach_shared(epoch_region) };
-        }
+        // SAFETY: the caller's EPOCHS block; nothing is pinned or retired yet.
+        unsafe { collector.attach_shared(epoch_region) };
         let base = Base(heap.base() as usize);
         Env::mapped(unsafe { RecArea::attach_raw(rec_base, base) }, collector, infos, heap)
     }
@@ -1044,7 +1037,6 @@ pub unsafe fn finish_attach(
         *info_refs.entry(rd).or_insert(0) += 1;
     }
     live.extend(extra_live.iter().copied());
-    // (An exclusive heap's null epoch region adds 0, no block's address.)
     live.extend([env.rec_base as usize, env.epoch_region as usize]);
     for s in slots.iter_mut() {
         s.each_cached(&mut |p| {
@@ -1054,17 +1046,13 @@ pub unsafe fn finish_attach(
     env.own.infos.clone().each_idle(|p| {
         live.insert(p as usize);
     });
-    // Shared heaps: descriptors this attach reclaims are re-owned by *this*
-    // process's pool, so stamp our participant slot (exclusive heaps keep 0).
-    let owner_slot =
-        if heap.is_shared() { heap.my_participant().map_or(0, |s| s as u16 + 1) } else { 0 };
     // Rewrite every live descriptor's volatile bookkeeping (recomputed
     // reference count, this process's Info pool as owner) and keep it.
     for (&info, &cnt) in &info_refs {
         // SAFETY: quiescent; `info_refs` holds the true counts (cells + RD
         // slots) of descriptors validated above.
         let info = rec.base.at::<Info<MappedNvm>>(info);
-        unsafe { (*info).reset_after_attach(cnt, owner, owner_slot) };
+        unsafe { (*info).reset_after_attach(cnt, owner) };
         live.insert(info as usize);
     }
     // SAFETY: quiescent; `live` covers roots, graphs, descriptors and this

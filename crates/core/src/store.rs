@@ -73,14 +73,14 @@ struct Entry {
 /// heap alive independently of the `Store`.
 pub struct Store {
     /// What every handle is built in — the heap, the shared recovery area,
-    /// the heap-wide Info pool and (shared heaps) the epoch region — and the
+    /// the heap-wide Info pool and the epoch region — and the
     /// store's own [`crate::env::Env`] in it, which peer recovery runs on.
     env: AttachEnv,
     catalog: *mut u8,
     entries: Mutex<HashMap<String, Entry>>,
     summary: AttachSummary,
     /// The KV-service response table hosted by this heap (always present;
-    /// ~16 KiB). Validated/healed by the single-owner attach, left
+    /// ~16 KiB). Validated/healed by the initial attacher, left
     /// untouched by joiners.
     resptab: ResponseTable,
 }
@@ -96,10 +96,22 @@ type Cataloged = (*mut u8, Vec<CatalogEntry>, Vec<Box<dyn SlotOps>>);
 
 impl Store {
     /// Opens (or creates, at [`DEFAULT_HEAP_BYTES`]) the store heap at
-    /// `path`, constructing every cataloged structure and running the full
-    /// generic restart-recovery sequence over the union of them. The
-    /// calling thread must be registered ([`nvm::tid::set_tid`]); one
-    /// process attaches a heap at a time.
+    /// `path`. Up to [`nvm::mapped::PART_SLOTS`] processes hold one heap at
+    /// once, all in its one epoch domain. The *initial* attacher (file
+    /// absent, or no live participant registered) constructs every cataloged
+    /// structure and runs the full generic restart-recovery sequence over
+    /// the union of them, under the heap file's attach lock, before it
+    /// admits anyone; a *joiner* adopts the already-recovered image without
+    /// replaying. The calling thread must be registered
+    /// ([`nvm::tid::set_tid`]).
+    ///
+    /// **The tid-band rule.** A thread of a process whose heap others may
+    /// join uses a tid in `MappedHeap::tid_band(my_participant)`
+    /// ([`MappedHeap::tid_band`] of [`MappedHeap::my_participant`]), so
+    /// recovery slots, epoch announce words and allocator caches stay
+    /// per-process disjoint. The sole attacher of a heap holds participant
+    /// slot 0, whose band is tids `0..PART_TIDS`; while no peer can join,
+    /// it may run any tid. Descriptor ownership never follows the tid.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, AttachError> {
         Self::open_sized(path, DEFAULT_HEAP_BYTES)
     }
@@ -107,44 +119,19 @@ impl Store {
     /// [`Store::open`] with an explicit heap size for creation (ignored
     /// when the heap already exists).
     pub fn open_sized(path: impl AsRef<Path>, heap_bytes: usize) -> Result<Self, AttachError> {
-        let heap = MappedHeap::open(path.as_ref(), heap_bytes)?;
-        Self::attach_heap(heap)
+        Self::open_with(path, heap_bytes, nvm::liveness::default_probe())
     }
 
-    /// Opens the store heap at `path` for **shared multi-process** use
-    /// (at [`DEFAULT_HEAP_BYTES`] on creation): up to
-    /// [`nvm::mapped::PART_SLOTS`] processes attach the same heap
-    /// concurrently. The *initial* attacher (file absent, or no live
-    /// participant registered) runs the full restart-recovery sequence
-    /// under the heap file's attach lock before admitting joiners; a
-    /// *joiner* adopts the already-recovered image without replaying.
-    ///
-    /// Every thread of a shared-mode process must register a tid inside the
-    /// process's participant band ([`MappedHeap::tid_band`] of
-    /// [`MappedHeap::my_participant`]) so recovery slots, epoch announce
-    /// words and allocator caches stay per-process disjoint.
-    pub fn open_shared(path: impl AsRef<Path>) -> Result<Self, AttachError> {
-        Self::open_shared_sized(path, DEFAULT_HEAP_BYTES)
-    }
-
-    /// [`Store::open_shared`] with an explicit creation size.
-    pub fn open_shared_sized(
-        path: impl AsRef<Path>,
-        heap_bytes: usize,
-    ) -> Result<Self, AttachError> {
-        Self::open_shared_with(path, heap_bytes, nvm::liveness::default_probe())
-    }
-
-    /// [`Store::open_shared`] with an injected pid-liveness probe (tests
+    /// [`Store::open_sized`] with an injected pid-liveness probe (tests
     /// drive "falsely dead" / pid-reuse verdicts through this).
-    pub fn open_shared_with(
+    pub fn open_with(
         path: impl AsRef<Path>,
         heap_bytes: usize,
         live: Arc<dyn nvm::liveness::PidLiveness>,
     ) -> Result<Self, AttachError> {
-        let heap = MappedHeap::open_shared_with(path.as_ref(), heap_bytes, live)?;
+        let heap = MappedHeap::open_with(path.as_ref(), heap_bytes, live)?;
         if heap.report().joined {
-            return Self::join_shared(heap);
+            return Self::join(heap);
         }
         // Initial attacher: full recovery runs while the attach flock is
         // still held, so joiners only ever see a recovered, serviceable
@@ -168,16 +155,14 @@ impl Store {
         Ok((catalog, metas, slots))
     }
 
-    /// The common single-owner attach body: construct every cataloged
-    /// entry, then (unless fresh) run the full recovery sequence. Works for
-    /// exclusive heaps and for the shared-mode *initial* attacher (which at
-    /// this point is the sole live participant, serialized by the attach
-    /// flock).
+    /// The initial attacher's body: construct every cataloged entry, then
+    /// (unless fresh) run the full recovery sequence. The caller is the sole
+    /// live participant, serialized by the attach flock.
     fn attach_heap(heap: Arc<MappedHeap>) -> Result<Self, AttachError> {
         let (env, fresh) = AttachEnv::open(Arc::clone(&heap))?;
         // The KV response table rides every store heap: allocate (or
         // re-open) and validate/heal it here, where access is exclusive
-        // (attach flock held / exclusive heap). In-flight op-IDs are
+        // (attach flock held). In-flight op-IDs are
         // resolved below, once the replay decisions exist.
         let (resptab, _heal) = ResponseTable::attach_excl(&heap)?;
         let (catalog, metas, mut slots) = Self::open_catalog(&env)?;
@@ -215,7 +200,7 @@ impl Store {
     /// initial attacher held the attach lock through recovery), so this
     /// builds per-process volatile state only — no replay, no scrub, no
     /// sweep — and adopts every cataloged structure.
-    fn join_shared(heap: Arc<MappedHeap>) -> Result<Self, AttachError> {
+    fn join(heap: Arc<MappedHeap>) -> Result<Self, AttachError> {
         let (env, _) = AttachEnv::open(Arc::clone(&heap))?;
         // Joiners adopt the response table as-is: the initial attacher
         // validated/healed it, and live peers are mid-write in their slots.
@@ -259,7 +244,7 @@ impl Store {
 
     /// The KV-service response table hosted by this heap. By the time the
     /// constructor returns, every in-flight op-ID left by a crash has been
-    /// resolved against the replay decisions (single-owner attach) or was
+    /// resolved against the replay decisions (initial attacher) or was
     /// resolved by the initial attacher before this joiner could see the
     /// heap — the handle is ready for request traffic.
     pub fn response_table(&self) -> ResponseTable {
@@ -314,39 +299,30 @@ impl Store {
             return Ok(Arc::clone(&e.handle).downcast::<L>().expect("kind/cfg imply the type"));
         }
         let heap = &self.env.heap;
-        let open_or_create = || -> Result<L, AttachError> {
-            if heap.is_shared() {
-                // A peer may have created this entry since our attach; the
-                // caller holds the file lock, so what the catalog says now
-                // is final.
-                // SAFETY: committed catalog block.
-                let cataloged = unsafe { heap.catalog_entries(self.catalog) }?;
-                if let Some(e) = cataloged.into_iter().find(|e| e.name == name) {
-                    check(e.kind, e.cfg)?;
-                    return open_root(&self.env, cfg, &e);
-                }
+        // Creation (catalog append + root install) and the re-scan before it
+        // run under the cross-process file lock — so two processes racing on
+        // one name produce exactly one entry, and the loser adopts it fully
+        // installed.
+        let s = Arc::new(heap.with_file_lock(|| -> Result<L, AttachError> {
+            // A peer may have created this entry since our attach; we hold
+            // the file lock, so what the catalog says now is final.
+            // SAFETY: committed catalog block.
+            let cataloged = unsafe { heap.catalog_entries(self.catalog) }?;
+            if let Some(e) = cataloged.into_iter().find(|e| e.name == name) {
+                check(e.kind, e.cfg)?;
+                return open_root(&self.env, cfg, &e);
             }
             // New entry: root block + catalog record (kind word last), then
             // the structure's own idempotent root install. No recovery
             // needed — the entry cannot predate this attach.
-            // SAFETY: committed catalog block; one writer (the attach owner,
-            // or the file lock on a shared heap).
+            // SAFETY: committed catalog block; one writer (the file lock).
             let root = unsafe {
                 heap.catalog_append(self.catalog, name, L::KIND, cfg_word, L::root_bytes(cfg))
             }?;
             // SAFETY: the root block `catalog_append` just committed, under
-            // the creation serialization described below.
+            // the file lock.
             unsafe { L::open(&self.env, cfg, root) }
-        };
-        // Shared heaps serialize creation (catalog append + root install)
-        // and the re-scan before it under the cross-process file lock — so
-        // two processes racing on one name produce exactly one entry, and
-        // the loser adopts it fully installed.
-        let s = Arc::new(if heap.is_shared() {
-            heap.with_file_lock(open_or_create)??
-        } else {
-            open_or_create()?
-        });
+        })??);
         entries.insert(
             name.to_string(),
             Entry {
@@ -412,14 +388,11 @@ impl Store {
         self.get(name, ())
     }
 
-    // -- online peer recovery (shared heaps) --------------------------------
+    // -- online peer recovery --------------------------------------------
 
     /// Participant slots whose process is dead (SIGKILLed, pid recycled,
-    /// zombie, or a claim torn mid-flight). Empty on an exclusive heap.
+    /// zombie, or a claim torn mid-flight).
     pub fn dead_peers(&self) -> Vec<usize> {
-        if !self.env.heap.is_shared() {
-            return Vec::new();
-        }
         self.env.heap.dead_participants()
     }
 
@@ -497,14 +470,12 @@ impl Store {
         }
         // The dead process can no longer be inside a read-side critical
         // section: drop its pinned epochs so reclamation advances again.
-        let epochs = self.env.epoch_region;
-        if !epochs.is_null() {
-            // SAFETY: the band's announce words belong exclusively to the
-            // dead process's threads.
-            let stalls =
-                unsafe { Collector::release_shared_band(epochs, MappedHeap::tid_band(slot)) };
-            nvm::stats::count_epoch_stalls(stalls as u64);
-        }
+        // SAFETY: the band's announce words belong exclusively to the dead
+        // process's threads.
+        let stalls = unsafe {
+            Collector::release_shared_band(self.env.epoch_region, MappedHeap::tid_band(slot))
+        };
+        nvm::stats::count_epoch_stalls(stalls as u64);
         // Registry slot last: clearing it retires the lease with it, and
         // only a fully-resolved slot may be re-claimed by a new process.
         self.env.heap.clear_participant(slot);
@@ -605,6 +576,7 @@ mod tests {
     use crate::engine::RES_TRUE;
     use crate::env::Env;
     use crate::recovery::Recovered;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     /// The client of the response-table tests, and its map.
     const CLIENT: u64 = 7;
@@ -799,8 +771,7 @@ mod tests {
         let path = tmp("sharedheal");
         let before = nvm::stats::snapshot();
         {
-            let store = Store::open_shared_sized(&path, 8 << 20).unwrap();
-            assert!(store.heap().is_shared());
+            let store = Store::open_sized(&path, 8 << 20).unwrap();
             let slot = store.heap().my_participant().expect("registered");
             nvm::tid::set_tid(MappedHeap::tid_band(slot).start);
             let m = store.hashmap::<LP>("m", 2).unwrap();
@@ -835,7 +806,7 @@ mod tests {
         assert!(after.since(&before).peers_recovered >= 1, "counter surfaced the recovery");
         {
             // Full reopen (initial attacher again: no live participants).
-            let store = Store::open_shared_sized(&path, 8 << 20).unwrap();
+            let store = Store::open_sized(&path, 8 << 20).unwrap();
             assert!(!store.summary().heap.joined, "no live peers: full attach");
             let slot = store.heap().my_participant().unwrap();
             let t = MappedHeap::tid_band(slot).start;
@@ -865,7 +836,7 @@ mod tests {
         let _gate = crate::counters::gate_shared();
         nvm::tid::set_tid(0);
         let path = tmp("peerstack");
-        let store = Store::open_shared_with(&path, 4 << 20, Arc::new(OnlyUs)).unwrap();
+        let store = Store::open_with(&path, 4 << 20, Arc::new(OnlyUs)).unwrap();
         let me = MappedHeap::tid_band(store.heap().my_participant().unwrap()).start;
         nvm::tid::set_tid(me);
         let s = store.stack("s").unwrap();
@@ -897,7 +868,7 @@ mod tests {
         let _gate = crate::counters::gate_shared();
         nvm::tid::set_tid(0);
         let path = tmp("lease");
-        let store = Store::open_shared_sized(&path, 4 << 20).unwrap();
+        let store = Store::open_sized(&path, 4 << 20).unwrap();
         let slot = store.heap().my_participant().unwrap();
         nvm::tid::set_tid(MappedHeap::tid_band(slot).start);
         let dead = store.heap().debug_register_peer(u32::MAX as u64 - 9, 1).unwrap();
@@ -919,7 +890,7 @@ mod tests {
         let _gate = crate::counters::gate_shared();
         nvm::tid::set_tid(0);
         let path = tmp("tornlive");
-        let store = Store::open_shared_sized(&path, 4 << 20).unwrap();
+        let store = Store::open_sized(&path, 4 << 20).unwrap();
         let slot = store.heap().my_participant().unwrap();
         nvm::tid::set_tid(MappedHeap::tid_band(slot).start);
         // A registration that probes as *alive* (our own pid and birth):
@@ -983,7 +954,7 @@ mod tests {
             assert_eq!(tab.inflight(pid), None);
         };
         let path = tmp("recorded_peer");
-        let store = Store::open_shared_with(&path, 4 << 20, Arc::new(OnlyUs)).unwrap();
+        let store = Store::open_with(&path, 4 << 20, Arc::new(OnlyUs)).unwrap();
         let me = MappedHeap::tid_band(store.heap().my_participant().unwrap()).start;
         let dead = store.heap().debug_register_peer(u32::MAX as u64 - 17, 1).unwrap();
         let lane = MappedHeap::tid_band(dead).start;
@@ -1004,6 +975,137 @@ mod tests {
         let store = Store::open_sized(&path, 4 << 20).unwrap();
         restarted(&store, 1, store.summary().decision(1));
         drop(store);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// The `RD_q` hand-over in one epoch domain. A map insert's descriptor
+    /// stays named by its thread's `RD_q` until that thread's next
+    /// operation — here a queue operation — releases it through the
+    /// *queue's* `Env`. A thread pinned on the *map's* collector may still
+    /// be reading it (helping the insert), so the descriptor must not
+    /// re-enter the Info pool until that pin drops. (With a private epoch per
+    /// structure the queue's epochs advance past the map's pin, and the
+    /// descriptor is drawn again while it is read.)
+    #[test]
+    fn a_descriptor_handed_over_between_structures_waits_for_every_pin() {
+        const OPS: u64 = 2_000;
+        let _gate = crate::counters::gate_shared();
+        nvm::tid::set_tid(0);
+        let path = tmp("handover");
+        let store = Store::open_sized(&path, 4 << 20).unwrap();
+        let map = store.hashmap::<LP>("m", 1).unwrap();
+        let queue = store.queue::<LP>("q").unwrap();
+        assert!(map.insert(1, 5));
+        let rec = &store.env.own.rec;
+        let d = rec.published(1);
+        assert_ne!(d, 0, "RD_1 names the insert's descriptor");
+        let info = rec.base.at::<crate::engine::Info<MappedNvm>>(d);
+        // Process 2's inserts on either side of 5 overwrite every cell the
+        // insert left naming its descriptor: `RD_1` holds the last reference.
+        assert!(map.insert(2, 4) && map.insert(2, 6));
+        // SAFETY: `RD_1` still holds the descriptor.
+        assert_eq!(unsafe { (*info).installs() }, 1, "RD_1 alone names the descriptor");
+        let mut infos = store.env.own.infos.clone();
+        // Recycled: drawn again (`RD_1` names it) or idle on a free list.
+        let mut recycled = || {
+            let mut hit = rec.published(1) == d;
+            infos.each_idle(|p| hit |= p == info);
+            hit
+        };
+        // One queue operation of process 1 a step: the first releases the
+        // insert's descriptor, through the queue's `Env`.
+        let step = |v: u64| match v % 2 {
+            0 => queue.enqueue(1, v),
+            _ => assert_eq!(queue.dequeue(1), Some(v - 1)),
+        };
+        let (pinned, unpin) = (std::sync::Barrier::new(2), AtomicBool::new(false));
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                nvm::tid::set_tid(3);
+                let _pin = map.env.collector.pin();
+                pinned.wait();
+                while !unpin.load(Ordering::Acquire) {
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                }
+            });
+            pinned.wait();
+            // Unpinned however this scope ends, so a failed check fails.
+            struct Unpin<'a>(&'a AtomicBool);
+            impl Drop for Unpin<'_> {
+                fn drop(&mut self) {
+                    self.0.store(true, Ordering::Release);
+                }
+            }
+            let _unpin = Unpin(&unpin);
+            for v in 0..OPS {
+                step(v);
+                assert!(!recycled(), "recycled under a pin on the map's collector ({v} ops)");
+            }
+        });
+        // The pin dropped: the epoch advances, and the descriptor comes back.
+        let back = (OPS..10 * OPS).find(|&v| {
+            step(v);
+            recycled()
+        });
+        assert!(back.is_some(), "never recycled once the pin dropped");
+        drop((map, queue, store));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// A process alone on its heap may run any tid: a descriptor whose last
+    /// reference drops on a thread outside band 0 goes back to the pool its
+    /// guard names, instead of leaking until the next full attach.
+    #[test]
+    fn a_sole_attacher_recycles_descriptors_on_any_tid() {
+        const OPS: u64 = 4_000;
+        let _gate = crate::counters::gate_shared();
+        let t = nvm::MAX_PROCS - 1;
+        nvm::tid::set_tid(t);
+        let path = tmp("anytid");
+        let store = Store::open_sized(&path, 4 << 20).unwrap();
+        assert!(!MappedHeap::tid_band(store.heap().my_participant().unwrap()).contains(&t));
+        let map = store.hashmap::<LP>("m", 1).unwrap();
+        let before = nvm::stats::Snapshot::of_tid(t);
+        for v in 0..OPS {
+            let k = 1 + v % 8;
+            assert!(map.insert(t, k) && map.delete(t, k));
+        }
+        let fresh = nvm::stats::Snapshot::of_tid(t).since(&before).info_allocs;
+        assert!(fresh < OPS / 4, "{fresh} descriptors drawn fresh for {} updates", 2 * OPS);
+        drop((map, store));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// Every registry slot held by a live participant (this process and
+    /// seven peers the probe calls alive): a ninth opener is refused typed
+    /// before it writes anything, and once a slot frees, the next one joins.
+    #[test]
+    fn a_ninth_opener_is_refused_typed_before_any_durable_write() {
+        const PEER: u64 = u32::MAX as u64 + 100;
+        struct Fleet;
+        impl nvm::liveness::PidLiveness for Fleet {
+            fn is_alive(&self, pid: u64, _birth: u64) -> bool {
+                pid == std::process::id() as u64 || (PEER..PEER + 7).contains(&pid)
+            }
+        }
+        let _gate = crate::counters::gate_shared();
+        nvm::tid::set_tid(0);
+        let path = tmp("ninth");
+        let store = Store::open_with(&path, 4 << 20, Arc::new(Fleet)).unwrap();
+        for pid in PEER..PEER + nvm::mapped::PART_SLOTS as u64 - 1 {
+            store.heap().debug_register_peer(pid, 5).unwrap();
+        }
+        let image = std::fs::read(&path).unwrap();
+        let Err(refused) = Store::open_with(&path, 4 << 20, Arc::new(Fleet)) else {
+            panic!("a ninth participant joined");
+        };
+        assert!(matches!(refused, AttachError::Map(MapError::RegistryFull)), "{refused}");
+        assert!(std::fs::read(&path).unwrap() == image, "the refused open wrote the heap");
+        drop(store);
+        let joined = Store::open_with(&path, 4 << 20, Arc::new(Fleet)).unwrap();
+        assert!(joined.summary().heap.joined, "the peers are live: the next opener joins");
+        assert_eq!(joined.heap().my_participant(), Some(0), "into the freed slot");
+        drop(joined);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1038,11 +1140,14 @@ mod tests {
     /// In a store an operation's prologue can perform the last release of
     /// *another* structure's descriptor (the shared `RD_q` hands it over),
     /// which then waits in **this** structure's collector. When this
-    /// structure is the last of its store to drop, that collector's drain
-    /// recycles the descriptor into the heap-wide pool — which must still be
-    /// alive, held by nothing but this structure's `Env` (it was freed by
-    /// then, once, for the stack: the drain pushed onto a freed free list,
-    /// the malloc corruption behind the `restart.rs` aborts).
+    /// structure is the last of its store to drop, the heap-wide pool must
+    /// still be alive, held by nothing but this structure's `Env` (it was
+    /// freed by then, once, for the stack: a private-epoch collector's drain
+    /// pushed onto a freed free list, the malloc corruption behind the
+    /// `restart.rs` aborts). A collector in the heap's epoch domain drains
+    /// nothing when it drops — a peer may still hold a pin on what it
+    /// deferred — so the descriptor is left in the arena, and the next full
+    /// attach sweeps it.
     fn dropped_last_still_has_the_pool<K: MappedLayout + Send + Sync>(
         kind: &str,
         cfg: K::Cfg,

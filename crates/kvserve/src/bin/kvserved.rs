@@ -2,13 +2,18 @@
 //!
 //! ```text
 //! kvserved --path HEAP [--addr 127.0.0.1:0] [--shards 8] [--workers LANES=2]
-//!          [--heap-bytes N] [--shared] [--port-file F] [--stop-file F]
+//!          [--heap-bytes N] [--port-file F] [--stop-file F]
 //! ```
 //!
 //! `--workers N` sets the number of tid lanes: how many requests of
-//! different clients may run at once (each runs on its connection's thread).
+//! different clients may run at once (each runs on its connection's thread),
+//! 1 to 7 — a server's lanes and its healer share its participant's 8-tid
+//! band; any other count ends it with exit code 1 before it opens the heap.
 //!
-//! Opens (recovering) the store heap at `--path`, binds, prints the bound
+//! Opens (recovering) the store heap at `--path` — or joins it, when other
+//! `kvserved` processes serve it already: up to 8 servers front one heap,
+//! and each recovers a SIGKILLed peer's in-flight requests online — binds,
+//! prints the bound
 //! address, and serves until killed — or until `--stop-file` appears, which
 //! triggers a graceful shutdown (used by harnesses that need the process to
 //! exit without SIGKILL so no in-flight state is left behind); a listener
@@ -23,8 +28,9 @@ use std::time::Duration;
 fn usage() -> ! {
     eprintln!(
         "usage: kvserved --path HEAP [--addr A] [--shards N] [--workers LANES] \
-         [--heap-bytes N] [--shared] [--port-file F] [--stop-file F]\n\
-         --workers: tid lanes, i.e. requests of different clients that may run at once"
+         [--heap-bytes N] [--port-file F] [--stop-file F]\n\
+         --workers: tid lanes, i.e. requests of different clients that may run at once (1..=7)\n\
+         a second kvserved on the same --path joins the heap (up to 8 servers per heap)"
     );
     std::process::exit(2);
 }
@@ -36,7 +42,6 @@ fn main() {
     let mut shards = 8usize;
     let mut workers = 2usize;
     let mut heap_bytes = 32usize << 20;
-    let mut shared = false;
     let mut port_file: Option<std::path::PathBuf> = None;
     let mut stop_file: Option<std::path::PathBuf> = None;
     while let Some(a) = args.next() {
@@ -47,7 +52,6 @@ fn main() {
             "--shards" => shards = val().parse().unwrap_or_else(|_| usage()),
             "--workers" => workers = val().parse().unwrap_or_else(|_| usage()),
             "--heap-bytes" => heap_bytes = val().parse().unwrap_or_else(|_| usage()),
-            "--shared" => shared = true,
             "--port-file" => port_file = Some(val().into()),
             "--stop-file" => stop_file = Some(val().into()),
             _ => usage(),
@@ -59,7 +63,6 @@ fn main() {
     cfg.shards = shards;
     cfg.workers = workers;
     cfg.heap_bytes = heap_bytes;
-    cfg.shared = shared;
 
     let server = match Server::start(cfg) {
         Ok(s) => s,

@@ -6,7 +6,7 @@
 //! onto the durable response table in the mapped heap
 //! ([`isb::resptable::ResponseTable`]), so a retried request returns the
 //! *original* response and never double-applies — across server SIGKILL,
-//! restart, and (in shared mode) failover to a surviving peer process.
+//! restart, and failover to a surviving peer process on the same heap.
 //!
 //! The crate is three layers:
 //!
@@ -30,4 +30,4 @@ pub mod server;
 
 pub use client::{ClientError, KvClient};
 pub use proto::{OpCode, Request, Response, Status};
-pub use server::{Config, KillPoint, ServeError, Server};
+pub use server::{Config, KillPoint, ServeError, Server, MAX_LANES};

@@ -57,8 +57,11 @@
 //! (replay → scrub → census → sweep); `Store` resolves every in-flight
 //! op-ID to Completed-with-response or Restart against the replay decisions
 //! before the constructor returns, and only then does the server bind and
-//! accept. In shared mode a healer thread additionally runs
-//! [`Store::heal_peers`], so a SIGKILLed peer server's in-flight requests
+//! accept. Every server confines its lanes to its process's participant
+//! tid band and runs a healer thread that calls [`Store::heal_peers`], so
+//! any number of server processes (up to
+//! [`nvm::mapped::PART_SLOTS`]) can front one heap, and a SIGKILLed peer
+//! server's in-flight requests
 //! resolve online while this process keeps serving; until that happens,
 //! sequenced requests from the dead peer's clients are answered
 //! [`Status::Recovering`] rather than risking a double apply (their
@@ -100,6 +103,9 @@ pub const ARM: u8 = isb::arm::LP;
 pub const MAP_NAME: &str = "kv";
 /// Catalog name of the service's queue.
 pub const QUEUE_NAME: &str = "jobs";
+/// Most tid lanes one server runs: its participant's tid band less the tid
+/// its attach and healer use.
+pub const MAX_LANES: usize = nvm::mapped::PART_TIDS - 1;
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -108,13 +114,12 @@ pub struct Config {
     pub path: PathBuf,
     /// Heap size on creation.
     pub heap_bytes: usize,
-    /// Open the heap in live multi-process shared mode.
-    pub shared: bool,
     /// Hash-map shard count (power of two).
     pub shards: usize,
-    /// Tid lanes: how many requests of different clients may run at once
-    /// (clamped: shared mode has a 8-tid participant band — 1 attach/healer
-    /// tid + at most 7 lanes).
+    /// Tid lanes: how many requests of different clients may run at once,
+    /// `1..=`[`MAX_LANES`] (the process's 8-tid participant band holds the
+    /// attach/healer tid and the lanes); [`Server::start`] refuses any
+    /// other count with [`ServeError::Lanes`].
     pub workers: usize,
     /// Bind address (port 0 picks a free port).
     pub addr: SocketAddr,
@@ -126,7 +131,6 @@ impl Config {
         Config {
             path: path.into(),
             heap_bytes: 32 << 20,
-            shared: false,
             shards: 8,
             workers: 2,
             addr: "127.0.0.1:0".parse().expect("loopback"),
@@ -141,6 +145,8 @@ pub enum ServeError {
     Attach(AttachError),
     /// Socket-level failure.
     Io(io::Error),
+    /// [`Config::workers`] outside `1..=`[`MAX_LANES`].
+    Lanes(usize),
 }
 
 impl std::fmt::Display for ServeError {
@@ -148,6 +154,7 @@ impl std::fmt::Display for ServeError {
         match self {
             ServeError::Attach(e) => write!(f, "attach: {e}"),
             ServeError::Io(e) => write!(f, "io: {e}"),
+            ServeError::Lanes(n) => write!(f, "{n} lanes asked, a server runs 1..={MAX_LANES}"),
         }
     }
 }
@@ -224,11 +231,12 @@ struct Shared {
     map: Arc<RHashMap<MappedNvm, ARM>>,
     queue: Arc<RQueue<MappedNvm, ARM>>,
     resptab: ResponseTable,
+    /// This process's participant tid band: its first tid is the attach /
+    /// healer tid, and lane `i` owns tid `own_band.start + 1 + i`.
     own_band: Range<usize>,
-    /// Lane `i` owns tid `base_tid + 1 + i`; holding the mutex is what makes
-    /// the holder that tid's only user.
+    /// Lane `i`'s mutex: holding it is what makes the holder that tid's only
+    /// user.
     lanes: Vec<Mutex<()>>,
-    base_tid: usize,
     stop: AtomicBool,
     /// The listener error that ended the acceptor, until someone asks.
     listener_error: Mutex<Option<io::Error>>,
@@ -249,31 +257,22 @@ pub struct Server {
 }
 
 impl Server {
-    /// Opens (recovering) the store, binds, and starts serving. The calling
-    /// thread's tid is (re)bound: tid 0 for an exclusive heap, the
-    /// participant band's first tid in shared mode — that tid doubles as
-    /// the healer's, so don't run structure ops on the calling thread while
-    /// the server lives.
+    /// Opens (recovering, or joining a heap live peers serve) the store,
+    /// binds, and starts serving. The calling thread's tid is (re)bound to
+    /// the participant band's first tid — that tid doubles as the healer's,
+    /// so don't run structure ops on the calling thread while the server
+    /// lives.
     pub fn start(cfg: Config) -> Result<Server, ServeError> {
+        if !(1..=MAX_LANES).contains(&cfg.workers) {
+            return Err(ServeError::Lanes(cfg.workers));
+        }
         nvm::tid::set_tid(0);
-        let store = Arc::new(if cfg.shared {
-            Store::open_shared_sized(&cfg.path, cfg.heap_bytes)?
-        } else {
-            Store::open_sized(&cfg.path, cfg.heap_bytes)?
-        });
-        // Lane tids: an exclusive heap may use any tids; a shared
-        // participant is confined to its 8-tid band (first tid = attach +
+        let store = Arc::new(Store::open_sized(&cfg.path, cfg.heap_bytes)?);
+        // Lane tids: the participant's 8-tid band (first tid = attach +
         // healer).
-        let (base_tid, max_lanes) = if cfg.shared {
-            let slot = store.heap().my_participant().expect("registered participant");
-            let band = MappedHeap::tid_band(slot);
-            nvm::tid::set_tid(band.start);
-            (band.start, band.len() - 1)
-        } else {
-            (0, nvm::MAX_PROCS - 1)
-        };
-        let n_lanes = cfg.workers.clamp(1, max_lanes);
-        let own_band = if cfg.shared { base_tid..base_tid + 1 + max_lanes } else { 0..n_lanes + 1 };
+        let slot = store.heap().my_participant().expect("registered participant");
+        let own_band = MappedHeap::tid_band(slot);
+        nvm::tid::set_tid(own_band.start);
         let map = store.hashmap::<ARM>(MAP_NAME, cfg.shards)?;
         let queue = store.queue::<ARM>(QUEUE_NAME)?;
 
@@ -285,8 +284,7 @@ impl Server {
             queue,
             resptab: store.response_table(),
             own_band,
-            lanes: (0..n_lanes).map(|_| Mutex::new(())).collect(),
-            base_tid,
+            lanes: (0..cfg.workers).map(|_| Mutex::new(())).collect(),
             stop: AtomicBool::new(false),
             listener_error: Mutex::new(None),
             kill: KillSpec::from_env(),
@@ -299,13 +297,13 @@ impl Server {
                 .spawn(move || accept_loop(listener, shared))
                 .expect("spawn acceptor")
         };
-        let healer = cfg.shared.then(|| {
+        let healer = {
             let store = Arc::clone(&store);
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("kv-healer".into())
                 .spawn(move || {
-                    nvm::tid::set_tid(shared.base_tid);
+                    nvm::tid::set_tid(shared.own_band.start);
                     while !shared.stop.load(Ordering::Acquire) {
                         // Dead peers resolve under a recovery lease;
                         // losing the lease race to another survivor is
@@ -315,8 +313,8 @@ impl Server {
                     }
                 })
                 .expect("spawn healer")
-        });
-        Ok(Server { addr, store, acceptor: Some(acceptor), healer, shared })
+        };
+        Ok(Server { addr, store, acceptor: Some(acceptor), healer: Some(healer), shared })
     }
 
     /// The bound address (resolves port 0).
@@ -468,7 +466,7 @@ fn conn_loop(mut stream: TcpStream, shared: Arc<Shared>) {
 fn on_lane(shared: &Shared, req: &Request) -> Option<Response> {
     let lane = route(req.client_id, shared.lanes.len());
     let _guard = shared.lanes[lane].lock().ok()?;
-    let tid = shared.base_tid + 1 + lane;
+    let tid = shared.own_band.start + 1 + lane;
     nvm::tid::set_tid(tid);
     let resp = handle(shared, tid, req);
     // `begin_op` leaves the client slot's line noted and unfenced; only
@@ -660,6 +658,25 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A lane count the participant band cannot hold is refused typed,
+    /// before the heap file is created.
+    #[test]
+    fn a_lane_count_outside_the_band_is_refused() {
+        let path = std::env::temp_dir().join(format!("isb_kv_lanes_{}", std::process::id()));
+        for n in [0, MAX_LANES + 1, 63] {
+            let mut cfg = Config::new(&path);
+            cfg.workers = n;
+            match Server::start(cfg) {
+                Err(e @ ServeError::Lanes(m)) => {
+                    assert_eq!(m, n);
+                    assert_eq!(e.to_string(), format!("{n} lanes asked, a server runs 1..=7"));
+                }
+                other => panic!("{n} lanes: expected Lanes, got {:?}", other.err()),
+            }
+            assert!(!path.exists(), "{n} lanes: the refusal created the heap");
+        }
+    }
+
     /// The release check of [`on_lane`] is what catches a `finish_op` that
     /// stops draining the client slot's line `begin_op` noted. Every request
     /// kind runs on this thread, which reads the `LineSet` itself so the
@@ -694,7 +711,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A shared-mode server holds back a client's sequenced requests while
+    /// A server holds back a client's sequenced requests while
     /// the client's slot is in flight under a peer's tid (`Recovering`),
     /// but answers its `get`s from the map as it stands. The peer's write —
     /// its record names a tid of a band no participant owns, so no healer
@@ -711,7 +728,6 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let mut cfg = Config::new(dir.join("kv.heap"));
         cfg.heap_bytes = 8 << 20;
-        cfg.shared = true;
         cfg.workers = 1;
         let server = Server::start(cfg).expect("server start");
         let sh = &server.shared;
@@ -730,8 +746,8 @@ mod tests {
         assert!(!c.get(KEY).unwrap(), "read before the write's effect");
         // Its effect lands (on a spare tid of this band: the tid the record
         // names only decides who may resolve it).
-        nvm::tid::set_tid(sh.base_tid + 2);
-        assert!(sh.map.insert(sh.base_tid + 2, KEY));
+        nvm::tid::set_tid(sh.own_band.start + 2);
+        assert!(sh.map.insert(sh.own_band.start + 2, KEY));
         assert!(recovering(), "still in flight");
         assert!(c.get(KEY).unwrap(), "read after the write's effect");
         assert!(c.pending().is_none() && c.last_acked().unwrap().0.op_seq == 1);

@@ -247,8 +247,7 @@ impl MappedHeap {
     // -- allocation --------------------------------------------------------
 
     /// Pops from / pushes to the per-class global lock-free stack. The heads
-    /// live in superblock words ([`W_GLOBAL0`]), so in shared mode every
-    /// attached process pushes to and pops from the same stacks.
+    /// live in superblock words ([`W_GLOBAL0`]), so every attached process pushes to and pops from the same stacks.
     fn global_pop(&self, cls: usize) -> Option<usize> {
         let head = self.word(W_GLOBAL0 + cls);
         loop {
@@ -325,11 +324,11 @@ impl MappedHeap {
         }
         // Slab carve: one chunk of same-class blocks. Block 0 is returned
         // allocated; the rest are stocked free (crash-safe: a lost cache is
-        // rebuilt from the masks). Shared mode serializes the
-        // reserve+publish window under the bump lock so a SIGKILLed peer can
-        // leave at most one healable gap.
+        // rebuilt from the masks). The reserve+publish window
+        // runs under the bump lock so a SIGKILLed peer can leave at most one
+        // healable gap.
         stats::count_slab_refills(1);
-        let bump_lock = self.lock_shared_bump();
+        let bump_lock = self.lock_bump();
         let r = self.bump_reserve(SLAB)?;
         let slab = self.loc(r.start);
         slab.hdr[W_ALLOCATED].store(1 << 1, Release);
@@ -356,7 +355,7 @@ impl MappedHeap {
             return Ok(self.payload(g as usize));
         }
         // The cold mutex stays held across the bump: large blocks are rare.
-        let bump_lock = self.lock_shared_bump();
+        let bump_lock = self.lock_bump();
         let r = self.bump_reserve(cold_span(pg))?;
         self.hdr(r.start).store(encode_hdr(ST_ALLOCATED, pg as u64), Release);
         self.publish_bump(r.from, r.end);
@@ -800,7 +799,7 @@ mod tests {
         assert!(u.pads >= 1, "segment 0's tail is a pad");
         // The attach walk reads the same image back.
         drop(heap);
-        let heap = MappedHeap::attach(&path).unwrap();
+        let heap = MappedHeap::open(&path, MIN_HEAP_BYTES).unwrap();
         assert_eq!(heap.usage(), u);
         assert_eq!(heap.report().committed, 6 * 66);
         assert_eq!(heap.report().free_blocks, u.free.iter().sum::<usize>() + 2 * 34);
@@ -889,7 +888,7 @@ mod tests {
                 }
                 (heap.granule_of(p), p as usize - heap.base() as usize)
             };
-            let got = match MappedHeap::attach(&path) {
+            let got = match MappedHeap::open(&path, MIN_HEAP_BYTES) {
                 Err(MapError::CorruptBitmap { granule }) if granule == g => CorruptBitmap,
                 Err(MapError::CorruptHeader { granule }) if granule == g => CorruptHeader,
                 Err(e) => panic!("{:?}: unexpected {e}", (a, c, b)),
@@ -953,7 +952,7 @@ mod tests {
                 let pad = grow_past_first_segment(&heap);
                 patch(&heap, h, cold, pad)
             };
-            match MappedHeap::attach(&path) {
+            match MappedHeap::open(&path, MIN_HEAP_BYTES) {
                 Err(MapError::CorruptBitmap { granule: g }) if bitmap => {
                     assert_eq!(g, granule, "{what}")
                 }
@@ -972,13 +971,13 @@ mod tests {
         g
     }
 
-    /// A shared heap whose bump lock died with a reservation in flight: the
+    /// A heap whose bump lock died with a reservation in flight: the
     /// thief pads the gap, the next slab follows it, and the usage and the
     /// attach walk account for both.
     #[test]
     fn slab_after_a_healed_bump_gap() {
         let path = tmp("slab_gap");
-        let heap = MappedHeap::open_shared(&path, MIN_HEAP_BYTES).unwrap();
+        let heap = MappedHeap::open(&path, MIN_HEAP_BYTES).unwrap();
         heap.release_attach_lock();
         committed(&heap, GRANULE);
         // A peer in registry slot 5 (unclaimed, hence dead) reserved a slab,
@@ -994,7 +993,7 @@ mod tests {
         assert_eq!(u.granules(), heap.bump_granules());
         assert_eq!(u.pads, SLAB, "the gap; slabs of classes 1 and 3 leave no remainder");
         drop(heap);
-        let heap = MappedHeap::attach(&path).unwrap();
+        let heap = MappedHeap::open(&path, MIN_HEAP_BYTES).unwrap();
         assert_eq!((heap.report().committed, heap.usage()), (2, u));
         drop(heap);
         let _ = std::fs::remove_file(&path);

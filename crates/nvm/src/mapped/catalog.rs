@@ -121,7 +121,8 @@ impl MappedHeap {
     ///
     /// # Safety
     /// `cat` must be the committed catalog block of this heap; one catalog
-    /// writer at a time (the attach owner, or the file lock on a shared heap).
+    /// writer at a time (the initial attacher under the attach flock, or the
+    /// holder of the file lock).
     pub unsafe fn catalog_append(
         &self,
         cat: *mut u8,

@@ -34,16 +34,18 @@
 //!
 //! ## One attach pipeline
 //!
-//! Create, exclusive attach, shared attach and join all run under the attach
-//! flock and share one shape: read and validate page 0 with `pread`
+//! There is one attach mode. Create, full attach and join all run under the
+//! attach flock and share one shape: read and validate page 0 with `pread`
 //! (nothing is mapped on the word of a damaged superblock), decide from the
-//! registry's live participants (exclusive attach and create refuse a heap
-//! with one — [`MapError::AlreadyAttached`]; a shared open *joins* it, unless
-//! a live attacher is exclusive — [`MapError::ExclusivePeer`]), map the
-//! **whole VA reservation file-backed** in one `mmap`, build the handle
-//! through the one constructor, and claim a registry slot. A full attach
-//! additionally reclaims stale slots and walks and heals every segment; a
-//! join runs none of that — the heap is live state, not a crash image.
+//! registry's live participants (create refuses a heap with one —
+//! [`MapError::AlreadyAttached`]; an open *joins* it), map the **whole VA
+//! reservation file-backed** in one `mmap`, build the handle through the
+//! one constructor, and claim a registry slot. A full attach additionally
+//! reclaims stale slots and walks and heals every segment; a join runs none
+//! of that — the heap is live state, not a crash image. Every attacher
+//! serializes the bump path under the heap's bump lock and adopts segments a
+//! peer published on demand, and `isb` puts every collector of every
+//! attacher into the heap's one epoch domain.
 //!
 //! ## Addressing
 //!
@@ -79,7 +81,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering::{AcqRel, Acquire, Relaxed, SeqCst};
 use std::sync::atomic::{AtomicBool, AtomicUsize};
 use std::sync::{Arc, Mutex, MutexGuard};
-use superblock::{persist, persist_line, Page0, SbGeom, MODE_SHARED, PAGE, W_EPOCH};
+use superblock::{persist, persist_line, Page0, SbGeom, PAGE, W_EPOCH};
 
 /// Allocation granule (one cache line): blocks are sized and aligned to it,
 /// and the commit bitmaps track one bit per granule.
@@ -110,8 +112,12 @@ pub const MAGIC: u64 = 0x4953_424D_4150_3031;
 /// descriptor shrank from three cache lines to two — its sets packed into
 /// one array whose offsets follow the set sizes, the second write entry
 /// gone — so a v6 heap's descriptors would be misread and its slabs hold
-/// the old size class; it fails typed (`BadVersion(6)`).
-pub const VERSION: u64 = 7;
+/// the old size class; it fails typed (`BadVersion(6)`). v8: one attach
+/// mode — the registry slot's attach-mode word is neither written nor read,
+/// and every attacher joins one epoch domain and takes the bump lock; a v7
+/// heap's live peer may be an exclusive attacher that does neither, so it
+/// fails typed (`BadVersion(7)`) and is left as it was.
+pub const VERSION: u64 = 8;
 /// Pattern written over the payload of torn (allocated-but-never-committed)
 /// tail blocks before they are returned to the free list.
 pub const POISON: u64 = 0xDEAD_BEEF_DEAD_BEEF;
@@ -198,9 +204,8 @@ pub enum MapError {
     /// The arena is out of space (VA reservation or segment directory full).
     Exhausted,
     /// The heap's participant registry holds a slot owned by a **live**
-    /// process: an exclusive attach (or create over a live heap) would share
-    /// the arena behind that process's back. Use the shared-attach API to
-    /// join a live heap instead.
+    /// process: a create would truncate the file under it. Open the heap
+    /// ([`MappedHeap::open`]) to join it instead.
     AlreadyAttached {
         /// Pid recorded in the live registry slot.
         pid: u64,
@@ -208,14 +213,6 @@ pub enum MapError {
     /// Every participant slot of the registry is claimed (by live peers, or
     /// by dead ones whose online recovery has not reclaimed them yet).
     RegistryFull,
-    /// A shared join found a live participant that attached in **exclusive**
-    /// mode: it runs private epochs and an unlocked bump path, so joining
-    /// would free memory it still reads. Wait for it to detach, or open the
-    /// heap exclusively.
-    ExclusivePeer {
-        /// Pid of the live exclusive attacher.
-        pid: u64,
-    },
     /// A durable layout field recorded in the superblock disagrees with the
     /// geometry this build was compiled with (e.g. recovery-area slot count
     /// or stride). Mismatched builds must not silently alias shared state.
@@ -258,13 +255,10 @@ impl std::fmt::Display for MapError {
             }
             MapError::Exhausted => write!(f, "persistent heap exhausted"),
             MapError::AlreadyAttached { pid } => {
-                write!(f, "heap is attached by live process {pid} (join it with the shared API)")
+                write!(f, "heap is attached by live process {pid} (open it to join)")
             }
             MapError::RegistryFull => {
-                write!(f, "participant registry full ({PART_SLOTS} processes per shared heap)")
-            }
-            MapError::ExclusivePeer { pid } => {
-                write!(f, "cannot join: live process {pid} attached this heap exclusively")
+                write!(f, "participant registry full ({PART_SLOTS} processes per heap)")
             }
             MapError::LayoutMismatch { what, expected, found } => {
                 write!(f, "heap layout mismatch: {what} is {found}, this build expects {expected}")
@@ -288,7 +282,7 @@ pub struct AttachReport {
     pub created: bool,
     /// Attach epoch after this attach (1 for a fresh heap).
     pub attach_epoch: u64,
-    /// This attach *joined* a live shared heap: peers were already attached,
+    /// This attach *joined* a live heap: peers were already attached,
     /// so no walk/heal ran (the heap state is live, not a crash image).
     pub joined: bool,
     /// Torn tail allocations (allocated, never committed) that were poisoned
@@ -313,11 +307,9 @@ pub struct AttachReport {
 ///
 /// One `MappedHeap` hosts one or more data structures (plus their recovery
 /// areas); `isb::store::Store` enforces the heap kind via the superblock.
-/// Exclusive attaches ([`MappedHeap::open`] /
-/// [`MappedHeap::attach`]) admit **one process at a time**, enforced by the
-/// durable participant registry ([`MapError::AlreadyAttached`]); shared
-/// attaches ([`MappedHeap::open_shared`]) let up to [`PART_SLOTS`] processes
-/// mutate the arena concurrently and recover a SIGKILLed peer online. All
+/// Every open ([`MappedHeap::open`]) registers a participant in the durable
+/// registry, so up to [`PART_SLOTS`] processes mutate the arena concurrently
+/// and recover a SIGKILLed peer online. All
 /// allocation routes through [`MappedHeap::alloc`] / [`MappedHeap::commit`] /
 /// [`MappedHeap::free`]; the object pools in `isb::pool` layer their
 /// per-thread caches on top.
@@ -338,15 +330,11 @@ pub struct MappedHeap {
     /// Free lists for blocks above `MAX_CLASS` payload granules.
     cold: Mutex<HashMap<u32, Vec<u32>>>,
     caches: Vec<CachePadded<UnsafeCell<alloc::ThreadCache>>>,
-    /// Shared (multi-process) mode: the bump path serializes under
-    /// `W_ALLOC_LOCK` and segments published by peers are adopted on demand.
-    /// Exclusive mode keeps the lock-free single-process paths.
-    shared: bool,
     /// This process's participant-registry slot (`usize::MAX` = none).
     my_slot: AtomicUsize,
     /// Liveness verdict source (injectable by tests).
     liveness: Arc<dyn PidLiveness>,
-    /// Whether `file` still holds the attach flock (shared initial attacher
+    /// Whether `file` still holds the attach flock (an initial attacher
     /// keeps it through structure-level replay; see `release_attach_lock`).
     attach_flock: AtomicBool,
     report: AttachReport,
@@ -398,9 +386,11 @@ fn open_locked(path: &Path, create: bool) -> Result<File, MapError> {
 
 impl MappedHeap {
     /// Creates a fresh heap whose *initial segment* holds (at least) `bytes`
-    /// at `path`, truncating any existing file. The arena grows on demand up
-    /// to a default VA reservation of `max(16 × bytes, 256 MiB)`. Prefer
-    /// [`MappedHeap::open`].
+    /// at `path`, truncating any existing file unless a live participant is
+    /// registered in it ([`MapError::AlreadyAttached`]). The arena grows on
+    /// demand up to a default VA reservation of `max(16 × bytes, 256 MiB)`.
+    /// Returns with the attach flock released: a fresh heap holds nothing to
+    /// recover. Prefer [`MappedHeap::open`].
     pub fn create(path: &Path, bytes: usize) -> Result<Arc<Self>, MapError> {
         Self::create_bounded(path, bytes, 0)
     }
@@ -415,53 +405,42 @@ impl MappedHeap {
         max_bytes: usize,
     ) -> Result<Arc<Self>, MapError> {
         let file = open_locked(path, true)?;
-        Self::create_locked(file, path, bytes, max_bytes, false, crate::liveness::default_probe())
+        let live = crate::liveness::default_probe();
+        Ok(Self::create_locked(file, path, bytes, max_bytes, live)?.admit(false))
     }
 
-    /// Attaches an existing heap: a full walking attach (see module docs).
-    pub fn attach(path: &Path) -> Result<Arc<Self>, MapError> {
-        let file = open_locked(path, false)?;
-        let page = Page0::read(&file)?;
-        Self::attach_locked(file, &page, path, false, crate::liveness::default_probe())
-    }
-
-    /// Attach `path` if it exists (and is non-empty), otherwise create a
-    /// fresh heap of `bytes` there.
+    /// Opens `path`: creates the heap (of `bytes`) when the file is absent
+    /// or empty, *joins* it when live participants are registered, and
+    /// otherwise runs a full walking attach. Every open is a participant of
+    /// the heap's one epoch domain, and up to [`PART_SLOTS`] processes hold
+    /// it at once. The decision is serialized across processes by the
+    /// attach flock. The initial attacher (create or full attach) returns
+    /// **still holding** the lock, so the caller can finish structure-level
+    /// recovery before admitting joiners — call
+    /// [`MappedHeap::release_attach_lock`] when the heap is serviceable.
+    /// Joiners return with the lock already released; a joiner that finds
+    /// every registry slot claimed is refused with
+    /// [`MapError::RegistryFull`] before it writes anything.
     pub fn open(path: &Path, bytes: usize) -> Result<Arc<Self>, MapError> {
-        match std::fs::metadata(path) {
-            Ok(m) if m.len() > 0 => Self::attach(path),
-            _ => Self::create(path, bytes),
-        }
+        Self::open_with(path, bytes, crate::liveness::default_probe())
     }
 
-    /// Opens `path` for **shared multi-process** use: creates the heap when
-    /// the file is absent/empty, *joins* it when live participants are
-    /// registered, and otherwise runs a full walking attach. The decision is
-    /// serialized across processes by the attach flock. The initial attacher
-    /// (create or full attach) returns **still holding** the lock, so the
-    /// caller can finish structure-level recovery before admitting joiners —
-    /// call [`MappedHeap::release_attach_lock`] when the heap is serviceable.
-    /// Joiners return with the lock already released.
-    pub fn open_shared(path: &Path, bytes: usize) -> Result<Arc<Self>, MapError> {
-        Self::open_shared_with(path, bytes, crate::liveness::default_probe())
-    }
-
-    /// [`MappedHeap::open_shared`] with an injected liveness probe (tests
-    /// exercise "falsely dead" / pid-reuse verdicts through this).
-    pub fn open_shared_with(
+    /// [`MappedHeap::open`] with an injected liveness probe (tests exercise
+    /// "falsely dead" / pid-reuse verdicts through this).
+    pub fn open_with(
         path: &Path,
         bytes: usize,
         live: Arc<dyn PidLiveness>,
     ) -> Result<Arc<Self>, MapError> {
         let file = open_locked(path, true)?;
-        if file.metadata()?.len() < PAGE as u64 {
-            return Self::create_locked(file, path, bytes, 0, true, live);
+        if file.metadata()?.len() == 0 {
+            return Ok(Self::create_locked(file, path, bytes, 0, live)?.admit(true));
         }
         let page = Page0::read(&file)?;
         if page.live_participants(&*live).next().is_some() {
-            Self::join_locked(file, &page, path, live)
+            Ok(Self::join_locked(file, &page, path, live)?.admit(false))
         } else {
-            Self::attach_locked(file, &page, path, true, live)
+            Ok(Self::attach_locked(file, &page, path, live)?.admit(true))
         }
     }
 
@@ -476,9 +455,8 @@ impl MappedHeap {
         path: &Path,
         bytes: usize,
         max_bytes: usize,
-        shared: bool,
         live: Arc<dyn PidLiveness>,
-    ) -> Result<Arc<Self>, MapError> {
+    ) -> Result<Self, MapError> {
         if file.metadata()?.len() >= PAGE as u64 {
             if let Some(p) = Page0::read(&file)?.live_participants(&*live).next() {
                 return Err(MapError::AlreadyAttached { pid: p.pid });
@@ -491,60 +469,51 @@ impl MappedHeap {
         file.set_len(g.seg0 as u64)?;
         let base = sys::map_file(&file, g.reserve)?;
         let report = AttachReport { created: true, attach_epoch: 1, ..Default::default() };
-        let heap = Self::over(base, &g, file, path, shared, live, report);
+        let heap = Self::over(base, &g, file, path, live, report);
         heap.stamp_fresh(&g);
         heap.claim_participant()?;
-        Ok(heap.admit(shared))
+        Ok(heap)
     }
 
-    /// Full (walking) attach body. Fails typed with
-    /// [`MapError::AlreadyAttached`] when a live participant is registered —
-    /// the walk resets shared volatile-in-persistent allocator state and
-    /// heals "torn" blocks, which must never run under a live peer.
+    /// Full (walking) attach body, run only when no live participant is
+    /// registered: the walk resets volatile-in-persistent allocator
+    /// state and heals "torn" blocks, which must never run under a live
+    /// peer.
     fn attach_locked(
         file: File,
         page: &Page0,
         path: &Path,
-        shared: bool,
         live: Arc<dyn PidLiveness>,
-    ) -> Result<Arc<Self>, MapError> {
-        if let Some(p) = page.live_participants(&*live).next() {
-            return Err(MapError::AlreadyAttached { pid: p.pid });
-        }
+    ) -> Result<Self, MapError> {
         let g = page.geometry(file.metadata()?.len())?;
         let base = sys::map_file(&file, g.reserve)?;
-        let mut heap = Self::over(base, &g, file, path, shared, live, AttachReport::default());
-        // Stale registry slots (every one is dead or mid-claim: the guard
-        // above passed) are reclaimed before this process claims its own.
+        let mut heap = Self::over(base, &g, file, path, live, AttachReport::default());
+        // Stale registry slots (every one is dead or mid-claim: the caller
+        // found no live one) are reclaimed before this process claims its own.
         heap.registry_clear_stale();
         heap.walk_and_heal()?;
         heap.report.attach_epoch = heap.word(W_EPOCH).load(Acquire) + 1;
         persist(heap.word(W_EPOCH), heap.report.attach_epoch);
         heap.claim_participant()?;
-        Ok(heap.admit(shared))
+        Ok(heap)
     }
 
-    /// Joins a **live** shared heap: every live participant must have
-    /// attached in *shared* mode (the mode word is stamped before the pid
-    /// under this same flock, so a live slot always carries its mode), and
-    /// *no* walk/heal/sweep runs.
+    /// Joins a **live** heap: *no* walk/heal/sweep runs, and the registry
+    /// claim is the join's first write.
     fn join_locked(
         file: File,
         page: &Page0,
         path: &Path,
         live: Arc<dyn PidLiveness>,
-    ) -> Result<Arc<Self>, MapError> {
+    ) -> Result<Self, MapError> {
         let g = page.geometry(file.metadata()?.len())?;
-        if let Some(p) = page.live_participants(&*live).find(|p| p.mode != MODE_SHARED) {
-            return Err(MapError::ExclusivePeer { pid: p.pid });
-        }
         let base = sys::map_file(&file, g.reserve)?;
         let report = AttachReport { joined: true, ..Default::default() };
-        let mut heap = Self::over(base, &g, file, path, true, live, report);
+        let mut heap = Self::over(base, &g, file, path, live, report);
         heap.claim_participant()?;
         heap.report.attach_epoch = heap.word(W_EPOCH).fetch_add(1, SeqCst) + 1;
         persist_line(heap.word(W_EPOCH));
-        Ok(heap.admit(false))
+        Ok(heap)
     }
 
     /// The one constructor: a handle over the reservation mapped at `base`,
@@ -554,7 +523,6 @@ impl MappedHeap {
         g: &SbGeom,
         file: File,
         path: &Path,
-        shared: bool,
         liveness: Arc<dyn PidLiveness>,
         report: AttachReport,
     ) -> MappedHeap {
@@ -569,7 +537,6 @@ impl MappedHeap {
             grow_lock: Mutex::new(()),
             cold: Mutex::new(HashMap::new()),
             caches: (0..MAX_PROCS).map(|_| Default::default()).collect(),
-            shared,
             my_slot: AtomicUsize::new(usize::MAX),
             liveness,
             attach_flock: AtomicBool::new(false),
@@ -584,9 +551,9 @@ impl MappedHeap {
         heap
     }
 
-    /// Last step of every attach: an initial shared attacher keeps the attach
-    /// flock (see [`MappedHeap::release_attach_lock`]); everyone else
-    /// releases it here.
+    /// Last step of every attach: an initial attacher of [`MappedHeap::open`]
+    /// keeps the attach flock (see [`MappedHeap::release_attach_lock`]);
+    /// everyone else releases it here.
     fn admit(mut self, keep_flock: bool) -> Arc<Self> {
         *self.attach_flock.get_mut() = keep_flock;
         if !keep_flock {
@@ -595,9 +562,9 @@ impl MappedHeap {
         Arc::new(self)
     }
 
-    /// Releases the attach flock a shared-mode initial attach still holds
-    /// (no-op otherwise, including for joiners). Until this is called,
-    /// concurrent [`MappedHeap::open_shared`] callers block — that window is
+    /// Releases the attach flock an initial attach still holds (no-op
+    /// otherwise, including for joiners). Until this is called, concurrent
+    /// [`MappedHeap::open`] callers block — that window is
     /// where the initial attacher replays structure-level recovery on what
     /// is still a crash image.
     pub fn release_attach_lock(&self) {
@@ -607,11 +574,11 @@ impl MappedHeap {
     }
 
     /// Runs `f` under an exclusive `flock` on the heap file — the
-    /// cross-process mutex shared-mode catalog mutation serializes on. The
+    /// cross-process mutex catalog mutation serializes on. The
     /// kernel releases it if the holder dies, so a SIGKILLed peer can never
     /// wedge it. Must not be called while this handle still holds the
     /// *attach* lock (the unlock here would release that early); the
-    /// store's shared open releases it before returning.
+    /// store's open releases it before returning.
     pub fn with_file_lock<R>(&self, f: impl FnOnce() -> R) -> Result<R, MapError> {
         debug_assert!(
             !self.attach_flock.load(Relaxed),
@@ -624,11 +591,6 @@ impl MappedHeap {
     }
 
     // -- accessors -----------------------------------------------------------
-
-    /// Whether this handle attached in shared (multi-process) mode.
-    pub fn is_shared(&self) -> bool {
-        self.shared
-    }
 
     /// Where this handle mapped the heap: the base its link words are
     /// offsets from.
@@ -699,7 +661,7 @@ mod tests {
                 })
                 .collect()
         }; // heap dropped: unmapped, file persists
-        let heap = MappedHeap::attach(&path).unwrap();
+        let heap = MappedHeap::open(&path, MIN_HEAP_BYTES).unwrap();
         assert!(!heap.report().created);
         assert_eq!(heap.report().committed, 100);
         assert_eq!(heap.report().poisoned, 0);
@@ -724,7 +686,7 @@ mod tests {
             // no commit: simulates a crash mid-allocation
             torn as usize - heap.base() as usize
         };
-        let heap = MappedHeap::attach(&path).unwrap();
+        let heap = MappedHeap::open(&path, MIN_HEAP_BYTES).unwrap();
         assert_eq!(heap.report().poisoned, 1);
         assert_eq!(heap.report().committed, 1);
         // The torn block was recycled: the next same-size alloc reuses it,
@@ -749,7 +711,7 @@ mod tests {
             unsafe { heap.free(b) };
             (a as usize - heap.base() as usize, b as usize - heap.base() as usize)
         };
-        let heap = MappedHeap::attach(&path).unwrap();
+        let heap = MappedHeap::open(&path, MIN_HEAP_BYTES).unwrap();
         assert_eq!(heap.report().committed, 1);
         // The slab carve stocked free blocks besides the one we freed.
         assert!(heap.report().free_blocks >= 1);
@@ -774,7 +736,7 @@ mod tests {
             unsafe { (p as *mut u64).write(0xC0FFEE) };
             heap.set_kind(7);
         }
-        let heap = MappedHeap::attach(&path).unwrap();
+        let heap = MappedHeap::open(&path, MIN_HEAP_BYTES).unwrap();
         assert_eq!(heap.kind(), 7);
         let (p, fresh) = heap.root_alloc(42, 128).unwrap();
         assert!(!fresh);
@@ -824,7 +786,7 @@ mod tests {
             assert!(heap.segments() > 1, "heap never grew");
             offs
         };
-        let heap = MappedHeap::attach(&path).unwrap();
+        let heap = MappedHeap::open(&path, MIN_HEAP_BYTES).unwrap();
         assert!(heap.report().segments > 1);
         assert_eq!(heap.report().committed, 4096);
         assert_eq!(heap.report().poisoned, 0);
@@ -853,7 +815,7 @@ mod tests {
             heap.grow(heap.segs[0].g_end()).unwrap();
             assert_eq!(heap.segments(), 2);
         }
-        let heap = MappedHeap::attach(&path).unwrap();
+        let heap = MappedHeap::open(&path, MIN_HEAP_BYTES).unwrap();
         assert_eq!((heap.report().segments, heap.report().committed), (2, 1));
         let p = heap.alloc(64).unwrap();
         heap.commit(p);
@@ -867,7 +829,7 @@ mod tests {
     /// bit-identical at the new base.
     fn attach_elsewhere_unchanged(path: &Path, old_base: usize, cells: &[(usize, [u64; 2])]) {
         let squat = sys::Squat::at(old_base);
-        let heap = MappedHeap::attach(path).unwrap();
+        let heap = MappedHeap::open(path, MIN_HEAP_BYTES).unwrap();
         // No squat means a sibling test's mapping holds the range already.
         assert!(squat.is_none() || heap.base() as usize != old_base);
         for &(off, words) in cells {
@@ -991,8 +953,7 @@ mod tests {
     #[test]
     fn describe_page0_names_participants_and_allocator_words() {
         let path = tmp("describe");
-        let heap =
-            MappedHeap::open_shared_with(&path, MIN_HEAP_BYTES, FakeProbe::with(&[])).unwrap();
+        let heap = MappedHeap::open_with(&path, MIN_HEAP_BYTES, FakeProbe::with(&[])).unwrap();
         heap.release_attach_lock();
         let dead = heap.debug_register_peer(4242, 5).unwrap();
         assert_eq!(heap.lease_try_claim(dead), LeaseOutcome::Won { seq: 1 });
@@ -1000,12 +961,9 @@ mod tests {
         heap.commit(p);
         let text = describe_page0(&path);
         let birth = crate::liveness::self_birth();
-        let me = format!("slot 0 pid {} birth {birth} shared lease seq 0 free", std::process::id());
+        let me = format!("slot 0 pid {} birth {birth} lease seq 0 free", std::process::id());
         assert!(text.contains(&me), "{text}");
-        assert!(
-            text.contains("slot 1 pid 4242 birth 5 shared lease seq 1 held by slot 0"),
-            "{text}"
-        );
+        assert!(text.contains("slot 1 pid 4242 birth 5 lease seq 1 held by slot 0"), "{text}");
         let bump = heap.bump_granules();
         assert!(
             text.contains(&format!("segments 1 bump {bump} resv {bump} bump-lock free")),
@@ -1103,25 +1061,6 @@ mod tests {
     }
 
     #[test]
-    fn exclusive_double_attach_fails_typed() {
-        let path = tmp("double");
-        let heap = MappedHeap::create(&path, MIN_HEAP_BYTES).unwrap();
-        assert_eq!(heap.my_participant(), Some(0));
-        match MappedHeap::attach(&path) {
-            Err(MapError::AlreadyAttached { pid }) => {
-                assert_eq!(pid, std::process::id() as u64)
-            }
-            other => panic!("expected AlreadyAttached, got {other:?}"),
-        }
-        // A clean drop retires the slot; the next attach succeeds.
-        drop(heap);
-        let heap = MappedHeap::attach(&path).unwrap();
-        assert_eq!(heap.participants().len(), 1);
-        drop(heap);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
     fn stale_and_pid_reused_slots_read_as_dead_and_are_reclaimed() {
         let path = tmp("stale");
         {
@@ -1137,7 +1076,7 @@ mod tests {
             // forgetting the heap? No — drop normally; only our own slot is
             // cleared, the fake peers stay behind as stale slots.
         }
-        let heap = MappedHeap::attach(&path).unwrap();
+        let heap = MappedHeap::open(&path, MIN_HEAP_BYTES).unwrap();
         // The full attach reclaimed the two stale slots and claimed ours.
         assert_eq!(heap.participants().len(), 1);
         drop(heap);
@@ -1149,7 +1088,7 @@ mod tests {
         tid::set_tid(50); // own stats slot: sibling tests steal leases too
         let path = tmp("lease");
         let probe = FakeProbe::with(&[1111, 2222]);
-        let heap = MappedHeap::open_shared_with(&path, MIN_HEAP_BYTES, probe.clone()).unwrap();
+        let heap = MappedHeap::open_with(&path, MIN_HEAP_BYTES, probe.clone()).unwrap();
         heap.release_attach_lock();
         let a = heap.debug_register_peer(1111, 5).unwrap();
         let b = heap.debug_register_peer(2222, 5).unwrap();
@@ -1181,7 +1120,7 @@ mod tests {
     fn lease_refuses_live_slots() {
         let path = tmp("leaselive");
         let probe = FakeProbe::with(&[1111, 2222]);
-        let heap = MappedHeap::open_shared_with(&path, MIN_HEAP_BYTES, probe.clone()).unwrap();
+        let heap = MappedHeap::open_with(&path, MIN_HEAP_BYTES, probe.clone()).unwrap();
         heap.release_attach_lock();
         let a = heap.debug_register_peer(1111, 5).unwrap();
         let b = heap.debug_register_peer(2222, 5).unwrap();
@@ -1200,7 +1139,7 @@ mod tests {
     fn torn_claims_are_never_leased_and_reclaim_under_the_flock() {
         let path = tmp("torn");
         let probe = FakeProbe::with(&[2222]);
-        let heap = MappedHeap::open_shared_with(&path, MIN_HEAP_BYTES, probe).unwrap();
+        let heap = MappedHeap::open_with(&path, MIN_HEAP_BYTES, probe).unwrap();
         heap.release_attach_lock();
         let b = heap.debug_register_peer(2222, 5).unwrap();
         let torn = heap.debug_register_peer(4242, 5).unwrap();
@@ -1222,8 +1161,7 @@ mod tests {
     #[test]
     fn a_full_registry_refuses_typed_and_a_freed_slot_is_claimed_again() {
         let path = tmp("regfull");
-        let heap =
-            MappedHeap::open_shared_with(&path, MIN_HEAP_BYTES, FakeProbe::with(&[])).unwrap();
+        let heap = MappedHeap::open_with(&path, MIN_HEAP_BYTES, FakeProbe::with(&[])).unwrap();
         heap.release_attach_lock();
         // This process holds slot 0; peers fill every other slot.
         let peers: Vec<usize> = (1..PART_SLOTS as u64)
@@ -1240,23 +1178,29 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    /// Every open of a live heap joins it — a second handle in this process
+    /// takes the next registry slot — and only a create, which would
+    /// truncate the file under the live one, is refused.
     #[test]
-    fn join_refuses_live_exclusive_attacher() {
-        let path = tmp("exclpeer");
-        // A real exclusive attach (default liveness probe) holds the heap.
-        let excl = MappedHeap::create(&path, MIN_HEAP_BYTES).unwrap();
-        // A shared open sees a live participant and takes the join path —
-        // which must refuse: the live peer registered MODE_EXCLUSIVE.
-        let probe = FakeProbe::with(&[]);
-        match MappedHeap::open_shared_with(&path, MIN_HEAP_BYTES, probe.clone()) {
-            Err(MapError::ExclusivePeer { pid }) => assert_eq!(pid, std::process::id() as u64),
-            other => panic!("expected ExclusivePeer, got {other:?}"),
+    fn a_second_open_joins_and_create_refuses_a_live_heap() {
+        let path = tmp("second");
+        let first = MappedHeap::open(&path, MIN_HEAP_BYTES).unwrap();
+        first.release_attach_lock();
+        assert_eq!(first.my_participant(), Some(0));
+        let second = MappedHeap::open(&path, MIN_HEAP_BYTES).unwrap();
+        assert!(second.report().joined);
+        assert_eq!(second.my_participant(), Some(1));
+        match MappedHeap::create(&path, MIN_HEAP_BYTES) {
+            Err(MapError::AlreadyAttached { pid }) => {
+                assert_eq!(pid, std::process::id() as u64)
+            }
+            other => panic!("expected AlreadyAttached, got {other:?}"),
         }
-        drop(excl);
-        // Once the exclusive attacher detaches cleanly, shared open works.
-        let heap = MappedHeap::open_shared_with(&path, MIN_HEAP_BYTES, probe).unwrap();
-        assert!(heap.is_shared());
-        heap.release_attach_lock();
+        // Clean drops retire both slots; the next open is a full attach.
+        drop((first, second));
+        let heap = MappedHeap::open(&path, MIN_HEAP_BYTES).unwrap();
+        assert!(!heap.report().joined && !heap.report().created);
+        assert_eq!(heap.participants().len(), 1);
         drop(heap);
         let _ = std::fs::remove_file(&path);
     }

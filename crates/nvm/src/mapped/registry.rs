@@ -1,7 +1,7 @@
 //! The participant registry and its recovery leases.
 //!
-//! The superblock carries fixed slots of `(pid, birth stamp, recovery lease,
-//! attach mode)`, one cache line each, one per attached process. The birth
+//! The superblock carries fixed slots of `(pid, birth stamp, recovery
+//! lease)`, one cache line each, one per attached process. The birth
 //! stamp (`/proc` start time) defeats pid reuse; liveness verdicts come from
 //! the heap's injectable [`crate::PidLiveness`] probe.
 //!
@@ -23,8 +23,8 @@
 //!   for the full argument.
 
 use super::superblock::{
-    claim_is_live, persist, persist_all, persist_line, CLAIMING, MODE_EXCLUSIVE, MODE_SHARED,
-    PART_SLOTS, PART_WORDS, PW_BIRTH, PW_LEASE, PW_MODE, PW_PID, W_PART0,
+    claim_is_live, persist, persist_all, persist_line, CLAIMING, PART_SLOTS, PART_WORDS, PW_BIRTH,
+    PW_LEASE, PW_PID, W_PART0,
 };
 use super::{MapError, MappedHeap, PART_TIDS};
 use crate::stats;
@@ -71,19 +71,16 @@ impl MappedHeap {
         self.word(W_PART0 + slot * PART_WORDS + w)
     }
 
-    /// Claims a free registry slot for `(pid, birth)` attaching in `mode`
-    /// (see the module docs for the crash ordering).
-    fn claim_slot_raw(&self, pid: u64, birth: u64, mode: u64) -> Result<usize, MapError> {
+    /// Claims a free registry slot for `(pid, birth)` (see the module docs
+    /// for the crash ordering). A full registry answers
+    /// [`MapError::RegistryFull`] having written nothing.
+    fn claim_slot_raw(&self, pid: u64, birth: u64) -> Result<usize, MapError> {
         for s in 0..PART_SLOTS {
             let pw = self.part_word(s, PW_PID);
             if pw.load(Acquire) != 0 || pw.compare_exchange(0, CLAIMING, AcqRel, Acquire).is_err() {
                 continue;
             }
-            persist_all([
-                (self.part_word(s, PW_BIRTH), birth),
-                (self.part_word(s, PW_LEASE), 0),
-                (self.part_word(s, PW_MODE), mode),
-            ]);
+            persist_all([(self.part_word(s, PW_BIRTH), birth), (self.part_word(s, PW_LEASE), 0)]);
             persist(pw, pid);
             return Ok(s);
         }
@@ -92,9 +89,7 @@ impl MappedHeap {
 
     /// Claims this process's registry slot (every attach path does this).
     pub(super) fn claim_participant(&self) -> Result<usize, MapError> {
-        let mode = if self.shared { MODE_SHARED } else { MODE_EXCLUSIVE };
-        let slot =
-            self.claim_slot_raw(std::process::id() as u64, crate::liveness::self_birth(), mode)?;
+        let slot = self.claim_slot_raw(std::process::id() as u64, crate::liveness::self_birth())?;
         self.my_slot.store(slot, Relaxed);
         Ok(slot)
     }
@@ -112,13 +107,13 @@ impl MappedHeap {
     /// Frees registry slot `slot`, pid first (clearing the lease first would
     /// let a second survivor win a lease on a slot that is mid-retire, then
     /// wipe state a *new* claimant of the slot owns). Crash-safe in either
-    /// half: a re-claim overwrites birth/lease/mode before re-stamping the
+    /// half: a re-claim overwrites birth and lease before re-stamping the
     /// pid, so stale field bytes are never paired with a valid flag. Public
     /// for the recovery path, which calls it only after the dead peer's
     /// per-pid replay completed.
     pub fn clear_participant(&self, slot: usize) {
         persist(self.part_word(slot, PW_PID), 0);
-        persist_all([PW_LEASE, PW_BIRTH, PW_MODE].map(|w| (self.part_word(slot, w), 0)));
+        persist_all([PW_LEASE, PW_BIRTH].map(|w| (self.part_word(slot, w), 0)));
     }
 
     /// Whether registry slot `slot` holds a fully-claimed, live participant.
@@ -250,12 +245,12 @@ impl MappedHeap {
         })
     }
 
-    /// Test hook: registers a fake shared participant `(pid, birth)` in the
+    /// Test hook: registers a fake participant `(pid, birth)` in the
     /// registry, as if that process had attached. Returns its slot. Unlike a
     /// real claim this does not hold the attach flock — tests only.
     #[doc(hidden)]
     pub fn debug_register_peer(&self, pid: u64, birth: u64) -> Result<usize, MapError> {
-        self.claim_slot_raw(pid, birth, MODE_SHARED)
+        self.claim_slot_raw(pid, birth)
     }
 
     /// Test hook: leaves registry slot `slot`'s pid word at the mid-claim

@@ -28,10 +28,10 @@
 //!   volatile cursor `W_BUMP_RESV` forward (writing `PAD` filler over any
 //!   segment tail it skips — chunks never straddle a segment), its owner
 //!   writes the chunk header, and `publish_bump` moves `W_BUMP` only once
-//!   every earlier reservation has published. In shared mode the
-//!   reserve-to-publish window runs under `W_ALLOC_LOCK`, so a SIGKILLed
-//!   peer leaves at most one gap, which the thief of its lock overwrites
-//!   with `PAD` (`heal_bump_gap`).
+//!   every earlier reservation has published. The reserve-to-publish
+//!   window runs under `W_ALLOC_LOCK`, so a SIGKILLed peer leaves at most
+//!   one gap, which the thief of its lock overwrites with `PAD`
+//!   (`heal_bump_gap`).
 
 use super::alloc::{encode_hdr, SLAB, ST_PAD};
 use super::superblock::{
@@ -80,8 +80,8 @@ pub(super) struct Resv {
     pub(super) end: usize,
 }
 
-/// Holds the shared-mode bump lock (`W_ALLOC_LOCK`); released on drop. See
-/// [`MappedHeap::lock_shared_bump`].
+/// Holds the bump lock (`W_ALLOC_LOCK`); released on drop. See
+/// [`MappedHeap::lock_bump`].
 pub(super) struct BumpLockGuard<'a> {
     heap: &'a MappedHeap,
 }
@@ -98,8 +98,8 @@ impl MappedHeap {
     /// Appends the volatile slot of the next `bytes`-long segment, which
     /// starts where the segments adopted so far end. The one way a segment
     /// becomes visible to this handle: at construction, after our own `grow`,
-    /// and when a refresh finds a peer's. Caller holds `grow_lock` (or owns
-    /// the heap exclusively).
+    /// and when a refresh finds a peer's. Caller holds `grow_lock` (or is
+    /// constructing the handle).
     pub(super) fn adopt_segment(&self, bytes: usize) {
         let n = self.n_segs.load(Acquire);
         let off = self.size.load(Acquire);
@@ -114,13 +114,12 @@ impl MappedHeap {
         self.n_segs.store(n + 1, Release);
     }
 
-    /// Adopts any segments a *peer* published since our last look (shared
-    /// heaps only; an exclusive owner can never miss one). Cheap when nothing
-    /// changed: one superblock load. This maintains volatile bookkeeping only
+    /// Adopts any segments a *peer* published since our last look. Cheap
+    /// when nothing changed: one superblock load. This maintains volatile bookkeeping only
     /// — the bytes were readable all along.
     pub(super) fn refresh_segments(&self) -> Result<(), MapError> {
         let published = self.word(W_SEG_COUNT).load(Acquire) as usize + 1;
-        if !self.shared || published <= self.n_segs.load(Acquire) {
+        if published <= self.n_segs.load(Acquire) {
             return Ok(());
         }
         if published > MAX_SEGMENTS + 1 {
@@ -145,8 +144,8 @@ impl MappedHeap {
     /// Returns `Ok` without growing when a concurrent grower already made
     /// room. See the module docs for the crash-ordering argument.
     pub(super) fn grow(&self, need_granules: usize) -> Result<(), MapError> {
-        // A peer of a shared heap may have grown already. (Nobody can grow
-        // from here on: shared-mode callers hold the bump lock.)
+        // A peer may have grown already. (Nobody can grow from here on:
+        // callers hold the bump lock.)
         self.refresh_segments()?;
         let _guard = lock_np(&self.grow_lock);
         // Re-check under the lock: another thread may have grown while we
@@ -221,7 +220,7 @@ impl MappedHeap {
         if let Some(g) = self.try_granule_of(p) {
             return g;
         }
-        // Shared mode: the pointer may land in a segment a peer grew.
+        // The pointer may land in a segment a peer grew.
         let _ = self.refresh_segments();
         self.try_granule_of(p).expect("payload pointer outside every mapped segment")
     }
@@ -251,27 +250,23 @@ impl MappedHeap {
         let inside = || {
             off >= PAGE && off.checked_add(len).is_some_and(|end| end <= self.size.load(Acquire))
         };
-        inside() || (self.shared && self.refresh_segments().is_ok() && inside())
+        inside() || (self.refresh_segments().is_ok() && inside())
     }
 
     // -- the bump cursor -------------------------------------------------------
 
-    /// Serializes the shared-mode bump path under the `W_ALLOC_LOCK`
-    /// superblock word (holder = participant slot + 1), stealing the lock —
-    /// and healing the holder's un-published reservation gap — when the
-    /// holder process is dead. Returns `None` in exclusive mode, where the
-    /// bump path stays lock-free.
-    pub(super) fn lock_shared_bump(&self) -> Option<BumpLockGuard<'_>> {
-        if !self.shared {
-            return None;
-        }
+    /// Serializes the bump path under the `W_ALLOC_LOCK` superblock word
+    /// (holder = participant slot + 1), stealing the lock — and healing the
+    /// holder's un-published reservation gap — when the holder process is
+    /// dead.
+    pub(super) fn lock_bump(&self) -> BumpLockGuard<'_> {
         let me = self.my_slot.load(Relaxed) as u64 + 1;
         let lock = self.word(W_ALLOC_LOCK);
         let mut spins = 0u32;
         loop {
             if lock.compare_exchange_weak(0, me, AcqRel, Acquire).is_ok() {
                 self.heal_bump_gap();
-                return Some(BumpLockGuard { heap: self });
+                return BumpLockGuard { heap: self };
             }
             spins = spins.wrapping_add(1);
             if spins.is_multiple_of(1024) {
@@ -285,7 +280,7 @@ impl MappedHeap {
                     && lock.compare_exchange(cur, me, AcqRel, Acquire).is_ok()
                 {
                     self.heal_bump_gap();
-                    return Some(BumpLockGuard { heap: self });
+                    return BumpLockGuard { heap: self };
                 }
                 std::thread::yield_now();
             } else {

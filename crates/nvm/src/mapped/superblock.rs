@@ -52,12 +52,12 @@ pub(super) const W_GRANULES: usize = 8; // granules of segment 0
 pub(super) const W_KIND: usize = 9;
 pub(super) const W_SEG_COUNT: usize = 10; // number of *extra* segments (the valid flag)
 pub(super) const W_RESERVE: usize = 11; // VA reservation bytes (growth ceiling)
-/// Shared-mode bump-path lock: holder participant slot + 1, 0 when free.
+/// Bump-path lock: holder participant slot + 1, 0 when free.
 /// Volatile-in-persistent-space; stolen (with gap healing) from dead holders.
 pub(super) const W_ALLOC_LOCK: usize = 12;
 /// Volatile reservation cursor over the global granule space; the persistent
-/// `W_BUMP` trails it. Lives in the superblock so concurrent attachers of a
-/// shared heap see one cursor; reset from `W_BUMP` on every full attach.
+/// `W_BUMP` trails it. Lives in the superblock so concurrent attachers see
+/// one cursor; reset from `W_BUMP` on every full attach.
 pub(super) const W_BUMP_RESV: usize = 13;
 /// Recovery-area geometry recorded by the first attach that placed a
 /// recovery area on this heap: slot count and per-slot stride in bytes
@@ -90,14 +90,6 @@ pub(super) const W_PART0: usize = 96; // PART_SLOTS × PART_WORDS words (96..160
 pub(super) const PW_PID: usize = 0; // claim/valid word: 0 free, CLAIMING mid-claim, else pid
 pub(super) const PW_BIRTH: usize = 1; // /proc starttime of the claimant
 pub(super) const PW_LEASE: usize = 2; // recovery lease: (seq << 8) | (recoverer slot + 1)
-pub(super) const PW_MODE: usize = 3; // attach mode of the claimant (MODE_*)
-/// `PW_MODE` values. Stamped (with the birth) before the pid — the valid
-/// flag — under the attach flock, so a live slot always carries the mode its
-/// owner attached with. Joiners refuse heaps with a live **exclusive**
-/// attacher: its collectors run private epochs and its bump path ignores
-/// `W_ALLOC_LOCK`, so sharing the arena behind its back would be unsound.
-pub(super) const MODE_EXCLUSIVE: u64 = 1;
-pub(super) const MODE_SHARED: u64 = 2;
 /// Mid-claim sentinel for `PW_PID`: reserves the slot before the birth stamp
 /// is written (fields first, pid — the valid flag — last). Never a real pid,
 /// so a crash mid-claim leaves a trivially-dead, reclaimable slot.
@@ -149,7 +141,6 @@ pub(super) struct Participant {
     pub(super) pid: u64,
     pub(super) birth: u64,
     pub(super) lease: u64,
-    pub(super) mode: u64,
 }
 
 /// Superblock geometry: parsed and validated from a plain read, or laid out
@@ -219,14 +210,13 @@ impl Page0 {
                 pid: pw(PW_PID),
                 birth: pw(PW_BIRTH),
                 lease: pw(PW_LEASE),
-                mode: pw(PW_MODE),
             })
         })
     }
 
     /// The one registry-liveness scan: every fully-claimed participant the
-    /// probe calls alive. Create and full attach refuse a heap that has one;
-    /// a shared open joins it instead, unless one of them is exclusive.
+    /// probe calls alive. Create refuses a heap that has one; an open joins
+    /// it instead of walking it.
     pub(super) fn live_participants<'a>(
         &'a self,
         live: &'a dyn PidLiveness,
@@ -309,7 +299,7 @@ pub(super) fn plausible_segment(bytes: u64) -> bool {
 }
 
 /// Renders the shared-state words of the heap file at `path` for a failure
-/// report: every claimed participant with pid / birth / mode and its lease
+/// report: every claimed participant with pid / birth and its lease
 /// word, the bump-lock holder, `W_BUMP` against `W_BUMP_RESV`, and the
 /// segment count. Read-only and lock-free — a `pread` of page 0, so it is
 /// safe to call against a heap live processes are mutating (the words may
@@ -339,13 +329,8 @@ pub fn describe_page0(path: &std::path::Path) -> String {
     );
     for p in page.participants() {
         let pid = if p.pid == CLAIMING { "CLAIMING".to_string() } else { p.pid.to_string() };
-        let mode = match p.mode {
-            MODE_EXCLUSIVE => "exclusive",
-            MODE_SHARED => "shared",
-            _ => "?",
-        };
         out += &format!(
-            "  slot {} pid {pid} birth {} {mode} lease seq {} {}\n",
+            "  slot {} pid {pid} birth {} lease seq {} {}\n",
             p.slot,
             p.birth,
             p.lease >> 8,

@@ -14,7 +14,7 @@
 //!   maps a second time. Pages past EOF are plain address space; nothing
 //!   points into them until a growth has extended the file underneath.
 //! * **The attach flock is attach-time only.** [`flock_ex`] serializes
-//!   create/attach/join decisions (and shared-mode catalog appends) across
+//!   create/attach/join decisions (and catalog appends) across
 //!   processes, never the operation hot path, and the kernel releases it when
 //!   its holder dies — a SIGKILLed peer cannot wedge it.
 

@@ -18,14 +18,15 @@
 //!   crash must not free anything, because recovery code may still inspect
 //!   it (recoverable memory managers are future work in the paper, too).
 //!
-//! Each data structure owns its own `Collector`, so a stalled thread in one
-//! structure never blocks reclamation in another.
+//! An in-process data structure owns its own private-epoch `Collector`, so
+//! a stalled thread in one structure never blocks reclamation in another.
 //!
-//! ## Cross-process epochs (shared mapped heaps)
+//! ## One epoch domain per mapped heap
 //!
-//! When several processes attach one `MappedHeap`, their collectors must
-//! agree on epochs — an address retired by one process may still be read by
-//! another. [`Collector::attach_shared`] redirects the global epoch and the
+//! Every structure of a mapped heap, in every process attached to it, must
+//! agree on epochs — an address retired through one structure, by one
+//! process, may still be read through another structure or by another
+//! process. [`Collector::attach_shared`] redirects the global epoch and the
 //! per-process *announce* words into a caller-provided region of the shared
 //! arena (layout: one cache line for the global epoch, then one line per
 //! process slot holding its announce word and a cross-collector pin depth).
@@ -55,7 +56,7 @@ use nvm::tid;
 use nvm::MAX_PROCS;
 use std::cell::UnsafeCell;
 use std::sync::atomic::AtomicU64;
-use std::sync::atomic::Ordering::SeqCst;
+use std::sync::atomic::Ordering::{Relaxed, SeqCst};
 use std::sync::Mutex;
 
 /// A deferred deallocation handed back by [`Collector::take_parked`]: the
@@ -119,8 +120,10 @@ impl SharedEpochs {
         unsafe { &*(self.base.add((1 + pid) * nvm::CACHE_LINE) as *const AtomicU64) }
     }
 
-    /// Cross-collector pin depth for `pid` — written only by the owning
-    /// process's thread (and by recovery once that process is dead).
+    /// Cross-collector pin depth for `pid` — read and written only by the
+    /// thread registered under `pid` (and by recovery once that thread's
+    /// process is dead), so every access is `Relaxed`: no other thread reads
+    /// it, and the announce word beside it carries the ordering.
     #[inline]
     fn depth(&self, pid: usize) -> &AtomicU64 {
         // SAFETY: as above.
@@ -159,6 +162,8 @@ pub struct Collector {
     /// region instead of the two fields above ([`Collector::attach_shared`]).
     shared: Option<SharedEpochs>,
     enabled: bool,
+    /// The owner's word for this collector ([`Collector::set_tag`]).
+    tag: usize,
     /// Retired-but-never-freed garbage in disabled mode (freed on drop).
     parked: Mutex<Vec<Garbage>>,
 }
@@ -189,6 +194,7 @@ impl Collector {
             slots: (0..MAX_PROCS).map(|_| CachePadded::new(Slot::default())).collect(),
             shared: None,
             enabled,
+            tag: 0,
             parked: Mutex::new(Vec::new()),
         }
     }
@@ -198,9 +204,10 @@ impl Collector {
         self.enabled
     }
 
-    /// Whether this collector's epochs live in a shared region.
-    pub fn is_shared(&self) -> bool {
-        self.shared.is_some()
+    /// Sets an opaque word every guard reports ([`Guard::tag`]; 0 unset):
+    /// the mapped backend's descriptor-pool handle.
+    pub fn set_tag(&mut self, tag: usize) {
+        self.tag = tag;
     }
 
     /// Redirects this collector's global epoch and announce words into a
@@ -211,10 +218,10 @@ impl Collector {
     /// Limbo bags stay process-local: objects retired through this collector
     /// are freed by this process once the shared epoch advances two steps,
     /// which requires every live participant to unpin. On drop a shared
-    /// collector **leaks** still-deferred garbage instead of freeing it — a
-    /// peer process may still be pinned reading it, and the blocks live in
-    /// the persistent arena anyway; the sweep of the next full (exclusive)
-    /// attach reclaims them.
+    /// collector tries to advance the shared epoch twice and frees what is
+    /// then ripe; it **leaks** the rest instead of freeing it — a pinned
+    /// peer may still be reading it, and the blocks live in the persistent
+    /// arena anyway; the sweep of the next full attach reclaims them.
     ///
     /// Within one process, several collectors (one per structure) may attach
     /// the same region. They share one announce word per process slot; a
@@ -236,7 +243,7 @@ impl Collector {
 
     /// Zeroes a shared epoch region and seeds the global epoch to 1 (the
     /// same starting epoch as a fresh owned collector). The *initial*
-    /// attacher of a shared heap calls this exactly once, before any
+    /// attacher of a mapped heap calls this exactly once, before any
     /// collector attaches; joiners must not (a live region holds peers'
     /// pins).
     ///
@@ -266,7 +273,7 @@ impl Collector {
             if sh.announce(pid).swap(UNPINNED, SeqCst) != UNPINNED {
                 stalled += 1;
             }
-            sh.depth(pid).store(0, SeqCst);
+            sh.depth(pid).store(0, Relaxed);
         }
         stalled
     }
@@ -318,10 +325,10 @@ impl Collector {
             // per process slot. Only the first outermost pin across all of
             // them announces; later ones adopt the already-announced epoch
             // (older or equal — strictly more conservative for `collect`).
-            // The depth word is written only by the owning thread, so plain
-            // load/store pairs are race-free.
-            let d = sh.depth(pid).load(SeqCst);
-            sh.depth(pid).store(d + 1, SeqCst);
+            // The depth word is the owning thread's alone, so a relaxed
+            // load/store pair is race-free and orders nothing it needs.
+            let d = sh.depth(pid).load(Relaxed);
+            sh.depth(pid).store(d + 1, Relaxed);
             if d == 0 {
                 self.announce(sh.announce(pid))
             } else {
@@ -387,9 +394,9 @@ impl Collector {
             if let Some(sh) = &self.shared {
                 // Mirror of the shared pin path: only the last collector of
                 // this process to unpin clears the shared announce word.
-                let d = sh.depth(pid).load(SeqCst);
+                let d = sh.depth(pid).load(Relaxed);
                 debug_assert!(d > 0, "shared unpin without a shared pin");
-                sh.depth(pid).store(d.saturating_sub(1), SeqCst);
+                sh.depth(pid).store(d.saturating_sub(1), Relaxed);
                 if d <= 1 {
                     sh.announce(pid).store(UNPINNED, SeqCst);
                 }
@@ -473,19 +480,21 @@ impl Collector {
 
 impl Drop for Collector {
     fn drop(&mut self) {
-        // Shared mode LEAKS still-deferred garbage instead of force-freeing:
-        // a peer process may still be pinned reading it, and the objects are
-        // persistent-arena blocks — the sweep of the next full (exclusive)
-        // attach reclaims anything unreachable.
-        if self.shared.is_none() {
-            for slot in &self.slots {
-                let bags = unsafe { &mut *slot.bags.get() };
-                for bag in &mut bags.bags {
-                    for g in bag.drain(..) {
-                        unsafe { g.free() };
-                    }
-                }
+        // A private domain frees every bag (no epoch is older than
+        // `u64::MAX`). Shared mode frees what two epoch advances ripen
+        // (every bag, when nobody is pinned) and LEAKS the rest instead of
+        // force-freeing: a pinned peer may still read it, and the objects are
+        // arena blocks the sweep of the next full attach reclaims.
+        let epoch = match self.shared {
+            Some(_) => {
+                (0..2).for_each(|_| self.try_advance(self.global_word().load(SeqCst)));
+                self.global_word().load(SeqCst)
             }
+            None => u64::MAX,
+        };
+        for slot in &self.slots {
+            // SAFETY: `&mut self` — no thread holds any slot's bags.
+            self.collect(unsafe { &mut *slot.bags.get() }, epoch);
         }
         for g in self.parked.get_mut().unwrap().drain(..) {
             unsafe { g.free() };
@@ -501,6 +510,12 @@ pub struct Guard<'c> {
 }
 
 impl Guard<'_> {
+    /// The word the collector's owner set ([`Collector::set_tag`]).
+    #[inline]
+    pub fn tag(&self) -> usize {
+        self.c.tag
+    }
+
     /// Defers deallocation of `ptr` (a `Box::into_raw` allocation) until no
     /// pinned thread can still hold a reference.
     ///
@@ -744,7 +759,6 @@ mod tests {
         let (mut a, mut b) = (Collector::new(), Collector::new());
         unsafe { a.attach_shared(base) };
         unsafe { b.attach_shared(base) };
-        assert!(a.is_shared());
 
         // Announce word of process slot 0 (line 1 of the region).
         let announce0 =
@@ -791,6 +805,8 @@ mod tests {
         drop(b);
     }
 
+    /// A shared collector's drop frees a bag only once no pin protects it:
+    /// with a peer pinned it leaks the bag, with nobody pinned it frees it.
     #[test]
     fn shared_drop_leaks_deferred_garbage() {
         tid::set_tid(0);
@@ -798,17 +814,32 @@ mod tests {
         let base = region.as_mut_ptr() as *mut u8;
         unsafe { Collector::init_shared_region(base) };
         let drops = Arc::new(AtomicUsize::new(0));
-        let mut c = Collector::new();
-        unsafe { c.attach_shared(base) };
-        {
-            let g = c.pin();
-            let p = Box::into_raw(Box::new(Tracked(Arc::clone(&drops))));
-            unsafe { g.retire_box(p) };
-        }
-        drop(c);
-        // Intentional leak: a peer may still be pinned; the next full attach
+        let retire_and_drop = || {
+            let mut c = Collector::new();
+            unsafe { c.attach_shared(base) };
+            {
+                let g = c.pin();
+                let p = Box::into_raw(Box::new(Tracked(Arc::clone(&drops))));
+                unsafe { g.retire_box(p) };
+            }
+            drop(c);
+        };
+        // A peer pinned on tid 1 blocks the second advance.
+        let mut peer = Collector::new();
+        unsafe { peer.attach_shared(base) };
+        tid::set_tid(1);
+        let pin = peer.pin();
+        tid::set_tid(0);
+        retire_and_drop();
+        // Intentional leak: the peer may be reading it; the next full attach
         // sweeps. (The test leaks one heap Box — bounded and deliberate.)
         assert_eq!(drops.load(Relaxed), 0, "shared drop must not force-free");
+        tid::set_tid(1);
+        drop(pin);
+        tid::set_tid(0);
+        retire_and_drop();
+        assert_eq!(drops.load(Relaxed), 1, "nobody pinned: the drop frees the ripe bag");
+        drop(peer);
     }
 
     #[test]

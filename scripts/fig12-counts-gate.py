@@ -5,36 +5,24 @@
 
 Compares the 1-thread row of `fig12_map_pwb`, `fig12_queue_pwb` and
 `fig12_queue_psync` (pwb-equivalents / psyncs per op of every arm under
-`CountingNvm`; a single thread, so the scheduler decides nothing) with the
-same row of the newest `bench_results/BENCH_*` file that has all three tables
-(file names sort by date, then experiment). Exits non-zero, naming every
-cell, when one differs by more than its tolerance.
+`CountingNvm`) with the same row of the newest `bench_results/BENCH_*` file
+that has all three tables (file names sort by date, then experiment). Exits
+non-zero, naming every cell, when one differs at all.
 
-A cell's tolerance is 3 x its same-code scatter: the largest deviation of
-twenty `--dur-ms 40` runs from the committed 400 ms file on the reference
-container (PR 23), rounded up, floored at 0.01. The psync cells are exact. The
-pwb cells scatter because `figures` runs on the process allocator: where a
-node sits relative to a 64-byte boundary decides, per process, whether it
-spans one line or two and what it dedupes against — most of all in the LP
-queue, whose enqueue drains tag, link and new node in one fence window
-(5.25 ... 5.43 since the one-line queue descriptors; on the mapped heap's
-aligned blocks it is exactly 6.0 with the glue, `benchmark/`'s `queue_2t`).
-`persist_placement.rs` pins exact counts under a line-aligning
-allocator; this gate watches the *mix* the figures run. What it catches, 3
-mutated runs in 3: with LP's cleanup elision reverted `fig12_map_pwb` /
-`Isb-LP` moves by +0.7 against a tolerance of 0.2.
+The cells are exact per seed: `figures` runs each 1-thread counting point
+for a fixed number of operations from a fixed seed on one thread
+(`bench_harness::workload::count_set` / `count_queue`), and starts every
+allocation on its own cache line(s) (`bench_harness::placement`), so
+neither the clock nor what ran earlier in the process — the time-bounded
+fig8 / fig10 / fig11 points of CI's command — moves a count. Any placement
+change moves a cell: re-pin the goldens and commit a new BENCH_ file.
 """
 import glob
 import json
 import os
 import sys
 
-# Per table, per column (`Isb`, `Isb-Opt`, `Isb-LP`): measured scatter x 3.
-TABLES = {
-    "fig12_map_pwb": (0.05, 0.2, 0.2),  # 0.012, 0.062, 0.057
-    "fig12_queue_pwb": (0.25, 0.35, 1.5),  # 0.083, 0.109, 0.491
-    "fig12_queue_psync": (0.01, 0.01, 0.01),  # 0 in 20 runs
-}
+TABLES = ("fig12_map_pwb", "fig12_queue_pwb", "fig12_queue_psync")
 
 
 def one_thread_rows(path):
@@ -65,17 +53,17 @@ def main():
     path, committed = baseline
 
     bad = []
-    for table, tols in TABLES.items():
+    for table in TABLES:
         columns, want = committed[table]
         got_columns, got = fresh[table]
-        if got_columns != columns or len(columns) != len(tols):
-            bad.append(f"{table}: columns {got_columns}, committed {columns}, {len(tols)} tolerances")
+        if got_columns != columns:
+            bad.append(f"{table}: columns {got_columns}, committed {columns}")
             continue
-        for arm, w, g, tol in zip(columns, want, got, tols):
-            mark = "" if abs(g - w) <= tol else f"   <-- moved by more than {tol}"
-            print(f"{table:18} {arm:9} committed {w:9.4f}  fresh {g:9.4f}  {g - w:+.4f}{mark}")
+        for arm, w, g in zip(columns, want, got):
+            mark = "" if g == w else "   <-- moved"
+            print(f"{table:18} {arm:9} committed {w:9.6f}  fresh {g:9.6f}  {g - w:+.6f}{mark}")
             if mark:
-                bad.append(f"{table} / {arm}: {w:.4f} -> {g:.4f}")
+                bad.append(f"{table} / {arm}: {w} -> {g}")
     print(f"baseline: {os.path.relpath(path, repo)}")
     if bad:
         sys.exit("counting-model cells moved against the committed baseline "

@@ -34,17 +34,16 @@ pub fn splitmix(state: &mut u64) -> u64 {
 }
 
 /// The body of a server child test: one [`kvserve::Server`] process over
-/// its scratch directory's heap — `shared` servers open the SAME heap, each
-/// inside its own participant tid band, each running the peer-recovery
-/// healer. Publishes the bound port as `port_file` once the
-/// server is accepting (which, on restart, doubles as the "attach recovery
-/// finished" handshake) and serves until the parent writes `stop`.
-pub fn serve_child(scratch: &Scratch, heap_bytes: usize, shared: bool, port_file: &str) {
+/// its scratch directory's heap — servers started beside a live one open
+/// the SAME heap, each inside its own participant tid band, each running
+/// the peer-recovery healer. Publishes the bound port as `port_file` once
+/// the server is accepting (which, on restart, doubles as the "attach
+/// recovery finished" handshake) and serves until the parent writes `stop`.
+pub fn serve_child(scratch: &Scratch, heap_bytes: usize, port_file: &str) {
     let mut cfg = kvserve::Config::new(scratch.heap());
     cfg.heap_bytes = heap_bytes;
     cfg.shards = 4;
     cfg.workers = 2;
-    cfg.shared = shared;
     let server = kvserve::Server::start(cfg).expect("child server start");
     scratch.publish(port_file, server.local_addr().port());
     while !scratch.file("stop").exists() {

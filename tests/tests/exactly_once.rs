@@ -78,7 +78,7 @@ fn map_clients(seed: u64) -> Vec<MapClient> {
 #[ignore = "child half of the exactly-once harness; spawned by the parent test"]
 fn kv_server_child() {
     let Some(scratch) = Scratch::of_child() else { return };
-    serve_child(&scratch, HEAP_BYTES, false, "port");
+    serve_child(&scratch, HEAP_BYTES, "port");
 }
 
 // ---------------------------------------------------------------------------

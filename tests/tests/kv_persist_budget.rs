@@ -45,7 +45,7 @@
 use kvserve::{Config, KvClient, Server};
 use nvm::stats::Snapshot;
 
-/// The single lane's tid (`base_tid + 1 + lane` on an exclusive heap).
+/// The single lane's tid (`base_tid + 1 + lane`, the band of participant 0).
 const LANE_TID: usize = 1;
 
 /// `(lines written back, fences)` the lane has issued so far.

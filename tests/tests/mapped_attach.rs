@@ -152,8 +152,11 @@ fn wrong_version_fails_typed() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// A heap of a previous format fails typed before anything reads it: version
-/// 6, whose descriptors took three cache lines with the sets in fixed
+/// A heap of a previous format fails typed before anything reads it, and is
+/// left byte for byte as it was: version 7, whose live peer may be an
+/// exclusive attacher (private epochs, an unlocked bump path) that a joiner
+/// of this build could not share the arena with, version 6, whose
+/// descriptors took three cache lines with the sets in fixed
 /// slots, version 5, whose links are absolute addresses rather than heap
 /// offsets, version 4, whose every block carried a header granule of its
 /// own (a v5 walk would misread every block), and version 3, whose
@@ -161,15 +164,23 @@ fn wrong_version_fails_typed() {
 /// first cache line.
 #[test]
 fn previous_descriptor_format_fails_typed() {
-    assert_eq!(nvm::mapped::VERSION, 7);
-    for old in [6u64, 5, 4, 3] {
+    assert_eq!(nvm::mapped::VERSION, 8);
+    for old in [7u64, 6, 5, 4, 3] {
         let path = tmp("old_version");
         mk_map(&path);
         patch(&path, 8, &old.to_le_bytes()); // word 1: version
+        if old == 7 {
+            // Registry slot 0 (words 96, 97: pid, birth) names a live
+            // process — this one, as a v7 attacher would have stamped it.
+            patch(&path, 96 * 8, &(std::process::id() as u64).to_le_bytes());
+            patch(&path, 97 * 8, &nvm::liveness::self_birth().to_le_bytes());
+        }
+        let image = std::fs::read(&path).unwrap();
         match map_err(attach(&path)) {
             MapError::BadVersion(v) => assert_eq!(v, old),
             e => panic!("expected BadVersion({old}), got {e}"),
         }
+        assert!(std::fs::read(&path).unwrap() == image, "v{old}: the refusal wrote the heap");
         let _ = std::fs::remove_file(&path);
     }
 }
@@ -393,7 +404,7 @@ fn heap_level_torn_tail_is_poisoned_through_structure_attach() {
     {
         // Re-open at heap level and abandon an uncommitted allocation —
         // exactly the image a kill between `alloc` and `commit` leaves.
-        let heap = MappedHeap::attach(&path).unwrap();
+        let heap = MappedHeap::open(&path, nvm::mapped::MIN_HEAP_BYTES).unwrap();
         let p = heap.alloc(192).unwrap();
         unsafe { std::ptr::write_bytes(p, 0xAB, 192) };
         // no commit
@@ -623,8 +634,8 @@ fn catalog_cleared_kind_word_is_a_benign_empty_slot() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// One shared heap, two handles in one process: the second
-/// `Store::open_shared` of the live heap is a joiner, and it maps at a base
+/// One heap, two handles in one process: the second `Store::open` of the
+/// live heap is a joiner, and it maps at a base
 /// of its own (the first handle's mapping holds the first). Every structure
 /// kind written through handle A is read and mutated through handle B, a map
 /// key and a queue value equal to an address inside A's window come back
@@ -635,7 +646,7 @@ fn one_shared_store_at_two_bases_in_one_process() {
     use isb::engine::res_val;
     use isb::recovery::Recovered;
     let path = tmp("two_bases");
-    let a = Store::open_shared_sized(&path, HEAP_BYTES).unwrap();
+    let a = Store::open_sized(&path, HEAP_BYTES).unwrap();
     let ta = MappedHeap::tid_band(a.heap().my_participant().unwrap()).start;
     nvm::tid::set_tid(ta);
     let (m, q) = (a.hashmap::<LP>("users", SHARDS).unwrap(), a.queue::<LP>("jobs").unwrap());
@@ -656,7 +667,7 @@ fn one_shared_store_at_two_bases_in_one_process() {
     nvm::tid::set_tid(td);
     assert_eq!(q.dequeue(td), Some(1));
 
-    let b = Store::open_shared_sized(&path, HEAP_BYTES).unwrap();
+    let b = Store::open_sized(&path, HEAP_BYTES).unwrap();
     assert!(b.summary().heap.joined);
     assert_ne!(b.heap().base(), a.heap().base(), "a joiner maps at a base of its own");
     let tb = MappedHeap::tid_band(b.heap().my_participant().unwrap()).start;
@@ -743,7 +754,10 @@ fn relocated_store_keeps_every_structure_kind_working() {
     let store = Store::open_sized(&path, HEAP_BYTES).unwrap();
     assert!(store.hashmap::<LP>("users", SHARDS).unwrap().find(0, 1200));
     drop((store, squatter));
-    drop(MappedHeap::attach(&squat_path).expect("nothing scribbled on the squatter"));
+    drop(
+        MappedHeap::open(&squat_path, nvm::mapped::MIN_HEAP_BYTES)
+            .expect("nothing scribbled on the squatter"),
+    );
     let _ = std::fs::remove_file(&path);
     let _ = std::fs::remove_file(&squat_path);
 }
@@ -778,7 +792,7 @@ fn mk_grown(path: &PathBuf) -> u64 {
 }
 
 fn heap_err(path: &Path) -> MapError {
-    match MappedHeap::attach(path) {
+    match MappedHeap::open(path, nvm::mapped::MIN_HEAP_BYTES) {
         Err(e) => e,
         Ok(_) => panic!("damaged segment directory must not attach"),
     }
@@ -815,7 +829,7 @@ fn torn_growth_stamped_entry_without_count_bump_is_benign() {
     let f = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
     f.set_len(total + (1 << 20)).unwrap();
     drop(f);
-    let heap = MappedHeap::attach(&path).unwrap();
+    let heap = MappedHeap::open(&path, nvm::mapped::MIN_HEAP_BYTES).unwrap();
     assert_eq!(heap.segments() as u64, n + 1, "unpublished segment must stay invisible");
     assert_eq!(heap.report().poisoned, 0);
     assert_eq!(heap.report().committed, 2048);

@@ -11,9 +11,10 @@
 //! relative to a 64-byte boundary — a 24-byte node can straddle two lines, or
 //! share one with a neighbour and dedupe in the coalescing set — so this
 //! binary installs a global allocator that starts every allocation on its own
-//! cache line(s). That is the placement the mapped backend gives every block
-//! (64-byte-aligned payloads), and it makes each golden one number instead of
-//! a range that follows the process allocator.
+//! cache line(s) ([`bench_harness::placement::LineAligned::ALWAYS`]). That is the
+//! placement the mapped backend gives every block (64-byte-aligned
+//! payloads), and it makes each golden one number instead of a range that
+//! follows the process allocator.
 //!
 //! Counters are read as a per-tid delta ([`Snapshot::of_tid`]): the whole
 //! scenario runs on tid 0, and nothing another thread counts can leak in.
@@ -22,37 +23,16 @@
 //! churned until its descriptors and nodes come from the recycle path —
 //! recycling must not change persist placement by a single instruction.
 
+use bench_harness::placement::LineAligned;
 use isb::hashmap::RHashMap;
 use isb::list::RList;
 use isb::queue::RQueue;
 use isb::stack::RStack;
 use nvm::stats::Snapshot;
 use nvm::CountingNvm;
-use std::alloc::{GlobalAlloc, Layout, System};
-
-/// Rounds every allocation up to whole, aligned cache lines (module docs).
-struct LineAligned;
-
-fn whole_lines(l: Layout) -> Layout {
-    let line = nvm::CACHE_LINE;
-    Layout::from_size_align(l.size().next_multiple_of(line), l.align().max(line))
-        .expect("line-rounded layout")
-}
-
-// SAFETY: forwards to `System` with a layout that is at least as large and
-// as aligned as the one requested, and frees with that same layout (the
-// default `realloc` goes through `alloc`/`dealloc` here, so it stays paired).
-unsafe impl GlobalAlloc for LineAligned {
-    unsafe fn alloc(&self, l: Layout) -> *mut u8 {
-        unsafe { System.alloc(whole_lines(l)) }
-    }
-    unsafe fn dealloc(&self, p: *mut u8, l: Layout) {
-        unsafe { System.dealloc(p, whole_lines(l)) }
-    }
-}
 
 #[global_allocator]
-static ALLOC: LineAligned = LineAligned;
+static ALLOC: LineAligned = LineAligned::ALWAYS;
 
 /// `(pwb, pbarrier, pbarrier_lines, pfence, psync, response)`.
 type Golden = (u64, u64, u64, u64, u64, bool);

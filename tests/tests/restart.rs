@@ -471,8 +471,7 @@ fn shared_child_worker() {
     let hold = Duration::from_millis(scratch.param("hold_ms"));
 
     nvm::tid::set_tid(0);
-    let store =
-        Store::open_shared_sized(scratch.heap(), SHARED_HEAP_BYTES).expect("child shared open");
+    let store = Store::open_sized(scratch.heap(), SHARED_HEAP_BYTES).expect("child open");
     let slot = store.heap().my_participant().expect("participant slot");
     let band = nvm::mapped::MappedHeap::tid_band(slot);
     // Every thread of this process registers a tid inside its band.
@@ -718,8 +717,8 @@ fn run_one_shared_seed(seed: u64, second_kill: bool) -> (Tally, bool) {
     // Final full attach FROM THIS PROCESS (no live participants remain) and
     // journal verification.
     nvm::tid::set_tid(0);
-    let store = Store::open_shared_sized(scratch.heap(), SHARED_HEAP_BYTES)
-        .unwrap_or_else(|e| panic!("seed {seed}: parent shared open failed: {e}"));
+    let store = Store::open_sized(scratch.heap(), SHARED_HEAP_BYTES)
+        .unwrap_or_else(|e| panic!("seed {seed}: parent open failed: {e}"));
     assert!(!store.summary().heap.joined, "seed {seed}: parent must be the initial attacher");
     let pslot = store.heap().my_participant().unwrap();
     let t0 = nvm::mapped::MappedHeap::tid_band(pslot).start;
@@ -801,7 +800,7 @@ const GROW_LATE_KEYS: u64 = 100;
 fn shared_growth_child_worker() {
     let Some(scratch) = Scratch::of_child() else { return };
     nvm::tid::set_tid(0);
-    let store = Store::open_shared_sized(scratch.heap(), GROW_HEAP_BYTES).expect("child join");
+    let store = Store::open_sized(scratch.heap(), GROW_HEAP_BYTES).expect("child join");
     assert!(store.summary().heap.joined, "parent is live: the child must join");
     let slot = store.heap().my_participant().expect("participant slot");
     let t = nvm::mapped::MappedHeap::tid_band(slot).start;
@@ -844,7 +843,7 @@ fn shared_growth_child_worker() {
 fn shared_peer_growth_is_readable_without_refresh() {
     let scratch = Scratch::create("shared_grow", "peer", 0);
     nvm::tid::set_tid(0);
-    let store = Store::open_shared_sized(scratch.heap(), GROW_HEAP_BYTES).expect("parent create");
+    let store = Store::open_sized(scratch.heap(), GROW_HEAP_BYTES).expect("parent create");
     let pslot = store.heap().my_participant().unwrap();
     let t0 = nvm::mapped::MappedHeap::tid_band(pslot).start;
     nvm::tid::set_tid(t0);
@@ -910,17 +909,17 @@ fn shared_peer_growth_is_readable_without_refresh() {
 
 const KV_SHARED_HEAP_BYTES: usize = 32 * 1024 * 1024;
 
-/// Child: one shared-mode server process ([`isb_tests::kv::serve_child`])
+/// Child: one server process ([`isb_tests::kv::serve_child`])
 /// publishing its port as `kvport_<idx>`.
 #[test]
 #[ignore = "child half of the shared-heap KV failover leg; spawned by the parent test"]
 fn shared_kv_server_child() {
     let Some(scratch) = Scratch::of_child() else { return };
     let port_file = format!("kvport_{}", scratch.param::<usize>("idx"));
-    isb_tests::kv::serve_child(&scratch, KV_SHARED_HEAP_BYTES, true, &port_file);
+    isb_tests::kv::serve_child(&scratch, KV_SHARED_HEAP_BYTES, &port_file);
 }
 
-/// Two shared-mode KV server processes front one heap. One is SIGKILLed
+/// Two KV server processes front one heap. One is SIGKILLed
 /// mid-traffic; the survivor keeps serving its own clients throughout, and
 /// the dead server's clients reconnect to the survivor and retry their
 /// pending requests exactly-once. The survivor's healer resolves the dead
