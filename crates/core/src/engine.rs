@@ -75,7 +75,8 @@ pub const RES_EMPTY: u64 = 4;
 /// below `u64::MAX - RES_VAL_BASE`.
 pub const RES_VAL_BASE: u64 = 16;
 
-/// `meta` bit: the one write is a Null → node link that decides the operation.
+/// `meta` bit: the one write links the fresh node whose cell is new-set
+/// entry 0, and decides the operation while that cell holds the tag.
 pub(crate) const LINK: u64 = 1 << 40;
 /// `meta` bit: the operation took effect; its response is `presult`.
 pub(crate) const DONE: u64 = 1 << 41;
@@ -508,12 +509,14 @@ pub unsafe fn help<M: Persist, const ARM: u8>(
     let start = if invoker { 0 } else { 1 };
     // A link operation's tag-phase `psync` is merged into its update-phase
     // one (below), so a crash image may hold its `DONE` bit without its
-    // write, or its write without its tag, whose cell then reads an older
+    // write, or its write without its tags, whose cells then read an older
     // value again — `expected`, once recovery helped the tag before it. What
-    // proves such an operation (`Isb-LP`'s enqueue, whose write is a `next`
-    // link that only ever goes Null → node) took effect is its write in
-    // place — until cleanup has run: from then on the linked nodes may be
-    // dequeued, freed and reused, so the write can be gone, and `DONE`,
+    // proves such an operation (`Isb-LP`'s enqueue, insert and push, whose
+    // write links the fresh node of new-set entry 0) took effect is its
+    // write in place — while that node's cell holds the tag: every other
+    // operation that moves the link tags the linked node first, so until
+    // cleanup untags it the link stands. From then on the link may be
+    // overwritten, or its holder dequeued, freed and reused, and `DONE`,
     // durable a fence before cleanup starts, is the proof again. The
     // descriptor carries the bit, so every recoverer decides by this rule,
     // whatever arm it helps at (DESIGN.md §4).
@@ -547,10 +550,10 @@ pub unsafe fn help<M: Persist, const ARM: u8>(
             //    partial tags during scrub) and report completion.
             // 2. `DONE` unset ⇒ the attempt genuinely failed: backtrack.
             //
-            // A merged operation whose cleanup has not run asks its write
-            // instead (see `merged`).
-            let ask_write = merged && unsafe { new_cells_tagged(b, r, s, tagged_val) };
-            let completed = if ask_write { unsafe { writes_in_place(b, r, s) } } else { r.done() };
+            // A merged operation asks its write instead while the node it
+            // links holds the tag (see `merged`).
+            let completed =
+                if merged { unsafe { link_took_effect(b, r, s, tagged_val) } } else { r.done() };
             if completed {
                 if merged && !r.done() {
                     r.mark(DONE);
@@ -600,12 +603,13 @@ pub unsafe fn help<M: Persist, const ARM: u8>(
         }
     }
     // Link-persist: a link operation's tag-phase psync is merged into the
-    // update-phase psync below — the tag line stays in the coalescing set and
-    // is written back together with the link and `DONE`. Sound because the
-    // descriptor and RD_q are already durable (publish psync'd before help),
-    // so a crash image holding any subset of {tag, link, DONE} re-runs this
-    // idempotent help from op_recover; see DESIGN.md §12. Every other update
-    // (the single-affect dequeue too) must never be durable before its tags.
+    // update-phase psync below — the tag lines stay in the coalescing set and
+    // are written back together with the link and `DONE`. Sound because the
+    // descriptor, its new nodes and RD_q are already durable (publish
+    // psync'd before help), so a crash image holding any subset of {tags,
+    // link, DONE} re-runs this idempotent help from op_recover; see
+    // DESIGN.md §4, §12. Every other update (the dequeue and the delete too)
+    // must never be durable before its tags.
     if !merged {
         M::psync();
     }
@@ -621,11 +625,14 @@ pub unsafe fn help<M: Persist, const ARM: u8>(
         in_place &= seen == old || seen == new;
         arm::pwb_arm::<M, ARM>(cell);
     }
-    if merged && !in_place {
-        // The tag was won over an `expected` that a crash image restored
+    if merged && !in_place && !unsafe { link_took_effect(b, r, s, tagged_val) } {
+        // The tags were won over an `expected` that a crash image restored
         // while another operation's write stands: this attempt can never
         // take effect. Take the tag back, durably, before anyone else acts
-        // on it.
+        // on it. A write that is gone once the linked node lost the tag is
+        // a link a later operation moved on after `DONE`: the insert's,
+        // whose deletion-tagged `curr` keeps the tag, so a helper that met a
+        // resurrected tag gets this far and completes.
         let (cell, _) = unsafe { r.affect_at(b, 0) };
         let _ = cell.cas(tagged_val, untagged_val);
         arm::pwb_arm::<M, ARM>(cell);
@@ -660,15 +667,23 @@ unsafe fn writes_in_place<M: Persist>(b: Base, r: &Info<M>, s: Shape) -> bool {
     })
 }
 
-/// Whether a new cell of `r` still holds `r`'s tag: cleanup, which untags
-/// them after `DONE` is durable, has not run to them.
+/// Whether a merged operation took effect: by its write while the cell of
+/// the node it links (new-set entry 0) holds `r`'s tag, by `DONE` from then
+/// on (see [`help`]). Cleanup untags that cell only after `DONE` is durable,
+/// and any other operation that moves the link must tag it first. Not any
+/// new cell: the insert's second one, the copy of `curr`, is untagged after
+/// the linked node, so it can hold the tag while the link is long gone.
 ///
 /// # Safety
 /// As [`help`].
-unsafe fn new_cells_tagged<M: Persist>(b: Base, r: &Info<M>, s: Shape, tagged_val: u64) -> bool {
+unsafe fn link_took_effect<M: Persist>(b: Base, r: &Info<M>, s: Shape, tagged_val: u64) -> bool {
     // SAFETY: a new-set entry names a cell of a node the descriptor
     // installs, which the caller's pin keeps live ([`help`]'s contract).
-    (0..s.nn).any(|k| M::load(unsafe { r.cell_at(b, s.newset(k)) }) == tagged_val)
+    if s.nn > 0 && M::load(unsafe { r.cell_at(b, s.newset(0)) }) == tagged_val {
+        unsafe { writes_in_place(b, r, s) }
+    } else {
+        r.done()
+    }
 }
 
 /// The idempotent cleanup phase of [`help`]: untag every affect/new cell

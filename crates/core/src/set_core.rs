@@ -37,6 +37,12 @@
 //! recovery line as the invocation glue left it, which recovery maps to a
 //! restart (`recovery` module docs; DESIGN.md §12).
 //!
+//! Under `Isb-LP` the insert's descriptor (the push's too) carries the
+//! `LINK` bit: its tags, its link `pred.next: curr → newnd` and its done bit
+//! share one fence window, and while `newnd`'s cell holds the tag the link
+//! decides whether it took effect ([`crate::engine::help`], DESIGN.md §4).
+//! The delete keeps its tag fence: its new value, `curr.next`, is not fresh.
+//!
 //! ### Deviation from the paper's pseudocode
 //! Algorithm 1 reuses the same Info structure after an attempt that failed
 //! without installing anything. We allocate a fresh Info for every attempt
@@ -47,7 +53,7 @@
 
 use crate::arm;
 use crate::engine::{
-    help, res_val, HelpOutcome, Info, InfoFill, RES_EMPTY, RES_FALSE, RES_TRUE, RES_UNIT,
+    help, res_val, HelpOutcome, Info, InfoFill, LINK, RES_EMPTY, RES_FALSE, RES_TRUE, RES_UNIT,
 };
 use crate::env::Env;
 use crate::op::tracked_node;
@@ -321,6 +327,16 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
                         presult,
                     },
                 );
+                if arm::is_lp(ARM) {
+                    // The link decides the insert (DESIGN.md §4). `curr` may
+                    // be the node an earlier insert linked, its cleanup
+                    // untag never written back: the untagged value is made
+                    // durable before this insert's link can be, so an image
+                    // that keeps the link and loses `curr`'s deletion tag
+                    // does not show the earlier insert undecided.
+                    (*info).mark(LINK);
+                    arm::pwb_arm::<M, ARM>(&(*s.curr).info);
+                }
                 arm::pwb_obj_arm::<M, _, ARM>(&*newnd);
                 arm::pwb_obj_arm::<M, _, ARM>(&*newcurr);
                 env.persist_descriptor::<ARM>(info);
@@ -475,5 +491,106 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
                 n = b.at((*n).next.load());
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::arm::LP;
+    use crate::list::RList;
+    use crate::recovery::Recovered;
+    use nvm::{sim, CountingNvm, SimNvm};
+
+    /// An `Isb-LP` insert is decided by the cell of the node it links, not
+    /// by any new cell: cleanup untags `newnd` before `newcurr`, and a
+    /// process killed between the two leaves `newcurr` tagged. Another
+    /// process then inserts between `pred` and `newnd` — it tags `newnd`
+    /// and moves `pred.next` — and recovery of the killed insert meets a
+    /// foreign value at `pred`. Decided while *any* new cell holds the tag,
+    /// it asks the link, finds it gone and restarts: the re-invoked insert
+    /// answers `false` for an insert that took effect.
+    #[test]
+    fn lp_insert_is_decided_by_its_linked_cell_not_any_new_cell() {
+        let _gate = crate::counters::gate_shared();
+        nvm::tid::set_tid(1);
+        let mut list = RList::<CountingNvm, LP>::new();
+        let g = list.env.collector.pin(); // every node retired below stays allocated
+        assert!(list.insert(1, 20));
+        let (b, tagged) = (list.env.rec.base, tag::tagged(list.env.rec.published(1)));
+        // SAFETY: one thread, and nothing is reclaimed under `g`: `newnd`
+        // (20) and its successor `newcurr` stay allocated to the end.
+        let newcurr = unsafe {
+            let newnd = list.bucket(0).search(At::Key(20)).curr;
+            &*b.at::<Node<CountingNvm>>((*newnd).next.load())
+        };
+        newcurr.info.store(tagged); // cleanup cut after `newnd`
+        assert!(list.insert(2, 10), "pid 2 inserts between `pred` and `newnd`");
+        assert_eq!(list.env.recover::<LP>(1), Recovered::Completed(RES_TRUE));
+        assert_ne!(newcurr.info.load(), tagged, "recovery's cleanup untags it");
+        drop(g);
+        assert_eq!(list.snapshot_keys(), [10, 20]);
+    }
+
+    /// What another process does to a merged insert's neighbourhood before
+    /// the crashed insert recovers.
+    #[derive(Clone, Copy, Debug)]
+    enum Meddle {
+        /// Inserts 15, at the crashed insert's `pred` (10).
+        InsertAtPred,
+        /// Deletes 20, the crashed insert's key.
+        DeleteKey,
+    }
+
+    /// A crash image of an `Isb-LP` insert may keep any subset of its two
+    /// tags, its link and its done bit: one fence window, four cells. Swept
+    /// over every instruction of the crashed insert of 20 and 16 images;
+    /// before pid 1 recovers, pid 0 inserts at the same `pred` (10) or
+    /// deletes the key. 20's `curr` is the node the insert of 30 linked just
+    /// before, whose cleanup was never written back, so the images also
+    /// lose 20's deletion tag on it while keeping 20's link. Recovery must
+    /// answer `true` (20 was absent), and the set must hold what the two
+    /// processes' responses say.
+    #[test]
+    fn lp_insert_recovers_by_its_link_not_its_result() {
+        let _gate = crate::counters::gate_shared();
+        let _session = crate::simtest::session();
+        let mut crashes = 0;
+        for meddle in [Meddle::InsertAtPred, Meddle::DeleteKey] {
+            for seed in 0..16 {
+                for fuse in 1.. {
+                    sim::reset();
+                    nvm::tid::set_tid(1);
+                    let mut list = RList::<SimNvm, LP>::new();
+                    sim::persist_all();
+                    assert!(list.insert(1, 10) && list.insert(1, 30));
+                    if !crate::simtest::crashed_at(fuse, seed, || {
+                        list.insert(1, 20);
+                    }) {
+                        break;
+                    }
+                    crashes += 1;
+                    nvm::tid::set_tid(0);
+                    let other = match meddle {
+                        Meddle::InsertAtPred => list.insert(0, 15),
+                        Meddle::DeleteKey => list.delete(0, 20),
+                    };
+                    nvm::tid::set_tid(1);
+                    let mine = list.recover_insert(1, 20);
+                    list.scrub();
+                    list.check_invariants();
+                    let at = format!("{meddle:?} fuse {fuse} seed {seed}: pid 0 answered {other}");
+                    let want: &[u64] = match (meddle, other) {
+                        (Meddle::InsertAtPred, true) => &[10, 15, 20, 30],
+                        (Meddle::InsertAtPred, false) => panic!("{at}: 15 was absent"),
+                        (Meddle::DeleteKey, true) => &[10, 30],
+                        (Meddle::DeleteKey, false) => &[10, 20, 30],
+                    };
+                    assert!(mine, "{at}: the insert of an absent key answered false");
+                    assert_eq!(list.snapshot_keys(), want, "{at}");
+                }
+            }
+        }
+        assert!(crashes > 0, "no crash landed: the test exercises nothing");
     }
 }

@@ -350,3 +350,35 @@ fn bst_survives_repeated_recovery_crashes() {
         });
     }
 }
+
+#[test]
+fn bst_lp_survives_many_seeded_crashes() {
+    // The arm a mapped BST opens at, in the shape of the arm-0 leg: cleanup
+    // untags never written back, so resurrected tags meet scrub and
+    // neighbours alike. The BST's descriptors carry no link bit.
+    let mut total_pending = 0;
+    for seed in 2500..2525 {
+        let rep = run_scenario::<RBst<SimNvm, 3>>(CrashCfg {
+            procs: 3,
+            ops_per_proc: 80,
+            keys_per_proc: 8,
+            recovery_crashes: 0,
+            seed,
+        });
+        total_pending += rep.pending;
+    }
+    assert!(total_pending > 0, "no crash ever landed mid-operation; harness broken");
+}
+
+#[test]
+fn bst_lp_survives_repeated_recovery_crashes() {
+    for seed in 2600..2610 {
+        run_scenario::<RBst<SimNvm, 3>>(CrashCfg {
+            procs: 3,
+            ops_per_proc: 60,
+            keys_per_proc: 6,
+            recovery_crashes: 2,
+            seed,
+        });
+    }
+}

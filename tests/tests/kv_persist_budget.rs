@@ -30,8 +30,13 @@
 //! being the `Isb-LP` structure operation (the arm the service ships,
 //! `kvserve::server::ARM`) without its glue. Of those, the link-persist
 //! elisions are the cleanup write-backs (`put-new` 3 lines, `del-hit` and
-//! `deq` 1) and, on `enq`, the merged tag-phase `psync` and the tail hint
-//! nobody reads back (4 lines, 1 fence). A queue descriptor is one line,
+//! `deq` 1), on `enq` the merged tag-phase `psync` and the tail hint
+//! nobody reads back (4 lines, 1 fence), and on `put-new` the merged
+//! tag-phase `psync` (1 fence): the predecessor's line, tagged and linked
+//! in one fence window, is written back once, and the line of the node the
+//! insert copy-replaces joins its publish window, so `put-new` writes back
+//! 11 lines with 4 fences. A `del-hit` keeps its tag fence (its new link is
+//! not a fresh node). A queue descriptor is one line,
 //! and the dequeue tags the head anchor alone, so `deq` writes back the
 //! anchor's line in its tag window and again with the head move, and
 //! nothing of the old sentinel.
@@ -115,7 +120,7 @@ fn one_kv_request_costs_exactly_its_persist_budget() {
 
     // `(kind, after an effect, (lines, fences))`.
     let golden: [(&str, bool, (u64, u64)); 16] = [
-        ("put-new", true, (11, 5)),
+        ("put-new", true, (11, 4)),
         ("put-dup", true, (1, 1)),
         ("del-hit", true, (9, 5)),
         ("del-miss", true, (1, 1)),
@@ -123,7 +128,7 @@ fn one_kv_request_costs_exactly_its_persist_budget() {
         ("enq", true, (7, 4)),
         ("deq", true, (7, 5)),
         ("replay", true, (0, 0)),
-        ("put-new", false, (11, 5)),
+        ("put-new", false, (11, 4)),
         ("put-dup", false, (1, 1)),
         ("del-hit", false, (9, 5)),
         ("del-miss", false, (1, 1)),

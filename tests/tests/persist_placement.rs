@@ -74,9 +74,14 @@ type GoldenLp = (u64, u64, u64, u64, u64, u64, bool);
 /// Each row's predecessor is the row above it (the first row's, an insert
 /// and delete of another key, [`check_against_lp`]): `insert-dup` and
 /// `delete-miss` follow an op that published and pay the glue barrier;
-/// both finds and `delete-hit` follow one that did not and pay none.
+/// both finds and `delete-hit` follow one that did not and pay none. The
+/// insert carries the descriptor's link bit: its tag-phase `psync` merges
+/// into the update-phase one (3 → 2), so `pred`'s line, tagged and then
+/// linked, is written back once in that window (its second note elides),
+/// and `curr`'s line joins the publish window instead — 9 lines either way.
+/// The delete keeps its tag fence.
 const GOLDEN_LP: [(&str, GoldenLp); 6] = [
-    ("insert-new", (9, 1, 1, 1, 1, 3, true)),
+    ("insert-new", (9, 2, 1, 1, 1, 2, true)),
     ("insert-dup", (0, 0, 1, 1, 0, 0, false)),
     ("find-hit", (0, 0, 0, 0, 0, 0, true)),
     ("find-miss", (0, 0, 0, 0, 0, 0, false)),
@@ -123,9 +128,10 @@ const QUEUE_LP: [(&str, GoldenLp); 5] = [
 
 /// The stack, placed at `Isb-LP` only. After a push and pop of another
 /// value, each row follows an op that published: a push is the set insert
-/// at the front, a pop-hit its delete, and an empty pop changes nothing.
+/// at the front (two `psync`s, link bit), a pop-hit its delete, and an
+/// empty pop changes nothing.
 const STACK_LP: [(&str, GoldenLp); 3] = [
-    ("push", (9, 1, 1, 1, 1, 3, true)),
+    ("push", (9, 2, 1, 1, 1, 2, true)),
     ("pop-hit", (7, 1, 1, 1, 1, 3, true)),
     ("pop-empty", (0, 0, 1, 1, 0, 0, false)),
 ];
@@ -416,9 +422,13 @@ fn coalescing_arms_strictly_reduce_pwb_traffic() {
         let (opt, lp) = (QUEUE_OPT[i].1 .0, QUEUE_LP[i].1 .0);
         assert!(lp < opt, "{}: lp pwb {lp} !< opt {opt}", QUEUE_OPT[i].0);
     }
-    // LP enqueue drops a whole psync (3 -> 2).
+    // LP enqueue, insert and push drop a whole psync (3 -> 2); the delete
+    // and the pop keep theirs.
     assert_eq!(QUEUE_OPT[0].1 .4, 3);
     assert_eq!(QUEUE_LP[0].1 .5, 2);
+    assert_eq!(GOLDEN_OPT[0].1 .4, 3);
+    assert_eq!((GOLDEN_LP[0].1 .5, STACK_LP[0].1 .5), (2, 2));
+    assert_eq!((GOLDEN_LP[4].1 .5, STACK_LP[1].1 .5), (3, 3));
 
     // >= 20% fewer pwb-equivalents on the tuned hash-map mutating hot path...
     let opt_sum: u64 = [0usize, 1, 4, 5].iter().map(|&i| GOLDEN_OPT[i].1 .0).sum();
