@@ -37,6 +37,7 @@ use nvm::SimNvm;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 /// Serialises crash scenarios within a process (the simulator registry is
 /// global) and enforces the reset discipline.
@@ -140,7 +141,20 @@ pub fn run_scenario<S: Target + Graph<SimNvm> + Default + 'static>(cfg: CrashCfg
     report
 }
 
+/// Names the scenario a panic unwinds through: a structure's own check (a
+/// scrub that does not quiesce, say) does not know the seed.
+struct SeedOnPanic(u64, &'static str);
+
+impl Drop for SeedOnPanic {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            eprintln!("crash scenario failed: seed {}: {}", self.0, self.1);
+        }
+    }
+}
+
 fn scenario<S: Target + Graph<SimNvm> + Default + 'static>(cfg: CrashCfg) -> CrashReport {
+    let _seed = SeedOnPanic(cfg.seed, std::any::type_name::<S>());
     nvm::tid::set_tid(HARNESS);
     let s = Arc::new(S::default());
     let bag = s.bag();
@@ -197,7 +211,7 @@ fn scenario<S: Target + Graph<SimNvm> + Default + 'static>(cfg: CrashCfg) -> Cra
             });
         }));
     }
-    watchdog_crash(&progress, target);
+    watchdog_crash(&progress, target, cfg.seed);
     for h in handles {
         h.join().unwrap();
     }
@@ -229,6 +243,16 @@ fn scenario<S: Target + Graph<SimNvm> + Default + 'static>(cfg: CrashCfg) -> Cra
         if crash_again {
             busy_wait_us(rng.below(200));
             sim::trigger_crash();
+        } else if !finish_by(&rhandles, RECOVERY_DEADLINE) {
+            // A recovery that livelocks (in `help`, say) would hang the
+            // joins below: crash it and fail with what recovery found.
+            sim::trigger_crash();
+            rhandles.into_iter().for_each(|h| h.join().unwrap());
+            panic!(
+                "seed {}: recovery round {round} did not finish within {RECOVERY_DEADLINE:?}; \
+                 pending (pid, slot) found by recovery: {found:?}",
+                cfg.seed
+            );
         }
         for h in rhandles {
             h.join().unwrap();
@@ -395,7 +419,7 @@ fn fused_worker(
 }
 
 fn busy_wait_us(us: u64) {
-    let start = std::time::Instant::now();
+    let start = Instant::now();
     while (start.elapsed().as_micros() as u64) < us {
         std::hint::spin_loop();
     }
@@ -407,16 +431,36 @@ fn busy_wait_us(us: u64) {
 /// diagnosable state instead of hanging `join()` behind the global session
 /// lock. `trigger_crash` is idempotent, so racing the cooperative trigger is
 /// harmless.
-fn watchdog_crash(progress: &AtomicU64, target: u64) {
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+fn watchdog_crash(progress: &AtomicU64, target: u64, seed: u64) {
+    let deadline = Instant::now() + Duration::from_secs(60);
     while progress.load(Relaxed) < target && !sim::crash_armed() {
-        if std::time::Instant::now() >= deadline {
-            eprintln!("crash harness watchdog: workers stalled below target; arming crash");
+        if Instant::now() >= deadline {
+            eprintln!(
+                "crash harness watchdog: seed {seed}: workers stalled below target; arming crash"
+            );
             sim::trigger_crash();
             break;
         }
-        std::thread::sleep(std::time::Duration::from_millis(1));
+        std::thread::sleep(Duration::from_millis(1));
     }
+}
+
+/// How long the last recovery round of a scenario may run: each pending
+/// process recovers one operation, which takes milliseconds in a debug
+/// build.
+const RECOVERY_DEADLINE: Duration = Duration::from_secs(30);
+
+/// Waits until every thread of `handles` has finished or `limit` has
+/// passed; whether they all finished.
+fn finish_by(handles: &[std::thread::JoinHandle<()>], limit: Duration) -> bool {
+    let deadline = Instant::now() + limit;
+    while !handles.iter().all(|h| h.is_finished()) {
+        if Instant::now() >= deadline {
+            return false;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    true
 }
 
 #[cfg(test)]

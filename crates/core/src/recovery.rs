@@ -92,8 +92,7 @@ pub fn recorded_pending() -> bool {
 }
 
 /// One process's persistent private recovery variables: two words of one
-/// cache line (the owned layout pads each slot to its own lines, the arena
-/// layout starts each slot on one).
+/// cache line, each slot [`ARENA_SLOT_STRIDE`] bytes from the next.
 #[repr(C)]
 pub struct ProcRec<M: Persist> {
     /// `RD_q`: the Info structure of the last attempt (a link word).
@@ -117,31 +116,31 @@ unsafe impl<M: Persist> PersistWords<M> for ProcRec<M> {
     }
 }
 
-/// Where a [`RecArea`]'s slots live: owned on the process heap (the
-/// in-process backends) or borrowed from a persistent arena (the mapped
-/// backend, where `RD_q`/`CP_q` must survive the process).
-enum Slots<M: Persist> {
-    Owned(Vec<CachePadded<ProcRec<M>>>),
-    /// Base of [`MAX_PROCS`] slots at [`ARENA_SLOT_STRIDE`]-byte stride.
-    Arena(*const u8),
-}
-
-/// Byte stride of one arena-resident recovery slot: the padding of the
-/// owned layout without its 128-byte *alignment* demand (arena payloads are
-/// 64-byte aligned).
+/// Byte stride of one recovery slot, in an arena and in process memory
+/// alike: a padded [`ProcRec`] (arena payloads are 64-byte aligned, so an
+/// arena slot keeps the stride without the padding's 128-byte alignment).
 pub const ARENA_SLOT_STRIDE: usize = 128;
 
 /// Per-process recovery areas for one data structure, and the [`Base`] its
 /// link words — `RD_q` and every word of the descriptors and nodes it
 /// reaches — are offsets from.
+///
+/// Its [`MAX_PROCS`] slots lie [`ARENA_SLOT_STRIDE`] bytes apart from
+/// `slots`, wherever they live: in memory the area owns ([`RecArea::new`],
+/// the in-process backends) or in a persistent arena
+/// ([`RecArea::attach_raw`], the mapped backend, where `RD_q`/`CP_q` must
+/// survive the process).
 pub struct RecArea<M: Persist> {
-    slots: Slots<M>,
+    slots: *const u8,
+    /// The slots' memory when the area owns it; empty over an arena. A
+    /// `Vec`, whose pointer stays valid while the area moves.
+    _owned: Vec<CachePadded<ProcRec<M>>>,
     pub(crate) base: Base,
 }
 
-// SAFETY: all slot state is atomics behind `&self`; the arena pointer is
-// only dereferenced at fixed per-pid offsets inside a mapping the owning
-// structure keeps alive (attach_raw contract).
+// SAFETY: all slot state is atomics behind `&self`; `slots` is only
+// dereferenced at fixed per-pid offsets inside memory the area owns or a
+// mapping the owning structure keeps alive (attach_raw contract).
 unsafe impl<M: Persist> Send for RecArea<M> {}
 unsafe impl<M: Persist> Sync for RecArea<M> {}
 
@@ -166,8 +165,8 @@ fn system_glue<M: Persist, R>(f: impl FnOnce() -> R) -> R {
 impl<M: Persist> RecArea<M> {
     /// Creates recovery slots for [`MAX_PROCS`] processes.
     pub fn new() -> Self {
-        let slots = (0..MAX_PROCS).map(|_| CachePadded::new(ProcRec::default())).collect();
-        Self { slots: Slots::Owned(slots), base: Base(0) }
+        let owned: Vec<_> = (0..MAX_PROCS).map(|_| CachePadded::new(ProcRec::default())).collect();
+        Self { slots: owned.as_ptr() as *const u8, _owned: owned, base: Base(0) }
     }
 
     /// Bytes an arena-resident recovery area occupies
@@ -177,9 +176,11 @@ impl<M: Persist> RecArea<M> {
     }
 
     /// A recovery area over persistent slots at `slots` (the mapped backend's
-    /// root block) of a heap mapped at `base`. Zeroed memory is a valid fresh
-    /// state (`CP = 0`, `RD = Null`); previously persisted slots are exactly
-    /// what recovery needs to read.
+    /// root block, laid out as an owned area: one slot per
+    /// [`ARENA_SLOT_STRIDE`] bytes) of a heap mapped at `base`, read and
+    /// written by the same code as an owned area. Zeroed memory is a valid
+    /// fresh state (`CP = 0`, `RD = Null`); previously persisted slots are
+    /// exactly what recovery needs to read.
     ///
     /// # Safety
     /// `slots` must point to [`RecArea::slots_bytes`] bytes of 8-aligned
@@ -188,21 +189,19 @@ impl<M: Persist> RecArea<M> {
     /// mapped/real models — the crash simulator keeps its shadow state on
     /// the process heap and cannot live in an arena).
     pub unsafe fn attach_raw(slots: *const u8, base: Base) -> Self {
-        assert!(std::mem::size_of::<ProcRec<M>>() <= ARENA_SLOT_STRIDE);
         assert_eq!(std::mem::size_of::<M::Meta>(), 0, "arena slots require metadata-free models");
-        Self { slots: Slots::Arena(slots), base }
+        Self { slots, _owned: Vec::new(), base }
     }
 
     #[inline]
     pub(crate) fn slot(&self, pid: usize) -> &ProcRec<M> {
-        match &self.slots {
-            Slots::Owned(v) => &v[pid],
-            Slots::Arena(base) => {
-                assert!(pid < MAX_PROCS);
-                // SAFETY: in-bounds fixed-stride slot per attach_raw.
-                unsafe { &*(base.add(pid * ARENA_SLOT_STRIDE) as *const ProcRec<M>) }
-            }
-        }
+        // A padded slot is one stride long under every model, so one address
+        // rule serves owned and arena slots.
+        const { assert!(std::mem::size_of::<CachePadded<ProcRec<M>>>() == ARENA_SLOT_STRIDE) };
+        assert!(pid < MAX_PROCS);
+        // SAFETY: in-bounds fixed-stride slot of memory the area owns or
+        // borrows (attach_raw contract).
+        unsafe { &*(self.slots.add(pid * ARENA_SLOT_STRIDE) as *const ProcRec<M>) }
     }
 
     /// The *system* half of an invocation, which the paper models as
@@ -514,7 +513,7 @@ pub mod rootkeys {
     pub const RECAREA: u64 = 0x5245_4341; // "RECA"
     /// The [`crate::store::Store`] catalog block.
     pub const CATALOG: u64 = 0x4341_5441; // "CATA"
-    /// The heap's one epoch region ([`reclaim::Collector::attach_shared`]):
+    /// The heap's one epoch region ([`reclaim::Collector::shared`]):
     /// global epoch + per-tid announce words, one domain per heap.
     pub const EPOCHS: u64 = 0x4550_4F43; // "EPOC"
     /// The KV-service response table ([`crate::resptable::ResponseTable`]):
@@ -745,9 +744,8 @@ impl AttachEnv {
         infos: Option<Pool<Info<MappedNvm>>>,
         heap: Arc<MappedHeap>,
     ) -> Env<MappedNvm> {
-        let mut collector = Collector::new();
-        // SAFETY: the caller's EPOCHS block; nothing is pinned or retired yet.
-        unsafe { collector.attach_shared(epoch_region) };
+        // SAFETY: the caller's EPOCHS block.
+        let collector = unsafe { Collector::shared(epoch_region) };
         let base = Base(heap.base() as usize);
         Env::mapped(unsafe { RecArea::attach_raw(rec_base, base) }, collector, infos, heap)
     }

@@ -18,23 +18,27 @@
 //!   crash must not free anything, because recovery code may still inspect
 //!   it (recoverable memory managers are future work in the paper, too).
 //!
-//! An in-process data structure owns its own private-epoch `Collector`, so
-//! a stalled thread in one structure never blocks reclamation in another.
+//! ## Epoch regions
 //!
-//! ## One epoch domain per mapped heap
+//! Every enabled collector reads its global epoch and its per-process
+//! *announce* and *depth* words from an epoch region laid out as
+//! [`shared_region_bytes`] describes: one cache line for the global epoch,
+//! then one line per process slot holding its announce word and a
+//! cross-collector pin depth. [`Collector::new`] owns a region of its own, so
+//! an in-process structure is its own epoch domain and a stalled thread in
+//! one structure never blocks reclamation in another.
 //!
 //! Every structure of a mapped heap, in every process attached to it, must
-//! agree on epochs — an address retired through one structure, by one
-//! process, may still be read through another structure or by another
-//! process. [`Collector::attach_shared`] redirects the global epoch and the
-//! per-process *announce* words into a caller-provided region of the shared
-//! arena (layout: one cache line for the global epoch, then one line per
-//! process slot holding its announce word and a cross-collector pin depth).
-//! Limbo bags stay process-local: each process frees only what *it* retired,
-//! once the shared epoch has advanced past every announced pin — including
-//! the announcements of peer processes. A SIGKILLed peer leaves its announce
-//! word pinned, which stalls (never corrupts) reclamation until the recovery
-//! path calls [`Collector::release_shared_band`] for the dead slot.
+//! instead agree on epochs — an address retired through one structure, by
+//! one process, may still be read through another structure or by another
+//! process. [`Collector::shared`] builds a collector over a caller-provided
+//! region of the shared arena, and every collector built over the same
+//! region forms one epoch domain. Limbo bags stay process-local: each
+//! process frees only what *it* retired, once the shared epoch has advanced
+//! past every announced pin — including the announcements of peer
+//! processes. A SIGKILLed peer leaves its announce word pinned, which stalls
+//! (never corrupts) reclamation until the recovery path calls
+//! [`Collector::release_shared_band`] for the dead slot.
 //!
 //! ## Recycling rules (object pools)
 //!
@@ -91,33 +95,42 @@ const GENS: usize = 3;
 /// How many pins between attempts to advance the global epoch.
 const ADVANCE_PERIOD: u64 = 64;
 
-/// Bytes a shared epoch region occupies: one cache line for the global epoch
-/// plus one per process slot (announce word at offset 0, cross-collector pin
-/// depth at offset 8). See [`Collector::attach_shared`].
+/// Bytes an epoch region occupies: one cache line for the global epoch plus
+/// one per process slot (announce word at offset 0, cross-collector pin
+/// depth at offset 8). See the crate docs.
 pub const fn shared_region_bytes() -> usize {
     (1 + MAX_PROCS) * nvm::CACHE_LINE
 }
 
-/// Pointer into a shared epoch region (see [`Collector::attach_shared`]).
-struct SharedEpochs {
-    base: *mut u8,
-}
+/// One cache line of an epoch region a collector owns ([`Collector::new`]).
+#[repr(C, align(64))]
+#[derive(Default)]
+struct Line([AtomicU64; 8]);
 
-unsafe impl Send for SharedEpochs {}
-unsafe impl Sync for SharedEpochs {}
+const _: () = assert!(std::mem::size_of::<Line>() == nvm::CACHE_LINE);
 
-impl SharedEpochs {
+/// Pointer to an epoch region (layout: [`shared_region_bytes`]).
+struct Region(*mut u8);
+
+impl Region {
+    /// Word `off` of line `line`.
+    #[inline]
+    fn word(&self, line: usize, off: usize) -> &AtomicU64 {
+        // SAFETY: `self.0` points to `shared_region_bytes()` valid, 8-aligned
+        // bytes outliving the borrow (`Collector::new` owns them;
+        // `Collector::shared`'s contract), and `line <= MAX_PROCS` (tid() is
+        // bounded).
+        unsafe { &*(self.0.add(line * nvm::CACHE_LINE + off) as *const AtomicU64) }
+    }
+
     #[inline]
     fn global(&self) -> &AtomicU64 {
-        // SAFETY: attach contract — `base` points to `shared_region_bytes()`
-        // valid bytes, 8-aligned, outliving the collector.
-        unsafe { &*(self.base as *const AtomicU64) }
+        self.word(0, 0)
     }
 
     #[inline]
     fn announce(&self, pid: usize) -> &AtomicU64 {
-        // SAFETY: as above; `pid < MAX_PROCS` (tid() is bounded).
-        unsafe { &*(self.base.add((1 + pid) * nvm::CACHE_LINE) as *const AtomicU64) }
+        self.word(1 + pid, 0)
     }
 
     /// Cross-collector pin depth for `pid` — read and written only by the
@@ -126,8 +139,7 @@ impl SharedEpochs {
     /// it, and the announce word beside it carries the ordering.
     #[inline]
     fn depth(&self, pid: usize) -> &AtomicU64 {
-        // SAFETY: as above.
-        unsafe { &*(self.base.add((1 + pid) * nvm::CACHE_LINE + 8) as *const AtomicU64) }
+        self.word(1 + pid, 8)
     }
 }
 
@@ -145,22 +157,17 @@ impl Default for Bags {
     }
 }
 
-#[derive(Default)]
-struct Slot {
-    /// `(epoch << 1) | 1` while pinned; [`UNPINNED`] otherwise.
-    state: AtomicU64,
-    bags: UnsafeCell<Bags>,
-}
-
-unsafe impl Sync for Slot {}
-
 /// An epoch-based garbage collector (see crate docs).
 pub struct Collector {
-    global: CachePadded<AtomicU64>,
-    slots: Vec<CachePadded<Slot>>,
-    /// When `Some`, the global epoch and announce words live in this shared
-    /// region instead of the two fields above ([`Collector::attach_shared`]).
-    shared: Option<SharedEpochs>,
+    /// The epoch region: the global epoch, then each process slot's announce
+    /// and depth words.
+    region: Region,
+    /// The region's memory when this collector owns it ([`Collector::new`]);
+    /// empty over a caller's region ([`Collector::shared`]). A `Vec`, whose
+    /// pointer stays valid while the collector moves.
+    _owned: Vec<Line>,
+    /// Per-process limbo bags, each touched only by its slot's thread.
+    slots: Vec<CachePadded<UnsafeCell<Bags>>>,
     enabled: bool,
     /// The owner's word for this collector ([`Collector::set_tag`]).
     tag: usize,
@@ -168,6 +175,11 @@ pub struct Collector {
     parked: Mutex<Vec<Garbage>>,
 }
 
+// SAFETY: `region` names atomics only, in memory `_owned` holds or the
+// `shared` contract keeps alive; each slot's bags are touched only by the
+// thread registered under that slot (or under `&mut self`); `parked` is a
+// mutex; retired pointers are handed over with the ownership their
+// `retire_*` contract transfers.
 unsafe impl Send for Collector {}
 unsafe impl Sync for Collector {}
 
@@ -178,21 +190,58 @@ impl Default for Collector {
 }
 
 impl Collector {
-    /// A collector that actually reclaims memory.
+    /// A collector that actually reclaims memory, in an epoch region of its
+    /// own.
     pub fn new() -> Self {
-        Self::with_mode(true)
+        Self::owning(true)
     }
 
     /// A collector whose `retire`s are parked until drop (crash-sim mode).
     pub fn disabled() -> Self {
-        Self::with_mode(false)
+        Self::owning(false)
     }
 
-    fn with_mode(enabled: bool) -> Self {
+    fn owning(enabled: bool) -> Self {
+        let owned: Vec<Line> = (0..=MAX_PROCS).map(|_| Line::default()).collect();
+        let base = owned.as_ptr() as *mut u8;
+        // SAFETY: `shared_region_bytes()` fresh, line-aligned bytes the
+        // collector keeps alive; every word is an atomic.
+        unsafe { Self::init_shared_region(base) };
+        Self::over(Region(base), owned, enabled)
+    }
+
+    /// A collector over a shared epoch region (typically a mapped heap's
+    /// root block): every collector built over the same region — across
+    /// structures *and* processes — is in one epoch domain.
+    ///
+    /// Limbo bags stay process-local: objects retired through this collector
+    /// are freed by this process once the shared epoch advances two steps,
+    /// which requires every live participant to unpin. On drop a collector
+    /// tries to advance the epoch twice and frees what is then ripe; over a
+    /// shared region it **leaks** the rest instead of freeing it — a pinned
+    /// peer may still be reading it, and the blocks live in the persistent
+    /// arena anyway; the sweep of the next full attach reclaims them.
+    ///
+    /// Within one process, several collectors (one per structure) may share
+    /// the region. They share one announce word per process slot; a
+    /// per-slot depth word makes the announcement re-entrant across
+    /// collectors, so interleaved guards from different structures cannot
+    /// clear each other's pin.
+    ///
+    /// # Safety
+    /// `region` must point to [`shared_region_bytes`] bytes of 8-aligned
+    /// memory shared by all participants, initialised exactly once via
+    /// [`Collector::init_shared_region`], and outliving this collector. All
+    /// participants must agree on [`MAX_PROCS`] and process slot assignment.
+    pub unsafe fn shared(region: *mut u8) -> Self {
+        Self::over(Region(region), Vec::new(), true)
+    }
+
+    fn over(region: Region, owned: Vec<Line>, enabled: bool) -> Self {
         Self {
-            global: CachePadded::new(AtomicU64::new(1)),
-            slots: (0..MAX_PROCS).map(|_| CachePadded::new(Slot::default())).collect(),
-            shared: None,
+            region,
+            _owned: owned,
+            slots: (0..MAX_PROCS).map(|_| CachePadded::default()).collect(),
             enabled,
             tag: 0,
             parked: Mutex::new(Vec::new()),
@@ -210,50 +259,17 @@ impl Collector {
         self.tag = tag;
     }
 
-    /// Redirects this collector's global epoch and announce words into a
-    /// shared memory region (typically a mapped-heap root block), making
-    /// every collector attached to the same region — across structures *and*
-    /// processes — one epoch domain.
-    ///
-    /// Limbo bags stay process-local: objects retired through this collector
-    /// are freed by this process once the shared epoch advances two steps,
-    /// which requires every live participant to unpin. On drop a shared
-    /// collector tries to advance the shared epoch twice and frees what is
-    /// then ripe; it **leaks** the rest instead of freeing it — a pinned
-    /// peer may still be reading it, and the blocks live in the persistent
-    /// arena anyway; the sweep of the next full attach reclaims them.
-    ///
-    /// Within one process, several collectors (one per structure) may attach
-    /// the same region. They share one announce word per process slot; a
-    /// per-slot depth word makes the announcement re-entrant across
-    /// collectors, so interleaved guards from different structures cannot
-    /// clear each other's pin.
-    ///
-    /// # Safety
-    /// `region` must point to [`shared_region_bytes`] bytes of 8-aligned
-    /// memory shared by all participants, initialised exactly once via
-    /// [`Collector::init_shared_region`], and outliving this collector. Must
-    /// be called before the collector is used (no live guards, nothing
-    /// retired). All participants must agree on [`MAX_PROCS`] and process
-    /// slot assignment.
-    pub unsafe fn attach_shared(&mut self, region: *mut u8) {
-        assert!(self.enabled, "shared epochs require an enabled collector");
-        self.shared = Some(SharedEpochs { base: region });
-    }
-
-    /// Zeroes a shared epoch region and seeds the global epoch to 1 (the
-    /// same starting epoch as a fresh owned collector). The *initial*
+    /// Zeroes an epoch region and seeds the global epoch to 1. The *initial*
     /// attacher of a mapped heap calls this exactly once, before any
-    /// collector attaches; joiners must not (a live region holds peers'
-    /// pins).
+    /// collector is built over it; joiners must not (a live region holds
+    /// peers' pins).
     ///
     /// # Safety
     /// `region` must point to [`shared_region_bytes`] writable, 8-aligned
     /// bytes not currently in use by any collector.
     pub unsafe fn init_shared_region(region: *mut u8) {
         unsafe { std::ptr::write_bytes(region, 0, shared_region_bytes()) };
-        let sh = SharedEpochs { base: region };
-        sh.global().store(1, SeqCst);
+        Region(region).global().store(1, SeqCst);
     }
 
     /// Releases the announce words of the process slots in `band` — the
@@ -267,31 +283,15 @@ impl Collector {
     /// must belong to a dead (or never-started) process: releasing a live
     /// process's pin would expose it to use-after-free.
     pub unsafe fn release_shared_band(region: *mut u8, band: std::ops::Range<usize>) -> usize {
-        let sh = SharedEpochs { base: region };
+        let r = Region(region);
         let mut stalled = 0;
         for pid in band {
-            if sh.announce(pid).swap(UNPINNED, SeqCst) != UNPINNED {
+            if r.announce(pid).swap(UNPINNED, SeqCst) != UNPINNED {
                 stalled += 1;
             }
-            sh.depth(pid).store(0, Relaxed);
+            r.depth(pid).store(0, Relaxed);
         }
         stalled
-    }
-
-    #[inline]
-    fn global_word(&self) -> &AtomicU64 {
-        match &self.shared {
-            Some(sh) => sh.global(),
-            None => &self.global,
-        }
-    }
-
-    #[inline]
-    fn announce_of(&self, pid: usize) -> &AtomicU64 {
-        match &self.shared {
-            Some(sh) => sh.announce(pid),
-            None => &self.slots[pid].state,
-        }
     }
 
     /// Pins the calling thread; reclamation of anything retired afterwards
@@ -307,9 +307,8 @@ impl Collector {
         if !self.enabled {
             return Guard { c: self, pid, active: false };
         }
-        let slot = &self.slots[pid];
         // SAFETY: `bags` is only touched by the thread owning slot `pid`.
-        let bags = unsafe { &mut *slot.bags.get() };
+        let bags = unsafe { &mut *self.slots[pid].get() };
         bags.depth += 1;
         if bags.depth == 1 {
             self.pin_outermost(pid, bags);
@@ -320,23 +319,16 @@ impl Collector {
     /// The outermost-pin slow path: announce an epoch, free ripe bags, and
     /// periodically try to advance the global epoch.
     fn pin_outermost(&self, pid: usize, bags: &mut Bags) {
-        let epoch = if let Some(sh) = &self.shared {
-            // Collectors attached to the same region share one announce word
-            // per process slot. Only the first outermost pin across all of
-            // them announces; later ones adopt the already-announced epoch
-            // (older or equal — strictly more conservative for `collect`).
-            // The depth word is the owning thread's alone, so a relaxed
-            // load/store pair is race-free and orders nothing it needs.
-            let d = sh.depth(pid).load(Relaxed);
-            sh.depth(pid).store(d + 1, Relaxed);
-            if d == 0 {
-                self.announce(sh.announce(pid))
-            } else {
-                sh.announce(pid).load(SeqCst) >> 1
-            }
-        } else {
-            self.announce(&self.slots[pid].state)
-        };
+        // Collectors over one region share one announce word per process
+        // slot. Only the first outermost pin across all of them announces;
+        // later ones adopt the already-announced epoch (older or equal —
+        // strictly more conservative for `collect`). The depth word is the
+        // owning thread's alone, so a relaxed load/store pair is race-free
+        // and orders nothing it needs.
+        let (announce, depth) = (self.region.announce(pid), self.region.depth(pid));
+        let d = depth.load(Relaxed);
+        depth.store(d + 1, Relaxed);
+        let epoch = if d == 0 { self.announce(announce) } else { announce.load(SeqCst) >> 1 };
         bags.pins += 1;
         self.collect(bags, epoch);
         if bags.pins.is_multiple_of(ADVANCE_PERIOD) {
@@ -348,10 +340,10 @@ impl Collector {
     /// re-reading until the announced value is the epoch the global held
     /// *after* the store became visible.
     fn announce(&self, state: &AtomicU64) -> u64 {
-        let mut epoch = self.global_word().load(SeqCst);
+        let mut epoch = self.region.global().load(SeqCst);
         loop {
             state.store((epoch << 1) | 1, SeqCst);
-            let now = self.global_word().load(SeqCst);
+            let now = self.region.global().load(SeqCst);
             if now == epoch {
                 return epoch;
             }
@@ -376,32 +368,28 @@ impl Collector {
 
     fn try_advance(&self, epoch: u64) {
         for pid in 0..MAX_PROCS {
-            let s = self.announce_of(pid).load(SeqCst);
+            let s = self.region.announce(pid).load(SeqCst);
             if s != UNPINNED && (s >> 1) != epoch {
                 return;
             }
         }
-        let _ = self.global_word().compare_exchange(epoch, epoch + 1, SeqCst, SeqCst);
+        let _ = self.region.global().compare_exchange(epoch, epoch + 1, SeqCst, SeqCst);
     }
 
     fn unpin(&self, pid: usize) {
-        let slot = &self.slots[pid];
         // SAFETY: slot owner.
-        let bags = unsafe { &mut *slot.bags.get() };
+        let bags = unsafe { &mut *self.slots[pid].get() };
         debug_assert!(bags.depth > 0);
         bags.depth -= 1;
         if bags.depth == 0 {
-            if let Some(sh) = &self.shared {
-                // Mirror of the shared pin path: only the last collector of
-                // this process to unpin clears the shared announce word.
-                let d = sh.depth(pid).load(Relaxed);
-                debug_assert!(d > 0, "shared unpin without a shared pin");
-                sh.depth(pid).store(d.saturating_sub(1), Relaxed);
-                if d <= 1 {
-                    sh.announce(pid).store(UNPINNED, SeqCst);
-                }
-            } else {
-                slot.state.store(UNPINNED, SeqCst);
+            // Mirror of the pin path: only the last collector of this
+            // process to unpin clears the region's announce word.
+            let depth = self.region.depth(pid);
+            let d = depth.load(Relaxed);
+            debug_assert!(d > 0, "unpin without a region pin");
+            depth.store(d.saturating_sub(1), Relaxed);
+            if d <= 1 {
+                self.region.announce(pid).store(UNPINNED, SeqCst);
             }
         }
     }
@@ -411,9 +399,8 @@ impl Collector {
             self.parked.lock().unwrap().push(g);
             return;
         }
-        let slot = &self.slots[pid];
         // SAFETY: slot owner; retire is only legal while pinned.
-        let bags = unsafe { &mut *slot.bags.get() };
+        let bags = unsafe { &mut *self.slots[pid].get() };
         debug_assert!(bags.depth > 0, "retire outside of a pin");
         // Seal with the CURRENT global epoch, not the epoch this thread
         // pinned at. The global may have advanced one step during our pin
@@ -430,7 +417,7 @@ impl Collector {
         // global reaches `e + 2`. The same argument carries to shared
         // regions verbatim: announce words and the global live in memory
         // with SeqCst semantics regardless of which process wrote them.
-        let e = self.global_word().load(SeqCst);
+        let e = self.region.global().load(SeqCst);
         let idx = (e % GENS as u64) as usize;
         if bags.bag_epochs[idx] != e {
             // The slot cycled to a new epoch: its old content is ≥3 epochs old.
@@ -471,7 +458,7 @@ impl Collector {
         let parked = self.parked.lock().unwrap().len();
         let mut n = parked;
         for slot in &self.slots {
-            let bags = unsafe { &*slot.bags.get() };
+            let bags = unsafe { &*slot.get() };
             n += bags.bags.iter().map(Vec::len).sum::<usize>();
         }
         n
@@ -480,21 +467,16 @@ impl Collector {
 
 impl Drop for Collector {
     fn drop(&mut self) {
-        // A private domain frees every bag (no epoch is older than
-        // `u64::MAX`). Shared mode frees what two epoch advances ripen
-        // (every bag, when nobody is pinned) and LEAKS the rest instead of
-        // force-freeing: a pinned peer may still read it, and the objects are
-        // arena blocks the sweep of the next full attach reclaims.
-        let epoch = match self.shared {
-            Some(_) => {
-                (0..2).for_each(|_| self.try_advance(self.global_word().load(SeqCst)));
-                self.global_word().load(SeqCst)
-            }
-            None => u64::MAX,
-        };
+        // Free what two epoch advances ripen — every bag when nobody is
+        // pinned, which is always so in an owned region (every guard borrows
+        // this collector) — and LEAK the rest instead of force-freeing: a
+        // peer pinned in a shared region may still read it, and the objects
+        // are arena blocks the sweep of the next full attach reclaims.
+        (0..2).for_each(|_| self.try_advance(self.region.global().load(SeqCst)));
+        let epoch = self.region.global().load(SeqCst);
         for slot in &self.slots {
             // SAFETY: `&mut self` — no thread holds any slot's bags.
-            self.collect(unsafe { &mut *slot.bags.get() }, epoch);
+            self.collect(unsafe { &mut *slot.get() }, epoch);
         }
         for g in self.parked.get_mut().unwrap().drain(..) {
             unsafe { g.free() };
@@ -756,9 +738,7 @@ mod tests {
         let mut region = scratch_region();
         let base = region.as_mut_ptr() as *mut u8;
         unsafe { Collector::init_shared_region(base) };
-        let (mut a, mut b) = (Collector::new(), Collector::new());
-        unsafe { a.attach_shared(base) };
-        unsafe { b.attach_shared(base) };
+        let (a, b) = unsafe { (Collector::shared(base), Collector::shared(base)) };
 
         // Announce word of process slot 0 (line 1 of the region).
         let announce0 =
@@ -783,9 +763,7 @@ mod tests {
         let base = region.as_mut_ptr() as *mut u8;
         unsafe { Collector::init_shared_region(base) };
         let drops = Arc::new(AtomicUsize::new(0));
-        let (mut a, mut b) = (Collector::new(), Collector::new());
-        unsafe { a.attach_shared(base) };
-        unsafe { b.attach_shared(base) };
+        let (a, b) = unsafe { (Collector::shared(base), Collector::shared(base)) };
 
         {
             let g = a.pin();
@@ -815,8 +793,7 @@ mod tests {
         unsafe { Collector::init_shared_region(base) };
         let drops = Arc::new(AtomicUsize::new(0));
         let retire_and_drop = || {
-            let mut c = Collector::new();
-            unsafe { c.attach_shared(base) };
+            let c = unsafe { Collector::shared(base) };
             {
                 let g = c.pin();
                 let p = Box::into_raw(Box::new(Tracked(Arc::clone(&drops))));
@@ -825,8 +802,7 @@ mod tests {
             drop(c);
         };
         // A peer pinned on tid 1 blocks the second advance.
-        let mut peer = Collector::new();
-        unsafe { peer.attach_shared(base) };
+        let peer = unsafe { Collector::shared(base) };
         tid::set_tid(1);
         let pin = peer.pin();
         tid::set_tid(0);
@@ -853,8 +829,7 @@ mod tests {
         // A "dead peer": pins on slot 5 and never unpins (guard forgotten —
         // exactly what a SIGKILL mid-operation leaves behind).
         {
-            let mut dead = Collector::new();
-            unsafe { dead.attach_shared(base) };
+            let dead = unsafe { Collector::shared(base) };
             std::thread::spawn(move || {
                 tid::set_tid(5);
                 std::mem::forget(dead.pin());
@@ -872,8 +847,7 @@ mod tests {
             move || {
                 tid::set_tid(0);
                 let base = base_addr as *mut u8;
-                let mut s = Collector::new();
-                unsafe { s.attach_shared(base) };
+                let s = unsafe { Collector::shared(base) };
                 {
                     let g = s.pin();
                     let p = Box::into_raw(Box::new(Tracked(Arc::clone(&drops))));
@@ -896,6 +870,28 @@ mod tests {
         .join()
         .unwrap();
         drop(region); // outlived every collector above
+    }
+
+    /// Two owned collectors are two epoch domains: a guard held on A does not
+    /// stop B from freeing what it retired (a region wrongly shared between
+    /// them would wedge B's epoch behind A's pin).
+    #[test]
+    fn in_process_collectors_stay_separate_domains() {
+        let drops = Arc::new(AtomicUsize::new(0));
+        let (a, b) = (Collector::new(), Collector::new());
+        tid::set_tid(1);
+        let held = a.pin();
+        tid::set_tid(0);
+        churn(&b, 1000, &drops);
+        // Single-threaded and deterministic: B's own advances ripen all but
+        // its last few bags; in one domain with A it would free nothing.
+        assert!(drops.load(Relaxed) > 500, "A's pin held back B: {} freed", drops.load(Relaxed));
+        tid::set_tid(1);
+        drop(held);
+        tid::set_tid(0);
+        drop(b);
+        assert_eq!(drops.load(Relaxed), 1000);
+        drop(a);
     }
 
     #[test]
