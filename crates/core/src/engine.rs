@@ -305,6 +305,11 @@ impl<M: Persist> Info<M> {
         M::load(&self.meta) & DONE != 0
     }
 
+    /// The operation's response, once it took effect.
+    pub(crate) fn response(&self) -> Option<u64> {
+        self.done().then(|| M::load(&self.presult))
+    }
+
     /// Sets a `meta` bit: [`LINK`] before publication, [`DONE`] by any helper.
     pub(crate) fn mark(&self, bit: u64) {
         M::store(&self.meta, M::load(&self.meta) | bit);

@@ -60,6 +60,9 @@
 //! reference on `prior` until the operation returns
 //! ([`crate::env::Env::release_prior`]), so no attempt can draw that
 //! descriptor back from the pool and make `RD_q == prior` after an effect.
+//! The service's reads call [`mark_recorded`] with no record at all: a
+//! `find` owes recovery nothing, and its glue would move `RD_q` off the
+//! descriptor a deferred response is recovered from ([`crate::resptable`]).
 
 use crate::arm::{CfgWord, KindTag};
 use crate::engine::Info;

@@ -27,7 +27,10 @@
 //! (`op_seq = 0`): the service answers it from the map before step 1 and
 //! records nothing, because recovery owes a read nothing — killed in flight
 //! it has no outcome to resolve, and the client's re-issue is a fresh,
-//! linearisable read.
+//! linearisable read. It still calls [`crate::recovery::mark_recorded`]
+//! before its `find`, so its prologue runs no invocation glue: nothing but
+//! a request's own publish ever moves a lane's `RD_q`, which step 5 relies
+//! on.
 //!
 //! # Write ordering (the crash-window argument)
 //!
@@ -43,14 +46,30 @@
 //!    every arm an operation with an effect fences its descriptor, then
 //!    publishes it, before any `Help` CAS), so `pending` is durable before
 //!    any effect can be; an operation with no effect issues no fence, and
-//!    the note folds into step 5's write-back. `begin_op` also marks the
-//!    invocation recorded ([`crate::recovery::mark_recorded`]): the
-//!    operation's `Isb-LP` prologue runs no invocation glue;
+//!    the note folds into step 5's write-back. When the pid's previous
+//!    request deferred its write-back (step 5), that slot's line is noted
+//!    too — the *hand-over* — so the same first fence drains it before the
+//!    publish that moves `RD_q`. On the thread that deferred it the note is
+//!    a duplicate; on another connection's thread it is a write-back of its
+//!    own, since a fence orders only its own core's write-backs.
+//!    `begin_op` also marks the invocation recorded
+//!    ([`crate::recovery::mark_recorded`]): the operation's `Isb-LP`
+//!    prologue runs no invocation glue;
 //! 4. apply the structure operation (which publishes its own descriptor);
-//! 5. [`ResponseTable::finish_op`] — `resp` stored **before** `last_seq`,
-//!    then one write-back of the slot's line and one `psync`. The
-//!    `last_seq` store itself retires the record (`pending.op_seq ==
-//!    last_seq` is no longer in flight); there is no clear step;
+//! 5. [`ResponseTable::finish_op`] — `resp` stored **before** `last_seq`.
+//!    The `last_seq` store itself retires the record (`pending.op_seq ==
+//!    last_seq` is no longer in flight); there is no clear step. Then one
+//!    of two things:
+//!    * the pid's `RD_q` names a descriptor other than `prior` whose `DONE`
+//!      bit is set, with `presult == resp`: the request's last attempt took
+//!      effect, and `help` made `DONE` durable before it returned. The
+//!      descriptor already is the durable response, so the slot's line is
+//!      only noted — *deferred* — and the lane's next fence carries it
+//!      (the hand-over of step 3, or [`ResponseTable::flush_deferred`] at
+//!      a clean stop, which the table's last handle also runs when it
+//!      drops);
+//!    * otherwise (the request published nothing, or its last attempt
+//!      failed) one write-back of the slot's line and one `psync`;
 //! 6. release `RD_q`'s reference on `prior` if the operation moved `RD_q`
 //!    ([`crate::env::Env::release_prior`]);
 //! 7. acknowledge on the socket.
@@ -80,13 +99,29 @@
 //! fence after 3 to the end of 5 → in flight; `Completed(res)` finalizes
 //! `res` exactly as step 5 would (re-finalizing a half-written pair writes
 //! the same words), `Restart` clears `pending` and the retry re-applies.
-//! After 5 → the retry is a dedup hit. In every window the operation
-//! applies exactly once and the response the client eventually reads is
-//! the original. The transitions are generic over the persistency model,
-//! and the tests below crash them at every instruction under
-//! [`nvm::SimNvm`] with the slot and the recovery line each declared one
-//! line ([`nvm::sim::declare_line`]) — the model that makes the argument
-//! true.
+//! After a fenced 5 → the retry is a dedup hit. After a deferred 5 → the
+//! slot may still read in flight on media, with `pending` and `prior`
+//! durable (the descriptor's fence drained step 3's note) and `RD_q`
+//! naming the done descriptor: no publish moves `RD_q` before the next
+//! request's first fence, which drains the hand-over. Op-Recover answers
+//! `Completed(presult)`, the acknowledged response, and resolution
+//! finalizes it — the path a kill between `DONE` and a fenced 5 takes
+//! anyway. In that window a second slot may be in flight under the same
+//! pid: the next request's, begun with `prior` = that `RD_q`, which
+//! resolves `Restart`; resolution therefore visits every slot. A process
+//! that dies there loses its volatile record of the deferred slot, whose
+//! stores its cache still holds, and two paths then move `RD_q` with
+//! nothing handed over: peer recovery's [`RecArea::clear_slot`], and a new
+//! process's first publish on the tid. Both come after
+//! [`ResponseTable::resolve`] on the pid, which therefore writes back every
+//! slot whose `pending` names the pid, in flight or not, and fences before
+//! it returns. In every
+//! window the operation applies exactly once and the response the client
+//! eventually reads is the original. The transitions are generic over the
+//! persistency model, and the tests below crash them at every instruction
+//! under [`nvm::SimNvm`] with the slot and the recovery line each declared
+//! one line ([`nvm::sim::declare_line`]) — the model that makes the
+//! argument true.
 //!
 //! # GC / ack watermark
 //!
@@ -101,11 +136,12 @@
 //! fails typed (`TableFull` on the wire) rather than silently recycling a
 //! slot whose owner might still retry.
 
-use crate::engine::RES_BOT;
+use crate::engine::{Info, RES_BOT};
 use crate::recovery::{rootkeys, AttachError, RecArea, Recovered};
 use crate::tag::Base;
 use nvm::mapped::{MappedHeap, MappedNvm};
 use nvm::{PWord, Persist};
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
 
 /// Registered clients the table can hold (one 64-byte slot each).
@@ -162,9 +198,15 @@ impl<M: Persist> ClientSlot<M> {
     /// the operation's first fence drains it before any effect can become
     /// durable, and an operation with no effect folds the note into
     /// [`ClientSlot::finalize`]'s write-back. `prior` is stored first, so
-    /// no prefix of the line shows `pending` without it.
-    fn begin(&self, tid: usize, op_seq: u64, prior: u64) {
+    /// no prefix of the line shows `pending` without it. `handed` is the
+    /// slot whose write-back `tid`'s previous request deferred
+    /// ([`ClientSlot::settle`]); its line is noted too, so that the same
+    /// first fence — the one before any publish moves `RD_q` — drains it.
+    fn begin(&self, handed: Option<&ClientSlot<M>>, tid: usize, op_seq: u64, prior: u64) {
         assert!(tid < nvm::MAX_PROCS && op_seq <= MAX_OP_SEQ, "pending word out of range");
+        if let Some(h) = handed {
+            M::pwb_coal(&h.last_seq);
+        }
         self.prior.store(prior);
         self.pending.store((tid as u64) << SEQ_BITS | op_seq);
         M::pwb_coal(&self.pending);
@@ -180,6 +222,42 @@ impl<M: Persist> ClientSlot<M> {
         self.last_seq.store(op_seq);
         M::pwb_coal(&self.last_seq);
         M::psync();
+    }
+
+    /// The request's end: [`ClientSlot::finalize`], unless `rd` — the
+    /// pid's `RD_q` — already holds `resp` durably
+    /// ([`ClientSlot::answer_behind`]). Then the same two stores, with the
+    /// line noted and no fence: a crash image that lost them still has the
+    /// slot in flight behind that descriptor, which resolves to `resp`.
+    /// Returns whether it deferred; the pid's next [`ClientSlot::begin`]
+    /// must then be handed this slot.
+    fn settle(&self, op_seq: u64, resp: u64, rd: u64, base: Base) -> bool {
+        let answer = self.answer_behind(rd, base);
+        debug_assert!(
+            answer.is_none_or(|a| a == resp),
+            "the request's done attempt answers otherwise"
+        );
+        if answer != Some(resp) {
+            self.finalize(op_seq, resp);
+            return false;
+        }
+        self.resp.store(resp);
+        self.last_seq.store(op_seq);
+        M::pwb_coal(&self.last_seq);
+        true
+    }
+
+    /// What Op-Recover answers behind `rd`, the `RD_q` of the pid this
+    /// slot's request runs under, when that names one of the request's own
+    /// attempts (not `prior`) that took effect: its `presult`, durable with
+    /// its `DONE` bit.
+    fn answer_behind(&self, rd: u64, base: Base) -> Option<u64> {
+        if rd == 0 || rd == self.prior.load() {
+            return None;
+        }
+        // SAFETY: `RD_q` holds a reference on the descriptor it names, and
+        // only the lane running this request moves it.
+        unsafe { (*base.at::<Info<M>>(rd)).response() }
     }
 
     /// Disposes of the request in flight under `tid` (if any) by `decision`,
@@ -203,6 +281,13 @@ impl<M: Persist> ClientSlot<M> {
                 Resolution::Restarted { client_id, op_seq }
             }
         })
+    }
+
+    /// Whether the newest request begun on this slot ran under `tid`, in
+    /// flight or not.
+    fn names(&self, tid: usize) -> bool {
+        let pending = self.pending.load();
+        pending != 0 && (pending >> SEQ_BITS) as usize == tid
     }
 
     /// Zeroes everything but the ID, durably: `pending` first and the
@@ -240,6 +325,36 @@ impl<M: Persist> ClientSlot<M> {
         }
         Ok(())
     }
+}
+
+/// Resolves every slot of `slots` in flight under `tid` by `decision`, the
+/// Op-Recover verdict on `rd`, `tid`'s `RD_q` ([`ClientSlot::resolve`]),
+/// and returns the last resolution. Every other slot whose `pending` names
+/// `tid` is written back, with one `psync` for them all before it returns:
+/// the slot `tid`'s last request settled behind its descriptor reads
+/// finalized here, yet its line may still be in flight on media, and the
+/// caller is about to let `RD_q` move — peer recovery clears it, and a new
+/// process on the tid publishes over it with nothing handed over.
+fn resolve_under<'s, M: Persist + 's>(
+    slots: impl IntoIterator<Item = &'s ClientSlot<M>>,
+    tid: usize,
+    rd: u64,
+    decision: Recovered,
+) -> Option<Resolution> {
+    let (mut last, mut written) = (None, false);
+    for s in slots.into_iter().filter(|s| s.names(tid)) {
+        match s.resolve(tid, rd, decision) {
+            Some(r) => last = Some(r),
+            None => {
+                M::pwb_coal(&s.last_seq);
+                written = true;
+            }
+        }
+    }
+    if written {
+        M::psync();
+    }
+    last
 }
 
 /// What healing/validation found and repaired (all zero on a clean image).
@@ -280,27 +395,76 @@ pub enum Resolution {
 
 /// Handle over the committed [`rootkeys::RESPTAB`] root block.
 ///
-/// Cheap to clone; all state is in the mapped heap. Concurrency contract:
+/// Cheap to clone; the durable state is in the mapped heap, and the clones
+/// share the per-pid record of deferred write-backs. Concurrency contract:
 /// a client slot is written only under the tid the client is routed to —
 /// the service routes each `client_id` to exactly one tid lane and runs one
 /// request per lane at a time — or, once that tid's process is dead and the
 /// slot is in flight under it, by the holder of the process's recovery
 /// lease, while every live server answers the client `Recovering`. Slot
-/// writes therefore never race, and a tid has at most one slot in flight.
+/// writes therefore never race. A live tid has at most one slot in flight;
+/// a crash image may show two (see the module docs).
 /// Cross-thread *reads* are safe against the documented write orderings.
 #[derive(Clone)]
 pub struct ResponseTable {
-    _heap: Arc<MappedHeap>,
-    base: *mut u8,
     /// The heap-wide recovery slots, whose `RD_q` a request's `prior` holds.
     rec: Arc<RecArea<MappedNvm>>,
+    /// The client slots and the deferred record, one for every clone.
+    block: Arc<Block>,
+}
+
+/// The table's root block and the per-pid record of deferred write-backs,
+/// shared by a table's clones. It keeps the heap mapped, and the last
+/// clone's drop writes back every slot still deferred: a clean detach
+/// leaves no acknowledged response leaning on an `RD_q` that the next
+/// process on the tid publishes over.
+struct Block {
+    _heap: Arc<MappedHeap>,
+    base: *mut u8,
+    /// Per pid, `1 +` the index of the client slot whose write-back the
+    /// pid's last [`ResponseTable::finish_op`] deferred; 0 when none. The
+    /// pid's next [`ResponseTable::begin_op`] takes it. Volatile: after a
+    /// crash, resolution reads what it stood for from `RD_q`.
+    deferred: Box<[AtomicUsize]>,
+}
+
+impl Block {
+    fn client(&self, idx: usize) -> &ClientSlot<MappedNvm> {
+        assert!(idx < CLIENT_SLOTS);
+        // SAFETY: in-bounds fixed-stride slot of the committed root block.
+        unsafe { &*(self.base.add(SLOT_BYTES * (1 + idx)) as *const ClientSlot<MappedNvm>) }
+    }
+
+    fn take_deferred(&self, pid: usize) -> Option<usize> {
+        self.deferred[pid].swap(0, Relaxed).checked_sub(1)
+    }
+
+    /// Writes back the line of every slot a pid deferred and fences once.
+    fn flush_deferred(&self) {
+        let mut any = false;
+        for pid in 0..nvm::MAX_PROCS {
+            if let Some(idx) = self.take_deferred(pid) {
+                MappedNvm::pwb_coal(&self.client(idx).last_seq);
+                any = true;
+            }
+        }
+        if any {
+            MappedNvm::psync();
+        }
+    }
+}
+
+impl Drop for Block {
+    fn drop(&mut self) {
+        self.flush_deferred();
+    }
 }
 
 // SAFETY: the raw base points into the heap mapping, which `_heap` keeps
 // alive; all access goes through atomics (PWord).
-unsafe impl Send for ResponseTable {}
+unsafe impl Send for Block {}
 // SAFETY: as above — interior mutability is atomic-word-based.
-unsafe impl Sync for ResponseTable {}
+unsafe impl Sync for Block {}
 
 impl ResponseTable {
     /// Size of the root block: header + client slots.
@@ -324,9 +488,10 @@ impl ResponseTable {
         let (base, fresh) = heap.root_alloc(rootkeys::RESPTAB, Self::bytes())?;
         let (rec_base, _) =
             heap.root_alloc(rootkeys::RECAREA, RecArea::<MappedNvm>::slots_bytes())?;
-        // SAFETY: the heap's committed recovery-slot block, alive with `_heap`.
+        // SAFETY: the heap's committed recovery-slot block, alive with `block`'s heap.
         let rec = Arc::new(unsafe { RecArea::attach_raw(rec_base, Base(heap.base() as usize)) });
-        let t = Self { _heap: Arc::clone(heap), base, rec };
+        let deferred = (0..nvm::MAX_PROCS).map(|_| AtomicUsize::new(0)).collect();
+        let t = Self { rec, block: Arc::new(Block { _heap: Arc::clone(heap), base, deferred }) };
         let magic = t.header().load();
         if fresh || magic == 0 {
             t.header().store(MAGIC);
@@ -339,13 +504,11 @@ impl ResponseTable {
 
     fn header(&self) -> &PWord<MappedNvm> {
         // SAFETY: word 0 of the committed root block.
-        unsafe { &*(self.base as *const PWord<MappedNvm>) }
+        unsafe { &*(self.block.base as *const PWord<MappedNvm>) }
     }
 
     fn client(&self, idx: usize) -> &ClientSlot<MappedNvm> {
-        assert!(idx < CLIENT_SLOTS);
-        // SAFETY: in-bounds fixed-stride slot of the committed root block.
-        unsafe { &*(self.base.add(SLOT_BYTES * (1 + idx)) as *const ClientSlot<MappedNvm>) }
+        self.block.client(idx)
     }
 
     fn probe_start(client_id: u64) -> usize {
@@ -448,7 +611,9 @@ impl ResponseTable {
     /// under `pid`, with `pid`'s `RD_q` as its `prior`, and the slot's line
     /// noted but not fenced: the structure operation's first fence makes it
     /// durable, and [`ResponseTable::finish_op`] drains it if no fence
-    /// came. This is the invocation record (see module docs): call it
+    /// came. The line of the slot whose write-back `pid`'s previous request
+    /// deferred is noted with it, on this thread. This is the invocation
+    /// record (see module docs): call it
     /// before the structure operation's first instruction, on the thread
     /// that runs both, and no invocation glue — the operation's `Isb-LP`
     /// prologue consumes the mark this leaves instead; after the
@@ -457,7 +622,8 @@ impl ResponseTable {
     /// re-applies.
     pub fn begin_op(&self, pid: usize, client_id: u64, op_seq: u64, _op: u64, _arg: u64) {
         let idx = self.find(client_id).expect("begin_op follows register");
-        self.client(idx).begin(pid, op_seq, self.rec.published(pid));
+        let handed = self.block.take_deferred(pid).map(|d| self.client(d));
+        self.client(idx).begin(handed, pid, op_seq, self.rec.published(pid));
         crate::recovery::mark_recorded(pid);
     }
 
@@ -467,17 +633,69 @@ impl ResponseTable {
         self.client(client_idx).prior.load()
     }
 
-    /// Durably finalizes the response into the client slot, which also
-    /// retires the in-flight record. `client_idx` is the index
-    /// [`ResponseTable::register`] returned for the request's client.
-    pub fn finish_op(&self, _pid: usize, client_idx: usize, op_seq: u64, resp: u64) {
-        self.client(client_idx).finalize(op_seq, resp);
+    /// Stores the response into the client slot, which also retires the
+    /// in-flight record, and makes it recoverable before returning: by one
+    /// write-back and one `psync`, or — when `pid`'s `RD_q` names the
+    /// request's own attempt, done with `resp` as its `presult` — by that
+    /// descriptor, the slot's line only noted until `pid`'s next
+    /// [`ResponseTable::begin_op`] hands it over (module docs, step 5).
+    /// `client_idx` is the index [`ResponseTable::register`] returned for
+    /// the request's client.
+    pub fn finish_op(&self, pid: usize, client_idx: usize, op_seq: u64, resp: u64) {
+        let slot = self.client(client_idx);
+        if slot.settle(op_seq, resp, self.rec.published(pid), self.rec.base) {
+            let was = self.block.deferred[pid].swap(client_idx + 1, Relaxed);
+            debug_assert!(
+                was == 0 || was == client_idx + 1,
+                "a deferred slot was never handed over"
+            );
+        }
     }
 
-    /// Resolves the request in flight under `pid` (if any) against the
+    /// Writes back the line of every slot whose write-back a pid deferred
+    /// and fences once, so that no acknowledged response leans on a
+    /// descriptor any more. For a clean stop, after the last request; the
+    /// last clone's drop does it too.
+    pub fn flush_deferred(&self) {
+        self.block.flush_deferred();
+    }
+
+    /// Whether the lines pending on the calling thread are at most what a
+    /// deferred [`ResponseTable::finish_op`] on `pid` leaves there: none,
+    /// or the line of the slot `pid` deferred. Call it holding `pid`'s lane.
+    pub fn holds_only_deferred(&self, pid: usize) -> bool {
+        match nvm::coalesce::pending() {
+            0 => true,
+            1 => self
+                .deferred_slot(pid)
+                .is_some_and(|s| nvm::coalesce::is_pending(s.last_seq.addr())),
+            _ => false,
+        }
+    }
+
+    /// Whether the slot `pid` deferred, if any, is recoverable as
+    /// acknowledged: `pid`'s `RD_q` names a done descriptor other than the
+    /// slot's `prior`, answering the slot's response. Call it holding
+    /// `pid`'s lane.
+    pub fn deferred_is_recoverable(&self, pid: usize) -> bool {
+        self.deferred_slot(pid).is_none_or(|s| {
+            s.answer_behind(self.rec.published(pid), self.rec.base) == Some(s.resp.load())
+        })
+    }
+
+    fn deferred_slot(&self, pid: usize) -> Option<&ClientSlot<MappedNvm>> {
+        self.block.deferred[pid].load(Relaxed).checked_sub(1).map(|idx| self.client(idx))
+    }
+
+    /// Resolves the requests in flight under `pid` (if any) against the
     /// replay decision for that pid — the attach-time and peer-recovery
-    /// wiring. Idempotent: once resolved, the slot is no longer in flight
-    /// and later calls are no-ops.
+    /// wiring — and returns the last resolution. Idempotent: once resolved,
+    /// a slot is no longer in flight and later calls are no-ops. A crash
+    /// image may hold two: a request whose write-back was deferred and the
+    /// next one, begun with `prior` = `RD_q` (module docs); each resolves
+    /// by its own `prior`. Every other slot `pid` ran a request on is
+    /// written back and fenced before it returns, so that a response `pid`
+    /// deferred before it died no longer leans on `RD_q`.
     ///
     /// `Completed(res)` finalizes `res` as the request's response, unless
     /// `pid`'s `RD_q` still equals the slot's `prior` (the module docs'
@@ -486,8 +704,8 @@ impl ResponseTable {
     /// client's retry re-applies. Call it while `RD_q` still holds what the
     /// decision was computed from.
     pub fn resolve(&self, pid: usize, decision: Recovered) -> Option<Resolution> {
-        let rd = self.rec.published(pid);
-        (0..CLIENT_SLOTS).find_map(|idx| self.client(idx).resolve(pid, rd, decision))
+        let slots = (0..CLIENT_SLOTS).map(|idx| self.client(idx));
+        resolve_under(slots, pid, self.rec.published(pid), decision)
     }
 
     /// `true` when `client_id`'s slot is in flight under a pid *outside*
@@ -625,6 +843,28 @@ mod tests {
         assert_eq!(t.resolve(5, Recovered::Restart), None, "idempotent");
     }
 
+    /// A crash image of a deferred `finish_op` followed by the next
+    /// request's `begin_op` holds two slots in flight under one pid: the
+    /// deferred one, behind the descriptor `RD_q` names, and the next one,
+    /// whose `prior` is that `RD_q`. Resolution visits both: the first
+    /// finalizes the decision, the second restarts.
+    #[test]
+    fn resolve_visits_every_slot_in_flight_under_the_pid() {
+        nvm::tid::set_tid(0);
+        let (_h, t) = mk("two_inflight");
+        t.register(7).unwrap();
+        t.register(8).unwrap();
+        t.begin_op(5, 7, 1, 1, 40);
+        t.rec.publish(5, 0x40); // its attempt; its `finish_op` is lost
+        t.begin_op(5, 8, 1, 1, 41);
+        assert_eq!(t.inflight(5), Some((7, 1)), "two in flight, the first found first");
+        let r = t.resolve(5, Recovered::Completed(RES_TRUE));
+        assert_eq!(r, Some(Resolution::Restarted { client_id: 8, op_seq: 1 }));
+        assert_eq!(t.lookup(7), Some((1, RES_TRUE)), "the deferred request finalized");
+        assert_eq!(t.lookup(8), Some((0, 0)), "the next one restarts");
+        assert_eq!(t.inflight(5), None);
+    }
+
     #[test]
     fn foreign_inflight_sees_other_bands_only() {
         nvm::tid::set_tid(0);
@@ -717,10 +957,10 @@ mod tests {
     }
 
     /// What every crash image of a slot must satisfy: it validates and
-    /// never shows the new watermark beside the old response.
-    fn check_image(slot: &ClientSlot<SimNvm>, ctx: &str) {
+    /// never shows the new watermark beside another response than `answer`.
+    fn check_image(slot: &ClientSlot<SimNvm>, answer: u64, ctx: &str) {
         let [_, last_seq, resp, _, _] = words(slot);
-        assert!(last_seq != NEW.0 || resp == NEW.1, "{ctx}: new watermark, old response");
+        assert!(last_seq != NEW.0 || resp == answer, "{ctx}: new watermark, old response");
         slot.validate().unwrap_or_else(|e| panic!("{ctx}: {e}"));
     }
 
@@ -752,41 +992,169 @@ mod tests {
         fill(Box::into_raw(Box::new(Info::fresh())), (tag, 0), Some(effect), presult)
     }
 
+    /// A second request's sequence number and the answer its effect has.
+    const NEXT: (u64, u64) = (6, 0x66);
+    /// The answer of a request that took no effect.
+    const QUIET: u64 = 0x77;
+
+    /// What a sweep's first request does between `begin` and `settle`.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Attempt {
+        /// Nothing: `RD_q` stays X, and `settle` fences.
+        Idle,
+        /// Publishes Y, whose `Help` takes effect: `settle` defers.
+        Takes,
+        /// Publishes a descriptor whose tag fails, then answers with no
+        /// effect: `RD_q` moved to a descriptor that is not done, so
+        /// `settle` fences.
+        Fails,
+    }
+
+    /// What follows a deferred first request on the same pid.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Then {
+        Nothing,
+        /// The same client's next request, which publishes Z and takes effect.
+        Effect,
+        /// The same client's next request, which changes nothing.
+        NoEffect,
+        /// Another client's request on another thread, publishing Z: its
+        /// `begin` must write the deferred slot's line back itself.
+        OtherThread,
+        /// The process dies (its stores stay in the cache, the deferred
+        /// record is gone) and a peer recovers the pid: Op-Recover,
+        /// resolution, then `clear_slot` nulls `RD_q`.
+        PeerRecovery,
+        /// The process dies and a new one attaches: Op-Recover and
+        /// resolution, then another client's request on the pid publishes
+        /// Z with nothing handed over.
+        Reattach,
+    }
+
+    /// One request of a sweep, as the judge of an image sees it.
+    struct Req {
+        seq: u64,
+        answer: u64,
+        /// Its effect word is on media.
+        effect: bool,
+        /// `settle` returned: the client holds the answer.
+        acked: bool,
+    }
+
+    /// Publishes the descriptor at `d` on the recovery line and helps it.
+    fn attempt(rec: &RecArea<SimNvm>, d: usize, c: &Collector) {
+        SimNvm::pfence(); // the descriptor's (`Env::persist_descriptor`)
+        rec.publish_arm::<LP>(TID, d as u64);
+        // SAFETY: `d` is a filled descriptor, live until the sweep's iteration ends.
+        unsafe { help::<SimNvm, LP>(Base(0), d as *mut Info<SimNvm>, true, &c.pin()) };
+    }
+
+    /// Resolves `slot` as the attach does — `decision` is Op-Recover's on
+    /// the image's recovery line, whose `RD_q` is `rd` — and checks the
+    /// outcome: nothing left in flight; the watermark the old one `old` or
+    /// one of `reqs`, beside that request's answer (or a later one's,
+    /// stored by a `settle` the crash cut before its watermark: the client
+    /// acknowledged the earlier answer by sending its successor); and every
+    /// request that was acknowledged or whose effect is on media at or
+    /// below the watermark — otherwise the client's retry applies it a
+    /// second time, or reads another answer.
+    fn judge(
+        slot: &ClientSlot<SimNvm>,
+        rd: u64,
+        decision: Recovered,
+        old: (u64, u64),
+        reqs: &[Req],
+        ctx: &str,
+    ) {
+        slot.resolve(TID, rd, decision);
+        assert_eq!(slot.inflight(), None, "{ctx}: still in flight");
+        let pair = (slot.last_seq.peek(), slot.resp.peek());
+        let history: Vec<_> =
+            std::iter::once(old).chain(reqs.iter().map(|r| (r.seq, r.answer))).collect();
+        let at = history.iter().position(|&(seq, _)| seq == pair.0);
+        let answered = at.is_some_and(|k| history[k..].iter().any(|&(_, a)| a == pair.1));
+        assert!(answered, "{ctx}: resolved to {pair:?}");
+        for r in reqs.iter().filter(|r| r.acked || r.effect) {
+            let why = if r.acked { "acknowledged" } else { "with its effect on media" };
+            assert!(pair.0 >= r.seq, "{ctx}: request {} {why} resolved to {pair:?}", r.seq);
+        }
+    }
+
     /// The whole crash argument lives in two lines, the client slot and
     /// the lane's recovery line `(RD_q, CP_q)`, so it is checked there,
     /// under the line model that makes it true. Request `OLD.0` published
     /// descriptor X and completed (`RD_q` = X, `CP_q` = 1, answer
     /// `OLD.1`). Crash request `NEW.0` at every instruction over every seed
-    /// — `begin` (`prior` = X) → either no publish, or the operation's
-    /// first fence, its publish of descriptor Y and Y's `Help` (one effect
-    /// word) → `finalize` — and check each image: besides [`check_image`],
-    /// an operation whose effect is durable is never retired at the old
-    /// watermark (the retry would apply it twice). Resolve each image as
-    /// the attach does, by Op-Recover on the recovery line: never to X's
-    /// answer, and `Restart` only with the effect off media. Then hand each
-    /// image to resolve under the decisions recovery could reach, crash
-    /// *that* at every instruction too, and resolve again: idempotent, and
-    /// the answer the decision names.
+    /// — `begin` (`prior` = X) → no publish, the operation's first fence,
+    /// its publish of descriptor Y and Y's `Help` (one effect word), or
+    /// such a publish whose `Help` fails → `settle`, which defers its
+    /// write-back only behind the done Y — and once more after the
+    /// acknowledgement. Behind a deferred `settle`, crash at every
+    /// instruction of what follows on the pid: the same client's next
+    /// request with an effect (descriptor Z) or without one, or another
+    /// client's request with an effect on another thread, whose `begin`
+    /// hands the deferred line over; or the process dies there and the pid
+    /// is recovered — by a peer, which resolves it and clears its recovery
+    /// line, or by a new process's attach, which resolves it and runs
+    /// another client's request with an effect with nothing handed over.
+    /// Each image validates, never shows
+    /// `NEW.0`'s watermark beside another response, and resolves — by
+    /// Op-Recover on the recovery line, as the attach does, every slot —
+    /// to each request's own answer: an acknowledged one, or one whose
+    /// effect is on media, is never left below the watermark. Then hand
+    /// each image of the first request to resolve under the decisions
+    /// recovery could reach, crash *that* at every instruction too, and
+    /// resolve again: idempotent, and the answer the decision names.
     ///
     /// Mutation-checked: with `resolve` ignoring `prior`, or with `begin`
-    /// storing `prior` after `pending`, an image resolves to X's `OLD.1`.
+    /// storing `prior` after `pending`, an image resolves to X's `OLD.1`;
+    /// with `begin` not noting the handed slot, the other thread's publish
+    /// leaves the acknowledged request in flight behind Z, and it resolves
+    /// to Z's answer; with resolution not writing back the slots that name
+    /// the pid, the peer's `clear_slot` leaves it in flight behind a null
+    /// `RD_q` and it restarts, and the reattach's publish leaves it behind
+    /// Z; with `settle` deferring behind any descriptor other
+    /// than `prior`, done or not, the failed attempt trips its answer check.
     #[test]
     fn sim_crash_at_every_instruction_of_begin_finalize_resolve() {
+        use std::cell::Cell;
+        use std::sync::atomic::AtomicBool;
         let _session = crate::simtest::session();
         nvm::tid::set_tid(0);
         let c = Collector::new();
         let mut images = Vec::new();
-        for publishes in [false, true] {
+        let scenarios = [
+            (Attempt::Idle, Then::Nothing),
+            (Attempt::Takes, Then::Nothing),
+            (Attempt::Fails, Then::Nothing),
+            (Attempt::Takes, Then::Effect),
+            (Attempt::Takes, Then::NoEffect),
+            (Attempt::Takes, Then::OtherThread),
+            (Attempt::Takes, Then::PeerRecovery),
+            (Attempt::Takes, Then::Reattach),
+        ];
+        for (first_does, then) in scenarios {
+            let answer = if first_does == Attempt::Fails { QUIET } else { NEW.1 };
+            let other_client = matches!(then, Then::OtherThread | Then::Reattach);
+            let next = (if other_client { 1 } else { NEXT.0 }, NEXT.1);
+            let next = if then == Then::NoEffect { (next.0, QUIET) } else { next };
             for seed in 0..64u64 {
                 for fuse in 1.. {
                     sim::reset();
-                    // X's tag cell and effect word, then Y's.
-                    let cells: [Box<PWord<SimNvm>>; 4] = [(); 4].map(|_| Box::new(PWord::new(0)));
+                    // Tag cell and effect word of X, Y and Z, then the tag
+                    // cell of the failing attempt.
+                    let cells: [Box<PWord<SimNvm>>; 7] = [(); 7].map(|_| Box::new(PWord::new(0)));
                     cells.iter().for_each(|w| w.store(0)); // registers the words
-                    let (x, y) = (
-                        descriptor(&cells[0], &cells[1], OLD.1),
-                        descriptor(&cells[2], &cells[3], NEW.1),
-                    );
+                    let x = descriptor(&cells[0], &cells[1], OLD.1);
+                    let y = match first_does {
+                        Attempt::Fails => {
+                            let fresh = Box::into_raw(Box::new(Info::fresh()));
+                            fill(fresh, (&cells[6], 0xBAD0), Some(&cells[3]), NEW.1)
+                        }
+                        _ => descriptor(&cells[2], &cells[3], NEW.1),
+                    };
+                    let z = descriptor(&cells[4], &cells[5], NEXT.1);
+                    let (yd, zd) = (y as usize, z as usize);
                     let rec = RecArea::<SimNvm>::new();
                     rec.publish_arm::<LP>(TID, x as u64);
                     // SAFETY: `x` is filled and live until the iteration ends.
@@ -795,61 +1163,150 @@ mod tests {
                     let line = rec.slot(TID);
                     sim::declare_line(&[&line.rd, &line.cp]);
                     let slot = durable_slot([7, OLD.0, OLD.1, (TID as u64) << SEQ_BITS | OLD.0, 0]);
-                    let mut begun = false;
-                    let crashed = crashed_at(fuse, seed, || {
-                        slot.begin(TID, NEW.0, rec.published(TID));
-                        begun = true;
+                    let other = durable_slot([8, 0, 0, 0, 0]);
+                    let (begun, acked, acked_next) =
+                        (Cell::new(false), Cell::new(false), AtomicBool::new(false));
+                    // The follow-up request on `s`, handed `handed`.
+                    let follow = |s: &ClientSlot<SimNvm>, handed, publishes: bool| {
+                        s.begin(handed, TID, next.0, rec.published(TID));
                         if publishes {
-                            SimNvm::pfence(); // the descriptor's (`Env::persist_descriptor`)
-                            rec.publish_arm::<LP>(TID, y as u64);
-                            // SAFETY: as `x`.
-                            unsafe { help::<SimNvm, LP>(Base(0), y, true, &c.pin()) };
+                            attempt(&rec, zd, &c);
                         }
-                        slot.finalize(NEW.0, NEW.1);
+                        s.settle(next.0, next.1, rec.published(TID), Base(0));
+                        acked_next.store(true, Relaxed);
+                    };
+                    // What follows the first request, on a thread of its own
+                    // (a fresh set of noted lines): the fuse burns there
+                    // alone, and this thread dies at its next instruction
+                    // once that one has.
+                    let elsewhere = |work: &(dyn Fn() + Sync)| {
+                        sim::crash_after(0);
+                        std::thread::scope(|t| {
+                            t.spawn(|| {
+                                nvm::tid::set_tid(TID + 1);
+                                sim::crash_after(fuse);
+                                let _ = sim::run_crashable(|| {
+                                    work();
+                                    SimNvm::check_crash(); // after its last store
+                                });
+                            });
+                        });
+                    };
+                    let crashed = crashed_at(fuse, seed, || {
+                        let first = || {
+                            slot.begin(None, TID, NEW.0, rec.published(TID));
+                            begun.set(true);
+                            if first_does != Attempt::Idle {
+                                attempt(&rec, yd, &c);
+                            }
+                            slot.settle(NEW.0, answer, rec.published(TID), Base(0));
+                            acked.set(true);
+                        };
+                        match then {
+                            Then::Nothing => first(),
+                            Then::Effect | Then::NoEffect => {
+                                sim::suspended(first);
+                                follow(&slot, Some(&slot), then == Then::Effect);
+                            }
+                            Then::OtherThread => {
+                                sim::suspended(first);
+                                elsewhere(&|| follow(&other, Some(&slot), true));
+                            }
+                            Then::PeerRecovery | Then::Reattach => {
+                                sim::suspended(first);
+                                elsewhere(&|| {
+                                    // SAFETY: the recovery line names `y`, live.
+                                    let d =
+                                        unsafe { op_recover::<SimNvm, LP>(&rec, TID, &c.pin()) };
+                                    resolve_under([&*slot, &*other], TID, rec.published(TID), d);
+                                    if then == Then::PeerRecovery {
+                                        rec.clear_slot(TID);
+                                    } else {
+                                        follow(&other, None, true);
+                                    }
+                                });
+                            }
+                        }
+                        SimNvm::check_crash(); // after the acknowledgement
                     });
                     let (image, rd) = (words(&slot), rec.published(TID));
-                    let effect = cells[3].peek() == 1;
-                    let ctx = format!("publishes {publishes} fuse {fuse} seed {seed}: {image:?}");
-                    check_image(&slot, &ctx);
-                    let finalized = (image[1], image[2]) == NEW;
-                    if effect {
-                        let in_flight = slot.inflight() == Some((TID, NEW.0));
-                        assert!(
-                            in_flight || finalized,
-                            "{ctx}: effect durable, slot not in flight"
-                        );
+                    let ctx = format!(
+                        "{first_does:?} then {then:?} fuse {fuse} seed {seed}: {image:?} {:?}",
+                        words(&other)
+                    );
+                    if then == Then::Nothing {
+                        check_image(&slot, answer, &ctx);
                     }
-                    // SAFETY: the recovery line names `x` or `y`, both live.
+                    // (A follow-up's `settle` may store its answer beside
+                    // `NEW.0`: `judge`'s history allows exactly that.)
+                    slot.validate().unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                    other.validate().unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                    let reqs = [
+                        Req {
+                            seq: NEW.0,
+                            answer,
+                            effect: cells[3].peek() == 1,
+                            acked: acked.get(),
+                        },
+                        Req {
+                            seq: next.0,
+                            answer: next.1,
+                            effect: cells[5].peek() == 1,
+                            acked: acked_next.load(Relaxed),
+                        },
+                    ];
+                    // SAFETY: the recovery line names `x`, `y` or `z`, all live.
                     let decision = unsafe { op_recover::<SimNvm, LP>(&rec, TID, &c.pin()) };
-                    match slot.resolve(TID, rd, decision) {
-                        Some(Resolution::Finalized { resp, .. }) => {
-                            assert_eq!(resp, NEW.1, "{ctx}: resolved to request {}'s answer", OLD.0)
+                    let [mine, theirs] = &reqs;
+                    match then {
+                        Then::Nothing => judge(&slot, rd, decision, OLD, &reqs[..1], &ctx),
+                        Then::Effect | Then::NoEffect => {
+                            judge(&slot, rd, decision, OLD, &reqs, &ctx)
                         }
-                        Some(Resolution::Restarted { .. }) => {
-                            assert!(!effect, "{ctx}: a durable effect restarted: applied twice")
+                        Then::PeerRecovery => {
+                            judge(&slot, rd, decision, OLD, std::slice::from_ref(mine), &ctx)
                         }
-                        // Not in flight: acknowledged, or `pending` off
-                        // media and so (above) no effect either.
-                        None => {}
+                        Then::OtherThread | Then::Reattach => {
+                            judge(&slot, rd, decision, OLD, std::slice::from_ref(mine), &ctx);
+                            judge(&other, rd, decision, (0, 0), std::slice::from_ref(theirs), &ctx);
+                        }
                     }
                     // SAFETY: nothing refers to them past this iteration.
-                    for info in [x, y] {
+                    for info in [x, y, z] {
                         drop(unsafe { Box::from_raw(info) });
                     }
                     if !crashed {
-                        assert!(finalized, "an uncrashed run ends acknowledged");
+                        let done =
+                            matches!(then, Then::Nothing | Then::PeerRecovery) || theirs.acked;
+                        assert!(mine.acked && done, "{ctx}: an uncrashed run ends acknowledged");
                         break;
                     }
-                    images.push((seed, fuse, image, begun, rd, rd == y as u64));
+                    if then == Then::Nothing && first_does != Attempt::Fails {
+                        images.push((
+                            seed,
+                            fuse,
+                            image,
+                            begun.get(),
+                            rd,
+                            rd == yd as u64,
+                            mine.acked,
+                        ));
+                    }
                 }
             }
         }
         let mut resolved = 0;
-        for &(seed, fuse, image, begun, rd, published) in &images {
+        for &(seed, fuse, image, begun, rd, published, acked) in &images {
             for decision in [Recovered::Completed(NEW.1), Recovered::Restart] {
                 // Recovery completes an operation whose descriptor is
-                // durably published, and only such a one.
-                if decision != Recovered::Restart && !published {
+                // durably published, and only such a one; an acknowledged
+                // one's is durably done, so recovery completes it while
+                // `RD_q` names it. (What moves `RD_q` afterwards — a peer's
+                // `clear_slot`, a new process's publish — is swept above,
+                // behind resolution's write-back.)
+                if decision != Recovered::Restart && !published
+                    || decision == Recovered::Restart && acked && published
+                {
                     continue;
                 }
                 for fuse2 in 1.. {
@@ -860,7 +1317,7 @@ mod tests {
                         slot.resolve(TID, rd, decision);
                     });
                     let ctx = format!("fuse {fuse}/{fuse2} seed {seed} {decision:?}");
-                    check_image(&slot, &ctx);
+                    check_image(&slot, NEW.1, &ctx);
                     let first = slot.resolve(TID, rd, decision);
                     assert!(first.is_none() || (crashed2 && was_inflight));
                     assert_eq!(slot.resolve(TID, rd, decision), None, "resolve is idempotent");
@@ -873,10 +1330,10 @@ mod tests {
                         // The publish is durable, so `pending` and `prior`
                         // are: the fence before it drained `begin`'s
                         // write-back. Either the slot was still in flight
-                        // and is now finalized, or `finalize` completed.
+                        // and is now finalized, or `settle` completed.
                         Recovered::Completed(_) => assert_eq!((last_seq, resp), NEW, "{ctx}"),
                         // The old watermark may sit beside the new response
-                        // when the crash hit `finalize`: the client has
+                        // when the crash hit `settle`: the client has
                         // acknowledged `OLD.0` by sending its successor, so
                         // that response cannot be re-asked.
                         Recovered::Restart => {
@@ -934,7 +1391,7 @@ mod tests {
             prior: PWord::new(0),
             _pad: [0; 3],
         };
-        slot.begin(TID, NEW.0, env.rec.published(TID));
+        slot.begin(None, TID, NEW.0, env.rec.published(TID));
         crate::recovery::mark_recorded(TID);
         env.begin::<LP>(TID, &g);
         assert!(!crate::recovery::recorded_pending(), "the prologue consumed the record");

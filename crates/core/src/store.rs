@@ -978,6 +978,44 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    /// A request that took effect leaves its slot's line noted behind the
+    /// done descriptor `RD_q` names; `flush_deferred` writes it back,
+    /// fences, and forgets it, so the lane's next request hands nothing
+    /// over. The table's last handle does the same when it drops.
+    #[test]
+    fn a_deferred_response_is_flushed_and_forgotten() {
+        const T: usize = nvm::MAX_PROCS - 5; // counters of its own
+        let _gate = crate::counters::gate_shared();
+        nvm::tid::set_tid(T);
+        let path = tmp("deferred");
+        let store = Store::open_sized(&path, 4 << 20).unwrap();
+        let (m, tab) = (store.get::<LpMap>("kv", 2).unwrap(), store.response_table());
+        let idx = tab.register(CLIENT).unwrap();
+        tab.register(CLIENT + 1).unwrap();
+        tab.begin_op(1, CLIENT, 1, 0, 42);
+        assert!(m.insert(1, 42));
+        tab.finish_op(1, idx, 1, RES_TRUE);
+        m.release_prior(1, tab.prior(idx));
+        assert_eq!(nvm::coalesce::pending(), 1, "the slot's line, noted and not fenced");
+        assert!(tab.holds_only_deferred(1) && tab.deferred_is_recoverable(1));
+        tab.flush_deferred();
+        assert_eq!(nvm::coalesce::pending(), 0, "written back and fenced");
+        tab.begin_op(1, CLIENT + 1, 1, 0, 43);
+        assert_eq!(nvm::coalesce::pending(), 1, "the other client's slot alone: nothing handed");
+        tab.finish_op(1, tab.register(CLIENT + 1).unwrap(), 1, RES_TRUE);
+        tab.begin_op(1, CLIENT, 2, 0, 44);
+        assert!(m.insert(1, 44));
+        tab.finish_op(1, idx, 2, RES_TRUE);
+        m.release_prior(1, tab.prior(idx));
+        assert_eq!(nvm::coalesce::pending(), 1, "deferred again");
+        let before = nvm::stats::Snapshot::of_tid(T);
+        drop(tab);
+        assert_eq!(nvm::stats::Snapshot::of_tid(T).since(&before).psync, 0, "a clone is left");
+        drop((m, store));
+        assert_eq!(nvm::stats::Snapshot::of_tid(T).since(&before).psync, 1, "the last one fences");
+        let _ = std::fs::remove_file(&path);
+    }
+
     /// The `RD_q` hand-over in one epoch domain. A map insert's descriptor
     /// stays named by its thread's `RD_q` until that thread's next
     /// operation — here a queue operation — releases it through the

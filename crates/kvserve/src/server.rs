@@ -23,27 +23,37 @@
 //! crash-window argument): failover check (the client's slot is in flight
 //! under a dead peer's tid → `Recovering`) → dedup check → the invocation
 //! record: the lane's `RD_q` stored as the slot's `prior`, then `pending`,
-//! the line noted but not fenced (the structure's first fence drains it) →
-//! structure op, whose prologue runs no invocation glue: the record stands
-//! in for it → response finalize (`resp`, then `last_seq`, on the same
-//! line: one write-back, one `psync`) → `RD_q`'s reference on `prior`
-//! released if the op moved `RD_q` → socket acknowledgement. The response
-//! table's client slot is one line and one fence for a request that
-//! changes nothing and two lines and one fence for one that does; the rest
-//! is the structure's own — nothing at all for a request that changes
-//! nothing (a `put` of a present key, a `del` of an absent one, a `deq` on
-//! empty). Nothing of the request resets the lane's recovery line.
+//! the line noted but not fenced (the structure's first fence drains it),
+//! and with it the line of the slot whose write-back the lane's previous
+//! request deferred → structure op, whose prologue runs no invocation glue:
+//! the record stands in for it → response finalize (`resp`, then
+//! `last_seq`, on the same line) → `RD_q`'s reference on `prior` released
+//! if the op moved `RD_q` → socket acknowledgement. The finalize fences
+//! only when the request changed nothing: then one write-back, one
+//! `psync`. A request whose last attempt took effect acks on the `psync`
+//! that made its descriptor's `DONE` bit durable — the descriptor holds
+//! the response, and recovery answers from it — and leaves the slot's line
+//! noted for the lane's next fence. The response table's client slot is
+//! then one line and one fence for a request that changes nothing (a `put`
+//! of a present key, a `del` of an absent one, a `deq` on empty), whose
+//! structure operation costs nothing at all, and two lines and no fence of
+//! its own for one that does — one line when the lane's previous request
+//! deferred the same slot on the same thread, whose line the note finds
+//! pending; one more when that slot is another client's, or was deferred
+//! on another connection's thread, which this request's own fence must
+//! write back. Nothing of the request resets the lane's recovery line.
 //!
 //! A `get` takes none of that path. It is unsequenced (`op_seq = 0`, see
 //! [`crate::proto`]) and answered under its lane by the map's `find` before
-//! registration: no response-table call, no invocation record, no
-//! in-flight record. Recovery owes a read nothing — killed in flight, it
-//! resolves to nothing and the client's re-issue reads afresh — so a read
-//! records nothing either: its `find`'s prologue is the `Isb-LP` glue,
-//! which costs 0 lines and 0 fences on a fresh recovery line (after a read,
-//! or a no-effect operation that followed one) and 1 + 1 on a line a
-//! request published to. A `get` that carries a number is answered the
-//! same way: the number is echoed, never recorded.
+//! registration: no response-table call, no in-flight record. Recovery owes
+//! a read nothing — killed in flight, it resolves to nothing and the
+//! client's re-issue reads afresh — so a read records nothing either, and
+//! its `find` runs no invocation glue: the `get` marks its invocation
+//! recorded ([`isb::recovery::mark_recorded`]) as a sequenced request's
+//! record does, so it costs 0 lines and 0 fences, and the lane's `RD_q`
+//! keeps naming the descriptor a deferred response is read from. A `get`
+//! that carries a number is answered the same way: the number is echoed,
+//! never recorded.
 //!
 //! [`parse_request`] refuses, before any of this, every identifier and
 //! argument a later layer would assert on (reserved client ids, sentinel
@@ -183,8 +193,9 @@ pub enum KillPoint {
     /// After the durable in-flight record, before the structure op (a
     /// `get`: before its `find`).
     Invoke,
-    /// After the durable response finalize, before the socket write (a
-    /// `get`: after its `find`).
+    /// After the response is recoverable — finalized, or deferred behind
+    /// its done descriptor — before the socket write (a `get`: after its
+    /// `find`).
     PreAck,
     /// After the acknowledgement reached the socket.
     PostAck,
@@ -345,7 +356,8 @@ impl Server {
         self.shared.listener_error.lock().unwrap_or_else(|e| e.into_inner()).take()
     }
 
-    /// Graceful shutdown: stop accepting, drain connections, join all.
+    /// Graceful shutdown: stop accepting, drain connections, join all, then
+    /// write back every response whose write-back a lane deferred.
     pub fn stop(mut self) {
         self.shared.stop.store(true, Ordering::Release);
         if let Some(a) = self.acceptor.take() {
@@ -358,6 +370,7 @@ impl Server {
         for c in conns {
             let _ = c.join();
         }
+        self.shared.resptab.flush_deferred();
     }
 }
 
@@ -468,11 +481,24 @@ fn on_lane(shared: &Shared, req: &Request) -> Option<Response> {
     let _guard = shared.lanes[lane].lock().ok()?;
     let tid = shared.own_band.start + 1 + lane;
     nvm::tid::set_tid(tid);
+    if !shared.resptab.holds_only_deferred(tid) {
+        // A deferred slot's line this thread noted that is not this lane's
+        // to carry: another connection's request on the lane has since
+        // handed it over, or another lane deferred it and hands it over
+        // itself. A write-back without a fence only adds durability, and
+        // it leaves this thread's set to this request.
+        <MappedNvm as nvm::Persist>::coal_drain();
+    }
     let resp = handle(shared, tid, req);
-    // `begin_op` leaves the client slot's line noted and unfenced; only
-    // `finish_op`'s `psync` drains it. It also marks the invocation
-    // recorded, and only the structure operation's prologue consumes that.
-    debug_assert_eq!(nvm::coalesce::pending(), 0, "lane released with unflushed lines");
+    // `begin_op` leaves the client slot's line noted and unfenced; the
+    // operation's first fence or `finish_op`'s `psync` drains it, unless
+    // `finish_op` deferred it behind the done descriptor `RD_q` names. It
+    // also marks the invocation recorded, and only the structure
+    // operation's prologue consumes that.
+    debug_assert!(
+        shared.resptab.holds_only_deferred(tid) && shared.resptab.deferred_is_recoverable(tid),
+        "lane released with a line pending that no deferred response explains"
+    );
     debug_assert!(!isb::recovery::recorded_pending(), "lane released with an unconsumed record");
     Some(resp)
 }
@@ -487,10 +513,13 @@ fn route(client_id: u64, n: usize) -> usize {
 /// unsequenced `get` is answered as the map stands, before any of it.
 fn handle(ctx: &Shared, pid: usize, req: &Request) -> Response {
     if req.op == OpCode::Get {
-        // Unsequenced: no slot, no in-flight record, no invocation record.
-        // Killed before its answer, it resolves to nothing at all, and the
-        // client's re-issue is a fresh read — a legal linearisation.
+        // Unsequenced: no slot, no in-flight record. Killed before its
+        // answer, it resolves to nothing at all, and the client's re-issue
+        // is a fresh read — a legal linearisation. Marked recorded, its
+        // `find` runs no glue: `RD_q` keeps naming the descriptor a
+        // deferred response is recovered from.
         maybe_kill(&ctx.kill, KillPoint::Invoke);
+        isb::recovery::mark_recorded(pid);
         let value = apply(ctx, pid, req);
         maybe_kill(&ctx.kill, KillPoint::PreAck);
         nvm::stats::count_kv_requests(1);
@@ -677,10 +706,18 @@ mod tests {
         }
     }
 
-    /// The release check of [`on_lane`] is what catches a `finish_op` that
-    /// stops draining the client slot's line `begin_op` noted. Every request
-    /// kind runs on this thread, which reads the `LineSet` itself so the
-    /// check bites in release builds too.
+    /// The release check of [`on_lane`]: a lane is released with no line
+    /// pending on the thread that ran the request but the one of a slot
+    /// whose write-back `finish_op` deferred, and only while the lane's
+    /// `RD_q` names a done descriptor other than that slot's `prior`. It
+    /// catches a `finish_op` that stops draining the client slot's line
+    /// `begin_op` noted after a request that changed nothing, and a `get`
+    /// whose glue moves `RD_q` away from a deferred response (its barrier
+    /// drains the line). Every request kind runs on this thread, which
+    /// checks the set itself so the check bites in release builds too;
+    /// then a second client of the lane runs on a thread of its own, whose
+    /// hand-over leaves this thread's note to be written back on its next
+    /// request.
     #[test]
     fn a_lane_is_released_with_no_line_pending() {
         let dir = std::env::temp_dir().join(format!("isb_kv_lane_{}", std::process::id()));
@@ -690,23 +727,38 @@ mod tests {
         cfg.heap_bytes = 8 << 20;
         cfg.workers = 1;
         let server = Server::start(cfg).expect("server start");
-        // `(op, op_seq, arg)`: every kind, the `get` unsequenced.
-        let requests = [
-            (OpCode::Put, 1, 42),
-            (OpCode::Put, 2, 42),
-            (OpCode::Get, 0, 42),
-            (OpCode::Del, 3, 42),
-            (OpCode::Del, 4, 42),
-            (OpCode::Enq, 5, 7),
-            (OpCode::Deq, 6, 0),
-            (OpCode::Deq, 7, 0),
-        ];
-        for (op, op_seq, arg) in requests {
-            let req = Request { op, client_id: 7, op_seq, arg };
-            let resp = on_lane(&server.shared, &req).expect("lane not poisoned");
+        let sh = &server.shared;
+        let tid = sh.own_band.start + 1;
+        let run = |client_id, op, op_seq, arg| {
+            let req = Request { op, client_id, op_seq, arg };
+            let resp = on_lane(sh, &req).expect("lane not poisoned");
             assert_eq!(resp.status, Status::Ok, "{op:?}");
-            assert_eq!(nvm::coalesce::pending(), 0, "{op:?}: lane released with a line pending");
+            assert!(sh.resptab.holds_only_deferred(tid), "{op:?}: a line pending unexplained");
+            assert!(sh.resptab.deferred_is_recoverable(tid), "{op:?}: deferred behind no answer");
+            nvm::coalesce::pending()
+        };
+        // `(op, op_seq, arg, lines left pending)`: every kind, the `get`s
+        // unsequenced; a request with an effect defers its slot's line.
+        let requests = [
+            (OpCode::Put, 1, 42, 1),
+            (OpCode::Put, 2, 42, 0),
+            (OpCode::Get, 0, 42, 0),
+            (OpCode::Put, 3, 43, 1),
+            (OpCode::Get, 0, 43, 1),
+            (OpCode::Del, 4, 42, 1),
+            (OpCode::Del, 5, 42, 0),
+            (OpCode::Enq, 6, 7, 1),
+            (OpCode::Deq, 7, 0, 1),
+            (OpCode::Deq, 8, 0, 0),
+            (OpCode::Put, 9, 44, 1),
+        ];
+        for (op, op_seq, arg, pending) in requests {
+            assert_eq!(run(7, op, op_seq, arg), pending, "{op:?} {op_seq}: lines left pending");
         }
+        let other = std::thread::scope(|t| t.spawn(|| run(8, OpCode::Put, 1, 45)).join().unwrap());
+        assert_eq!(other, 1, "the second client's put defers its own slot");
+        assert_eq!(nvm::coalesce::pending(), 1, "this thread still holds the handed-over line");
+        assert_eq!(run(7, OpCode::Get, 0, 44), 0, "a stale note is written back at the lane");
         server.stop();
         let _ = std::fs::remove_dir_all(&dir);
     }

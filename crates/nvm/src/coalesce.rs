@@ -118,6 +118,15 @@ pub fn pending() -> usize {
     PENDING.with(|p| p.borrow().len)
 }
 
+/// Whether the line containing `addr` is pending on this thread.
+pub fn is_pending(addr: *const u8) -> bool {
+    let line = line_of(addr);
+    PENDING.with(|p| {
+        let p = p.borrow();
+        p.lines[..p.len].contains(&line)
+    })
+}
+
 /// Feature-gated "flush-diet lint": detects two *stand-alone* (non-coalesced)
 /// `pwb`s to the same cache line with no intervening fence — a wasted flush
 /// the coalescing layer exists to remove. The golden counts in
@@ -209,6 +218,7 @@ mod tests {
         // Next line.
         assert_eq!(note(unsafe { base.add(CACHE_LINE) }), Note::New);
         assert_eq!(pending(), 2);
+        assert!(is_pending(unsafe { base.add(63) }) && !is_pending(unsafe { base.add(128) }));
         let mut seen = Vec::new();
         assert_eq!(drain(|l| seen.push(l)), 2);
         assert_eq!(seen.len(), 2);

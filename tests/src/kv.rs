@@ -39,11 +39,12 @@ pub fn splitmix(state: &mut u64) -> u64 {
 /// the peer-recovery healer. Publishes the bound port as `port_file` once
 /// the server is accepting (which, on restart, doubles as the "attach
 /// recovery finished" handshake) and serves until the parent writes `stop`.
-pub fn serve_child(scratch: &Scratch, heap_bytes: usize, port_file: &str) {
+/// `lanes` is the server's [`kvserve::Config::workers`].
+pub fn serve_child(scratch: &Scratch, heap_bytes: usize, port_file: &str, lanes: usize) {
     let mut cfg = kvserve::Config::new(scratch.heap());
     cfg.heap_bytes = heap_bytes;
     cfg.shards = 4;
-    cfg.workers = 2;
+    cfg.workers = lanes;
     let server = kvserve::Server::start(cfg).expect("child server start");
     scratch.publish(port_file, server.local_addr().port());
     while !scratch.file("stop").exists() {

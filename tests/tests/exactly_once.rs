@@ -47,7 +47,10 @@
 //!
 //! Matrix: `ISB_KV_SEEDS` seeds (default 2) x all five kill points — 10
 //! seeded SIGKILL rounds per default `cargo test` run — plus one round that
-//! kills the server inside a `get`.
+//! kills the server inside a `get`, and the `preack` / `postack` rounds
+//! again with one map client and the queue client sharing one lane
+//! (`workers = 1`), so that a response whose write-back one connection's
+//! thread deferred is handed over by the other's.
 
 use isb_tests::kv::{serve_child, wait_port, MapClient, QueueClient, KEYS_PER_CLIENT};
 use isb_tests::sigkill::{Child, Scratch};
@@ -63,8 +66,8 @@ fn seeds() -> u64 {
     std::env::var("ISB_KV_SEEDS").ok().and_then(|s| s.parse().ok()).unwrap_or(2)
 }
 
-fn map_clients(seed: u64) -> Vec<MapClient> {
-    (1..=MAP_CLIENTS).map(|i| MapClient::new(seed, i, 1 + (i - 1) * KEYS_PER_CLIENT)).collect()
+fn clients(seed: u64, n: u64) -> Vec<MapClient> {
+    (1..=n).map(|i| MapClient::new(seed, i, 1 + (i - 1) * KEYS_PER_CLIENT)).collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -78,16 +81,19 @@ fn map_clients(seed: u64) -> Vec<MapClient> {
 #[ignore = "child half of the exactly-once harness; spawned by the parent test"]
 fn kv_server_child() {
     let Some(scratch) = Scratch::of_child() else { return };
-    serve_child(&scratch, HEAP_BYTES, "port");
+    serve_child(&scratch, HEAP_BYTES, "port", scratch.param("lanes"));
 }
 
 // ---------------------------------------------------------------------------
 // Parent-side harness
 // ---------------------------------------------------------------------------
 
-fn spawn_server(scratch: &Scratch, kill: Option<(&str, u64)>) -> Child {
+/// Lanes of the server child when a round does not say.
+const LANES: usize = 2;
+
+fn spawn_server(scratch: &Scratch, lanes: usize, kill: Option<(&str, u64)>) -> Child {
     let _ = std::fs::remove_file(scratch.file("port"));
-    let mut cmd = scratch.child("kv_server_child", &[]);
+    let mut cmd = scratch.child("kv_server_child", &[("lanes", &lanes)]);
     cmd.env_remove("ISB_KV_KILL_POINT").env_remove("ISB_KV_KILL_AFTER");
     if let Some((point, after)) = kill {
         cmd.env("ISB_KV_KILL_POINT", point).env("ISB_KV_KILL_AFTER", after.to_string());
@@ -95,18 +101,20 @@ fn spawn_server(scratch: &Scratch, kill: Option<(&str, u64)>) -> Child {
     scratch.spawn(&mut cmd)
 }
 
-/// One full SIGKILL round at `point` with `seed`.
-fn run_round(point: &str, seed: u64) {
-    let scratch = Scratch::create("kv_once", point, seed);
-    let ctx = format!("kill={point} seed={seed}");
+/// One full SIGKILL round at `point` with `seed`: `map_clients` map
+/// clients and the queue client against a server of `lanes` lanes.
+fn run_round(point: &str, seed: u64, lanes: usize, map_clients: u64) {
+    let tag = format!("{point}_{lanes}lanes");
+    let scratch = Scratch::create("kv_once", &tag, seed);
+    let ctx = format!("kill={point} lanes={lanes} seed={seed}");
 
     // `accept` counts connections (4 clients connect); the other points
     // count requests, so the countdown lands mid-workload.
     let kill_after = if point == "accept" { 1 + seed % 4 } else { 5 + (seed * 13) % 60 };
-    let child = spawn_server(&scratch, Some((point, kill_after)));
+    let child = spawn_server(&scratch, lanes, Some((point, kill_after)));
     let addr = wait_port(&scratch, "port");
 
-    let mut maps = map_clients(seed);
+    let mut maps = clients(seed, map_clients);
     let mut queue = QueueClient::new(seed, QUEUE_CLIENT);
     for m in &mut maps {
         m.connect(addr, true, &ctx);
@@ -132,7 +140,7 @@ fn run_round(point: &str, seed: u64) {
 
     // Restart with no kill env: the attach pipeline replays, scrubs, and
     // resolves every in-flight op ID before the port file reappears.
-    let child = spawn_server(&scratch, None);
+    let child = spawn_server(&scratch, lanes, None);
     let addr = wait_port(&scratch, "port");
 
     for m in &mut maps {
@@ -160,7 +168,7 @@ fn run_round(point: &str, seed: u64) {
 
 fn run_matrix(point: &str) {
     for seed in 0..seeds() {
-        run_round(point, seed);
+        run_round(point, seed, LANES, MAP_CLIENTS);
     }
 }
 
@@ -189,6 +197,21 @@ fn exactly_once_kill_postack() {
     run_matrix("postack");
 }
 
+/// One map client and the queue client share one lane: each request runs
+/// on its own connection's thread, so a request that took effect and left
+/// its slot's write-back to the lane's next fence is followed, as often as
+/// not, by the other client's request on another thread, whose `begin_op`
+/// writes that slot back itself. Killed between a response and its ack,
+/// and after the ack.
+#[test]
+fn exactly_once_kill_one_shared_lane() {
+    for point in ["preack", "postack"] {
+        for seed in 0..seeds() {
+            run_round(point, seed, 1, 1);
+        }
+    }
+}
+
 /// A `get` in flight at the kill: the server dies at `invoke` inside a read
 /// (the client's `put` is the point's first hit, its `get` the second). The
 /// read leaves the client nothing to retry — no pending request, the `put`
@@ -199,7 +222,7 @@ fn exactly_once_kill_get_in_flight() {
     const KEY: u64 = 7;
     let scratch = Scratch::create("kv_once", "get", 0);
     let ctx = "kill=invoke in a get";
-    let child = spawn_server(&scratch, Some(("invoke", 2)));
+    let child = spawn_server(&scratch, LANES, Some(("invoke", 2)));
     let mut m = MapClient::new(0, 1, 1);
     m.connect(wait_port(&scratch, "port"), false, ctx);
     let c = m.conn.as_mut().unwrap();
@@ -211,7 +234,7 @@ fn exactly_once_kill_get_in_flight() {
     assert_eq!(c.last_acked().map(|(req, _)| (req.op, req.op_seq)), Some((OpCode::Put, 1)));
     child.wait_exit();
 
-    let child = spawn_server(&scratch, None);
+    let child = spawn_server(&scratch, LANES, None);
     let addr = wait_port(&scratch, "port");
     m.recover(addr, ctx);
     assert!(m.conn.as_mut().unwrap().get(KEY).unwrap(), "{ctx}: the re-issued read");
@@ -231,9 +254,9 @@ fn exactly_once_no_crash_control() {
     let scratch = Scratch::create("kv_once", "control", 7);
     let ctx = "control";
 
-    let child = spawn_server(&scratch, None);
+    let child = spawn_server(&scratch, LANES, None);
     let addr = wait_port(&scratch, "port");
-    let mut maps = map_clients(7);
+    let mut maps = clients(7, MAP_CLIENTS);
     let mut queue = QueueClient::new(7, QUEUE_CLIENT);
     for m in &mut maps {
         m.connect(addr, false, ctx);
@@ -250,7 +273,7 @@ fn exactly_once_no_crash_control() {
     std::fs::write(scratch.file("stop"), b"ok").unwrap();
     assert!(child.wait_exit().success());
     let _ = std::fs::remove_file(scratch.file("stop"));
-    let child = spawn_server(&scratch, None);
+    let child = spawn_server(&scratch, LANES, None);
     let addr = wait_port(&scratch, "port");
     for m in &mut maps {
         m.recover(addr, ctx);

@@ -17,6 +17,7 @@
 //! | `shared_peer_growth_is_readable_without_refresh` | nothing (the child exits) | peer-grown segments are readable with no refresh |
 //! | `shared_kv_failover_serves_dead_peers_clients` | one of two `kvserve` processes on one heap | its clients fail over to the survivor exactly-once |
 //! | `reattach_is_idempotent` | nothing | a second attach has nothing to sweep |
+//! | `a_sigkill_loses_no_unflushed_store` | a child that stored a root block with no write-back or fence | every store is in the re-attached heap |
 //!
 //! Every structure runs `Isb-LP`, the one placement a mapped structure has,
 //! so every leg tests the write order that ships.
@@ -916,7 +917,7 @@ const KV_SHARED_HEAP_BYTES: usize = 32 * 1024 * 1024;
 fn shared_kv_server_child() {
     let Some(scratch) = Scratch::of_child() else { return };
     let port_file = format!("kvport_{}", scratch.param::<usize>("idx"));
-    isb_tests::kv::serve_child(&scratch, KV_SHARED_HEAP_BYTES, &port_file);
+    isb_tests::kv::serve_child(&scratch, KV_SHARED_HEAP_BYTES, &port_file, 2);
 }
 
 /// Two KV server processes front one heap. One is SIGKILLed
@@ -981,4 +982,68 @@ fn shared_kv_failover_serves_dead_peers_clients() {
 
     std::fs::write(scratch.file("stop"), b"ok").unwrap();
     assert!(child0.wait_exit().success(), "{ctx}: survivor clean shutdown failed");
+}
+
+// ---------------------------------------------------------------------------
+// A SIGKILL loses no line
+// ---------------------------------------------------------------------------
+
+/// Root key of the block the line-durability child stores into.
+const UNFLUSHED_KEY: u64 = 0x554E_464C; // "UNFL"
+/// Words the child stores: 64 lines of the block.
+const UNFLUSHED_WORDS: usize = 512;
+
+/// The value the child stores in word `i`.
+fn unflushed(i: usize) -> u64 {
+    let mut s = i as u64;
+    splitmix(&mut s) | 1
+}
+
+/// Child: stores every word of a root block with no write-back and no
+/// fence, publishes `stored`, and waits to be killed.
+#[test]
+#[ignore = "child half of the SIGKILL line-durability leg; spawned by the parent test"]
+fn unflushed_store_child() {
+    let Some(scratch) = Scratch::of_child() else { return };
+    nvm::tid::set_tid(0);
+    let heap = nvm::mapped::MappedHeap::open(&scratch.heap(), nvm::mapped::MIN_HEAP_BYTES)
+        .expect("child heap");
+    let (block, _) = heap.root_alloc(UNFLUSHED_KEY, UNFLUSHED_WORDS * 8).expect("root block");
+    let words = block as *const nvm::PWord<MappedNvm>;
+    let before = nvm::stats::Snapshot::of_tid(0);
+    for i in 0..UNFLUSHED_WORDS {
+        // SAFETY: word `i` of the committed root block, mapped while `heap` lives.
+        unsafe { &*words.add(i) }.store(unflushed(i));
+    }
+    let s = nvm::stats::Snapshot::of_tid(0);
+    let persisted = (s.pwb + s.pbarrier_lines, s.pbarrier + s.pfence + s.psync);
+    let was = (before.pwb + before.pbarrier_lines, before.pbarrier + before.pfence + before.psync);
+    assert_eq!(persisted, was, "the stores wrote back or fenced");
+    scratch.publish("stored", UNFLUSHED_WORDS);
+    loop {
+        std::thread::sleep(Duration::from_secs(1));
+    }
+}
+
+/// A SIGKILL loses no line: a killed process's stores to the mapped heap
+/// are in the page cache, which outlives it, so every one of them is in
+/// the file the next attach reads, written back or not. What a process
+/// leaves unfenced is lost only with the whole system, and then attach
+/// replay runs before any operation. The link-persist insert (DESIGN §4)
+/// and the KV service's deferred response write-back (`isb::resptable`)
+/// rest on this.
+#[test]
+fn a_sigkill_loses_no_unflushed_store() {
+    let scratch = Scratch::create("restart", "unflushed", 0);
+    let child = scratch.spawn(&mut scratch.child("unflushed_store_child", &[]));
+    assert_eq!(scratch.wait_file("stored"), UNFLUSHED_WORDS.to_string());
+    child.sigkill();
+    let heap = nvm::mapped::MappedHeap::open(&scratch.heap(), nvm::mapped::MIN_HEAP_BYTES)
+        .expect("re-attach after the kill");
+    let block = heap.root_get(UNFLUSHED_KEY).expect("the child's root block") as *const u64;
+    for i in 0..UNFLUSHED_WORDS {
+        // SAFETY: word `i` of the root block, mapped while `heap` lives.
+        let got = unsafe { block.add(i).read_volatile() };
+        assert_eq!(got, unflushed(i), "word {i} of the block after the kill");
+    }
 }
