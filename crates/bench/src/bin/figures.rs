@@ -505,7 +505,10 @@ impl Ctx {
     /// `Isb-LP`'s coalescing traffic. The counting model's 1-thread row is
     /// a fixed-count point (`count_set` / `count_queue`) whose allocations
     /// all start on their own lines (`line_aligned`), exact per seed; CI's
-    /// counts gate compares it with the committed baseline.
+    /// counts gate compares it with the committed baseline. The `_fences`
+    /// tables hold that point alone: fences of every kind per op
+    /// (`pbarrier` + `pfence` + `psync`), the only place the gate sees a
+    /// `pfence`.
     fn fig12(&self) {
         use isb::arm::{PAPER, TUNED};
         const ARMS: [u8; 3] = [PAPER, TUNED, LP];
@@ -519,6 +522,9 @@ impl Ctx {
         let arm_cols = || ARMS.map(|a| isb::arm::name(a).to_string()).to_vec();
         let coal_cols = || vec!["Isb-LP elided/op".to_string(), "Isb-LP drained/op".to_string()];
         let coal_row = |lp: &RunResult| vec![lp.elided_per_op(), lp.coalesced_per_op()];
+        let fences_title = |of: &str| {
+            format!("Figure 12: {of} fences/op by tuning arm, pbarrier + pfence + psync (counting model, 1 thread)")
+        };
 
         // Map: update-intensive (the arms tune the mutating hot path).
         let range = 4096u64;
@@ -535,6 +541,7 @@ impl Ctx {
             format!("Figure 12: hash-map throughput by tuning arm, real flushes (Mops/s; 16 shards, keys [1,{range}], update-intensive)"),
             arm_cols(),
         );
+        let mut t_fences = Table::new(fences_title("hash-map"), arm_cols());
         for &n in &self.threads {
             let cfg = SetCfg { threads: n, key_range: range, mix, duration: self.dur, seed: 42 };
             let counting: Vec<RunResult> = ARMS
@@ -553,6 +560,9 @@ impl Ctx {
                 .collect();
             t_pwb.row(n.to_string(), counting.iter().map(|r| r.flushes_per_op()).collect());
             t_coal.row(n.to_string(), coal_row(&counting[2]));
+            if n == 1 {
+                t_fences.row(n.to_string(), counting.iter().map(|r| r.fences_per_op()).collect());
+            }
             let real: Vec<f64> = ARMS
                 .iter()
                 .map(|&arm| {
@@ -567,6 +577,7 @@ impl Ctx {
         self.emit("fig12_map_pwb", &t_pwb);
         self.emit("fig12_map_coal", &t_coal);
         self.emit("fig12_map_real", &t_real);
+        self.emit("fig12_map_fences", &t_fences);
 
         // Queue: same ladder; the LP arm also merges a whole psync on
         // enqueue, so the psync column is reported alongside.
@@ -586,6 +597,7 @@ impl Ctx {
             "Figure 12: queue throughput by tuning arm, real flushes (Mops/s)".to_string(),
             arm_cols(),
         );
+        let mut t_fences = Table::new(fences_title("queue"), arm_cols());
         for &n in &self.threads {
             let qcfg = QueueCfg { threads: n, prefill: self.queue_prefill, duration: self.dur };
             let counting: Vec<RunResult> = ARMS
@@ -604,6 +616,9 @@ impl Ctx {
             t_pwb.row(n.to_string(), counting.iter().map(|r| r.flushes_per_op()).collect());
             t_psync.row(n.to_string(), counting.iter().map(|r| r.psyncs_per_op()).collect());
             t_coal.row(n.to_string(), coal_row(&counting[2]));
+            if n == 1 {
+                t_fences.row(n.to_string(), counting.iter().map(|r| r.fences_per_op()).collect());
+            }
             let real: Vec<f64> = ARMS
                 .iter()
                 .map(|&arm| {
@@ -618,6 +633,7 @@ impl Ctx {
         self.emit("fig12_queue_psync", &t_psync);
         self.emit("fig12_queue_coal", &t_coal);
         self.emit("fig12_queue_real", &t_real);
+        self.emit("fig12_queue_fences", &t_fences);
     }
 
     /// Live peer kill — Figure 14 (beyond the paper, PR 8): the service-level

@@ -30,7 +30,7 @@
 //! like the paper's system model. Scenarios are fully seeded; every failure
 //! report includes the seed.
 
-use crate::ops::{Op, Resp, SeqModel, Target};
+use crate::ops::{Op, PutTake, Resp, SeqModel, Target};
 use isb::graph::Graph;
 use nvm::sim;
 use nvm::SimNvm;
@@ -461,6 +461,186 @@ fn finish_by(handles: &[std::thread::JoinHandle<()>], limit: Duration) -> bool {
         std::thread::sleep(Duration::from_millis(1));
     }
     true
+}
+
+/// One shape of an `Isb-LP` publication under crash: what the structure
+/// holds, the operation crashed, and another process's operation on the
+/// same cells.
+#[derive(Debug, Clone, Copy)]
+pub struct Publication<'a> {
+    /// Run by the crashed process before the clean start: inserts of
+    /// distinct keys, or puts.
+    pub prefill: &'a [Op],
+    /// The operation crashed, at every instruction, by process 1.
+    pub crashed: Op,
+    /// Process 0's operation on the cells the crashed one publishes over,
+    /// run on each crash image before or after process 1 recovers.
+    pub other: Op,
+}
+
+/// The validated-publication sweep: crashes `shape.crashed` on process 1
+/// at every instruction of it, over `seeds` images each — and over eight
+/// times as many inside the publication window, from its first write-back
+/// to its first `psync`'s return, where its descriptor, its new nodes and
+/// its recovery line reach media in any subset. Each instruction and seed
+/// has an image of its own; odd seeds roll back one word in 8
+/// ([`sim::build_crash_image_dropping`]), which makes a torn object beside
+/// complete ones that name it common. On every image process 0 runs
+/// `shape.other` on the same cells — before process 1 recovers on half the
+/// seeds, after it on the other half — and the settled structure is judged
+/// by both oracles: exactly-once
+/// ([`check_sets`] / [`check_ledger`]: the two processes' keys differ) and
+/// linearizability ([`lincheck`], the crashed operation spanning its
+/// invocation to its recovery, the contents read back after). Returns the
+/// crashes run; panics, naming fuse and seed, on a violation.
+pub fn publication_sweep<S: Target + Default>(shape: Publication<'_>, seeds: u64) -> u64 {
+    let _session = SESSION.lock().unwrap_or_else(|e| e.into_inner());
+    let _sim = sim::begin_session();
+    sim::quiet_crash_panics();
+    let mut crashes = 0;
+    for fuse in 1.. {
+        let mut images = seeds;
+        let mut seed = 0;
+        while seed < images {
+            let Some(in_window) = publication_round::<S>(shape, fuse, seed) else {
+                sim::reset();
+                return crashes;
+            };
+            if in_window {
+                images = 8 * seeds;
+            }
+            crashes += 1;
+            seed += 1;
+        }
+    }
+    unreachable!("an operation runs a finite number of instructions")
+}
+
+/// One round of [`publication_sweep`]: `None` when the operation outran
+/// `fuse`, else whether the crash landed in the publication window.
+fn publication_round<S: Target + Default>(
+    shape: Publication<'_>,
+    fuse: u64,
+    seed: u64,
+) -> Option<bool> {
+    let name = std::any::type_name::<S>();
+    sim::reset();
+    nvm::tid::set_tid(1);
+    let mut s = S::default();
+    let mut hist = Vec::new();
+    let mut record = |op, (invoked, ret, returned)| {
+        let thread = hist.len();
+        hist.push(lincheck::OpRec { thread, op, ret, invoked, returned });
+    };
+    for &op in shape.prefill {
+        record(op, timed(|| s.invoke(1, op)));
+    }
+    sim::persist_all();
+    let (invoked, before) = (now(), nvm::stats::Snapshot::of_tid(1));
+    sim::crash_after(fuse);
+    if sim::run_crashable(|| s.invoke(1, shape.crashed)).is_ok() {
+        return None;
+    }
+    let ran = nvm::stats::Snapshot::of_tid(1).since(&before);
+    let in_window = ran.pwb > 0 && ran.psync == 0;
+    sim::build_crash_image_dropping(seed << 32 | fuse, if seed.is_multiple_of(2) { 2 } else { 8 });
+    // SAFETY: quiescent; crash runs free nothing.
+    let found = unsafe { s.describe(1) };
+    let other = |s: &S| {
+        nvm::tid::set_tid(0);
+        timed(|| s.invoke(0, shape.other))
+    };
+    // Half the seeds run the other process first: its tags and links may
+    // take the cells the crashed publication expected. The other half
+    // recover first, so a publication recovery wrongly trusts is applied.
+    let before = (seed % 4 < 2).then(|| other(&s));
+    nvm::tid::set_tid(1);
+    let mine = s.recover(1, shape.crashed);
+    record(shape.crashed, (invoked, mine, now()));
+    let theirs = before.unwrap_or_else(|| other(&s));
+    record(shape.other, theirs);
+    let (theirs, contents) = (theirs.1, s.settle());
+    let at = format!("{name} {shape:?} fuse {fuse} seed {seed}, recovery found {found}");
+    let histories = [
+        History { done: vec![(shape.other, theirs)], pending: None },
+        History { done: vec![(shape.crashed, mine)], pending: None },
+    ];
+    let initial: Vec<u64> = shape.prefill.iter().filter_map(added).collect();
+    let verdict = match s.bag() {
+        None => check_sets(&initial, &histories, &contents),
+        Some(_) => check_ledger(&initial, &histories, &contents),
+    };
+    verdict.unwrap_or_else(|e| panic!("{at}: {e}"));
+    for (op, ret) in read_back(s.bag(), shape, &contents) {
+        record(op, timed(|| ret));
+    }
+    assert!(lincheck::is_linearizable(&OpSpec, &hist), "{at}: not linearizable: {hist:?}");
+    Some(in_window)
+}
+
+/// The key a set operation names.
+fn key(op: &Op) -> Option<u64> {
+    match *op {
+        Op::Insert(k) | Op::Delete(k) | Op::Find(k) => Some(k),
+        _ => None,
+    }
+}
+
+/// What a prefill operation adds: an insert's key, a put's value.
+fn added(op: &Op) -> Option<u64> {
+    match *op {
+        Op::Insert(v) | Op::Enqueue(v) | Op::Push(v) => Some(v),
+        _ => None,
+    }
+}
+
+/// A timestamp of [`lincheck::clock`].
+fn now() -> u64 {
+    lincheck::clock::now()
+}
+
+/// `f`'s answer between its invocation and its response timestamps.
+fn timed<R>(f: impl FnOnce() -> R) -> (u64, R, u64) {
+    let invoked = now();
+    let ret = f();
+    (invoked, ret, now())
+}
+
+/// The operations that read `contents` back, with their answers: a
+/// membership test per key `shape` names, or every value taken in order
+/// and one take on empty.
+fn read_back(bag: Option<PutTake>, shape: Publication<'_>, contents: &[u64]) -> Vec<(Op, Resp)> {
+    let Some((_, take)) = bag else {
+        let keys = shape.prefill.iter().chain([&shape.crashed, &shape.other]);
+        let keys: HashSet<u64> = keys.filter_map(key).collect();
+        return keys
+            .into_iter()
+            .map(|k| (Op::Find(k), Resp::Bool(contents.contains(&k))))
+            .collect();
+    };
+    let taken = contents.iter().map(|&v| (take, Resp::Val(Some(v))));
+    taken.chain([(take, Resp::Val(None))]).collect()
+}
+
+/// [`lincheck`]'s sequential specification of the [`Op`] vocabulary: the
+/// state of one structure of each kind ([`SeqModel`]).
+struct OpSpec;
+
+impl lincheck::Spec for OpSpec {
+    type State = (std::collections::BTreeSet<u64>, std::collections::VecDeque<u64>, Vec<u64>);
+    type Op = Op;
+    type Ret = Resp;
+
+    fn init(&self) -> Self::State {
+        Default::default()
+    }
+
+    fn apply(&self, s: &Self::State, op: &Op) -> (Self::State, Resp) {
+        let mut m =
+            SeqModel { set: s.0.iter().copied().collect(), fifo: s.1.clone(), lifo: s.2.clone() };
+        let ret = m.apply(*op);
+        ((m.set.into_iter().collect(), m.fifo, m.lifo), ret)
+    }
 }
 
 #[cfg(test)]

@@ -87,6 +87,10 @@ impl RunResult {
     pub fn psyncs_per_op(&self) -> f64 {
         self.stats.psync as f64 / self.ops.max(1) as f64
     }
+    /// Fences of every kind per operation: `pbarrier` + `pfence` + `psync`.
+    pub fn fences_per_op(&self) -> f64 {
+        (self.stats.pbarrier + self.stats.pfence + self.stats.psync) as f64 / self.ops.max(1) as f64
+    }
     /// Write-backs elided by the coalescing set per operation (zero on the
     /// non-coalescing arms and under models without `pwb_coal` overrides).
     pub fn elided_per_op(&self) -> f64 {

@@ -242,6 +242,7 @@ impl<M: Persist, const ARM: u8> RBst<M, ARM> {
                             b.word(&(*new_leaf).info),
                             b.word(&(*l_copy).info),
                         ],
+                        node_words: Node::<M>::WORDS,
                         del_mask: 0b10, // l is copy-replaced
                         presult: RES_TRUE,
                     },
@@ -338,6 +339,7 @@ impl<M: Persist, const ARM: u8> RBst<M, ARM> {
                         ],
                         write: &[(b.word(s.gp_cell), b.word(s.p), b.word(sib_copy))],
                         newset: &[b.word(&(*sib_copy).info)],
+                        node_words: Node::<M>::WORDS,
                         del_mask: 0b1110, // p, l, sib all leave the tree
                         presult: RES_TRUE,
                     },

@@ -48,7 +48,7 @@ use crate::pool::PoolItem;
 use crate::tag::{self, Base};
 use nvm::{PWord, Persist, PersistWords};
 use reclaim::Guard;
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU32, AtomicU8, Ordering};
 
 /// Maximum AffectSet size (BST delete uses 4: grandparent, parent, leaf, sibling).
 pub const MAX_AFFECT: usize = 4;
@@ -80,6 +80,17 @@ pub const RES_VAL_BASE: u64 = 16;
 pub(crate) const LINK: u64 = 1 << 40;
 /// `meta` bit: the operation took effect; its response is `presult`.
 pub(crate) const DONE: u64 = 1 << 41;
+/// `meta` bits 42..45: the words of each new node, its info cell the last
+/// (the span an `Isb-LP` publication digest covers, [`Info::digest`]).
+const NODE_WORDS_SHIFT: u32 = 42;
+/// `meta` bits 45..64: the fill generation, one more at every
+/// [`Info::fill`] of the descriptor (wrapping). A publication digest covers
+/// it, so a recycled descriptor's previous `meta` — same shape, `DONE` set
+/// — on media beside the new words does not validate as done.
+const GEN_SHIFT: u32 = 45;
+/// Bit 63 of every `Isb-LP` publication digest: `CP_q` is never 0 (the
+/// glue's fresh line) nor 1 (the checkpoint of arms 0/1) once it holds one.
+pub(crate) const SEALED: u64 = 1 << 63;
 
 /// Encode a payload value as a result word.
 ///
@@ -125,8 +136,9 @@ pub fn val_of(res: u64) -> u64 {
 /// volatile bookkeeping takes the last two words of the second line.
 #[repr(C, align(64))]
 pub struct Info<M: Persist> {
-    /// Packed `optype | naffect<<8 | nwrite<<16 | nnew<<24 | del_mask<<32`
-    /// and the [`LINK`] and [`DONE`] bits (there is no response word).
+    /// Packed `optype | naffect<<8 | nwrite<<16 | nnew<<24 | del_mask<<32`,
+    /// the [`LINK`] and [`DONE`] bits, the new nodes' word count in bits
+    /// 42..45 and the fill generation above it (there is no response word).
     meta: PWord<M>,
     /// Precomputed response, written before publication; the operation's
     /// response once [`DONE`] is set.
@@ -143,6 +155,9 @@ pub struct Info<M: Persist> {
     /// the EBR round-trip (read-only fast-path descriptors, which never call
     /// `help`, hit this on every operation).
     shared: AtomicBool,
+    /// Volatile: the furthest AffectSet position a tagging attempt failed
+    /// at (see [`HelpOutcome::FailedAt`]), recorded before its backtrack.
+    failed_at: AtomicU8,
     /// Volatile: handle of the owning [`crate::pool::Pool`] (null ⇒ plain
     /// heap allocation). Written once at pool refill, read at retirement.
     /// In a mapped heap the handle is an address in the owning process:
@@ -163,6 +178,7 @@ impl<M: Persist> PoolItem for Info<M> {
             sets: Default::default(),
             installs: AtomicU32::new(0),
             shared: AtomicBool::new(false),
+            failed_at: AtomicU8::new(0),
             owner: AtomicPtr::new(std::ptr::null_mut()),
         }
     }
@@ -204,21 +220,31 @@ struct Shape {
     nw: usize,
     nn: usize,
     del_mask: u8,
+    /// Words of each new node, its info cell the last.
+    node_words: usize,
 }
 
 impl Shape {
     fn of(meta: u64) -> Self {
         let count = |shift: u32| ((meta >> shift) & 0xff) as usize;
-        Shape { na: count(8), nw: count(16), nn: count(24), del_mask: (meta >> 32) as u8 }
+        Shape {
+            na: count(8),
+            nw: count(16),
+            nn: count(24),
+            del_mask: (meta >> 32) as u8,
+            node_words: ((meta >> NODE_WORDS_SHIFT) & 0x7) as usize,
+        }
     }
 
     /// Whether the sets fit the descriptor: at least one affect entry, each
-    /// set within its capacity, all of them within [`SET_WORDS`].
+    /// set within its capacity, all of them within [`SET_WORDS`], and a
+    /// node size for the new nodes there are.
     fn fits(self) -> bool {
         (1..=MAX_AFFECT).contains(&self.na)
             && self.nw <= MAX_WRITE
             && self.nn <= MAX_NEW
             && 2 * self.na + 3 * self.nw + self.nn <= SET_WORDS
+            && (self.nn == 0 || self.node_words > 0)
     }
 
     /// Set words the persisted prefix covers (affect entry 0 always).
@@ -250,6 +276,9 @@ pub struct InfoFill<'a> {
     pub write: &'a [(u64, u64, u64)],
     /// Info cells of newly allocated nodes (pre-tagged by the caller).
     pub newset: &'a [u64],
+    /// Words of each new node, its info cell the last (0 without new
+    /// nodes): an `Isb-LP` publication digest covers them ([`Info::digest`]).
+    pub node_words: u8,
     /// Bit `i` set ⇒ `affect[i]` is tagged **for deletion** (skip at cleanup).
     pub del_mask: u8,
     /// Precomputed response (encoded).
@@ -257,6 +286,9 @@ pub struct InfoFill<'a> {
 }
 
 impl<M: Persist> Info<M> {
+    /// Bytes between two words of a node.
+    const WORD: u64 = size_of::<PWord<M>>() as u64;
+
     /// Fills the descriptor for one attempt. Only legal while the Info is
     /// unreachable to other threads (never installed / fresh).
     ///
@@ -273,15 +305,19 @@ impl<M: Persist> Info<M> {
     pub unsafe fn fill(info: *mut Info<M>, f: &InfoFill<'_>) {
         let i = unsafe { &*info };
         let (na, nw, nn) = (f.affect.len(), f.write.len(), f.newset.len());
+        let node_words = f.node_words as usize;
         assert!(
-            Shape { na, nw, nn, del_mask: f.del_mask }.fits(),
-            "descriptor shape {na}/{nw}/{nn} exceeds its {SET_WORDS} set words"
+            Shape { na, nw, nn, del_mask: f.del_mask, node_words }.fits() && node_words <= 7,
+            "descriptor shape {na}/{nw}/{nn} of {node_words}-word new nodes exceeds its \
+             {SET_WORDS} set words"
         );
         let meta = (f.optype as u64)
             | (na as u64) << 8
             | (nw as u64) << 16
             | (nn as u64) << 24
-            | (f.del_mask as u64) << 32;
+            | (f.del_mask as u64) << 32
+            | (node_words as u64) << NODE_WORDS_SHIFT
+            | ((i.meta.peek() >> GEN_SHIFT) + 1) << GEN_SHIFT;
         M::store(&i.meta, meta);
         M::store(&i.presult, f.presult);
         let affect = f.affect.iter().flat_map(|&(cell, exp)| [cell, exp]);
@@ -292,6 +328,7 @@ impl<M: Persist> Info<M> {
         // A freshly filled descriptor is private until `help` runs on it
         // (recycled descriptors may carry a stale true).
         i.shared.store(false, Ordering::Relaxed);
+        i.failed_at.store(0, Ordering::Relaxed);
         i.installs.store(1 + na as u32 + nn as u32, Ordering::Release);
     }
 
@@ -427,7 +464,95 @@ impl<M: Persist> Info<M> {
             && (0..s.na).all(|k| valid_cell(word(Shape::affect(k))))
             && (0..s.nw)
                 .all(|k| valid_cell(word(s.write(k))) && valid_install(word(s.write(k) + 2)))
-            && (0..s.nn).all(|k| valid_cell(word(s.newset(k))))
+            && (0..s.nn).all(|k| {
+                let cell = word(s.newset(k));
+                (0..s.node_words as u64).all(|j| valid_cell(cell.wrapping_sub(j * Self::WORD)))
+            })
+    }
+
+    /// The digest an `Isb-LP` publication of this descriptor at link word
+    /// `at` stores in `CP_q` ([`crate::recovery::RecArea::publish_arm`]):
+    /// bit 63 set, 31 bits of the digest of `at` and the descriptor's
+    /// persisted words — `DONE` masked, a helper sets it after the
+    /// publication — and 32 bits of the digest of those words followed by
+    /// every word of every new node. Descriptor, new nodes and `RD_q` are
+    /// written back in the publish `psync`'s one fence window, so a crash
+    /// image may hold any subset of them; the digest is how recovery tells
+    /// a complete publication from a torn one ([`Info::validates`]).
+    /// Chained multiply-xorshift steps: every word's position and value
+    /// move it, non-linearly.
+    ///
+    /// # Safety
+    /// Every new-node cell this descriptor names must lie in a live node of
+    /// `node_words` words ending at it, its cells decoded at `b`.
+    pub unsafe fn digest(&self, b: Base, at: u64) -> u64 {
+        let (h, s) = self.digest_head(at);
+        seal(finish(h), unsafe { self.digest_nodes(b, h, s) })
+    }
+
+    /// Whether `cp` seals this descriptor's own words as published at `at`:
+    /// the half of [`Info::digest`] a torn descriptor fails. Reads nothing
+    /// outside the descriptor.
+    pub(crate) fn sealed_by(&self, at: u64, cp: u64) -> bool {
+        seals_head(self.digest_head(at).0, cp)
+    }
+
+    /// Whether `cp`, the `CP_q` beside an `RD_q` naming this descriptor at
+    /// `at`, validates the publication: the descriptor half of
+    /// [`Info::digest`] matches and — unless `DONE` is set — so does the half
+    /// over the new nodes. A set `DONE` beside a matching descriptor half is
+    /// proof enough: `help` stores it only after the publish `psync`
+    /// returned, and from then on the new nodes may legitimately change
+    /// (cleanup untags them, later operations relink them). So `DONE` is
+    /// read again after a node half that does not match: a live helper
+    /// (online recovery of a dead peer runs beside live traffic) may have
+    /// set it and changed a node between the two reads — the node words are
+    /// read with `Acquire`, after the helper's `DONE`. A torn image
+    /// validates only on a digest collision: the 31-bit descriptor half,
+    /// and the 32-bit node half behind it.
+    ///
+    /// # Safety
+    /// As [`Info::digest`], once the descriptor half matches.
+    pub unsafe fn validates(&self, b: Base, at: u64, cp: u64) -> bool {
+        let (h, s) = self.digest_head(at);
+        let done = || self.meta.peek() & DONE != 0;
+        let nodes_match = || {
+            #[cfg(test)]
+            VALIDATES_RACE.with(|f| f.take().map(|f| f()));
+            // SAFETY: the caller's, the descriptor half matching.
+            cp as u32 == unsafe { self.digest_nodes(b, h, s) } as u32
+        };
+        seals_head(h, cp) && (done() || nodes_match() || done())
+    }
+
+    /// The digest state after `at` and the descriptor's persisted words,
+    /// `DONE` masked, with the shape they claim. Uninstrumented reads: the
+    /// digest adds no instruction a crash can land on.
+    fn digest_head(&self, at: u64) -> (u64, Shape) {
+        let meta = self.meta.peek();
+        let s = Shape::of(meta);
+        let mut h = absorb(absorb(DIGEST_SEED, at), meta & !DONE);
+        h = absorb(h, self.presult.peek());
+        for w in &self.sets[..s.words().min(SET_WORDS)] {
+            h = absorb(h, w.peek());
+        }
+        (h, s)
+    }
+
+    /// [`Info::digest_head`]'s state `h` continued over every word of every
+    /// new node, finished.
+    ///
+    /// # Safety
+    /// As [`Info::digest`].
+    unsafe fn digest_nodes(&self, b: Base, mut h: u64, s: Shape) -> u64 {
+        for k in 0..s.nn {
+            let cell = self.sets[s.newset(k)].peek();
+            for j in (0..s.node_words as u64).rev() {
+                // SAFETY: word `j` before the cell, inside its node (caller).
+                h = absorb(h, unsafe { (*b.at::<PWord<M>>(cell - j * Self::WORD)).peek() });
+            }
+        }
+        finish(h)
     }
 
     /// Attach-time census fix-up for a descriptor that survived a process
@@ -447,6 +572,46 @@ impl<M: Persist> Info<M> {
         self.owner.store(owner as *mut (), Ordering::Release);
         self.shared.store(true, Ordering::Release);
     }
+}
+
+/// Seed of every publication digest ([`Info::digest`]).
+const DIGEST_SEED: u64 = 0x5EA1_ED0F_D16E_5700;
+
+/// One step of a publication digest: the state absorbs `w`.
+#[inline]
+fn absorb(h: u64, w: u64) -> u64 {
+    let x = (h.rotate_left(29) ^ w).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    x ^ (x >> 32)
+}
+
+/// The SplitMix64 finaliser over a digest state.
+#[inline]
+fn finish(h: u64) -> u64 {
+    let z = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Whether `cp`'s descriptor half is the one of digest state `h`
+/// ([`Info::digest_head`]).
+#[inline]
+fn seals_head(h: u64, cp: u64) -> bool {
+    cp >> 32 == seal(finish(h), 0) >> 32
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Runs once inside [`Info::validates`], between its first `DONE` read
+    /// and the new-node digest: where a concurrent helper may finish.
+    pub(crate) static VALIDATES_RACE: std::cell::Cell<Option<Box<dyn FnOnce()>>> =
+        const { std::cell::Cell::new(None) };
+}
+
+/// The `CP_q` word of a publication: [`SEALED`], 31 bits of the descriptor
+/// digest `d`, 32 bits of the full digest `full`.
+#[inline]
+fn seal(d: u64, full: u64) -> u64 {
+    SEALED | (d >> 33) << 32 | (full & 0xFFFF_FFFF)
 }
 
 thread_local! {
@@ -477,9 +642,15 @@ pub fn with_release_suspended<R>(f: impl FnOnce() -> R) -> R {
 pub enum HelpOutcome {
     /// The operation took effect (its `DONE` bit is set) and cleanup ran.
     Done,
-    /// Tagging failed at AffectSet position `i`; positions `< i` were
-    /// untagged (backtracked). If `i > 0` the invoker must allocate a fresh
-    /// Info for its next attempt (pointer-freshness of info fields).
+    /// Tagging failed: AffectSet positions `< i` were tagged and are
+    /// untagged now (backtracked), each cell holding the untagged
+    /// descriptor — a reference — and positions `>= i` were never tagged.
+    /// `i` is the furthest position any attempt failed at, not necessarily
+    /// the caller's: a helper (which starts at position 1) may have tagged
+    /// past the position the invoker then fails at, and backtracked them
+    /// (the first failure is at the end of the tagged prefix, and no tag CAS
+    /// installs anything after it). If `i > 0` the invoker must allocate a
+    /// fresh Info for its next attempt (pointer-freshness of info fields).
     FailedAt(usize),
 }
 
@@ -572,6 +743,9 @@ pub unsafe fn help<M: Persist, const ARM: u8>(
                 return HelpOutcome::Done;
             }
             // ---- Backtrack phase: untag the prefix, in reverse order ----
+            // Recorded first: whoever fails later sees a value this
+            // backtrack untagged, so it reads the furthest position too.
+            let tagged_upto = r.failed_at.fetch_max(k as u8, Ordering::SeqCst).max(k as u8);
             let mut j = k;
             while j > 0 {
                 j -= 1;
@@ -580,7 +754,7 @@ pub unsafe fn help<M: Persist, const ARM: u8>(
                 arm::pwb_arm::<M, ARM>(c);
             }
             M::psync();
-            return HelpOutcome::FailedAt(k);
+            return HelpOutcome::FailedAt(tagged_upto as usize);
         }
         if res == expected {
             // We won the install: release the overwritten info value.
@@ -836,6 +1010,7 @@ mod tests {
                     affect: &[(a0 as *const _ as u64, a0exp), (a1 as *const _ as u64, a1exp)],
                     write: &[(w as *const _ as u64, old, new)],
                     newset: &[],
+                    node_words: 0,
                     del_mask,
                     presult: RES_TRUE,
                 },
@@ -1000,6 +1175,50 @@ mod tests {
         unsafe { Info::release(info, 3, &g) };
     }
 
+    /// A helper, which starts at position 1, may tag past the position the
+    /// invoker then fails at, and backtrack: the cells it tagged hold the
+    /// untagged descriptor — a reference each — so `FailedAt` names the
+    /// furthest failure, and the invoker releases only what nobody tagged.
+    /// Before, the BST delete (four affect positions) released positions a
+    /// helper had tagged as never installed, and the next tag over one of
+    /// them underflowed the count ("info reference-count underflow" in
+    /// `bst::tests::concurrent_churn_keeps_invariants`, 8 runs in 800).
+    #[test]
+    fn failed_at_counts_what_a_helper_tagged() {
+        let _gate = crate::counters::gate_shared();
+        let ctx = Ctx::new();
+        let g = ctx.c.pin();
+        let (a0, a1, a2, w) = (cellv(0), cellv(0), cellv(0xF0F0), cellv(100));
+        let info = Box::into_raw(Box::new(Info::<M>::fresh()));
+        let cell = |c: &PWord<M>| c as *const PWord<M> as u64;
+        unsafe {
+            Info::fill(
+                info,
+                &InfoFill {
+                    optype: 1,
+                    affect: &[(cell(&a0), 0), (cell(&a1), 0), (cell(&a2), 0)],
+                    write: &[(cell(&w), 100, 200)],
+                    newset: &[],
+                    node_words: 0,
+                    del_mask: 0,
+                    presult: RES_TRUE,
+                },
+            )
+        };
+        // The invoker's first tag; then a helper tags position 1, fails at 2
+        // and backtracks 1 and 0.
+        a0.store(tag::tagged(info as u64));
+        assert_eq!(unsafe { help::<M, 0>(Base(0), info, false, &g) }, HelpOutcome::FailedAt(2));
+        // The invoker resumes at position 0 and meets the helper's untag.
+        let out = unsafe { help::<M, 0>(Base(0), info, true, &g) };
+        assert_eq!(out, HelpOutcome::FailedAt(2), "positions 0 and 1 hold references");
+        let untagged = tag::untagged(info as u64);
+        assert_eq!((a0.load(), a1.load(), a2.load()), (untagged, untagged, 0xF0F0));
+        unsafe { Info::release(info, 3 - 2, &g) }; // position 2: never tagged
+        assert_eq!(unsafe { &*info }.installs(), 3, "RD_q and the two tagged cells");
+        unsafe { Info::release(info, 3, &g) };
+    }
+
     /// The crash image the tuned arms' unfenced untags allow: the first
     /// affect cell reverted to the tag of the completed operation its
     /// expected value names, the second kept this operation's tag. `help`
@@ -1070,6 +1289,7 @@ mod tests {
                     affect: &[(0x8, 0)], // dummy cell address, never dereferenced
                     write: &[],
                     newset: &[],
+                    node_words: 0,
                     del_mask: 0,
                     presult: RES_TRUE,
                 },
@@ -1095,6 +1315,7 @@ mod tests {
             affect: &[(0x8, 0); MAX_AFFECT + 1][..na],
             write: &[(0x8, 0, 0); MAX_WRITE + 1][..nw],
             newset: &[0x8; MAX_NEW + 1][..nn],
+            node_words: 3,
             del_mask: 0,
             presult: RES_TRUE,
         };

@@ -150,7 +150,7 @@ mod tests {
         {
             let list = RList::<CountingNvm, { crate::arm::LP }>::new();
             assert!(list.insert(0, 5));
-            assert_eq!(list.env.rec.read(0).0, 1, "an effectful operation publishes");
+            assert_ne!(list.env.rec.read(0).0, 0, "an effectful operation publishes");
             for i in 0..4 {
                 let drawn = (crate::counters::live_infos(), crate::counters::info_reuses());
                 let answer = match i {

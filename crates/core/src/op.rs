@@ -45,9 +45,20 @@ macro_rules! tracked_node {
         }
 
         impl<M: nvm::Persist> $name<M> {
+            /// Words of the node: a descriptor's new-node entry names the
+            /// last, `info` ([`crate::engine::InfoFill::node_words`]).
+            pub(crate) const WORDS: u8 = [$(stringify!($word)),+].len() as u8;
+
             /// Initialize a drawn node, every word.
             #[inline]
             fn init(&self, $($word: u64),+) {
+                const {
+                    assert!(
+                        std::mem::offset_of!(Self, info) + size_of::<nvm::PWord<M>>()
+                            == size_of::<Self>(),
+                        "a publication digest reads a new node back from its info word, the last"
+                    )
+                };
                 $(self.$word.store($word);)+
             }
         }
@@ -122,7 +133,11 @@ impl<M: Persist> Env<M> {
 
     /// Persist a filled descriptor — and whatever new nodes the caller noted
     /// (`arm::pwb_obj_arm`) before it — ahead of its publication (paper
-    /// line 106, `pbarrier(newcurr, newnd, *opInfo)`).
+    /// line 106, `pbarrier(newcurr, newnd, *opInfo)`). `Isb-LP` only notes
+    /// its lines: the publish `psync` writes them back in one window with
+    /// `RD_q`'s, and the digest in `CP_q` tells recovery whether all of
+    /// them reached media ([`crate::recovery::RecArea::publish_arm`], which
+    /// fences first for a recorded invocation).
     ///
     /// # Safety
     /// `info` must be a live, filled descriptor.
@@ -131,7 +146,9 @@ impl<M: Persist> Env<M> {
         unsafe {
             if arm::is_tuned(ARM) {
                 arm::pwb_obj_arm::<M, _, ARM>(&*info);
-                M::pfence(); // order descriptor write-backs before RD_q's
+                if !arm::is_lp(ARM) {
+                    M::pfence(); // order descriptor write-backs before RD_q's
+                }
             } else {
                 M::pbarrier_obj(&*info);
             }
@@ -150,7 +167,9 @@ impl<M: Persist> Env<M> {
     ) {
         let b = self.rec.base;
         let word = b.word(info);
-        self.rec.publish_arm::<ARM>(pid, word);
+        // SAFETY: the caller publishes the descriptor it filled, whose new
+        // nodes it drew.
+        unsafe { self.rec.publish_arm::<ARM>(pid, word) };
         if *published != 0 && *published != word {
             unsafe { Info::<M>::release(b.at(*published), 1, g) };
         }
@@ -184,6 +203,7 @@ impl<M: Persist> Env<M> {
                     affect: &[seen],
                     write: &[],
                     newset: &[],
+                    node_words: 0,
                     del_mask: 0,
                     presult: response,
                 },
@@ -213,8 +233,8 @@ impl<M: Persist> Env<M> {
     /// crashed operation's persisted (encoded) response; `Restart` means the
     /// caller must re-invoke the operation with its original arguments.
     pub fn recover<const ARM: u8>(&self, pid: usize) -> Recovered {
-        // SAFETY: a published descriptor is persisted before publication
-        // and stays live while published.
+        // SAFETY: a published descriptor stays live while published, and is
+        // followed only once persisted (arms 0/1) or validated (`Isb-LP`).
         unsafe { op_recover::<M, ARM>(&self.rec, pid, &self.collector.pin()) }
     }
 

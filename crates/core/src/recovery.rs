@@ -9,10 +9,15 @@
 //! 2. The operation runs `RD_q := Null; pbarrier(RD_q); CP_q := 1;
 //!    pwb(CP_q); psync` — the `pbarrier` **orders** the reset of `RD_q`
 //!    before `CP_q = 1` becomes durable, so recovery can never observe the
-//!    previous operation's info pointer together with `CP_q = 1`.
+//!    previous operation's info pointer together with `CP_q = 1`. (`Isb-LP`
+//!    has no step 2: its `CP_q` is written by step 3.)
 //! 3. Before each call to `Help`, the attempt's Info pointer is published:
-//!    `RD_q := opInfo; pwb; psync` ([`RecArea::publish`]).
-//! 4. On recovery ([`RecArea::read`]): `CP_q = 0` or `RD_q = Null` means the
+//!    `RD_q := opInfo; pwb; psync` ([`RecArea::publish`]). `Isb-LP` stores
+//!    `CP_q :=` the digest of the publication first, in the same line, and
+//!    its descriptor's write-backs join this `psync`'s window.
+//! 4. On recovery ([`RecArea::read`]): `CP_q = 0` or `RD_q = Null` — under
+//!    `Isb-LP` also a `CP_q` that does not validate the descriptor `RD_q`
+//!    names — means the
 //!    operation made no changes — restart it. Otherwise `Help(RD_q)` is run
 //!    and the Info's done bit decides: set ⇒ the operation took effect and
 //!    its precomputed response is the answer; unset ⇒ it did not take effect
@@ -25,11 +30,23 @@
 //!
 //! `Isb-LP` ([`crate::arm::LP`]) has no step 2 of its own. `RD_q` and `CP_q`
 //! share one cache line, so its glue is `(RD_q, CP_q) := (Null, 0)`, both
-//! words made durable by the one barrier step 1 pays anyway, and
-//! `CP_q := 1` is stored by the first publish ([`RecArea::publish_arm`]), in
-//! the same line and under the same `psync` as `RD_q := opInfo`. Every image
-//! of a crashed first publish — `(Null, 0)`, `(Null, 1)`, `(info, 0)`,
-//! `(info, 1)` — is decided by step 4 as it stands.
+//! words made durable by the one barrier step 1 pays anyway. Its `CP_q` is
+//! not a flag but the *digest* of the publication `RD_q` names
+//! ([`Info::digest`]: the descriptor's link word and persisted words, and
+//! every word of its new nodes), stored by each publish
+//! ([`RecArea::publish_arm`]) in the same line and under the same `psync` as
+//! `RD_q := opInfo`. That `psync` is also the first fence the descriptor and
+//! its new nodes meet (step 3 without its `pbarrier`: an invocation no
+//! caller record carries fences nothing ahead of its publish), so a crash
+//! image may hold any subset of descriptor, new nodes and recovery line.
+//! Step 4 then reads: `CP_q = 0`, `RD_q = Null`, or a `CP_q` that does not
+//! validate the descriptor `RD_q` names ([`Info::validates`]) means the
+//! operation made no changes — no tag is stored before the publish `psync`
+//! returns, so a torn publication has no durable effect — and otherwise
+//! `Help(RD_q)` and the done bit decide. Every image of a crashed publish —
+//! `(Null, 0)`, `(Null, d)`, `(info, 0)`, `(info, d)` over a complete or a
+//! torn descriptor — is decided that way (DESIGN.md §12, "Validated
+//! publication").
 //! An operation that finds nothing to change (a `find`, an `insert` of a
 //! present key, …) never reaches a publish in this arm: it leaves the line
 //! as the glue (or an earlier, failed attempt) left it, which step 4 maps to
@@ -52,7 +69,8 @@
 //! ([`crate::resptable`]) stores the lane's `RD_q` as it stands into its
 //! `prior` word before its `pending` word, in one line, and calls
 //! [`mark_recorded`]; the `Isb-LP` prologue that follows consumes the mark
-//! and leaves the line as it is. Step 1's purpose — recovery never
+//! and leaves the line as it is, and each publish of that operation fences
+//! first, so the record's line is durable before `RD_q` moves. Step 1's purpose — recovery never
 //! attaching an older operation's completed descriptor to the new one — is
 //! then served by the record: an in-flight request whose pid's `RD_q` still
 //! equals its `prior` published nothing and resolves `Restart`; any other
@@ -73,9 +91,15 @@ use std::cell::Cell;
 
 thread_local! {
     /// `pid + 1` of an invocation a durable record carries ([`mark_recorded`])
-    /// until its operation's `Isb-LP` prologue consumes it; 0 when none.
+    /// until its operation's `Isb-LP` prologue consumes it, then that with
+    /// [`RUNNING`] until the thread's next prologue: every publish of the
+    /// recorded operation fences first ([`RecArea::publish_arm`]). 0 when
+    /// none.
     static RECORDED: Cell<usize> = const { Cell::new(0) };
 }
+
+/// [`RECORDED`]'s flag for a consumed record: its operation is running.
+const RUNNING: usize = 1 << (usize::BITS - 1);
 
 /// Notes that the calling thread's next `Isb-LP` operation on `pid` has its
 /// invocation recorded by the caller: a durable per-operation record that
@@ -91,7 +115,7 @@ pub fn mark_recorded(pid: usize) {
 /// Whether a recorded invocation ([`mark_recorded`]) still waits, on this
 /// thread, for the prologue of its operation.
 pub fn recorded_pending() -> bool {
-    RECORDED.with(|r| r.get() != 0)
+    RECORDED.with(|r| r.get() != 0 && r.get() & RUNNING == 0)
 }
 
 /// One process's persistent private recovery variables: two words of one
@@ -100,7 +124,9 @@ pub fn recorded_pending() -> bool {
 pub struct ProcRec<M: Persist> {
     /// `RD_q`: the Info structure of the last attempt (a link word).
     pub rd: PWord<M>,
-    /// `CP_q`: 1 once `RD_q` has been initialised for the current operation.
+    /// `CP_q`: 1 once `RD_q` has been initialised for the current operation
+    /// (arms 0/1); under `Isb-LP` the digest of the publication `RD_q` names
+    /// ([`RecArea::publish_arm`]), 0 before the first.
     pub cp: PWord<M>,
 }
 
@@ -272,18 +298,21 @@ impl<M: Persist> RecArea<M> {
         // re-flush lines, so disarm.
         nvm::coalesce::lint::set_armed(crate::arm::is_lp(ARM));
         let s = self.slot(pid);
-        let recorded = || RECORDED.with(|r| r.get() == pid + 1);
+        let recorded = RECORDED.with(Cell::get);
         if crate::arm::is_lp(ARM) {
-            if recorded() {
-                RECORDED.with(|r| r.set(0));
+            if recorded == pid + 1 {
+                RECORDED.with(|r| r.set(recorded | RUNNING));
                 return 0;
             }
+            if recorded & RUNNING != 0 {
+                RECORDED.with(|r| r.set(0)); // the recorded operation returned
+            }
             // The glue is the whole prologue: it resets `RD_q` inside its
-            // own barrier, and `CP_q := 1` waits for the first publish.
+            // own barrier, and `CP_q` waits for the first publish.
             return Self::glue::<ARM>(s);
         }
         // Arms 0/1 do more than the glue: no record stands in for them.
-        debug_assert!(!recorded(), "a recorded invocation below Isb-LP");
+        debug_assert!(recorded != pid + 1, "a recorded invocation below Isb-LP");
         Self::glue::<ARM>(s);
         let prev = s.rd.load();
         s.rd.store(0);
@@ -326,17 +355,36 @@ impl<M: Persist> RecArea<M> {
         M::psync();
     }
 
-    /// Arm-aware [`RecArea::publish`]. `Isb-LP` stores `CP_q := 1` here,
-    /// not in [`RecArea::begin`]: CP and RD live in one cache line
-    /// ([`ProcRec`]), so noting both in the line set makes the publish flush
-    /// a single write-back where TUNED pays one in begin and one here. Only
-    /// attempts that go on to `Help` publish in that arm.
-    pub fn publish_arm<const ARM: u8>(&self, pid: usize, info: u64) {
+    /// Arm-aware [`RecArea::publish`]. `Isb-LP` stores `CP_q` here, not in
+    /// [`RecArea::begin`]: CP and RD live in one cache line ([`ProcRec`]),
+    /// so noting both in the line set makes the publish flush a single
+    /// write-back where TUNED pays one in begin and one here. Only attempts
+    /// that go on to `Help` publish in that arm.
+    ///
+    /// `CP_q` is the digest of the publication ([`Info::digest`]), stored
+    /// before `RD_q` in the line: the descriptor's and its new nodes' lines,
+    /// noted by [`crate::env::Env::persist_descriptor`] with no fence, are
+    /// written back in this `psync`'s window together with the line, and
+    /// recovery trusts `RD_q` only when `CP_q` validates what it names
+    /// ([`op_recover`]). A recorded operation ([`mark_recorded`]) fences
+    /// first: its record's line, and the line of a slot whose write-back an
+    /// earlier request deferred, must be durable before `RD_q` moves — the
+    /// record decides by `RD_q` alone (DESIGN.md §12).
+    ///
+    /// # Safety
+    /// Under `Isb-LP`, `info` must name a filled, live descriptor whose
+    /// new-node cells lie in live nodes ([`Info::digest`]).
+    pub unsafe fn publish_arm<const ARM: u8>(&self, pid: usize, info: u64) {
         if !crate::arm::is_lp(ARM) {
             return self.publish(pid, info);
         }
+        if RECORDED.with(|r| r.get() == (pid + 1) | RUNNING) {
+            M::pfence(); // the record, then the descriptor, before RD_q
+        }
+        // SAFETY: the caller's.
+        let cp = unsafe { (*self.base.at::<Info<M>>(info)).digest(self.base, info) };
         let s = self.slot(pid);
-        s.cp.store(1);
+        s.cp.store(cp);
         crate::arm::pwb_arm::<M, ARM>(&s.cp);
         s.rd.store(info);
         crate::arm::pwb_arm::<M, ARM>(&s.rd); // same line: elided
@@ -354,20 +402,35 @@ impl<M: Persist> RecArea<M> {
         self.slot(pid).rd.load()
     }
 
-    /// One line for a failure report: `pid`'s `(CP_q, RD_q)` and, when
-    /// `RD_q` names a descriptor, [`Info::describe`] of it.
+    /// One line for a failure report: `pid`'s `(CP_q, RD_q)`, whether an
+    /// `Isb-LP` `CP_q` validates the descriptor `RD_q` names (`digest ok` or
+    /// `torn`, [`Info::validates`]) and, when `RD_q` names a descriptor that
+    /// `CP_q` vouches for, [`Info::describe`] of it.
     ///
     /// # Safety
     /// As [`op_recover`], in a quiescent context (the descriptor's affect
     /// cells are dereferenced).
     pub unsafe fn describe(&self, pid: usize) -> String {
         let (cp, rd) = self.read(pid);
-        let mut out = format!("CP_q {cp} RD_q {rd:#x}");
-        if rd != 0 {
-            out += ": ";
-            out += &unsafe { (*self.base.at::<Info<M>>(rd)).describe(self.base) };
+        let mut out = format!("CP_q {cp:#x} RD_q {rd:#x}");
+        if rd == 0 {
+            return out;
         }
-        out
+        // SAFETY: the caller's.
+        let info = unsafe { &*self.base.at::<Info<M>>(rd) };
+        if cp & crate::engine::SEALED != 0 {
+            // SAFETY: as `op_recover`'s validation.
+            if !unsafe { info.validates(self.base, rd, cp) } {
+                // What a torn descriptor names is not to be followed.
+                return out + " (torn)";
+            }
+            out += " (digest ok)";
+        } else if cp != 1 {
+            // `Isb-LP`'s `RD_q` may name a torn publication beside `CP_q = 0`
+            // (the line's two words are written back in one window).
+            return out + " (not checked)";
+        }
+        out + ": " + &unsafe { info.describe(self.base) }
     }
 
     /// Every published descriptor's link word (drop-time info scan).
@@ -435,8 +498,11 @@ impl Recovered {
 ///
 /// # Safety
 /// Must be called in a quiescent-or-recovering context where the published
-/// info pointer, if any, is a valid `Info<M>` (guaranteed by the protocol:
-/// infos are persisted before publication and never freed in crash mode).
+/// info pointer, if any, is a live `Info<M>` (guaranteed by the protocol:
+/// never freed while published, nor in crash mode). Its words are followed
+/// only once they are known complete: persisted before publication (arms
+/// 0/1), or validated by `CP_q`'s digest (`Isb-LP`), whose new nodes are
+/// then live too.
 pub unsafe fn op_recover<M: Persist, const ARM: u8>(
     rec: &RecArea<M>,
     pid: usize,
@@ -446,7 +512,15 @@ pub unsafe fn op_recover<M: Persist, const ARM: u8>(
     // ran: arms 0/1 legitimately re-flush a line.
     nvm::coalesce::lint::set_armed(crate::arm::is_lp(ARM));
     let (cp, rd) = rec.read(pid);
-    if cp != 1 || rd == 0 {
+    let published = if crate::arm::is_lp(ARM) {
+        // A torn publication — `CP_q` not the digest of what `RD_q` names —
+        // has no durable effect: no tag is stored before its `psync`.
+        // SAFETY: the caller's; a validated descriptor's new nodes are live.
+        cp != 0 && rd != 0 && unsafe { (*rec.base.at::<Info<M>>(rd)).validates(rec.base, rd, cp) }
+    } else {
+        cp == 1 && rd != 0
+    };
+    if !published {
         return Recovered::Restart;
     }
     match unsafe { crate::engine::help_recovering::<M, ARM>(rec.base, rec.base.at(rd), guard) } {
@@ -981,10 +1055,15 @@ pub unsafe fn finish_attach(
         infos.extend(local?);
     }
     let validate_elapsed = par_start.elapsed();
-    infos.extend(rec.published_words());
     // A value a descriptor installs is a node pointer the census walk will
     // dereference: it must be a whole node of some structure in the heap.
-    validate_infos::<MappedNvm>(heap, &infos, |a| slots.iter().any(|s| in_node(&**s, a)))?;
+    let valid_install = |a| slots.iter().any(|s| in_node(&**s, a));
+    // A torn publication is no damage: it had no durable effect, so its
+    // slot is cleared before anything follows `RD_q` (the replay then
+    // restarts it) rather than the heap refused over a torn word.
+    clear_torn_publications(heap, rec, valid_install);
+    infos.extend(rec.published_words());
+    validate_infos::<MappedNvm>(heap, &infos, valid_install)?;
 
     // 2. Replay + scrub with refcount bookkeeping suspended: the counts the
     // dead process persisted are recomputed from scratch below.
@@ -1060,6 +1139,45 @@ pub unsafe fn finish_attach(
     // process's caches across every structure in the heap.
     let swept = unsafe { heap.sweep_except(&live) };
     Ok((recovered, swept))
+}
+
+/// Clears, durably, every recovery slot whose `RD_q` names a descriptor
+/// its `CP_q` does not validate ([`Info::validates`]): a publication the
+/// process died inside, with its descriptor or a new node not on media —
+/// or with `RD_q` on media and `CP_q` still the glue's 0, an image whose
+/// descriptor nothing vouches for. Every such slot decides `Restart` (a
+/// mapped structure is `Isb-LP`), and the census recomputes the references
+/// without it. The descriptor is read only once its span lies inside the
+/// mapping, and its new nodes only once [`Info::validate_bounds`] admits
+/// them; a sealed slot that fails either is left for [`validate_infos`] to
+/// refuse.
+fn clear_torn_publications(
+    heap: &MappedHeap,
+    rec: &RecArea<MappedNvm>,
+    valid_install: impl Fn(u64) -> bool + Copy,
+) {
+    let cell_ok = |a: u64| a & 7 == 0 && heap.contains_span(a as usize, 8);
+    for pid in 0..MAX_PROCS {
+        let (cp, rd) = rec.read(pid);
+        if rd == 0 {
+            continue;
+        }
+        let torn = cp == 0
+            || cp & crate::engine::SEALED != 0
+                && cell_ok(rd)
+                && heap.contains_span(rd as usize, size_of::<Info<MappedNvm>>())
+                && {
+                    // SAFETY: the descriptor's whole span is inside the mapping.
+                    let info = unsafe { &*rec.base.at::<Info<MappedNvm>>(rd) };
+                    !info.sealed_by(rd, cp)
+                        || info.validate_bounds(cell_ok, valid_install)
+                            // SAFETY: every new node's span is inside the mapping.
+                            && !unsafe { info.validates(rec.base, rd, cp) }
+                };
+        if torn {
+            rec.clear_slot(pid);
+        }
+    }
 }
 
 /// Pre-recovery validation of every collected descriptor offset against the
@@ -1224,6 +1342,7 @@ mod tests {
                     affect: &[(&cell as *const _ as u64, 0x5550)], // stale expected
                     write: &[],
                     newset: &[],
+                    node_words: 0,
                     del_mask: 0,
                     presult: RES_TRUE,
                 },
@@ -1245,6 +1364,7 @@ mod tests {
                     affect: &[(&cell2 as *const _ as u64, 0)],
                     write: &[],
                     newset: &[],
+                    node_words: 0,
                     del_mask: 0,
                     presult: RES_TRUE,
                 },
@@ -1259,6 +1379,132 @@ mod tests {
         unsafe {
             drop(Box::from_raw(info));
             drop(Box::from_raw(info2));
+        }
+
+        // `Isb-LP`: `CP_q` is the digest of the publication `RD_q` names. A
+        // complete one is decided by `Help`; every torn image of one —
+        // a descriptor word, a new-node word, or the recovery line's
+        // `{CP_q new, RD_q old}` — by `Restart`, sound because no tag is
+        // stored before the publish `psync` returns.
+        let lp = |image: &dyn Fn(&LpPublication), want: Recovered, row: &str| {
+            let p = LpPublication::new(&rec);
+            image(&p);
+            let got = unsafe { op_recover::<M, { crate::arm::LP }>(&rec, 0, &c.pin()) };
+            assert_eq!(got, want, "{row}: {}", unsafe { rec.describe(0) });
+            let applied = if want == Recovered::Restart { 0 } else { 1 };
+            assert_eq!(p.effect.load(), applied, "{row}: the write");
+        };
+        lp(&|_| {}, Recovered::Completed(RES_TRUE), "complete");
+        // A torn `meta` reads `POISON`, whose `DONE` bit is set.
+        lp(&|p| p.word(0).store(nvm::sim::POISON), Recovered::Restart, "torn meta");
+        lp(&|p| p.word(3).store(nvm::sim::POISON), Recovered::Restart, "torn set word");
+        lp(&|p| p.node[0].store(nvm::sim::POISON), Recovered::Restart, "torn new node");
+        lp(&|p| p.node[1].store(nvm::sim::POISON), Recovered::Restart, "torn new-node link");
+        let old = LpPublication::new(&rec);
+        let done = unsafe { help::<M, { crate::arm::LP }>(Base(0), old.info, true, &c.pin()) };
+        assert_eq!(done, crate::engine::HelpOutcome::Done);
+        let rd_old = |_: &LpPublication| rec.slot(0).rd.store(old.info as u64);
+        lp(&rd_old, Recovered::Restart, "{CP_q new, RD_q old}: not the old one's Completed");
+        // Done, then its new node linked on and untagged: still its own.
+        let relinked = |p: &LpPublication| {
+            let g = c.pin();
+            let done = unsafe { help::<M, { crate::arm::LP }>(Base(0), p.info, true, &g) };
+            assert_eq!(done, crate::engine::HelpOutcome::Done);
+            p.node[1].store(0x4000);
+            assert_ne!(p.node[2].load(), crate::tag::tagged(p.info as u64), "cleanup untagged it");
+        };
+        lp(&relinked, Recovered::Completed(RES_TRUE), "done, its new node changed since");
+        // A live helper finishes the operation while validation runs (online
+        // recovery of a dead peer beside live traffic): `DONE` still clear
+        // at the first read, the node untagged by cleanup before it is read.
+        let helped_meanwhile = |p: &LpPublication| {
+            let info = p.info;
+            let help_now: Box<dyn FnOnce()> = Box::new(move || {
+                let g = Collector::new();
+                let done = unsafe { help::<M, { crate::arm::LP }>(Base(0), info, true, &g.pin()) };
+                assert_eq!(done, crate::engine::HelpOutcome::Done);
+            });
+            crate::engine::VALIDATES_RACE.with(|f| f.set(Some(help_now)));
+        };
+        lp(&helped_meanwhile, Recovered::Completed(RES_TRUE), "helped between the DONE reads");
+        // A recycled descriptor whose previous fill's `meta` — the same
+        // shape, `DONE` set — is what reached media beside the new words:
+        // the fill generation tells them apart.
+        let p = LpPublication::new(&rec);
+        let done = unsafe { help::<M, { crate::arm::LP }>(Base(0), p.info, true, &c.pin()) };
+        assert_eq!(done, crate::engine::HelpOutcome::Done);
+        let stale = p.word(0).load();
+        p.publish(&rec);
+        p.word(0).store(stale);
+        let got = unsafe { op_recover::<M, { crate::arm::LP }>(&rec, 0, &c.pin()) };
+        assert_eq!(got, Recovered::Restart, "a recycled descriptor's stale done meta");
+    }
+
+    /// An `Isb-LP` publication on pid 0 of a recovery area: one affect
+    /// cell, one write, one three-word new node, published by
+    /// [`RecArea::publish_arm`] after the glue. The test owns its memory.
+    struct LpPublication {
+        cell: Box<PWord<M>>,
+        effect: Box<PWord<M>>,
+        node: Box<[PWord<M>; 3]>,
+        info: *mut Info<M>,
+    }
+
+    impl LpPublication {
+        fn new(rec: &RecArea<M>) -> Self {
+            let p = Self {
+                cell: Box::new(PWord::new(0)),
+                effect: Box::new(PWord::new(0)),
+                node: Box::new([7, 0, 0].map(PWord::new)),
+                info: Box::into_raw(Box::new(Info::<M>::fresh())),
+            };
+            p.publish(rec);
+            p
+        }
+
+        /// Fills the descriptor — again, for a recycled one — and
+        /// publishes it after the glue.
+        fn publish(&self, rec: &RecArea<M>) {
+            let word = |w: &PWord<M>| w as *const PWord<M> as u64;
+            unsafe {
+                Info::fill(
+                    self.info,
+                    &InfoFill {
+                        optype: 1,
+                        affect: &[(word(&self.cell), 0)],
+                        write: &[(word(&self.effect), 0, 1)],
+                        newset: &[word(&self.node[2])],
+                        node_words: 3,
+                        del_mask: 0,
+                        presult: RES_TRUE,
+                    },
+                );
+            }
+            self.node[2].store(crate::tag::tagged(self.info as u64));
+            let _ = rec.begin::<{ crate::arm::LP }>(0);
+            // SAFETY: filled above; its new node is `node`, live.
+            unsafe { rec.publish_arm::<{ crate::arm::LP }>(0, self.info as u64) };
+        }
+
+        /// Persisted word `k` of the descriptor.
+        fn word(&self, k: usize) -> &PWord<M> {
+            let (mut n, mut at) = (0, std::ptr::null());
+            // SAFETY: the test owns the descriptor.
+            unsafe { &*self.info }.each_word(&mut |w| {
+                if n == k {
+                    at = w as *const PWord<M>;
+                }
+                n += 1;
+            });
+            // SAFETY: a word of the live descriptor.
+            unsafe { &*at }
+        }
+    }
+
+    impl Drop for LpPublication {
+        fn drop(&mut self) {
+            // SAFETY: the test's own, referenced by nothing live past here.
+            drop(unsafe { Box::from_raw(self.info) });
         }
     }
 
@@ -1300,30 +1546,47 @@ mod tests {
         const LP: u8 = crate::arm::LP;
         nvm::tid::set_tid(T);
         let rec: RecArea<M> = RecArea::new();
+        // Two unfilled descriptors: a digest reads their words, no node.
+        let infos: [Box<Info<M>>; 2] = [(); 2].map(|_| Box::new(Info::fresh()));
+        let [x, y] = [0, 1].map(|i| &*infos[i] as *const Info<M> as u64);
+        // SAFETY: `x` and `y` are live descriptors without new nodes.
+        let publish = |info| unsafe { rec.publish_arm::<LP>(T, info) };
         let first = cost(T, || assert_eq!(rec.begin::<LP>(T), 0));
         assert_eq!(first, (0, 0), "a fresh line elides the glue");
-        rec.publish_arm::<LP>(T, 0x1230);
-        let bare = cost(T, || assert_eq!(rec.begin::<LP>(T), 0x1230));
+        let unrecorded = cost(T, || publish(x));
+        assert_eq!(unrecorded, (1, 1), "one line, its psync: no fence ahead of it");
+        let bare = cost(T, || assert_eq!(rec.begin::<LP>(T), x));
         assert_eq!(bare, (1, 1), "the glue barrier is the whole prologue");
         let fresh = cost(T, || {
             assert_eq!(rec.mark_invoked::<LP>(T), 0);
             assert_eq!(rec.begin::<LP>(T), 0);
         });
         assert_eq!(fresh, (0, 0), "after a no-effect operation, marked or not");
-        rec.publish_arm::<LP>(T, 0x1230);
+        publish(x);
         let marked = cost(T, || {
             let handed = (rec.mark_invoked::<LP>(T), rec.begin::<LP>(T));
-            assert_eq!(handed, (0x1230, 0), "the previous RD_q is handed out once");
+            assert_eq!(handed, (x, 0), "the previous RD_q is handed out once");
         });
         assert_eq!(marked, bare, "the prologue must not re-persist what mark_invoked did");
         assert_eq!(rec.read(T), (0, 0));
 
-        rec.publish_arm::<LP>(T, 0x80);
+        publish(y);
         torn_clear(&rec, T);
-        assert_eq!(rec.read(T), (0, 0x80), "CP_q = 0, but RD_q is not the glue's Null");
-        let reset = cost(T, || assert_eq!(rec.begin::<LP>(T), 0x80));
+        assert_eq!(rec.read(T), (0, y), "CP_q = 0, but RD_q is not the glue's Null");
+        let reset = cost(T, || assert_eq!(rec.begin::<LP>(T), y));
         assert_eq!(reset, (1, 1), "reset durably");
         assert_eq!(rec.read(T), (0, 0));
+
+        // A recorded invocation's publishes fence first, each of them; the
+        // next unrecorded prologue ends that.
+        mark_recorded(T);
+        assert_eq!(rec.begin::<LP>(T), 0, "no glue");
+        assert!(!recorded_pending(), "the prologue consumed the record");
+        for info in [x, y] {
+            assert_eq!(cost(T, || publish(info)), (1, 2), "the record's fence, then the psync");
+        }
+        assert_eq!(rec.begin::<LP>(T), y);
+        assert_eq!(cost(T, || publish(x)), unrecorded, "the record ended with its operation");
     }
 
     /// What the swept invocation does once its glue has run.
@@ -1380,6 +1643,7 @@ mod tests {
                     affect: &[(cell as *const _ as u64, expected)],
                     write: &[],
                     newset: &[],
+                    node_words: 0,
                     del_mask: 0,
                     presult,
                 },
@@ -1401,7 +1665,8 @@ mod tests {
                     let expected = if attempt == Attempt::Succeeds { 0xDEAD0 } else { 0x5550 };
                     fill(next, &cells[1], expected, NEXT_RESPONSE);
                     rec.begin::<ARM>(P);
-                    rec.publish_arm::<ARM>(P, done as u64);
+                    // SAFETY: `done` is filled and live; it has no new node.
+                    unsafe { rec.publish_arm::<ARM>(P, done as u64) };
                     let decide = || unsafe { op_recover::<SimNvm, ARM>(&rec, P, &c.pin()) };
                     assert_eq!(decide(), Recovered::Completed(RES_TRUE), "the stale verdict");
                     cells[1].store(0xDEAD0); // registers the word
@@ -1421,7 +1686,8 @@ mod tests {
                     let crashed = crate::simtest::crashed_at(fuse, seed, || {
                         hand(rec.begin::<ARM>(P));
                         if attempt != Attempt::None {
-                            rec.publish_arm::<ARM>(P, next as u64);
+                            // SAFETY: as `done`.
+                            unsafe { rec.publish_arm::<ARM>(P, next as u64) };
                             // SAFETY: `next` is filled, live, and persisted
                             // by `persist_all`.
                             let _ = unsafe { help::<SimNvm, ARM>(Base(0), next, true, &c.pin()) };

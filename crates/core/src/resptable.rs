@@ -42,10 +42,10 @@
 //! 2. dedup check (`op_seq == last_seq` → replay stored response);
 //! 3. [`ResponseTable::begin_op`] — the pid's `RD_q` stored into `prior`,
 //!    **then** `pending`, and the slot's line noted for write-back, **no
-//!    fence**. The structure operation's first fence drains the note (under
-//!    every arm an operation with an effect fences its descriptor, then
-//!    publishes it, before any `Help` CAS), so `pending` is durable before
-//!    any effect can be; an operation with no effect issues no fence, and
+//!    fence**. The structure operation's first fence drains the note (a
+//!    recorded operation's publish fences before it moves `RD_q`, and an
+//!    operation with an effect publishes before any `Help` CAS), so
+//!    `pending` is durable before any effect can be; an operation with no effect issues no fence, and
 //!    the note folds into step 5's write-back. When the pid's previous
 //!    request deferred its write-back (step 5), that slot's line is noted
 //!    too — the *hand-over* — so the same first fence drains it before the
@@ -794,6 +794,9 @@ mod tests {
             std::env::temp_dir().join(format!("isb-resptable-{}-{}", name, std::process::id()));
         let _ = std::fs::remove_file(&path);
         let heap = MappedHeap::create(&path, 1 << 20).unwrap();
+        // The mapping outlives the name: nothing is left behind, whatever
+        // the test does.
+        std::fs::remove_file(&path).unwrap();
         let t = ResponseTable::open(&heap).unwrap();
         (heap, t)
     }
@@ -979,6 +982,7 @@ mod tests {
             affect: &affect,
             write: &write,
             newset: &[],
+            node_words: 0,
             del_mask: 0,
             presult,
         };
@@ -1041,10 +1045,15 @@ mod tests {
         acked: bool,
     }
 
-    /// Publishes the descriptor at `d` on the recovery line and helps it.
+    /// Runs the operation of a request on the pid: its prologue consumes
+    /// the record the request's `begin` made (as `begin_op` marks it), and
+    /// its publish of the descriptor at `d` fences first, then it helps.
     fn attempt(rec: &RecArea<SimNvm>, d: usize, c: &Collector) {
-        SimNvm::pfence(); // the descriptor's (`Env::persist_descriptor`)
-        rec.publish_arm::<LP>(TID, d as u64);
+        crate::recovery::mark_recorded(TID);
+        assert_eq!(rec.begin::<LP>(TID), 0, "a recorded prologue runs no glue");
+        // SAFETY: `d` is a filled descriptor without new nodes, live until
+        // the sweep's iteration ends.
+        unsafe { rec.publish_arm::<LP>(TID, d as u64) };
         // SAFETY: `d` is a filled descriptor, live until the sweep's iteration ends.
         unsafe { help::<SimNvm, LP>(Base(0), d as *mut Info<SimNvm>, true, &c.pin()) };
     }
@@ -1156,7 +1165,8 @@ mod tests {
                     let z = descriptor(&cells[4], &cells[5], NEXT.1);
                     let (yd, zd) = (y as usize, z as usize);
                     let rec = RecArea::<SimNvm>::new();
-                    rec.publish_arm::<LP>(TID, x as u64);
+                    // SAFETY: `x` is filled, without new nodes.
+                    unsafe { rec.publish_arm::<LP>(TID, x as u64) };
                     // SAFETY: `x` is filled and live until the iteration ends.
                     unsafe { help::<SimNvm, LP>(Base(0), x, true, &c.pin()) };
                     sim::persist_all();

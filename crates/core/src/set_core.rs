@@ -323,6 +323,7 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
                         ],
                         write: &[(b.word(&(*s.pred).next), b.word(s.curr), b.word(newnd))],
                         newset: &[b.word(&(*newnd).info), b.word(&(*newcurr).info)],
+                        node_words: Node::<M>::WORDS,
                         del_mask: 0b10, // curr is deletion-tagged (copy-replaced)
                         presult,
                     },
@@ -412,6 +413,7 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
                         ],
                         write: &[(b.word(&(*s.pred).next), b.word(s.curr), succ)],
                         newset: &[],
+                        node_words: 0,
                         del_mask: 0b10, // curr stays deletion-tagged forever
                         presult: if at == At::Front { res_val(curr_key) } else { RES_TRUE },
                     },

@@ -590,7 +590,23 @@ mod tests {
         }
     }
 
-    fn tmp(name: &str) -> std::path::PathBuf {
+    /// A heap file's path in the temp directory, removed when the test's
+    /// guard drops — a failing test leaves no file behind either.
+    struct TmpHeap(std::path::PathBuf);
+
+    impl AsRef<std::path::Path> for TmpHeap {
+        fn as_ref(&self) -> &std::path::Path {
+            &self.0
+        }
+    }
+
+    impl Drop for TmpHeap {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_file(&self.0);
+        }
+    }
+
+    fn tmp(name: &str) -> TmpHeap {
         let p = std::env::temp_dir().join(format!(
             "isb_store_{}_{}_{name}.heap",
             std::process::id(),
@@ -600,7 +616,7 @@ mod tests {
                 .subsec_nanos()
         ));
         let _ = std::fs::remove_file(&p);
-        p
+        TmpHeap(p)
     }
 
     #[test]
@@ -694,7 +710,6 @@ mod tests {
         t.check_invariants();
         assert_eq!(s.snapshot_vals(), [99]);
         drop((m, q, l, t, s));
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -724,7 +739,6 @@ mod tests {
         let b = store.hashmap::<LP>("users", 4).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
         drop((a, b, store));
-        let _ = std::fs::remove_file(&path);
     }
 
     /// Unusable arguments are rejected BEFORE anything durable happens: no
@@ -758,7 +772,6 @@ mod tests {
         let store = Store::open_sized(&path, 4 << 20).unwrap();
         assert!(store.hashmap::<LP>("m", 4).unwrap().find(0, 7));
         drop(store);
-        let _ = std::fs::remove_file(&path);
     }
 
     /// Shared open → fake dead peer with a published pending operation →
@@ -823,7 +836,6 @@ mod tests {
             }
             assert_eq!(q.dequeue(t), None);
         }
-        let _ = std::fs::remove_file(&path);
     }
 
     /// A dead peer's stack operations resolve online like any other kind's:
@@ -850,7 +862,8 @@ mod tests {
         assert_eq!(s.pop(popper), Some(42));
         nvm::tid::set_tid(me);
         let rec = &s.0.env.rec;
-        assert_eq!((rec.read(pusher).0, rec.read(popper).0), (1, 1), "both published");
+        let published = (rec.read(pusher).0 != 0, rec.read(popper).0 != 0);
+        assert_eq!(published, (true, true), "both published");
         let decisions = store.recover_peer(dead).unwrap().expect("recovered under the lease");
         let of = |t: usize| decisions.iter().find(|(p, _)| *p == t).map(|&(_, d)| d);
         assert_eq!(of(pusher), Some(Recovered::Completed(RES_UNIT)), "the push");
@@ -858,7 +871,6 @@ mod tests {
         assert_eq!((rec.read(pusher), rec.read(popper)), ((0, 0), (0, 0)), "both slots cleared");
         assert_eq!((s.pop(me), s.pop(me)), (Some(41), None));
         drop((s, store));
-        let _ = std::fs::remove_file(&path);
     }
 
     /// The lease split: `claim_recovery` is re-entrant for its holder, and
@@ -878,7 +890,6 @@ mod tests {
         assert_eq!(decisions.len(), nvm::mapped::PART_TIDS, "one decision per band tid");
         assert!(!store.claim_recovery(dead), "slot reclaimed: lease is gone");
         drop(store);
-        let _ = std::fs::remove_file(&path);
     }
 
     /// A live peer's slot is never recovered (a stale dead-list must not
@@ -918,7 +929,6 @@ mod tests {
         assert!(!store.heap().participants().iter().any(|&(s, _, _)| s == torn));
         assert!(store.recover_peer(torn).unwrap().is_none(), "second reclaim is a no-op");
         drop(store);
-        let _ = std::fs::remove_file(&path);
     }
 
     /// A request recorded on lane `pid` behind an acknowledged one: request
@@ -965,7 +975,6 @@ mod tests {
         let decision = decisions.iter().find(|(p, _)| *p == lane).expect("the lane's").1;
         restarted(&store, lane, decision);
         drop((m, store));
-        let _ = std::fs::remove_file(&path);
 
         let path = tmp("recorded_reopen");
         {
@@ -975,7 +984,6 @@ mod tests {
         let store = Store::open_sized(&path, 4 << 20).unwrap();
         restarted(&store, 1, store.summary().decision(1));
         drop(store);
-        let _ = std::fs::remove_file(&path);
     }
 
     /// A request that took effect leaves its slot's line noted behind the
@@ -1013,7 +1021,6 @@ mod tests {
         assert_eq!(nvm::stats::Snapshot::of_tid(T).since(&before).psync, 0, "a clone is left");
         drop((m, store));
         assert_eq!(nvm::stats::Snapshot::of_tid(T).since(&before).psync, 1, "the last one fences");
-        let _ = std::fs::remove_file(&path);
     }
 
     /// The `RD_q` hand-over in one epoch domain. A map insert's descriptor
@@ -1087,7 +1094,6 @@ mod tests {
         });
         assert!(back.is_some(), "never recycled once the pin dropped");
         drop((map, queue, store));
-        let _ = std::fs::remove_file(&path);
     }
 
     /// A process alone on its heap may run any tid: a descriptor whose last
@@ -1111,7 +1117,6 @@ mod tests {
         let fresh = nvm::stats::Snapshot::of_tid(t).since(&before).info_allocs;
         assert!(fresh < OPS / 4, "{fresh} descriptors drawn fresh for {} updates", 2 * OPS);
         drop((map, store));
-        let _ = std::fs::remove_file(&path);
     }
 
     /// Every registry slot held by a live participant (this process and
@@ -1144,7 +1149,6 @@ mod tests {
         assert!(joined.summary().heap.joined, "the peers are live: the next opener joins");
         assert_eq!(joined.heap().my_participant(), Some(0), "into the freed slot");
         drop(joined);
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -1172,7 +1176,6 @@ mod tests {
                 Recovered::Completed(_) | Recovered::Restart => {}
             }
         }
-        let _ = std::fs::remove_file(&path);
     }
 
     /// In a store an operation's prologue can perform the last release of
@@ -1214,7 +1217,6 @@ mod tests {
                 assert!(env.drain_observed() >= 1, "{kind}: recycled into the live pool");
             }
             drop(k);
-            let _ = std::fs::remove_file(&path);
         }
     }
 
@@ -1273,6 +1275,5 @@ mod tests {
         }));
         assert!(refused.is_err(), "an arena pool under a disabled collector must not exist");
         drop((env, parked, store));
-        let _ = std::fs::remove_file(&path);
     }
 }

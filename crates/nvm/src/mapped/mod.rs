@@ -116,8 +116,13 @@ pub const MAGIC: u64 = 0x4953_424D_4150_3031;
 /// mode — the registry slot's attach-mode word is neither written nor read,
 /// and every attacher joins one epoch domain and takes the bump lock; a v7
 /// heap's live peer may be an exclusive attacher that does neither, so it
-/// fails typed (`BadVersion(7)`) and is left as it was.
-pub const VERSION: u64 = 8;
+/// fails typed (`BadVersion(7)`) and is left as it was. v9: validated
+/// publication — an `Isb-LP` recovery slot's `CP_q` holds the digest of the
+/// publication its `RD_q` names, not 1, and a descriptor's first word
+/// carries its new nodes' word count; a v8 heap's slots would all read as
+/// torn publications, so it fails typed (`BadVersion(8)`) and is left as it
+/// was.
+pub const VERSION: u64 = 9;
 /// Pattern written over the payload of torn (allocated-but-never-committed)
 /// tail blocks before they are returned to the free list.
 pub const POISON: u64 = 0xDEAD_BEEF_DEAD_BEEF;

@@ -514,6 +514,19 @@ fn settle(w: &PWord<SimNvm>, choice: u64) {
 /// Must only be called when **no participant thread is running**, and every
 /// structure whose words are registered must still be alive.
 pub fn build_crash_image(seed: u64) -> ImageReport {
+    build_crash_image_dropping(seed, 2)
+}
+
+/// [`build_crash_image`] with each undeclared word not yet durable rolled
+/// back with probability `1 / drop_one_in` (2: the even choice). A sparse
+/// drop (8, say) makes images in which nearly everything of a fence window
+/// reached media but one word common, where the even choice needs every
+/// word's coin: an object torn beside a complete one that names it.
+///
+/// # Safety contract
+/// As [`build_crash_image`].
+pub fn build_crash_image_dropping(seed: u64, drop_one_in: u64) -> ImageReport {
+    assert!(drop_one_in >= 2, "a word rolls back one time in {drop_one_in}");
     let g = globals();
     assert!(g.crash_armed.load(SeqCst), "build_crash_image without a triggered crash");
     let mut rng = seed ^ 0xA076_1D64_78BD_642F;
@@ -522,7 +535,8 @@ pub fn build_crash_image(seed: u64) -> ImageReport {
     for w in reg.iter().map(|&addr| word(addr)).filter(|w| line_of(w).is_none()) {
         let latest = w.v.load(SeqCst);
         let persisted = w.meta.persisted.load(Acquire);
-        let keep = persisted == latest || splitmix(&mut rng) & 1 == 0;
+        // For 2 this is the even draw of every seed's history: `& 1 == 0`.
+        let keep = persisted == latest || splitmix(&mut rng) % drop_one_in != drop_one_in - 1;
         let choice = if keep { latest } else { persisted };
         rep.count(latest, choice);
         settle(w, choice);

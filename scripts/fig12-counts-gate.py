@@ -3,11 +3,14 @@
 
     scripts/fig12-counts-gate.py <fresh.json>
 
-Compares the 1-thread row of `fig12_map_pwb`, `fig12_queue_pwb` and
-`fig12_queue_psync` (pwb-equivalents / psyncs per op of every arm under
-`CountingNvm`) with the same row of the newest `bench_results/BENCH_*` file
-that has all three tables (file names sort by date, then experiment). Exits
-non-zero, naming every cell, when one differs at all.
+Compares the 1-thread row of `fig12_map_pwb`, `fig12_queue_pwb`,
+`fig12_queue_psync`, `fig12_map_fences` and `fig12_queue_fences`
+(pwb-equivalents / psyncs / fences of every kind — pbarrier + pfence +
+psync — per op of every arm under `CountingNvm`) with the same row of the
+newest `bench_results/BENCH_*` file that has all five tables (file names
+sort by date, then experiment). Exits non-zero, naming every cell, when one
+differs at all. The fences tables are what sees a `pfence`: the pwb and
+psync tables do not count one.
 
 The cells are exact per seed: `figures` runs each 1-thread counting point
 for a fixed number of operations from a fixed seed on one thread
@@ -22,7 +25,13 @@ import json
 import os
 import sys
 
-TABLES = ("fig12_map_pwb", "fig12_queue_pwb", "fig12_queue_psync")
+TABLES = (
+    "fig12_map_pwb",
+    "fig12_queue_pwb",
+    "fig12_queue_psync",
+    "fig12_map_fences",
+    "fig12_queue_fences",
+)
 
 
 def one_thread_rows(path):

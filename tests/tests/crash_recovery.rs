@@ -2,7 +2,8 @@
 //! NVM simulator, adversarial image reconstruction, per-process recovery,
 //! and exactly-once / detectability validation (DESIGN.md §8).
 
-use bench_harness::crash::{run_scenario, CrashCfg};
+use bench_harness::crash::{publication_sweep, run_scenario, CrashCfg, Publication};
+use bench_harness::ops::Op;
 use isb::bst::RBst;
 use isb::hashmap::RHashMap;
 use isb::list::RList;
@@ -381,4 +382,71 @@ fn bst_lp_survives_repeated_recovery_crashes() {
             seed,
         });
     }
+}
+
+// ---- Validated publication --------------------------------------------
+//
+// An `Isb-LP` update with no caller record writes its descriptor, its new
+// nodes and the recovery line back in the publish `psync`'s one window;
+// `CP_q` holds the digest that tells recovery whether all of them reached
+// media. Each leg crashes one publish shape at every instruction over 16
+// images, lets another process work the same cells, recovers, and judges
+// the result by the exactly-once and the linearizability oracles.
+
+/// Images per instruction of each publish shape.
+const PUBLISH_SEEDS: u64 = 16;
+
+fn sweep<S: bench_harness::ops::Target + Default>(prefill: &[Op], crashed: Op, other: Op) {
+    let shape = Publication { prefill, crashed, other };
+    // Every shape runs 60 instructions or more (976 crashes at least).
+    let crashes = publication_sweep::<S>(shape, PUBLISH_SEEDS);
+    assert!(crashes >= 50 * PUBLISH_SEEDS, "the sweep ran: {crashes}");
+}
+
+#[test]
+fn validated_publish_queue_enqueue() {
+    sweep::<RQueue<SimNvm, 3>>(&[Op::Enqueue(10)], Op::Enqueue(20), Op::Enqueue(30));
+}
+
+#[test]
+fn validated_publish_queue_dequeue() {
+    let prefill = [10, 20, 30].map(Op::Enqueue);
+    sweep::<RQueue<SimNvm, 3>>(&prefill, Op::Dequeue, Op::Dequeue);
+}
+
+#[test]
+fn validated_publish_set_insert() {
+    // The other process deletes the node the insert copy-replaces.
+    let prefill = [2, 8].map(Op::Insert);
+    sweep::<RList<SimNvm, 3>>(&prefill, Op::Insert(5), Op::Delete(8));
+}
+
+#[test]
+fn validated_publish_set_delete() {
+    // The other process inserts behind the node the delete unlinks.
+    let prefill = [2, 5, 8].map(Op::Insert);
+    sweep::<RList<SimNvm, 3>>(&prefill, Op::Delete(5), Op::Insert(6));
+}
+
+#[test]
+fn validated_publish_stack_push() {
+    sweep::<RStack<SimNvm>>(&[Op::Push(10)], Op::Push(20), Op::Push(30));
+}
+
+#[test]
+fn validated_publish_stack_pop() {
+    let prefill = [10, 20].map(Op::Push);
+    sweep::<RStack<SimNvm>>(&prefill, Op::Pop, Op::Pop);
+}
+
+#[test]
+fn validated_publish_bst_insert() {
+    let prefill = [2, 8].map(Op::Insert);
+    sweep::<RBst<SimNvm, 3>>(&prefill, Op::Insert(5), Op::Insert(6));
+}
+
+#[test]
+fn validated_publish_bst_delete() {
+    let prefill = [2, 5, 8].map(Op::Insert);
+    sweep::<RBst<SimNvm, 3>>(&prefill, Op::Delete(5), Op::Delete(8));
 }

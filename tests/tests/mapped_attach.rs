@@ -153,7 +153,8 @@ fn wrong_version_fails_typed() {
 }
 
 /// A heap of a previous format fails typed before anything reads it, and is
-/// left byte for byte as it was: version 7, whose live peer may be an
+/// left byte for byte as it was: version 8, whose recovery slots hold
+/// `CP_q = 1` where this build reads a publication digest, version 7, whose live peer may be an
 /// exclusive attacher (private epochs, an unlocked bump path) that a joiner
 /// of this build could not share the arena with, version 6, whose
 /// descriptors took three cache lines with the sets in fixed
@@ -164,8 +165,8 @@ fn wrong_version_fails_typed() {
 /// first cache line.
 #[test]
 fn previous_descriptor_format_fails_typed() {
-    assert_eq!(nvm::mapped::VERSION, 8);
-    for old in [7u64, 6, 5, 4, 3] {
+    assert_eq!(nvm::mapped::VERSION, 9);
+    for old in [8u64, 7, 6, 5, 4, 3] {
         let path = tmp("old_version");
         mk_map(&path);
         patch(&path, 8, &old.to_le_bytes()); // word 1: version
@@ -230,6 +231,59 @@ fn over_capacity_descriptor_fails_typed() {
     }
     attach(&path).unwrap_or_else(|e| panic!("the undamaged image must attach: {e}"));
     let _ = std::fs::remove_file(&path);
+}
+
+/// A publication torn by hand — one word of the descriptor pid 1's `RD_q`
+/// names rewritten to a wild cell offset — is what a process that died
+/// inside its publish `psync` can leave (descriptor, new nodes and recovery
+/// line share that fence window): it had no durable effect. Attach checks
+/// `CP_q`'s digest before it follows `RD_q`, so it clears the slot and
+/// answers `Restart` instead of refusing the heap as `CorruptPointer` —
+/// also when `CP_q` beside it is still the glue's 0, which vouches for
+/// nothing. A digest beside `RD_q = Null` names no descriptor: attach
+/// reads none and leaves the slot as it is. Nothing but `RD_q` names the
+/// descriptor: the enqueue's cells were retagged by the next enqueue and
+/// retired by the dequeue.
+#[test]
+fn torn_publication_is_cleared_not_refused() {
+    use isb::recovery::Recovered;
+    nvm::tid::set_tid(0);
+    type Image = fn(u64) -> u64;
+    let (keep, zero): (Image, Image) = (|w| w, |_| 0);
+    // (row, CP_q image, RD_q image, descriptor torn, CP_q after)
+    let rows: [(&str, Image, Image, bool, Image); 3] = [
+        ("descriptor torn, CP_q kept", keep, keep, true, zero),
+        ("descriptor torn, CP_q = 0", zero, keep, true, zero),
+        ("RD_q = Null beside a digest", keep, zero, false, keep),
+    ];
+    for (row, cp_image, rd_image, tear, cp_after) in rows {
+        let path = tmp("torn_publish");
+        {
+            let store = Store::open_sized(&path, HEAP_BYTES).unwrap();
+            let q = store.queue::<LP>(NAME).unwrap();
+            q.enqueue(1, 10);
+            q.enqueue(2, 20);
+            assert_eq!(q.dequeue(2), Some(10));
+        }
+        let slot = root_offset(&path, 0x5245_4341) + 128; // rootkeys::RECAREA, pid 1
+        let (rd, cp) = (read_at(&path, slot), read_at(&path, slot + 8));
+        assert!(rd != 0 && cp >> 63 == 1, "pid 1 published: ({cp:#x}, {rd:#x})");
+        if tear {
+            patch(&path, rd + 16, &0xFFFF_FFF8u64.to_le_bytes()); // its affect cell
+        }
+        patch(&path, slot, &rd_image(rd).to_le_bytes());
+        patch(&path, slot + 8, &cp_image(cp).to_le_bytes());
+        {
+            let store = Store::open_sized(&path, HEAP_BYTES)
+                .unwrap_or_else(|e| panic!("{row}: a torn publication is no damage: {e}"));
+            assert_eq!(store.summary().decision(1), Recovered::Restart, "{row}");
+            let q = store.queue::<LP>(NAME).unwrap();
+            assert_eq!((q.dequeue(0), q.dequeue(0)), (Some(20), None), "{row}");
+        }
+        let after = (read_at(&path, slot), read_at(&path, slot + 8));
+        assert_eq!(after, (0, cp_after(cp_image(cp))), "{row}: the slot after attach");
+        let _ = std::fs::remove_file(&path);
+    }
 }
 
 #[test]

@@ -68,6 +68,11 @@ const GOLDEN_OPT: [(&str, Golden); 6] = [
 /// nothing. The one barrier an op counts is the invocation glue's
 /// `(RD_q, CP_q) := (Null, 0)` — when its predecessor published: after an op
 /// that changed nothing the line reads back fresh and the glue is skipped.
+/// No op counts a `pfence`: an unrecorded publication writes its
+/// descriptor, its new nodes and the recovery line back in the publish
+/// `psync`'s one window, `CP_q` holding the digest that tells recovery
+/// whether all of them reached media (validated publication; the
+/// `pfence` a recorded KV request keeps is `kv_persist_budget.rs`'s).
 type GoldenLp = (u64, u64, u64, u64, u64, u64, bool);
 
 /// Link-persist placement ("Isb-LP", `ARM = 3`) for the ordered-set core.
@@ -81,11 +86,11 @@ type GoldenLp = (u64, u64, u64, u64, u64, u64, bool);
 /// and `curr`'s line joins the publish window instead — 9 lines either way.
 /// The delete keeps its tag fence.
 const GOLDEN_LP: [(&str, GoldenLp); 6] = [
-    ("insert-new", (9, 2, 1, 1, 1, 2, true)),
+    ("insert-new", (9, 2, 1, 1, 0, 2, true)),
     ("insert-dup", (0, 0, 1, 1, 0, 0, false)),
     ("find-hit", (0, 0, 0, 0, 0, 0, true)),
     ("find-miss", (0, 0, 0, 0, 0, 0, false)),
-    ("delete-hit", (7, 1, 0, 0, 1, 3, true)),
+    ("delete-hit", (7, 1, 0, 0, 0, 3, true)),
     ("delete-miss", (0, 0, 1, 1, 0, 0, false)),
 ];
 
@@ -119,10 +124,10 @@ const QUEUE_OPT: [(&str, Golden); 5] = [
 /// op on a new queue, whose recovery line is fresh: no glue barrier; every
 /// later row follows an op that published.
 const QUEUE_LP: [(&str, GoldenLp); 5] = [
-    ("enqueue-1", (5, 2, 0, 0, 1, 2, true)),
-    ("enqueue-2", (5, 2, 1, 1, 1, 2, true)),
-    ("dequeue-1", (5, 1, 1, 1, 1, 3, true)),
-    ("dequeue-2", (5, 1, 1, 1, 1, 3, true)),
+    ("enqueue-1", (5, 2, 0, 0, 0, 2, true)),
+    ("enqueue-2", (5, 2, 1, 1, 0, 2, true)),
+    ("dequeue-1", (5, 1, 1, 1, 0, 3, true)),
+    ("dequeue-2", (5, 1, 1, 1, 0, 3, true)),
     ("dequeue-empty", (0, 0, 1, 1, 0, 0, false)),
 ];
 
@@ -131,8 +136,8 @@ const QUEUE_LP: [(&str, GoldenLp); 5] = [
 /// at the front (two `psync`s, link bit), a pop-hit its delete, and an
 /// empty pop changes nothing.
 const STACK_LP: [(&str, GoldenLp); 3] = [
-    ("push", (9, 2, 1, 1, 1, 2, true)),
-    ("pop-hit", (7, 1, 1, 1, 1, 3, true)),
+    ("push", (9, 2, 1, 1, 0, 2, true)),
+    ("pop-hit", (7, 1, 1, 1, 0, 3, true)),
     ("pop-empty", (0, 0, 1, 1, 0, 0, false)),
 ];
 
