@@ -158,6 +158,13 @@ pub struct Info<M: Persist> {
     /// Volatile: the furthest AffectSet position a tagging attempt failed
     /// at (see [`HelpOutcome::FailedAt`]), recorded before its backtrack.
     failed_at: AtomicU8,
+    /// Volatile: the invoker's [`help`] returned `Done` through the
+    /// foreign-value branch, on a `DONE` a helper stored and whose `psync`
+    /// the invoker did not wait for. [`Info::response`] then answers
+    /// nothing: a caller that would let `DONE` stand for its own durable
+    /// record (the KV slot's deferred write-back) writes that record back
+    /// instead.
+    unsynced_done: AtomicBool,
     /// Volatile: handle of the owning [`crate::pool::Pool`] (null ⇒ plain
     /// heap allocation). Written once at pool refill, read at retirement.
     /// In a mapped heap the handle is an address in the owning process:
@@ -179,6 +186,7 @@ impl<M: Persist> PoolItem for Info<M> {
             installs: AtomicU32::new(0),
             shared: AtomicBool::new(false),
             failed_at: AtomicU8::new(0),
+            unsynced_done: AtomicBool::new(false),
             owner: AtomicPtr::new(std::ptr::null_mut()),
         }
     }
@@ -329,6 +337,7 @@ impl<M: Persist> Info<M> {
         // (recycled descriptors may carry a stale true).
         i.shared.store(false, Ordering::Relaxed);
         i.failed_at.store(0, Ordering::Relaxed);
+        i.unsynced_done.store(false, Ordering::Relaxed);
         i.installs.store(1 + na as u32 + nn as u32, Ordering::Release);
     }
 
@@ -342,9 +351,11 @@ impl<M: Persist> Info<M> {
         M::load(&self.meta) & DONE != 0
     }
 
-    /// The operation's response, once it took effect.
+    /// The operation's response, once it took effect and its `DONE` is
+    /// known durable: not when the invoker's [`help`] returned on a helper's
+    /// `DONE` without fencing it.
     pub(crate) fn response(&self) -> Option<u64> {
-        self.done().then(|| M::load(&self.presult))
+        (self.done() && !self.unsynced_done.load(Ordering::Acquire)).then(|| M::load(&self.presult))
     }
 
     /// Sets a `meta` bit: [`LINK`] before publication, [`DONE`] by any helper.
@@ -735,6 +746,17 @@ pub unsafe fn help<M: Persist, const ARM: u8>(
                     r.mark(DONE);
                     arm::pwb_arm::<M, ARM>(&r.meta);
                     M::psync();
+                } else if invoker {
+                    // A helper stored `DONE`; nothing here shows its
+                    // `psync` returned. The cleanup that released this cell
+                    // may be a second helper's that came through this
+                    // branch, found `DONE` set and fenced nothing (`Isb-LP`);
+                    // only an induction over every earlier cleanup would
+                    // prove `DONE` durable. Nothing fences here (an
+                    // unrecorded caller answers from memory): a recorded
+                    // one reads this note and writes its own record back
+                    // (`Info::response`). Not dead code.
+                    r.unsynced_done.store(true, Ordering::Release);
                 }
                 cleanup::<M, ARM>(b, r, tagged_val, untagged_val, s);
                 if !arm::is_tuned(ARM) {

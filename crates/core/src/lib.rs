@@ -111,6 +111,7 @@ pub mod list;
 pub mod op;
 pub mod pool;
 pub mod queue;
+pub mod recarea;
 pub mod recovery;
 pub mod resptable;
 pub mod set_core;

@@ -67,411 +67,37 @@
 //! A caller whose durable per-operation record *is* the invocation record
 //! needs no glue at all. The KV service's client slot
 //! ([`crate::resptable`]) stores the lane's `RD_q` as it stands into its
-//! `prior` word before its `pending` word, in one line, and calls
-//! [`mark_recorded`]; the `Isb-LP` prologue that follows consumes the mark
-//! and leaves the line as it is, and each publish of that operation fences
-//! first, so the record's line is durable before `RD_q` moves. Step 1's purpose — recovery never
+//! `prior` word before its `pending` word, in one line, and hands its
+//! record over ([`record_invocation`]): the `Isb-LP` prologue that follows
+//! runs no glue and stores, in the recovery line before any `RD_q` of the
+//! operation, the line as it found it — the rollback target — and the
+//! record checks: the slot's `pending` must have reached the request's
+//! sequence number, and a handed-over slot's `last_seq` its own
+//! ([`crate::recarea`]). Each publish of that operation then writes back the
+//! record's line, the descriptor and the recovery line in its one `psync`
+//! window, with no fence ahead of it; step 4 treats a publication whose
+//! digest or record check fails as torn and rolls the line back, durably,
+//! to that target ([`RecArea::validated`]), and retires the record of one
+//! it finds whole before deciding it. Step 1's purpose — recovery never
 //! attaching an older operation's completed descriptor to the new one — is
 //! then served by the record: an in-flight request whose pid's `RD_q` still
 //! equals its `prior` published nothing and resolves `Restart`; any other
 //! `RD_q` is one of its own attempts, decided by step 4. `RD_q` keeps its
 //! reference on `prior` until the operation returns
 //! ([`crate::env::Env::release_prior`]), so no attempt can draw that
-//! descriptor back from the pool and make `RD_q == prior` after an effect.
-//! The service's reads call [`mark_recorded`] with no record at all: a
-//! `find` owes recovery nothing, and its glue would move `RD_q` off the
-//! descriptor a deferred response is recovered from ([`crate::resptable`]).
+//! descriptor back from the pool and make `RD_q == prior` after an effect,
+//! and a rollback to `prior` names a live descriptor. The service's reads
+//! call [`mark_recorded`] with no record at all: a `find` owes recovery
+//! nothing, and its glue would move `RD_q` off the descriptor a deferred
+//! response is recovered from ([`crate::resptable`]).
 
 use crate::arm::{CfgWord, KindTag};
 use crate::engine::Info;
+pub use crate::recarea::{
+    mark_recorded, record_invocation, recorded_pending, Check, ProcRec, RecArea, ARENA_SLOT_STRIDE,
+};
 use crate::tag::Base;
-use nvm::pad::CachePadded;
 use nvm::{PWord, Persist, PersistWords, MAX_PROCS};
-use std::cell::Cell;
-
-thread_local! {
-    /// `pid + 1` of an invocation a durable record carries ([`mark_recorded`])
-    /// until its operation's `Isb-LP` prologue consumes it, then that with
-    /// [`RUNNING`] until the thread's next prologue: every publish of the
-    /// recorded operation fences first ([`RecArea::publish_arm`]). 0 when
-    /// none.
-    static RECORDED: Cell<usize> = const { Cell::new(0) };
-}
-
-/// [`RECORDED`]'s flag for a consumed record: its operation is running.
-const RUNNING: usize = 1 << (usize::BITS - 1);
-
-/// Notes that the calling thread's next `Isb-LP` operation on `pid` has its
-/// invocation recorded by the caller: a durable per-operation record that
-/// holds the `RD_q` of `pid` as it stood, stored before the record's own
-/// in-flight word in one line (the KV client slot's `prior`, see
-/// [`crate::resptable`]). That operation's prologue then runs no glue
-/// ([`RecArea::begin`]), and the caller releases `RD_q`'s old reference
-/// after the operation ([`crate::env::Env::release_prior`]).
-pub fn mark_recorded(pid: usize) {
-    RECORDED.with(|r| r.set(pid + 1));
-}
-
-/// Whether a recorded invocation ([`mark_recorded`]) still waits, on this
-/// thread, for the prologue of its operation.
-pub fn recorded_pending() -> bool {
-    RECORDED.with(|r| r.get() != 0 && r.get() & RUNNING == 0)
-}
-
-/// One process's persistent private recovery variables: two words of one
-/// cache line, each slot [`ARENA_SLOT_STRIDE`] bytes from the next.
-#[repr(C)]
-pub struct ProcRec<M: Persist> {
-    /// `RD_q`: the Info structure of the last attempt (a link word).
-    pub rd: PWord<M>,
-    /// `CP_q`: 1 once `RD_q` has been initialised for the current operation
-    /// (arms 0/1); under `Isb-LP` the digest of the publication `RD_q` names
-    /// ([`RecArea::publish_arm`]), 0 before the first.
-    pub cp: PWord<M>,
-}
-
-impl<M: Persist> Default for ProcRec<M> {
-    fn default() -> Self {
-        Self { rd: PWord::new(0), cp: PWord::new(0) }
-    }
-}
-
-// SAFETY: `rd` and `cp` are the only fields, visited both, of a `repr(C)`
-// struct.
-unsafe impl<M: Persist> PersistWords<M> for ProcRec<M> {
-    fn each_word(&self, f: &mut dyn FnMut(&PWord<M>)) {
-        f(&self.rd);
-        f(&self.cp);
-    }
-}
-
-/// Byte stride of one recovery slot, in an arena and in process memory
-/// alike: a padded [`ProcRec`] (arena payloads are 64-byte aligned, so an
-/// arena slot keeps the stride without the padding's 128-byte alignment).
-pub const ARENA_SLOT_STRIDE: usize = 128;
-
-/// Per-process recovery areas for one data structure, and the [`Base`] its
-/// link words — `RD_q` and every word of the descriptors and nodes it
-/// reaches — are offsets from.
-///
-/// Its [`MAX_PROCS`] slots lie [`ARENA_SLOT_STRIDE`] bytes apart from
-/// `slots`, wherever they live: in memory the area owns ([`RecArea::new`],
-/// the in-process backends) or in a persistent arena
-/// ([`RecArea::attach_raw`], the mapped backend, where `RD_q`/`CP_q` must
-/// survive the process).
-pub struct RecArea<M: Persist> {
-    slots: *const u8,
-    /// The slots' memory when the area owns it; empty over an arena. A
-    /// `Vec`, whose pointer stays valid while the area moves.
-    _owned: Vec<CachePadded<ProcRec<M>>>,
-    pub(crate) base: Base,
-}
-
-// SAFETY: all slot state is atomics behind `&self`; `slots` is only
-// dereferenced at fixed per-pid offsets inside memory the area owns or a
-// mapping the owning structure keeps alive (attach_raw contract).
-unsafe impl<M: Persist> Send for RecArea<M> {}
-unsafe impl<M: Persist> Sync for RecArea<M> {}
-
-impl<M: Persist> Default for RecArea<M> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Runs the system's (non-crashable) glue instructions: under the crash
-/// simulator they execute with injection suspended; the real modes skip the
-/// thread-local bookkeeping entirely (it sat on every operation's prologue).
-#[inline]
-fn system_glue<M: Persist, R>(f: impl FnOnce() -> R) -> R {
-    if M::SIMULATED {
-        nvm::sim::suspended(f)
-    } else {
-        f()
-    }
-}
-
-impl<M: Persist> RecArea<M> {
-    /// Creates recovery slots for [`MAX_PROCS`] processes.
-    pub fn new() -> Self {
-        let owned: Vec<_> = (0..MAX_PROCS).map(|_| CachePadded::new(ProcRec::default())).collect();
-        Self { slots: owned.as_ptr() as *const u8, _owned: owned, base: Base(0) }
-    }
-
-    /// Bytes an arena-resident recovery area occupies
-    /// ([`MAX_PROCS`] × [`ARENA_SLOT_STRIDE`]).
-    pub const fn slots_bytes() -> usize {
-        MAX_PROCS * ARENA_SLOT_STRIDE
-    }
-
-    /// A recovery area over persistent slots at `slots` (the mapped backend's
-    /// root block, laid out as an owned area: one slot per
-    /// [`ARENA_SLOT_STRIDE`] bytes) of a heap mapped at `base`, read and
-    /// written by the same code as an owned area. Zeroed memory is a valid
-    /// fresh state (`CP = 0`, `RD = Null`); previously persisted slots are
-    /// exactly what recovery needs to read.
-    ///
-    /// # Safety
-    /// `slots` must point to [`RecArea::slots_bytes`] bytes of 8-aligned
-    /// memory that outlives the returned area and is zeroed or holds a
-    /// previously persisted slot array; `M::Meta` must be zero-sized (the
-    /// mapped/real models — the crash simulator keeps its shadow state on
-    /// the process heap and cannot live in an arena).
-    pub unsafe fn attach_raw(slots: *const u8, base: Base) -> Self {
-        assert_eq!(std::mem::size_of::<M::Meta>(), 0, "arena slots require metadata-free models");
-        Self { slots, _owned: Vec::new(), base }
-    }
-
-    #[inline]
-    pub(crate) fn slot(&self, pid: usize) -> &ProcRec<M> {
-        // A padded slot is one stride long under every model, so one address
-        // rule serves owned and arena slots.
-        const { assert!(std::mem::size_of::<CachePadded<ProcRec<M>>>() == ARENA_SLOT_STRIDE) };
-        assert!(pid < MAX_PROCS);
-        // SAFETY: in-bounds fixed-stride slot of memory the area owns or
-        // borrows (attach_raw contract).
-        unsafe { &*(self.slots.add(pid * ARENA_SLOT_STRIDE) as *const ProcRec<M>) }
-    }
-
-    /// The *system* half of an invocation, which the paper models as
-    /// executing atomically when the operation is invoked (Section 2): the
-    /// system itself does not crash, so crash injection is suspended for it.
-    ///
-    /// Arms 0/1: `CP_q := 0`, persisted; returns `0` (`RD_q` is the
-    /// operation's to reset). `Isb-LP`: `(RD_q, CP_q) := (Null, 0)`,
-    /// both words of the one line persisted by the one barrier; returns the
-    /// previous `RD_q`, whose reference the caller releases — after the
-    /// barrier, so a process that dies in between leaks it to the next
-    /// attach's sweep instead of freeing a descriptor `RD_q` durably names.
-    ///
-    /// `Isb-LP` skips the stores and the barrier when the line already reads
-    /// back `(Null, 0)`: a fresh line is a durably fresh line, because every
-    /// store that can make it read so is made with its barrier —
-    /// - this glue, both words under one `pbarrier_obj`;
-    /// - [`RecArea::clear_slot`], each word under its own `pbarrier`;
-    /// - creation: zeroed arena memory, or a model's initial persisted
-    ///   value (attach replay and the peer sweep read slots and reset
-    ///   nothing but through `clear_slot`).
-    ///
-    /// No arms-0/1 store reaches an `Isb-LP` line: a store places every
-    /// structure at `Isb-LP`, and an in-process structure owns its area.
-    ///
-    /// Both words take part. `clear_slot` makes `CP_q = 0` durable a barrier
-    /// before `RD_q = Null`, so a peer recoverer killed between the two
-    /// leaves `(RD_q, CP_q) = (X, 0)`, the dead operation's descriptor still
-    /// named; the next attach's replay decides it `Restart` and resets
-    /// nothing. That line is not fresh: eliding there leaks `X`'s reference,
-    /// and lets this operation's first publish persist `CP_q = 1` beside
-    /// `X`. The read sits *inside* the uncrashable system half: read before
-    /// it, a crash on the load itself would leave the previous operation's
-    /// `(RD_q, 1)` standing for this invocation.
-    #[inline]
-    fn glue<const ARM: u8>(s: &ProcRec<M>) -> u64 {
-        system_glue::<M, _>(|| {
-            if crate::arm::is_lp(ARM) {
-                let prev = s.rd.load();
-                if prev == 0 && s.cp.load() == 0 {
-                    return 0;
-                }
-                s.rd.store(0);
-                s.cp.store(0);
-                M::pbarrier_obj(s);
-                prev
-            } else {
-                s.cp.store(0);
-                M::pbarrier(&s.cp);
-                0
-            }
-        })
-    }
-
-    /// Steps 1–2 of the protocol (see module docs). Returns the *previous*
-    /// operation's published info pointer so the caller can release its
-    /// reference-count hold on it — `0` under `Isb-LP` after
-    /// [`mark_recorded`] for `pid`: the prologue consumes the mark, runs no
-    /// glue, and `RD_q` keeps its reference until the recording caller
-    /// releases it.
-    pub fn begin<const ARM: u8>(&self, pid: usize) -> u64 {
-        // `Isb-LP` routes every batched flush through the line set, so a
-        // duplicate stand-alone pwb inside one fence window is a flush-diet
-        // regression; arm the (feature-gated) lint. Lower arms legitimately
-        // re-flush lines, so disarm.
-        nvm::coalesce::lint::set_armed(crate::arm::is_lp(ARM));
-        let s = self.slot(pid);
-        let recorded = RECORDED.with(Cell::get);
-        if crate::arm::is_lp(ARM) {
-            if recorded == pid + 1 {
-                RECORDED.with(|r| r.set(recorded | RUNNING));
-                return 0;
-            }
-            if recorded & RUNNING != 0 {
-                RECORDED.with(|r| r.set(0)); // the recorded operation returned
-            }
-            // The glue is the whole prologue: it resets `RD_q` inside its
-            // own barrier, and `CP_q` waits for the first publish.
-            return Self::glue::<ARM>(s);
-        }
-        // Arms 0/1 do more than the glue: no record stands in for them.
-        debug_assert!(recorded != pid + 1, "a recorded invocation below Isb-LP");
-        Self::glue::<ARM>(s);
-        let prev = s.rd.load();
-        s.rd.store(0);
-        if crate::arm::is_tuned(ARM) {
-            M::pwb(&s.rd);
-            M::pfence(); // order RD=Null before CP=1 durability
-            s.cp.store(1);
-            M::pwb(&s.cp);
-            // Durability of CP=1 deferred to the attempt's publish psync.
-        } else {
-            M::pbarrier(&s.rd);
-            s.cp.store(1);
-            M::pwb(&s.cp);
-            M::psync();
-        }
-        prev
-    }
-
-    /// Arms 0/1: `CP_q := 0` (persisted) only — the prologue of their
-    /// `find`, which skips `RD_q := Null / CP_q := 1` because restarting it
-    /// is always safe. Returns the previously published info pointer, which
-    /// stays published until the find's own descriptor replaces it. (An
-    /// `Isb-LP` `find` runs [`RecArea::begin`], which is no more than the
-    /// glue there.)
-    pub fn begin_readonly(&self, pid: usize) -> u64 {
-        let s = self.slot(pid);
-        // System glue FIRST: `CP_q := 0` happens at invocation, before any
-        // (crashable) operation code — otherwise a crash on the operation's
-        // first instruction would leave `CP_q = 1` pointing at the previous
-        // operation's descriptor and recovery would return a stale response.
-        Self::glue::<{ crate::arm::PAPER }>(s);
-        s.rd.load()
-    }
-
-    /// Step 3: publish the current attempt's Info pointer durably.
-    pub fn publish(&self, pid: usize, info: u64) {
-        let s = self.slot(pid);
-        s.rd.store(info);
-        M::pwb(&s.rd);
-        M::psync();
-    }
-
-    /// Arm-aware [`RecArea::publish`]. `Isb-LP` stores `CP_q` here, not in
-    /// [`RecArea::begin`]: CP and RD live in one cache line ([`ProcRec`]),
-    /// so noting both in the line set makes the publish flush a single
-    /// write-back where TUNED pays one in begin and one here. Only attempts
-    /// that go on to `Help` publish in that arm.
-    ///
-    /// `CP_q` is the digest of the publication ([`Info::digest`]), stored
-    /// before `RD_q` in the line: the descriptor's and its new nodes' lines,
-    /// noted by [`crate::env::Env::persist_descriptor`] with no fence, are
-    /// written back in this `psync`'s window together with the line, and
-    /// recovery trusts `RD_q` only when `CP_q` validates what it names
-    /// ([`op_recover`]). A recorded operation ([`mark_recorded`]) fences
-    /// first: its record's line, and the line of a slot whose write-back an
-    /// earlier request deferred, must be durable before `RD_q` moves — the
-    /// record decides by `RD_q` alone (DESIGN.md §12).
-    ///
-    /// # Safety
-    /// Under `Isb-LP`, `info` must name a filled, live descriptor whose
-    /// new-node cells lie in live nodes ([`Info::digest`]).
-    pub unsafe fn publish_arm<const ARM: u8>(&self, pid: usize, info: u64) {
-        if !crate::arm::is_lp(ARM) {
-            return self.publish(pid, info);
-        }
-        if RECORDED.with(|r| r.get() == (pid + 1) | RUNNING) {
-            M::pfence(); // the record, then the descriptor, before RD_q
-        }
-        // SAFETY: the caller's.
-        let cp = unsafe { (*self.base.at::<Info<M>>(info)).digest(self.base, info) };
-        let s = self.slot(pid);
-        s.cp.store(cp);
-        crate::arm::pwb_arm::<M, ARM>(&s.cp);
-        s.rd.store(info);
-        crate::arm::pwb_arm::<M, ARM>(&s.rd); // same line: elided
-        M::psync();
-    }
-
-    /// Step 4 input: `(CP_q, RD_q)` as found after a crash.
-    pub fn read(&self, pid: usize) -> (u64, u64) {
-        let s = self.slot(pid);
-        (s.cp.load(), s.rd.load())
-    }
-
-    /// The currently published info pointer (diagnostics / drop-scan).
-    pub fn published(&self, pid: usize) -> u64 {
-        self.slot(pid).rd.load()
-    }
-
-    /// One line for a failure report: `pid`'s `(CP_q, RD_q)`, whether an
-    /// `Isb-LP` `CP_q` validates the descriptor `RD_q` names (`digest ok` or
-    /// `torn`, [`Info::validates`]) and, when `RD_q` names a descriptor that
-    /// `CP_q` vouches for, [`Info::describe`] of it.
-    ///
-    /// # Safety
-    /// As [`op_recover`], in a quiescent context (the descriptor's affect
-    /// cells are dereferenced).
-    pub unsafe fn describe(&self, pid: usize) -> String {
-        let (cp, rd) = self.read(pid);
-        let mut out = format!("CP_q {cp:#x} RD_q {rd:#x}");
-        if rd == 0 {
-            return out;
-        }
-        // SAFETY: the caller's.
-        let info = unsafe { &*self.base.at::<Info<M>>(rd) };
-        if cp & crate::engine::SEALED != 0 {
-            // SAFETY: as `op_recover`'s validation.
-            if !unsafe { info.validates(self.base, rd, cp) } {
-                // What a torn descriptor names is not to be followed.
-                return out + " (torn)";
-            }
-            out += " (digest ok)";
-        } else if cp != 1 {
-            // `Isb-LP`'s `RD_q` may name a torn publication beside `CP_q = 0`
-            // (the line's two words are written back in one window).
-            return out + " (not checked)";
-        }
-        out + ": " + &unsafe { info.describe(self.base) }
-    }
-
-    /// Every published descriptor's link word (drop-time info scan).
-    pub fn published_words(&self) -> impl Iterator<Item = u64> + '_ {
-        (0..MAX_PROCS).map(|pid| self.slot(pid).rd.load()).filter(|&rd| rd != 0)
-    }
-
-    /// Runs the invocation glue ([`RecArea::begin`]'s first step) ahead of
-    /// the operation. Under `Isb-LP` the operation's own prologue then reads
-    /// the fresh line back and skips its copy; arms 0/1 persist `CP_q := 0`
-    /// a second time. Returns the previous `RD_q` `Isb-LP`'s glue took out
-    /// (`0` otherwise); the caller releases it ([`Info::release`], as
-    /// [`crate::env::Env::note_invocation`] does).
-    ///
-    /// Callers that write their own intent records around a mapped structure
-    /// (write-ahead logs, request journals) and keep no `prior` in them
-    /// ([`mark_recorded`]) must call this *before* logging the intent:
-    /// otherwise a crash between the log write and the operation's first
-    /// instruction leaves `CP_q = 1` pointing at the *previous* operation's
-    /// descriptor, and recovery would hand the new operation a stale
-    /// response.
-    #[must_use = "the reference taken out of RD_q must be released"]
-    pub fn mark_invoked<const ARM: u8>(&self, pid: usize) -> u64 {
-        Self::glue::<ARM>(self.slot(pid))
-    }
-
-    /// Durably resets a dead peer's slot to the fresh state (`CP = 0`,
-    /// `RD = Null`) after a survivor resolved its pending operation
-    /// ([`recover_dead_pid_with`]). `CP` is cleared (and persisted) **first**: a
-    /// superseding recoverer that reads the slot mid-clear sees `CP = 0`,
-    /// decides `Restart`, and releases the still-published `RD` reference
-    /// exactly as the dead recoverer would have — never a double help of a
-    /// half-torn decision.
-    pub fn clear_slot(&self, pid: usize) {
-        let s = self.slot(pid);
-        s.cp.store(0);
-        M::pbarrier(&s.cp);
-        s.rd.store(0);
-        M::pbarrier(&s.rd);
-    }
-}
 
 /// Outcome of the generic recovery decision (Op-Recover, lines 22–26).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -501,8 +127,9 @@ impl Recovered {
 /// info pointer, if any, is a live `Info<M>` (guaranteed by the protocol:
 /// never freed while published, nor in crash mode). Its words are followed
 /// only once they are known complete: persisted before publication (arms
-/// 0/1), or validated by `CP_q`'s digest (`Isb-LP`), whose new nodes are
-/// then live too.
+/// 0/1), or validated by `CP_q`'s digest and the line's record checks
+/// (`Isb-LP`, [`RecArea::validated`], which rolls a torn line back), whose
+/// new nodes are then live too, as is every word a record check names.
 pub unsafe fn op_recover<M: Persist, const ARM: u8>(
     rec: &RecArea<M>,
     pid: usize,
@@ -511,18 +138,19 @@ pub unsafe fn op_recover<M: Persist, const ARM: u8>(
     // The replay's placement, not the one of the last operation this thread
     // ran: arms 0/1 legitimately re-flush a line.
     nvm::coalesce::lint::set_armed(crate::arm::is_lp(ARM));
-    let (cp, rd) = rec.read(pid);
-    let published = if crate::arm::is_lp(ARM) {
-        // A torn publication — `CP_q` not the digest of what `RD_q` names —
-        // has no durable effect: no tag is stored before its `psync`.
+    let rd = if crate::arm::is_lp(ARM) {
+        // A torn publication — `CP_q` not the digest of what `RD_q` names,
+        // or a record check failed — has no durable effect (no tag is
+        // stored before its `psync`) and is rolled back first.
         // SAFETY: the caller's; a validated descriptor's new nodes are live.
-        cp != 0 && rd != 0 && unsafe { (*rec.base.at::<Info<M>>(rd)).validates(rec.base, rd, cp) }
+        unsafe { rec.validated(pid) }
     } else {
-        cp == 1 && rd != 0
+        let (cp, rd) = rec.read(pid);
+        (cp == 1 && rd != 0).then_some(rd)
     };
-    if !published {
+    let Some(rd) = rd else {
         return Recovered::Restart;
-    }
+    };
     match unsafe { crate::engine::help_recovering::<M, ARM>(rec.base, rec.base.at(rd), guard) } {
         crate::engine::RES_BOT => Recovered::Restart,
         res => Recovered::Completed(res),
@@ -564,11 +192,13 @@ pub unsafe fn recover_dead_pid_with(
     guard: &reclaim::Guard<'_>,
     on_decision: impl FnOnce(Recovered),
 ) -> Recovered {
-    let rd = rec.published(pid);
     // SAFETY: caller holds the recovery lease over a validated published
     // descriptor; help is the ordinary concurrent helping path, at the one
     // placement a mapped structure has.
     let decision = unsafe { op_recover::<MappedNvm, { crate::arm::LP }>(rec, pid, guard) };
+    // What the slot names once a torn publication is rolled back (only a
+    // power-failure image tears one, and attach rolls those back first).
+    let rd = rec.published(pid);
     on_decision(decision);
     rec.clear_slot(pid);
     if rd != 0 {
@@ -1059,9 +689,10 @@ pub unsafe fn finish_attach(
     // dereference: it must be a whole node of some structure in the heap.
     let valid_install = |a| slots.iter().any(|s| in_node(&**s, a));
     // A torn publication is no damage: it had no durable effect, so its
-    // slot is cleared before anything follows `RD_q` (the replay then
-    // restarts it) rather than the heap refused over a torn word.
-    clear_torn_publications(heap, rec, valid_install);
+    // slot is rolled back before anything follows `RD_q` (the replay then
+    // decides what its invocation found) rather than the heap refused over
+    // a torn word.
+    roll_back_torn_publications(heap, rec, valid_install);
     infos.extend(rec.published_words());
     validate_infos::<MappedNvm>(heap, &infos, valid_install)?;
 
@@ -1141,17 +772,20 @@ pub unsafe fn finish_attach(
     Ok((recovered, swept))
 }
 
-/// Clears, durably, every recovery slot whose `RD_q` names a descriptor
-/// its `CP_q` does not validate ([`Info::validates`]): a publication the
-/// process died inside, with its descriptor or a new node not on media —
-/// or with `RD_q` on media and `CP_q` still the glue's 0, an image whose
-/// descriptor nothing vouches for. Every such slot decides `Restart` (a
+/// Rolls back, durably, every recovery slot that names a torn publication
+/// ([`RecArea::validated`]): one the process died inside, with its
+/// descriptor, a new node or a record word not on media. Its rollback
+/// target — a recorded invocation's `prior`, or `(Null, 0)` — is what
+/// [`validate_infos`] then checks. A slot whose `RD_q` is on media beside
+/// `CP_q` still the glue's 0, an image whose descriptor nothing vouches
+/// for, is cleared. Every such slot decides as its rollback target does (a
 /// mapped structure is `Isb-LP`), and the census recomputes the references
-/// without it. The descriptor is read only once its span lies inside the
-/// mapping, and its new nodes only once [`Info::validate_bounds`] admits
-/// them; a sealed slot that fails either is left for [`validate_infos`] to
-/// refuse.
-fn clear_torn_publications(
+/// without the torn descriptor. The descriptor is read only once its span
+/// lies inside the mapping, its new nodes only once
+/// [`Info::validate_bounds`] admits them, and a record word only inside the
+/// mapping (one outside fails its check); a sealed slot that fails either
+/// of the first two is left for [`validate_infos`] to refuse.
+fn roll_back_torn_publications(
     heap: &MappedHeap,
     rec: &RecArea<MappedNvm>,
     valid_install: impl Fn(u64) -> bool + Copy,
@@ -1162,20 +796,24 @@ fn clear_torn_publications(
         if rd == 0 {
             continue;
         }
-        let torn = cp == 0
-            || cp & crate::engine::SEALED != 0
-                && cell_ok(rd)
-                && heap.contains_span(rd as usize, size_of::<Info<MappedNvm>>())
-                && {
-                    // SAFETY: the descriptor's whole span is inside the mapping.
-                    let info = unsafe { &*rec.base.at::<Info<MappedNvm>>(rd) };
-                    !info.sealed_by(rd, cp)
-                        || info.validate_bounds(cell_ok, valid_install)
-                            // SAFETY: every new node's span is inside the mapping.
-                            && !unsafe { info.validates(rec.base, rd, cp) }
-                };
-        if torn {
+        if cp == 0 {
             rec.clear_slot(pid);
+            continue;
+        }
+        let torn = cp & crate::engine::SEALED != 0
+            && cell_ok(rd)
+            && heap.contains_span(rd as usize, size_of::<Info<MappedNvm>>())
+            && {
+                // SAFETY: the descriptor's whole span is inside the mapping.
+                let info = unsafe { &*rec.base.at::<Info<MappedNvm>>(rd) };
+                !info.sealed_by(rd, cp)
+                    || info.validate_bounds(cell_ok, valid_install)
+                        // SAFETY: every new node's span and every admitted
+                        // record word is inside the mapping.
+                        && unsafe { rec.torn(pid, cell_ok) }
+            };
+        if torn {
+            rec.roll_back(pid);
         }
     }
 }
@@ -1438,6 +1076,58 @@ mod tests {
         p.word(0).store(stale);
         let got = unsafe { op_recover::<M, { crate::arm::LP }>(&rec, 0, &c.pin()) };
         assert_eq!(got, Recovered::Restart, "a recycled descriptor's stale done meta");
+
+        // A recorded publication (the KV slot's) is torn too when a record
+        // word it checks is not on media — the request's `pending`, or the
+        // `last_seq` of the slot it handed over — and is rolled back to the
+        // line its invocation found: `prior`, done, whose `Completed` is
+        // the deferred request's acknowledged answer. Its own effect is
+        // never applied.
+        let prior = LpPublication::new(&rec);
+        let done = unsafe { help::<M, { crate::arm::LP }>(Base(0), prior.info, true, &c.pin()) };
+        assert_eq!(done, crate::engine::HelpOutcome::Done);
+        let (pending, last_seq) = (PWord::<M>::new(5 | 9 << 56), PWord::<M>::new(4));
+        let at = |w: &PWord<M>| Base(0).word(w);
+        let recorded = |image: &dyn Fn(&LpPublication), rolled_back: bool, row: &str| {
+            let checks = [Check { at: at(&pending), seq: 5 }, Check { at: at(&last_seq), seq: 4 }];
+            record_invocation(0, checks);
+            let p = LpPublication::new(&rec);
+            image(&p);
+            let got = unsafe { op_recover::<M, { crate::arm::LP }>(&rec, 0, &c.pin()) };
+            assert_eq!(got, Recovered::Completed(RES_TRUE), "{row}: {}", unsafe {
+                rec.describe(0)
+            });
+            let want = if rolled_back { prior.info } else { p.info };
+            assert_eq!(rec.published(0), want as u64, "{row}: the line after");
+            assert_eq!(p.effect.load(), !rolled_back as u64, "{row}: its write");
+            pending.store(5 | 9 << 56);
+            last_seq.store(4);
+            std::mem::forget(p); // the line may still name its descriptor
+        };
+        recorded(&|_| pending.store(4 | 9 << 56), true, "RD_q, CP_q durable; pending lost");
+        recorded(&|_| last_seq.store(3), true, "RD_q, CP_q durable; the hand-over lost");
+        let torn_deferred_lost = |p: &LpPublication| {
+            p.word(3).store(nvm::sim::POISON);
+            last_seq.store(3);
+        };
+        recorded(&torn_deferred_lost, true, "descriptor torn, the deferred stores lost");
+        recorded(&|_| last_seq.store(9), false, "its record on media, a later request's too");
+        // A whole recorded publication is decided once: the recovery that
+        // finds it whole retires its record before acting on it. Here its
+        // attempt failed, so resolution restarts the request and steps its
+        // `pending` back below the check; a second recovery (the first one
+        // killed, or the next attach) still decides the publication, not
+        // `prior`, whose reference the first one's caller may have released.
+        record_invocation(0, [Check { at: at(&pending), seq: 5 }, Check::default()]);
+        let failed = LpPublication::new(&rec);
+        failed.cell.store(0x5550);
+        for pass in ["first", "second"] {
+            let got = unsafe { op_recover::<M, { crate::arm::LP }>(&rec, 0, &c.pin()) };
+            assert_eq!(got, Recovered::Restart, "{pass} recovery of a failed attempt");
+            assert_eq!(rec.published(0), failed.info as u64, "{pass} recovery: the line after");
+            pending.store(4 | 9 << 56);
+        }
+        std::mem::forget(failed);
     }
 
     /// An `Isb-LP` publication on pid 0 of a recovery area: one affect
@@ -1577,16 +1267,16 @@ mod tests {
         assert_eq!(reset, (1, 1), "reset durably");
         assert_eq!(rec.read(T), (0, 0));
 
-        // A recorded invocation's publishes fence first, each of them; the
-        // next unrecorded prologue ends that.
+        // A recorded invocation's publishes cost what an unrecorded one's
+        // do: its record rides the publish `psync`, checked at recovery.
         mark_recorded(T);
-        assert_eq!(rec.begin::<LP>(T), 0, "no glue");
+        assert_eq!(cost(T, || assert_eq!(rec.begin::<LP>(T), 0, "no glue")), (0, 0));
         assert!(!recorded_pending(), "the prologue consumed the record");
         for info in [x, y] {
-            assert_eq!(cost(T, || publish(info)), (1, 2), "the record's fence, then the psync");
+            assert_eq!(cost(T, || publish(info)), unrecorded, "one window, no fence ahead");
         }
         assert_eq!(rec.begin::<LP>(T), y);
-        assert_eq!(cost(T, || publish(x)), unrecorded, "the record ended with its operation");
+        assert_eq!(cost(T, || publish(x)), unrecorded);
     }
 
     /// What the swept invocation does once its glue has run.

@@ -42,19 +42,24 @@
 //! 2. dedup check (`op_seq == last_seq` → replay stored response);
 //! 3. [`ResponseTable::begin_op`] — the pid's `RD_q` stored into `prior`,
 //!    **then** `pending`, and the slot's line noted for write-back, **no
-//!    fence**. The structure operation's first fence drains the note (a
-//!    recorded operation's publish fences before it moves `RD_q`, and an
-//!    operation with an effect publishes before any `Help` CAS), so
-//!    `pending` is durable before any effect can be; an operation with no effect issues no fence, and
-//!    the note folds into step 5's write-back. When the pid's previous
-//!    request deferred its write-back (step 5), that slot's line is noted
-//!    too — the *hand-over* — so the same first fence drains it before the
-//!    publish that moves `RD_q`. On the thread that deferred it the note is
-//!    a duplicate; on another connection's thread it is a write-back of its
-//!    own, since a fence orders only its own core's write-backs.
-//!    `begin_op` also marks the invocation recorded
-//!    ([`crate::recovery::mark_recorded`]): the operation's `Isb-LP`
-//!    prologue runs no invocation glue;
+//!    fence**. An operation with an effect publishes before any `Help`
+//!    CAS, and its publish `psync` writes back the note in the window that
+//!    moves `RD_q`; an operation with no effect issues no fence, and the
+//!    note folds into step 5's write-back. When the pid's previous request
+//!    deferred its write-back (step 5), that slot's line is noted too — the
+//!    *hand-over* — so the same publish window writes it back. On the
+//!    thread that deferred it the note is a duplicate; on another
+//!    connection's thread it is a write-back of its own, since a fence
+//!    orders only its own core's write-backs. `begin_op` then hands its
+//!    record over ([`crate::recovery::record_invocation`]): the operation's
+//!    `Isb-LP` prologue runs no invocation glue and stores, in the recovery
+//!    line before any `RD_q` of the operation, the line as it found it
+//!    (`RD_q` = `prior`) and the record checks — `pending` must have
+//!    reached `op_seq`, and the handed-over slot's `last_seq` its own.
+//!    Recovery rolls a publication whose check fails back to `prior`
+//!    ([`crate::recovery::RecArea::validated`]): the lines of one window
+//!    reach media in any order, and no tag is stored before its `psync`
+//!    returns, so such a publication took no effect;
 //! 4. apply the structure operation (which publishes its own descriptor);
 //! 5. [`ResponseTable::finish_op`] — `resp` stored **before** `last_seq`.
 //!    The `last_seq` store itself retires the record (`pending.op_seq ==
@@ -94,34 +99,36 @@
 //!
 //! Crash windows, per step: before 3, or with `pending` not yet on media →
 //! not in flight, decision ignored, client retry re-applies as fresh: the
-//! operation published nothing (its first fence had not drained `pending`),
-//! so it took no effect and recovery would only restart it. From the first
-//! fence after 3 to the end of 5 → in flight; `Completed(res)` finalizes
-//! `res` exactly as step 5 would (re-finalizing a half-written pair writes
-//! the same words), `Restart` clears `pending` and the retry re-applies.
-//! After a fenced 5 → the retry is a dedup hit. After a deferred 5 → the
-//! slot may still read in flight on media, with `pending` and `prior`
-//! durable (the descriptor's fence drained step 3's note) and `RD_q`
-//! naming the done descriptor: no publish moves `RD_q` before the next
-//! request's first fence, which drains the hand-over. Op-Recover answers
-//! `Completed(presult)`, the acknowledged response, and resolution
-//! finalizes it — the path a kill between `DONE` and a fenced 5 takes
-//! anyway. In that window a second slot may be in flight under the same
-//! pid: the next request's, begun with `prior` = that `RD_q`, which
-//! resolves `Restart`; resolution therefore visits every slot. A process
-//! that dies there loses its volatile record of the deferred slot, whose
-//! stores its cache still holds, and two paths then move `RD_q` with
-//! nothing handed over: peer recovery's [`RecArea::clear_slot`], and a new
-//! process's first publish on the tid. Both come after
-//! [`ResponseTable::resolve`] on the pid, which therefore writes back every
-//! slot whose `pending` names the pid, in flight or not, and fences before
-//! it returns. In every
-//! window the operation applies exactly once and the response the client
-//! eventually reads is the original. The transitions are generic over the
-//! persistency model, and the tests below crash them at every instruction
-//! under [`nvm::SimNvm`] with the slot and the recovery line each declared
-//! one line ([`nvm::sim::declare_line`]) — the model that makes the
-//! argument true.
+//! operation's publication, if its `RD_q` reached media, fails its record
+//! check and is rolled back to `prior`, so it took no effect. From the
+//! publish `psync` after 3 to the end of 5 → in flight; `Completed(res)`
+//! finalizes `res` exactly as step 5 would (re-finalizing a half-written
+//! pair writes the same words), `Restart` steps `pending` back to
+//! `last_seq` and the retry re-applies: never below an earlier request's
+//! sequence number, which a recovery line may still check, and the
+//! request's own check was retired by the recovery that decided it. After a
+//! fenced 5 → the retry is a dedup hit. After a deferred 5 → the slot may
+//! still read in flight on media, with `pending` and `prior` durable (the
+//! publish window wrote step 3's note back) and `RD_q` naming the done
+//! descriptor: no publication of the next request counts before its window
+//! has written the hand-over back — its check rolls it back to that
+//! descriptor otherwise. Op-Recover answers `Completed(presult)`, the
+//! acknowledged response, and resolution finalizes it — the path a kill
+//! between `DONE` and a fenced 5 takes anyway. In that window a second slot
+//! may be in flight under the same pid: the next request's, begun with
+//! `prior` = that `RD_q`, which resolves `Restart`; resolution therefore
+//! visits every slot. A process that dies there loses its volatile record
+//! of the deferred slot, whose stores its cache still holds, and two paths
+//! then move `RD_q` with nothing handed over: peer recovery's
+//! [`RecArea::clear_slot`], and a new process's first publish on the tid.
+//! Both come after [`ResponseTable::resolve`] on the pid, which therefore
+//! writes back every slot whose `pending` names the pid, in flight or not,
+//! and fences before it returns. In every window the operation applies
+//! exactly once and the response the client eventually reads is the
+//! original. The transitions are generic over the persistency model, and
+//! the tests below crash them at every instruction under [`nvm::SimNvm`]
+//! with the slot and the recovery line each declared one line
+//! ([`nvm::sim::declare_line`]) — the model that makes the argument true.
 //!
 //! # GC / ack watermark
 //!
@@ -137,7 +144,7 @@
 //! slot whose owner might still retry.
 
 use crate::engine::{Info, RES_BOT};
-use crate::recovery::{rootkeys, AttachError, RecArea, Recovered};
+use crate::recovery::{rootkeys, AttachError, Check, RecArea, Recovered};
 use crate::tag::Base;
 use nvm::mapped::{MappedHeap, MappedNvm};
 use nvm::{PWord, Persist};
@@ -150,7 +157,7 @@ pub const CLIENT_SLOTS: usize = 256;
 /// into the 8 bits above it.
 pub const MAX_OP_SEQ: u64 = (1 << SEQ_BITS) - 1;
 
-const SEQ_BITS: u32 = 56;
+const SEQ_BITS: u32 = crate::recarea::SEQ_BITS;
 const SLOT_BYTES: usize = 64;
 /// Header magic, stamped when the block is first initialised. "RTB1" was
 /// the layout with a separate per-tid intent array; it is refused typed.
@@ -195,21 +202,34 @@ impl<M: Persist> ClientSlot<M> {
 
     /// Records `op_seq` as in flight under `tid`, whose `RD_q` reads
     /// `prior`, and notes the slot's line for write-back without a fence:
-    /// the operation's first fence drains it before any effect can become
-    /// durable, and an operation with no effect folds the note into
+    /// the operation's publish `psync` writes it back in the window that
+    /// moves `RD_q`, and an operation with no effect folds the note into
     /// [`ClientSlot::finalize`]'s write-back. `prior` is stored first, so
     /// no prefix of the line shows `pending` without it. `handed` is the
     /// slot whose write-back `tid`'s previous request deferred
-    /// ([`ClientSlot::settle`]); its line is noted too, so that the same
-    /// first fence — the one before any publish moves `RD_q` — drains it.
-    fn begin(&self, handed: Option<&ClientSlot<M>>, tid: usize, op_seq: u64, prior: u64) {
+    /// ([`ClientSlot::settle`]); its line is noted too. Then the record is
+    /// handed over ([`crate::recovery::record_invocation`]): the
+    /// operation's prologue stores in the recovery line that `pending`
+    /// must have reached `op_seq`, and `handed`'s `last_seq` its own, for
+    /// a publication to count — links at `base`.
+    fn begin(
+        &self,
+        handed: Option<&ClientSlot<M>>,
+        tid: usize,
+        op_seq: u64,
+        prior: u64,
+        base: Base,
+    ) {
         assert!(tid < nvm::MAX_PROCS && op_seq <= MAX_OP_SEQ, "pending word out of range");
-        if let Some(h) = handed {
+        let check = |w: &PWord<M>, seq| Check { at: base.word(w), seq };
+        let hand = handed.map_or(Check::default(), |h| {
             M::pwb_coal(&h.last_seq);
-        }
+            check(&h.last_seq, h.last_seq.load())
+        });
         self.prior.store(prior);
         self.pending.store((tid as u64) << SEQ_BITS | op_seq);
         M::pwb_coal(&self.pending);
+        crate::recovery::record_invocation(tid, [check(&self.pending, op_seq), hand]);
     }
 
     /// `resp` first, `last_seq` second, then one write-back and one fence:
@@ -262,10 +282,14 @@ impl<M: Persist> ClientSlot<M> {
 
     /// Disposes of the request in flight under `tid` (if any) by `decision`,
     /// the Op-Recover verdict on `rd`, `tid`'s `RD_q`: `Completed` finalizes,
-    /// `Restart` clears `pending` — and so does `rd == prior`, whatever the
-    /// verdict: the request published nothing, and the descriptor `rd`
-    /// names is an earlier request's. Either way the slot is no longer in
-    /// flight, so a second call is a no-op.
+    /// `Restart` steps `pending`'s sequence back to the watermark — and so
+    /// does `rd == prior`, whatever the verdict: the request published
+    /// nothing, and the descriptor `rd` names is an earlier request's.
+    /// Either way the slot is no longer in flight, so a second call is a
+    /// no-op. Stepping back, not clearing: a recovery line that checks an
+    /// earlier request of this client ([`crate::recarea::Check`]) still
+    /// reads it reached, and only this request's own check — retired by the
+    /// recovery that decided it — can fail.
     fn resolve(&self, tid: usize, rd: u64, decision: Recovered) -> Option<Resolution> {
         let (_, op_seq) = self.inflight().filter(|&(t, _)| t == tid)?;
         let client_id = self.id.load();
@@ -276,7 +300,7 @@ impl<M: Persist> ClientSlot<M> {
                 Resolution::Finalized { client_id, op_seq, resp }
             }
             _ => {
-                self.pending.store(0);
+                self.pending.store((tid as u64) << SEQ_BITS | (op_seq - 1));
                 M::pbarrier(&self.pending);
                 Resolution::Restarted { client_id, op_seq }
             }
@@ -328,7 +352,9 @@ impl<M: Persist> ClientSlot<M> {
 }
 
 /// Resolves every slot of `slots` in flight under `tid` by `decision`, the
-/// Op-Recover verdict on `rd`, `tid`'s `RD_q` ([`ClientSlot::resolve`]),
+/// Op-Recover verdict on `rd`, `tid`'s `RD_q` as Op-Recover left it — a
+/// publication torn by a lost record already rolled back to its `prior`
+/// ([`RecArea::validated`]) — ([`ClientSlot::resolve`]),
 /// and returns the last resolution. Every other slot whose `pending` names
 /// `tid` is written back, with one `psync` for them all before it returns:
 /// the slot `tid`'s last request settled behind its descriptor reads
@@ -383,8 +409,9 @@ pub enum Resolution {
         /// The encoded response.
         resp: u64,
     },
-    /// The interrupted operation did not take effect: `pending` was cleared
-    /// and the client's retry will re-apply as a fresh operation.
+    /// The interrupted operation did not take effect: `pending` was stepped
+    /// back to the watermark and the client's retry will re-apply as a
+    /// fresh operation.
     Restarted {
         /// The client whose request must be retried.
         client_id: u64,
@@ -472,13 +499,15 @@ impl ResponseTable {
         SLOT_BYTES * (1 + CLIENT_SLOTS)
     }
 
-    /// Allocates (or re-opens) the table on `heap`, then validates and
-    /// heals it. Must run while the caller has exclusive ownership of the
-    /// heap (attach flock held, no live peers) — healing rewrites slots.
-    pub(crate) fn attach_excl(heap: &Arc<MappedHeap>) -> Result<(Self, HealReport), AttachError> {
+    /// Allocates (or re-opens) the table on `heap`, then validates it,
+    /// writing nothing. Must run while the caller has exclusive ownership
+    /// of the heap (attach flock held, no live peers), which then heals the
+    /// table ([`ResponseTable::heal`]) once the replay has decided every
+    /// pid.
+    pub(crate) fn attach_excl(heap: &Arc<MappedHeap>) -> Result<Self, AttachError> {
         let t = Self::open(heap)?;
-        let report = t.validate_heal()?;
-        Ok((t, report))
+        t.validate()?;
+        Ok(t)
     }
 
     /// Opens the table without validation — the joiner's path (the image
@@ -609,22 +638,21 @@ impl ResponseTable {
 
     /// Records `op_seq` as in flight for the registered client `client_id`
     /// under `pid`, with `pid`'s `RD_q` as its `prior`, and the slot's line
-    /// noted but not fenced: the structure operation's first fence makes it
-    /// durable, and [`ResponseTable::finish_op`] drains it if no fence
-    /// came. The line of the slot whose write-back `pid`'s previous request
-    /// deferred is noted with it, on this thread. This is the invocation
-    /// record (see module docs): call it
+    /// noted but not fenced: the structure operation's publish `psync`
+    /// makes it durable, and [`ResponseTable::finish_op`] drains it if no
+    /// fence came. The line of the slot whose write-back `pid`'s previous
+    /// request deferred is noted with it, on this thread. This is the
+    /// invocation record (see module docs): call it
     /// before the structure operation's first instruction, on the thread
     /// that runs both, and no invocation glue — the operation's `Isb-LP`
-    /// prologue consumes the mark this leaves instead; after the
+    /// prologue consumes the record this hands over instead; after the
     /// operation, release `RD_q`'s hold on [`ResponseTable::prior`]. The
     /// wire opcode and argument are not recorded: resolution never
     /// re-applies.
     pub fn begin_op(&self, pid: usize, client_id: u64, op_seq: u64, _op: u64, _arg: u64) {
         let idx = self.find(client_id).expect("begin_op follows register");
         let handed = self.block.take_deferred(pid).map(|d| self.client(d));
-        self.client(idx).begin(handed, pid, op_seq, self.rec.published(pid));
-        crate::recovery::mark_recorded(pid);
+        self.client(idx).begin(handed, pid, op_seq, self.rec.published(pid), self.rec.base);
     }
 
     /// The `prior` the newest [`ResponseTable::begin_op`] of the client at
@@ -700,9 +728,9 @@ impl ResponseTable {
     /// `Completed(res)` finalizes `res` as the request's response, unless
     /// `pid`'s `RD_q` still equals the slot's `prior` (the module docs'
     /// write-ordering argument: then the request published nothing, and the
-    /// decision is an earlier request's); `Restart` clears `pending` so the
-    /// client's retry re-applies. Call it while `RD_q` still holds what the
-    /// decision was computed from.
+    /// decision is an earlier request's); `Restart` steps `pending` back to
+    /// the watermark so the client's retry re-applies. Call it while `RD_q`
+    /// still holds what the decision was computed from.
     pub fn resolve(&self, pid: usize, decision: Recovered) -> Option<Resolution> {
         let slots = (0..CLIENT_SLOTS).map(|idx| self.client(idx));
         resolve_under(slots, pid, self.rec.published(pid), decision)
@@ -713,7 +741,7 @@ impl ResponseTable {
     /// recovery has not resolved it yet — applying now could double-apply,
     /// so the server answers a typed `Recovering` error and the client
     /// retries after the healer has run. The healer's last store
-    /// (`last_seq`, or the cleared `pending`) is what ends the in-flight
+    /// (`last_seq`, or `pending` stepped back) is what ends the in-flight
     /// state, so a miss here means the slot is fully resolved.
     pub fn foreign_inflight(&self, client_id: u64, own_band: std::ops::Range<usize>) -> bool {
         self.find(client_id)
@@ -721,10 +749,26 @@ impl ResponseTable {
             .is_some_and(|(tid, _)| !own_band.contains(&tid))
     }
 
-    /// Validation + deterministic healing (exclusive access only — see
-    /// [`ResponseTable::attach_excl`]). Torn shapes reachable by a crash of
-    /// a correct execution are healed; unreachable shapes fail typed.
-    fn validate_heal(&self) -> Result<HealReport, AttachError> {
+    /// Refuses, typed, a registered slot of a shape no crash of a correct
+    /// execution leaves behind ([`ClientSlot::validate`]). Writes nothing.
+    fn validate(&self) -> Result<(), AttachError> {
+        for idx in 0..CLIENT_SLOTS {
+            let s = self.client(idx);
+            if ![0, TOMBSTONE].contains(&s.id.load()) {
+                s.validate()
+                    .map_err(|reason| AttachError::CorruptResponseTable { slot: idx, reason })?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Deterministic healing of a validated table (exclusive access only —
+    /// see [`ResponseTable::attach_excl`]): the torn shapes a crash of a
+    /// correct execution may leave. It runs after the attach replay, whose
+    /// decisions retire every record check a recovery line holds
+    /// ([`RecArea::validated`]): a wiped or buried slot drops its
+    /// sequence numbers, which would otherwise fail a check that names it.
+    pub(crate) fn heal(&self) -> HealReport {
         let mut report = HealReport::default();
         let mut seen: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
         for idx in 0..CLIENT_SLOTS {
@@ -742,8 +786,6 @@ impl ResponseTable {
                 }
                 continue;
             }
-            s.validate()
-                .map_err(|reason| AttachError::CorruptResponseTable { slot: idx, reason })?;
             if let Some(&prev) = seen.get(&id) {
                 // Duplicate registration (a torn probe chain). Keep the
                 // slot with the higher watermark — it supersedes the other
@@ -766,7 +808,7 @@ impl ResponseTable {
                 seen.insert(id, idx);
             }
         }
-        Ok(report)
+        report
     }
 
     /// Diagnostic view of the request in flight under `pid`:
@@ -776,6 +818,19 @@ impl ResponseTable {
             let s = self.client(idx);
             s.inflight().filter(|&(tid, _)| tid == pid).map(|(_, op_seq)| (s.id.load(), op_seq))
         })
+    }
+}
+
+#[cfg(test)]
+impl ResponseTable {
+    /// Forges an image healing collapses: a duplicate registration of
+    /// `client_id` in the free slot after its own, acknowledged through
+    /// `last_seq`.
+    pub(crate) fn forge_duplicate(&self, client_id: u64, last_seq: u64) {
+        let s = self.client((self.find(client_id).unwrap() + 1) % CLIENT_SLOTS);
+        assert_eq!(s.id.load(), 0, "a free slot");
+        s.last_seq.store(last_seq);
+        s.id.store(client_id);
     }
 }
 
@@ -912,7 +967,8 @@ mod tests {
         let ib = t.register(b).unwrap();
         assert_eq!(ib, (ia + 2) % CLIENT_SLOTS, "b probed past the duplicate");
         t.finish_op(0, ib, 1, RES_TRUE);
-        let report = t.validate_heal().unwrap();
+        t.validate().unwrap();
+        let report = t.heal();
         assert_eq!(report.dup_clients, 1);
         // b's chain passes through the collapsed slot: it must still
         // resolve to its slot and watermark (a zeroed slot would strand b
@@ -1046,10 +1102,9 @@ mod tests {
     }
 
     /// Runs the operation of a request on the pid: its prologue consumes
-    /// the record the request's `begin` made (as `begin_op` marks it), and
-    /// its publish of the descriptor at `d` fences first, then it helps.
+    /// the record the request's `begin` handed over, and its publish of the
+    /// descriptor at `d` writes the lot back in one window, then it helps.
     fn attempt(rec: &RecArea<SimNvm>, d: usize, c: &Collector) {
-        crate::recovery::mark_recorded(TID);
         assert_eq!(rec.begin::<LP>(TID), 0, "a recorded prologue runs no glue");
         // SAFETY: `d` is a filled descriptor without new nodes, live until
         // the sweep's iteration ends.
@@ -1094,8 +1149,9 @@ mod tests {
     /// under the line model that makes it true. Request `OLD.0` published
     /// descriptor X and completed (`RD_q` = X, `CP_q` = 1, answer
     /// `OLD.1`). Crash request `NEW.0` at every instruction over every seed
-    /// — `begin` (`prior` = X) → no publish, the operation's first fence,
-    /// its publish of descriptor Y and Y's `Help` (one effect word), or
+    /// — `begin` (`prior` = X) → no publish, or its publish of descriptor
+    /// Y, whose one window writes back the slot, Y and the recovery line,
+    /// and Y's `Help` (one effect word), or
     /// such a publish whose `Help` fails → `settle`, which defers its
     /// write-back only behind the done Y — and once more after the
     /// acknowledgement. Behind a deferred `settle`, crash at every
@@ -1113,9 +1169,18 @@ mod tests {
     /// effect is on media, is never left below the watermark. Then hand
     /// each image of the first request to resolve under the decisions
     /// recovery could reach, crash *that* at every instruction too, and
-    /// resolve again: idempotent, and the answer the decision names.
+    /// resolve again: idempotent, and the answer the decision names. Some
+    /// images hold a publication's recovery line without its record — a
+    /// `pending` or a handed-over `last_seq` — which the sweep counts: the
+    /// record check rolls those back to the invocation's `prior`.
     ///
-    /// Mutation-checked: with `resolve` ignoring `prior`, or with `begin`
+    /// Mutation-checked: with the record check skipped, an image decides
+    /// Y with `pending` lost ("Takes then Nothing … request 5 with its
+    /// effect on media resolved to (4, 1)": the retry applies it twice);
+    /// with the rollback a clear, the deferred request's answer is lost
+    /// ("Takes then Effect … request 5 acknowledged resolved to (4, 1)");
+    /// with the hand-over check skipped, "Takes then OtherThread … resolved
+    /// to (5, 102)". With `resolve` ignoring `prior`, or with `begin`
     /// storing `prior` after `pending`, an image resolves to X's `OLD.1`;
     /// with `begin` not noting the handed slot, the other thread's publish
     /// leaves the acknowledged request in flight behind Z, and it resolves
@@ -1131,7 +1196,7 @@ mod tests {
         let _session = crate::simtest::session();
         nvm::tid::set_tid(0);
         let c = Collector::new();
-        let mut images = Vec::new();
+        let (mut images, mut torn_records) = (Vec::new(), 0);
         let scenarios = [
             (Attempt::Idle, Then::Nothing),
             (Attempt::Takes, Then::Nothing),
@@ -1170,15 +1235,14 @@ mod tests {
                     // SAFETY: `x` is filled and live until the iteration ends.
                     unsafe { help::<SimNvm, LP>(Base(0), x, true, &c.pin()) };
                     sim::persist_all();
-                    let line = rec.slot(TID);
-                    sim::declare_line(&[&line.rd, &line.cp]);
+                    rec.declare_line(TID);
                     let slot = durable_slot([7, OLD.0, OLD.1, (TID as u64) << SEQ_BITS | OLD.0, 0]);
                     let other = durable_slot([8, 0, 0, 0, 0]);
                     let (begun, acked, acked_next) =
                         (Cell::new(false), Cell::new(false), AtomicBool::new(false));
                     // The follow-up request on `s`, handed `handed`.
                     let follow = |s: &ClientSlot<SimNvm>, handed, publishes: bool| {
-                        s.begin(handed, TID, next.0, rec.published(TID));
+                        s.begin(handed, TID, next.0, rec.published(TID), Base(0));
                         if publishes {
                             attempt(&rec, zd, &c);
                         }
@@ -1204,7 +1268,7 @@ mod tests {
                     };
                     let crashed = crashed_at(fuse, seed, || {
                         let first = || {
-                            slot.begin(None, TID, NEW.0, rec.published(TID));
+                            slot.begin(None, TID, NEW.0, rec.published(TID), Base(0));
                             begun.set(true);
                             if first_does != Attempt::Idle {
                                 attempt(&rec, yd, &c);
@@ -1239,7 +1303,22 @@ mod tests {
                         }
                         SimNvm::check_crash(); // after the acknowledgement
                     });
-                    let (image, rd) = (words(&slot), rec.published(TID));
+                    let image = words(&slot);
+                    // The publish wrote `RD_q` back in the window that
+                    // wrote back `pending`, and only `RD_q` reached media.
+                    let record_lost =
+                        |s: &ClientSlot<SimNvm>, seq| s.pending.peek() & MAX_OP_SEQ < seq;
+                    if rec.published(TID) == yd as u64 && record_lost(&slot, NEW.0)
+                        || rec.published(TID) == zd as u64
+                            && (record_lost(&other, next.0) || slot.last_seq.peek() < NEW.0)
+                    {
+                        torn_records += 1;
+                    }
+                    // SAFETY: the recovery line names `x`, `y` or `z`, all live.
+                    let decision = unsafe { op_recover::<SimNvm, LP>(&rec, TID, &c.pin()) };
+                    // What the decision was made on: a torn publication
+                    // rolled back to what its invocation found.
+                    let rd = rec.published(TID);
                     let ctx = format!(
                         "{first_does:?} then {then:?} fuse {fuse} seed {seed}: {image:?} {:?}",
                         words(&other)
@@ -1265,8 +1344,6 @@ mod tests {
                             acked: acked_next.load(Relaxed),
                         },
                     ];
-                    // SAFETY: the recovery line names `x`, `y` or `z`, all live.
-                    let decision = unsafe { op_recover::<SimNvm, LP>(&rec, TID, &c.pin()) };
                     let [mine, theirs] = &reqs;
                     match then {
                         Then::Nothing => judge(&slot, rd, decision, OLD, &reqs[..1], &ctx),
@@ -1337,9 +1414,9 @@ mod tests {
                     let [id, last_seq, resp, _, _] = words(&slot);
                     assert_eq!(id, 7);
                     match decision {
-                        // The publish is durable, so `pending` and `prior`
-                        // are: the fence before it drained `begin`'s
-                        // write-back. Either the slot was still in flight
+                        // The publish counts, so `pending` and `prior` are
+                        // durable: its record check says so. Either the
+                        // slot was still in flight
                         // and is now finalized, or `settle` completed.
                         Recovered::Completed(_) => assert_eq!((last_seq, resp), NEW, "{ctx}"),
                         // The old watermark may sit beside the new response
@@ -1359,6 +1436,83 @@ mod tests {
         }
         let n = images.len();
         assert!(n >= 2 * 64 * 10 && resolved > n, "the sweep ran: {n} / {resolved}");
+        assert!(torn_records > 0, "no image with the recovery line durable and a record not");
+    }
+
+    /// The invoker's `help` may return `Done` on a `DONE` a helper stored
+    /// and has not fenced yet: the foreign-value branch, its first cell
+    /// already untagged. Built by hand — a helper on another thread tags
+    /// both cells and fences them, writes the effect and `DONE`, is cut
+    /// before its `psync` (its write-backs die with it) and untags — the
+    /// acknowledged request must not lean on that `DONE`: `settle` writes
+    /// its slot back itself, and every crash image after the
+    /// acknowledgement resolves to the request's answer. Mutation-checked:
+    /// with `Info::response` ignoring the invoker's note, `settle` defers
+    /// and an image that lost `DONE` and the slot's line beside the untag
+    /// resolves the acknowledged request `Restart` ("request 5
+    /// acknowledged resolved to (4, 1)").
+    #[test]
+    fn an_acked_request_behind_a_helpers_unfenced_done_resolves_to_its_answer() {
+        use crate::engine::{HelpOutcome, DONE};
+        let _session = crate::simtest::session();
+        nvm::tid::set_tid(0);
+        let c = Collector::new();
+        for seed in 0..64u64 {
+            sim::reset();
+            // Two tag cells, then the effect word.
+            let cells: [Box<PWord<SimNvm>>; 3] = [(); 3].map(|_| Box::new(PWord::new(0)));
+            cells.iter().for_each(|w| w.store(0));
+            let info = Box::into_raw(Box::new(Info::<SimNvm>::fresh()));
+            let affect = [(Base(0).word(&*cells[0]), 0), (Base(0).word(&*cells[1]), 0)];
+            let f = InfoFill {
+                optype: 1,
+                affect: &affect,
+                write: &[(Base(0).word(&*cells[2]), 0, 1)],
+                newset: &[],
+                node_words: 0,
+                del_mask: 0,
+                presult: NEW.1,
+            };
+            // SAFETY: a fresh descriptor, not yet published.
+            unsafe { Info::fill(info, &f) };
+            let rec = RecArea::<SimNvm>::new();
+            rec.declare_line(TID);
+            let slot = durable_slot([7, OLD.0, OLD.1, (TID as u64) << SEQ_BITS | OLD.0, 0]);
+            slot.begin(None, TID, NEW.0, rec.published(TID), Base(0));
+            assert_eq!(rec.begin::<LP>(TID), 0);
+            // SAFETY: filled above, without new nodes.
+            unsafe { rec.publish_arm::<LP>(TID, info as u64) };
+            let (tagged, untagged) = (crate::tag::tagged(info as u64), info as u64);
+            let d = info as usize;
+            std::thread::scope(|t| {
+                t.spawn(|| {
+                    for w in &cells[..2] {
+                        w.store(tagged);
+                        SimNvm::pwb(w);
+                    }
+                    SimNvm::psync();
+                    cells[2].store(1);
+                    SimNvm::pwb(&cells[2]);
+                    // SAFETY: live until the iteration ends.
+                    let r = unsafe { &*(d as *const Info<SimNvm>) };
+                    r.mark(DONE);
+                    cells[..2].iter().for_each(|w| w.store(untagged));
+                });
+            });
+            // SAFETY: live until the iteration ends.
+            let got = unsafe { help::<SimNvm, LP>(Base(0), info, true, &c.pin()) };
+            assert_eq!(got, HelpOutcome::Done, "the foreign-value branch");
+            slot.settle(NEW.0, NEW.1, rec.published(TID), Base(0));
+            sim::trigger_crash(); // after the acknowledgement
+            sim::build_crash_image(seed);
+            // SAFETY: the recovery line names `info`, live.
+            let decision = unsafe { op_recover::<SimNvm, LP>(&rec, TID, &c.pin()) };
+            let me = Req { seq: NEW.0, answer: NEW.1, effect: cells[2].peek() == 1, acked: true };
+            let ctx = format!("seed {seed}: {:?} {decision:?}", words(&slot));
+            judge(&slot, rec.published(TID), decision, OLD, &[me], &ctx);
+            // SAFETY: nothing refers to it past this iteration.
+            drop(unsafe { Box::from_raw(info) });
+        }
     }
 
     /// `RD_q`'s reference on a recorded request's `prior` is held until the
@@ -1401,8 +1555,7 @@ mod tests {
             prior: PWord::new(0),
             _pad: [0; 3],
         };
-        slot.begin(None, TID, NEW.0, env.rec.published(TID));
-        crate::recovery::mark_recorded(TID);
+        slot.begin(None, TID, NEW.0, env.rec.published(TID), Base(0));
         env.begin::<LP>(TID, &g);
         assert!(!crate::recovery::recorded_pending(), "the prologue consumed the record");
         let mut published = 0;
@@ -1432,7 +1585,71 @@ mod tests {
         assert_eq!(env.alloc_info(), x, "RD_q's reference on prior released");
     }
 
-    /// `validate_heal`'s two slot writes — the wipe of a torn registration
+    /// A request that completed on one pid stays decided when the same
+    /// client's next request, begun on another pid, restarts: the step
+    /// back of its `pending` must not fail the first pid's record check.
+    /// Request `NEW.0` publishes D on `TID` over X and returns, releasing
+    /// `prior`; request `NEXT.0` begins on a second pid and is restarted
+    /// before it publishes. Recovering `TID` then decides D and releases
+    /// `RD_q`'s reference on it, as peer recovery does: rolled back to X,
+    /// it would answer request `OLD.0` and release X a second time.
+    #[test]
+    fn a_completed_request_stays_decided_when_its_clients_next_request_restarts() {
+        use crate::engine::{HelpOutcome, DONE};
+        use crate::env::Env;
+        type C = nvm::CountingNvm;
+        let _gate = crate::counters::gate_shared();
+        nvm::tid::set_tid(TID);
+        let env = Env::<C>::volatile();
+        let g = env.collector.pin();
+        let cells: [PWord<C>; 3] = [0, 0, 0].map(PWord::new);
+        env.begin::<LP>(TID, &g);
+        let x = fill(env.alloc_info(), (&cells[0], 0), None, OLD.1);
+        // SAFETY: `x` is live; the release is its never-installed affect slot.
+        unsafe {
+            (*x).mark(DONE);
+            env.persist_descriptor::<LP>(x);
+            Info::release(x, 1, &g);
+        }
+        env.publish::<LP>(TID, x, &mut 0, &g);
+
+        let slot = ClientSlot::<C> {
+            id: PWord::new(7),
+            last_seq: PWord::new(OLD.0),
+            resp: PWord::new(OLD.1),
+            pending: PWord::new(0),
+            prior: PWord::new(0),
+            _pad: [0; 3],
+        };
+        slot.begin(None, TID, NEW.0, env.rec.published(TID), Base(0));
+        env.begin::<LP>(TID, &g);
+        let d = fill(env.alloc_info(), (&cells[1], 0), Some(&cells[2]), NEW.1);
+        // SAFETY: drawn and filled above, live while published.
+        unsafe { env.persist_descriptor::<LP>(d) };
+        env.publish::<LP>(TID, d, &mut 0, &g);
+        assert!(matches!(unsafe { help::<C, LP>(Base(0), d, true, &g) }, HelpOutcome::Done));
+        slot.settle(NEW.0, NEW.1, env.rec.published(TID), Base(0));
+        env.release_prior::<LP>(TID, x as u64);
+
+        let other = TID + 1;
+        slot.begin(None, other, NEXT.0, env.rec.published(other), Base(0));
+        let _ = env.rec.begin::<LP>(other);
+        let restarted = Resolution::Restarted { client_id: 7, op_seq: NEXT.0 };
+        let rd = env.rec.published(other);
+        assert_eq!(slot.resolve(other, rd, Recovered::Restart), Some(restarted));
+        assert_eq!(slot.pending.load(), (other as u64) << SEQ_BITS | NEW.0, "stepped back");
+
+        // SAFETY: `RD_q` names `d`, live.
+        let decision = unsafe { op_recover::<C, LP>(&env.rec, TID, &g) };
+        assert_eq!(decision, Recovered::Completed(NEW.1), "request NEW.0's own answer");
+        assert_eq!(env.rec.published(TID), d as u64, "not rolled back onto the released X");
+        assert_eq!(slot.resolve(TID, d as u64, decision), None, "nothing in flight under TID");
+        env.rec.clear_slot(TID);
+        // SAFETY: `RD_q`'s one reference on `d`, durably cleared above.
+        unsafe { Info::release(d, 1, &g) };
+    }
+
+    /// `heal`'s two slot writes — the wipe of a torn registration
     /// and the burial of a duplicate — crashed at every instruction under
     /// the line model. The residue is in flight at `op_seq` 4, so a cleared
     /// watermark beside it would skip ahead: every image must be one the

@@ -161,10 +161,10 @@ impl Store {
     fn attach_heap(heap: Arc<MappedHeap>) -> Result<Self, AttachError> {
         let (env, fresh) = AttachEnv::open(Arc::clone(&heap))?;
         // The KV response table rides every store heap: allocate (or
-        // re-open) and validate/heal it here, where access is exclusive
-        // (attach flock held). In-flight op-IDs are
-        // resolved below, once the replay decisions exist.
-        let (resptab, _heal) = ResponseTable::attach_excl(&heap)?;
+        // re-open) and validate it here, where access is exclusive (attach
+        // flock held). It is healed, and its in-flight op-IDs resolved,
+        // below, once the replay decisions exist.
+        let resptab = ResponseTable::attach_excl(&heap)?;
         let (catalog, metas, mut slots) = Self::open_catalog(&env)?;
         let mut summary = AttachSummary::of(&heap);
         if fresh {
@@ -181,9 +181,12 @@ impl Store {
             (summary.recovered, summary.swept) =
                 unsafe { finish_attach(&env, &mut slots, &extra_live)? };
         }
+        // Healing after the replay: its decisions retired the record checks
+        // a wiped or buried slot could fail.
+        resptab.heal();
         // Resolve every in-flight op-ID against the replay's per-pid
         // decisions: Completed finalizes the response into the client's
-        // slot, Restart clears its `pending` word so the retry re-applies.
+        // slot, Restart steps its `pending` back so the retry re-applies.
         // Idempotent — a crash mid-resolution leaves the rec slots intact
         // (the attach replay never clears them), so the next attach
         // recomputes the same decisions and resumes.
@@ -1021,6 +1024,31 @@ mod tests {
         assert_eq!(nvm::stats::Snapshot::of_tid(T).since(&before).psync, 0, "a clone is left");
         drop((m, store));
         assert_eq!(nvm::stats::Snapshot::of_tid(T).since(&before).psync, 1, "the last one fences");
+    }
+
+    /// Attach decides every recovery line before it heals the response
+    /// table. Healing a duplicate registration buries the slot with the
+    /// lower watermark, sequence numbers and all; a record check naming it
+    /// would then fail, and roll the acknowledged insert's whole
+    /// publication back onto its `prior` — deciding `Restart`.
+    #[test]
+    fn attach_decides_before_it_heals_the_response_table() {
+        let _gate = crate::counters::gate_shared();
+        nvm::tid::set_tid(0);
+        let path = tmp("heal_after_replay");
+        {
+            let store = Store::open_sized(&path, 4 << 20).unwrap();
+            let (m, tab) = (store.get::<LpMap>("kv", 2).unwrap(), store.response_table());
+            let idx = tab.register(CLIENT).unwrap();
+            tab.begin_op(1, CLIENT, 1, 0, 42);
+            assert!(m.insert(1, 42));
+            tab.finish_op(1, idx, 1, RES_TRUE);
+            m.release_prior(1, tab.prior(idx));
+            tab.forge_duplicate(CLIENT, 2);
+        }
+        let store = Store::open_sized(&path, 4 << 20).unwrap();
+        assert_eq!(store.summary().decision(1), Recovered::Completed(RES_TRUE));
+        assert_eq!(store.response_table().lookup(CLIENT), Some((2, 0)), "the dup's watermark");
     }
 
     /// The `RD_q` hand-over in one epoch domain. A map insert's descriptor

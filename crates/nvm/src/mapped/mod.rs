@@ -121,8 +121,11 @@ pub const MAGIC: u64 = 0x4953_424D_4150_3031;
 /// publication its `RD_q` names, not 1, and a descriptor's first word
 /// carries its new nodes' word count; a v8 heap's slots would all read as
 /// torn publications, so it fails typed (`BadVersion(8)`) and is left as it
-/// was.
-pub const VERSION: u64 = 9;
+/// was. v10: a recorded publication rides the publish window — the recovery
+/// line also holds its rollback target and record checks, which a v9
+/// writer left stale beside a recorded `RD_q`, so a v9 heap fails typed
+/// (`BadVersion(9)`) and is left as it was.
+pub const VERSION: u64 = 10;
 /// Pattern written over the payload of torn (allocated-but-never-committed)
 /// tail blocks before they are returned to the free list.
 pub const POISON: u64 = 0xDEAD_BEEF_DEAD_BEEF;

@@ -80,6 +80,6 @@ fn main() {
     println!("restart over the same heap: data + dedup watermark survived");
     server.stop();
 
-    let _ = std::fs::remove_file(&heap);
+    let _ = std::fs::remove_dir_all(heap.parent().expect("the demo's temp dir"));
     println!("kv service demo OK");
 }

@@ -19,15 +19,19 @@
 //! of a present key, a `del` of an absent one) issues no fence in between,
 //! so `finish_op` pays the line's one write-back and one `psync`, and the
 //! structure operation costs nothing at all, in any arm: 1 line + 1 fence.
-//! A request that takes effect fences its descriptor first, which drains
-//! the note, and its last attempt's `DONE` bit is durable when the
-//! operation returns, so `finish_op` only notes the line again — the
-//! descriptor holds the response, and recovery answers from it — and the
-//! lane's next request carries that note: its `begin_op` notes the same
-//! line, which on the same thread is already pending. So a request after
-//! one that took effect costs one line less (its slot's line was counted
-//! by its predecessor's note), and a request that takes effect costs one
-//! line and no fence of the table's; `put-new` 11 / 3 is 1 + 9 / 3 + 1 / 0.
+//! A request that takes effect publishes with no fence ahead of it: the
+//! publish `psync` writes back the slot's line, the descriptor and the
+//! recovery line in one window — the recovery line names the slot's
+//! `pending` as a record check, and recovery rolls back a publication
+//! whose record did not reach media. Its last attempt's `DONE` bit is
+//! durable when the operation returns, so `finish_op` only notes the line
+//! again — the descriptor holds the response, and recovery answers from
+//! it — and the lane's next request carries that note: its `begin_op`
+//! notes the same line, which on the same thread is already pending. So a
+//! request after one that took effect costs one line less (its slot's line
+//! was counted by its predecessor's note), and a request that takes effect
+//! costs one line and no fence of the table's: `put-new` 11 / 2 is
+//! 1 + 9 / 2 + 1 / 0.
 //! Of the structure's own, the `Isb-LP` operation (the arm the service
 //! ships, `kvserve::server::ARM`) without its glue, the link-persist
 //! elisions are the cleanup write-backs (`put-new` 3 lines, `del-hit` and
@@ -36,7 +40,7 @@
 //! `psync` (1 fence): the predecessor's line, tagged and linked in one
 //! fence window, is written back once, and the line of the node the insert
 //! copy-replaces joins its publish window, so `put-new` writes back 9
-//! lines with 3 fences. A `del-hit` keeps its tag fence (its new link is
+//! lines with 2 fences. A `del-hit` keeps its tag fence (its new link is
 //! not a fresh node). A queue descriptor is one line, and the dequeue tags
 //! the head anchor alone, so `deq` writes back the anchor's line in its tag
 //! window and again with the head move, and nothing of the old sentinel.
@@ -139,25 +143,25 @@ fn one_kv_request_costs_exactly_its_persist_budget() {
     // `(kind, after an effect, (lines, fences))`; "2nd" is the second
     // client, on its own connection.
     let golden: [(&str, bool, (u64, u64)); 20] = [
-        ("put-new", true, (10, 3)),
+        ("put-new", true, (10, 2)),
         ("put-dup", true, (0, 1)),
-        ("del-hit", true, (8, 4)),
+        ("del-hit", true, (8, 3)),
         ("del-miss", true, (0, 1)),
         ("get", true, (0, 0)),
-        ("enq", true, (6, 3)),
-        ("deq", true, (6, 4)),
+        ("enq", true, (6, 2)),
+        ("deq", true, (6, 3)),
         ("replay", true, (0, 0)),
-        ("2nd put-new", true, (12, 3)),
+        ("2nd put-new", true, (12, 2)),
         ("2nd put-dup", true, (2, 1)),
-        ("put-new", false, (11, 3)),
+        ("put-new", false, (11, 2)),
         ("put-dup", false, (1, 1)),
-        ("del-hit", false, (9, 4)),
+        ("del-hit", false, (9, 3)),
         ("del-miss", false, (1, 1)),
         ("get", false, (0, 0)),
-        ("enq", false, (7, 3)),
-        ("deq", false, (7, 4)),
+        ("enq", false, (7, 2)),
+        ("deq", false, (7, 3)),
         ("replay", false, (0, 0)),
-        ("2nd put-new", false, (11, 3)),
+        ("2nd put-new", false, (11, 2)),
         ("2nd put-dup", false, (1, 1)),
     ];
     assert_eq!(rows, golden, "(lines, fences) per request");

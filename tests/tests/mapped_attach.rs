@@ -153,7 +153,9 @@ fn wrong_version_fails_typed() {
 }
 
 /// A heap of a previous format fails typed before anything reads it, and is
-/// left byte for byte as it was: version 8, whose recovery slots hold
+/// left byte for byte as it was: version 9, whose recovery lines hold no
+/// rollback target or record check beside a recorded publication, version
+/// 8, whose recovery slots hold
 /// `CP_q = 1` where this build reads a publication digest, version 7, whose live peer may be an
 /// exclusive attacher (private epochs, an unlocked bump path) that a joiner
 /// of this build could not share the arena with, version 6, whose
@@ -165,8 +167,8 @@ fn wrong_version_fails_typed() {
 /// first cache line.
 #[test]
 fn previous_descriptor_format_fails_typed() {
-    assert_eq!(nvm::mapped::VERSION, 9);
-    for old in [8u64, 7, 6, 5, 4, 3] {
+    assert_eq!(nvm::mapped::VERSION, 10);
+    for old in [9u64, 8, 7, 6, 5, 4, 3] {
         let path = tmp("old_version");
         mk_map(&path);
         patch(&path, 8, &old.to_le_bytes()); // word 1: version
@@ -233,30 +235,32 @@ fn over_capacity_descriptor_fails_typed() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// A publication torn by hand — one word of the descriptor pid 1's `RD_q`
-/// names rewritten to a wild cell offset — is what a process that died
-/// inside its publish `psync` can leave (descriptor, new nodes and recovery
-/// line share that fence window): it had no durable effect. Attach checks
-/// `CP_q`'s digest before it follows `RD_q`, so it clears the slot and
-/// answers `Restart` instead of refusing the heap as `CorruptPointer` —
-/// also when `CP_q` beside it is still the glue's 0, which vouches for
-/// nothing. A digest beside `RD_q = Null` names no descriptor: attach
-/// reads none and leaves the slot as it is. Nothing but `RD_q` names the
-/// descriptor: the enqueue's cells were retagged by the next enqueue and
-/// retired by the dequeue.
+/// A publication torn by hand — a word of pid 1's descriptor rewritten to
+/// a wild cell, or a record word not on media (a check naming a zero word)
+/// — is what a process that died inside its publish `psync` can leave: it
+/// had no durable effect. Attach checks `CP_q`'s digest and the record
+/// checks before it follows `RD_q`, and rolls the slot back to what the
+/// invocation found — `(Null, 0)`, or a recorded one's `prior` (here pid
+/// 2's publication) — instead of refusing the heap as `CorruptPointer`; a
+/// `CP_q` still the glue's 0 vouches for nothing (cleared). A digest beside
+/// `RD_q = Null` names no descriptor: the slot is left as it is. Nothing
+/// but `RD_q` names pid 1's descriptor (its cells were retagged and retired).
 #[test]
 fn torn_publication_is_cleared_not_refused() {
     use isb::recovery::Recovered;
     nvm::tid::set_tid(0);
     type Image = fn(u64) -> u64;
     let (keep, zero): (Image, Image) = (|w| w, |_| 0);
-    // (row, CP_q image, RD_q image, descriptor torn, CP_q after)
-    let rows: [(&str, Image, Image, bool, Image); 3] = [
-        ("descriptor torn, CP_q kept", keep, keep, true, zero),
-        ("descriptor torn, CP_q = 0", zero, keep, true, zero),
-        ("RD_q = Null beside a digest", keep, zero, false, keep),
+    // (row, CP_q, RD_q image, descriptor torn, CP_q after, recorded check)
+    type Row = (&'static str, Image, Image, bool, Image, Option<u64>);
+    let rows: [Row; 5] = [
+        ("descriptor torn, CP_q kept", keep, keep, true, zero, None),
+        ("descriptor torn, CP_q = 0", zero, keep, true, zero, None),
+        ("RD_q = Null beside a digest", keep, zero, false, keep, None),
+        ("recorded, descriptor torn", keep, keep, true, zero, Some(0)),
+        ("recorded, its record not on media", keep, keep, false, zero, Some(1)),
     ];
-    for (row, cp_image, rd_image, tear, cp_after) in rows {
+    for (row, cp_image, rd_image, tear, cp_after, recorded) in rows {
         let path = tmp("torn_publish");
         {
             let store = Store::open_sized(&path, HEAP_BYTES).unwrap();
@@ -268,20 +272,30 @@ fn torn_publication_is_cleared_not_refused() {
         let slot = root_offset(&path, 0x5245_4341) + 128; // rootkeys::RECAREA, pid 1
         let (rd, cp) = (read_at(&path, slot), read_at(&path, slot + 8));
         assert!(rd != 0 && cp >> 63 == 1, "pid 1 published: ({cp:#x}, {rd:#x})");
+        let prior = (read_at(&path, slot + 128), read_at(&path, slot + 136)); // pid 2's
         if tear {
             patch(&path, rd + 16, &0xFFFF_FFF8u64.to_le_bytes()); // its affect cell
         }
         patch(&path, slot, &rd_image(rd).to_le_bytes());
         patch(&path, slot + 8, &cp_image(cp).to_le_bytes());
+        if let Some(seq) = recorded {
+            // Rollback target, then one check: pid 3's zero `RD_q` word.
+            for (k, w) in [prior.0, prior.1, slot + 256, seq].into_iter().enumerate() {
+                patch(&path, slot + 16 + 8 * k as u64, &w.to_le_bytes());
+            }
+        }
         {
             let store = Store::open_sized(&path, HEAP_BYTES)
                 .unwrap_or_else(|e| panic!("{row}: a torn publication is no damage: {e}"));
-            assert_eq!(store.summary().decision(1), Recovered::Restart, "{row}");
+            let want =
+                if recorded.is_some() { store.summary().decision(2) } else { Recovered::Restart };
+            assert_eq!(store.summary().decision(1), want, "{row}");
             let q = store.queue::<LP>(NAME).unwrap();
             assert_eq!((q.dequeue(0), q.dequeue(0)), (Some(20), None), "{row}");
         }
         let after = (read_at(&path, slot), read_at(&path, slot + 8));
-        assert_eq!(after, (0, cp_after(cp_image(cp))), "{row}: the slot after attach");
+        let back = if recorded.is_some() { prior } else { (0, cp_after(cp_image(cp))) };
+        assert_eq!(after, back, "{row}: the slot after attach");
         let _ = std::fs::remove_file(&path);
     }
 }
@@ -1055,8 +1069,8 @@ fn resptable_garbage_intent_state_fails_typed() {
 }
 
 /// A byte-patched in-flight `pending` (watermark 5, sequence 6) resolves by
-/// the attach replay's decision for the pid it names: cleared under
-/// `Restart`, finalized to the decided response under `Completed`.
+/// the attach replay's decision for the pid it names: stepped back to the
+/// watermark under `Restart`, finalized to the decided response under `Completed`.
 #[test]
 fn resptable_inflight_pending_heals_by_decision() {
     for (pid, healed) in [(IDLE_PID, (5, RES_TRUE)), (DONE_PID, (6, RES_UNIT))] {
@@ -1072,8 +1086,8 @@ fn resptable_inflight_pending_heals_by_decision() {
         assert!(!tab.foreign_inflight(42, 0..1));
         drop((tab, store));
         assert_eq!((read_at(&path, slot + LAST_SEQ), read_at(&path, slot + RESP)), healed);
-        let left = if pid == IDLE_PID { 0 } else { pending_word(pid, 6) };
-        assert_eq!(read_at(&path, slot + PENDING), left, "only Restart clears the word");
+        let left = pending_word(pid, if pid == IDLE_PID { 5 } else { 6 });
+        assert_eq!(read_at(&path, slot + PENDING), left, "Restart steps it back to the watermark");
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -68,11 +68,12 @@ const GOLDEN_OPT: [(&str, Golden); 6] = [
 /// nothing. The one barrier an op counts is the invocation glue's
 /// `(RD_q, CP_q) := (Null, 0)` — when its predecessor published: after an op
 /// that changed nothing the line reads back fresh and the glue is skipped.
-/// No op counts a `pfence`: an unrecorded publication writes its
-/// descriptor, its new nodes and the recovery line back in the publish
-/// `psync`'s one window, `CP_q` holding the digest that tells recovery
-/// whether all of them reached media (validated publication; the
-/// `pfence` a recorded KV request keeps is `kv_persist_budget.rs`'s).
+/// No op counts a `pfence`: a publication writes its descriptor, its new
+/// nodes and the recovery line back in the publish `psync`'s one window,
+/// `CP_q` holding the digest that tells recovery whether all of them
+/// reached media (validated publication). A recorded KV request's record
+/// rides the same window, checked from the recovery line
+/// (`kv_persist_budget.rs`).
 type GoldenLp = (u64, u64, u64, u64, u64, u64, bool);
 
 /// Link-persist placement ("Isb-LP", `ARM = 3`) for the ordered-set core.

@@ -110,6 +110,9 @@ fn server_addr() -> SocketAddr {
         cfg.workers = 2;
         let server = Server::start(cfg).expect("fuzz server start");
         let addr = server.local_addr();
+        // The server lives as long as the binary and is never stopped: its
+        // mapping outlives the name, so nothing is left behind.
+        std::fs::remove_dir_all(&dir).expect("remove the fuzz heap's directory");
         std::mem::forget(server);
         addr
     })
