@@ -9,7 +9,7 @@
 //! |-----|------|------|
 //! | [`PAPER`] | `Isb`     | the paper's per-CAS `pwb` + per-phase `psync` placement |
 //! | [`TUNED`] | `Isb-Opt` | batched tag-loop flushes, merged barriers |
-//! | [`LP`]    | `Isb-LP`  | per-op cache-line dedupe via [`nvm::coalesce`]; the `RD_q`/`CP_q` line is reset whole by the invocation glue's one barrier and written once more, `CP_q := 1` with `RD_q := opInfo`, by the first publish; an operation that finds nothing to change takes no descriptor and publishes nothing. Link-persist: cleanup write-backs elided (re-swept by scrub / lazy helping); for link ops (the enqueue, whose descriptor carries the `LINK` bit) the tag-phase `psync` merged into the update-phase `psync`; the queue's tail hint never written back (`heal_tail` and `find_last` re-derive it). The one arm of a mapped structure: every [`crate::store::Store`] entry, and so the KV service (`kvserve::server::ARM`), is placed, replayed and scrubbed at it |
+//! | [`LP`]    | `Isb-LP`  | per-op cache-line dedupe via [`nvm::coalesce`], validated publication and the link-persist elisions — what each one is and why it is sound is `DESIGN.md` §12. The one arm of a mapped structure: every [`crate::store::Store`] entry, and so the KV service (`kvserve::server::ARM`), is placed, replayed and scrubbed at it |
 //!
 //! Level `2` was `Isb-Coal`, the coalescing glue without the link-persist
 //! elisions. It was retired once `Isb-LP` shipped; its measurements are the

@@ -158,13 +158,6 @@ pub struct Info<M: Persist> {
     /// Volatile: the furthest AffectSet position a tagging attempt failed
     /// at (see [`HelpOutcome::FailedAt`]), recorded before its backtrack.
     failed_at: AtomicU8,
-    /// Volatile: the invoker's [`help`] returned `Done` through the
-    /// foreign-value branch, on a `DONE` a helper stored and whose `psync`
-    /// the invoker did not wait for. [`Info::response`] then answers
-    /// nothing: a caller that would let `DONE` stand for its own durable
-    /// record (the KV slot's deferred write-back) writes that record back
-    /// instead.
-    unsynced_done: AtomicBool,
     /// Volatile: handle of the owning [`crate::pool::Pool`] (null ⇒ plain
     /// heap allocation). Written once at pool refill, read at retirement.
     /// In a mapped heap the handle is an address in the owning process:
@@ -186,7 +179,6 @@ impl<M: Persist> PoolItem for Info<M> {
             installs: AtomicU32::new(0),
             shared: AtomicBool::new(false),
             failed_at: AtomicU8::new(0),
-            unsynced_done: AtomicBool::new(false),
             owner: AtomicPtr::new(std::ptr::null_mut()),
         }
     }
@@ -337,7 +329,6 @@ impl<M: Persist> Info<M> {
         // (recycled descriptors may carry a stale true).
         i.shared.store(false, Ordering::Relaxed);
         i.failed_at.store(0, Ordering::Relaxed);
-        i.unsynced_done.store(false, Ordering::Relaxed);
         i.installs.store(1 + na as u32 + nn as u32, Ordering::Release);
     }
 
@@ -351,11 +342,11 @@ impl<M: Persist> Info<M> {
         M::load(&self.meta) & DONE != 0
     }
 
-    /// The operation's response, once it took effect and its `DONE` is
-    /// known durable: not when the invoker's [`help`] returned on a helper's
-    /// `DONE` without fencing it.
+    /// The operation's response, once it took effect. After [`help`]
+    /// returned `Done` on this thread, `DONE` is durable: every path to
+    /// `Done` fences it first.
     pub(crate) fn response(&self) -> Option<u64> {
-        (self.done() && !self.unsynced_done.load(Ordering::Acquire)).then(|| M::load(&self.presult))
+        self.done().then(|| M::load(&self.presult))
     }
 
     /// Sets a `meta` bit: [`LINK`] before publication, [`DONE`] by any helper.
@@ -651,7 +642,8 @@ pub fn with_release_suspended<R>(f: impl FnOnce() -> R) -> R {
 /// Outcome of [`help`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HelpOutcome {
-    /// The operation took effect (its `DONE` bit is set) and cleanup ran.
+    /// The operation took effect: its `DONE` bit is set, this thread fenced
+    /// it, and cleanup ran.
     Done,
     /// Tagging failed: AffectSet positions `< i` were tagged and are
     /// untagged now (backtracked), each cell holding the untagged
@@ -703,8 +695,8 @@ pub unsafe fn help<M: Persist, const ARM: u8>(
     // write in place — while that node's cell holds the tag: every other
     // operation that moves the link tags the linked node first, so until
     // cleanup untags it the link stands. From then on the link may be
-    // overwritten, or its holder dequeued, freed and reused, and `DONE`,
-    // durable a fence before cleanup starts, is the proof again. The
+    // overwritten, or its holder dequeued, freed and reused, and `DONE` is
+    // the proof again: whoever untags fenced it first (`complete`). The
     // descriptor carries the bit, so every recoverer decides by this rule,
     // whatever arm it helps at (DESIGN.md §4).
     let merged = M::load(&r.meta) & LINK != 0;
@@ -733,8 +725,9 @@ pub unsafe fn help<M: Persist, const ARM: u8>(
             //    reading through. Declaring failure here is the one
             //    mistake an invoker must not make — it would re-initialize
             //    its "never-published" nodes while they are reachable.
-            //    Re-run the idempotent cleanup (heals crash-resurrected
-            //    partial tags during scrub) and report completion.
+            //    Finish through the one epilogue: it fences `DONE` on this
+            //    thread before it re-runs the idempotent cleanup (which heals
+            //    crash-resurrected partial tags during scrub).
             // 2. `DONE` unset ⇒ the attempt genuinely failed: backtrack.
             //
             // A merged operation asks its write instead while the node it
@@ -742,27 +735,7 @@ pub unsafe fn help<M: Persist, const ARM: u8>(
             let completed =
                 if merged { unsafe { link_took_effect(b, r, s, tagged_val) } } else { r.done() };
             if completed {
-                if merged && !r.done() {
-                    r.mark(DONE);
-                    arm::pwb_arm::<M, ARM>(&r.meta);
-                    M::psync();
-                } else if invoker {
-                    // A helper stored `DONE`; nothing here shows its
-                    // `psync` returned. The cleanup that released this cell
-                    // may be a second helper's that came through this
-                    // branch, found `DONE` set and fenced nothing (`Isb-LP`);
-                    // only an induction over every earlier cleanup would
-                    // prove `DONE` durable. Nothing fences here (an
-                    // unrecorded caller answers from memory): a recorded
-                    // one reads this note and writes its own record back
-                    // (`Info::response`). Not dead code.
-                    r.unsynced_done.store(true, Ordering::Release);
-                }
-                cleanup::<M, ARM>(b, r, tagged_val, untagged_val, s);
-                if !arm::is_tuned(ARM) {
-                    M::psync();
-                }
-                return HelpOutcome::Done;
+                return complete::<M, ARM>(b, r, tagged_val, untagged_val, s);
             }
             // ---- Backtrack phase: untag the prefix, in reverse order ----
             // Recorded first: whoever fails later sees a value this
@@ -841,16 +814,7 @@ pub unsafe fn help<M: Persist, const ARM: u8>(
         return HelpOutcome::FailedAt(0);
     }
     debug_assert_ne!(M::load(&r.presult), RES_BOT, "presult is precomputed before publication");
-    r.mark(DONE);
-    arm::pwb_arm::<M, ARM>(&r.meta);
-    M::psync();
-
-    // ---- Cleanup phase --------------------------------------------------
-    cleanup::<M, ARM>(b, r, tagged_val, untagged_val, s);
-    if !arm::is_tuned(ARM) {
-        M::psync();
-    }
-    HelpOutcome::Done
+    complete::<M, ARM>(b, r, tagged_val, untagged_val, s)
 }
 
 /// Whether every write of `r` holds its new value (a merged operation's
@@ -887,24 +851,39 @@ unsafe fn link_took_effect<M: Persist>(b: Base, r: &Info<M>, s: Shape, tagged_va
     }
 }
 
-/// The idempotent cleanup phase of [`help`]: untag every affect/new cell
-/// still holding this operation's tag (deletion-tagged positions stay
-/// tagged forever, doubling as Harris mark bits). Shared by the normal
-/// epilogue and the completion-detected failure branch.
+/// [`help`]'s one completion epilogue, run by every path that returns
+/// `Done` (the update phase and the foreign-value branch alike): mark
+/// `DONE` (idempotent), write its line back and fence it on this
+/// thread, then the idempotent cleanup — untag every affect/new cell still
+/// holding this operation's tag (deletion-tagged positions stay tagged
+/// forever, doubling as Harris mark bits). So whoever returns `Done`, and
+/// whoever untags a cell of the descriptor, has fenced `DONE` itself: a
+/// caller may let the descriptor stand for its durable response
+/// ([`Info::response`]), and a recovery replay of a completed descriptor
+/// turns a `DONE` it finds in the page cache into a durable one.
 ///
 /// Under the `LP` arm the untag write-backs are elided entirely: they run
-/// after the update-phase psync with no fence of their own, so no arm ever
+/// after the `DONE` psync with no fence of their own, so no arm ever
 /// *guarantees* their durability — a crash may resurrect the tag either way,
 /// and the same re-sweep (scrub / lazy helping on encounter) heals it. The
 /// elision only widens the window, never the set of recovery behaviours
 /// (DESIGN.md §12).
-fn cleanup<M: Persist, const ARM: u8>(
+///
+/// Inlined into both call sites: the update phase, every operation's hot
+/// path, makes no extra call.
+#[inline(always)]
+fn complete<M: Persist, const ARM: u8>(
     b: Base,
     r: &Info<M>,
     tagged_val: u64,
     untagged_val: u64,
     s: Shape,
-) {
+) -> HelpOutcome {
+    r.mark(DONE);
+    arm::pwb_arm::<M, ARM>(&r.meta);
+    M::psync();
+
+    // ---- Cleanup phase --------------------------------------------------
     for k in 0..s.na {
         if s.del_mask & (1 << k) != 0 {
             continue; // deletion-tagged: stays tagged forever (mark bit)
@@ -924,6 +903,10 @@ fn cleanup<M: Persist, const ARM: u8>(
             arm::pwb_arm::<M, ARM>(cell);
         }
     }
+    if !arm::is_tuned(ARM) {
+        M::psync();
+    }
+    HelpOutcome::Done
 }
 
 /// [`help`] as Op-Recover runs it on the descriptor a crashed process left
@@ -1089,24 +1072,56 @@ mod tests {
 
     /// The completion check discriminates on `DONE`, not the cell value:
     /// a *foreign* value (a later operation's tag over our released cell)
-    /// with `DONE` set is completion, with `DONE` unset it is failure.
+    /// with `DONE` set is completion, with `DONE` unset it is failure. The
+    /// completion runs `help`'s one epilogue at every arm: this thread writes
+    /// `DONE`'s line back and fences it before the cleanup, though `DONE` was
+    /// set (and fenced) by the first run.
     #[test]
     fn foreign_cell_value_is_completion_iff_result_set() {
+        // Lines: a0's failed tag CAS (arm 0 only), `meta`, a0's untag
+        // (elided under `Isb-LP`; a1 is deletion-tagged). Fences: `DONE`'s,
+        // and the cleanup's at arm 0.
+        foreign_value_completes::<{ arm::PAPER }>(3, 2);
+        foreign_value_completes::<{ arm::TUNED }>(2, 1);
+        foreign_value_completes::<{ arm::LP }>(1, 1);
+    }
+
+    /// [`foreign_cell_value_is_completion_iff_result_set`] at `ARM`: the
+    /// write-backs (`lines`) and `psync`s of the `Done` through the
+    /// foreign-value branch.
+    fn foreign_value_completes<const ARM: u8>(lines: u64, psyncs: u64) {
         let _gate = crate::counters::gate_shared();
         let ctx = Ctx::new();
+        const P: usize = 48; // own tid: its counters are this test's alone
+        nvm::tid::set_tid(P);
         let g = ctx.c.pin();
         // Completed op whose a0 was re-tagged by a later operation.
         let a0 = cellv(0);
         let a1 = cellv(0);
         let w = cellv(100);
         let info = unsafe { mk_info(&a0, 0, &a1, 0, &w, 100, 200, 0b10) };
-        assert_eq!(unsafe { help::<M, 0>(Base(0), info, true, &g) }, HelpOutcome::Done);
+        assert_eq!(unsafe { help::<M, ARM>(Base(0), info, true, &g) }, HelpOutcome::Done);
         a0.store(0xF0F0); // later op's value in the released cell
         w.store(777);
+        let before = nvm::stats::Snapshot::of_tid(P);
         assert_eq!(
-            unsafe { help::<M, 0>(Base(0), info, true, &g) },
+            unsafe { help::<M, ARM>(Base(0), info, true, &g) },
             HelpOutcome::Done,
-            "foreign value + DONE = the operation completed"
+            "{}: foreign value + DONE = the operation completed",
+            arm::name(ARM)
+        );
+        let n = nvm::stats::Snapshot::of_tid(P).since(&before);
+        assert_eq!(
+            (n.pwb, n.psync),
+            (lines, psyncs),
+            "{}: the epilogue's lines and fences",
+            arm::name(ARM)
+        );
+        assert_eq!(
+            nvm::coalesce::pending(),
+            0,
+            "{}: nothing left for a later fence",
+            arm::name(ARM)
         );
         assert_eq!(w.load(), 777, "update not re-applied");
         unsafe { Info::release(info, 3, &g) };
@@ -1117,7 +1132,7 @@ mod tests {
         let w2 = cellv(100);
         let info2 = unsafe { mk_info(&b0, 0, &b1, 0, &w2, 100, 200, 0) };
         assert_eq!(
-            unsafe { help::<M, 0>(Base(0), info2, true, &g) },
+            unsafe { help::<M, ARM>(Base(0), info2, true, &g) },
             HelpOutcome::FailedAt(0),
             "foreign value + no DONE = genuine failure"
         );

@@ -67,8 +67,9 @@
 //!    of two things:
 //!    * the pid's `RD_q` names a descriptor other than `prior` whose `DONE`
 //!      bit is set, with `presult == resp`: the request's last attempt took
-//!      effect, and `help` made `DONE` durable before it returned. The
-//!      descriptor already is the durable response, so the slot's line is
+//!      effect, and `help` made `DONE` durable before it returned (every
+//!      path to `Done` fences it on the returning thread, whoever set it).
+//!      The descriptor already is the durable response, so the slot's line is
 //!      only noted — *deferred* — and the lane's next fence carries it
 //!      (the hand-over of step 3, or [`ResponseTable::flush_deferred`] at
 //!      a clean stop, which the table's last handle also runs when it
@@ -1439,20 +1440,23 @@ mod tests {
         assert!(torn_records > 0, "no image with the recovery line durable and a record not");
     }
 
-    /// The invoker's `help` may return `Done` on a `DONE` a helper stored
-    /// and has not fenced yet: the foreign-value branch, its first cell
-    /// already untagged. Built by hand — a helper on another thread tags
-    /// both cells and fences them, writes the effect and `DONE`, is cut
-    /// before its `psync` (its write-backs die with it) and untags — the
-    /// acknowledged request must not lean on that `DONE`: `settle` writes
-    /// its slot back itself, and every crash image after the
-    /// acknowledgement resolves to the request's answer. Mutation-checked:
-    /// with `Info::response` ignoring the invoker's note, `settle` defers
-    /// and an image that lost `DONE` and the slot's line beside the untag
-    /// resolves the acknowledged request `Restart` ("request 5
+    /// An acknowledged request whose invoker completed through `help`'s
+    /// foreign-value branch, on a `DONE` that a cut helper stored and never
+    /// fenced, resolves to its answer. Helper 1 (on its own thread) tags
+    /// both cells and fences them, writes the effect and `DONE`, and is cut
+    /// before it writes `DONE` back: its remaining write-backs never
+    /// complete. Helper 2 (a second thread, a real `help`) finds every tag
+    /// held and `DONE` set, completes through the epilogue and untags. The
+    /// invoker then meets its first cell untagged — a foreign value with
+    /// `DONE` set — and `settle` defers the slot's write-back behind the
+    /// descriptor. Every crash image after the acknowledgement resolves to
+    /// the request's answer: whoever returned `Done` fenced `DONE` itself.
+    /// Mutation-checked: with the epilogue's fence skipped when `DONE` was
+    /// already set, an image that lost `DONE` and the slot's line but kept
+    /// the untag resolves the acknowledged request `Restart` ("request 5
     /// acknowledged resolved to (4, 1)").
     #[test]
-    fn an_acked_request_behind_a_helpers_unfenced_done_resolves_to_its_answer() {
+    fn an_acked_request_done_behind_a_cut_helper_resolves_to_its_answer() {
         use crate::engine::{HelpOutcome, DONE};
         let _session = crate::simtest::session();
         nvm::tid::set_tid(0);
@@ -1482,7 +1486,7 @@ mod tests {
             assert_eq!(rec.begin::<LP>(TID), 0);
             // SAFETY: filled above, without new nodes.
             unsafe { rec.publish_arm::<LP>(TID, info as u64) };
-            let (tagged, untagged) = (crate::tag::tagged(info as u64), info as u64);
+            let tagged = crate::tag::tagged(info as u64);
             let d = info as usize;
             std::thread::scope(|t| {
                 t.spawn(|| {
@@ -1494,15 +1498,24 @@ mod tests {
                     cells[2].store(1);
                     SimNvm::pwb(&cells[2]);
                     // SAFETY: live until the iteration ends.
-                    let r = unsafe { &*(d as *const Info<SimNvm>) };
-                    r.mark(DONE);
-                    cells[..2].iter().for_each(|w| w.store(untagged));
+                    unsafe { &*(d as *const Info<SimNvm>) }.mark(DONE);
                 });
             });
+            std::thread::scope(|t| {
+                t.spawn(|| {
+                    nvm::tid::set_tid(TID + 1);
+                    // SAFETY: as above; every cell it names is live.
+                    let got = unsafe {
+                        help::<SimNvm, LP>(Base(0), d as *mut Info<SimNvm>, false, &c.pin())
+                    };
+                    assert_eq!(got, HelpOutcome::Done, "helper 2 completes");
+                });
+            });
+            assert_eq!(cells[0].peek(), info as u64, "helper 2 untagged");
             // SAFETY: live until the iteration ends.
             let got = unsafe { help::<SimNvm, LP>(Base(0), info, true, &c.pin()) };
             assert_eq!(got, HelpOutcome::Done, "the foreign-value branch");
-            slot.settle(NEW.0, NEW.1, rec.published(TID), Base(0));
+            assert!(slot.settle(NEW.0, NEW.1, rec.published(TID), Base(0)), "deferred");
             sim::trigger_crash(); // after the acknowledgement
             sim::build_crash_image(seed);
             // SAFETY: the recovery line names `info`, live.

@@ -9,7 +9,7 @@
 
 use isb::arm::LP;
 use isb::engine::{RES_TRUE, RES_UNIT};
-use isb::recovery::AttachError;
+use isb::recovery::{rootkeys, AttachError, ARENA_SLOT_STRIDE};
 use isb::store::Store;
 use nvm::mapped::MappedHeap;
 use nvm::MapError;
@@ -90,7 +90,7 @@ fn root_offset(path: &PathBuf, key: u64) -> u64 {
 /// File offset of the root block of catalog slot 0's structure (entry word
 /// 2, a heap offset, is one: the mapping starts at file offset 0).
 fn entry_root(path: &PathBuf) -> u64 {
-    read_at(path, root_offset(path, 0x4341_5441) + 16) // rootkeys::CATALOG
+    read_at(path, root_offset(path, rootkeys::CATALOG) + 16)
 }
 
 fn attach(path: &PathBuf) -> Result<(), AttachError> {
@@ -269,10 +269,11 @@ fn torn_publication_is_cleared_not_refused() {
             q.enqueue(2, 20);
             assert_eq!(q.dequeue(2), Some(10));
         }
-        let slot = root_offset(&path, 0x5245_4341) + 128; // rootkeys::RECAREA, pid 1
+        let stride = ARENA_SLOT_STRIDE as u64;
+        let slot = root_offset(&path, rootkeys::RECAREA) + stride; // pid 1
         let (rd, cp) = (read_at(&path, slot), read_at(&path, slot + 8));
         assert!(rd != 0 && cp >> 63 == 1, "pid 1 published: ({cp:#x}, {rd:#x})");
-        let prior = (read_at(&path, slot + 128), read_at(&path, slot + 136)); // pid 2's
+        let prior = (read_at(&path, slot + stride), read_at(&path, slot + stride + 8)); // pid 2's
         if tear {
             patch(&path, rd + 16, &0xFFFF_FFF8u64.to_le_bytes()); // its affect cell
         }
@@ -280,7 +281,7 @@ fn torn_publication_is_cleared_not_refused() {
         patch(&path, slot + 8, &cp_image(cp).to_le_bytes());
         if let Some(seq) = recorded {
             // Rollback target, then one check: pid 3's zero `RD_q` word.
-            for (k, w) in [prior.0, prior.1, slot + 256, seq].into_iter().enumerate() {
+            for (k, w) in [prior.0, prior.1, slot + 2 * stride, seq].into_iter().enumerate() {
                 patch(&path, slot + 16 + 8 * k as u64, &w.to_le_bytes());
             }
         }
@@ -507,7 +508,7 @@ fn mk_store(path: &PathBuf) -> u64 {
             q.enqueue(0, v);
         }
     }
-    root_offset(path, 0x4341_5441) // rootkeys::CATALOG
+    root_offset(path, rootkeys::CATALOG)
 }
 
 fn store_err(path: &PathBuf) -> AttachError {
@@ -621,7 +622,7 @@ fn catalog_direct_tracked_stack_is_refused_by_name() {
         let s = store.stack(NAME).unwrap();
         (1..=3).for_each(|v| s.push(0, v));
     }
-    let cfg_at = root_offset(&path, 0x4341_5441) + 8; // rootkeys::CATALOG, slot 0, word 1
+    let cfg_at = root_offset(&path, rootkeys::CATALOG) + 8; // slot 0, word 1
     let cfg = read_at(&path, cfg_at);
     assert_eq!(cfg, 0x53 | 3 << 32, "slot 0 is the stack, stamped Isb-LP");
     patch(&path, cfg_at, &0x53u64.to_le_bytes());
@@ -653,7 +654,7 @@ fn catalog_root_inside_another_blocks_payload_fails_typed() {
     let cat = mk_store(&path);
     let root = read_at(&path, cat + 16);
     // The unused back half of recovery slot 10's 128-byte stride.
-    let forged_hdr = root_offset(&path, 0x5245_4341) + 10 * 128 + 64; // rootkeys::RECAREA
+    let forged_hdr = root_offset(&path, rootkeys::RECAREA) + 10 * ARENA_SLOT_STRIDE as u64 + 64;
     assert_eq!(read_at(&path, forged_hdr), 0);
     patch(&path, forged_hdr, &(0xB10C_u64 << 48 | 2 << 40 | 1).to_le_bytes());
     patch(&path, cat + 16, &(forged_hdr + 64).to_le_bytes());
