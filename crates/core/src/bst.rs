@@ -25,10 +25,10 @@
 //! leaves a child pointer only by being retired.
 
 use crate::arm;
-use crate::engine::{help, HelpOutcome, Info, InfoFill, RES_FALSE, RES_TRUE};
+use crate::engine::{Info, InfoFill, RES_FALSE, RES_TRUE};
 use crate::env::Env;
 use crate::graph::{self, Graph};
-use crate::op::tracked_node;
+use crate::op::{tracked_node, Update};
 use crate::optype;
 use crate::pool::Pool;
 use crate::recovery::{
@@ -37,6 +37,7 @@ use crate::recovery::{
 use crate::tag::{self, Base};
 use nvm::mapped::MappedNvm;
 use nvm::{PWord, Persist};
+use reclaim::Guard;
 
 /// Structure-kind tag of an `RBst` entry in a [`crate::store::Store`] catalog.
 pub const KIND_BST: u64 = 4;
@@ -188,38 +189,22 @@ impl<M: Persist, const ARM: u8> RBst<M, ARM> {
     /// Inserts `key`; `false` if present.
     pub fn insert(&self, pid: usize, key: u64) -> bool {
         Self::assert_key(key);
-        // ONE pin covers the whole operation (see set_core::insert).
-        let (env, g, b) = (&self.env, self.env.collector.pin(), self.env.rec.base);
-        env.begin::<ARM>(pid, &g);
-        let mut published: u64 = 0;
+        let (mut u, b) = (Update::<M, ARM>::begin(&self.env, pid), self.env.rec.base);
         loop {
             let s = unsafe { self.search(key) };
-            if tag::is_tagged(s.p_info) {
-                unsafe { help::<M, ARM>(b, b.at(s.p_info), false, &g) };
-                continue;
-            }
-            if tag::is_tagged(s.l_info) {
-                unsafe { help::<M, ARM>(b, b.at(s.l_info), false, &g) };
+            // SAFETY: info words gathered under the operation's pin.
+            if unsafe { u.helped(&[s.p_info, s.l_info]) } {
                 continue;
             }
             let l_key = unsafe { (*s.l).key.load() };
+            let seen = unsafe { (b.word(&(*s.l).info), s.l_info) };
             if l_key == key {
                 // Key already present: nothing to change.
-                if !arm::is_lp(ARM) {
-                    let seen = unsafe { (b.word(&(*s.l).info), s.l_info) };
-                    env.answer_tracked::<ARM>(
-                        pid,
-                        optype::INSERT,
-                        seen,
-                        RES_FALSE,
-                        &mut published,
-                        &g,
-                    );
-                }
+                u.unchanged(optype::INSERT, seen, RES_FALSE);
                 return false;
             }
             // A fresh descriptor per attempt (pointer freshness).
-            let info = env.alloc_info();
+            let info = self.env.alloc_info();
             // Build the replacement subtree: internal(max) / {leaf(k), copy(l)}.
             let t = tag::tagged(b.word(info));
             let new_leaf: *mut Node<M> = self.alloc_node(key, 0, 0, t);
@@ -227,48 +212,38 @@ impl<M: Persist, const ARM: u8> RBst<M, ARM> {
             let (lc, rc, ik) =
                 if key < l_key { (new_leaf, l_copy, l_key) } else { (l_copy, new_leaf, key) };
             let internal: *mut Node<M> = self.alloc_node(ik, b.word(lc), b.word(rc), t);
-            unsafe {
-                Info::fill(
-                    info,
-                    &InfoFill {
-                        optype: optype::INSERT,
-                        affect: &[
-                            (b.word(&(*s.p).info), s.p_info),
-                            (b.word(&(*s.l).info), s.l_info),
-                        ],
-                        write: &[(b.word(s.p_cell), b.word(s.l), b.word(internal))],
-                        newset: &[
-                            b.word(&(*internal).info),
-                            b.word(&(*new_leaf).info),
-                            b.word(&(*l_copy).info),
-                        ],
-                        node_words: Node::<M>::WORDS,
-                        del_mask: 0b10, // l is copy-replaced
-                        presult: RES_TRUE,
-                    },
-                );
-                for new in [internal, new_leaf, l_copy] {
-                    arm::pwb_obj_arm::<M, _, ARM>(&*new);
+            let new = [internal, new_leaf, l_copy];
+            let fill = unsafe {
+                InfoFill {
+                    optype: optype::INSERT,
+                    affect: &[(b.word(&(*s.p).info), s.p_info), seen],
+                    write: &[(b.word(s.p_cell), b.word(s.l), b.word(internal))],
+                    newset: &new.map(|n| b.word(&(*n).info)),
+                    node_words: Node::<M>::WORDS,
+                    del_mask: 0b10, // l is copy-replaced
+                    presult: RES_TRUE,
                 }
-                env.persist_descriptor::<ARM>(info);
+            };
+            // SAFETY: a fresh descriptor over nodes the pin keeps live.
+            if unsafe { u.attempt(info, &fill, false, &new) }.is_ok() {
+                unsafe { self.env.retire(&self.node_pool, s.l, &u.g) };
+                return true;
             }
-            env.publish::<ARM>(pid, info, &mut published, &g);
-            match unsafe { help::<M, ARM>(b, info, true, &g) } {
-                HelpOutcome::Done => {
-                    unsafe { env.retire(&self.node_pool, s.l, &g) };
-                    return true;
-                }
-                HelpOutcome::FailedAt(i) => {
-                    unsafe {
-                        // Unpublished new nodes: straight back to the pool
-                        // (private-failure fast path) + release their refs.
-                        Info::<M>::release(info, 3, &g); // 3 new-node cells
-                        self.node_pool.give(internal, &g);
-                        self.node_pool.give(new_leaf, &g);
-                        self.node_pool.give(l_copy, &g);
-                        Info::<M>::release(info, (2 - i) as u32, &g);
-                    }
-                }
+            self.give_back(info, &new, &u.g);
+        }
+    }
+
+    /// After a failed attempt: the never-published new nodes go straight
+    /// back to the pool (the private-failure fast path), and their cells'
+    /// references on `info` are released.
+    fn give_back(&self, info: *mut Info<M>, new: &[*mut Node<M>], g: &Guard<'_>) {
+        // SAFETY: `info` is the failed attempt's descriptor, still held by
+        // `RD_q`; each node's cell holds one of its references, and no
+        // other thread ever reached the nodes.
+        unsafe {
+            Info::<M>::release(info, new.len() as u32, g);
+            for &n in new {
+                self.node_pool.give(n, g);
             }
         }
     }
@@ -276,37 +251,18 @@ impl<M: Persist, const ARM: u8> RBst<M, ARM> {
     /// Deletes `key`; `false` if absent.
     pub fn delete(&self, pid: usize, key: u64) -> bool {
         Self::assert_key(key);
-        let (env, g, b) = (&self.env, self.env.collector.pin(), self.env.rec.base);
-        env.begin::<ARM>(pid, &g);
-        let mut published: u64 = 0;
+        let (mut u, b) = (Update::<M, ARM>::begin(&self.env, pid), self.env.rec.base);
         loop {
             let s = unsafe { self.search(key) };
-            if tag::is_tagged(s.gp_info) {
-                unsafe { help::<M, ARM>(b, b.at(s.gp_info), false, &g) };
-                continue;
-            }
-            if tag::is_tagged(s.p_info) {
-                unsafe { help::<M, ARM>(b, b.at(s.p_info), false, &g) };
-                continue;
-            }
-            if tag::is_tagged(s.l_info) {
-                unsafe { help::<M, ARM>(b, b.at(s.l_info), false, &g) };
+            // SAFETY: info words gathered under the operation's pin.
+            if unsafe { u.helped(&[s.gp_info, s.p_info, s.l_info]) } {
                 continue;
             }
             let l_key = unsafe { (*s.l).key.load() };
+            let seen = unsafe { (b.word(&(*s.l).info), s.l_info) };
             if l_key != key {
                 // Key not present: nothing to change.
-                if !arm::is_lp(ARM) {
-                    let seen = unsafe { (b.word(&(*s.l).info), s.l_info) };
-                    env.answer_tracked::<ARM>(
-                        pid,
-                        optype::DELETE,
-                        seen,
-                        RES_FALSE,
-                        &mut published,
-                        &g,
-                    );
-                }
+                u.unchanged(optype::DELETE, seen, RES_FALSE);
                 return false;
             }
             // Sibling of l under p (its info gathered after p's, before its children).
@@ -317,54 +273,41 @@ impl<M: Persist, const ARM: u8> RBst<M, ARM> {
                 let si = (*sib).info.load();
                 (sib, si, (*sib).key.load(), (*sib).left.load(), (*sib).right.load())
             };
-            if tag::is_tagged(sib_info) {
-                unsafe { help::<M, ARM>(b, b.at(sib_info), false, &g) };
+            // SAFETY: info words gathered under the operation's pin.
+            if unsafe { u.helped(&[sib_info]) } {
                 continue;
             }
-            let info = env.alloc_info();
+            let info = self.env.alloc_info();
             let t = tag::tagged(b.word(info));
             // Copy of the sibling replaces p (freshness); its children are
             // frozen once sib is successfully tagged.
             let sib_copy: *mut Node<M> = self.alloc_node(sib_key, sib_l, sib_r, t);
-            unsafe {
-                Info::fill(
-                    info,
-                    &InfoFill {
-                        optype: optype::DELETE,
-                        affect: &[
-                            (b.word(&(*s.gp).info), s.gp_info),
-                            (b.word(&(*s.p).info), s.p_info),
-                            (b.word(&(*s.l).info), s.l_info),
-                            (b.word(&(*sib).info), sib_info),
-                        ],
-                        write: &[(b.word(s.gp_cell), b.word(s.p), b.word(sib_copy))],
-                        newset: &[b.word(&(*sib_copy).info)],
-                        node_words: Node::<M>::WORDS,
-                        del_mask: 0b1110, // p, l, sib all leave the tree
-                        presult: RES_TRUE,
-                    },
-                );
-                arm::pwb_obj_arm::<M, _, ARM>(&*sib_copy);
-                env.persist_descriptor::<ARM>(info);
-            }
-            env.publish::<ARM>(pid, info, &mut published, &g);
-            match unsafe { help::<M, ARM>(b, info, true, &g) } {
-                HelpOutcome::Done => {
-                    unsafe {
-                        for gone in [s.p, s.l, sib] {
-                            env.retire(&self.node_pool, gone, &g);
-                        }
-                    }
-                    return true;
+            let fill = unsafe {
+                InfoFill {
+                    optype: optype::DELETE,
+                    affect: &[
+                        (b.word(&(*s.gp).info), s.gp_info),
+                        (b.word(&(*s.p).info), s.p_info),
+                        seen,
+                        (b.word(&(*sib).info), sib_info),
+                    ],
+                    write: &[(b.word(s.gp_cell), b.word(s.p), b.word(sib_copy))],
+                    newset: &[b.word(&(*sib_copy).info)],
+                    node_words: Node::<M>::WORDS,
+                    del_mask: 0b1110, // p, l, sib all leave the tree
+                    presult: RES_TRUE,
                 }
-                HelpOutcome::FailedAt(i) => {
-                    unsafe {
-                        Info::<M>::release(info, 1, &g); // sib_copy's cell
-                        self.node_pool.give(sib_copy, &g);
-                        Info::<M>::release(info, (4 - i) as u32, &g);
+            };
+            // SAFETY: a fresh descriptor over nodes the pin keeps live.
+            if unsafe { u.attempt(info, &fill, false, &[sib_copy]) }.is_ok() {
+                unsafe {
+                    for gone in [s.p, s.l, sib] {
+                        self.env.retire(&self.node_pool, gone, &u.g);
                     }
                 }
+                return true;
             }
+            self.give_back(info, &[sib_copy], &u.g);
         }
     }
 
@@ -372,20 +315,16 @@ impl<M: Persist, const ARM: u8> RBst<M, ARM> {
     /// always restarts it; see `SetCore::find`).
     pub fn find(&self, pid: usize, key: u64) -> bool {
         Self::assert_key(key);
-        let (env, g, b) = (&self.env, self.env.collector.pin(), self.env.rec.base);
-        let mut published = env.begin_find::<ARM>(pid, &g);
+        let (mut u, b) = (Update::<M, ARM>::find(&self.env, pid), self.env.rec.base);
         loop {
             let s = unsafe { self.search(key) };
-            if tag::is_tagged(s.l_info) {
-                unsafe { help::<M, ARM>(b, b.at(s.l_info), false, &g) };
+            // SAFETY: info words gathered under the operation's pin.
+            if unsafe { u.helped(&[s.l_info]) } {
                 continue;
             }
             let res = unsafe { (*s.l).key.load() } == key;
-            if !arm::is_lp(ARM) {
-                let seen = unsafe { (b.word(&(*s.l).info), s.l_info) };
-                let enc = if res { RES_TRUE } else { RES_FALSE };
-                env.answer_tracked::<ARM>(pid, optype::FIND, seen, enc, &mut published, &g);
-            }
+            let seen = unsafe { (b.word(&(*s.l).info), s.l_info) };
+            u.unchanged(optype::FIND, seen, if res { RES_TRUE } else { RES_FALSE });
             return res;
         }
     }

@@ -5,17 +5,20 @@
 //! and its recovery is `Op-Recover` over the published descriptor. A
 //! structure supplies only its gather phase (the [`InfoFill`] it builds) and
 //! its node shape ([`TrackedNode`]); everything around them lives here, as
-//! methods over the structure's [`Env`], each monomorphised per `(M, ARM)` —
-//! `ARM` is the persistency placement, a [`crate::arm`] level. The helping
+//! methods over the structure's [`Env`] and over one operation's context
+//! (`Update`: the helping phase, the read-only answer and the update
+//! attempt), each monomorphised per `(M, ARM)` — `ARM` is the persistency
+//! placement, a [`crate::arm`] level. The helping
 //! procedure itself is [`crate::engine::help`], the per-process recovery
 //! line [`crate::recovery::RecArea`].
 
 use crate::arm;
-use crate::engine::{Info, InfoFill};
+use crate::engine::{help, HelpOutcome, Info, InfoFill, DONE, LINK};
 use crate::env::Env;
 use crate::pool::{Pool, PoolItem};
 use crate::recovery::{op_recover, Recovered};
-use nvm::{PWord, Persist};
+use crate::tag;
+use nvm::{PWord, Persist, PersistWords};
 use reclaim::Guard;
 
 /// A node of a descriptor-tracked structure: a pool item with an info word.
@@ -110,19 +113,6 @@ impl<M: Persist> Env<M> {
         unsafe { Info::<M>::release(self.rec.base.at(prev), 1, g) };
     }
 
-    /// A `find`'s prologue. Returns what `published` starts as: in arms 0/1
-    /// the previous descriptor stays published (and held) until the find's
-    /// own replaces it. Under `Isb-LP` the prologue is no more than
-    /// [`Env::begin`].
-    #[inline]
-    pub fn begin_find<const ARM: u8>(&self, pid: usize, g: &Guard<'_>) -> u64 {
-        if arm::is_lp(ARM) {
-            self.begin::<ARM>(pid, g);
-            return 0;
-        }
-        self.rec.begin_readonly(pid)
-    }
-
     /// Draw a descriptor from the descriptor pool. A fresh one per attempt
     /// (pointer freshness — the pool's epoch delay keeps a failed
     /// descriptor's address out of circulation while it is visible).
@@ -142,7 +132,7 @@ impl<M: Persist> Env<M> {
     /// # Safety
     /// `info` must be a live, filled descriptor.
     #[inline]
-    pub unsafe fn persist_descriptor<const ARM: u8>(&self, info: *mut Info<M>) {
+    pub(crate) unsafe fn persist_descriptor<const ARM: u8>(&self, info: *mut Info<M>) {
         unsafe {
             if arm::is_tuned(ARM) {
                 arm::pwb_obj_arm::<M, _, ARM>(&*info);
@@ -158,7 +148,7 @@ impl<M: Persist> Env<M> {
     /// Publish `info` in `RD_q`, releasing the hold on the descriptor
     /// `published` names (this operation's previous attempt).
     #[inline]
-    pub fn publish<const ARM: u8>(
+    pub(crate) fn publish<const ARM: u8>(
         &self,
         pid: usize,
         info: *mut Info<M>,
@@ -174,45 +164,6 @@ impl<M: Persist> Env<M> {
             unsafe { Info::<M>::release(b.at(*published), 1, g) };
         }
         *published = word;
-    }
-
-    /// Arms 0/1, an outcome that changes nothing: the ROpt read-only path
-    /// (Algorithm 2, lines 73–77). The descriptor, marked done, is persisted
-    /// with its response by one barrier and published, and `Help` is never
-    /// called, so the single affect slot
-    /// `seen = (info cell, value read)` is never installed. (Below `Isb-LP`
-    /// `publish` is the plain `RD_q` publish, which is also what a `find` —
-    /// `CP_q` left at 0 — needs.)
-    #[inline]
-    pub fn answer_tracked<const ARM: u8>(
-        &self,
-        pid: usize,
-        optype: u8,
-        seen: (u64, u64),
-        response: u64,
-        published: &mut u64,
-        g: &Guard<'_>,
-    ) {
-        debug_assert!(!arm::is_lp(ARM), "Isb-LP answers without a descriptor");
-        let info = self.alloc_info();
-        unsafe {
-            Info::fill(
-                info,
-                &InfoFill {
-                    optype,
-                    affect: &[seen],
-                    write: &[],
-                    newset: &[],
-                    node_words: 0,
-                    del_mask: 0,
-                    presult: response,
-                },
-            );
-            (*info).mark(crate::engine::DONE);
-            self.persist_descriptor::<ARM>(info);
-        }
-        self.publish::<ARM>(pid, info, published, g);
-        unsafe { Info::release(info, 1, g) }; // the never-installed affect slot
     }
 
     /// Retire a node that left the structure, releasing its info reference.
@@ -271,6 +222,166 @@ impl<M: Persist> Env<M> {
             // durably names another descriptor now (the publish that moved
             // it synced): the reference it held on `prior` is released once.
             unsafe { Info::<M>::release(self.rec.base.at(prior), 1, &self.collector.pin()) };
+        }
+    }
+}
+
+/// One tracked operation in flight: the context every update, and every
+/// read of a set kind, runs its attempts in. Built by the prologue — the
+/// pin that covers the whole operation (the previous descriptor's release,
+/// every attempt and every retirement; interior `help` calls re-pin through
+/// the collector's nested fast path), [`Env::begin`] or a find's read-only
+/// glue, and the `published` word. A structure keeps its gather, its
+/// descriptor's sets and the work around an attempt's outcome; the steps in
+/// between are these methods, the same for every kind:
+///
+/// * [`Update::helped`] — the helping phase: complete the first tagged
+///   gathered descriptor, then gather again;
+/// * [`Update::unchanged`] — an outcome that changes nothing (arms 0/1:
+///   the ROpt read-only answer);
+/// * [`Update::attempt`] — fill → write back the new nodes → persist the
+///   descriptor → publish → `Help`, and on failure the release of the
+///   affect references that were never installed (DESIGN.md §5).
+pub(crate) struct Update<'a, M: Persist, const ARM: u8> {
+    env: &'a Env<M>,
+    pid: usize,
+    /// The descriptor `RD_q` holds for this operation (0: none), released
+    /// when a later attempt replaces it.
+    published: u64,
+    /// The operation's one pin.
+    pub(crate) g: Guard<'a>,
+}
+
+impl<'a, M: Persist, const ARM: u8> Update<'a, M, ARM> {
+    /// An update's prologue ([`Env::begin`]).
+    #[inline(always)]
+    pub(crate) fn begin(env: &'a Env<M>, pid: usize) -> Self {
+        let g = env.collector.pin();
+        env.begin::<ARM>(pid, &g);
+        Self { env, pid, published: 0, g }
+    }
+
+    /// A `find`'s prologue. In arms 0/1 the previous descriptor stays
+    /// published (and held) until the find's own answer replaces it. Under
+    /// `Isb-LP` the prologue is no more than [`Update::begin`].
+    #[inline(always)]
+    pub(crate) fn find(env: &'a Env<M>, pid: usize) -> Self {
+        if arm::is_lp(ARM) {
+            return Self::begin(env, pid);
+        }
+        let g = env.collector.pin();
+        Self { env, pid, published: env.rec.begin_readonly(pid), g }
+    }
+
+    /// The helping phase: `Help` the descriptor of the first tagged word of
+    /// `infos`, in gather order, and return `true` — the caller gathers
+    /// again; `false` when none is tagged.
+    ///
+    /// # Safety
+    /// Each word was read under this operation's pin from a live info cell
+    /// of the structure.
+    #[inline(always)]
+    pub(crate) unsafe fn helped(&self, infos: &[u64]) -> bool {
+        let b = self.env.rec.base;
+        match infos.iter().find(|&&x| tag::is_tagged(x)) {
+            Some(&x) => {
+                // SAFETY: a tagged info word names a live descriptor whose
+                // cells this pin keeps live (the caller's contract).
+                unsafe { help::<M, ARM>(b, b.at(x), false, &self.g) };
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// An outcome that changes nothing, answered `response`. Arms 0/1 take
+    /// the ROpt read-only path (Algorithm 2, lines 73–77): a descriptor,
+    /// marked done, is persisted with its response by one barrier and
+    /// published, and `Help` is never called, so its single affect slot
+    /// `seen = (info cell, value read)` is never installed. (Below `Isb-LP`
+    /// the publish is the plain `RD_q` publish, which is also what a `find`
+    /// — `CP_q` left at 0 — needs.) `Isb-LP` answers without a descriptor:
+    /// the recovery line stays as the invocation glue left it, which
+    /// recovery maps to a restart (DESIGN.md §12).
+    #[inline(always)]
+    pub(crate) fn unchanged(&mut self, optype: u8, seen: (u64, u64), response: u64) {
+        if arm::is_lp(ARM) {
+            return;
+        }
+        let env = self.env;
+        let info = env.alloc_info();
+        // SAFETY: a fresh descriptor from the pool, private to this thread.
+        unsafe {
+            Info::fill(
+                info,
+                &InfoFill {
+                    optype,
+                    affect: &[seen],
+                    write: &[],
+                    newset: &[],
+                    node_words: 0,
+                    del_mask: 0,
+                    presult: response,
+                },
+            );
+            (*info).mark(DONE);
+            env.persist_descriptor::<ARM>(info);
+        }
+        env.publish::<ARM>(self.pid, info, &mut self.published, &self.g);
+        // SAFETY: `RD_q` holds its own reference; this one is the affect
+        // slot `Help` never installs.
+        unsafe { Info::release(info, 1, &self.g) };
+    }
+
+    /// One attempt of the update: fill `info` from `fill` — its `LINK` bit
+    /// set under `Isb-LP` when `link` (the write links the new node of
+    /// new-set entry 0 and decides the operation, DESIGN.md §4) — write back
+    /// each of the `new` nodes, persist the descriptor, publish it and run
+    /// `Help` as its invoker. `Ok` once the operation took effect (`DONE`
+    /// durable, cleanup run). `Err(i)` when tagging failed at affect
+    /// position `i`: the `na − i` references of the positions never
+    /// installed are released here; the new nodes' cells keep theirs (the
+    /// caller re-tags the nodes for its next attempt or gives them back),
+    /// and `RD_q` keeps its own until the next publish or prologue.
+    ///
+    /// # Safety
+    /// `info` is a fresh descriptor ([`Env::alloc_info`]) no other thread
+    /// can reach, the sets of `fill` name cells of nodes live under this
+    /// operation's pin, and `new` are those of the new-set entries, drawn by
+    /// the caller and reachable by nobody else before the publication.
+    #[inline(always)]
+    pub(crate) unsafe fn attempt<N: PersistWords<M>>(
+        &mut self,
+        info: *mut Info<M>,
+        fill: &InfoFill<'_>,
+        link: bool,
+        new: &[*mut N],
+    ) -> Result<(), usize> {
+        let env = self.env;
+        // SAFETY: `info` is fresh and private, the new nodes drawn and
+        // unpublished (the caller's contract).
+        unsafe {
+            Info::fill(info, fill);
+            if link && arm::is_lp(ARM) {
+                (*info).mark(LINK);
+            }
+            for &n in new {
+                arm::pwb_obj_arm::<M, _, ARM>(&*n);
+            }
+            env.persist_descriptor::<ARM>(info);
+        }
+        env.publish::<ARM>(self.pid, info, &mut self.published, &self.g);
+        // SAFETY: the filled, published descriptor; this pin covers every
+        // node its sets name.
+        match unsafe { help::<M, ARM>(env.rec.base, info, true, &self.g) } {
+            HelpOutcome::Done => Ok(()),
+            HelpOutcome::FailedAt(i) => {
+                // SAFETY: installs = 1 (RD_q) + na + nn, and positions < i
+                // hold the backtracked (untagged) descriptor, a reference
+                // each: the na − i others were never installed.
+                unsafe { Info::release(info, (fill.affect.len() - i) as u32, &self.g) };
+                Err(i)
+            }
         }
     }
 }

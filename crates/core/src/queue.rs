@@ -38,12 +38,10 @@
 //! CASes fail silently (same argument as the list).
 
 use crate::arm;
-use crate::engine::{
-    help, res_val, val_of, HelpOutcome, Info, InfoFill, LINK, RES_EMPTY, RES_UNIT, RES_VAL_BASE,
-};
+use crate::engine::{res_val, val_of, Info, InfoFill, RES_EMPTY, RES_UNIT, RES_VAL_BASE};
 use crate::env::Env;
 use crate::graph::{self, Graph};
-use crate::op::tracked_node;
+use crate::op::{tracked_node, Update};
 use crate::optype;
 use crate::pool::Pool;
 use crate::recovery::{
@@ -195,142 +193,101 @@ impl<M: Persist, const ARM: u8> RQueue<M, ARM> {
     /// Enqueues `v` (always succeeds).
     pub fn enqueue(&self, pid: usize, v: u64) {
         assert!(v < u64::MAX - RES_VAL_BASE, "value too large for result encoding");
-        // ONE pin covers the whole operation (see set_core::insert).
-        let (env, g, b) = (&self.env, self.env.collector.pin(), self.env.rec.base);
-        env.begin::<ARM>(pid, &g);
+        let (mut u, b) = (Update::<M, ARM>::begin(&self.env, pid), self.env.rec.base);
         let newnd = self.alloc_node(v, 0, 0);
         let mut filled: u64 = 0;
-        let mut published: u64 = 0;
         loop {
             let (last, last_info, walk_start) = unsafe { self.find_last() };
-            if tag::is_tagged(last_info) {
-                unsafe { help::<M, ARM>(b, b.at(last_info), false, &g) };
+            // SAFETY: info words gathered under the operation's pin.
+            if unsafe { u.helped(&[last_info]) } {
                 continue;
             }
             // A fresh descriptor per attempt (pointer freshness).
-            let info = env.alloc_info();
-            unsafe {
+            let info = self.env.alloc_info();
+            // SAFETY: the gathered nodes are live under the pin, the new ones
+            // drawn and unpublished, the descriptor fresh.
+            let done = unsafe {
                 let t = tag::tagged(b.word(info));
                 if filled != t {
                     if filled != 0 {
-                        Info::<M>::release(b.at(filled), 1, &g);
+                        Info::<M>::release(b.at(filled), 1, &u.g);
                     }
                     (*newnd).info.store(t);
                     filled = t;
                 }
-                Info::fill(
-                    info,
-                    &InfoFill {
-                        optype: optype::ENQ,
-                        affect: &[(b.word(&(*last).info), last_info)],
-                        write: &[(b.word(&(*last).next), 0, b.word(newnd))],
-                        newset: &[b.word(&(*newnd).info)],
-                        node_words: Node::<M>::WORDS,
-                        del_mask: 0,
-                        presult: RES_UNIT,
-                    },
-                );
-                if arm::is_lp(ARM) {
-                    (*info).mark(LINK); // the link decides the enqueue (DESIGN.md §4)
+                let fill = InfoFill {
+                    optype: optype::ENQ,
+                    affect: &[(b.word(&(*last).info), last_info)],
+                    write: &[(b.word(&(*last).next), 0, b.word(newnd))],
+                    newset: &[b.word(&(*newnd).info)],
+                    node_words: Node::<M>::WORDS,
+                    del_mask: 0,
+                    presult: RES_UNIT,
+                };
+                // The link decides the enqueue under `Isb-LP` (DESIGN.md §4).
+                u.attempt(info, &fill, true, &[newnd])
+            };
+            if done.is_ok() {
+                // Swing the tail hint; newnd's linkage is durable by now.
+                // Using the walk's starting value also heals a hint left
+                // stale by a crash image (never moves the hint backward:
+                // success implies the hint still equals walk_start, and
+                // newnd is strictly ahead of it).
+                if self.head.tail.cas(walk_start, b.word(newnd)) != walk_start {
+                    let _ = self.head.tail.cas(b.word(last), b.word(newnd));
                 }
-                arm::pwb_obj_arm::<M, _, ARM>(&*newnd);
-                env.persist_descriptor::<ARM>(info);
-            }
-            env.publish::<ARM>(pid, info, &mut published, &g);
-            match unsafe { help::<M, ARM>(b, info, true, &g) } {
-                HelpOutcome::Done => {
-                    // Swing the tail hint; newnd's linkage is durable by now.
-                    // Using the walk's starting value also heals a hint left
-                    // stale by a crash image (never moves the hint backward:
-                    // success implies the hint still equals walk_start, and
-                    // newnd is strictly ahead of it).
-                    if self.head.tail.cas(walk_start, b.word(newnd)) != walk_start {
-                        let _ = self.head.tail.cas(b.word(last), b.word(newnd));
-                    }
-                    // Arms 0–2 write the hint back, unfenced, as the frozen
-                    // reproductions always did. LP does not: nothing that
-                    // recovers reads the durable hint — it may lag by
-                    // construction, the dequeue-side swing was never written
-                    // back, and `heal_tail` (attach) and `find_last`'s chase
-                    // (run time) re-derive the end from `Head` and the
-                    // durable `next` links (DESIGN.md §6, §12).
-                    if !arm::is_lp(ARM) {
-                        M::pwb(&self.head.tail);
-                    }
-                    return;
+                // Arms 0/1 write the hint back, unfenced, as the frozen
+                // reproductions always did. LP does not: nothing that
+                // recovers reads the durable hint — it may lag by
+                // construction, the dequeue-side swing was never written
+                // back, and `heal_tail` (attach) and `find_last`'s chase
+                // (run time) re-derive the end from `Head` and the
+                // durable `next` links (DESIGN.md §6, §12).
+                if !arm::is_lp(ARM) {
+                    M::pwb(&self.head.tail);
                 }
-                HelpOutcome::FailedAt(i) => {
-                    unsafe { Info::<M>::release(info, (1 - i) as u32, &g) };
-                }
+                return;
             }
         }
     }
 
     /// Dequeues; `None` iff the queue was observed empty.
     pub fn dequeue(&self, pid: usize) -> Option<u64> {
-        let (env, g, b) = (&self.env, self.env.collector.pin(), self.env.rec.base);
-        env.begin::<ARM>(pid, &g);
-        let mut published: u64 = 0;
+        let (mut u, b) = (Update::<M, ARM>::begin(&self.env, pid), self.env.rec.base);
         loop {
             // Gather order: anchor info, sentinel, its next, its info (DESIGN.md §6).
             let h_info = self.head.info.load();
             let s = b.at::<Node<M>>(self.head.ptr.load());
             let f = unsafe { (*s).next.load() };
             let s_info = unsafe { (*s).info.load() };
-            if tag::is_tagged(h_info) {
-                unsafe { help::<M, ARM>(b, b.at(h_info), false, &g) };
+            // SAFETY: info words gathered under the operation's pin.
+            if unsafe { u.helped(&[h_info, s_info]) } {
                 continue;
             }
-            if tag::is_tagged(s_info) {
-                unsafe { help::<M, ARM>(b, b.at(s_info), false, &g) };
-                continue;
-            }
+            let seen = (b.word(&self.head.info), h_info);
             if f == 0 {
                 // Empty (linearized at the `s.next` read): nothing to change.
-                // Arms 0/1 take the ROpt read-only path; `Isb-LP` answers
-                // without a descriptor (see `set_core`).
-                if !arm::is_lp(ARM) {
-                    let seen = (b.word(&self.head.info), h_info);
-                    env.answer_tracked::<ARM>(
-                        pid,
-                        optype::DEQ,
-                        seen,
-                        RES_EMPTY,
-                        &mut published,
-                        &g,
-                    );
-                }
+                u.unchanged(optype::DEQ, seen, RES_EMPTY);
                 return None;
             }
             // A fresh descriptor per attempt (pointer freshness).
-            let info = env.alloc_info();
+            let info = self.env.alloc_info();
             let fval = unsafe { (*b.at::<Node<M>>(f)).val.load() };
-            unsafe {
-                Info::fill(
-                    info,
-                    &InfoFill {
-                        optype: optype::DEQ,
-                        affect: &[(b.word(&self.head.info), h_info)],
-                        write: &[(b.word(&self.head.ptr), b.word(s), f)],
-                        newset: &[],
-                        node_words: 0,
-                        del_mask: 0,
-                        presult: res_val(fval),
-                    },
-                );
-                env.persist_descriptor::<ARM>(info);
-            }
-            env.publish::<ARM>(pid, info, &mut published, &g);
-            match unsafe { help::<M, ARM>(b, info, true, &g) } {
-                HelpOutcome::Done => {
-                    // Never leave the tail hint pointing at the retired sentinel.
-                    let _ = self.head.tail.cas(b.word(s), f);
-                    unsafe { env.retire(&self.node_pool, s, &g) };
-                    return Some(fval);
-                }
-                HelpOutcome::FailedAt(i) => {
-                    unsafe { Info::<M>::release(info, (1 - i) as u32, &g) };
-                }
+            let fill = InfoFill {
+                optype: optype::DEQ,
+                affect: &[seen],
+                write: &[(b.word(&self.head.ptr), b.word(s), f)],
+                newset: &[],
+                node_words: 0,
+                del_mask: 0,
+                presult: res_val(fval),
+            };
+            // SAFETY: a fresh descriptor over nodes the pin keeps live.
+            if unsafe { u.attempt::<Node<M>>(info, &fill, false, &[]) }.is_ok() {
+                // Never leave the tail hint pointing at the retired sentinel.
+                let _ = self.head.tail.cas(b.word(s), f);
+                unsafe { self.env.retire(&self.node_pool, s, &u.g) };
+                return Some(fval);
             }
         }
     }

@@ -415,8 +415,8 @@ impl<M: Persist> RecArea<M> {
     ///
     /// `CP_q` is the digest of the publication ([`Info::digest`]), stored
     /// before `RD_q` in the line, after the prologue's record: the
-    /// descriptor's and its new nodes' lines, noted by
-    /// [`crate::env::Env::persist_descriptor`] with no fence — and a
+    /// descriptor's and its new nodes' lines, noted by an update attempt
+    /// (`op::Update::attempt`) with no fence — and a
     /// recorded invocation's record lines, noted by its caller — are
     /// written back in this `psync`'s window together with the line, and
     /// recovery trusts `RD_q` only when `CP_q` validates what it names and

@@ -6,8 +6,9 @@
 //! module is the set algorithm's search and gather phases as [`SetCore`], a
 //! borrowed view `(head node, environment, node pool)`; the skeleton around
 //! them — prologue, publish, help, answer, recover — is [`crate::op`], run
-//! over the structure's [`Env`]. A bucket is built once, by `buckets`, and
-//! walked once, by [`walk_bucket`]. [`crate::hashmap::RHashMap`] routes keys
+//! over the structure's [`Env`] and one operation's context (`op::Update`).
+//! A bucket is built once, by `buckets`, and walked once, by
+//! [`walk_bucket`]. [`crate::hashmap::RHashMap`] routes keys
 //! to a power-of-two array of bucket heads sharing **one** recovery area
 //! (one pending operation per process, per the paper's model) and one
 //! collector; [`crate::list::RList`] is its one-shard instance, and
@@ -30,7 +31,7 @@
 //!
 //! Outcomes that change nothing (`Find`, `Insert` of a present key, `Delete`
 //! of an absent key) never call `Help`. In arms 0/1 they take the paper's
-//! ROpt fast path ([`Env::answer_tracked`]): a single-element AffectSet and
+//! ROpt fast path (`op::Update::unchanged`): a single-element AffectSet and
 //! the response computed from immutable fields *before* the descriptor is
 //! persisted and published. Under
 //! `Isb-LP` they take no descriptor at all and return with the
@@ -52,11 +53,9 @@
 //! unchanged.
 
 use crate::arm;
-use crate::engine::{
-    help, res_val, HelpOutcome, Info, InfoFill, LINK, RES_EMPTY, RES_FALSE, RES_TRUE, RES_UNIT,
-};
+use crate::engine::{res_val, Info, InfoFill, RES_EMPTY, RES_FALSE, RES_TRUE, RES_UNIT};
 use crate::env::Env;
-use crate::op::tracked_node;
+use crate::op::{tracked_node, Update};
 use crate::optype;
 use crate::pool::Pool;
 use crate::recovery::install_roots;
@@ -260,36 +259,24 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
             At::Key(_) => (optype::INSERT, RES_TRUE),
             At::Front => (optype::PUSH, RES_UNIT),
         };
-        // ONE pin covers the whole operation: the previous descriptor's
-        // release, every attempt, and all retirements (interior help calls
-        // re-pin through the collector's nested fast path).
-        let (env, g, b) = (self.env, self.env.collector.pin(), self.env.rec.base);
-        env.begin::<ARM>(pid, &g);
+        let (mut u, b) = (Update::<M, ARM>::begin(self.env, pid), self.env.rec.base);
         // newnd → newcurr, drawn by the first attempt that has something to
         // insert; newcurr is refreshed per attempt as a copy of curr.
         let mut newcurr: *mut Node<M> = std::ptr::null_mut();
         let mut newnd: *mut Node<M> = std::ptr::null_mut();
         let mut filled: u64 = 0; // tagged-info value currently in the new nodes' cells
-        let mut published: u64 = 0;
         loop {
             let s = unsafe { self.search(at) };
-            // Helping phase.
-            if tag::is_tagged(s.pred_info) {
-                unsafe { help::<M, ARM>(b, b.at(s.pred_info), false, &g) };
-                continue;
-            }
-            if tag::is_tagged(s.curr_info) {
-                unsafe { help::<M, ARM>(b, b.at(s.curr_info), false, &g) };
+            // SAFETY: info words gathered under the operation's pin.
+            if unsafe { u.helped(&[s.pred_info, s.curr_info]) } {
                 continue;
             }
             let curr_key = unsafe { (*s.curr).key.load() };
+            let seen = unsafe { (b.word(&(*s.curr).info), s.curr_info) };
             if at == At::Key(curr_key) {
                 // Key already present: nothing to change.
-                if !arm::is_lp(ARM) {
-                    let seen = unsafe { (b.word(&(*s.curr).info), s.curr_info) };
-                    env.answer_tracked::<ARM>(pid, op, seen, RES_FALSE, &mut published, &g);
-                }
-                unsafe { self.drop_pending(newnd, newcurr, filled, &g) };
+                u.unchanged(op, seen, RES_FALSE);
+                unsafe { self.drop_pending(newnd, newcurr, filled, &u.g) };
                 return false;
             }
             if newnd.is_null() {
@@ -299,35 +286,22 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
             // A fresh descriptor per attempt (pointer freshness — the pool's
             // epoch delay keeps a failed descriptor's address out of
             // circulation while it is still visible).
-            let info = env.alloc_info();
+            let info = self.env.alloc_info();
             // Update path: refresh the copy of curr and the new nodes' tags.
-            unsafe {
+            // SAFETY: the gathered nodes are live under the pin, the new ones
+            // drawn and unpublished, the descriptor fresh.
+            let done = unsafe {
                 (*newcurr).key.store(curr_key);
                 (*newcurr).next.store((*s.curr).next.load());
                 let t = tag::tagged(b.word(info));
                 if filled != t {
                     if filled != 0 {
-                        Info::<M>::release(b.at(filled), 2, &g);
+                        Info::<M>::release(b.at(filled), 2, &u.g);
                     }
                     (*newnd).info.store(t);
                     (*newcurr).info.store(t);
                     filled = t;
                 }
-                Info::fill(
-                    info,
-                    &InfoFill {
-                        optype: op,
-                        affect: &[
-                            (b.word(&(*s.pred).info), s.pred_info),
-                            (b.word(&(*s.curr).info), s.curr_info),
-                        ],
-                        write: &[(b.word(&(*s.pred).next), b.word(s.curr), b.word(newnd))],
-                        newset: &[b.word(&(*newnd).info), b.word(&(*newcurr).info)],
-                        node_words: Node::<M>::WORDS,
-                        del_mask: 0b10, // curr is deletion-tagged (copy-replaced)
-                        presult,
-                    },
-                );
                 if arm::is_lp(ARM) {
                     // The link decides the insert (DESIGN.md §4). `curr` may
                     // be the node an earlier insert linked, its cleanup
@@ -335,23 +309,22 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
                     // durable before this insert's link can be, so an image
                     // that keeps the link and loses `curr`'s deletion tag
                     // does not show the earlier insert undecided.
-                    (*info).mark(LINK);
                     arm::pwb_arm::<M, ARM>(&(*s.curr).info);
                 }
-                arm::pwb_obj_arm::<M, _, ARM>(&*newnd);
-                arm::pwb_obj_arm::<M, _, ARM>(&*newcurr);
-                env.persist_descriptor::<ARM>(info);
-            }
-            env.publish::<ARM>(pid, info, &mut published, &g);
-            match unsafe { help::<M, ARM>(b, info, true, &g) } {
-                HelpOutcome::Done => {
-                    unsafe { env.retire(self.nodes, s.curr, &g) };
-                    return true;
-                }
-                HelpOutcome::FailedAt(i) => {
-                    // Abandon: release never-installed affect slots.
-                    unsafe { Info::release(info, (2 - i) as u32, &g) };
-                }
+                let fill = InfoFill {
+                    optype: op,
+                    affect: &[(b.word(&(*s.pred).info), s.pred_info), seen],
+                    write: &[(b.word(&(*s.pred).next), b.word(s.curr), b.word(newnd))],
+                    newset: &[b.word(&(*newnd).info), b.word(&(*newcurr).info)],
+                    node_words: Node::<M>::WORDS,
+                    del_mask: 0b10, // curr is deletion-tagged (copy-replaced)
+                    presult,
+                };
+                u.attempt(info, &fill, true, &[newnd, newcurr])
+            };
+            if done.is_ok() {
+                unsafe { self.env.retire(self.nodes, s.curr, &u.g) };
+                return true;
             }
         }
     }
@@ -372,63 +345,42 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
     /// when `curr` is not `at`'s (a missing key, the `+∞` sentinel).
     #[inline(always)]
     fn unlink(&self, pid: usize, at: At) -> Option<u64> {
-        let (env, g, b) = (self.env, self.env.collector.pin(), self.env.rec.base);
-        env.begin::<ARM>(pid, &g);
-        let mut published: u64 = 0;
+        let (mut u, b) = (Update::<M, ARM>::begin(self.env, pid), self.env.rec.base);
         loop {
             let s = unsafe { self.search(at) };
-            if tag::is_tagged(s.pred_info) {
-                unsafe { help::<M, ARM>(b, b.at(s.pred_info), false, &g) };
-                continue;
-            }
-            if tag::is_tagged(s.curr_info) {
-                unsafe { help::<M, ARM>(b, b.at(s.curr_info), false, &g) };
+            // SAFETY: info words gathered under the operation's pin.
+            if unsafe { u.helped(&[s.pred_info, s.curr_info]) } {
                 continue;
             }
             let curr_key = unsafe { (*s.curr).key.load() };
+            let seen = unsafe { (b.word(&(*s.curr).info), s.curr_info) };
             let (op, found) = match at {
                 At::Key(key) => (optype::DELETE, curr_key == key),
                 At::Front => (optype::POP, curr_key != KEY_MAX),
             };
             if !found {
                 // Key not present: nothing to change.
-                if !arm::is_lp(ARM) {
-                    let seen = unsafe { (b.word(&(*s.curr).info), s.curr_info) };
-                    let response = if at == At::Front { RES_EMPTY } else { RES_FALSE };
-                    env.answer_tracked::<ARM>(pid, op, seen, response, &mut published, &g);
-                }
+                u.unchanged(op, seen, if at == At::Front { RES_EMPTY } else { RES_FALSE });
                 return None;
             }
-            let info = env.alloc_info();
+            let info = self.env.alloc_info();
             // succ read after the helping phase; stable once both tags hold.
             let succ = unsafe { (*s.curr).next.load() };
-            unsafe {
-                Info::fill(
-                    info,
-                    &InfoFill {
-                        optype: op,
-                        affect: &[
-                            (b.word(&(*s.pred).info), s.pred_info),
-                            (b.word(&(*s.curr).info), s.curr_info),
-                        ],
-                        write: &[(b.word(&(*s.pred).next), b.word(s.curr), succ)],
-                        newset: &[],
-                        node_words: 0,
-                        del_mask: 0b10, // curr stays deletion-tagged forever
-                        presult: if at == At::Front { res_val(curr_key) } else { RES_TRUE },
-                    },
-                );
-                env.persist_descriptor::<ARM>(info);
-            }
-            env.publish::<ARM>(pid, info, &mut published, &g);
-            match unsafe { help::<M, ARM>(b, info, true, &g) } {
-                HelpOutcome::Done => {
-                    unsafe { env.retire(self.nodes, s.curr, &g) };
-                    return Some(curr_key);
+            let fill = unsafe {
+                InfoFill {
+                    optype: op,
+                    affect: &[(b.word(&(*s.pred).info), s.pred_info), seen],
+                    write: &[(b.word(&(*s.pred).next), b.word(s.curr), succ)],
+                    newset: &[],
+                    node_words: 0,
+                    del_mask: 0b10, // curr stays deletion-tagged forever
+                    presult: if at == At::Front { res_val(curr_key) } else { RES_TRUE },
                 }
-                HelpOutcome::FailedAt(i) => {
-                    unsafe { Info::release(info, (2 - i) as u32, &g) };
-                }
+            };
+            // SAFETY: a fresh descriptor over nodes the pin keeps live.
+            if unsafe { u.attempt::<Node<M>>(info, &fill, false, &[]) }.is_ok() {
+                unsafe { self.env.retire(self.nodes, s.curr, &u.g) };
+                return Some(curr_key);
             }
         }
     }
@@ -439,20 +391,16 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
     /// persists and publishes its response; nothing reads it.)
     pub fn find(&self, pid: usize, key: u64) -> bool {
         Self::assert_key(key);
-        let (env, g, b) = (self.env, self.env.collector.pin(), self.env.rec.base);
-        let mut published = env.begin_find::<ARM>(pid, &g);
+        let (mut u, b) = (Update::<M, ARM>::find(self.env, pid), self.env.rec.base);
         loop {
             let s = unsafe { self.search(At::Key(key)) };
-            if tag::is_tagged(s.curr_info) {
-                unsafe { help::<M, ARM>(b, b.at(s.curr_info), false, &g) };
+            // SAFETY: info words gathered under the operation's pin.
+            if unsafe { u.helped(&[s.curr_info]) } {
                 continue;
             }
             let res = unsafe { (*s.curr).key.load() } == key;
-            if !arm::is_lp(ARM) {
-                let seen = unsafe { (b.word(&(*s.curr).info), s.curr_info) };
-                let enc = if res { RES_TRUE } else { RES_FALSE };
-                env.answer_tracked::<ARM>(pid, optype::FIND, seen, enc, &mut published, &g);
-            }
+            let seen = unsafe { (b.word(&(*s.curr).info), s.curr_info) };
+            u.unchanged(optype::FIND, seen, if res { RES_TRUE } else { RES_FALSE });
             return res;
         }
     }

@@ -11,38 +11,13 @@ use isb::arm::LP;
 use isb::engine::{RES_TRUE, RES_UNIT};
 use isb::recovery::{rootkeys, AttachError, ARENA_SLOT_STRIDE};
 use isb::store::Store;
+use isb_tests::heap_file::{
+    attach, patch, read_at, read_word, root_offset, sole, tmp, HEAP_BYTES, NAME, SHARDS,
+};
 use nvm::mapped::MappedHeap;
 use nvm::MapError;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
-
-const SHARDS: usize = 4;
-const HEAP_BYTES: usize = 2 * 1024 * 1024;
-/// Catalog name of the one structure most images hold.
-const NAME: &str = "s";
-
-fn tmp(name: &str) -> PathBuf {
-    let p = std::env::temp_dir().join(format!(
-        "isb_corrupt_{}_{}_{name}.heap",
-        std::process::id(),
-        std::time::SystemTime::now().duration_since(std::time::UNIX_EPOCH).unwrap().subsec_nanos()
-    ));
-    let _ = std::fs::remove_file(&p);
-    p
-}
-
-/// Opens the store at `path`, takes one handle and closes the store again:
-/// the returned structure is the handle's last owner (so `&mut` quiescent
-/// checks run on it), and dropping it detaches the heap.
-fn sole<T>(
-    path: &PathBuf,
-    get: impl FnOnce(&Store) -> Result<Arc<T>, AttachError>,
-) -> Result<T, AttachError> {
-    let store = Store::open_sized(path, HEAP_BYTES)?;
-    let handle = get(&store)?;
-    drop(store);
-    Ok(Arc::into_inner(handle).expect("the store's last handle"))
-}
 
 /// Builds a store heap at `path` holding one populated map and detaches
 /// cleanly.
@@ -56,45 +31,10 @@ fn mk_map(path: &PathBuf) {
     }
 }
 
-/// Overwrites `bytes` at `offset` in the heap file.
-fn patch(path: &PathBuf, offset: u64, bytes: &[u8]) {
-    use std::io::{Seek, SeekFrom, Write};
-    let mut f = std::fs::OpenOptions::new().write(true).open(path).unwrap();
-    f.seek(SeekFrom::Start(offset)).unwrap();
-    f.write_all(bytes).unwrap();
-}
-
-fn read_at(path: &PathBuf, offset: u64) -> u64 {
-    use std::io::{Read, Seek, SeekFrom};
-    let mut f = std::fs::File::open(path).unwrap();
-    f.seek(SeekFrom::Start(offset)).unwrap();
-    let mut b = [0u8; 8];
-    f.read_exact(&mut b).unwrap();
-    u64::from_le_bytes(b)
-}
-
-fn read_word(path: &PathBuf, word: u64) -> u64 {
-    read_at(path, word * 8)
-}
-
-/// Root-directory scan (superblock words 16..): payload offset for `key`.
-fn root_offset(path: &PathBuf, key: u64) -> u64 {
-    for s in 0..16u64 {
-        if read_word(path, 16 + 2 * s) == key {
-            return read_word(path, 16 + 2 * s + 1);
-        }
-    }
-    panic!("root key {key:#x} not registered");
-}
-
 /// File offset of the root block of catalog slot 0's structure (entry word
 /// 2, a heap offset, is one: the mapping starts at file offset 0).
 fn entry_root(path: &PathBuf) -> u64 {
     read_at(path, root_offset(path, rootkeys::CATALOG) + 16)
-}
-
-fn attach(path: &PathBuf) -> Result<(), AttachError> {
-    sole(path, |s| s.hashmap::<LP>(NAME, SHARDS)).map(drop)
 }
 
 /// Unwraps the heap-level error inside an `AttachError`.
@@ -829,152 +769,6 @@ fn relocated_store_keeps_every_structure_kind_working() {
     );
     let _ = std::fs::remove_file(&path);
     let _ = std::fs::remove_file(&squat_path);
-}
-
-// ---------------------------------------------------------------------------
-// Segment-directory corruption (multi-segment growth)
-// ---------------------------------------------------------------------------
-
-// Superblock geometry of the v3 format (see nvm::mapped module docs):
-// word 10 = extra-segment count (the growth valid flag), words 48..80 = the
-// per-segment byte lengths.
-const W_SEG_COUNT: u64 = 10;
-const W_SEG0: u64 = 48;
-
-/// Builds a heap at `path` that grew past its minimal initial segment and
-/// detaches cleanly. Returns the recorded total byte length.
-fn mk_grown(path: &PathBuf) -> u64 {
-    let heap = MappedHeap::create(path, nvm::mapped::MIN_HEAP_BYTES).unwrap();
-    for i in 0..2048u64 {
-        let p = heap.alloc(120).unwrap();
-        unsafe { (p as *mut u64).write(i) };
-        heap.commit(p);
-    }
-    assert!(heap.segments() > 1, "fill must outgrow the initial segment");
-    drop(heap);
-    let n = read_word(path, W_SEG_COUNT);
-    let mut total = read_word(path, 3);
-    for s in 0..n {
-        total += read_word(path, W_SEG0 + s);
-    }
-    total
-}
-
-fn heap_err(path: &Path) -> MapError {
-    match MappedHeap::open(path, nvm::mapped::MIN_HEAP_BYTES) {
-        Err(e) => e,
-        Ok(_) => panic!("damaged segment directory must not attach"),
-    }
-}
-
-#[test]
-fn grown_heap_truncated_below_recorded_total_fails_typed() {
-    let path = tmp("seg_trunc");
-    let total = mk_grown(&path);
-    // Cut the file below the directory's recorded total — the published
-    // count promises bytes the file no longer has.
-    let f = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
-    f.set_len(total - 4096).unwrap();
-    drop(f);
-    match heap_err(&path) {
-        MapError::Truncated { expected, found } => {
-            assert_eq!(expected, total);
-            assert_eq!(found, total - 4096);
-        }
-        e => panic!("expected Truncated, got {e}"),
-    }
-    let _ = std::fs::remove_file(&path);
-}
-
-#[test]
-fn torn_growth_stamped_entry_without_count_bump_is_benign() {
-    let path = tmp("seg_torn");
-    let total = mk_grown(&path);
-    // The exact crash window of `grow`: the file was extended and the next
-    // directory entry stamped, but the count (the valid flag) never moved.
-    // The attach must ignore both the entry and the extra bytes.
-    let n = read_word(&path, W_SEG_COUNT);
-    patch(&path, (W_SEG0 + n) * 8, &(1u64 << 20).to_le_bytes());
-    let f = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
-    f.set_len(total + (1 << 20)).unwrap();
-    drop(f);
-    let heap = MappedHeap::open(&path, nvm::mapped::MIN_HEAP_BYTES).unwrap();
-    assert_eq!(heap.segments() as u64, n + 1, "unpublished segment must stay invisible");
-    assert_eq!(heap.report().poisoned, 0);
-    assert_eq!(heap.report().committed, 2048);
-    drop(heap);
-    let _ = std::fs::remove_file(&path);
-}
-
-#[test]
-fn absurd_segment_entry_fails_typed() {
-    let path = tmp("seg_absurd");
-    mk_grown(&path);
-    // Corrupt a *published* entry: not a page multiple.
-    patch(&path, W_SEG0 * 8, &12345u64.to_le_bytes());
-    assert!(matches!(heap_err(&path), MapError::BadSuperblock(_)));
-    // And an implausibly huge one.
-    patch(&path, W_SEG0 * 8, &(1u64 << 50).to_le_bytes());
-    assert!(matches!(heap_err(&path), MapError::BadSuperblock(_)));
-    let _ = std::fs::remove_file(&path);
-}
-
-#[test]
-fn segment_count_beyond_file_len_fails_typed() {
-    let path = tmp("seg_count");
-    let total = mk_grown(&path);
-    // Bump the count over a plausible entry the file has no bytes for — a
-    // directory that lies about its published length.
-    let n = read_word(&path, W_SEG_COUNT);
-    patch(&path, (W_SEG0 + n) * 8, &(1u64 << 20).to_le_bytes());
-    patch(&path, W_SEG_COUNT * 8, &(n + 1).to_le_bytes());
-    match heap_err(&path) {
-        MapError::Truncated { expected, found } => {
-            assert_eq!(expected, total + (1 << 20));
-            assert_eq!(found, total);
-        }
-        e => panic!("expected Truncated, got {e}"),
-    }
-    let _ = std::fs::remove_file(&path);
-}
-
-#[test]
-fn segment_count_over_max_fails_typed() {
-    let path = tmp("seg_max");
-    mk_grown(&path);
-    patch(&path, W_SEG_COUNT * 8, &((nvm::mapped::MAX_SEGMENTS as u64) + 1).to_le_bytes());
-    assert!(matches!(heap_err(&path), MapError::BadSuperblock(_)));
-    let _ = std::fs::remove_file(&path);
-}
-
-#[test]
-fn structure_survives_growth_across_attach() {
-    let path = tmp("seg_struct");
-    nvm::tid::set_tid(0);
-    // A map on a deliberately tiny initial heap: the fill forces several
-    // growth steps, and a later attach must walk every segment.
-    let keys = 20_000u64;
-    {
-        let store = Store::open_sized(&path, nvm::mapped::MIN_HEAP_BYTES).unwrap();
-        assert!(store.summary().heap.created);
-        let map = store.hashmap::<LP>(NAME, SHARDS).unwrap();
-        for k in 1..=keys {
-            assert!(map.insert(0, k));
-        }
-        assert!(store.heap().segments() > 1, "fill must outgrow the initial segment");
-    }
-    let store = Store::open_sized(&path, nvm::mapped::MIN_HEAP_BYTES).unwrap();
-    let s = store.summary();
-    assert!(!s.heap.created);
-    assert!(s.heap.segments > 1);
-    assert_eq!(s.heap.poisoned, 0);
-    let map = store.hashmap::<LP>(NAME, SHARDS).unwrap();
-    drop(store);
-    let mut map = Arc::into_inner(map).unwrap();
-    assert_eq!(map.snapshot_keys(), (1..=keys).collect::<Vec<u64>>());
-    map.check_invariants();
-    drop(map);
-    let _ = std::fs::remove_file(&path);
 }
 
 // ---------------------------------------------------------------------------

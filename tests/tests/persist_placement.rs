@@ -24,6 +24,7 @@
 //! recycling must not change persist placement by a single instruction.
 
 use bench_harness::placement::LineAligned;
+use isb::bst::RBst;
 use isb::hashmap::RHashMap;
 use isb::list::RList;
 use isb::queue::RQueue;
@@ -140,6 +141,41 @@ const STACK_LP: [(&str, GoldenLp); 3] = [
     ("push", (9, 2, 1, 1, 0, 2, true)),
     ("pop-hit", (7, 1, 1, 1, 0, 3, true)),
     ("pop-empty", (0, 0, 1, 1, 0, 0, false)),
+];
+
+/// The BST at arms 0 / 1 / 3, over the set scenario (`Isb-LP` after an
+/// insert and delete of another key, as the list's). An insert replaces a
+/// leaf by a three-node subtree, a delete swings the grandparent's child to
+/// a copy of the sibling: 2/1/3 and 4/1/1 descriptors, two lines each.
+/// Against the list, an insert writes back one more new node and a delete
+/// its sibling copy and two more tagged nodes; a find and an operation that
+/// changes nothing cost the same. The BST links nothing, so its `Isb-LP`
+/// insert keeps its tag fence (3 `psync`s, the list's 2).
+const BST_ISB: [(&str, Golden); 6] = [
+    ("insert-new", (13, 3, 4, 0, 5, true)),
+    ("insert-dup", (2, 3, 3, 0, 2, false)),
+    ("find-hit", (1, 2, 2, 0, 1, true)),
+    ("find-miss", (1, 2, 2, 0, 1, false)),
+    ("delete-hit", (11, 3, 4, 0, 5, true)),
+    ("delete-miss", (2, 3, 3, 0, 2, false)),
+];
+
+const BST_OPT: [(&str, Golden); 6] = [
+    ("insert-new", (16, 1, 1, 2, 3, true)),
+    ("insert-dup", (4, 1, 1, 2, 1, false)),
+    ("find-hit", (2, 1, 1, 1, 1, true)),
+    ("find-miss", (2, 1, 1, 1, 1, false)),
+    ("delete-hit", (14, 1, 1, 2, 3, true)),
+    ("delete-miss", (4, 1, 1, 2, 1, false)),
+];
+
+const BST_LP: [(&str, GoldenLp); 6] = [
+    ("insert-new", (10, 1, 1, 1, 0, 3, true)),
+    ("insert-dup", (0, 0, 1, 1, 0, 0, false)),
+    ("find-hit", (0, 0, 0, 0, 0, 0, true)),
+    ("find-miss", (0, 0, 0, 0, 0, 0, false)),
+    ("delete-hit", (10, 1, 0, 0, 0, 3, true)),
+    ("delete-miss", (0, 0, 1, 1, 0, 0, false)),
 ];
 
 struct SetUnderTest<'a> {
@@ -397,6 +433,55 @@ fn set_core_extraction_preserves_persist_placement() {
         ("pop-empty", Box::new(|| s.pop(0).is_some())),
     ];
     check_rows_lp("RStack<Isb-LP>", &ops, &STACK_LP);
+
+    // ---- BST goldens --------------------------------------------------
+    check_bst::<0>(&BST_ISB, "RBst<Isb>");
+    check_bst::<1>(&BST_OPT, "RBst<Isb-Opt>");
+    check_bst_lp(&BST_LP);
+}
+
+fn bst_under_test<'a, const ARM: u8>(
+    t: &'a RBst<CountingNvm, ARM>,
+    name: &'a str,
+) -> SetUnderTest<'a> {
+    SetUnderTest {
+        name,
+        insert: Box::new(|k| t.insert(0, k)),
+        delete: Box::new(|k| t.delete(0, k)),
+        find: Box::new(|k| t.find(0, k)),
+    }
+}
+
+/// A tree churned on key 9 until its descriptors and nodes come from the
+/// recycle path (the churn leaves the tree's shape as it found it).
+fn warm_bst<const ARM: u8>() -> RBst<CountingNvm, ARM> {
+    let reuse0 = isb::counters::info_reuses();
+    let warm = RBst::<CountingNvm, ARM>::new();
+    for _ in 0..300 {
+        assert!(warm.insert(0, 9));
+        assert!(warm.delete(0, 9));
+    }
+    assert!(
+        isb::counters::info_reuses() > reuse0,
+        "BST warmup never hit the recycle path — the pooled golden run is vacuous"
+    );
+    warm
+}
+
+/// The BST rows at arm `ARM` (0 or 1), on a fresh and on a pooled-warm tree.
+fn check_bst<const ARM: u8>(golden: &[(&str, Golden); 6], name: &str) {
+    let fresh = RBst::<CountingNvm, ARM>::new();
+    check_against(golden, &bst_under_test(&fresh, name));
+    let warm = warm_bst::<ARM>();
+    check_against(golden, &bst_under_test(&warm, &format!("{name}/pooled-warm")));
+}
+
+/// The BST rows at `Isb-LP`, on a fresh and on a pooled-warm tree.
+fn check_bst_lp(golden: &[(&str, GoldenLp); 6]) {
+    let fresh = RBst::<CountingNvm, 3>::new();
+    check_against_lp(golden, &bst_under_test(&fresh, "RBst<Isb-LP>"));
+    let warm = warm_bst::<3>();
+    check_against_lp(golden, &bst_under_test(&warm, "RBst<Isb-LP>/pooled-warm"));
 }
 
 /// `Isb-LP` must write back strictly less than `Isb-Opt` on every mutating
