@@ -24,13 +24,19 @@
 //!
 //! ### Layout
 //!
-//! An [`Info`] is two cache lines (128 bytes under every real model): `meta`
-//! (the set sizes and the `LINK` / `DONE` bits), `presult`, twelve words
-//! that pack the AffectSet pairs, the WriteSet triple and the NewSet cells
-//! at offsets the sizes give, and the volatile bookkeeping in the last two
-//! words. A shape whose sets fill `k` of the twelve words persists
-//! `2 + k` words: one line for a read-only descriptor and both queue
-//! operations, two for the list's and the BST's updates.
+//! A descriptor block is one cache line or two ([`Lines`]; 64 or 128 bytes
+//! under every real model): the queue draws one-line descriptors, every
+//! other kind two-line ones. Word 0 is the volatile bookkeeping —
+//! `installs` (u32), `shared`, `failed_at` and the class byte, which the
+//! block keeps for life — then `meta` (the set sizes and the `LINK` /
+//! `DONE` bits), `presult`, and the set words that pack the AffectSet
+//! pairs, the WriteSet triple and the NewSet cells at offsets the sizes
+//! give: five in the first line, eight more in the second. New-set entry 0
+//! is not stored: every shape with new nodes names there the node its one
+//! write installs, so its cell is derived from the write. A shape whose
+//! sets fill `k` set words persists the first `3 + k` words: one line for a
+//! read-only descriptor and both queue operations (the enqueue's 1/1/1
+//! fills it exactly), two for the list's and the BST's updates.
 //!
 //! ### Reference counting (`installs`)
 //!
@@ -48,7 +54,7 @@ use crate::pool::PoolItem;
 use crate::tag::{self, Base};
 use nvm::{PWord, Persist, PersistWords};
 use reclaim::Guard;
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU32, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU8, Ordering};
 
 /// Maximum AffectSet size (BST delete uses 4: grandparent, parent, leaf, sibling).
 pub const MAX_AFFECT: usize = 4;
@@ -56,9 +62,12 @@ pub const MAX_AFFECT: usize = 4;
 pub const MAX_WRITE: usize = 1;
 /// Maximum NewSet size (BST insert uses 3).
 pub const MAX_NEW: usize = 3;
-/// Words of a descriptor's packed sets: a shape `na / nw / nn` takes
-/// `2·na + 3·nw + nn` of them, the BST delete's 4/1/1 all twelve.
-const SET_WORDS: usize = 12;
+/// Set words in a descriptor's first line, after the volatile word, `meta`
+/// and `presult`: all a one-line descriptor has.
+const LINE_SETS: usize = 5;
+/// Set words of a two-line descriptor: the first line's five and the
+/// second line's eight ([`InfoPair`]).
+const PAIR_SETS: usize = LINE_SETS + 8;
 
 /// Response encodings, precomputed into a descriptor's `presult`. `RES_BOT`
 /// is recovery's "did not take effect", never a response.
@@ -121,32 +130,61 @@ pub fn val_of(res: u64) -> u64 {
     res - RES_VAL_BASE
 }
 
+/// A descriptor block's class: the cache lines it spans under every real
+/// model. The queue's descriptors are one line, every other kind's two
+/// (`Env::lines`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Lines {
+    /// An [`Info`] alone: five set words, enough for the queue's 1/1/1 and
+    /// 1/1/0 and every read-only descriptor.
+    One = 1,
+    /// An [`InfoPair`]: thirteen set words, enough for every shape.
+    Two = 2,
+}
+
+impl Lines {
+    /// The set words a descriptor of this class holds.
+    const fn sets(self) -> usize {
+        match self {
+            Lines::One => LINE_SETS,
+            Lines::Two => PAIR_SETS,
+        }
+    }
+
+    /// The class of a block of `bytes` payload bytes, if any.
+    fn of_block<M: Persist>(bytes: usize) -> Option<Self> {
+        [Lines::One, Lines::Two].into_iter().find(|&l| block_bytes::<M>(l) == bytes)
+    }
+}
+
+/// The bytes of a descriptor block of class `lines`.
+const fn block_bytes<M: Persist>(lines: Lines) -> usize {
+    match lines {
+        Lines::One => size_of::<Info<M>>(),
+        Lines::Two => size_of::<InfoPair<M>>(),
+    }
+}
+
 /// The Info structure: everything a helper (or the owner's recovery code)
 /// needs to run the operation to completion, plus whether it took effect.
 ///
-/// Two cache lines. The persistent words come first: `meta`, `presult` and
-/// the three sets packed into `sets` — the affect pairs, then the write
-/// triples, then the new-node cells, each at an offset the counts in `meta`
-/// give (`Shape`). The operation persists the used prefix
-/// (`pbarrier(*opInfo, NewSet)`, [`PersistWords::used_range`]) before
-/// publishing it, matching the paper's remark that "a single pwb flushes all
-/// fields fitting in a cache line": a read-only descriptor and the queue's
-/// 1/1/1 and 1/1/0 fit the first line, the list's 2/1/2 and 2/1/0 and the
-/// BST's 2/1/3 and 4/1/1 (which fills all twelve set words) two. The
-/// volatile bookkeeping takes the last two words of the second line.
+/// The first cache line of a descriptor block, which is that line alone
+/// ([`Lines::One`]) or an [`InfoPair`] ([`Lines::Two`]). Word 0 is the
+/// volatile bookkeeping; the persistent words follow: `meta`, `presult` and
+/// the set words, which pack the affect pairs, then the write triple, then
+/// the new-node cells past entry 0 at offsets the counts in `meta` give
+/// (`Shape`) — the first five in this line, the rest in the second. New-set
+/// entry 0 is not stored: it is the info cell of the node the write
+/// installs, `new + (node_words − 1)·WORD` ([`Info::fill`] asserts it). The
+/// operation persists the used prefix (`pbarrier(*opInfo, NewSet)`,
+/// `Words`) before publishing it, matching the paper's remark that "a
+/// single pwb flushes all fields fitting in a cache line": a read-only
+/// descriptor and the queue's 1/1/1 and 1/1/0 fit the first line, the
+/// list's 2/1/2 and 2/1/0 and the BST's 2/1/3 and 4/1/1 two. A `&Info`
+/// covers the first line only: every set word is reached through the raw
+/// descriptor pointer, whose provenance is the whole block (`Info::set`).
 #[repr(C, align(64))]
 pub struct Info<M: Persist> {
-    /// Packed `optype | naffect<<8 | nwrite<<16 | nnew<<24 | del_mask<<32`,
-    /// the [`LINK`] and [`DONE`] bits, the new nodes' word count in bits
-    /// 42..45 and the fill generation above it (there is no response word).
-    meta: PWord<M>,
-    /// Precomputed response, written before publication; the operation's
-    /// response once [`DONE`] is set.
-    presult: PWord<M>,
-    /// AffectSet `(info cell, expected value)` pairs, WriteSet `(cell, old,
-    /// new)` triples, NewSet info cells, in that order (`Shape`). Every
-    /// cell and every link value here is a link word ([`crate::tag`]).
-    sets: [PWord<M>; SET_WORDS],
     /// Volatile reference count (see module docs). Not persistent state.
     installs: AtomicU32,
     /// Volatile: set by [`help`] before its first tag CAS. While false the
@@ -158,33 +196,68 @@ pub struct Info<M: Persist> {
     /// Volatile: the furthest AffectSet position a tagging attempt failed
     /// at (see [`HelpOutcome::FailedAt`]), recorded before its backtrack.
     failed_at: AtomicU8,
-    /// Volatile: handle of the owning [`crate::pool::Pool`] (null ⇒ plain
-    /// heap allocation). Written once at pool refill, read at retirement.
-    /// In a mapped heap the handle is an address in the owning process:
-    /// [`Info::release`] follows it only when it is the releasing
-    /// collector's own pool.
-    owner: AtomicPtr<()>,
+    /// The block's class, a [`Lines`]: written once, when the block is built
+    /// (`PoolItem::fresh`), never inferred from `meta`. It names the pool
+    /// [`Info::release`] recycles the block into and bounds the set words.
+    lines: u8,
+    /// Packed `optype | naffect<<8 | nwrite<<16 | nnew<<24 | del_mask<<32`,
+    /// the [`LINK`] and [`DONE`] bits, the new nodes' word count in bits
+    /// 42..45 and the fill generation above it (there is no response word).
+    meta: PWord<M>,
+    /// Precomputed response, written before publication; the operation's
+    /// response once [`DONE`] is set.
+    presult: PWord<M>,
+    /// The first line's set words. Every cell and every link value in the
+    /// sets is a link word ([`crate::tag`]).
+    sets: [PWord<M>; LINE_SETS],
 }
+
+/// A two-line descriptor block ([`Lines::Two`]): an [`Info`], then the
+/// eight set words of its second line.
+#[repr(C, align(64))]
+pub struct InfoPair<M: Persist> {
+    head: Info<M>,
+    tail: [PWord<M>; PAIR_SETS - LINE_SETS],
+}
+
+const _: () = assert!(
+    block_bytes::<nvm::MappedNvm>(Lines::One) == 64
+        && block_bytes::<nvm::MappedNvm>(Lines::Two) == 128,
+    "a descriptor class is its cache lines"
+);
 
 unsafe impl<M: Persist> Send for Info<M> {}
 unsafe impl<M: Persist> Sync for Info<M> {}
 
-impl<M: Persist> PoolItem for Info<M> {
-    fn fresh() -> Self {
+impl<M: Persist> Info<M> {
+    /// A blank first line of class `lines`.
+    fn blank(lines: Lines) -> Self {
         nvm::stats::count_info_allocs(1);
         Info {
-            meta: PWord::new(0),
-            presult: PWord::new(RES_BOT),
-            sets: Default::default(),
             installs: AtomicU32::new(0),
             shared: AtomicBool::new(false),
             failed_at: AtomicU8::new(0),
-            owner: AtomicPtr::new(std::ptr::null_mut()),
+            lines: lines as u8,
+            meta: PWord::new(0),
+            presult: PWord::new(RES_BOT),
+            sets: Default::default(),
         }
     }
+}
 
-    fn attach(&mut self, pool: *const ()) {
-        *self.owner.get_mut() = pool as *mut ();
+impl<M: Persist> PoolItem for Info<M> {
+    fn fresh() -> Self {
+        Info::blank(Lines::One)
+    }
+
+    fn count_reuse() {
+        nvm::stats::count_info_reuses(1);
+    }
+}
+
+impl<M: Persist> PoolItem for InfoPair<M> {
+    fn fresh() -> Self {
+        InfoPair { head: Info::blank(Lines::Two), tail: Default::default() }
     }
 
     fn count_reuse() {
@@ -198,22 +271,40 @@ impl<M: Persist> Drop for Info<M> {
     }
 }
 
-unsafe impl<M: Persist> PersistWords<M> for Info<M> {
+/// The persisted words of the descriptor at a raw pointer: what its
+/// write-backs take ([`PersistWords`]), since a `&Info` covers one line
+/// ([`Info::words`]).
+pub(crate) struct Words<M: Persist>(*const Info<M>);
+
+// SAFETY: `meta`, `presult` and the used set words, all inside the block
+// (a filled descriptor's shape fits its class).
+unsafe impl<M: Persist> PersistWords<M> for Words<M> {
     fn each_word(&self, f: &mut dyn FnMut(&PWord<M>)) {
-        f(&self.meta);
-        f(&self.presult);
-        self.sets[..self.shape().words()].iter().for_each(f);
+        // SAFETY: a live, filled descriptor ([`Info::words`]).
+        let i = unsafe { &*self.0 };
+        f(&i.meta);
+        f(&i.presult);
+        for w in 0..i.shape().words() {
+            // SAFETY: as above; the filled shape fits the block.
+            f(unsafe { Info::set(self.0, w) });
+        }
     }
 
     fn used_range(&self) -> (*const u8, usize) {
-        let end = std::mem::offset_of!(Self, sets) + self.shape().words() * size_of::<PWord<M>>();
-        (self as *const Self as *const u8, end)
+        // SAFETY: a live, filled descriptor ([`Info::words`]).
+        let words = unsafe { &*self.0 }.shape().words();
+        let end = if words <= LINE_SETS {
+            std::mem::offset_of!(Info<M>, sets) + words * size_of::<PWord<M>>()
+        } else {
+            size_of::<Info<M>>() + (words - LINE_SETS) * size_of::<PWord<M>>()
+        };
+        (self.0 as *const u8, end)
     }
 }
 
-/// Where a descriptor's sets sit in its `sets` words, from the counts in
-/// its `meta`: affect entry `k` at `2k`, write entry `k` at `2·na + 3k`,
-/// new entry `k` at `2·na + 3·nw + k`.
+/// Where a descriptor's sets sit in its set words, from the counts in its
+/// `meta`: affect entry `k` at `2k`, write entry `k` at `2·na + 3k`, new
+/// entry `k ≥ 1` at `2·na + 3·nw + k − 1` (entry 0 is derived, not stored).
 #[derive(Clone, Copy)]
 struct Shape {
     na: usize,
@@ -236,20 +327,21 @@ impl Shape {
         }
     }
 
-    /// Whether the sets fit the descriptor: at least one affect entry, each
-    /// set within its capacity, all of them within [`SET_WORDS`], and a
-    /// node size for the new nodes there are.
-    fn fits(self) -> bool {
+    /// Whether the sets fit a descriptor of `sets` set words: at least one
+    /// affect entry, each set within its capacity, new nodes only beside the
+    /// write that installs the first (entry 0 is derived from it) and with a
+    /// node size, all of it within the set words.
+    fn fits(self, sets: usize) -> bool {
         (1..=MAX_AFFECT).contains(&self.na)
             && self.nw <= MAX_WRITE
             && self.nn <= MAX_NEW
-            && 2 * self.na + 3 * self.nw + self.nn <= SET_WORDS
-            && (self.nn == 0 || self.node_words > 0)
+            && (self.nn == 0 || self.nw == 1 && self.node_words > 0)
+            && self.words() <= sets
     }
 
     /// Set words the persisted prefix covers (affect entry 0 always).
     fn words(self) -> usize {
-        2 * self.na.max(1) + 3 * self.nw + self.nn
+        2 * self.na.max(1) + 3 * self.nw + self.nn.saturating_sub(1)
     }
 
     fn affect(k: usize) -> usize {
@@ -260,8 +352,9 @@ impl Shape {
         2 * self.na + 3 * k
     }
 
+    /// The set word of new entry `k ≥ 1`.
     fn newset(self, k: usize) -> usize {
-        2 * self.na + 3 * self.nw + k
+        2 * self.na + 3 * self.nw + k - 1
     }
 }
 
@@ -275,6 +368,8 @@ pub struct InfoFill<'a> {
     /// `(cell, old, new)` CAS triples.
     pub write: &'a [(u64, u64, u64)],
     /// Info cells of newly allocated nodes (pre-tagged by the caller).
+    /// Entry 0, if any, is the cell of the node the write installs — the
+    /// last word of the node at `new` — and is not stored.
     pub newset: &'a [u64],
     /// Words of each new node, its info cell the last (0 without new
     /// nodes): an `Isb-LP` publication digest covers them ([`Info::digest`]).
@@ -295,8 +390,9 @@ impl<M: Persist> Info<M> {
     /// Sets `installs = 1 (RD_q) + |affect| + |newset|`.
     ///
     /// Panics (also in release builds) when the sets do not fit the
-    /// descriptor ([`MAX_AFFECT`], [`MAX_WRITE`], [`MAX_NEW`] and the twelve
-    /// set words): the words past them are the volatile bookkeeping.
+    /// descriptor's class ([`MAX_AFFECT`], [`MAX_WRITE`], [`MAX_NEW`] and
+    /// its set words: past them lies the next block) or new-set entry 0 is
+    /// not the info cell of the node the write installs.
     ///
     /// # Safety
     /// `info` must be a live descriptor drawn from its pool
@@ -306,10 +402,17 @@ impl<M: Persist> Info<M> {
         let i = unsafe { &*info };
         let (na, nw, nn) = (f.affect.len(), f.write.len(), f.newset.len());
         let node_words = f.node_words as usize;
+        let sets = i.class().sets();
         assert!(
-            Shape { na, nw, nn, del_mask: f.del_mask, node_words }.fits() && node_words <= 7,
+            Shape { na, nw, nn, del_mask: f.del_mask, node_words }.fits(sets) && node_words <= 7,
             "descriptor shape {na}/{nw}/{nn} of {node_words}-word new nodes exceeds its \
-             {SET_WORDS} set words"
+             {sets} set words"
+        );
+        assert!(
+            f.newset.first().is_none_or(|&c| {
+                c == f.write[0].2.wrapping_add((node_words as u64 - 1) * Self::WORD)
+            }),
+            "new-set entry 0 is not the info cell of the node the write installs"
         );
         let meta = (f.optype as u64)
             | (na as u64) << 8
@@ -322,8 +425,10 @@ impl<M: Persist> Info<M> {
         M::store(&i.presult, f.presult);
         let affect = f.affect.iter().flat_map(|&(cell, exp)| [cell, exp]);
         let write = f.write.iter().flat_map(|&(cell, old, new)| [cell, old, new]);
-        for (word, v) in i.sets.iter().zip(affect.chain(write).chain(f.newset.iter().copied())) {
-            M::store(word, v);
+        let newset = f.newset.iter().skip(1).copied();
+        for (w, v) in affect.chain(write).chain(newset).enumerate() {
+            // SAFETY: the shape fits the block (asserted above).
+            M::store(unsafe { Info::set(info, w) }, v);
         }
         // A freshly filled descriptor is private until `help` runs on it
         // (recycled descriptors may carry a stale true).
@@ -335,6 +440,81 @@ impl<M: Persist> Info<M> {
     #[inline]
     fn shape(&self) -> Shape {
         Shape::of(M::load(&self.meta))
+    }
+
+    /// The persisted words of the descriptor at `info`, for its
+    /// write-backs.
+    ///
+    /// # Safety
+    /// `info` must be a live, filled descriptor while the view is used.
+    #[inline]
+    pub(crate) unsafe fn words(info: *const Self) -> Words<M> {
+        Words(info)
+    }
+
+    /// The block's class.
+    #[inline]
+    pub(crate) fn class(&self) -> Lines {
+        if self.lines == Lines::One as u8 {
+            Lines::One
+        } else {
+            Lines::Two
+        }
+    }
+
+    /// Whether the second line's set words continue the first line's
+    /// without a gap: under every real model, where a word is 8 bytes (not
+    /// the simulator's shadowed words).
+    const CONTIGUOUS: bool =
+        std::mem::offset_of!(Self, sets) + LINE_SETS * size_of::<PWord<M>>() == size_of::<Self>();
+
+    /// Set word `w`, through the raw descriptor pointer: past the first
+    /// line's five, a word of the second.
+    ///
+    /// # Safety
+    /// `info` must be a live descriptor whose block holds set word `w`.
+    #[inline]
+    unsafe fn set<'a>(info: *const Self, w: usize) -> &'a PWord<M> {
+        // SAFETY: the caller's; the pointer keeps `info`'s provenance, the
+        // whole block.
+        unsafe {
+            let sets = std::ptr::addr_of!((*info).sets).cast::<PWord<M>>();
+            if Self::CONTIGUOUS || w < LINE_SETS {
+                &*sets.add(w)
+            } else {
+                &*info.add(1).cast::<PWord<M>>().add(w - LINE_SETS)
+            }
+        }
+    }
+
+    /// The info cell of new entry `k`, each word read by `read`: entry 0
+    /// derived from the write's `new`, the node it installs, whose last word
+    /// the cell is; the others stored.
+    ///
+    /// # Safety
+    /// As [`Info::set`], for a shape with `k < nn` that fits the block.
+    #[inline]
+    unsafe fn new_cell(info: *const Self, s: Shape, k: usize, read: fn(&PWord<M>) -> u64) -> u64 {
+        // SAFETY: the caller's: write entry 0 exists beside new entry 0.
+        unsafe {
+            if k == 0 {
+                read(Info::set(info, s.write(0) + 2))
+                    .wrapping_add((s.node_words as u64).wrapping_sub(1) * Self::WORD)
+            } else {
+                read(Info::set(info, s.newset(k)))
+            }
+        }
+    }
+
+    /// The info cell of new entry `k`, decoded at `b`.
+    ///
+    /// # Safety
+    /// As [`Info::new_cell`]; the cell must still be live (EBR pin or
+    /// quiescence).
+    #[inline]
+    unsafe fn new_cell_at<'a>(info: *const Self, b: Base, s: Shape, k: usize) -> &'a PWord<M> {
+        // SAFETY: the caller's.
+        unsafe { &*b.at::<PWord<M>>(Info::new_cell(info, s, k, M::load)) }
     }
 
     /// Whether the operation took effect: its response is `presult`.
@@ -357,11 +537,15 @@ impl<M: Persist> Info<M> {
     /// `(cell, expected)` of affect entry `k`, its cell decoded at `b`.
     ///
     /// # Safety
-    /// The stored cell must still be live (EBR pin or quiescence).
+    /// As [`Info::set`]; the stored cell must still be live (EBR pin or
+    /// quiescence).
     #[inline]
-    unsafe fn affect_at(&self, b: Base, k: usize) -> (&PWord<M>, u64) {
-        let cell = unsafe { self.cell_at(b, Shape::affect(k)) };
-        (cell, M::load(&self.sets[Shape::affect(k) + 1]))
+    unsafe fn affect_at<'a>(info: *const Self, b: Base, k: usize) -> (&'a PWord<M>, u64) {
+        // SAFETY: the caller's.
+        unsafe {
+            let cell = Info::cell_at(info, b, Shape::affect(k));
+            (cell, M::load(Info::set(info, Shape::affect(k) + 1)))
+        }
     }
 
     /// The cell set word `w` names, decoded at `b`.
@@ -369,11 +553,17 @@ impl<M: Persist> Info<M> {
     /// # Safety
     /// As [`Info::affect_at`].
     #[inline]
-    unsafe fn cell_at(&self, b: Base, w: usize) -> &PWord<M> {
-        unsafe { &*b.at::<PWord<M>>(M::load(&self.sets[w])) }
+    unsafe fn cell_at<'a>(info: *const Self, b: Base, w: usize) -> &'a PWord<M> {
+        // SAFETY: the caller's.
+        unsafe { &*b.at::<PWord<M>>(M::load(Info::set(info, w))) }
     }
 
-    /// Releases `n` references; retires the Info through `guard` at zero.
+    /// Releases `n` references; at zero the block goes back to the pool of
+    /// its class in the descriptor pools `guard`'s collector is tagged with
+    /// (`env::Infos`) — this process's, whichever process drew it:
+    /// every collector of a heap pins in its one epoch domain — or, under
+    /// an untagged collector, through plain EBR as the `Box` of its class
+    /// (in-process models only: a mapped block is no `Box`).
     ///
     /// # Safety
     /// The caller must actually own `n` references per the protocol in the
@@ -402,27 +592,50 @@ impl<M: Persist> Info<M> {
         let prev = i.installs.fetch_sub(n, Ordering::AcqRel);
         debug_assert!(prev >= n, "info reference-count underflow ({prev} - {n})");
         if prev == n {
-            let owner = i.owner.load(Ordering::Relaxed) as *const ();
-            if M::MAPPED && owner as usize != guard.tag() {
-                // Not the pool the guard's collector is tagged with (this
-                // process's live pool for this heap, `Env::mapped`): `owner`
-                // may be an address in a peer, possibly dead, so leak the
-                // block to the next full attach's sweep instead of following
-                // it. Bounded: only a peer's death mid-operation or helping
-                // hands a descriptor's last reference to another process.
-                return;
-            }
-            if !owner.is_null() && !i.shared.load(Ordering::Acquire) {
-                // Never passed through `help` ⇒ never installed in a shared
-                // cell ⇒ only this thread can hold the address: back to the
-                // pool without the EBR round-trip. Read-only descriptors
-                // (70% of a read-heavy mix) take this path every operation.
-                unsafe { crate::pool::give_to::<Info<M>>(owner, info, guard) };
-            } else {
-                // Shared (or unpooled): epoch-delayed, exactly like a free.
-                unsafe { crate::pool::retire_to::<Info<M>>(owner, info, guard) };
+            let pools = guard.tag() as *const crate::env::Infos<M>;
+            // SAFETY: a tagged collector's tag is the live pools of the
+            // environment that owns it (`Env`), which outlive its garbage.
+            match unsafe { pools.as_ref() } {
+                Some(pools) => unsafe { pools.put(info, guard) },
+                // Only a bare collector is untagged: unit tests', and the
+                // attach replay's, which releases nothing. An arena block
+                // is no `Box`: never free one as such.
+                None if M::MAPPED => debug_assert!(false, "a mapped release, untagged"),
+                None => unsafe { Info::retire_boxed(info, guard) },
             }
         }
+    }
+
+    /// Retires the `Box` of its class at `info` through plain EBR.
+    ///
+    /// # Safety
+    /// As [`reclaim::Guard::retire_box`], `info` a `Box` of its class.
+    unsafe fn retire_boxed(info: *mut Info<M>, guard: &Guard<'_>) {
+        // SAFETY: the caller's; the class names the `Box`'s type.
+        match unsafe { &*info }.class() {
+            Lines::One => unsafe { guard.retire_box(info) },
+            Lines::Two => unsafe { guard.retire_box(info.cast::<InfoPair<M>>()) },
+        }
+    }
+
+    /// Frees the `Box` of its class at `p` (drop-time teardown,
+    /// [`crate::graph::teardown`]).
+    ///
+    /// # Safety
+    /// `p` must be a live descriptor `Box` of its class, freed exactly once.
+    pub(crate) unsafe fn drop_boxed(p: *mut u8) {
+        use crate::op::drop_raw;
+        // SAFETY: the caller's; the class names the `Box`'s type.
+        match unsafe { &*p.cast::<Info<M>>() }.class() {
+            Lines::One => unsafe { drop_raw::<Info<M>>(p) },
+            Lines::Two => unsafe { drop_raw::<InfoPair<M>>(p) },
+        }
+    }
+
+    /// Whether [`help`] ran on the descriptor since its fill: its address
+    /// may be in shared cells.
+    pub(crate) fn shared(&self) -> bool {
+        self.shared.load(Ordering::Acquire)
     }
 
     /// Current reference count (tests/diagnostics).
@@ -435,39 +648,68 @@ impl<M: Persist> Info<M> {
     /// its *current* value, the cells decoded at `b`.
     ///
     /// # Safety
-    /// Every affect cell must still be live (quiescence).
-    pub unsafe fn describe(&self, b: Base) -> String {
+    /// `info` must be a live descriptor whose every affect cell is still
+    /// live (quiescence).
+    pub unsafe fn describe(info: *const Self, b: Base) -> String {
+        // SAFETY: the caller's (every read below, the affect entries the
+        // class holds).
+        let i = unsafe { &*info };
         let mut out =
-            format!("meta {:#x} presult {:#x} affect", M::load(&self.meta), M::load(&self.presult));
-        for k in 0..self.shape().na.min(MAX_AFFECT) {
-            let (cell, expected) = unsafe { self.affect_at(b, k) };
+            format!("meta {:#x} presult {:#x} affect", M::load(&i.meta), M::load(&i.presult));
+        for k in 0..i.shape().na.min(i.class().sets() / 2) {
+            let (cell, expected) = unsafe { Info::affect_at(info, b, k) };
             out += &format!(" [{cell:p}: expected {expected:#x}, now {:#x}]", M::load(cell));
         }
         out
     }
 
-    /// Attach-time bounds validation of a descriptor read from an
-    /// **untrusted** mapped image, before `help` may dereference any of its
-    /// cells: the sets must fit the descriptor (as [`Info::fill`] checks, so
-    /// no read reaches the volatile words), every used affect/write/newset
-    /// cell offset must satisfy `valid_cell` (an in-arena 8-byte-span check
-    /// — helping reads/CASes one word there), and every write `new` value
-    /// must satisfy `valid_install` (callers pass a whole-node span check:
-    /// `help` installs the value into a cell the later census walk
-    /// dereferences as a node). Returns `false` on any violation.
-    pub fn validate_bounds(
-        &self,
+    /// Whether the descriptor at `info` — a committed block of `bytes`
+    /// payload bytes read from an **untrusted** mapped image — is a block
+    /// of its class: its class byte names a class of that size. Only then
+    /// do reads bounded by the class stay inside the block.
+    ///
+    /// # Safety
+    /// `info` must point to `bytes ≥ 64` readable bytes.
+    pub(crate) unsafe fn in_block(info: *const Self, bytes: usize) -> bool {
+        // SAFETY: the caller's: the first line is readable.
+        Lines::of_block::<M>(bytes).is_some_and(|l| unsafe { &*info }.lines == l as u8)
+    }
+
+    /// Attach-time bounds validation of the descriptor at `info`, a
+    /// committed block of `bytes` payload bytes read from an **untrusted**
+    /// mapped image, before `help` may dereference any of its cells: it must
+    /// be a block of its class (`Info::in_block`), its sets must fit that
+    /// class (as [`Info::fill`] checks, so no read leaves the block), every
+    /// used affect/write/new cell offset must satisfy `valid_cell` (an
+    /// in-arena 8-byte-span check — helping reads/CASes one word there), and
+    /// every write `new` value must satisfy `valid_install` (callers pass a
+    /// whole-node span check: `help` installs the value into a cell the
+    /// later census walk dereferences as a node). Returns `false` on any
+    /// violation.
+    ///
+    /// # Safety
+    /// `info` must point to `bytes ≥ 64` readable bytes.
+    pub unsafe fn validate_bounds(
+        info: *const Self,
+        bytes: usize,
         valid_cell: impl Fn(u64) -> bool,
         valid_install: impl Fn(u64) -> bool,
     ) -> bool {
-        let s = self.shape();
-        let word = |w: usize| M::load(&self.sets[w]);
-        s.fits()
+        // SAFETY: the caller's.
+        if !unsafe { Info::in_block(info, bytes) } {
+            return false;
+        }
+        // SAFETY: a block of its class, so at least one line.
+        let i = unsafe { &*info };
+        let s = i.shape();
+        // SAFETY (every read below): the shape fits the block's class.
+        let word = |w: usize| M::load(unsafe { Info::set(info, w) });
+        s.fits(i.class().sets())
             && (0..s.na).all(|k| valid_cell(word(Shape::affect(k))))
             && (0..s.nw)
                 .all(|k| valid_cell(word(s.write(k))) && valid_install(word(s.write(k) + 2)))
             && (0..s.nn).all(|k| {
-                let cell = word(s.newset(k));
+                let cell = unsafe { Info::new_cell(info, s, k, M::load) };
                 (0..s.node_words as u64).all(|j| valid_cell(cell.wrapping_sub(j * Self::WORD)))
             })
     }
@@ -485,18 +727,23 @@ impl<M: Persist> Info<M> {
     /// move it, non-linearly.
     ///
     /// # Safety
-    /// Every new-node cell this descriptor names must lie in a live node of
-    /// `node_words` words ending at it, its cells decoded at `b`.
-    pub unsafe fn digest(&self, b: Base, at: u64) -> u64 {
-        let (h, s) = self.digest_head(at);
-        seal(finish(h), unsafe { self.digest_nodes(b, h, s) })
+    /// `info` must be a live descriptor, and every new-node cell it names
+    /// must lie in a live node of `node_words` words ending at it, its cells
+    /// decoded at `b`.
+    pub unsafe fn digest(info: *const Self, b: Base, at: u64) -> u64 {
+        // SAFETY: the caller's.
+        let (h, s) = unsafe { Info::digest_head(info, at) };
+        seal(finish(h), unsafe { Info::digest_nodes(info, b, h, s) })
     }
 
-    /// Whether `cp` seals this descriptor's own words as published at `at`:
+    /// Whether `cp` seals the descriptor's own words as published at `at`:
     /// the half of [`Info::digest`] a torn descriptor fails. Reads nothing
     /// outside the descriptor.
-    pub(crate) fn sealed_by(&self, at: u64, cp: u64) -> bool {
-        seals_head(self.digest_head(at).0, cp)
+    ///
+    /// # Safety
+    /// `info` must be a live descriptor, a block of its class.
+    pub(crate) unsafe fn sealed_by(info: *const Self, at: u64, cp: u64) -> bool {
+        seals_head(unsafe { Info::digest_head(info, at) }.0, cp)
     }
 
     /// Whether `cp`, the `CP_q` beside an `RD_q` naming this descriptor at
@@ -515,28 +762,35 @@ impl<M: Persist> Info<M> {
     ///
     /// # Safety
     /// As [`Info::digest`], once the descriptor half matches.
-    pub unsafe fn validates(&self, b: Base, at: u64, cp: u64) -> bool {
-        let (h, s) = self.digest_head(at);
-        let done = || self.meta.peek() & DONE != 0;
+    pub unsafe fn validates(info: *const Self, b: Base, at: u64, cp: u64) -> bool {
+        let (h, s) = unsafe { Info::digest_head(info, at) };
+        let done = || unsafe { &*info }.meta.peek() & DONE != 0;
         let nodes_match = || {
             #[cfg(test)]
             VALIDATES_RACE.with(|f| f.take().map(|f| f()));
             // SAFETY: the caller's, the descriptor half matching.
-            cp as u32 == unsafe { self.digest_nodes(b, h, s) } as u32
+            cp as u32 == unsafe { Info::digest_nodes(info, b, h, s) } as u32
         };
         seals_head(h, cp) && (done() || nodes_match() || done())
     }
 
     /// The digest state after `at` and the descriptor's persisted words,
-    /// `DONE` masked, with the shape they claim. Uninstrumented reads: the
+    /// `DONE` masked, with the shape they claim — the words read bounded by
+    /// the block's class, whatever `meta` claims. Uninstrumented reads: the
     /// digest adds no instruction a crash can land on.
-    fn digest_head(&self, at: u64) -> (u64, Shape) {
-        let meta = self.meta.peek();
+    ///
+    /// # Safety
+    /// As [`Info::sealed_by`].
+    unsafe fn digest_head(info: *const Self, at: u64) -> (u64, Shape) {
+        // SAFETY: the caller's.
+        let i = unsafe { &*info };
+        let meta = i.meta.peek();
         let s = Shape::of(meta);
         let mut h = absorb(absorb(DIGEST_SEED, at), meta & !DONE);
-        h = absorb(h, self.presult.peek());
-        for w in &self.sets[..s.words().min(SET_WORDS)] {
-            h = absorb(h, w.peek());
+        h = absorb(h, i.presult.peek());
+        for w in 0..s.words().min(i.class().sets()) {
+            // SAFETY: a set word of the block's class.
+            h = absorb(h, unsafe { Info::set(info, w) }.peek());
         }
         (h, s)
     }
@@ -546,9 +800,10 @@ impl<M: Persist> Info<M> {
     ///
     /// # Safety
     /// As [`Info::digest`].
-    unsafe fn digest_nodes(&self, b: Base, mut h: u64, s: Shape) -> u64 {
+    unsafe fn digest_nodes(info: *const Self, b: Base, mut h: u64, s: Shape) -> u64 {
         for k in 0..s.nn {
-            let cell = self.sets[s.newset(k)].peek();
+            // SAFETY: the caller's (the shape is the descriptor's own).
+            let cell = unsafe { Info::new_cell(info, s, k, PWord::peek) };
             for j in (0..s.node_words as u64).rev() {
                 // SAFETY: word `j` before the cell, inside its node (caller).
                 h = absorb(h, unsafe { (*b.at::<PWord<M>>(cell - j * Self::WORD)).peek() });
@@ -559,20 +814,30 @@ impl<M: Persist> Info<M> {
 
     /// Attach-time census fix-up for a descriptor that survived a process
     /// restart in a mapped arena: overwrites the volatile bookkeeping — the
-    /// reference count (recomputed from the quiescent structure), the owner
-    /// pool handle (the dead process's pool is gone), and the shared flag
-    /// (a surviving descriptor was published, so it must take the EBR path
-    /// when it is eventually released).
+    /// reference count (recomputed from the quiescent structure) and the
+    /// shared flag (a surviving descriptor was published, so it must take
+    /// the EBR path when it is eventually released). The class byte stays:
+    /// attach checked it against the block ([`Info::validate_bounds`]).
     ///
     /// # Safety
     /// Quiescent exclusive access (attach-time recovery only); `count` must
     /// equal the number of places that reference this descriptor (info
-    /// cells holding its address plus `RD_q` slots naming it), `owner`
-    /// must be the new structure's Info-pool handle (or null).
-    pub unsafe fn reset_after_attach(&self, count: u32, owner: *const ()) {
+    /// cells holding its address plus `RD_q` slots naming it).
+    pub unsafe fn reset_after_attach(&self, count: u32) {
         self.installs.store(count, Ordering::Release);
-        self.owner.store(owner as *mut (), Ordering::Release);
         self.shared.store(true, Ordering::Release);
+    }
+}
+
+#[cfg(test)]
+impl<M: Persist> Info<M> {
+    /// A blank descriptor `Box` of class `lines` ([`Info::drop_boxed`]
+    /// frees it).
+    pub(crate) fn boxed(lines: Lines) -> *mut Self {
+        match lines {
+            Lines::One => Box::into_raw(Box::new(Info::<M>::fresh())),
+            Lines::Two => Box::into_raw(Box::new(InfoPair::<M>::fresh())).cast(),
+        }
     }
 }
 
@@ -704,7 +969,7 @@ pub unsafe fn help<M: Persist, const ARM: u8>(
     // ---- Tagging phase -------------------------------------------------
     let mut k = start;
     while k < naffect {
-        let (cell, expected) = unsafe { r.affect_at(b, k) };
+        let (cell, expected) = unsafe { Info::affect_at(info, b, k) };
         debug_assert!(!tag::is_tagged(expected), "expected info values are untagged");
         let res = cell.cas(expected, tagged_val);
         if !arm::is_tuned(ARM) {
@@ -733,9 +998,9 @@ pub unsafe fn help<M: Persist, const ARM: u8>(
             // A merged operation asks its write instead while the node it
             // links holds the tag (see `merged`).
             let completed =
-                if merged { unsafe { link_took_effect(b, r, s, tagged_val) } } else { r.done() };
+                if merged { unsafe { link_took_effect(b, info, s, tagged_val) } } else { r.done() };
             if completed {
-                return complete::<M, ARM>(b, r, tagged_val, untagged_val, s);
+                return unsafe { complete::<M, ARM>(b, info, tagged_val, untagged_val, s) };
             }
             // ---- Backtrack phase: untag the prefix, in reverse order ----
             // Recorded first: whoever fails later sees a value this
@@ -744,7 +1009,7 @@ pub unsafe fn help<M: Persist, const ARM: u8>(
             let mut j = k;
             while j > 0 {
                 j -= 1;
-                let (c, _) = unsafe { r.affect_at(b, j) };
+                let (c, _) = unsafe { Info::affect_at(info, b, j) };
                 let _ = c.cas(tagged_val, untagged_val);
                 arm::pwb_arm::<M, ARM>(c);
             }
@@ -763,7 +1028,7 @@ pub unsafe fn help<M: Persist, const ARM: u8>(
     if arm::is_tuned(ARM) {
         // Batched write-backs of all tags before the phase-ending psync.
         for k in 0..naffect {
-            let (cell, _) = unsafe { r.affect_at(b, k) };
+            let (cell, _) = unsafe { Info::affect_at(info, b, k) };
             arm::pwb_arm::<M, ARM>(cell);
         }
     } else {
@@ -772,7 +1037,7 @@ pub unsafe fn help<M: Persist, const ARM: u8>(
         // the crashed invoker never completed. Re-flush them so no update is
         // ever durable while a tag it depends on is not (DESIGN.md §4).
         for k in 0..start {
-            let (cell, _) = unsafe { r.affect_at(b, k) };
+            let (cell, _) = unsafe { Info::affect_at(info, b, k) };
             M::pwb(cell);
         }
     }
@@ -792,14 +1057,18 @@ pub unsafe fn help<M: Persist, const ARM: u8>(
     let mut in_place = true;
     for k in 0..s.nw {
         let w = s.write(k);
-        let cell = unsafe { r.cell_at(b, w) };
-        let old = M::load(&r.sets[w + 1]);
-        let new = M::load(&r.sets[w + 2]);
+        let (cell, old, new) = unsafe {
+            (
+                Info::cell_at(info, b, w),
+                M::load(Info::set(info, w + 1)),
+                M::load(Info::set(info, w + 2)),
+            )
+        };
         let seen = cell.cas(old, new); // idempotent: fails silently on re-execution
         in_place &= seen == old || seen == new;
         arm::pwb_arm::<M, ARM>(cell);
     }
-    if merged && !in_place && !unsafe { link_took_effect(b, r, s, tagged_val) } {
+    if merged && !in_place && !unsafe { link_took_effect(b, info, s, tagged_val) } {
         // The tags were won over an `expected` that a crash image restored
         // while another operation's write stands: this attempt can never
         // take effect. Take the tag back, durably, before anyone else acts
@@ -807,14 +1076,14 @@ pub unsafe fn help<M: Persist, const ARM: u8>(
         // a link a later operation moved on after `DONE`: the insert's,
         // whose deletion-tagged `curr` keeps the tag, so a helper that met a
         // resurrected tag gets this far and completes.
-        let (cell, _) = unsafe { r.affect_at(b, 0) };
+        let (cell, _) = unsafe { Info::affect_at(info, b, 0) };
         let _ = cell.cas(tagged_val, untagged_val);
         arm::pwb_arm::<M, ARM>(cell);
         M::psync();
         return HelpOutcome::FailedAt(0);
     }
     debug_assert_ne!(M::load(&r.presult), RES_BOT, "presult is precomputed before publication");
-    complete::<M, ARM>(b, r, tagged_val, untagged_val, s)
+    unsafe { complete::<M, ARM>(b, info, tagged_val, untagged_val, s) }
 }
 
 /// Whether every write of `r` holds its new value (a merged operation's
@@ -822,13 +1091,12 @@ pub unsafe fn help<M: Persist, const ARM: u8>(
 ///
 /// # Safety
 /// As [`help`].
-unsafe fn writes_in_place<M: Persist>(b: Base, r: &Info<M>, s: Shape) -> bool {
+unsafe fn writes_in_place<M: Persist>(b: Base, info: *const Info<M>, s: Shape) -> bool {
     (0..s.nw).all(|k| {
         let w = s.write(k);
         // SAFETY: a write entry names a cell of a node the caller's pin keeps
         // live ([`help`]'s contract).
-        let cell = unsafe { r.cell_at(b, w) };
-        M::load(cell) == M::load(&r.sets[w + 2])
+        unsafe { M::load(Info::cell_at(info, b, w)) == M::load(Info::set(info, w + 2)) }
     })
 }
 
@@ -841,13 +1109,19 @@ unsafe fn writes_in_place<M: Persist>(b: Base, r: &Info<M>, s: Shape) -> bool {
 ///
 /// # Safety
 /// As [`help`].
-unsafe fn link_took_effect<M: Persist>(b: Base, r: &Info<M>, s: Shape, tagged_val: u64) -> bool {
+unsafe fn link_took_effect<M: Persist>(
+    b: Base,
+    info: *const Info<M>,
+    s: Shape,
+    tagged_val: u64,
+) -> bool {
     // SAFETY: a new-set entry names a cell of a node the descriptor
     // installs, which the caller's pin keeps live ([`help`]'s contract).
-    if s.nn > 0 && M::load(unsafe { r.cell_at(b, s.newset(0)) }) == tagged_val {
-        unsafe { writes_in_place(b, r, s) }
+    if s.nn > 0 && M::load(unsafe { Info::new_cell_at(info, b, s, 0) }) == tagged_val {
+        unsafe { writes_in_place(b, info, s) }
     } else {
-        r.done()
+        // SAFETY: the caller's.
+        unsafe { &*info }.done()
     }
 }
 
@@ -871,14 +1145,19 @@ unsafe fn link_took_effect<M: Persist>(b: Base, r: &Info<M>, s: Shape, tagged_va
 ///
 /// Inlined into both call sites: the update phase, every operation's hot
 /// path, makes no extra call.
+///
+/// # Safety
+/// As [`help`].
 #[inline(always)]
-fn complete<M: Persist, const ARM: u8>(
+unsafe fn complete<M: Persist, const ARM: u8>(
     b: Base,
-    r: &Info<M>,
+    info: *const Info<M>,
     tagged_val: u64,
     untagged_val: u64,
     s: Shape,
 ) -> HelpOutcome {
+    // SAFETY: the caller's.
+    let r = unsafe { &*info };
     r.mark(DONE);
     arm::pwb_arm::<M, ARM>(&r.meta);
     M::psync();
@@ -889,7 +1168,7 @@ fn complete<M: Persist, const ARM: u8>(
             continue; // deletion-tagged: stays tagged forever (mark bit)
         }
         // SAFETY: descriptor cells stay live per the help() contract.
-        let (cell, _) = unsafe { r.affect_at(b, k) };
+        let (cell, _) = unsafe { Info::affect_at(info, b, k) };
         let _ = cell.cas(tagged_val, untagged_val);
         if !arm::is_lp(ARM) {
             arm::pwb_arm::<M, ARM>(cell);
@@ -897,7 +1176,7 @@ fn complete<M: Persist, const ARM: u8>(
     }
     for k in 0..s.nn {
         // SAFETY: as above.
-        let cell = unsafe { r.cell_at(b, s.newset(k)) };
+        let cell = unsafe { Info::new_cell_at(info, b, s, k) };
         let _ = cell.cas(tagged_val, untagged_val);
         if !arm::is_lp(ARM) {
             arm::pwb_arm::<M, ARM>(cell);
@@ -947,7 +1226,7 @@ pub unsafe fn help_recovering<M: Persist, const ARM: u8>(
     let naffect = r.shape().na;
     if !M::MAPPED {
         for k in 0..naffect {
-            let (cell, _) = unsafe { r.affect_at(b, k) };
+            let (cell, _) = unsafe { Info::affect_at(info, b, k) };
             let seen = M::load(cell);
             if tag::is_tagged(seen) && seen != tagged_val {
                 let _ = unsafe { help::<M, ARM>(b, b.at(seen), false, guard) };
@@ -959,7 +1238,7 @@ pub unsafe fn help_recovering<M: Persist, const ARM: u8>(
     if res == RES_BOT {
         let mut untagged = false;
         for k in (0..naffect).rev() {
-            let (cell, _) = unsafe { r.affect_at(b, k) };
+            let (cell, _) = unsafe { Info::affect_at(info, b, k) };
             if cell.cas(tagged_val, untagged_val) == tagged_val {
                 M::pwb(cell);
                 untagged = true;
@@ -994,6 +1273,10 @@ mod tests {
         }
     }
 
+    fn boxed(lines: Lines) -> *mut Info<M> {
+        Info::boxed(lines)
+    }
+
     /// Build a one-write, two-affect info over the given cells.
     #[allow(clippy::too_many_arguments)] // mirrors InfoFill's shape, test-only
     unsafe fn mk_info(
@@ -1006,7 +1289,7 @@ mod tests {
         new: u64,
         del_mask: u8,
     ) -> *mut Info<M> {
-        let info = Box::into_raw(Box::new(Info::<M>::fresh()));
+        let info = boxed(Lines::Two);
         unsafe {
             Info::fill(
                 info,
@@ -1226,7 +1509,7 @@ mod tests {
         let ctx = Ctx::new();
         let g = ctx.c.pin();
         let (a0, a1, a2, w) = (cellv(0), cellv(0), cellv(0xF0F0), cellv(100));
-        let info = Box::into_raw(Box::new(Info::<M>::fresh()));
+        let info = boxed(Lines::Two);
         let cell = |c: &PWord<M>| c as *const PWord<M> as u64;
         unsafe {
             Info::fill(
@@ -1345,13 +1628,14 @@ mod tests {
         unsafe { Info::release(info, 3, &g) };
     }
 
-    /// Fills `info` with shape `na / nw / nn` over dummy cells.
-    fn fill_shape(info: &mut Info<M>, (na, nw, nn): (usize, usize, usize)) {
+    /// Fills `info` with shape `na / nw / nn` over dummy cells: the write
+    /// installs the 3-word node at 0x40, new-set entry 0 its last word.
+    fn fill_shape(info: *mut Info<M>, (na, nw, nn): (usize, usize, usize)) {
         let fill = InfoFill {
             optype: 1,
             affect: &[(0x8, 0); MAX_AFFECT + 1][..na],
-            write: &[(0x8, 0, 0); MAX_WRITE + 1][..nw],
-            newset: &[0x8; MAX_NEW + 1][..nn],
+            write: &[(0x8, 0, 0x40); MAX_WRITE + 1][..nw],
+            newset: &[0x50, 0x8, 0x8, 0x8][..nn],
             node_words: 3,
             del_mask: 0,
             presult: RES_TRUE,
@@ -1361,43 +1645,104 @@ mod tests {
     }
 
     /// The lines the pre-publication barrier writes back, per descriptor
-    /// shape the structures build (`naffect / nwrite / nnew`): a read-only
-    /// descriptor and both queue operations one, the list's and the BST's
-    /// updates two. Each range ends before the volatile words, which share
-    /// the second line.
+    /// shape the structures build (`naffect / nwrite / nnew`) in the class
+    /// it is drawn from: a read-only descriptor and both queue operations
+    /// one line, the list's and the BST's updates two. Each range starts at
+    /// the block and ends inside it; the enqueue fills its one line.
     #[test]
     fn each_descriptor_shape_fits_its_line_budget() {
         let _gate = crate::counters::gate_shared();
-        assert_eq!(size_of::<Info<nvm::RealNvm>>(), 128, "two lines, volatile words included");
-        assert_eq!(size_of::<Info<M>>(), 128);
-        assert_eq!(size_of::<Info<nvm::MappedNvm>>(), 128);
-        let volatile = std::mem::offset_of!(Info<M>, installs);
+        for (one, two) in [
+            (size_of::<Info<nvm::RealNvm>>(), size_of::<InfoPair<nvm::RealNvm>>()),
+            (size_of::<Info<M>>(), size_of::<InfoPair<M>>()),
+            (size_of::<Info<nvm::MappedNvm>>(), size_of::<InfoPair<nvm::MappedNvm>>()),
+        ] {
+            assert_eq!((one, two), (64, 128), "one line, two lines, volatile word included");
+        }
         let shapes = [
-            ("read-only", (1, 0, 0), 1),
-            ("enqueue", (1, 1, 1), 1),
-            ("dequeue", (1, 1, 0), 1),
-            ("list insert", (2, 1, 2), 2),
-            ("list delete", (2, 1, 0), 2),
-            ("BST insert", (2, 1, 3), 2),
-            ("BST delete", (4, 1, 1), 2),
+            ("read-only", (1, 0, 0), Lines::One, 1, 40),
+            ("read-only", (1, 0, 0), Lines::Two, 1, 40),
+            ("enqueue", (1, 1, 1), Lines::One, 1, 64),
+            ("dequeue", (1, 1, 0), Lines::One, 1, 64),
+            ("list insert", (2, 1, 2), Lines::Two, 2, 88),
+            ("list delete", (2, 1, 0), Lines::Two, 2, 80),
+            ("BST insert", (2, 1, 3), Lines::Two, 2, 96),
+            ("BST delete", (4, 1, 1), Lines::Two, 2, 112),
         ];
-        for (name, shape, lines) in shapes {
-            let mut info = Info::<M>::fresh();
-            fill_shape(&mut info, shape);
-            let (start, len) = info.used_range();
-            assert_eq!(start, &info as *const _ as *const u8, "{name}: the range starts at it");
-            assert_eq!(nvm::flush::lines_in_range(start, len), lines, "{name}");
-            assert!(len <= volatile, "{name}: the range reaches the volatile words");
+        for (name, shape, lines, want, bytes) in shapes {
+            let info = boxed(lines);
+            fill_shape(info, shape);
+            // SAFETY: the test's own descriptor.
+            let (start, len) = unsafe { Info::words(info) }.used_range();
+            assert_eq!(start, info as *const u8, "{name}: the range starts at the block");
+            assert_eq!(nvm::flush::lines_in_range(start, len), want, "{name}");
+            assert_eq!(len, bytes, "{name}: the range's bytes");
+            assert!(len <= block_bytes::<M>(lines), "{name}: the range leaves its block");
+            // SAFETY: as above, freed once.
+            unsafe { Info::<M>::drop_boxed(info.cast()) };
         }
     }
 
-    /// A shape past the twelve set words would write into the volatile
-    /// words: `fill` refuses it in every build.
+    /// Attach validation reads no word past a one-line block whose `meta`
+    /// claims the BST delete's 4/1/1: the block is followed by words that
+    /// would pass every check, and none of them reaches `valid_cell`. A
+    /// class byte that does not name the block's class fails before any set
+    /// word is read.
     #[test]
-    #[should_panic(expected = "exceeds its 12 set words")]
+    fn validation_reads_no_word_past_the_block() {
+        let _gate = crate::counters::gate_shared();
+        // A one-line descriptor with a line beside it: an `InfoPair`'s
+        // block, its class byte rewritten.
+        let info = boxed(Lines::Two);
+        // SAFETY: the test's own block, one `InfoPair` long.
+        unsafe {
+            *std::ptr::addr_of_mut!((*info).lines) = Lines::One as u8;
+            fill_shape(info, (1, 1, 1));
+            (*info).meta.store((*info).meta.peek() & !0xff00 | 4 << 8);
+            for w in LINE_SETS..PAIR_SETS {
+                Info::set(info, w).store(0x7000 + 8 * w as u64);
+            }
+        }
+        let seen = std::cell::RefCell::new(Vec::new());
+        let cell = |a: u64| {
+            seen.borrow_mut().push(a);
+            true
+        };
+        for bytes in [64, 128] {
+            // SAFETY: `bytes` of the block are readable.
+            assert!(!unsafe { Info::validate_bounds(info, bytes, cell, |_| true) }, "{bytes} B");
+        }
+        assert!(seen.borrow().iter().all(|&a| a < 0x7000), "read past the block: {seen:?}");
+        // SAFETY: freed once, as the `InfoPair` it is.
+        unsafe { drop(Box::from_raw(info.cast::<InfoPair<M>>())) };
+    }
+
+    /// A shape past a one-line descriptor's five set words would write into
+    /// the next block: `fill` refuses it in every build.
+    #[test]
+    #[should_panic(expected = "exceeds its 5 set words")]
     fn fill_refuses_an_over_capacity_shape() {
         let _gate = crate::counters::gate_shared();
-        fill_shape(&mut Info::fresh(), (4, 1, 3));
+        fill_shape(boxed(Lines::One), (2, 1, 2));
+    }
+
+    /// New-set entry 0 is derived from the write: a fill that names another
+    /// cell there is refused in every build.
+    #[test]
+    #[should_panic(expected = "new-set entry 0 is not the info cell")]
+    fn fill_refuses_a_first_new_cell_the_write_does_not_install() {
+        let _gate = crate::counters::gate_shared();
+        let fill = InfoFill {
+            optype: 1,
+            affect: &[(0x8, 0)],
+            write: &[(0x8, 0, 0x40)],
+            newset: &[0x40],
+            node_words: 3,
+            del_mask: 0,
+            presult: RES_TRUE,
+        };
+        // SAFETY: a fresh descriptor, ours alone.
+        unsafe { Info::fill(boxed(Lines::One), &fill) };
     }
 
     #[test]

@@ -134,7 +134,7 @@ pub fn scrub<M: Persist, const ARM: u8>(
 ///
 /// # Safety
 /// Quiescent exclusive access (the structure's `Drop`); every node is a
-/// `Box<N>`, every descriptor a `Box<Info<M>>` (what a heap-mode or
+/// `Box<N>`, every descriptor a `Box` of its class (what a heap-mode or
 /// passthrough pool draws), owned by the structure.
 pub unsafe fn teardown<M: Persist, N>(
     graph: &impl Graph<M>,
@@ -146,7 +146,7 @@ pub unsafe fn teardown<M: Persist, N>(
         parked.into_iter().map(|(p, f)| (p as usize, f)).collect();
     let descriptor = |info| descriptor_of(info).map(|w| rec.base.at::<u8>(w) as usize);
     for rd in rec.published_words() {
-        grave.insert(rec.base.at::<u8>(rd) as usize, drop_raw::<Info<M>>);
+        grave.insert(rec.base.at::<u8>(rd) as usize, Info::<M>::drop_boxed);
     }
     for unit in 0..graph.work_units() {
         let _ = unsafe {
@@ -155,7 +155,7 @@ pub unsafe fn teardown<M: Persist, N>(
                     grave.insert(n as usize, drop_raw::<N>);
                 }
                 if let Some(info) = descriptor(info) {
-                    grave.insert(info, drop_raw::<Info<M>>);
+                    grave.insert(info, Info::<M>::drop_boxed);
                 }
             })
         };

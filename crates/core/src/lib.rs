@@ -58,7 +58,7 @@
 //! ISB-tracking is a generic transformation, and the code is shaped like
 //! it. What the paper keeps per *process* — `RD_q` / `CP_q`, the descriptor
 //! they name, the memory it lives in — a structure holds as one
-//! [`env::Env`]: recovery area, collector, descriptor pool and backing heap,
+//! [`env::Env`]: recovery area, collector, descriptor pools and backing heap,
 //! built in one place ([`env::Env::volatile`], or
 //! [`recovery::AttachEnv::env`] inside a heap). [`engine::help`] is the one
 //! helping procedure, [`op`] the one copy of the invocation skeleton around

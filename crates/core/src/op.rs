@@ -113,12 +113,13 @@ impl<M: Persist> Env<M> {
         unsafe { Info::<M>::release(self.rec.base.at(prev), 1, g) };
     }
 
-    /// Draw a descriptor from the descriptor pool. A fresh one per attempt
-    /// (pointer freshness — the pool's epoch delay keeps a failed
-    /// descriptor's address out of circulation while it is visible).
+    /// Draw a descriptor of the structure's class (`Env::lines`) from the
+    /// descriptor pools. A fresh one per attempt (pointer freshness — the
+    /// pool's epoch delay keeps a failed descriptor's address out of
+    /// circulation while it is visible).
     #[inline]
     pub fn alloc_info(&self) -> *mut Info<M> {
-        self.infos.take()
+        self.infos.take(self.lines)
     }
 
     /// Persist a filled descriptor — and whatever new nodes the caller noted
@@ -135,12 +136,12 @@ impl<M: Persist> Env<M> {
     pub(crate) unsafe fn persist_descriptor<const ARM: u8>(&self, info: *mut Info<M>) {
         unsafe {
             if arm::is_tuned(ARM) {
-                arm::pwb_obj_arm::<M, _, ARM>(&*info);
+                arm::pwb_obj_arm::<M, _, ARM>(&Info::words(info));
                 if !arm::is_lp(ARM) {
                     M::pfence(); // order descriptor write-backs before RD_q's
                 }
             } else {
-                M::pbarrier_obj(&*info);
+                M::pbarrier_obj(&Info::words(info));
             }
         }
     }

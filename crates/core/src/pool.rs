@@ -54,16 +54,11 @@ use std::sync::Arc;
 ///
 /// # Safety-adjacent contract
 /// `fresh()` must produce a fully initialized object that is safe to hand to
-/// any consumer after its in-place re-initialization; `attach` (if
-/// overridden) stores the opaque pool handle for owner-routed retirement.
+/// any consumer after its in-place re-initialization.
 pub trait PoolItem: Send + Sized + 'static {
     /// Construct a blank object (heap-refill path). Implementations bump
     /// their heap-allocation counter here.
     fn fresh() -> Self;
-    /// Called once per object with an opaque handle to its owning pool
-    /// (structures whose retirement site cannot see the pool — the Info
-    /// descriptor released inside the engine — store it; nodes ignore it).
-    fn attach(&mut self, _pool: *const ()) {}
     /// Counter hook: the object was served from a free list.
     fn count_reuse() {}
 }
@@ -76,7 +71,7 @@ const SLAB: usize = 16;
 pub const DEFAULT_CAPACITY: usize = 256;
 
 /// The shared pool state. Heap-allocated behind [`Pool`] (reference-counted,
-/// so clones of one pool — e.g. the Info pool a [`crate::store::Store`]
+/// so clones of one pool — e.g. a descriptor pool a [`crate::store::Store`]
 /// shares across every structure in one heap — all feed the same free
 /// lists) so its address is stable across moves of the owning structure
 /// (retired garbage holds raw `PoolInner` pointers until the collector
@@ -198,12 +193,6 @@ impl<T: PoolItem> Pool<T> {
         self.inner.clone().map(|i| i as _)
     }
 
-    /// Opaque handle for owner-routed retirement ([`retire_to`]); null in
-    /// passthrough mode.
-    pub fn handle(&self) -> *const () {
-        self.inner.as_deref().map_or(std::ptr::null(), |i| i as *const PoolInner<T> as *const ())
-    }
-
     /// Pop a reusable object from the calling thread's free list, refilling
     /// a slab from the heap when empty; in passthrough mode a fresh
     /// `Box<T::fresh()>` of its own.
@@ -224,7 +213,6 @@ impl<T: PoolItem> Pool<T> {
         // kill mid-refill leaves torn blocks the next attach poisons. The
         // arena grows new segments on demand, so its panic means the VA
         // reservation (or a `create_bounded` cap) is genuinely exhausted.
-        let owner = inner as *const PoolInner<T> as *const ();
         let arena = inner.arena.as_deref();
         // The tid-band rule (`Store::open`): a joiner's threads stay in its
         // band, or its recovery slots and announce words are a peer's.
@@ -249,8 +237,6 @@ impl<T: PoolItem> Pool<T> {
                 }
                 None => Box::into_raw(Box::new(T::fresh())),
             };
-            // SAFETY: a fresh object, exclusively ours.
-            unsafe { (*raw).attach(owner) };
             if let Some(heap) = arena {
                 heap.commit(raw as *mut u8);
             }
@@ -328,36 +314,6 @@ impl<T: PoolItem> Pool<T> {
     }
 }
 
-/// Retire `p` into the pool identified by `owner` (a [`Pool::handle`]), or
-/// through plain EBR when `owner` is null. Used by the engine, whose
-/// release sites cannot see the owning structure.
-///
-/// # Safety
-/// `owner` must be null or a handle of a live `Pool<T>` that outlives the
-/// collector behind `g`; `p` as in [`Pool::retire`].
-pub unsafe fn retire_to<T: PoolItem>(owner: *const (), p: *mut T, g: &Guard<'_>) {
-    if owner.is_null() {
-        unsafe { g.retire_box(p) };
-    } else {
-        unsafe { g.retire_ctx(p as *mut u8, owner as *mut u8, recycle_thunk::<T>) };
-    }
-}
-
-/// Return a never-published `p` directly to the pool identified by `owner`,
-/// or retire it through plain EBR when `owner` is null (the pre-pool
-/// behaviour of a zero-refcount descriptor). Engine-side twin of
-/// [`Pool::give`].
-///
-/// # Safety
-/// As [`retire_to`] and [`Pool::give`] combined.
-pub unsafe fn give_to<T: PoolItem>(owner: *const (), p: *mut T, g: &Guard<'_>) {
-    if owner.is_null() {
-        unsafe { g.retire_box(p) };
-    } else {
-        unsafe { (*(owner as *const PoolInner<T>)).recycle(p) };
-    }
-}
-
 #[cfg(test)]
 impl<T: PoolItem> Pool<T> {
     /// Whether this pool actually recycles (false = passthrough).
@@ -371,11 +327,6 @@ impl<T: PoolItem> Pool<T> {
         let mut n = 0;
         self.each_idle(|_| n += 1);
         n
-    }
-
-    /// How many clones of this pool are alive (0 in passthrough mode).
-    pub(crate) fn holders(&self) -> usize {
-        self.inner.as_ref().map_or(0, Arc::strong_count)
     }
 
     /// Whether refills draw from a persistent arena.
@@ -437,7 +388,7 @@ mod tests {
         let c = Collector::new();
         // A simulated model makes the pool passthrough under any collector.
         let pool: Pool<Obj> = Pool::new_for::<nvm::SimNvm>(&c, None);
-        assert!(pool.handle().is_null());
+        assert!(!pool.is_enabled());
         let live = LIVE.load(Relaxed);
         let p = pool.take();
         assert_eq!(LIVE.load(Relaxed), live + 1, "a passthrough take is one fresh object");

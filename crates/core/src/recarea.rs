@@ -430,7 +430,7 @@ impl<M: Persist> RecArea<M> {
             return self.publish(pid, info);
         }
         // SAFETY: the caller's.
-        let cp = unsafe { (*self.base.at::<Info<M>>(info)).digest(self.base, info) };
+        let cp = unsafe { Info::digest(self.base.at::<Info<M>>(info), self.base, info) };
         let s = self.slot(pid);
         s.cp.store(cp);
         crate::arm::pwb_arm::<M, ARM>(&s.cp);
@@ -483,7 +483,7 @@ impl<M: Persist> RecArea<M> {
         // SAFETY: the caller's: the rollback target is the line's too.
         (cp != 0
             && rd != 0
-            && unsafe { (*self.base.at::<Info<M>>(rd)).validates(self.base, rd, cp) })
+            && unsafe { Info::validates(self.base.at::<Info<M>>(rd), self.base, rd, cp) })
         .then_some(rd)
     }
 
@@ -498,9 +498,7 @@ impl<M: Persist> RecArea<M> {
         let s = self.slot(pid);
         let (cp, rd) = (s.cp.load(), s.rd.load());
         // SAFETY: the caller's.
-        let info = unsafe { &*self.base.at::<Info<M>>(rd) };
-        // SAFETY: the caller's.
-        !unsafe { info.validates(self.base, rd, cp) }
+        !unsafe { Info::validates(self.base.at::<Info<M>>(rd), self.base, rd, cp) }
             || rd != s.back_rd.load() && !unsafe { s.checks_hold(self.base, word_ok) }
     }
 
@@ -534,8 +532,6 @@ impl<M: Persist> RecArea<M> {
         if rd == 0 {
             return out;
         }
-        // SAFETY: the caller's.
-        let info = unsafe { &*self.base.at::<Info<M>>(rd) };
         if cp & SEALED != 0 {
             // SAFETY: as `op_recover`'s validation.
             if unsafe { self.torn(pid, |_| true) } {
@@ -548,7 +544,8 @@ impl<M: Persist> RecArea<M> {
             // (the line's two words are written back in one window).
             return out + " (not checked)";
         }
-        out + ": " + &unsafe { info.describe(self.base) }
+        // SAFETY: the caller's.
+        out + ": " + &unsafe { Info::describe(self.base.at::<Info<M>>(rd), self.base) }
     }
 
     /// Every published descriptor's link word (drop-time info scan).

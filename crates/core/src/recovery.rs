@@ -204,8 +204,8 @@ pub unsafe fn recover_dead_pid_with(
     if rd != 0 {
         // SAFETY: the RD slot held one reference on the descriptor and was
         // durably cleared above, so this release runs at most once across
-        // recoverer supersessions. A foreign-owned final release leaks the
-        // block by design (engine owner-slot guard); full attach sweeps it.
+        // recoverer supersessions. A final release recycles the block into
+        // this process's pools (one epoch domain per heap).
         unsafe { Info::<MappedNvm>::release(rec.base.at(rd), 1, guard) };
     }
     decision
@@ -229,9 +229,8 @@ pub mod rootkeys {
     pub const RESPTAB: u64 = 0x5245_5350; // "RESP"
 }
 
-use crate::env::Env;
+use crate::env::{Env, Infos};
 use crate::graph::{census_unit, scrub, validate_unit, Graph};
-use crate::pool::Pool;
 use nvm::mapped::{fan_out, MapError, MappedHeap, MappedNvm};
 use reclaim::Collector;
 use std::collections::{HashMap, HashSet};
@@ -384,8 +383,8 @@ pub struct AttachEnv {
     pub(crate) epoch_region: *mut u8,
     /// The attacher's own environment: the view of the recovery slots the
     /// attach replay and [`crate::store::Store::recover_peer`] decide over,
-    /// the collector they pin, and the heap-wide Info-descriptor pool every
-    /// structure's environment holds a clone of.
+    /// the collector they pin, and the heap-wide descriptor pools every
+    /// structure's environment shares.
     pub(crate) own: Env<MappedNvm>,
 }
 
@@ -393,8 +392,8 @@ impl AttachEnv {
     /// The attach prologue of every store open, as single owner or as
     /// joiner: the check that the heap is a store's, the heap-wide recovery
     /// area and its recorded geometry, the heap's epoch region, and the
-    /// heap-wide Info pool. Returns the environment and whether the heap is
-    /// fresh.
+    /// heap-wide descriptor pools. Returns the environment and whether the
+    /// heap is fresh.
     pub(crate) fn open(heap: Arc<MappedHeap>) -> Result<(Self, bool), AttachError> {
         let (joined, found) = (heap.report().joined, heap.kind());
         let expected = crate::store::KIND_STORE;
@@ -448,7 +447,7 @@ impl AttachEnv {
     unsafe fn env_over(
         rec_base: *const u8,
         epoch_region: *mut u8,
-        infos: Option<Pool<Info<MappedNvm>>>,
+        infos: Option<Arc<Infos<MappedNvm>>>,
         heap: Arc<MappedHeap>,
     ) -> Env<MappedNvm> {
         // SAFETY: the caller's EPOCHS block.
@@ -459,7 +458,7 @@ impl AttachEnv {
 
     /// The environment of one structure in the heap: its own collector (in
     /// the heap's epoch domain), its own view of the **same** recovery slots,
-    /// a clone of the heap-wide Info pool, and the heap its node pool draws
+    /// the heap-wide descriptor pools, and the heap its node pool draws
     /// arena blocks from.
     pub fn env(&self) -> Env<MappedNvm> {
         let infos = Some(self.own.infos.clone());
@@ -569,7 +568,8 @@ pub trait SlotOps: Graph<MappedNvm> + std::any::Any + Send + Sync {
     fn heal(&mut self) {}
 
     /// Every arena block currently cached in this structure's node pool
-    /// (kept out of the sweep; the driver adds the heap-wide Info pool's).
+    /// (kept out of the sweep; the driver adds the heap-wide descriptor
+    /// pools').
     fn each_cached(&mut self, f: &mut dyn FnMut(usize));
 }
 
@@ -652,7 +652,7 @@ pub unsafe fn finish_attach(
     slots: &mut [Box<dyn SlotOps>],
     extra_live: &[usize],
 ) -> Result<(Vec<(usize, Recovered)>, usize), AttachError> {
-    let (heap, rec, owner) = (&*env.heap, &env.own.rec, env.own.infos.handle());
+    let (heap, rec) = (&*env.heap, &env.own.rec);
     let in_node = |s: &dyn SlotOps, off: u64| {
         off & 7 == 0 && heap.contains_span(off as usize, s.node_bytes())
     };
@@ -754,16 +754,16 @@ pub unsafe fn finish_attach(
             live.insert(p);
         });
     }
-    env.own.infos.clone().each_idle(|p| {
+    env.own.infos.each_idle(|p| {
         live.insert(p as usize);
     });
     // Rewrite every live descriptor's volatile bookkeeping (recomputed
-    // reference count, this process's Info pool as owner) and keep it.
+    // reference count) and keep it.
     for (&info, &cnt) in &info_refs {
         // SAFETY: quiescent; `info_refs` holds the true counts (cells + RD
         // slots) of descriptors validated above.
         let info = rec.base.at::<Info<MappedNvm>>(info);
-        unsafe { (*info).reset_after_attach(cnt, owner) };
+        unsafe { (*info).reset_after_attach(cnt) };
         live.insert(info as usize);
     }
     // SAFETY: quiescent; `live` covers roots, graphs, descriptors and this
@@ -780,11 +780,12 @@ pub unsafe fn finish_attach(
 /// `CP_q` still the glue's 0, an image whose descriptor nothing vouches
 /// for, is cleared. Every such slot decides as its rollback target does (a
 /// mapped structure is `Isb-LP`), and the census recomputes the references
-/// without the torn descriptor. The descriptor is read only once its span
-/// lies inside the mapping, its new nodes only once
-/// [`Info::validate_bounds`] admits them, and a record word only inside the
-/// mapping (one outside fails its check); a sealed slot that fails either
-/// of the first two is left for [`validate_infos`] to refuse.
+/// without the torn descriptor. The descriptor is read only once it is a
+/// committed block of its class ([`Info::in_block`]) and never past the
+/// block, its new nodes only once [`Info::validate_bounds`] admits them,
+/// and a record word only inside the mapping (one outside fails its
+/// check); a sealed slot that fails either of the first two is left for
+/// [`validate_infos`] to refuse.
 fn roll_back_torn_publications(
     heap: &MappedHeap,
     rec: &RecArea<MappedNvm>,
@@ -800,18 +801,20 @@ fn roll_back_torn_publications(
             rec.clear_slot(pid);
             continue;
         }
+        let info = rec.base.at::<Info<MappedNvm>>(rd);
+        // SAFETY: every read is inside the committed block of `n` bytes at
+        // `rd`, a descriptor of its class once `in_block` holds, and the
+        // reads past it are inside the mapping: every new node's span and
+        // every admitted record word.
+        let torn = |n| unsafe {
+            Info::in_block(info, n)
+                && (!Info::sealed_by(info, rd, cp)
+                    || Info::validate_bounds(info, n, cell_ok, valid_install)
+                        && rec.torn(pid, cell_ok))
+        };
         let torn = cp & crate::engine::SEALED != 0
             && cell_ok(rd)
-            && heap.contains_span(rd as usize, size_of::<Info<MappedNvm>>())
-            && {
-                // SAFETY: the descriptor's whole span is inside the mapping.
-                let info = unsafe { &*rec.base.at::<Info<MappedNvm>>(rd) };
-                !info.sealed_by(rd, cp)
-                    || info.validate_bounds(cell_ok, valid_install)
-                        // SAFETY: every new node's span and every admitted
-                        // record word is inside the mapping.
-                        && unsafe { rec.torn(pid, cell_ok) }
-            };
+            && heap.committed_payload_bytes(info as *const u8).is_some_and(torn);
         if torn {
             rec.roll_back(pid);
         }
@@ -819,9 +822,10 @@ fn roll_back_torn_publications(
 }
 
 /// Pre-recovery validation of every collected descriptor offset against the
-/// mapping: the descriptor's **whole span** must lie inside the heap, and
-/// (via [`Info::validate_bounds`]) every cell offset it names must have an
-/// in-heap 8-byte span while every value it installs must satisfy
+/// mapping: the descriptor must be a **committed block** of the heap, whose
+/// payload size bounds every read, and (via [`Info::validate_bounds`]) a
+/// block of its class whose shape fits it, every cell offset it names must
+/// have an in-heap 8-byte span, and every value it installs must satisfy
 /// `valid_install` (callers pass a node-span check — installed values are
 /// node offsets the census walk will follow). Any violation is a typed
 /// [`nvm::MapError::CorruptPointer`] naming the offending word, never a
@@ -833,10 +837,11 @@ pub fn validate_infos<M: Persist>(
 ) -> Result<(), nvm::MapError> {
     let cell_ok = |a: u64| a & 7 == 0 && heap.contains_span(a as usize, 8);
     for &info in infos {
-        let inside = cell_ok(info) && heap.contains_span(info as usize, size_of::<Info<M>>());
-        // SAFETY: read only once the descriptor's whole span is inside the mapping.
-        let at = || unsafe { &*Base(heap.base() as usize).at::<Info<M>>(info) };
-        if !inside || !at().validate_bounds(cell_ok, valid_install) {
+        let at = Base(heap.base() as usize).at::<Info<M>>(info);
+        let block = heap.committed_payload_bytes(at as *const u8);
+        // SAFETY: read only inside the committed block at `info`.
+        let valid = |n| unsafe { Info::validate_bounds(at, n, cell_ok, valid_install) };
+        if !cell_ok(info) || !block.is_some_and(valid) {
             return Err(nvm::MapError::CorruptPointer { addr: info });
         }
     }
@@ -878,7 +883,7 @@ impl AttachSummary {
 mod tests {
     use super::*;
     use crate::engine::{help, Info, InfoFill, RES_TRUE};
-    use crate::pool::PoolItem;
+    use crate::pool::{Pool, PoolItem};
     use nvm::CountingNvm;
     use reclaim::Collector;
 
@@ -1029,8 +1034,8 @@ mod tests {
             image(&p);
             let got = unsafe { op_recover::<M, { crate::arm::LP }>(&rec, 0, &c.pin()) };
             assert_eq!(got, want, "{row}: {}", unsafe { rec.describe(0) });
-            let applied = if want == Recovered::Restart { 0 } else { 1 };
-            assert_eq!(p.effect.load(), applied, "{row}: the write");
+            let applied = want != Recovered::Restart;
+            assert_eq!(p.effect.load() != 0, applied, "{row}: the write");
         };
         lp(&|_| {}, Recovered::Completed(RES_TRUE), "complete");
         // A torn `meta` reads `POISON`, whose `DONE` bit is set.
@@ -1099,7 +1104,7 @@ mod tests {
             });
             let want = if rolled_back { prior.info } else { p.info };
             assert_eq!(rec.published(0), want as u64, "{row}: the line after");
-            assert_eq!(p.effect.load(), !rolled_back as u64, "{row}: its write");
+            assert_eq!(p.effect.load() != 0, !rolled_back, "{row}: its write");
             pending.store(5 | 9 << 56);
             last_seq.store(4);
             std::mem::forget(p); // the line may still name its descriptor
@@ -1162,7 +1167,7 @@ mod tests {
                     &InfoFill {
                         optype: 1,
                         affect: &[(word(&self.cell), 0)],
-                        write: &[(word(&self.effect), 0, 1)],
+                        write: &[(word(&self.effect), 0, word(&self.node[0]))],
                         newset: &[word(&self.node[2])],
                         node_words: 3,
                         del_mask: 0,
@@ -1180,7 +1185,7 @@ mod tests {
         fn word(&self, k: usize) -> &PWord<M> {
             let (mut n, mut at) = (0, std::ptr::null());
             // SAFETY: the test owns the descriptor.
-            unsafe { &*self.info }.each_word(&mut |w| {
+            unsafe { Info::words(self.info) }.each_word(&mut |w| {
                 if n == k {
                     at = w as *const PWord<M>;
                 }

@@ -1466,7 +1466,7 @@ mod tests {
             // Two tag cells, then the effect word.
             let cells: [Box<PWord<SimNvm>>; 3] = [(); 3].map(|_| Box::new(PWord::new(0)));
             cells.iter().for_each(|w| w.store(0));
-            let info = Box::into_raw(Box::new(Info::<SimNvm>::fresh()));
+            let info = Info::<SimNvm>::boxed(crate::engine::Lines::Two);
             let affect = [(Base(0).word(&*cells[0]), 0), (Base(0).word(&*cells[1]), 0)];
             let f = InfoFill {
                 optype: 1,
@@ -1524,7 +1524,7 @@ mod tests {
             let ctx = format!("seed {seed}: {:?} {decision:?}", words(&slot));
             judge(&slot, rec.published(TID), decision, OLD, &[me], &ctx);
             // SAFETY: nothing refers to it past this iteration.
-            drop(unsafe { Box::from_raw(info) });
+            unsafe { Info::<SimNvm>::drop_boxed(info.cast()) };
         }
     }
 

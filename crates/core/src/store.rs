@@ -14,7 +14,7 @@
 //!   model allows a single pending operation per process, regardless of
 //!   which structure it touches, so `RD_q`/`CP_q` are per-*process*, not
 //!   per-structure (descriptor hand-over across structures routes through
-//!   one shared Info pool);
+//!   the shared descriptor pools);
 //! * attach-time recovery is one generic driver over every entry
 //!   ([`crate::recovery::finish_attach`]): validation, one Op-Recover
 //!   replay over the shared area, per-structure scrub, and a census/sweep
@@ -73,7 +73,7 @@ struct Entry {
 /// heap alive independently of the `Store`.
 pub struct Store {
     /// What every handle is built in — the heap, the shared recovery area,
-    /// the heap-wide Info pool and the epoch region — and the
+    /// the heap-wide descriptor pools and the epoch region — and the
     /// store's own [`crate::env::Env`] in it, which peer recovery runs on.
     env: AttachEnv,
     catalog: *mut u8,
@@ -1078,9 +1078,9 @@ mod tests {
         assert!(map.insert(2, 4) && map.insert(2, 6));
         // SAFETY: `RD_1` still holds the descriptor.
         assert_eq!(unsafe { (*info).installs() }, 1, "RD_1 alone names the descriptor");
-        let mut infos = store.env.own.infos.clone();
+        let infos = store.env.own.infos.clone();
         // Recycled: drawn again (`RD_1` names it) or idle on a free list.
-        let mut recycled = || {
+        let recycled = || {
             let mut hit = rec.published(1) == d;
             infos.each_idle(|p| hit |= p == info);
             hit
@@ -1145,6 +1145,42 @@ mod tests {
         let fresh = nvm::stats::Snapshot::of_tid(t).since(&before).info_allocs;
         assert!(fresh < OPS / 4, "{fresh} descriptors drawn fresh for {} updates", 2 * OPS);
         drop((map, store));
+    }
+
+    /// A descriptor whose last reference a peer drops goes back into the
+    /// peer's own pools — every opener pins in the heap's one epoch domain —
+    /// instead of leaking to the next full attach's sweep. Here the joiner
+    /// dequeues the item the initial attacher enqueued first: retiring the
+    /// old sentinel drops the last reference to that enqueue's descriptor.
+    /// Both close cleanly, so the next attach sweeps nothing (it swept that
+    /// descriptor while a peer's release leaked it).
+    #[test]
+    fn a_descriptor_a_peer_releases_last_is_recycled_not_swept() {
+        let _gate = crate::counters::gate_shared();
+        nvm::tid::set_tid(0);
+        let path = tmp("peerrelease");
+        {
+            let a = Store::open_sized(&path, 4 << 20).unwrap();
+            let qa = a.queue::<LP>("q").unwrap();
+            let b = Store::open_sized(&path, 4 << 20).unwrap();
+            assert!(b.summary().heap.joined, "the second opener joins");
+            let qb = b.queue::<LP>("q").unwrap();
+            qa.enqueue(0, 10);
+            qa.enqueue(0, 20);
+            let t = MappedHeap::tid_band(b.heap().my_participant().unwrap()).start;
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    nvm::tid::set_tid(t);
+                    assert_eq!(qb.dequeue(t), Some(10));
+                });
+            });
+            drop((qb, b, qa, a));
+        }
+        let store = Store::open_sized(&path, 4 << 20).unwrap();
+        assert!(!store.summary().heap.joined, "a full attach");
+        assert_eq!(store.summary().swept, 0, "blocks swept after two clean closes");
+        let q = store.queue::<LP>("q").unwrap();
+        assert_eq!((q.dequeue(0), q.dequeue(0)), (Some(20), None));
     }
 
     /// Every registry slot held by a live participant (this process and
@@ -1240,7 +1276,7 @@ mod tests {
             let mut k = Arc::into_inner(k).expect("the last handle");
             let env = env(&mut k);
             assert!(env.collector.pending() >= 1, "{kind}: the descriptor waits in K's collector");
-            assert_eq!(env.infos.holders(), 1, "{kind}: the pool is alive, and K's alone");
+            assert_eq!(Arc::strong_count(&env.infos), 1, "{kind}: the pools are alive, K's alone");
             if observe {
                 assert!(env.drain_observed() >= 1, "{kind}: recycled into the live pool");
             }

@@ -124,8 +124,12 @@ pub const MAGIC: u64 = 0x4953_424D_4150_3031;
 /// was. v10: a recorded publication rides the publish window — the recovery
 /// line also holds its rollback target and record checks, which a v9
 /// writer left stale beside a recorded `RD_q`, so a v9 heap fails typed
-/// (`BadVersion(9)`) and is left as it was.
-pub const VERSION: u64 = 10;
+/// (`BadVersion(9)`) and is left as it was. v11: descriptors come in two
+/// classes, one cache line (the queue's) and two — the volatile bookkeeping
+/// moved to word 0 as one word with the block's class byte, and new-set
+/// entry 0 is no longer stored — so a v10 heap's descriptors would be
+/// misread; it fails typed (`BadVersion(10)`) and is left as it was.
+pub const VERSION: u64 = 11;
 /// Pattern written over the payload of torn (allocated-but-never-committed)
 /// tail blocks before they are returned to the free list.
 pub const POISON: u64 = 0xDEAD_BEEF_DEAD_BEEF;

@@ -254,7 +254,7 @@ impl Collector {
     }
 
     /// Sets an opaque word every guard reports ([`Guard::tag`]; 0 unset):
-    /// the mapped backend's descriptor-pool handle.
+    /// the address of the descriptor pools of the owning environment.
     pub fn set_tag(&mut self, tag: usize) {
         self.tag = tag;
     }

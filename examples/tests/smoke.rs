@@ -68,11 +68,18 @@ fn pipeline_runs() {
 fn heap_usage_runs() {
     let out = run_example(env!("CARGO_BIN_EXE_heap_usage"), &[]);
     assert!(out.contains("live keys") && out.contains("B/key"), "unexpected output:\n{out}");
-    // The descriptor row counts the blocks of the shipped descriptor's class.
-    let blocks = out
-        .lines()
-        .find_map(|l| l.trim().strip_prefix("descriptors ("))
-        .and_then(|rest| rest.split(' ').next())
-        .and_then(|n| n.parse::<u64>().ok());
-    assert!(blocks.is_some_and(|n| n > 0), "no descriptor blocks counted:\n{out}");
+    // Each section's descriptor row counts the blocks of its class: the
+    // map's two lines, the queue's one.
+    let blocks = |section: &str, row: &str| {
+        out.split(section)
+            .nth(1)
+            .and_then(|s| s.lines().find_map(|l| l.trim().strip_prefix(row)))
+            .and_then(|rest| rest.split(')').next())
+            .and_then(|n| n.parse::<u64>().ok())
+    };
+    for (section, row) in [("map:", "two-line descriptors ("), ("queue:", "one-line descriptors (")]
+    {
+        let n = blocks(section, row);
+        assert!(n.is_some_and(|n| n > 0), "{section} no {row}…) blocks counted:\n{out}");
+    }
 }

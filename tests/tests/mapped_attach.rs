@@ -93,7 +93,9 @@ fn wrong_version_fails_typed() {
 }
 
 /// A heap of a previous format fails typed before anything reads it, and is
-/// left byte for byte as it was: version 9, whose recovery lines hold no
+/// left byte for byte as it was: version 10, whose descriptors were all two
+/// lines with the volatile words last and new-set entry 0 stored, version
+/// 9, whose recovery lines hold no
 /// rollback target or record check beside a recorded publication, version
 /// 8, whose recovery slots hold
 /// `CP_q = 1` where this build reads a publication digest, version 7, whose live peer may be an
@@ -107,8 +109,8 @@ fn wrong_version_fails_typed() {
 /// first cache line.
 #[test]
 fn previous_descriptor_format_fails_typed() {
-    assert_eq!(nvm::mapped::VERSION, 10);
-    for old in [9u64, 8, 7, 6, 5, 4, 3] {
+    assert_eq!(nvm::mapped::VERSION, 11);
+    for old in [10u64, 9, 8, 7, 6, 5, 4, 3] {
         let path = tmp("old_version");
         mk_map(&path);
         patch(&path, 8, &old.to_le_bytes()); // word 1: version
@@ -128,51 +130,102 @@ fn previous_descriptor_format_fails_typed() {
     }
 }
 
-/// File offsets of a node of the map that names a descriptor and of that
-/// descriptor: the first non-zero `info` word (word 2 of a list node) along
-/// the buckets, in shard order.
-fn live_descriptor(path: &PathBuf) -> (u64, u64) {
-    let root = entry_root(path);
-    for shard in 0..SHARDS as u64 {
-        let mut node = read_at(path, root + 8 * shard);
-        while node != 0 {
-            let info = read_at(path, node + 16) & !1;
-            if info != 0 {
-                return (node, info);
-            }
-            node = read_at(path, node + 8) & !1;
+/// A queue heap: pid 1 enqueued 10, then — with `rd_only` — pid 2
+/// enqueued 20 and dequeued 10, so nothing but `RD_1` names pid 1's
+/// enqueue descriptor (its cells were retagged and retired). Returns the
+/// file offsets of that descriptor, a one-line block, and of the node
+/// holding 10 or 20.
+fn queue_descriptor(path: &PathBuf, rd_only: bool) -> (u64, u64) {
+    nvm::tid::set_tid(0);
+    {
+        let store = Store::open_sized(path, HEAP_BYTES).unwrap();
+        let q = store.queue::<LP>(NAME).unwrap();
+        q.enqueue(1, 10);
+        if rd_only {
+            q.enqueue(2, 20);
+            assert_eq!(q.dequeue(2), Some(10));
         }
     }
-    panic!("no node of the map names a descriptor");
+    let slot = root_offset(path, rootkeys::RECAREA) + ARENA_SLOT_STRIDE as u64; // pid 1
+    let node = read_at(path, read_at(path, entry_root(path)) + 8); // the sentinel's next
+    (read_at(path, slot), node)
 }
 
-/// A committed descriptor whose `meta` claims the sets 4/1/3 — each within
-/// its own capacity, together two words past the twelve set words (file
-/// words 2..14 of the descriptor) — and whose set words all name a live
-/// node, so every cell and install it names passes the span checks: only
-/// the capacity check stands between attach and a read of its last
-/// new-node cell past the set words. It fails typed, naming the
-/// descriptor; the undamaged image attaches.
+/// Claims the BST delete's 4/1/1 in the `meta` (word 1) of the one-line
+/// descriptor at `info`, its five set words (words 3..8, all the block
+/// holds) naming the node at `node`, so every cell they name passes the
+/// span checks: the set words the claim needs past them would be the next
+/// block's. With `class`, the class byte (word 0, byte 6) too.
+fn claim_bst_delete(path: &PathBuf, info: u64, node: u64, class: Option<u8>) {
+    let meta = read_at(path, info + 8);
+    patch(path, info + 8, &(meta & !0xff_ff_ff_00 | 4 << 8 | 1 << 16 | 1 << 24).to_le_bytes());
+    for w in 3..8 {
+        patch(path, info + 8 * w, &node.to_le_bytes());
+    }
+    if let Some(class) = class {
+        patch(path, info + 6, &[class]);
+    }
+}
+
+/// Opens the queue named [`NAME`] and closes the heap again.
+fn attach_queue(path: &PathBuf) -> Result<(), AttachError> {
+    sole(path, |s| s.queue::<LP>(NAME)).map(drop)
+}
+
+/// A node cell naming a one-line descriptor whose `meta` claims more set
+/// words than its block holds (the BST delete's 4/1/1 in the queue's
+/// enqueue descriptor): only the class's capacity stands between attach and
+/// a read of the next block. It fails typed, naming the descriptor; the
+/// undamaged image attaches.
 #[test]
 fn over_capacity_descriptor_fails_typed() {
     let path = tmp("info_capacity");
-    mk_map(&path);
-    let (node, info) = live_descriptor(&path);
-    let intact: Vec<u64> = (0..14).map(|w| read_at(&path, info + 8 * w)).collect();
-    let claimed = intact[0] & !0xff_ff_ff_00 | 4 << 8 | 1 << 16 | 3 << 24;
-    patch(&path, info, &claimed.to_le_bytes());
-    for w in 2..14 {
-        patch(&path, info + 8 * w, &node.to_le_bytes());
-    }
-    match map_err(attach(&path)) {
+    let (info, node) = queue_descriptor(&path, false);
+    let intact: Vec<u64> = (0..8).map(|w| read_at(&path, info + 8 * w)).collect();
+    claim_bst_delete(&path, info, node, None);
+    match map_err(attach_queue(&path)) {
         MapError::CorruptPointer { addr } => assert_eq!(addr, info),
         e => panic!("expected CorruptPointer({info:#x}), got {e}"),
     }
     for (w, v) in intact.iter().enumerate() {
         patch(&path, info + 8 * w as u64, &v.to_le_bytes());
     }
-    attach(&path).unwrap_or_else(|e| panic!("the undamaged image must attach: {e}"));
+    attach_queue(&path).unwrap_or_else(|e| panic!("the undamaged image must attach: {e}"));
     let _ = std::fs::remove_file(&path);
+}
+
+/// `RD_1` alone names the over-capacity one-line descriptor: with its
+/// digest in `CP_1` (no longer matching) or `CP_1 = 0` the publication is
+/// torn and rolled back, and pid 1 restarts; with a class byte claiming two
+/// lines as well, the descriptor is not a block of its class and attach
+/// refuses it, naming it, before reading a word past its block.
+#[test]
+fn over_capacity_descriptor_in_rd_q_is_rolled_back_or_refused() {
+    use isb::recovery::Recovered;
+    for (row, cp_zero, class) in
+        [("CP_1 kept", false, None), ("CP_1 = 0", true, None), ("class byte 2", false, Some(2))]
+    {
+        let path = tmp("info_capacity_rd");
+        let (info, node) = queue_descriptor(&path, true);
+        claim_bst_delete(&path, info, node, class);
+        let slot = root_offset(&path, rootkeys::RECAREA) + ARENA_SLOT_STRIDE as u64;
+        if cp_zero {
+            patch(&path, slot + 8, &0u64.to_le_bytes());
+        }
+        let opened = Store::open_sized(&path, HEAP_BYTES).map(|store| {
+            assert_eq!(store.summary().decision(1), Recovered::Restart, "{row}");
+            let q = store.queue::<LP>(NAME).unwrap();
+            assert_eq!((q.dequeue(0), q.dequeue(0)), (Some(20), None), "{row}");
+        });
+        match (opened, class) {
+            (Ok(()), None) => assert_eq!(read_at(&path, slot), 0, "{row}: RD_1 rolled back"),
+            (Err(AttachError::Map(MapError::CorruptPointer { addr })), Some(_)) => {
+                assert_eq!(addr, info, "{row}")
+            }
+            (r, _) => panic!("{row}: got {:?}", r.err().map(|e| e.to_string())),
+        }
+        let _ = std::fs::remove_file(&path);
+    }
 }
 
 /// A publication torn by hand — a word of pid 1's descriptor rewritten to
@@ -215,7 +268,7 @@ fn torn_publication_is_cleared_not_refused() {
         assert!(rd != 0 && cp >> 63 == 1, "pid 1 published: ({cp:#x}, {rd:#x})");
         let prior = (read_at(&path, slot + stride), read_at(&path, slot + stride + 8)); // pid 2's
         if tear {
-            patch(&path, rd + 16, &0xFFFF_FFF8u64.to_le_bytes()); // its affect cell
+            patch(&path, rd + 24, &0xFFFF_FFF8u64.to_le_bytes()); // its affect cell
         }
         patch(&path, slot, &rd_image(rd).to_le_bytes());
         patch(&path, slot + 8, &cp_image(cp).to_le_bytes());
