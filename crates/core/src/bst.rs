@@ -573,9 +573,7 @@ mod tests {
                 })
             })
             .collect();
-        for h in hs {
-            h.join().unwrap();
-        }
+        crate::simtest::join_by(hs, "4 × 150 disjoint inserts");
         let mut t = Arc::into_inner(t).unwrap();
         assert_eq!(t.snapshot_keys().len(), 600);
         t.check_invariants();
@@ -609,9 +607,7 @@ mod tests {
                 })
             })
             .collect();
-        for h in hs {
-            h.join().unwrap();
-        }
+        crate::simtest::join_by(hs, "churn, pid p seeded p + 7 (seeds 7..=10)");
         let mut t = Arc::into_inner(t).unwrap();
         t.check_invariants();
     }

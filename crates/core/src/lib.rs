@@ -119,11 +119,32 @@ pub mod stack;
 pub mod store;
 pub mod tag;
 
-/// Shared by this crate's crash-simulator unit tests.
+/// Shared by this crate's crash-simulator and concurrent unit tests.
 #[cfg(test)]
 pub(crate) mod simtest {
     use nvm::sim;
     use std::sync::{Mutex, MutexGuard};
+    use std::thread::JoinHandle;
+    use std::time::{Duration, Instant};
+
+    /// How long a test's workers, or a crash sweep, may run: far past what
+    /// any of them takes, so one livelocked by a broken descriptor or
+    /// allocator fails its test naming its seed instead of spinning the
+    /// test binary for minutes.
+    pub const DEADLINE: Duration = Duration::from_secs(30);
+
+    /// Joins `workers`, failing naming `what` (the test and its seeds) when
+    /// they have not all finished within [`DEADLINE`]; a stuck worker is
+    /// left running. A worker's panic is re-raised.
+    pub fn join_by<T>(workers: Vec<JoinHandle<T>>, what: &str) -> Vec<T> {
+        let end = Instant::now() + DEADLINE;
+        while !workers.iter().all(JoinHandle::is_finished) {
+            assert!(Instant::now() < end, "{what}: not finished within {DEADLINE:?}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let joined = workers.into_iter().map(JoinHandle::join);
+        joined.map(|r| r.unwrap_or_else(|e| std::panic::resume_unwind(e))).collect()
+    }
 
     /// One simulator session at a time: the word registry is process-global
     /// and [`sim::begin_session`] panics on overlap, so tests queue here.

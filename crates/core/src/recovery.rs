@@ -666,7 +666,9 @@ pub unsafe fn finish_attach(
         .enumerate()
         .flat_map(|(i, s)| (0..s.work_units().max(1)).map(move |u| (i, u)))
         .collect();
-    let budget = heap.bump_granules() + 8;
+    // The heap's block count bounds every structure's node count: two
+    // half blocks per granule at most.
+    let budget = 2 * heap.bump_granules() + 8;
     let mut infos: HashSet<u64> = HashSet::new();
     let validated = fan_out(
         units.len(),

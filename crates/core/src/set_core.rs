@@ -463,23 +463,26 @@ mod tests {
     #[test]
     fn lp_insert_is_decided_by_its_linked_cell_not_any_new_cell() {
         let _gate = crate::counters::gate_shared();
-        nvm::tid::set_tid(1);
-        let mut list = RList::<CountingNvm, LP>::new();
-        let g = list.env.collector.pin(); // every node retired below stays allocated
-        assert!(list.insert(1, 20));
-        let (b, tagged) = (list.env.rec.base, tag::tagged(list.env.rec.published(1)));
-        // SAFETY: one thread, and nothing is reclaimed under `g`: `newnd`
-        // (20) and its successor `newcurr` stay allocated to the end.
-        let newcurr = unsafe {
-            let newnd = list.bucket(0).search(At::Key(20)).curr;
-            &*b.at::<Node<CountingNvm>>((*newnd).next.load())
-        };
-        newcurr.info.store(tagged); // cleanup cut after `newnd`
-        assert!(list.insert(2, 10), "pid 2 inserts between `pred` and `newnd`");
-        assert_eq!(list.env.recover::<LP>(1), Recovered::Completed(RES_TRUE));
-        assert_ne!(newcurr.info.load(), tagged, "recovery's cleanup untags it");
-        drop(g);
-        assert_eq!(list.snapshot_keys(), [10, 20]);
+        let run = std::thread::spawn(|| {
+            nvm::tid::set_tid(1);
+            let mut list = RList::<CountingNvm, LP>::new();
+            let g = list.env.collector.pin(); // every node retired below stays allocated
+            assert!(list.insert(1, 20));
+            let (b, tagged) = (list.env.rec.base, tag::tagged(list.env.rec.published(1)));
+            // SAFETY: one thread, and nothing is reclaimed under `g`: `newnd`
+            // (20) and its successor `newcurr` stay allocated to the end.
+            let newcurr = unsafe {
+                let newnd = list.bucket(0).search(At::Key(20)).curr;
+                &*b.at::<Node<CountingNvm>>((*newnd).next.load())
+            };
+            newcurr.info.store(tagged); // cleanup cut after `newnd`
+            assert!(list.insert(2, 10), "pid 2 inserts between `pred` and `newnd`");
+            assert_eq!(list.env.recover::<LP>(1), Recovered::Completed(RES_TRUE));
+            assert_ne!(newcurr.info.load(), tagged, "recovery's cleanup untags it");
+            drop(g);
+            assert_eq!(list.snapshot_keys(), [10, 20]);
+        });
+        crate::simtest::join_by(vec![run], "the insert of 20 cut before its cleanup");
     }
 
     /// What another process does to a merged insert's neighbourhood before
@@ -505,10 +508,18 @@ mod tests {
     fn lp_insert_recovers_by_its_link_not_its_result() {
         let _gate = crate::counters::gate_shared();
         let _session = crate::simtest::session();
+        let end = std::time::Instant::now() + crate::simtest::DEADLINE;
         let mut crashes = 0;
         for meddle in [Meddle::InsertAtPred, Meddle::DeleteKey] {
             for seed in 0..16 {
                 for fuse in 1.. {
+                    // An insert that never outruns its fuse crashes forever.
+                    let at = format!("{meddle:?} fuse {fuse} seed {seed}");
+                    let deadline = crate::simtest::DEADLINE;
+                    assert!(
+                        std::time::Instant::now() < end,
+                        "{at}: not finished within {deadline:?}"
+                    );
                     sim::reset();
                     nvm::tid::set_tid(1);
                     let mut list = RList::<SimNvm, LP>::new();
@@ -529,7 +540,7 @@ mod tests {
                     let mine = list.recover_insert(1, 20);
                     list.scrub();
                     list.check_invariants();
-                    let at = format!("{meddle:?} fuse {fuse} seed {seed}: pid 0 answered {other}");
+                    let at = format!("{at}: pid 0 answered {other}");
                     let want: &[u64] = match (meddle, other) {
                         (Meddle::InsertAtPred, true) => &[10, 15, 20, 30],
                         (Meddle::InsertAtPred, false) => panic!("{at}: 15 was absent"),

@@ -3,7 +3,9 @@
 //! Batched persist phases (the tag loops and cleanup loops of the ISB engine,
 //! multi-word object flushes) frequently target words that share a cache
 //! line: `next`/`info` fields of the same 24-byte node, the `RD_q`/`CP_q`
-//! pair of one process record, two pool-adjacent fresh nodes. A real machine
+//! pair of one process record, two nodes drawn one after the other (the
+//! mapped heap hands them out as the two 32-byte halves of one line, so an
+//! insert's `newnd` and `newcurr` are one write-back). A real machine
 //! write-back works at line granularity, so issuing one flush per *word*
 //! is pure overhead. This module provides the per-thread **`LineSet`**: a
 //! tiny fixed-capacity dedupe set of pending line addresses that the

@@ -64,7 +64,7 @@ mod segments;
 mod superblock;
 mod sys;
 
-pub use alloc::{HeapUsage, MAX_CLASS};
+pub use alloc::{block_bytes, HeapUsage, CLASSES, HALF, MAX_CLASS};
 pub use catalog::{CatalogEntry, CATALOG_ENTRY_BYTES, CATALOG_NAME_BYTES, CATALOG_SLOTS};
 pub use fanout::fan_out;
 pub use registry::LeaseOutcome;
@@ -83,8 +83,9 @@ use std::sync::atomic::{AtomicBool, AtomicUsize};
 use std::sync::{Arc, Mutex, MutexGuard};
 use superblock::{persist, persist_line, Page0, SbGeom, PAGE, W_EPOCH};
 
-/// Allocation granule (one cache line): blocks are sized and aligned to it,
-/// and the commit bitmaps track one bit per granule.
+/// Allocation granule (one cache line): blocks above [`HALF`] bytes are
+/// sized and aligned to it, smaller ones are halves of it, and the commit
+/// bitmaps track one bit per granule.
 pub const GRANULE: usize = 64;
 /// Superblock magic ("ISBMAP01").
 pub const MAGIC: u64 = 0x4953_424D_4150_3031;
@@ -128,8 +129,13 @@ pub const MAGIC: u64 = 0x4953_424D_4150_3031;
 /// classes, one cache line (the queue's) and two — the volatile bookkeeping
 /// moved to word 0 as one word with the block's class byte, and new-set
 /// entry 0 is no longer stored — so a v10 heap's descriptors would be
-/// misread; it fails typed (`BadVersion(10)`) and is left as it was.
-pub const VERSION: u64 = 11;
+/// misread; it fails typed (`BadVersion(10)`) and is left as it was. v12:
+/// the half slab — blocks of up to 32 bytes (every node) are halves of a
+/// granule, two to a payload granule under one header whose words 3..5
+/// hold the odd halves' masks and bitmap, and the free stacks name blocks by
+/// half-granule index — so a v11 walk would misread class 0 and every odd
+/// half; it fails typed (`BadVersion(11)`) and is left as it was.
+pub const VERSION: u64 = 12;
 /// Pattern written over the payload of torn (allocated-but-never-committed)
 /// tail blocks before they are returned to the free list.
 pub const POISON: u64 = 0xDEAD_BEEF_DEAD_BEEF;

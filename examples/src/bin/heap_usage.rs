@@ -14,17 +14,17 @@
 //! ```
 //!
 //! Prints `MappedHeap::usage()` per live key (item) after the last re-open,
-//! which returned every pool cache to the free lists: the reachable nodes
-//! (a census walk), the rest of their 1-granule class — one-line
-//! descriptors, the queue's — and the 2-granule class of two-line
-//! descriptors, every other kind's, then slab headers and pads, idle free
-//! blocks and cold blocks, which sum to the bumped bytes per key (the
-//! benchmark's `heap_bytes_per_key`).
+//! which returned every pool cache to the free lists: the half class — the
+//! reachable nodes (a census walk), 32 bytes each, and any other half
+//! block — the 1-granule class of one-line descriptors, the queue's, and
+//! the 2-granule class of two-line descriptors, every other kind's, then
+//! slab headers and pads, idle free blocks and cold blocks, which sum to
+//! the bumped bytes per key (the benchmark's `heap_bytes_per_key`).
 
 use isb::engine::{Info, InfoPair};
 use isb::graph::{census_unit, Graph};
 use isb::store::Store;
-use nvm::mapped::{MappedNvm, GRANULE, MAX_CLASS};
+use nvm::mapped::{block_bytes, MappedNvm, CLASSES, GRANULE, HALF, MAX_CLASS};
 use std::collections::{HashMap, HashSet};
 
 const KEY_SPACE: u64 = 131_072;
@@ -37,7 +37,7 @@ const ITEMS: u64 = 1_024;
 const QUEUE_OPS: u64 = 50_000;
 const QUEUE_SEGMENT: usize = 32 << 20;
 /// Size classes (payload granules) of the one-line and two-line descriptor;
-/// the map's and the queue's nodes share the first.
+/// the nodes are half blocks, class 0.
 const LINE: usize = size_of::<Info<MappedNvm>>().div_ceil(GRANULE);
 const PAIR: usize = size_of::<InfoPair<MappedNvm>>().div_ceil(GRANULE);
 
@@ -133,31 +133,32 @@ fn report(name: &str, store: &Store, graph: &dyn Graph<MappedNvm>, keys: usize, 
         // SAFETY: quiescent — this thread alone uses the store.
         unsafe { census_unit(graph, unit, &mut live, &mut refs) };
     }
-    let per_key = |granules: usize| (granules * GRANULE) as f64 / keys as f64;
-    let blocks = |n: &[usize; MAX_CLASS], class: usize| n[class - 1] * class;
+    let per_key = |bytes: usize| bytes as f64 / keys as f64;
     let nodes = live.len();
-    let lines = u.committed[LINE - 1].checked_sub(nodes).expect("every node is a 1-granule block");
+    let held = u.committed[0].checked_sub(nodes).expect("every node is a half block");
+    let bytes = |n: &[usize; CLASSES], c: usize| n[c] * block_bytes(c);
     let other: usize =
-        (1..=MAX_CLASS).filter(|&c| c != LINE && c != PAIR).map(|c| blocks(&u.committed, c)).sum();
-    let idle: usize = (1..=MAX_CLASS).map(|c| blocks(&u.free, c)).sum();
+        (1..=MAX_CLASS).filter(|&c| c != LINE && c != PAIR).map(|c| bytes(&u.committed, c)).sum();
+    let idle: usize = (0..CLASSES).map(|c| bytes(&u.free, c)).sum();
     let rows = [
-        (format!("nodes ({nodes} blocks)"), nodes * LINE),
-        (format!("one-line descriptors ({lines})"), lines * LINE),
-        (format!("two-line descriptors ({})", u.committed[PAIR - 1]), blocks(&u.committed, PAIR)),
+        (format!("nodes, half blocks ({nodes})"), nodes * HALF),
+        (format!("other half blocks ({held})"), held * HALF),
+        (format!("one-line descriptors ({})", u.committed[LINE]), bytes(&u.committed, LINE)),
+        (format!("two-line descriptors ({})", u.committed[PAIR]), bytes(&u.committed, PAIR)),
         ("other small blocks".to_string(), other),
-        (format!("slab headers ({})", u.headers), u.headers),
-        ("pads".to_string(), u.pads),
+        (format!("slab headers ({})", u.headers), u.headers * GRANULE),
+        ("pads".to_string(), u.pads * GRANULE),
         (format!("idle free blocks ({})", u.free.iter().sum::<usize>()), idle),
-        ("cold blocks".to_string(), u.cold),
+        ("cold blocks".to_string(), u.cold * GRANULE),
     ];
     println!("{name}: {keys} live {what}, {} granules bumped", u.granules());
-    for (what, granules) in rows {
-        println!("  {what:<30} {granules:>8} granules  {:>7.2} B/key", per_key(granules));
+    for (what, bytes) in rows {
+        println!("  {what:<30} {bytes:>10} B  {:>7.2} B/key", per_key(bytes));
     }
     println!(
         "  {:<30} {:>8} granules  {:>7.2} B/key",
         "total",
         u.granules(),
-        per_key(u.granules())
+        per_key(u.granules() * GRANULE)
     );
 }

@@ -1,12 +1,19 @@
 //! Heap-file helpers of the attach tests (`mapped_attach.rs`,
-//! `mapped_growth.rs`): a fresh temp path, a `Store` opened for one handle,
-//! and raw reads and patches of a heap file's words.
+//! `mapped_growth.rs`): a fresh temp path, a `Store` opened for one handle
+//! under a deadline, and raw reads and patches of a heap file's words.
 
 use isb::arm::LP;
 use isb::recovery::AttachError;
 use isb::store::Store;
-use std::path::PathBuf;
+use std::fmt::Display;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+/// How long one attach of a test image may take. Any image attaches in
+/// milliseconds, so a walk or a replay that loops on a damaged one fails
+/// its test at this deadline instead of spinning for minutes.
+pub const ATTACH_DEADLINE: Duration = Duration::from_secs(30);
 
 /// Shards of the map most images hold.
 pub const SHARDS: usize = 4;
@@ -27,17 +34,43 @@ pub fn tmp(name: &str) -> PathBuf {
     p
 }
 
-/// Opens the store at `path`, takes one handle and closes the store again:
-/// the returned structure is the handle's last owner (so `&mut` quiescent
-/// checks run on it), and dropping it detaches the heap.
-pub fn sole<T>(
-    path: &PathBuf,
-    get: impl FnOnce(&Store) -> Result<Arc<T>, AttachError>,
+/// Runs `f` on a thread of its own, under the caller's tid, and fails
+/// naming `what` when it has not returned within [`ATTACH_DEADLINE`] (the
+/// stuck thread is left running). A panic of `f` is re-raised.
+pub fn by_deadline<T: Send + 'static>(
+    what: impl Display,
+    f: impl FnOnce() -> T + Send + 'static,
+) -> T {
+    let tid = nvm::tid::try_tid();
+    let worker = std::thread::spawn(move || {
+        if let Some(t) = tid {
+            nvm::tid::set_tid(t);
+        }
+        f()
+    });
+    let end = Instant::now() + ATTACH_DEADLINE;
+    while !worker.is_finished() {
+        assert!(Instant::now() < end, "{what}: not finished within {ATTACH_DEADLINE:?}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    worker.join().unwrap_or_else(|e| std::panic::resume_unwind(e))
+}
+
+/// Opens the store at `path`, takes one handle and closes the store again,
+/// by [`ATTACH_DEADLINE`]: the returned structure is the handle's last
+/// owner (so `&mut` quiescent checks run on it), and dropping it detaches
+/// the heap.
+pub fn sole<T: Send + Sync + 'static>(
+    path: &Path,
+    get: impl FnOnce(&Store) -> Result<Arc<T>, AttachError> + Send + 'static,
 ) -> Result<T, AttachError> {
-    let store = Store::open_sized(path, HEAP_BYTES)?;
-    let handle = get(&store)?;
-    drop(store);
-    Ok(Arc::into_inner(handle).expect("the store's last handle"))
+    let path = path.to_path_buf();
+    by_deadline(format!("the attach of {}", path.display()), move || {
+        let store = Store::open_sized(&path, HEAP_BYTES)?;
+        let handle = get(&store)?;
+        drop(store);
+        Ok(Arc::into_inner(handle).expect("the store's last handle"))
+    })
 }
 
 /// Overwrites `bytes` at `offset` in the heap file.
@@ -74,6 +107,6 @@ pub fn root_offset(path: &PathBuf, key: u64) -> u64 {
 }
 
 /// Attaches the map named [`NAME`] and detaches again.
-pub fn attach(path: &PathBuf) -> Result<(), AttachError> {
+pub fn attach(path: &Path) -> Result<(), AttachError> {
     sole(path, |s| s.hashmap::<LP>(NAME, SHARDS)).map(drop)
 }

@@ -30,8 +30,8 @@
 //! notes the same line, which on the same thread is already pending. So a
 //! request after one that took effect costs one line less (its slot's line
 //! was counted by its predecessor's note), and a request that takes effect
-//! costs one line and no fence of the table's: `put-new` 11 / 2 is
-//! 1 + 9 / 2 + 1 / 0.
+//! costs one line and no fence of the table's: `put-new` 9 / 2 is
+//! 1 + 7 / 2 + 1 / 0.
 //! Of the structure's own, the `Isb-LP` operation (the arm the service
 //! ships, `kvserve::server::ARM`) without its glue, the link-persist
 //! elisions are the cleanup write-backs (`put-new` 3 lines, `del-hit` and
@@ -40,8 +40,18 @@
 //! `psync` (1 fence): the predecessor's line, tagged and linked in one
 //! fence window, is written back once, and the line of the node the insert
 //! copy-replaces joins its publish window, so `put-new` writes back 9
-//! lines with 2 fences. A `del-hit` keeps its tag fence (its new link is
-//! not a fresh node). A queue descriptor is one line, and the dequeue tags
+//! lines with 2 fences when every node has a line of its own. Nodes are
+//! half-line blocks, though, two to a line, and nodes drawn one after the
+//! other from a pool are the two halves of one line: the insert's `newnd`
+//! and `newcurr` always (one line, not two: 8), and its `pred` and `curr`
+//! when they too were drawn as a pair — a bucket's two sentinels, or the
+//! `newnd` / `newcurr` of the insert that last linked behind `pred` — so
+//! the predecessor's window and the copied node's share a line (7). Every
+//! `put-new` row here saves both lines — 8 / 2 after an effect, 9 / 2
+//! after nothing, `2nd put-new` 10 / 2 after an effect — but the second
+//! client's `put-new` of 200 after nothing, which links between two nodes
+//! of different draws and saves one: 10 / 2. A `del-hit` keeps its tag
+//! fence (its new link is not a fresh node). A queue descriptor is one line, and the dequeue tags
 //! the head anchor alone, so `deq` writes back the anchor's line in its tag
 //! window and again with the head move, and nothing of the old sentinel.
 //! A `get` is unsequenced and costs nothing: no slot, no glue, and a line
@@ -55,8 +65,9 @@
 //! the first client's would.
 //!
 //! The server runs one lane, so every request is counted on that lane's tid
-//! and read as a per-tid delta; the mapped heap hands out 64-byte-aligned
-//! blocks, so the counts do not depend on the process allocator. Run under
+//! and read as a per-tid delta; the mapped heap hands out nodes as 32-byte
+//! halves of a line and every other block line-aligned, in an order fixed
+//! by the requests, so the counts do not depend on the process allocator. Run under
 //! `--features nvm/flush-lint`, the same requests also panic on a
 //! stand-alone write-back that repeats a line inside one fence window.
 
@@ -143,7 +154,7 @@ fn one_kv_request_costs_exactly_its_persist_budget() {
     // `(kind, after an effect, (lines, fences))`; "2nd" is the second
     // client, on its own connection.
     let golden: [(&str, bool, (u64, u64)); 20] = [
-        ("put-new", true, (10, 2)),
+        ("put-new", true, (8, 2)),
         ("put-dup", true, (0, 1)),
         ("del-hit", true, (8, 3)),
         ("del-miss", true, (0, 1)),
@@ -151,9 +162,9 @@ fn one_kv_request_costs_exactly_its_persist_budget() {
         ("enq", true, (6, 2)),
         ("deq", true, (6, 3)),
         ("replay", true, (0, 0)),
-        ("2nd put-new", true, (12, 2)),
+        ("2nd put-new", true, (10, 2)),
         ("2nd put-dup", true, (2, 1)),
-        ("put-new", false, (11, 2)),
+        ("put-new", false, (9, 2)),
         ("put-dup", false, (1, 1)),
         ("del-hit", false, (9, 3)),
         ("del-miss", false, (1, 1)),
@@ -161,18 +172,23 @@ fn one_kv_request_costs_exactly_its_persist_budget() {
         ("enq", false, (7, 2)),
         ("deq", false, (7, 3)),
         ("replay", false, (0, 0)),
-        ("2nd put-new", false, (11, 2)),
+        ("2nd put-new", false, (10, 2)),
         ("2nd put-dup", false, (1, 1)),
     ];
     assert_eq!(rows, golden, "(lines, fences) per request");
     // The deferred line is the whole difference: a sequenced request after
     // one that took effect finds its slot's line noted on its thread (one
     // line less); the second client notes the first one's on its own (one
-    // line more); a `get` and a replay persist nothing either way.
+    // line more); a `get` and a replay persist nothing either way. The one
+    // other difference is where a key lands: the second client's 201 links
+    // between two nodes of one draw, one line, and its 200 between two of
+    // different draws (one line more after nothing).
     for (dirty, fresh) in golden[..10].iter().zip(&golden[10..]) {
         let handed: i64 = match dirty.0 {
             "get" | "replay" => 0,
-            "2nd put-new" | "2nd put-dup" => 1,
+            // One line handed over, one saved where 201 lands.
+            "2nd put-new" => 0,
+            "2nd put-dup" => 1,
             _ => -1,
         };
         let diff = (dirty.2 .0 as i64 - fresh.2 .0 as i64, dirty.2 .1 as i64 - fresh.2 .1 as i64);

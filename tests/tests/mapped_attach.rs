@@ -12,11 +12,12 @@ use isb::engine::{RES_TRUE, RES_UNIT};
 use isb::recovery::{rootkeys, AttachError, ARENA_SLOT_STRIDE};
 use isb::store::Store;
 use isb_tests::heap_file::{
-    attach, patch, read_at, read_word, root_offset, sole, tmp, HEAP_BYTES, NAME, SHARDS,
+    attach, by_deadline, patch, read_at, read_word, root_offset, sole, tmp, HEAP_BYTES, NAME,
+    SHARDS,
 };
 use nvm::mapped::MappedHeap;
 use nvm::MapError;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// Builds a store heap at `path` holding one populated map and detaches
@@ -93,7 +94,9 @@ fn wrong_version_fails_typed() {
 }
 
 /// A heap of a previous format fails typed before anything reads it, and is
-/// left byte for byte as it was: version 10, whose descriptors were all two
+/// left byte for byte as it was: version 11, whose nodes took a whole
+/// granule each, with no half slab for a v12 walk to read, version 10,
+/// whose descriptors were all two
 /// lines with the volatile words last and new-set entry 0 stored, version
 /// 9, whose recovery lines hold no
 /// rollback target or record check beside a recorded publication, version
@@ -109,8 +112,8 @@ fn wrong_version_fails_typed() {
 /// first cache line.
 #[test]
 fn previous_descriptor_format_fails_typed() {
-    assert_eq!(nvm::mapped::VERSION, 11);
-    for old in [10u64, 9, 8, 7, 6, 5, 4, 3] {
+    assert_eq!(nvm::mapped::VERSION, 12);
+    for old in [11u64, 10, 9, 8, 7, 6, 5, 4, 3] {
         let path = tmp("old_version");
         mk_map(&path);
         patch(&path, 8, &old.to_le_bytes()); // word 1: version
@@ -168,7 +171,7 @@ fn claim_bst_delete(path: &PathBuf, info: u64, node: u64, class: Option<u8>) {
 }
 
 /// Opens the queue named [`NAME`] and closes the heap again.
-fn attach_queue(path: &PathBuf) -> Result<(), AttachError> {
+fn attach_queue(path: &Path) -> Result<(), AttachError> {
     sole(path, |s| s.queue::<LP>(NAME)).map(drop)
 }
 
@@ -212,10 +215,13 @@ fn over_capacity_descriptor_in_rd_q_is_rolled_back_or_refused() {
         if cp_zero {
             patch(&path, slot + 8, &0u64.to_le_bytes());
         }
-        let opened = Store::open_sized(&path, HEAP_BYTES).map(|store| {
-            assert_eq!(store.summary().decision(1), Recovered::Restart, "{row}");
-            let q = store.queue::<LP>(NAME).unwrap();
-            assert_eq!((q.dequeue(0), q.dequeue(0)), (Some(20), None), "{row}");
+        let p = path.clone();
+        let opened = by_deadline(row, move || {
+            Store::open_sized(&p, HEAP_BYTES).map(|store| {
+                assert_eq!(store.summary().decision(1), Recovered::Restart, "{row}");
+                let q = store.queue::<LP>(NAME).unwrap();
+                assert_eq!((q.dequeue(0), q.dequeue(0)), (Some(20), None), "{row}");
+            })
         });
         match (opened, class) {
             (Ok(()), None) => assert_eq!(read_at(&path, slot), 0, "{row}: RD_1 rolled back"),
@@ -278,15 +284,16 @@ fn torn_publication_is_cleared_not_refused() {
                 patch(&path, slot + 16 + 8 * k as u64, &w.to_le_bytes());
             }
         }
-        {
-            let store = Store::open_sized(&path, HEAP_BYTES)
+        let p = path.clone();
+        by_deadline(row, move || {
+            let store = Store::open_sized(&p, HEAP_BYTES)
                 .unwrap_or_else(|e| panic!("{row}: a torn publication is no damage: {e}"));
             let want =
                 if recorded.is_some() { store.summary().decision(2) } else { Recovered::Restart };
             assert_eq!(store.summary().decision(1), want, "{row}");
             let q = store.queue::<LP>(NAME).unwrap();
             assert_eq!((q.dequeue(0), q.dequeue(0)), (Some(20), None), "{row}");
-        }
+        });
         let after = (read_at(&path, slot), read_at(&path, slot + 8));
         let back = if recorded.is_some() { prior } else { (0, cp_after(cp_image(cp))) };
         assert_eq!(after, back, "{row}: the slot after attach");
@@ -472,10 +479,12 @@ fn heap_level_torn_tail_is_poisoned_through_structure_attach() {
         // no commit
     }
     nvm::tid::set_tid(0);
-    let store = Store::open_sized(&path, HEAP_BYTES).expect("torn tail must heal, not fail");
-    assert_eq!(store.summary().heap.poisoned, 1, "exactly the abandoned block is poisoned");
-    let map = store.hashmap::<LP>(NAME, SHARDS).unwrap();
-    drop(store);
+    let p = path.clone();
+    let map = by_deadline("the torn tail's attach", move || {
+        let store = Store::open_sized(&p, HEAP_BYTES).expect("torn tail must heal, not fail");
+        assert_eq!(store.summary().heap.poisoned, 1, "exactly the abandoned block is poisoned");
+        store.hashmap::<LP>(NAME, SHARDS).unwrap()
+    });
     let mut map = Arc::into_inner(map).unwrap();
     assert_eq!(map.snapshot_keys(), (1..=128).collect::<Vec<u64>>());
     map.check_invariants();
@@ -504,11 +513,14 @@ fn mk_store(path: &PathBuf) -> u64 {
     root_offset(path, rootkeys::CATALOG)
 }
 
-fn store_err(path: &PathBuf) -> AttachError {
-    match Store::open_sized(path, HEAP_BYTES) {
-        Err(e) => e,
-        Ok(_) => panic!("corrupt catalog must not attach"),
-    }
+fn store_err(path: &Path) -> AttachError {
+    let path = path.to_path_buf();
+    by_deadline(format!("the attach of {}", path.display()), move || {
+        match Store::open_sized(&path, HEAP_BYTES) {
+            Err(e) => e,
+            Ok(_) => panic!("corrupt catalog must not attach"),
+        }
+    })
 }
 
 #[test]
