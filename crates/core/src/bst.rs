@@ -25,7 +25,7 @@
 //! leaves a child pointer only by being retired.
 
 use crate::arm;
-use crate::engine::{Info, InfoFill, RES_FALSE, RES_TRUE};
+use crate::engine::{Info, InfoFill, Lines, RES_FALSE, RES_TRUE};
 use crate::env::Env;
 use crate::graph::{self, Graph};
 use crate::op::{tracked_node, Update};
@@ -139,6 +139,9 @@ impl<M: Persist, const ARM: u8> RBst<M, ARM> {
     /// # Safety
     /// As [`dummies`], over the memory `env`'s pools draw from.
     unsafe fn over(mut env: Env<M>, roots: Rooted<[PWord<M>]>) -> Self {
+        // The insert's 2/1/3 and the delete's 4/1/1 take seven and nine set
+        // words: two lines.
+        env.lines = Lines::Two;
         let node_pool = env.pool::<_, ARM>();
         let root = unsafe { dummies(env.rec.base, &node_pool, &roots[0]) };
         Self { root, node_pool, env, _roots: roots }

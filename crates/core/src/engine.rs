@@ -17,26 +17,17 @@
 //!      value, preserving pointer freshness) and the attempt fails.
 //!    * **Update**: execute the WriteSet CASes (idempotent: re-execution
 //!      fails silently), then durably set the descriptor's `DONE` bit: its
-//!      response is the precomputed `presult`.
+//!      response is the one precomputed at the fill.
 //!    * **Cleanup**: untag every affect/new node still in the structure;
 //!      deletion-tagged positions (mask bit set) stay tagged forever,
 //!      doubling as Harris mark bits.
 //!
 //! ### Layout
 //!
-//! A descriptor block is one cache line or two ([`Lines`]; 64 or 128 bytes
-//! under every real model): the queue draws one-line descriptors, every
-//! other kind two-line ones. Word 0 is the volatile bookkeeping —
-//! `installs` (u32), `shared`, `failed_at` and the class byte, which the
-//! block keeps for life — then `meta` (the set sizes and the `LINK` /
-//! `DONE` bits), `presult`, and the set words that pack the AffectSet
-//! pairs, the WriteSet triple and the NewSet cells at offsets the sizes
-//! give: five in the first line, eight more in the second. New-set entry 0
-//! is not stored: every shape with new nodes names there the node its one
-//! write installs, so its cell is derived from the write. A shape whose
-//! sets fill `k` set words persists the first `3 + k` words: one line for a
-//! read-only descriptor and both queue operations (the enqueue's 1/1/1
-//! fills it exactly), two for the list's and the BST's updates.
+//! The descriptor's words and what `fill` stores of them are
+//! [`crate::info`]'s: one cache line for every map, list, stack and queue
+//! descriptor, two for the BST's updates. Everything here reads the sets
+//! through its accessors.
 //!
 //! ### Reference counting (`installs`)
 //!
@@ -50,514 +41,18 @@
 //! through address reuse (see DESIGN.md §5).
 
 use crate::arm;
-use crate::pool::PoolItem;
 use crate::tag::{self, Base};
-use nvm::{PWord, Persist, PersistWords};
+use nvm::{PWord, Persist};
 use reclaim::Guard;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU8, Ordering};
+use std::sync::atomic::Ordering;
 
-/// Maximum AffectSet size (BST delete uses 4: grandparent, parent, leaf, sibling).
-pub const MAX_AFFECT: usize = 4;
-/// Maximum WriteSet size (every update writes one cell).
-pub const MAX_WRITE: usize = 1;
-/// Maximum NewSet size (BST insert uses 3).
-pub const MAX_NEW: usize = 3;
-/// Set words in a descriptor's first line, after the volatile word, `meta`
-/// and `presult`: all a one-line descriptor has.
-const LINE_SETS: usize = 5;
-/// Set words of a two-line descriptor: the first line's five and the
-/// second line's eight ([`InfoPair`]).
-const PAIR_SETS: usize = LINE_SETS + 8;
-
-/// Response encodings, precomputed into a descriptor's `presult`. `RES_BOT`
-/// is recovery's "did not take effect", never a response.
-pub const RES_BOT: u64 = 0;
-/// Boolean `false` response.
-pub const RES_FALSE: u64 = 1;
-/// Boolean `true` response.
-pub const RES_TRUE: u64 = 2;
-/// Unit ("ack") response.
-pub const RES_UNIT: u64 = 3;
-/// "Empty" response (queue dequeue on an empty queue).
-pub const RES_EMPTY: u64 = 4;
-/// Values `v` are encoded as `v + RES_VAL_BASE`; callers must keep payloads
-/// below `u64::MAX - RES_VAL_BASE`.
-pub const RES_VAL_BASE: u64 = 16;
-
-/// `meta` bit: the one write links the fresh node whose cell is new-set
-/// entry 0, and decides the operation while that cell holds the tag.
-pub(crate) const LINK: u64 = 1 << 40;
-/// `meta` bit: the operation took effect; its response is `presult`.
-pub(crate) const DONE: u64 = 1 << 41;
-/// `meta` bits 42..45: the words of each new node, its info cell the last
-/// (the span an `Isb-LP` publication digest covers, [`Info::digest`]).
-const NODE_WORDS_SHIFT: u32 = 42;
-/// `meta` bits 45..64: the fill generation, one more at every
-/// [`Info::fill`] of the descriptor (wrapping). A publication digest covers
-/// it, so a recycled descriptor's previous `meta` — same shape, `DONE` set
-/// — on media beside the new words does not validate as done.
-const GEN_SHIFT: u32 = 45;
-/// Bit 63 of every `Isb-LP` publication digest: `CP_q` is never 0 (the
-/// glue's fresh line) nor 1 (the checkpoint of arms 0/1) once it holds one.
-pub(crate) const SEALED: u64 = 1 << 63;
-
-/// Encode a payload value as a result word.
-///
-/// Panics (also in release builds) when `v` is within [`RES_VAL_BASE`] of
-/// `u64::MAX`: the wrapped sum would collide with the reserved encodings
-/// (`RES_EMPTY`, `RES_TRUE`, …) and recovery would decode a wrong response.
-#[inline]
-pub fn res_val(v: u64) -> u64 {
-    assert!(
-        v <= u64::MAX - RES_VAL_BASE,
-        "payload {v:#x} exceeds the encodable range (collides with reserved result encodings)"
-    );
-    v + RES_VAL_BASE
-}
-
-/// Decode a payload value from a result word.
-///
-/// Panics (also in release builds) when `res` is one of the reserved
-/// encodings below [`RES_VAL_BASE`]: silently decoding `RES_EMPTY`/`RES_TRUE`
-/// /… as a payload would hand recovery a wrong response. The twin guard of
-/// [`res_val`].
-#[inline]
-pub fn val_of(res: u64) -> u64 {
-    assert!(
-        res >= RES_VAL_BASE,
-        "result word {res:#x} is a reserved encoding, not a payload value"
-    );
-    res - RES_VAL_BASE
-}
-
-/// A descriptor block's class: the cache lines it spans under every real
-/// model. The queue's descriptors are one line, every other kind's two
-/// (`Env::lines`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Lines {
-    /// An [`Info`] alone: five set words, enough for the queue's 1/1/1 and
-    /// 1/1/0 and every read-only descriptor.
-    One = 1,
-    /// An [`InfoPair`]: thirteen set words, enough for every shape.
-    Two = 2,
-}
-
-impl Lines {
-    /// The set words a descriptor of this class holds.
-    const fn sets(self) -> usize {
-        match self {
-            Lines::One => LINE_SETS,
-            Lines::Two => PAIR_SETS,
-        }
-    }
-
-    /// The class of a block of `bytes` payload bytes, if any.
-    fn of_block<M: Persist>(bytes: usize) -> Option<Self> {
-        [Lines::One, Lines::Two].into_iter().find(|&l| block_bytes::<M>(l) == bytes)
-    }
-}
-
-/// The bytes of a descriptor block of class `lines`.
-const fn block_bytes<M: Persist>(lines: Lines) -> usize {
-    match lines {
-        Lines::One => size_of::<Info<M>>(),
-        Lines::Two => size_of::<InfoPair<M>>(),
-    }
-}
-
-/// The Info structure: everything a helper (or the owner's recovery code)
-/// needs to run the operation to completion, plus whether it took effect.
-///
-/// The first cache line of a descriptor block, which is that line alone
-/// ([`Lines::One`]) or an [`InfoPair`] ([`Lines::Two`]). Word 0 is the
-/// volatile bookkeeping; the persistent words follow: `meta`, `presult` and
-/// the set words, which pack the affect pairs, then the write triple, then
-/// the new-node cells past entry 0 at offsets the counts in `meta` give
-/// (`Shape`) — the first five in this line, the rest in the second. New-set
-/// entry 0 is not stored: it is the info cell of the node the write
-/// installs, `new + (node_words − 1)·WORD` ([`Info::fill`] asserts it). The
-/// operation persists the used prefix (`pbarrier(*opInfo, NewSet)`,
-/// `Words`) before publishing it, matching the paper's remark that "a
-/// single pwb flushes all fields fitting in a cache line": a read-only
-/// descriptor and the queue's 1/1/1 and 1/1/0 fit the first line, the
-/// list's 2/1/2 and 2/1/0 and the BST's 2/1/3 and 4/1/1 two. A `&Info`
-/// covers the first line only: every set word is reached through the raw
-/// descriptor pointer, whose provenance is the whole block (`Info::set`).
-#[repr(C, align(64))]
-pub struct Info<M: Persist> {
-    /// Volatile reference count (see module docs). Not persistent state.
-    installs: AtomicU32,
-    /// Volatile: set by [`help`] before its first tag CAS. While false the
-    /// descriptor is provably private — its address was never installed in
-    /// a shared cell, so at refcount zero it can re-enter the pool without
-    /// the EBR round-trip (read-only fast-path descriptors, which never call
-    /// `help`, hit this on every operation).
-    shared: AtomicBool,
-    /// Volatile: the furthest AffectSet position a tagging attempt failed
-    /// at (see [`HelpOutcome::FailedAt`]), recorded before its backtrack.
-    failed_at: AtomicU8,
-    /// The block's class, a [`Lines`]: written once, when the block is built
-    /// (`PoolItem::fresh`), never inferred from `meta`. It names the pool
-    /// [`Info::release`] recycles the block into and bounds the set words.
-    lines: u8,
-    /// Packed `optype | naffect<<8 | nwrite<<16 | nnew<<24 | del_mask<<32`,
-    /// the [`LINK`] and [`DONE`] bits, the new nodes' word count in bits
-    /// 42..45 and the fill generation above it (there is no response word).
-    meta: PWord<M>,
-    /// Precomputed response, written before publication; the operation's
-    /// response once [`DONE`] is set.
-    presult: PWord<M>,
-    /// The first line's set words. Every cell and every link value in the
-    /// sets is a link word ([`crate::tag`]).
-    sets: [PWord<M>; LINE_SETS],
-}
-
-/// A two-line descriptor block ([`Lines::Two`]): an [`Info`], then the
-/// eight set words of its second line.
-#[repr(C, align(64))]
-pub struct InfoPair<M: Persist> {
-    head: Info<M>,
-    tail: [PWord<M>; PAIR_SETS - LINE_SETS],
-}
-
-const _: () = assert!(
-    block_bytes::<nvm::MappedNvm>(Lines::One) == 64
-        && block_bytes::<nvm::MappedNvm>(Lines::Two) == 128,
-    "a descriptor class is its cache lines"
-);
-
-unsafe impl<M: Persist> Send for Info<M> {}
-unsafe impl<M: Persist> Sync for Info<M> {}
+pub use crate::info::{
+    res_val, val_of, Info, InfoFill, InfoPair, Lines, MAX_AFFECT, MAX_NEW, MAX_WRITE, RES_BOT,
+    RES_EMPTY, RES_FALSE, RES_TRUE, RES_UNIT, RES_VAL_BASE,
+};
+pub(crate) use crate::info::{Shape, DONE, LINK, SEALED};
 
 impl<M: Persist> Info<M> {
-    /// A blank first line of class `lines`.
-    fn blank(lines: Lines) -> Self {
-        nvm::stats::count_info_allocs(1);
-        Info {
-            installs: AtomicU32::new(0),
-            shared: AtomicBool::new(false),
-            failed_at: AtomicU8::new(0),
-            lines: lines as u8,
-            meta: PWord::new(0),
-            presult: PWord::new(RES_BOT),
-            sets: Default::default(),
-        }
-    }
-}
-
-impl<M: Persist> PoolItem for Info<M> {
-    fn fresh() -> Self {
-        Info::blank(Lines::One)
-    }
-
-    fn count_reuse() {
-        nvm::stats::count_info_reuses(1);
-    }
-}
-
-impl<M: Persist> PoolItem for InfoPair<M> {
-    fn fresh() -> Self {
-        InfoPair { head: Info::blank(Lines::Two), tail: Default::default() }
-    }
-
-    fn count_reuse() {
-        nvm::stats::count_info_reuses(1);
-    }
-}
-
-impl<M: Persist> Drop for Info<M> {
-    fn drop(&mut self) {
-        nvm::stats::count_info_frees(1);
-    }
-}
-
-/// The persisted words of the descriptor at a raw pointer: what its
-/// write-backs take ([`PersistWords`]), since a `&Info` covers one line
-/// ([`Info::words`]).
-pub(crate) struct Words<M: Persist>(*const Info<M>);
-
-// SAFETY: `meta`, `presult` and the used set words, all inside the block
-// (a filled descriptor's shape fits its class).
-unsafe impl<M: Persist> PersistWords<M> for Words<M> {
-    fn each_word(&self, f: &mut dyn FnMut(&PWord<M>)) {
-        // SAFETY: a live, filled descriptor ([`Info::words`]).
-        let i = unsafe { &*self.0 };
-        f(&i.meta);
-        f(&i.presult);
-        for w in 0..i.shape().words() {
-            // SAFETY: as above; the filled shape fits the block.
-            f(unsafe { Info::set(self.0, w) });
-        }
-    }
-
-    fn used_range(&self) -> (*const u8, usize) {
-        // SAFETY: a live, filled descriptor ([`Info::words`]).
-        let words = unsafe { &*self.0 }.shape().words();
-        let end = if words <= LINE_SETS {
-            std::mem::offset_of!(Info<M>, sets) + words * size_of::<PWord<M>>()
-        } else {
-            size_of::<Info<M>>() + (words - LINE_SETS) * size_of::<PWord<M>>()
-        };
-        (self.0 as *const u8, end)
-    }
-}
-
-/// Where a descriptor's sets sit in its set words, from the counts in its
-/// `meta`: affect entry `k` at `2k`, write entry `k` at `2·na + 3k`, new
-/// entry `k ≥ 1` at `2·na + 3·nw + k − 1` (entry 0 is derived, not stored).
-#[derive(Clone, Copy)]
-struct Shape {
-    na: usize,
-    nw: usize,
-    nn: usize,
-    del_mask: u8,
-    /// Words of each new node, its info cell the last.
-    node_words: usize,
-}
-
-impl Shape {
-    fn of(meta: u64) -> Self {
-        let count = |shift: u32| ((meta >> shift) & 0xff) as usize;
-        Shape {
-            na: count(8),
-            nw: count(16),
-            nn: count(24),
-            del_mask: (meta >> 32) as u8,
-            node_words: ((meta >> NODE_WORDS_SHIFT) & 0x7) as usize,
-        }
-    }
-
-    /// Whether the sets fit a descriptor of `sets` set words: at least one
-    /// affect entry, each set within its capacity, new nodes only beside the
-    /// write that installs the first (entry 0 is derived from it) and with a
-    /// node size, all of it within the set words.
-    fn fits(self, sets: usize) -> bool {
-        (1..=MAX_AFFECT).contains(&self.na)
-            && self.nw <= MAX_WRITE
-            && self.nn <= MAX_NEW
-            && (self.nn == 0 || self.nw == 1 && self.node_words > 0)
-            && self.words() <= sets
-    }
-
-    /// Set words the persisted prefix covers (affect entry 0 always).
-    fn words(self) -> usize {
-        2 * self.na.max(1) + 3 * self.nw + self.nn.saturating_sub(1)
-    }
-
-    fn affect(k: usize) -> usize {
-        2 * k
-    }
-
-    fn write(self, k: usize) -> usize {
-        2 * self.na + 3 * k
-    }
-
-    /// The set word of new entry `k ≥ 1`.
-    fn newset(self, k: usize) -> usize {
-        2 * self.na + 3 * self.nw + k - 1
-    }
-}
-
-/// Parameters for [`Info::fill`].
-pub struct InfoFill<'a> {
-    /// Operation type tag (diagnostics only; the engine does not interpret it).
-    pub optype: u8,
-    /// `(info cell, expected value)` per affected node, in tagging order.
-    /// Cells, and every link value, are link words ([`crate::tag::Base`]).
-    pub affect: &'a [(u64, u64)],
-    /// `(cell, old, new)` CAS triples.
-    pub write: &'a [(u64, u64, u64)],
-    /// Info cells of newly allocated nodes (pre-tagged by the caller).
-    /// Entry 0, if any, is the cell of the node the write installs — the
-    /// last word of the node at `new` — and is not stored.
-    pub newset: &'a [u64],
-    /// Words of each new node, its info cell the last (0 without new
-    /// nodes): an `Isb-LP` publication digest covers them ([`Info::digest`]).
-    pub node_words: u8,
-    /// Bit `i` set ⇒ `affect[i]` is tagged **for deletion** (skip at cleanup).
-    pub del_mask: u8,
-    /// Precomputed response (encoded).
-    pub presult: u64,
-}
-
-impl<M: Persist> Info<M> {
-    /// Bytes between two words of a node.
-    const WORD: u64 = size_of::<PWord<M>>() as u64;
-
-    /// Fills the descriptor for one attempt. Only legal while the Info is
-    /// unreachable to other threads (never installed / fresh).
-    ///
-    /// Sets `installs = 1 (RD_q) + |affect| + |newset|`.
-    ///
-    /// Panics (also in release builds) when the sets do not fit the
-    /// descriptor's class ([`MAX_AFFECT`], [`MAX_WRITE`], [`MAX_NEW`] and
-    /// its set words: past them lies the next block) or new-set entry 0 is
-    /// not the info cell of the node the write installs.
-    ///
-    /// # Safety
-    /// `info` must be a live descriptor drawn from its pool
-    /// ([`crate::env::Env::alloc_info`]) that no other thread can currently
-    /// reach.
-    pub unsafe fn fill(info: *mut Info<M>, f: &InfoFill<'_>) {
-        let i = unsafe { &*info };
-        let (na, nw, nn) = (f.affect.len(), f.write.len(), f.newset.len());
-        let node_words = f.node_words as usize;
-        let sets = i.class().sets();
-        assert!(
-            Shape { na, nw, nn, del_mask: f.del_mask, node_words }.fits(sets) && node_words <= 7,
-            "descriptor shape {na}/{nw}/{nn} of {node_words}-word new nodes exceeds its \
-             {sets} set words"
-        );
-        assert!(
-            f.newset.first().is_none_or(|&c| {
-                c == f.write[0].2.wrapping_add((node_words as u64 - 1) * Self::WORD)
-            }),
-            "new-set entry 0 is not the info cell of the node the write installs"
-        );
-        let meta = (f.optype as u64)
-            | (na as u64) << 8
-            | (nw as u64) << 16
-            | (nn as u64) << 24
-            | (f.del_mask as u64) << 32
-            | (node_words as u64) << NODE_WORDS_SHIFT
-            | ((i.meta.peek() >> GEN_SHIFT) + 1) << GEN_SHIFT;
-        M::store(&i.meta, meta);
-        M::store(&i.presult, f.presult);
-        let affect = f.affect.iter().flat_map(|&(cell, exp)| [cell, exp]);
-        let write = f.write.iter().flat_map(|&(cell, old, new)| [cell, old, new]);
-        let newset = f.newset.iter().skip(1).copied();
-        for (w, v) in affect.chain(write).chain(newset).enumerate() {
-            // SAFETY: the shape fits the block (asserted above).
-            M::store(unsafe { Info::set(info, w) }, v);
-        }
-        // A freshly filled descriptor is private until `help` runs on it
-        // (recycled descriptors may carry a stale true).
-        i.shared.store(false, Ordering::Relaxed);
-        i.failed_at.store(0, Ordering::Relaxed);
-        i.installs.store(1 + na as u32 + nn as u32, Ordering::Release);
-    }
-
-    #[inline]
-    fn shape(&self) -> Shape {
-        Shape::of(M::load(&self.meta))
-    }
-
-    /// The persisted words of the descriptor at `info`, for its
-    /// write-backs.
-    ///
-    /// # Safety
-    /// `info` must be a live, filled descriptor while the view is used.
-    #[inline]
-    pub(crate) unsafe fn words(info: *const Self) -> Words<M> {
-        Words(info)
-    }
-
-    /// The block's class.
-    #[inline]
-    pub(crate) fn class(&self) -> Lines {
-        if self.lines == Lines::One as u8 {
-            Lines::One
-        } else {
-            Lines::Two
-        }
-    }
-
-    /// Whether the second line's set words continue the first line's
-    /// without a gap: under every real model, where a word is 8 bytes (not
-    /// the simulator's shadowed words).
-    const CONTIGUOUS: bool =
-        std::mem::offset_of!(Self, sets) + LINE_SETS * size_of::<PWord<M>>() == size_of::<Self>();
-
-    /// Set word `w`, through the raw descriptor pointer: past the first
-    /// line's five, a word of the second.
-    ///
-    /// # Safety
-    /// `info` must be a live descriptor whose block holds set word `w`.
-    #[inline]
-    unsafe fn set<'a>(info: *const Self, w: usize) -> &'a PWord<M> {
-        // SAFETY: the caller's; the pointer keeps `info`'s provenance, the
-        // whole block.
-        unsafe {
-            let sets = std::ptr::addr_of!((*info).sets).cast::<PWord<M>>();
-            if Self::CONTIGUOUS || w < LINE_SETS {
-                &*sets.add(w)
-            } else {
-                &*info.add(1).cast::<PWord<M>>().add(w - LINE_SETS)
-            }
-        }
-    }
-
-    /// The info cell of new entry `k`, each word read by `read`: entry 0
-    /// derived from the write's `new`, the node it installs, whose last word
-    /// the cell is; the others stored.
-    ///
-    /// # Safety
-    /// As [`Info::set`], for a shape with `k < nn` that fits the block.
-    #[inline]
-    unsafe fn new_cell(info: *const Self, s: Shape, k: usize, read: fn(&PWord<M>) -> u64) -> u64 {
-        // SAFETY: the caller's: write entry 0 exists beside new entry 0.
-        unsafe {
-            if k == 0 {
-                read(Info::set(info, s.write(0) + 2))
-                    .wrapping_add((s.node_words as u64).wrapping_sub(1) * Self::WORD)
-            } else {
-                read(Info::set(info, s.newset(k)))
-            }
-        }
-    }
-
-    /// The info cell of new entry `k`, decoded at `b`.
-    ///
-    /// # Safety
-    /// As [`Info::new_cell`]; the cell must still be live (EBR pin or
-    /// quiescence).
-    #[inline]
-    unsafe fn new_cell_at<'a>(info: *const Self, b: Base, s: Shape, k: usize) -> &'a PWord<M> {
-        // SAFETY: the caller's.
-        unsafe { &*b.at::<PWord<M>>(Info::new_cell(info, s, k, M::load)) }
-    }
-
-    /// Whether the operation took effect: its response is `presult`.
-    pub(crate) fn done(&self) -> bool {
-        M::load(&self.meta) & DONE != 0
-    }
-
-    /// The operation's response, once it took effect. After [`help`]
-    /// returned `Done` on this thread, `DONE` is durable: every path to
-    /// `Done` fences it first.
-    pub(crate) fn response(&self) -> Option<u64> {
-        self.done().then(|| M::load(&self.presult))
-    }
-
-    /// Sets a `meta` bit: [`LINK`] before publication, [`DONE`] by any helper.
-    pub(crate) fn mark(&self, bit: u64) {
-        M::store(&self.meta, M::load(&self.meta) | bit);
-    }
-
-    /// `(cell, expected)` of affect entry `k`, its cell decoded at `b`.
-    ///
-    /// # Safety
-    /// As [`Info::set`]; the stored cell must still be live (EBR pin or
-    /// quiescence).
-    #[inline]
-    unsafe fn affect_at<'a>(info: *const Self, b: Base, k: usize) -> (&'a PWord<M>, u64) {
-        // SAFETY: the caller's.
-        unsafe {
-            let cell = Info::cell_at(info, b, Shape::affect(k));
-            (cell, M::load(Info::set(info, Shape::affect(k) + 1)))
-        }
-    }
-
-    /// The cell set word `w` names, decoded at `b`.
-    ///
-    /// # Safety
-    /// As [`Info::affect_at`].
-    #[inline]
-    unsafe fn cell_at<'a>(info: *const Self, b: Base, w: usize) -> &'a PWord<M> {
-        // SAFETY: the caller's.
-        unsafe { &*b.at::<PWord<M>>(M::load(Info::set(info, w))) }
-    }
-
     /// Releases `n` references; at zero the block goes back to the pool of
     /// its class in the descriptor pools `guard`'s collector is tagged with
     /// (`env::Infos`) — this process's, whichever process drew it:
@@ -643,175 +138,6 @@ impl<M: Persist> Info<M> {
         self.installs.load(Ordering::Acquire)
     }
 
-    /// One line for a failure report: `meta` (with its done bit),
-    /// `presult`, and per affect entry the cell's address, its expected and
-    /// its *current* value, the cells decoded at `b`.
-    ///
-    /// # Safety
-    /// `info` must be a live descriptor whose every affect cell is still
-    /// live (quiescence).
-    pub unsafe fn describe(info: *const Self, b: Base) -> String {
-        // SAFETY: the caller's (every read below, the affect entries the
-        // class holds).
-        let i = unsafe { &*info };
-        let mut out =
-            format!("meta {:#x} presult {:#x} affect", M::load(&i.meta), M::load(&i.presult));
-        for k in 0..i.shape().na.min(i.class().sets() / 2) {
-            let (cell, expected) = unsafe { Info::affect_at(info, b, k) };
-            out += &format!(" [{cell:p}: expected {expected:#x}, now {:#x}]", M::load(cell));
-        }
-        out
-    }
-
-    /// Whether the descriptor at `info` — a committed block of `bytes`
-    /// payload bytes read from an **untrusted** mapped image — is a block
-    /// of its class: its class byte names a class of that size. Only then
-    /// do reads bounded by the class stay inside the block.
-    ///
-    /// # Safety
-    /// `info` must point to `bytes ≥ 64` readable bytes.
-    pub(crate) unsafe fn in_block(info: *const Self, bytes: usize) -> bool {
-        // SAFETY: the caller's: the first line is readable.
-        Lines::of_block::<M>(bytes).is_some_and(|l| unsafe { &*info }.lines == l as u8)
-    }
-
-    /// Attach-time bounds validation of the descriptor at `info`, a
-    /// committed block of `bytes` payload bytes read from an **untrusted**
-    /// mapped image, before `help` may dereference any of its cells: it must
-    /// be a block of its class (`Info::in_block`), its sets must fit that
-    /// class (as [`Info::fill`] checks, so no read leaves the block), every
-    /// used affect/write/new cell offset must satisfy `valid_cell` (an
-    /// in-arena 8-byte-span check — helping reads/CASes one word there), and
-    /// every write `new` value must satisfy `valid_install` (callers pass a
-    /// whole-node span check: `help` installs the value into a cell the
-    /// later census walk dereferences as a node). Returns `false` on any
-    /// violation.
-    ///
-    /// # Safety
-    /// `info` must point to `bytes ≥ 64` readable bytes.
-    pub unsafe fn validate_bounds(
-        info: *const Self,
-        bytes: usize,
-        valid_cell: impl Fn(u64) -> bool,
-        valid_install: impl Fn(u64) -> bool,
-    ) -> bool {
-        // SAFETY: the caller's.
-        if !unsafe { Info::in_block(info, bytes) } {
-            return false;
-        }
-        // SAFETY: a block of its class, so at least one line.
-        let i = unsafe { &*info };
-        let s = i.shape();
-        // SAFETY (every read below): the shape fits the block's class.
-        let word = |w: usize| M::load(unsafe { Info::set(info, w) });
-        s.fits(i.class().sets())
-            && (0..s.na).all(|k| valid_cell(word(Shape::affect(k))))
-            && (0..s.nw)
-                .all(|k| valid_cell(word(s.write(k))) && valid_install(word(s.write(k) + 2)))
-            && (0..s.nn).all(|k| {
-                let cell = unsafe { Info::new_cell(info, s, k, M::load) };
-                (0..s.node_words as u64).all(|j| valid_cell(cell.wrapping_sub(j * Self::WORD)))
-            })
-    }
-
-    /// The digest an `Isb-LP` publication of this descriptor at link word
-    /// `at` stores in `CP_q` ([`crate::recovery::RecArea::publish_arm`]):
-    /// bit 63 set, 31 bits of the digest of `at` and the descriptor's
-    /// persisted words — `DONE` masked, a helper sets it after the
-    /// publication — and 32 bits of the digest of those words followed by
-    /// every word of every new node. Descriptor, new nodes and `RD_q` are
-    /// written back in the publish `psync`'s one fence window, so a crash
-    /// image may hold any subset of them; the digest is how recovery tells
-    /// a complete publication from a torn one ([`Info::validates`]).
-    /// Chained multiply-xorshift steps: every word's position and value
-    /// move it, non-linearly.
-    ///
-    /// # Safety
-    /// `info` must be a live descriptor, and every new-node cell it names
-    /// must lie in a live node of `node_words` words ending at it, its cells
-    /// decoded at `b`.
-    pub unsafe fn digest(info: *const Self, b: Base, at: u64) -> u64 {
-        // SAFETY: the caller's.
-        let (h, s) = unsafe { Info::digest_head(info, at) };
-        seal(finish(h), unsafe { Info::digest_nodes(info, b, h, s) })
-    }
-
-    /// Whether `cp` seals the descriptor's own words as published at `at`:
-    /// the half of [`Info::digest`] a torn descriptor fails. Reads nothing
-    /// outside the descriptor.
-    ///
-    /// # Safety
-    /// `info` must be a live descriptor, a block of its class.
-    pub(crate) unsafe fn sealed_by(info: *const Self, at: u64, cp: u64) -> bool {
-        seals_head(unsafe { Info::digest_head(info, at) }.0, cp)
-    }
-
-    /// Whether `cp`, the `CP_q` beside an `RD_q` naming this descriptor at
-    /// `at`, validates the publication: the descriptor half of
-    /// [`Info::digest`] matches and — unless `DONE` is set — so does the half
-    /// over the new nodes. A set `DONE` beside a matching descriptor half is
-    /// proof enough: `help` stores it only after the publish `psync`
-    /// returned, and from then on the new nodes may legitimately change
-    /// (cleanup untags them, later operations relink them). So `DONE` is
-    /// read again after a node half that does not match: a live helper
-    /// (online recovery of a dead peer runs beside live traffic) may have
-    /// set it and changed a node between the two reads — the node words are
-    /// read with `Acquire`, after the helper's `DONE`. A torn image
-    /// validates only on a digest collision: the 31-bit descriptor half,
-    /// and the 32-bit node half behind it.
-    ///
-    /// # Safety
-    /// As [`Info::digest`], once the descriptor half matches.
-    pub unsafe fn validates(info: *const Self, b: Base, at: u64, cp: u64) -> bool {
-        let (h, s) = unsafe { Info::digest_head(info, at) };
-        let done = || unsafe { &*info }.meta.peek() & DONE != 0;
-        let nodes_match = || {
-            #[cfg(test)]
-            VALIDATES_RACE.with(|f| f.take().map(|f| f()));
-            // SAFETY: the caller's, the descriptor half matching.
-            cp as u32 == unsafe { Info::digest_nodes(info, b, h, s) } as u32
-        };
-        seals_head(h, cp) && (done() || nodes_match() || done())
-    }
-
-    /// The digest state after `at` and the descriptor's persisted words,
-    /// `DONE` masked, with the shape they claim — the words read bounded by
-    /// the block's class, whatever `meta` claims. Uninstrumented reads: the
-    /// digest adds no instruction a crash can land on.
-    ///
-    /// # Safety
-    /// As [`Info::sealed_by`].
-    unsafe fn digest_head(info: *const Self, at: u64) -> (u64, Shape) {
-        // SAFETY: the caller's.
-        let i = unsafe { &*info };
-        let meta = i.meta.peek();
-        let s = Shape::of(meta);
-        let mut h = absorb(absorb(DIGEST_SEED, at), meta & !DONE);
-        h = absorb(h, i.presult.peek());
-        for w in 0..s.words().min(i.class().sets()) {
-            // SAFETY: a set word of the block's class.
-            h = absorb(h, unsafe { Info::set(info, w) }.peek());
-        }
-        (h, s)
-    }
-
-    /// [`Info::digest_head`]'s state `h` continued over every word of every
-    /// new node, finished.
-    ///
-    /// # Safety
-    /// As [`Info::digest`].
-    unsafe fn digest_nodes(info: *const Self, b: Base, mut h: u64, s: Shape) -> u64 {
-        for k in 0..s.nn {
-            // SAFETY: the caller's (the shape is the descriptor's own).
-            let cell = unsafe { Info::new_cell(info, s, k, PWord::peek) };
-            for j in (0..s.node_words as u64).rev() {
-                // SAFETY: word `j` before the cell, inside its node (caller).
-                h = absorb(h, unsafe { (*b.at::<PWord<M>>(cell - j * Self::WORD)).peek() });
-            }
-        }
-        finish(h)
-    }
-
     /// Attach-time census fix-up for a descriptor that survived a process
     /// restart in a mapped arena: overwrites the volatile bookkeeping — the
     /// reference count (recomputed from the quiescent structure) and the
@@ -827,58 +153,6 @@ impl<M: Persist> Info<M> {
         self.installs.store(count, Ordering::Release);
         self.shared.store(true, Ordering::Release);
     }
-}
-
-#[cfg(test)]
-impl<M: Persist> Info<M> {
-    /// A blank descriptor `Box` of class `lines` ([`Info::drop_boxed`]
-    /// frees it).
-    pub(crate) fn boxed(lines: Lines) -> *mut Self {
-        match lines {
-            Lines::One => Box::into_raw(Box::new(Info::<M>::fresh())),
-            Lines::Two => Box::into_raw(Box::new(InfoPair::<M>::fresh())).cast(),
-        }
-    }
-}
-
-/// Seed of every publication digest ([`Info::digest`]).
-const DIGEST_SEED: u64 = 0x5EA1_ED0F_D16E_5700;
-
-/// One step of a publication digest: the state absorbs `w`.
-#[inline]
-fn absorb(h: u64, w: u64) -> u64 {
-    let x = (h.rotate_left(29) ^ w).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    x ^ (x >> 32)
-}
-
-/// The SplitMix64 finaliser over a digest state.
-#[inline]
-fn finish(h: u64) -> u64 {
-    let z = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Whether `cp`'s descriptor half is the one of digest state `h`
-/// ([`Info::digest_head`]).
-#[inline]
-fn seals_head(h: u64, cp: u64) -> bool {
-    cp >> 32 == seal(finish(h), 0) >> 32
-}
-
-#[cfg(test)]
-thread_local! {
-    /// Runs once inside [`Info::validates`], between its first `DONE` read
-    /// and the new-node digest: where a concurrent helper may finish.
-    pub(crate) static VALIDATES_RACE: std::cell::Cell<Option<Box<dyn FnOnce()>>> =
-        const { std::cell::Cell::new(None) };
-}
-
-/// The `CP_q` word of a publication: [`SEALED`], 31 bits of the descriptor
-/// digest `d`, 32 bits of the full digest `full`.
-#[inline]
-fn seal(d: u64, full: u64) -> u64 {
-    SEALED | (d >> 33) << 32 | (full & 0xFFFF_FFFF)
 }
 
 thread_local! {
@@ -969,7 +243,7 @@ pub unsafe fn help<M: Persist, const ARM: u8>(
     // ---- Tagging phase -------------------------------------------------
     let mut k = start;
     while k < naffect {
-        let (cell, expected) = unsafe { Info::affect_at(info, b, k) };
+        let (cell, expected) = unsafe { Info::affect_at(info, b, s, k) };
         debug_assert!(!tag::is_tagged(expected), "expected info values are untagged");
         let res = cell.cas(expected, tagged_val);
         if !arm::is_tuned(ARM) {
@@ -1009,7 +283,7 @@ pub unsafe fn help<M: Persist, const ARM: u8>(
             let mut j = k;
             while j > 0 {
                 j -= 1;
-                let (c, _) = unsafe { Info::affect_at(info, b, j) };
+                let (c, _) = unsafe { Info::affect_at(info, b, s, j) };
                 let _ = c.cas(tagged_val, untagged_val);
                 arm::pwb_arm::<M, ARM>(c);
             }
@@ -1028,7 +302,7 @@ pub unsafe fn help<M: Persist, const ARM: u8>(
     if arm::is_tuned(ARM) {
         // Batched write-backs of all tags before the phase-ending psync.
         for k in 0..naffect {
-            let (cell, _) = unsafe { Info::affect_at(info, b, k) };
+            let (cell, _) = unsafe { Info::affect_at(info, b, s, k) };
             arm::pwb_arm::<M, ARM>(cell);
         }
     } else {
@@ -1037,7 +311,7 @@ pub unsafe fn help<M: Persist, const ARM: u8>(
         // the crashed invoker never completed. Re-flush them so no update is
         // ever durable while a tag it depends on is not (DESIGN.md §4).
         for k in 0..start {
-            let (cell, _) = unsafe { Info::affect_at(info, b, k) };
+            let (cell, _) = unsafe { Info::affect_at(info, b, s, k) };
             M::pwb(cell);
         }
     }
@@ -1055,17 +329,12 @@ pub unsafe fn help<M: Persist, const ARM: u8>(
 
     // ---- Update phase ---------------------------------------------------
     let mut in_place = true;
-    for k in 0..s.nw {
-        let w = s.write(k);
-        let (cell, old, new) = unsafe {
-            (
-                Info::cell_at(info, b, w),
-                M::load(Info::set(info, w + 1)),
-                M::load(Info::set(info, w + 2)),
-            )
-        };
+    if s.nw > 0 {
+        // SAFETY: the write names a cell of a node the caller's pin keeps live.
+        let (cell, old, new) = unsafe { Info::write_at(info, s, M::load) };
+        let cell = unsafe { &*b.at::<PWord<M>>(cell) };
         let seen = cell.cas(old, new); // idempotent: fails silently on re-execution
-        in_place &= seen == old || seen == new;
+        in_place = seen == old || seen == new;
         arm::pwb_arm::<M, ARM>(cell);
     }
     if merged && !in_place && !unsafe { link_took_effect(b, info, s, tagged_val) } {
@@ -1076,13 +345,13 @@ pub unsafe fn help<M: Persist, const ARM: u8>(
         // a link a later operation moved on after `DONE`: the insert's,
         // whose deletion-tagged `curr` keeps the tag, so a helper that met a
         // resurrected tag gets this far and completes.
-        let (cell, _) = unsafe { Info::affect_at(info, b, 0) };
+        let (cell, _) = unsafe { Info::affect_at(info, b, s, 0) };
         let _ = cell.cas(tagged_val, untagged_val);
         arm::pwb_arm::<M, ARM>(cell);
         M::psync();
         return HelpOutcome::FailedAt(0);
     }
-    debug_assert_ne!(M::load(&r.presult), RES_BOT, "presult is precomputed before publication");
+    debug_assert_ne!(r.result(), RES_BOT, "the response is precomputed before publication");
     unsafe { complete::<M, ARM>(b, info, tagged_val, untagged_val, s) }
 }
 
@@ -1092,12 +361,13 @@ pub unsafe fn help<M: Persist, const ARM: u8>(
 /// # Safety
 /// As [`help`].
 unsafe fn writes_in_place<M: Persist>(b: Base, info: *const Info<M>, s: Shape) -> bool {
-    (0..s.nw).all(|k| {
-        let w = s.write(k);
-        // SAFETY: a write entry names a cell of a node the caller's pin keeps
-        // live ([`help`]'s contract).
-        unsafe { M::load(Info::cell_at(info, b, w)) == M::load(Info::set(info, w + 2)) }
-    })
+    // SAFETY: the write names a cell of a node the caller's pin keeps live
+    // ([`help`]'s contract).
+    s.nw == 0
+        || unsafe {
+            let (cell, _, new) = Info::write_at(info, s, M::load);
+            M::load(&*b.at::<PWord<M>>(cell)) == new
+        }
 }
 
 /// Whether a merged operation took effect: by its write while the cell of
@@ -1168,7 +438,7 @@ unsafe fn complete<M: Persist, const ARM: u8>(
             continue; // deletion-tagged: stays tagged forever (mark bit)
         }
         // SAFETY: descriptor cells stay live per the help() contract.
-        let (cell, _) = unsafe { Info::affect_at(info, b, k) };
+        let (cell, _) = unsafe { Info::affect_at(info, b, s, k) };
         let _ = cell.cas(tagged_val, untagged_val);
         if !arm::is_lp(ARM) {
             arm::pwb_arm::<M, ARM>(cell);
@@ -1189,7 +459,7 @@ unsafe fn complete<M: Persist, const ARM: u8>(
 }
 
 /// [`help`] as Op-Recover runs it on the descriptor a crashed process left
-/// published. Returns the operation's response, `presult` once `DONE` is
+/// published. Returns the operation's response, once `DONE` is
 /// set: [`RES_BOT`] means it did not take effect and no longer can.
 ///
 /// A crash image differs from every state a running system passes through
@@ -1223,10 +493,11 @@ pub unsafe fn help_recovering<M: Persist, const ARM: u8>(
     let r = unsafe { &*info };
     let untagged_val = b.word(info);
     let tagged_val = tag::tagged(untagged_val);
-    let naffect = r.shape().na;
+    let s = r.shape();
+    let naffect = s.na;
     if !M::MAPPED {
         for k in 0..naffect {
-            let (cell, _) = unsafe { Info::affect_at(info, b, k) };
+            let (cell, _) = unsafe { Info::affect_at(info, b, s, k) };
             let seen = M::load(cell);
             if tag::is_tagged(seen) && seen != tagged_val {
                 let _ = unsafe { help::<M, ARM>(b, b.at(seen), false, guard) };
@@ -1234,11 +505,11 @@ pub unsafe fn help_recovering<M: Persist, const ARM: u8>(
         }
     }
     let done = unsafe { help::<M, ARM>(b, info, true, guard) } == HelpOutcome::Done;
-    let res = if done { M::load(&r.presult) } else { RES_BOT };
+    let res = if done { r.result() } else { RES_BOT };
     if res == RES_BOT {
         let mut untagged = false;
         for k in (0..naffect).rev() {
-            let (cell, _) = unsafe { Info::affect_at(info, b, k) };
+            let (cell, _) = unsafe { Info::affect_at(info, b, s, k) };
             if cell.cas(tagged_val, untagged_val) == tagged_val {
                 M::pwb(cell);
                 untagged = true;
@@ -1254,7 +525,9 @@ pub unsafe fn help_recovering<M: Persist, const ARM: u8>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nvm::CountingNvm;
+    use crate::info::{block_bytes, LINE_SETS, PAIR_SETS};
+    use crate::pool::PoolItem;
+    use nvm::{CountingNvm, PWord, PersistWords};
     use reclaim::Collector;
 
     type M = CountingNvm;
@@ -1628,27 +901,190 @@ mod tests {
         unsafe { Info::release(info, 3, &g) };
     }
 
-    /// Fills `info` with shape `na / nw / nn` over dummy cells: the write
-    /// installs the 3-word node at 0x40, new-set entry 0 its last word.
-    fn fill_shape(info: *mut Info<M>, (na, nw, nn): (usize, usize, usize)) {
-        let fill = InfoFill {
-            optype: 1,
-            affect: &[(0x8, 0); MAX_AFFECT + 1][..na],
-            write: &[(0x8, 0, 0x40); MAX_WRITE + 1][..nw],
-            newset: &[0x50, 0x8, 0x8, 0x8][..nn],
+    /// An [`InfoFill`] that owns its sets.
+    struct Fill {
+        affect: Vec<(u64, u64)>,
+        write: Vec<(u64, u64, u64)>,
+        newset: Vec<u64>,
+        node_words: u8,
+        del_mask: u8,
+        presult: u64,
+    }
+
+    impl Fill {
+        fn get(&self) -> InfoFill<'_> {
+            InfoFill {
+                optype: 1,
+                affect: &self.affect,
+                write: &self.write,
+                newset: &self.newset,
+                node_words: self.node_words,
+                del_mask: self.del_mask,
+                presult: self.presult,
+            }
+        }
+    }
+
+    /// Every shape the structures build, over nodes at made-up link words
+    /// that nothing dereferences: `(name, class, fill, set words stored)`.
+    /// The set core's nodes are `{key, next, info}`, the queue's `{val, next,
+    /// info}` behind the anchor `{ptr, info, tail}`, the BST's `{key, left,
+    /// right, info}`; every info cell is its node's last word.
+    fn shapes() -> Vec<(&'static str, Lines, Fill, usize)> {
+        const W: u64 = size_of::<PWord<M>>() as u64;
+        let cell = |node: u64, words: u64| node + (words - 1) * W;
+        // Expected info words.
+        let (e0, e1, e2, e3) = (0x2000, 0x2040, 0x2080, 0x20c0);
+        // Set core: pred, curr, newnd, newcurr, succ.
+        let (p, c, nd, nc, succ) = (0x1000, 0x1040, 0x1080, 0x10a0, 0x10c0);
+        let affect = vec![(cell(p, 3), e0), (cell(c, 3), e1)];
+        let link = |presult| Fill {
+            affect: affect.clone(),
+            write: vec![(p + W, c, nd)],
+            newset: vec![cell(nd, 3), cell(nc, 3)],
             node_words: 3,
-            del_mask: 0,
-            presult: RES_TRUE,
+            del_mask: 0b10,
+            presult,
         };
-        // SAFETY: a fresh descriptor, ours alone.
-        unsafe { Info::fill(info, &fill) };
+        let unlink = |presult| Fill {
+            affect: affect.clone(),
+            write: vec![(p + W, c, succ)],
+            newset: vec![],
+            node_words: 0,
+            del_mask: 0b10,
+            presult,
+        };
+        let read_only = |at, presult| Fill {
+            affect: vec![(at, e1)],
+            write: vec![],
+            newset: vec![],
+            node_words: 0,
+            del_mask: 0,
+            presult,
+        };
+        // Queue: the anchor, the last node, the new one, the sentinel, the first.
+        let (anchor, last, new, sentinel, first) = (0x1200, 0x1240, 0x1260, 0x1280, 0x12a0);
+        // BST: grandparent, parent, leaf, sibling; the insert's internal,
+        // new leaf and copy of the leaf; the delete's copy of the sibling.
+        let (gp, par, leaf, sib) = (0x1400, 0x1440, 0x1480, 0x14c0);
+        let (internal, new_leaf, copy, sib_copy) = (0x1500, 0x1540, 0x1580, 0x15c0);
+        vec![
+            ("set insert", Lines::One, link(RES_TRUE), 6),
+            ("push", Lines::One, link(RES_UNIT), 6),
+            ("delete", Lines::One, unlink(RES_TRUE), 5),
+            ("pop, a value response", Lines::One, unlink(res_val(42)), 6),
+            (
+                "enqueue",
+                Lines::One,
+                Fill {
+                    affect: vec![(cell(last, 3), e0)],
+                    write: vec![(last + W, 0, new)],
+                    newset: vec![cell(new, 3)],
+                    node_words: 3,
+                    del_mask: 0,
+                    presult: RES_UNIT,
+                },
+                4,
+            ),
+            (
+                "dequeue, a value response",
+                Lines::One,
+                Fill {
+                    affect: vec![(anchor + W, e0)],
+                    write: vec![(anchor, sentinel, first)],
+                    newset: vec![],
+                    node_words: 0,
+                    del_mask: 0,
+                    presult: res_val(7),
+                },
+                5,
+            ),
+            (
+                "a cell no affect entry yields",
+                Lines::One,
+                Fill {
+                    affect: vec![(cell(c, 3), e1)],
+                    write: vec![(0x3000, 0, 1)],
+                    newset: vec![],
+                    node_words: 0,
+                    del_mask: 0,
+                    presult: RES_TRUE,
+                },
+                5,
+            ),
+            ("read-only find", Lines::One, read_only(cell(c, 3), RES_FALSE), 2),
+            ("read-only dequeue", Lines::One, read_only(anchor + W, RES_EMPTY), 2),
+            ("read-only, a two-line block", Lines::Two, read_only(cell(leaf, 4), RES_TRUE), 2),
+            (
+                "BST insert",
+                Lines::Two,
+                Fill {
+                    affect: vec![(cell(par, 4), e1), (cell(leaf, 4), e2)],
+                    write: vec![(par + W, leaf, internal)],
+                    newset: vec![cell(internal, 4), cell(new_leaf, 4), cell(copy, 4)],
+                    node_words: 4,
+                    del_mask: 0b10,
+                    presult: RES_TRUE,
+                },
+                7,
+            ),
+            (
+                "BST delete",
+                Lines::Two,
+                Fill {
+                    affect: vec![
+                        (cell(gp, 4), e0),
+                        (cell(par, 4), e1),
+                        (cell(leaf, 4), e2),
+                        (cell(sib, 4), e3),
+                    ],
+                    write: vec![(gp + 2 * W, par, sib_copy)],
+                    newset: vec![cell(sib_copy, 4)],
+                    node_words: 4,
+                    del_mask: 0b1110,
+                    presult: RES_TRUE,
+                },
+                9,
+            ),
+        ]
+    }
+
+    /// Every shape reads back what it was filled with — each affect pair,
+    /// the write's `(cell, old, new)`, each new cell and the response —
+    /// whether a word was stored or computed from the others.
+    #[test]
+    fn every_shape_reads_back_what_it_was_filled_with() {
+        let _gate = crate::counters::gate_shared();
+        for (name, lines, fill, words) in shapes() {
+            let info = boxed(lines);
+            // SAFETY: the test's own descriptor, freed once; no read below
+            // dereferences a cell.
+            unsafe {
+                Info::fill(info, &fill.get());
+                let (i, s) = (&*info, (*info).shape());
+                assert_eq!(s.words(), words, "{name}: set words stored");
+                assert_eq!(i.result(), fill.presult, "{name}: the response");
+                let at = |w| Info::set(info, w).load();
+                let affect: Vec<_> =
+                    (0..s.na).map(|k| (at(s.affect(k)), at(s.affect(k) + 1))).collect();
+                assert_eq!(affect, fill.affect, "{name}: the affect set");
+                let write: Vec<_> =
+                    (0..s.nw).map(|_| Info::write_at(info, s, PWord::load)).collect();
+                assert_eq!(write, fill.write, "{name}: the write");
+                let newset: Vec<_> =
+                    (0..s.nn).map(|k| Info::new_cell(info, s, k, PWord::load)).collect();
+                assert_eq!(newset, fill.newset, "{name}: the new set");
+                assert_eq!((s.del_mask, s.node_words), (fill.del_mask, fill.node_words as usize));
+                Info::<M>::drop_boxed(info.cast());
+            }
+        }
     }
 
     /// The lines the pre-publication barrier writes back, per descriptor
-    /// shape the structures build (`naffect / nwrite / nnew`) in the class
-    /// it is drawn from: a read-only descriptor and both queue operations
-    /// one line, the list's and the BST's updates two. Each range starts at
-    /// the block and ends inside it; the enqueue fills its one line.
+    /// shape the structures build, in the class it is drawn from: every
+    /// map, list, stack and queue shape and every read-only descriptor one
+    /// line, the BST's updates two. Each range starts at the block and ends
+    /// inside it; the insert and the push fill their one line.
     #[test]
     fn each_descriptor_shape_fits_its_line_budget() {
         let _gate = crate::counters::gate_shared();
@@ -1659,24 +1095,15 @@ mod tests {
         ] {
             assert_eq!((one, two), (64, 128), "one line, two lines, volatile word included");
         }
-        let shapes = [
-            ("read-only", (1, 0, 0), Lines::One, 1, 40),
-            ("read-only", (1, 0, 0), Lines::Two, 1, 40),
-            ("enqueue", (1, 1, 1), Lines::One, 1, 64),
-            ("dequeue", (1, 1, 0), Lines::One, 1, 64),
-            ("list insert", (2, 1, 2), Lines::Two, 2, 88),
-            ("list delete", (2, 1, 0), Lines::Two, 2, 80),
-            ("BST insert", (2, 1, 3), Lines::Two, 2, 96),
-            ("BST delete", (4, 1, 1), Lines::Two, 2, 112),
-        ];
-        for (name, shape, lines, want, bytes) in shapes {
+        for (name, lines, fill, words) in shapes() {
             let info = boxed(lines);
-            fill_shape(info, shape);
             // SAFETY: the test's own descriptor.
+            unsafe { Info::fill(info, &fill.get()) };
             let (start, len) = unsafe { Info::words(info) }.used_range();
             assert_eq!(start, info as *const u8, "{name}: the range starts at the block");
+            let want = if words <= LINE_SETS { 1 } else { 2 };
             assert_eq!(nvm::flush::lines_in_range(start, len), want, "{name}");
-            assert_eq!(len, bytes, "{name}: the range's bytes");
+            assert_eq!(len, 16 + 8 * words, "{name}: the range's bytes");
             assert!(len <= block_bytes::<M>(lines), "{name}: the range leaves its block");
             // SAFETY: as above, freed once.
             unsafe { Info::<M>::drop_boxed(info.cast()) };
@@ -1695,9 +1122,10 @@ mod tests {
         // block, its class byte rewritten.
         let info = boxed(Lines::Two);
         // SAFETY: the test's own block, one `InfoPair` long.
+        let enqueue = shapes().into_iter().find(|s| s.0 == "enqueue").unwrap().2;
         unsafe {
             *std::ptr::addr_of_mut!((*info).lines) = Lines::One as u8;
-            fill_shape(info, (1, 1, 1));
+            Info::fill(info, &enqueue.get());
             (*info).meta.store((*info).meta.peek() & !0xff00 | 4 << 8);
             for w in LINE_SETS..PAIR_SETS {
                 Info::set(info, w).store(0x7000 + 8 * w as u64);
@@ -1717,13 +1145,16 @@ mod tests {
         unsafe { drop(Box::from_raw(info.cast::<InfoPair<M>>())) };
     }
 
-    /// A shape past a one-line descriptor's five set words would write into
-    /// the next block: `fill` refuses it in every build.
+    /// A shape past a one-line descriptor's six set words — the BST
+    /// insert's seven — would write into the next block: `fill` refuses it
+    /// in every build.
     #[test]
-    #[should_panic(expected = "exceeds its 5 set words")]
+    #[should_panic(expected = "exceeds its 6 set words")]
     fn fill_refuses_an_over_capacity_shape() {
         let _gate = crate::counters::gate_shared();
-        fill_shape(boxed(Lines::One), (2, 1, 2));
+        let insert = shapes().into_iter().find(|s| s.0 == "BST insert").unwrap().2;
+        // SAFETY: a fresh descriptor, ours alone.
+        unsafe { Info::fill(boxed(Lines::One), &insert.get()) };
     }
 
     /// New-set entry 0 is derived from the write: a fill that names another

@@ -134,8 +134,8 @@ pub struct Env<M: Persist> {
     /// releases the *previous* operation's descriptor whichever structure
     /// it belonged to).
     pub(crate) infos: Arc<Infos<M>>,
-    /// The class of the descriptors the structure's operations draw: two
-    /// lines, one for the queue, whose shapes fit the first line.
+    /// The class of the descriptors the structure's operations draw: one
+    /// line, two for the BST, whose updates' shapes do not fit one.
     pub(crate) lines: Lines,
     /// A hold on every node pool [`Env::pool`] built.
     pools: Vec<Arc<dyn Any + Send + Sync>>,
@@ -160,7 +160,7 @@ impl<M: Persist> Env<M> {
         heap: Option<Arc<MappedHeap>>,
     ) -> Self {
         collector.set_tag(Arc::as_ptr(&infos) as usize);
-        Self { rec, collector, infos, lines: Lines::Two, pools: Vec::new(), heap }
+        Self { rec, collector, infos, lines: Lines::One, pools: Vec::new(), heap }
     }
 
     /// The environment of a structure inside `heap`
@@ -266,6 +266,27 @@ mod tests {
             }
             assert_ne!(env.infos.take(other), info, "{lines:?}: drawn as {other:?}");
             assert_eq!(env.infos.take(lines), info, "{lines:?}: not back in its pool");
+        }
+    }
+
+    /// Only the BST draws two-line descriptors: every other kind's shapes
+    /// fit one line ([`crate::info`]).
+    #[test]
+    fn only_the_bst_draws_two_line_descriptors() {
+        use crate::{bst::RBst, hashmap::RHashMap, list::RList, queue::RQueue, stack::RStack};
+        type M = CountingNvm;
+        let _gate = crate::counters::gate_shared();
+        nvm::tid::set_tid(0);
+        let kinds = [
+            ("map", RHashMap::<M, 3>::new().env.lines),
+            ("list", RList::<M, 3>::new().env.lines),
+            ("stack", RStack::<M>::new().0.env.lines),
+            ("queue", RQueue::<M, 3>::new().env.lines),
+            ("BST", RBst::<M, 3>::new().env.lines),
+        ];
+        for (kind, lines) in kinds {
+            let want = if kind == "BST" { Lines::Two } else { Lines::One };
+            assert_eq!(lines, want, "{kind}");
         }
     }
 

@@ -107,6 +107,7 @@ pub mod env;
 pub mod exchanger;
 pub mod graph;
 pub mod hashmap;
+pub mod info;
 pub mod list;
 pub mod op;
 pub mod pool;

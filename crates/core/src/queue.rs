@@ -38,7 +38,7 @@
 //! CASes fail silently (same argument as the list).
 
 use crate::arm;
-use crate::engine::{res_val, val_of, Info, InfoFill, Lines, RES_EMPTY, RES_UNIT, RES_VAL_BASE};
+use crate::engine::{res_val, val_of, Info, InfoFill, RES_EMPTY, RES_UNIT, RES_VAL_BASE};
 use crate::env::Env;
 use crate::graph::{self, Graph};
 use crate::op::{tracked_node, Update};
@@ -160,8 +160,6 @@ impl<M: Persist, const ARM: u8> RQueue<M, ARM> {
     /// # Safety
     /// As [`sentinel`], over the memory `env`'s pools draw from.
     unsafe fn over(mut env: Env<M>, head: Rooted<Anchor<M>>) -> Self {
-        // Both shapes, 1/1/1 and 1/1/0, fit a descriptor's first line.
-        env.lines = Lines::One;
         let node_pool = env.pool::<_, ARM>();
         unsafe { sentinel(env.rec.base, &node_pool, &head) };
         Self { head, node_pool, env }

@@ -1069,7 +1069,7 @@ mod tests {
                 let done = unsafe { help::<M, { crate::arm::LP }>(Base(0), info, true, &g.pin()) };
                 assert_eq!(done, crate::engine::HelpOutcome::Done);
             });
-            crate::engine::VALIDATES_RACE.with(|f| f.set(Some(help_now)));
+            crate::info::VALIDATES_RACE.with(|f| f.set(Some(help_now)));
         };
         lp(&helped_meanwhile, Recovered::Completed(RES_TRUE), "helped between the DONE reads");
         // A recycled descriptor whose previous fill's `meta` — the same

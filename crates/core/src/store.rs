@@ -576,7 +576,7 @@ fn construct_entry(env: &AttachEnv, e: &CatalogEntry) -> Result<Box<dyn SlotOps>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::RES_TRUE;
+    use crate::engine::{Lines, RES_TRUE};
     use crate::env::Env;
     use crate::recovery::Recovered;
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -1122,6 +1122,37 @@ mod tests {
         });
         assert!(back.is_some(), "never recycled once the pin dropped");
         drop((map, queue, store));
+    }
+
+    /// Only the BST draws two-line descriptors. A store of a map, a list, a
+    /// stack and a queue, updated and read by two pids, never refills the
+    /// two-line pool: no block of that class is ever carved. The first BST
+    /// insert carves some.
+    #[test]
+    fn a_store_without_a_bst_never_refills_the_two_line_pool() {
+        let _gate = crate::counters::gate_shared();
+        nvm::tid::set_tid(0);
+        let path = tmp("one_line");
+        let store = Store::open_sized(&path, 4 << 20).unwrap();
+        let pair = crate::info::block_bytes::<MappedNvm>(Lines::Two) / nvm::mapped::GRANULE;
+        let pairs = || store.heap().usage().committed[pair];
+        let (map, list) = (store.hashmap::<LP>("m", 4).unwrap(), store.list::<LP>("l").unwrap());
+        let (stack, queue) = (store.stack("s").unwrap(), store.queue::<LP>("q").unwrap());
+        for v in 1..=500u64 {
+            let pid = 1 + v as usize % 2;
+            assert!(map.insert(pid, v) && list.insert(pid, v));
+            stack.push(pid, v);
+            queue.enqueue(pid, v);
+            if v % 3 == 0 {
+                assert!(map.delete(pid, v) && list.delete(pid, v) && !map.find(pid, v));
+                assert!(stack.pop(pid).is_some() && queue.dequeue(pid).is_some());
+            }
+        }
+        assert_eq!(pairs(), 0, "two-line descriptors drawn without a BST");
+        let bst = store.bst::<LP>("t").unwrap();
+        assert!(bst.insert(1, 7));
+        assert!(pairs() > 0, "the BST draws two-line descriptors");
+        drop((map, list, stack, queue, bst, store));
     }
 
     /// A process alone on its heap may run any tid: a descriptor whose last

@@ -449,11 +449,20 @@ impl MappedHeap {
         slab.hdr[0].store(encode_hdr(ST_SLAB, cls as u64), Release);
         self.publish_bump(r.from, r.end);
         drop(bump_lock);
-        // Reversed, so the thread's cache hands the blocks out in order.
-        let rest = slab_halves(r.start, cls).skip(1).rev();
-        match self.my_cache() {
-            Some(cache) => cache[cls].extend(rest.map(|h| h as u32)),
-            None => rest.for_each(|h| self.global_push(cls, h)),
+        // The carving thread's cache takes what `free` would let it hold;
+        // the rest goes to the class's global stack, where another thread
+        // draws it before carving a slab of its own. In a half slab the
+        // split falls between two lines, so the carver's blocks (block 0
+        // included) and the shared ones each fill whole lines: two halves
+        // drawn one after the other share one. Each is stocked reversed, so
+        // it hands the blocks out in order.
+        let cache = self.my_cache();
+        let free = cache.as_ref().map_or(0, |c| CACHE_CAP.saturating_sub(c[cls].len()));
+        let room = if cls == 0 && free.is_multiple_of(2) { free.saturating_sub(1) } else { free };
+        let rest = || slab_halves(r.start, cls).skip(1);
+        rest().skip(room).rev().for_each(|h| self.global_push(cls, h));
+        if let Some(cache) = cache {
+            cache[cls].extend(rest().take(room).rev().map(|h| h as u32));
         }
         Ok(self.payload(r.start + 1))
     }
@@ -920,6 +929,51 @@ mod tests {
                 per_slab + 1
             );
         }
+        drop(heap);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// A carve stocks its thread's cache only up to what `free` lets it
+    /// hold and pushes the rest of the slab to the class's global stack:
+    /// another thread draws those, in order, before it carves a slab of its
+    /// own, and the carving thread still draws its cached blocks in order.
+    /// In a half slab each thread's share fills whole lines: the carver
+    /// holds blocks 0..64, one cached block less than the cap.
+    #[test]
+    fn slab_carve_caches_up_to_the_cap_and_shares_the_rest() {
+        let path = tmp("slab_share");
+        let heap = MappedHeap::create(&path, MIN_HEAP_BYTES).unwrap();
+        let halves = slab_blocks(0);
+        let bump = heap.bump_granules();
+        let start = heap.payload(bump + 1) as usize;
+        let at = |k: usize| start + k * HALF;
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                tid::set_tid(4);
+                assert_eq!(heap.alloc(HALF).unwrap() as usize, at(0), "block 0 to the carver");
+                assert_eq!(heap.my_cache().unwrap()[0].len(), CACHE_CAP - 1, "whole lines");
+            });
+        });
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                tid::set_tid(5);
+                for k in CACHE_CAP..halves {
+                    assert_eq!(heap.alloc(HALF).unwrap() as usize, at(k), "shared block {k}");
+                }
+                assert_eq!(heap.bump_granules(), bump + SLAB, "no slab carved for them");
+                heap.alloc(HALF).unwrap();
+                assert_eq!(heap.bump_granules(), bump + 2 * SLAB, "the shared blocks are gone");
+            });
+        });
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                tid::set_tid(4);
+                for k in 1..CACHE_CAP {
+                    assert_eq!(heap.alloc(HALF).unwrap() as usize, at(k), "cached block {k}");
+                }
+                assert_eq!(heap.bump_granules(), bump + 2 * SLAB);
+            });
+        });
         drop(heap);
         let _ = std::fs::remove_file(&path);
     }

@@ -134,8 +134,13 @@ pub const MAGIC: u64 = 0x4953_424D_4150_3031;
 /// granule, two to a payload granule under one header whose words 3..5
 /// hold the odd halves' masks and bitmap, and the free stacks name blocks by
 /// half-granule index — so a v11 walk would misread class 0 and every odd
-/// half; it fails typed (`BadVersion(11)`) and is left as it was.
-pub const VERSION: u64 = 12;
+/// half; it fails typed (`BadVersion(11)`) and is left as it was. v13: a
+/// descriptor stores a response code, its write's cell and its write's old
+/// value in `meta` whenever its other words give them, the set words start
+/// right after `meta`, and the map, list and stack draw one-line
+/// descriptors — so a v12 heap's descriptors would be misread; it fails
+/// typed (`BadVersion(12)`) and is left as it was.
+pub const VERSION: u64 = 13;
 /// Pattern written over the payload of torn (allocated-but-never-committed)
 /// tail blocks before they are returned to the free list.
 pub const POISON: u64 = 0xDEAD_BEEF_DEAD_BEEF;

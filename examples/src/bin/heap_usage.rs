@@ -16,8 +16,8 @@
 //! Prints `MappedHeap::usage()` per live key (item) after the last re-open,
 //! which returned every pool cache to the free lists: the half class — the
 //! reachable nodes (a census walk), 32 bytes each, and any other half
-//! block — the 1-granule class of one-line descriptors, the queue's, and
-//! the 2-granule class of two-line descriptors, every other kind's, then
+//! block — the 1-granule class of one-line descriptors, the map's and the
+//! queue's, and the 2-granule class of two-line descriptors, the BST's, then
 //! slab headers and pads, idle free blocks and cold blocks, which sum to
 //! the bumped bytes per key (the benchmark's `heap_bytes_per_key`).
 

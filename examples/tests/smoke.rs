@@ -68,9 +68,9 @@ fn pipeline_runs() {
 fn heap_usage_runs() {
     let out = run_example(env!("CARGO_BIN_EXE_heap_usage"), &[]);
     assert!(out.contains("live keys") && out.contains("B/key"), "unexpected output:\n{out}");
-    // Each section's descriptor row counts the blocks of its class: the
-    // map's two lines, the queue's one; and each section's nodes are half
-    // blocks, a row of their own.
+    // Each section's descriptor row counts the blocks of its class, one
+    // line for the map and the queue alike; and each section's nodes are
+    // half blocks, a row of their own.
     let blocks = |section: &str, row: &str| {
         out.split(section)
             .nth(1)
@@ -79,12 +79,17 @@ fn heap_usage_runs() {
             .and_then(|n| n.parse::<u64>().ok())
     };
     for (section, row) in [
-        ("map:", "two-line descriptors ("),
+        ("map:", "one-line descriptors ("),
         ("queue:", "one-line descriptors ("),
         ("map:", "nodes, half blocks ("),
         ("queue:", "nodes, half blocks ("),
     ] {
         let n = blocks(section, row);
         assert!(n.is_some_and(|n| n > 0), "{section} no {row}…) blocks counted:\n{out}");
+    }
+    // Only the BST draws two-line descriptors.
+    for section in ["map:", "queue:"] {
+        let n = blocks(section, "two-line descriptors (");
+        assert_eq!(n, Some(0), "{section} two-line descriptors:\n{out}");
     }
 }

@@ -30,8 +30,8 @@
 //! notes the same line, which on the same thread is already pending. So a
 //! request after one that took effect costs one line less (its slot's line
 //! was counted by its predecessor's note), and a request that takes effect
-//! costs one line and no fence of the table's: `put-new` 9 / 2 is
-//! 1 + 7 / 2 + 1 / 0.
+//! costs one line and no fence of the table's: `put-new` 8 / 2 is
+//! 1 + 6 / 2 + 1 / 0.
 //! Of the structure's own, the `Isb-LP` operation (the arm the service
 //! ships, `kvserve::server::ARM`) without its glue, the link-persist
 //! elisions are the cleanup write-backs (`put-new` 3 lines, `del-hit` and
@@ -39,18 +39,20 @@
 //! reads back (4 lines, 1 fence), and on `put-new` the merged tag-phase
 //! `psync` (1 fence): the predecessor's line, tagged and linked in one
 //! fence window, is written back once, and the line of the node the insert
-//! copy-replaces joins its publish window, so `put-new` writes back 9
-//! lines with 2 fences when every node has a line of its own. Nodes are
+//! copy-replaces joins its publish window, so `put-new` writes back 8
+//! lines with 2 fences when every node has a line of its own — its
+//! descriptor, a 2/1/2 whose response, write cell and old value `meta`
+//! gives, one of them, as is the delete's. Nodes are
 //! half-line blocks, though, two to a line, and nodes drawn one after the
 //! other from a pool are the two halves of one line: the insert's `newnd`
-//! and `newcurr` always (one line, not two: 8), and its `pred` and `curr`
+//! and `newcurr` always (one line, not two: 7), and its `pred` and `curr`
 //! when they too were drawn as a pair — a bucket's two sentinels, or the
 //! `newnd` / `newcurr` of the insert that last linked behind `pred` — so
-//! the predecessor's window and the copied node's share a line (7). Every
-//! `put-new` row here saves both lines — 8 / 2 after an effect, 9 / 2
-//! after nothing, `2nd put-new` 10 / 2 after an effect — but the second
+//! the predecessor's window and the copied node's share a line (6). Every
+//! `put-new` row here saves both lines — 7 / 2 after an effect, 8 / 2
+//! after nothing, `2nd put-new` 9 / 2 after an effect — but the second
 //! client's `put-new` of 200 after nothing, which links between two nodes
-//! of different draws and saves one: 10 / 2. A `del-hit` keeps its tag
+//! of different draws and saves one: 9 / 2. A `del-hit` keeps its tag
 //! fence (its new link is not a fresh node). A queue descriptor is one line, and the dequeue tags
 //! the head anchor alone, so `deq` writes back the anchor's line in its tag
 //! window and again with the head move, and nothing of the old sentinel.
@@ -154,25 +156,25 @@ fn one_kv_request_costs_exactly_its_persist_budget() {
     // `(kind, after an effect, (lines, fences))`; "2nd" is the second
     // client, on its own connection.
     let golden: [(&str, bool, (u64, u64)); 20] = [
-        ("put-new", true, (8, 2)),
+        ("put-new", true, (7, 2)),
         ("put-dup", true, (0, 1)),
-        ("del-hit", true, (8, 3)),
+        ("del-hit", true, (7, 3)),
         ("del-miss", true, (0, 1)),
         ("get", true, (0, 0)),
         ("enq", true, (6, 2)),
         ("deq", true, (6, 3)),
         ("replay", true, (0, 0)),
-        ("2nd put-new", true, (10, 2)),
+        ("2nd put-new", true, (9, 2)),
         ("2nd put-dup", true, (2, 1)),
-        ("put-new", false, (9, 2)),
+        ("put-new", false, (8, 2)),
         ("put-dup", false, (1, 1)),
-        ("del-hit", false, (9, 3)),
+        ("del-hit", false, (8, 3)),
         ("del-miss", false, (1, 1)),
         ("get", false, (0, 0)),
         ("enq", false, (7, 2)),
         ("deq", false, (7, 3)),
         ("replay", false, (0, 0)),
-        ("2nd put-new", false, (10, 2)),
+        ("2nd put-new", false, (9, 2)),
         ("2nd put-dup", false, (1, 1)),
     ];
     assert_eq!(rows, golden, "(lines, fences) per request");

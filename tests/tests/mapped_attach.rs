@@ -94,7 +94,9 @@ fn wrong_version_fails_typed() {
 }
 
 /// A heap of a previous format fails typed before anything reads it, and is
-/// left byte for byte as it was: version 11, whose nodes took a whole
+/// left byte for byte as it was: version 12, whose map, list and stack
+/// descriptors were two lines with the response, the write's cell and its
+/// old value always stored, version 11, whose nodes took a whole
 /// granule each, with no half slab for a v12 walk to read, version 10,
 /// whose descriptors were all two
 /// lines with the volatile words last and new-set entry 0 stored, version
@@ -112,8 +114,8 @@ fn wrong_version_fails_typed() {
 /// first cache line.
 #[test]
 fn previous_descriptor_format_fails_typed() {
-    assert_eq!(nvm::mapped::VERSION, 12);
-    for old in [11u64, 10, 9, 8, 7, 6, 5, 4, 3] {
+    assert_eq!(nvm::mapped::VERSION, 13);
+    for old in [12u64, 11, 10, 9, 8, 7, 6, 5, 4, 3] {
         let path = tmp("old_version");
         mk_map(&path);
         patch(&path, 8, &old.to_le_bytes()); // word 1: version
@@ -155,14 +157,15 @@ fn queue_descriptor(path: &PathBuf, rd_only: bool) -> (u64, u64) {
 }
 
 /// Claims the BST delete's 4/1/1 in the `meta` (word 1) of the one-line
-/// descriptor at `info`, its five set words (words 3..8, all the block
-/// holds) naming the node at `node`, so every cell they name passes the
-/// span checks: the set words the claim needs past them would be the next
-/// block's. With `class`, the class byte (word 0, byte 6) too.
+/// descriptor at `info`, every word of its sets stored, its six set words
+/// (words 2..8, all the block holds) naming the node at `node`, so every
+/// cell they name passes the span checks: the set words the claim needs
+/// past them would be the next block's. With `class`, the class byte (word
+/// 0, byte 6) too.
 fn claim_bst_delete(path: &PathBuf, info: u64, node: u64, class: Option<u8>) {
     let meta = read_at(path, info + 8);
     patch(path, info + 8, &(meta & !0xff_ff_ff_00 | 4 << 8 | 1 << 16 | 1 << 24).to_le_bytes());
-    for w in 3..8 {
+    for w in 2..8 {
         patch(path, info + 8 * w, &node.to_le_bytes());
     }
     if let Some(class) = class {
@@ -234,6 +237,66 @@ fn over_capacity_descriptor_in_rd_q_is_rolled_back_or_refused() {
     }
 }
 
+/// A one-shard map named `"one"`: pid 1 inserted 5 and — with `rd_only` —
+/// pid 2 inserted 4 and 6 around it, overwriting every cell that named the
+/// insert's descriptor. Returns the file offset of that descriptor, a
+/// one-line block whose `meta` gives its write cell (`pred.info` − 1 word)
+/// and its old value (`curr.info` − 2 words) from its affect cells, block
+/// words 2 and 4.
+fn map_insert_descriptor(path: &PathBuf, rd_only: bool) -> u64 {
+    nvm::tid::set_tid(0);
+    {
+        let store = Store::open_sized(path, HEAP_BYTES).unwrap();
+        let map = store.hashmap::<LP>("one", 1).unwrap();
+        assert!(map.insert(1, 5));
+        if rd_only {
+            assert!(map.insert(2, 4) && map.insert(2, 6));
+        }
+    }
+    read_at(path, root_offset(path, rootkeys::RECAREA) + ARENA_SLOT_STRIDE as u64)
+}
+
+/// A one-line map descriptor whose computed write cell or old value lies in
+/// page 0: the affect cell it is computed from moved to the first words
+/// past page 0, so every stored cell passes the span checks. Named by a
+/// node cell, attach refuses it typed, naming the descriptor, before `help`
+/// reads a word; named by `RD_1` alone, its digest no longer matches and
+/// the publication is rolled back: pid 1 restarts.
+#[test]
+fn computed_write_word_in_page_0_is_refused_or_rolled_back() {
+    use isb::recovery::Recovered;
+    const PAGE: u64 = 4096;
+    // (row, block word patched, its value, RD_1 alone)
+    let rows = [
+        ("write cell, named by a node", 2, PAGE, false),
+        ("old value, named by a node", 4, PAGE + 8, false),
+        ("write cell, RD_1 alone", 2, PAGE, true),
+        ("old value, RD_1 alone", 4, PAGE + 8, true),
+    ];
+    for (row, word, value, rd_only) in rows {
+        let path = tmp("computed_word");
+        let info = map_insert_descriptor(&path, rd_only);
+        patch(&path, info + 8 * word, &value.to_le_bytes());
+        let p = path.clone();
+        let opened = by_deadline(row, move || {
+            Store::open_sized(&p, HEAP_BYTES).map(|store| {
+                assert_eq!(store.summary().decision(1), Recovered::Restart, "{row}");
+                let map = store.hashmap::<LP>("one", 1).unwrap();
+                assert!((4..=6).all(|k| map.find(0, k)), "{row}");
+            })
+        });
+        let slot = root_offset(&path, rootkeys::RECAREA) + ARENA_SLOT_STRIDE as u64;
+        match (opened, rd_only) {
+            (Ok(()), true) => assert_eq!(read_at(&path, slot), 0, "{row}: RD_1 rolled back"),
+            (Err(AttachError::Map(MapError::CorruptPointer { addr })), false) => {
+                assert_eq!(addr, info, "{row}")
+            }
+            (r, _) => panic!("{row}: got {:?}", r.err().map(|e| e.to_string())),
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+}
+
 /// A publication torn by hand — a word of pid 1's descriptor rewritten to
 /// a wild cell, or a record word not on media (a check naming a zero word)
 /// — is what a process that died inside its publish `psync` can leave: it
@@ -274,7 +337,7 @@ fn torn_publication_is_cleared_not_refused() {
         assert!(rd != 0 && cp >> 63 == 1, "pid 1 published: ({cp:#x}, {rd:#x})");
         let prior = (read_at(&path, slot + stride), read_at(&path, slot + stride + 8)); // pid 2's
         if tear {
-            patch(&path, rd + 24, &0xFFFF_FFF8u64.to_le_bytes()); // its affect cell
+            patch(&path, rd + 16, &0xFFFF_FFF8u64.to_le_bytes()); // its affect cell
         }
         patch(&path, slot, &rd_image(rd).to_le_bytes());
         patch(&path, slot + 8, &cp_image(cp).to_le_bytes());
